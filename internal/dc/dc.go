@@ -100,8 +100,10 @@ type DC struct {
 	mux    *Mux
 	sched  *Scheduler
 
-	// sbfrSys is the optional SBFR process monitor (Config.EnableSBFR).
+	// sbfrSys is the optional SBFR process monitor (Config.EnableSBFR);
+	// sbfrIn is its per-scan input vector, in ProcessMonitorChannels order.
 	sbfrSys *sbfr.System
+	sbfrIn  [2]float64
 	// wnnClf is the optional wavelet neural network source (AttachWNN).
 	wnnClf *wnn.ChillerClassifier
 
@@ -308,6 +310,17 @@ func (d *DC) RunFor(dur time.Duration) error {
 // measurement point through the MUX, store waveform statistics, run the
 // expert system, persist and uplink the resulting condition reports.
 func (d *DC) RunVibrationTest(now time.Time) error {
+	plantCfg := d.src.Config()
+	// Extractor scratch is shared process-wide, not held per DC: it is
+	// borrowed for the sweep and handed back.
+	ex, err := vibration.AcquireExtractor(plantCfg, d.cfg.FrameLen)
+	if err != nil {
+		return err
+	}
+	defer ex.Release()
+	// The extractor's spectrum is overwritten by the next point, so each
+	// point's features are kept by value.
+	var swept [chiller.NumPoints]vibration.Features
 	features := make(map[chiller.MeasurementPoint]*vibration.Features, chiller.NumPoints)
 	type wnnCall struct {
 		pt  chiller.MeasurementPoint
@@ -327,11 +340,8 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 		if reason := d.guard.InspectFrame(vibGuardChannel(pt), frame); reason != "" {
 			suspects[pt] = reason
 		}
-		if _, _, err := d.mux.Ingest(i%d.mux.BankSize(), frame); err != nil {
-			return err
-		}
-		f, err := vibration.Extract(frame, d.src.Config(), pt)
-		if err != nil {
+		f := &swept[i]
+		if err := d.analyzePoint(ex, f, i%d.mux.BankSize(), frame, pt); err != nil {
 			return err
 		}
 		features[pt] = f
@@ -396,6 +406,20 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 		}
 	}
 	return nil
+}
+
+// analyzePoint is the engine-backed compute on one acquired frame: the MUX
+// lane's RMS detector, then spectral feature extraction into *f on the
+// borrowed extractor. It is the part of the vibration test that must not
+// allocate; the WNN's cepstral, DCT and network stages have no engine yet
+// and run outside it.
+//
+//mpros:hotpath per-point detector and feature extraction on the scheduled vibration test
+func (d *DC) analyzePoint(ex *vibration.Extractor, f *vibration.Features, lane int, frame []float64, pt chiller.MeasurementPoint) error {
+	if _, _, err := d.mux.Ingest(lane, frame); err != nil {
+		return err
+	}
+	return ex.ExtractInto(f, frame, pt)
 }
 
 // vibGuardChannel names a measurement point's raw acquisition channel for

@@ -74,6 +74,13 @@ func newProcessMonitor() (*sbfr.System, error) {
 	return sbfr.NewSystemFromSource(ProcessMonitorSource, ProcessMonitorChannels)
 }
 
+// cycleSBFR ticks the monitor on one process sample through the DC-owned
+// input vector, so the tick itself allocates nothing.
+func (d *DC) cycleSBFR(ps chiller.ProcessState) error {
+	d.sbfrIn = [2]float64{ps.OilPressurePSI, ps.EvapPressurePSI}
+	return d.sbfrSys.Cycle(d.sbfrIn[:])
+}
+
 // RunSBFRScan samples the process channels into the SBFR system and emits a
 // report for each machine whose status register is flagged, then resets the
 // register (the DC is the acknowledging agent).
@@ -82,8 +89,7 @@ func (d *DC) RunSBFRScan(now time.Time) error {
 		return fmt.Errorf("dc: SBFR monitor not enabled")
 	}
 	d.sbfrScans++
-	ps := d.src.ProcessState()
-	if err := d.sbfrSys.Cycle([]float64{ps.OilPressurePSI, ps.EvapPressurePSI}); err != nil {
+	if err := d.cycleSBFR(d.src.ProcessState()); err != nil {
 		return err
 	}
 	for _, name := range d.sbfrSys.MachineNames() {

@@ -109,13 +109,3 @@ func ToComplex(x []float64) []complex128 {
 	}
 	return out
 }
-
-// RealFFT computes the FFT of a real frame and returns the one-sided complex
-// spectrum (bins 0..n/2 inclusive). The input length must be a power of two.
-func RealFFT(x []float64) ([]complex128, error) {
-	buf := ToComplex(x)
-	if err := FFT(buf); err != nil {
-		return nil, err
-	}
-	return buf[:len(buf)/2+1], nil
-}

@@ -8,9 +8,10 @@ import (
 // FrameAnalyzer computes one-sided amplitude spectra of fixed-length frames
 // with zero steady-state heap allocation. All scratch — window coefficients,
 // the complex FFT buffer, and the output spectrum's bins — is sized at
-// construction; the per-frame Analyze call only overwrites it. This is the
-// allocation-free counterpart of AnalyzeFrame for the data concentrator's
-// ingest tick, where a GC pause is a missed sampling deadline.
+// construction; the per-frame Analyze call only overwrites it, so a data
+// concentrator sweeping its measurement points never provokes the collector
+// mid-acquisition. It holds no cross-frame state: any analyzer of the right
+// shape gives the same answer for a frame. AnalyzeFrame is its one-shot form.
 //
 // The returned *Spectrum aliases the analyzer's internal buffers and is
 // valid until the next Analyze call; callers that need to keep a spectrum
@@ -27,7 +28,7 @@ type FrameAnalyzer struct {
 
 // NewFrameAnalyzer sizes an analyzer for frames of exactly frameLen samples
 // at sampleRate Hz under the given window. Frames shorter than the next
-// power of two are zero-padded internally, exactly as AnalyzeFrame does.
+// power of two are zero-padded internally.
 func NewFrameAnalyzer(frameLen int, sampleRate float64, window WindowKind) (*FrameAnalyzer, error) {
 	if frameLen <= 0 {
 		return nil, fmt.Errorf("dsp: non-positive frame length %d", frameLen)
@@ -64,8 +65,6 @@ func (fa *FrameAnalyzer) FrameLen() int { return fa.frameLen }
 // Analyze windows frame, transforms it, and fills the internal spectrum.
 // frame must be exactly FrameLen samples. The result aliases internal state
 // and is overwritten by the next call.
-//
-//mpros:hotpath per-frame spectral analysis on the acquisition tick
 func (fa *FrameAnalyzer) Analyze(frame []float64) (*Spectrum, error) {
 	if len(frame) != fa.frameLen {
 		return nil, fmt.Errorf("dsp: frame length %d, analyzer sized for %d", len(frame), fa.frameLen)

@@ -14,25 +14,34 @@ func frameTestSignal(n int, rate float64) []float64 {
 	return x
 }
 
-// TestFrameAnalyzerMatchesAnalyzeFrame checks the preallocated analyzer
-// against the one-shot path bit for bit.
+// TestFrameAnalyzerMatchesAnalyzeFrame guards analyzer reuse: one analyzer
+// fed different frames in interleaved order must return, for each, bit for
+// bit what a fresh one-shot AnalyzeFrame returns — nothing of the previous
+// frame survives in the FFT buffer, the zero padding, or the spectrum.
 func TestFrameAnalyzerMatchesAnalyzeFrame(t *testing.T) {
 	const rate = 8192.0
 	for _, n := range []int{1024, 3000, 4096} {
-		x := frameTestSignal(n, rate)
-		want, err := AnalyzeFrame(x, rate, Hann)
-		if err != nil {
-			t.Fatalf("n=%d: AnalyzeFrame: %v", n, err)
+		impulse := make([]float64, n)
+		impulse[n/3] = 7
+		frames := [][]float64{
+			frameTestSignal(n, rate),
+			make([]float64, n), // silence right after a loud frame
+			impulse,
+			sine(n, rate, 1000.5, 0.2),
 		}
 		fa, err := NewFrameAnalyzer(n, rate, Hann)
 		if err != nil {
 			t.Fatalf("n=%d: NewFrameAnalyzer: %v", n, err)
 		}
-		// Run twice so state reuse is exercised.
-		for pass := 0; pass < 2; pass++ {
+		for step, fi := range []int{0, 1, 2, 0, 3, 3, 1, 0} {
+			x := frames[fi]
+			want, err := AnalyzeFrame(x, rate, Hann)
+			if err != nil {
+				t.Fatalf("n=%d: AnalyzeFrame: %v", n, err)
+			}
 			got, err := fa.Analyze(x)
 			if err != nil {
-				t.Fatalf("n=%d pass %d: Analyze: %v", n, pass, err)
+				t.Fatalf("n=%d step %d: Analyze: %v", n, step, err)
 			}
 			if got.SampleRate != want.SampleRate || got.Resolution != want.Resolution {
 				t.Fatalf("n=%d: header mismatch: got (%g, %g), want (%g, %g)",
@@ -43,8 +52,8 @@ func TestFrameAnalyzerMatchesAnalyzeFrame(t *testing.T) {
 			}
 			for i := range want.Amp {
 				if got.Amp[i] != want.Amp[i] || got.Phase[i] != want.Phase[i] {
-					t.Fatalf("n=%d bin %d: (%v, %v) != (%v, %v)",
-						n, i, got.Amp[i], got.Phase[i], want.Amp[i], want.Phase[i])
+					t.Fatalf("n=%d step %d (frame %d) bin %d: (%v, %v) != (%v, %v)",
+						n, step, fi, i, got.Amp[i], got.Phase[i], want.Amp[i], want.Phase[i])
 				}
 			}
 		}
@@ -64,30 +73,6 @@ func TestFrameAnalyzerRejects(t *testing.T) {
 	}
 	if _, err := fa.Analyze(make([]float64, 512)); err == nil {
 		t.Error("wrong-length frame accepted")
-	}
-}
-
-func BenchmarkAnalyzeFrame(b *testing.B) {
-	x := frameTestSignal(4096, 8192)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeFrame(x, 8192, Hann); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFrameAnalyzerAnalyze(b *testing.B) {
-	x := frameTestSignal(4096, 8192)
-	fa, err := NewFrameAnalyzer(len(x), 8192, Hann)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := fa.Analyze(x); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

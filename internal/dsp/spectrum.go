@@ -1,10 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-	"math/cmplx"
-)
+import "math"
 
 // Spectrum holds a one-sided amplitude spectrum of a real-valued frame.
 // Amplitudes are corrected for window coherent gain so that a pure sine of
@@ -83,41 +79,15 @@ func (s *Spectrum) TotalRMS() float64 {
 
 // AnalyzeFrame computes a one-sided amplitude spectrum of frame sampled at
 // sampleRate Hz, applying the given window. Frames whose length is not a
-// power of two are zero-padded.
+// power of two are zero-padded. It is the one-shot form of FrameAnalyzer: a
+// fresh analyzer sized for this frame runs once and hands back its spectrum,
+// which nothing else aliases.
 func AnalyzeFrame(frame []float64, sampleRate float64, window WindowKind) (*Spectrum, error) {
-	if len(frame) == 0 {
-		return nil, fmt.Errorf("dsp: empty frame")
-	}
-	if sampleRate <= 0 {
-		return nil, fmt.Errorf("dsp: non-positive sample rate %g", sampleRate)
-	}
-	n := NextPow2(len(frame))
-	work := make([]float64, len(frame))
-	copy(work, frame)
-	gain := ApplyWindow(window, work)
-	work = ZeroPad(work, n)
-	spec, err := RealFFT(work)
+	fa, err := NewFrameAnalyzer(len(frame), sampleRate, window)
 	if err != nil {
 		return nil, err
 	}
-	out := &Spectrum{
-		SampleRate: sampleRate,
-		Resolution: sampleRate / float64(n),
-		Amp:        make([]float64, len(spec)),
-		Phase:      make([]float64, len(spec)),
-	}
-	// Scale by frame length (not padded length) and window gain; double
-	// interior bins to fold negative frequencies into the one-sided view.
-	scale := 1 / (float64(len(frame)) * gain)
-	for i, c := range spec {
-		a := cmplx.Abs(c) * scale
-		if i != 0 && i != len(spec)-1 {
-			a *= 2
-		}
-		out.Amp[i] = a
-		out.Phase[i] = cmplx.Phase(c)
-	}
-	return out, nil
+	return fa.Analyze(frame)
 }
 
 // PSD returns the power spectral density estimate (amplitude squared per Hz)

@@ -67,19 +67,3 @@ func Window(kind WindowKind, n int) []float64 {
 	}
 	return w
 }
-
-// ApplyWindow multiplies x element-wise by the window coefficients for kind
-// and returns the coherent gain of the window (mean of its coefficients),
-// which callers use to correct tone amplitudes.
-func ApplyWindow(kind WindowKind, x []float64) float64 {
-	w := Window(kind, len(x))
-	var sum float64
-	for i := range x {
-		x[i] *= w[i]
-		sum += w[i]
-	}
-	if len(x) == 0 {
-		return 1
-	}
-	return sum / float64(len(x))
-}

@@ -104,13 +104,12 @@ func E4SBFRFootprintAndCycle(seed int64) (*Result, error) {
 		return nil, err
 	}
 	const cycles = 20000
-	buf := make([]float64, 2)
 	in := make([]float64, 2)
 	start := stopwatch()
 	for i := 0; i < cycles; i++ {
 		s := sim.Step()
 		in[0], in[1] = s.Current, s.CPOS
-		if err := sys.CycleInto(in, buf); err != nil {
+		if err := sys.Cycle(in); err != nil {
 			return nil, err
 		}
 	}

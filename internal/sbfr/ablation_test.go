@@ -155,14 +155,13 @@ func BenchmarkAblationBytecodeVM(b *testing.B) {
 		b.Fatal(err)
 	}
 	samples := sim.Run(4096)
-	buf := make([]float64, 2)
 	in := make([]float64, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := samples[i%len(samples)]
 		in[0], in[1] = s.Current, s.CPOS
-		if err := sys.CycleInto(in, buf); err != nil {
+		if err := sys.Cycle(in); err != nil {
 			b.Fatal(err)
 		}
 	}

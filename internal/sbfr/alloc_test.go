@@ -2,68 +2,70 @@ package sbfr
 
 import "testing"
 
-// TestCycleIntoMatchesCycle checks the buffer-reusing tick against the
-// allocating one on the same input sequence.
-func TestCycleIntoMatchesCycle(t *testing.T) {
+// deltaSource accumulates rises and counts falls, so both its local and its
+// status register depend on every tick's delta.
+const deltaSource = `
+machine Edges
+  locals 1
+  state Watch
+    when delta.x > 0.5 do local.0 = local.0 + delta.x goto Watch
+    when delta.x < -0.5 do status.self = status.self + 1 goto Watch
+`
+
+// TestCycleReusedSystemMatchesFresh guards the system-owned tick buffers:
+// a system that ran one input sequence and was Reset must tick a different
+// sequence exactly as a fresh system does — no baseline or delta survives.
+func TestCycleReusedSystemMatchesFresh(t *testing.T) {
 	mk := func() *System {
-		sys, err := NewSystemFromSource(counterSource, []string{"x"})
+		sys, err := NewSystemFromSource(deltaSource, []string{"x"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sys
 	}
-	a, b := mk(), mk()
-	deltas := make([]float64, 1)
-	for i, v := range []float64{1, 1, 1, 0, 0, 1} {
-		if err := a.Cycle([]float64{v}); err != nil {
-			t.Fatalf("tick %d: Cycle: %v", i, err)
+	seqs := [][]float64{
+		{9, 10, 3, 4.2, 4.3, 0},
+		{0, 1, 2, 0, 5, 5, 4},
+		{-3, 7},
+	}
+	reused := mk()
+	for si, seq := range seqs {
+		fresh := mk()
+		for i, v := range seq {
+			if err := fresh.Cycle([]float64{v}); err != nil {
+				t.Fatalf("seq %d tick %d: fresh: %v", si, i, err)
+			}
+			if err := reused.Cycle([]float64{v}); err != nil {
+				t.Fatalf("seq %d tick %d: reused: %v", si, i, err)
+			}
+			fl, _ := fresh.LocalOf("Edges", 0)
+			rl, _ := reused.LocalOf("Edges", 0)
+			fs, _ := fresh.Status("Edges")
+			rs, _ := reused.Status("Edges")
+			if fl != rl || fs != rs {
+				t.Fatalf("seq %d tick %d: reused (local %v, status %v) != fresh (local %v, status %v)",
+					si, i, rl, rs, fl, fs)
+			}
 		}
-		if err := b.CycleInto([]float64{v}, deltas); err != nil {
-			t.Fatalf("tick %d: CycleInto: %v", i, err)
-		}
-		sa, _ := a.Status("Counter")
-		sb, _ := b.Status("Counter")
-		if sa != sb {
-			t.Fatalf("tick %d: status %v != %v", i, sb, sa)
-		}
+		reused.Reset()
 	}
 }
 
-// BenchmarkCycleEMASystemAllocating is the before side of the PR 9 zero-alloc
-// sweep: the same tick as BenchmarkCycleEMASystem through the allocating
-// Cycle entry point.
-func BenchmarkCycleEMASystemAllocating(b *testing.B) {
-	sys, err := NewEMASystem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := []float64{1.0, 0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in[0] = 1.0 + float64(i%3)*0.01
-		if err := sys.Cycle(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestCycleIntoZeroAlloc is the hot-path budget for the rule-machine tick on
-// the embedded cycle: zero heap allocations per CycleInto.
-func TestCycleIntoZeroAlloc(t *testing.T) {
+// TestCycleZeroAlloc is the hot-path budget for the rule-machine tick on the
+// embedded cycle: zero heap allocations per Cycle.
+func TestCycleZeroAlloc(t *testing.T) {
 	sys, err := NewSystemFromSource(counterSource, []string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := make([]float64, 1)
-	deltas := make([]float64, 1)
 	allocs := testing.AllocsPerRun(200, func() {
 		inputs[0] = 1 - inputs[0]
-		if err := sys.CycleInto(inputs, deltas); err != nil {
+		if err := sys.Cycle(inputs); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("CycleInto allocates %.1f times per tick, want 0", allocs)
+		t.Errorf("Cycle allocates %.1f times per tick, want 0", allocs)
 	}
 }

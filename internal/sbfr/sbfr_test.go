@@ -400,12 +400,11 @@ func BenchmarkCycleEMASystem(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := []float64{1.0, 0}
-	buf := make([]float64, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in[0] = 1.0 + float64(i%3)*0.01
-		if err := sys.CycleInto(in, buf); err != nil {
+		if err := sys.Cycle(in); err != nil {
 			b.Fatal(err)
 		}
 	}

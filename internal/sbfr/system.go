@@ -18,6 +18,7 @@ type System struct {
 	status     []float64
 	sensors    []float64
 	prev       []float64
+	deltas     []float64
 	ticks      int64
 	started    bool
 }
@@ -38,6 +39,7 @@ func NewSystem(channels []string, progs []*Program) (*System, error) {
 		status:     make([]float64, len(progs)),
 		sensors:    make([]float64, len(channels)),
 		prev:       make([]float64, len(channels)),
+		deltas:     make([]float64, len(channels)),
 	}
 	for i, c := range channels {
 		if _, dup := s.chanIdx[c]; dup {
@@ -73,7 +75,10 @@ func NewSystemFromSource(source string, channels []string) (*System, error) {
 
 // Cycle advances the system one tick with the given sensor values (one per
 // channel, in the order given to NewSystem). The first cycle establishes the
-// baseline, so deltas are zero on tick one.
+// baseline, so deltas are zero on tick one. Every buffer the tick touches is
+// owned by the system, so steady-state cycles do not allocate.
+//
+//mpros:hotpath rule-machine tick on the embedded cycle
 func (s *System) Cycle(inputs []float64) error {
 	if len(inputs) != len(s.sensors) {
 		return fmt.Errorf("sbfr: got %d inputs, want %d", len(inputs), len(s.sensors))
@@ -86,43 +91,10 @@ func (s *System) Cycle(inputs []float64) error {
 		copy(s.prev, s.sensors)
 		s.started = true
 	}
-	env := evalEnv{
-		sensors: s.sensors,
-		deltas:  make([]float64, len(s.sensors)),
-		status:  s.status,
+	for i := range s.deltas {
+		s.deltas[i] = s.sensors[i] - s.prev[i]
 	}
-	for i := range env.deltas {
-		env.deltas[i] = s.sensors[i] - s.prev[i]
-	}
-	for _, m := range s.machines {
-		if _, err := m.step(&env); err != nil {
-			return err
-		}
-	}
-	s.ticks++
-	return nil
-}
-
-// CycleInto is Cycle with a caller-provided delta buffer, for the
-// allocation-free hot path used by benchmarks and the DC embedding.
-//
-//mpros:hotpath rule-machine tick on the embedded cycle
-func (s *System) CycleInto(inputs, deltaBuf []float64) error {
-	if len(inputs) != len(s.sensors) || len(deltaBuf) != len(s.sensors) {
-		return fmt.Errorf("sbfr: buffer size mismatch")
-	}
-	if s.started {
-		copy(s.prev, s.sensors)
-	}
-	copy(s.sensors, inputs)
-	if !s.started {
-		copy(s.prev, s.sensors)
-		s.started = true
-	}
-	for i := range deltaBuf {
-		deltaBuf[i] = s.sensors[i] - s.prev[i]
-	}
-	env := evalEnv{sensors: s.sensors, deltas: deltaBuf, status: s.status}
+	env := evalEnv{sensors: s.sensors, deltas: s.deltas, status: s.status}
 	for _, m := range s.machines {
 		if _, err := m.step(&env); err != nil {
 			return err

@@ -92,29 +92,6 @@ func TestDisassembleCorruptProgram(t *testing.T) {
 	}
 }
 
-func TestCycleIntoBufferValidation(t *testing.T) {
-	sys, err := NewSystemFromSource(counterSource, []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.CycleInto([]float64{1}, make([]float64, 2)); err == nil {
-		t.Error("mismatched delta buffer accepted")
-	}
-	if err := sys.CycleInto([]float64{1, 2}, make([]float64, 2)); err == nil {
-		t.Error("mismatched input accepted")
-	}
-	// Valid call works and matches Cycle semantics.
-	buf := make([]float64, 1)
-	for _, v := range []float64{1, 1, 1, 0} {
-		if err := sys.CycleInto([]float64{v}, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st, _ := sys.Status("Counter"); st != 1 {
-		t.Errorf("CycleInto semantics diverged: status %g", st)
-	}
-}
-
 func TestStackDepthGuard(t *testing.T) {
 	// Build an expression deeper than the VM stack: 40 nested additions of
 	// constants pushes >32 values before reducing only with left-assoc...

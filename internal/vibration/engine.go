@@ -89,17 +89,22 @@ func (e *Engine) Diagnose(features map[chiller.MeasurementPoint]*Features, ctx *
 // diagnoses it — the all-in-one entry point used by the Data Concentrator's
 // scheduled vibration test.
 func (e *Engine) DiagnosePlant(p *chiller.Plant, frameLen int) ([]Diagnosis, error) {
+	ex, err := AcquireExtractor(e.cfg, frameLen)
+	if err != nil {
+		return nil, err
+	}
+	defer ex.Release()
+	var frames [chiller.NumPoints]Features
 	features := make(map[chiller.MeasurementPoint]*Features, chiller.NumPoints)
-	for _, pt := range chiller.AllPoints() {
+	for i, pt := range chiller.AllPoints() {
 		frame, err := p.AcquireVibration(pt, frameLen)
 		if err != nil {
 			return nil, err
 		}
-		f, err := Extract(frame, e.cfg, pt)
-		if err != nil {
+		if err := ex.ExtractInto(&frames[i], frame, pt); err != nil {
 			return nil, err
 		}
-		features[pt] = f
+		features[pt] = &frames[i]
 	}
 	ctx := &Context{Load: p.Load(), Process: p.ProcessState()}
 	return e.Diagnose(features, ctx)

@@ -2,6 +2,7 @@ package vibration
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/chiller"
 	"repro/internal/dsp"
@@ -10,16 +11,16 @@ import (
 // Extractor computes feature frames with zero steady-state heap allocation:
 // the spectral analyzer scratch is sized once for the configured frame
 // length and every ExtractInto call writes into a caller-provided Features
-// value. This is the allocation-free counterpart of Extract for the
-// scheduled vibration test, where the data concentrator sweeps every
-// measurement point on a fixed acquisition budget.
+// value, so the scheduled vibration test sweeps every measurement point on
+// a fixed acquisition budget. An extractor holds no cross-frame state.
+// Extract is its one-shot form.
 type Extractor struct {
 	cfg chiller.Config
 	fa  *dsp.FrameAnalyzer
 }
 
 // NewExtractor sizes an extractor for frames of exactly frameLen samples
-// under cfg. frameLen must be at least 1024 samples, as for Extract.
+// under cfg. frameLen must be at least 1024 samples.
 func NewExtractor(cfg chiller.Config, frameLen int) (*Extractor, error) {
 	if frameLen < 1024 {
 		return nil, fmt.Errorf("vibration: frame of %d samples too short for diagnosis", frameLen)
@@ -31,14 +32,33 @@ func NewExtractor(cfg chiller.Config, frameLen int) (*Extractor, error) {
 	return &Extractor{cfg: cfg, fa: fa}, nil
 }
 
+// extractors shares extractor scratch across every caller in the process.
+// At the default 16384-sample frame an extractor is 512 KiB of pure scratch;
+// held per data concentrator it would dominate a fleet's resident heap, and
+// a pool also lets it go when no vibration test has run for a while.
+var extractors sync.Pool
+
+// AcquireExtractor returns an extractor for frameLen-sample frames under
+// cfg, reusing an idle one when its frame length and sample rate match and
+// building one otherwise. Release it when the sweep is done.
+func AcquireExtractor(cfg chiller.Config, frameLen int) (*Extractor, error) {
+	//lint:allow floateq an analyzer is reusable only at the identical configured rate; a near-equal rate means different bins
+	if e, ok := extractors.Get().(*Extractor); ok && e.FrameLen() == frameLen && e.cfg.SampleRate == cfg.SampleRate {
+		e.cfg = cfg
+		return e, nil
+	}
+	return NewExtractor(cfg, frameLen)
+}
+
+// Release returns the extractor to the shared pool. The caller must not use
+// it afterwards.
+func (e *Extractor) Release() { extractors.Put(e) }
+
 // FrameLen returns the frame length the extractor was sized for.
 func (e *Extractor) FrameLen() int { return e.fa.FrameLen() }
 
 // ExtractInto computes the feature frame for a waveform acquired at point
-// pt, overwriting *f. frame must be exactly FrameLen samples. The feature
-// values match Extract bit-for-bit on the same input.
-//
-//mpros:hotpath per-point feature extraction on the scheduled vibration test
+// pt, overwriting *f. frame must be exactly FrameLen samples.
 func (e *Extractor) ExtractInto(f *Features, frame []float64, pt chiller.MeasurementPoint) error {
 	spec, err := e.fa.Analyze(frame)
 	if err != nil {

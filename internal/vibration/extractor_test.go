@@ -24,28 +24,75 @@ func acquireFrame(t testing.TB, n int) ([]float64, chiller.Config) {
 	return frame, cfg
 }
 
-// TestExtractIntoMatchesExtract checks the preallocated extractor against
-// the one-shot path bit for bit on a plant-acquired frame.
+// TestExtractIntoMatchesExtract guards extractor reuse, directly and through
+// the shared pool: frames from different points, faults and plants fed in
+// interleaved order must each yield bit for bit what a fresh one-shot
+// Extract yields — no spectrum or plant configuration of the previous
+// borrower survives.
 func TestExtractIntoMatchesExtract(t *testing.T) {
-	frame, cfg := acquireFrame(t, 4096)
-	want, err := Extract(frame, cfg, chiller.MotorDE)
+	type sample struct {
+		frame []float64
+		cfg   chiller.Config
+		pt    chiller.MeasurementPoint
+	}
+	acquire := func(seed int64, rpm float64, fault chiller.Fault, pt chiller.MeasurementPoint, n int) sample {
+		cfg := chiller.DefaultConfig()
+		cfg.Seed, cfg.MotorRPM = seed, rpm
+		p, err := chiller.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SetFault(fault, 0.7); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := p.AcquireVibration(pt, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sample{frame: frame, cfg: cfg, pt: pt}
+	}
+	samples := []sample{
+		acquire(11, 1780, chiller.MotorImbalance, chiller.MotorDE, 4096),
+		acquire(11, 1780, chiller.OilWhirl, chiller.Compressor, 4096),
+		acquire(13, 1750, chiller.GearToothWear, chiller.GearBox, 4096),
+		acquire(14, 1780, chiller.MotorBearingOuter, chiller.MotorDE, 2048),
+	}
+	order := []int{0, 1, 2, 0, 3, 1, 3, 2}
+
+	e, err := NewExtractor(samples[0].cfg, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExtractor(cfg, len(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.FrameLen() != len(frame) {
-		t.Fatalf("FrameLen = %d, want %d", e.FrameLen(), len(frame))
+	if e.FrameLen() != 4096 {
+		t.Fatalf("FrameLen = %d, want 4096", e.FrameLen())
 	}
 	var got Features
-	for pass := 0; pass < 2; pass++ {
-		if err := e.ExtractInto(&got, frame, chiller.MotorDE); err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
+	for step, si := range order {
+		s := samples[si]
+		want, err := Extract(s.frame, s.cfg, s.pt)
+		if err != nil {
+			t.Fatal(err)
 		}
+		// One plant's extractor, reused across its points (samples 0, 1).
+		if s.cfg == samples[0].cfg {
+			if err := e.ExtractInto(&got, s.frame, s.pt); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if got != *want {
+				t.Fatalf("step %d: reused ExtractInto differs from Extract:\ngot  %+v\nwant %+v", step, got, *want)
+			}
+		}
+		// The pool, across plants and frame lengths.
+		pe, err := AcquireExtractor(s.cfg, len(s.frame))
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if err := pe.ExtractInto(&got, s.frame, s.pt); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		pe.Release()
 		if got != *want {
-			t.Fatalf("pass %d: ExtractInto differs from Extract:\ngot  %+v\nwant %+v", pass, got, *want)
+			t.Fatalf("step %d: pooled ExtractInto differs from Extract:\ngot  %+v\nwant %+v", step, got, *want)
 		}
 	}
 }
@@ -70,21 +117,6 @@ func BenchmarkExtract(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Extract(frame, cfg, chiller.MotorDE); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExtractInto(b *testing.B) {
-	frame, cfg := acquireFrame(b, 4096)
-	e, err := NewExtractor(cfg, len(frame))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var f Features
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := e.ExtractInto(&f, frame, chiller.MotorDE); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,12 +14,7 @@
 // and emits protocol reports with worst-case prognostic vectors.
 package vibration
 
-import (
-	"fmt"
-
-	"repro/internal/chiller"
-	"repro/internal/dsp"
-)
+import "repro/internal/chiller"
 
 // Features is the spectral/time feature frame for one measurement point —
 // the quantities the rulebook conditions on.
@@ -59,53 +54,16 @@ type Features struct {
 }
 
 // Extract computes the feature frame for a vibration waveform acquired at
-// point pt on a plant with configuration cfg.
+// point pt on a plant with configuration cfg. It is the one-shot form of
+// Extractor: a fresh extractor sized for this frame runs once.
 func Extract(frame []float64, cfg chiller.Config, pt chiller.MeasurementPoint) (*Features, error) {
-	if len(frame) < 1024 {
-		return nil, fmt.Errorf("vibration: frame of %d samples too short for diagnosis", len(frame))
-	}
-	spec, err := dsp.AnalyzeFrame(frame, cfg.SampleRate, dsp.Hann)
+	e, err := NewExtractor(cfg, len(frame))
 	if err != nil {
 		return nil, err
 	}
-	shaft := cfg.MotorShaftHz()
-	comp := cfg.CompShaftHz()
-	mesh := cfg.GearMeshHz()
-	line := cfg.LineFreqHz
-	pp := cfg.PolePassHz()
-	// Frequency tolerance: a couple of bins or 1% of shaft speed.
-	tol := 2 * spec.Resolution
-
-	f := &Features{
-		Point:       pt,
-		OverallRMS:  dsp.RMS(frame),
-		CrestFactor: dsp.CrestFactor(frame),
-		Kurtosis:    dsp.Kurtosis(frame),
+	f := new(Features)
+	if err := e.ExtractInto(f, frame, pt); err != nil {
+		return nil, err
 	}
-	for k := 0; k < 8; k++ {
-		f.MotorOrders[k] = spec.AmpAt(float64(k+1)*shaft, tol)
-		f.CompOrders[k] = spec.AmpAt(float64(k+1)*comp, tol)
-	}
-	f.HalfCompOrder = spec.AmpAt(0.5*comp, tol)
-	// Oil whirl: search the subsynchronous band.
-	lo, hi := 0.35*comp, 0.48*comp
-	var best float64
-	for b := spec.Bin(lo); b <= spec.Bin(hi); b++ {
-		if spec.Amp[b] > best {
-			best = spec.Amp[b]
-		}
-	}
-	f.SubSyncComp = best
-	f.TwoXLine = spec.AmpAt(2*line, tol)
-	// Rotor-bar sidebands need fine resolution (pole pass ≈ 1.3 Hz); use a
-	// tight tolerance of one bin.
-	f.PolePassSidebands = spec.AmpAt(line-pp, spec.Resolution) + spec.AmpAt(line+pp, spec.Resolution)
-	f.MotorBPFO = spec.AmpAt(cfg.MotorBearing.BPFO*shaft, 2*tol)
-	f.MotorBPFI = spec.AmpAt(cfg.MotorBearing.BPFI*shaft, 2*tol)
-	f.CompBPFO = spec.AmpAt(cfg.CompBearing.BPFO*comp, 2*tol)
-	for k := 0; k < 3; k++ {
-		f.GearMesh[k] = spec.AmpAt(float64(k+1)*mesh, 2*tol)
-	}
-	f.GearMeshSidebands = dsp.SidebandEnergy(spec, mesh, shaft, tol, 1)
 	return f, nil
 }

@@ -87,10 +87,17 @@ func Transform(k Kind, x []float64) (approx, detail []float64, err error) {
 	if n%2 != 0 {
 		return nil, nil, fmt.Errorf("wavelet: frame length %d is odd", n)
 	}
-	high := highPass(low)
+	approx = make([]float64, n/2)
+	detail = make([]float64, n/2)
+	transformInto(low, highPass(low), x, approx, detail)
+	return approx, detail, nil
+}
+
+// transformInto is one circular-convolution DWT level writing approximation
+// and detail coefficients into caller-provided buffers of length len(x)/2.
+func transformInto(low, high, x, approx, detail []float64) {
+	n := len(x)
 	half := n / 2
-	approx = make([]float64, half)
-	detail = make([]float64, half)
 	for i := 0; i < half; i++ {
 		var a, d float64
 		for j := 0; j < len(low); j++ {
@@ -101,7 +108,6 @@ func Transform(k Kind, x []float64) (approx, detail []float64, err error) {
 		approx[i] = a
 		detail[i] = d
 	}
-	return approx, detail, nil
 }
 
 // Inverse reconstructs the signal from one level of approximation and detail
@@ -137,40 +143,15 @@ type Decomposition struct {
 }
 
 // Decompose performs a levels-deep multi-resolution analysis of x.
-// If levels <= 0 the maximum usable depth for the frame length is used.
+// If levels <= 0 the maximum usable depth for the frame length is used. It
+// is the one-shot form of Workspace: a fresh workspace sized for x runs once
+// and hands back its decomposition, which nothing else aliases.
 func Decompose(k Kind, x []float64, levels int) (*Decomposition, error) {
-	low, err := k.filters()
+	w, err := NewWorkspace(k, len(x), levels)
 	if err != nil {
 		return nil, err
 	}
-	maxLevels := 0
-	for n := len(x); n >= 2*len(low) || (n >= len(low) && n%2 == 0 && maxLevels == 0); n /= 2 {
-		if n%2 != 0 {
-			break
-		}
-		maxLevels++
-		if n/2 < len(low) {
-			break
-		}
-	}
-	if levels <= 0 || levels > maxLevels {
-		levels = maxLevels
-	}
-	if levels == 0 {
-		return nil, fmt.Errorf("wavelet: frame of length %d too short for %v", len(x), k)
-	}
-	d := &Decomposition{Kind: k}
-	cur := append([]float64(nil), x...)
-	for l := 0; l < levels; l++ {
-		a, det, err := Transform(k, cur)
-		if err != nil {
-			return nil, err
-		}
-		d.Details = append(d.Details, det)
-		cur = a
-	}
-	d.Approx = cur
-	return d, nil
+	return w.Decompose(x)
 }
 
 // Reconstruct inverts a multi-level decomposition back to the original frame.
@@ -194,7 +175,12 @@ func (d *Decomposition) Levels() int { return len(d.Details) }
 // §6.2). Index 0 is the finest detail band; the last entry is the
 // approximation. A zero-energy frame returns all zeros.
 func (d *Decomposition) EnergyMap() []float64 {
-	out := make([]float64, len(d.Details)+1)
+	return d.energyMapInto(make([]float64, len(d.Details)+1))
+}
+
+// energyMapInto computes EnergyMap into out, which must hold one entry per
+// detail band plus one for the approximation.
+func (d *Decomposition) energyMapInto(out []float64) []float64 {
 	var total float64
 	for i, det := range d.Details {
 		var e float64

@@ -3,10 +3,11 @@ package wavelet
 import "fmt"
 
 // Workspace is a preallocated multi-level DWT engine for fixed-length
-// frames: the allocation-free counterpart of Decompose for the WNN feature
-// path, where transitory-phenomenon detection runs on every acquisition
-// tick. Filters, per-level coefficient buffers, and the energy-map scratch
-// are all sized at construction; Decompose only overwrites them.
+// frames. Filters, per-level coefficient buffers, and the energy-map scratch
+// are all sized at construction; Decompose only overwrites them, so the WNN
+// feature path detects transitory phenomena on every acquisition tick
+// without allocating. It holds no cross-frame state. The package-level
+// Decompose is its one-shot form.
 //
 // The returned *Decomposition aliases the workspace's internal buffers and
 // is valid until the next Decompose call.
@@ -23,25 +24,15 @@ type Workspace struct {
 }
 
 // NewWorkspace sizes a workspace for frames of exactly frameLen samples,
-// decomposed levels deep (levels <= 0 selects the maximum usable depth,
-// matching Decompose).
+// decomposed levels deep (levels <= 0 or beyond the maximum usable depth
+// selects that maximum).
 func NewWorkspace(k Kind, frameLen, levels int) (*Workspace, error) {
 	low, err := k.filters()
 	if err != nil {
 		return nil, err
 	}
-	maxLevels := 0
-	for n := frameLen; n >= 2*len(low) || (n >= len(low) && n%2 == 0 && maxLevels == 0); n /= 2 {
-		if n%2 != 0 {
-			break
-		}
-		maxLevels++
-		if n/2 < len(low) {
-			break
-		}
-	}
-	if levels <= 0 || levels > maxLevels {
-		levels = maxLevels
+	if deepest := maxLevels(frameLen, len(low)); levels <= 0 || levels > deepest {
+		levels = deepest
 	}
 	if levels == 0 {
 		return nil, fmt.Errorf("wavelet: frame of length %d too short for %v", frameLen, k)
@@ -91,52 +82,27 @@ func (w *Workspace) Decompose(x []float64) (*Decomposition, error) {
 }
 
 // EnergyMap computes the relative band-energy vector of the last
-// decomposition into the workspace's scratch — the zero-alloc analogue of
-// Decomposition.EnergyMap, same ordering and normalization. The result is
-// overwritten by the next call.
+// decomposition into the workspace's scratch: Decomposition.EnergyMap
+// without the allocation. The result is overwritten by the next call.
 //
 //mpros:hotpath wavelet energy-map classifier features
 func (w *Workspace) EnergyMap() []float64 {
-	var total float64
-	for i, det := range w.details {
-		var e float64
-		for _, v := range det {
-			e += v * v
-		}
-		w.energy[i] = e
-		total += e
-	}
-	var e float64
-	for _, v := range w.decomp.Approx {
-		e += v * v
-	}
-	w.energy[len(w.energy)-1] = e
-	total += e
-	if total == 0 {
-		for i := range w.energy {
-			w.energy[i] = 0
-		}
-		return w.energy
-	}
-	for i := range w.energy {
-		w.energy[i] /= total
-	}
-	return w.energy
+	return w.decomp.energyMapInto(w.energy)
 }
 
-// transformInto is one circular-convolution DWT level writing approximation
-// and detail coefficients into caller-provided buffers of length len(x)/2.
-func transformInto(low, high, x, approx, detail []float64) {
-	n := len(x)
-	half := n / 2
-	for i := 0; i < half; i++ {
-		var a, d float64
-		for j := 0; j < len(low); j++ {
-			v := x[(2*i+j)%n]
-			a += low[j] * v
-			d += high[j] * v
+// maxLevels returns how many DWT levels a frame of n samples supports under
+// a filter of the given length: each level needs an even length no shorter
+// than the filter.
+func maxLevels(n, filterLen int) int {
+	levels := 0
+	for ; n >= 2*filterLen || (n >= filterLen && n%2 == 0 && levels == 0); n /= 2 {
+		if n%2 != 0 {
+			break
 		}
-		approx[i] = a
-		detail[i] = d
+		levels++
+		if n/2 < filterLen {
+			break
+		}
 	}
+	return levels
 }

@@ -16,24 +16,39 @@ func workspaceTestSignal(n int) []float64 {
 	return x
 }
 
-// TestWorkspaceMatchesDecompose checks the preallocated engine against the
-// allocating path bit for bit, including the energy map.
+// TestWorkspaceMatchesDecompose guards workspace reuse: one workspace fed
+// different frames in interleaved order must return, for each, bit for bit
+// what a fresh one-shot Decompose returns, including the energy map — no
+// coefficient or band energy of the previous frame survives.
 func TestWorkspaceMatchesDecompose(t *testing.T) {
+	const n = 512
+	impulse := make([]float64, n)
+	impulse[n/3] = -5
+	ramp := make([]float64, n)
+	for i := range ramp {
+		ramp[i] = float64(i) / n
+	}
+	frames := [][]float64{
+		workspaceTestSignal(n),
+		make([]float64, n), // zero energy right after a live frame
+		impulse,
+		ramp,
+	}
 	for _, k := range []Kind{Haar, Daubechies4} {
 		for _, levels := range []int{0, 1, 3} {
-			x := workspaceTestSignal(512)
-			want, err := Decompose(k, x, levels)
-			if err != nil {
-				t.Fatalf("%v levels=%d: Decompose: %v", k, levels, err)
-			}
-			w, err := NewWorkspace(k, len(x), levels)
+			w, err := NewWorkspace(k, n, levels)
 			if err != nil {
 				t.Fatalf("%v levels=%d: NewWorkspace: %v", k, levels, err)
 			}
-			for pass := 0; pass < 2; pass++ {
+			for step, fi := range []int{0, 1, 2, 0, 3, 3, 1, 0} {
+				x := frames[fi]
+				want, err := Decompose(k, x, levels)
+				if err != nil {
+					t.Fatalf("%v levels=%d: Decompose: %v", k, levels, err)
+				}
 				got, err := w.Decompose(x)
 				if err != nil {
-					t.Fatalf("%v levels=%d pass %d: %v", k, levels, pass, err)
+					t.Fatalf("%v levels=%d step %d: %v", k, levels, step, err)
 				}
 				if len(got.Details) != len(want.Details) {
 					t.Fatalf("%v levels=%d: %d levels, want %d", k, levels, len(got.Details), len(want.Details))
@@ -41,13 +56,13 @@ func TestWorkspaceMatchesDecompose(t *testing.T) {
 				for l := range want.Details {
 					for i := range want.Details[l] {
 						if got.Details[l][i] != want.Details[l][i] {
-							t.Fatalf("%v level %d detail %d: %v != %v", k, l, i, got.Details[l][i], want.Details[l][i])
+							t.Fatalf("%v step %d level %d detail %d: %v != %v", k, step, l, i, got.Details[l][i], want.Details[l][i])
 						}
 					}
 				}
 				for i := range want.Approx {
 					if got.Approx[i] != want.Approx[i] {
-						t.Fatalf("%v approx %d: %v != %v", k, i, got.Approx[i], want.Approx[i])
+						t.Fatalf("%v step %d approx %d: %v != %v", k, step, i, got.Approx[i], want.Approx[i])
 					}
 				}
 				wantE := want.EnergyMap()
@@ -57,7 +72,7 @@ func TestWorkspaceMatchesDecompose(t *testing.T) {
 				}
 				for i := range wantE {
 					if gotE[i] != wantE[i] {
-						t.Fatalf("%v energy band %d: %v != %v", k, i, gotE[i], wantE[i])
+						t.Fatalf("%v step %d energy band %d: %v != %v", k, step, i, gotE[i], wantE[i])
 					}
 				}
 			}
@@ -75,33 +90,6 @@ func TestWorkspaceRejects(t *testing.T) {
 	}
 	if _, err := w.Decompose(make([]float64, 32)); err == nil {
 		t.Error("wrong-length frame accepted")
-	}
-}
-
-func BenchmarkDecompose(b *testing.B) {
-	x := workspaceTestSignal(512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d, err := Decompose(Daubechies4, x, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d.EnergyMap()
-	}
-}
-
-func BenchmarkWorkspaceDecompose(b *testing.B) {
-	x := workspaceTestSignal(512)
-	w, err := NewWorkspace(Daubechies4, len(x), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Decompose(x); err != nil {
-			b.Fatal(err)
-		}
-		w.EnergyMap()
 	}
 }
 

@@ -2,8 +2,10 @@ package wnn
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/chiller"
+	"repro/internal/wavelet"
 )
 
 // ChillerClassifier packages trained wavelet neural networks as the third
@@ -19,6 +21,10 @@ type ChillerClassifier struct {
 	nets   map[chiller.MeasurementPoint]*Network
 	// classes[pt][0] is always the healthy class; the rest are faults.
 	classes map[chiller.MeasurementPoint][]chiller.Fault
+	// maps pools the wavelet-map workspaces (≈ 2 × frame length of pure
+	// scratch each). One classifier serves every DC it is attached to, so
+	// the scratch is shared between them and let go when idle.
+	maps sync.Pool
 }
 
 // pointFaults lists the faults each per-point network discriminates. The
@@ -75,7 +81,7 @@ func NewChillerClassifier(cfg chiller.Config, frameLen, perClass int, seed int64
 			if err != nil {
 				return err
 			}
-			x, err := Extract(frame, c.fc)
+			x, err := c.features(frame)
 			if err != nil {
 				return err
 			}
@@ -128,7 +134,7 @@ func (c *ChillerClassifier) Classify(frame []float64, pt chiller.MeasurementPoin
 	if len(frame) != c.frames {
 		return Classification{}, fmt.Errorf("wnn: frame length %d, trained on %d", len(frame), c.frames)
 	}
-	x, err := Extract(frame, c.fc)
+	x, err := c.features(frame)
 	if err != nil {
 		return Classification{}, err
 	}
@@ -143,6 +149,20 @@ func (c *ChillerClassifier) Classify(frame []float64, pt chiller.MeasurementPoin
 		out.Fault = c.classes[pt][cls-1]
 	}
 	return out, nil
+}
+
+// features extracts one frame's feature vector on a pooled workspace,
+// building one when the pool is empty.
+func (c *ChillerClassifier) features(frame []float64) ([]float64, error) {
+	ws, ok := c.maps.Get().(*wavelet.Workspace)
+	if !ok {
+		var err error
+		if ws, err = newMapWorkspace(c.frames, c.fc); err != nil {
+			return nil, err
+		}
+	}
+	defer c.maps.Put(ws)
+	return extractWith(ws, frame, c.fc)
 }
 
 // FrameLen returns the frame length the classifier was trained on.

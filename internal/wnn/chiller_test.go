@@ -1,6 +1,7 @@
 package wnn
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/chiller"
@@ -61,6 +62,19 @@ func TestChillerClassifierEndToEnd(t *testing.T) {
 			cls, err := clf.Classify(frame, pt)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The pooled workspace has seen other points' and faults'
+			// frames; its features must still equal a fresh one-shot's.
+			got, err := clf.features(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Extract(frame, DefaultFeatureConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v at %v: pooled features %v != one-shot %v", fault, pt, got, want)
 			}
 			total++
 			if sev == 0 && cls.Healthy {

@@ -47,12 +47,32 @@ func (fc FeatureConfig) Dim() int {
 	return 4 + fc.NumCepstral + fc.NumDCT + fc.WaveletLevels + 1
 }
 
-// Extract computes the feature vector for one waveform frame.
+// Extract computes the feature vector for one waveform frame. It is the
+// one-shot form of the classifier's feature path: a fresh wavelet workspace
+// sized for this frame runs once.
 func Extract(frame []float64, fc FeatureConfig) ([]float64, error) {
-	if len(frame) < 1<<uint(fc.WaveletLevels) {
-		return nil, fmt.Errorf("wnn: frame of %d samples too short for %d wavelet levels",
-			len(frame), fc.WaveletLevels)
+	ws, err := newMapWorkspace(len(frame), fc)
+	if err != nil {
+		return nil, err
 	}
+	return extractWith(ws, frame, fc)
+}
+
+// newMapWorkspace sizes the wavelet-map engine for frames of frameLen
+// samples. The DWT runs on the largest power-of-two prefix so it can reach
+// full depth.
+func newMapWorkspace(frameLen int, fc FeatureConfig) (*wavelet.Workspace, error) {
+	if frameLen < 1<<uint(fc.WaveletLevels) {
+		return nil, fmt.Errorf("wnn: frame of %d samples too short for %d wavelet levels",
+			frameLen, fc.WaveletLevels)
+	}
+	return wavelet.NewWorkspace(fc.Kind, pow2Floor(frameLen), fc.WaveletLevels)
+}
+
+// extractWith computes the feature vector of frame, running the wavelet map
+// on ws, which must come from newMapWorkspace for this frame length. The
+// result does not alias ws.
+func extractWith(ws *wavelet.Workspace, frame []float64, fc FeatureConfig) ([]float64, error) {
 	out := make([]float64, 0, fc.Dim())
 	out = append(out,
 		dsp.PeakAbs(frame),
@@ -66,23 +86,21 @@ func Extract(frame []float64, fc FeatureConfig) ([]float64, error) {
 	}
 	out = append(out, ceps...)
 	out = append(out, dsp.DCT2Coefficients(frame, fc.NumDCT)...)
-	dec, err := wavelet.Decompose(fc.Kind, evenPrefix(frame), fc.WaveletLevels)
-	if err != nil {
+	if _, err := ws.Decompose(frame[:pow2Floor(len(frame))]); err != nil {
 		return nil, err
 	}
-	out = append(out, dec.EnergyMap()...)
+	out = append(out, ws.EnergyMap()...)
 	if len(out) != fc.Dim() {
 		return nil, fmt.Errorf("wnn: internal: feature dim %d != declared %d", len(out), fc.Dim())
 	}
 	return out, nil
 }
 
-// evenPrefix trims a frame to the largest power-of-two prefix so the DWT
-// can reach full depth.
-func evenPrefix(frame []float64) []float64 {
-	n := 1
-	for n*2 <= len(frame) {
-		n *= 2
+// pow2Floor returns the largest power of two not exceeding n (1 for n < 2).
+func pow2Floor(n int) int {
+	p := 1
+	for p*2 <= n {
+		p *= 2
 	}
-	return frame[:n]
+	return p
 }
