@@ -410,9 +410,9 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 
 // analyzePoint is the engine-backed compute on one acquired frame: the MUX
 // lane's RMS detector, then spectral feature extraction into *f on the
-// borrowed extractor. It is the part of the vibration test that must not
-// allocate; the WNN's cepstral, DCT and network stages have no engine yet
-// and run outside it.
+// borrowed extractor. With the WNN's own hot-path root (its feature
+// workspace's classify) it is the part of the vibration test that must not
+// allocate.
 //
 //mpros:hotpath per-point detector and feature extraction on the scheduled vibration test
 func (d *DC) analyzePoint(ex *vibration.Extractor, f *vibration.Features, lane int, frame []float64, pt chiller.MeasurementPoint) error {

@@ -3,94 +3,149 @@ package dsp
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 )
+
+// cepstrumFloor bounds bin magnitudes from below before the logarithm.
+const cepstrumFloor = 1e-12
+
+// Cepstral writes coefficients first … first+len(out)−1 of the real cepstrum
+// IFFT(log|FFT(frame)|) into out, zero-padding frame to the plan's length.
+// bins is scratch for the one-sided spectrum and must hold Len/2+1 values.
+// The log-spectrum of a real frame is even, so it is taken on bins 0…n/2 of
+// the real-input transform only and each coefficient is one cosine sum over
+// that half, with cosines read from the plan's table: O(n) per coefficient,
+// no inverse transform and no n-length result — the shape the WNN feature
+// vector, which keeps a handful of coefficients, wants.
+func (p *Plan) Cepstral(out []float64, bins []complex128, frame []float64, first int) error {
+	if len(frame) == 0 {
+		return fmt.Errorf("dsp: empty frame")
+	}
+	if first < 0 || first+len(out) > p.n {
+		return fmt.Errorf("dsp: cepstral coefficients %d…%d of a %d-point cepstrum", first, first+len(out)-1, p.n)
+	}
+	if err := p.RealTransform(bins, frame, nil); err != nil {
+		return err
+	}
+	for b, c := range bins {
+		power := real(c)*real(c) + imag(c)*imag(c)
+		if power < cepstrumFloor*cepstrumFloor {
+			power = cepstrumFloor * cepstrumFloor
+		}
+		bins[b] = complex(0.5*math.Log(power), 0)
+	}
+	n, m := p.n, p.n/2
+	for i := range out {
+		q := first + i
+		// c[q] = (1/n)·Σ L[b]·cos(2πbq/n) over b < n, folded onto b ≤ n/2:
+		// interior bins count twice, cos(2π(n/2)q/n) = (−1)^q.
+		edges := real(bins[0])
+		if m > 0 {
+			if q%2 == 0 {
+				edges += real(bins[m])
+			} else {
+				edges -= real(bins[m])
+			}
+		}
+		var interior float64
+		idx := 0
+		for _, l := range bins[1:max(m, 1)] {
+			idx = (idx + q) & (n - 1)
+			// The table covers half a turn; the other half is its negation.
+			c := real(p.tw[idx&(m-1)])
+			if idx&m != 0 {
+				c = -c
+			}
+			interior += real(l) * c
+		}
+		out[i] = (edges + 2*interior) / float64(n)
+	}
+	return nil
+}
+
+// cepstral is the one-shot form of Plan.Cepstral: a fresh plan and bin
+// buffer sized for frame compute count coefficients starting at first, count
+// clamped to what the padded length has.
+func cepstral(frame []float64, first, count int) ([]float64, error) {
+	p, err := NewPlan(NextPow2(len(frame)))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, max(0, min(count, p.n-first)))
+	if err := p.Cepstral(out, make([]complex128, p.n/2+1), frame, first); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 // Cepstrum computes the real cepstrum of frame: IFFT(log|FFT(frame)|).
 // The cepstrum exposes periodic families of harmonics and sidebands (gear
 // mesh and rotor-bar signatures) as single peaks at the corresponding
 // quefrency; the wavelet neural network's feature vector includes cepstral
-// coefficients per §6.2 of the paper.
+// coefficients per §6.2 of the paper. Every coefficient costs one pass over
+// the half spectrum, so the full cepstrum is O(n²): an offline view, where
+// CepstralCoefficients is the per-frame one.
 func Cepstrum(frame []float64) ([]float64, error) {
-	if len(frame) == 0 {
-		return nil, fmt.Errorf("dsp: empty frame")
-	}
-	n := NextPow2(len(frame))
-	buf := ToComplex(ZeroPad(frame, n))
-	if err := FFT(buf); err != nil {
-		return nil, err
-	}
-	const floor = 1e-12
-	for i, c := range buf {
-		mag := cmplx.Abs(c)
-		if mag < floor {
-			mag = floor
-		}
-		buf[i] = complex(math.Log(mag), 0)
-	}
-	if err := IFFT(buf); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i, c := range buf {
-		out[i] = real(c)
-	}
-	return out, nil
+	return cepstral(frame, 0, math.MaxInt)
 }
 
 // CepstralCoefficients returns the first k cepstral coefficients of frame,
 // skipping the zeroth (overall level) coefficient.
 func CepstralCoefficients(frame []float64, k int) ([]float64, error) {
-	ceps, err := Cepstrum(frame)
-	if err != nil {
-		return nil, err
-	}
-	if k > len(ceps)-1 {
-		k = len(ceps) - 1
-	}
-	out := make([]float64, k)
-	copy(out, ceps[1:1+k])
-	return out, nil
+	return cepstral(frame, 1, k)
 }
 
-// DCT2 computes the (unnormalized) type-II discrete cosine transform of x.
-// DCT coefficients are another §6.2 feature family for the WNN classifier.
-func DCT2(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	for k := 0; k < n; k++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += x[i] * math.Cos(math.Pi/float64(n)*(float64(i)+0.5)*float64(k))
-		}
-		out[k] = sum
-	}
-	return out
-}
+// dctBlock is how many samples a DCT phasor advances by recurrence before it
+// is re-seeded from math.Sincos: rounding grows with the block, not with the
+// frame length.
+const dctBlock = 256
 
-// DCT2Coefficients returns the first k type-II DCT coefficients of x,
-// normalized by the frame length so that magnitudes are comparable across
-// frame sizes. Only the requested coefficients are computed (O(n·k) rather
-// than the full O(n²) transform).
-func DCT2Coefficients(x []float64, k int) []float64 {
+// DCT2Into writes the first len(out) type-II DCT coefficients of x,
+// Σ x[i]·cos(π/n·(i+½)·c) normalized by the frame length n so that
+// magnitudes are comparable across frame sizes, into out. Each coefficient's
+// cosine is the real part of a phasor stepped once per sample, so the cost is
+// one complex multiply-add per sample and coefficient and no per-sample
+// transcendental. DCT coefficients are a §6.2 feature family for the WNN
+// classifier.
+func DCT2Into(out, x []float64) {
 	n := len(x)
-	if k > n {
-		k = n
-	}
-	if k < 0 {
-		k = 0
-	}
-	out := make([]float64, k)
 	if n == 0 {
-		return out
+		clear(out)
+		return
 	}
-	for c := 0; c < k; c++ {
-		var sum float64
+	for c := range out {
 		w := math.Pi / float64(n) * float64(c)
-		for i := 0; i < n; i++ {
-			sum += x[i] * math.Cos(w*(float64(i)+0.5))
+		sin, cos := math.Sincos(w)
+		step := complex(cos, sin)
+		stride := step * step
+		var sum float64
+		for start := 0; start < n; start += dctBlock {
+			block := x[start:min(start+dctBlock, n)]
+			sin, cos := math.Sincos(w * (float64(start) + 0.5))
+			// Two phasors leapfrog over the even and the odd samples so that
+			// one multiply does not wait for the previous one; the sum still
+			// runs in sample order.
+			even := complex(cos, sin)
+			odd := even * step
+			i := 0
+			for ; i+1 < len(block); i += 2 {
+				sum += block[i] * real(even)
+				sum += block[i+1] * real(odd)
+				even *= stride
+				odd *= stride
+			}
+			if i < len(block) {
+				sum += block[i] * real(even)
+			}
 		}
 		out[c] = sum / float64(n)
 	}
+}
+
+// DCT2Coefficients returns the first k type-II DCT coefficients of x,
+// normalized by the frame length; k is clamped to [0, len(x)]. It is the
+// one-shot form of DCT2Into.
+func DCT2Coefficients(x []float64, k int) []float64 {
+	out := make([]float64, max(0, min(k, len(x))))
+	DCT2Into(out, x)
 	return out
 }

@@ -15,34 +15,148 @@ import (
 	"math/cmplx"
 )
 
-// FFT computes the discrete Fourier transform of x in place using an
-// iterative radix-2 Cooley-Tukey algorithm. The length of x must be a power
-// of two; use NextPow2 and ZeroPad to prepare arbitrary-length frames.
-func FFT(x []complex128) error {
-	n := len(x)
-	if n == 0 {
-		return nil
+// Plan is a radix-2 transform planned for one power-of-two length: it holds
+// the twiddle table e^(−j2πk/n), k < n/2, each entry computed directly
+// rather than by recurrence, so rounding does not accumulate with n. A plan
+// is immutable after construction and safe to share between goroutines; the
+// buffers it transforms belong to the caller. FFT and IFFT are its one-shot
+// forms.
+type Plan struct {
+	n  int
+	tw []complex128
+}
+
+// NewPlan plans transforms of length n, which must be a power of two.
+func NewPlan(n int) (*Plan, error) {
+	if n < 1 || n&(n-1) != 0 {
+		return nil, fmt.Errorf("dsp: FFT length %d is not a power of two", n)
 	}
-	if n&(n-1) != 0 {
-		return fmt.Errorf("dsp: FFT length %d is not a power of two", n)
+	p := &Plan{n: n, tw: make([]complex128, n/2)}
+	// Only the first octant is evaluated; the rest of the half turn follows
+	// by reflection about π/4 and then about π/2, which is exact.
+	tw := p.tw
+	half, quarter, eighth := n/2, n/4, n/8
+	for k := 0; k <= eighth && k < half; k++ {
+		s, c := math.Sincos(2 * math.Pi * float64(k) / float64(n))
+		tw[k] = complex(c, -s)
 	}
+	for k := eighth + 1; k <= quarter && k < half; k++ {
+		r := tw[quarter-k]
+		tw[k] = complex(-imag(r), -real(r))
+	}
+	for k := quarter + 1; k < half; k++ {
+		r := tw[half-k]
+		tw[k] = complex(-real(r), imag(r))
+	}
+	return p, nil
+}
+
+// Len returns the planned transform length.
+func (p *Plan) Len() int { return p.n }
+
+// Transform computes the discrete Fourier transform of x in place. x must be
+// exactly Len complex values.
+func (p *Plan) Transform(x []complex128) error {
+	if len(x) != p.n {
+		return fmt.Errorf("dsp: transform of %d values on a plan for %d", len(x), p.n)
+	}
+	p.butterflies(x)
+	return nil
+}
+
+// butterflies is the package's one decimation-in-time butterfly body. len(x)
+// is the plan's length or half of it (the real-input entry); a stage of size
+// s reads e^(−j2πk/s) from the table at stride n/s.
+func (p *Plan) butterflies(x []complex128) {
 	bitReverse(x)
-	for size := 2; size <= n; size <<= 1 {
+	for size := 2; size <= len(x); size <<= 1 {
 		half := size >> 1
-		step := -2 * math.Pi / float64(size)
-		wn := cmplx.Exp(complex(0, step))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				even := x[start+k]
-				odd := x[start+k+half] * w
-				x[start+k] = even + odd
-				x[start+k+half] = even - odd
-				w *= wn
+		stride := p.n / size
+		for start := 0; start < len(x); start += size {
+			lo := x[start : start+half]
+			hi := x[start+half : start+size]
+			for k := range lo {
+				even := lo[k]
+				odd := hi[k] * p.tw[k*stride]
+				lo[k] = even + odd
+				hi[k] = even - odd
 			}
 		}
 	}
+}
+
+// RealTransform computes the one-sided spectrum X[0…n/2] of the real frame
+// x, multiplied sample by sample by window when it is not nil and
+// zero-padded to the plan's length, into dst, which must hold n/2+1 values.
+// The n real samples are packed into n/2 complex ones, transformed at half
+// length and unpacked in place, which costs about half a complex transform
+// of the same frame.
+func (p *Plan) RealTransform(dst []complex128, x, window []float64) error {
+	m := p.n / 2
+	if len(dst) != m+1 {
+		return fmt.Errorf("dsp: spectrum buffer of %d bins, plan for %d samples needs %d", len(dst), p.n, m+1)
+	}
+	if len(x) > p.n {
+		return fmt.Errorf("dsp: frame of %d samples on a plan for %d", len(x), p.n)
+	}
+	if window != nil && len(window) != len(x) {
+		return fmt.Errorf("dsp: window of %d coefficients for a frame of %d samples", len(window), len(x))
+	}
+	// at reads sample i under the window.
+	at := func(i int) float64 {
+		if window != nil {
+			return x[i] * window[i]
+		}
+		return x[i]
+	}
+	if m == 0 {
+		dst[0] = 0
+		if len(x) == 1 {
+			dst[0] = complex(at(0), 0)
+		}
+		return nil
+	}
+	z := dst[:m]
+	pairs := len(x) / 2
+	for i := 0; i < pairs; i++ {
+		z[i] = complex(at(2*i), at(2*i+1))
+	}
+	clear(z[pairs:])
+	if len(x)%2 == 1 {
+		z[pairs] = complex(at(len(x)-1), 0)
+	}
+	p.butterflies(z)
+	// With E and O the transforms of the even and odd samples,
+	// Z[k] = E[k] + jO[k] and X[k] = E[k] + e^(−j2πk/n)·O[k]; bins k and
+	// m−k are separated together because each needs the other's Z.
+	z0 := z[0]
+	dst[0] = complex(real(z0)+imag(z0), 0)
+	dst[m] = complex(real(z0)-imag(z0), 0)
+	for k := 1; k <= m/2; k++ {
+		a, b := z[k], cmplx.Conj(z[m-k])
+		e := (a + b) * 0.5
+		o := (a - b) * complex(0, -0.5)
+		w := p.tw[k]
+		dst[k] = e + w*o
+		// e^(−j2π(m−k)/n) = −conj(w), E[m−k] = conj(E[k]), O[m−k] = conj(O[k]).
+		dst[m-k] = cmplx.Conj(e - w*o)
+	}
 	return nil
+}
+
+// FFT computes the discrete Fourier transform of x in place using an
+// iterative radix-2 Cooley-Tukey algorithm. The length of x must be a power
+// of two; use NextPow2 and ZeroPad to prepare arbitrary-length frames. It is
+// the one-shot form of Plan.Transform.
+func FFT(x []complex128) error {
+	if len(x) == 0 {
+		return nil
+	}
+	p, err := NewPlan(len(x))
+	if err != nil {
+		return err
+	}
+	return p.Transform(x)
 }
 
 // IFFT computes the inverse discrete Fourier transform of x in place,

@@ -17,7 +17,7 @@ func frameTestSignal(n int, rate float64) []float64 {
 // TestFrameAnalyzerMatchesAnalyzeFrame guards analyzer reuse: one analyzer
 // fed different frames in interleaved order must return, for each, bit for
 // bit what a fresh one-shot AnalyzeFrame returns — nothing of the previous
-// frame survives in the FFT buffer, the zero padding, or the spectrum.
+// frame survives in the bin buffer, the zero padding, or the spectrum.
 func TestFrameAnalyzerMatchesAnalyzeFrame(t *testing.T) {
 	const rate = 8192.0
 	for _, n := range []int{1024, 3000, 4096} {
@@ -51,9 +51,9 @@ func TestFrameAnalyzerMatchesAnalyzeFrame(t *testing.T) {
 				t.Fatalf("n=%d: %d bins, want %d", n, len(got.Amp), len(want.Amp))
 			}
 			for i := range want.Amp {
-				if got.Amp[i] != want.Amp[i] || got.Phase[i] != want.Phase[i] {
-					t.Fatalf("n=%d step %d (frame %d) bin %d: (%v, %v) != (%v, %v)",
-						n, step, fi, i, got.Amp[i], got.Phase[i], want.Amp[i], want.Phase[i])
+				if got.Amp[i] != want.Amp[i] {
+					t.Fatalf("n=%d step %d (frame %d) bin %d: %v != %v",
+						n, step, fi, i, got.Amp[i], want.Amp[i])
 				}
 			}
 		}

@@ -162,16 +162,6 @@ func TestDCT2(t *testing.T) {
 	}
 }
 
-func BenchmarkCepstrum4096(b *testing.B) {
-	x := sine(4096, 8192, 200, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Cepstrum(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFindPeaks(b *testing.B) {
 	x := multiTone(8192, 8192, []float64{50, 150, 400, 800, 1600}, []float64{1, .8, .6, .4, .2})
 	s, err := AnalyzeFrame(x, 8192, Hann)

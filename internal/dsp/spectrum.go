@@ -12,8 +12,6 @@ type Spectrum struct {
 	Resolution float64
 	// Amp[i] is the amplitude of the tone at frequency i*Resolution.
 	Amp []float64
-	// Phase[i] is the phase in radians of bin i.
-	Phase []float64
 }
 
 // NumBins returns the number of frequency bins in the spectrum.

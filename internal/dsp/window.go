@@ -46,7 +46,9 @@ func Window(kind WindowKind, n int) []float64 {
 		return w
 	}
 	den := float64(n - 1)
-	for i := 0; i < n; i++ {
+	// Every kind is symmetric about the frame's centre: evaluate the leading
+	// half and mirror it.
+	for i := 0; i < (n+1)/2; i++ {
 		t := float64(i) / den
 		switch kind {
 		case Rectangular:
@@ -64,6 +66,7 @@ func Window(kind WindowKind, n int) []float64 {
 				0.083578947*math.Cos(6*math.Pi*t) +
 				0.006947368*math.Cos(8*math.Pi*t)
 		}
+		w[n-1-i] = w[i]
 	}
 	return w
 }

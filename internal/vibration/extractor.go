@@ -33,9 +33,10 @@ func NewExtractor(cfg chiller.Config, frameLen int) (*Extractor, error) {
 }
 
 // extractors shares extractor scratch across every caller in the process.
-// At the default 16384-sample frame an extractor is 512 KiB of pure scratch;
-// held per data concentrator it would dominate a fleet's resident heap, and
-// a pool also lets it go when no vibration test has run for a while.
+// At the default 16384-sample frame an extractor is 448 KiB of scratch and
+// tables (window, twiddles, bins, amplitudes); held per data concentrator it
+// would dominate a fleet's resident heap, and a pool also lets it go when no
+// vibration test has run for a while.
 var extractors sync.Pool
 
 // AcquireExtractor returns an extractor for frameLen-sample frames under
@@ -73,11 +74,12 @@ func (e *Extractor) ExtractInto(f *Features, frame []float64, pt chiller.Measure
 	// Frequency tolerance: a couple of bins or 1% of shaft speed.
 	tol := 2 * spec.Resolution
 
+	st := dsp.Waveform(frame)
 	*f = Features{
 		Point:       pt,
-		OverallRMS:  dsp.RMS(frame),
-		CrestFactor: dsp.CrestFactor(frame),
-		Kurtosis:    dsp.Kurtosis(frame),
+		OverallRMS:  st.RMS,
+		CrestFactor: st.Crest,
+		Kurtosis:    st.Kurtosis,
 	}
 	for k := 0; k < 8; k++ {
 		f.MotorOrders[k] = spec.AmpAt(float64(k+1)*shaft, tol)

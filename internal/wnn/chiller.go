@@ -2,10 +2,11 @@ package wnn
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/chiller"
-	"repro/internal/wavelet"
+	"repro/internal/dsp"
 )
 
 // ChillerClassifier packages trained wavelet neural networks as the third
@@ -21,11 +22,19 @@ type ChillerClassifier struct {
 	nets   map[chiller.MeasurementPoint]*Network
 	// classes[pt][0] is always the healthy class; the rest are faults.
 	classes map[chiller.MeasurementPoint][]chiller.Fault
-	// maps pools the wavelet-map workspaces (≈ 2 × frame length of pure
+	// plan is the transform plan of the cepstral stage: one frame length,
+	// one immutable twiddle table, read by every workspace.
+	plan *dsp.Plan
+	// maxClasses sizes a workspace's activations for the widest network.
+	maxClasses int
+	// scratch pools the feature workspaces (≈ 3 × frame length of pure
 	// scratch each). One classifier serves every DC it is attached to, so
 	// the scratch is shared between them and let go when idle.
-	maps sync.Pool
+	scratch sync.Pool
 }
+
+// hiddenUnits is the wavelon count of every per-point network.
+const hiddenUnits = 16
 
 // pointFaults lists the faults each per-point network discriminates. The
 // healthy class is implicit at index 0.
@@ -52,12 +61,20 @@ func NewChillerClassifier(cfg chiller.Config, frameLen, perClass int, seed int64
 	if perClass < 4 {
 		return nil, fmt.Errorf("wnn: perClass %d too small to train", perClass)
 	}
+	plan, err := dsp.NewPlan(dsp.NextPow2(frameLen))
+	if err != nil {
+		return nil, err
+	}
 	c := &ChillerClassifier{
 		cfg:     cfg,
 		fc:      DefaultFeatureConfig(),
 		frames:  frameLen,
 		nets:    make(map[chiller.MeasurementPoint]*Network),
 		classes: pointFaults(),
+		plan:    plan,
+	}
+	for _, faults := range c.classes {
+		c.maxClasses = max(c.maxClasses, len(faults)+1)
 	}
 	for pt, faults := range c.classes {
 		var xs [][]float64
@@ -102,7 +119,7 @@ func NewChillerClassifier(cfg chiller.Config, frameLen, perClass int, seed int64
 				}
 			}
 		}
-		net, err := NewNetwork(c.fc.Dim(), 16, len(faults)+1, seed+int64(pt))
+		net, err := NewNetwork(c.fc.Dim(), hiddenUnits, len(faults)+1, seed+int64(pt))
 		if err != nil {
 			return nil, err
 		}
@@ -134,15 +151,16 @@ func (c *ChillerClassifier) Classify(frame []float64, pt chiller.MeasurementPoin
 	if len(frame) != c.frames {
 		return Classification{}, fmt.Errorf("wnn: frame length %d, trained on %d", len(frame), c.frames)
 	}
-	x, err := c.features(frame)
+	ws, err := c.acquire()
 	if err != nil {
 		return Classification{}, err
 	}
-	cls, probs, err := net.Predict(x)
+	defer c.scratch.Put(ws)
+	cls, confidence, err := ws.classify(net, frame)
 	if err != nil {
 		return Classification{}, err
 	}
-	out := Classification{Confidence: probs[cls]}
+	out := Classification{Confidence: confidence}
 	if cls == 0 {
 		out.Healthy = true
 	} else {
@@ -151,18 +169,28 @@ func (c *ChillerClassifier) Classify(frame []float64, pt chiller.MeasurementPoin
 	return out, nil
 }
 
-// features extracts one frame's feature vector on a pooled workspace,
-// building one when the pool is empty.
-func (c *ChillerClassifier) features(frame []float64) ([]float64, error) {
-	ws, ok := c.maps.Get().(*wavelet.Workspace)
-	if !ok {
-		var err error
-		if ws, err = newMapWorkspace(c.frames, c.fc); err != nil {
-			return nil, err
-		}
+// acquire borrows a workspace from the pool, building one when it is empty.
+// Hand it back with c.scratch.Put.
+func (c *ChillerClassifier) acquire() (*workspace, error) {
+	if ws, ok := c.scratch.Get().(*workspace); ok {
+		return ws, nil
 	}
-	defer c.maps.Put(ws)
-	return extractWith(ws, frame, c.fc)
+	return newWorkspace(c.plan, c.frames, c.fc, newActivations(c.fc.Dim(), hiddenUnits, c.maxClasses))
+}
+
+// features extracts one frame's feature vector on a pooled workspace and
+// returns a copy the caller may keep.
+func (c *ChillerClassifier) features(frame []float64) ([]float64, error) {
+	ws, err := c.acquire()
+	if err != nil {
+		return nil, err
+	}
+	defer c.scratch.Put(ws)
+	x, err := ws.extract(frame)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(x), nil
 }
 
 // FrameLen returns the frame length the classifier was trained on.

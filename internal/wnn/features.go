@@ -48,52 +48,104 @@ func (fc FeatureConfig) Dim() int {
 }
 
 // Extract computes the feature vector for one waveform frame. It is the
-// one-shot form of the classifier's feature path: a fresh wavelet workspace
-// sized for this frame runs once.
+// one-shot form of the classifier's feature path: a fresh transform plan and
+// workspace sized for this frame run once.
 func Extract(frame []float64, fc FeatureConfig) ([]float64, error) {
-	ws, err := newMapWorkspace(len(frame), fc)
+	plan, err := dsp.NewPlan(dsp.NextPow2(len(frame)))
 	if err != nil {
 		return nil, err
 	}
-	return extractWith(ws, frame, fc)
+	ws, err := newWorkspace(plan, len(frame), fc, nil)
+	if err != nil {
+		return nil, err
+	}
+	return ws.extract(frame)
 }
 
-// newMapWorkspace sizes the wavelet-map engine for frames of frameLen
-// samples. The DWT runs on the largest power-of-two prefix so it can reach
-// full depth.
-func newMapWorkspace(frameLen int, fc FeatureConfig) (*wavelet.Workspace, error) {
+// workspace is the scratch one frame's classification runs on: the wavelet
+// map engine, the one-sided spectrum of the cepstral stage, the feature
+// vector and the network's activations. It holds no cross-frame state. The
+// transform plan is immutable and not part of the scratch: every workspace
+// of a classifier points at the classifier's one plan.
+type workspace struct {
+	fc       FeatureConfig
+	frameLen int
+	plan     *dsp.Plan
+	maps     *wavelet.Workspace
+	bins     []complex128
+	feat     []float64
+	acts     *activations
+}
+
+// newWorkspace sizes the feature engine for frames of frameLen samples under
+// plan, which must be planned for the next power of two. The DWT runs on the
+// largest power-of-two prefix so it can reach full depth. acts is the network
+// scratch classify runs on; feature extraction alone needs none.
+func newWorkspace(plan *dsp.Plan, frameLen int, fc FeatureConfig, acts *activations) (*workspace, error) {
 	if frameLen < 1<<uint(fc.WaveletLevels) {
 		return nil, fmt.Errorf("wnn: frame of %d samples too short for %d wavelet levels",
 			frameLen, fc.WaveletLevels)
 	}
-	return wavelet.NewWorkspace(fc.Kind, pow2Floor(frameLen), fc.WaveletLevels)
-}
-
-// extractWith computes the feature vector of frame, running the wavelet map
-// on ws, which must come from newMapWorkspace for this frame length. The
-// result does not alias ws.
-func extractWith(ws *wavelet.Workspace, frame []float64, fc FeatureConfig) ([]float64, error) {
-	out := make([]float64, 0, fc.Dim())
-	out = append(out,
-		dsp.PeakAbs(frame),
-		dsp.StdDev(frame),
-		dsp.CrestFactor(frame),
-		dsp.Kurtosis(frame),
-	)
-	ceps, err := dsp.CepstralCoefficients(frame, fc.NumCepstral)
+	if fc.NumCepstral < 0 || fc.NumCepstral >= plan.Len() || fc.NumDCT < 0 || fc.NumDCT > frameLen {
+		return nil, fmt.Errorf("wnn: %d cepstral and %d DCT coefficients do not fit a frame of %d samples",
+			fc.NumCepstral, fc.NumDCT, frameLen)
+	}
+	maps, err := wavelet.NewWorkspace(fc.Kind, pow2Floor(frameLen), fc.WaveletLevels)
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, ceps...)
-	out = append(out, dsp.DCT2Coefficients(frame, fc.NumDCT)...)
-	if _, err := ws.Decompose(frame[:pow2Floor(len(frame))]); err != nil {
+	if maps.Levels() != fc.WaveletLevels {
+		return nil, fmt.Errorf("wnn: frame of %d samples reaches %d wavelet levels, want %d",
+			frameLen, maps.Levels(), fc.WaveletLevels)
+	}
+	return &workspace{
+		fc:       fc,
+		frameLen: frameLen,
+		plan:     plan,
+		maps:     maps,
+		bins:     make([]complex128, plan.Len()/2+1),
+		feat:     make([]float64, fc.Dim()),
+		acts:     acts,
+	}, nil
+}
+
+// extract computes the feature vector of frame, which must have the length
+// the workspace was sized for. The result aliases the workspace and is
+// overwritten by the next call.
+func (w *workspace) extract(frame []float64) ([]float64, error) {
+	if len(frame) != w.frameLen {
+		return nil, fmt.Errorf("wnn: frame of %d samples, workspace sized for %d", len(frame), w.frameLen)
+	}
+	st := dsp.Waveform(frame)
+	f := w.feat
+	f[0], f[1], f[2], f[3] = st.Peak, st.StdDev, st.Crest, st.Kurtosis
+	ceps := f[4 : 4+w.fc.NumCepstral]
+	if err := w.plan.Cepstral(ceps, w.bins, frame, 1); err != nil {
 		return nil, err
 	}
-	out = append(out, ws.EnergyMap()...)
-	if len(out) != fc.Dim() {
-		return nil, fmt.Errorf("wnn: internal: feature dim %d != declared %d", len(out), fc.Dim())
+	dct := f[4+len(ceps) : 4+len(ceps)+w.fc.NumDCT]
+	dsp.DCT2Into(dct, frame)
+	if _, err := w.maps.Decompose(frame[:w.maps.FrameLen()]); err != nil {
+		return nil, err
 	}
-	return out, nil
+	copy(f[4+len(ceps)+len(dct):], w.maps.EnergyMap())
+	return f, nil
+}
+
+// classify runs one frame through feature extraction and net on the
+// workspace's scratch and returns the winning class with its probability.
+//
+//mpros:hotpath WNN features and network for one frame of the scheduled vibration test
+func (w *workspace) classify(net *Network, frame []float64) (int, float64, error) {
+	x, err := w.extract(frame)
+	if err != nil {
+		return 0, 0, err
+	}
+	cls, probs, err := net.predict(w.acts, x)
+	if err != nil {
+		return 0, 0, err
+	}
+	return cls, probs[cls], nil
 }
 
 // pow2Floor returns the largest power of two not exceeding n (1 for n < 2).

@@ -72,13 +72,12 @@ func mexicanHat(u float64) (float64, float64) {
 	return psi, dpsi
 }
 
-// standardize maps x into z-score space using the fitted statistics.
-func (n *Network) standardize(x []float64) []float64 {
-	z := make([]float64, len(x))
+// standardize maps x into z-score space using the fitted statistics,
+// writing into z.
+func (n *Network) standardize(z, x []float64) {
 	for i := range x {
 		z[i] = (x[i] - n.mean[i]) / n.std[i]
 	}
-	return z
 }
 
 // fitScaler computes per-feature mean and std over the training set.
@@ -104,11 +103,29 @@ func (n *Network) fitScaler(samples [][]float64) {
 	}
 }
 
+// activations is the scratch of one forward pass: the standardized input,
+// the wavelon outputs and their derivatives, and the class logits and
+// probabilities. Train and Predict run the same forward body over one. A
+// network uses the leading part of each buffer, so one scratch sized for the
+// largest of several networks serves them all.
+type activations struct {
+	z, hid, dhid, logits, probs []float64
+}
+
+func newActivations(inDim, hidden, classes int) *activations {
+	return &activations{
+		z:      make([]float64, inDim),
+		hid:    make([]float64, hidden),
+		dhid:   make([]float64, hidden),
+		logits: make([]float64, classes),
+		probs:  make([]float64, classes),
+	}
+}
+
 // forward computes hidden activations, their derivatives, and class
-// probabilities for a standardized input.
-func (n *Network) forward(z []float64) (hid, dhid, probs []float64) {
-	hid = make([]float64, n.hidden)
-	dhid = make([]float64, n.hidden)
+// probabilities for the standardized input z. The results alias a.
+func (n *Network) forward(a *activations, z []float64) (hid, dhid, probs []float64) {
+	hid, dhid = a.hid[:n.hidden], a.dhid[:n.hidden]
 	for h := 0; h < n.hidden; h++ {
 		u := n.b1[h]
 		w := n.w1[h]
@@ -117,20 +134,20 @@ func (n *Network) forward(z []float64) (hid, dhid, probs []float64) {
 		}
 		hid[h], dhid[h] = mexicanHat(u)
 	}
-	logits := make([]float64, n.classes)
+	logits := a.logits[:n.classes]
 	maxLogit := math.Inf(-1)
 	for c := 0; c < n.classes; c++ {
 		v := n.b2[c]
 		w := n.w2[c]
-		for h, a := range hid {
-			v += w[h] * a
+		for h, act := range hid {
+			v += w[h] * act
 		}
 		logits[c] = v
 		if v > maxLogit {
 			maxLogit = v
 		}
 	}
-	probs = make([]float64, n.classes)
+	probs = a.probs[:n.classes]
 	var sum float64
 	for c, v := range logits {
 		p := math.Exp(v - maxLogit)
@@ -180,8 +197,12 @@ func (n *Network) Train(samples [][]float64, labels []int, opt TrainOptions) (fl
 	n.fitScaler(samples)
 	zs := make([][]float64, len(samples))
 	for i, s := range samples {
-		zs[i] = n.standardize(s)
+		zs[i] = make([]float64, n.inDim)
+		n.standardize(zs[i], s)
 	}
+	a := newActivations(n.inDim, n.hidden, n.classes)
+	dlogit := make([]float64, n.classes)
+	dhidden := make([]float64, n.hidden)
 	order := make([]int, len(samples))
 	for i := range order {
 		order[i] = i
@@ -193,10 +214,9 @@ func (n *Network) Train(samples [][]float64, labels []int, opt TrainOptions) (fl
 		for _, idx := range order {
 			z := zs[idx]
 			y := labels[idx]
-			hid, dhid, probs := n.forward(z)
+			hid, dhid, probs := n.forward(a, z)
 			epochLoss += -math.Log(math.Max(probs[y], 1e-12))
 			// Output layer gradient: dL/dlogit_c = p_c - 1{c==y}.
-			dlogit := make([]float64, n.classes)
 			for c := range dlogit {
 				dlogit[c] = probs[c]
 				if c == y {
@@ -204,7 +224,7 @@ func (n *Network) Train(samples [][]float64, labels []int, opt TrainOptions) (fl
 				}
 			}
 			// Hidden gradient.
-			dhidden := make([]float64, n.hidden)
+			clear(dhidden)
 			for c := 0; c < n.classes; c++ {
 				g := dlogit[c]
 				w := n.w2[c]
@@ -241,11 +261,20 @@ func (n *Network) Train(samples [][]float64, labels []int, opt TrainOptions) (fl
 }
 
 // Predict returns the most probable class and the full probability vector.
+// It is the one-shot form of predict over fresh scratch.
 func (n *Network) Predict(x []float64) (int, []float64, error) {
+	return n.predict(newActivations(n.inDim, n.hidden, n.classes), x)
+}
+
+// predict runs x through the network on a's scratch and returns the most
+// probable class and the probability vector, which aliases a.
+func (n *Network) predict(a *activations, x []float64) (int, []float64, error) {
 	if len(x) != n.inDim {
 		return 0, nil, fmt.Errorf("wnn: input dim %d, want %d", len(x), n.inDim)
 	}
-	_, _, probs := n.forward(n.standardize(x))
+	z := a.z[:n.inDim]
+	n.standardize(z, x)
+	_, _, probs := n.forward(a, z)
 	best := 0
 	for c, p := range probs {
 		if p > probs[best] {
