@@ -9,7 +9,7 @@
 //
 //  2. In the durability/recovery packages (internal/uplink,
 //     internal/relstore, internal/historian, internal/proto,
-//     internal/journal, internal/serving): a call whose result list includes
+//     internal/journal, internal/seglog, internal/serving): a call whose result list includes
 //     an error, used as a bare statement, drops that error invisibly — a
 //     failed sync or truncate in a recovery path then "succeeds". This
 //     includes a bare errors.Join, which swallows every joined failure at
@@ -44,6 +44,9 @@ var RecoveryPkgs = map[string]bool{
 	// journal is the PDME's write-ahead log: a dropped error between append
 	// and ack breaks the durability guarantee outright.
 	"journal": true,
+	// seglog is the file layer under all four stores above: every fsync,
+	// truncate and rename they rely on happens here.
+	"seglog": true,
 	// serving reads the historian on the trend path and hands errors to HTTP
 	// clients; a discarded error there silently serves an empty trend.
 	"serving": true,

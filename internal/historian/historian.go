@@ -14,10 +14,9 @@
 //     timestamps are accepted — §5.1 requires tolerating time-disordered
 //     inputs). When the head fills it is sorted and sealed into an
 //     immutable segment.
-//   - Sealed segments are persisted as CRC-framed blocks in one
-//     append-only segment file per channel. Recovery mirrors relstore's
-//     WAL semantics: a torn final block (power loss mid-append) is
-//     truncated away; interior corruption is refused.
+//   - Sealed segments are persisted one record each in an append-only
+//     seglog file per channel: a torn final block (power loss mid-append)
+//     is truncated away on open; interior corruption is refused.
 //   - Per-channel retention drops whole expired segments and compacts the
 //     segment file.
 //   - Multi-resolution rollup tiers (min/max/mean/count per bucket) are
@@ -37,6 +36,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/seglog"
 )
 
 // Sample is one observation on a channel.
@@ -116,9 +117,8 @@ type channel struct {
 	head     []Sample   // arrival-order buffer, sealed when full
 	segments []*segment // immutable, each sorted by time
 	tiers    []*tier
-	file     *os.File // nil for in-memory stores
-	path     string
-	total    int64 // samples currently held (head + segments)
+	log      *seglog.Log // nil for in-memory stores
+	total    int64       // samples currently held (head + segments)
 	latest   Sample
 	hasData  bool
 }
@@ -142,29 +142,17 @@ func Open(opts Options) (*Store, error) {
 		if e.IsDir() || filepath.Ext(e.Name()) != segmentExt {
 			continue
 		}
-		path := filepath.Join(opts.Dir, e.Name())
-		name, segments, err := recoverSegmentFile(path)
+		// The header names the channel; the file name only stands in for a
+		// header a crash cut short at creation.
+		name, err := seglog.FileKey(e.Name(), segmentExt)
 		if err != nil {
+			return nil, fmt.Errorf("historian: %w", err)
+		}
+		ch := &channel{}
+		if err := ch.openLog(filepath.Join(opts.Dir, e.Name()), name); err != nil {
 			return nil, err
 		}
-		ch := &channel{
-			cfg:      ChannelConfig{Name: name},
-			segments: segments,
-			path:     path,
-		}
-		for _, seg := range segments {
-			ch.total += int64(len(seg.samples))
-			if last := seg.samples[len(seg.samples)-1]; !ch.hasData || last.At.After(ch.latest.At) {
-				ch.latest = last
-				ch.hasData = true
-			}
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("historian: reopen segment file: %w", err)
-		}
-		ch.file = f
-		s.channels[name] = ch
+		s.channels[ch.cfg.Name] = ch
 	}
 	return s, nil
 }
@@ -190,14 +178,11 @@ func (s *Store) EnsureChannel(cfg ChannelConfig) error {
 	if !ok {
 		ch = &channel{cfg: cfg}
 		if s.dir != "" {
-			path := filepath.Join(s.dir, encodeChannelFile(cfg.Name))
-			f, err := createSegmentFile(path, cfg.Name)
-			if err != nil {
+			path := filepath.Join(s.dir, seglog.FileName(cfg.Name, segmentExt))
+			if err := ch.openLog(path, cfg.Name); err != nil {
 				s.mu.Unlock()
 				return err
 			}
-			ch.file = f
-			ch.path = path
 		}
 		s.channels[cfg.Name] = ch
 	}
@@ -310,8 +295,8 @@ func (ch *channel) sealLocked() error {
 	copy(samples, ch.head)
 	sort.SliceStable(samples, func(i, j int) bool { return samples[i].At.Before(samples[j].At) })
 	seg := newSegment(samples)
-	if ch.file != nil {
-		if err := appendBlock(ch.file, samples); err != nil {
+	if ch.log != nil {
+		if err := ch.log.Append(0, 0, encodeSamples(samples)); err != nil {
 			return fmt.Errorf("historian: channel %q: %w", ch.cfg.Name, err)
 		}
 	}
@@ -344,47 +329,20 @@ func (ch *channel) applyRetentionLocked() error {
 	for _, t := range ch.tiers {
 		t.trim(cutoff)
 	}
-	if ch.file != nil {
-		if err := ch.rewriteFileLocked(); err != nil {
-			return err
+	if ch.log != nil {
+		// Compact the file down to the segments still held.
+		err := ch.log.Rewrite(func(w *seglog.Log) error {
+			for _, seg := range ch.segments {
+				if err := w.Append(0, 0, encodeSamples(seg.samples)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("historian: channel %q: compact: %w", ch.cfg.Name, err)
 		}
 	}
-	return nil
-}
-
-// rewriteFileLocked rewrites the channel's segment file from the in-memory
-// segments (the compaction step after retention drops), swapping it in
-// atomically like relstore.Compact. Caller holds ch.mu.
-func (ch *channel) rewriteFileLocked() error {
-	tmp := ch.path + ".compact"
-	f, err := createSegmentFile(tmp, ch.cfg.Name)
-	if err != nil {
-		return err
-	}
-	for _, seg := range ch.segments {
-		if err := appendBlock(f, seg.samples); err != nil {
-			_ = f.Close()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := ch.file.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, ch.path); err != nil {
-		return fmt.Errorf("historian: swap compacted segment file: %w", err)
-	}
-	nf, err := os.OpenFile(ch.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("historian: reopen segment file after compact: %w", err)
-	}
-	ch.file = nf
 	return nil
 }
 
@@ -410,8 +368,8 @@ func (s *Store) Sync() error {
 		}
 		ch.mu.Lock()
 		err = ch.sealLocked()
-		if err == nil && ch.file != nil {
-			err = ch.file.Sync()
+		if err == nil && ch.log != nil {
+			err = ch.log.Sync()
 		}
 		ch.mu.Unlock()
 		if err != nil {
@@ -441,12 +399,12 @@ func (s *Store) Close() error {
 	s.closed = true
 	for _, ch := range s.channels {
 		ch.mu.Lock()
-		if ch.file != nil {
-			if err := ch.file.Close(); err != nil {
+		if ch.log != nil {
+			if err := ch.log.Close(); err != nil {
 				ch.mu.Unlock()
 				return err
 			}
-			ch.file = nil
+			ch.log = nil
 		}
 		ch.mu.Unlock()
 	}

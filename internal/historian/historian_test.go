@@ -3,7 +3,6 @@ package historian
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -189,7 +188,7 @@ func TestRetentionDropsOldSegments(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := mustOpen(t, filepath.Dir(chanPath(t, s, "a")))
+	s2 := mustOpen(t, s.dir)
 	defer s2.Close()
 	got2, err := s2.QueryAll("a")
 	if err != nil {
@@ -198,20 +197,6 @@ func TestRetentionDropsOldSegments(t *testing.T) {
 	if len(got2) != len(got) {
 		t.Fatalf("reopened %d samples, want %d", len(got2), len(got))
 	}
-}
-
-// chanPath digs out the channel's file path for reopen tests.
-func chanPath(t *testing.T, s *Store, name string) string {
-	t.Helper()
-	ch, err := s.channel(name)
-	if err != nil {
-		// Closed store: fall back to reconstructing from dir.
-		return filepath.Join(s.dir, encodeChannelFile(name))
-	}
-	if ch.path == "" {
-		t.Fatal("memory channel has no path")
-	}
-	return ch.path
 }
 
 func TestRollupTiers(t *testing.T) {

@@ -1,11 +1,22 @@
 package historian
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/seglog"
+)
+
+// Byte offsets of the seglog layout the hand-crafted files below rely on:
+// the header is magic, u16 meta length, channel name; a record is 17 bytes
+// of frame header, the samples, and a 4-byte CRC.
+const (
+	testHeaderLen = 8 + 2 + len("vib/motor/rms")
+	testRecHeader = 17
+	testBlockLen  = testRecHeader + 32*recordSize + 4 // fillChannel seals 32 samples a block
 )
 
 func fillChannel(t *testing.T, dir string, n int) string {
@@ -20,7 +31,7 @@ func fillChannel(t *testing.T, dir string, n int) string {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return filepath.Join(dir, encodeChannelFile("vib/motor/rms"))
+	return filepath.Join(dir, seglog.FileName("vib/motor/rms", segmentExt))
 }
 
 func TestReopenRecoversAllSamples(t *testing.T) {
@@ -87,15 +98,11 @@ func TestTornTailTruncated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Simulate a torn append: a prefix of a fourth block.
+		// Simulate a torn append: a prefix of a fourth block (the third
+		// one's bytes again — a torn record is cut before its CRC counts).
 		torn := make([]byte, 0, len(data)+cut)
 		torn = append(torn, data...)
-		block := make([]byte, 0, blockFrame+32*recordSize)
-		block = binary.LittleEndian.AppendUint32(block, blockMagic)
-		block = binary.LittleEndian.AppendUint32(block, 32)
-		for len(block) < blockFrame+32*recordSize {
-			block = append(block, 0xAB)
-		}
+		block := data[len(data)-testBlockLen:]
 		if cut > len(block) {
 			t.Fatalf("cut %d exceeds block", cut)
 		}
@@ -136,8 +143,7 @@ func TestInteriorCorruptionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a payload byte in the first block (well past the header).
-	hdr := len(fileMagic) + 2 + len("vib/motor/rms")
-	data[hdr+blockFrame] ^= 0xFF
+	data[testHeaderLen+testRecHeader] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +190,7 @@ func TestChannelFileNameEncoding(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, n := range names {
-		f := encodeChannelFile(n)
+		f := seglog.FileName(n, segmentExt)
 		if seen[f] {
 			t.Fatalf("collision on %q", f)
 		}
@@ -213,5 +219,62 @@ func TestChannelFileNameEncoding(t *testing.T) {
 		if !s2.HasChannel(n) {
 			t.Fatalf("channel %q lost in round trip; have %v", n, s2.Channels())
 		}
+	}
+}
+
+// TestTornHeaderIsATornCreate: a crash while a channel file is being
+// created leaves a prefix of its header. The store still opens, the channel
+// comes back empty under the name its file name encodes, and it takes
+// appends that survive a further reopen.
+func TestTornHeaderIsATornCreate(t *testing.T) {
+	const name = "vib/motor/rms"
+	for cut := 0; cut < testHeaderLen; cut++ {
+		dir := t.TempDir()
+		path := fillChannel(t, dir, 0)
+		hdr, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hdr) != testHeaderLen {
+			t.Fatalf("empty channel file is %d bytes, want the %d-byte header", len(hdr), testHeaderLen)
+		}
+		if err := os.WriteFile(path, hdr[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("header cut at %d bricks the store: %v", cut, err)
+		}
+		if got, err := s.QueryAll(name); err != nil || len(got) != 0 {
+			t.Fatalf("header cut at %d: %d samples, err %v; want the channel back, empty", cut, len(got), err)
+		}
+		ensure(t, s, ChannelConfig{Name: name, HeadCap: 32})
+		if err := s.Append(name, t0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2 := mustOpen(t, dir)
+		if got, _ := s2.QueryAll(name); len(got) != 1 {
+			t.Fatalf("header cut at %d: %d samples after append+reopen, want 1", cut, len(got))
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestParentFormatRefused: the pre-seglog segment magic is not read; the
+// error names the file so the operator knows what to delete.
+func TestParentFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, seglog.FileName("a", segmentExt))
+	if err := os.WriteFile(path, []byte("MPROSHS1\x01\x00a"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(Options{Dir: dir})
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("error %v, want one naming the file and its magic", err)
 	}
 }

@@ -3,39 +3,23 @@ package historian
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
-	"os"
 	"sort"
-	"strings"
 	"time"
+
+	"repro/internal/seglog"
 )
 
-// Segment file format (one file per channel, append-only):
-//
-//	header: magic "MPROSHS1" | u16 nameLen | name bytes
-//	blocks: u32 blockMagic | u32 count | count×(i64 unixnano, f64 bits) | u32 crc
-//
-// All integers little-endian. Each sealed segment is appended as exactly
-// one block in a single write, so a power loss mid-append leaves a prefix
-// of the final block. Recovery therefore distinguishes, exactly like
-// relstore's WAL replay:
-//
-//   - an incomplete final block (fewer bytes than its frame declares, or a
-//     truncated frame header) is a torn tail: truncate to the last
-//     complete block and continue;
-//   - a complete block whose CRC does not match, or a broken block magic
-//     with bytes remaining, is interior corruption: refuse the file.
-
+// A channel's file is a seglog log (see internal/seglog and DESIGN.md,
+// "On-disk logs") whose header meta is the channel name. Each sealed
+// segment is one record; its body is count×(i64 unixnano, f64 bits),
+// little-endian, so count = bodyLen/16.
 const (
-	segmentExt   = ".hseg"
-	fileMagic    = "MPROSHS1"
-	blockMagic   = uint32(0x5EA1B10C)
-	recordSize   = 16 // i64 nanos + f64 value
-	blockFrame   = 12 // u32 magic + u32 count + u32 crc
-	maxBlockSize = 1 << 24
+	segmentExt = ".hseg"
+	recordSize = 16 // i64 nanos + f64 value
 )
+
+var segmentFormat = seglog.Format{Magic: "MPROSHS2", MaxBody: 1 << 24}
 
 // segment is an immutable sorted run of samples.
 type segment struct {
@@ -71,158 +55,52 @@ func (g *segment) slice(from, to time.Time) []Sample {
 	return g.samples[lo:hi]
 }
 
-// encodeChannelFile maps a channel name to a filesystem-safe file name,
-// escaping every byte outside [A-Za-z0-9._-] as %XX (collision-free and
-// reversible, though the header name is authoritative on recovery).
-func encodeChannelFile(name string) string {
-	var b strings.Builder
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-			b.WriteByte(c)
-		default:
-			fmt.Fprintf(&b, "%%%02X", c)
-		}
-	}
-	return b.String() + segmentExt
-}
-
-// createSegmentFile creates a fresh segment file with its header.
-func createSegmentFile(path, name string) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("historian: create segment file: %w", err)
-	}
-	info, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	if info.Size() > 0 {
-		// Re-ensured existing channel: header already written.
-		return f, nil
-	}
-	hdr := make([]byte, 0, len(fileMagic)+2+len(name))
-	hdr = append(hdr, fileMagic...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(name)))
-	hdr = append(hdr, name...)
-	if _, err := f.Write(hdr); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("historian: write header: %w", err)
-	}
-	return f, nil
-}
-
-// appendBlock appends one sealed segment as a single framed block.
-func appendBlock(f *os.File, samples []Sample) error {
-	if len(samples) == 0 {
-		return nil
-	}
-	buf := make([]byte, 0, blockFrame+len(samples)*recordSize)
-	buf = binary.LittleEndian.AppendUint32(buf, blockMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(samples)))
+// encodeSamples is the record body of one sealed segment.
+func encodeSamples(samples []Sample) []byte {
+	buf := make([]byte, 0, len(samples)*recordSize)
 	for _, s := range samples {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.At.UnixNano()))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Value))
 	}
-	crc := crc32.ChecksumIEEE(buf[4:]) // count + records
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	if _, err := f.Write(buf); err != nil {
-		return fmt.Errorf("write segment block: %w", err)
-	}
-	return nil
+	return buf
 }
 
-// recoverSegmentFile reads a channel segment file back into sorted
-// segments, truncating a torn tail and refusing interior corruption.
-func recoverSegmentFile(path string) (string, []*segment, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", nil, fmt.Errorf("historian: read segment file: %w", err)
-	}
-	if len(data) < len(fileMagic)+2 {
-		return "", nil, fmt.Errorf("historian: %s: truncated header", path)
-	}
-	if string(data[:len(fileMagic)]) != fileMagic {
-		return "", nil, fmt.Errorf("historian: %s: bad file magic", path)
-	}
-	nameLen := int(binary.LittleEndian.Uint16(data[len(fileMagic):]))
-	off := len(fileMagic) + 2
-	if len(data) < off+nameLen {
-		return "", nil, fmt.Errorf("historian: %s: truncated channel name", path)
-	}
-	name := string(data[off : off+nameLen])
-	if name == "" {
-		return "", nil, fmt.Errorf("historian: %s: empty channel name", path)
-	}
-	off += nameLen
-
-	var segments []*segment
-	tornAt := -1
-	for off < len(data) {
-		remaining := len(data) - off
-		if remaining < 8 {
-			// A frame header prefix: only a torn append can leave this.
-			tornAt = off
-			break
+// openLog opens (recovering) or creates the channel's file at path and
+// loads its segments. name goes into the header of a file that has to be
+// created; an existing header's name is authoritative and becomes
+// ch.cfg.Name.
+func (ch *channel) openLog(path, name string) error {
+	log, _, err := seglog.Open(path, segmentFormat, []byte(name), func(r seglog.Record) error {
+		if len(r.Body) == 0 || len(r.Body)%recordSize != 0 {
+			return fmt.Errorf("implausible block of %d bytes", len(r.Body))
 		}
-		magic := binary.LittleEndian.Uint32(data[off:])
-		count := int(binary.LittleEndian.Uint32(data[off+4:]))
-		if magic != blockMagic {
-			return "", nil, fmt.Errorf("historian: %s: bad block magic at offset %d (corrupted file)", path, off)
-		}
-		if count <= 0 || count*recordSize > maxBlockSize {
-			return "", nil, fmt.Errorf("historian: %s: implausible block count %d at offset %d (corrupted file)", path, count, off)
-		}
-		need := blockFrame + count*recordSize
-		if remaining < need {
-			// The final block never finished its single-write append.
-			tornAt = off
-			break
-		}
-		payload := data[off+4 : off+8+count*recordSize]
-		wantCRC := binary.LittleEndian.Uint32(data[off+8+count*recordSize:])
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			// A torn single-write append leaves a short block (handled
-			// above), never a full-length one with a bad CRC — that is bit
-			// corruption, refused even at the tail.
-			return "", nil, fmt.Errorf("historian: %s: block CRC mismatch at offset %d (corrupted file)", path, off)
-		}
-		samples := make([]Sample, count)
-		rec := off + 8
-		for i := 0; i < count; i++ {
-			nanos := int64(binary.LittleEndian.Uint64(data[rec:]))
-			bits := binary.LittleEndian.Uint64(data[rec+8:])
+		samples := make([]Sample, len(r.Body)/recordSize)
+		for i := range samples {
+			rec := r.Body[i*recordSize:]
+			nanos := int64(binary.LittleEndian.Uint64(rec))
+			bits := binary.LittleEndian.Uint64(rec[8:])
 			samples[i] = Sample{At: time.Unix(0, nanos).UTC(), Value: math.Float64frombits(bits)}
-			rec += recordSize
 		}
 		// Blocks are written sorted; tolerate (and repair) any drift.
 		sort.SliceStable(samples, func(i, j int) bool { return samples[i].At.Before(samples[j].At) })
-		segments = append(segments, newSegment(samples))
-		off += need
-	}
-	if tornAt >= 0 {
-		if err := truncateFile(path, int64(tornAt)); err != nil {
-			return "", nil, err
-		}
-	}
-	return name, segments, nil
-}
-
-// truncateFile cuts the file to size bytes (torn-tail repair).
-func truncateFile(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+		ch.segments = append(ch.segments, newSegment(samples))
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("historian: open for truncation: %w", err)
+		return fmt.Errorf("historian: %w", err)
 	}
-	defer f.Close()
-	if err := f.Truncate(size); err != nil {
-		return fmt.Errorf("historian: truncate torn tail: %w", err)
+	if len(log.Meta()) == 0 {
+		_ = log.Close() // best effort: the refusal is the story
+		return fmt.Errorf("historian: %s: empty channel name", path)
 	}
-	if err := f.Sync(); err != nil && err != io.EOF {
-		return err
+	ch.cfg.Name = string(log.Meta())
+	ch.log = log
+	for _, seg := range ch.segments {
+		ch.total += int64(len(seg.samples))
+		if last := seg.samples[len(seg.samples)-1]; !ch.hasData || last.At.After(ch.latest.At) {
+			ch.latest = last
+			ch.hasData = true
+		}
 	}
 	return nil
 }

@@ -28,6 +28,9 @@ func journalFiles(tb testing.TB, mutate func(j *Journal)) (wal, ckpt []byte) {
 	return wal, ckpt
 }
 
+// walHeaderLen is the seglog header of a WAL: magic, u16 meta length, no meta.
+const walHeaderLen = 8 + 2
+
 // FuzzJournalRecover writes arbitrary bytes as the WAL and checkpoint
 // files and opens the journal. Recovery must never panic. When it accepts
 // the pair, the rebuilt state must be a consistent prefix (tail sequences
@@ -54,11 +57,11 @@ func FuzzJournalRecover(f *testing.F) {
 		}
 	})
 	f.Add(wal, ckpt)
-	f.Add(walOnly, []byte(nil))        // no checkpoint yet
-	f.Add(wal[:len(wal)-3], ckpt)      // torn WAL tail mid-record
-	f.Add(wal[:len(walMagic)+5], ckpt) // torn first record
-	f.Add(wal[:3], ckpt)               // torn header
-	f.Add(wal, ckpt[:len(ckpt)-2])     // truncated checkpoint
+	f.Add(walOnly, []byte(nil))       // no checkpoint yet
+	f.Add(wal[:len(wal)-3], ckpt)     // torn WAL tail mid-record
+	f.Add(wal[:walHeaderLen+5], ckpt) // torn first record
+	f.Add(wal[:3], ckpt)              // torn header
+	f.Add(wal, ckpt[:len(ckpt)-2])    // truncated checkpoint
 	flippedWAL := bytes.Clone(wal)
 	flippedWAL[len(flippedWAL)-1] ^= 0x40
 	f.Add(flippedWAL, ckpt) // CRC breaks on the last WAL record
@@ -66,7 +69,7 @@ func FuzzJournalRecover(f *testing.F) {
 	flippedCkpt[len(flippedCkpt)/2] ^= 0x01
 	f.Add(wal, flippedCkpt) // checkpoint body corrupted
 	f.Add([]byte{}, []byte{})
-	f.Add([]byte("MPROSWJ1 but not really a journal"), []byte("MPROSCK1 nor a checkpoint"))
+	f.Add([]byte(walFormat.Magic+" but not really a journal"), []byte(ckptFormat.Magic+" nor a checkpoint"))
 
 	f.Fuzz(func(t *testing.T, walData, ckptData []byte) {
 		dir := t.TempDir()

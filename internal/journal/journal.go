@@ -8,53 +8,42 @@
 // sequence (jseq); the checkpoint is an opaque blob pinned to the jseq
 // watermark it covers. The PDME owns both encodings.
 //
-// WAL file format (append-only, one file per journal dir):
+// Both files are seglog logs (see internal/seglog and DESIGN.md, "On-disk
+// logs"): the WAL is one record per accepted envelope, kind and jseq in the
+// frame, fsynced before Append returns; the checkpoint is a one-record file
+// whose sequence is the watermark, replaced whole. On top of seglog's
+// torn-tail/corruption rule the journal refuses a WAL whose jseqs do not
+// strictly ascend.
 //
-//	header:  magic "MPROSWJ1"
-//	records: u32 recMagic | u8 kind | u64 jseq | u32 bodyLen | body | u32 crc
-//
-// Checkpoint file format (whole file replaced via temp + rename):
-//
-//	magic "MPROSCK1" | u64 jseq | u32 bodyLen | body | u32 crc
-//
-// All integers little-endian; each CRC covers everything between the magic
-// and itself. Every WAL record is appended in a single write and fsynced
-// before Append returns, so recovery follows the historian/spool idiom
-// exactly: an incomplete final record is a torn tail (truncate and
-// continue); a complete record with a bad magic, bad CRC, or non-ascending
-// jseq is interior corruption (refuse the file).
-//
-// After a checkpoint commits (rename + dir sync) the WAL is compacted to
-// the records above the watermark, itself via temp + rename. A crash
-// between the two renames leaves stale records (jseq ≤ watermark) in the
-// WAL; recovery skips them by sequence, so the pair of files is consistent
-// no matter where the crash lands.
+// After a checkpoint commits the WAL is compacted to the records above the
+// watermark. A crash between the two renames leaves stale records (jseq ≤
+// watermark) in the WAL; recovery skips them by sequence, so the pair of
+// files is consistent no matter where the crash lands.
 package journal
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/seglog"
 )
 
 const (
 	walName  = "wal.mprosj"
 	ckptName = "checkpoint.mprosc"
+)
 
-	walMagic  = "MPROSWJ1"
-	ckptMagic = "MPROSCK1"
-
-	recMagic    = uint32(0x4A524E31) // "JRN1"
-	recFrame    = 4 + 1 + 8 + 4 + 4  // magic + kind + jseq + len + crc
-	maxBodySize = 1 << 20
-
-	// maxCheckpointSize bounds the checkpoint blob far above any real
-	// snapshot; it exists only so a corrupted length field cannot drive a
-	// giant allocation.
-	maxCheckpointSize = 1 << 28
+var (
+	walFormat = seglog.Format{Magic: "MPROSWJ2", MaxBody: 1 << 20}
+	// The checkpoint bound sits far above any real snapshot; it exists only
+	// so a corrupted length field cannot drive a giant allocation.
+	ckptFormat = seglog.Format{Magic: "MPROSCK2", MaxBody: 1 << 28}
 )
 
 // Record is one journaled envelope: an opaque body under a caller-chosen
@@ -82,8 +71,7 @@ type Recovery struct {
 type Journal struct {
 	mu     sync.Mutex
 	dir    string
-	path   string
-	f      *os.File
+	wal    *seglog.Log
 	closed bool
 
 	nextSeq uint64
@@ -104,229 +92,98 @@ func Open(dir string) (*Journal, *Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: create dir: %w", err)
 	}
-	// Leftover temp files are crashes mid-replace; the rename never
-	// happened, so they are dead weight.
-	for _, tmp := range []string{ckptName + ".tmp", walName + ".tmp"} {
-		if err := os.Remove(filepath.Join(dir, tmp)); err != nil && !os.IsNotExist(err) {
-			return nil, nil, fmt.Errorf("journal: clear stale temp: %w", err)
-		}
-	}
-	j := &Journal{dir: dir, path: filepath.Join(dir, walName), nextSeq: 1}
+	j := &Journal{dir: dir, nextSeq: 1}
 	rec := &Recovery{}
 
 	blob, ckptSeq, err := readCheckpoint(filepath.Join(dir, ckptName))
 	if err != nil {
 		return nil, nil, err
 	}
-	if blob != nil {
+	if ckptSeq != 0 {
 		j.ckpt = ckptSeq
 		j.nextSeq = ckptSeq + 1
 		rec.Checkpoint = blob
 		rec.CheckpointSeq = ckptSeq
 	}
 
-	torn, err := j.recoverWAL()
-	if err != nil {
-		return nil, nil, err
-	}
-	rec.TornBytes = torn
-	rec.Tail = append([]Record(nil), j.tail...)
-
-	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: open wal: %w", err)
-	}
-	if info, err := f.Stat(); err == nil && info.Size() == 0 {
-		if _, err := f.Write([]byte(walMagic)); err != nil {
-			_ = f.Close() // best effort: the write error is the story
-			return nil, nil, fmt.Errorf("journal: write wal header: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			_ = f.Close() // best effort: the sync error is the story
-			return nil, nil, fmt.Errorf("journal: sync wal header: %w", err)
-		}
-	}
-	j.f = f
-	return j, rec, nil
-}
-
-// readCheckpoint loads and verifies the checkpoint file. A missing file is
-// (nil, 0, nil); anything present but malformed is refused — checkpoints
-// are replaced atomically, so a damaged one is external corruption, not a
-// crash artifact.
-func readCheckpoint(path string) ([]byte, uint64, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: read checkpoint: %w", err)
-	}
-	hdr := len(ckptMagic) + 8 + 4
-	if len(data) < hdr+4 {
-		return nil, 0, fmt.Errorf("journal: %s: truncated checkpoint (corrupted)", path)
-	}
-	if string(data[:len(ckptMagic)]) != ckptMagic {
-		return nil, 0, fmt.Errorf("journal: %s: bad checkpoint magic (corrupted)", path)
-	}
-	seq := binary.LittleEndian.Uint64(data[len(ckptMagic):])
-	if seq == 0 || seq == ^uint64(0) {
-		return nil, 0, fmt.Errorf("journal: %s: implausible checkpoint watermark (corrupted)", path)
-	}
-	bodyLen := int(binary.LittleEndian.Uint32(data[len(ckptMagic)+8:]))
-	if bodyLen < 0 || bodyLen > maxCheckpointSize {
-		return nil, 0, fmt.Errorf("journal: %s: implausible checkpoint body %d (corrupted)", path, bodyLen)
-	}
-	if len(data) != hdr+bodyLen+4 {
-		return nil, 0, fmt.Errorf("journal: %s: checkpoint length mismatch (corrupted)", path)
-	}
-	payload := data[len(ckptMagic) : hdr+bodyLen]
-	wantCRC := binary.LittleEndian.Uint32(data[hdr+bodyLen:])
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, 0, fmt.Errorf("journal: %s: checkpoint CRC mismatch (corrupted)", path)
-	}
-	return append([]byte(nil), data[hdr:hdr+bodyLen]...), seq, nil
-}
-
-// recoverWAL scans the WAL, filling j.tail with records above the
-// checkpoint watermark and advancing j.nextSeq. Returns truncated torn
-// bytes.
-func (j *Journal) recoverWAL() (int64, error) {
-	data, err := os.ReadFile(j.path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("journal: read wal: %w", err)
-	}
-	if len(data) == 0 {
-		return 0, nil
-	}
-	if len(data) < len(walMagic) {
-		// The header itself never finished its first write; no record can
-		// exist, so treat the whole file as torn.
-		if err := truncateFile(j.path, 0); err != nil {
-			return 0, err
-		}
-		return int64(len(data)), nil
-	}
-	if string(data[:len(walMagic)]) != walMagic {
-		return 0, fmt.Errorf("journal: %s: bad wal magic (corrupted)", j.path)
-	}
-	off := len(walMagic)
 	prevSeq := uint64(0)
-	tornAt := -1
-	for off < len(data) {
-		remaining := len(data) - off
-		if remaining < recFrame-4 { // not even the fixed fields before the body
-			tornAt = off
-			break
-		}
-		magic := binary.LittleEndian.Uint32(data[off:])
-		if magic != recMagic {
-			return 0, fmt.Errorf("journal: %s: bad record magic at offset %d (corrupted)", j.path, off)
-		}
-		kind := data[off+4]
-		seq := binary.LittleEndian.Uint64(data[off+5:])
-		if seq == ^uint64(0) {
+	j.wal, rec.TornBytes, err = seglog.Open(filepath.Join(dir, walName), walFormat, nil, func(r seglog.Record) error {
+		if r.Seq == math.MaxUint64 {
 			// A legitimate writer can never reach the last sequence;
 			// accepting it would overflow nextSeq back to zero.
-			return 0, fmt.Errorf("journal: %s: implausible sequence at offset %d (corrupted)", j.path, off)
+			return fmt.Errorf("implausible sequence")
 		}
-		if seq <= prevSeq {
+		if r.Seq <= prevSeq {
 			// The writer assigns strictly ascending jseqs; a regression is
 			// not something a torn single-write append can produce.
-			return 0, fmt.Errorf("journal: %s: non-ascending sequence at offset %d (corrupted)", j.path, off)
+			return fmt.Errorf("non-ascending sequence %d after %d", r.Seq, prevSeq)
 		}
-		bodyLen := int(binary.LittleEndian.Uint32(data[off+13:]))
-		if bodyLen < 0 || bodyLen > maxBodySize {
-			return 0, fmt.Errorf("journal: %s: implausible record body %d at offset %d (corrupted)", j.path, bodyLen, off)
-		}
-		need := recFrame + bodyLen
-		if remaining < need {
-			// The final record never finished its single-write append.
-			tornAt = off
-			break
-		}
-		payload := data[off+4 : off+17+bodyLen]
-		wantCRC := binary.LittleEndian.Uint32(data[off+17+bodyLen:])
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return 0, fmt.Errorf("journal: %s: record CRC mismatch at offset %d (corrupted)", j.path, off)
-		}
-		prevSeq = seq
-		if seq > j.ckpt {
+		prevSeq = r.Seq
+		if r.Seq > j.ckpt {
 			// Records at or below the watermark are a crash between the
 			// checkpoint rename and the WAL compaction: already covered.
-			body := append([]byte(nil), data[off+17:off+17+bodyLen]...)
-			j.tail = append(j.tail, Record{Seq: seq, Kind: kind, Body: body})
+			j.tail = append(j.tail, Record{Seq: r.Seq, Kind: r.Kind, Body: bytes.Clone(r.Body)})
 		}
-		off += need
-	}
-	var torn int64
-	if tornAt >= 0 {
-		torn = int64(len(data) - tornAt)
-		if err := truncateFile(j.path, int64(tornAt)); err != nil {
-			return 0, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 	if prevSeq >= j.nextSeq {
 		j.nextSeq = prevSeq + 1
 	}
-	return torn, nil
+	rec.Tail = append([]Record(nil), j.tail...)
+	return j, rec, nil
 }
 
-func truncateFile(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+// readCheckpoint loads and verifies the checkpoint file: exactly one whole
+// record whose sequence is the watermark. A missing file is (nil, 0, nil);
+// anything present but malformed is refused — checkpoints are replaced
+// atomically, so a damaged one is external corruption, not a crash
+// artifact.
+func readCheckpoint(path string) (blob []byte, seq uint64, err error) {
+	_, err = seglog.Scan(path, ckptFormat, func(r seglog.Record) error {
+		if seq != 0 {
+			return fmt.Errorf("second record in a checkpoint")
+		}
+		if r.Seq == 0 || r.Seq == math.MaxUint64 {
+			return fmt.Errorf("implausible checkpoint watermark")
+		}
+		// Non-nil even when empty: a nil Recovery.Checkpoint means "none".
+		blob, seq = append([]byte{}, r.Body...), r.Seq
+		return nil
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, nil
+	}
 	if err != nil {
-		return fmt.Errorf("journal: open for truncate: %w", err)
+		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
-	if err := f.Truncate(size); err != nil {
-		_ = f.Close() // best effort: the truncate error is the story
-		return fmt.Errorf("journal: truncate torn wal tail: %w", err)
+	if seq == 0 {
+		return nil, 0, fmt.Errorf("journal: %s: checkpoint holds no record (corrupted)", path)
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // best effort: the sync error is the story
-		return fmt.Errorf("journal: sync truncated wal: %w", err)
-	}
-	return f.Close()
+	return blob, seq, nil
 }
 
 // Append frames, writes, and fsyncs one record, returning its jseq. The
 // record is durable when Append returns — callers mutate derived state
 // only after.
 func (j *Journal) Append(kind byte, body []byte) (uint64, error) {
-	if len(body) > maxBodySize {
-		return 0, fmt.Errorf("journal: record body %d exceeds limit %d", len(body), maxBodySize)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return 0, fmt.Errorf("journal: closed")
 	}
 	seq := j.nextSeq
-	buf := frameRecord(kind, seq, body)
-	if _, err := j.f.Write(buf); err != nil {
-		return 0, fmt.Errorf("journal: append: %w", err)
+	if err := j.wal.Append(kind, seq, body); err != nil {
+		return 0, fmt.Errorf("journal: %w", err)
 	}
-	if err := j.f.Sync(); err != nil {
-		return 0, fmt.Errorf("journal: fsync append: %w", err)
+	if err := j.wal.Sync(); err != nil {
+		return 0, fmt.Errorf("journal: %w", err)
 	}
 	j.nextSeq = seq + 1
-	j.tail = append(j.tail, Record{Seq: seq, Kind: kind, Body: append([]byte(nil), body...)})
+	j.tail = append(j.tail, Record{Seq: seq, Kind: kind, Body: bytes.Clone(body)})
 	return seq, nil
-}
-
-// frameRecord builds the single-write on-disk form of one record.
-func frameRecord(kind byte, seq uint64, body []byte) []byte {
-	buf := make([]byte, recFrame+len(body))
-	binary.LittleEndian.PutUint32(buf, recMagic)
-	buf[4] = kind
-	binary.LittleEndian.PutUint64(buf[5:], seq)
-	binary.LittleEndian.PutUint32(buf[13:], uint32(len(body)))
-	copy(buf[17:], body)
-	crc := crc32.ChecksumIEEE(buf[4 : 17+len(body)])
-	binary.LittleEndian.PutUint32(buf[17+len(body):], crc)
-	return buf
 }
 
 // WriteCheckpoint durably replaces the checkpoint with blob covering every
@@ -335,7 +192,7 @@ func frameRecord(kind byte, seq uint64, body []byte) []byte {
 // old checkpoint, a crash after it but before the WAL compaction leaves
 // stale records that recovery skips by sequence.
 func (j *Journal) WriteCheckpoint(seq uint64, blob []byte) error {
-	if seq == 0 || seq == ^uint64(0) {
+	if seq == 0 || seq == math.MaxUint64 {
 		return fmt.Errorf("journal: implausible checkpoint watermark %d", seq)
 	}
 	j.mu.Lock()
@@ -349,29 +206,14 @@ func (j *Journal) WriteCheckpoint(seq uint64, blob []byte) error {
 	if seq < j.ckpt {
 		return fmt.Errorf("journal: checkpoint watermark %d behind durable checkpoint %d", seq, j.ckpt)
 	}
-	path := filepath.Join(j.dir, ckptName)
-	hdr := len(ckptMagic) + 8 + 4
-	buf := make([]byte, hdr+len(blob)+4)
-	copy(buf, ckptMagic)
-	binary.LittleEndian.PutUint64(buf[len(ckptMagic):], seq)
-	binary.LittleEndian.PutUint32(buf[len(ckptMagic)+8:], uint32(len(blob)))
-	copy(buf[hdr:], blob)
-	crc := crc32.ChecksumIEEE(buf[len(ckptMagic) : hdr+len(blob)])
-	binary.LittleEndian.PutUint32(buf[hdr+len(blob):], crc)
-	if err := replaceFile(path, buf); err != nil {
-		return err
-	}
-	if err := syncDir(j.dir); err != nil {
-		return err
+	err := seglog.WriteFile(filepath.Join(j.dir, ckptName), ckptFormat, nil, func(w *seglog.Log) error {
+		return w.Append(0, seq, blob)
+	})
+	if err != nil {
+		return fmt.Errorf("journal: write checkpoint: %w", err)
 	}
 	j.ckpt = seq
-	return j.compactLocked()
-}
 
-// compactLocked rewrites the WAL with only the records above the
-// checkpoint watermark (temp + rename, old handle swapped for the new
-// file). Requires j.mu.
-func (j *Journal) compactLocked() error {
 	live := j.tail[:0]
 	for _, r := range j.tail {
 		if r.Seq > j.ckpt {
@@ -379,80 +221,18 @@ func (j *Journal) compactLocked() error {
 		}
 	}
 	j.tail = live
-
-	tmp := j.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: create compact temp: %w", err)
-	}
-	if _, err := f.Write([]byte(walMagic)); err != nil {
-		_ = f.Close() // best effort: the write error is the story
-		return fmt.Errorf("journal: write compact header: %w", err)
-	}
-	for _, r := range j.tail {
-		if _, err := f.Write(frameRecord(r.Kind, r.Seq, r.Body)); err != nil {
-			_ = f.Close() // best effort: the write error is the story
-			return fmt.Errorf("journal: write compact record: %w", err)
+	err = j.wal.Rewrite(func(w *seglog.Log) error {
+		for _, r := range j.tail {
+			if err := w.Append(r.Kind, r.Seq, r.Body); err != nil {
+				return err
+			}
 		}
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // best effort: the sync error is the story
-		return fmt.Errorf("journal: sync compact temp: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: close compact temp: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		return fmt.Errorf("journal: commit compact: %w", err)
-	}
-	if err := syncDir(j.dir); err != nil {
-		return err
-	}
-	nf, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("journal: reopen compacted wal: %w", err)
-	}
-	_ = j.f.Close() // best effort: the old handle's file was renamed away
-	j.f = nf
-	return nil
-}
-
-// replaceFile atomically replaces path with data (temp + fsync + rename).
-func replaceFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: create checkpoint temp: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close() // best effort: the write error is the story
-		return fmt.Errorf("journal: write checkpoint temp: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // best effort: the sync error is the story
-		return fmt.Errorf("journal: sync checkpoint temp: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: close checkpoint temp: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("journal: commit checkpoint: %w", err)
+		return fmt.Errorf("journal: compact wal: %w", err)
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-committed rename survives power
-// loss, not merely process death.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("journal: open dir for sync: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		_ = d.Close() // best effort: the sync error is the story
-		return fmt.Errorf("journal: sync dir: %w", err)
-	}
-	return d.Close()
 }
 
 // LastSeq returns the jseq of the most recent append (0 before any).
@@ -485,12 +265,8 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if err := j.f.Sync(); err != nil {
-		_ = j.f.Close() // best effort: the sync error is the story
-		return fmt.Errorf("journal: sync on close: %w", err)
-	}
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("journal: close wal: %w", err)
+	if err := j.wal.Close(); err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }

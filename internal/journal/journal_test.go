@@ -292,7 +292,76 @@ func TestOversizeBodyRefused(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir)
 	defer func() { _ = j.Close() }()
-	if _, err := j.Append(1, make([]byte, maxBodySize+1)); err == nil {
+	if _, err := j.Append(1, make([]byte, walFormat.MaxBody+1)); err == nil {
 		t.Fatalf("oversize body accepted")
+	}
+}
+
+// TestReplaceFailureLeavesJournalUsable: a checkpoint whose temp file cannot
+// be created, and a WAL compaction whose temp file cannot be created, both
+// report the error and leave the journal appending to the WAL it had.
+func TestReplaceFailureLeavesJournalUsable(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir)
+	appendN(t, j, 1, 4, "rec")
+
+	ckptTmp := filepath.Join(dir, ckptName+".tmp")
+	if err := os.Mkdir(ckptTmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteCheckpoint(2, []byte("state@2")); err == nil {
+		t.Fatalf("WriteCheckpoint succeeded with a directory in the checkpoint temp's place")
+	}
+	if got := j.CheckpointSeq(); got != 0 {
+		t.Fatalf("failed checkpoint moved the watermark to %d", got)
+	}
+	appendN(t, j, 1, 1, "after-ckpt-failure")
+	if err := os.Remove(ckptTmp); err != nil {
+		t.Fatal(err)
+	}
+
+	walTmp := filepath.Join(dir, walName+".tmp")
+	if err := os.Mkdir(walTmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteCheckpoint(3, []byte("state@3")); err == nil {
+		t.Fatalf("WriteCheckpoint succeeded with a directory in the WAL temp's place")
+	}
+	// The checkpoint itself committed; only the compaction failed, which is
+	// the crash-between-renames state recovery already handles.
+	appendN(t, j, 1, 1, "after-compact-failure")
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	j2, rec := mustOpen(t, dir) // clears the (empty) directory like any stale temp
+	defer func() { _ = j2.Close() }()
+	if string(rec.Checkpoint) != "state@3" || rec.CheckpointSeq != 3 || rec.TornBytes != 0 {
+		t.Fatalf("recovered checkpoint (%q, %d), %d torn", rec.Checkpoint, rec.CheckpointSeq, rec.TornBytes)
+	}
+	wantBodies := []string{"rec-3", "after-ckpt-failure-0", "after-compact-failure-0"}
+	if len(rec.Tail) != len(wantBodies) {
+		t.Fatalf("tail = %+v, want %v", rec.Tail, wantBodies)
+	}
+	for i, r := range rec.Tail {
+		if r.Seq != uint64(4+i) || string(r.Body) != wantBodies[i] {
+			t.Fatalf("tail[%d] = (%d, %q), want (%d, %q)", i, r.Seq, r.Body, 4+i, wantBodies[i])
+		}
+	}
+}
+
+// TestParentFormatRefused: the pre-seglog magics are not read; the error
+// names the file so the operator knows which directory to delete.
+func TestParentFormatRefused(t *testing.T) {
+	for name, magic := range map[string]string{walName: "MPROSWJ1", ckptName: "MPROSCK1"} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(magic+"\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Open(dir)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "magic") {
+			t.Errorf("%s: error %v, want one naming the file and its magic", name, err)
+		}
 	}
 }

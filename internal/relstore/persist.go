@@ -1,22 +1,25 @@
 package relstore
 
 import (
-	"bufio"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
+
+	"repro/internal/seglog"
 )
 
-// The durability format is a single append-only log file of JSON records,
-// one per line. Reopening a database replays the log. Compact rewrites the
-// log as a snapshot (one create-table plus one insert per live row), which
-// bounds file growth; the paper's DC runs "disconnected from our labs for
-// months at a time", so unattended long-term operation is the design point.
+// The durability format is a single append-only seglog file (see
+// internal/seglog and DESIGN.md, "On-disk logs") whose record bodies are
+// JSON walRecords. Reopening a database replays the log. Compact rewrites
+// the log as a snapshot (one create-table plus one insert per live row),
+// which bounds file growth; the paper's DC runs "disconnected from our labs
+// for months at a time", so unattended long-term operation is the design
+// point.
+var logFormat = seglog.Format{Magic: "MPROSRS1", MaxBody: 1 << 24}
 
 type walRecord struct {
 	Op     string            `json:"op"` // create_table | insert | update | delete
@@ -27,8 +30,7 @@ type walRecord struct {
 }
 
 type walLogger struct {
-	f *os.File
-	w *bufio.Writer
+	log *seglog.Log
 }
 
 func (l *walLogger) append(rec walRecord) error {
@@ -36,13 +38,10 @@ func (l *walLogger) append(rec walRecord) error {
 	if err != nil {
 		return fmt.Errorf("relstore: encode wal record: %w", err)
 	}
-	if _, err := l.w.Write(b); err != nil {
-		return err
+	if err := l.log.Append(0, 0, b); err != nil {
+		return fmt.Errorf("relstore: %w", err)
 	}
-	if err := l.w.WriteByte('\n'); err != nil {
-		return err
-	}
-	return l.w.Flush()
+	return nil
 }
 
 func (l *walLogger) appendCreateTable(s Schema) error {
@@ -71,11 +70,7 @@ func (l *walLogger) appendDelete(table string, id int64) error {
 }
 
 func (l *walLogger) close() error {
-	if err := l.w.Flush(); err != nil {
-		_ = l.f.Close()
-		return err
-	}
-	return l.f.Close()
+	return l.log.Close()
 }
 
 // encodeRow converts row values to strings using the schema's column types.
@@ -175,99 +170,25 @@ func decodeRow(enc map[string]string, s Schema) (Row, error) {
 }
 
 // Open opens (or creates) a durable database backed by the log file at path.
-// An existing log is replayed into memory before the handle is returned.
+// An existing log is replayed into memory before the handle is returned; a
+// torn final record is truncated away, anything else malformed is refused.
 func Open(path string) (*DB, error) {
-	db := NewMemory()
-	if err := replayInto(db, path); err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("relstore: create db directory: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	db := NewMemory()
+	log, _, err := seglog.Open(path, logFormat, nil, func(r seglog.Record) error {
+		var rec walRecord
+		if err := json.Unmarshal(r.Body, &rec); err != nil {
+			return fmt.Errorf("undecodable record: %w", err)
+		}
+		return db.apply(rec)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("relstore: open log: %w", err)
+		return nil, fmt.Errorf("relstore: %w", err)
 	}
-	db.logger = &walLogger{f: f, w: bufio.NewWriter(f)}
+	db.logger = &walLogger{log: log}
 	return db, nil
-}
-
-// replayInto applies every record of the log file at path to db. A missing
-// file is not an error (fresh database).
-func replayInto(db *DB, path string) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("relstore: open log for replay: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	line := 0
-	tornTail := false
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		var rec walRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			// A malformed FINAL line is the signature of a torn write
-			// (power loss mid-append — §4.9's shipboard reality). Recover
-			// to the last complete record; a malformed interior line is
-			// real corruption and is refused.
-			tornTail = true
-			continue
-		}
-		if tornTail {
-			return fmt.Errorf("relstore: log line %d: valid record after malformed line %d (corrupted log)", line, line-1)
-		}
-		if err := db.apply(rec); err != nil {
-			return fmt.Errorf("relstore: log line %d: %w", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil && err != io.EOF {
-		return fmt.Errorf("relstore: read log: %w", err)
-	}
-	if tornTail {
-		// Truncate the torn tail so the next append produces a clean log.
-		if err := truncateToCompleteRecords(path); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// truncateToCompleteRecords rewrites the log file keeping only its leading
-// JSON-complete lines.
-func truncateToCompleteRecords(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("relstore: reread log for truncation: %w", err)
-	}
-	keep := 0
-	start := 0
-	for i := 0; i < len(data); i++ {
-		if data[i] != '\n' {
-			continue
-		}
-		var rec walRecord
-		if json.Unmarshal(data[start:i], &rec) != nil {
-			break
-		}
-		keep = i + 1
-		start = i + 1
-	}
-	if keep == len(data) {
-		return nil
-	}
-	if err := os.WriteFile(path+".trunc", data[:keep], 0o644); err != nil {
-		return fmt.Errorf("relstore: write truncated log: %w", err)
-	}
-	if err := os.Rename(path+".trunc", path); err != nil {
-		return fmt.Errorf("relstore: swap truncated log: %w", err)
-	}
-	return nil
 }
 
 // apply replays one log record against the in-memory state (no re-logging).
@@ -321,75 +242,39 @@ func (db *DB) apply(rec walRecord) error {
 
 // Compact rewrites the log file as a minimal snapshot of the current state
 // and swaps it in atomically. Only valid for databases created with Open.
-func (db *DB) Compact(path string) error {
+func (db *DB) Compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.logger == nil {
 		return fmt.Errorf("relstore: Compact on in-memory database")
 	}
-	tmp := path + ".compact"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("relstore: create compact file: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	writeRec := func(rec walRecord) error {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
+	err := db.logger.log.Rewrite(func(w *seglog.Log) error {
+		snap := &walLogger{log: w}
+		names := make([]string, 0, len(db.tables))
+		for n := range db.tables {
+			names = append(names, n)
 		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-		return w.WriteByte('\n')
-	}
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := db.tables[name]
-		sc := t.schema
-		if err := writeRec(walRecord{Op: "create_table", Table: name, Schema: &sc}); err != nil {
-			_ = f.Close()
-			return err
-		}
-		ids := make([]int64, 0, len(t.rows))
-		for id := range t.rows {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			enc, err := encodeRow(t.rows[id], t.schema)
-			if err != nil {
-				_ = f.Close()
+		sort.Strings(names)
+		for _, name := range names {
+			t := db.tables[name]
+			if err := snap.appendCreateTable(t.schema); err != nil {
 				return err
 			}
-			if err := writeRec(walRecord{Op: "insert", Table: name, ID: id, Row: enc}); err != nil {
-				_ = f.Close()
-				return err
+			ids := make([]int64, 0, len(t.rows))
+			for id := range t.rows {
+				ids = append(ids, id)
+			}
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			for _, id := range ids {
+				if err := snap.appendInsert(name, id, t.rows[id], t.schema); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	// Swap: close old log, rename, reopen for append.
-	if err := db.logger.close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("relstore: swap compacted log: %w", err)
-	}
-	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("relstore: reopen log after compact: %w", err)
+		return fmt.Errorf("relstore: compact: %w", err)
 	}
-	db.logger = &walLogger{f: nf, w: bufio.NewWriter(nf)}
 	return nil
 }

@@ -382,7 +382,7 @@ func TestCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Compact(path); err != nil {
+	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-compact writes still work.
@@ -405,7 +405,7 @@ func TestCompact(t *testing.T) {
 	if r["hours"] != int64(499) {
 		t.Errorf("compacted state lost final update: %v", r["hours"])
 	}
-	if err := NewMemory().Compact(path); err == nil {
+	if err := NewMemory().Compact(); err == nil {
 		t.Error("compact on memory db should error")
 	}
 }

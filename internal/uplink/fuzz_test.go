@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/seglog"
 )
 
 // spoolFileBytes builds a realistic spool file by driving the real
@@ -20,7 +22,7 @@ func spoolFileBytes(tb testing.TB, mutate func(s *spool)) []byte {
 	if err := s.close(); err != nil {
 		tb.Fatalf("close seed spool: %v", err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, encodeSpoolFile("dc-fuzz")))
+	data, err := os.ReadFile(filepath.Join(dir, seglog.FileName("dc-fuzz", spoolExt)))
 	if err != nil {
 		tb.Fatalf("read seed spool: %v", err)
 	}
@@ -48,16 +50,27 @@ func FuzzSpoolRecover(f *testing.F) {
 	f.Add(full)
 	f.Add(spoolFileBytes(f, func(s *spool) {})) // header only
 	f.Add(full[:len(full)-3])                   // torn tail mid-record
-	f.Add(full[:len(spoolMagic)+4])             // torn header
+	f.Add(full[:len(spoolFormat.Magic)+4])      // torn header
 	flipped := bytes.Clone(full)
 	flipped[len(flipped)-1] ^= 0x40 // CRC breaks on the last record
 	f.Add(flipped)
 	f.Add([]byte{})
-	f.Add([]byte("MPROSUP2 but not really a spool"))
+	f.Add([]byte(spoolFormat.Magic + " but not really a spool"))
+	f.Add(spoolFileBytes(f, func(s *spool) { // a forwarded summary between two reports
+		if _, _, err := s.add(testReport(0)); err != nil {
+			f.Fatalf("seed add: %v", err)
+		}
+		if _, _, err := s.addSummary(testSummary(0)); err != nil {
+			f.Fatalf("seed add summary: %v", err)
+		}
+		if _, _, err := s.add(testReport(1)); err != nil {
+			f.Fatalf("seed add: %v", err)
+		}
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, encodeSpoolFile("dc-fuzz"))
+		path := filepath.Join(dir, seglog.FileName("dc-fuzz", spoolExt))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -74,8 +87,8 @@ func FuzzSpoolRecover(f *testing.F) {
 				t.Fatalf("duplicate pending seq %d", rec.seq)
 			}
 			seqs[rec.seq] = true
-			if rec.report == nil {
-				t.Fatalf("pending seq %d recovered without a report", rec.seq)
+			if rec.report == nil && rec.summary == nil {
+				t.Fatalf("pending seq %d recovered without a report or summary", rec.seq)
 			}
 		}
 		if err := s.close(); err != nil {

@@ -5,20 +5,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/proto"
+	"repro/internal/seglog"
 )
 
-// Spool file format (one file per uplink, append-only):
-//
-//	header: magic "MPROSUP2" | u64 boot | u16 dcidLen | dcid bytes
-//	records: u32 recMagic | u8 type | u64 seq | u32 bodyLen | body | u32 crc
-//
-// All integers little-endian; the CRC covers type..body. Record types:
+// The spool is one seglog file per uplink (see internal/seglog and
+// DESIGN.md, "On-disk logs"). Its header meta is u64 boot | DC id; a
+// record's sequence is the delivery id it concerns. Record kinds:
 //
 //	recReport  — body is the JSON report; the sequence is its delivery id
 //	recAck     — the report with this sequence was acked by the PDME
@@ -29,21 +26,13 @@ import (
 //	             shares the report sequence space, so one spool carries both
 //	             kinds in FIFO order under one dedup window
 //
-// Every record is appended in a single write, so recovery follows the
-// historian segment idiom exactly: an incomplete final record is a torn
-// tail (truncate and continue); a complete record with a bad magic or CRC
-// is interior corruption (refuse the file).
-//
 // The boot id names the sequence-counter incarnation on the wire (see
 // proto.Dedup): a persistent spool keeps it for the file's lifetime, so
 // replayed sequences stay deduplicable across DC restarts; an in-memory
 // spool draws a fresh one per process, telling the PDME its restarted
 // counter is not a replay.
 const (
-	spoolMagic  = "MPROSUP2"
-	recMagic    = uint32(0x5B001ED0)
-	recFrame    = 4 + 1 + 8 + 4 + 4 // magic + type + seq + len + crc
-	maxBodySize = 1 << 20
+	spoolExt = ".spool"
 
 	recReport  = byte(1)
 	recAck     = byte(2)
@@ -55,6 +44,8 @@ const (
 	// file before it is rewritten with only pending reports.
 	compactEvery = 512
 )
+
+var spoolFormat = seglog.Format{Magic: "MPROSUP3", MaxBody: 1 << 20}
 
 // pendingRec is one spooled frame awaiting ack: a report or, on the
 // PDME→PDME forwarding path, a fused summary (exactly one of the two is
@@ -91,9 +82,7 @@ func (rec *pendingRec) marshalBody() ([]byte, error) {
 // process dies replays on the next start. With an empty dir the spool is a
 // volatile in-memory queue with the same interface.
 type spool struct {
-	path string   // "" for in-memory
-	f    *os.File // nil for in-memory
-	dcid string   // sender identity the file header is bound to
+	log  *seglog.Log // nil for in-memory
 	cap  int
 	boot uint64 // sequence-counter incarnation announced on the wire
 
@@ -116,187 +105,78 @@ func newBootID() (uint64, error) {
 	return id, nil
 }
 
-// encodeSpoolFile maps a DC id to a filesystem-safe spool file name (same
-// escaping as the historian's channel files).
-func encodeSpoolFile(dcid string) string {
-	var b strings.Builder
-	for i := 0; i < len(dcid); i++ {
-		c := dcid[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-			b.WriteByte(c)
-		default:
-			fmt.Fprintf(&b, "%%%02X", c)
-		}
-	}
-	return b.String() + ".spool"
-}
-
 // openSpool opens (recovering) or creates the spool for dcid under dir.
 // An empty dir yields an in-memory spool.
 func openSpool(dir, dcid string, capacity int) (*spool, error) {
 	if capacity <= 0 {
 		capacity = DefaultSpoolCap
 	}
-	s := &spool{dcid: dcid, cap: capacity, nextSeq: 1}
+	s := &spool{cap: capacity, nextSeq: 1}
+	// A fresh boot id for a fresh counter: the in-memory spool's, or the one
+	// a new (or torn-at-create) file is born with. An existing file keeps
+	// the id in its header.
+	boot, err := newBootID()
+	if err != nil {
+		return nil, err
+	}
+	s.boot = boot
 	if dir == "" {
-		boot, err := newBootID()
-		if err != nil {
-			return nil, err
-		}
-		s.boot = boot
 		return s, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("uplink: create spool dir: %w", err)
 	}
-	s.path = filepath.Join(dir, encodeSpoolFile(dcid))
-	if err := s.recover(dcid); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("uplink: open spool: %w", err)
-	}
-	s.f = f
-	if info, err := f.Stat(); err == nil && info.Size() == 0 {
-		if s.boot, err = newBootID(); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		if err := s.writeHeader(dcid); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-	}
-	// Start compacted: resolved records recovered from a previous run carry
-	// no information once pending is rebuilt.
-	if s.resolved > 0 {
-		if err := s.compact(dcid); err != nil {
-			_ = s.f.Close()
-			return nil, err
-		}
-	}
-	return s, nil
-}
+	path := filepath.Join(dir, seglog.FileName(dcid, spoolExt))
+	meta := append(binary.LittleEndian.AppendUint64(nil, boot), dcid...)
 
-func (s *spool) writeHeader(dcid string) error {
-	hdr := make([]byte, 0, len(spoolMagic)+8+2+len(dcid))
-	hdr = append(hdr, spoolMagic...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, s.boot)
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(dcid)))
-	hdr = append(hdr, dcid...)
-	if _, err := s.f.Write(hdr); err != nil {
-		return fmt.Errorf("uplink: write spool header: %w", err)
-	}
-	return nil
-}
-
-// recover reads the spool file back: pending reports, the sequence
-// watermark, and the resolved-record count. A torn tail is truncated; a
-// header or interior record that is present but wrong is refused.
-func (s *spool) recover(dcid string) error {
-	data, err := os.ReadFile(s.path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("uplink: read spool: %w", err)
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	if len(data) < len(spoolMagic)+8+2 {
-		return fmt.Errorf("uplink: %s: truncated header", s.path)
-	}
-	if string(data[:len(spoolMagic)]) != spoolMagic {
-		return fmt.Errorf("uplink: %s: bad file magic", s.path)
-	}
-	s.boot = binary.LittleEndian.Uint64(data[len(spoolMagic):])
-	idLen := int(binary.LittleEndian.Uint16(data[len(spoolMagic)+8:]))
-	off := len(spoolMagic) + 8 + 2
-	if len(data) < off+idLen {
-		return fmt.Errorf("uplink: %s: truncated DC id", s.path)
-	}
-	if got := string(data[off : off+idLen]); got != dcid {
-		return fmt.Errorf("uplink: %s: spool belongs to DC %q, not %q", s.path, got, dcid)
-	}
-	off += idLen
-
+	// Pending frames, the sequence watermark and the resolved-record count
+	// come back from the records; frames keep first-append order.
 	frames := make(map[uint64]*pendingRec)
 	var order []uint64
 	resolved := make(map[uint64]bool)
 	var maxSeq uint64
-	tornAt := -1
-	for off < len(data) {
-		remaining := len(data) - off
-		if remaining < recFrame-4 { // not even the fixed fields before the body
-			tornAt = off
-			break
-		}
-		magic := binary.LittleEndian.Uint32(data[off:])
-		if magic != recMagic {
-			return fmt.Errorf("uplink: %s: bad record magic at offset %d (corrupted spool)", s.path, off)
-		}
-		typ := data[off+4]
-		seq := binary.LittleEndian.Uint64(data[off+5:])
-		if seq == ^uint64(0) {
+	s.log, _, err = seglog.Open(path, spoolFormat, meta, func(r seglog.Record) error {
+		if r.Seq == math.MaxUint64 {
 			// A legitimate writer can never reach the last sequence; accepting
 			// it would overflow the nextSeq watermark back to zero.
-			return fmt.Errorf("uplink: %s: implausible sequence at offset %d (corrupted spool)", s.path, off)
+			return fmt.Errorf("implausible sequence")
 		}
-		bodyLen := int(binary.LittleEndian.Uint32(data[off+13:]))
-		if bodyLen < 0 || bodyLen > maxBodySize {
-			return fmt.Errorf("uplink: %s: implausible record body %d at offset %d (corrupted spool)", s.path, bodyLen, off)
-		}
-		need := recFrame + bodyLen
-		if remaining < need {
-			// The final record never finished its single-write append.
-			tornAt = off
-			break
-		}
-		payload := data[off+4 : off+17+bodyLen]
-		wantCRC := binary.LittleEndian.Uint32(data[off+17+bodyLen:])
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return fmt.Errorf("uplink: %s: record CRC mismatch at offset %d (corrupted spool)", s.path, off)
-		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		switch typ {
+		maxSeq = max(maxSeq, r.Seq)
+		rec := &pendingRec{seq: r.Seq, recovered: true}
+		switch r.Kind {
 		case recReport:
-			var r proto.Report
-			if err := json.Unmarshal(data[off+17:off+17+bodyLen], &r); err != nil {
-				return fmt.Errorf("uplink: %s: undecodable report at offset %d: %w", s.path, off, err)
-			}
-			if _, dup := frames[seq]; !dup {
-				frames[seq] = &pendingRec{seq: seq, report: &r, recovered: true}
-				order = append(order, seq)
+			rec.report = new(proto.Report)
+			if err := json.Unmarshal(r.Body, rec.report); err != nil {
+				return fmt.Errorf("undecodable report: %w", err)
 			}
 		case recSummary:
-			var sum proto.FusedSummary
-			if err := json.Unmarshal(data[off+17:off+17+bodyLen], &sum); err != nil {
-				return fmt.Errorf("uplink: %s: undecodable summary at offset %d: %w", s.path, off, err)
-			}
-			if _, dup := frames[seq]; !dup {
-				frames[seq] = &pendingRec{seq: seq, summary: &sum, recovered: true}
-				order = append(order, seq)
+			rec.summary = new(proto.FusedSummary)
+			if err := json.Unmarshal(r.Body, rec.summary); err != nil {
+				return fmt.Errorf("undecodable summary: %w", err)
 			}
 		case recAck, recDrop:
-			resolved[seq] = true
+			resolved[r.Seq] = true
+			return nil
 		case recSeqMark:
-			// watermark only: maxSeq already advanced above
+			return nil // watermark only: maxSeq already advanced above
 		default:
-			return fmt.Errorf("uplink: %s: unknown record type %d at offset %d (corrupted spool)", s.path, typ, off)
+			return fmt.Errorf("unknown record type %d", r.Kind)
 		}
-		off += need
-	}
-	if tornAt >= 0 {
-		if err := truncateFile(s.path, int64(tornAt)); err != nil {
-			return err
+		if _, dup := frames[r.Seq]; !dup {
+			frames[r.Seq] = rec
+			order = append(order, r.Seq)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("uplink: %w", err)
 	}
+	meta = s.log.Meta()
+	if len(meta) < 8 || string(meta[8:]) != dcid {
+		_ = s.log.Close() // best effort: the refusal is the story
+		return nil, fmt.Errorf("uplink: %s: spool belongs to DC %q, not %q", path, meta[min(8, len(meta)):], dcid)
+	}
+	s.boot = binary.LittleEndian.Uint64(meta)
 	for _, seq := range order {
 		if resolved[seq] {
 			s.resolved++
@@ -305,39 +185,24 @@ func (s *spool) recover(dcid string) error {
 		s.pending = append(s.pending, frames[seq])
 	}
 	s.nextSeq = maxSeq + 1
-	return nil
-}
-
-func truncateFile(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("uplink: open spool for truncation: %w", err)
+	// Start compacted: resolved records recovered from a previous run carry
+	// no information once pending is rebuilt.
+	if s.resolved > 0 {
+		if err := s.compact(); err != nil {
+			_ = s.log.Close() // best effort: the compaction error is the story
+			return nil, err
+		}
 	}
-	defer f.Close()
-	if err := f.Truncate(size); err != nil {
-		return fmt.Errorf("uplink: truncate torn spool tail: %w", err)
-	}
-	return f.Sync()
+	return s, nil
 }
 
 // appendRecord writes one framed record in a single write.
 func (s *spool) appendRecord(typ byte, seq uint64, body []byte) error {
-	if s.f == nil {
+	if s.log == nil {
 		return nil
 	}
-	if len(body) > maxBodySize {
-		return fmt.Errorf("uplink: spool record body %d exceeds limit", len(body))
-	}
-	buf := make([]byte, 0, recFrame+len(body))
-	buf = binary.LittleEndian.AppendUint32(buf, recMagic)
-	buf = append(buf, typ)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	crc := crc32.ChecksumIEEE(buf[4:])
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	if _, err := s.f.Write(buf); err != nil {
-		return fmt.Errorf("uplink: append spool record: %w", err)
+	if err := s.log.Append(typ, seq, body); err != nil {
+		return fmt.Errorf("uplink: %w", err)
 	}
 	return nil
 }
@@ -406,61 +271,34 @@ func (s *spool) resolve(seq uint64) error {
 }
 
 func (s *spool) maybeCompact() error {
-	if s.f == nil || s.resolved < compactEvery {
+	if s.log == nil || s.resolved < compactEvery {
 		return nil
 	}
-	return s.compact(s.dcid)
+	return s.compact()
 }
 
 // compact rewrites the file with only pending reports plus a sequence
-// watermark, via temp-file-and-rename so a crash mid-compaction leaves
-// either the old or the new file intact.
-func (s *spool) compact(dcid string) error {
-	if s.f == nil {
+// watermark. A failed rewrite leaves the old file and handle in place.
+func (s *spool) compact() error {
+	err := s.log.Rewrite(func(w *seglog.Log) error {
+		if s.nextSeq > 1 {
+			if err := w.Append(recSeqMark, s.nextSeq-1, nil); err != nil {
+				return err
+			}
+		}
+		for _, rec := range s.pending {
+			body, err := rec.marshalBody()
+			if err != nil {
+				return err
+			}
+			if err := w.Append(rec.recType(), rec.seq, body); err != nil {
+				return err
+			}
+		}
 		return nil
-	}
-	tmp := s.path + ".tmp"
-	old := s.f
-	s.f = nil // appendRecord must not touch the old handle during rewrite
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	})
 	if err != nil {
-		s.f = old
-		return fmt.Errorf("uplink: create compaction file: %w", err)
-	}
-	s.f = f
-	err = s.writeHeader(dcid)
-	if err == nil && s.nextSeq > 1 {
-		err = s.appendRecord(recSeqMark, s.nextSeq-1, nil)
-	}
-	for _, rec := range s.pending {
-		if err != nil {
-			break
-		}
-		var body []byte
-		if body, err = rec.marshalBody(); err == nil {
-			err = s.appendRecord(rec.recType(), rec.seq, body)
-		}
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		s.f = old
-		return err
-	}
-	if err := f.Close(); err != nil {
-		s.f = old
-		return err
-	}
-	_ = old.Close()
-	if err := os.Rename(tmp, s.path); err != nil {
-		return fmt.Errorf("uplink: swap compacted spool: %w", err)
-	}
-	s.f, err = os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("uplink: reopen compacted spool: %w", err)
+		return fmt.Errorf("uplink: compact spool: %w", err)
 	}
 	s.resolved = 0
 	return nil
@@ -469,12 +307,8 @@ func (s *spool) compact(dcid string) error {
 // close syncs and closes the spool file; pending reports stay on disk for
 // the next open.
 func (s *spool) close() error {
-	if s.f == nil {
+	if s.log == nil {
 		return nil
 	}
-	if err := s.f.Sync(); err != nil {
-		_ = s.f.Close()
-		return err
-	}
-	return s.f.Close()
+	return s.log.Close()
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/seglog"
 )
 
 func testReport(i int) *proto.Report {
@@ -130,14 +131,13 @@ func TestSpoolTornTailTruncated(t *testing.T) {
 	if err := s.close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, encodeSpoolFile("dc-1"))
+	path := filepath.Join(dir, seglog.FileName("dc-1", spoolExt))
 	// Simulate a power loss mid-append: a prefix of a record's frame.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := make([]byte, 9)
-	torn[0] = 0xD0 // first byte of recMagic (little-endian)
+	torn := []byte("SGL1\x01\x02\x00\x00\x00") // record magic, kind, two sequence bytes… and the lights go out
 	if _, err := f.Write(torn); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSpoolInteriorCorruptionRefused(t *testing.T) {
 	if err := s.close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, encodeSpoolFile("dc-1"))
+	path := filepath.Join(dir, seglog.FileName("dc-1", spoolExt))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -193,8 +193,8 @@ func TestSpoolRefusesForeignDCID(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rename the spool so another DC id would open the same file.
-	old := filepath.Join(dir, encodeSpoolFile("dc-1"))
-	if err := os.Rename(old, filepath.Join(dir, encodeSpoolFile("dc-2"))); err != nil {
+	old := filepath.Join(dir, seglog.FileName("dc-1", spoolExt))
+	if err := os.Rename(old, filepath.Join(dir, seglog.FileName("dc-2", spoolExt))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := openSpool(dir, "dc-2", 100); err == nil {
@@ -243,7 +243,7 @@ func TestSpoolCompactionShrinksFile(t *testing.T) {
 	if s.resolved >= compactEvery {
 		t.Errorf("resolved count %d never compacted", s.resolved)
 	}
-	info, err := os.Stat(filepath.Join(dir, encodeSpoolFile("dc-1")))
+	info, err := os.Stat(filepath.Join(dir, seglog.FileName("dc-1", spoolExt)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,5 +254,152 @@ func TestSpoolCompactionShrinksFile(t *testing.T) {
 	}
 	if s.nextSeq != uint64(compactEvery+11) {
 		t.Errorf("nextSeq %d after compaction, want %d", s.nextSeq, compactEvery+11)
+	}
+}
+
+// TestSpoolTornHeaderIsATornCreate: a crash during the spool's first write
+// leaves a prefix of the header; that opens as a new, empty spool with a
+// fresh boot id instead of refusing the uplink forever.
+func TestSpoolTornHeaderIsATornCreate(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openSpool(dir, "dc-1", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, seglog.FileName("dc-1", spoolExt))
+	hdr, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 8 + 2 + 8 + len("dc-1"); len(hdr) != want {
+		t.Fatalf("empty spool is %d bytes, want the %d-byte header", len(hdr), want)
+	}
+	for cut := 0; cut < len(hdr); cut++ {
+		if err := os.WriteFile(path, hdr[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := openSpool(dir, "dc-1", 100)
+		if err != nil {
+			t.Fatalf("header cut at %d refused: %v", cut, err)
+		}
+		if len(s2.pending) != 0 || s2.nextSeq != 1 || s2.boot == 0 || s2.boot == s.boot {
+			t.Fatalf("header cut at %d: pending %d nextSeq %d boot %d (old %d)", cut, len(s2.pending), s2.nextSeq, s2.boot, s.boot)
+		}
+		if _, _, err := s2.add(testReport(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.close(); err != nil {
+			t.Fatal(err)
+		}
+		s3, err := openSpool(dir, "dc-1", 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s3.pending) != 1 || s3.boot != s2.boot {
+			t.Fatalf("header cut at %d: reopen pending %d boot %d, want 1 and %d", cut, len(s3.pending), s3.boot, s2.boot)
+		}
+		if err := s3.close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSpoolCompactionFailureLeavesSpoolUsable: when the compaction that
+// compactEvery resolves trigger cannot create its temp file, or cannot
+// rename it into place, the error surfaces but the spool keeps appending to
+// the file it had, so nothing spooled before or after is lost.
+func TestSpoolCompactionFailureLeavesSpoolUsable(t *testing.T) {
+	for name, obstruct := range map[string]func(t *testing.T, path string) (restore func()){
+		"temp cannot be created": func(t *testing.T, path string) func() {
+			if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return func() {} // the reopen clears the (empty) directory like any stale temp
+		},
+		"rename fails": func(t *testing.T, path string) func() {
+			// A non-empty directory where the spool was; the spool's inode
+			// stays reachable through a second link.
+			keep := path + ".keep"
+			if err := os.Link(path, keep); err != nil {
+				t.Skipf("hard links unavailable: %v", err)
+			}
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				if err := os.RemoveAll(path); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Rename(keep, path); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := openSpool(dir, "dc-1", 10000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep, _, err := s.add(testReport(1)) // stays pending throughout
+			if err != nil {
+				t.Fatal(err)
+			}
+			restore := obstruct(t, filepath.Join(dir, seglog.FileName("dc-1", spoolExt)))
+			failed := false
+			for i := 0; i < compactEvery; i++ {
+				seq, _, err := s.add(testReport(i % 10))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.resolve(seq); err != nil {
+					failed = true
+				}
+			}
+			if !failed {
+				t.Fatal("compaction never failed")
+			}
+			// The record is appended before the compaction attempt, so it
+			// is on disk even though add reports the compaction error.
+			_, _, _ = s.add(testReport(2))
+			last := s.nextSeq - 1
+			if err := s.close(); err != nil {
+				t.Fatal(err)
+			}
+			restore()
+			s2, err := openSpool(dir, "dc-1", 10000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.close()
+			if len(s2.pending) != 2 || s2.pending[0].seq != keep || s2.pending[1].seq != last {
+				t.Fatalf("recovered pending %d (want seqs %d and %d)", len(s2.pending), keep, last)
+			}
+			if s2.boot != s.boot {
+				t.Fatalf("boot changed across the failed compaction: %d then %d", s.boot, s2.boot)
+			}
+		})
+	}
+}
+
+// TestSpoolParentFormatRefused: the pre-seglog spool magic is not read; the
+// error names the file so the operator knows what to delete.
+func TestSpoolParentFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, seglog.FileName("dc-1", spoolExt))
+	old := append([]byte("MPROSUP2\x01\x02\x03\x04\x05\x06\x07\x08\x04\x00"), "dc-1"...)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := openSpool(dir, "dc-1", 100)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("error %v, want one naming the file and its magic", err)
 	}
 }
