@@ -101,9 +101,9 @@ func run() int {
 		if *spoolDir == "" {
 			fatal(errors.New("-shards requires -spool-dir (failover keeps the spool across target swaps)"))
 		}
-		members, err := parseShards(*shardsFlag)
+		members, err := shard.ParseMembers(*shardsFlag)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("-shards: %w", err))
 		}
 		// A lone DC rings over its own id only: assignment degenerates to
 		// the pure rendezvous preference, which every process computes
@@ -252,26 +252,6 @@ func printRouting(id string, router *shard.Router) {
 		line += fmt.Sprintf(" %s=%d", sid, st.PerShard[sid])
 	}
 	fmt.Println(line)
-}
-
-// parseShards parses "id=addr,id=addr,..." into ring membership.
-func parseShards(spec string) ([]shard.Member, error) {
-	var members []shard.Member
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 || kv[0] == "" || kv[1] == "" {
-			return nil, fmt.Errorf("bad shard member %q (want id=addr)", part)
-		}
-		members = append(members, shard.Member{ID: kv[0], Addr: kv[1]})
-	}
-	if len(members) == 0 {
-		return nil, errors.New("empty -shards spec")
-	}
-	return members, nil
 }
 
 func applyFaults(plant *chiller.Plant, spec string) error {

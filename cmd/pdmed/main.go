@@ -42,16 +42,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/health"
-	"repro/internal/historian"
-	"repro/internal/oosm"
 	"repro/internal/pdme"
-	"repro/internal/proto"
-	"repro/internal/relstore"
 	"repro/internal/serving"
 	"repro/internal/shard"
 
@@ -79,7 +74,6 @@ func run() int {
 	healthHorizon := flag.Duration("health-horizon", 24*time.Hour, "evidence reliability reaches its floor at this age")
 	healthFloor := flag.Float64("health-floor", 0, "minimum evidence reliability under staleness discounting [0,1)")
 	healthWallclock := flag.Bool("health-wallclock", false, "judge staleness by the wall clock instead of the event-time watermark (use when DCs report in real time; simulated DCs carry virtual timestamps)")
-	healthAddr := flag.String("health-addr", "", "deprecated alias for -serve-addr (the /health endpoint lives there now)")
 	cacheTolerance := flag.Duration("cache-tolerance", time.Second, "with -health-wallclock, how stale a cached view may be before it is recomputed")
 	journalDir := flag.String("journal-dir", "", "write-ahead journal + checkpoint directory; accepted envelopes are fsynced before fusion and a killed pdmed recovers its state on restart (empty disables durability)")
 	checkpointInterval := flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint cadence with -journal-dir (0 disables the timer; count-based checkpoints still run every 1024 records)")
@@ -90,9 +84,6 @@ func run() int {
 	shardID := flag.String("shard-id", "shard-1", "this shard's identity on the aggregator wire (with -forward-addr)")
 	forwardSpool := flag.String("forward-spool", "", "summary forwarder spool directory; summaries queued during an aggregator outage survive a restart (empty: in-memory)")
 	flag.Parse()
-	if *serveAddr == "" {
-		*serveAddr = *healthAddr
-	}
 	// Default to the event-time watermark: simulated DCs (dcsim) stamp
 	// reports with virtual time, which a wall clock would judge decades
 	// stale. Real-time deployments opt into the wall clock. The same choice
@@ -108,255 +99,132 @@ func run() int {
 		//lint:allow noclock operator opted into wall-clock staleness via -health-wallclock
 		healthCfg.Clock = time.Now
 	}
+
+	// A role is what the one run loop below drives: a read-side API to mount
+	// on -serve-addr, a status block, and (journaled roles) a checkpoint.
+	// Each role's constructor owns the order its parts open in (DESIGN.md
+	// "Process roles"); the deferred Closes undo it.
+	var (
+		api        http.Handler
+		endpoints  string
+		status     func()
+		checkpoint func() error
+	)
 	if *aggregator {
 		if *forwardAddr != "" {
 			return fail(errors.New("-aggregator and -forward-addr are mutually exclusive (an aggregator is the top of the hierarchy)"))
 		}
-		return runAggregator(*listen, *serveAddr, *ringSpec, healthCfg, *dedupWindow, *statusEvery)
-	}
-
-	var db *relstore.DB
-	var err error
-	if *dbPath == "" {
-		db = relstore.NewMemory()
+		var ring *shard.Ring
+		if *ringSpec != "" {
+			members, err := shard.ParseMembers(*ringSpec)
+			if err != nil {
+				return fail(fmt.Errorf("-ring: %w", err))
+			}
+			if ring, err = shard.NewRing(members, nil); err != nil {
+				return fail(err)
+			}
+		}
+		agg, err := mpros.OpenAggregator(shard.AggregatorConfig{Ring: ring, Health: healthCfg, DedupWindow: *dedupWindow}, *listen)
+		if err != nil {
+			return fail(err)
+		}
+		defer agg.Close()
+		line := fmt.Sprintf("pdmed: role=aggregator listening on %s for shard summaries", agg.Addr)
+		if ring != nil {
+			line += fmt.Sprintf(" (ring v%d, %d shards)", ring.Version(), len(ring.Members()))
+		}
+		fmt.Println(line)
+		api, endpoints = agg.Handler, "/ranked /belief /coverage"
+		status = func() { printAggregatorStatus(agg.Aggregator) }
 	} else {
-		db, err = relstore.Open(*dbPath)
+		var forward *shard.ForwarderConfig
+		if *forwardAddr != "" {
+			forward = &shard.ForwarderConfig{ShardID: *shardID, AggregatorAddr: *forwardAddr, SpoolDir: *forwardSpool}
+		}
+		node, err := mpros.OpenNode(*dbPath, *histDir, &healthCfg, *dedupWindow, nil, pdme.JournalOptions{Dir: *journalDir}, forward)
 		if err != nil {
 			return fail(err)
 		}
-	}
-	defer db.Close()
-	hist, err := historian.Open(historian.Options{Dir: *histDir})
-	if err != nil {
-		return fail(err)
-	}
-	defer hist.Close()
-	model, err := oosm.NewModel(db)
-	if err != nil {
-		return fail(err)
-	}
-	engine, err := pdme.NewWithHistorian(model, mpros.ChillerGroups(), hist)
-	if err != nil {
-		return fail(err)
-	}
-	defer engine.Close()
-	if err := engine.ConfigureHealth(healthCfg); err != nil {
-		return fail(err)
-	}
-	if *dedupWindow > 0 {
-		engine.ConfigureDedup(*dedupWindow)
-	}
-	// Recover before the views or the report server open: replay must not
-	// race live traffic, and a view cache must never materialize pre-crash
-	// state.
-	if *journalDir != "" {
-		stats, err := engine.OpenJournal(pdme.JournalOptions{Dir: *journalDir})
+		defer node.Close() // the engine's Close writes the final checkpoint
+		if *journalDir != "" {
+			printRecovery(*journalDir, node.Recovery)
+			if *checkpointInterval > 0 {
+				checkpoint = node.PDME.Checkpoint
+			}
+		}
+		if fwd := node.Forwarder; fwd != nil {
+			fmt.Printf("pdmed: role=shard id=%s forwarding to %s (spool=%s, boot epoch %d, resynced %d conclusions)\n",
+				*shardID, *forwardAddr, orMemory(*forwardSpool), fwd.Boot(), node.Resynced)
+		}
+		if *serveAddr != "" {
+			views, err := serving.Open(node.PDME, serving.Options{WallClockTolerance: *cacheTolerance})
+			if err != nil {
+				return fail(err)
+			}
+			defer views.Close()
+			api, endpoints = serving.NewHandler(views), "/ranked /belief /trend /watch /health /stats"
+		}
+		addr, err := node.Serve(*listen, *idleTimeout)
 		if err != nil {
 			return fail(err)
 		}
-		printRecovery(*journalDir, stats)
-	}
-
-	// Shard role: attach the upward summary stream before the report server
-	// opens, so no conclusion write can slip between server start and the
-	// subscription; Resync then covers everything recovery rebuilt.
-	var fwd *shard.Forwarder
-	if *forwardAddr != "" {
-		fwd, err = shard.Forward(engine, shard.ForwarderConfig{
-			ShardID:        *shardID,
-			AggregatorAddr: *forwardAddr,
-			SpoolDir:       *forwardSpool,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		defer fwd.Close()
-		resynced := fwd.Resync()
-		fmt.Printf("pdmed: role=shard id=%s forwarding to %s (spool=%s, boot epoch %d, resynced %d conclusions)\n",
-			*shardID, *forwardAddr, orMemory(*forwardSpool), fwd.Boot(), resynced)
+		fmt.Printf("pdmed: listening on %s (db=%s, historian=%s)\n", addr, orMemory(*dbPath), orMemory(*histDir))
+		status = func() { printStatus(node) }
 	}
 
 	// serverDied carries the first fatal listener error: a read-side API
 	// that silently stopped serving must take the daemon down non-zero
 	// instead of leaving a fuser nobody can query.
 	serverDied := make(chan error, 1)
-	var views *serving.Views
 	var httpSrv *http.Server
 	if *serveAddr != "" {
-		views, err = serving.Open(engine, serving.Options{WallClockTolerance: *cacheTolerance})
-		if err != nil {
-			return fail(err)
-		}
-		defer views.Close()
 		ln, err := net.Listen("tcp", *serveAddr)
 		if err != nil {
 			return fail(err)
 		}
-		httpSrv = serving.Server(views)
+		// Streams must not be write-deadlined, so WriteTimeout stays 0;
+		// ReadHeaderTimeout is the slowloris guard.
+		httpSrv = &http.Server{Handler: api, ReadHeaderTimeout: 10 * time.Second}
 		go func() {
 			if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				serverDied <- fmt.Errorf("read-side API server: %w", err)
 			}
 		}()
-		fmt.Printf("pdmed: read-side API on http://%s (/ranked /belief /trend /watch /health /stats)\n", ln.Addr())
+		fmt.Printf("pdmed: read-side API on http://%s (%s)\n", ln.Addr(), endpoints)
 	}
-
-	idle := proto.DefaultIdleTimeout
-	if *idleTimeout > 0 {
-		idle = *idleTimeout
-	}
-	addr, server, err := engine.ServeWithIdleTimeout(*listen, idle)
-	if err != nil {
-		return fail(err)
-	}
-	defer server.Close()
-	fmt.Printf("pdmed: listening on %s (db=%s, historian=%s)\n",
-		addr, orMemory(*dbPath), orMemory(*histDir))
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	var ticker *time.Ticker
-	var tick <-chan time.Time
+	var tick, ckptTick <-chan time.Time
 	if *statusEvery > 0 {
 		//lint:allow noclock periodic operator status line; daemon cadence is inherently wall-clock
-		ticker = time.NewTicker(*statusEvery)
-		tick = ticker.C
+		ticker := time.NewTicker(*statusEvery)
 		defer ticker.Stop()
+		tick = ticker.C
 	}
-	var ckptTick <-chan time.Time
-	if *journalDir != "" && *checkpointInterval > 0 {
+	if checkpoint != nil {
 		//lint:allow noclock checkpoint cadence is an operational wall-clock interval
-		ckptTicker := time.NewTicker(*checkpointInterval)
-		ckptTick = ckptTicker.C
-		defer ckptTicker.Stop()
+		ticker := time.NewTicker(*checkpointInterval)
+		defer ticker.Stop()
+		ckptTick = ticker.C
 	}
 	for {
 		select {
 		case <-stop:
 			fmt.Println("\npdmed: shutting down")
 			shutdownHTTP(httpSrv)
-			// engine.Close (deferred) writes the final checkpoint; nothing
-			// extra needed here — the WAL already holds every accepted
-			// envelope.
 			return 0
 		case err := <-serverDied:
 			fmt.Fprintln(os.Stderr, "pdmed:", err)
 			return 1
 		case <-ckptTick:
-			if err := engine.Checkpoint(); err != nil {
+			if err := checkpoint(); err != nil {
 				fmt.Fprintln(os.Stderr, "pdmed: checkpoint:", err)
 			}
 		case <-tick:
-			printStatus(engine)
-			if fwd != nil {
-				// Heartbeat at the health registry's own notion of now: the
-				// event-time watermark by default (virtual-time fleets), the
-				// wall clock with -health-wallclock — so shard liveness at the
-				// aggregator is judged on the same axis the evidence uses.
-				if at := engine.Health().Now(); !at.IsZero() {
-					if err := fwd.Heartbeat(at); err != nil {
-						fmt.Fprintln(os.Stderr, "pdmed: forwarder heartbeat:", err)
-					}
-				}
-				printForwarder(fwd)
-			}
+			status()
 		}
 	}
-}
-
-// runAggregator is the -aggregator main loop: a summary server for shard
-// uplinks plus the global read-side endpoints. No model, no journal — the
-// aggregator's state is a pure function of what the shards stream up, and
-// shard spools + Resync rebuild it after a restart.
-func runAggregator(listen, serveAddr, ringSpec string, healthCfg health.Config, dedupWindow int, statusEvery time.Duration) int {
-	var ring *shard.Ring
-	if ringSpec != "" {
-		members, err := parseRing(ringSpec)
-		if err != nil {
-			return fail(err)
-		}
-		ring, err = shard.NewRing(members, nil)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	agg, err := shard.NewAggregator(shard.AggregatorConfig{
-		Ring:        ring,
-		Health:      healthCfg,
-		DedupWindow: dedupWindow,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	bound, srv, err := agg.Serve(listen)
-	if err != nil {
-		return fail(err)
-	}
-	defer srv.Close()
-	line := fmt.Sprintf("pdmed: role=aggregator listening on %s for shard summaries", bound)
-	if ring != nil {
-		line += fmt.Sprintf(" (ring v%d, %d shards)", ring.Version(), len(ring.Members()))
-	}
-	fmt.Println(line)
-
-	serverDied := make(chan error, 1)
-	var httpSrv *http.Server
-	if serveAddr != "" {
-		ln, err := net.Listen("tcp", serveAddr)
-		if err != nil {
-			return fail(err)
-		}
-		httpSrv = &http.Server{Handler: serving.AggregatorHandler(agg)}
-		go func() {
-			if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				serverDied <- fmt.Errorf("aggregator API server: %w", err)
-			}
-		}()
-		fmt.Printf("pdmed: global read-side API on http://%s (/ranked /belief /coverage)\n", ln.Addr())
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	var tick <-chan time.Time
-	if statusEvery > 0 {
-		//lint:allow noclock periodic operator status line; daemon cadence is inherently wall-clock
-		ticker := time.NewTicker(statusEvery)
-		tick = ticker.C
-		defer ticker.Stop()
-	}
-	for {
-		select {
-		case <-stop:
-			fmt.Println("\npdmed: shutting down")
-			shutdownHTTP(httpSrv)
-			return 0
-		case err := <-serverDied:
-			fmt.Fprintln(os.Stderr, "pdmed:", err)
-			return 1
-		case <-tick:
-			printAggregatorStatus(agg)
-		}
-	}
-}
-
-// parseRing parses "id=addr,id=addr,..." into ring membership.
-func parseRing(spec string) ([]shard.Member, error) {
-	var members []shard.Member
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 || kv[0] == "" || kv[1] == "" {
-			return nil, fmt.Errorf("bad ring member %q (want id=addr)", part)
-		}
-		members = append(members, shard.Member{ID: kv[0], Addr: kv[1]})
-	}
-	if len(members) == 0 {
-		return nil, errors.New("empty -ring spec")
-	}
-	return members, nil
 }
 
 // printRecovery summarizes what the journal restored on boot.
@@ -392,7 +260,10 @@ func shutdownHTTP(srv *http.Server) {
 	}
 }
 
-func printStatus(engine *pdme.PDME) {
+// printStatus is the station and shard roles' status block; a shard also
+// heartbeats its aggregator on the same tick.
+func printStatus(node *mpros.Node) {
+	engine := node.PDME
 	items := engine.PrioritizedList()
 	fmt.Printf("--- %s | %d reports received | %d duplicates suppressed | %d open conclusions ---\n",
 		//lint:allow noclock status-line timestamp for the operator, not fed into fusion
@@ -413,6 +284,18 @@ func printStatus(engine *pdme.PDME) {
 		fmt.Println(line)
 	}
 	printHealth(engine)
+	if fwd := node.Forwarder; fwd != nil {
+		// Heartbeat at the health registry's own notion of now: the
+		// event-time watermark by default (virtual-time fleets), the wall
+		// clock with -health-wallclock — so shard liveness at the aggregator
+		// is judged on the same axis the evidence uses.
+		if at := engine.Health().Now(); !at.IsZero() {
+			if err := fwd.Heartbeat(at); err != nil {
+				fmt.Fprintln(os.Stderr, "pdmed: forwarder heartbeat:", err)
+			}
+		}
+		printForwarder(fwd)
+	}
 }
 
 // printForwarder is the shard role's status line: conversion counters from

@@ -24,10 +24,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/oosm"
 	"repro/internal/pdme"
 	"repro/internal/proto"
-	"repro/internal/relstore"
 	"repro/internal/serving"
 
 	mpros "repro"
@@ -132,15 +130,12 @@ func run() int {
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 
-	model, err := oosm.NewModel(relstore.NewMemory())
+	node, err := mpros.OpenNode("", "", nil, 0, nil, pdme.JournalOptions{}, nil)
 	if err != nil {
 		return fail(err)
 	}
-	engine, err := pdme.New(model, mpros.ChillerGroups())
-	if err != nil {
-		return fail(err)
-	}
-	defer engine.Close()
+	defer node.Close()
+	engine := node.PDME
 	views, err := serving.Open(engine, serving.Options{})
 	if err != nil {
 		return fail(err)

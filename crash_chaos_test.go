@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"repro/internal/chiller"
-	"repro/internal/oosm"
 	"repro/internal/pdme"
-	"repro/internal/relstore"
 )
 
 // TestMain doubles as the crash-chaos child process: re-executed with
@@ -30,28 +28,21 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// crashChildRun is the child body: an in-memory-model PDME with the
-// journal open, serving the §7 wire protocol at the addressed port. It
-// prints READY once the listener is up and then blocks until killed —
-// there is deliberately no graceful-shutdown path; SIGKILL is the only
-// exit.
+// crashChildRun is the child body: an in-memory-model node (OpenNode, as
+// pdmed builds it) with the journal open, serving the §7 wire protocol at
+// the addressed port. It prints READY once the listener is up and then
+// blocks until killed — there is deliberately no graceful-shutdown path;
+// SIGKILL is the only exit.
 func crashChildRun() {
 	dir := os.Getenv("MPROS_CRASH_DIR")
 	addr := os.Getenv("MPROS_CRASH_ADDR")
-	model, err := oosm.NewModel(relstore.NewMemory())
-	if err != nil {
-		crashChildFail(err)
-	}
-	engine, err := pdme.New(model, ChillerGroups())
-	if err != nil {
-		crashChildFail(err)
-	}
 	// An aggressive cadence (vs the 1024 default) so random kills land
 	// mid-checkpoint, not just mid-append.
-	if _, err := engine.OpenJournal(pdme.JournalOptions{Dir: dir, CheckpointEvery: 8}); err != nil {
+	node, err := OpenNode("", "", nil, 0, nil, pdme.JournalOptions{Dir: dir, CheckpointEvery: 8}, nil)
+	if err != nil {
 		crashChildFail(err)
 	}
-	if _, _, err := engine.Serve(addr); err != nil {
+	if _, err := node.Serve(addr, 0); err != nil {
 		crashChildFail(err)
 	}
 	fmt.Println("READY")
@@ -238,19 +229,12 @@ func TestCrashChaosKill9Recovery(t *testing.T) {
 	// Final kill-9, then recover the journal in-process: this is exactly
 	// what the next pdmed boot would do.
 	child.kill()
-	model, err := oosm.NewModel(relstore.NewMemory())
+	recNode, err := OpenNode("", "", nil, 0, nil, pdme.JournalOptions{Dir: journalDir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := pdme.New(model, ChillerGroups())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	stats, err := rec.OpenJournal(pdme.JournalOptions{Dir: journalDir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer recNode.Close()
+	rec, stats := recNode.PDME, recNode.Recovery
 	if !stats.CheckpointLoaded {
 		t.Error("no checkpoint survived despite the 8-record cadence")
 	}

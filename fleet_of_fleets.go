@@ -1,18 +1,16 @@
 package mpros
 
 import (
-	"net/http"
-
-	"repro/internal/pdme"
 	"repro/internal/proto"
-	"repro/internal/serving"
 	"repro/internal/shard"
 )
 
 // This file is the facade of the hierarchical fleet-of-fleets tier
 // (internal/shard): consistent-hash sharding of DCs across many shard
 // PDMEs, upward summary forwarding, and the global aggregator with
-// graceful per-shard degradation. See DESIGN.md "Hierarchical fleet".
+// graceful per-shard degradation. See DESIGN.md "Hierarchical fleet". A
+// shard PDME is an OpenNode with a forwarder config, the global tier an
+// OpenAggregator (roles.go).
 
 // Re-exported fleet-of-fleets types.
 type (
@@ -51,21 +49,4 @@ func NewShardRing(members []ShardMember, dcids []string) (*ShardRing, error) {
 // the ring, failing over to the successor when the assigned shard stalls.
 func NewShardRouter(cfg ShardRouterConfig) (*ShardRouter, error) {
 	return shard.NewRouter(cfg)
-}
-
-// ForwardSummaries attaches a summary forwarder to a shard PDME: every
-// fused conclusion streams to the aggregator over the spooled uplink.
-func ForwardSummaries(engine *pdme.PDME, cfg ShardForwarderConfig) (*ShardForwarder, error) {
-	return shard.Forward(engine, cfg)
-}
-
-// NewAggregator builds the global tier.
-func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
-	return shard.NewAggregator(cfg)
-}
-
-// AggregatorHandler mounts the aggregator's HTTP endpoints
-// (/ranked, /belief, /coverage) with coverage metadata on every response.
-func AggregatorHandler(a *Aggregator) http.Handler {
-	return serving.AggregatorHandler(a)
 }

@@ -322,69 +322,27 @@ func (df *DiagnosticFuser) fusedLocked(st *groupState) (*dempster.Mass, error) {
 // Belief returns the fused belief in a condition on a component (0 when no
 // reports have arrived).
 func (df *DiagnosticFuser) Belief(component, condition string) (float64, error) {
-	group, err := df.GroupOf(condition)
-	if err != nil {
-		return 0, err
-	}
-	df.mu.RLock()
-	defer df.mu.RUnlock()
-	byGroup := df.states[component]
-	if byGroup == nil || byGroup[group] == nil {
-		return 0, nil
-	}
-	st := byGroup[group]
-	hyp, err := st.frame.Hypothesis(condition)
-	if err != nil {
-		return 0, err
-	}
-	fused, err := df.fusedLocked(st)
-	if err != nil {
-		return 0, err
-	}
-	return fused.Belief(hyp), nil
+	cs, err := df.ConditionState(component, condition)
+	return cs.Belief, err
 }
 
-// Plausibility returns the fused plausibility of a condition.
+// Plausibility returns the fused plausibility of a condition (1 before any
+// report: everything is fully plausible).
 func (df *DiagnosticFuser) Plausibility(component, condition string) (float64, error) {
-	group, err := df.GroupOf(condition)
-	if err != nil {
-		return 0, err
-	}
-	df.mu.RLock()
-	defer df.mu.RUnlock()
-	byGroup := df.states[component]
-	if byGroup == nil || byGroup[group] == nil {
-		return 1, nil // vacuous: everything fully plausible
-	}
-	st := byGroup[group]
-	hyp, err := st.frame.Hypothesis(condition)
-	if err != nil {
-		return 0, err
-	}
-	fused, err := df.fusedLocked(st)
-	if err != nil {
-		return 0, err
-	}
-	return fused.Plausibility(hyp), nil
+	cs, err := df.ConditionState(component, condition)
+	return cs.Plausibility, err
 }
 
 // Unknown returns the §5.3 "likelihood of unknown possibilities" for a
 // component's failure group — 1.0 before any report arrives.
 func (df *DiagnosticFuser) Unknown(component, group string) (float64, error) {
-	if _, ok := df.groups[group]; !ok {
+	conds, ok := df.groups[group]
+	if !ok {
 		return 0, fmt.Errorf("fusion: unknown group %q", group)
 	}
-	df.mu.RLock()
-	defer df.mu.RUnlock()
-	byGroup := df.states[component]
-	if byGroup == nil || byGroup[group] == nil {
-		return 1, nil
-	}
-	fused, err := df.fusedLocked(byGroup[group])
-	if err != nil {
-		return 0, err
-	}
-	return fused.Unknown(), nil
+	// The unknown mass belongs to the group; any member reads it.
+	cs, err := df.ConditionState(component, conds[0])
+	return cs.Unknown, err
 }
 
 // Ranked returns every condition reported against the component, ranked by
@@ -476,9 +434,8 @@ type ConditionState struct {
 
 // ConditionState returns the pair's fused belief, plausibility, group
 // unknown, report count, and health-discount fields under a single lock
-// acquisition and a single evidence combination — the atomic equivalent of
-// calling Belief, Plausibility, Unknown, and picking the condition's row out
-// of Ranked, at a quarter of the combination cost.
+// acquisition and a single evidence combination. It is the one fused read of
+// a pair: Belief, Plausibility and Unknown each return one field of it.
 func (df *DiagnosticFuser) ConditionState(component, condition string) (ConditionState, error) {
 	group, err := df.GroupOf(condition)
 	if err != nil {

@@ -438,15 +438,7 @@ func (p *PDME) fuseFromModel(reportID oosm.ObjectID) error {
 // postConclusion writes (or rewrites) the fused conclusion object for a
 // (component, condition) pair.
 func (p *PDME) postConclusion(component, condition string, belief float64, vec proto.PrognosticVector, at time.Time) error {
-	group, err := p.diag.GroupOf(condition)
-	if err != nil {
-		return err
-	}
-	pl, err := p.diag.Plausibility(component, condition)
-	if err != nil {
-		return err
-	}
-	unknown, err := p.diag.Unknown(component, group)
+	cs, err := p.diag.ConditionState(component, condition)
 	if err != nil {
 		return err
 	}
@@ -457,36 +449,22 @@ func (p *PDME) postConclusion(component, condition string, belief float64, vec p
 	props := map[string]any{
 		"component":    component,
 		"condition":    condition,
-		"group":        group,
+		"group":        cs.Group,
 		"belief":       belief,
-		"plausibility": pl,
-		"unknown":      unknown,
+		"plausibility": cs.Plausibility,
+		"unknown":      cs.Unknown,
 		"prognostics":  string(vecJSON),
 		"updated_at":   at,
 	}
-	key := component + "|" + condition
-	p.mu.Lock()
-	id, exists := p.conclusionIDs[key]
-	p.mu.Unlock()
-	if !exists {
-		// A persistent model may already hold this pair's conclusion from a
-		// previous process life; adopt it instead of accumulating twins.
-		if adopted, ok := p.findConclusion(component, condition); ok {
-			id, exists = adopted, true
-			p.mu.Lock()
-			p.conclusionIDs[key] = id
-			p.mu.Unlock()
-		}
-	}
-	if exists {
+	if id, ok := p.conclusionID(component, condition); ok {
 		return p.model.SetProps(id, props)
 	}
-	id, err = p.model.Create(ConclusionClass, props)
+	id, err := p.model.Create(ConclusionClass, props)
 	if err != nil {
 		return err
 	}
 	p.mu.Lock()
-	p.conclusionIDs[key] = id
+	p.conclusionIDs[component+"|"+condition] = id
 	p.mu.Unlock()
 	// Link the conclusion to the sensed object when it exists in the model.
 	if objID, err := oosm.ParseObjectID(component); err == nil && p.model.Exists(objID) {
@@ -497,10 +475,18 @@ func (p *PDME) postConclusion(component, condition string, belief float64, vec p
 	return nil
 }
 
-// findConclusion looks a (component, condition) conclusion object up in
-// the model itself, for processes whose conclusionIDs cache is younger
-// than the model (recovery over a persistent store).
-func (p *PDME) findConclusion(component, condition string) (oosm.ObjectID, bool) {
+// conclusionID returns the pair's conclusion object: the id cached when this
+// process posted it, else one adopted from the model itself — a persistent
+// store may hold the pair's conclusion from a previous process life, and a
+// second object for it would be a twin.
+func (p *PDME) conclusionID(component, condition string) (oosm.ObjectID, bool) {
+	key := component + "|" + condition
+	p.mu.Lock()
+	id, ok := p.conclusionIDs[key]
+	p.mu.Unlock()
+	if ok {
+		return id, true
+	}
 	ids, err := p.model.FindByProp(ConclusionClass, "component", component)
 	if err != nil {
 		return oosm.ObjectID{}, false
@@ -511,6 +497,9 @@ func (p *PDME) findConclusion(component, condition string) (oosm.ObjectID, bool)
 			continue
 		}
 		if c, _ := props["condition"].(string); c == condition {
+			p.mu.Lock()
+			p.conclusionIDs[key] = id
+			p.mu.Unlock()
 			return id, true
 		}
 	}
@@ -523,7 +512,7 @@ func (p *PDME) findConclusion(component, condition string) (oosm.ObjectID, bool)
 // forwarders stamp outgoing FusedSummary envelopes with it, so aggregator
 // ordering and staleness discounting run on event time, not arrival time.
 func (p *PDME) ConclusionUpdatedAt(component, condition string) (time.Time, bool) {
-	id, ok := p.findConclusion(component, condition)
+	id, ok := p.conclusionID(component, condition)
 	if !ok {
 		return time.Time{}, false
 	}
@@ -595,14 +584,51 @@ type MaintenanceItem struct {
 	HasPrognostic bool
 }
 
+// PrognosticHorizon is how far ahead a ranking looks for a pair's time to
+// 50 % failure probability.
+const PrognosticHorizon = 2 * 365 * 24 * time.Hour
+
+// RankKey is what a maintenance row is ranked by, on the station's list and
+// on the aggregator's global one.
+type RankKey struct {
+	Belief        float64
+	HasPrognostic bool
+	TimeToHalf    time.Duration
+	Component     string
+	Condition     string
+}
+
+// Before is the one ranking order: fused belief descending, then prognostic
+// urgency (a shorter time to 50 % failure first, any prognostic before
+// none), then component and condition names so the order is total.
+func (a RankKey) Before(b RankKey) bool {
+	//lint:allow floateq sort tie-break needs a strict weak order; a tolerance would make it intransitive
+	if a.Belief != b.Belief {
+		return a.Belief > b.Belief
+	}
+	switch {
+	case a.HasPrognostic && b.HasPrognostic && a.TimeToHalf != b.TimeToHalf:
+		return a.TimeToHalf < b.TimeToHalf
+	case a.HasPrognostic != b.HasPrognostic:
+		return a.HasPrognostic
+	}
+	if a.Component != b.Component {
+		return a.Component < b.Component
+	}
+	return a.Condition < b.Condition
+}
+
+func (it MaintenanceItem) rankKey() RankKey {
+	return RankKey{Belief: it.Belief, HasPrognostic: it.HasPrognostic, TimeToHalf: it.TimeToHalf,
+		Component: it.Component, Condition: it.Condition}
+}
+
 // PrioritizedList returns fused conclusions across all components ranked
-// most-urgent first: primarily by fused belief, with prognostic urgency
-// (shorter time to 50% failure) breaking ties. The diagnostic half is one
-// consistent snapshot (fusion.RankedAll): a report fused mid-call never
-// appears for one component while missing for another.
+// most-urgent first (RankKey.Before). The diagnostic half is one consistent
+// snapshot (fusion.RankedAll): a report fused mid-call never appears for one
+// component while missing for another.
 func (p *PDME) PrioritizedList() []MaintenanceItem {
 	var out []MaintenanceItem
-	const horizon = 2 * 365 * 24 * time.Hour
 	ranked := p.diag.RankedAll()
 	components := make([]string, 0, len(ranked))
 	//lint:allow maporder component names are sorted before the list is assembled
@@ -613,30 +639,14 @@ func (p *PDME) PrioritizedList() []MaintenanceItem {
 	for _, component := range components {
 		for _, cb := range ranked[component] {
 			item := MaintenanceItem{Component: component, ConditionBelief: cb}
-			if d, ok := p.prog.TimeToFailure(component, cb.Condition, 0.5, horizon); ok {
+			if d, ok := p.prog.TimeToFailure(component, cb.Condition, 0.5, PrognosticHorizon); ok {
 				item.TimeToHalf = d
 				item.HasPrognostic = true
 			}
 			out = append(out, item)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		//lint:allow floateq sort tie-break needs a strict weak order; a tolerance would make it intransitive
-		if a.Belief != b.Belief {
-			return a.Belief > b.Belief
-		}
-		switch {
-		case a.HasPrognostic && b.HasPrognostic && a.TimeToHalf != b.TimeToHalf:
-			return a.TimeToHalf < b.TimeToHalf
-		case a.HasPrognostic != b.HasPrognostic:
-			return a.HasPrognostic
-		}
-		if a.Component != b.Component {
-			return a.Component < b.Component
-		}
-		return a.Condition < b.Condition
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].rankKey().Before(out[j].rankKey()) })
 	return out
 }
 

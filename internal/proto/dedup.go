@@ -33,7 +33,7 @@ const DefaultDedupWindow = 4096
 // Safe for concurrent use by all server connections; share one Dedup across
 // server restarts to keep suppression working through a PDME bounce.
 type Dedup struct {
-	//lint:allow snapshotparity window capacity is construction config; Restore keeps it and prunes restored sequences against it on the next Mark
+	//lint:allow snapshotparity window capacity is construction config; Restore keeps it and prunes restored sequences against it
 	window uint64
 
 	mu   sync.Mutex
@@ -77,8 +77,9 @@ func (d *Dedup) Seen(dcid string, boot, seq uint64) bool {
 	return false
 }
 
-// Mark records a delivered sequence, advancing the window and pruning
-// entries that fell below its floor. A boot change resets the DC's window
+// Mark records a delivered sequence, advancing the window and dropping the
+// sequences that left it. A sequence at or below the floor is not stored:
+// Seen already presumes it delivered. A boot change resets the DC's window
 // to the new incarnation.
 func (d *Dedup) Mark(dcid string, boot, seq uint64) {
 	d.mu.Lock()
@@ -88,17 +89,40 @@ func (d *Dedup) Mark(dcid string, boot, seq uint64) {
 		w = &dedupWindow{boot: boot, seen: make(map[uint64]struct{})}
 		d.dcs[dcid] = w
 	}
-	w.seen[seq] = struct{}{}
+	oldFloor := w.floor(d.window)
 	if seq > w.maxSeq {
 		w.maxSeq = seq
-		if w.maxSeq > d.window {
-			floor := w.maxSeq - d.window
-			for s := range w.seen {
-				if s <= floor {
-					delete(w.seen, s)
-				}
+	}
+	floor := w.floor(d.window)
+	w.prune(oldFloor, floor)
+	if seq > floor {
+		w.seen[seq] = struct{}{}
+	}
+}
+
+// floor is the highest sequence presumed delivered without being stored.
+func (w *dedupWindow) floor(window uint64) uint64 {
+	if w.maxSeq <= window {
+		return 0
+	}
+	return w.maxSeq - window
+}
+
+// prune drops the stored sequences in (oldFloor, newFloor]. The usual
+// advance is a step of one; a jump wider than the stored set (a sender that
+// skipped ahead, or a restored snapshot) ranges over the set instead, so
+// the cost is bounded by the window, never by the wire's sequence gap.
+func (w *dedupWindow) prune(oldFloor, newFloor uint64) {
+	if newFloor-oldFloor > uint64(len(w.seen)) {
+		for s := range w.seen {
+			if s <= newFloor {
+				delete(w.seen, s)
 			}
 		}
+		return
+	}
+	for s := oldFloor + 1; s <= newFloor; s++ {
+		delete(w.seen, s)
 	}
 }
 

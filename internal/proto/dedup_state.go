@@ -39,8 +39,9 @@ func (d *Dedup) State() DedupState {
 }
 
 // Restore replaces the window contents with a snapshot. The window
-// capacity stays as configured at construction; sequences below the
-// restored floor are pruned against it on the next Mark.
+// capacity stays as configured at construction; sequences at or below the
+// floor it implies are dropped here, because Mark only ever removes what
+// an advance pushes out.
 func (d *Dedup) Restore(st DedupState) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -51,6 +52,7 @@ func (d *Dedup) Restore(st DedupState) {
 		for _, s := range dc.Seen {
 			w.seen[s] = struct{}{}
 		}
+		w.prune(0, w.floor(d.window))
 		d.dcs[dc.DCID] = w
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"time"
 )
 
 // This file is the HTTP+JSON face of the tier: the endpoints cmd/pdmed
@@ -205,16 +204,5 @@ func (v *Views) handleWatch(w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 			}
 		}
-	}
-}
-
-// Server wraps an http.Server over the tier's handler with sane timeouts
-// for the non-streaming endpoints left to the caller (streams must not be
-// write-deadlined, so WriteTimeout stays 0; use ReadHeaderTimeout against
-// slowloris instead).
-func Server(v *Views) *http.Server {
-	return &http.Server{
-		Handler:           NewHandler(v),
-		ReadHeaderTimeout: 10 * time.Second,
 	}
 }

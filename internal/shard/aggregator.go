@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fusion"
 	"repro/internal/health"
+	"repro/internal/pdme"
 	"repro/internal/proto"
 )
 
@@ -198,8 +199,10 @@ type GlobalItem struct {
 	UpdatedAt     time.Time
 }
 
-// prognosticHorizon matches pdme.PrioritizedList's ranking horizon.
-const prognosticHorizon = 2 * 365 * 24 * time.Hour
+func (it GlobalItem) rankKey() pdme.RankKey {
+	return pdme.RankKey{Belief: it.Belief, HasPrognostic: it.HasPrognostic, TimeToHalf: it.TimeToHalf,
+		Component: it.Component, Condition: it.Condition}
+}
 
 // globalItemLocked builds one discounted row. Caller holds a.mu.
 func (a *Aggregator) globalItemLocked(h *heldSummary) GlobalItem {
@@ -219,7 +222,7 @@ func (a *Aggregator) globalItemLocked(h *heldSummary) GlobalItem {
 		Degraded:     h.s.Degraded || alpha < 1-1e-9,
 		UpdatedAt:    h.s.UpdatedAt,
 	}
-	if d, ok := h.s.Prognostics.TimeToProbability(0.5, prognosticHorizon); ok {
+	if d, ok := h.s.Prognostics.TimeToProbability(0.5, pdme.PrognosticHorizon); ok {
 		item.TimeToHalf = d
 		item.HasPrognostic = true
 	}
@@ -227,10 +230,9 @@ func (a *Aggregator) globalItemLocked(h *heldSummary) GlobalItem {
 }
 
 // GlobalRanked returns every held pair, discounted, ranked most-urgent
-// first with exactly pdme.PrioritizedList's order (belief desc, then
-// prognostic urgency, then component/condition) — so a one-shard fleet's
-// global list is bit-identical to that shard's own list when the shard is
-// fresh.
+// first by the order pdme.PrioritizedList uses (pdme.RankKey.Before) — so a
+// one-shard fleet's global list is bit-identical to that shard's own list
+// when the shard is fresh.
 func (a *Aggregator) GlobalRanked() []GlobalItem {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -253,23 +255,7 @@ func (a *Aggregator) GlobalRanked() []GlobalItem {
 			out = append(out, a.globalItemLocked(byCond[cond]))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		x, y := out[i], out[j]
-		//lint:allow floateq sort tie-break needs a strict weak order; a tolerance would make it intransitive
-		if x.Belief != y.Belief {
-			return x.Belief > y.Belief
-		}
-		switch {
-		case x.HasPrognostic && y.HasPrognostic && x.TimeToHalf != y.TimeToHalf:
-			return x.TimeToHalf < y.TimeToHalf
-		case x.HasPrognostic != y.HasPrognostic:
-			return x.HasPrognostic
-		}
-		if x.Component != y.Component {
-			return x.Component < y.Component
-		}
-		return x.Condition < y.Condition
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].rankKey().Before(out[j].rankKey()) })
 	return out
 }
 

@@ -108,7 +108,8 @@ func Forward(engine *pdme.PDME, cfg ForwarderConfig) (*Forwarder, error) {
 	return f, nil
 }
 
-// onConclusion turns one conclusion write into one spooled summary.
+// onConclusion turns one conclusion write into one spooled summary, stamped
+// with the updated_at the written object carries.
 func (f *Forwarder) onConclusion(id oosm.ObjectID) {
 	props, err := f.engine.Model().Get(id)
 	if err != nil {
@@ -117,22 +118,21 @@ func (f *Forwarder) onConclusion(id oosm.ObjectID) {
 	}
 	component, _ := props["component"].(string)
 	condition, _ := props["condition"].(string)
-	f.forwardPair(component, condition)
+	at, _ := props["updated_at"].(time.Time)
+	f.forwardPair(component, condition, at)
 }
 
-// forwardPair snapshots and spools one (component, condition) summary.
-func (f *Forwarder) forwardPair(component, condition string) {
-	if component == "" || condition == "" {
+// forwardPair snapshots and spools one (component, condition) summary whose
+// newest evidence is from event time at. The zero time means the pair has no
+// conclusion object to stamp it from; the wire refuses an unstamped summary,
+// so it is skipped here.
+func (f *Forwarder) forwardPair(component, condition string, at time.Time) {
+	if component == "" || condition == "" || at.IsZero() {
 		f.count(func(c *ForwarderCounters) { c.Skipped++ })
 		return
 	}
 	cs, vec, err := f.engine.ConditionSnapshot(component, condition)
 	if err != nil {
-		f.count(func(c *ForwarderCounters) { c.Skipped++ })
-		return
-	}
-	at, ok := f.engine.ConclusionUpdatedAt(component, condition)
-	if !ok {
 		f.count(func(c *ForwarderCounters) { c.Skipped++ })
 		return
 	}
@@ -186,7 +186,8 @@ func (f *Forwarder) count(fn func(*ForwarderCounters)) {
 func (f *Forwarder) Resync() int {
 	n := 0
 	for _, item := range f.engine.PrioritizedList() {
-		f.forwardPair(item.Component, item.Condition)
+		at, _ := f.engine.ConclusionUpdatedAt(item.Component, item.Condition)
+		f.forwardPair(item.Component, item.Condition, at)
 		n++
 	}
 	return n

@@ -15,9 +15,11 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 )
 
 // Member is one shard PDME in the ring.
@@ -27,6 +29,27 @@ type Member struct {
 	ID string
 	// Addr is the shard PDME's report-server address.
 	Addr string
+}
+
+// ParseMembers parses the "id=addr,id=addr,..." membership spec the daemons
+// take on their command lines (pdmed -ring, dcsim -shards).
+func ParseMembers(spec string) ([]Member, error) {
+	var members []Member
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		id, addr, ok := strings.Cut(part, "=")
+		if !ok || id == "" || addr == "" {
+			return nil, fmt.Errorf("shard: bad member %q (want id=addr)", part)
+		}
+		members = append(members, Member{ID: id, Addr: addr})
+	}
+	if len(members) == 0 {
+		return nil, errors.New("shard: empty membership spec")
+	}
+	return members, nil
 }
 
 // Ring is a versioned, deterministic assignment of keys (DC ids) to shard

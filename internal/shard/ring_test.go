@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -263,5 +264,21 @@ func TestRingValidation(t *testing.T) {
 	// Unknown keys still route deterministically (pure HRW fallback).
 	if got, want := r.Assign("dc-9999"), r.Assign("dc-9999"); got != want || got == "" {
 		t.Errorf("unknown-key fallback unstable: %q vs %q", got, want)
+	}
+}
+
+// TestParseMembers: the one membership-spec parser behind pdmed -ring and
+// dcsim -shards keeps order, tolerates spaces and stray commas, and refuses
+// anything that is not id=addr.
+func TestParseMembers(t *testing.T) {
+	got, err := ParseMembers(" shard-2=127.0.0.1:7012, shard-1=host:7011,,")
+	want := []Member{{ID: "shard-2", Addr: "127.0.0.1:7012"}, {ID: "shard-1", Addr: "host:7011"}}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseMembers = %+v, %v; want %+v", got, err, want)
+	}
+	for _, bad := range []string{"", " , ", "shard-1", "=addr", "shard-1=", "shard-1=a,shard-2"} {
+		if m, err := ParseMembers(bad); err == nil {
+			t.Errorf("ParseMembers(%q) accepted: %+v", bad, m)
+		}
 	}
 }

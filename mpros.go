@@ -15,7 +15,6 @@ package mpros
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/chiller"
@@ -59,7 +58,7 @@ type (
 	Source = dc.Source
 	// Views is the read-side serving tier: event-invalidated materialized
 	// views over the PDME, streaming subscriptions, and the HTTP API
-	// (see serving.Open / serving.Server).
+	// (see serving.Open / serving.NewHandler).
 	Views = serving.Views
 	// ServingOptions configures a Views tier.
 	ServingOptions = serving.Options
@@ -170,7 +169,7 @@ type Station struct {
 	// (zero value when JournalDir is unset).
 	Recovery pdme.RecoveryStats
 
-	db *relstore.DB
+	node *Node
 }
 
 // NewStation assembles a station.
@@ -181,74 +180,38 @@ func NewStation(cfg StationConfig) (*Station, error) {
 	if err != nil {
 		return nil, err
 	}
-	var db *relstore.DB
-	if cfg.DBPath == "" {
-		db = relstore.NewMemory()
-	} else {
-		db, err = relstore.Open(cfg.DBPath)
-		if err != nil {
-			return nil, err
-		}
-	}
-	hist, err := historian.Open(historian.Options{Dir: cfg.HistorianDir})
-	if err != nil {
-		db.Close()
-		return nil, err
-	}
-	model, err := oosm.NewModel(db)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := pdme.NewWithHistorian(model, ChillerGroups(), hist)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Health != nil {
-		if err := engine.ConfigureHealth(*cfg.Health); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.DedupWindow > 0 {
-		engine.ConfigureDedup(cfg.DedupWindow)
-	}
 	// Model the monitored machine itself. A persistent model (DBPath) may
 	// already hold it from a previous process life — adopt rather than
-	// accumulate twins. This must precede journal recovery so the machine's
-	// object id is allocated before replay posts conclusion objects,
-	// keeping component ids stable across restarts.
-	if err := model.RegisterClass(oosm.Class{
-		Name: "chiller",
-		Props: map[string]oosm.PropType{
-			"name":         oosm.PropString,
-			"manufacturer": oosm.PropString,
-		},
-	}); err != nil {
-		return nil, err
-	}
+	// accumulate twins.
 	var machine oosm.ObjectID
-	if existing, err := model.FindByProp("chiller", "name", "A/C Chiller 1"); err == nil && len(existing) > 0 {
-		machine = existing[0]
-	} else {
+	modelMachine := func(model *oosm.Model) error {
+		err := model.RegisterClass(oosm.Class{
+			Name: "chiller",
+			Props: map[string]oosm.PropType{
+				"name":         oosm.PropString,
+				"manufacturer": oosm.PropString,
+			},
+		})
+		if err != nil {
+			return err
+		}
+		if existing, err := model.FindByProp("chiller", "name", "A/C Chiller 1"); err == nil && len(existing) > 0 {
+			machine = existing[0]
+			return nil
+		}
 		machine, err = model.Create("chiller", map[string]any{
 			"name": "A/C Chiller 1", "manufacturer": "Carrier",
 		})
-		if err != nil {
-			return nil, err
-		}
+		return err
 	}
-	var recovery pdme.RecoveryStats
-	if cfg.JournalDir != "" {
-		recovery, err = engine.OpenJournal(pdme.JournalOptions{
-			Dir:             cfg.JournalDir,
-			CheckpointEvery: cfg.JournalCheckpointEvery,
-		})
-		if err != nil {
-			return nil, err
-		}
+	node, err := OpenNode(cfg.DBPath, cfg.HistorianDir, cfg.Health, cfg.DedupWindow, modelMachine,
+		pdme.JournalOptions{Dir: cfg.JournalDir, CheckpointEvery: cfg.JournalCheckpointEvery}, nil)
+	if err != nil {
+		return nil, err
 	}
 	dcCfg := dc.DefaultConfig("dc-1", machine.String())
 	dcCfg.EnableSBFR = cfg.EnableSBFR
-	dcCfg.Historian = hist
+	dcCfg.Historian = node.Historian
 	if cfg.VibrationInterval > 0 {
 		dcCfg.VibrationInterval = cfg.VibrationInterval
 	}
@@ -259,12 +222,13 @@ func NewStation(cfg StationConfig) (*Station, error) {
 		dcCfg.Start = cfg.Start
 	}
 	dcCfg.HeartbeatInterval = cfg.Heartbeat
-	conc, err := dc.New(dcCfg, plant, db, engine)
+	conc, err := dc.New(dcCfg, plant, node.db, node.PDME)
 	if err != nil {
+		node.Close()
 		return nil, err
 	}
-	return &Station{Plant: plant, DC: conc, PDME: engine, Machine: machine,
-		Historian: hist, Recovery: recovery, db: db}, nil
+	return &Station{Plant: plant, DC: conc, PDME: node.PDME, Machine: machine,
+		Historian: node.Historian, Recovery: node.Recovery, node: node}, nil
 }
 
 // InjectFault sets a failure mode's severity on the plant.
@@ -300,21 +264,14 @@ func (s *Station) Browser() (string, error) {
 // OpenViews attaches a read-side serving tier to the station's PDME:
 // materialized ranked/belief/trend views invalidated by fusion events, plus
 // Watch subscriptions. Close the returned Views before closing the station.
-// Serve its HTTP API with serving.Server or serving.NewHandler.
+// Serve its HTTP API with serving.NewHandler.
 func (s *Station) OpenViews(opts ServingOptions) (*Views, error) {
 	return serving.Open(s.PDME, opts)
 }
 
-// Close releases the PDME subscription, the shared historian, and the
-// backing database.
-func (s *Station) Close() error {
-	s.PDME.Close()
-	err := s.Historian.Close()
-	if dbErr := s.db.Close(); err == nil {
-		err = dbErr
-	}
-	return err
-}
+// Close releases the PDME (writing its final checkpoint), the shared
+// historian, and the backing database.
+func (s *Station) Close() error { return s.node.Close() }
 
 // FleetConfig configures a multi-DC deployment reporting to one PDME over
 // TCP — the paper's distributed architecture: "Conclusions reached by these
@@ -374,10 +331,7 @@ type Fleet struct {
 	Stations []*FleetStation
 
 	flushTimeout time.Duration
-
-	mu     sync.Mutex
-	server *proto.Server
-	db     *relstore.DB
+	node         *Node
 }
 
 // FleetStation is one DC of a fleet.
@@ -404,57 +358,39 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.FlushTimeout <= 0 {
 		cfg.FlushTimeout = 60 * time.Second
 	}
-	db := relstore.NewMemory()
-	model, err := oosm.NewModel(db)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := pdme.New(model, ChillerGroups())
-	if err != nil {
-		return nil, err
-	}
-	if err := model.RegisterClass(oosm.Class{
-		Name:  "chiller",
-		Props: map[string]oosm.PropType{"name": oosm.PropString},
-	}); err != nil {
-		return nil, err
-	}
-	if cfg.Health != nil {
-		if err := engine.ConfigureHealth(*cfg.Health); err != nil {
-			engine.Close()
-			db.Close()
-			return nil, err
+	machines := make([]oosm.ObjectID, cfg.DCCount)
+	modelMachines := func(model *oosm.Model) error {
+		err := model.RegisterClass(oosm.Class{
+			Name:  "chiller",
+			Props: map[string]oosm.PropType{"name": oosm.PropString},
+		})
+		for i := 0; i < len(machines) && err == nil; i++ {
+			machines[i], err = model.Create("chiller", map[string]any{
+				"name": fmt.Sprintf("A/C Chiller %d", i+1),
+			})
 		}
+		return err
 	}
-	if cfg.DedupWindow > 0 {
-		engine.ConfigureDedup(cfg.DedupWindow)
-	}
-	addr, server, err := engine.Serve(cfg.Addr)
+	node, err := OpenNode("", "", cfg.Health, cfg.DedupWindow, modelMachines, pdme.JournalOptions{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	dialAddr := addr
+	f := &Fleet{PDME: node.PDME, flushTimeout: cfg.FlushTimeout, node: node}
+	if f.Addr, err = node.Serve(cfg.Addr, 0); err != nil {
+		f.Close()
+		return nil, err
+	}
+	dialAddr := f.Addr
 	if cfg.DialVia != nil {
-		if dialAddr, err = cfg.DialVia(addr); err != nil {
-			server.Close()
-			engine.Close()
-			db.Close()
+		if dialAddr, err = cfg.DialVia(f.Addr); err != nil {
+			f.Close()
 			return nil, err
 		}
 	}
-	f := &Fleet{PDME: engine, Addr: addr, server: server, db: db,
-		flushTimeout: cfg.FlushTimeout}
 	for i := 0; i < cfg.DCCount; i++ {
 		plantCfg := chiller.DefaultConfig()
 		plantCfg.Seed = cfg.SeedBase + int64(i)
 		plant, err := chiller.New(plantCfg)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		machine, err := model.Create("chiller", map[string]any{
-			"name": fmt.Sprintf("A/C Chiller %d", i+1),
-		})
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -464,7 +400,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		upCfg.Addr = dialAddr
 		upCfg.DCID = dcid
 		if cfg.StationDialVia != nil {
-			if upCfg.Addr, err = cfg.StationDialVia(i, addr); err != nil {
+			if upCfg.Addr, err = cfg.StationDialVia(i, f.Addr); err != nil {
 				f.Close()
 				return nil, err
 			}
@@ -477,7 +413,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			f.Close()
 			return nil, err
 		}
-		dcCfg := dc.DefaultConfig(dcid, machine.String())
+		dcCfg := dc.DefaultConfig(dcid, machines[i].String())
 		dcCfg.HeartbeatInterval = cfg.Heartbeat
 		var src Source = plant
 		if cfg.WrapSource != nil {
@@ -490,7 +426,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			return nil, err
 		}
 		f.Stations = append(f.Stations, &FleetStation{
-			Plant: plant, DC: conc, Machine: machine, Uplink: up, upCfg: upCfg,
+			Plant: plant, DC: conc, Machine: machines[i], Uplink: up, upCfg: upCfg,
 		})
 	}
 	return f, nil
@@ -560,16 +496,7 @@ func (f *Fleet) OpenViews(opts ServingOptions) (*Views, error) {
 
 // StopServer closes the PDME's report server, severing every station
 // mid-whatever-it-was-doing. Stations spool until RestartServer.
-func (f *Fleet) StopServer() error {
-	f.mu.Lock()
-	server := f.server
-	f.server = nil
-	f.mu.Unlock()
-	if server == nil {
-		return nil
-	}
-	return server.Close()
-}
+func (f *Fleet) StopServer() error { return f.node.StopServer() }
 
 // RestartServer rebinds the PDME's report server on the same address (after
 // StopServer, or to bounce a live one). The PDME's dedup window persists
@@ -578,14 +505,8 @@ func (f *Fleet) RestartServer() error {
 	if err := f.StopServer(); err != nil {
 		return err
 	}
-	_, server, err := f.PDME.Serve(f.Addr)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.server = server
-	f.mu.Unlock()
-	return nil
+	_, err := f.node.Serve(f.Addr, 0)
+	return err
 }
 
 // Close shuts down uplinks, the server, and the PDME.
@@ -595,17 +516,5 @@ func (f *Fleet) Close() error {
 			s.Uplink.Close()
 		}
 	}
-	f.mu.Lock()
-	server := f.server
-	f.server = nil
-	f.mu.Unlock()
-	var err error
-	if server != nil {
-		err = server.Close()
-	}
-	f.PDME.Close()
-	if dbErr := f.db.Close(); err == nil {
-		err = dbErr
-	}
-	return err
+	return f.node.Close()
 }
