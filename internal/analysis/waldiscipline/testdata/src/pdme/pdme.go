@@ -21,13 +21,17 @@ type engine struct {
 	received int
 }
 
-func (p *engine) appendJournal(rec []byte) error { return nil }
+// appendJournal journals body(0) … body(n-1) with one write and one fsync,
+// like the real one.
+func (p *engine) appendJournal(n int, body func(i int) []byte) error { return nil }
+
+func one(rec []byte) func(int) []byte { return func(int) []byte { return rec } }
 
 func (p *engine) Health() *registry { return p.health }
 
 // goodAccept follows the contract: fsync the WAL, then mutate.
 func (p *engine) goodAccept(rec []byte, id string) error {
-	if err := p.appendJournal(rec); err != nil {
+	if err := p.appendJournal(1, one(rec)); err != nil {
 		return err
 	}
 	p.model.Create(id)
@@ -41,7 +45,7 @@ func (p *engine) goodAccept(rec []byte, id string) error {
 // but keeps its effect.
 func (p *engine) badOrder(rec []byte, id string) error {
 	p.model.Create(id) // want "mutates checkpointed state before the appendJournal write-ahead"
-	if err := p.appendJournal(rec); err != nil {
+	if err := p.appendJournal(1, one(rec)); err != nil {
 		return err
 	}
 	return nil
@@ -50,12 +54,12 @@ func (p *engine) badOrder(rec []byte, id string) error {
 // A discarded append turns "journaled before mutation" into "maybe
 // journaled".
 func (p *engine) bareAppend(rec []byte, id string) {
-	p.appendJournal(rec) // want "appendJournal error discarded"
+	p.appendJournal(1, one(rec)) // want "appendJournal error discarded"
 	p.model.Create(id)
 }
 
 func (p *engine) blankAppend(rec []byte, id string) {
-	_ = p.appendJournal(rec) // want "appendJournal error discarded"
+	_ = p.appendJournal(1, one(rec)) // want "appendJournal error discarded"
 	p.model.Create(id)
 }
 
@@ -69,7 +73,7 @@ func (p *engine) replay(id string) {
 // Mutations not rooted at the receiver are someone else's state.
 func (p *engine) foreign(other *model, rec []byte, id string) error {
 	other.Create(id)
-	if err := p.appendJournal(rec); err != nil {
+	if err := p.appendJournal(1, one(rec)); err != nil {
 		return err
 	}
 	return nil
@@ -78,8 +82,55 @@ func (p *engine) foreign(other *model, rec []byte, id string) error {
 // The allow escape hatch: a reviewed pre-journal effect.
 func (p *engine) allowedPrefetch(rec []byte, id string) error {
 	p.dedup.Mark(id) //lint:allow waldiscipline testdata exemplar of a reviewed pre-journal mark
-	if err := p.appendJournal(rec); err != nil {
+	if err := p.appendJournal(1, one(rec)); err != nil {
 		return err
 	}
 	return nil
+}
+
+// goodBatch journals the whole run with one append, then applies report by
+// report — the per-report closure is part of the function.
+func (p *engine) goodBatch(recs [][]byte, ids []string) []error {
+	errs := make([]error, len(ids))
+	if err := p.appendJournal(len(recs), func(i int) []byte { return recs[i] }); err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+		return errs
+	}
+	for i, id := range ids {
+		errs[i] = func() error {
+			p.model.Create(id)
+			p.Health().ObserveReport(id)
+			p.dedup.Mark(id)
+			p.received++
+			return nil
+		}()
+	}
+	return errs
+}
+
+// badBatch applies inside the per-report loop that runs before the batch
+// append: the first report of the run is fused before any of it is durable.
+func (p *engine) badBatch(recs [][]byte, ids []string) error {
+	for _, id := range ids {
+		if id == "" {
+			continue
+		}
+		p.model.Create(id) // want "mutates checkpointed state before the appendJournal write-ahead"
+		p.dedup.Mark(id)   // want "mutates checkpointed state before the appendJournal write-ahead"
+	}
+	if err := p.appendJournal(len(recs), func(i int) []byte { return recs[i] }); err != nil {
+		return err
+	}
+	return nil
+}
+
+// badBatchBody marks from inside the callback that encodes the records: it
+// runs before the write it feeds.
+func (p *engine) badBatchBody(recs [][]byte, ids []string) error {
+	return p.appendJournal(len(recs), func(i int) []byte {
+		p.dedup.Mark(ids[i]) // want "mutates checkpointed state before the appendJournal write-ahead"
+		return recs[i]
+	})
 }

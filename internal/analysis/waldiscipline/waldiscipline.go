@@ -17,7 +17,10 @@
 //   - every state-mutating call rooted at the receiver (model.Create,
 //     diag.AddReport/AddReportFrom, prog.AddReport, Health().ObserveReport/
 //     ObserveHeartbeat, dedup Mark) must appear after the first
-//     appendJournal call in source order — the WAL is written first;
+//     appendJournal call in source order — the WAL is written first. The
+//     call's own arguments count as before it: the callback that encodes a
+//     run's records runs ahead of the write, and so does a per-report loop
+//     placed above the batch append;
 //   - the appendJournal error must be consumed: a bare or `_ =` discarded
 //     append turns "journaled before mutation" into "maybe journaled".
 //
@@ -30,7 +33,6 @@ package waldiscipline
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/internal/analysis"
@@ -91,8 +93,9 @@ func run(pass *analysis.Pass) error {
 // checkFunc applies the ordering and error-handling rules to one accept-path
 // candidate. Closures inside the body are treated as part of the function.
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, recv types.Object) {
-	// Locate every appendJournal call and whether its error is consumed.
-	firstJournal := token.NoPos
+	// Locate the first appendJournal call; what precedes its closing
+	// parenthesis precedes the write.
+	var first *ast.CallExpr
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -105,12 +108,12 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, recv types.Object) {
 		if !rootedAt(pass, sel.X, recv) {
 			return true
 		}
-		if !firstJournal.IsValid() || call.Pos() < firstJournal {
-			firstJournal = call.Pos()
+		if first == nil || call.Pos() < first.Pos() {
+			first = call
 		}
 		return true
 	})
-	if !firstJournal.IsValid() {
+	if first == nil {
 		return // not an accept-path function
 	}
 
@@ -144,11 +147,11 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, recv types.Object) {
 			if !ok || !MutatingCalls[sel.Sel.Name] || !rootedAt(pass, sel.X, recv) {
 				return true
 			}
-			if n.Pos() < firstJournal {
+			if n.Pos() < first.End() {
 				pass.Reportf(n.Pos(),
 					"%s mutates checkpointed state before the appendJournal write-ahead (journal append at %s); "+
 						"a crash in the gap loses the envelope but keeps its effect",
-					sel.Sel.Name, pass.Fset.Position(firstJournal))
+					sel.Sel.Name, pass.Fset.Position(first.Pos()))
 			}
 		}
 		return true

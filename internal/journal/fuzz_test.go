@@ -68,6 +68,9 @@ func FuzzJournalRecover(f *testing.F) {
 	flippedCkpt := bytes.Clone(ckpt)
 	flippedCkpt[len(flippedCkpt)/2] ^= 0x01
 	f.Add(wal, flippedCkpt) // checkpoint body corrupted
+	batched, batchStart, _ := batchWAL(f)
+	f.Add(batched, []byte(nil))                 // a four-record batch from a single write
+	f.Add(batched[:batchStart+30], []byte(nil)) // … cut inside its second record
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte(walFormat.Magic+" but not really a journal"), []byte(ckptFormat.Magic+" nor a checkpoint"))
 

@@ -10,7 +10,8 @@
 //
 // Both files are seglog logs (see internal/seglog and DESIGN.md, "On-disk
 // logs"): the WAL is one record per accepted envelope, kind and jseq in the
-// frame, fsynced before Append returns; the checkpoint is a one-record file
+// frame, fsynced before Append returns — a batch of envelopes shares one
+// write and one fsync; the checkpoint is a one-record file
 // whose sequence is the watermark, replaced whole. On top of seglog's
 // torn-tail/corruption rule the journal refuses a WAL whose jseqs do not
 // strictly ascend.
@@ -80,6 +81,9 @@ type Journal struct {
 	// compaction can rewrite the file without re-reading it. Bounded by the
 	// owner's checkpoint cadence.
 	tail []Record
+	// failed is the first WAL write or fsync error; see AppendBatch.
+	failed error
+	frames []seglog.Record // AppendBatch's framing scratch, reused
 }
 
 // Open opens (creating if needed) the journal in dir, recovering the
@@ -165,25 +169,53 @@ func readCheckpoint(path string) (blob []byte, seq uint64, err error) {
 	return blob, seq, nil
 }
 
-// Append frames, writes, and fsyncs one record, returning its jseq. The
-// record is durable when Append returns — callers mutate derived state
-// only after.
+// Append journals one record, returning its jseq: the batch of one.
 func (j *Journal) Append(kind byte, body []byte) (uint64, error) {
+	return j.AppendBatch(kind, [][]byte{body})
+}
+
+// AppendBatch journals one record of the given kind per body under
+// consecutive jseqs, with one write and one fsync, and returns the first
+// jseq. Every record is durable when it returns — callers mutate derived
+// state only after. A crash between the write and the fsync may keep a
+// prefix of the batch, which recovery replays like any other tail.
+//
+// The first write or fsync failure is final: bytes of unknown extent may sit
+// past the last acknowledged record, and writing the same jseq after them
+// would make the whole WAL unrecoverable, so every later append returns that
+// first error. Close and WriteCheckpoint still work.
+func (j *Journal) AppendBatch(kind byte, bodies [][]byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return 0, fmt.Errorf("journal: closed")
 	}
-	seq := j.nextSeq
-	if err := j.wal.Append(kind, seq, body); err != nil {
-		return 0, fmt.Errorf("journal: %w", err)
+	if j.failed != nil {
+		return 0, j.failed
 	}
-	if err := j.wal.Sync(); err != nil {
-		return 0, fmt.Errorf("journal: %w", err)
+	first := j.nextSeq
+	recs := j.frames[:0]
+	for i, body := range bodies {
+		recs = append(recs, seglog.Record{Kind: kind, Seq: first + uint64(i), Body: body})
 	}
-	j.nextSeq = seq + 1
-	j.tail = append(j.tail, Record{Seq: seq, Kind: kind, Body: bytes.Clone(body)})
-	return seq, nil
+	err := j.wal.AppendBatch(recs)
+	if err == nil {
+		err = j.wal.Sync()
+	}
+	clear(recs) // the bodies are the caller's
+	j.frames = recs[:0]
+	if err != nil {
+		err = fmt.Errorf("journal: %w", err)
+		if !errors.Is(err, seglog.ErrBodyTooLarge) { // that one wrote nothing
+			j.failed = err
+		}
+		return 0, err
+	}
+	j.nextSeq = first + uint64(len(bodies))
+	for i, body := range bodies {
+		j.tail = append(j.tail, Record{Seq: first + uint64(i), Kind: kind, Body: bytes.Clone(body)})
+	}
+	return first, nil
 }
 
 // WriteCheckpoint durably replaces the checkpoint with blob covering every

@@ -365,3 +365,123 @@ func TestParentFormatRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendFailureIsSticky: once a WAL write or fsync has failed, the
+// journal must not hand the same jseq out again — a second record under it,
+// after whatever bytes the failed write left, would make recovery refuse the
+// whole file. Every later append returns the first error, single or batch,
+// and a reopen recovers exactly what was acknowledged.
+func TestAppendFailureIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir)
+	appendN(t, j, 1, 2, "acked")
+	if first, err := j.AppendBatch(2, [][]byte{[]byte("b0"), []byte("b1"), []byte("b2")}); err != nil || first != 3 {
+		t.Fatalf("AppendBatch = (%d, %v), want first jseq 3", first, err)
+	}
+	// Over the body limit: refused before anything is written, so the log
+	// itself has not failed and the next append still goes through.
+	if _, err := j.Append(1, make([]byte, walFormat.MaxBody+1)); err == nil {
+		t.Fatal("oversized body accepted")
+	}
+	if seq, err := j.Append(1, []byte("after-oversize")); err != nil || seq != 6 {
+		t.Fatalf("Append after an oversized body = (%d, %v), want jseq 6", seq, err)
+	}
+
+	// Pull the file out from under the journal: every write now fails.
+	if err := j.wal.Close(); err != nil {
+		t.Fatalf("close wal behind the journal's back: %v", err)
+	}
+	_, firstErr := j.Append(1, []byte("lost"))
+	if firstErr == nil {
+		t.Fatal("append on a closed file succeeded")
+	}
+	if _, err := j.Append(1, []byte("lost too")); err != firstErr {
+		t.Fatalf("second append returned %v, want the first failure %v", err, firstErr)
+	}
+	if _, err := j.AppendBatch(1, [][]byte{[]byte("x"), []byte("y")}); err != firstErr {
+		t.Fatalf("batch append returned %v, want the first failure %v", err, firstErr)
+	}
+	if got := j.LastSeq(); got != 6 {
+		t.Fatalf("LastSeq = %d after failed appends, want 6", got)
+	}
+	_ = j.Close() // the file is already closed; Close still marks the journal closed
+	if _, err := j.Append(1, []byte("z")); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("append after Close = %v, want the closed error", err)
+	}
+
+	j2, rec := mustOpen(t, dir)
+	defer func() { _ = j2.Close() }()
+	want := []string{"acked-0", "acked-1", "b0", "b1", "b2", "after-oversize"}
+	if len(rec.Tail) != len(want) || rec.TornBytes != 0 {
+		t.Fatalf("recovered %d records, %d torn bytes; want %d and 0", len(rec.Tail), rec.TornBytes, len(want))
+	}
+	for i, r := range rec.Tail {
+		if r.Seq != uint64(i+1) || string(r.Body) != want[i] {
+			t.Fatalf("record %d = seq %d %q, want seq %d %q", i, r.Seq, r.Body, i+1, want[i])
+		}
+	}
+}
+
+// batchWAL journals two single records and then one batch of four, and
+// returns the WAL's bytes with the offset at which the batch starts.
+func batchWAL(tb testing.TB) (wal []byte, batchStart int, bodies [][]byte) {
+	tb.Helper()
+	bodies = [][]byte{[]byte("one"), {}, bytes.Repeat([]byte{0xC3}, 300), []byte("four")}
+	wal, _ = journalFiles(tb, func(j *Journal) {
+		for i := 0; i < 2; i++ {
+			if _, err := j.Append(1, []byte("single")); err != nil {
+				tb.Fatalf("seed append: %v", err)
+			}
+		}
+		if _, err := j.AppendBatch(2, bodies); err != nil {
+			tb.Fatalf("seed batch: %v", err)
+		}
+	})
+	batchLen := 0
+	for _, b := range bodies {
+		batchLen += 21 + len(b) // seglog's record framing
+	}
+	return wal, len(wal) - batchLen, bodies
+}
+
+// TestBatchTornAtEveryOffset: a batch reaches the file in one write, so a
+// crash can cut it anywhere. Whatever the cut, recovery yields the whole
+// records below it — a prefix of the batch — truncates the rest as a torn
+// tail, and never refuses the WAL.
+func TestBatchTornAtEveryOffset(t *testing.T) {
+	wal, batchStart, bodies := batchWAL(t)
+	for cut := batchStart; cut <= len(wal); cut++ {
+		whole, end := 0, batchStart
+		for _, b := range bodies {
+			if end+21+len(b) > cut {
+				break
+			}
+			end += 21 + len(b)
+			whole++
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walName), wal[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, rec, err := Open(dir)
+		if err != nil {
+			t.Fatalf("cut at %d (batch starts at %d): recovery refused: %v", cut, batchStart, err)
+		}
+		if len(rec.Tail) != 2+whole || rec.TornBytes != int64(cut-end) {
+			t.Fatalf("cut at %d: recovered %d records and %d torn bytes, want %d and %d",
+				cut, len(rec.Tail), rec.TornBytes, 2+whole, cut-end)
+		}
+		for i, r := range rec.Tail[2:] {
+			if r.Seq != uint64(3+i) || r.Kind != 2 || !bytes.Equal(r.Body, bodies[i]) {
+				t.Fatalf("cut at %d: batch record %d = seq %d kind %d %q", cut, i, r.Seq, r.Kind, r.Body)
+			}
+		}
+		// The next append continues after the recovered prefix.
+		if seq, err := j.Append(1, []byte("next")); err != nil || seq != uint64(3+whole) {
+			t.Fatalf("cut at %d: next append = (%d, %v), want jseq %d", cut, seq, err, 3+whole)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -3,9 +3,9 @@
 // shipboard deployment concern. It interposes a net.Listener between a
 // client and a real server and mangles the byte streams flowing through it:
 // added latency, probabilistic byte corruption, probabilistic mid-frame
-// connection resets, every-Nth connection refusal, and full partitions
-// toggled at runtime. All randomness is seeded, so chaos tests are
-// reproducible.
+// connection resets, a reset at an exact reply-byte count, every-Nth
+// connection refusal, and full partitions toggled at runtime. All randomness
+// is seeded, so chaos tests are reproducible.
 //
 // The proxy is transport-agnostic (it never parses frames); the uplink and
 // proto tests point clients at Proxy.Addr() instead of the server and drive
@@ -28,6 +28,10 @@ type Options struct {
 	// ResetProb is the per-chunk probability of resetting the connection
 	// mid-stream (both halves are torn down, possibly mid-frame).
 	ResetProb float64
+	// CutRepliesAfter resets each connection once it has carried exactly this
+	// many bytes toward the client, forwarding those first: with fixed-size
+	// replies, "after the k-th reply of a pipelined exchange". 0 never cuts.
+	CutRepliesAfter int64
 	// DropConnEvery refuses (accepts then immediately closes) every Nth
 	// accepted connection; 0 never refuses.
 	DropConnEvery int
@@ -181,15 +185,16 @@ func (p *Proxy) acceptLoop() {
 		p.conns[upstream] = struct{}{}
 		p.mu.Unlock()
 		p.wg.Add(2)
-		go p.pipe(conn, upstream)
-		go p.pipe(upstream, conn)
+		go p.pipe(conn, upstream, false)
+		go p.pipe(upstream, conn, true)
 	}
 }
 
 // pipe forwards src→dst chunk by chunk, applying the fault mix. Closing
 // either half tears down both (so a reset injected on one direction kills
-// the connection pair, exactly like a RST).
-func (p *Proxy) pipe(src, dst net.Conn) {
+// the connection pair, exactly like a RST). toClient marks the reply
+// direction, the one CutRepliesAfter counts.
+func (p *Proxy) pipe(src, dst net.Conn, toClient bool) {
 	defer p.wg.Done()
 	defer func() {
 		_ = src.Close()
@@ -200,10 +205,16 @@ func (p *Proxy) pipe(src, dst net.Conn) {
 		p.mu.Unlock()
 	}()
 	buf := make([]byte, 4096)
+	var moved int64
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
 			latency, reset, corruptAt := p.chunkFaults(n)
+			cut := false
+			if after := p.cutAfter(toClient); after > 0 && moved+int64(n) >= after {
+				// Forward up to the cut, then reset instead of reading on.
+				n, cut = int(after-moved), true
+			}
 			if latency > 0 {
 				time.Sleep(latency)
 			}
@@ -216,14 +227,32 @@ func (p *Proxy) pipe(src, dst net.Conn) {
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
 			}
+			moved += int64(n)
 			p.mu.Lock()
 			p.stats.BytesMoved += int64(n)
+			if cut {
+				p.stats.Resets++
+			}
 			p.mu.Unlock()
+			if cut {
+				return
+			}
 		}
 		if err != nil {
 			return // EOF or error: tear down the pair (request/reply protocols redial)
 		}
 	}
+}
+
+// cutAfter returns the current reply-byte cut for a pipe in the given
+// direction (0: none).
+func (p *Proxy) cutAfter(toClient bool) int64 {
+	if !toClient {
+		return 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.opts.CutRepliesAfter
 }
 
 // chunkFaults rolls the dice for one forwarded chunk under the lock.

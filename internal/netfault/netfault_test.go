@@ -131,6 +131,32 @@ func TestProxyReset(t *testing.T) {
 	}
 }
 
+// TestProxyCutRepliesAfter: the reply stream is forwarded up to an exact
+// byte count and the connection reset there, however the chunks fall.
+func TestProxyCutRepliesAfter(t *testing.T) {
+	p, err := New(startEcho(t), Options{CutRepliesAfter: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	conn, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(conn)
+	if string(got) != "01234" {
+		t.Fatalf("client read %q (%v), want exactly the 5 bytes before the cut", got, err)
+	}
+	if s := p.Stats(); s.Resets != 1 {
+		t.Errorf("resets = %d, want 1: %+v", s.Resets, s)
+	}
+}
+
 func TestProxyKillConns(t *testing.T) {
 	p, err := New(startEcho(t), Options{})
 	if err != nil {

@@ -14,10 +14,12 @@ import (
 
 // Durability: every envelope the PDME accepts (report or heartbeat,
 // post-dedup) is appended and fsynced to a write-ahead journal before the
-// fusion mutation commits, and a periodic checkpoint snapshots the full
-// derived state — per-source fusion evidence, dedup watermarks + boot
-// epochs, health observation history, the received counter — so recovery
-// is checkpoint-load + tail-replay rather than full-history replay.
+// fusion mutation commits — the reports of one run in one write under one
+// fsync, none of them applied before it — and a periodic checkpoint
+// snapshots the full derived state — per-source fusion evidence, dedup
+// watermarks + boot epochs, health observation history, the received
+// counter — so recovery is checkpoint-load + tail-replay rather than
+// full-history replay.
 //
 // Consistency: deliveries hold acceptMu (read side) across journal append
 // + fusion mutation + dedup mark; Checkpoint takes the write side, so the
@@ -332,18 +334,29 @@ func (p *PDME) journalHandle() *journal.Journal {
 	return p.jrnl
 }
 
-// appendJournal journals one accepted envelope. Callers hold acceptMu
-// (read side); the append is fsynced before return.
-func (p *PDME) appendJournal(kind byte, body any) error {
+// appendJournal journals the envelopes of one accept — body(0) … body(n-1),
+// skipping those that are nil — as records of one kind, with one write and
+// one fsync before return. Callers hold acceptMu (read side). Nothing is
+// encoded when no journal is open.
+func (p *PDME) appendJournal(kind byte, n int, body func(i int) any) error {
 	jr := p.journalHandle()
 	if jr == nil {
 		return nil
 	}
-	blob, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("pdme: encode journal record: %w", err)
+	var buf [proto.MaxRun][]byte // a run's worth without a heap slice
+	blobs := buf[:0]
+	for i := 0; i < n; i++ {
+		b := body(i)
+		if b == nil {
+			continue
+		}
+		blob, err := json.Marshal(b)
+		if err != nil {
+			return fmt.Errorf("pdme: encode journal record: %w", err)
+		}
+		blobs = append(blobs, blob)
 	}
-	if _, err := jr.Append(kind, blob); err != nil {
+	if _, err := jr.AppendBatch(kind, blobs); err != nil {
 		return fmt.Errorf("pdme: journal accept: %w", err)
 	}
 	return nil

@@ -243,76 +243,114 @@ func (p *PDME) Deliver(r *proto.Report) error {
 // delivery tag, so a journaling PDME records (dcid, boot, seq) with the
 // report and marks its own dedup window inside the accept critical
 // section — a resend arriving after a crash + recovery is then still
-// recognized as a duplicate. Untagged callers pass zero boot and seq.
+// recognized as a duplicate. Untagged callers pass zero boot and seq. It is
+// the run of one through DeliverBatch.
 func (p *PDME) DeliverTagged(r *proto.Report, dcid string, boot, seq uint64) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	// Reports about conditions outside every failure group are rejected at
-	// the door so the sender sees the configuration problem.
-	if _, err := p.diag.GroupOf(r.MachineConditionID); err != nil {
-		return err
-	}
-	p.acceptMu.RLock()
-	err := p.acceptReport(r, dcid, boot, seq)
-	p.acceptMu.RUnlock()
-	if err != nil {
-		return err
-	}
-	p.maybeCheckpoint()
-	return nil
+	one := [1]proto.Delivery{{Report: r, DCID: dcid, Boot: boot, Seq: seq}}
+	p.DeliverBatch(one[:])
+	return one[0].Err
 }
 
-// acceptReport is the accept critical section: journal append (fsynced),
-// OOSM post + synchronous fusion, health observation, dedup mark. Callers
-// hold acceptMu (read side).
-func (p *PDME) acceptReport(r *proto.Report, dcid string, boot, seq uint64) error {
-	// Open the read-side write window before any fusion state can change
-	// (the OOSM create below runs fusion synchronously via the event model)
-	// and close it only after the health observation lands too.
-	if inv := p.invalidator(); inv != nil {
-		inv.BeginMutation(r.SensedObjectID, r.MachineConditionID)
-		defer inv.EndMutation(r.SensedObjectID, r.MachineConditionID)
+// DeliverBatch implements proto.BatchSink, the PDME's one accept path: a
+// run of N ≥ 1 reports shares one journal write and one fsync. Each
+// element's Err is its own answer.
+func (p *PDME) DeliverBatch(run []proto.Delivery) {
+	admitted := false
+	for i := range run {
+		d := &run[i]
+		if d.Err = d.Report.Validate(); d.Err != nil {
+			continue
+		}
+		// Reports about conditions outside every failure group are rejected at
+		// the door so the sender sees the configuration problem.
+		if _, d.Err = p.diag.GroupOf(d.Report.MachineConditionID); d.Err == nil {
+			admitted = true
+		}
 	}
-	// Write-ahead: the accepted envelope is durable before any derived
+	if !admitted {
+		return
+	}
+	p.acceptMu.RLock()
+	p.acceptReports(run)
+	p.acceptMu.RUnlock()
+	p.maybeCheckpoint()
+}
+
+// acceptReports is the accept critical section for the reports of a run
+// still standing (Err nil): one journal append for all of them (fsynced),
+// then per report, in journal order, OOSM post + synchronous fusion, health
+// observation, dedup mark. A journal error refuses them all with nothing
+// applied; an apply error is that report's alone. Callers hold acceptMu
+// (read side).
+func (p *PDME) acceptReports(run []proto.Delivery) {
+	// Write-ahead: every accepted envelope is durable before any derived
 	// state changes, so a crash at any later point replays it.
-	if err := p.appendJournal(journalKindReport, journaledReport{
-		DCID: dcid, Boot: boot, Seq: seq, Report: r,
-	}); err != nil {
-		return err
-	}
-	progJSON, err := json.Marshal(r.Prognostics)
-	if err != nil {
-		return fmt.Errorf("pdme: encode prognostics: %w", err)
-	}
-	_, err = p.model.Create(ReportClass, map[string]any{
-		"dc_id":       r.DCID,
-		"ks_id":       r.KnowledgeSourceID,
-		"sensed":      r.SensedObjectID,
-		"condition":   r.MachineConditionID,
-		"severity":    r.Severity,
-		"belief":      r.Belief,
-		"explanation": r.Explanation,
-		"recommend":   r.Recommendations,
-		"timestamp":   r.Timestamp,
-		"prognostics": string(progJSON),
-		"suspect":     strings.Join(r.SuspectChannels, ","),
+	err := p.appendJournal(journalKindReport, len(run), func(i int) any {
+		d := &run[i]
+		if d.Err != nil {
+			return nil
+		}
+		return journaledReport{DCID: d.DCID, Boot: d.Boot, Seq: d.Seq, Report: d.Report}
 	})
 	if err != nil {
-		return err
+		for i := range run {
+			if run[i].Err == nil {
+				run[i].Err = err
+			}
+		}
+		return
 	}
-	// A delivered report is liveness evidence for its DC, heartbeats or not.
-	p.Health().ObserveReport(r.DCID, r.KnowledgeSourceID, r.Timestamp)
-	// Mark the dedup window while still inside the accept section, so a
-	// checkpoint can never see the fusion effect without the mark (the
-	// server's own post-accept Mark is idempotent with this one).
-	if seq > 0 {
-		p.dedupHandle().Mark(dcid, boot, seq)
+	inv := p.invalidator()
+	for i := range run {
+		d := &run[i]
+		if d.Err != nil {
+			continue
+		}
+		d.Err = func() error {
+			r := d.Report
+			// Open the read-side write window before any fusion state can
+			// change (the OOSM create below runs fusion synchronously via the
+			// event model) and close it only after the health observation
+			// lands too.
+			if inv != nil {
+				inv.BeginMutation(r.SensedObjectID, r.MachineConditionID)
+				defer inv.EndMutation(r.SensedObjectID, r.MachineConditionID)
+			}
+			progJSON, err := json.Marshal(r.Prognostics)
+			if err != nil {
+				return fmt.Errorf("pdme: encode prognostics: %w", err)
+			}
+			_, err = p.model.Create(ReportClass, map[string]any{
+				"dc_id":       r.DCID,
+				"ks_id":       r.KnowledgeSourceID,
+				"sensed":      r.SensedObjectID,
+				"condition":   r.MachineConditionID,
+				"severity":    r.Severity,
+				"belief":      r.Belief,
+				"explanation": r.Explanation,
+				"recommend":   r.Recommendations,
+				"timestamp":   r.Timestamp,
+				"prognostics": string(progJSON),
+				"suspect":     strings.Join(r.SuspectChannels, ","),
+			})
+			if err != nil {
+				return err
+			}
+			// A delivered report is liveness evidence for its DC, heartbeats
+			// or not.
+			p.Health().ObserveReport(r.DCID, r.KnowledgeSourceID, r.Timestamp)
+			// Mark the dedup window while still inside the accept section, so
+			// a checkpoint can never see the fusion effect without the mark
+			// (the server's own post-accept Mark is idempotent with this one).
+			if d.Seq > 0 {
+				p.dedupHandle().Mark(d.DCID, d.Boot, d.Seq)
+			}
+			p.mu.Lock()
+			p.received++
+			p.mu.Unlock()
+			return nil
+		}()
 	}
-	p.mu.Lock()
-	p.received++
-	p.mu.Unlock()
-	return nil
 }
 
 // ObserveHeartbeat implements proto.HeartbeatSink by forwarding fleet
@@ -335,7 +373,7 @@ func (p *PDME) acceptHeartbeat(hb *proto.Heartbeat) error {
 	}
 	p.acceptMu.RLock()
 	err := func() error {
-		if err := p.appendJournal(journalKindHeartbeat, hb); err != nil {
+		if err := p.appendJournal(journalKindHeartbeat, 1, func(int) any { return hb }); err != nil {
 			return err
 		}
 		return p.Health().ObserveHeartbeat(hb)

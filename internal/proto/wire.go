@@ -127,6 +127,40 @@ type TaggedSink interface {
 	DeliverTagged(r *Report, dcid string, boot, seq uint64) error
 }
 
+// MaxRun bounds a run: how many consecutive report frames of one sender the
+// uplink keeps in flight, and how many frames the server reads off a
+// connection before it answers them. Per-connection memory is proportional
+// to it on both ends.
+const MaxRun = 16
+
+// Delivery is one report with its delivery tag on its way through a batch
+// call, and that report's own outcome. Client.SendRun fills Dup and Err from
+// the server's reply; a BatchSink fills Err. Boot and Seq are zero for an
+// untagged report.
+type Delivery struct {
+	Report    *Report
+	DCID      string
+	Boot, Seq uint64
+	// Dup reports that the server had already fused this (DCID, Boot, Seq).
+	// Sinks never see it set: the server answers duplicates itself.
+	Dup bool
+	// Err is why this report was refused; nil means accepted.
+	Err error
+}
+
+// BatchSink is a Sink that accepts a run of reports in one call, so work it
+// does once per call — a durable PDME's journal write and fsync — is shared
+// by the run. The server hands it every report this way: the consecutive
+// tagged frames of one sender that were already on the connection, in frame
+// order, or a single frame.
+type BatchSink interface {
+	Sink
+	// DeliverBatch consumes the run in order and sets each element's Err.
+	// Reports refused for their own sake fail alone; a failure of the shared
+	// step fails every report not yet refused, with nothing applied.
+	DeliverBatch(run []Delivery)
+}
+
 // DefaultIdleTimeout is the server's per-connection read/write deadline: a
 // peer that neither completes a frame nor drains a reply within this window
 // is presumed dead and its handler goroutine released (shipboard networks
@@ -237,7 +271,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	c := &session{srv: s, bw: bufio.NewWriter(conn)}
 	for {
 		if s.idleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
@@ -246,79 +280,185 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			return // connection closed, idle, or corrupted framing
 		}
-		reply := s.process(env)
 		if s.idleTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.idleTimeout))
 		}
-		if err := writeFrame(bw, reply); err != nil {
+		// Drain what the reader already holds before answering: a windowed
+		// sender's frames arrive together, and answering them together is what
+		// lets a run share one sink call and one flush. A partly buffered frame
+		// is a peer in mid-write; the read deadline above still bounds it.
+		if err := c.take(env); err != nil {
 			return
 		}
-		if err := bw.Flush(); err != nil {
+		var rerr error
+		for n := 1; n < MaxRun && br.Buffered() > 0; n++ {
+			if env, rerr = readFrame(br); rerr != nil {
+				break // the frames before it are still answered
+			}
+			if err := c.take(env); err != nil {
+				return
+			}
+		}
+		if err := c.flushRun(); err != nil {
+			return
+		}
+		if err := c.bw.Flush(); err != nil || rerr != nil {
 			return
 		}
 	}
 }
 
-// process turns one inbound envelope into its reply, applying validation,
-// dedup, and sink delivery.
-func (s *Server) process(env envelope) envelope {
-	if env.Kind == "heartbeat" {
-		if env.Heartbeat == nil {
-			return envelope{Kind: "error", Error: "heartbeat frame without heartbeat"}
+// session is the answering side of one connection: the report frames read
+// but not yet answered — one run — and the buffered writer replies go to, in
+// frame order.
+type session struct {
+	srv *Server
+	bw  *bufio.Writer
+	run []Delivery
+}
+
+// take routes one inbound frame. A valid report frame joins the pending run
+// when it continues it and otherwise starts the next one; every other frame
+// is answered on its own, after the run before it.
+func (c *session) take(env envelope) error {
+	var reply envelope
+	switch {
+	case env.Kind == "heartbeat":
+		reply = c.srv.processHeartbeat(env)
+	case env.Kind == "summary":
+		reply = c.srv.processSummary(env)
+	case env.Kind != "report" || env.Report == nil:
+		reply = envelope{Kind: "error", Error: "expected report frame"}
+	default:
+		if err := env.Report.Validate(); err != nil {
+			reply = envelope{Kind: "error", Error: err.Error()}
+			break
 		}
-		if err := env.Heartbeat.Validate(); err != nil {
-			return envelope{Kind: "error", Error: err.Error()}
+		d := Delivery{Report: env.Report, DCID: env.DCID}
+		if d.DCID == "" {
+			d.DCID = env.Report.DCID
 		}
-		if s.hbSink != nil {
-			if err := s.hbSink.ObserveHeartbeat(env.Heartbeat); err != nil {
-				return envelope{Kind: "error", Error: err.Error()}
+		if c.srv.dedup != nil && env.Seq > 0 {
+			d.Boot, d.Seq = env.Boot, env.Seq
+		}
+		if n := len(c.run); n > 0 && !d.continues(&c.run[n-1]) {
+			if err := c.flushRun(); err != nil {
+				return err
 			}
 		}
-		return envelope{Kind: "ack"}
+		c.run = append(c.run, d)
+		return nil
 	}
-	if env.Kind == "summary" {
-		return s.processSummary(env)
+	if err := c.flushRun(); err != nil {
+		return err
 	}
-	if env.Kind != "report" || env.Report == nil {
-		return envelope{Kind: "error", Error: "expected report frame"}
+	return writeFrame(c.bw, reply)
+}
+
+// continues reports whether d extends the run ending in prev: both tagged,
+// one sender incarnation, sequence ascending. A spooling sender's frames
+// always ascend; a repeated or regressing sequence starts a new run, so its
+// dedup check runs after the marks of the run that may already hold it.
+func (d *Delivery) continues(prev *Delivery) bool {
+	return prev.Seq > 0 && d.Seq > prev.Seq && d.Boot == prev.Boot && d.DCID == prev.DCID
+}
+
+// flushRun accepts the pending run and writes one reply per frame.
+func (c *session) flushRun() error {
+	if len(c.run) == 0 {
+		return nil
 	}
-	if err := env.Report.Validate(); err != nil {
-		return envelope{Kind: "error", Error: err.Error()}
+	c.srv.acceptRun(c.run)
+	var err error
+	for i := range c.run {
+		d := &c.run[i]
+		reply := envelope{Kind: "ack", Dup: d.Dup}
+		if d.Err != nil {
+			reply = envelope{Kind: "error", Error: d.Err.Error()}
+		}
+		if err == nil {
+			err = writeFrame(c.bw, reply)
+		}
 	}
-	dcid := env.DCID
-	if dcid == "" {
-		dcid = env.Report.DCID
-	}
-	tagged := s.dedup != nil && env.Seq > 0
+	clear(c.run) // an idle connection pins no decoded report
+	c.run = c.run[:0]
+	return err
+}
+
+// acceptRun applies dedup and sink delivery to one run of validated report
+// frames: tagged frames of one sender incarnation in ascending sequence, or
+// a single untagged frame.
+func (s *Server) acceptRun(run []Delivery) {
+	tagged := run[0].Seq > 0
 	if tagged {
 		// Hold the sender's stripe across check+deliver+mark so a resend of
-		// the same tag racing on another connection observes the mark.
-		mu := s.senderLock(dcid)
+		// the same tags racing on another connection observes the marks.
+		mu := s.senderLock(run[0].DCID)
 		mu.Lock()
 		defer mu.Unlock()
-		if s.dedup.Seen(dcid, env.Boot, env.Seq) {
-			return envelope{Kind: "ack", Dup: true}
+		// Every check comes before the run's first mark: a window narrower
+		// than the run would otherwise lift its floor over frames not yet
+		// checked and swallow them as presumed delivered.
+		for i := range run {
+			run[i].Dup = s.dedup.Seen(run[i].DCID, run[i].Boot, run[i].Seq)
 		}
 	}
-	var derr error
-	if ts, ok := s.sink.(TaggedSink); ok {
-		// Hand the delivery tag to sinks that journal it (the dedup mark a
-		// TaggedSink makes itself is idempotent with the one below).
-		var boot, seq uint64
-		if tagged {
-			boot, seq = env.Boot, env.Seq
+	for i := 0; i < len(run); {
+		if run[i].Dup {
+			i++
+			continue
 		}
-		derr = ts.DeliverTagged(env.Report, dcid, boot, seq)
-	} else {
-		derr = s.sink.Deliver(env.Report)
+		j := i + 1
+		for j < len(run) && !run[j].Dup {
+			j++
+		}
+		s.deliver(run[i:j])
+		i = j
 	}
-	if derr != nil {
-		return envelope{Kind: "error", Error: derr.Error()}
+	if !tagged {
+		return
 	}
-	// Record the sequence only after the sink accepted the report, so a
-	// failed delivery can be retried without the window swallowing it.
-	if tagged {
-		s.dedup.Mark(dcid, env.Boot, env.Seq)
+	// Record a sequence only after the sink accepted the report, so a
+	// failed delivery can be retried without the window swallowing it (the
+	// mark a journaling sink makes itself is idempotent with this one).
+	for i := range run {
+		if d := &run[i]; !d.Dup && d.Err == nil {
+			s.dedup.Mark(d.DCID, d.Boot, d.Seq)
+		}
+	}
+}
+
+// deliver hands reports to the sink through the widest interface it has.
+func (s *Server) deliver(run []Delivery) {
+	switch sink := s.sink.(type) {
+	case BatchSink:
+		sink.DeliverBatch(run)
+	case TaggedSink:
+		// Hand the delivery tag to sinks that journal it.
+		for i := range run {
+			d := &run[i]
+			d.Err = sink.DeliverTagged(d.Report, d.DCID, d.Boot, d.Seq)
+		}
+	default:
+		for i := range run {
+			run[i].Err = s.sink.Deliver(run[i].Report)
+		}
+	}
+}
+
+// processHeartbeat validates one heartbeat frame and hands it to the
+// fleet-health consumer.
+func (s *Server) processHeartbeat(env envelope) envelope {
+	if env.Heartbeat == nil {
+		return envelope{Kind: "error", Error: "heartbeat frame without heartbeat"}
+	}
+	if err := env.Heartbeat.Validate(); err != nil {
+		return envelope{Kind: "error", Error: err.Error()}
+	}
+	if s.hbSink != nil {
+		if err := s.hbSink.ObserveHeartbeat(env.Heartbeat); err != nil {
+			return envelope{Kind: "error", Error: err.Error()}
+		}
 	}
 	return envelope{Kind: "ack"}
 }
@@ -477,46 +617,64 @@ func (c *Client) exchange(env envelope) (envelope, error) {
 	return readFrame(c.br)
 }
 
-// exchangeReport writes one report frame — encoded into the client's reused
-// buffer by AppendReportEnvelope rather than marshaled — and reads the reply
-// under the client lock, applying the per-send deadline when configured.
-func (c *Client) exchangeReport(r *Report, dcid string, boot, seq uint64) (envelope, error) {
+// SendRun writes every report frame of the run — each encoded into the
+// client's reused buffer by AppendReportEnvelope rather than marshaled —
+// flushes once, then reads the replies in order into each element's Dup and
+// Err (a refusal wraps ErrRejected). It returns how many frames were
+// answered; err is the transport failure that cut the exchange short, and
+// the frames from that index on may or may not have reached the server —
+// resend them. The per-send deadline, when configured, covers the whole
+// exchange. Reports must be valid.
+func (c *Client) SendRun(run []Delivery) (answered int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
-		return envelope{}, errors.New("proto: client closed")
+		return 0, errors.New("proto: client closed")
 	}
-	body, err := AppendReportEnvelope(c.buf[:0], r, dcid, boot, seq)
-	if err != nil {
-		return envelope{}, err
-	}
-	c.buf = body[:0]
 	if c.timeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
 	}
-	if err := writeRawFrame(c.bw, body); err != nil {
-		return envelope{}, err
+	var encErr error
+	for i := range run {
+		d := &run[i]
+		body, err := AppendReportEnvelope(c.buf[:0], d.Report, d.DCID, d.Boot, d.Seq)
+		if err != nil {
+			// Nothing of this frame is on the wire: the run ends before it.
+			run, encErr = run[:i], err
+			break
+		}
+		c.buf = body[:0]
+		if err := writeRawFrame(c.bw, body); err != nil {
+			return 0, err
+		}
 	}
 	if err := c.bw.Flush(); err != nil {
-		return envelope{}, err
+		return 0, err
 	}
-	return readFrame(c.br)
+	for i := range run {
+		reply, err := readFrame(c.br)
+		if err != nil {
+			return i, err
+		}
+		switch reply.Kind {
+		case "ack":
+			run[i].Dup, run[i].Err = reply.Dup, nil
+		case "error":
+			run[i].Dup, run[i].Err = false, fmt.Errorf("%w: %s", ErrRejected, reply.Error)
+		default:
+			return i, fmt.Errorf("proto: unexpected reply kind %q", reply.Kind)
+		}
+	}
+	return len(run), encErr
 }
 
-// send performs one tagged or untagged report exchange.
+// send performs one tagged or untagged report exchange: the run of one.
 func (c *Client) send(r *Report, dcid string, boot, seq uint64) (dup bool, err error) {
-	reply, err := c.exchangeReport(r, dcid, boot, seq)
-	if err != nil {
+	one := [1]Delivery{{Report: r, DCID: dcid, Boot: boot, Seq: seq}}
+	if _, err := c.SendRun(one[:]); err != nil {
 		return false, err
 	}
-	switch reply.Kind {
-	case "ack":
-		return reply.Dup, nil
-	case "error":
-		return false, fmt.Errorf("%w: %s", ErrRejected, reply.Error)
-	default:
-		return false, fmt.Errorf("proto: unexpected reply kind %q", reply.Kind)
-	}
+	return one[0].Dup, one[0].Err
 }
 
 // Send validates and delivers one report, waiting for the server's ack. A

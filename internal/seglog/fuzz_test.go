@@ -105,6 +105,22 @@ func FuzzRecover(f *testing.F) {
 		flipped[len(flipped)-7] ^= 0x10
 		f.Add(flipped)
 	}
+	// A multi-record batch from a single write, whole and cut inside its
+	// second record.
+	batchPath := filepath.Join(f.TempDir(), "batch.log")
+	bl, _, err := seglog.Open(batchPath, ft, []byte("batch"), func(seglog.Record) error { return nil })
+	if err == nil {
+		err = bl.AppendBatch([]seglog.Record{{Kind: 1, Seq: 1, Body: []byte("first")}, {Kind: 1, Seq: 2, Body: bytes.Repeat([]byte{'s'}, 90)}, {Kind: 2, Seq: 3}})
+	}
+	if err == nil {
+		err = bl.Close()
+	}
+	batch, rerr := os.ReadFile(batchPath)
+	if err != nil || rerr != nil {
+		f.Fatalf("seed batch: %v, %v", err, rerr)
+	}
+	f.Add(batch)
+	f.Add(batch[:len(batch)-21-60])
 	f.Add([]byte{})
 	f.Add([]byte(ft.Magic))
 

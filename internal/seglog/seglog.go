@@ -9,8 +9,10 @@
 //
 // All integers little-endian; the CRC (IEEE) covers kind through body. The
 // magic names the file family and its version; meta, kind, seq and body are
-// the caller's. Every record reaches the file in a single write, so a crash
-// can only leave a prefix of the final one. Recovery therefore has one rule:
+// the caller's. Every append — one record, or a batch framed back to back —
+// reaches the file in a single write, so a crash can only leave a prefix of
+// the final one: whole records, then at most one torn one. Recovery therefore
+// has one rule:
 //
 //   - a file shorter than its header, or an incomplete final record, is a
 //     torn tail: truncate to the last whole record, fsync, continue;
@@ -29,6 +31,7 @@ package seglog
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -60,8 +63,9 @@ type Format struct {
 	MaxBody int
 }
 
-// Record is one scanned record. Body aliases the scan buffer and is valid
-// only until the callback returns; copy what must outlive it.
+// Record is one record's caller-owned part: what a scan hands to its callback
+// and what AppendBatch frames. A scanned Body aliases the scan buffer and is
+// valid only until the callback returns; copy what must outlive it.
 type Record struct {
 	Kind byte
 	Seq  uint64
@@ -74,7 +78,7 @@ type Log struct {
 	ft   Format
 	meta []byte
 	f    *os.File
-	buf  []byte // frame of the last append, reused
+	buf  []byte // frames of the last append, reused
 }
 
 // Open opens the log at path for append, creating it with meta in its header
@@ -207,16 +211,38 @@ func (l *Log) writeHeader() error {
 // Append frames one record and hands it to the file in a single write. It
 // does not fsync; callers that acknowledge the record follow with Sync.
 func (l *Log) Append(kind byte, seq uint64, body []byte) error {
-	if len(body) > l.ft.MaxBody {
-		return fmt.Errorf("seglog: record body %d exceeds limit %d of %s", len(body), l.ft.MaxBody, l.ft.Magic)
+	return l.AppendBatch([]Record{{Kind: kind, Seq: seq, Body: body}})
+}
+
+// ErrBodyTooLarge is wrapped by an append refused for a body over the
+// format's limit: nothing was written, the log is as it was.
+var ErrBodyTooLarge = errors.New("seglog: record body exceeds limit")
+
+// AppendBatch frames recs back to back in one buffer and hands that to the
+// file in a single write, so a crash still leaves a prefix of the final
+// write: whole records followed by at most one torn one, which is what
+// recovery expects. Nothing is written when any body is over the limit.
+func (l *Log) AppendBatch(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
 	}
-	buf := slices.Grow(l.buf[:0], recFrame+len(body)) // room for the whole frame: a large body is copied once
-	buf = binary.LittleEndian.AppendUint32(buf, recMagic)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:]))
+	size := 0
+	for _, r := range recs {
+		if len(r.Body) > l.ft.MaxBody {
+			return fmt.Errorf("%w: %d bytes, limit %d of %s", ErrBodyTooLarge, len(r.Body), l.ft.MaxBody, l.ft.Magic)
+		}
+		size += recFrame + len(r.Body)
+	}
+	buf := slices.Grow(l.buf[:0], size) // room for every frame: a large body is copied once
+	for _, r := range recs {
+		start := len(buf)
+		buf = binary.LittleEndian.AppendUint32(buf, recMagic)
+		buf = append(buf, r.Kind)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Seq)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Body)))
+		buf = append(buf, r.Body...)
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start+4:]))
+	}
 	if cap(buf) <= retainFrame {
 		l.buf = buf
 	}

@@ -218,6 +218,39 @@ func TestBodyLimitOnAppend(t *testing.T) {
 	}
 }
 
+// TestAppendBatchWritesTheSameBytes: a batch is the records' documented
+// frames back to back — nothing on disk tells it from single appends, which
+// is why TestEveryPrefixOpens covers a crash inside one — and a body over
+// the limit anywhere in it refuses the batch with nothing written.
+func TestAppendBatchWritesTheSameBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "b.log")
+	l, _, _ := mustOpen(t, path, []byte("meta"))
+	batch := make([]seglog.Record, len(three))
+	for i, r := range three {
+		batch[i] = seglog.Record{Kind: r.kind, Seq: r.seq, Body: []byte(r.body)}
+	}
+	over := append(append([]seglog.Record(nil), batch...), seglog.Record{Kind: 1, Seq: 8, Body: make([]byte, testFormat.MaxBody+1)})
+	if err := l.AppendBatch(over); err == nil {
+		t.Fatal("batch holding a body over the limit accepted")
+	}
+	if err := l.AppendBatch(nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+	if err := l.AppendBatch(batch); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fileBytes([]byte("meta"), three...); !bytes.Equal(data, want) {
+		t.Fatalf("file bytes differ from the documented layout:\n got %x\nwant %x", data, want)
+	}
+}
+
 func TestRewriteKeepsHeaderAndSwapsHandle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.log")
 	l, _, _ := mustOpen(t, path, []byte("meta"))

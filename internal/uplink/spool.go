@@ -58,6 +58,9 @@ type pendingRec struct {
 	// from disk after a process restart. Both feed the Replayed counter.
 	attempts  int
 	recovered bool
+	// evicted marks a frame the capacity policy dropped; the sender may still
+	// hold it in flight, and its late ack then changes nothing.
+	evicted bool
 }
 
 // recType returns the spool record type for the frame this rec carries.
@@ -87,8 +90,9 @@ type spool struct {
 	boot uint64 // sequence-counter incarnation announced on the wire
 
 	nextSeq  uint64
-	pending  []*pendingRec // oldest first
-	resolved int           // resolved records in the file since last compact
+	pending  []*pendingRec   // oldest first
+	resolved int             // resolved records in the file since last compact
+	acks     []seglog.Record // resolve's framing scratch, reused
 }
 
 // newBootID draws a random boot incarnation id; zero is reserved for
@@ -233,8 +237,8 @@ func (s *spool) enqueue(rec *pendingRec) (seq uint64, droppedSeqs []uint64, err 
 	}
 	s.pending = append(s.pending, rec)
 	for len(s.pending) > s.cap {
-		oldest := s.pending[0]
-		s.pending = s.pending[1:]
+		oldest := s.popHead()
+		oldest.evicted = true
 		droppedSeqs = append(droppedSeqs, oldest.seq)
 		if err := s.appendRecord(recDrop, oldest.seq, nil); err != nil {
 			return 0, nil, err
@@ -247,26 +251,52 @@ func (s *spool) enqueue(rec *pendingRec) (seq uint64, droppedSeqs []uint64, err 
 	return rec.seq, droppedSeqs, nil
 }
 
-// peek returns the oldest pending report without removing it.
-func (s *spool) peek() (*pendingRec, bool) {
-	if len(s.pending) == 0 {
-		return nil, false
-	}
-	return s.pending[0], true
+// popHead removes and returns the oldest pending frame.
+func (s *spool) popHead() *pendingRec {
+	head := s.pending[0]
+	s.pending[0] = nil // the backing array must not pin a retired frame
+	s.pending = s.pending[1:]
+	return head
 }
 
-// resolve retires an acked (or permanently rejected) sequence.
-func (s *spool) resolve(seq uint64) error {
-	for i, rec := range s.pending {
-		if rec.seq == seq {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
+// headRun appends the head-of-line run to dst: the oldest pending frame and,
+// when it is a report, the report frames that follow it, up to proto.MaxRun.
+// A summary travels alone.
+func (s *spool) headRun(dst []*pendingRec) []*pendingRec {
+	for _, rec := range s.pending {
+		if len(dst) == proto.MaxRun || (len(dst) > 0 && rec.summary != nil) {
+			break
+		}
+		dst = append(dst, rec)
+		if rec.summary != nil {
 			break
 		}
 	}
-	if err := s.appendRecord(recAck, seq, nil); err != nil {
-		return err
+	return dst
+}
+
+// resolve retires the answered (acked or permanently rejected) frames of the
+// run headRun returned, in order, with one file write. Only the capacity
+// policy removes frames behind the sender's back, and it takes the oldest
+// first, so the run's frames not evicted meanwhile are still the head of the
+// queue; an evicted one already has its recDrop and is skipped.
+func (s *spool) resolve(run []*pendingRec) error {
+	acks := s.acks[:0]
+	for _, rec := range run {
+		if rec.evicted {
+			continue
+		}
+		s.popHead()
+		acks = append(acks, seglog.Record{Kind: recAck, Seq: rec.seq})
 	}
-	s.resolved++
+	s.acks = acks[:0]
+	if s.log == nil {
+		return nil
+	}
+	if err := s.log.AppendBatch(acks); err != nil {
+		return fmt.Errorf("uplink: %w", err)
+	}
+	s.resolved += len(acks)
 	return s.maybeCompact()
 }
 

@@ -39,7 +39,7 @@ func TestSpoolRecoversPendingAcrossReopen(t *testing.T) {
 			t.Fatalf("seq %d, want %d", seq, i)
 		}
 	}
-	if err := s.resolve(1); err != nil {
+	if err := s.resolve(s.pending[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.close(); err != nil {
@@ -85,10 +85,9 @@ func TestSpoolSequenceSurvivesFullDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for seq := uint64(1); seq <= 3; seq++ {
-		if err := s.resolve(seq); err != nil {
-			t.Fatal(err)
-		}
+	// The whole queue is one answered run: three acks in one spool write.
+	if err := s.resolve(s.pending); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.close(); err != nil {
 		t.Fatal(err)
@@ -232,11 +231,10 @@ func TestSpoolCompactionShrinksFile(t *testing.T) {
 	defer s.close()
 	// Cycle well past compactEvery resolved records.
 	for i := 0; i < compactEvery+10; i++ {
-		seq, _, err := s.add(testReport(i % 10))
-		if err != nil {
+		if _, _, err := s.add(testReport(i % 10)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.resolve(seq); err != nil {
+		if err := s.resolve(s.pending[:1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,18 +346,19 @@ func TestSpoolCompactionFailureLeavesSpoolUsable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keep, _, err := s.add(testReport(1)) // stays pending throughout
+			// One frame is pending throughout: each round spools the next
+			// and retires the one before it.
+			keep, _, err := s.add(testReport(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			restore := obstruct(t, filepath.Join(dir, seglog.FileName("dc-1", spoolExt)))
 			failed := false
 			for i := 0; i < compactEvery; i++ {
-				seq, _, err := s.add(testReport(i % 10))
-				if err != nil {
+				if keep, _, err = s.add(testReport(i % 10)); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.resolve(seq); err != nil {
+				if err := s.resolve(s.pending[:1]); err != nil {
 					failed = true
 				}
 			}

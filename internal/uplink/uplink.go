@@ -18,8 +18,13 @@
 //     wire is at-least-once, the fusion effect exactly-once.
 //
 // Deliver is asynchronous: it returns once the report is durably spooled,
-// and a single sender goroutine drains the spool in sequence order. Flush
-// blocks until the spool is empty (everything acked or dropped).
+// and a single sender goroutine drains the spool in sequence order, a run at
+// a time: the head-of-line report frames (up to proto.MaxRun) are written
+// together, flushed once, and retired as their acks come back in order, so
+// a journaling PDME can make the whole run durable with one fsync. Acks stay
+// per frame; a transport failure mid-run retires what was acked and resends
+// the rest, which the PDME's dedup window then recognizes. Flush blocks
+// until the spool is empty (everything acked or dropped).
 package uplink
 
 import (
@@ -85,14 +90,16 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Counters is a snapshot of the uplink's delivery statistics.
+// Counters is a snapshot of the uplink's delivery statistics. Every counter
+// is per frame, however many frames shared an exchange.
 type Counters struct {
-	// Sent counts successful send+ack exchanges (including duplicate acks).
+	// Sent counts frames the server acked (including duplicate acks).
 	Sent int64
 	// Acked counts reports confirmed fused by the PDME (first delivery).
 	Acked int64
-	// Retried counts send attempts that failed on transport errors and
-	// were rescheduled.
+	// Retried counts frames whose exchange failed in transit — written, or
+	// about to be, when the transport broke before their ack — and that were
+	// rescheduled.
 	Retried int64
 	// Spooled counts reports accepted into the spool (every Deliver).
 	Spooled int64
@@ -140,6 +147,10 @@ type Uplink struct {
 	// carry point-in-time state, so an undeliverable one is superseded, not
 	// queued.
 	hbPending *proto.Heartbeat
+
+	// drained, when non-nil, is closed once the spool and the heartbeat
+	// mailbox are both empty: Flush waits on it instead of polling.
+	drained chan struct{}
 
 	wake chan struct{} // buffered(1): signals the sender that work arrived
 	stop chan struct{}
@@ -284,57 +295,63 @@ func (u *Uplink) SendHeartbeat(hb *proto.Heartbeat) error {
 	return nil
 }
 
-// takeHeartbeat swaps the heartbeat mailbox empty.
-func (u *Uplink) takeHeartbeat() *proto.Heartbeat {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	hb := u.hbPending
-	u.hbPending = nil
-	return hb
-}
-
 // flushHeartbeat delivers the pending heartbeat, if any, with a single
-// connection attempt and no retry.
+// connection attempt and no retry. The heartbeat stays in the mailbox until
+// its one attempt is over — so Flush can wait for it — unless a newer one
+// replaces it meanwhile.
 func (u *Uplink) flushHeartbeat() {
-	hb := u.takeHeartbeat()
+	u.mu.Lock()
+	hb := u.hbPending
+	u.mu.Unlock()
 	if hb == nil {
 		return
 	}
-	drop := func() {
-		u.mu.Lock()
+	sent := u.attemptHeartbeat(hb)
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if sent {
+		u.counters.HeartbeatsSent++
+	} else {
 		u.counters.HeartbeatsDropped++
-		u.mu.Unlock()
 	}
+	if u.hbPending == hb {
+		u.hbPending = nil
+	}
+	u.noteDrained()
+}
+
+// attemptHeartbeat makes the one delivery attempt for hb.
+func (u *Uplink) attemptHeartbeat(hb *proto.Heartbeat) bool {
 	if !u.ensureConnected() {
-		drop()
-		return
+		return false
 	}
 	u.mu.Lock()
 	client := u.client
 	u.mu.Unlock()
 	if client == nil {
-		drop()
-		return
+		return false
 	}
 	err := client.SendHeartbeat(hb)
-	switch {
-	case err == nil:
-		u.mu.Lock()
-		u.counters.HeartbeatsSent++
-		u.mu.Unlock()
-	case errors.Is(err, proto.ErrRejected):
-		// Link is fine; the server refused the frame (old PDME, registry
-		// fault). Nothing to retry.
-		drop()
-	default:
-		// Transport failure: the connection is suspect.
+	if err != nil && !errors.Is(err, proto.ErrRejected) {
+		// Transport failure: the connection is suspect. (A rejection means
+		// the link is fine and the server refused the frame — old PDME,
+		// registry fault — with nothing to retry.)
 		u.mu.Lock()
 		if u.client != nil {
 			_ = u.client.Close()
 			u.client = nil
 		}
 		u.mu.Unlock()
-		drop()
+	}
+	return err == nil
+}
+
+// noteDrained wakes Flush once nothing handed to the uplink is unresolved.
+// Callers hold mu.
+func (u *Uplink) noteDrained() {
+	if len(u.spool.pending) == 0 && u.hbPending == nil && u.drained != nil {
+		close(u.drained)
+		u.drained = nil
 	}
 }
 
@@ -353,17 +370,28 @@ func (u *Uplink) Counters() Counters {
 }
 
 // Flush blocks until every spooled report is resolved (acked or dropped)
-// or the timeout elapses.
+// and the heartbeat in the mailbox, if any, has had its one attempt, or the
+// timeout elapses.
 func (u *Uplink) Flush(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for {
-		if u.Pending() == 0 {
+		u.mu.Lock()
+		pending := len(u.spool.pending)
+		busy := pending > 0 || u.hbPending != nil
+		if busy && u.drained == nil {
+			u.drained = make(chan struct{})
+		}
+		drained := u.drained
+		u.mu.Unlock()
+		if !busy {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("uplink: flush timed out with %d reports pending", u.Pending())
+		select {
+		case <-drained:
+		case <-timer.C:
+			return fmt.Errorf("uplink: flush timed out with %d reports pending", pending)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -395,10 +423,12 @@ func (u *Uplink) signal() {
 	}
 }
 
-// run is the single sender goroutine: it drains the spool in order,
-// redialing with backoff across transport failures.
+// run is the single sender goroutine: it drains the spool in order, a run
+// at a time, redialing with backoff across transport failures.
 func (u *Uplink) run() {
 	backoff := u.cfg.BackoffMin
+	var runBuf [proto.MaxRun]*pendingRec
+	var frames [proto.MaxRun]proto.Delivery
 	for {
 		select {
 		case <-u.stop:
@@ -408,17 +438,19 @@ func (u *Uplink) run() {
 		u.flushHeartbeat()
 		for {
 			u.mu.Lock()
-			rec, ok := u.spool.peek()
+			run := u.spool.headRun(runBuf[:0])
 			u.mu.Unlock()
-			if !ok {
+			if len(run) == 0 {
 				break
 			}
 			u.flushHeartbeat()
 			if !u.ensureConnected() {
-				// The head report is now outage-delayed; count its eventual
-				// delivery as a replay.
+				// The run is now outage-delayed; count its eventual delivery
+				// as a replay.
 				u.mu.Lock()
-				rec.attempts++
+				for _, rec := range run {
+					rec.attempts++
+				}
 				u.counters.DialFailures++
 				u.mu.Unlock()
 				if !u.sleepBackoff(&backoff) {
@@ -426,23 +458,22 @@ func (u *Uplink) run() {
 				}
 				continue
 			}
-			dup, err := u.sendOne(rec)
-			switch {
-			case err == nil:
+			answered, err := u.sendRun(run, frames[:len(run)])
+			u.retire(run[:answered], frames[:answered])
+			clear(frames[:len(run)]) // an idle sender pins no report
+			if answered > 0 {
 				backoff = u.cfg.BackoffMin
-				u.retire(rec, dup, false)
-			case errors.Is(err, proto.ErrRejected):
-				// The link is fine but the PDME will never accept this
-				// report (validation, unknown condition); drop it so the
-				// queue keeps moving.
-				backoff = u.cfg.BackoffMin
-				u.retire(rec, false, true)
-			default:
-				// Transport failure: the connection is suspect. Drop it,
-				// mark the attempt, and retry after backoff.
+			}
+			if err != nil {
+				// Transport failure: the connection is suspect. Drop it, mark
+				// the attempt on every frame left unanswered, and retry after
+				// backoff; frames the server did take are acked as duplicates
+				// on the resend.
 				u.mu.Lock()
-				rec.attempts++
-				u.counters.Retried++
+				for _, rec := range run[answered:] {
+					rec.attempts++
+				}
+				u.counters.Retried += int64(len(run) - answered)
 				if u.client != nil {
 					_ = u.client.Close()
 					u.client = nil
@@ -483,38 +514,62 @@ func (u *Uplink) ensureConnected() bool {
 	return true
 }
 
-// sendOne performs one tagged exchange for the head-of-line frame.
-func (u *Uplink) sendOne(rec *pendingRec) (dup bool, err error) {
+// sendRun performs one exchange for the head-of-line run, leaving each
+// answered frame's outcome in frames: a duplicate ack in Dup, a permanent
+// refusal (validation, unknown condition — the link is fine but the PDME will
+// never accept the frame) in Err. It returns how many frames were answered
+// and the transport error, if any, that left the rest unanswered.
+func (u *Uplink) sendRun(run []*pendingRec, frames []proto.Delivery) (answered int, err error) {
 	u.mu.Lock()
 	client := u.client
 	u.mu.Unlock()
 	if client == nil {
-		return false, errors.New("uplink: not connected")
+		return 0, errors.New("uplink: not connected")
 	}
-	if rec.summary != nil {
-		return client.SendSummary(rec.summary, u.cfg.DCID, u.spool.boot, rec.seq)
+	if sum := run[0].summary; sum != nil {
+		dup, err := client.SendSummary(sum, u.cfg.DCID, u.spool.boot, run[0].seq)
+		if err != nil && !errors.Is(err, proto.ErrRejected) {
+			return 0, err
+		}
+		frames[0] = proto.Delivery{Dup: dup, Err: err}
+		return 1, nil
 	}
-	return client.SendTagged(rec.report, u.spool.boot, rec.seq)
+	for i, rec := range run {
+		frames[i] = proto.Delivery{Report: rec.report, DCID: rec.report.DCID, Boot: u.spool.boot, Seq: rec.seq}
+	}
+	return client.SendRun(frames)
 }
 
-// retire resolves a report out of the spool and updates counters.
-func (u *Uplink) retire(rec *pendingRec, dup, rejected bool) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	_ = u.spool.resolve(rec.seq)
-	if rejected {
-		u.counters.Dropped++
+// retire resolves the answered frames of a run out of the spool with one
+// spool write, and updates the counters frame by frame. A frame the capacity
+// policy evicted while it was in flight was counted as dropped then; its
+// late ack counts for nothing.
+func (u *Uplink) retire(run []*pendingRec, frames []proto.Delivery) {
+	if len(run) == 0 {
 		return
 	}
-	u.counters.Sent++
-	if dup {
-		u.counters.DedupAcks++
-	} else {
-		u.counters.Acked++
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	_ = u.spool.resolve(run)
+	for i, rec := range run {
+		switch {
+		case rec.evicted:
+		case frames[i].Err != nil:
+			// Dropped so the queue keeps moving.
+			u.counters.Dropped++
+		default:
+			u.counters.Sent++
+			if frames[i].Dup {
+				u.counters.DedupAcks++
+			} else {
+				u.counters.Acked++
+			}
+			if rec.attempts > 0 || rec.recovered {
+				u.counters.Replayed++
+			}
+		}
 	}
-	if rec.attempts > 0 || rec.recovered {
-		u.counters.Replayed++
-	}
+	u.noteDrained()
 }
 
 // sleepBackoff sleeps the current backoff with ±50% jitter, doubling it for

@@ -1,7 +1,9 @@
 package uplink
 
 import (
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -347,5 +349,182 @@ func TestChaosResendNeverDoubleDelivers(t *testing.T) {
 	}
 	if c.Acked+c.DedupAcks != n {
 		t.Errorf("acked %d + dup %d != %d", c.Acked, c.DedupAcks, n)
+	}
+}
+
+// batchCollector is a collector that also takes a run in one call, so the
+// server reaches it through proto.BatchSink.
+type batchCollector struct{ collector }
+
+func (c *batchCollector) DeliverBatch(run []proto.Delivery) {
+	for i := range run {
+		run[i].Err = c.Deliver(run[i].Report)
+	}
+}
+
+// TestChaosMidRunReset cuts every connection after the k-th ack of a run,
+// with a dedup window narrower than the send window: the server took the
+// whole run, the sender heard k acks, and the rest is resent on the next
+// connection — where it must be acked as duplicates, not fused again, even
+// though most of it has already fallen below the window's floor.
+func TestChaosMidRunReset(t *testing.T) {
+	const (
+		n       = 5 * proto.MaxRun
+		k       = 5
+		ackSize = 4 + len(`{"kind":"ack"}`)
+	)
+	for name, sink := range map[string]interface {
+		proto.Sink
+		explanations() []string
+	}{"per-frame sink": &collector{}, "batch sink": &batchCollector{}} {
+		t.Run(name, func(t *testing.T) {
+			dedup := proto.NewDedup(proto.MaxRun / 4)
+			addr, srv := startServer(t, "127.0.0.1:0", sink, dedup)
+			defer srv.Close()
+			proxy, err := netfault.New(addr, netfault.Options{CutRepliesAfter: k * int64(ackSize)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer proxy.Close()
+			// Everything is spooled before the first dial, so the sender works
+			// in full runs.
+			dir := t.TempDir()
+			idle, err := New(fastConfig(reserveAddr(t), dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				r := testReport(i % 10)
+				r.Explanation = fmt.Sprintf("r%d", i)
+				if err := idle.Deliver(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := idle.Close(); err != nil {
+				t.Fatal(err)
+			}
+			u, err := New(fastConfig(proxy.Addr(), dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer u.Close()
+			if err := u.Flush(60 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			got := sink.explanations()
+			if len(got) != n {
+				t.Fatalf("sink saw %d deliveries, want exactly %d (resets=%d, dedup hits=%d)",
+					len(got), n, proxy.Stats().Resets, dedup.Hits())
+			}
+			for i, e := range got {
+				if want := fmt.Sprintf("r%d", i); e != want {
+					t.Fatalf("delivery %d = %q, want %q: order lost across the resets", i, e, want)
+				}
+			}
+			c := u.Counters()
+			if c.Sent != n || c.Acked+c.DedupAcks != n || c.Dropped != 0 {
+				t.Errorf("counters %+v, want %d frames acked once each and none dropped", c, n)
+			}
+			// The first connection carried a full run and k acks: the other
+			// MaxRun-k frames failed in transit and came back as duplicates.
+			if c.DedupAcks < proto.MaxRun-k || c.Retried < proto.MaxRun-k {
+				t.Errorf("counters %+v, want at least %d duplicate acks and as many frames retried", c, proto.MaxRun-k)
+			}
+			if hits := dedup.Hits(); hits < c.DedupAcks {
+				t.Errorf("%d dedup hits for %d duplicate acks", hits, c.DedupAcks)
+			}
+		})
+	}
+}
+
+// TestEvictedInFlightCountedOnce: a frame the capacity policy drops while
+// the sender has it on the wire is a capacity drop and nothing else — its
+// late ack writes no record and moves no counter.
+func TestEvictedInFlightCountedOnce(t *testing.T) {
+	inner := &collector{}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	sink := proto.SinkFunc(func(r *proto.Report) error {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return inner.Deliver(r)
+	})
+	addr, srv := startServer(t, "127.0.0.1:0", sink, proto.NewDedup(0))
+	defer srv.Close()
+	dir := t.TempDir()
+	cfg := fastConfig(addr, dir)
+	cfg.SpoolCap = 4
+	u, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Deliver(testReport(1)); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // r1 is in flight, its ack held back by the sink
+	for i := 2; i <= 6; i++ {
+		if err := u.Deliver(testReport(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := u.Counters(); c.CapacityDrops != 2 {
+		t.Fatalf("capacity drops %d, want r1 and r2 evicted", c.CapacityDrops)
+	}
+	close(release)
+	if err := u.Flush(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := inner.explanations(); len(got) != 5 || got[0] != "r1" || got[1] != "r3" {
+		t.Fatalf("sink saw %v, want r1 (already on the wire) and r3..r6", got)
+	}
+	c := u.Counters()
+	if c.Spooled != 6 || c.Dropped != 2 || c.Sent != 4 || c.Acked != 4 {
+		t.Errorf("counters %+v, want 6 spooled = 2 dropped + 4 sent: the evicted frame's ack counts for nothing", c)
+	}
+	if err := u.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := openSpool(dir, cfg.DCID, cfg.SpoolCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	if len(s.pending) != 0 || s.nextSeq != 7 {
+		t.Errorf("reopened spool: %d pending, next seq %d; want drained with next seq 7", len(s.pending), s.nextSeq)
+	}
+}
+
+// TestFlushWakesOnDrainAndTimesOut: Flush returns as soon as the last
+// pending frame retires, and with the link down it gives up at its timeout
+// naming what is still pending.
+func TestFlushWakesOnDrainAndTimesOut(t *testing.T) {
+	addr := reserveAddr(t)
+	u, err := New(fastConfig(addr, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	for i := 1; i <= 3; i++ {
+		if err := u.Deliver(testReport(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := u.Flush(30 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "3 reports pending") {
+		t.Fatalf("flush with the link down = %v, want a timeout naming 3 pending", err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- u.Flush(10 * time.Second) }()
+	_, srv := startServer(t, addr, &collector{}, proto.NewDedup(0))
+	defer srv.Close()
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if got := u.Pending(); got != 0 {
+		t.Fatalf("flush returned with %d pending", got)
+	}
+	if err := u.Flush(0); err != nil {
+		t.Fatalf("flush of an empty spool: %v", err)
 	}
 }
