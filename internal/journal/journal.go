@@ -40,8 +40,12 @@ const (
 	ckptName = "checkpoint.mprosc"
 )
 
+// MaxBody is the largest record body the WAL takes; AppendBatch refuses a
+// batch holding a larger one without writing anything.
+const MaxBody = 1 << 20
+
 var (
-	walFormat = seglog.Format{Magic: "MPROSWJ2", MaxBody: 1 << 20}
+	walFormat = seglog.Format{Magic: "MPROSWJ2", MaxBody: MaxBody}
 	// The checkpoint bound sits far above any real snapshot; it exists only
 	// so a corrupted length field cannot drive a giant allocation.
 	ckptFormat = seglog.Format{Magic: "MPROSCK2", MaxBody: 1 << 28}

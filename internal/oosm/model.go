@@ -15,6 +15,7 @@ package oosm
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -90,10 +91,15 @@ func ParseObjectID(s string) (ObjectID, error) {
 	if i <= 0 || i == len(s)-1 {
 		return id, fmt.Errorf("oosm: malformed object id %q", s)
 	}
-	id.Class = s[:i]
-	if _, err := fmt.Sscanf(s[i+1:], "%d", &id.Num); err != nil {
+	// The serial is plain decimal digits: no sign, no prefix, nothing after.
+	num, err := strconv.ParseInt(s[i+1:], 10, 64)
+	if err == nil && (s[i+1] == '+' || s[i+1] == '-') {
+		err = strconv.ErrSyntax
+	}
+	if err != nil {
 		return id, fmt.Errorf("oosm: malformed object id %q: %w", s, err)
 	}
+	id.Class, id.Num = s[:i], num
 	return id, nil
 }
 

@@ -50,7 +50,8 @@ func TestObjectIDParse(t *testing.T) {
 	if err != nil || parsed.Class != "ac/motor" || parsed.Num != 7 {
 		t.Fatalf("nested: %v %v", parsed, err)
 	}
-	for _, bad := range []string{"", "noslash", "/7", "motor/", "motor/x"} {
+	for _, bad := range []string{"", "noslash", "/7", "motor/", "motor/x",
+		"chiller/12abc", "chiller/0x1f", "chiller/+7", "chiller/-7", "chiller/-0", "chiller/7 "} {
 		if _, err := ParseObjectID(bad); err == nil {
 			t.Errorf("%q should fail", bad)
 		}

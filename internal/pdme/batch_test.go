@@ -1,18 +1,22 @@
 package pdme
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/oosm"
 	"repro/internal/proto"
 	"repro/internal/relstore"
+	"repro/internal/uplink"
 )
 
 // runRecorder is the engine as the server sees it, a proto.BatchSink, noting
@@ -30,13 +34,15 @@ func (s *runRecorder) DeliverBatch(run []proto.Delivery) {
 	s.PDME.DeliverBatch(run)
 }
 
-// taggedOnly hides DeliverBatch, so the server falls back to one
-// DeliverTagged call per frame.
+// taggedOnly hands the engine whatever run the server cut one delivery at a
+// time: the singles reference the batch accept is compared against.
 type taggedOnly struct{ p *PDME }
 
 func (s taggedOnly) Deliver(r *proto.Report) error { return s.p.Deliver(r) }
-func (s taggedOnly) DeliverTagged(r *proto.Report, dcid string, boot, seq uint64) error {
-	return s.p.DeliverTagged(r, dcid, boot, seq)
+func (s taggedOnly) DeliverBatch(run []proto.Delivery) {
+	for i := range run {
+		s.p.DeliverBatch(run[i : i+1])
+	}
 }
 
 // serveSink runs a report server over sink with the engine's dedup window
@@ -260,14 +266,21 @@ func TestBatchAcceptDurabilityContract(t *testing.T) {
 	invalid.Severity = 2
 	unknown := good(2)
 	unknown.MachineConditionID = "no such condition"
+	oversized := good(5)
+	oversized.Explanation = strings.Repeat("x", journal.MaxBody)
 
-	// Door checks are per report; the survivors share one journal append that
-	// is complete before the first write window opens.
-	run := deliveries(1, good(0), invalid, unknown, good(3), good(4))
+	// Door checks are per delivery — a body no journal record can hold and a
+	// payload that is not a report among them; the survivors share one journal
+	// append that is complete before the first write window opens.
+	run := append(deliveries(1, good(0), invalid, unknown, good(3), good(4), oversized),
+		proto.Delivery{Summary: &proto.FusedSummary{ShardID: "shard-1"}, DCID: "shard-1", Boot: 1, Seq: 1})
 	p.DeliverBatch(run)
-	for i, wantErr := range []bool{false, true, true, false, false} {
+	for i, wantErr := range []bool{false, true, true, false, false, true, true} {
 		if (run[i].Err != nil) != wantErr {
 			t.Fatalf("report %d: err %v, want an error: %v", i, run[i].Err, wantErr)
+		}
+		if errors.Is(run[i].Err, proto.ErrUnavailable) {
+			t.Fatalf("report %d refused for its own sake, yet as unavailability: %v", i, run[i].Err)
 		}
 	}
 	if _, last, _, _ := p.JournalInfo(); last != 3 || p.ReceivedReports() != 3 {
@@ -276,7 +289,7 @@ func TestBatchAcceptDurabilityContract(t *testing.T) {
 	if !reflect.DeepEqual(windows.seqs, []uint64{3, 3, 3}) {
 		t.Fatalf("journal watermark at each write window %v, want the whole run (3) before the first", windows.seqs)
 	}
-	for seq, want := range map[uint64]bool{1: true, 2: false, 3: false, 4: true, 5: true} {
+	for seq, want := range map[uint64]bool{1: true, 2: false, 3: false, 4: true, 5: true, 6: false} {
 		if got := p.dedupHandle().Seen("dc-1", 7, seq); got != want {
 			t.Errorf("seq %d marked %v, want %v", seq, got, want)
 		}
@@ -291,7 +304,7 @@ func TestBatchAcceptDurabilityContract(t *testing.T) {
 			_ = db.Close()
 		}
 	}
-	run = deliveries(6, good(6), good(7), good(8))
+	run = deliveries(7, good(6), good(7), good(8))
 	p.DeliverBatch(run)
 	if run[0].Err != nil || run[1].Err == nil || run[2].Err == nil {
 		t.Fatalf("apply errors %v, %v, %v; want only the first report accepted", run[0].Err, run[1].Err, run[2].Err)
@@ -299,7 +312,7 @@ func TestBatchAcceptDurabilityContract(t *testing.T) {
 	if _, last, _, _ := p.JournalInfo(); last != 6 || p.ReceivedReports() != 4 {
 		t.Fatalf("journal at %d with %d received, want 6 and 4", last, p.ReceivedReports())
 	}
-	if p.dedupHandle().Seen("dc-1", 7, 7) {
+	if p.dedupHandle().Seen("dc-1", 7, 8) {
 		t.Error("a report whose apply failed was marked delivered")
 	}
 
@@ -309,19 +322,105 @@ func TestBatchAcceptDurabilityContract(t *testing.T) {
 	if err := p.journalHandle().Close(); err != nil {
 		t.Fatal(err)
 	}
-	run = deliveries(9, good(9), unknown, good(10))
+	run = deliveries(10, good(9), unknown, good(10))
 	p.DeliverBatch(run)
-	for i := range run {
-		if run[i].Err == nil {
-			t.Fatalf("report %d accepted with the journal gone", i)
+	for i, unavailable := range []bool{true, false, true} {
+		// The journal's failure is not the reports': only the one refused at
+		// the door for its own sake may be dropped by its sender.
+		if run[i].Err == nil || errors.Is(run[i].Err, proto.ErrUnavailable) != unavailable {
+			t.Fatalf("report %d with the journal gone: %v, want unavailable: %v", i, run[i].Err, unavailable)
 		}
 	}
 	after, _ := p.Belief("motor/1", "motor imbalance")
 	if len(windows.seqs) != 0 || p.ReceivedReports() != 4 || math.Float64bits(after) != math.Float64bits(belief) ||
-		p.dedupHandle().Seen("dc-1", 7, 9) || p.dedupHandle().Seen("dc-1", 7, 11) {
+		p.dedupHandle().Seen("dc-1", 7, 10) || p.dedupHandle().Seen("dc-1", 7, 12) {
 		t.Errorf("a refused run left a trace: %d windows opened, %d received, belief %v → %v", len(windows.seqs), p.ReceivedReports(), belief, after)
 	}
-	if err := p.DeliverTagged(good(12), "dc-1", 7, 12); err == nil {
-		t.Error("the run of one got past the journal failure")
+	if err := p.DeliverTagged(good(12), "dc-1", 7, 13); !errors.Is(err, proto.ErrUnavailable) {
+		t.Errorf("the run of one with the journal gone: %v, want unavailable", err)
 	}
+}
+
+// TestUnavailableJournalKeepsReportsSpooled: an engine whose journal can no
+// longer be written does not refuse what it is sent — it hangs up, so the
+// uplink keeps every report spooled and retries instead of dropping them as
+// rejected; an engine recovered from the same journal on the same address
+// then fuses each one exactly once.
+func TestUnavailableJournalKeepsReportsSpooled(t *testing.T) {
+	const before, during = 5, 2*proto.MaxRun + 3
+	t0 := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+	nth := func(i int) *proto.Report {
+		return report("ks/dli", "motor/1", "motor imbalance", 0.5, 0.3+0.01*float64(i%40), t0.Add(time.Duration(i)*time.Minute), nil)
+	}
+	dir := t.TempDir()
+	sick := newTestPDME(t)
+	if _, err := sick.OpenJournal(JournalOptions{Dir: dir, CheckpointEvery: -1}); err != nil {
+		t.Fatal(err)
+	}
+	addr, srv, err := sick.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	u, err := uplink.New(uplink.Config{Addr: addr, DCID: "dc-1",
+		BackoffMin: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = u.Close() }()
+	ref := newTestPDME(t)
+	defer ref.Close()
+	deliver := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := u.Deliver(nth(i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Deliver(nth(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deliver(0, before)
+	if err := u.Flush(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := sick.journalHandle().Close(); err != nil {
+		t.Fatal(err)
+	}
+	deliver(before, before+during)
+	for deadline := time.Now().Add(10 * time.Second); u.Counters().Retried == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("counters %+v: the uplink never saw the failed journal as a transport failure", u.Counters())
+		}
+	}
+	if c := u.Counters(); c.Dropped != 0 || c.Acked != before || u.Pending() != during {
+		t.Fatalf("counters %+v with %d pending; want nothing dropped and all %d reports since the failure still spooled", c, u.Pending(), during)
+	}
+	if sick.ReceivedReports() != before {
+		t.Fatalf("the engine fused %d reports, %d of them without a journal", sick.ReceivedReports(), sick.ReceivedReports()-before)
+	}
+
+	// The process is replaced: same journal, same address.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	healthy := newTestPDME(t)
+	defer healthy.Close()
+	if stats, err := healthy.OpenJournal(JournalOptions{Dir: dir}); err != nil || stats.ReportsReplayed != before {
+		t.Fatalf("recovery replayed %d reports, want %d: %v", stats.ReportsReplayed, before, err)
+	}
+	_, srv2, err := healthy.Serve(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv2.Close() }()
+	if err := u.Flush(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if c := u.Counters(); c.Dropped != 0 || c.Acked != before+during || c.DedupAcks != 0 {
+		t.Errorf("counters %+v, want %d reports acked once each", c, before+during)
+	}
+	assertSameFusionState(t, ref, healthy)
+	assertSameBeliefBits(t, ref, healthy)
 }

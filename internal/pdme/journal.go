@@ -206,23 +206,7 @@ func (p *PDME) replayReport(jrp *journaledReport) error {
 		inv.BeginMutation(component, condition)
 		defer inv.EndMutation(component, condition)
 	}
-	if err := p.replaySeverity(component, condition, r.Timestamp, r.Severity); err != nil {
-		return err
-	}
-	fusedBelief, err := p.diag.AddReportFrom(component, condition, r.DCID, r.Timestamp, r.Belief)
-	if err != nil {
-		return err
-	}
-	fusedVec := r.Prognostics
-	if len(r.Prognostics) > 0 {
-		fusedVec, err = p.prog.AddReport(component, condition, r.Prognostics)
-		if err != nil {
-			return err
-		}
-	} else {
-		fusedVec = p.prog.Fused(component, condition)
-	}
-	if err := p.postConclusion(component, condition, fusedBelief, fusedVec, r.Timestamp); err != nil {
+	if err := p.fuse(r, p.replaySeverity); err != nil {
 		return err
 	}
 	p.Health().ObserveReport(r.DCID, r.KnowledgeSourceID, r.Timestamp)
@@ -334,30 +318,32 @@ func (p *PDME) journalHandle() *journal.Journal {
 	return p.jrnl
 }
 
-// appendJournal journals the envelopes of one accept — body(0) … body(n-1),
-// skipping those that are nil — as records of one kind, with one write and
-// one fsync before return. Callers hold acceptMu (read side). Nothing is
-// encoded when no journal is open.
-func (p *PDME) appendJournal(kind byte, n int, body func(i int) any) error {
+// journalBody encodes one accepted envelope as a WAL record body. An
+// envelope over the record limit is refused for its own sake before the
+// append, which would otherwise refuse every envelope sharing it.
+func journalBody(envelope any) ([]byte, error) {
+	blob, err := json.Marshal(envelope)
+	if err != nil {
+		return nil, fmt.Errorf("pdme: encode journal record: %w", err)
+	}
+	if len(blob) > journal.MaxBody {
+		return nil, fmt.Errorf("pdme: journal record of %d bytes exceeds the %d-byte limit", len(blob), journal.MaxBody)
+	}
+	return blob, nil
+}
+
+// appendJournal journals the encoded envelopes of one accept as records of
+// one kind, with one write and one fsync before return. Callers hold
+// acceptMu (read side), and encode nothing while no journal is open. A
+// failure is the journal's, not the envelopes': it wraps
+// proto.ErrUnavailable, so senders keep what they sent and retry.
+func (p *PDME) appendJournal(kind byte, blobs [][]byte) error {
 	jr := p.journalHandle()
-	if jr == nil {
+	if jr == nil || len(blobs) == 0 {
 		return nil
 	}
-	var buf [proto.MaxRun][]byte // a run's worth without a heap slice
-	blobs := buf[:0]
-	for i := 0; i < n; i++ {
-		b := body(i)
-		if b == nil {
-			continue
-		}
-		blob, err := json.Marshal(b)
-		if err != nil {
-			return fmt.Errorf("pdme: encode journal record: %w", err)
-		}
-		blobs = append(blobs, blob)
-	}
 	if _, err := jr.AppendBatch(kind, blobs); err != nil {
-		return fmt.Errorf("pdme: journal accept: %w", err)
+		return fmt.Errorf("pdme: journal accept: %w: %w", proto.ErrUnavailable, err)
 	}
 	return nil
 }

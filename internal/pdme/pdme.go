@@ -20,6 +20,7 @@ package pdme
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -239,12 +240,11 @@ func (p *PDME) Deliver(r *proto.Report) error {
 	return p.DeliverTagged(r, r.DCID, 0, 0)
 }
 
-// DeliverTagged implements proto.TaggedSink: Deliver plus the wire
-// delivery tag, so a journaling PDME records (dcid, boot, seq) with the
-// report and marks its own dedup window inside the accept critical
-// section — a resend arriving after a crash + recovery is then still
-// recognized as a duplicate. Untagged callers pass zero boot and seq. It is
-// the run of one through DeliverBatch.
+// DeliverTagged is Deliver plus the wire delivery tag, so a journaling PDME
+// records (dcid, boot, seq) with the report and marks its own dedup window
+// inside the accept critical section — a resend arriving after a crash +
+// recovery is then still recognized as a duplicate. Untagged callers pass
+// zero boot and seq. It is the run of one through DeliverBatch.
 func (p *PDME) DeliverTagged(r *proto.Report, dcid string, boot, seq uint64) error {
 	one := [1]proto.Delivery{{Report: r, DCID: dcid, Boot: boot, Seq: seq}}
 	p.DeliverBatch(one[:])
@@ -258,6 +258,10 @@ func (p *PDME) DeliverBatch(run []proto.Delivery) {
 	admitted := false
 	for i := range run {
 		d := &run[i]
+		if d.Report == nil {
+			d.Err = errors.New("pdme: a PDME fuses reports, not fused summaries (route the shard to an aggregator)")
+			continue
+		}
 		if d.Err = d.Report.Validate(); d.Err != nil {
 			continue
 		}
@@ -279,20 +283,27 @@ func (p *PDME) DeliverBatch(run []proto.Delivery) {
 // acceptReports is the accept critical section for the reports of a run
 // still standing (Err nil): one journal append for all of them (fsynced),
 // then per report, in journal order, OOSM post + synchronous fusion, health
-// observation, dedup mark. A journal error refuses them all with nothing
-// applied; an apply error is that report's alone. Callers hold acceptMu
-// (read side).
+// observation, dedup mark. A report too large for a journal record is
+// refused alone; a journal that cannot be written refuses the rest
+// (proto.ErrUnavailable) with nothing applied; an apply error is that
+// report's alone. Callers hold acceptMu (read side).
 func (p *PDME) acceptReports(run []proto.Delivery) {
 	// Write-ahead: every accepted envelope is durable before any derived
 	// state changes, so a crash at any later point replays it.
-	err := p.appendJournal(journalKindReport, len(run), func(i int) any {
-		d := &run[i]
-		if d.Err != nil {
-			return nil
+	var buf [proto.MaxRun][]byte // a run's worth without a heap slice
+	blobs := buf[:0]
+	if p.journalHandle() != nil {
+		for i := range run {
+			if d := &run[i]; d.Err == nil {
+				var blob []byte
+				blob, d.Err = journalBody(journaledReport{DCID: d.DCID, Boot: d.Boot, Seq: d.Seq, Report: d.Report})
+				if d.Err == nil {
+					blobs = append(blobs, blob)
+				}
+			}
 		}
-		return journaledReport{DCID: d.DCID, Boot: d.Boot, Seq: d.Seq, Report: d.Report}
-	})
-	if err != nil {
+	}
+	if err := p.appendJournal(journalKindReport, blobs); err != nil {
 		for i := range run {
 			if run[i].Err == nil {
 				run[i].Err = err
@@ -373,8 +384,14 @@ func (p *PDME) acceptHeartbeat(hb *proto.Heartbeat) error {
 	}
 	p.acceptMu.RLock()
 	err := func() error {
-		if err := p.appendJournal(journalKindHeartbeat, 1, func(int) any { return hb }); err != nil {
-			return err
+		if p.journalHandle() != nil {
+			blob, err := journalBody(hb)
+			if err != nil {
+				return err
+			}
+			if err := p.appendJournal(journalKindHeartbeat, [][]byte{blob}); err != nil {
+				return err
+			}
 		}
 		return p.Health().ObserveHeartbeat(hb)
 	}()
@@ -435,42 +452,52 @@ func (p *PDME) fuseFromModel(reportID oosm.ObjectID) error {
 	if err != nil {
 		return err
 	}
-	component, _ := props["sensed"].(string)
-	condition, _ := props["condition"].(string)
-	belief, _ := props["belief"].(float64)
-	severity, _ := props["severity"].(float64)
-	ts, _ := props["timestamp"].(time.Time)
-	dcid, _ := props["dc_id"].(string)
-
-	// §10.1 temporal reasoning: record the severity history in the
-	// historian so developing faults can be projected forward (and, on
-	// disk-backed stores, survive a PDME restart).
-	if err := p.observeSeverity(component, condition, ts, severity); err != nil {
-		return err
-	}
-	// Evidence is attributed to the originating DC so the health registry
-	// can discount a stale source's whole contribution. Reports without a
-	// DC id stay anonymous and are never discounted.
-	fusedBelief, err := p.diag.AddReportFrom(component, condition, dcid, ts, belief)
-	if err != nil {
-		return err
-	}
 	var vec proto.PrognosticVector
 	if s, ok := props["prognostics"].(string); ok && s != "" && s != "null" {
 		if err := json.Unmarshal([]byte(s), &vec); err != nil {
 			return fmt.Errorf("pdme: decode prognostics: %w", err)
 		}
 	}
-	fusedVec := vec
-	if len(vec) > 0 {
-		fusedVec, err = p.prog.AddReport(component, condition, vec)
+	r := proto.Report{Prognostics: vec}
+	r.SensedObjectID, _ = props["sensed"].(string)
+	r.MachineConditionID, _ = props["condition"].(string)
+	r.Belief, _ = props["belief"].(float64)
+	r.Severity, _ = props["severity"].(float64)
+	r.Timestamp, _ = props["timestamp"].(time.Time)
+	r.DCID, _ = props["dc_id"].(string)
+	return p.fuse(&r, p.observeSeverity)
+}
+
+// fuse folds one report's evidence into both fusion layers and posts the
+// pair's conclusion. The live path and journal replay both run it, and
+// differ only in how the severity sample is recorded (observeSeverity, or
+// the idempotent replaySeverity), so recovery reproduces the live state by
+// construction.
+func (p *PDME) fuse(r *proto.Report, recordSeverity func(component, condition string, at time.Time, severity float64) error) error {
+	component, condition := r.SensedObjectID, r.MachineConditionID
+	// §10.1 temporal reasoning: record the severity history in the
+	// historian so developing faults can be projected forward (and, on
+	// disk-backed stores, survive a PDME restart).
+	if err := recordSeverity(component, condition, r.Timestamp, r.Severity); err != nil {
+		return err
+	}
+	// Evidence is attributed to the originating DC so the health registry
+	// can discount a stale source's whole contribution. Reports without a
+	// DC id stay anonymous and are never discounted.
+	fusedBelief, err := p.diag.AddReportFrom(component, condition, r.DCID, r.Timestamp, r.Belief)
+	if err != nil {
+		return err
+	}
+	var fusedVec proto.PrognosticVector
+	if len(r.Prognostics) > 0 {
+		fusedVec, err = p.prog.AddReport(component, condition, r.Prognostics)
 		if err != nil {
 			return err
 		}
 	} else {
 		fusedVec = p.prog.Fused(component, condition)
 	}
-	return p.postConclusion(component, condition, fusedBelief, fusedVec, ts)
+	return p.postConclusion(component, condition, fusedBelief, fusedVec, r.Timestamp)
 }
 
 // postConclusion writes (or rewrites) the fused conclusion object for a

@@ -84,8 +84,8 @@ func TestDedupStateDeterministic(t *testing.T) {
 	}
 }
 
-// taggedCollectSink records the delivery tag alongside each report, so the
-// test can see exactly what the server dispatched.
+// taggedCollectSink is a BatchSink that records the delivery tag alongside
+// each report, so the test can see exactly what the server dispatched.
 type taggedCollectSink struct {
 	mu   sync.Mutex
 	tags []struct {
@@ -95,20 +95,23 @@ type taggedCollectSink struct {
 }
 
 func (s *taggedCollectSink) Deliver(r *Report) error {
-	return s.DeliverTagged(r, r.DCID, 0, 0)
+	one := [1]Delivery{{Report: r, DCID: r.DCID}}
+	s.DeliverBatch(one[:])
+	return one[0].Err
 }
 
-func (s *taggedCollectSink) DeliverTagged(r *Report, dcid string, boot, seq uint64) error {
+func (s *taggedCollectSink) DeliverBatch(run []Delivery) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tags = append(s.tags, struct {
-		dcid      string
-		boot, seq uint64
-	}{dcid, boot, seq})
-	return nil
+	for _, d := range run {
+		s.tags = append(s.tags, struct {
+			dcid      string
+			boot, seq uint64
+		}{d.DCID, d.Boot, d.Seq})
+	}
 }
 
-// TestTaggedSinkDispatch: a server whose sink implements TaggedSink hands
+// TestTaggedSinkDispatch: a server whose sink implements BatchSink hands
 // it the wire delivery tag (dcid, boot, seq) for tagged sends and zeros
 // for untagged ones — the tag is what a journaling sink persists so its
 // replay can re-mark the dedup window.

@@ -30,6 +30,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x05, '{', '}'})
 	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrameSize+1))
 	f.Add([]byte(`{"kind":"report"}`)) // no length prefix at all
+	// Summary frames: a whole one, one torn mid-body, and the kind without
+	// its payload.
+	summary := frameBytes(f, envelope{Kind: "summary", Summary: validSummary(), DCID: "shard-a", Boot: 41, Seq: 9})
+	f.Add(summary)
+	f.Add(summary[:len(summary)/2])
+	f.Add(frameBytes(f, envelope{Kind: "summary", DCID: "shard-a", Boot: 41, Seq: 10}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := readFrame(bytes.NewReader(data))

@@ -356,34 +356,6 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestSendWithRetry(t *testing.T) {
-	var fails int64 = 2
-	srv := NewServer(SinkFunc(func(*Report) error {
-		if atomic.AddInt64(&fails, -1) >= 0 {
-			return fmt.Errorf("transient")
-		}
-		return nil
-	}))
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.SendWithRetry(validReport(), 5, time.Millisecond); err != nil {
-		t.Fatalf("retry should eventually succeed: %v", err)
-	}
-	bad := validReport()
-	bad.Severity = 9
-	if err := c.SendWithRetry(bad, 5, time.Millisecond); err == nil {
-		t.Error("validation failure must not be retried into success")
-	}
-}
-
 func TestBus(t *testing.T) {
 	b := NewBus()
 	var a, c atomic.Int32

@@ -29,62 +29,6 @@ func (c *collectSink) count() int {
 	return len(c.reports)
 }
 
-// TestSendWithRetryRedialsAcrossServerRestart is the wire.go:256 regression:
-// the old SendWithRetry retried on the same dead connection, so any
-// connection loss made every retry fail.
-func TestSendWithRetryRedialsAcrossServerRestart(t *testing.T) {
-	sink := &collectSink{}
-	srv := NewServer(sink)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Send(validReport()); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the server (and with it the client's connection), then bring a
-	// fresh one up on the same address.
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	srv2 := NewServer(sink)
-	if _, err := srv2.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	if err := c.SendWithRetry(validReport(), 5, 10*time.Millisecond); err != nil {
-		t.Fatalf("SendWithRetry did not recover across a server restart: %v", err)
-	}
-	if got := sink.count(); got != 2 {
-		t.Errorf("sink saw %d reports, want 2", got)
-	}
-}
-
-// TestSendWithRetryDoesNotRedialOnRejection: application rejections keep
-// the connection (the link is fine).
-func TestSendWithRetryDoesNotRedialOnRejection(t *testing.T) {
-	srv := NewServer(SinkFunc(func(*Report) error { return fmt.Errorf("sink down") }))
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	err = c.SendWithRetry(validReport(), 2, time.Millisecond)
-	if !errors.Is(err, ErrRejected) {
-		t.Fatalf("want ErrRejected, got %v", err)
-	}
-}
-
 func TestBusDeliversToAllSinksAndJoinsErrors(t *testing.T) {
 	bus := NewBus()
 	var delivered []string

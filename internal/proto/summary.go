@@ -13,7 +13,8 @@ import (
 // Palem's ship→regional→global CBM hierarchy with the shard standing in for
 // the ship.
 //
-// Summaries ride the same uplink spool/redial/dedup machinery as reports:
+// Summaries travel as reports do — a Delivery from the uplink spool, in runs,
+// through Client.SendRun and the server's one accept body to a BatchSink:
 // the shard id plays the DC id's role on the wire (it keys the spool file,
 // the aggregator-side dedup window, and the aggregator's health registry),
 // and the boot-epoch/sequence-watermark contract gives the aggregator the
@@ -80,44 +81,4 @@ func (s *FusedSummary) Validate() error {
 		return fmt.Errorf("proto: summary missing updated_at")
 	}
 	return s.Prognostics.Validate()
-}
-
-// SummarySink consumes validated fused summaries with their delivery tag;
-// the aggregator tier implements it. shardID is the wire-level sender
-// identity (falling back to the summary's own ShardID for untagged frames);
-// boot and seq are zero for untagged frames.
-type SummarySink interface {
-	DeliverSummary(s *FusedSummary, shardID string, boot, seq uint64) error
-}
-
-// SetSummarySink routes summary frames to an aggregator. Call before Start.
-// Servers without a summary sink reject summary frames, so a shard-tier
-// uplink pointed at a plain PDME fails loudly instead of silently dropping
-// the hierarchy's upward flow.
-func (s *Server) SetSummarySink(ss SummarySink) { s.sumSink = ss }
-
-// SendSummary delivers one fused summary stamped with the shard's boot
-// incarnation and monotonic sequence number, enabling aggregator-side dedup
-// of at-least-once redelivery — the PDME→PDME twin of SendTagged. It
-// returns whether the server acked it as an already-seen duplicate.
-func (c *Client) SendSummary(s *FusedSummary, shardID string, boot, seq uint64) (dup bool, err error) {
-	if err := s.Validate(); err != nil {
-		return false, err
-	}
-	if shardID == "" {
-		shardID = s.ShardID
-	}
-	reply, err := c.exchange(envelope{Kind: "summary", Summary: s,
-		DCID: shardID, Boot: boot, Seq: seq})
-	if err != nil {
-		return false, err
-	}
-	switch reply.Kind {
-	case "ack":
-		return reply.Dup, nil
-	case "error":
-		return false, fmt.Errorf("%w: %s", ErrRejected, reply.Error)
-	default:
-		return false, fmt.Errorf("proto: unexpected reply kind %q", reply.Kind)
-	}
 }

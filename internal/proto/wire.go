@@ -115,51 +115,51 @@ type SinkFunc func(*Report) error
 // Deliver calls the function.
 func (f SinkFunc) Deliver(r *Report) error { return f(r) }
 
-// TaggedSink is a Sink that also wants the envelope's delivery tag. A
-// durable PDME implements it so the (DC id, boot, sequence) triple can be
-// journaled with the report and the dedup window re-marked during replay —
-// without the tag, a crash between fusing a report and acking it would
-// leave the resent copy indistinguishable from new evidence.
-type TaggedSink interface {
-	Sink
-	// DeliverTagged consumes a validated report with its delivery tag;
-	// boot and seq are zero for untagged frames.
-	DeliverTagged(r *Report, dcid string, boot, seq uint64) error
-}
-
-// MaxRun bounds a run: how many consecutive report frames of one sender the
-// uplink keeps in flight, and how many frames the server reads off a
+// MaxRun bounds a run: how many consecutive frames of one kind the uplink
+// keeps in flight for one sender, and how many frames the server reads off a
 // connection before it answers them. Per-connection memory is proportional
 // to it on both ends.
 const MaxRun = 16
 
-// Delivery is one report with its delivery tag on its way through a batch
-// call, and that report's own outcome. Client.SendRun fills Dup and Err from
-// the server's reply; a BatchSink fills Err. Boot and Seq are zero for an
-// untagged report.
+// Delivery is the one unit of tagged traffic from spool to sink: a report or
+// a fused summary (exactly one is set) with its delivery tag, and that
+// payload's own outcome. Client.SendRun fills Dup and Err from the server's
+// reply; a BatchSink fills Err. DCID names the sender — the DC, or for a
+// summary the forwarding shard. Boot and Seq are zero for an untagged frame.
 type Delivery struct {
 	Report    *Report
+	Summary   *FusedSummary
 	DCID      string
 	Boot, Seq uint64
-	// Dup reports that the server had already fused this (DCID, Boot, Seq).
+	// Dup reports that the server had already taken this (DCID, Boot, Seq).
 	// Sinks never see it set: the server answers duplicates itself.
 	Dup bool
-	// Err is why this report was refused; nil means accepted.
+	// Err is why this payload was refused; nil means accepted.
 	Err error
 }
 
-// BatchSink is a Sink that accepts a run of reports in one call, so work it
-// does once per call — a durable PDME's journal write and fsync — is shared
-// by the run. The server hands it every report this way: the consecutive
-// tagged frames of one sender that were already on the connection, in frame
-// order, or a single frame.
+// BatchSink is a Sink that accepts a run in one call and takes both payload
+// kinds, so work it does once per call — a durable PDME's journal write and
+// fsync — is shared by the run. The server hands it everything this way: the
+// consecutive tagged frames of one sender and one kind that were already on
+// the connection, in frame order, or a single frame. The tag is what a
+// journaling sink persists so its replay can re-mark the dedup window.
 type BatchSink interface {
 	Sink
 	// DeliverBatch consumes the run in order and sets each element's Err.
-	// Reports refused for their own sake fail alone; a failure of the shared
-	// step fails every report not yet refused, with nothing applied.
+	// Payloads refused for their own sake (a kind this tier does not take
+	// included) fail alone; a failure of the shared step fails every payload
+	// not yet refused, with nothing applied, and wraps ErrUnavailable.
 	DeliverBatch(run []Delivery)
 }
+
+// ErrUnavailable is wrapped by a sink that could not take a delivery for a
+// reason that is not the delivery's fault — its journal cannot be written.
+// The server answers nothing for such a frame: it replies to the frames
+// before it and closes the connection, so the sender sees a transport
+// failure, keeps the frames spooled and retries (here or, through a shard
+// router, at the ring successor) instead of dropping them as rejected.
+var ErrUnavailable = errors.New("proto: sink unavailable")
 
 // DefaultIdleTimeout is the server's per-connection read/write deadline: a
 // peer that neither completes a frame nor drains a reply within this window
@@ -175,10 +175,6 @@ type Server struct {
 	// hbSink, when set, receives validated heartbeat frames; without it
 	// heartbeats are acked and discarded (liveness still confirmed).
 	hbSink HeartbeatSink
-	// sumSink, when set, receives validated fused-summary frames; without
-	// it summaries are rejected (a shard must not believe its upward flow
-	// is landing when the receiver cannot store it).
-	sumSink SummarySink
 	// dedup, when set, suppresses redelivered report frames (same DC id and
 	// sequence) with a duplicate ack instead of a second sink delivery.
 	dedup *Dedup
@@ -308,7 +304,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// session is the answering side of one connection: the report frames read
+// session is the answering side of one connection: the payload frames read
 // but not yet answered — one run — and the buffered writer replies go to, in
 // frame order.
 type session struct {
@@ -317,26 +313,31 @@ type session struct {
 	run []Delivery
 }
 
-// take routes one inbound frame. A valid report frame joins the pending run
-// when it continues it and otherwise starts the next one; every other frame
-// is answered on its own, after the run before it.
+// take routes one inbound frame. A valid report or summary frame joins the
+// pending run when it continues it and otherwise starts the next one; every
+// other frame is answered on its own, after the run before it.
 func (c *session) take(env envelope) error {
 	var reply envelope
 	switch {
 	case env.Kind == "heartbeat":
 		reply = c.srv.processHeartbeat(env)
-	case env.Kind == "summary":
-		reply = c.srv.processSummary(env)
-	case env.Kind != "report" || env.Report == nil:
-		reply = envelope{Kind: "error", Error: "expected report frame"}
-	default:
-		if err := env.Report.Validate(); err != nil {
+	case env.Kind == "report" && env.Report != nil, env.Kind == "summary" && env.Summary != nil:
+		// Summaries and reports of one sender share its sequence space (they
+		// ride one spool), so one per-sender window covers both kinds.
+		d := Delivery{DCID: env.DCID}
+		var err error
+		var sender string // what the payload itself says, for a frame that does not
+		if env.Kind == "report" {
+			d.Report, sender, err = env.Report, env.Report.DCID, env.Report.Validate()
+		} else {
+			d.Summary, sender, err = env.Summary, env.Summary.ShardID, env.Summary.Validate()
+		}
+		if err != nil {
 			reply = envelope{Kind: "error", Error: err.Error()}
 			break
 		}
-		d := Delivery{Report: env.Report, DCID: env.DCID}
 		if d.DCID == "" {
-			d.DCID = env.Report.DCID
+			d.DCID = sender
 		}
 		if c.srv.dedup != nil && env.Seq > 0 {
 			d.Boot, d.Seq = env.Boot, env.Seq
@@ -348,6 +349,8 @@ func (c *session) take(env envelope) error {
 		}
 		c.run = append(c.run, d)
 		return nil
+	default:
+		reply = envelope{Kind: "error", Error: "expected a report, summary or heartbeat frame"}
 	}
 	if err := c.flushRun(); err != nil {
 		return err
@@ -356,38 +359,44 @@ func (c *session) take(env envelope) error {
 }
 
 // continues reports whether d extends the run ending in prev: both tagged,
-// one sender incarnation, sequence ascending. A spooling sender's frames
-// always ascend; a repeated or regressing sequence starts a new run, so its
-// dedup check runs after the marks of the run that may already hold it.
+// one sender incarnation, one kind, sequence ascending. A spooling sender's
+// frames always ascend; a repeated or regressing sequence starts a new run,
+// so its dedup check runs after the marks of the run that may already hold it.
 func (d *Delivery) continues(prev *Delivery) bool {
-	return prev.Seq > 0 && d.Seq > prev.Seq && d.Boot == prev.Boot && d.DCID == prev.DCID
+	return prev.Seq > 0 && d.Seq > prev.Seq && d.Boot == prev.Boot && d.DCID == prev.DCID &&
+		(d.Summary == nil) == (prev.Summary == nil)
 }
 
-// flushRun accepts the pending run and writes one reply per frame.
+// flushRun accepts the pending run and writes one reply per frame. A frame
+// the sink was unavailable for gets none: the replies before it go out and
+// the returned error ends the session.
 func (c *session) flushRun() error {
 	if len(c.run) == 0 {
 		return nil
 	}
 	c.srv.acceptRun(c.run)
 	var err error
-	for i := range c.run {
-		d := &c.run[i]
-		reply := envelope{Kind: "ack", Dup: d.Dup}
-		if d.Err != nil {
-			reply = envelope{Kind: "error", Error: d.Err.Error()}
-		}
-		if err == nil {
-			err = writeFrame(c.bw, reply)
+	for i := 0; i < len(c.run) && err == nil; i++ {
+		switch d := &c.run[i]; {
+		case errors.Is(d.Err, ErrUnavailable):
+			if err = c.bw.Flush(); err == nil {
+				err = d.Err
+			}
+		case d.Err != nil:
+			err = writeFrame(c.bw, envelope{Kind: "error", Error: d.Err.Error()})
+		default:
+			err = writeFrame(c.bw, envelope{Kind: "ack", Dup: d.Dup})
 		}
 	}
-	clear(c.run) // an idle connection pins no decoded report
+	clear(c.run) // an idle connection pins no decoded payload
 	c.run = c.run[:0]
 	return err
 }
 
-// acceptRun applies dedup and sink delivery to one run of validated report
-// frames: tagged frames of one sender incarnation in ascending sequence, or
-// a single untagged frame.
+// acceptRun is the exactly-once critical section for both payload kinds: it
+// applies dedup and sink delivery to one run of validated frames — tagged
+// frames of one sender incarnation in ascending sequence, or a single
+// untagged frame.
 func (s *Server) acceptRun(run []Delivery) {
 	tagged := run[0].Seq > 0
 	if tagged {
@@ -418,7 +427,7 @@ func (s *Server) acceptRun(run []Delivery) {
 	if !tagged {
 		return
 	}
-	// Record a sequence only after the sink accepted the report, so a
+	// Record a sequence only after the sink accepted the payload, so a
 	// failed delivery can be retried without the window swallowing it (the
 	// mark a journaling sink makes itself is idempotent with this one).
 	for i := range run {
@@ -428,20 +437,19 @@ func (s *Server) acceptRun(run []Delivery) {
 	}
 }
 
-// deliver hands reports to the sink through the widest interface it has.
+// deliver hands a run to the sink: whole to a BatchSink; to a plain Sink the
+// reports one by one, and a summary is refused — a shard must not believe
+// its upward flow is landing when the receiver cannot store it.
 func (s *Server) deliver(run []Delivery) {
-	switch sink := s.sink.(type) {
-	case BatchSink:
+	if sink, ok := s.sink.(BatchSink); ok {
 		sink.DeliverBatch(run)
-	case TaggedSink:
-		// Hand the delivery tag to sinks that journal it.
-		for i := range run {
-			d := &run[i]
-			d.Err = sink.DeliverTagged(d.Report, d.DCID, d.Boot, d.Seq)
-		}
-	default:
-		for i := range run {
-			run[i].Err = s.sink.Deliver(run[i].Report)
+		return
+	}
+	for i := range run {
+		if d := &run[i]; d.Report != nil {
+			d.Err = s.sink.Deliver(d.Report)
+		} else {
+			d.Err = errors.New("server's sink takes no summaries (not an aggregator)")
 		}
 	}
 }
@@ -459,50 +467,6 @@ func (s *Server) processHeartbeat(env envelope) envelope {
 		if err := s.hbSink.ObserveHeartbeat(env.Heartbeat); err != nil {
 			return envelope{Kind: "error", Error: err.Error()}
 		}
-	}
-	return envelope{Kind: "ack"}
-}
-
-// processSummary handles one shard→aggregator summary frame through the
-// same dedup window as reports: summaries and reports from one sender share
-// the sender's sequence space (they ride the same spool), so a single
-// per-sender window suppresses redelivery of either kind.
-func (s *Server) processSummary(env envelope) envelope {
-	if env.Summary == nil {
-		return envelope{Kind: "error", Error: "summary frame without summary"}
-	}
-	if err := env.Summary.Validate(); err != nil {
-		return envelope{Kind: "error", Error: err.Error()}
-	}
-	if s.sumSink == nil {
-		return envelope{Kind: "error", Error: "server has no summary sink (not an aggregator)"}
-	}
-	shardID := env.DCID
-	if shardID == "" {
-		shardID = env.Summary.ShardID
-	}
-	tagged := s.dedup != nil && env.Seq > 0
-	if tagged {
-		// Same stripe discipline as reports: a shard redialing mid-accept
-		// must not double-deliver the summary it is resending.
-		mu := s.senderLock(shardID)
-		mu.Lock()
-		defer mu.Unlock()
-		if s.dedup.Seen(shardID, env.Boot, env.Seq) {
-			return envelope{Kind: "ack", Dup: true}
-		}
-	}
-	var boot, seq uint64
-	if tagged {
-		boot, seq = env.Boot, env.Seq
-	}
-	if err := s.sumSink.DeliverSummary(env.Summary, shardID, boot, seq); err != nil {
-		return envelope{Kind: "error", Error: err.Error()}
-	}
-	// As with reports: mark only after the sink accepted, so a failed
-	// delivery stays retryable.
-	if tagged {
-		s.dedup.Mark(shardID, env.Boot, env.Seq)
 	}
 	return envelope{Kind: "ack"}
 }
@@ -541,7 +505,6 @@ var ErrRejected = errors.New("proto: server rejected report")
 // Client is a connection to a report server; safe for concurrent use
 // (requests are serialized on the single connection).
 type Client struct {
-	addr    string
 	timeout time.Duration
 
 	mu   sync.Mutex
@@ -559,13 +522,15 @@ func Dial(addr string) (*Client, error) {
 }
 
 // DialContext connects to a report server at addr, honouring the context
-// deadline for connection establishment.
+// deadline for connection establishment. A client lives as long as its one
+// connection: after a transport failure, dial a fresh one.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
-	c := &Client{addr: addr}
-	if err := c.Redial(ctx); err != nil {
-		return nil, err
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("proto: dial %s: %w", addr, err)
 	}
-	return c, nil
+	return &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}, nil
 }
 
 // SetTimeout bounds each subsequent send (write + ack read) with a
@@ -574,27 +539,6 @@ func (c *Client) SetTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.timeout = d
-}
-
-// Redial replaces the client's connection with a fresh dial to the original
-// address, honouring the context deadline. The old connection (if any) is
-// closed. On dial failure the previous connection is left in place.
-func (c *Client) Redial(ctx context.Context) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		return fmt.Errorf("proto: dial %s: %w", c.addr, err)
-	}
-	c.mu.Lock()
-	old := c.conn
-	c.conn = conn
-	c.br = bufio.NewReader(conn)
-	c.bw = bufio.NewWriter(conn)
-	c.mu.Unlock()
-	if old != nil {
-		_ = old.Close()
-	}
-	return nil
 }
 
 // exchange writes one envelope and reads the reply under the client lock,
@@ -617,14 +561,15 @@ func (c *Client) exchange(env envelope) (envelope, error) {
 	return readFrame(c.br)
 }
 
-// SendRun writes every report frame of the run — each encoded into the
-// client's reused buffer by AppendReportEnvelope rather than marshaled —
-// flushes once, then reads the replies in order into each element's Dup and
-// Err (a refusal wraps ErrRejected). It returns how many frames were
-// answered; err is the transport failure that cut the exchange short, and
-// the frames from that index on may or may not have reached the server —
-// resend them. The per-send deadline, when configured, covers the whole
-// exchange. Reports must be valid.
+// SendRun is the one tagged exchange: it writes every frame of the run — a
+// report encoded into the client's reused buffer by AppendReportEnvelope
+// rather than marshaled, a summary marshaled — flushes once, then reads the
+// replies in order into each element's Dup and Err (a refusal wraps
+// ErrRejected). It returns how many frames were answered; err is the
+// transport failure that cut the exchange short, and the frames from that
+// index on may or may not have reached the server — resend them. The per-send
+// deadline, when configured, covers the whole exchange. Payloads must be
+// valid.
 func (c *Client) SendRun(run []Delivery) (answered int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -637,13 +582,18 @@ func (c *Client) SendRun(run []Delivery) (answered int, err error) {
 	var encErr error
 	for i := range run {
 		d := &run[i]
-		body, err := AppendReportEnvelope(c.buf[:0], d.Report, d.DCID, d.Boot, d.Seq)
+		var body []byte
+		var err error
+		if d.Summary != nil {
+			body, err = json.Marshal(envelope{Kind: "summary", Summary: d.Summary, DCID: d.DCID, Boot: d.Boot, Seq: d.Seq})
+		} else if body, err = AppendReportEnvelope(c.buf[:0], d.Report, d.DCID, d.Boot, d.Seq); err == nil {
+			c.buf = body[:0]
+		}
 		if err != nil {
 			// Nothing of this frame is on the wire: the run ends before it.
 			run, encErr = run[:i], err
 			break
 		}
-		c.buf = body[:0]
 		if err := writeRawFrame(c.bw, body); err != nil {
 			return 0, err
 		}
@@ -701,34 +651,6 @@ func (c *Client) SendTagged(r *Report, boot, seq uint64) (dup bool, err error) {
 // Deliver implements Sink, so a Client can stand in wherever an in-process
 // sink is expected (e.g. as a DC uplink).
 func (c *Client) Deliver(r *Report) error { return c.Send(r) }
-
-// SendWithRetry sends a report, retrying transient failures with backoff.
-// Validation failures are not retried. A transport failure leaves the old
-// connection dead, so the client redials before each retry; application
-// rejections retry on the same connection (the link is fine — the sink may
-// recover). Prefer the uplink package for spooled, deduplicated delivery.
-func (c *Client) SendWithRetry(r *Report, attempts int, backoff time.Duration) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	var last error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-			if !errors.Is(last, ErrRejected) {
-				if err := c.Redial(context.Background()); err != nil {
-					last = err
-					continue
-				}
-			}
-		}
-		if last = c.Send(r); last == nil {
-			return nil
-		}
-	}
-	return last
-}
 
 // Close closes the connection.
 func (c *Client) Close() error {

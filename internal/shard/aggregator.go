@@ -81,10 +81,23 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	}, nil
 }
 
-// DeliverSummary implements proto.SummarySink: newest summary per pair
-// wins, with (UpdatedAt, shard id, boot/seq) as the deterministic order.
-// Older frames are counted stale and acked — the sender must retire them,
-// and accepting them would reorder history.
+// DeliverBatch implements proto.BatchSink, the way the server reaches the
+// aggregator: each summary of the run goes to DeliverSummary, a report is
+// refused by Deliver.
+func (a *Aggregator) DeliverBatch(run []proto.Delivery) {
+	for i := range run {
+		if d := &run[i]; d.Summary != nil {
+			d.Err = a.DeliverSummary(d.Summary, d.DCID, d.Boot, d.Seq)
+		} else {
+			d.Err = a.Deliver(d.Report)
+		}
+	}
+}
+
+// DeliverSummary accepts one summary with its delivery tag: newest summary
+// per pair wins, with (UpdatedAt, shard id, boot/seq) as the deterministic
+// order. Older frames are counted stale and acked — the sender must retire
+// them, and accepting them would reorder history.
 func (a *Aggregator) DeliverSummary(s *proto.FusedSummary, shardID string, boot, seq uint64) error {
 	if shardID == "" {
 		shardID = s.ShardID
@@ -144,12 +157,11 @@ func (a *Aggregator) ObserveHeartbeat(hb *proto.Heartbeat) error {
 	return a.reg.ObserveHeartbeat(hb)
 }
 
-// Serve starts a summary server for shard uplinks: dedup window, summary
-// sink, and heartbeat sink wired; raw reports rejected.
+// Serve starts a summary server for shard uplinks: dedup window and
+// heartbeat sink wired; raw reports rejected.
 func (a *Aggregator) Serve(addr string) (string, *proto.Server, error) {
 	srv := proto.NewServer(a)
 	srv.SetDedup(a.dedup)
-	srv.SetSummarySink(a)
 	srv.SetHeartbeatSink(a)
 	bound, err := srv.Start(addr)
 	if err != nil {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -464,6 +465,92 @@ func TestForwarderMirrorsShardState(t *testing.T) {
 	for i := range global {
 		if global2[i] != global[i] {
 			t.Fatalf("row %d after resync: %+v != %+v", i, global2[i], global[i])
+		}
+	}
+}
+
+// TestAggregatorRunsMatchSingles feeds one seeded stream — two shards'
+// summaries out of event-time order, resends of sequences long since taken,
+// and the odd raw report — to two served aggregators, in runs of up to
+// proto.MaxRun to one and one frame per exchange to the other. Every frame is
+// answered alike and both end holding the same state, bit for bit.
+func TestAggregatorRunsMatchSingles(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	conditions := []string{"inner race fault", "outer race fault", "imbalance"}
+	next := map[string]uint64{"shard-1": 1, "shard-2": 1}
+	var stream []proto.Delivery
+	for i := 0; i < 400; i++ {
+		shard := fmt.Sprintf("shard-%d", 1+rng.Intn(2))
+		d := proto.Delivery{DCID: shard, Boot: 5, Seq: next[shard]}
+		switch roll := rng.Intn(12); {
+		case roll == 0:
+			d.Report = report(shard, "m1", "imbalance", 0.5, base)
+		default:
+			belief := 0.8 * rng.Float64()
+			d.Summary = summary(shard, fmt.Sprintf("m%d", rng.Intn(6)), conditions[rng.Intn(len(conditions))],
+				belief, base.Add(time.Duration(rng.Intn(600))*time.Minute))
+			if roll == 1 && d.Seq > 1 {
+				d.Seq = 1 + uint64(rng.Int63n(int64(d.Seq-1))) // a resend
+			}
+		}
+		if d.Seq == next[shard] {
+			next[shard]++
+		}
+		stream = append(stream, d)
+	}
+
+	var aggs [2]*Aggregator
+	var clients [2]*proto.Client
+	for i := range aggs {
+		agg, err := NewAggregator(AggregatorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, srv, err := agg.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		if clients[i], err = proto.Dial(addr); err != nil {
+			t.Fatal(err)
+		}
+		defer clients[i].Close()
+		aggs[i] = agg
+	}
+	for len(stream) > 0 {
+		run := stream[:min(len(stream), 1+rng.Intn(proto.MaxRun))]
+		stream = stream[len(run):]
+		singles := append([]proto.Delivery(nil), run...)
+		if n, err := clients[0].SendRun(run); err != nil || n != len(run) {
+			t.Fatalf("SendRun answered %d of %d: %v", n, len(run), err)
+		}
+		for i := range singles {
+			if n, err := clients[1].SendRun(singles[i : i+1]); err != nil || n != 1 {
+				t.Fatalf("single send: %v", err)
+			}
+			if a, b := run[i], singles[i]; a.Dup != b.Dup || (a.Err == nil) != (b.Err == nil) || (a.Err == nil) != (a.Summary != nil) {
+				t.Fatalf("seq %d of %s: in a run dup=%v err=%v, alone dup=%v err=%v", a.Seq, a.DCID, a.Dup, a.Err, b.Dup, b.Err)
+			}
+		}
+	}
+	inRuns, alone := aggs[0], aggs[1]
+	if inRuns.DedupHits() == 0 || inRuns.StaleDropped() == 0 || inRuns.RejectedReports() == 0 {
+		t.Fatalf("the stream exercised %d duplicates, %d stale summaries, %d raw reports; want some of each",
+			inRuns.DedupHits(), inRuns.StaleDropped(), inRuns.RejectedReports())
+	}
+	if inRuns.DedupHits() != alone.DedupHits() || inRuns.Accepted() != alone.Accepted() ||
+		inRuns.StaleDropped() != alone.StaleDropped() || inRuns.RejectedReports() != alone.RejectedReports() {
+		t.Errorf("in runs: %d dup, %d accepted, %d stale, %d refused; alone: %d, %d, %d, %d",
+			inRuns.DedupHits(), inRuns.Accepted(), inRuns.StaleDropped(), inRuns.RejectedReports(),
+			alone.DedupHits(), alone.Accepted(), alone.StaleDropped(), alone.RejectedReports())
+	}
+	got, want := inRuns.GlobalRanked(), alone.GlobalRanked()
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("ranked %d rows in runs, %d alone", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d: in runs %+v, alone %+v", i, got[i], want[i])
 		}
 	}
 }

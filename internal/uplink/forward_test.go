@@ -1,7 +1,7 @@
 package uplink
 
 import (
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,47 +12,8 @@ import (
 // source-agnostic: the same spool/redial/dedup machinery that carries
 // DC→PDME reports carries PDME→PDME fused summaries, with no DC anywhere
 // in the loop. A "shard PDME" here is just an uplink delivering summaries;
-// the "aggregator PDME" is a proto.Server with a summary sink and a dedup
-// window.
-
-// summaryCollector records delivered summaries with their wire tags.
-type summaryCollector struct {
-	mu        sync.Mutex
-	summaries []*proto.FusedSummary
-	tags      []struct {
-		shard     string
-		boot, seq uint64
-	}
-}
-
-func (c *summaryCollector) DeliverSummary(s *proto.FusedSummary, shardID string, boot, seq uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cp := *s
-	c.summaries = append(c.summaries, &cp)
-	c.tags = append(c.tags, struct {
-		shard     string
-		boot, seq uint64
-	}{shardID, boot, seq})
-	return nil
-}
-
-func (c *summaryCollector) conditions() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.summaries))
-	for i, s := range c.summaries {
-		out[i] = s.Condition
-	}
-	return out
-}
-
-// rejectReports fails any raw report, mimicking an aggregator-only server.
-type rejectReports struct{}
-
-func (rejectReports) Deliver(*proto.Report) error {
-	return proto.ErrRejected
-}
+// the "aggregator PDME" is a proto.Server over a BatchSink (batchCollector,
+// uplink_test.go) and a dedup window.
 
 func testSummary(i int) *proto.FusedSummary {
 	return &proto.FusedSummary{
@@ -72,17 +33,6 @@ func testSummary(i int) *proto.FusedSummary {
 	}
 }
 
-func startAggServer(t *testing.T, addr string, sink *summaryCollector, dedup *proto.Dedup) *proto.Server {
-	t.Helper()
-	srv := proto.NewServer(rejectReports{})
-	srv.SetDedup(dedup)
-	srv.SetSummarySink(sink)
-	if _, err := srv.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	return srv
-}
-
 // TestForwardSummariesPDMEToPDME drives the full forwarding contract:
 // happy-path FIFO delivery, spooling across an aggregator outage with
 // redial, dedup-window continuity across an aggregator restart, and spool
@@ -90,9 +40,9 @@ func startAggServer(t *testing.T, addr string, sink *summaryCollector, dedup *pr
 // end to end, no DC involved.
 func TestForwardSummariesPDMEToPDME(t *testing.T) {
 	addr := reserveAddr(t)
-	sink := &summaryCollector{}
+	sink := &batchCollector{}
 	dedup := proto.NewDedup(0)
-	srv := startAggServer(t, addr, sink, dedup)
+	_, srv := startServer(t, addr, sink, dedup)
 
 	cfg := fastConfig(addr, t.TempDir())
 	cfg.DCID = "shard-a"
@@ -121,7 +71,7 @@ func TestForwardSummariesPDMEToPDME(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv2 := startAggServer(t, addr, sink, dedup)
+	_, srv2 := startServer(t, addr, sink, dedup)
 	defer srv2.Close()
 	if err := u.Flush(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -171,16 +121,21 @@ func TestForwardSummariesPDMEToPDME(t *testing.T) {
 	defer sink.mu.Unlock()
 	var lastSeq uint64
 	for i, tag := range sink.tags {
-		if tag.shard != "shard-a" {
-			t.Fatalf("tag %d: shard %q, want shard-a", i, tag.shard)
+		if tag.DCID != "shard-a" {
+			t.Fatalf("tag %d: shard %q, want shard-a", i, tag.DCID)
 		}
-		if tag.boot != boot {
-			t.Fatalf("tag %d: boot %d, want %d", i, tag.boot, boot)
+		if tag.Boot != boot {
+			t.Fatalf("tag %d: boot %d, want %d", i, tag.Boot, boot)
 		}
-		if tag.seq <= lastSeq {
-			t.Fatalf("tag %d: seq %d not increasing past %d", i, tag.seq, lastSeq)
+		if tag.Seq <= lastSeq {
+			t.Fatalf("tag %d: seq %d not increasing past %d", i, tag.Seq, lastSeq)
 		}
-		lastSeq = tag.seq
+		lastSeq = tag.Seq
+	}
+	// The three summaries spooled during the outage were all pending when the
+	// link came back: they travelled as a run, not one exchange each.
+	if longest := slices.Max(sink.runs); longest < 2 {
+		t.Errorf("run lengths %v: no two summaries shared a DeliverBatch call", sink.runs)
 	}
 }
 
@@ -188,15 +143,8 @@ func TestForwardSummariesPDMEToPDME(t *testing.T) {
 // FIFO: interleaved Deliver/DeliverSummary drain in spool order through the
 // same connection.
 func TestForwardSummariesMixWithReports(t *testing.T) {
-	reports := &collector{}
-	sums := &summaryCollector{}
-	srv := proto.NewServer(reports)
-	srv.SetDedup(proto.NewDedup(0))
-	srv.SetSummarySink(sums)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sink := &batchCollector{}
+	addr, srv := startServer(t, "127.0.0.1:0", sink, proto.NewDedup(0))
 	defer srv.Close()
 
 	u, err := New(fastConfig(addr, ""))
@@ -215,10 +163,10 @@ func TestForwardSummariesMixWithReports(t *testing.T) {
 	if err := u.Flush(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(reports.explanations()); got != 4 {
+	if got := len(sink.explanations()); got != 4 {
 		t.Fatalf("reports delivered %d, want 4", got)
 	}
-	if got := len(sums.conditions()); got != 4 {
+	if got := len(sink.conditions()); got != 4 {
 		t.Fatalf("summaries delivered %d, want 4", got)
 	}
 	c := u.Counters()
@@ -227,8 +175,8 @@ func TestForwardSummariesMixWithReports(t *testing.T) {
 	}
 }
 
-// TestSummaryRejectedWithoutSink: a shard uplink aimed at a plain PDME (no
-// summary sink) must fail loudly — the frame is rejected and counted as a
+// TestSummaryRejectedWithoutSink: a shard uplink aimed at a server whose
+// sink takes no summaries must fail loudly — the frame is rejected and counted as a
 // drop, never silently ignored.
 func TestSummaryRejectedWithoutSink(t *testing.T) {
 	sink := &collector{}

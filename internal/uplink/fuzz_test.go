@@ -39,7 +39,7 @@ func spoolFileBytes(tb testing.TB, mutate func(s *spool)) []byte {
 func FuzzSpoolRecover(f *testing.F) {
 	full := spoolFileBytes(f, func(s *spool) {
 		for i := 0; i < 4; i++ {
-			if _, _, err := s.add(testReport(i)); err != nil {
+			if _, _, err := s.add(&pendingRec{report: testReport(i)}); err != nil {
 				f.Fatalf("seed add: %v", err)
 			}
 		}
@@ -58,16 +58,28 @@ func FuzzSpoolRecover(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(spoolFormat.Magic + " but not really a spool"))
 	f.Add(spoolFileBytes(f, func(s *spool) { // a forwarded summary between two reports
-		if _, _, err := s.add(testReport(0)); err != nil {
+		if _, _, err := s.add(&pendingRec{report: testReport(0)}); err != nil {
 			f.Fatalf("seed add: %v", err)
 		}
-		if _, _, err := s.addSummary(testSummary(0)); err != nil {
+		if _, _, err := s.add(&pendingRec{summary: testSummary(0)}); err != nil {
 			f.Fatalf("seed add summary: %v", err)
 		}
-		if _, _, err := s.add(testReport(1)); err != nil {
+		if _, _, err := s.add(&pendingRec{report: testReport(1)}); err != nil {
 			f.Fatalf("seed add: %v", err)
 		}
 	}))
+	summaries := spoolFileBytes(f, func(s *spool) { // a run of summaries, its head half acked
+		for i := 0; i < 6; i++ {
+			if _, _, err := s.add(&pendingRec{summary: testSummary(i)}); err != nil {
+				f.Fatalf("seed add summary: %v", err)
+			}
+		}
+		if err := s.resolve(s.headRun(nil)[:3]); err != nil {
+			f.Fatalf("seed resolve: %v", err)
+		}
+	})
+	f.Add(summaries)
+	f.Add(summaries[:len(summaries)-30]) // … torn inside the batch of acks
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -211,21 +211,13 @@ func (s *spool) appendRecord(typ byte, seq uint64, body []byte) error {
 	return nil
 }
 
-// add assigns the next sequence to the report and appends it (write-ahead:
-// the spool entry exists before the first send attempt). When the pending
-// queue exceeds capacity the oldest frames are dropped; their sequences
-// are returned so the caller can count them.
-func (s *spool) add(r *proto.Report) (seq uint64, droppedSeqs []uint64, err error) {
-	return s.enqueue(&pendingRec{report: r})
-}
-
-// addSummary spools one PDME→PDME fused summary; it shares the report
-// sequence space and capacity policy, so a single FIFO drains both kinds.
-func (s *spool) addSummary(sum *proto.FusedSummary) (seq uint64, droppedSeqs []uint64, err error) {
-	return s.enqueue(&pendingRec{summary: sum})
-}
-
-func (s *spool) enqueue(rec *pendingRec) (seq uint64, droppedSeqs []uint64, err error) {
+// add assigns the next sequence to the frame and appends it (write-ahead:
+// the spool entry exists before the first send attempt). Reports and
+// summaries share the sequence space and the capacity policy, so a single
+// FIFO drains both kinds. When the pending queue exceeds capacity the oldest
+// frames are dropped; their sequences are returned so the caller can count
+// them.
+func (s *spool) add(rec *pendingRec) (seq uint64, droppedSeqs []uint64, err error) {
 	rec.seq = s.nextSeq
 	s.nextSeq++
 	body, err := rec.marshalBody()
@@ -259,18 +251,14 @@ func (s *spool) popHead() *pendingRec {
 	return head
 }
 
-// headRun appends the head-of-line run to dst: the oldest pending frame and,
-// when it is a report, the report frames that follow it, up to proto.MaxRun.
-// A summary travels alone.
+// headRun appends the head-of-line run to dst: the oldest pending frame and
+// the frames of its kind that follow it, up to proto.MaxRun.
 func (s *spool) headRun(dst []*pendingRec) []*pendingRec {
 	for _, rec := range s.pending {
-		if len(dst) == proto.MaxRun || (len(dst) > 0 && rec.summary != nil) {
+		if len(dst) == proto.MaxRun || (len(dst) > 0 && rec.recType() != dst[0].recType()) {
 			break
 		}
 		dst = append(dst, rec)
-		if rec.summary != nil {
-			break
-		}
 	}
 	return dst
 }

@@ -1,8 +1,10 @@
 package uplink
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,7 +33,7 @@ func TestSpoolRecoversPendingAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		seq, dropped, err := s.add(testReport(i))
+		seq, dropped, err := s.add(&pendingRec{report: testReport(i)})
 		if err != nil || len(dropped) != 0 {
 			t.Fatal(seq, dropped, err)
 		}
@@ -68,7 +70,7 @@ func TestSpoolRecoversPendingAcrossReopen(t *testing.T) {
 		}
 	}
 	// Monotonic sequences continue where the previous process stopped.
-	seq, _, err := s2.add(testReport(4))
+	seq, _, err := s2.add(&pendingRec{report: testReport(4)})
 	if err != nil || seq != 4 {
 		t.Fatalf("next seq %d err %v, want 4", seq, err)
 	}
@@ -81,7 +83,7 @@ func TestSpoolSequenceSurvivesFullDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, _, err := s.add(testReport(i)); err != nil {
+		if _, _, err := s.add(&pendingRec{report: testReport(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +113,7 @@ func TestSpoolSequenceSurvivesFullDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.close()
-	if seq, _, err := s3.add(testReport(4)); err != nil || seq != 4 {
+	if seq, _, err := s3.add(&pendingRec{report: testReport(4)}); err != nil || seq != 4 {
 		t.Fatalf("seq %d err %v, want 4", seq, err)
 	}
 }
@@ -123,7 +125,7 @@ func TestSpoolTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2; i++ {
-		if _, _, err := s.add(testReport(i)); err != nil {
+		if _, _, err := s.add(&pendingRec{report: testReport(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +161,7 @@ func TestSpoolInteriorCorruptionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, _, err := s.add(testReport(i)); err != nil {
+		if _, _, err := s.add(&pendingRec{report: testReport(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +210,7 @@ func TestSpoolCapacityDropsOldest(t *testing.T) {
 	}
 	var droppedAll []uint64
 	for i := 1; i <= 5; i++ {
-		_, dropped, err := s.add(testReport(i))
+		_, dropped, err := s.add(&pendingRec{report: testReport(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +233,7 @@ func TestSpoolCompactionShrinksFile(t *testing.T) {
 	defer s.close()
 	// Cycle well past compactEvery resolved records.
 	for i := 0; i < compactEvery+10; i++ {
-		if _, _, err := s.add(testReport(i % 10)); err != nil {
+		if _, _, err := s.add(&pendingRec{report: testReport(i % 10)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.resolve(s.pending[:1]); err != nil {
@@ -286,7 +288,7 @@ func TestSpoolTornHeaderIsATornCreate(t *testing.T) {
 		if len(s2.pending) != 0 || s2.nextSeq != 1 || s2.boot == 0 || s2.boot == s.boot {
 			t.Fatalf("header cut at %d: pending %d nextSeq %d boot %d (old %d)", cut, len(s2.pending), s2.nextSeq, s2.boot, s.boot)
 		}
-		if _, _, err := s2.add(testReport(1)); err != nil {
+		if _, _, err := s2.add(&pendingRec{report: testReport(1)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s2.close(); err != nil {
@@ -348,14 +350,14 @@ func TestSpoolCompactionFailureLeavesSpoolUsable(t *testing.T) {
 			}
 			// One frame is pending throughout: each round spools the next
 			// and retires the one before it.
-			keep, _, err := s.add(testReport(1))
+			keep, _, err := s.add(&pendingRec{report: testReport(1)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			restore := obstruct(t, filepath.Join(dir, seglog.FileName("dc-1", spoolExt)))
 			failed := false
 			for i := 0; i < compactEvery; i++ {
-				if keep, _, err = s.add(testReport(i % 10)); err != nil {
+				if keep, _, err = s.add(&pendingRec{report: testReport(i % 10)}); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.resolve(s.pending[:1]); err != nil {
@@ -367,7 +369,7 @@ func TestSpoolCompactionFailureLeavesSpoolUsable(t *testing.T) {
 			}
 			// The record is appended before the compaction attempt, so it
 			// is on disk even though add reports the compaction error.
-			_, _, _ = s.add(testReport(2))
+			_, _, _ = s.add(&pendingRec{report: testReport(2)})
 			last := s.nextSeq - 1
 			if err := s.close(); err != nil {
 				t.Fatal(err)
@@ -400,5 +402,83 @@ func TestSpoolParentFormatRefused(t *testing.T) {
 	_, err := openSpool(dir, "dc-1", 100)
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("error %v, want one naming the file and its magic", err)
+	}
+}
+
+// TestSpoolMixedKindsDrainFIFO: reports, summaries and reports again in one
+// spool drain in the order they were added, a run never holds both kinds or
+// more than proto.MaxRun frames, and a reopen in the middle of a run picks up
+// at the first frame not yet retired.
+func TestSpoolMixedKindsDrainFIFO(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openSpool(dir, "dc-1", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	add := func(kind string, n int) {
+		for i := 0; i < n; i++ {
+			label := fmt.Sprintf("%s-%d", kind, len(want))
+			rec := &pendingRec{}
+			if kind == "summary" {
+				rec.summary = testSummary(i % 10)
+				rec.summary.Condition = label
+			} else {
+				rec.report = testReport(i % 10)
+				rec.report.Explanation = label
+			}
+			if _, _, err := s.add(rec); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, label)
+		}
+	}
+	add("report", 3)
+	add("summary", proto.MaxRun+4)
+	add("report", 2)
+
+	var got []string
+	var runs []int
+	for drained := 0; ; drained++ {
+		run := s.headRun(nil)
+		if len(run) == 0 {
+			break
+		}
+		for _, rec := range run {
+			if rec.recType() != run[0].recType() {
+				t.Fatalf("run %d holds both kinds", drained)
+			}
+		}
+		if drained == 1 {
+			// Only the head of the summary run is answered before the process
+			// goes away; the next life resends the rest.
+			run = run[:5]
+		}
+		for _, rec := range run {
+			if rec.summary != nil {
+				got = append(got, rec.summary.Condition)
+			} else {
+				got = append(got, rec.report.Explanation)
+			}
+		}
+		runs = append(runs, len(run))
+		if err := s.resolve(run); err != nil {
+			t.Fatal(err)
+		}
+		if drained == 1 {
+			if err := s.close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = openSpool(dir, "dc-1", 100); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	defer s.close()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("drained %v, want %v", got, want)
+	}
+	if wantRuns := []int{3, 5, proto.MaxRun - 1, 2}; !reflect.DeepEqual(runs, wantRuns) {
+		t.Errorf("run lengths %v, want %v", runs, wantRuns)
 	}
 }

@@ -19,7 +19,8 @@
 //
 // Deliver is asynchronous: it returns once the report is durably spooled,
 // and a single sender goroutine drains the spool in sequence order, a run at
-// a time: the head-of-line report frames (up to proto.MaxRun) are written
+// a time: the head-of-line frames of one kind — reports or, on a shard's
+// forwarding uplink, fused summaries — (up to proto.MaxRun) are written
 // together, flushed once, and retired as their acks come back in order, so
 // a journaling PDME can make the whole run durable with one fsync. Acks stay
 // per frame; a transport failure mid-run retires what was acked and resends
@@ -206,23 +207,7 @@ func (u *Uplink) Deliver(r *proto.Report) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return errors.New("uplink: closed")
-	}
-	_, droppedSeqs, err := u.spool.add(r)
-	if err == nil {
-		u.counters.Spooled++
-		u.counters.Dropped += int64(len(droppedSeqs))
-		u.counters.CapacityDrops += int64(len(droppedSeqs))
-	}
-	u.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	u.signal()
-	return nil
+	return u.enqueue(&pendingRec{report: r})
 }
 
 // DeliverSummary spools one PDME→PDME fused summary for asynchronous
@@ -235,12 +220,17 @@ func (u *Uplink) DeliverSummary(s *proto.FusedSummary) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
+	return u.enqueue(&pendingRec{summary: s})
+}
+
+// enqueue spools one validated frame and wakes the sender.
+func (u *Uplink) enqueue(rec *pendingRec) error {
 	u.mu.Lock()
 	if u.closed {
 		u.mu.Unlock()
 		return errors.New("uplink: closed")
 	}
-	_, droppedSeqs, err := u.spool.addSummary(s)
+	_, droppedSeqs, err := u.spool.add(rec)
 	if err == nil {
 		u.counters.Spooled++
 		u.counters.Dropped += int64(len(droppedSeqs))
@@ -516,9 +506,10 @@ func (u *Uplink) ensureConnected() bool {
 
 // sendRun performs one exchange for the head-of-line run, leaving each
 // answered frame's outcome in frames: a duplicate ack in Dup, a permanent
-// refusal (validation, unknown condition — the link is fine but the PDME will
-// never accept the frame) in Err. It returns how many frames were answered
-// and the transport error, if any, that left the rest unanswered.
+// refusal (validation, unknown condition, a kind the receiving tier does not
+// take — the link is fine but the server will never accept the frame) in Err.
+// It returns how many frames were answered and the transport error, if any,
+// that left the rest unanswered.
 func (u *Uplink) sendRun(run []*pendingRec, frames []proto.Delivery) (answered int, err error) {
 	u.mu.Lock()
 	client := u.client
@@ -526,16 +517,12 @@ func (u *Uplink) sendRun(run []*pendingRec, frames []proto.Delivery) (answered i
 	if client == nil {
 		return 0, errors.New("uplink: not connected")
 	}
-	if sum := run[0].summary; sum != nil {
-		dup, err := client.SendSummary(sum, u.cfg.DCID, u.spool.boot, run[0].seq)
-		if err != nil && !errors.Is(err, proto.ErrRejected) {
-			return 0, err
-		}
-		frames[0] = proto.Delivery{Dup: dup, Err: err}
-		return 1, nil
-	}
 	for i, rec := range run {
-		frames[i] = proto.Delivery{Report: rec.report, DCID: rec.report.DCID, Boot: u.spool.boot, Seq: rec.seq}
+		// A report frame names its DC; a summary frame the forwarding shard.
+		frames[i] = proto.Delivery{Report: rec.report, Summary: rec.summary, DCID: u.cfg.DCID, Boot: u.spool.boot, Seq: rec.seq}
+		if rec.report != nil {
+			frames[i].DCID = rec.report.DCID
+		}
 	}
 	return client.SendRun(frames)
 }

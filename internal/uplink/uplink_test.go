@@ -352,86 +352,139 @@ func TestChaosResendNeverDoubleDelivers(t *testing.T) {
 	}
 }
 
-// batchCollector is a collector that also takes a run in one call, so the
-// server reaches it through proto.BatchSink.
-type batchCollector struct{ collector }
+// batchCollector is a collector that also takes a run in one call and both
+// payload kinds, so the server reaches it through proto.BatchSink. It keeps
+// the summaries with their wire tags, and how long each run was.
+type batchCollector struct {
+	collector
+	summaries []*proto.FusedSummary
+	tags      []proto.Delivery // of the summaries: DCID, Boot, Seq
+	runs      []int
+}
 
 func (c *batchCollector) DeliverBatch(run []proto.Delivery) {
+	c.mu.Lock()
+	c.runs = append(c.runs, len(run))
+	c.mu.Unlock()
 	for i := range run {
-		run[i].Err = c.Deliver(run[i].Report)
+		d := &run[i]
+		if d.Summary == nil {
+			d.Err = c.Deliver(d.Report)
+			continue
+		}
+		c.mu.Lock()
+		cp := *d.Summary
+		c.summaries = append(c.summaries, &cp)
+		c.tags = append(c.tags, proto.Delivery{DCID: d.DCID, Boot: d.Boot, Seq: d.Seq})
+		c.mu.Unlock()
 	}
+}
+
+func (c *batchCollector) conditions() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]string, len(c.summaries))
+	for i, s := range c.summaries {
+		out[i] = s.Condition
+	}
+	return out
 }
 
 // TestChaosMidRunReset cuts every connection after the k-th ack of a run,
 // with a dedup window narrower than the send window: the server took the
 // whole run, the sender heard k acks, and the rest is resent on the next
 // connection — where it must be acked as duplicates, not fused again, even
-// though most of it has already fallen below the window's floor.
+// though most of it has already fallen below the window's floor. A run of
+// summaries goes through the same exchange and the same accept body.
 func TestChaosMidRunReset(t *testing.T) {
 	const (
 		n       = 5 * proto.MaxRun
 		k       = 5
 		ackSize = 4 + len(`{"kind":"ack"}`)
 	)
-	for name, sink := range map[string]interface {
+	type sink interface {
 		proto.Sink
 		explanations() []string
-	}{"per-frame sink": &collector{}, "batch sink": &batchCollector{}} {
-		t.Run(name, func(t *testing.T) {
-			dedup := proto.NewDedup(proto.MaxRun / 4)
-			addr, srv := startServer(t, "127.0.0.1:0", sink, dedup)
-			defer srv.Close()
-			proxy, err := netfault.New(addr, netfault.Options{CutRepliesAfter: k * int64(ackSize)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer proxy.Close()
-			// Everything is spooled before the first dial, so the sender works
-			// in full runs.
-			dir := t.TempDir()
-			idle, err := New(fastConfig(reserveAddr(t), dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				r := testReport(i % 10)
-				r.Explanation = fmt.Sprintf("r%d", i)
-				if err := idle.Deliver(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := idle.Close(); err != nil {
-				t.Fatal(err)
-			}
-			u, err := New(fastConfig(proxy.Addr(), dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer u.Close()
-			if err := u.Flush(60 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			got := sink.explanations()
-			if len(got) != n {
-				t.Fatalf("sink saw %d deliveries, want exactly %d (resets=%d, dedup hits=%d)",
-					len(got), n, proxy.Stats().Resets, dedup.Hits())
-			}
-			for i, e := range got {
-				if want := fmt.Sprintf("r%d", i); e != want {
-					t.Fatalf("delivery %d = %q, want %q: order lost across the resets", i, e, want)
-				}
-			}
-			c := u.Counters()
-			if c.Sent != n || c.Acked+c.DedupAcks != n || c.Dropped != 0 {
-				t.Errorf("counters %+v, want %d frames acked once each and none dropped", c, n)
-			}
-			// The first connection carried a full run and k acks: the other
-			// MaxRun-k frames failed in transit and came back as duplicates.
-			if c.DedupAcks < proto.MaxRun-k || c.Retried < proto.MaxRun-k {
-				t.Errorf("counters %+v, want at least %d duplicate acks and as many frames retried", c, proto.MaxRun-k)
-			}
-			if hits := dedup.Hits(); hits < c.DedupAcks {
-				t.Errorf("%d dedup hits for %d duplicate acks", hits, c.DedupAcks)
+	}
+	for _, tc := range []struct {
+		name  string
+		sink  func() sink
+		kinds []string
+	}{
+		// A plain sink takes no summaries at all.
+		{"per-frame sink", func() sink { return &collector{} }, []string{"report"}},
+		{"batch sink", func() sink { return &batchCollector{} }, []string{"report", "summary"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, kind := range tc.kinds {
+				t.Run(kind, func(t *testing.T) {
+					sink := tc.sink()
+					dedup := proto.NewDedup(proto.MaxRun / 4)
+					addr, srv := startServer(t, "127.0.0.1:0", sink, dedup)
+					defer srv.Close()
+					proxy, err := netfault.New(addr, netfault.Options{CutRepliesAfter: k * int64(ackSize)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer proxy.Close()
+					// Everything is spooled before the first dial, so the sender works
+					// in full runs.
+					dir := t.TempDir()
+					idle, err := New(fastConfig(reserveAddr(t), dir))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < n; i++ {
+						if kind == "summary" {
+							s := testSummary(i % 10)
+							s.Condition = fmt.Sprintf("r%d", i)
+							err = idle.DeliverSummary(s)
+						} else {
+							r := testReport(i % 10)
+							r.Explanation = fmt.Sprintf("r%d", i)
+							err = idle.Deliver(r)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := idle.Close(); err != nil {
+						t.Fatal(err)
+					}
+					u, err := New(fastConfig(proxy.Addr(), dir))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer u.Close()
+					if err := u.Flush(60 * time.Second); err != nil {
+						t.Fatal(err)
+					}
+					got := sink.explanations()
+					if kind == "summary" {
+						got = sink.(*batchCollector).conditions()
+					}
+					if len(got) != n {
+						t.Fatalf("sink saw %d deliveries, want exactly %d (resets=%d, dedup hits=%d)",
+							len(got), n, proxy.Stats().Resets, dedup.Hits())
+					}
+					for i, e := range got {
+						if want := fmt.Sprintf("r%d", i); e != want {
+							t.Fatalf("delivery %d = %q, want %q: order lost across the resets", i, e, want)
+						}
+					}
+					c := u.Counters()
+					if c.Sent != n || c.Acked+c.DedupAcks != n || c.Dropped != 0 {
+						t.Errorf("counters %+v, want %d frames acked once each and none dropped", c, n)
+					}
+					// The first connection carried a full run and k acks: the other
+					// MaxRun-k frames failed in transit and came back as duplicates.
+					if c.DedupAcks < proto.MaxRun-k || c.Retried < proto.MaxRun-k {
+						t.Errorf("counters %+v, want at least %d duplicate acks and as many frames retried", c, proto.MaxRun-k)
+					}
+					if hits := dedup.Hits(); hits < c.DedupAcks {
+						t.Errorf("%d dedup hits for %d duplicate acks", hits, c.DedupAcks)
+					}
+				})
 			}
 		})
 	}
