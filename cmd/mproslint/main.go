@@ -2,20 +2,13 @@
 // floateq, errwrap, masscheck, maporder, atomicfield, lockdiscipline,
 // waldiscipline, snapshotparity) plus the interprocedural call-graph
 // analyzers (hotalloc, goroleak, sendblock) and the //lint:allow directive
-// police (lintallow) over the repository.
+// police (lintallow) over the repository:
 //
-// Two modes:
+//	mproslint ./...
 //
-//	mproslint ./...                 standalone: loads packages (test units
-//	                                included) via `go list -export` and
-//	                                prints findings to stdout; exit 1 if any
-//
-//	go vet -vettool=$(pwd)/bin/mproslint ./...
-//	                                vettool: speaks the go vet compilation-
-//	                                unit protocol (-V=full, -flags, *.cfg).
-//	                                The interprocedural analyzers need the
-//	                                whole module at once, so only the
-//	                                per-unit analyzers run in this mode.
+// loads the named packages (test units included) via `go list -export`, runs
+// every analyzer over the whole module at once — the interprocedural ones
+// need that — and prints findings to stdout; exit 1 if any.
 //
 // Suppress an intentional finding with a reasoned directive on (or
 // immediately above) the offending line:
@@ -79,14 +72,6 @@ type jsonFinding struct {
 }
 
 func main() {
-	// The vettool protocol is positional and must win before flag parsing
-	// (go vet invokes `mproslint -V=full`, `-flags`, or `mproslint x.cfg`).
-	if code, handled := driver.VetToolMain("mproslint", os.Args[1:], analyzers); handled {
-		os.Exit(code)
-	}
-
-	printPath := flag.Bool("print-path", false,
-		"print the path of this executable (for -vettool wiring) and exit")
 	dir := flag.String("C", "", "change to this directory before loading packages")
 	asJSON := flag.Bool("json", false,
 		"emit findings as JSON (suppressed ones included, marked) instead of text")
@@ -99,16 +84,6 @@ func main() {
 			"lint:allow directives must name a known analyzer, carry a reason, and suppress something")
 	}
 	flag.Parse()
-
-	if *printPath {
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mproslint:", err)
-			os.Exit(1)
-		}
-		fmt.Println(exe)
-		return
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {

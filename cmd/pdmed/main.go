@@ -284,6 +284,9 @@ func printStatus(node *mpros.Node) {
 		fmt.Println(line)
 	}
 	printHealth(engine)
+	if err := engine.JournalError(); err != nil {
+		fmt.Fprintf(os.Stderr, "pdmed: journal: FAILED — %v (restart pdmed; senders keep their frames spooled)\n", err)
+	}
 	if fwd := node.Forwarder; fwd != nil {
 		// Heartbeat at the health registry's own notion of now: the
 		// event-time watermark by default (virtual-time fleets), the wall

@@ -4,10 +4,10 @@
 // The repo's invariants — deterministic simulation packages, tolerance-based
 // float comparison, wrapped errors on recovery paths, unit-sum Dempster-Shafer
 // masses — are enforced by analyzers built on this package and run by
-// cmd/mproslint, either standalone (mproslint ./...) or as a `go vet
-// -vettool`. The API deliberately mirrors x/tools so the analyzers could be
-// ported to the upstream framework by changing imports only; the build
-// environment for this repo is offline, so the framework itself lives here.
+// cmd/mproslint (mproslint ./...) over the whole module, test units included.
+// The API deliberately mirrors x/tools so the analyzers could be ported to
+// the upstream framework by changing imports only; the build environment for
+// this repo is offline, so the framework itself lives here.
 package analysis
 
 import (
@@ -21,9 +21,9 @@ import (
 // (Run, invoked once per package unit) or interprocedural (RunModule, invoked
 // once with every type-checked unit of the module — the call-graph analyzers
 // hotalloc, goroleak, and sendblock work this way). Exactly one of the two
-// must be set. RunModule analyzers need the whole module in memory, so they
-// execute in standalone mode (mproslint ./..., driver.LoadAndRun) only; the
-// unit-at-a-time `go vet -vettool` protocol skips them.
+// must be set. RunModule analyzers need the whole module in memory
+// (mproslint ./..., driver.LoadAndRun); a single-unit run — an analyzer's own
+// testdata — skips them.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in //lint:allow
 	// directives. It must be a valid identifier.

@@ -1,12 +1,12 @@
 // Package driver runs MPROS analyzers over type-checked package units and
-// applies the //lint:allow suppression discipline. It backs both mproslint
-// invocation modes: standalone (go list -export loading, see golist.go) and
-// `go vet -vettool` (unitchecker protocol, see vettool.go).
+// applies the //lint:allow suppression discipline. It backs mproslint and
+// TestRepoIsClean (go list -export loading, see golist.go) and the analyzers'
+// own testdata runs (analysistest, one unit at a time).
 //
-// Intraprocedural analyzers (Analyzer.Run) execute once per unit in both
-// modes. Interprocedural analyzers (Analyzer.RunModule — the call-graph
-// layer) need every unit of the module at once, so they execute only in
-// standalone mode, after all units are loaded.
+// Intraprocedural analyzers (Analyzer.Run) execute once per unit.
+// Interprocedural analyzers (Analyzer.RunModule — the call-graph layer) need
+// every unit of the module at once, so they execute after all units are
+// loaded.
 package driver
 
 import (

@@ -50,16 +50,3 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("%s", f)
 	}
 }
-
-// TestVetToolProtocol covers the argument dispatch for `go vet -vettool`.
-func TestVetToolProtocol(t *testing.T) {
-	if code, handled := driver.VetToolMain("mproslint", []string{"-flags"}, all); !handled || code != 0 {
-		t.Errorf("-flags: handled=%v code=%d, want handled, 0", handled, code)
-	}
-	if _, handled := driver.VetToolMain("mproslint", []string{"./..."}, all); handled {
-		t.Error("package patterns must fall through to standalone mode")
-	}
-	if _, handled := driver.VetToolMain("mproslint", nil, all); handled {
-		t.Error("no args must fall through to usage")
-	}
-}

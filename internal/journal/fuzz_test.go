@@ -73,6 +73,25 @@ func FuzzJournalRecover(f *testing.F) {
 	f.Add(batched[:batchStart+30], []byte(nil)) // … cut inside its second record
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte(walFormat.Magic+" but not really a journal"), []byte(ckptFormat.Magic+" nor a checkpoint"))
+	// What the PDME writes: one run of report frames as received (its kind 3)
+	// in a single write, a heartbeat, and a checkpoint under the run's head.
+	frames, framesCkpt := journalFiles(f, func(j *Journal) {
+		run := [][]byte{
+			[]byte(`{"kind":"report","report":{"dc_id":"dc-1","knowledge_source_id":"ks/dli","sensed_object_id":"motor/1","machine_condition_id":"motor imbalance","severity":0.5,"belief":0.8,"timestamp":"1998-08-15T12:00:00Z"},"dc":"dc-1","boot":7,"seq":1}`),
+			[]byte(`{"kind":"report","report":{"dc_id":"dc-1","knowledge_source_id":"ks/dli","sensed_object_id":"motor/1","machine_condition_id":"oil whirl","severity":0.25,"belief":0.5,"timestamp":"1998-08-15T12:01:00Z"},"dc":"dc-1","boot":7,"seq":2}`),
+		}
+		if _, err := j.AppendBatch(3, run); err != nil {
+			f.Fatalf("seed frames: %v", err)
+		}
+		if _, err := j.Append(2, []byte(`{"dc_id":"dc-1","sent_at":"1998-08-15T12:05:00Z"}`)); err != nil {
+			f.Fatalf("seed heartbeat: %v", err)
+		}
+		if err := j.WriteCheckpoint(1, []byte(`{"received":1}`)); err != nil {
+			f.Fatalf("seed checkpoint: %v", err)
+		}
+	})
+	f.Add(frames, framesCkpt)
+	f.Add(frames[:len(frames)-40], framesCkpt) // … torn inside the heartbeat
 
 	f.Fuzz(func(t *testing.T, walData, ckptData []byte) {
 		dir := t.TempDir()

@@ -191,11 +191,8 @@ func (j *Journal) Append(kind byte, body []byte) (uint64, error) {
 func (j *Journal) AppendBatch(kind byte, bodies [][]byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return 0, fmt.Errorf("journal: closed")
-	}
-	if j.failed != nil {
-		return 0, j.failed
+	if err := j.unusable(); err != nil {
+		return 0, err
 	}
 	first := j.nextSeq
 	recs := j.frames[:0]
@@ -269,6 +266,22 @@ func (j *Journal) WriteCheckpoint(seq uint64, blob []byte) error {
 		return fmt.Errorf("journal: compact wal: %w", err)
 	}
 	return nil
+}
+
+// Err returns why the journal takes no more appends — it was closed, or the
+// write or fsync failure that was final (see AppendBatch) — and nil while it
+// still takes them.
+func (j *Journal) Err() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.unusable()
+}
+
+func (j *Journal) unusable() error {
+	if j.closed {
+		return fmt.Errorf("journal: closed")
+	}
+	return j.failed
 }
 
 // LastSeq returns the jseq of the most recent append (0 before any).

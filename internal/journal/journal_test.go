@@ -386,6 +386,9 @@ func TestAppendFailureIsSticky(t *testing.T) {
 	if seq, err := j.Append(1, []byte("after-oversize")); err != nil || seq != 6 {
 		t.Fatalf("Append after an oversized body = (%d, %v), want jseq 6", seq, err)
 	}
+	if err := j.Err(); err != nil {
+		t.Fatalf("Err = %v on a journal that still takes appends", err)
+	}
 
 	// Pull the file out from under the journal: every write now fails.
 	if err := j.wal.Close(); err != nil {
@@ -404,9 +407,15 @@ func TestAppendFailureIsSticky(t *testing.T) {
 	if got := j.LastSeq(); got != 6 {
 		t.Fatalf("LastSeq = %d after failed appends, want 6", got)
 	}
+	if err := j.Err(); err != firstErr {
+		t.Fatalf("Err = %v, want the first failure %v", err, firstErr)
+	}
 	_ = j.Close() // the file is already closed; Close still marks the journal closed
 	if _, err := j.Append(1, []byte("z")); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("append after Close = %v, want the closed error", err)
+	}
+	if err := j.Err(); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("Err after Close = %v, want the closed error", err)
 	}
 
 	j2, rec := mustOpen(t, dir)

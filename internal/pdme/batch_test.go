@@ -1,10 +1,12 @@
 package pdme
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -191,9 +193,32 @@ func TestBatchAcceptMatchesSingles(t *testing.T) {
 			assertSameFusionState(t, singles, batched)
 			assertSameBeliefBits(t, singles, batched)
 
+			// Both engines journaled the frames as they arrived, in one order:
+			// the two WALs are the same bytes.
+			wals := [2][]byte{readWAL(t, dirs[0]), readWAL(t, dirs[1])}
+			if !bytes.Equal(wals[0], wals[1]) {
+				t.Errorf("batch-fed WAL (%d bytes) and frame-by-frame WAL (%d bytes) differ", len(wals[0]), len(wals[1]))
+			}
+			// A third journal holds the same frames as a newer sender might
+			// have written them, with a field this decoder does not know.
+			newer := t.TempDir()
+			jr, _, err := journal.Open(newer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range walTail(t, dirs[0]) {
+				body := bytes.Replace(r.Body, []byte(`{"kind":"report",`), []byte(`{"kind":"report","hops":[1,{"via":"relay"}],`), 1)
+				if _, err := jr.Append(r.Kind, body); err != nil || bytes.Equal(body, r.Body) {
+					t.Fatalf("rewrite journal record %d: %v", r.Seq, err)
+				}
+			}
+			if err := jr.Close(); err != nil {
+				t.Fatal(err)
+			}
+
 			// Both engines are abandoned, never closed: recovery is pure WAL
 			// replay of what each journaled.
-			for i, dir := range dirs {
+			for i, dir := range []string{dirs[0], dirs[1], newer} {
 				recovered := newTestPDME(t)
 				defer recovered.Close()
 				recovered.ConfigureDedup(proto.MaxRun / 2)
@@ -209,6 +234,16 @@ func TestBatchAcceptMatchesSingles(t *testing.T) {
 			}
 		})
 	}
+}
+
+// readWAL returns the bytes of the write-ahead log under a journal directory.
+func readWAL(t *testing.T, dir string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "wal.mprosj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // windowLog is an Invalidator that notes, each time a write window opens,
@@ -385,6 +420,9 @@ func TestUnavailableJournalKeepsReportsSpooled(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if err := sick.JournalError(); err != nil {
+		t.Fatalf("JournalError = %v on a healthy journal", err)
+	}
 	if err := sick.journalHandle().Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -399,6 +437,9 @@ func TestUnavailableJournalKeepsReportsSpooled(t *testing.T) {
 	}
 	if sick.ReceivedReports() != before {
 		t.Fatalf("the engine fused %d reports, %d of them without a journal", sick.ReceivedReports(), sick.ReceivedReports()-before)
+	}
+	if sick.JournalError() == nil {
+		t.Error("JournalError is nil on an engine whose journal refuses every delivery: the operator sees nothing")
 	}
 
 	// The process is replaced: same journal, same address.
@@ -423,4 +464,7 @@ func TestUnavailableJournalKeepsReportsSpooled(t *testing.T) {
 	}
 	assertSameFusionState(t, ref, healthy)
 	assertSameBeliefBits(t, ref, healthy)
+	if err := healthy.JournalError(); err != nil {
+		t.Errorf("JournalError = %v on the engine that replaced it", err)
+	}
 }

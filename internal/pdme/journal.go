@@ -30,25 +30,18 @@ import (
 // because Ranked/Belief output is a pure function of the fusion state and
 // re-posting would double OOSM report objects kept in a persistent model.
 
-// Journal record kinds.
+// Journal record kinds. A frame record's body is the report frame as the
+// server received it, which replay decodes with the server's own decoder.
+// Kind 1, the previous release's re-encoded report, is refused, not read.
 const (
-	journalKindReport    = byte(1)
-	journalKindHeartbeat = byte(2)
+	journalKindParentReport = byte(1)
+	journalKindHeartbeat    = byte(2)
+	journalKindFrame        = byte(3)
 )
 
 // DefaultCheckpointEvery is how many journaled records accumulate before
 // an automatic checkpoint when JournalOptions.CheckpointEvery is zero.
 const DefaultCheckpointEvery = 1024
-
-// journaledReport is the WAL body for an accepted report: the report plus
-// the wire delivery tag, so replay can re-mark the dedup window and a
-// resend after recovery is still recognized as a duplicate.
-type journaledReport struct {
-	DCID   string        `json:"dcid,omitempty"`
-	Boot   uint64        `json:"boot,omitempty"`
-	Seq    uint64        `json:"seq,omitempty"`
-	Report *proto.Report `json:"report"`
-}
 
 // checkpointState is the checkpoint blob: every piece of derived state a
 // crash would otherwise lose. JSON keeps float64 bit-exact (Go emits the
@@ -113,6 +106,16 @@ func (p *PDME) OpenJournal(opts JournalOptions) (RecoveryStats, error) {
 		return stats, err
 	}
 	stats.TornBytes = rec.TornBytes
+	parentRecords := 0
+	for _, r := range rec.Tail {
+		if r.Kind == journalKindParentReport {
+			parentRecords++
+		}
+	}
+	if parentRecords > 0 {
+		_ = jr.Close() // best effort: the refusal is the story
+		return stats, fmt.Errorf("pdme: journal %s: the WAL tail holds %d report record(s) in the previous release's format; recover it with the binary that wrote it and stop that cleanly (final checkpoint), then start this one", opts.Dir, parentRecords)
+	}
 	if rec.Checkpoint != nil {
 		var st checkpointState
 		if err := json.Unmarshal(rec.Checkpoint, &st); err != nil {
@@ -128,13 +131,12 @@ func (p *PDME) OpenJournal(opts JournalOptions) (RecoveryStats, error) {
 	}
 	for _, r := range rec.Tail {
 		switch r.Kind {
-		case journalKindReport:
-			var jrp journaledReport
-			if err := json.Unmarshal(r.Body, &jrp); err != nil {
-				stats.SkippedRecords++
-				continue
+		case journalKindFrame:
+			d, err := proto.DecodeFrame(r.Body)
+			if err == nil {
+				err = p.replayReport(&d)
 			}
-			if err := p.replayReport(&jrp); err != nil {
+			if err != nil {
 				stats.SkippedRecords++
 				continue
 			}
@@ -187,14 +189,12 @@ func (p *PDME) restoreCheckpoint(st checkpointState) error {
 }
 
 // replayReport re-applies one journaled report's fusion effects — see the
-// file comment for why the OOSM report object itself is not re-posted.
-func (p *PDME) replayReport(jrp *journaledReport) error {
-	r := jrp.Report
+// file comment for why the OOSM report object itself is not re-posted — and
+// re-marks its tag, so a resend after recovery is still a duplicate.
+func (p *PDME) replayReport(d *proto.Delivery) error {
+	r := d.Report
 	if r == nil {
-		return fmt.Errorf("pdme: journaled report without a report")
-	}
-	if err := r.Validate(); err != nil {
-		return err
+		return fmt.Errorf("pdme: journaled frame without a report")
 	}
 	component, condition := r.SensedObjectID, r.MachineConditionID
 	if _, err := p.diag.GroupOf(condition); err != nil {
@@ -210,8 +210,8 @@ func (p *PDME) replayReport(jrp *journaledReport) error {
 		return err
 	}
 	p.Health().ObserveReport(r.DCID, r.KnowledgeSourceID, r.Timestamp)
-	if jrp.Seq > 0 {
-		p.dedupHandle().Mark(jrp.DCID, jrp.Boot, jrp.Seq)
+	if d.Seq > 0 {
+		p.dedupHandle().Mark(d.DCID, d.Boot, d.Seq)
 	}
 	p.mu.Lock()
 	p.received++
@@ -291,11 +291,16 @@ func (p *PDME) maybeCheckpoint() {
 	}
 }
 
-// JournalError returns the most recent automatic-checkpoint failure (nil
-// when healthy). Deliveries keep succeeding through checkpoint failures —
-// the WAL still has every record — but recovery degrades toward
-// full-tail replay, so daemons surface this.
+// JournalError returns what daemons must surface (nil when healthy): why the
+// WAL takes no more appends — every delivery is refused as unavailable until
+// a restart, senders keep their frames spooled — else the last automatic
+// checkpoint failure, which only lengthens the tail a recovery replays.
 func (p *PDME) JournalError() error {
+	if jr := p.journalHandle(); jr != nil {
+		if err := jr.Err(); err != nil {
+			return err
+		}
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.journalErr
@@ -318,11 +323,10 @@ func (p *PDME) journalHandle() *journal.Journal {
 	return p.jrnl
 }
 
-// journalBody encodes one accepted envelope as a WAL record body. An
-// envelope over the record limit is refused for its own sake before the
-// append, which would otherwise refuse every envelope sharing it.
-func journalBody(envelope any) ([]byte, error) {
-	blob, err := json.Marshal(envelope)
+// journalBody admits an accepted envelope's encoding — a report's frame, a
+// marshalled heartbeat — as a WAL record body. One over the record limit is
+// refused for its own sake, not at the append all of a run shares.
+func journalBody(blob []byte, err error) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pdme: encode journal record: %w", err)
 	}

@@ -1,16 +1,28 @@
 package pdme
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fusion"
+	"repro/internal/journal"
 	"repro/internal/oosm"
 	"repro/internal/proto"
 	"repro/internal/relstore"
+	"repro/internal/seglog"
+	"repro/internal/uplink"
 )
 
 func newJournaledPDME(t testing.TB, dir string, every int) *PDME {
@@ -246,6 +258,267 @@ func TestRecoverySkipsInapplicableRecords(t *testing.T) {
 	}
 	if b, err := narrowed.Belief("motor/1", "motor imbalance"); err != nil || math.Abs(b-0.6) > 1e-9 {
 		t.Errorf("surviving condition belief %v (err %v), want 0.6", b, err)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer a relay goroutine writes and the test reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// throughRelay sends whatever deliver hands a disk-spooled uplink named dcid
+// to the server at addr through a TCP relay that records the sender's side of
+// the connection, waits for the spool to drain, and returns the frame bodies
+// the spool file held and the frame bodies that crossed the wire, with the
+// uplink's boot id.
+func throughRelay(t *testing.T, addr, dcid string, deliver func(u *uplink.Uplink) error) (spooled, wire [][]byte, boot uint64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent lockedBuffer
+	var relays sync.WaitGroup
+	relays.Add(1)
+	go func() {
+		defer relays.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // listener closed: the exchange is over
+			}
+			server, err := net.Dial("tcp", addr)
+			if err != nil {
+				_ = conn.Close()
+				continue
+			}
+			relays.Add(2)
+			go func() {
+				defer relays.Done()
+				_, _ = io.Copy(server, io.TeeReader(conn, &sent))
+				_ = server.Close()
+			}()
+			go func() {
+				defer relays.Done()
+				_, _ = io.Copy(conn, server)
+				_ = conn.Close()
+			}()
+		}
+	}()
+	dir := t.TempDir()
+	u, err := uplink.New(uplink.Config{Addr: ln.Addr().String(), DCID: dcid, SpoolDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := deliver(u); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Flush(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Acked frames stay in the file until its next compaction.
+	const recFrame = 6
+	_, err = seglog.Scan(filepath.Join(dir, seglog.FileName(dcid, ".spool")), seglog.Format{Magic: "MPROSUP3", MaxBody: 1 << 20},
+		func(r seglog.Record) error {
+			if r.Kind == recFrame {
+				spooled = append(spooled, bytes.Clone(r.Body))
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot = u.Boot()
+	if err := u.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = ln.Close()
+	relays.Wait()
+	for stream := sent.buf.Bytes(); len(stream) > 0; {
+		n := 4 + int(binary.BigEndian.Uint32(stream))
+		wire = append(wire, stream[4:n])
+		stream = stream[n:]
+	}
+	return spooled, wire, boot
+}
+
+// walTail reads, through a second handle, the records a live engine's journal
+// holds above its checkpoint.
+func walTail(t *testing.T, dir string) []journal.Record {
+	t.Helper()
+	jr, rec, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = jr.Close()
+	return rec.Tail
+}
+
+// TestOneFrameFormSpoolWireJournal drives a report and a summary down the
+// real path — a disk-spooled uplink, a TCP connection, a served and journaled
+// engine — and requires the report to be the same bytes in the spool record,
+// on the wire and in the WAL record: AppendReportEnvelope's, encoded once.
+// The summary, which a PDME refuses and so never journals, is in spool and
+// wire the bytes proto's TestSummaryFrameGolden pins.
+func TestOneFrameFormSpoolWireJournal(t *testing.T) {
+	t0 := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+	jdir := t.TempDir()
+	engine := newJournaledPDME(t, jdir, -1)
+	defer engine.Close()
+	addr, srv, err := engine.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+
+	reports := journalFixtureReports(t0)[:2]
+	reports[0].Explanation = "1x radial \"vibration\" elevated\n" // bytes an encoder must escape
+	spooled, wire, boot := throughRelay(t, addr, "dc-1", func(u *uplink.Uplink) error {
+		for _, r := range reports {
+			if err := u.Deliver(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	tail := walTail(t, jdir)
+	if len(spooled) != len(reports) || len(wire) != len(reports) || len(tail) != len(reports) {
+		t.Fatalf("%d spool records, %d wire frames, %d WAL records; want %d of each", len(spooled), len(wire), len(tail), len(reports))
+	}
+	for i, r := range reports {
+		want, err := proto.AppendReportEnvelope(nil, r, "dc-1", boot, uint64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for where, got := range map[string][]byte{"spool record": spooled[i], "wire frame": wire[i], "WAL record": tail[i].Body} {
+			if !bytes.Equal(got, want) {
+				t.Errorf("report %d: %s\n got %s\nwant %s", i, where, got, want)
+			}
+		}
+		if tail[i].Kind != journalKindFrame {
+			t.Errorf("report %d journaled under kind %d, want %d", i, tail[i].Kind, journalKindFrame)
+		}
+	}
+	if engine.ReceivedReports() != len(reports) {
+		t.Errorf("the engine fused %d reports, want %d", engine.ReceivedReports(), len(reports))
+	}
+
+	summary := &proto.FusedSummary{
+		ShardID: "shard-a", Component: "chiller/14", Condition: "refrigerant low charge", Group: "refrigerant",
+		Belief: 0.8125, Plausibility: 0.9375, Unknown: 0.125, Reports: 7, Reliability: 0.96, Degraded: true,
+		Prognostics: proto.PrognosticVector{{Probability: 0.25, HorizonSeconds: 86400}, {Probability: 0.75, HorizonSeconds: 604800}},
+		UpdatedAt:   time.Date(1998, 8, 15, 12, 30, 0, 0, time.UTC),
+	}
+	spooled, wire, boot = throughRelay(t, addr, "shard-a", func(u *uplink.Uplink) error { return u.DeliverSummary(summary) })
+	golden := fmt.Sprintf(`{"kind":"summary","summary":{"shard_id":"shard-a","component":"chiller/14","condition":"refrigerant low charge","group":"refrigerant","belief":0.8125,"plausibility":0.9375,"unknown":0.125,"reports":7,"reliability":0.96,"degraded":true,"prognostics":[{"probability":0.25,"time":86400},{"probability":0.75,"time":604800}],"updated_at":"1998-08-15T12:30:00Z"},"dc":"shard-a","boot":%d,"seq":1}`, boot)
+	if len(spooled) != 1 || len(wire) != 1 || string(spooled[0]) != golden || string(wire[0]) != golden {
+		t.Errorf("summary\n spool %s\n  wire %s\n  want %s", spooled, wire, golden)
+	}
+	if _, last, _, _ := engine.JournalInfo(); last != uint64(len(reports)) {
+		t.Errorf("journal at %d after a refused summary, want it still at %d", last, len(reports))
+	}
+}
+
+// parentJournaledReport is the WAL record body the previous release wrote for
+// an accepted report (its journal kind 1).
+type parentJournaledReport struct {
+	DCID   string        `json:"dcid,omitempty"`
+	Boot   uint64        `json:"boot,omitempty"`
+	Seq    uint64        `json:"seq,omitempty"`
+	Report *proto.Report `json:"report"`
+}
+
+// TestParentJournalUpgrade is the journal's upgrade contract: the previous
+// release's report records are not read. A journal it stopped cleanly — a
+// checkpoint over everything, and whatever of its records a crash between
+// the checkpoint and the compaction left under the watermark — reopens in
+// place with its fusion state; one with such a record in the tail is refused,
+// by name and count, with nothing changed on disk or in the engine.
+func TestParentJournalUpgrade(t *testing.T) {
+	t0 := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+	dir := t.TempDir()
+	ref := newJournaledPDME(t, dir, -1)
+	deliverFixture(t, ref, t0)
+	_, ckptSeq, _, _ := ref.JournalInfo()
+	ref.Close() // the clean stop: a checkpoint at the last jseq, an empty WAL
+	// The checkpoint and heartbeat formats did not change; what did is the
+	// report record, so put the parent's under the watermark and above it.
+	parentRecord := func(i int) []byte {
+		body, err := json.Marshal(parentJournaledReport{DCID: "dc-1", Boot: 7, Seq: uint64(i + 1), Report: journalFixtureReports(t0)[i%5]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	scratch := t.TempDir()
+	jr, _, err := journal.Open(scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < int(ckptSeq); i++ {
+		if _, err := jr.Append(journalKindParentReport, parentRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(scratch, "wal.mprosj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal.mprosj"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	upgraded := newTestPDME(t)
+	stats, err := upgraded.OpenJournal(JournalOptions{Dir: dir, CheckpointEvery: -1})
+	if err != nil || !stats.CheckpointLoaded || stats.CheckpointSeq != ckptSeq || stats.ReportsReplayed != 0 || stats.SkippedRecords != 0 {
+		t.Fatalf("cleanly stopped parent journal: stats %+v, err %v; want checkpoint@%d and nothing replayed or skipped", stats, err, ckptSeq)
+	}
+	assertSameFusionState(t, ref, upgraded)
+	assertSameBeliefBits(t, ref, upgraded)
+	if !upgraded.dedupHandle().Seen("dc-1", 7, 5) {
+		t.Error("the dedup window did not come back with the checkpoint")
+	}
+	if err := upgraded.journalHandle().Close(); err != nil { // abandoned again
+		t.Fatal(err)
+	}
+
+	// One parent record above the watermark: a parent that was killed.
+	if jr, _, err = journal.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := jr.Append(journalKindParentReport, parentRecord(int(ckptSeq))); err != nil || seq != ckptSeq+1 {
+		t.Fatalf("append the parent's tail record: jseq %d, %v", seq, err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walBefore := readWAL(t, dir)
+	ckptBefore, err := os.ReadFile(filepath.Join(dir, "checkpoint.mprosc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := newTestPDME(t)
+	defer killed.Close()
+	_, err = killed.OpenJournal(JournalOptions{Dir: dir})
+	if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "holds 1 report record") {
+		t.Fatalf("error %v, want a refusal naming %s and the 1 record", err, dir)
+	}
+	if open, _, _, _ := killed.JournalInfo(); open || killed.ReceivedReports() != 0 || len(killed.PrioritizedList()) != 0 {
+		t.Errorf("the refusing engine kept something: journal open %v, %d received, %d conclusions", open, killed.ReceivedReports(), len(killed.PrioritizedList()))
+	}
+	ckpt, err := os.ReadFile(filepath.Join(dir, "checkpoint.mprosc"))
+	if err != nil || !bytes.Equal(readWAL(t, dir), walBefore) || !bytes.Equal(ckpt, ckptBefore) {
+		t.Errorf("the refused journal was modified (%v)", err)
 	}
 }
 

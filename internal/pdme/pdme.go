@@ -14,8 +14,8 @@
 //  4. Conclusions from the knowledge fusion components are posted to the
 //     OOSM and presented in user displays.
 //
-// The PDME implements proto.Sink, so it terminates both the TCP report
-// server and the in-process bus.
+// The PDME implements proto.Sink (and proto.BatchSink), so it terminates the
+// TCP report server and takes a co-resident DC's reports directly.
 package pdme
 
 import (
@@ -59,11 +59,11 @@ type PDME struct {
 	ownHist bool
 
 	mu sync.Mutex
-	// conclusionIDs maps component|condition to the OOSM conclusion object,
+	// conclusions maps (component, condition) to the OOSM conclusion object,
 	// so fused updates rewrite one object instead of accumulating.
-	conclusionIDs map[string]oosm.ObjectID
-	received      int
-	sub           *oosm.Subscription
+	conclusions map[[2]string]conclusion
+	received    int
+	sub         *oosm.Subscription
 	// resident hosts §5.7 PDME-resident algorithms.
 	resident residentHost
 	// dedup suppresses at-least-once redelivery from DC uplinks. It lives
@@ -92,6 +92,13 @@ type PDME struct {
 	journalErr      error
 	// ckptFlight keeps automatic checkpoints single-flight.
 	ckptFlight sync.Mutex
+}
+
+// conclusion is what the engine holds of a pair's conclusion object: its id
+// and its updated_at, the event time of the newest evidence folded in.
+type conclusion struct {
+	id        oosm.ObjectID
+	updatedAt time.Time
 }
 
 // Invalidator is the read-side cache's write-window hook. BeginMutation is
@@ -138,14 +145,14 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 		return nil, err
 	}
 	p := &PDME{
-		model:         model,
-		diag:          diag,
-		prog:          fusion.NewPrognosticFuser(),
-		hist:          hist,
-		ownHist:       ownHist,
-		conclusionIDs: make(map[string]oosm.ObjectID),
-		dedup:         proto.NewDedup(0),
-		registry:      registry,
+		model:       model,
+		diag:        diag,
+		prog:        fusion.NewPrognosticFuser(),
+		hist:        hist,
+		ownHist:     ownHist,
+		conclusions: make(map[[2]string]conclusion),
+		dedup:       proto.NewDedup(0),
+		registry:    registry,
 	}
 	classes := []oosm.Class{
 		{Name: ReportClass, Props: map[string]oosm.PropType{
@@ -289,21 +296,24 @@ func (p *PDME) DeliverBatch(run []proto.Delivery) {
 // report's alone. Callers hold acceptMu (read side).
 func (p *PDME) acceptReports(run []proto.Delivery) {
 	// Write-ahead: every accepted envelope is durable before any derived
-	// state changes, so a crash at any later point replays it.
+	// state changes, so a crash at any later point replays it. The record is
+	// the frame as received; a delivery that came by no wire is encoded here.
 	var buf [proto.MaxRun][]byte // a run's worth without a heap slice
 	blobs := buf[:0]
 	if p.journalHandle() != nil {
 		for i := range run {
 			if d := &run[i]; d.Err == nil {
-				var blob []byte
-				blob, d.Err = journalBody(journaledReport{DCID: d.DCID, Boot: d.Boot, Seq: d.Seq, Report: d.Report})
-				if d.Err == nil {
+				blob := d.Frame
+				if blob == nil {
+					blob, d.Err = proto.AppendFrame(nil, d)
+				}
+				if blob, d.Err = journalBody(blob, d.Err); d.Err == nil {
 					blobs = append(blobs, blob)
 				}
 			}
 		}
 	}
-	if err := p.appendJournal(journalKindReport, blobs); err != nil {
+	if err := p.appendJournal(journalKindFrame, blobs); err != nil {
 		for i := range run {
 			if run[i].Err == nil {
 				run[i].Err = err
@@ -385,7 +395,7 @@ func (p *PDME) acceptHeartbeat(hb *proto.Heartbeat) error {
 	p.acceptMu.RLock()
 	err := func() error {
 		if p.journalHandle() != nil {
-			blob, err := journalBody(hb)
+			blob, err := journalBody(json.Marshal(hb))
 			if err != nil {
 				return err
 			}
@@ -501,7 +511,9 @@ func (p *PDME) fuse(r *proto.Report, recordSeverity func(component, condition st
 }
 
 // postConclusion writes (or rewrites) the fused conclusion object for a
-// (component, condition) pair.
+// (component, condition) pair. Its updated_at never goes back: a late report
+// changes the belief, not the time of the newest evidence — which a forwarder
+// stamps the pair's summary with and an aggregator orders summaries by.
 func (p *PDME) postConclusion(component, condition string, belief float64, vec proto.PrognosticVector, at time.Time) error {
 	cs, err := p.diag.ConditionState(component, condition)
 	if err != nil {
@@ -510,6 +522,10 @@ func (p *PDME) postConclusion(component, condition string, belief float64, vec p
 	vecJSON, err := json.Marshal(vec)
 	if err != nil {
 		return err
+	}
+	c, held := p.conclusion(component, condition)
+	if c.updatedAt.After(at) {
+		at = c.updatedAt
 	}
 	props := map[string]any{
 		"component":    component,
@@ -521,54 +537,59 @@ func (p *PDME) postConclusion(component, condition string, belief float64, vec p
 		"prognostics":  string(vecJSON),
 		"updated_at":   at,
 	}
-	if id, ok := p.conclusionID(component, condition); ok {
-		return p.model.SetProps(id, props)
+	if held {
+		err = p.model.SetProps(c.id, props)
+	} else {
+		c.id, err = p.model.Create(ConclusionClass, props)
 	}
-	id, err := p.model.Create(ConclusionClass, props)
 	if err != nil {
 		return err
 	}
+	c.updatedAt = at
 	p.mu.Lock()
-	p.conclusionIDs[component+"|"+condition] = id
+	p.conclusions[[2]string{component, condition}] = c
 	p.mu.Unlock()
+	if held {
+		return nil
+	}
 	// Link the conclusion to the sensed object when it exists in the model.
 	if objID, err := oosm.ParseObjectID(component); err == nil && p.model.Exists(objID) {
-		if err := p.model.Relate(oosm.RefersTo, id, objID); err != nil {
-			return err
-		}
+		return p.model.Relate(oosm.RefersTo, c.id, objID)
 	}
 	return nil
 }
 
-// conclusionID returns the pair's conclusion object: the id cached when this
-// process posted it, else one adopted from the model itself — a persistent
-// store may hold the pair's conclusion from a previous process life, and a
-// second object for it would be a twin.
-func (p *PDME) conclusionID(component, condition string) (oosm.ObjectID, bool) {
-	key := component + "|" + condition
+// conclusion returns the pair's conclusion object: the one held since this
+// process posted it, else one adopted — with its updated_at, read this once —
+// from the model itself: a persistent store may hold the pair's conclusion
+// from a previous process life, and a second object for it would be a twin.
+func (p *PDME) conclusion(component, condition string) (conclusion, bool) {
+	key := [2]string{component, condition}
 	p.mu.Lock()
-	id, ok := p.conclusionIDs[key]
+	c, ok := p.conclusions[key]
 	p.mu.Unlock()
 	if ok {
-		return id, true
+		return c, true
 	}
 	ids, err := p.model.FindByProp(ConclusionClass, "component", component)
 	if err != nil {
-		return oosm.ObjectID{}, false
+		return conclusion{}, false
 	}
 	for _, id := range ids {
 		props, err := p.model.Get(id)
 		if err != nil {
 			continue
 		}
-		if c, _ := props["condition"].(string); c == condition {
+		if cond, _ := props["condition"].(string); cond == condition {
+			c = conclusion{id: id}
+			c.updatedAt, _ = props["updated_at"].(time.Time)
 			p.mu.Lock()
-			p.conclusionIDs[key] = id
+			p.conclusions[key] = c
 			p.mu.Unlock()
-			return id, true
+			return c, true
 		}
 	}
-	return oosm.ObjectID{}, false
+	return conclusion{}, false
 }
 
 // ConclusionUpdatedAt returns the event time of the newest evidence folded
@@ -577,16 +598,8 @@ func (p *PDME) conclusionID(component, condition string) (oosm.ObjectID, bool) {
 // forwarders stamp outgoing FusedSummary envelopes with it, so aggregator
 // ordering and staleness discounting run on event time, not arrival time.
 func (p *PDME) ConclusionUpdatedAt(component, condition string) (time.Time, bool) {
-	id, ok := p.conclusionID(component, condition)
-	if !ok {
-		return time.Time{}, false
-	}
-	props, err := p.model.Get(id)
-	if err != nil {
-		return time.Time{}, false
-	}
-	at, ok := props["updated_at"].(time.Time)
-	return at, ok
+	c, ok := p.conclusion(component, condition)
+	return c.updatedAt, ok
 }
 
 // ReceivedReports returns the number of reports accepted.

@@ -1,65 +1,165 @@
-package proto
+package proto_test
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"path/filepath"
 	"testing"
+	"time"
+
+	"repro/internal/fusion"
+	"repro/internal/oosm"
+	"repro/internal/pdme"
+	"repro/internal/proto"
+	"repro/internal/relstore"
+	"repro/internal/seglog"
+	"repro/internal/uplink"
 )
 
-// frameBytes encodes one envelope to its wire form for use as a fuzz seed.
-func frameBytes(tb testing.TB, env envelope) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, env); err != nil {
-		tb.Fatalf("seed frame: %v", err)
+func fuzzReport() *proto.Report {
+	return &proto.Report{
+		DCID: "dc-1", KnowledgeSourceID: "ks/dli", SensedObjectID: "motor/1",
+		MachineConditionID: "motor imbalance", Severity: 0.6, Belief: 0.9,
+		Explanation: "1x radial \"vibration\" elevated\n", Timestamp: time.Date(1998, 8, 15, 12, 0, 0, 0, time.UTC),
+		Prognostics: proto.PrognosticVector{{Probability: 0.1, HorizonSeconds: 14 * 86400}, {Probability: 0.9, HorizonSeconds: 60 * 86400}},
 	}
-	return buf.Bytes()
 }
 
-// FuzzDecodeFrame feeds arbitrary bytes to the wire-frame decoder. The
-// decoder must never panic, must reject oversized length prefixes before
-// allocating, and any frame it accepts must survive an encode/decode
-// round trip to the same canonical JSON.
+func fuzzSummary() *proto.FusedSummary {
+	return &proto.FusedSummary{
+		ShardID: "shard-a", Component: "chiller/14", Condition: "refrigerant low charge", Group: "refrigerant",
+		Belief: 0.8125, Plausibility: 0.9375, Unknown: 0.125, Reports: 7, Reliability: 0.96, Degraded: true,
+		UpdatedAt: time.Date(1998, 8, 15, 12, 30, 0, 0, time.UTC),
+	}
+}
+
+// frameBody encodes one delivery through the one encoder for use as a seed.
+func frameBody(tb testing.TB, d proto.Delivery) []byte {
+	tb.Helper()
+	body, err := proto.AppendFrame(nil, &d)
+	if err != nil {
+		tb.Fatalf("seed frame: %v", err)
+	}
+	return body
+}
+
+// storedBodies drives the two owners that keep frames on disk through their
+// public write paths — an uplink with nowhere to send, a journaled engine —
+// and returns every record body their files then hold: the frames the other
+// two readers of DecodeFrame meet, plus what sits beside them (a journaled
+// heartbeat), which the decoder must refuse without harm.
+func storedBodies(tb testing.TB) [][]byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	check := func(err error) {
+		tb.Helper()
+		if err != nil {
+			tb.Fatalf("seed: %v", err)
+		}
+	}
+	var bodies [][]byte
+	collect := func(r seglog.Record) error {
+		if len(r.Body) > 0 {
+			bodies = append(bodies, bytes.Clone(r.Body))
+		}
+		return nil
+	}
+
+	up, err := uplink.New(uplink.Config{Addr: "127.0.0.1:1", DCID: "dc-1", SpoolDir: filepath.Join(dir, "spool"),
+		BackoffMin: time.Hour, BackoffMax: time.Hour})
+	check(err)
+	check(up.Deliver(fuzzReport()))
+	check(up.DeliverSummary(fuzzSummary()))
+	check(up.Close())
+	_, err = seglog.Scan(filepath.Join(dir, "spool", seglog.FileName("dc-1", ".spool")),
+		seglog.Format{Magic: "MPROSUP3", MaxBody: 1 << 20}, collect)
+	check(err)
+
+	model, err := oosm.NewModel(relstore.NewMemory())
+	check(err)
+	engine, err := pdme.New(model, fusion.Groups{"structural": {"motor imbalance", "motor misalignment"}})
+	check(err)
+	_, err = engine.OpenJournal(pdme.JournalOptions{Dir: filepath.Join(dir, "journal"), CheckpointEvery: -1})
+	check(err)
+	check(engine.DeliverTagged(fuzzReport(), "dc-1", 7, 3))
+	check(engine.Deliver(fuzzReport()))
+	check(engine.ObserveHeartbeat(&proto.Heartbeat{DCID: "dc-1", SentAt: fuzzReport().Timestamp}))
+	// Read before Close: its final checkpoint empties the WAL.
+	_, err = seglog.Scan(filepath.Join(dir, "journal", "wal.mprosj"),
+		seglog.Format{Magic: "MPROSWJ2", MaxBody: 1 << 20}, collect)
+	check(err)
+	engine.Close()
+
+	if len(bodies) != 5 { // spool: report, summary; WAL: tagged report, untagged report, heartbeat
+		tb.Fatalf("seed: %d stored bodies, want 5", len(bodies))
+	}
+	return bodies
+}
+
+// FuzzDecodeFrame feeds arbitrary bytes to the one frame-body decoder —
+// the function the server calls on what it read off the wire, the uplink on
+// its spool records and the PDME on its journal records. It must never
+// panic. A body it accepts holds exactly one valid payload, is kept as the
+// delivery's Frame, and survives the one encoder: re-encoded and decoded
+// again it names the same sender and tag and re-encodes to the same bytes.
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(frameBytes(f, envelope{Kind: "report", Report: validReport(), DCID: "dc-1", Boot: 7, Seq: 3}))
-	f.Add(frameBytes(f, envelope{Kind: "ack", DCID: "dc-1", Seq: 3, Dup: true}))
-	f.Add(frameBytes(f, envelope{Kind: "error", Error: "validate: severity out of range"}))
-	// Torn header, torn body, and a length prefix past the frame limit.
+	f.Add(frameBody(f, proto.Delivery{Report: fuzzReport(), DCID: "dc-1", Boot: 7, Seq: 3}))
+	f.Add([]byte(`{"kind":"ack","dc":"dc-1","seq":3,"dup":true}`))
+	f.Add([]byte(`{"kind":"error","error":"validate: severity out of range"}`))
+	// What a length-prefixed reader would have made of these is not this
+	// decoder's business: to it they are simply not frames.
 	f.Add([]byte{0x00, 0x00})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x05, '{', '}'})
-	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrameSize+1))
-	f.Add([]byte(`{"kind":"report"}`)) // no length prefix at all
+	f.Add(binary.BigEndian.AppendUint32(nil, proto.MaxFrameSize+1))
+	f.Add([]byte(`{"kind":"report"}`)) // the kind without its payload
 	// Summary frames: a whole one, one torn mid-body, and the kind without
 	// its payload.
-	summary := frameBytes(f, envelope{Kind: "summary", Summary: validSummary(), DCID: "shard-a", Boot: 41, Seq: 9})
+	summary := frameBody(f, proto.Delivery{Summary: fuzzSummary(), DCID: "shard-a", Boot: 41, Seq: 9})
 	f.Add(summary)
 	f.Add(summary[:len(summary)/2])
-	f.Add(frameBytes(f, envelope{Kind: "summary", DCID: "shard-a", Boot: 41, Seq: 10}))
+	f.Add([]byte(`{"kind":"summary","dc":"shard-a","boot":41,"seq":10}`))
+	// An untagged frame (the sender is the payload's own), a frame from a
+	// newer sender with a field this decoder does not know, and the bodies a
+	// real spool file and a real WAL hold.
+	f.Add(frameBody(f, proto.Delivery{Report: fuzzReport()}))
+	f.Add(bytes.Replace(summary, []byte(`{"kind":`), []byte(`{"hops":2,"kind":`), 1))
+	for _, body := range storedBodies(f) {
+		f.Add(body)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := readFrame(bytes.NewReader(data))
+		d, err := proto.DecodeFrame(data)
 		if err != nil {
 			return // rejected input: any error is acceptable, panics are not
 		}
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, env); err != nil {
-			t.Fatalf("decoded envelope failed to re-encode: %v", err)
+		switch {
+		case d.Report != nil && d.Summary == nil:
+			err = d.Report.Validate()
+		case d.Summary != nil && d.Report == nil:
+			err = d.Summary.Validate()
+		default:
+			t.Fatalf("accepted frame holds report %v and summary %v, want exactly one", d.Report, d.Summary)
 		}
-		env2, err := readFrame(&buf)
+		if err != nil {
+			t.Fatalf("accepted an invalid payload: %v", err)
+		}
+		if !bytes.Equal(d.Frame, data) {
+			t.Fatalf("Frame is not the body decoded:\n got %q\nwant %q", d.Frame, data)
+		}
+		first, err := proto.AppendFrame(nil, &d)
+		if err != nil {
+			t.Fatalf("decoded frame failed to re-encode: %v", err)
+		}
+		d2, err := proto.DecodeFrame(first)
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
-		j1, err := json.Marshal(env)
-		if err != nil {
-			t.Fatalf("marshal first decode: %v", err)
+		if d2.DCID != d.DCID || d2.Boot != d.Boot || d2.Seq != d.Seq {
+			t.Fatalf("tag changed across a round trip: (%q, %d, %d) then (%q, %d, %d)", d.DCID, d.Boot, d.Seq, d2.DCID, d2.Boot, d2.Seq)
 		}
-		j2, err := json.Marshal(env2)
-		if err != nil {
-			t.Fatalf("marshal second decode: %v", err)
-		}
-		if !bytes.Equal(j1, j2) {
-			t.Fatalf("round trip not stable:\n first=%s\nsecond=%s", j1, j2)
+		second, err := proto.AppendFrame(nil, &d2)
+		if err != nil || !bytes.Equal(first, second) {
+			t.Fatalf("round trip not stable (%v):\n first=%s\nsecond=%s", err, first, second)
 		}
 	})
 }

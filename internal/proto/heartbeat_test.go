@@ -46,7 +46,7 @@ func TestHeartbeatFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, envelope{Kind: "heartbeat", Heartbeat: validHeartbeat()}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readFrame(&buf)
+	out, _, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

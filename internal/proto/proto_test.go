@@ -228,7 +228,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readFrame(&buf)
+	out, _, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,20 +241,20 @@ func TestFrameRoundTrip(t *testing.T) {
 	// Corrupted length prefix is bounded.
 	var bad bytes.Buffer
 	bad.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&bad); err == nil {
+	if _, _, err := readFrame(&bad); err == nil {
 		t.Error("oversized frame should error")
 	}
 	// Truncated body.
 	var trunc bytes.Buffer
 	trunc.Write([]byte{0, 0, 0, 10, 'x'})
-	if _, err := readFrame(&trunc); err == nil {
+	if _, _, err := readFrame(&trunc); err == nil {
 		t.Error("truncated frame should error")
 	}
 	// Invalid JSON body.
 	var badJSON bytes.Buffer
 	badJSON.Write([]byte{0, 0, 0, 3})
 	badJSON.WriteString("{{{")
-	if _, err := readFrame(&badJSON); err == nil {
+	if _, _, err := readFrame(&badJSON); err == nil {
 		t.Error("bad json should error")
 	}
 }
@@ -353,27 +353,6 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	if n := count.Load(); n != 200 {
 		t.Fatalf("received %d, want 200", n)
-	}
-}
-
-func TestBus(t *testing.T) {
-	b := NewBus()
-	var a, c atomic.Int32
-	b.Attach(SinkFunc(func(*Report) error { a.Add(1); return nil }))
-	b.Attach(SinkFunc(func(*Report) error { c.Add(1); return nil }))
-	if err := b.Deliver(validReport()); err != nil {
-		t.Fatal(err)
-	}
-	if a.Load() != 1 || c.Load() != 1 {
-		t.Errorf("fanout a=%d c=%d", a.Load(), c.Load())
-	}
-	bad := validReport()
-	bad.MachineConditionID = ""
-	if err := b.Deliver(bad); err == nil {
-		t.Error("bus must validate")
-	}
-	if a.Load() != 1 {
-		t.Error("invalid report must not be delivered")
 	}
 }
 

@@ -3,10 +3,10 @@
 // diagnostic and prognostic conclusions to the PDME, plus transports.
 //
 // The original system carried these reports over Microsoft DCOM; this
-// reproduction substitutes a length-prefixed JSON framing over TCP (and an
-// in-process bus for single-machine deployments). The report schema itself
-// follows §7.2 field-for-field, with the §7.3 prognostic vector of
-// (probability, time) pairs.
+// reproduction substitutes a length-prefixed JSON framing over TCP (a
+// co-resident DC hands its reports straight to the PDME, which is a Sink).
+// The report schema itself follows §7.2 field-for-field, with the §7.3
+// prognostic vector of (probability, time) pairs.
 package proto
 
 import (

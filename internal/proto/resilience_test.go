@@ -29,30 +29,6 @@ func (c *collectSink) count() int {
 	return len(c.reports)
 }
 
-func TestBusDeliversToAllSinksAndJoinsErrors(t *testing.T) {
-	bus := NewBus()
-	var delivered []string
-	bus.Attach(SinkFunc(func(*Report) error {
-		delivered = append(delivered, "a")
-		return fmt.Errorf("sink a exploded")
-	}))
-	bus.Attach(SinkFunc(func(*Report) error {
-		delivered = append(delivered, "b")
-		return nil
-	}))
-	bus.Attach(SinkFunc(func(*Report) error {
-		delivered = append(delivered, "c")
-		return fmt.Errorf("sink c exploded")
-	}))
-	err := bus.Deliver(validReport())
-	if len(delivered) != 3 {
-		t.Fatalf("delivered to %v, want all three sinks", delivered)
-	}
-	if err == nil || !contains(err.Error(), "sink a exploded") || !contains(err.Error(), "sink c exploded") {
-		t.Errorf("joined error missing failures: %v", err)
-	}
-}
-
 func contains(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {

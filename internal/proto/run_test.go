@@ -152,7 +152,7 @@ func TestServerAnswersPipelinedFramesInOrder(t *testing.T) {
 			_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 			br := bufio.NewReader(conn)
 			for i, f := range burst {
-				reply, err := readFrame(br)
+				reply, _, err := readFrame(br)
 				if err != nil {
 					t.Fatalf("reply %d: %v", i, err)
 				}
@@ -207,7 +207,7 @@ func TestSendRunStopsAtTheCut(t *testing.T) {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				for i := 0; i < frames; i++ {
-					if env, err := readFrame(br); err != nil || env.Kind != kind {
+					if env, _, err := readFrame(br); err != nil || env.Kind != kind {
 						return
 					}
 				}
@@ -265,11 +265,11 @@ func TestUnavailableSinkHangsUp(t *testing.T) {
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	br := bufio.NewReader(conn)
 	for i, want := range []string{"ack", "error"} {
-		if reply, err := readFrame(br); err != nil || reply.Kind != want {
+		if reply, _, err := readFrame(br); err != nil || reply.Kind != want {
 			t.Fatalf("reply %d = %q, %v; want %s", i, reply.Kind, err, want)
 		}
 	}
-	if reply, err := readFrame(br); err == nil {
+	if reply, _, err := readFrame(br); err == nil {
 		t.Fatalf("the unavailable delivery was answered with %q %q, want the connection closed", reply.Kind, reply.Error)
 	}
 

@@ -54,22 +54,11 @@ func writeFrame(w io.Writer, env envelope) error {
 	if err != nil {
 		return fmt.Errorf("proto: marshal frame: %w", err)
 	}
-	if len(body) > MaxFrameSize {
-		return fmt.Errorf("proto: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
+	return writeRawFrame(w, body)
 }
 
 // writeRawFrame writes an already-encoded JSON body as one length-prefixed
-// frame. It is the zero-marshal counterpart of writeFrame used by the report
-// send path, which assembles the body with AppendReportEnvelope into a
-// reused buffer.
+// frame: what SendRun holds, encoded where the sequence was assigned.
 func writeRawFrame(w io.Writer, body []byte) error {
 	if len(body) > MaxFrameSize {
 		return fmt.Errorf("proto: frame of %d bytes exceeds limit", len(body))
@@ -83,25 +72,82 @@ func writeRawFrame(w io.Writer, body []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed JSON frame.
-func readFrame(r io.Reader) (envelope, error) {
+// readFrame reads one length-prefixed JSON frame: the decoded envelope and
+// the body it was decoded from, which is the caller's to keep.
+func readFrame(r io.Reader) (envelope, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return envelope{}, err
+		return envelope{}, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrameSize {
-		return envelope{}, fmt.Errorf("proto: frame of %d bytes exceeds limit", n)
+		return envelope{}, nil, fmt.Errorf("proto: frame of %d bytes exceeds limit", n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return envelope{}, err
+		return envelope{}, nil, err
 	}
 	var env envelope
 	if err := json.Unmarshal(body, &env); err != nil {
-		return envelope{}, fmt.Errorf("proto: unmarshal frame: %w", err)
+		return envelope{}, nil, fmt.Errorf("proto: unmarshal frame: %w", err)
 	}
-	return env, nil
+	return env, body, nil
+}
+
+// AppendFrame is the one encoder of a tagged payload: it appends d's frame
+// body — the JSON envelope {"kind","report"|"summary","dc","boot","seq"} — to
+// dst. The uplink calls it once per payload, where the sequence is assigned;
+// those bytes are then the spool record, the wire frame and the PDME's
+// journal record.
+func AppendFrame(dst []byte, d *Delivery) ([]byte, error) {
+	if d.Summary == nil {
+		return AppendReportEnvelope(dst, d.Report, d.DCID, d.Boot, d.Seq)
+	}
+	body, err := json.Marshal(envelope{Kind: "summary", Summary: d.Summary, DCID: d.DCID, Boot: d.Boot, Seq: d.Seq})
+	if err != nil {
+		return dst, fmt.Errorf("proto: marshal frame: %w", err)
+	}
+	return append(dst, body...), nil
+}
+
+// DecodeFrame is the one decoder of a frame body — for the server reading the
+// wire, the uplink recovering its spool and the PDME replaying its journal —
+// so all three derive the same Delivery from the same bytes: a valid payload,
+// its sender (the envelope's, else the payload's own) and its delivery tag.
+// The result's Frame aliases body.
+func DecodeFrame(body []byte) (Delivery, error) {
+	var env envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		return Delivery{}, fmt.Errorf("proto: unmarshal frame: %w", err)
+	}
+	return env.delivery(body)
+}
+
+// delivery is DecodeFrame past the unmarshal.
+func (env *envelope) delivery(body []byte) (Delivery, error) {
+	d := Delivery{DCID: env.DCID, Frame: body}
+	var err error
+	var sender string // what the payload itself says, for a frame that does not
+	switch {
+	case env.Kind == "report" && env.Report != nil:
+		d.Report, sender, err = env.Report, env.Report.DCID, env.Report.Validate()
+	case env.Kind == "summary" && env.Summary != nil:
+		d.Summary, sender, err = env.Summary, env.Summary.ShardID, env.Summary.Validate()
+	default:
+		err = errors.New("expected a report, summary or heartbeat frame")
+	}
+	if err != nil {
+		return Delivery{}, err
+	}
+	if d.DCID == "" {
+		d.DCID = sender
+	}
+	// The tag is the frame's whether or not its reader keeps a dedup window:
+	// what a journaling sink marks live is what replaying these bytes marks.
+	if env.Seq > 0 {
+		d.Boot, d.Seq = env.Boot, env.Seq
+	}
+	return d, nil
 }
 
 // Sink consumes validated reports; the PDME implements this interface.
@@ -131,6 +177,11 @@ type Delivery struct {
 	Summary   *FusedSummary
 	DCID      string
 	Boot, Seq uint64
+	// Frame is the fields above in their one encoded form, the wire frame body
+	// (AppendFrame). SendRun writes it as it is, without looking at them; the
+	// server sets it to the body it decoded them from, for a journaling sink
+	// to record. Nil means not encoded yet.
+	Frame []byte
 	// Dup reports that the server had already taken this (DCID, Boot, Seq).
 	// Sinks never see it set: the server answers duplicates itself.
 	Dup bool
@@ -272,7 +323,7 @@ func (s *Server) handle(conn net.Conn) {
 		if s.idleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		}
-		env, err := readFrame(br)
+		env, body, err := readFrame(br)
 		if err != nil {
 			return // connection closed, idle, or corrupted framing
 		}
@@ -283,15 +334,15 @@ func (s *Server) handle(conn net.Conn) {
 		// sender's frames arrive together, and answering them together is what
 		// lets a run share one sink call and one flush. A partly buffered frame
 		// is a peer in mid-write; the read deadline above still bounds it.
-		if err := c.take(env); err != nil {
+		if err := c.take(env, body); err != nil {
 			return
 		}
 		var rerr error
 		for n := 1; n < MaxRun && br.Buffered() > 0; n++ {
-			if env, rerr = readFrame(br); rerr != nil {
+			if env, body, rerr = readFrame(br); rerr != nil {
 				break // the frames before it are still answered
 			}
-			if err := c.take(env); err != nil {
+			if err := c.take(env, body); err != nil {
 				return
 			}
 		}
@@ -316,32 +367,15 @@ type session struct {
 // take routes one inbound frame. A valid report or summary frame joins the
 // pending run when it continues it and otherwise starts the next one; every
 // other frame is answered on its own, after the run before it.
-func (c *session) take(env envelope) error {
+func (c *session) take(env envelope, body []byte) error {
 	var reply envelope
-	switch {
-	case env.Kind == "heartbeat":
+	if env.Kind == "heartbeat" {
 		reply = c.srv.processHeartbeat(env)
-	case env.Kind == "report" && env.Report != nil, env.Kind == "summary" && env.Summary != nil:
+	} else if d, err := env.delivery(body); err != nil {
+		reply = envelope{Kind: "error", Error: err.Error()}
+	} else {
 		// Summaries and reports of one sender share its sequence space (they
 		// ride one spool), so one per-sender window covers both kinds.
-		d := Delivery{DCID: env.DCID}
-		var err error
-		var sender string // what the payload itself says, for a frame that does not
-		if env.Kind == "report" {
-			d.Report, sender, err = env.Report, env.Report.DCID, env.Report.Validate()
-		} else {
-			d.Summary, sender, err = env.Summary, env.Summary.ShardID, env.Summary.Validate()
-		}
-		if err != nil {
-			reply = envelope{Kind: "error", Error: err.Error()}
-			break
-		}
-		if d.DCID == "" {
-			d.DCID = sender
-		}
-		if c.srv.dedup != nil && env.Seq > 0 {
-			d.Boot, d.Seq = env.Boot, env.Seq
-		}
 		if n := len(c.run); n > 0 && !d.continues(&c.run[n-1]) {
 			if err := c.flushRun(); err != nil {
 				return err
@@ -349,8 +383,6 @@ func (c *session) take(env envelope) error {
 		}
 		c.run = append(c.run, d)
 		return nil
-	default:
-		reply = envelope{Kind: "error", Error: "expected a report, summary or heartbeat frame"}
 	}
 	if err := c.flushRun(); err != nil {
 		return err
@@ -396,9 +428,10 @@ func (c *session) flushRun() error {
 // acceptRun is the exactly-once critical section for both payload kinds: it
 // applies dedup and sink delivery to one run of validated frames — tagged
 // frames of one sender incarnation in ascending sequence, or a single
-// untagged frame.
+// untagged frame. Without a dedup window the run goes straight to the sink,
+// tags and all.
 func (s *Server) acceptRun(run []Delivery) {
-	tagged := run[0].Seq > 0
+	tagged := s.dedup != nil && run[0].Seq > 0
 	if tagged {
 		// Hold the sender's stripe across check+deliver+mark so a resend of
 		// the same tags racing on another connection observes the marks.
@@ -558,18 +591,18 @@ func (c *Client) exchange(env envelope) (envelope, error) {
 	if err := c.bw.Flush(); err != nil {
 		return envelope{}, err
 	}
-	return readFrame(c.br)
+	reply, _, err := readFrame(c.br)
+	return reply, err
 }
 
-// SendRun is the one tagged exchange: it writes every frame of the run — a
-// report encoded into the client's reused buffer by AppendReportEnvelope
-// rather than marshaled, a summary marshaled — flushes once, then reads the
-// replies in order into each element's Dup and Err (a refusal wraps
-// ErrRejected). It returns how many frames were answered; err is the
-// transport failure that cut the exchange short, and the frames from that
-// index on may or may not have reached the server — resend them. The per-send
-// deadline, when configured, covers the whole exchange. Payloads must be
-// valid.
+// SendRun is the one tagged exchange: it writes every frame of the run — its
+// Frame as it is, else the payload encoded by AppendFrame into the client's
+// reused buffer — flushes once, then reads the replies in order into each
+// element's Dup and Err (a refusal wraps ErrRejected). It returns how many
+// frames were answered; err is the transport failure that cut the exchange
+// short, and the frames from that index on may or may not have reached the
+// server — resend them. The per-send deadline, when configured, covers the
+// whole exchange. Payloads must be valid.
 func (c *Client) SendRun(run []Delivery) (answered int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -581,18 +614,14 @@ func (c *Client) SendRun(run []Delivery) (answered int, err error) {
 	}
 	var encErr error
 	for i := range run {
-		d := &run[i]
-		var body []byte
-		var err error
-		if d.Summary != nil {
-			body, err = json.Marshal(envelope{Kind: "summary", Summary: d.Summary, DCID: d.DCID, Boot: d.Boot, Seq: d.Seq})
-		} else if body, err = AppendReportEnvelope(c.buf[:0], d.Report, d.DCID, d.Boot, d.Seq); err == nil {
+		body := run[i].Frame
+		if body == nil {
+			if body, encErr = AppendFrame(c.buf[:0], &run[i]); encErr != nil {
+				// Nothing of this frame is on the wire: the run ends before it.
+				run = run[:i]
+				break
+			}
 			c.buf = body[:0]
-		}
-		if err != nil {
-			// Nothing of this frame is on the wire: the run ends before it.
-			run, encErr = run[:i], err
-			break
 		}
 		if err := writeRawFrame(c.bw, body); err != nil {
 			return 0, err
@@ -602,7 +631,7 @@ func (c *Client) SendRun(run []Delivery) (answered int, err error) {
 		return 0, err
 	}
 	for i := range run {
-		reply, err := readFrame(c.br)
+		reply, _, err := readFrame(c.br)
 		if err != nil {
 			return i, err
 		}
@@ -618,9 +647,12 @@ func (c *Client) SendRun(run []Delivery) (answered int, err error) {
 	return len(run), encErr
 }
 
-// send performs one tagged or untagged report exchange: the run of one.
-func (c *Client) send(r *Report, dcid string, boot, seq uint64) (dup bool, err error) {
-	one := [1]Delivery{{Report: r, DCID: dcid, Boot: boot, Seq: seq}}
+// send validates one report and performs its exchange: the run of one.
+func (c *Client) send(d Delivery) (dup bool, err error) {
+	if err := d.Report.Validate(); err != nil {
+		return false, err
+	}
+	one := [1]Delivery{d}
 	if _, err := c.SendRun(one[:]); err != nil {
 		return false, err
 	}
@@ -630,10 +662,7 @@ func (c *Client) send(r *Report, dcid string, boot, seq uint64) (dup bool, err e
 // Send validates and delivers one report, waiting for the server's ack. A
 // server-side delivery failure is returned as an error wrapping ErrRejected.
 func (c *Client) Send(r *Report) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	_, err := c.send(r, "", 0, 0)
+	_, err := c.send(Delivery{Report: r})
 	return err
 }
 
@@ -642,10 +671,7 @@ func (c *Client) Send(r *Report) error {
 // redelivery. It returns whether the server acked it as an already-seen
 // duplicate.
 func (c *Client) SendTagged(r *Report, boot, seq uint64) (dup bool, err error) {
-	if err := r.Validate(); err != nil {
-		return false, err
-	}
-	return c.send(r, r.DCID, boot, seq)
+	return c.send(Delivery{Report: r, DCID: r.DCID, Boot: boot, Seq: seq})
 }
 
 // Deliver implements Sink, so a Client can stand in wherever an in-process
@@ -662,42 +688,4 @@ func (c *Client) Close() error {
 	err := c.conn.Close()
 	c.conn = nil
 	return err
-}
-
-// Bus is an in-process transport implementing the same Sink contract for
-// single-machine deployments (the paper's phase-1 lab setup ran the PDME and
-// DC on one network but the architecture allows colocated operation).
-type Bus struct {
-	mu    sync.RWMutex
-	sinks []Sink
-}
-
-// NewBus returns an empty bus.
-func NewBus() *Bus { return &Bus{} }
-
-// Attach registers a sink to receive every published report.
-func (b *Bus) Attach(s Sink) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.sinks = append(b.sinks, s)
-}
-
-// Deliver validates the report and forwards it to every attached sink. One
-// failing sink no longer starves the rest: every sink sees the report, and
-// the joined errors of all failures are returned.
-func (b *Bus) Deliver(r *Report) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	b.mu.RLock()
-	sinks := make([]Sink, len(b.sinks))
-	copy(sinks, b.sinks)
-	b.mu.RUnlock()
-	var errs []error
-	for _, s := range sinks {
-		if err := s.Deliver(r); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }

@@ -355,8 +355,11 @@ func TestAggregatorRejectsRawReports(t *testing.T) {
 
 // TestForwarderMirrorsShardState: a shard engine's fused conclusions must
 // arrive at the aggregator bit-identical — same belief, plausibility,
-// unknown, prognostics, and event time — and the single-shard global
-// ranking must equal the shard's own prioritized list.
+// unknown, report count, prognostics, and event time — and the single-shard
+// global ranking must equal the shard's own prioritized list. One report
+// arrives late (another DC's, stamped before the pair's newest evidence): its
+// summary must not look older than the one before it, or the aggregator keeps
+// the stale belief.
 func TestForwarderMirrorsShardState(t *testing.T) {
 	model, err := oosm.NewModel(relstore.NewMemory())
 	if err != nil {
@@ -393,6 +396,7 @@ func TestForwarderMirrorsShardState(t *testing.T) {
 		report("dc-1", "m1", "outer race fault", 0.7, base),
 		report("dc-2", "m1", "outer race fault", 0.5, base.Add(time.Minute)),
 		report("dc-3", "m2", "imbalance", 0.9, base.Add(2*time.Minute)),
+		report("dc-4", "m2", "imbalance", 0.5, base),
 	} {
 		if err := engine.DeliverTagged(rep, rep.DCID, 1, uint64(i+1)); err != nil {
 			t.Fatal(err)
@@ -404,6 +408,9 @@ func TestForwarderMirrorsShardState(t *testing.T) {
 	fc := fwd.Counters()
 	if fc.Forwarded == 0 || fc.Errors != 0 {
 		t.Fatalf("forwarder counters %+v", fc)
+	}
+	if n := agg.StaleDropped(); n != 0 {
+		t.Errorf("the aggregator dropped %d of one shard's in-order summaries as stale", n)
 	}
 
 	local := engine.PrioritizedList()
@@ -420,9 +427,9 @@ func TestForwarderMirrorsShardState(t *testing.T) {
 		if g.Component != l.Component || g.Condition != l.Condition {
 			t.Fatalf("row %d: global (%s,%s) != local (%s,%s)", i, g.Component, g.Condition, l.Component, l.Condition)
 		}
-		if g.Belief != cs.Belief || g.Plausibility != cs.Plausibility || g.Unknown != cs.Unknown {
-			t.Fatalf("row %d: global (%g,%g,%g) != shard (%g,%g,%g)",
-				i, g.Belief, g.Plausibility, g.Unknown, cs.Belief, cs.Plausibility, cs.Unknown)
+		if g.Belief != cs.Belief || g.Plausibility != cs.Plausibility || g.Unknown != cs.Unknown || g.Reports != cs.Reports {
+			t.Fatalf("row %d: global (%g,%g,%g; %d reports) != shard (%g,%g,%g; %d reports)",
+				i, g.Belief, g.Plausibility, g.Unknown, g.Reports, cs.Belief, cs.Plausibility, cs.Unknown, cs.Reports)
 		}
 		if g.Degraded || g.Reliability != 1 {
 			t.Fatalf("row %d: fresh single shard must be undegraded: %+v", i, g)

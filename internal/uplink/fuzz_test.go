@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/proto"
 	"repro/internal/seglog"
 )
 
@@ -39,7 +40,7 @@ func spoolFileBytes(tb testing.TB, mutate func(s *spool)) []byte {
 func FuzzSpoolRecover(f *testing.F) {
 	full := spoolFileBytes(f, func(s *spool) {
 		for i := 0; i < 4; i++ {
-			if _, _, err := s.add(&pendingRec{report: testReport(i)}); err != nil {
+			if _, _, err := s.add(reportOf(testReport(i))); err != nil {
 				f.Fatalf("seed add: %v", err)
 			}
 		}
@@ -58,19 +59,19 @@ func FuzzSpoolRecover(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(spoolFormat.Magic + " but not really a spool"))
 	f.Add(spoolFileBytes(f, func(s *spool) { // a forwarded summary between two reports
-		if _, _, err := s.add(&pendingRec{report: testReport(0)}); err != nil {
+		if _, _, err := s.add(reportOf(testReport(0))); err != nil {
 			f.Fatalf("seed add: %v", err)
 		}
-		if _, _, err := s.add(&pendingRec{summary: testSummary(0)}); err != nil {
+		if _, _, err := s.add(summaryOf(testSummary(0))); err != nil {
 			f.Fatalf("seed add summary: %v", err)
 		}
-		if _, _, err := s.add(&pendingRec{report: testReport(1)}); err != nil {
+		if _, _, err := s.add(reportOf(testReport(1))); err != nil {
 			f.Fatalf("seed add: %v", err)
 		}
 	}))
 	summaries := spoolFileBytes(f, func(s *spool) { // a run of summaries, its head half acked
 		for i := 0; i < 6; i++ {
-			if _, _, err := s.add(&pendingRec{summary: testSummary(i)}); err != nil {
+			if _, _, err := s.add(summaryOf(testSummary(i))); err != nil {
 				f.Fatalf("seed add summary: %v", err)
 			}
 		}
@@ -80,6 +81,15 @@ func FuzzSpoolRecover(f *testing.F) {
 	})
 	f.Add(summaries)
 	f.Add(summaries[:len(summaries)-30]) // … torn inside the batch of acks
+	// The previous release's record kinds: a spool it drained (opens), and one
+	// with a frame still unacked (refused).
+	for _, acked := range []int{3, 2} {
+		data, err := os.ReadFile(parentSpoolFile(f, f.TempDir(), "dc-fuzz", 0x5EED, acked))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -100,8 +110,8 @@ func FuzzSpoolRecover(f *testing.F) {
 				t.Fatalf("duplicate pending seq %d", rec.seq)
 			}
 			seqs[rec.seq] = true
-			if rec.report == nil && rec.summary == nil {
-				t.Fatalf("pending seq %d recovered without a report or summary", rec.seq)
+			if d, err := proto.DecodeFrame(rec.frame); err != nil || d.Seq != rec.seq || (d.Summary != nil) != rec.summary {
+				t.Fatalf("pending seq %d (summary %v) recovered with frame %q: decoded seq %d, err %v", rec.seq, rec.summary, rec.frame, d.Seq, err)
 			}
 		}
 		if err := s.close(); err != nil {

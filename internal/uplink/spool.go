@@ -1,9 +1,9 @@
 package uplink
 
 import (
+	"bytes"
 	crand "crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -17,14 +17,16 @@ import (
 // DESIGN.md, "On-disk logs"). Its header meta is u64 boot | DC id; a
 // record's sequence is the delivery id it concerns. Record kinds:
 //
-//	recReport  — body is the JSON report; the sequence is its delivery id
-//	recAck     — the report with this sequence was acked by the PDME
-//	recDrop    — the report was dropped by the capacity policy (still final)
+//	recFrame   — body is the frame as it goes on the wire (proto.AppendFrame):
+//	             a report or, on PDME→PDME forwarding, a fused summary, with
+//	             this boot and sequence in it. Both share the sequence space,
+//	             so one spool carries them FIFO under one dedup window
+//	recAck     — the frame with this sequence was acked by the PDME
+//	recDrop    — the frame was dropped by the capacity policy (still final)
 //	recSeqMark — sequence watermark written on compaction so monotonic ids
-//	             survive a rewrite that leaves no report records behind
-//	recSummary — body is a JSON fused summary (PDME→PDME forwarding); it
-//	             shares the report sequence space, so one spool carries both
-//	             kinds in FIFO order under one dedup window
+//	             survive a rewrite that leaves no frame records behind
+//	recReport, recSummary — the previous release's bare JSON payloads. Not
+//	             read: an unresolved one refuses the file
 //
 // The boot id names the sequence-counter incarnation on the wire (see
 // proto.Dedup): a persistent spool keeps it for the file's lifetime, so
@@ -39,21 +41,22 @@ const (
 	recDrop    = byte(3)
 	recSeqMark = byte(4)
 	recSummary = byte(5)
+	recFrame   = byte(6)
 
 	// compactEvery bounds resolved (acked/dropped) records retained in the
-	// file before it is rewritten with only pending reports.
+	// file before it is rewritten with only pending frames.
 	compactEvery = 512
 )
 
 var spoolFormat = seglog.Format{Magic: "MPROSUP3", MaxBody: 1 << 20}
 
-// pendingRec is one spooled frame awaiting ack: a report or, on the
-// PDME→PDME forwarding path, a fused summary (exactly one of the two is
-// set).
+// pendingRec is one spooled frame awaiting ack.
 type pendingRec struct {
-	seq     uint64
-	report  *proto.Report
-	summary *proto.FusedSummary
+	seq uint64
+	// frame is the encoded frame body, as spooled and as sent; summary is its
+	// kind (a forwarded fused summary, not a report), which runs are cut by.
+	frame   []byte
+	summary bool
 	// attempts counts sends tried so far; recovered marks a frame replayed
 	// from disk after a process restart. Both feed the Replayed counter.
 	attempts  int
@@ -61,22 +64,6 @@ type pendingRec struct {
 	// evicted marks a frame the capacity policy dropped; the sender may still
 	// hold it in flight, and its late ack then changes nothing.
 	evicted bool
-}
-
-// recType returns the spool record type for the frame this rec carries.
-func (rec *pendingRec) recType() byte {
-	if rec.summary != nil {
-		return recSummary
-	}
-	return recReport
-}
-
-// marshalBody encodes the frame this rec carries for spooling.
-func (rec *pendingRec) marshalBody() ([]byte, error) {
-	if rec.summary != nil {
-		return json.Marshal(rec.summary)
-	}
-	return json.Marshal(rec.report)
 }
 
 // spool is the uplink's store-and-forward queue: every outbound report is
@@ -93,6 +80,7 @@ type spool struct {
 	pending  []*pendingRec   // oldest first
 	resolved int             // resolved records in the file since last compact
 	acks     []seglog.Record // resolve's framing scratch, reused
+	enc      []byte          // add's encode scratch, reused
 }
 
 // newBootID draws a random boot incarnation id; zero is reserved for
@@ -148,16 +136,17 @@ func openSpool(dir, dcid string, capacity int) (*spool, error) {
 		maxSeq = max(maxSeq, r.Seq)
 		rec := &pendingRec{seq: r.Seq, recovered: true}
 		switch r.Kind {
-		case recReport:
-			rec.report = new(proto.Report)
-			if err := json.Unmarshal(r.Body, rec.report); err != nil {
-				return fmt.Errorf("undecodable report: %w", err)
+		case recFrame:
+			d, err := proto.DecodeFrame(r.Body)
+			if err != nil {
+				return fmt.Errorf("undecodable frame: %w", err)
 			}
-		case recSummary:
-			rec.summary = new(proto.FusedSummary)
-			if err := json.Unmarshal(r.Body, rec.summary); err != nil {
-				return fmt.Errorf("undecodable summary: %w", err)
+			if d.Seq != r.Seq {
+				return fmt.Errorf("frame tagged %d under record sequence %d", d.Seq, r.Seq)
 			}
+			rec.frame, rec.summary = bytes.Clone(r.Body), d.Summary != nil
+		case recReport, recSummary:
+			// The parent's format: rec stays without a frame.
 		case recAck, recDrop:
 			resolved[r.Seq] = true
 			return nil
@@ -181,12 +170,20 @@ func openSpool(dir, dcid string, capacity int) (*spool, error) {
 		return nil, fmt.Errorf("uplink: %s: spool belongs to DC %q, not %q", path, meta[min(8, len(meta)):], dcid)
 	}
 	s.boot = binary.LittleEndian.Uint64(meta)
+	parentFrames := 0
 	for _, seq := range order {
-		if resolved[seq] {
+		switch {
+		case resolved[seq]:
 			s.resolved++
-			continue
+		case frames[seq].frame == nil:
+			parentFrames++
+		default:
+			s.pending = append(s.pending, frames[seq])
 		}
-		s.pending = append(s.pending, frames[seq])
+	}
+	if parentFrames > 0 {
+		_ = s.log.Close() // best effort: the refusal is the story
+		return nil, fmt.Errorf("uplink: %s: %d unresolved frames in the previous release's record format; drain the spool with the binary that wrote it, then start this one", path, parentFrames)
 	}
 	s.nextSeq = maxSeq + 1
 	// Start compacted: resolved records recovered from a previous run carry
@@ -211,20 +208,23 @@ func (s *spool) appendRecord(typ byte, seq uint64, body []byte) error {
 	return nil
 }
 
-// add assigns the next sequence to the frame and appends it (write-ahead:
-// the spool entry exists before the first send attempt). Reports and
-// summaries share the sequence space and the capacity policy, so a single
-// FIFO drains both kinds. When the pending queue exceeds capacity the oldest
-// frames are dropped; their sequences are returned so the caller can count
-// them.
-func (s *spool) add(rec *pendingRec) (seq uint64, droppedSeqs []uint64, err error) {
-	rec.seq = s.nextSeq
-	s.nextSeq++
-	body, err := rec.marshalBody()
+// add assigns the next sequence to the payload in d, encodes the frame —
+// once: these bytes are what is spooled, sent and journaled at the far end —
+// and appends it (write-ahead: the spool entry exists before the first send
+// attempt). Reports and summaries share the sequence space and the capacity
+// policy, so a single FIFO drains both kinds. When the pending queue exceeds
+// capacity the oldest frames are dropped; their sequences are returned so the
+// caller can count them.
+func (s *spool) add(d *proto.Delivery) (seq uint64, droppedSeqs []uint64, err error) {
+	d.Boot, d.Seq = s.boot, s.nextSeq
+	enc, err := proto.AppendFrame(s.enc[:0], d)
 	if err != nil {
 		return 0, nil, fmt.Errorf("uplink: encode spool frame: %w", err)
 	}
-	if err := s.appendRecord(rec.recType(), rec.seq, body); err != nil {
+	s.enc = enc[:0]
+	rec := &pendingRec{seq: d.Seq, frame: bytes.Clone(enc), summary: d.Summary != nil}
+	s.nextSeq++
+	if err := s.appendRecord(recFrame, rec.seq, rec.frame); err != nil {
 		return 0, nil, err
 	}
 	s.pending = append(s.pending, rec)
@@ -255,7 +255,7 @@ func (s *spool) popHead() *pendingRec {
 // the frames of its kind that follow it, up to proto.MaxRun.
 func (s *spool) headRun(dst []*pendingRec) []*pendingRec {
 	for _, rec := range s.pending {
-		if len(dst) == proto.MaxRun || (len(dst) > 0 && rec.recType() != dst[0].recType()) {
+		if len(dst) == proto.MaxRun || (len(dst) > 0 && rec.summary != dst[0].summary) {
 			break
 		}
 		dst = append(dst, rec)
@@ -295,7 +295,7 @@ func (s *spool) maybeCompact() error {
 	return s.compact()
 }
 
-// compact rewrites the file with only pending reports plus a sequence
+// compact rewrites the file with only the pending frames plus a sequence
 // watermark. A failed rewrite leaves the old file and handle in place.
 func (s *spool) compact() error {
 	err := s.log.Rewrite(func(w *seglog.Log) error {
@@ -305,11 +305,7 @@ func (s *spool) compact() error {
 			}
 		}
 		for _, rec := range s.pending {
-			body, err := rec.marshalBody()
-			if err != nil {
-				return err
-			}
-			if err := w.Append(rec.recType(), rec.seq, body); err != nil {
+			if err := w.Append(recFrame, rec.seq, rec.frame); err != nil {
 				return err
 			}
 		}
@@ -322,7 +318,7 @@ func (s *spool) compact() error {
 	return nil
 }
 
-// close syncs and closes the spool file; pending reports stay on disk for
+// close syncs and closes the spool file; pending frames stay on disk for
 // the next open.
 func (s *spool) close() error {
 	if s.log == nil {

@@ -1,6 +1,9 @@
 package uplink
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,6 +29,22 @@ func testReport(i int) *proto.Report {
 	}
 }
 
+// reportOf and summaryOf are what the uplink's two doors hand spool.add.
+func reportOf(r *proto.Report) *proto.Delivery { return &proto.Delivery{Report: r, DCID: r.DCID} }
+func summaryOf(s *proto.FusedSummary) *proto.Delivery {
+	return &proto.Delivery{Summary: s, DCID: s.ShardID}
+}
+
+// payloadOf decodes the frame a pending record holds, as the server will.
+func payloadOf(t *testing.T, rec *pendingRec) proto.Delivery {
+	t.Helper()
+	d, err := proto.DecodeFrame(rec.frame)
+	if err != nil || d.Seq != rec.seq || (d.Summary != nil) != rec.summary {
+		t.Fatalf("pending seq %d (summary %v) holds frame %s: decoded seq %d, err %v", rec.seq, rec.summary, rec.frame, d.Seq, err)
+	}
+	return d
+}
+
 func TestSpoolRecoversPendingAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := openSpool(dir, "dc-1", 100)
@@ -33,7 +52,7 @@ func TestSpoolRecoversPendingAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		seq, dropped, err := s.add(&pendingRec{report: testReport(i)})
+		seq, dropped, err := s.add(reportOf(testReport(i)))
 		if err != nil || len(dropped) != 0 {
 			t.Fatal(seq, dropped, err)
 		}
@@ -65,12 +84,12 @@ func TestSpoolRecoversPendingAcrossReopen(t *testing.T) {
 		if rec.seq != uint64(i+2) || !rec.recovered {
 			t.Errorf("pending[%d] = seq %d recovered %v", i, rec.seq, rec.recovered)
 		}
-		if want := "r" + string(rune('0'+i+2)); rec.report.Explanation != want {
-			t.Errorf("pending[%d] explanation %q, want %q", i, rec.report.Explanation, want)
+		if got, want := payloadOf(t, rec).Report.Explanation, "r"+string(rune('0'+i+2)); got != want {
+			t.Errorf("pending[%d] explanation %q, want %q", i, got, want)
 		}
 	}
 	// Monotonic sequences continue where the previous process stopped.
-	seq, _, err := s2.add(&pendingRec{report: testReport(4)})
+	seq, _, err := s2.add(reportOf(testReport(4)))
 	if err != nil || seq != 4 {
 		t.Fatalf("next seq %d err %v, want 4", seq, err)
 	}
@@ -83,7 +102,7 @@ func TestSpoolSequenceSurvivesFullDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, _, err := s.add(&pendingRec{report: testReport(i)}); err != nil {
+		if _, _, err := s.add(reportOf(testReport(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +132,7 @@ func TestSpoolSequenceSurvivesFullDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.close()
-	if seq, _, err := s3.add(&pendingRec{report: testReport(4)}); err != nil || seq != 4 {
+	if seq, _, err := s3.add(reportOf(testReport(4))); err != nil || seq != 4 {
 		t.Fatalf("seq %d err %v, want 4", seq, err)
 	}
 }
@@ -125,7 +144,7 @@ func TestSpoolTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2; i++ {
-		if _, _, err := s.add(&pendingRec{report: testReport(i)}); err != nil {
+		if _, _, err := s.add(reportOf(testReport(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +180,7 @@ func TestSpoolInteriorCorruptionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, _, err := s.add(&pendingRec{report: testReport(i)}); err != nil {
+		if _, _, err := s.add(reportOf(testReport(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +229,7 @@ func TestSpoolCapacityDropsOldest(t *testing.T) {
 	}
 	var droppedAll []uint64
 	for i := 1; i <= 5; i++ {
-		_, dropped, err := s.add(&pendingRec{report: testReport(i)})
+		_, dropped, err := s.add(reportOf(testReport(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +252,7 @@ func TestSpoolCompactionShrinksFile(t *testing.T) {
 	defer s.close()
 	// Cycle well past compactEvery resolved records.
 	for i := 0; i < compactEvery+10; i++ {
-		if _, _, err := s.add(&pendingRec{report: testReport(i % 10)}); err != nil {
+		if _, _, err := s.add(reportOf(testReport(i % 10))); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.resolve(s.pending[:1]); err != nil {
@@ -288,7 +307,7 @@ func TestSpoolTornHeaderIsATornCreate(t *testing.T) {
 		if len(s2.pending) != 0 || s2.nextSeq != 1 || s2.boot == 0 || s2.boot == s.boot {
 			t.Fatalf("header cut at %d: pending %d nextSeq %d boot %d (old %d)", cut, len(s2.pending), s2.nextSeq, s2.boot, s.boot)
 		}
-		if _, _, err := s2.add(&pendingRec{report: testReport(1)}); err != nil {
+		if _, _, err := s2.add(reportOf(testReport(1))); err != nil {
 			t.Fatal(err)
 		}
 		if err := s2.close(); err != nil {
@@ -350,14 +369,14 @@ func TestSpoolCompactionFailureLeavesSpoolUsable(t *testing.T) {
 			}
 			// One frame is pending throughout: each round spools the next
 			// and retires the one before it.
-			keep, _, err := s.add(&pendingRec{report: testReport(1)})
+			keep, _, err := s.add(reportOf(testReport(1)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			restore := obstruct(t, filepath.Join(dir, seglog.FileName("dc-1", spoolExt)))
 			failed := false
 			for i := 0; i < compactEvery; i++ {
-				if keep, _, err = s.add(&pendingRec{report: testReport(i % 10)}); err != nil {
+				if keep, _, err = s.add(reportOf(testReport(i % 10))); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.resolve(s.pending[:1]); err != nil {
@@ -369,7 +388,7 @@ func TestSpoolCompactionFailureLeavesSpoolUsable(t *testing.T) {
 			}
 			// The record is appended before the compaction attempt, so it
 			// is on disk even though add reports the compaction error.
-			_, _, _ = s.add(&pendingRec{report: testReport(2)})
+			_, _, _ = s.add(reportOf(testReport(2)))
 			last := s.nextSeq - 1
 			if err := s.close(); err != nil {
 				t.Fatal(err)
@@ -405,6 +424,82 @@ func TestSpoolParentFormatRefused(t *testing.T) {
 	}
 }
 
+// parentSpoolFile writes, through seglog alone, the spool the previous release
+// left behind for dcid: a report, a summary and a report as bare JSON payloads
+// under its record kinds, the first acked of them acked. It returns the path.
+func parentSpoolFile(tb testing.TB, dir, dcid string, boot uint64, acked int) string {
+	tb.Helper()
+	path := filepath.Join(dir, seglog.FileName(dcid, spoolExt))
+	meta := append(binary.LittleEndian.AppendUint64(nil, boot), dcid...)
+	log, _, err := seglog.Open(path, spoolFormat, meta, func(seglog.Record) error { return nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, payload := range []any{testReport(1), testSummary(2), testReport(3)} {
+		body, err := json.Marshal(payload)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		kind := recReport
+		if i == 1 {
+			kind = recSummary
+		}
+		if err := log.Append(kind, uint64(i+1), body); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for seq := 1; seq <= acked; seq++ {
+		if err := log.Append(recAck, uint64(seq), nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// TestSpoolParentRecordKinds is the spool's upgrade contract: the previous
+// release's payload records are not read. A spool it drained opens in place
+// with its boot id and sequence watermark; one still holding an unacked frame
+// is refused, by name and count, and left as it was.
+func TestSpoolParentRecordKinds(t *testing.T) {
+	const boot = 0x5EED
+	dir := t.TempDir()
+	parentSpoolFile(t, dir, "dc-1", boot, 3)
+	s, err := openSpool(dir, "dc-1", 100)
+	if err != nil {
+		t.Fatalf("a drained parent spool refused: %v", err)
+	}
+	if s.boot != boot || s.nextSeq != 4 || len(s.pending) != 0 {
+		t.Fatalf("boot %#x nextSeq %d pending %d, want %#x, 4 and 0", s.boot, s.nextSeq, len(s.pending), boot)
+	}
+	if seq, _, err := s.add(reportOf(testReport(4))); err != nil || seq != 4 {
+		t.Fatalf("first frame after the upgrade: seq %d, err %v; want 4", seq, err)
+	}
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = openSpool(dir, "dc-1", 100); err != nil || s.boot != boot || len(s.pending) != 1 || s.pending[0].seq != 4 {
+		t.Fatalf("reopen after the upgrade: %+v, %v", s, err)
+	}
+	_ = s.close()
+
+	dir = t.TempDir()
+	path := parentSpoolFile(t, dir, "dc-1", boot, 2)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = openSpool(dir, "dc-1", 100)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "1 unresolved") {
+		t.Fatalf("error %v, want a refusal naming %s and the 1 unresolved frame", err, path)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused spool was modified (%v)", err)
+	}
+}
+
 // TestSpoolMixedKindsDrainFIFO: reports, summaries and reports again in one
 // spool drain in the order they were added, a run never holds both kinds or
 // more than proto.MaxRun frames, and a reopen in the middle of a run picks up
@@ -419,15 +514,13 @@ func TestSpoolMixedKindsDrainFIFO(t *testing.T) {
 	add := func(kind string, n int) {
 		for i := 0; i < n; i++ {
 			label := fmt.Sprintf("%s-%d", kind, len(want))
-			rec := &pendingRec{}
+			d := reportOf(testReport(i % 10))
+			d.Report.Explanation = label
 			if kind == "summary" {
-				rec.summary = testSummary(i % 10)
-				rec.summary.Condition = label
-			} else {
-				rec.report = testReport(i % 10)
-				rec.report.Explanation = label
+				d = summaryOf(testSummary(i % 10))
+				d.Summary.Condition = label
 			}
-			if _, _, err := s.add(rec); err != nil {
+			if _, _, err := s.add(d); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, label)
@@ -445,7 +538,7 @@ func TestSpoolMixedKindsDrainFIFO(t *testing.T) {
 			break
 		}
 		for _, rec := range run {
-			if rec.recType() != run[0].recType() {
+			if rec.summary != run[0].summary {
 				t.Fatalf("run %d holds both kinds", drained)
 			}
 		}
@@ -455,10 +548,10 @@ func TestSpoolMixedKindsDrainFIFO(t *testing.T) {
 			run = run[:5]
 		}
 		for _, rec := range run {
-			if rec.summary != nil {
-				got = append(got, rec.summary.Condition)
+			if d := payloadOf(t, rec); d.Summary != nil {
+				got = append(got, d.Summary.Condition)
 			} else {
-				got = append(got, rec.report.Explanation)
+				got = append(got, d.Report.Explanation)
 			}
 		}
 		runs = append(runs, len(run))

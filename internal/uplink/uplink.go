@@ -9,10 +9,10 @@
 //     per-dial and per-send deadlines, so a dropped socket or PDME restart
 //     heals without operator action;
 //   - a persistent write-ahead spool (see spool.go): every report is
-//     appended before its first send attempt and retired only on ack, so
-//     reports queued during an outage survive both the outage and a DC
-//     process restart, with bounded capacity and an oldest-first drop
-//     policy;
+//     encoded into its wire frame once, appended before its first send
+//     attempt and retired only on ack, so reports queued during an outage
+//     survive both the outage and a DC process restart, with bounded
+//     capacity and an oldest-first drop policy;
 //   - monotonic per-DC sequence tagging on the wire, which the PDME-side
 //     proto.Dedup window uses to suppress at-least-once redelivery — the
 //     wire is at-least-once, the fusion effect exactly-once.
@@ -198,16 +198,16 @@ func New(cfg Config) (*Uplink, error) {
 	return u, nil
 }
 
-// Deliver implements proto.Sink: the report is durably spooled with a fresh
-// sequence number and delivered asynchronously, oldest first. It only
-// errors when the report is invalid or the spool cannot accept it.
+// Deliver implements proto.Sink: the report is framed under a fresh sequence
+// number, durably spooled and delivered asynchronously, oldest first. It only
+// errors when the report is invalid or unencodable or the spool refuses it.
 //
 //mpros:ingest report intake from diagnosis; must never block on the sender goroutine
 func (u *Uplink) Deliver(r *proto.Report) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	return u.enqueue(&pendingRec{report: r})
+	return u.enqueue(&proto.Delivery{Report: r, DCID: r.DCID})
 }
 
 // DeliverSummary spools one PDME→PDME fused summary for asynchronous
@@ -220,17 +220,18 @@ func (u *Uplink) DeliverSummary(s *proto.FusedSummary) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	return u.enqueue(&pendingRec{summary: s})
+	return u.enqueue(&proto.Delivery{Summary: s, DCID: u.cfg.DCID})
 }
 
-// enqueue spools one validated frame and wakes the sender.
-func (u *Uplink) enqueue(rec *pendingRec) error {
+// enqueue spools one validated payload under the sender id its frame names —
+// a report's DC, a summary's forwarding shard — and wakes the sender.
+func (u *Uplink) enqueue(d *proto.Delivery) error {
 	u.mu.Lock()
 	if u.closed {
 		u.mu.Unlock()
 		return errors.New("uplink: closed")
 	}
-	_, droppedSeqs, err := u.spool.add(rec)
+	_, droppedSeqs, err := u.spool.add(d)
 	if err == nil {
 		u.counters.Spooled++
 		u.counters.Dropped += int64(len(droppedSeqs))
@@ -450,7 +451,8 @@ func (u *Uplink) run() {
 			}
 			answered, err := u.sendRun(run, frames[:len(run)])
 			u.retire(run[:answered], frames[:answered])
-			clear(frames[:len(run)]) // an idle sender pins no report
+			clear(frames[:len(run)]) // an idle sender pins no frame,
+			clear(run[:answered])    // nor the retired records that held them
 			if answered > 0 {
 				backoff = u.cfg.BackoffMin
 			}
@@ -518,11 +520,7 @@ func (u *Uplink) sendRun(run []*pendingRec, frames []proto.Delivery) (answered i
 		return 0, errors.New("uplink: not connected")
 	}
 	for i, rec := range run {
-		// A report frame names its DC; a summary frame the forwarding shard.
-		frames[i] = proto.Delivery{Report: rec.report, Summary: rec.summary, DCID: u.cfg.DCID, Boot: u.spool.boot, Seq: rec.seq}
-		if rec.report != nil {
-			frames[i].DCID = rec.report.DCID
-		}
+		frames[i] = proto.Delivery{Frame: rec.frame}
 	}
 	return client.SendRun(frames)
 }
