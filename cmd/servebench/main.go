@@ -1,8 +1,10 @@
 // Command servebench load-tests the read-side serving tier: it stands up an
-// in-process PDME with live synthetic ingest (reports + heartbeats on
-// virtual timestamps), then drives thousands of concurrent readers through
-// the materialized-view API while dedicated checkers continuously prove
-// cache coherence against fresh fuses.
+// in-process PDME configured as pdmed configures one (staleness discounting
+// engaged on the event-time watermark, so every report and heartbeat puts
+// the tier's discount-factor guard to work) with live synthetic ingest
+// (reports + heartbeats on virtual timestamps), then drives thousands of
+// concurrent readers through the materialized-view API while dedicated
+// checkers continuously prove cache coherence against fresh fuses.
 //
 //	servebench -readers 10000 -duration 10s -json
 //
@@ -130,7 +132,8 @@ func run() int {
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 
-	node, err := mpros.OpenNode("", "", nil, 0, nil, pdme.JournalOptions{}, nil)
+	// pdmed always passes a health config; the defaults are its flags' defaults.
+	node, err := mpros.OpenNode("", "", &mpros.HealthConfig{}, 0, nil, pdme.JournalOptions{}, nil)
 	if err != nil {
 		return fail(err)
 	}
@@ -253,7 +256,7 @@ func run() int {
 					continue // ingest raced the check: inconclusive
 				}
 				checks.Add(1)
-				if !reflect.DeepEqual(first.Items, fresh) {
+				if !reflect.DeepEqual(first.Items(), fresh) {
 					violations.Add(1)
 				}
 			}

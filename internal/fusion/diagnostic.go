@@ -273,50 +273,121 @@ func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at
 	}
 	st.reports[condition]++
 	df.totalFusedN++
-	fused, err := df.fusedLocked(st)
+	fused, _, _, err := df.fusedLocked(st)
 	if err != nil {
 		return 0, err
 	}
 	return fused.Belief(hyp), nil
 }
 
-// sourceAlpha returns the discount factor currently applied to a source's
-// evidence. Callers hold df.mu (read or write).
-func (df *DiagnosticFuser) sourceAlpha(name string, src *sourceEvidence) float64 {
-	if df.discounter == nil || name == "" || src.lastReport.IsZero() {
-		return 1
-	}
-	return df.discounter.Reliability(name, src.lastReport)
-}
-
-// fusedLocked combines every source's discounted evidence for one group
-// state. Sources combine in sorted-id order so the result is deterministic
-// regardless of arrival interleaving across sources. Callers hold df.mu.
-func (df *DiagnosticFuser) fusedLocked(st *groupState) (*dempster.Mass, error) {
-	names := make([]string, 0, len(st.sources))
-	//lint:allow maporder source ids are sorted before combination, so the fused result is order-independent
+// factorsLocked returns the group's source ids in the sorted order they
+// combine in and, aligned with them, the discount factor each source's
+// evidence carries right now (1 for the anonymous source and for
+// untimestamped evidence, which are never discounted). With no discounter
+// installed nothing is discounted and the factors are nil. Callers hold
+// df.mu (read or write).
+func (df *DiagnosticFuser) factorsLocked(st *groupState) (names []string, factors []float64) {
+	names = make([]string, 0, len(st.sources))
+	//lint:allow maporder source ids are sorted before use, so the combination order is arrival-independent
 	for name := range st.sources {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := dempster.VacuousMass(st.frame)
-	for _, name := range names {
-		src := st.sources[name]
-		m := src.mass
-		if alpha := df.sourceAlpha(name, src); alpha < 1 {
-			dm, err := dempster.Discount(m, alpha)
-			if err != nil {
-				return nil, err
-			}
-			m = dm
+	if df.discounter == nil {
+		return names, nil
+	}
+	factors = make([]float64, len(names))
+	for i, name := range names {
+		factors[i] = 1
+		if src := st.sources[name]; name != "" && !src.lastReport.IsZero() {
+			factors[i] = df.discounter.Reliability(name, src.lastReport)
 		}
-		combined, _, err := dempster.Combine(out, m)
+	}
+	return names, factors
+}
+
+// factorAt reads source i's factor out of factorsLocked's result.
+func factorAt(factors []float64, i int) float64 {
+	if factors == nil {
+		return 1
+	}
+	return factors[i]
+}
+
+// fusedLocked combines every source's discounted evidence for one group
+// state, in factorsLocked's order, and returns that order and the factors it
+// discounted by: the fused mass is a pure function of the group's evidence
+// and those factors, whatever the arrival interleaving across sources was.
+// Callers hold df.mu.
+func (df *DiagnosticFuser) fusedLocked(st *groupState) (fused *dempster.Mass, names []string, factors []float64, err error) {
+	names, factors = df.factorsLocked(st)
+	fused = dempster.VacuousMass(st.frame)
+	for i, name := range names {
+		m := st.sources[name].mass
+		if alpha := factorAt(factors, i); alpha < 1 {
+			if m, err = dempster.Discount(m, alpha); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		if fused, _, err = dempster.Combine(fused, m); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return fused, names, factors, nil
+}
+
+// readLocked is the one fused read of a group state: it combines the group's
+// evidence once, fills out[i] with the state of members[i], and returns the
+// factors the combination discounted by. ConditionState, GroupState and
+// Ranked are projections of it. Callers hold df.mu.
+func (df *DiagnosticFuser) readLocked(group string, st *groupState, members []string, out []ConditionState) ([]float64, error) {
+	fused, names, factors, err := df.fusedLocked(st)
+	if err != nil {
+		return nil, err
+	}
+	var hypBuf [8]dempster.Set
+	hyps := hypBuf[:0]
+	unknown := fused.Unknown()
+	for i, cond := range members {
+		hyp, err := st.frame.Hypothesis(cond)
 		if err != nil {
 			return nil, err
 		}
-		out = combined
+		hyps = append(hyps, hyp)
+		out[i] = ConditionState{ConditionBelief: ConditionBelief{
+			Condition: cond, Group: group, Reports: st.reports[cond], Reliability: 1,
+		}, Unknown: unknown}
+		// Best reliability across the sources asserting the condition: a
+		// conclusion is degraded only when no fresh source backs it.
+		best, seen := 0.0, false
+		for j, name := range names {
+			if _, ok := st.sources[name].conditions[cond]; !ok {
+				continue
+			}
+			if a := factorAt(factors, j); !seen || a > best {
+				best, seen = a, true
+			}
+		}
+		if seen {
+			out[i].Reliability, out[i].Degraded = best, best < 1-1e-9
+		}
 	}
-	return out, nil
+	// One walk over the focal sets serves every member's belief and
+	// plausibility. It runs in ascending focal-set order — the order
+	// dempster.Mass.Belief and Plausibility sum in — so each sum is
+	// bit-identical to theirs.
+	for _, focal := range fused.FocalSets() {
+		v := fused.Get(focal)
+		for i, hyp := range hyps {
+			if hyp.Contains(focal) && !focal.IsEmpty() {
+				out[i].Belief += v
+			}
+			if !focal.Intersect(hyp).IsEmpty() {
+				out[i].Plausibility += v
+			}
+		}
+	}
+	return factors, nil
 }
 
 // Belief returns the fused belief in a condition on a component (0 when no
@@ -369,47 +440,22 @@ func (df *DiagnosticFuser) RankedAll() map[string][]ConditionBelief {
 	return out
 }
 
-// rankedLocked computes Ranked for one component. Callers hold df.mu.
+// rankedLocked computes Ranked for one component: the reported members of
+// each of its groups' reads, sorted. A group whose evidence cannot be
+// combined contributes no rows. Callers hold df.mu.
 func (df *DiagnosticFuser) rankedLocked(component string) []ConditionBelief {
 	var out []ConditionBelief
 	//lint:allow maporder rows are fully sorted by (belief, condition) before return and conditions are unique per component
 	for group, st := range df.states[component] {
-		fused, err := df.fusedLocked(st)
-		if err != nil {
+		members := df.groups[group]
+		states := make([]ConditionState, len(members))
+		if _, err := df.readLocked(group, st, members, states); err != nil {
 			continue
 		}
-		// Best reliability per condition across the sources asserting it:
-		// a conclusion is degraded only when no fresh source backs it.
-		rel := make(map[string]float64, len(st.reports))
-		//lint:allow maporder computes a per-condition maximum reliability; max is order-independent
-		for name, src := range st.sources {
-			alpha := df.sourceAlpha(name, src)
-			//lint:allow maporder contributes to an order-independent per-condition maximum
-			for cond := range src.conditions {
-				if best, ok := rel[cond]; !ok || alpha > best {
-					rel[cond] = alpha
-				}
+		for _, cs := range states {
+			if cs.Reports > 0 {
+				out = append(out, cs.ConditionBelief)
 			}
-		}
-		//lint:allow maporder rows are fully sorted by (belief, condition) before return
-		for cond, n := range st.reports {
-			hyp, err := st.frame.Hypothesis(cond)
-			if err != nil {
-				continue
-			}
-			alpha, ok := rel[cond]
-			if !ok {
-				alpha = 1
-			}
-			out = append(out, ConditionBelief{
-				Condition:    cond,
-				Group:        group,
-				Belief:       fused.Belief(hyp),
-				Plausibility: fused.Plausibility(hyp),
-				Reports:      n,
-				Reliability:  alpha,
-				Degraded:     alpha < 1-1e-9,
-			})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -432,54 +478,111 @@ type ConditionState struct {
 	Unknown float64
 }
 
+// vacuousState is a pair's state before any report reaches its group.
+func vacuousState(condition, group string) ConditionState {
+	return ConditionState{ConditionBelief: ConditionBelief{
+		Condition: condition, Group: group, Plausibility: 1, Reliability: 1,
+	}, Unknown: 1}
+}
+
 // ConditionState returns the pair's fused belief, plausibility, group
 // unknown, report count, and health-discount fields under a single lock
-// acquisition and a single evidence combination. It is the one fused read of
-// a pair: Belief, Plausibility and Unknown each return one field of it.
+// acquisition and a single evidence combination: one member of the group
+// read. Belief, Plausibility and Unknown each return one field of it.
 func (df *DiagnosticFuser) ConditionState(component, condition string) (ConditionState, error) {
 	group, err := df.GroupOf(condition)
 	if err != nil {
 		return ConditionState{}, err
 	}
-	cs := ConditionState{ConditionBelief: ConditionBelief{
-		Condition: condition, Group: group, Plausibility: 1, Reliability: 1,
-	}, Unknown: 1}
 	df.mu.RLock()
 	defer df.mu.RUnlock()
-	byGroup := df.states[component]
-	if byGroup == nil || byGroup[group] == nil {
-		return cs, nil // vacuous: no reports yet for the pair's group
+	st := df.states[component][group]
+	if st == nil {
+		return vacuousState(condition, group), nil // no reports yet for the pair's group
 	}
-	st := byGroup[group]
-	hyp, err := st.frame.Hypothesis(condition)
-	if err != nil {
+	member, out := [1]string{condition}, [1]ConditionState{}
+	if _, err := df.readLocked(group, st, member[:], out[:]); err != nil {
 		return ConditionState{}, err
 	}
-	fused, err := df.fusedLocked(st)
-	if err != nil {
-		return ConditionState{}, err
+	return out[0], nil
+}
+
+// GroupState is the complete fused read of one (component, failure group)
+// block — the unit one report can change (§5.3): evidence for any member
+// reweights every other member and the group's unknown mass, and nothing
+// outside the block.
+type GroupState struct {
+	// Members holds every member condition's state, reported or not, in the
+	// group's registration order (GroupMembers). Each carries the group's
+	// unknown mass.
+	Members []ConditionState
+	// Factors are the discount factors the read applied, one per
+	// contributing source in sorted source-id order; nil while no discounter
+	// is installed. Members is a pure function of the block's evidence and
+	// these: until a report reaches the block, a later read differs exactly
+	// when GroupFactors does.
+	Factors []float64
+}
+
+// GroupState fuses one (component, group) block once and returns every
+// member's state from that one combination, under a single lock
+// acquisition. A block with no evidence reads vacuous.
+func (df *DiagnosticFuser) GroupState(component, group string) (GroupState, error) {
+	members, ok := df.groups[group]
+	if !ok {
+		return GroupState{}, fmt.Errorf("fusion: unknown group %q", group)
 	}
-	cs.Belief = fused.Belief(hyp)
-	cs.Plausibility = fused.Plausibility(hyp)
-	cs.Unknown = fused.Unknown()
-	cs.Reports = st.reports[condition]
-	// Best reliability across the sources asserting this condition, as in
-	// Ranked: degraded only when no fresh source backs it.
-	alpha, seen := 0.0, false
-	//lint:allow maporder computes an order-independent maximum reliability
-	for name, src := range st.sources {
-		if _, ok := src.conditions[condition]; !ok {
-			continue
+	gs := GroupState{Members: make([]ConditionState, len(members))}
+	df.mu.RLock()
+	defer df.mu.RUnlock()
+	st := df.states[component][group]
+	if st == nil {
+		for i, cond := range members {
+			gs.Members[i] = vacuousState(cond, group)
 		}
-		if a := df.sourceAlpha(name, src); !seen || a > alpha {
-			alpha, seen = a, true
+		return gs, nil
+	}
+	var err error
+	if gs.Factors, err = df.readLocked(group, st, members, gs.Members); err != nil {
+		return GroupState{}, err
+	}
+	return gs, nil
+}
+
+// GroupFactors returns what GroupState's Factors would be right now without
+// combining any evidence: one Reliability call per discounted source. Nil
+// while no discounter is installed or the block holds no evidence.
+func (df *DiagnosticFuser) GroupFactors(component, group string) []float64 {
+	df.mu.RLock()
+	defer df.mu.RUnlock()
+	st := df.states[component][group]
+	if st == nil || df.discounter == nil {
+		return nil
+	}
+	_, factors := df.factorsLocked(st)
+	return factors
+}
+
+// Blocks returns every (component, failure group) pair that holds evidence,
+// sorted by component then group.
+func (df *DiagnosticFuser) Blocks() [][2]string {
+	df.mu.RLock()
+	defer df.mu.RUnlock()
+	var out [][2]string
+	//lint:allow maporder pairs are sorted before return
+	for component, byGroup := range df.states {
+		//lint:allow maporder pairs are sorted before return
+		for group := range byGroup {
+			out = append(out, [2]string{component, group})
 		}
 	}
-	if seen {
-		cs.Reliability = alpha
-		cs.Degraded = alpha < 1-1e-9
-	}
-	return cs, nil
+	sort.Slice(out, func(i, j int) bool {
+		if out[i][0] != out[j][0] {
+			return out[i][0] < out[j][0]
+		}
+		return out[i][1] < out[j][1]
+	})
+	return out
 }
 
 // GroupMembers returns the member conditions of a logical failure group, in

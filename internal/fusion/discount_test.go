@@ -2,6 +2,8 @@ package fusion
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -255,5 +257,139 @@ func TestDiscounterAlphaClamped(t *testing.T) {
 	df.SetDiscounter(&fakeDiscounter{alpha: map[string]float64{"dc-0": -0.5}})
 	if _, err := df.Belief("pump", "unbalance"); err == nil {
 		t.Fatal("negative reliability should error")
+	}
+}
+
+// referenceRanked is Ranked as it was computed before the group read
+// existed: its own combination per group, dempster.Mass.Belief and
+// Plausibility per reported condition (one sorted focal-set walk each), a
+// per-condition maximum over the sources' factors. The group read must agree
+// with it to the bit.
+func referenceRanked(df *DiagnosticFuser, component string) map[string]ConditionBelief {
+	df.mu.RLock()
+	defer df.mu.RUnlock()
+	alphaOf := func(name string, src *sourceEvidence) float64 {
+		if df.discounter == nil || name == "" || src.lastReport.IsZero() {
+			return 1
+		}
+		return df.discounter.Reliability(name, src.lastReport)
+	}
+	out := map[string]ConditionBelief{}
+	for group, st := range df.states[component] {
+		names := make([]string, 0, len(st.sources))
+		for name := range st.sources {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		fused := dempster.VacuousMass(st.frame)
+		for _, name := range names {
+			m := st.sources[name].mass
+			if alpha := alphaOf(name, st.sources[name]); alpha < 1 {
+				m, _ = dempster.Discount(m, alpha)
+			}
+			fused, _, _ = dempster.Combine(fused, m)
+		}
+		for cond, n := range st.reports {
+			hyp, _ := st.frame.Hypothesis(cond)
+			alpha, seen := 1.0, false
+			for name, src := range st.sources {
+				if _, ok := src.conditions[cond]; !ok {
+					continue
+				}
+				if a := alphaOf(name, src); !seen || a > alpha {
+					alpha, seen = a, true
+				}
+			}
+			out[cond] = ConditionBelief{
+				Condition: cond, Group: group, Belief: fused.Belief(hyp), Plausibility: fused.Plausibility(hyp),
+				Reports: n, Reliability: alpha, Degraded: alpha < 1-1e-9,
+			}
+		}
+	}
+	return out
+}
+
+func sameBelief(a, b ConditionBelief) bool {
+	return a.Condition == b.Condition && a.Group == b.Group && a.Reports == b.Reports && a.Degraded == b.Degraded &&
+		math.Float64bits(a.Belief) == math.Float64bits(b.Belief) &&
+		math.Float64bits(a.Plausibility) == math.Float64bits(b.Plausibility) &&
+		math.Float64bits(a.Reliability) == math.Float64bits(b.Reliability)
+}
+
+// TestGroupStateIsEveryOtherRead: over seeded report schedules — several
+// sources, the anonymous one and untimestamped evidence among them, with and
+// without a discounter — the group read, ConditionState of each member and
+// the Ranked rows are one set of numbers, bit for bit, and equal to the
+// reference; GroupFactors is the Factors of the read without the combine.
+func TestGroupStateIsEveryOtherRead(t *testing.T) {
+	groups := testGroups()
+	var conditions []string
+	for _, g := range []string{"electrical", "lubricant", "structural"} {
+		conditions = append(conditions, groups[g]...)
+	}
+	components := []string{"chiller-1", "chiller-2"}
+	sources := []string{"", "dc-1", "dc-2", "dc-3"}
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, discounted := range []bool{false, true} {
+			rng := newRand(seed)
+			df, err := NewDiagnosticFuser(groups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if discounted {
+				df.SetDiscounter(&fakeDiscounter{alpha: map[string]float64{"dc-1": 0.9 * rng.float(), "dc-2": 1, "dc-3": 0}})
+			}
+			for i := 0; i < 40+rng.intn(40); i++ {
+				at := dt.Add(time.Duration(i) * time.Minute)
+				if rng.intn(8) == 0 {
+					at = time.Time{}
+				}
+				if _, err := df.AddReportFrom(components[rng.intn(2)], conditions[rng.intn(len(conditions))],
+					sources[rng.intn(len(sources))], at, rng.float()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, component := range components {
+				want := referenceRanked(df, component)
+				ranked := df.Ranked(component)
+				if len(ranked) != len(want) {
+					t.Fatalf("seed %d discounted=%v: Ranked(%s) has %d rows, reference %d", seed, discounted, component, len(ranked), len(want))
+				}
+				for _, cb := range ranked {
+					if !sameBelief(cb, want[cb.Condition]) {
+						t.Fatalf("seed %d discounted=%v: Ranked row %+v != reference %+v", seed, discounted, cb, want[cb.Condition])
+					}
+				}
+				for group := range groups {
+					gs, err := df.GroupState(component, group)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if factors := df.GroupFactors(component, group); !reflect.DeepEqual(factors, gs.Factors) {
+						t.Fatalf("seed %d: GroupFactors %v != the read's Factors %v", seed, factors, gs.Factors)
+					}
+					reports := 0
+					for _, cs := range gs.Members {
+						reports += cs.Reports
+					}
+					if (gs.Factors != nil) != (discounted && reports > 0) {
+						t.Fatalf("seed %d discounted=%v, %d reports: Factors = %v", seed, discounted, reports, gs.Factors)
+					}
+					for i, member := range groups[group] {
+						cs, err := df.ConditionState(component, member)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := gs.Members[i]; !sameBelief(got.ConditionBelief, cs.ConditionBelief) ||
+							math.Float64bits(got.Unknown) != math.Float64bits(cs.Unknown) {
+							t.Fatalf("seed %d: group member %+v != ConditionState %+v", seed, got, cs)
+						}
+						if ref, reported := want[member]; reported != (cs.Reports > 0) || reported && !sameBelief(cs.ConditionBelief, ref) {
+							t.Fatalf("seed %d discounted=%v: ConditionState %+v != reference %+v", seed, discounted, cs, ref)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -254,14 +254,14 @@ type windowLog struct {
 	seqs   []uint64
 }
 
-func (w *windowLog) BeginMutation(string, string) {
+func (w *windowLog) BeginMutation(string, string, string) {
 	if w.before != nil {
 		w.before(len(w.seqs))
 	}
 	_, last, _, _ := w.p.JournalInfo()
 	w.seqs = append(w.seqs, last)
 }
-func (w *windowLog) EndMutation(string, string) {}
+func (w *windowLog) EndMutation(string, string, string) {}
 
 // TestBatchAcceptDurabilityContract pins what a run may and may not do:
 // reports refused for their own sake fail alone and are not journaled; the

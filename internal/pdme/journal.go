@@ -197,14 +197,15 @@ func (p *PDME) replayReport(d *proto.Delivery) error {
 		return fmt.Errorf("pdme: journaled frame without a report")
 	}
 	component, condition := r.SensedObjectID, r.MachineConditionID
-	if _, err := p.diag.GroupOf(condition); err != nil {
+	group, err := p.diag.GroupOf(condition)
+	if err != nil {
 		return err
 	}
 	// Same write window as the live accept path: an invalidator attached
 	// before recovery must not serve a view of a half-replayed pair.
 	if inv := p.invalidator(); inv != nil {
-		inv.BeginMutation(component, condition)
-		defer inv.EndMutation(component, condition)
+		inv.BeginMutation(component, group, condition)
+		defer inv.EndMutation(component, group, condition)
 	}
 	if err := p.fuse(r, p.replaySeverity); err != nil {
 		return err

@@ -531,13 +531,13 @@ type recoveryInvalidator struct {
 	flushes atomic.Int64
 }
 
-func (ri *recoveryInvalidator) BeginMutation(component, condition string) {
+func (ri *recoveryInvalidator) BeginMutation(component, group, condition string) {
 	ri.mu.Lock()
 	ri.begins++
 	ri.mu.Unlock()
 }
 
-func (ri *recoveryInvalidator) EndMutation(component, condition string) {
+func (ri *recoveryInvalidator) EndMutation(component, group, condition string) {
 	ri.mu.Lock()
 	ri.ends++
 	ri.mu.Unlock()

@@ -102,15 +102,17 @@ type conclusion struct {
 }
 
 // Invalidator is the read-side cache's write-window hook. BeginMutation is
-// called before a delivered report touches any fusion state for the
-// (component, condition) pair, EndMutation after the report's fusion,
-// conclusion post, and health observation have all completed — between the
-// two, cached views of the pair (and of anything aggregating it) are neither
-// served nor stored. Both run synchronously on the delivering goroutine and
-// must not call back into the PDME.
+// called before a delivered report about condition touches any fusion state
+// of its block — the condition's failure group on the component, the one
+// thing a report can change (§5.3) — EndMutation after the report's fusion,
+// conclusion post, and health observation have all completed; between the
+// two, cached views of the block (and of anything aggregating it) are
+// neither served nor stored. Both run synchronously on the delivering
+// goroutine and must not call back into the PDME: the group is handed over
+// so that they need not.
 type Invalidator interface {
-	BeginMutation(component, condition string)
-	EndMutation(component, condition string)
+	BeginMutation(component, group, condition string)
+	EndMutation(component, group, condition string)
 }
 
 // New builds a PDME over a ship model and the logical failure groups for
@@ -263,8 +265,11 @@ func (p *PDME) DeliverTagged(r *proto.Report, dcid string, boot, seq uint64) err
 // element's Err is its own answer.
 func (p *PDME) DeliverBatch(run []proto.Delivery) {
 	admitted := false
+	var buf [proto.MaxRun]string // a run's worth without a heap slice
+	groups := buf[:0]            // groups[i] is run[i]'s failure group
 	for i := range run {
 		d := &run[i]
+		groups = append(groups, "")
 		if d.Report == nil {
 			d.Err = errors.New("pdme: a PDME fuses reports, not fused summaries (route the shard to an aggregator)")
 			continue
@@ -274,7 +279,7 @@ func (p *PDME) DeliverBatch(run []proto.Delivery) {
 		}
 		// Reports about conditions outside every failure group are rejected at
 		// the door so the sender sees the configuration problem.
-		if _, d.Err = p.diag.GroupOf(d.Report.MachineConditionID); d.Err == nil {
+		if groups[i], d.Err = p.diag.GroupOf(d.Report.MachineConditionID); d.Err == nil {
 			admitted = true
 		}
 	}
@@ -282,7 +287,7 @@ func (p *PDME) DeliverBatch(run []proto.Delivery) {
 		return
 	}
 	p.acceptMu.RLock()
-	p.acceptReports(run)
+	p.acceptReports(run, groups)
 	p.acceptMu.RUnlock()
 	p.maybeCheckpoint()
 }
@@ -293,8 +298,9 @@ func (p *PDME) DeliverBatch(run []proto.Delivery) {
 // observation, dedup mark. A report too large for a journal record is
 // refused alone; a journal that cannot be written refuses the rest
 // (proto.ErrUnavailable) with nothing applied; an apply error is that
-// report's alone. Callers hold acceptMu (read side).
-func (p *PDME) acceptReports(run []proto.Delivery) {
+// report's alone. groups[i] is the failure group of run[i]'s condition, as
+// DeliverBatch resolved it at the door. Callers hold acceptMu (read side).
+func (p *PDME) acceptReports(run []proto.Delivery, groups []string) {
 	// Write-ahead: every accepted envelope is durable before any derived
 	// state changes, so a crash at any later point replays it. The record is
 	// the frame as received; a delivery that came by no wire is encoded here.
@@ -334,8 +340,8 @@ func (p *PDME) acceptReports(run []proto.Delivery) {
 			// event model) and close it only after the health observation
 			// lands too.
 			if inv != nil {
-				inv.BeginMutation(r.SensedObjectID, r.MachineConditionID)
-				defer inv.EndMutation(r.SensedObjectID, r.MachineConditionID)
+				inv.BeginMutation(r.SensedObjectID, groups[i], r.MachineConditionID)
+				defer inv.EndMutation(r.SensedObjectID, groups[i], r.MachineConditionID)
 			}
 			progJSON, err := json.Marshal(r.Prognostics)
 			if err != nil {
@@ -701,32 +707,78 @@ func (it MaintenanceItem) rankKey() RankKey {
 		Component: it.Component, Condition: it.Condition}
 }
 
+// newItem makes a maintenance-list row of one fused conclusion: the
+// diagnostic read plus the time to 50 % failure probability read off the
+// pair's fused prognostic vector.
+func newItem(component string, cb fusion.ConditionBelief, vec proto.PrognosticVector) MaintenanceItem {
+	it := MaintenanceItem{Component: component, ConditionBelief: cb}
+	it.TimeToHalf, it.HasPrognostic = vec.TimeToProbability(0.5, PrognosticHorizon)
+	return it
+}
+
+// sortItems puts rows most-urgent first (RankKey.Before).
+func sortItems(items []MaintenanceItem) {
+	sort.Slice(items, func(i, j int) bool { return items[i].rankKey().Before(items[j].rankKey()) })
+}
+
 // PrioritizedList returns fused conclusions across all components ranked
 // most-urgent first (RankKey.Before). The diagnostic half is one consistent
 // snapshot (fusion.RankedAll): a report fused mid-call never appears for one
 // component while missing for another.
 func (p *PDME) PrioritizedList() []MaintenanceItem {
 	var out []MaintenanceItem
-	ranked := p.diag.RankedAll()
-	components := make([]string, 0, len(ranked))
-	//lint:allow maporder component names are sorted before the list is assembled
-	for component := range ranked {
-		components = append(components, component)
-	}
-	sort.Strings(components)
-	for _, component := range components {
-		for _, cb := range ranked[component] {
-			item := MaintenanceItem{Component: component, ConditionBelief: cb}
-			if d, ok := p.prog.TimeToFailure(component, cb.Condition, 0.5, PrognosticHorizon); ok {
-				item.TimeToHalf = d
-				item.HasPrognostic = true
-			}
-			out = append(out, item)
+	//lint:allow maporder the list is fully sorted by the total RankKey order before return
+	for component, ranked := range p.diag.RankedAll() {
+		for _, cb := range ranked {
+			out = append(out, newItem(component, cb, p.prog.Fused(component, cb.Condition)))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].rankKey().Before(out[j].rankKey()) })
+	sortItems(out)
 	return out
 }
+
+// GroupRead is one (component, failure group) block as the read side serves
+// it: the fused diagnostic read of the group plus each member's prognostic.
+type GroupRead struct {
+	fusion.GroupState
+	// Prognostics[i] is the fused §7.3 vector of Members[i] (nil when no
+	// prognostic report has arrived for it).
+	Prognostics []proto.PrognosticVector
+	// Items are the block's rows of the prioritized list — one per member
+	// with at least one report, in member order — exactly the rows
+	// PrioritizedList holds for the block at the same instant.
+	Items []MaintenanceItem
+}
+
+// GroupRead fuses one (component, group) block once (fusion.GroupState) and
+// adds the members' prognostics. One report can change the read of its own
+// block and of no other (§5.3), which makes the block the unit a read-side
+// cache materializes and invalidates.
+func (p *PDME) GroupRead(component, group string) (GroupRead, error) {
+	gs, err := p.diag.GroupState(component, group)
+	if err != nil {
+		return GroupRead{}, err
+	}
+	gr := GroupRead{GroupState: gs, Prognostics: make([]proto.PrognosticVector, len(gs.Members))}
+	for i, cs := range gs.Members {
+		gr.Prognostics[i] = p.prog.Fused(component, cs.Condition)
+		if cs.Reports > 0 {
+			gr.Items = append(gr.Items, newItem(component, cs.ConditionBelief, gr.Prognostics[i]))
+		}
+	}
+	return gr, nil
+}
+
+// GroupFactors returns the discount factors a GroupRead of the block would
+// apply right now, without fusing anything (fusion.GroupFactors): equal
+// factors and no report to the block since mean an equal read.
+func (p *PDME) GroupFactors(component, group string) []float64 {
+	return p.diag.GroupFactors(component, group)
+}
+
+// Blocks returns every (component, failure group) pair holding fused
+// evidence, sorted.
+func (p *PDME) Blocks() [][2]string { return p.diag.Blocks() }
 
 // TrendProjection fits the severity history of a (component, condition)
 // pair — queried back from the historian — and projects when it will reach

@@ -56,15 +56,25 @@ func (p *PDME) RenderBrowser(component string) (string, error) {
 			proto.GradeSeverity(r.sev))
 	}
 
-	// Fused predictions per condition group.
+	// Fused predictions per condition group: this machine's blocks only, in
+	// the prioritized list's order (RankKey.Before is total, so the global
+	// order restricted to one component is the same relative order).
 	b.WriteString("\n--- fused predictions (knowledge fusion) ---\n")
-	items := p.PrioritizedList()
-	printed := false
-	for _, it := range items {
-		if it.Component != component {
+	var items []MaintenanceItem
+	unknown := map[string]float64{}
+	for _, blk := range p.Blocks() {
+		if blk[0] != component {
 			continue
 		}
-		printed = true
+		gr, err := p.GroupRead(component, blk[1])
+		if err != nil {
+			continue // evidence that cannot be combined shows no prediction
+		}
+		items = append(items, gr.Items...)
+		unknown[blk[1]] = gr.Members[0].Unknown
+	}
+	sortItems(items)
+	for _, it := range items {
 		fmt.Fprintf(&b, "%-38s group=%-22s Bel=%.3f Pl=%.3f",
 			it.Condition, it.Group, it.Belief, it.Plausibility)
 		if it.HasPrognostic {
@@ -72,17 +82,14 @@ func (p *PDME) RenderBrowser(component string) (string, error) {
 		}
 		b.WriteByte('\n')
 	}
-	if !printed {
+	if len(items) == 0 {
 		b.WriteString("(no fused conclusions)\n")
 	}
-	// Residual unknowns per group with any evidence.
-	groupsSeen := map[string]bool{}
+	// Residual unknowns per group with any evidence, in order of appearance.
 	for _, it := range items {
-		if it.Component == component && !groupsSeen[it.Group] {
-			groupsSeen[it.Group] = true
-			if u, err := p.Unknown(component, it.Group); err == nil {
-				fmt.Fprintf(&b, "unknown possibilities in %-22s %.3f\n", it.Group+":", u)
-			}
+		if u, ok := unknown[it.Group]; ok {
+			delete(unknown, it.Group)
+			fmt.Fprintf(&b, "unknown possibilities in %-22s %.3f\n", it.Group+":", u)
 		}
 	}
 	return b.String(), nil

@@ -1,8 +1,12 @@
 package serving
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -20,15 +24,30 @@ import (
 // every read against a recompute; the concurrent test runs readers against
 // live ingest under -race and uses the Epoch guard to compare without racing.
 
-// stripRanked zeroes serve-time metadata so only fused content is compared.
-func stripRanked(rv RankedView) RankedView {
-	rv.Gen, rv.Cached, rv.Epoch = 0, false, 0
-	return rv
-}
-
 func stripBelief(bv BeliefView) BeliefView {
 	bv.Gen, bv.Cached, bv.Epoch = 0, false, 0
 	return bv
+}
+
+// freshBelief recomputes a pair's view without touching the cache — the
+// reference value hits are compared against.
+func freshBelief(v *Views, component, condition string) (BeliefView, error) {
+	cs, vec, err := v.engine.ConditionSnapshot(component, condition)
+	if err != nil {
+		return BeliefView{}, err
+	}
+	return BeliefView{
+		Component:    component,
+		Condition:    condition,
+		Group:        cs.Group,
+		Belief:       cs.Belief,
+		Plausibility: cs.Plausibility,
+		Unknown:      cs.Unknown,
+		Reports:      cs.Reports,
+		Reliability:  cs.Reliability,
+		Degraded:     cs.Degraded,
+		Prognostic:   vec,
+	}, nil
 }
 
 func TestCoherenceProperty(t *testing.T) {
@@ -36,6 +55,10 @@ func TestCoherenceProperty(t *testing.T) {
 	components := []string{"m1", "m2", "m3"}
 	conditions := []string{"inner race fault", "outer race fault", "imbalance"}
 	dcs := []string{"dc-1", "dc-2", "dc-3"}
+	// still is a fourth machine, reported once by a PDME-resident source (no
+	// DC behind it, so never discounted) and never again: whatever the other
+	// machines and the DCs do, its block must keep hitting.
+	const still = "m4"
 
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
@@ -51,11 +74,40 @@ func TestCoherenceProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			v := openTestViews(t, engine)
+			handler := NewHandler(v)
 			now := base
+			deliver(t, engine, report("", still, "imbalance", 0.6, now))
+			if _, err := v.Belief(still, "imbalance"); err != nil {
+				t.Fatal(err)
+			}
+
+			// observed counts deliveries and heartbeats. Two hits with the same
+			// non-zero Epoch must bracket none of either, for the ranking and
+			// for each pair, or the Epoch-guarded checkers would trust a fresh
+			// fuse taken across an observation (silent-then-alive restores the
+			// factors a block was fused under: an ABA on factors alone).
+			type seen struct{ epoch, observed uint64 }
+			var observed uint64
+			var lastRanked seen
+			lastBelief := map[[2]string]seen{}
+			checkEpoch := func(op int, what string, last *seen, epoch uint64) {
+				t.Helper()
+				if epoch != 0 && epoch == last.epoch && observed != last.observed {
+					t.Fatalf("op %d: %s hit kept epoch %d across %d observations", op, what, epoch, observed-last.observed)
+				}
+				*last = seen{epoch, observed}
+			}
+			heartbeat := func(dc string) {
+				t.Helper()
+				if err := engine.ObserveHeartbeat(&proto.Heartbeat{DCID: dc, SentAt: now, Incarnation: 1}); err != nil {
+					t.Fatal(err)
+				}
+				observed++
+			}
 
 			for op := 0; op < ops; op++ {
 				now = now.Add(time.Duration(rng.Intn(20)+1) * time.Minute)
-				switch rng.Intn(6) {
+				switch rng.Intn(8) {
 				case 0, 1: // delivery
 					r := report(
 						dcs[rng.Intn(len(dcs))],
@@ -72,29 +124,47 @@ func TestCoherenceProperty(t *testing.T) {
 						}}
 					}
 					deliver(t, engine, r)
+					observed++
 				case 2: // heartbeat (advances the event-time watermark)
-					if err := engine.ObserveHeartbeat(&proto.Heartbeat{
-						DCID:        dcs[rng.Intn(len(dcs))],
-						SentAt:      now,
-						Incarnation: 1,
-					}); err != nil {
+					heartbeat(dcs[rng.Intn(len(dcs))])
+				case 3: // a DC reports, falls silent and comes back between reads
+					dc := rng.Intn(len(dcs))
+					deliver(t, engine, report(dcs[dc], components[rng.Intn(len(components))], "imbalance", 0.5, now))
+					observed++
+					v.Ranked() // materialize under the fresh, alive factors
+					now = now.Add(20 * time.Minute)
+					heartbeat(dcs[(dc+1)%len(dcs)]) // the watermark leaves dc behind: silent
+					if rng.Intn(2) == 0 {
+						v.Ranked() // sometimes fused under the silent factors too
+					}
+					heartbeat(dcs[dc]) // alive again, its report still fresh: the old factors
+				case 4: // ranked read through the handler vs the reference encoder over a fresh fuse
+					rec := httptest.NewRecorder()
+					handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/ranked", nil))
+					got := rec.Body.Bytes()
+					if want := referenceBody(t, got, engine.PrioritizedList()); !bytes.Equal(got, want) {
+						t.Fatalf("op %d: /ranked body diverged from the reference encoding of a fresh fuse\n got: %s\nwant: %s", op, got, want)
+					}
+					var head rankedJSON
+					if err := json.Unmarshal(got, &head); err != nil {
 						t.Fatal(err)
 					}
-				case 3, 4: // ranked read vs fresh fuse
+					checkEpoch(op, "/ranked", &lastRanked, head.Epoch)
+				case 5: // ranked read vs fresh fuse
 					got := v.Ranked()
-					want := RankedView{Items: engine.PrioritizedList()}
-					if !reflect.DeepEqual(stripRanked(got), want) {
+					if want := engine.PrioritizedList(); !reflect.DeepEqual(got.Items(), want) {
 						t.Fatalf("op %d: ranked view diverged (cached=%v)\n got: %+v\nwant: %+v",
-							op, got.Cached, got.Items, want.Items)
+							op, got.Cached, got.Items(), want)
 					}
+					checkEpoch(op, "ranked", &lastRanked, got.Epoch)
 				default: // belief read vs fresh fuse
-					component := components[rng.Intn(len(components))]
+					component := append(components, still)[rng.Intn(len(components)+1)]
 					condition := conditions[rng.Intn(len(conditions))]
 					got, err := v.Belief(component, condition)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := v.freshBelief(component, condition)
+					want, err := freshBelief(v, component, condition)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -102,6 +172,12 @@ func TestCoherenceProperty(t *testing.T) {
 						t.Fatalf("op %d: belief view diverged (cached=%v)\n got: %+v\nwant: %+v",
 							op, got.Cached, got, want)
 					}
+					if component == still && condition == "imbalance" && !got.Cached {
+						t.Fatalf("op %d: the untouched machine's block was fused again: %+v", op, got)
+					}
+					last := lastBelief[[2]string{component, condition}]
+					checkEpoch(op, "belief", &last, got.Epoch)
+					lastBelief[[2]string{component, condition}] = last
 				}
 			}
 			st := v.Stats()
@@ -169,6 +245,26 @@ func TestCoherenceConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for i := 0; i < reads; i++ {
+				if i%2 == 1 { // the same guard on one pair's block
+					component := fmt.Sprintf("m%d", rng.Intn(3)+1)
+					first, err := v.Belief(component, "imbalance")
+					if err != nil || !first.Cached || first.Epoch == 0 {
+						continue
+					}
+					fresh, err := freshBelief(v, component, "imbalance")
+					second, err2 := v.Belief(component, "imbalance")
+					if err != nil || err2 != nil || !second.Cached || second.Epoch != first.Epoch {
+						continue
+					}
+					checks.Add(1)
+					if !reflect.DeepEqual(stripBelief(first), fresh) {
+						violated.CompareAndSwap(nil, fmt.Sprintf(
+							"reader %d check %d: cached belief != fresh fuse inside a stable epoch\ncached: %+v\n fresh: %+v",
+							w, i, first, fresh))
+						return
+					}
+					continue
+				}
 				first := v.Ranked()
 				if !first.Cached || first.Epoch == 0 {
 					continue
@@ -179,10 +275,10 @@ func TestCoherenceConcurrent(t *testing.T) {
 					continue // something changed mid-check: inconclusive
 				}
 				checks.Add(1)
-				if !reflect.DeepEqual(first.Items, fresh) {
+				if !reflect.DeepEqual(first.Items(), fresh) {
 					violated.CompareAndSwap(nil, fmt.Sprintf(
 						"reader %d check %d: cached items != fresh fuse inside a stable epoch\ncached: %+v\n fresh: %+v",
-						w, i, first.Items, fresh))
+						w, i, first.Items(), fresh))
 					return
 				}
 				if rng.Intn(8) == 0 {

@@ -2,14 +2,18 @@ package serving
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+
+	"repro/internal/pdme"
 )
 
 // This file is the HTTP+JSON face of the tier: the endpoints cmd/pdmed
 // mounts for dashboards and fleet tooling.
 //
-//	GET /ranked                                  prioritized maintenance list
+//	GET /ranked[?top=k]                          prioritized maintenance list (its first k rows)
 //	GET /belief?component=&condition=            one pair's fused state
 //	GET /trend?component=&condition=&threshold=  severity history + projection
 //	GET /watch?component=                        streaming change notices (NDJSON)
@@ -19,8 +23,8 @@ import (
 // Every response is JSON. /watch streams one JSON object per line and
 // flushes after each; all other endpoints answer and close.
 
-// rankedItemJSON is the wire shape of one maintenance-list row.
-type rankedItemJSON struct {
+// rowJSON is the wire shape of one maintenance-list row.
+type rowJSON struct {
 	Component         string  `json:"component"`
 	Condition         string  `json:"condition"`
 	Group             string  `json:"group"`
@@ -33,32 +37,54 @@ type rankedItemJSON struct {
 	HasPrognostic     bool    `json:"has_prognostic,omitempty"`
 }
 
-// rankedJSON is the /ranked response.
-type rankedJSON struct {
-	Gen    uint64           `json:"gen"`
-	Cached bool             `json:"cached"`
-	Epoch  uint64           `json:"epoch,omitempty"`
-	Items  []rankedItemJSON `json:"items"`
+// newRow makes a list row of an item, encoding its wire form once: every
+// response that carries the row afterwards copies these bytes.
+func newRow(it pdme.MaintenanceItem) (*row, error) {
+	body, err := json.Marshal(rowJSON{
+		Component:         it.Component,
+		Condition:         it.Condition,
+		Group:             it.Group,
+		Belief:            it.Belief,
+		Plausibility:      it.Plausibility,
+		Reports:           it.Reports,
+		Reliability:       it.Reliability,
+		Degraded:          it.Degraded,
+		TimeToHalfSeconds: it.TimeToHalf.Seconds(),
+		HasPrognostic:     it.HasPrognostic,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serving: encode row %s/%s: %w", it.Component, it.Condition, err)
+	}
+	return &row{item: it, wire: append([]byte{','}, body...)}, nil
 }
 
-func rankedToJSON(rv RankedView) rankedJSON {
-	out := rankedJSON{Gen: rv.Gen, Cached: rv.Cached, Epoch: rv.Epoch,
-		Items: make([]rankedItemJSON, len(rv.Items))}
-	for i, it := range rv.Items {
-		out.Items[i] = rankedItemJSON{
-			Component:         it.Component,
-			Condition:         it.Condition,
-			Group:             it.Group,
-			Belief:            it.Belief,
-			Plausibility:      it.Plausibility,
-			Reports:           it.Reports,
-			Reliability:       it.Reliability,
-			Degraded:          it.Degraded,
-			TimeToHalfSeconds: it.TimeToHalf.Seconds(),
-			HasPrognostic:     it.HasPrognostic,
+// writeRanked writes a ranked response — {"gen":…,"cached":…,"epoch":…,
+// "items":[…]} and a newline, epoch omitted when zero — as a head, the rows'
+// cached bytes and a tail: byte for byte what encoding/json makes of the
+// same view, without encoding anything per response. rows are the rows of rv
+// to write.
+func writeRanked(w io.Writer, rv RankedView, rows []*row) error {
+	head := make([]byte, 0, 96)
+	head = strconv.AppendUint(append(head, `{"gen":`...), rv.Gen, 10)
+	head = strconv.AppendBool(append(head, `,"cached":`...), rv.Cached)
+	if rv.Epoch != 0 {
+		head = strconv.AppendUint(append(head, `,"epoch":`...), rv.Epoch, 10)
+	}
+	head = append(head, `,"items":[`...)
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	for i, r := range rows {
+		wire := r.wire
+		if i == 0 {
+			wire = wire[1:] // the separating comma goes between rows
+		}
+		if _, err := w.Write(wire); err != nil {
+			return err
 		}
 	}
-	return out
+	_, err := io.WriteString(w, "]}\n")
+	return err
 }
 
 // watchEventJSON is one /watch stream line: the notice plus the affected
@@ -91,8 +117,27 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-func (v *Views) handleRanked(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, rankedToJSON(v.Ranked()))
+// handleRanked serves the prioritized list, or with ?top=k its first k rows:
+// a prefix of the full response's items, bit for bit.
+func (v *Views) handleRanked(w http.ResponseWriter, r *http.Request) {
+	top := 0
+	if raw := r.URL.Query().Get("top"); raw != "" {
+		n, err := strconv.Atoi(raw)
+		if err != nil || n < 1 {
+			httpError(w, http.StatusBadRequest, "top must be a positive integer")
+			return
+		}
+		top = n
+	}
+	rv := v.Ranked()
+	rows := rv.rows
+	if top > 0 && top < len(rows) {
+		rows = rows[:top]
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// Best-effort: the peer may hang up mid-body; nothing to recover.
+	_ = writeRanked(w, rv, rows)
 }
 
 // pairParams extracts the component/condition query pair shared by /belief
@@ -169,17 +214,16 @@ func (v *Views) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// component when one is named) so the consumer starts from a baseline
 	// instead of waiting for the first change.
 	rv := v.Ranked()
-	baseline := rankedToJSON(rv)
+	rows := rv.rows
 	if component != "" {
-		filtered := baseline.Items[:0]
-		for _, it := range baseline.Items {
-			if it.Component == component {
-				filtered = append(filtered, it)
+		rows = nil
+		for _, r := range rv.rows {
+			if r.item.Component == component {
+				rows = append(rows, r)
 			}
 		}
-		baseline.Items = filtered
 	}
-	if err := enc.Encode(baseline); err != nil {
+	if err := writeRanked(w, rv, rows); err != nil {
 		return
 	}
 	if canFlush {

@@ -2,12 +2,88 @@ package serving
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/pdme"
 )
+
+// rankedItemJSON, rankedJSON and rankedToJSON are the reference encoder of a
+// ranked response: the whole-list reflection encode the handler used before
+// rows carried their own bytes. The handler's body must equal
+// json.NewEncoder(w).Encode(rankedToJSON(…)) byte for byte.
+type rankedItemJSON struct {
+	Component         string  `json:"component"`
+	Condition         string  `json:"condition"`
+	Group             string  `json:"group"`
+	Belief            float64 `json:"belief"`
+	Plausibility      float64 `json:"plausibility"`
+	Reports           int     `json:"reports"`
+	Reliability       float64 `json:"reliability"`
+	Degraded          bool    `json:"degraded,omitempty"`
+	TimeToHalfSeconds float64 `json:"time_to_half_seconds,omitempty"`
+	HasPrognostic     bool    `json:"has_prognostic,omitempty"`
+}
+
+type rankedJSON struct {
+	Gen    uint64           `json:"gen"`
+	Cached bool             `json:"cached"`
+	Epoch  uint64           `json:"epoch,omitempty"`
+	Items  []rankedItemJSON `json:"items"`
+}
+
+func rankedToJSON(gen uint64, cached bool, epoch uint64, items []pdme.MaintenanceItem) rankedJSON {
+	out := rankedJSON{Gen: gen, Cached: cached, Epoch: epoch, Items: make([]rankedItemJSON, len(items))}
+	for i, it := range items {
+		out.Items[i] = rankedItemJSON{
+			Component:         it.Component,
+			Condition:         it.Condition,
+			Group:             it.Group,
+			Belief:            it.Belief,
+			Plausibility:      it.Plausibility,
+			Reports:           it.Reports,
+			Reliability:       it.Reliability,
+			Degraded:          it.Degraded,
+			TimeToHalfSeconds: it.TimeToHalf.Seconds(),
+			HasPrognostic:     it.HasPrognostic,
+		}
+	}
+	return out
+}
+
+// referenceBody encodes items under the serve metadata of got, a body the
+// handler wrote, the way the reference encoder would.
+func referenceBody(t *testing.T, got []byte, items []pdme.MaintenanceItem) []byte {
+	t.Helper()
+	var head rankedJSON
+	if err := json.Unmarshal(got, &head); err != nil {
+		t.Fatalf("ranked body does not parse: %v\n%s", err, got)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(rankedToJSON(head.Gen, head.Cached, head.Epoch, items)); err != nil {
+		t.Fatal(err)
+	}
+	return want.Bytes()
+}
+
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, err %v", url, resp.StatusCode, err)
+	}
+	return body
+}
 
 func newTestServer(t *testing.T) (*httptest.Server, *Views) {
 	t.Helper()
@@ -38,7 +114,7 @@ func getJSON(t *testing.T, url string, wantStatus int, out any) {
 }
 
 func TestHTTPRanked(t *testing.T) {
-	srv, _ := newTestServer(t)
+	srv, v := newTestServer(t)
 	var got rankedJSON
 	getJSON(t, srv.URL+"/ranked", http.StatusOK, &got)
 	if len(got.Items) != 2 {
@@ -55,6 +131,44 @@ func TestHTTPRanked(t *testing.T) {
 	getJSON(t, srv.URL+"/ranked", http.StatusOK, &again)
 	if !again.Cached || again.Epoch == 0 {
 		t.Fatalf("second read should be a cache hit with an epoch, got %+v", again)
+	}
+
+	// ?top=k is the first k rows of the same order — a prefix of the full
+	// body's items, bit for bit — and k must be a positive integer.
+	deliver(t, v.Engine(), report("dc-1", "m2", "imbalance", 0.4, base.Add(2*time.Minute)))
+	full := getBody(t, srv.URL+"/ranked")
+	var all struct {
+		Items []json.RawMessage `json:"items"`
+	}
+	if err := json.Unmarshal(full, &all); err != nil || len(all.Items) != 3 {
+		t.Fatalf("full list: %d items, err %v", len(all.Items), err)
+	}
+	if want := referenceBody(t, full, v.Engine().PrioritizedList()); !bytes.Equal(full, want) {
+		t.Fatalf("full body differs from the reference encoder\n got: %s\nwant: %s", full, want)
+	}
+	for k := 1; k <= 4; k++ {
+		body := getBody(t, srv.URL+"/ranked?top="+string(rune('0'+k)))
+		items := v.Engine().PrioritizedList()
+		if k < len(items) {
+			items = items[:k]
+		}
+		if want := referenceBody(t, body, items); !bytes.Equal(body, want) {
+			t.Fatalf("top=%d body is not the reference encoding of the first rows\n got: %s\nwant: %s", k, body, want)
+		}
+		var top struct {
+			Items []json.RawMessage `json:"items"`
+		}
+		if err := json.Unmarshal(body, &top); err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range top.Items {
+			if !bytes.Equal(it, all.Items[i]) {
+				t.Fatalf("top=%d item %d is not the full list's, bit for bit:\n got: %s\nwant: %s", k, i, it, all.Items[i])
+			}
+		}
+	}
+	for _, bad := range []string{"0", "-1", "1.5", "x", "+"} {
+		getJSON(t, srv.URL+"/ranked?top="+bad, http.StatusBadRequest, nil)
 	}
 }
 

@@ -1,6 +1,12 @@
 package serving
 
 import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -78,8 +84,8 @@ func TestRankedCacheHitAndInvalidation(t *testing.T) {
 	if !second.Cached {
 		t.Fatal("second read should hit the materialized view")
 	}
-	if len(second.Items) != 1 || second.Items[0].Condition != "imbalance" {
-		t.Fatalf("unexpected items: %+v", second.Items)
+	if len(second.Items()) != 1 || second.Items()[0].Condition != "imbalance" {
+		t.Fatalf("unexpected items: %+v", second.Items())
 	}
 	// A delivery invalidates: the next read recomputes, then re-materializes.
 	deliver(t, engine, report("dc-1", "m1", "imbalance", 0.8, base.Add(time.Minute)))
@@ -128,28 +134,35 @@ func TestBeliefGroupInvalidation(t *testing.T) {
 	if inner2.Belief == inner.Belief {
 		t.Fatal("conflicting sibling evidence should have reweighted inner belief")
 	}
-	// Invalidation granularity is the logical failure group: a delivery for
-	// a different group on a different component must not bump the bearing
-	// key's generation. (The read after it still recomputes — every report
-	// observation bumps the health-registry version, which conservatively
-	// covers watermark-driven reliability changes — but that path re-stores
-	// under the same generation.)
+	// Invalidation granularity is the block — one failure group on one
+	// machine: a delivery for a different machine leaves m1's bearing block
+	// exactly as it was, and the next read of it is a hit.
 	if _, err := v.Belief("m1", "inner race fault"); err != nil {
 		t.Fatal(err)
 	}
-	innerKey := viewKey{kind: kindBelief, component: "m1", condition: "inner race fault"}
-	genBefore, _, _ := v.snapshotKey(innerKey)
 	deliver(t, engine, report("dc-1", "m2", "imbalance", 0.5, base.Add(2*time.Minute)))
-	genAfter, _, _ := v.snapshotKey(innerKey)
-	if genAfter != genBefore {
-		t.Fatalf("group-unrelated delivery bumped the bearing generation: %d -> %d", genBefore, genAfter)
-	}
 	inner3, err := v.Belief("m1", "inner race fault")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !inner3.Cached {
+		t.Fatal("a delivery for another machine must not invalidate m1's bearing block")
+	}
+	if inner3.Gen != inner2.Gen {
+		t.Fatalf("group-unrelated delivery bumped the bearing generation: %d -> %d", inner2.Gen, inner3.Gen)
+	}
 	if inner3.Belief != inner2.Belief {
 		t.Fatal("unrelated delivery must not change the bearing belief")
+	}
+	// Nor does a delivery for another group on the same machine.
+	deliver(t, engine, report("dc-1", "m1", "imbalance", 0.5, base.Add(3*time.Minute)))
+	if bv, err := v.Belief("m1", "inner race fault"); err != nil || !bv.Cached {
+		t.Fatalf("a delivery for m1's motor group must not invalidate its bearing block (cached=%v, err %v)", bv.Cached, err)
+	}
+	// A sibling-condition delivery still does.
+	deliver(t, engine, report("dc-1", "m1", "outer race fault", 0.6, base.Add(4*time.Minute)))
+	if bv, err := v.Belief("m1", "inner race fault"); err != nil || bv.Cached {
+		t.Fatalf("sibling delivery must invalidate the bearing block (cached=%v, err %v)", bv.Cached, err)
 	}
 }
 
@@ -175,7 +188,7 @@ func TestHeartbeatInvalidatesDiscountedViews(t *testing.T) {
 	v := openTestViews(t, engine)
 	deliver(t, engine, report("dc-1", "m1", "imbalance", 0.9, base))
 	fresh := v.Ranked()
-	if got := v.Ranked(); !got.Cached || got.Items[0].Degraded {
+	if got := v.Ranked(); !got.Cached || got.Items()[0].Degraded {
 		t.Fatalf("expected cached undegraded view, got %+v", got)
 	}
 	// A heartbeat from another DC advances the event-time watermark far past
@@ -190,12 +203,61 @@ func TestHeartbeatInvalidatesDiscountedViews(t *testing.T) {
 	if after.Cached {
 		t.Fatal("heartbeat must invalidate health-discounted views")
 	}
-	if !after.Items[0].Degraded || after.Items[0].Reliability >= fresh.Items[0].Reliability {
-		t.Fatalf("expected degraded view after watermark advance, got %+v", after.Items[0])
+	if !after.Items()[0].Degraded || after.Items()[0].Reliability >= fresh.Items()[0].Reliability {
+		t.Fatalf("expected degraded view after watermark advance, got %+v", after.Items()[0])
 	}
-	if after.Items[0].Belief >= fresh.Items[0].Belief {
+	if after.Items()[0].Belief >= fresh.Items()[0].Belief {
 		t.Fatalf("stale evidence should have drained belief: %g -> %g",
-			fresh.Items[0].Belief, after.Items[0].Belief)
+			fresh.Items()[0].Belief, after.Items()[0].Belief)
+	}
+}
+
+// TestDiscountedTierFusesOnlyWhatChanged runs the tier as pdmed runs it —
+// discounting engaged, so every report moves the registry — and counts fuses:
+// a report re-fuses its own block, an observation that changes nobody's
+// factors re-fuses nothing, and every other block is served as kept.
+func TestDiscountedTierFusesOnlyWhatChanged(t *testing.T) {
+	engine := newTestEngine(t)
+	if err := engine.ConfigureHealth(health.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	v := openTestViews(t, engine)
+	machines := []string{"m1", "m2", "m3", "m4"}
+	for i, m := range machines {
+		deliver(t, engine, report("dc-1", m, "imbalance", 0.5+0.1*float64(i), base))
+	}
+	v.Ranked()
+	if !v.Ranked().Cached {
+		t.Fatal("ranking not materialized")
+	}
+
+	stores := v.Stats().Stores
+	deliver(t, engine, report("dc-1", "m1", "imbalance", 0.9, base.Add(time.Minute)))
+	if rv := v.Ranked(); rv.Cached || !reflect.DeepEqual(rv.Items(), engine.PrioritizedList()) {
+		t.Fatalf("read after a report must re-fuse its block and match a fresh list: %+v", rv)
+	}
+	if got := v.Stats().Stores - stores; got != 1 {
+		t.Fatalf("a report for one machine fused %d blocks, want 1", got)
+	}
+	for _, m := range machines[1:] {
+		if bv, err := v.Belief(m, "imbalance"); err != nil || !bv.Cached {
+			t.Fatalf("%s was not reported about, its block must hit (err %v, view %+v)", m, err, bv)
+		}
+	}
+
+	// A heartbeat inside everyone's freshness window moves the registry and
+	// nobody's factors: the ranking is asked again and served as kept, under
+	// a new epoch.
+	before := v.Ranked()
+	if err := engine.ObserveHeartbeat(&proto.Heartbeat{DCID: "dc-1", SentAt: base.Add(2 * time.Minute), Incarnation: 1}); err != nil {
+		t.Fatal(err)
+	}
+	after := v.Ranked()
+	if !before.Cached || !after.Cached || after.Epoch == 0 || after.Epoch == before.Epoch {
+		t.Fatalf("unchanged factors must be a hit under a new epoch: before %+v after %+v", before, after)
+	}
+	if got := v.Stats().Stores - stores; got != 1 {
+		t.Fatalf("an observation that changed no factor fused %d more blocks", got-1)
 	}
 }
 
@@ -233,6 +295,26 @@ func TestWallClockToleranceBoundsStaleness(t *testing.T) {
 	now = now.Add(2 * time.Minute)
 	if v2.Ranked().Cached {
 		t.Fatal("entry older than the tolerance must not be served")
+	}
+
+	// Blocks materialized at staggered times: the ranking is as old as its
+	// oldest block, not as its latest refresh. m2's evidence is two hours
+	// old, on the age ramp, so its rows drift with the clock.
+	deliver(t, engine, report("dc-2", "m2", "imbalance", 0.6, now.Add(-2*time.Hour)))
+	if _, err := v2.Belief("m2", "imbalance"); err != nil { // m2's block fused now
+		t.Fatal(err)
+	}
+	now = now.Add(54 * time.Second)
+	if v2.Ranked().Cached { // re-fuses m1's block only: m2's is within tolerance
+		t.Fatal("the delivery moved the registry: m1's block must be re-fused")
+	}
+	now = now.Add(54 * time.Second) // m2's rows are now 108 s old
+	rv := v2.Ranked()
+	if rv.Cached {
+		t.Fatal("a ranking holding a block older than the tolerance must not be served as kept")
+	}
+	if !reflect.DeepEqual(rv.Items(), engine.PrioritizedList()) {
+		t.Fatalf("ranking past the tolerance diverged from a fresh fuse:\n got %+v\nwant %+v", rv.Items(), engine.PrioritizedList())
 	}
 }
 
@@ -324,5 +406,151 @@ func TestCloseDetachesFromEngine(t *testing.T) {
 	deliver(t, engine, report("dc-1", "m1", "imbalance", 0.8, base))
 	if got := v.Ranked(); got.Cached {
 		t.Fatal("closed tier must not serve cached views")
+	}
+}
+
+// TestModelPostedReportInvalidates: a report posted straight into the ship
+// model (§5.1 step 1, no Deliver, so no write window) reaches the tier only
+// through the conclusion event — which must still invalidate the pair's
+// block, and find it without re-reading the conclusion object each time.
+func TestModelPostedReportInvalidates(t *testing.T) {
+	engine := newTestEngine(t)
+	v := openTestViews(t, engine)
+	deliver(t, engine, report("dc-1", "m1", "imbalance", 0.6, base))
+	deliver(t, engine, report("dc-1", "m2", "imbalance", 0.6, base))
+	before, err := v.Belief("m1", "imbalance")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Ranked()
+	if bv, _ := v.Belief("m1", "imbalance"); !bv.Cached || !v.Ranked().Cached {
+		t.Fatal("views not materialized")
+	}
+	post := func(at time.Time) {
+		t.Helper()
+		if _, err := engine.Model().Create(pdme.ReportClass, map[string]any{
+			"dc_id": "dc-1", "ks_id": "ks-dc-1", "sensed": "m1", "condition": "imbalance",
+			"severity": 0.5, "belief": 0.7, "timestamp": at, "prognostics": "null",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 3; i++ {
+		post(base.Add(time.Duration(i) * time.Minute))
+		rv := v.Ranked()
+		if rv.Cached {
+			t.Fatalf("post %d: /ranked served from cache after a report was posted into the model", i)
+		}
+		if want := engine.PrioritizedList(); !reflect.DeepEqual(rv.Items(), want) {
+			t.Fatalf("post %d: ranked view diverged\n got: %+v\nwant: %+v", i, rv.Items(), want)
+		}
+		// The ranked read re-fused the block; invalidate it again for /belief.
+		post(base.Add(time.Duration(i)*time.Minute + time.Second))
+		bv, err := v.Belief("m1", "imbalance")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bv.Cached || bv.Reports != 1+2*i || bv.Belief <= before.Belief {
+			t.Fatalf("post %d: /belief after a model-posted report: %+v (before: %+v)", i, bv, before)
+		}
+		if fresh, err := engine.Belief("m1", "imbalance"); err != nil || fresh != bv.Belief {
+			t.Fatalf("post %d: /belief = %v, fresh = %v (%v)", i, bv.Belief, fresh, err)
+		}
+		before = bv
+	}
+	// One conclusion object per pair, remembered once: the map is bounded by
+	// the pairs, not by the writes.
+	v.mu.RLock()
+	remembered := len(v.conclusions)
+	v.mu.RUnlock()
+	if remembered != 2 {
+		t.Fatalf("%d conclusion objects remembered, want one per pair (2)", remembered)
+	}
+}
+
+// TestUnreadTierStaysBounded: ingest_durable attaches a tier and never reads
+// it. 10 000 deliveries over 8 blocks must leave the dirty set at no more
+// than 8 entries, and 10 000 more write windows must not grow the heap.
+func TestUnreadTierStaysBounded(t *testing.T) {
+	engine := newTestEngine(t)
+	v := openTestViews(t, engine)
+	machines := []string{"m1", "m2", "m3", "m4"}
+	conditions := []string{"inner race fault", "outer race fault", "imbalance"}
+	for i := 0; i < 10000; i++ {
+		deliver(t, engine, report("dc-1", machines[i%len(machines)], conditions[i%len(conditions)],
+			0.5, base.Add(time.Duration(i)*time.Second)))
+	}
+	v.mu.RLock()
+	dirty, blocks, remembered := len(v.dirty), len(v.blocks), len(v.conclusions)
+	v.mu.RUnlock()
+	if blocks != 8 || dirty > 8 || remembered != 12 {
+		t.Fatalf("after 10 000 unread deliveries: %d blocks, %d dirty, %d conclusion objects remembered; want 8, <= 8, 12",
+			blocks, dirty, remembered)
+	}
+	groupOf := func(condition string) string {
+		group, err := engine.GroupOf(condition)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return group
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10000; i++ {
+		m, c := machines[i%len(machines)], conditions[i%len(conditions)]
+		v.BeginMutation(m, groupOf(c), c)
+		v.EndMutation(m, groupOf(c), c)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 16<<10 {
+		t.Fatalf("10 000 unread write windows grew the heap by %d bytes", grown)
+	}
+}
+
+// reusableWriter is an http.ResponseWriter that keeps its buffer between
+// responses, like a server's connection writer.
+type reusableWriter struct {
+	header http.Header
+	body   bytes.Buffer
+}
+
+func (w *reusableWriter) Header() http.Header         { return w.header }
+func (w *reusableWriter) WriteHeader(int)             {}
+func (w *reusableWriter) Write(b []byte) (int, error) { return w.body.Write(b) }
+
+// TestRankedHitAllocsPerResponseNotPerRow: a /ranked hit copies the rows'
+// cached bytes, so what it allocates is a small constant — the same at 16
+// rows and at 768.
+func TestRankedHitAllocsPerResponseNotPerRow(t *testing.T) {
+	hitAllocs := func(machines int) (allocs float64, rows int) {
+		engine := newTestEngine(t)
+		v := openTestViews(t, engine)
+		for i := 0; i < machines; i++ {
+			for _, cond := range []string{"inner race fault", "imbalance"} {
+				deliver(t, engine, report("dc-1", fmt.Sprintf("machine-%03d", i), cond, 0.6, base.Add(time.Duration(i)*time.Minute)))
+			}
+		}
+		handler := NewHandler(v)
+		req := httptest.NewRequest(http.MethodGet, "/ranked", nil)
+		w := &reusableWriter{header: http.Header{}}
+		handler.ServeHTTP(w, req) // the miss that materializes, and sizes the buffer
+		allocs = testing.AllocsPerRun(50, func() {
+			w.body.Reset()
+			handler.ServeHTTP(w, req)
+		})
+		if !bytes.Contains(w.body.Bytes(), []byte(`"cached":true`)) {
+			t.Fatalf("measured responses were not hits: %.80s", w.body.Bytes())
+		}
+		return allocs, len(v.Ranked().rows)
+	}
+	small, n := hitAllocs(8)
+	large, m := hitAllocs(384)
+	if n != 16 || m != 768 {
+		t.Fatalf("fixtures rank %d and %d rows, want 16 and 768", n, m)
+	}
+	if small != large || large > 8 {
+		t.Fatalf("a /ranked hit allocates %.0f times at %d rows and %.0f at %d; want the same small constant", small, n, large, m)
 	}
 }

@@ -82,7 +82,7 @@ func TestRoleStationReopensIdentical(t *testing.T) {
 	if len(want) == 0 || want[0].Condition != chiller.MotorImbalance.String() {
 		t.Fatalf("station fused nothing convincing: %+v", want)
 	}
-	if got := views.Ranked().Items; !reflect.DeepEqual(got, want) {
+	if got := views.Ranked().Items(); !reflect.DeepEqual(got, want) {
 		t.Errorf("view tier serves %+v, engine says %+v", got, want)
 	}
 	machine, received, fleet := s.Machine, s.PDME.ReceivedReports(), s.PDME.Health().Snapshot()
