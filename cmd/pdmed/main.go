@@ -13,7 +13,7 @@
 // Point one or more dcsim instances (or any §7-speaking client) at the
 // listen address; dashboards read from the serve address:
 //
-//	GET /ranked                                  prioritized maintenance list
+//	GET /ranked[?top=k]                          prioritized maintenance list (its first k rows)
 //	GET /belief?component=&condition=            one pair's fused state
 //	GET /trend?component=&condition=&threshold=  severity history + projection
 //	GET /watch?component=                        streaming change notices (NDJSON)
@@ -29,8 +29,8 @@
 //	pdmed -aggregator -listen 127.0.0.1:7100 -serve-addr 127.0.0.1:7180 \
 //	      -ring "shard-1=127.0.0.1:7011,shard-2=127.0.0.1:7012"
 //	    runs the global aggregator: -listen accepts FusedSummary envelopes
-//	    from shard PDMEs; -serve-addr serves /ranked /belief /coverage with
-//	    per-shard coverage metadata and graceful degradation.
+//	    from shard PDMEs; -serve-addr serves /ranked[?top=k] /belief
+//	    /coverage with per-shard coverage metadata and graceful degradation.
 package main
 
 import (
@@ -78,7 +78,7 @@ func run() int {
 	journalDir := flag.String("journal-dir", "", "write-ahead journal + checkpoint directory; accepted envelopes are fsynced before fusion and a killed pdmed recovers its state on restart (empty disables durability)")
 	checkpointInterval := flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint cadence with -journal-dir (0 disables the timer; count-based checkpoints still run every 1024 records)")
 	dedupWindow := flag.Int("dedup-window", 0, "per-DC duplicate-suppression window in sequences (0: protocol default, 4096); size above the deepest spool replay a DC outage can produce")
-	aggregator := flag.Bool("aggregator", false, "run as the global fleet aggregator: -listen accepts FusedSummary envelopes from shard PDMEs, -serve-addr serves /ranked /belief /coverage")
+	aggregator := flag.Bool("aggregator", false, "run as the global fleet aggregator: -listen accepts FusedSummary envelopes from shard PDMEs, -serve-addr serves /ranked[?top=k] /belief /coverage")
 	ringSpec := flag.String("ring", "", "shard ring membership as \"id=addr,id=addr,...\" (aggregator mode: coverage accounting over the full membership, not just shards seen so far)")
 	forwardAddr := flag.String("forward-addr", "", "aggregator summary-server address; set to run as a shard PDME that streams fused conclusions upward")
 	shardID := flag.String("shard-id", "shard-1", "this shard's identity on the aggregator wire (with -forward-addr)")
@@ -134,7 +134,7 @@ func run() int {
 			line += fmt.Sprintf(" (ring v%d, %d shards)", ring.Version(), len(ring.Members()))
 		}
 		fmt.Println(line)
-		api, endpoints = agg.Handler, "/ranked /belief /coverage"
+		api, endpoints = agg.Handler, "/ranked[?top=k] /belief /coverage"
 		status = func() { printAggregatorStatus(agg.Aggregator) }
 	} else {
 		var forward *shard.ForwarderConfig

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/health"
 	"repro/internal/proto"
+	"repro/internal/shard"
 )
 
 // These tests pin the tier's one non-negotiable property: a cached response
@@ -23,6 +25,7 @@ import (
 // random interleavings of deliveries, heartbeats, and reads and compares
 // every read against a recompute; the concurrent test runs readers against
 // live ingest under -race and uses the Epoch guard to compare without racing.
+// Both run on both backends: a station's PDME, and a fleet's aggregator.
 
 func stripBelief(bv BeliefView) BeliefView {
 	bv.Gen, bv.Cached, bv.Epoch = 0, false, 0
@@ -189,6 +192,200 @@ func TestCoherenceProperty(t *testing.T) {
 			}
 		})
 	}
+	for seed := int64(1); seed <= 5; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("aggregator/seed=%d", seed), func(t *testing.T) { aggregatorCoherenceProperty(t, seed) })
+	}
+}
+
+// aggregatorCoherenceProperty is TestCoherenceProperty's schedule on the
+// aggregator backend: summaries from three shards — fresh ones, stale ones,
+// replays, same-time hand-offs between shards, a failure-group change —
+// shard heartbeats, and event-time jumps that put shards on the age ramp and
+// drive them silent and back. Every read is compared against the
+// aggregator's fresh answer at that instant, every body against the
+// reference encoder.
+func aggregatorCoherenceProperty(t *testing.T, seed int64) {
+	const ops = 400
+	shards := []string{"shard-1", "shard-2", "shard-3"}
+	components := []string{"m1", "m2", "m3"}
+	conditions := []string{"inner race fault", "outer race fault", "imbalance"}
+	groupOf := map[string]string{"inner race fault": "bearing", "outer race fault": "bearing", "imbalance": "motor"}
+	// still is a fourth machine, summarised once by a shard that is never
+	// heard from again. From the first summary of the run proper on, that
+	// shard is silent and its evidence past the staleness horizon — factors
+	// no later observation moves — so whatever the other shards do, its block
+	// must keep hitting.
+	const still = "m4"
+
+	rng := rand.New(rand.NewSource(seed))
+	a, err := shard.NewAggregator(shard.AggregatorConfig{Health: health.Config{
+		FreshFor:         30 * time.Minute,
+		StalenessHorizon: 4 * time.Hour,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fleetAPI{open(aggregatorSource{a}, Options{}), a}
+	handler := f.handler()
+	now := base
+
+	type seen struct{ epoch, observed uint64 }
+	var observed, seq uint64
+	var lastRanked seen
+	lastBlock := map[blockKey]seen{}
+	checkEpoch := func(op int, what string, last *seen, epoch uint64) {
+		t.Helper()
+		if epoch != 0 && epoch == last.epoch && observed != last.observed {
+			t.Fatalf("op %d: %s hit kept epoch %d across %d observations", op, what, epoch, observed-last.observed)
+		}
+		*last = seen{epoch, observed}
+	}
+	var sent []*proto.FusedSummary
+	// deliver hands one summary over. A summary the aggregator drops as stale
+	// must dirty nothing in the tier.
+	deliver := func(s *proto.FusedSummary) {
+		t.Helper()
+		seq++
+		stale, invalidations := a.StaleDropped(), f.v.Stats().Invalidations
+		if err := a.DeliverSummary(s, s.ShardID, 1, seq); err != nil {
+			t.Fatal(err)
+		}
+		if !s.UpdatedAt.IsZero() { // the registry observes a summary by its event time
+			observed++
+		}
+		if a.StaleDropped() != stale && f.v.Stats().Invalidations != invalidations {
+			t.Fatalf("a stale summary invalidated: %+v", s)
+		}
+		sent = append(sent, s)
+	}
+	summarise := func(shardID, component, condition string, at time.Time) *proto.FusedSummary {
+		s := testSummary(shardID, component, condition, 0.1+0.8*rng.Float64(), at)
+		s.Group = groupOf[condition]
+		if rng.Intn(3) == 0 {
+			s.Prognostics = proto.PrognosticVector{{
+				Probability:    0.3 + 0.6*rng.Float64(),
+				HorizonSeconds: float64(rng.Intn(200)+10) * 3600,
+			}}
+		}
+		return s
+	}
+	heartbeat := func(shardID string) {
+		t.Helper()
+		if err := a.ObserveHeartbeat(&proto.Heartbeat{DCID: shardID, SentAt: now, Incarnation: 1}); err != nil {
+			t.Fatal(err)
+		}
+		observed++
+	}
+	checkRanked := func(op int) {
+		t.Helper()
+		got := f.v.Ranked()
+		if want := a.GlobalRanked(); !reflect.DeepEqual(globalItems(got), want) {
+			t.Fatalf("op %d: ranked view diverged (cached=%v)\n got: %+v\nwant: %+v", op, got.Cached, globalItems(got), want)
+		}
+		checkEpoch(op, "ranked", &lastRanked, got.Epoch)
+	}
+	checkBelief := func(op int, component, condition string) {
+		t.Helper()
+		want, covered := a.GlobalBelief(component, condition)
+		group, held := a.GroupOf(component, condition)
+		if held != covered {
+			t.Fatalf("op %d: GroupOf says held=%v, GlobalBelief covered=%v", op, held, covered)
+		}
+		blocks := len(f.v.blocks)
+		query := url.Values{"component": {component}, "condition": {condition}}.Encode()
+		if got, want := serve(t, handler, "/belief?"+query, 200), referenceGlobalBelief(t, a, component, condition); !bytes.Equal(got, want) {
+			t.Fatalf("op %d: /belief body diverged from the reference encoding of a fresh read\n got: %s\nwant: %s", op, got, want)
+		}
+		if !held {
+			if len(f.v.blocks) != blocks {
+				t.Fatalf("op %d: a read of a pair nobody holds adopted a block", op)
+			}
+			return
+		}
+		key := blockKey{component, group}
+		got := f.v.block(key)
+		var item any
+		for _, r := range got.mat.rows {
+			if r.key.Condition == condition {
+				item = r.item
+			}
+		}
+		if !reflect.DeepEqual(item, any(want)) {
+			t.Fatalf("op %d: block %v diverged (cached=%v)\n got: %+v\nwant: %+v", op, key, got.cached, item, want)
+		}
+		if component == still && !got.cached {
+			t.Fatalf("op %d: the untouched shard's block was read again: %+v", op, item)
+		}
+		last := lastBlock[key]
+		checkEpoch(op, "block", &last, got.epoch)
+		lastBlock[key] = last
+	}
+
+	deliver(summarise("shard-gone", still, "imbalance", base.Add(-48*time.Hour)))
+	deliver(summarise(shards[0], components[0], conditions[0], now))
+	checkBelief(-1, still, "imbalance")
+
+	for op := 0; op < ops; op++ {
+		now = now.Add(time.Duration(rng.Intn(20)+1) * time.Minute)
+		component := components[rng.Intn(len(components))]
+		condition := conditions[rng.Intn(len(conditions))]
+		switch rng.Intn(16) {
+		case 0, 1, 2: // a fresh summary, from whichever shard: later times hand the pair over
+			deliver(summarise(shards[rng.Intn(len(shards))], component, condition, now))
+		case 3: // an earlier frame again: stale, or an exact replay of what is held
+			deliver(sent[rng.Intn(len(sent))])
+		case 4: // a same-time hand-off: another shard re-asserts the held state
+			if held, covered := a.GlobalBelief(component, condition); covered {
+				deliver(summarise(shards[rng.Intn(len(shards))], component, condition, held.UpdatedAt))
+			}
+		case 5: // the pair changes failure group: two blocks change
+			s := summarise(shards[rng.Intn(len(shards))], component, condition, now)
+			if s.Group = "rotor"; rng.Intn(2) == 0 {
+				s.Group = ""
+			}
+			deliver(s)
+		case 6: // a group change the registry does not see (no event time, so no observation): only the write windows say that two blocks changed
+			s := summarise(shards[2], "m5", "imbalance", time.Time{})
+			if rng.Intn(2) == 0 {
+				s.Group = "rotor"
+			}
+			deliver(s)
+			checkRanked(op)
+		case 7: // heartbeat (advances the event-time watermark)
+			heartbeat(shards[rng.Intn(len(shards))])
+		case 8: // event time jumps: everybody else's evidence is on the age ramp, or past it
+			now = now.Add(time.Duration(rng.Intn(150)+30) * time.Minute)
+			heartbeat(shards[rng.Intn(len(shards))])
+		case 9: // a shard reports, falls silent and comes back between reads
+			sh := rng.Intn(len(shards))
+			deliver(summarise(shards[sh], component, "imbalance", now))
+			f.v.Ranked() // materialize under the fresh, alive factors
+			now = now.Add(20 * time.Minute)
+			heartbeat(shards[(sh+1)%len(shards)]) // the watermark leaves sh behind: silent
+			if rng.Intn(2) == 0 {
+				f.v.Ranked() // sometimes read under the silent factors too
+			}
+			heartbeat(shards[sh]) // alive again, its summary still fresh: the old factors
+		case 10: // ranked read through the handler vs the reference encoder over a fresh read
+			if got, want := serve(t, handler, "/ranked", 200), referenceGlobalRanked(t, a); !bytes.Equal(got, want) {
+				t.Fatalf("op %d: /ranked body diverged from the reference encoding of a fresh read\n got: %s\nwant: %s", op, got, want)
+			}
+			if got, want := serve(t, handler, "/coverage", 200), encodeReference(t, a.Coverage()); !bytes.Equal(got, want) {
+				t.Fatalf("op %d: /coverage body diverged\n got: %s\nwant: %s", op, got, want)
+			}
+		case 11: // ranked read vs fresh read
+			checkRanked(op)
+		default: // belief read vs fresh read: a held pair, the still one, or one nobody holds
+			checkBelief(op, append(components, still, "m9")[rng.Intn(len(components)+2)], condition)
+		}
+	}
+	checkRanked(ops)
+	checkBelief(ops, still, "imbalance")
+	st := f.v.Stats()
+	if st.Hits == 0 || st.Stores == 0 || st.Invalidations == 0 {
+		t.Fatalf("degenerate run: %+v", st)
+	}
 }
 
 // TestCoherenceConcurrent hammers the tier from reader goroutines while an
@@ -279,6 +476,115 @@ func TestCoherenceConcurrent(t *testing.T) {
 					violated.CompareAndSwap(nil, fmt.Sprintf(
 						"reader %d check %d: cached items != fresh fuse inside a stable epoch\ncached: %+v\n fresh: %+v",
 						w, i, first.Items(), fresh))
+					return
+				}
+				if rng.Intn(8) == 0 {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if msg := violated.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+	if checks.Load() == 0 {
+		t.Fatal("no conclusive epoch-guarded checks ran — guard too strict or cache never hit")
+	}
+	t.Run("aggregator", aggregatorCoherenceConcurrent)
+}
+
+// aggregatorCoherenceConcurrent is TestCoherenceConcurrent on the aggregator
+// backend: summaries from two shards and the heartbeats of a third arrive
+// while readers Epoch-guard the global ranking and single blocks against the
+// aggregator's fresh reads.
+func aggregatorCoherenceConcurrent(t *testing.T) {
+	a, err := shard.NewAggregator(shard.AggregatorConfig{Health: health.Config{
+		FreshFor:         30 * time.Minute,
+		StalenessHorizon: 4 * time.Hour,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fleetAPI{open(aggregatorSource{a}, Options{}), a}
+
+	const (
+		readers    = 8
+		deliveries = 300
+		reads      = 400
+	)
+	var (
+		wg       sync.WaitGroup
+		checks   atomic.Uint64
+		violated atomic.Value // first violation message
+	)
+	stop := make(chan struct{})
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		rng := rand.New(rand.NewSource(42))
+		now := base
+		for i := 0; i < deliveries; i++ {
+			now = now.Add(time.Duration(rng.Intn(10)+1) * time.Minute)
+			if rng.Intn(5) == 0 {
+				_ = a.ObserveHeartbeat(&proto.Heartbeat{DCID: "shard-hb", SentAt: now, Incarnation: 1})
+				continue
+			}
+			s := testSummary(fmt.Sprintf("shard-%d", rng.Intn(2)+1), fmt.Sprintf("m%d", rng.Intn(3)+1), "imbalance", 0.2+0.7*rng.Float64(), now)
+			if err := a.DeliverSummary(s, s.ShardID, 1, uint64(i+1)); err != nil {
+				violated.CompareAndSwap(nil, fmt.Sprintf("deliver: %v", err))
+				return
+			}
+		}
+	}()
+
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			for i := 0; i < reads; i++ {
+				if i%2 == 1 { // the same guard on one pair's block
+					key := blockKey{fmt.Sprintf("m%d", rng.Intn(3)+1), "bearing"}
+					first := f.v.block(key)
+					if !first.cached || first.epoch == 0 || len(first.mat.rows) != 1 {
+						continue
+					}
+					fresh, _ := a.GlobalBelief(key.component, "imbalance")
+					second := f.v.block(key)
+					if !second.cached || second.epoch != first.epoch {
+						continue
+					}
+					checks.Add(1)
+					if cached := first.mat.rows[0].item; !reflect.DeepEqual(cached, any(fresh)) {
+						violated.CompareAndSwap(nil, fmt.Sprintf(
+							"reader %d check %d: cached block != fresh read inside a stable epoch\ncached: %+v\n fresh: %+v",
+							w, i, cached, fresh))
+						return
+					}
+					continue
+				}
+				first := f.v.Ranked()
+				if !first.Cached || first.Epoch == 0 {
+					continue
+				}
+				fresh := a.GlobalRanked()
+				second := f.v.Ranked()
+				if !second.Cached || second.Epoch != first.Epoch {
+					continue // something changed mid-check: inconclusive
+				}
+				checks.Add(1)
+				if !reflect.DeepEqual(globalItems(first), fresh) {
+					violated.CompareAndSwap(nil, fmt.Sprintf(
+						"reader %d check %d: cached items != fresh read inside a stable epoch\ncached: %+v\n fresh: %+v",
+						w, i, globalItems(first), fresh))
 					return
 				}
 				if rng.Intn(8) == 0 {

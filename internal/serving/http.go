@@ -2,12 +2,10 @@ package serving
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
-
-	"repro/internal/pdme"
 )
 
 // This file is the HTTP+JSON face of the tier: the endpoints cmd/pdmed
@@ -37,40 +35,11 @@ type rowJSON struct {
 	HasPrognostic     bool    `json:"has_prognostic,omitempty"`
 }
 
-// newRow makes a list row of an item, encoding its wire form once: every
-// response that carries the row afterwards copies these bytes.
-func newRow(it pdme.MaintenanceItem) (*row, error) {
-	body, err := json.Marshal(rowJSON{
-		Component:         it.Component,
-		Condition:         it.Condition,
-		Group:             it.Group,
-		Belief:            it.Belief,
-		Plausibility:      it.Plausibility,
-		Reports:           it.Reports,
-		Reliability:       it.Reliability,
-		Degraded:          it.Degraded,
-		TimeToHalfSeconds: it.TimeToHalf.Seconds(),
-		HasPrognostic:     it.HasPrognostic,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serving: encode row %s/%s: %w", it.Component, it.Condition, err)
-	}
-	return &row{item: it, wire: append([]byte{','}, body...)}, nil
-}
-
-// writeRanked writes a ranked response — {"gen":…,"cached":…,"epoch":…,
-// "items":[…]} and a newline, epoch omitted when zero — as a head, the rows'
-// cached bytes and a tail: byte for byte what encoding/json makes of the
-// same view, without encoding anything per response. rows are the rows of rv
-// to write.
-func writeRanked(w io.Writer, rv RankedView, rows []*row) error {
-	head := make([]byte, 0, 96)
-	head = strconv.AppendUint(append(head, `{"gen":`...), rv.Gen, 10)
-	head = strconv.AppendBool(append(head, `,"cached":`...), rv.Cached)
-	if rv.Epoch != 0 {
-		head = strconv.AppendUint(append(head, `,"epoch":`...), rv.Epoch, 10)
-	}
-	head = append(head, `,"items":[`...)
+// writeRows writes a ranked response — head, which ends with the opening of
+// the items array, the rows' cached bytes, and the closing "]}" and newline:
+// byte for byte what encoding/json makes of the same response, without
+// encoding a row per response.
+func writeRows(w io.Writer, head []byte, rows []*row) error {
 	if _, err := w.Write(head); err != nil {
 		return err
 	}
@@ -85,6 +54,35 @@ func writeRanked(w io.Writer, rv RankedView, rows []*row) error {
 	}
 	_, err := io.WriteString(w, "]}\n")
 	return err
+}
+
+// writeRanked writes a station's ranked response — {"gen":…,"cached":…,
+// "epoch":…,"items":[…]}, epoch omitted when zero. rows are the rows of rv to
+// write.
+func writeRanked(w io.Writer, rv RankedView, rows []*row) error {
+	head := make([]byte, 0, 96)
+	head = strconv.AppendUint(append(head, `{"gen":`...), rv.Gen, 10)
+	head = strconv.AppendBool(append(head, `,"cached":`...), rv.Cached)
+	if rv.Epoch != 0 {
+		head = strconv.AppendUint(append(head, `,"epoch":`...), rv.Epoch, 10)
+	}
+	return writeRows(w, append(head, `,"items":[`...), rows)
+}
+
+// topParam reads a ranked request's ?top=k — how many rows to answer with,
+// a prefix of the full response's items bit for bit; every row when absent.
+// It answers 400 itself, and returns false, when k is not a positive integer.
+func topParam(w http.ResponseWriter, r *http.Request) (int, bool) {
+	raw := r.URL.Query().Get("top")
+	if raw == "" {
+		return math.MaxInt, true
+	}
+	n, err := strconv.Atoi(raw)
+	if err != nil || n < 1 {
+		httpError(w, http.StatusBadRequest, "top must be a positive integer")
+		return 0, false
+	}
+	return n, true
 }
 
 // watchEventJSON is one /watch stream line: the notice plus the affected
@@ -117,27 +115,17 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// handleRanked serves the prioritized list, or with ?top=k its first k rows:
-// a prefix of the full response's items, bit for bit.
+// handleRanked serves the prioritized list, or with ?top=k its first k rows.
 func (v *Views) handleRanked(w http.ResponseWriter, r *http.Request) {
-	top := 0
-	if raw := r.URL.Query().Get("top"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "top must be a positive integer")
-			return
-		}
-		top = n
+	top, ok := topParam(w, r)
+	if !ok {
+		return
 	}
 	rv := v.Ranked()
-	rows := rv.rows
-	if top > 0 && top < len(rows) {
-		rows = rows[:top]
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	// Best-effort: the peer may hang up mid-body; nothing to recover.
-	_ = writeRanked(w, rv, rows)
+	_ = writeRanked(w, rv, rv.rows[:min(top, len(rv.rows))])
 }
 
 // pairParams extracts the component/condition query pair shared by /belief
@@ -183,7 +171,7 @@ func (v *Views) handleTrend(w http.ResponseWriter, r *http.Request) {
 }
 
 func (v *Views) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, v.engine.Health().Snapshot())
+	writeJSON(w, http.StatusOK, v.src.Health().Snapshot())
 }
 
 func (v *Views) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -218,7 +206,7 @@ func (v *Views) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if component != "" {
 		rows = nil
 		for _, r := range rv.rows {
-			if r.item.Component == component {
+			if r.key.Component == component {
 				rows = append(rows, r)
 			}
 		}

@@ -1,7 +1,8 @@
 // Package serving is the MPROS read-side serving tier: event-invalidated
-// materialized views over the PDME, so operator dashboards and APIs read
-// cached fused conclusions instead of recomputing Dempster fusion on every
-// query.
+// materialized views over a PDME — and, through the same Views, over a
+// fleet's aggregator — so operator dashboards and APIs read cached fused
+// conclusions instead of recomputing Dempster fusion, or re-discounting and
+// re-sorting the global list, on every query.
 //
 // The paper's PDME serves one console; the ROADMAP's north star serves
 // millions of readers against live ingest. The tier's coherence rule is
@@ -42,9 +43,17 @@
 //     if they differ. Under an injected wall clock factors drift between
 //     observations, so there a block is instead re-fused once the version
 //     moves or Options.WallClockTolerance runs out.
+//
+// This file is the tier itself and names no engine: it reaches the one it
+// serves through the source interface below. station.go is the PDME as a
+// source, with what only a station has (1. above, belief views, trends,
+// watches); aggregate.go is the aggregator as one — the same block, as the
+// owning shard last summarised it, dirtied by an accepted summary (2.) and
+// guarded by the owning shard's discount and state (3.).
 package serving
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -53,11 +62,7 @@ import (
 	"time"
 
 	"repro/internal/health"
-	"repro/internal/historian"
-	"repro/internal/oosm"
 	"repro/internal/pdme"
-	"repro/internal/proto"
-	"repro/internal/trend"
 )
 
 // Options tunes the tier.
@@ -81,27 +86,38 @@ const defaultWatchBuffer = 16
 // flight.
 type blockKey struct{ component, group string }
 
-// row is one line of the prioritized list, immutable once built: the item
-// and its wire form, encoded when the row's block was fused.
+// row is one line of a ranked list, immutable once built: what it is ranked
+// by, the source's item and its wire form, encoded when the row's block was
+// read.
 type row struct {
-	item pdme.MaintenanceItem
+	key pdme.RankKey
+	// item is the source's own row type — pdme.MaintenanceItem at a station,
+	// shard.GlobalItem at an aggregator — boxed once, here, never per read.
+	item any
 	// wire is a comma followed by the row's JSON object, so a response body
 	// is the rows' wire bytes back to back minus the first byte.
 	wire []byte
 }
 
-func (r *row) rankKey() pdme.RankKey {
-	return pdme.RankKey{Belief: r.item.Belief, HasPrognostic: r.item.HasPrognostic,
-		TimeToHalf: r.item.TimeToHalf, Component: r.item.Component, Condition: r.item.Condition}
+// newRow makes a list row of an item, encoding shape — its wire form — once:
+// every response that carries the row afterwards copies these bytes.
+func newRow(key pdme.RankKey, item, shape any) (*row, error) {
+	body, err := json.Marshal(shape)
+	if err != nil {
+		return nil, fmt.Errorf("serving: encode row %s/%s: %w", key.Component, key.Condition, err)
+	}
+	return &row{key: key, item: item, wire: append([]byte{','}, body...)}, nil
 }
 
 // fused is one materialization of a block — everything /belief, /ranked and
 // /watch serve of it. Immutable once built and shared between readers.
 type fused struct {
-	members []BeliefView // every member's view, serve metadata unset
-	rows    []*row       // the reported members' rows
-	factors []float64    // the discount factors it was fused under
-	err     error        // the group read failed: no rows, /belief answers err
+	// members are every member's view at a station, serve metadata unset (an
+	// aggregator holds no member without a row: its views are its rows).
+	members []BeliefView
+	rows    []*row    // the reported members' rows
+	factors []float64 // the discount factors it was read under
+	err     error     // the block read failed: no rows, /belief answers err
 }
 
 // block is the invalidation state and the materialization of one block.
@@ -164,11 +180,37 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Views is the read-side serving tier over one PDME. Safe for concurrent
+// source is what the tier asks of the engine it serves; the tier knows the
+// engine through nothing else. Two sources exist: a station's PDME
+// (pdmeSource, station.go), whose block is a failure group's fused frame on a
+// component, and a fleet's aggregator (aggregatorSource, aggregate.go), whose
+// block is the same unit as the owning shard summarised it.
+type source interface {
+	// Health is the registry the source discounts by: its Version is the
+	// trigger for asking factors again, its identity what a swap flushes on.
+	Health() *health.Registry
+	// SetInvalidator installs the tier as the source's write-window hook:
+	// every change to a block is bracketed with BeginMutation/EndMutation.
+	SetInvalidator(pdme.Invalidator)
+	// Blocks enumerates the blocks the source holds, as (component, group).
+	Blocks() [][2]string
+	// read is one consistent read of a block: its rows (rank key, item,
+	// encoded JSON), its members' views and the discount factors all of it
+	// was read under. A block the source does not hold reads empty.
+	read(key blockKey) *fused
+	// factors asks only for the factors a read would run under right now —
+	// no fusion, no row: bit-equal factors and no write since mean an equal
+	// read.
+	factors(key blockKey) []float64
+	// fresh builds the whole list straight from the source, keeping nothing.
+	fresh() []*row
+}
+
+// Views is the read-side serving tier over one source. Safe for concurrent
 // use by any number of readers while deliveries run at full rate.
 type Views struct {
-	engine *pdme.PDME
-	opts   Options
+	src  source
+	opts Options
 
 	mu     sync.RWMutex
 	blocks map[blockKey]*block
@@ -176,10 +218,6 @@ type Views struct {
 	// only while it is empty. A set, not a list: a tier nobody reads must not
 	// grow with the writes it sees.
 	dirty map[*block]struct{}
-	// conclusions remembers which block each conclusion object belongs to
-	// (one object per pair, rewritten in place), so a conclusion event costs
-	// a map lookup instead of a model read.
-	conclusions map[oosm.ObjectID]*block
 	// order is every materialized block's rows, most urgent first (a dirty
 	// block's stay until it is fused again). Copy-on-write: a published
 	// slice is never edited, so readers keep it without copying.
@@ -210,6 +248,11 @@ type Views struct {
 
 	flightMu sync.Mutex
 	flights  map[blockKey]*flight
+	// rankJobs is the ranking refresh's job list, kept between refreshes:
+	// once a health observation has been made every discounted block is a
+	// job, on every read. Touched only by the leader of the ranking's flight,
+	// of which there is one at a time.
+	rankJobs []job
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -220,54 +263,46 @@ type Views struct {
 	notices       atomic.Uint64
 	noticeDrops   atomic.Uint64
 
-	oosmCreated *oosm.Subscription
-	oosmUpdated *oosm.Subscription
+	// station is what only a station's tier has (station.go). Nil on a tier
+	// opened over an aggregator, which never leaves this package.
+	*station
 }
 
-// Open attaches a serving tier to the engine: it installs the write-window
-// hook (one tier per PDME — a second Open replaces the first's hook) and
-// subscribes to the ship model's conclusion post/update events. Close
-// detaches both.
-func Open(engine *pdme.PDME, opts Options) (*Views, error) {
-	if engine == nil {
-		return nil, fmt.Errorf("serving: nil engine")
-	}
+// open attaches a tier to a source and installs it as the source's
+// write-window hook (one tier per source — a second open replaces the
+// first's hook). Close detaches it.
+func open(src source, opts Options) *Views {
 	if opts.WatchBuffer <= 0 {
 		opts.WatchBuffer = defaultWatchBuffer
 	}
 	v := &Views{
-		engine:      engine,
-		opts:        opts,
-		reg:         engine.Health(),
-		blocks:      make(map[blockKey]*block),
-		dirty:       make(map[*block]struct{}),
-		conclusions: make(map[oosm.ObjectID]*block),
-		subs:        make(map[*Subscription]struct{}),
-		flights:     make(map[blockKey]*flight),
+		src:     src,
+		opts:    opts,
+		reg:     src.Health(),
+		blocks:  make(map[blockKey]*block),
+		dirty:   make(map[*block]struct{}),
+		subs:    make(map[*Subscription]struct{}),
+		flights: make(map[blockKey]*flight),
 	}
-	// §4.5 event model, not polling: conclusion posts (first report for a
-	// pair) and updates (every refuse) invalidate the pair's block. The
-	// handlers run synchronously on the delivering goroutine, inside the
-	// write window the Invalidator hook opens — and are the only
-	// invalidation for a report posted into the model without Deliver.
-	model := engine.Model()
-	v.oosmCreated = model.SubscribeClass(pdme.ConclusionClass, oosm.ObjectCreated, v.onConclusionEvent)
-	v.oosmUpdated = model.SubscribeClass(pdme.ConclusionClass, oosm.ObjectUpdated, v.onConclusionEvent)
-	engine.SetInvalidator(v)
-	return v, nil
+	src.SetInvalidator(v)
+	return v
 }
 
-// Close detaches the tier from the engine and closes every subscription.
+// Close detaches the tier from its source and closes every subscription.
 // Everything materialized is dropped; reads after Close recompute fresh.
 func (v *Views) Close() {
-	v.engine.SetInvalidator(nil)
-	v.oosmCreated.Cancel()
-	v.oosmUpdated.Cancel()
+	v.src.SetInvalidator(nil)
+	if v.station != nil {
+		v.oosmCreated.Cancel()
+		v.oosmUpdated.Cancel()
+	}
 	v.mu.Lock()
+	if v.station != nil {
+		clear(v.conclusions)
+	}
 	v.closed = true
 	v.blocks = make(map[blockKey]*block)
 	v.dirty = make(map[*block]struct{})
-	v.conclusions = make(map[oosm.ObjectID]*block)
 	v.order, v.rankedOK = nil, false
 	v.mu.Unlock()
 	v.subMu.Lock()
@@ -281,9 +316,6 @@ func (v *Views) Close() {
 		s.Close()
 	}
 }
-
-// Engine returns the PDME the tier serves.
-func (v *Views) Engine() *pdme.PDME { return v.engine }
 
 // Stats returns the tier's cumulative counters.
 func (v *Views) Stats() Stats {
@@ -388,39 +420,6 @@ func (v *Views) flushLocked() {
 	v.flushes++
 }
 
-// onConclusionEvent is the §4.5 hook: a conclusion object was posted or
-// updated in the ship model. The object's block is read back from the model
-// the first time the object is seen and remembered from then on.
-func (v *Views) onConclusionEvent(e oosm.Event) {
-	v.mu.Lock()
-	b, known := v.conclusions[e.Object]
-	if known {
-		v.touchLocked(b)
-	}
-	v.mu.Unlock()
-	if !known {
-		props, err := v.engine.Model().Get(e.Object)
-		if err != nil {
-			return // conclusion deleted between event and read: nothing to map
-		}
-		component, _ := props["component"].(string)
-		group, _ := props["group"].(string)
-		if component == "" || group == "" {
-			return
-		}
-		v.mu.Lock()
-		if b = v.blockLocked(blockKey{component, group}); b != nil {
-			v.conclusions[e.Object] = b
-			v.touchLocked(b)
-		}
-		v.mu.Unlock()
-		if b == nil {
-			return
-		}
-	}
-	v.invalidations.Add(1)
-}
-
 // list adopts the blocks the engine already holds — fused before the tier
 // was opened (pdmed recovers its journal first) or restored under it
 // (InvalidateAll) — so the ranking covers them without having seen a write
@@ -433,7 +432,7 @@ func (v *Views) list() {
 	if done {
 		return
 	}
-	pairs := v.engine.Blocks()
+	pairs := v.src.Blocks()
 	v.mu.Lock()
 	for _, p := range pairs {
 		v.blockLocked(blockKey{p[0], p[1]})
@@ -451,7 +450,7 @@ type healthNow struct {
 }
 
 func (v *Views) healthNow() healthNow {
-	reg := v.engine.Health()
+	reg := v.src.Health()
 	h := healthNow{reg: reg, ver: reg.Version(), wall: reg.WallClocked()}
 	if h.wall {
 		h.now = reg.Now()
@@ -492,53 +491,23 @@ func sameFactors(a, b []float64) bool {
 	return true
 }
 
-// fuse materializes one block from the engine: one group read, the members'
-// views, the reported members' rows with their JSON.
-func (v *Views) fuse(key blockKey) *fused {
-	gr, err := v.engine.GroupRead(key.component, key.group)
-	if err != nil {
-		return &fused{err: err}
-	}
-	m := &fused{
-		members: make([]BeliefView, len(gr.Members)),
-		rows:    make([]*row, len(gr.Items)),
-		factors: gr.Factors,
-	}
-	for i, cs := range gr.Members {
-		m.members[i] = BeliefView{
-			Component:    key.component,
-			Condition:    cs.Condition,
-			Group:        cs.Group,
-			Belief:       cs.Belief,
-			Plausibility: cs.Plausibility,
-			Unknown:      cs.Unknown,
-			Reports:      cs.Reports,
-			Reliability:  cs.Reliability,
-			Degraded:     cs.Degraded,
-			Prognostic:   gr.Prognostics[i],
-		}
-	}
-	for i, it := range gr.Items {
-		if m.rows[i], err = newRow(it); err != nil {
-			return &fused{err: err}
-		}
-	}
-	return m
-}
-
 // swapRows removes old's rows from order and inserts new's, each found by
-// binary search (RankKey.Before is a total order and a pair has one row).
-// order is edited in place: pass a private copy. A sorted slice is enough
-// at the sizes a station ranks — a move is one short memmove — so there is
-// no tree.
+// binary search: RankKey.Before is a total order and a pair has one row —
+// except while an aggregator's pair moves between two blocks (its summary
+// names a new group), when the row that leaves may tie with the row that has
+// arrived, so a removal steps over ties to the row itself. order is edited in
+// place: pass a private copy. A sorted slice is enough at the sizes a
+// station ranks — a move is one short memmove — so there is no tree.
 func swapRows(order []*row, old, new []*row) []*row {
 	position := func(r *row) int {
-		k := r.rankKey()
-		return sort.Search(len(order), func(i int) bool { return !order[i].rankKey().Before(k) })
+		return sort.Search(len(order), func(i int) bool { return !order[i].key.Before(r.key) })
 	}
 	for _, r := range old {
-		if i := position(r); i < len(order) && order[i] == r {
-			order = append(order[:i], order[i+1:]...)
+		for i := position(r); i < len(order) && !r.key.Before(order[i].key); i++ {
+			if order[i] == r {
+				order = append(order[:i], order[i+1:]...)
+				break
+			}
 		}
 	}
 	for _, r := range new {
@@ -583,11 +552,11 @@ func (v *Views) planLocked(b *block, h healthNow) (j job, needed bool) {
 // run does a job's work — one factors-only call, or one fuse — outside the
 // tier's lock.
 func (v *Views) run(j *job) {
-	if j.check != nil && sameFactors(v.engine.GroupFactors(j.key.component, j.key.group), j.check.factors) {
+	if j.check != nil && sameFactors(v.src.factors(j.key), j.check.factors) {
 		j.mat = j.check
 		return
 	}
-	j.mat = v.fuse(j.key)
+	j.mat = v.src.read(j.key)
 }
 
 // settleLocked keeps what a job found, unless an invalidation, a write
@@ -653,6 +622,7 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 	v.adoptRegistryLocked(h)
 	flushes := v.flushes
 	if ranking {
+		jobs = v.rankJobs[:0]
 		//lint:allow maporder blocks are checked and fused independently and their rows placed by rank key; job order cannot reach the result
 		for _, b := range v.blocks {
 			if j, needed := v.planLocked(b, h); needed {
@@ -718,6 +688,8 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 	// the order under this refresh.
 	whole := !v.closed && v.flushes == flushes
 	if ranking {
+		clear(jobs) // the kept list must not keep materializations alive
+		v.rankJobs = jobs[:0]
 		r.gen, r.rows = v.gen, v.order
 		if whole && v.listed && len(v.dirty) == 0 && len(unkept) == 0 {
 			// Every block is clean and its factors held at h. Under a wall
@@ -750,7 +722,7 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 	switch {
 	case !ranking:
 	case !whole:
-		r.rows, r.fused, r.epoch = v.freshRows(), true, 0
+		r.rows, r.fused, r.epoch = v.src.fresh(), true, 0
 	case len(unkept) > 0:
 		r.rows = append(make([]*row, 0, len(r.rows)+len(unkept)), r.rows...)
 		for _, s := range unkept {
@@ -758,19 +730,6 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 		}
 	}
 	return r
-}
-
-// freshRows builds the ranking straight from the engine, keeping nothing:
-// what a closed tier, or a refresh that a flush ran under, serves.
-func (v *Views) freshRows() []*row {
-	items := v.engine.PrioritizedList()
-	rows := make([]*row, 0, len(items))
-	for _, it := range items {
-		if r, err := newRow(it); err == nil {
-			rows = append(rows, r)
-		}
-	}
-	return rows
 }
 
 // flight is one in-progress refresh that concurrent readers of the same
@@ -830,25 +789,12 @@ type RankedView struct {
 	Epoch uint64
 }
 
-// Items returns the list most-urgent-first, exactly pdme.PrioritizedList. It
-// is assembled per call; the view itself holds only the shared rows.
-func (rv RankedView) Items() []pdme.MaintenanceItem {
-	if len(rv.rows) == 0 {
-		return nil
-	}
-	items := make([]pdme.MaintenanceItem, len(rv.rows))
-	for i, r := range rv.rows {
-		items[i] = r.item
-	}
-	return items
-}
-
 // Ranked serves the prioritized maintenance list. When no block has been
 // touched and no health observation made since the last read it is O(1);
 // otherwise only the touched blocks are re-fused (and, when the registry
 // moved, the discounted blocks' factors asked again) and their rows moved in
-// the order. What is served is bit-identical to what
-// engine.PrioritizedList() would return at the same instant.
+// the order. What is served is bit-identical to what the source's fresh list
+// (PrioritizedList, GlobalRanked) would return at the same instant.
 func (v *Views) Ranked() RankedView {
 	h := v.healthNow()
 	v.mu.RLock()
@@ -863,57 +809,19 @@ func (v *Views) Ranked() RankedView {
 	return RankedView{rows: r.rows, Gen: r.gen, Cached: !r.fused, Epoch: r.epoch}
 }
 
-// BeliefView is the materialized per-pair belief state: the full fused
-// diagnostic read (belief, plausibility, group unknown, health-discounted
-// reliability) plus the fused prognostic vector.
-type BeliefView struct {
-	Component    string                 `json:"component"`
-	Condition    string                 `json:"condition"`
-	Group        string                 `json:"group"`
-	Belief       float64                `json:"belief"`
-	Plausibility float64                `json:"plausibility"`
-	Unknown      float64                `json:"unknown"`
-	Reports      int                    `json:"reports"`
-	Reliability  float64                `json:"reliability"`
-	Degraded     bool                   `json:"degraded"`
-	Prognostic   proto.PrognosticVector `json:"prognostics,omitempty"`
-	// Gen is the block's generation at serve time; Cached and Epoch mirror
-	// RankedView's serve metadata, for the pair's block. A block fused under
-	// no discount factors depends on no health observation, and keeps its
-	// epoch across them.
-	Gen    uint64 `json:"gen"`
-	Cached bool   `json:"cached"`
-	Epoch  uint64 `json:"epoch,omitempty"`
+// served is one block as a read found it, under the serve metadata of
+// RankedView — for the block.
+type served struct {
+	mat    *fused
+	gen    uint64
+	cached bool
+	epoch  uint64
 }
 
-// view reads one condition's view out of a materialized block and stamps it
-// with the serve metadata.
-func (m *fused) view(condition string, gen uint64, cached bool, epoch uint64) (BeliefView, error) {
-	if m.err != nil {
-		return BeliefView{}, m.err
-	}
-	for _, bv := range m.members {
-		if bv.Condition == condition {
-			bv.Gen, bv.Cached, bv.Epoch = gen, cached, epoch
-			return bv, nil
-		}
-	}
-	return BeliefView{}, fmt.Errorf("serving: condition %q missing from its group's read", condition)
-}
-
-// Belief serves one pair's fused state out of its block: fused when the
-// block was touched by a write to any condition of the pair's failure group
-// on that component, or when its sources' discount factors changed, and
-// served as kept otherwise — whatever was reported about other machines.
-func (v *Views) Belief(component, condition string) (BeliefView, error) {
-	if component == "" {
-		return BeliefView{}, fmt.Errorf("serving: empty component")
-	}
-	group, err := v.engine.GroupOf(condition)
-	if err != nil {
-		return BeliefView{}, err
-	}
-	key := blockKey{component, group}
+// block serves one block: as kept while no write has touched it and its
+// factors hold, through a refresh otherwise. A block fused under no discount
+// factors depends on no health observation, and keeps its epoch across them.
+func (v *Views) block(key blockKey) served {
 	h := v.healthNow()
 	var s block // a copy: the block as this read finds it
 	v.mu.RLock()
@@ -924,45 +832,8 @@ func (v *Views) Belief(component, condition string) (BeliefView, error) {
 	v.mu.RUnlock()
 	if sameReg && v.servable(&s, h) {
 		v.hits.Add(1)
-		return s.mat.view(condition, s.gen, true, s.epoch)
+		return served{s.mat, s.gen, true, s.epoch}
 	}
 	r := v.shared(h, key)
-	return r.mat.view(condition, r.gen, !r.fused, r.epoch)
-}
-
-// TrendView is a snapshot-isolated severity-history read: the raw points,
-// the per-day rollup envelope, and (when three or more points exist) the
-// fitted projection to the severity threshold.
-type TrendView struct {
-	Component string             `json:"component"`
-	Condition string             `json:"condition"`
-	Threshold float64            `json:"threshold"`
-	History   []trend.Point      `json:"history,omitempty"`
-	Rollups   []historian.Rollup `json:"rollups,omitempty"`
-	// Projection is nil when the pair has too few points to fit.
-	Projection *trend.Projection `json:"projection,omitempty"`
-	// ProjectionError explains a nil Projection.
-	ProjectionError string `json:"projection_error,omitempty"`
-}
-
-// Trend reads a pair's severity history, rollup envelope, and threshold
-// projection from the historian. The read is snapshot-isolated (sealed
-// segments are shared immutably, the head is copied under a read lock), so
-// arbitrarily long range reads never block ingest — and are never cached,
-// since the snapshot is already consistent by construction.
-func (v *Views) Trend(component, condition string, threshold float64) TrendView {
-	tv := TrendView{
-		Component: component,
-		Condition: condition,
-		Threshold: threshold,
-		History:   v.engine.SeverityHistory(component, condition),
-		Rollups:   v.engine.SeverityRollups(component, condition),
-	}
-	proj, err := trend.ProjectPoints(tv.History, threshold)
-	if err != nil {
-		tv.ProjectionError = err.Error()
-		return tv
-	}
-	tv.Projection = &proj
-	return tv
+	return served{r.mat, r.gen, !r.fused, r.epoch}
 }

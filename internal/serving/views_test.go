@@ -16,6 +16,7 @@ import (
 	"repro/internal/pdme"
 	"repro/internal/proto"
 	"repro/internal/relstore"
+	"repro/internal/shard"
 )
 
 // base is the fixture's virtual epoch (the paper's PDME first ran 1998-08).
@@ -507,6 +508,29 @@ func TestUnreadTierStaysBounded(t *testing.T) {
 	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 16<<10 {
 		t.Fatalf("10 000 unread write windows grew the heap by %d bytes", grown)
 	}
+
+	// The aggregator's tier the same: fleet_e2e's warm-up accepts thousands of
+	// summaries before the first read.
+	t.Run("aggregator", func(t *testing.T) {
+		agg, err := shard.NewAggregator(shard.AggregatorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := fleetAPI{open(aggregatorSource{agg}, Options{}), agg}
+		for i := 0; i < 10000; i++ {
+			s := testSummary("shard-1", machines[i%len(machines)], conditions[i%len(conditions)], 0.5, base.Add(time.Duration(i)*time.Second))
+			s.Group = groupOf(s.Condition)
+			if err := agg.DeliverSummary(s, s.ShardID, 1, uint64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.v.mu.RLock()
+		dirty, blocks := len(f.v.dirty), len(f.v.blocks)
+		f.v.mu.RUnlock()
+		if agg.Accepted() != 10000 || blocks != 8 || dirty > 8 {
+			t.Fatalf("after %d accepted, unread summaries: %d blocks, %d dirty; want 10 000, 8, <= 8", agg.Accepted(), blocks, dirty)
+		}
+	})
 }
 
 // reusableWriter is an http.ResponseWriter that keeps its buffer between

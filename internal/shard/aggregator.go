@@ -35,6 +35,19 @@ type heldSummary struct {
 	s         proto.FusedSummary
 	shard     string
 	boot, seq uint64
+	// timeToHalf and hasPrognostic are the summary's fused time to 50 %
+	// failure probability, read off its vector once, when it was accepted.
+	timeToHalf    time.Duration
+	hasPrognostic bool
+}
+
+// shardHolding is what one shard owns of the held state, kept where
+// DeliverSummary accepts so that Coverage need not walk the pairs.
+type shardHolding struct {
+	// components counts, per component, the pairs whose newest summary the
+	// shard owns; newest is the latest UpdatedAt among them.
+	components map[string]int
+	newest     time.Time
 }
 
 // Aggregator is the global PDME tier: it accepts FusedSummary envelopes
@@ -54,8 +67,15 @@ type Aggregator struct {
 	ring  *Ring
 	reg   *health.Registry
 	dedup *proto.Dedup
-	// held maps component → condition → newest summary.
-	held map[string]map[string]*heldSummary
+	// held maps component → its pairs' newest summaries in condition order,
+	// so a block read is a filter with its members already in order.
+	held map[string][]*heldSummary
+	// pairs counts the held summaries and holdings says which shard owns
+	// what of them.
+	pairs    int
+	holdings map[string]*shardHolding
+	// inv is the read tier's write-window hook (nil: no tier attached).
+	inv pdme.Invalidator
 	// accepted/stale count DeliverSummary outcomes; rejectedReports counts
 	// raw report frames refused (aggregators speak summary only).
 	accepted        int64
@@ -74,10 +94,11 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		window = DefaultDedupWindow
 	}
 	return &Aggregator{
-		ring:  cfg.Ring,
-		reg:   reg,
-		dedup: proto.NewDedup(window),
-		held:  make(map[string]map[string]*heldSummary),
+		ring:     cfg.Ring,
+		reg:      reg,
+		dedup:    proto.NewDedup(window),
+		held:     make(map[string][]*heldSummary),
+		holdings: make(map[string]*shardHolding),
 	}, nil
 }
 
@@ -94,10 +115,28 @@ func (a *Aggregator) DeliverBatch(run []proto.Delivery) {
 	}
 }
 
+// SetInvalidator installs (or, with nil, removes) the read tier's
+// write-window hook: every accepted replacement is bracketed with
+// BeginMutation/EndMutation on the block — (component, the summary's failure
+// group) — it changes. One tier per aggregator; install before traffic.
+func (a *Aggregator) SetInvalidator(inv pdme.Invalidator) {
+	a.mu.Lock()
+	a.inv = inv
+	a.mu.Unlock()
+}
+
+// find returns where condition sits, or belongs, among a component's held
+// summaries.
+func find(held []*heldSummary, condition string) (int, bool) {
+	i := sort.Search(len(held), func(i int) bool { return held[i].s.Condition >= condition })
+	return i, i < len(held) && held[i].s.Condition == condition
+}
+
 // DeliverSummary accepts one summary with its delivery tag: newest summary
 // per pair wins, with (UpdatedAt, shard id, boot/seq) as the deterministic
 // order. Older frames are counted stale and acked — the sender must retire
-// them, and accepting them would reorder history.
+// them, and accepting them would reorder history — and dirty nothing in the
+// read tier.
 func (a *Aggregator) DeliverSummary(s *proto.FusedSummary, shardID string, boot, seq uint64) error {
 	if shardID == "" {
 		shardID = s.ShardID
@@ -108,19 +147,85 @@ func (a *Aggregator) DeliverSummary(s *proto.FusedSummary, shardID string, boot,
 	// the summary's event time, so replays never advance the watermark
 	// beyond what the evidence supports.
 	a.reg.ObserveReport(shardID, "", s.UpdatedAt)
-	byCond := a.held[s.Component]
-	if byCond == nil {
-		byCond = make(map[string]*heldSummary)
-		a.held[s.Component] = byCond
-	}
-	cur := byCond[s.Condition]
-	if cur != nil && !a.newer(s, shardID, boot, seq, cur) {
+	held := a.held[s.Component]
+	i, found := find(held, s.Condition)
+	if found && !a.newer(s, shardID, boot, seq, held[i]) {
 		a.stale++
 		return nil
 	}
-	byCond[s.Condition] = &heldSummary{s: *s, shard: shardID, boot: boot, seq: seq}
+	h := &heldSummary{s: *s, shard: shardID, boot: boot, seq: seq}
+	h.timeToHalf, h.hasPrognostic = s.Prognostics.TimeToProbability(0.5, pdme.PrognosticHorizon)
+	var old *heldSummary
+	if found {
+		old = held[i]
+	}
+	// The write window: the pair's block, and the block it leaves when the
+	// replacement names another group. The hooks take the tier's lock and
+	// nothing else; block reads wait on a.mu, so none sees the window open.
+	moved := found && old.s.Group != s.Group
+	if a.inv != nil {
+		a.inv.BeginMutation(s.Component, s.Group, s.Condition)
+		if moved {
+			a.inv.BeginMutation(s.Component, old.s.Group, s.Condition)
+		}
+	}
+	if !found {
+		held = append(held, nil)
+		copy(held[i+1:], held[i:])
+		a.held[s.Component] = held
+	}
+	held[i] = h
+	a.account(old, h)
 	a.accepted++
+	if a.inv != nil {
+		a.inv.EndMutation(s.Component, s.Group, s.Condition)
+		if moved {
+			a.inv.EndMutation(s.Component, old.s.Group, s.Condition)
+		}
+	}
 	return nil
+}
+
+// account moves a pair's place in the holdings from old (nil: the pair is
+// new) to h, which already sits in a.held. A shard's newest is a maximum,
+// and a removal can lower it only when another shard takes the pair over (a
+// failover hand-off — a shard's own replacement is never older): only then,
+// and only if the pair was the shard's newest, are its remaining pairs walked.
+func (a *Aggregator) account(old, h *heldSummary) {
+	handoff := old != nil && old.shard != h.shard
+	if handoff {
+		lost := a.holdings[old.shard]
+		if lost.components[old.s.Component]--; lost.components[old.s.Component] == 0 {
+			delete(lost.components, old.s.Component)
+		}
+		if len(lost.components) == 0 {
+			delete(a.holdings, old.shard)
+		} else if !old.s.UpdatedAt.Before(lost.newest) {
+			lost.newest = time.Time{}
+			//lint:allow maporder a maximum does not depend on visiting order
+			for _, held := range a.held {
+				for _, o := range held {
+					if o.shard == old.shard && o.s.UpdatedAt.After(lost.newest) {
+						lost.newest = o.s.UpdatedAt
+					}
+				}
+			}
+		}
+	}
+	sh := a.holdings[h.shard]
+	if sh == nil {
+		sh = &shardHolding{components: make(map[string]int)}
+		a.holdings[h.shard] = sh
+	}
+	if old == nil || handoff {
+		sh.components[h.s.Component]++
+	}
+	if old == nil {
+		a.pairs++
+	}
+	if h.s.UpdatedAt.After(sh.newest) {
+		sh.newest = h.s.UpdatedAt
+	}
 }
 
 // newer reports whether the incoming summary supersedes the held one.
@@ -216,55 +321,59 @@ func (it GlobalItem) rankKey() pdme.RankKey {
 		Component: it.Component, Condition: it.Condition}
 }
 
-// globalItemLocked builds one discounted row. Caller holds a.mu.
-func (a *Aggregator) globalItemLocked(h *heldSummary) GlobalItem {
-	alpha := a.reg.Reliability(h.shard, h.s.UpdatedAt)
+// discount asks the registry for the two things a held summary's row takes
+// from it: the owning shard's discount α at the summary's event time, and the
+// shard's liveness state. Both are printed in the row, so together they are
+// the row's discount factors. Caller holds a.mu.
+func (a *Aggregator) discount(h *heldSummary) (alpha float64, state health.State) {
+	return a.reg.Reliability(h.shard, h.s.UpdatedAt), a.reg.StateOf(h.shard)
+}
+
+// globalItem builds one row under the given factors.
+func (h *heldSummary) globalItem(alpha float64, state health.State) GlobalItem {
 	b, pl, u := fusion.DiscountSummary(h.s.Belief, h.s.Plausibility, h.s.Unknown, alpha)
-	item := GlobalItem{
-		Component:    h.s.Component,
-		Condition:    h.s.Condition,
-		Group:        h.s.Group,
-		Belief:       b,
-		Plausibility: pl,
-		Unknown:      u,
-		Reports:      h.s.Reports,
-		Shard:        h.shard,
-		ShardState:   a.reg.StateOf(h.shard).String(),
-		Reliability:  alpha * h.s.Reliability,
-		Degraded:     h.s.Degraded || alpha < 1-1e-9,
-		UpdatedAt:    h.s.UpdatedAt,
+	return GlobalItem{
+		Component:     h.s.Component,
+		Condition:     h.s.Condition,
+		Group:         h.s.Group,
+		Belief:        b,
+		Plausibility:  pl,
+		Unknown:       u,
+		Reports:       h.s.Reports,
+		Shard:         h.shard,
+		ShardState:    state.String(),
+		Reliability:   alpha * h.s.Reliability,
+		Degraded:      h.s.Degraded || alpha < 1-1e-9,
+		TimeToHalf:    h.timeToHalf,
+		HasPrognostic: h.hasPrognostic,
+		UpdatedAt:     h.s.UpdatedAt,
 	}
-	if d, ok := h.s.Prognostics.TimeToProbability(0.5, pdme.PrognosticHorizon); ok {
-		item.TimeToHalf = d
-		item.HasPrognostic = true
-	}
-	return item
 }
 
 // GlobalRanked returns every held pair, discounted, ranked most-urgent
 // first by the order pdme.PrioritizedList uses (pdme.RankKey.Before) — so a
 // one-shard fleet's global list is bit-identical to that shard's own list
-// when the shard is fresh.
+// when the shard is fresh. It is the fresh reference: every row is
+// discounted and the whole list sorted per call; the read tier
+// (serving.AggregatorHandler) keeps the same rows per block.
 func (a *Aggregator) GlobalRanked() []GlobalItem {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	var out []GlobalItem
+	if a.pairs > 0 {
+		out = make([]GlobalItem, 0, a.pairs)
+	}
+	// Rows enter the sort in (component, condition) order: the order is total
+	// either way, but rows that tie on belief are then already in place.
 	components := make([]string, 0, len(a.held))
 	//lint:allow maporder component names are sorted before the list is assembled
 	for component := range a.held {
 		components = append(components, component)
 	}
 	sort.Strings(components)
-	var out []GlobalItem
 	for _, component := range components {
-		byCond := a.held[component]
-		conds := make([]string, 0, len(byCond))
-		//lint:allow maporder condition names are sorted before the list is assembled
-		for cond := range byCond {
-			conds = append(conds, cond)
-		}
-		sort.Strings(conds)
-		for _, cond := range conds {
-			out = append(out, a.globalItemLocked(byCond[cond]))
+		for _, h := range a.held[component] {
+			out = append(out, h.globalItem(a.discount(h)))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].rankKey().Before(out[j].rankKey()) })
@@ -278,10 +387,9 @@ func (a *Aggregator) GlobalRanked() []GlobalItem {
 func (a *Aggregator) GlobalBelief(component, condition string) (GlobalItem, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if byCond := a.held[component]; byCond != nil {
-		if h := byCond[condition]; h != nil {
-			return a.globalItemLocked(h), true
-		}
+	held := a.held[component]
+	if i, found := find(held, condition); found {
+		return held[i].globalItem(a.discount(held[i])), true
 	}
 	return GlobalItem{
 		Component:    component,
@@ -289,6 +397,94 @@ func (a *Aggregator) GlobalBelief(component, condition string) (GlobalItem, bool
 		Plausibility: 1,
 		Unknown:      1,
 	}, false
+}
+
+// The four methods below are what the read tier needs of the aggregator
+// beyond GlobalRanked (its fresh fallback): the block — one component's held
+// pairs of one failure group, the unit the shard's own tier serves — as the
+// unit of enumeration, lookup, read and re-validation.
+
+// Blocks returns every (component, failure group) holding a summary, sorted.
+func (a *Aggregator) Blocks() [][2]string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	seen := make(map[[2]string]bool)
+	var out [][2]string
+	//lint:allow maporder the blocks are sorted before return
+	for component, held := range a.held {
+		for _, h := range held {
+			if k := [2]string{component, h.s.Group}; !seen[k] {
+				seen[k] = true
+				out = append(out, k)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		return out[i][0] < out[j][0] || out[i][0] == out[j][0] && out[i][1] < out[j][1]
+	})
+	return out
+}
+
+// GroupOf returns the failure group the pair's held summary names — with the
+// component, its block — and false when no shard has concluded on the pair.
+func (a *Aggregator) GroupOf(component, condition string) (string, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	held := a.held[component]
+	if i, found := find(held, condition); found {
+		return held[i].s.Group, true
+	}
+	return "", false
+}
+
+// block reads one block under one a.mu hold: per held pair of the group, in
+// condition order, the pair's factors — the shard's α and its state, asked
+// once per shard — and, when rows is set, the row built under them.
+func (a *Aggregator) block(component, group string, rows bool) (items []GlobalItem, factors []float64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	held := a.held[component]
+	n := 0
+	for _, h := range held {
+		if h.s.Group == group {
+			n++
+		}
+	}
+	factors = make([]float64, 0, 2*n)
+	if rows {
+		items = make([]GlobalItem, 0, n)
+	}
+	var shard string
+	var state health.State
+	for _, h := range held {
+		if h.s.Group != group {
+			continue
+		}
+		if len(factors) == 0 || h.shard != shard {
+			shard, state = h.shard, a.reg.StateOf(h.shard)
+		}
+		alpha := a.reg.Reliability(h.shard, h.s.UpdatedAt)
+		factors = append(factors, alpha, float64(state))
+		if rows {
+			items = append(items, h.globalItem(alpha, state))
+		}
+	}
+	return items, factors
+}
+
+// BlockRead returns one block's rows in condition order — each exactly the
+// row GlobalRanked holds for the pair at the same instant — and the discount
+// factors they were built under: per row, the shard's α and its state.
+func (a *Aggregator) BlockRead(component, group string) (items []GlobalItem, factors []float64) {
+	return a.block(component, group, true)
+}
+
+// BlockFactors returns the factors a BlockRead of the block would be built
+// under right now, without building a row: bit-equal factors and no accepted
+// summary for the block since mean an equal read.
+func (a *Aggregator) BlockFactors(component, group string) []float64 {
+	_, factors := a.block(component, group, false)
+	return factors
 }
 
 // ShardCoverage is one shard's slice of the coverage report.
@@ -303,7 +499,7 @@ type ShardCoverage struct {
 	Components int `json:"components"`
 	// Reliability is the shard-level discount α at its newest evidence.
 	Reliability float64   `json:"reliability"`
-	LastUpdated time.Time `json:"last_updated,omitempty"`
+	LastUpdated time.Time `json:"last_updated,omitzero"`
 }
 
 // CoverageReport is the aggregator's per-shard metadata, attached to every
@@ -318,64 +514,40 @@ type CoverageReport struct {
 	StaleDropped int64           `json:"stale_dropped"`
 }
 
-// Coverage reports per-shard liveness and ownership, sorted by shard id.
+// Coverage reports per-shard liveness and ownership, sorted by shard id: the
+// shards holding pairs and the ring's members. It reads the holdings kept by
+// DeliverSummary, so it costs the shards, not the pairs.
 func (a *Aggregator) Coverage() CoverageReport {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	inRing := make(map[string]bool)
-	if a.ring != nil {
-		for _, m := range a.ring.Members() {
-			inRing[m.ID] = true
-		}
-	}
-	// Per shard: components owned and newest update.
-	type shardAgg struct {
-		components map[string]bool
-		newest     time.Time
-	}
-	byShard := make(map[string]*shardAgg)
-	pairs := 0
-	//lint:allow maporder aggregation only; output is sorted below
-	for component, byCond := range a.held {
-		//lint:allow maporder aggregation only; output is sorted below
-		for _, h := range byCond {
-			pairs++
-			sa := byShard[h.shard]
-			if sa == nil {
-				sa = &shardAgg{components: make(map[string]bool)}
-				byShard[h.shard] = sa
-			}
-			sa.components[component] = true
-			if h.s.UpdatedAt.After(sa.newest) {
-				sa.newest = h.s.UpdatedAt
-			}
-		}
-	}
-	ids := make(map[string]bool, len(byShard)+len(inRing))
-	//lint:allow maporder id set union; sorted below
-	for id := range byShard {
-		ids[id] = true
-	}
-	//lint:allow maporder id set union; sorted below
-	for id := range inRing {
-		ids[id] = true
-	}
-	sorted := make([]string, 0, len(ids))
+	rep := CoverageReport{StaleDropped: a.stale, HeldPairs: a.pairs}
+	ids := make([]string, 0, len(a.holdings))
 	//lint:allow maporder collected then sorted
-	for id := range ids {
-		sorted = append(sorted, id)
+	for id := range a.holdings {
+		ids = append(ids, id)
 	}
-	sort.Strings(sorted)
-	rep := CoverageReport{ShardsTotal: len(sorted), StaleDropped: a.stale, HeldPairs: pairs}
+	var members []Member // sorted by id
 	if a.ring != nil {
 		rep.RingVersion = a.ring.Version()
+		members = a.ring.Members()
+		for _, m := range members {
+			if a.holdings[m.ID] == nil {
+				ids = append(ids, m.ID)
+			}
+		}
 	}
-	for _, id := range sorted {
-		sc := ShardCoverage{ID: id, State: a.reg.StateOf(id).String(), InRing: inRing[id], Reliability: 1}
-		if sa := byShard[id]; sa != nil {
-			sc.Components = len(sa.components)
-			sc.LastUpdated = sa.newest
-			sc.Reliability = a.reg.Reliability(id, sa.newest)
+	inRing := func(id string) bool {
+		i := sort.Search(len(members), func(i int) bool { return members[i].ID >= id })
+		return i < len(members) && members[i].ID == id
+	}
+	sort.Strings(ids)
+	rep.ShardsTotal = len(ids)
+	for _, id := range ids {
+		sc := ShardCoverage{ID: id, State: a.reg.StateOf(id).String(), InRing: inRing(id), Reliability: 1}
+		if sh := a.holdings[id]; sh != nil {
+			sc.Components = len(sh.components)
+			sc.LastUpdated = sh.newest
+			sc.Reliability = a.reg.Reliability(id, sh.newest)
 		}
 		if sc.State == "alive" {
 			rep.ShardsLive++

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -248,6 +250,169 @@ func TestRouterUpdateRing(t *testing.T) {
 	}
 }
 
+// walkCoverage is the reference Coverage: the full walk over every held pair
+// that Coverage made on each request before the per-shard holdings were kept
+// where DeliverSummary accepts.
+func walkCoverage(a *Aggregator) CoverageReport {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	inRing := make(map[string]bool)
+	if a.ring != nil {
+		for _, m := range a.ring.Members() {
+			inRing[m.ID] = true
+		}
+	}
+	type shardAgg struct {
+		components map[string]bool
+		newest     time.Time
+	}
+	byShard := make(map[string]*shardAgg)
+	ids := make(map[string]bool)
+	pairs := 0
+	for component, held := range a.held {
+		for _, h := range held {
+			pairs++
+			sa := byShard[h.shard]
+			if sa == nil {
+				sa = &shardAgg{components: make(map[string]bool)}
+				byShard[h.shard] = sa
+				ids[h.shard] = true
+			}
+			sa.components[component] = true
+			if h.s.UpdatedAt.After(sa.newest) {
+				sa.newest = h.s.UpdatedAt
+			}
+		}
+	}
+	for id := range inRing {
+		ids[id] = true
+	}
+	sorted := make([]string, 0, len(ids))
+	for id := range ids {
+		sorted = append(sorted, id)
+	}
+	sort.Strings(sorted)
+	rep := CoverageReport{ShardsTotal: len(sorted), StaleDropped: a.stale, HeldPairs: pairs}
+	if a.ring != nil {
+		rep.RingVersion = a.ring.Version()
+	}
+	for _, id := range sorted {
+		sc := ShardCoverage{ID: id, State: a.reg.StateOf(id).String(), InRing: inRing[id], Reliability: 1}
+		if sa := byShard[id]; sa != nil {
+			sc.Components = len(sa.components)
+			sc.LastUpdated = sa.newest
+			sc.Reliability = a.reg.Reliability(id, sa.newest)
+		}
+		if sc.State == "alive" {
+			rep.ShardsLive++
+		} else {
+			rep.Degraded = true
+		}
+		if sc.Reliability < 1-1e-9 {
+			rep.Degraded = true
+		}
+		rep.Shards = append(rep.Shards, sc)
+	}
+	return rep
+}
+
+func checkCoverage(t *testing.T, a *Aggregator, when string) {
+	t.Helper()
+	if got, want := a.Coverage(), walkCoverage(a); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Coverage() diverged from the full walk\n got: %+v\nwant: %+v", when, got, want)
+	}
+}
+
+// TestAggregatorCoverageFollowsFailover: the per-shard holdings Coverage
+// reads are kept where DeliverSummary accepts. Over a seeded schedule in
+// which a shard dies, its components are handed to the survivors (same-time
+// hand-offs and later ones, late frames from the dead shard, the hand-off of
+// the pair that carried the loser's newest time, the loser's last pair) and
+// the ring drops and re-adds it, Coverage equals the full walk after every
+// delivery.
+func TestAggregatorCoverageFollowsFailover(t *testing.T) {
+	members := []Member{{ID: "shard-1"}, {ID: "shard-2"}, {ID: "shard-3"}}
+	components := []string{"m1", "m2", "m3", "m4", "m5", "m6"}
+	conditions := []string{"inner race fault", "outer race fault", "imbalance"}
+	ring, err := NewRing(members, components)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, err := NewAggregator(AggregatorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCoverage(t, a, "empty, no ring")
+		a.SetRing(ring)
+		checkCoverage(t, a, "empty, ring of three")
+		owner := map[string]string{}
+		for _, c := range components {
+			owner[c] = ring.Assign(c)
+		}
+		now, seq := base, uint64(0)
+		send := func(shardID, component string, at time.Time) {
+			t.Helper()
+			seq++
+			s := summary(shardID, component, conditions[rng.Intn(len(conditions))], rng.Float64()*0.9, at)
+			if err := a.DeliverSummary(s, shardID, 1, seq); err != nil {
+				t.Fatal(err)
+			}
+			checkCoverage(t, a, fmt.Sprintf("seed %d delivery %d (%s %s)", seed, seq, shardID, component))
+		}
+		for i := 0; i < 60; i++ { // steady state
+			now = now.Add(time.Duration(rng.Intn(90)+1) * time.Second)
+			c := components[rng.Intn(len(components))]
+			send(owner[c], c, now)
+		}
+		const dead = "shard-1"
+		down := map[string]bool{dead: true}
+		for i := 0; i < 120; i++ { // shard-1 is gone: its components move, pair by pair
+			c := components[rng.Intn(len(components))]
+			switch rng.Intn(4) {
+			case 0: // the successor re-asserts the dead shard's state at the same event time
+				if owner[c] == dead {
+					next, _ := ring.Successor(c, down)
+					send(next, c, now)
+					continue
+				}
+			case 1: // a late frame from the dead shard's spool: stale, or a pair it still holds
+				send(dead, c, now.Add(-time.Duration(rng.Intn(600))*time.Second))
+				continue
+			}
+			now = now.Add(time.Duration(rng.Intn(90)+1) * time.Second)
+			next := owner[c]
+			if next == dead {
+				next, _ = ring.Successor(c, down)
+			}
+			send(next, c, now)
+		}
+		smaller, err := NewRing(members[1:], components)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.SetRing(smaller)
+		checkCoverage(t, a, "ring without the dead shard")
+		for _, c := range components { // every pair the dead shard still holds is taken over
+			for _, cond := range conditions {
+				now = now.Add(time.Second)
+				seq++
+				if err := a.DeliverSummary(summary(smaller.Assign(c), c, cond, 0.4, now), smaller.Assign(c), 1, seq); err != nil {
+					t.Fatal(err)
+				}
+				checkCoverage(t, a, fmt.Sprintf("seed %d take-over of %s/%s", seed, c, cond))
+			}
+		}
+		cov := a.Coverage()
+		if cov.ShardsTotal != 2 || cov.HeldPairs != len(components)*len(conditions) {
+			t.Fatalf("seed %d: after the take-over %+v, want two shards holding every pair", seed, cov)
+		}
+		a.SetRing(ring)
+		checkCoverage(t, a, "the dead shard back in the ring, holding nothing")
+	}
+}
+
 // TestAggregatorLatestWinsAnyOrder: delivery order must not matter — any
 // permutation of the same summary set converges to the same held state,
 // with older frames counted stale.
@@ -269,6 +434,7 @@ func TestAggregatorLatestWinsAnyOrder(t *testing.T) {
 			if err := a.DeliverSummary(frames[idx], frames[idx].ShardID, 1, uint64(i+1)); err != nil {
 				t.Fatal(err)
 			}
+			checkCoverage(t, a, fmt.Sprintf("order %v after frame %d", order, idx))
 		}
 		got := a.GlobalRanked()
 		if len(got) != 2 {
