@@ -57,6 +57,11 @@ import (
 // /watch streams) may delay exit after a signal.
 const shutdownGrace = 5 * time.Second
 
+// livenessEvery is the cadence of what a node owes whether or not anybody
+// watches its status block: a shard's heartbeat to its aggregator and the
+// report of a failed journal.
+const livenessEvery = 15 * time.Second
+
 func main() {
 	os.Exit(run())
 }
@@ -74,7 +79,6 @@ func run() int {
 	healthHorizon := flag.Duration("health-horizon", 24*time.Hour, "evidence reliability reaches its floor at this age")
 	healthFloor := flag.Float64("health-floor", 0, "minimum evidence reliability under staleness discounting [0,1)")
 	healthWallclock := flag.Bool("health-wallclock", false, "judge staleness by the wall clock instead of the event-time watermark (use when DCs report in real time; simulated DCs carry virtual timestamps)")
-	cacheTolerance := flag.Duration("cache-tolerance", time.Second, "with -health-wallclock, how stale a cached view may be before it is recomputed")
 	journalDir := flag.String("journal-dir", "", "write-ahead journal + checkpoint directory; accepted envelopes are fsynced before fusion and a killed pdmed recovers its state on restart (empty disables durability)")
 	checkpointInterval := flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint cadence with -journal-dir (0 disables the timer; count-based checkpoints still run every 1024 records)")
 	dedupWindow := flag.Int("dedup-window", 0, "per-DC duplicate-suppression window in sequences (0: protocol default, 4096); size above the deepest spool replay a DC outage can produce")
@@ -101,13 +105,15 @@ func run() int {
 	}
 
 	// A role is what the one run loop below drives: a read-side API to mount
-	// on -serve-addr, a status block, and (journaled roles) a checkpoint.
-	// Each role's constructor owns the order its parts open in (DESIGN.md
-	// "Process roles"); the deferred Closes undo it.
+	// on -serve-addr, a status block, (fusing roles) a liveness duty and
+	// (journaled roles) a checkpoint. Each role's constructor owns the order
+	// its parts open in (DESIGN.md "Process roles"); the deferred Closes undo
+	// it.
 	var (
 		api        http.Handler
 		endpoints  string
 		status     func()
+		liveness   func()
 		checkpoint func() error
 	)
 	if *aggregator {
@@ -157,7 +163,7 @@ func run() int {
 				*shardID, *forwardAddr, orMemory(*forwardSpool), fwd.Boot(), node.Resynced)
 		}
 		if *serveAddr != "" {
-			views, err := serving.Open(node.PDME, serving.Options{WallClockTolerance: *cacheTolerance})
+			views, err := serving.Open(node.PDME, serving.Options{})
 			if err != nil {
 				return fail(err)
 			}
@@ -170,6 +176,7 @@ func run() int {
 		}
 		fmt.Printf("pdmed: listening on %s (db=%s, historian=%s)\n", addr, orMemory(*dbPath), orMemory(*histDir))
 		status = func() { printStatus(node) }
+		liveness = func() { keepAlive(node) }
 	}
 
 	// serverDied carries the first fatal listener error: a read-side API
@@ -195,16 +202,20 @@ func run() int {
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	var tick, ckptTick <-chan time.Time
+	// The loop's cadences; one that is not started never fires.
+	var tick, liveTick, ckptTick <-chan time.Time
 	if *statusEvery > 0 {
-		//lint:allow noclock periodic operator status line; daemon cadence is inherently wall-clock
-		ticker := time.NewTicker(*statusEvery)
+		ticker := every(*statusEvery)
 		defer ticker.Stop()
 		tick = ticker.C
 	}
+	if liveness != nil {
+		ticker := every(livenessEvery)
+		defer ticker.Stop()
+		liveTick = ticker.C
+	}
 	if checkpoint != nil {
-		//lint:allow noclock checkpoint cadence is an operational wall-clock interval
-		ticker := time.NewTicker(*checkpointInterval)
+		ticker := every(*checkpointInterval)
 		defer ticker.Stop()
 		ckptTick = ticker.C
 	}
@@ -221,10 +232,18 @@ func run() int {
 			if err := checkpoint(); err != nil {
 				fmt.Fprintln(os.Stderr, "pdmed: checkpoint:", err)
 			}
+		case <-liveTick:
+			liveness()
 		case <-tick:
 			status()
 		}
 	}
+}
+
+// every starts one of the run loop's cadences.
+func every(d time.Duration) *time.Ticker {
+	//lint:allow noclock daemon cadences (status block, liveness, checkpoint) are operational wall-clock intervals
+	return time.NewTicker(d)
 }
 
 // printRecovery summarizes what the journal restored on boot.
@@ -260,8 +279,19 @@ func shutdownHTTP(srv *http.Server) {
 	}
 }
 
-// printStatus is the station and shard roles' status block; a shard also
-// heartbeats its aggregator on the same tick.
+// keepAlive is a fusing node's liveness duty, owed on its own cadence whether
+// or not a status block is printed: a shard heartbeats its aggregator, and a
+// failed journal is reported until somebody restarts the daemon.
+func keepAlive(node *mpros.Node) {
+	if err := node.Heartbeat(); err != nil {
+		fmt.Fprintln(os.Stderr, "pdmed: forwarder heartbeat:", err)
+	}
+	if err := node.PDME.JournalError(); err != nil {
+		fmt.Fprintf(os.Stderr, "pdmed: journal: FAILED — %v (restart pdmed; senders keep their frames spooled)\n", err)
+	}
+}
+
+// printStatus is the station and shard roles' status block.
 func printStatus(node *mpros.Node) {
 	engine := node.PDME
 	items := engine.PrioritizedList()
@@ -284,19 +314,7 @@ func printStatus(node *mpros.Node) {
 		fmt.Println(line)
 	}
 	printHealth(engine)
-	if err := engine.JournalError(); err != nil {
-		fmt.Fprintf(os.Stderr, "pdmed: journal: FAILED — %v (restart pdmed; senders keep their frames spooled)\n", err)
-	}
 	if fwd := node.Forwarder; fwd != nil {
-		// Heartbeat at the health registry's own notion of now: the
-		// event-time watermark by default (virtual-time fleets), the wall
-		// clock with -health-wallclock — so shard liveness at the aggregator
-		// is judged on the same axis the evidence uses.
-		if at := engine.Health().Now(); !at.IsZero() {
-			if err := fwd.Heartbeat(at); err != nil {
-				fmt.Fprintln(os.Stderr, "pdmed: forwarder heartbeat:", err)
-			}
-		}
 		printForwarder(fwd)
 	}
 }

@@ -297,9 +297,6 @@ func (d *DC) AttachWNN(clf *wnn.ChillerClassifier) error {
 // a degradation advance for long-horizon simulations) or drive time.
 func (d *DC) Scheduler() *Scheduler { return d.sched }
 
-// Mux exposes the acquisition front end.
-func (d *DC) Mux() *Mux { return d.mux }
-
 // RunFor advances the DC's virtual clock by the duration, executing every
 // scheduled test that falls due.
 func (d *DC) RunFor(dur time.Duration) error {

@@ -363,29 +363,6 @@ func TestIngestThroughput(t *testing.T) {
 	}
 }
 
-func BenchmarkVibrationTest(b *testing.B) {
-	cfg := chiller.DefaultConfig()
-	plant, err := chiller.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := plant.SetFault(chiller.MotorBearingOuter, 0.5); err != nil {
-		b.Fatal(err)
-	}
-	d, err := New(DefaultConfig("dc-b", "chiller/1"), plant, relstore.NewMemory(), &collector{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	now := time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := d.RunVibrationTest(now); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkIngestPath(b *testing.B) {
 	plant, err := chiller.New(chiller.DefaultConfig())
 	if err != nil {

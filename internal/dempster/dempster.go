@@ -191,9 +191,6 @@ func SimpleSupport(f *Frame, s Set, belief float64) (*Mass, error) {
 	return m, nil
 }
 
-// Frame returns the frame the mass function is defined over.
-func (m *Mass) Frame() *Frame { return m.frame }
-
 // Set assigns mass v to focal set s, replacing any previous assignment.
 func (m *Mass) Set(s Set, v float64) error {
 	if v < 0 {

@@ -230,35 +230,3 @@ func TestZeroPad(t *testing.T) {
 	}()
 	ZeroPad(x, 2)
 }
-
-func BenchmarkFFT1024(b *testing.B) {
-	x := make([]complex128, 1024)
-	rng := rand.New(rand.NewSource(7))
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), 0)
-	}
-	buf := make([]complex128, len(x))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		if err := FFT(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFFT16384(b *testing.B) {
-	x := make([]complex128, 16384)
-	rng := rand.New(rand.NewSource(7))
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), 0)
-	}
-	buf := make([]complex128, len(x))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		if err := FFT(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -167,14 +167,3 @@ func TestWindowString(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkAnalyzeFrame4096(b *testing.B) {
-	x := sine(4096, 8192, 123, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeFrame(x, 8192, Hann); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

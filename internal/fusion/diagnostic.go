@@ -585,18 +585,6 @@ func (df *DiagnosticFuser) Blocks() [][2]string {
 	return out
 }
 
-// GroupMembers returns the member conditions of a logical failure group, in
-// registration order (nil for an unknown group). Evidence for any member
-// reweights every other member's belief and the group's unknown mass, so
-// caches must treat the whole membership as one invalidation unit.
-func (df *DiagnosticFuser) GroupMembers(group string) []string {
-	conds, ok := df.groups[group]
-	if !ok {
-		return nil
-	}
-	return append([]string(nil), conds...)
-}
-
 // Components returns every component with at least one fused report.
 func (df *DiagnosticFuser) Components() []string {
 	df.mu.RLock()

@@ -519,21 +519,6 @@ func randomVector(rng *testRand) proto.PrognosticVector {
 	return v
 }
 
-func BenchmarkDiagnosticFusion(b *testing.B) {
-	df, err := NewDiagnosticFuser(testGroups())
-	if err != nil {
-		b.Fatal(err)
-	}
-	conds := []string{"motor imbalance", "oil whirl", "motor rotor bar problem"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := df.AddReport("m", conds[i%3], 0.3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPrognosticFusion(b *testing.B) {
 	pf := NewPrognosticFuser()
 	vs := []proto.PrognosticVector{

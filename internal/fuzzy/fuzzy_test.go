@@ -366,21 +366,3 @@ func TestResultToReport(t *testing.T) {
 		t.Error("none grade prognostic")
 	}
 }
-
-func BenchmarkInfer(b *testing.B) {
-	cd, err := NewChillerDiagnostics()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ps := chiller.ProcessState{
-		EvapPressurePSI: 25, SuperheatF: 25, CondPressurePSI: 140,
-		CondApproachF: 8, LoadFraction: 0.8,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cd.Diagnose(ps, 0.25); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -13,11 +13,12 @@
 // freezing at their last fused values, and recover automatically when the
 // source returns.
 //
-// The registry never reads the wall clock itself: a Clock can be injected
-// (pdmed passes time.Now), and without one the registry runs on event time
-// — the high-watermark of every heartbeat and report timestamp it has
-// observed — so virtual-time simulations and chaos tests are fully
-// deterministic (enforced by the noclock analyzer).
+// The registry never reads the wall clock itself. It runs on one watermark,
+// moved by what it observes: without a Clock, the timestamps of heartbeats
+// and reports (event time — virtual-time simulations and chaos tests are
+// fully deterministic, enforced by the noclock analyzer); with an injected
+// Clock (pdmed passes time.Now), the clock alone, a ClockQuantum at a time —
+// one more observation source, so a quiet fleet still ages.
 package health
 
 import (
@@ -83,6 +84,13 @@ const (
 	DefaultFlapPenalty      = 0.5
 )
 
+// ClockQuantum is the step an injected Clock moves the registry's time by.
+// Inside a quantum time stands still and every answer is bit-equal; crossing
+// one is an observation like any other (it moves Version). A second is far
+// below every staleness threshold worth configuring and far above the rate
+// consoles read at, so they read kept views between steps.
+const ClockQuantum = time.Second
+
 // Config parametrizes the registry's state machine and reliability curve.
 type Config struct {
 	// LateAfter is the silence duration after which a DC is Late
@@ -115,8 +123,10 @@ type Config struct {
 	// FlapPenalty multiplies the age-derived reliability of a Flapping DC's
 	// evidence (0: DefaultFlapPenalty; 1 disables the penalty).
 	FlapPenalty float64
-	// Clock supplies "now" for staleness evaluation. Nil runs the registry
-	// on event time: now is the latest heartbeat/report timestamp observed,
+	// Clock supplies "now" for staleness evaluation, read in ClockQuantum
+	// steps; observed timestamps then stop moving time, so a DC with a fast
+	// clock cannot age everyone else's evidence. Nil runs the registry on
+	// event time: now is the latest heartbeat/report timestamp observed,
 	// which makes virtual-time simulations deterministic.
 	Clock func() time.Time
 }
@@ -197,13 +207,16 @@ type Registry struct {
 	//lint:allow snapshotparity thresholds and clocks are boot-time config from flags, not observation state
 	cfg Config
 
-	mu        sync.Mutex
-	watermark time.Time // event-time high-watermark (Clock==nil mode)
+	mu sync.Mutex
+	// watermark is the registry's now: the high-watermark of observed event
+	// times, or of the injected Clock's quanta. It never moves backwards.
+	watermark time.Time
 	dcs       map[string]*dcRecord
-	// version counts observations (heartbeats + reports). In event-time mode
-	// every Reliability/StateOf output is a pure function of the observation
-	// history, so an unchanged version means unchanged outputs — the
-	// read-side view cache keys its health-discounted entries on it.
+	// version counts observations: heartbeats, reports and, under a Clock,
+	// quanta crossed. Every Reliability/StateOf output is a pure function of
+	// the observation history, so an unchanged version means unchanged
+	// outputs — the read-side view cache keys its health-discounted entries
+	// on it.
 	version uint64
 }
 
@@ -215,20 +228,23 @@ func NewRegistry(cfg Config) (*Registry, error) {
 	return &Registry{cfg: cfg.withDefaults(), dcs: make(map[string]*dcRecord)}, nil
 }
 
-// Config returns the registry's effective (default-substituted) config.
-func (g *Registry) Config() Config { return g.cfg }
-
-// now returns the staleness-evaluation clock: the injected Clock, or the
-// event-time watermark. Callers must hold g.mu.
+// now returns the staleness-evaluation time, the watermark — after folding in
+// the injected Clock, if any: a quantum crossed since the last look is an
+// observation, made here because nothing else announces it. A clock behind
+// the watermark (a restored checkpoint, a stepped-back host clock) moves
+// nothing. Callers must hold g.mu.
 func (g *Registry) now() time.Time {
 	if g.cfg.Clock != nil {
-		return g.cfg.Clock()
+		if t := g.cfg.Clock().Truncate(ClockQuantum); t.After(g.watermark) {
+			g.watermark = t
+			g.version++
+		}
 	}
 	return g.watermark
 }
 
-// Now exposes the registry's current notion of time (wall clock or event
-// watermark), for displays.
+// Now exposes the registry's current notion of time (event watermark or
+// quantized wall clock), for displays.
 func (g *Registry) Now() time.Time {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -236,25 +252,21 @@ func (g *Registry) Now() time.Time {
 }
 
 // Version returns the registry's observation counter: it changes if and only
-// if a heartbeat or report observation has been folded in. In event-time mode
-// (Clock nil) an unchanged version guarantees every Reliability and StateOf
-// answer is unchanged too, which lets caches reuse health-discounted values
-// without re-asking. With an injected wall clock the guarantee is weaker —
-// outputs also drift with the clock between observations.
+// if a heartbeat, a report or (under an injected Clock) a crossed quantum has
+// been folded in. An unchanged version guarantees every Reliability and
+// StateOf answer is unchanged too, which lets caches reuse health-discounted
+// values without re-asking.
 func (g *Registry) Version() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.now()
 	return g.version
 }
 
-// WallClocked reports whether the registry judges staleness by an injected
-// wall clock rather than the event-time watermark. Wall-clocked registries'
-// outputs change between observations, so caches must bound the age of
-// health-discounted entries instead of relying on Version alone.
-func (g *Registry) WallClocked() bool { return g.cfg.Clock != nil }
-
+// advance folds an observed event time into the watermark. Under an injected
+// Clock the clock alone moves time.
 func (g *Registry) advance(at time.Time) {
-	if at.After(g.watermark) {
+	if g.cfg.Clock == nil && at.After(g.watermark) {
 		g.watermark = at
 	}
 }

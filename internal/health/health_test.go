@@ -3,6 +3,7 @@ package health
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -253,6 +254,52 @@ func TestInjectedClock(t *testing.T) {
 	}
 	if !g.Now().Equal(now) {
 		t.Fatalf("Now() = %v, want %v", g.Now(), now)
+	}
+
+	// The clock is an observation source, a quantum at a time. Inside a
+	// quantum time stands still: the version holds and every answer is
+	// bit-equal, which is what lets a cache key on the version.
+	g.ObserveReport("dc-0", "vibration", t0.Add(-2*time.Hour)) // on the age ramp: its reliability moves with time
+	ver, rel, snap := g.Version(), g.Reliability("dc-0", t0.Add(-2*time.Hour)), g.Snapshot()
+	now = now.Add(ClockQuantum - time.Nanosecond)
+	if got := g.Version(); got != ver {
+		t.Fatalf("version moved inside a quantum: %d -> %d", ver, got)
+	}
+	if got := g.Reliability("dc-0", t0.Add(-2*time.Hour)); math.Float64bits(got) != math.Float64bits(rel) {
+		t.Fatalf("reliability moved inside a quantum: %v -> %v", rel, got)
+	}
+	if got := g.Snapshot(); !reflect.DeepEqual(got, snap) || got[0].State != g.StateOf("dc-0") {
+		t.Fatalf("snapshot moved inside a quantum:\n was %+v\n now %+v", snap, got)
+	}
+	// Crossing one is one observation, however many calls look at the clock.
+	now = now.Add(time.Nanosecond)
+	if got := g.Reliability("dc-0", t0.Add(-2*time.Hour)); got >= rel {
+		t.Fatalf("reliability did not fall across a quantum: %v -> %v", rel, got)
+	}
+	if got := g.Version(); got != ver+1 || g.Version() != got {
+		t.Fatalf("version across one quantum: %d -> %d, want one step", ver, got)
+	}
+	// Observed event times do not move a clocked registry's time: a DC with a
+	// fast clock cannot age everyone else's evidence.
+	g.ObserveReport("dc-fast", "vibration", now.Add(24*time.Hour))
+	if !g.Now().Equal(now) {
+		t.Fatalf("a report from the future moved the clock: Now() = %v, want %v", g.Now(), now)
+	}
+
+	// A checkpoint taken under a clock that ran ahead of this one (another
+	// host, a stepped-back clock): time waits for the clock to catch up and
+	// never moves backwards.
+	st := g.ExportState()
+	now = now.Add(-time.Hour)
+	restored := mustRegistry(t, cfg)
+	restored.RestoreState(st)
+	if !restored.Now().Equal(st.Watermark) || restored.Version() != st.Version {
+		t.Fatalf("a clock behind the restored watermark moved it: Now() = %v version %d, want %v version %d",
+			restored.Now(), restored.Version(), st.Watermark, st.Version)
+	}
+	now = st.Watermark.Add(ClockQuantum)
+	if !restored.Now().Equal(now) || restored.Version() != st.Version+1 {
+		t.Fatalf("the clock caught up: Now() = %v version %d, want %v version %d", restored.Now(), restored.Version(), now, st.Version+1)
 	}
 }
 

@@ -88,18 +88,6 @@ func New(target string, opts Options) (*Proxy, error) {
 // Addr returns the address clients should dial instead of the target.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// SetOptions swaps the fault mix at runtime (existing connections adopt it
-// on their next chunk).
-func (p *Proxy) SetOptions(opts Options) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	seed := p.opts.Seed
-	p.opts = opts
-	if opts.Seed != seed {
-		p.rng = rand.New(rand.NewSource(opts.Seed))
-	}
-}
-
 // SetPartition opens (true) or heals (false) a full partition: existing
 // connections are reset and new ones are refused until healed.
 func (p *Proxy) SetPartition(on bool) {

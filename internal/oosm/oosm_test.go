@@ -421,17 +421,6 @@ func TestObjectIDRoundTripProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkCreateObject(b *testing.B) {
-	m := newTestModel(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Create("motor", map[string]any{"name": "m", "power_kw": 1.0}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPropertyChangeWithSubscriber(b *testing.B) {
 	m := newTestModel(b)
 	id, _ := m.Create("motor", map[string]any{"name": "m"})

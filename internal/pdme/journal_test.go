@@ -580,30 +580,3 @@ func TestDoubleOpenRefused(t *testing.T) {
 		t.Error("second OpenJournal accepted")
 	}
 }
-
-// BenchmarkDeliverJournaled is BenchmarkDeliverAndFuse with the journal
-// open: the delta is the durability tax (fsynced append per delivery).
-func BenchmarkDeliverJournaled(b *testing.B) {
-	model, err := oosm.NewModel(relstore.NewMemory())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := New(model, testGroups())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	if _, err := p.OpenJournal(JournalOptions{Dir: b.TempDir()}); err != nil {
-		b.Fatal(err)
-	}
-	at := time.Now()
-	conds := []string{"motor imbalance", "oil whirl", "motor rotor bar problem"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := report("ks", "m", conds[i%3], 0.5, 0.3, at, nil)
-		if err := p.Deliver(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -222,9 +222,6 @@ func (p *PDME) Close() {
 	}
 }
 
-// Historian exposes the degradation history store.
-func (p *PDME) Historian() *historian.Store { return p.hist }
-
 // Model returns the PDME's ship model.
 func (p *PDME) Model() *oosm.Model { return p.model }
 
@@ -625,21 +622,9 @@ func (p *PDME) Unknown(component, group string) (float64, error) {
 	return p.diag.Unknown(component, group)
 }
 
-// Plausibility returns the fused plausibility of a condition on a component.
-func (p *PDME) Plausibility(component, condition string) (float64, error) {
-	return p.diag.Plausibility(component, condition)
-}
-
 // GroupOf returns the logical failure group of a condition.
 func (p *PDME) GroupOf(condition string) (string, error) {
 	return p.diag.GroupOf(condition)
-}
-
-// GroupMembers returns the member conditions of a logical failure group —
-// the invalidation unit for read-side caches, since evidence for any member
-// reweights every other member's belief and the group's unknown mass.
-func (p *PDME) GroupMembers(group string) []string {
-	return p.diag.GroupMembers(group)
 }
 
 // ConditionSnapshot returns the full fused read-side state of a pair

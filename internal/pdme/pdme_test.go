@@ -331,25 +331,3 @@ func TestRegisterKnowledgeSource(t *testing.T) {
 		t.Errorf("%v %v", props, err)
 	}
 }
-
-func BenchmarkDeliverAndFuse(b *testing.B) {
-	model, err := oosm.NewModel(relstore.NewMemory())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := New(model, testGroups())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	at := time.Now()
-	conds := []string{"motor imbalance", "oil whirl", "motor rotor bar problem"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := report("ks", "m", conds[i%3], 0.5, 0.3, at, nil)
-		if err := p.Deliver(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

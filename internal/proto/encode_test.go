@@ -105,29 +105,6 @@ func TestAppendReportEnvelopeRejects(t *testing.T) {
 	}
 }
 
-func BenchmarkMarshalReportEnvelope(b *testing.B) {
-	r := encodeTestReports()[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(envelope{Kind: "report", Report: r, DCID: "dc-chiller-1", Boot: 3, Seq: 41}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAppendReportEnvelope(b *testing.B) {
-	r := encodeTestReports()[0]
-	buf := make([]byte, 0, 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = AppendReportEnvelope(buf[:0], r, "dc-chiller-1", 3, 41)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestAppendReportEnvelopeZeroAlloc is the hot-path allocation budget: with a
 // preallocated buffer, encoding a full report frame must not touch the heap.
 func TestAppendReportEnvelopeZeroAlloc(t *testing.T) {

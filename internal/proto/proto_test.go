@@ -416,28 +416,6 @@ func randomVector(rng *testRand) PrognosticVector {
 	return v
 }
 
-func BenchmarkSendLocalTCP(b *testing.B) {
-	srv := NewServer(SinkFunc(func(*Report) error { return nil }))
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	r := validReport()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Send(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkProbabilityAt(b *testing.B) {
 	v := validReport().Prognostics
 	b.ReportAllocs()

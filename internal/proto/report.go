@@ -96,11 +96,6 @@ type PrognosticPoint struct {
 	HorizonSeconds float64 `json:"time"`
 }
 
-// Horizon returns the point's horizon as a duration.
-func (p PrognosticPoint) Horizon() time.Duration {
-	return time.Duration(p.HorizonSeconds * float64(time.Second))
-}
-
 // PrognosticVector is zero to n ordered prognostic points.
 type PrognosticVector []PrognosticPoint
 

@@ -494,20 +494,6 @@ func TestEncodeDecodeRowProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkInsertMemory(b *testing.B) {
-	db := NewMemory()
-	if err := db.CreateTable(machineSchema()); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Insert("machines", sampleRow(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkIndexedLookup(b *testing.B) {
 	db := NewMemory()
 	if err := db.CreateTable(machineSchema()); err != nil {
@@ -524,25 +510,6 @@ func BenchmarkIndexedLookup(b *testing.B) {
 		rows, err := db.Select("machines", Eq("name", "machine-5000"), 0)
 		if err != nil || len(rows) != 1 {
 			b.Fatalf("lookup failed: %v %v", rows, err)
-		}
-	}
-}
-
-func BenchmarkInsertDurable(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "bench.db")
-	db, err := Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.CreateTable(machineSchema()); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Insert("machines", sampleRow(i)); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -393,19 +393,3 @@ func TestDisassembleRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkCycleEMASystem(b *testing.B) {
-	sys, err := NewEMASystem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := []float64{1.0, 0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in[0] = 1.0 + float64(i%3)*0.01
-		if err := sys.Cycle(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -70,7 +70,7 @@ func TestFlushUnderARefreshServesTheWholeList(t *testing.T) {
 	if err := engine.ConfigureHealth(health.Config{Clock: clock}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := Open(engine, Options{WallClockTolerance: time.Minute})
+	v, err := Open(engine, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestFlushUnderARefreshServesTheWholeList(t *testing.T) {
 	}
 	// One dirty block, dirtied by a source with no DC behind it so that the
 	// registry does not move and the other two stay servable. The read's
-	// first clock call is its own (healthNow), the second comes from inside
-	// that block's fuse.
+	// first clock call is its own (the registry version it runs under), the
+	// second comes from inside that block's fuse.
 	deliver(t, engine, report("", "m1", "imbalance", 0.9, base))
 	flushAt = calls + 2
 	flushes := v.Stats().Invalidations

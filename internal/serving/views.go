@@ -40,9 +40,8 @@
 //     The registry's observation version is only the trigger: when it has
 //     moved since a block was last checked, the factors are asked again
 //     (pdme.GroupFactors — no combination) and the block is re-fused only
-//     if they differ. Under an injected wall clock factors drift between
-//     observations, so there a block is instead re-fused once the version
-//     moves or Options.WallClockTolerance runs out.
+//     if they differ. An injected wall clock is one more observation source
+//     (health.ClockQuantum): the same rule holds on either clock.
 //
 // This file is the tier itself and names no engine: it reaches the one it
 // serves through the source interface below. station.go is the PDME as a
@@ -59,7 +58,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/health"
 	"repro/internal/pdme"
@@ -67,14 +65,6 @@ import (
 
 // Options tunes the tier.
 type Options struct {
-	// WallClockTolerance bounds the age of health-discounted blocks when
-	// the PDME's health registry runs on an injected wall clock (whose
-	// discount factors drift between observations, outside the factor
-	// guard). Zero — the default — disables caching of discounted values
-	// under a wall-clocked registry entirely: every read recomputes. In
-	// event-time mode (no injected clock) the option is ignored and hits
-	// stay bit-exact indefinitely.
-	WallClockTolerance time.Duration
 	// WatchBuffer is the default per-subscription notice buffer (0: 16).
 	WatchBuffer int
 }
@@ -134,11 +124,9 @@ type block struct {
 	// matGen == gen and no window is open.
 	mat    *fused
 	matGen uint64
-	// ver and at are the registry version and (wall-clock mode) time mat's
-	// factors were last known to hold at; epoch changes with every store and
-	// every such check.
+	// ver is the registry version mat's factors were last known to hold at;
+	// epoch changes with every store and every such check.
 	ver   uint64
-	at    time.Time
 	epoch uint64
 }
 
@@ -233,11 +221,10 @@ type Views struct {
 	// gen counts window edges and invalidation events tier-wide.
 	gen uint64
 	// The ranking's own stamp: rankedOK says every block is clean and its
-	// factors held at registry version rankedVer (under a wall clock: no
-	// earlier than rankedAt); any touch, store or flush clears it.
+	// factors held at registry version rankedVer; any touch, store or flush
+	// clears it.
 	rankedOK    bool
 	rankedVer   uint64
-	rankedAt    time.Time
 	rankedEpoch uint64
 	// seq is the epoch source: drawn from on every store and factor check.
 	seq    uint64
@@ -441,42 +428,24 @@ func (v *Views) list() {
 	v.mu.Unlock()
 }
 
-// healthNow is the registry state a read runs under.
+// healthNow is the registry state a read runs under: factors last known to
+// hold at version ver hold under it without asking again — no observation
+// since, on either clock.
 type healthNow struct {
-	reg  *health.Registry
-	ver  uint64
-	wall bool
-	now  time.Time // the registry's clock (wall-clock mode only)
+	reg *health.Registry
+	ver uint64
 }
 
 func (v *Views) healthNow() healthNow {
 	reg := v.src.Health()
-	h := healthNow{reg: reg, ver: reg.Version(), wall: reg.WallClocked()}
-	if h.wall {
-		h.now = reg.Now()
-	}
-	return h
-}
-
-// holds reports whether factors last known to hold at registry version ver
-// (time at) can be taken to hold under h without asking again: no
-// observation since, and under a wall clock no more than the tolerance
-// elapsed.
-func (v *Views) holds(h healthNow, ver uint64, at time.Time) bool {
-	if ver != h.ver {
-		return false
-	}
-	if h.wall {
-		return v.opts.WallClockTolerance > 0 && h.now.Sub(at) <= v.opts.WallClockTolerance
-	}
-	return true
+	return healthNow{reg: reg, ver: reg.Version()}
 }
 
 // servable reports whether b can be served under h as it stands: clean, and
 // fused under factors that still hold — or under none, which no registry
 // state can change.
-func (v *Views) servable(b *block, h healthNow) bool {
-	return b.clean() && (len(b.mat.factors) == 0 || v.holds(h, b.ver, b.at))
+func (b *block) servable(h healthNow) bool {
+	return b.clean() && (len(b.mat.factors) == 0 || b.ver == h.ver)
 }
 
 func sameFactors(a, b []float64) bool {
@@ -535,15 +504,14 @@ type job struct {
 	kept, done bool
 }
 
-// planLocked says what b needs before it can be served under h: nothing, its
-// factors asked again, or a fuse. Under a wall clock factors drift without
-// any observation, so there asking settles nothing. Callers hold v.mu.
-func (v *Views) planLocked(b *block, h healthNow) (j job, needed bool) {
+// plan says what b needs before it can be served under h: nothing, its
+// factors asked again, or a fuse. Callers hold Views.mu.
+func (b *block) plan(h healthNow) (j job, needed bool) {
 	j = job{key: b.key, b: b, gen: b.gen, active: b.active}
-	if v.servable(b, h) {
+	if b.servable(h) {
 		return j, false
 	}
-	if b.clean() && !h.wall {
+	if b.clean() {
 		j.check = b.mat
 	}
 	return j, true
@@ -592,7 +560,7 @@ func (v *Views) settleLocked(j *job, h healthNow, owned *bool) {
 		v.stores.Add(1)
 	}
 	v.seq++
-	b.ver, b.at, b.epoch = h.ver, h.now, v.seq
+	b.ver, b.epoch = h.ver, v.seq
 	j.kept = true
 }
 
@@ -625,7 +593,7 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 		jobs = v.rankJobs[:0]
 		//lint:allow maporder blocks are checked and fused independently and their rows placed by rank key; job order cannot reach the result
 		for _, b := range v.blocks {
-			if j, needed := v.planLocked(b, h); needed {
+			if j, needed := b.plan(h); needed {
 				jobs = append(jobs, j)
 			}
 		}
@@ -634,7 +602,7 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 		// its vacuous view costs no combination, and readers must not be able
 		// to grow the tier by asking about machines that do not exist.
 		jobs = []job{{key: key}}
-	} else if j, needed := v.planLocked(b, h); needed {
+	} else if j, needed := b.plan(h); needed {
 		jobs = []job{j}
 	} else {
 		r.mat, r.gen, r.epoch = b.mat, b.gen, b.epoch // another reader just did it
@@ -692,17 +660,8 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 		v.rankJobs = jobs[:0]
 		r.gen, r.rows = v.gen, v.order
 		if whole && v.listed && len(v.dirty) == 0 && len(unkept) == 0 {
-			// Every block is clean and its factors held at h. Under a wall
-			// clock the ranking is as old as its oldest discounted block.
-			v.rankedOK, v.rankedVer, v.rankedAt = true, h.ver, h.now
-			if h.wall {
-				//lint:allow maporder a minimum does not depend on visiting order
-				for _, b := range v.blocks {
-					if len(b.mat.factors) > 0 && b.at.Before(v.rankedAt) {
-						v.rankedAt = b.at
-					}
-				}
-			}
+			// Every block is clean and its factors held at h.
+			v.rankedOK, v.rankedVer = true, h.ver
 			v.seq++
 			v.rankedEpoch = v.seq
 			if !r.fused {
@@ -798,7 +757,7 @@ type RankedView struct {
 func (v *Views) Ranked() RankedView {
 	h := v.healthNow()
 	v.mu.RLock()
-	ok := v.rankedOK && v.reg == h.reg && v.holds(h, v.rankedVer, v.rankedAt)
+	ok := v.rankedOK && v.reg == h.reg && v.rankedVer == h.ver
 	rv := RankedView{rows: v.order, Gen: v.gen, Cached: true, Epoch: v.rankedEpoch}
 	v.mu.RUnlock()
 	if ok {
@@ -830,7 +789,7 @@ func (v *Views) block(key blockKey) served {
 	}
 	sameReg := v.reg == h.reg
 	v.mu.RUnlock()
-	if sameReg && v.servable(&s, h) {
+	if sameReg && s.servable(h) {
 		v.hits.Add(1)
 		return served{s.mat, s.gen, true, s.epoch}
 	}

@@ -260,63 +260,78 @@ func TestDiscountedTierFusesOnlyWhatChanged(t *testing.T) {
 	if got := v.Stats().Stores - stores; got != 1 {
 		t.Fatalf("an observation that changed no factor fused %d more blocks", got-1)
 	}
-}
 
-func TestWallClockToleranceBoundsStaleness(t *testing.T) {
-	engine := newTestEngine(t)
-	now := base
-	clock := func() time.Time { return now }
-	if err := engine.ConfigureHealth(health.Config{Clock: clock}); err != nil {
-		t.Fatal(err)
-	}
+	// The wall clock is one more observation source, a quantum at a time: the
+	// same rule as pdmed -health-wallclock runs it. m2's evidence is two hours
+	// old, on the age ramp, so its rows change when the clock moves; m1's is
+	// fresh and do not.
+	t.Run("wallclock", func(t *testing.T) {
+		engine := newTestEngine(t)
+		now := base
+		if err := engine.ConfigureHealth(health.Config{Clock: func() time.Time { return now }}); err != nil {
+			t.Fatal(err)
+		}
+		v := openTestViews(t, engine)
+		deliver(t, engine, report("dc-1", "m1", "imbalance", 0.8, now))
+		deliver(t, engine, report("dc-2", "m2", "imbalance", 0.6, now.Add(-2*time.Hour)))
+		v.Ranked()
+		now = now.Add(900 * time.Millisecond) // inside the quantum: nothing has been observed
+		before := v.Ranked()
+		if !before.Cached || before.Epoch == 0 {
+			t.Fatalf("a clock that crossed no quantum must leave the ranking a hit: %+v", before)
+		}
+		stores := v.Stats().Stores
+		now = now.Add(54 * time.Second)
+		rv := v.Ranked()
+		if rv.Cached || !reflect.DeepEqual(rv.Items(), engine.PrioritizedList()) {
+			t.Fatalf("a moved clock must re-fuse the block on the age ramp and match a fresh list: %+v", rv)
+		}
+		if got := v.Stats().Stores - stores; got != 1 {
+			t.Fatalf("moving the clock 54 s fused %d blocks, want m2's alone", got)
+		}
+		if bv, err := v.Belief("m1", "imbalance"); err != nil || !bv.Cached {
+			t.Fatalf("m1's evidence is fresh on either side of the move, its block must hit (err %v, view %+v)", err, bv)
+		}
+		if after := v.Ranked(); !after.Cached || after.Epoch == 0 || after.Epoch == before.Epoch {
+			t.Fatalf("the ranking must hit again, under a new epoch: before %+v after %+v", before, after)
+		}
+	})
 
-	// Tolerance 0 (default): wall-clocked registries disable caching of
-	// discounted views entirely.
-	v, err := Open(engine, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deliver(t, engine, report("dc-1", "m1", "imbalance", 0.8, base))
-	v.Ranked()
-	if v.Ranked().Cached {
-		t.Fatal("wall-clocked registry with zero tolerance must never serve cached views")
-	}
-	v.Close()
-
-	// With a tolerance, hits are served until the clock outruns it.
-	v2, err := Open(engine, Options{WallClockTolerance: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	v2.Ranked()
-	if !v2.Ranked().Cached {
-		t.Fatal("expected a hit within the tolerance")
-	}
-	now = now.Add(2 * time.Minute)
-	if v2.Ranked().Cached {
-		t.Fatal("entry older than the tolerance must not be served")
-	}
-
-	// Blocks materialized at staggered times: the ranking is as old as its
-	// oldest block, not as its latest refresh. m2's evidence is two hours
-	// old, on the age ramp, so its rows drift with the clock.
-	deliver(t, engine, report("dc-2", "m2", "imbalance", 0.6, now.Add(-2*time.Hour)))
-	if _, err := v2.Belief("m2", "imbalance"); err != nil { // m2's block fused now
-		t.Fatal(err)
-	}
-	now = now.Add(54 * time.Second)
-	if v2.Ranked().Cached { // re-fuses m1's block only: m2's is within tolerance
-		t.Fatal("the delivery moved the registry: m1's block must be re-fused")
-	}
-	now = now.Add(54 * time.Second) // m2's rows are now 108 s old
-	rv := v2.Ranked()
-	if rv.Cached {
-		t.Fatal("a ranking holding a block older than the tolerance must not be served as kept")
-	}
-	if !reflect.DeepEqual(rv.Items(), engine.PrioritizedList()) {
-		t.Fatalf("ranking past the tolerance diverged from a fresh fuse:\n got %+v\nwant %+v", rv.Items(), engine.PrioritizedList())
-	}
+	// The aggregator's tier takes no option and needs none: a wall-clocked
+	// fleet that does not change is served as kept, and a clock that moves the
+	// shard's state and discount re-reads what that changed.
+	t.Run("aggregator-wallclock", func(t *testing.T) {
+		now := base
+		a, err := shard.NewAggregator(shard.AggregatorConfig{Health: health.Config{Clock: func() time.Time { return now }}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := fleetAPI{open(aggregatorSource{a}, Options{}), a}
+		for i, m := range machines[:3] {
+			s := testSummary("shard-1", m, "imbalance", 0.5+0.1*float64(i), now)
+			if err := a.DeliverSummary(s, s.ShardID, 1, uint64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.v.Ranked()
+		before := f.v.Stats()
+		for i := 0; i < 10; i++ {
+			if rv := f.v.Ranked(); !rv.Cached || !reflect.DeepEqual(globalItems(rv), a.GlobalRanked()) {
+				t.Fatalf("read %d of an unchanged fleet: %+v", i, rv)
+			}
+		}
+		if after := f.v.Stats(); after.Hits-before.Hits != 10 || after.Misses != before.Misses || after.Stores != before.Stores {
+			t.Fatalf("ten reads of an unchanged fleet must be ten hits and read no block: before %+v after %+v", before, after)
+		}
+		now = now.Add(time.Hour) // shard-1 has gone silent
+		rv := f.v.Ranked()
+		if rv.Cached || !reflect.DeepEqual(globalItems(rv), a.GlobalRanked()) {
+			t.Fatalf("an hour later the rows must be re-read and match a fresh list: %+v", rv)
+		}
+		if got := f.v.Stats().Stores - before.Stores; got != 3 {
+			t.Fatalf("the silent shard's three blocks changed, %d were re-read", got)
+		}
+	})
 }
 
 func TestTrendViewProjectsThreshold(t *testing.T) {

@@ -194,7 +194,8 @@ func (f *Forwarder) Resync() int {
 }
 
 // Heartbeat sends the shard's liveness beacon to the aggregator. The
-// caller supplies the timestamp (the shard daemon's status tick).
+// caller supplies the timestamp (mpros.Node.Heartbeat: the shard's own
+// health-registry time).
 func (f *Forwarder) Heartbeat(at time.Time) error {
 	return f.up.SendHeartbeat(&proto.Heartbeat{SentAt: at})
 }

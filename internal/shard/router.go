@@ -27,8 +27,8 @@ type RouterConfig struct {
 	// Ring is the shard assignment; the router targets Ring.Assign(DCID).
 	Ring *Ring
 	// SpoolDir persists the store-and-forward spool. It is REQUIRED: the
-	// whole failover contract is "swap the address, keep the spool", and an
-	// in-memory spool cannot survive the swap.
+	// whole failover contract is "swap the address, keep the spool", and
+	// frames kept through a shard outage must survive a DC restart too.
 	SpoolDir string
 	// SpoolCap, DialTimeout, SendTimeout, BackoffMin, BackoffMax pass
 	// through to the underlying uplink (zero: uplink defaults).
@@ -52,7 +52,7 @@ type RouterConfig struct {
 }
 
 // RouterStats counts the router's own decisions (the transport work is in
-// the merged uplink Counters).
+// the uplink's Counters).
 type RouterStats struct {
 	// Failovers counts stall-triggered re-routes to a ring successor.
 	Failovers int
@@ -75,19 +75,24 @@ type RouterStats struct {
 type Router struct {
 	cfg RouterConfig
 
+	// up is the one uplink, opened by NewRouter and pointed at a new address
+	// by every swap after that: its spool, boot id, pending frames and
+	// counters are the router's for life.
+	up *uplink.Uplink
+
 	mu     sync.Mutex
 	ring   *Ring
 	down   map[string]bool // members this router has failed away from
 	target string
-	up     *uplink.Uplink
-	base   uplink.Counters // accumulated from retired uplinks
 	stats  RouterStats
-	// progress watermarks over the merged counters
+	// creditedAcks is how much of the uplink's Acked + DedupAcks stats.PerShard
+	// already holds: what came since is the current target's.
+	creditedAcks int64
+	// progress watermarks over the uplink's counters
 	lastAttempts int64 // Retried + DialFailures
 	lastProgress int64 // Sent + Dropped
 	stall        int
 	threshold    int
-	rng          *rand.Rand
 }
 
 // NewRouter opens the router's uplink to the ring-assigned shard. The first
@@ -114,104 +119,69 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		down:      make(map[string]bool),
 		stats:     RouterStats{PerShard: make(map[string]int64)},
 		threshold: threshold + rng.Intn(threshold),
-		rng:       rng,
 	}
-	target := cfg.Ring.Assign(cfg.DCID)
-	if err := r.open(target); err != nil {
+	r.target = cfg.Ring.Assign(cfg.DCID)
+	addr, err := r.memberAddr(r.target)
+	if err != nil {
+		return nil, err
+	}
+	r.up, err = uplink.New(uplink.Config{
+		Addr:        addr,
+		DCID:        cfg.DCID,
+		SpoolDir:    cfg.SpoolDir,
+		SpoolCap:    cfg.SpoolCap,
+		DialTimeout: cfg.DialTimeout,
+		SendTimeout: cfg.SendTimeout,
+		BackoffMin:  cfg.BackoffMin,
+		BackoffMax:  cfg.BackoffMax,
+		Seed:        rng.Int63(),
+	})
+	if err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// open points the router at a member, replacing any current uplink and
-// folding its counters into the accumulated base. Caller must NOT hold mu.
-func (r *Router) open(memberID string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.openLocked(memberID)
-}
-
-func (r *Router) openLocked(memberID string) error {
+// memberAddr is the address the uplink dials for a ring member.
+func (r *Router) memberAddr(memberID string) (string, error) {
 	addr, ok := r.ring.MemberAddr(memberID)
 	if !ok {
-		return fmt.Errorf("shard: ring has no member %q", memberID)
+		return "", fmt.Errorf("shard: ring has no member %q", memberID)
 	}
 	if r.cfg.DialVia != nil {
 		addr = r.cfg.DialVia(addr)
 	}
-	if r.up != nil {
-		c := r.up.Counters()
-		r.stats.PerShard[r.target] += c.Acked + c.DedupAcks
-		r.accumulate(c)
-		_ = r.up.Close()
-		r.up = nil
-	}
-	u, err := uplink.New(uplink.Config{
-		Addr:        addr,
-		DCID:        r.cfg.DCID,
-		SpoolDir:    r.cfg.SpoolDir,
-		SpoolCap:    r.cfg.SpoolCap,
-		DialTimeout: r.cfg.DialTimeout,
-		SendTimeout: r.cfg.SendTimeout,
-		BackoffMin:  r.cfg.BackoffMin,
-		BackoffMax:  r.cfg.BackoffMax,
-		Seed:        r.rng.Int63(),
-	})
+	return addr, nil
+}
+
+// retargetLocked points the uplink at another member. The swap is an address
+// change and cannot fail half-way: the spool is not closed, reopened or
+// re-read, so whatever is pending stays pending, towards the new target.
+// Callers hold mu.
+func (r *Router) retargetLocked(memberID string) error {
+	addr, err := r.memberAddr(memberID)
 	if err != nil {
 		return err
 	}
-	r.up = u
+	c := r.up.Counters()
+	r.stats.PerShard[r.target] += c.Acked + c.DedupAcks - r.creditedAcks
+	r.creditedAcks = c.Acked + c.DedupAcks
+	r.up.Retarget(addr)
 	r.target = memberID
-	merged := r.mergedLocked()
-	r.lastAttempts = merged.Retried + merged.DialFailures
-	r.lastProgress = merged.Sent + merged.Dropped
+	r.lastAttempts = c.Retried + c.DialFailures
+	r.lastProgress = c.Sent + c.Dropped
 	r.stall = 0
 	return nil
 }
 
-func (r *Router) accumulate(c uplink.Counters) {
-	accumulateInto(&r.base, c)
-}
-
-func (r *Router) mergedLocked() uplink.Counters {
-	c := r.base
-	if r.up != nil {
-		accumulateInto(&c, r.up.Counters())
-	}
-	return c
-}
-
-func accumulateInto(dst *uplink.Counters, c uplink.Counters) {
-	dst.Sent += c.Sent
-	dst.Acked += c.Acked
-	dst.Retried += c.Retried
-	dst.Spooled += c.Spooled
-	dst.Replayed += c.Replayed
-	dst.Dropped += c.Dropped
-	dst.CapacityDrops += c.CapacityDrops
-	dst.DedupAcks += c.DedupAcks
-	dst.DialFailures += c.DialFailures
-	dst.HeartbeatsSent += c.HeartbeatsSent
-	dst.HeartbeatsDropped += c.HeartbeatsDropped
-}
-
-// Deliver implements proto.Sink: the report spools to the current target's
-// uplink. It never blocks on the network and never triggers failover.
-func (r *Router) Deliver(rep *proto.Report) error {
-	r.mu.Lock()
-	u := r.up
-	r.mu.Unlock()
-	return u.Deliver(rep)
-}
+// Deliver implements proto.Sink: the report spools to the uplink, bound for
+// whichever target holds when it is sent. It never blocks on the network and
+// never triggers failover.
+func (r *Router) Deliver(rep *proto.Report) error { return r.up.Deliver(rep) }
 
 // SendHeartbeat implements the DC's heartbeat uplink against the current
 // target.
-func (r *Router) SendHeartbeat(hb *proto.Heartbeat) error {
-	r.mu.Lock()
-	u := r.up
-	r.mu.Unlock()
-	return u.SendHeartbeat(hb)
-}
+func (r *Router) SendHeartbeat(hb *proto.Heartbeat) error { return r.up.SendHeartbeat(hb) }
 
 // Pump runs one failure-detection step: if reports are pending and the
 // uplink has attempted (dialed or retried) without progress (acks or
@@ -221,15 +191,11 @@ func (r *Router) SendHeartbeat(hb *proto.Heartbeat) error {
 func (r *Router) Pump() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.mergedLocked()
+	c := r.up.Counters()
 	attempts := c.Retried + c.DialFailures
 	progress := c.Sent + c.Dropped
-	pending := 0
-	if r.up != nil {
-		pending = r.up.Pending()
-	}
 	switch {
-	case pending == 0, progress > r.lastProgress:
+	case r.up.Pending() == 0, progress > r.lastProgress:
 		r.stall = 0
 	case attempts > r.lastAttempts:
 		r.stall++
@@ -242,7 +208,7 @@ func (r *Router) Pump() bool {
 	return r.failoverLocked()
 }
 
-// failoverLocked marks the current target down and re-opens on the ring
+// failoverLocked marks the current target down and re-targets the ring
 // successor. False when no live successor exists (the router stays put and
 // keeps retrying its current target).
 func (r *Router) failoverLocked() bool {
@@ -253,7 +219,7 @@ func (r *Router) failoverLocked() bool {
 		r.stall = 0
 		return false
 	}
-	if err := r.openLocked(next); err != nil {
+	if err := r.retargetLocked(next); err != nil {
 		r.stall = 0
 		return false
 	}
@@ -273,7 +239,7 @@ func (r *Router) UpdateRing(ring *Ring) bool {
 	if next == r.target {
 		return false
 	}
-	if err := r.openLocked(next); err != nil {
+	if err := r.retargetLocked(next); err != nil {
 		return false
 	}
 	r.stats.RingUpdates++
@@ -287,10 +253,7 @@ func (r *Router) UpdateRing(ring *Ring) bool {
 func (r *Router) Flush(attempts int, slice time.Duration) error {
 	var err error
 	for i := 0; i < attempts; i++ {
-		r.mu.Lock()
-		u := r.up
-		r.mu.Unlock()
-		if err = u.Flush(slice); err == nil {
+		if err = r.up.Flush(slice); err == nil {
 			return nil
 		}
 		r.Pump()
@@ -299,12 +262,7 @@ func (r *Router) Flush(attempts int, slice time.Duration) error {
 }
 
 // Pending returns the number of unresolved spooled frames.
-func (r *Router) Pending() int {
-	r.mu.Lock()
-	u := r.up
-	r.mu.Unlock()
-	return u.Pending()
-}
+func (r *Router) Pending() int { return r.up.Pending() }
 
 // Target returns the member currently routed to.
 func (r *Router) Target() string {
@@ -313,22 +271,13 @@ func (r *Router) Target() string {
 	return r.target
 }
 
-// Boot returns the spool's boot epoch (stable across failovers: the spool
-// file, and with it the boot id, survives every swap).
-func (r *Router) Boot() uint64 {
-	r.mu.Lock()
-	u := r.up
-	r.mu.Unlock()
-	return u.Boot()
-}
+// Boot returns the spool's boot epoch (stable across failovers: the spool,
+// and with it the boot id, is untouched by a swap).
+func (r *Router) Boot() uint64 { return r.up.Boot() }
 
-// Counters returns transport counters merged across every uplink the
-// router has owned.
-func (r *Router) Counters() uplink.Counters {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.mergedLocked()
-}
+// Counters returns the uplink's transport counters, continuous across every
+// target the router has had.
+func (r *Router) Counters() uplink.Counters { return r.up.Counters() }
 
 // Stats returns the router's failover/routing decisions. PerShard is keyed
 // by member id and counts acks observed while that member was the target.
@@ -344,22 +293,11 @@ func (r *Router) Stats() RouterStats {
 	for k, v := range r.stats.PerShard {
 		out.PerShard[k] = v
 	}
-	if r.up != nil {
-		cur := r.up.Counters()
-		out.PerShard[r.target] += cur.Acked + cur.DedupAcks
-	}
+	c := r.up.Counters()
+	out.PerShard[r.target] += c.Acked + c.DedupAcks - r.creditedAcks
 	return out
 }
 
-// Close stops the current uplink; a persistent spool keeps any pending
-// frames for the next NewRouter on the same dir.
-func (r *Router) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.up == nil {
-		return nil
-	}
-	err := r.up.Close()
-	r.up = nil
-	return err
-}
+// Close stops the uplink; the persistent spool keeps any pending frames for
+// the next NewRouter on the same dir.
+func (r *Router) Close() error { return r.up.Close() }

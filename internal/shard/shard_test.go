@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
@@ -204,7 +206,8 @@ func TestRouterUpdateRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := ring.Assign(dcid)
-	r, err := NewRouter(fastRouterConfig(dcid, ring, t.TempDir()))
+	spoolDir := t.TempDir()
+	r, err := NewRouter(fastRouterConfig(dcid, ring, spoolDir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +250,53 @@ func TestRouterUpdateRing(t *testing.T) {
 	stats := r.Stats()
 	if stats.RingUpdates != 1 || stats.Failovers != 0 {
 		t.Fatalf("stats %+v: want 1 ring update, 0 failovers", stats)
+	}
+
+	// A swap is an address change: it does not close, reopen or re-read the
+	// spool, so nothing about the spool file can fail it half-way. (It used
+	// to reopen it: with the file unreadable the router "stayed put" with no
+	// uplink at all, and its next call dereferenced nil.) Clobber the file
+	// behind the live router and move it to a member nobody listens at: the
+	// report is taken and stays pending, on the same boot, the counters
+	// carrying on from where they were.
+	files, err := filepath.Glob(filepath.Join(spoolDir, "*"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("spool dir holds %v (%v), want the one spool file", files, err)
+	}
+	if err := os.WriteFile(files[0], []byte("not a spool file any more, whatever it was"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boot, before := r.Boot(), r.Counters()
+	ring3, err := NewRing([]Member{{ID: "shard-9", Addr: reserveAddr(t)}}, []string{dcid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.UpdateRing(ring3) || r.Target() != "shard-9" {
+		t.Errorf("UpdateRing over a clobbered spool file did not retarget: target %s", r.Target())
+	}
+	if err := r.Deliver(report(dcid, "m", "imbalance", 0.8, base.Add(2*time.Hour))); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SendHeartbeat(&proto.Heartbeat{SentAt: base.Add(2 * time.Hour)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(2, 50*time.Millisecond); err == nil || r.Pending() != 1 {
+		t.Fatalf("a target nobody listens at drained the spool: flush %v, %d pending", err, r.Pending())
+	}
+	if c := r.Counters(); r.Boot() != boot || c.Acked != before.Acked || c.Spooled != before.Spooled+1 || c.DialFailures == 0 {
+		t.Fatalf("across the swap: boot %d -> %d, counters %+v -> %+v", boot, r.Boot(), before, c)
+	}
+	// And back to a live member: the pending frame goes there as it stands.
+	if !r.UpdateRing(ring2) || r.Target() != second {
+		t.Fatalf("UpdateRing back did not retarget: target %s", r.Target())
+	}
+	if err := r.Flush(10, 250*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	stats = r.Stats()
+	if c := r.Counters(); sinks[second].count() != 2 || c.Acked != before.Acked+1 || r.Boot() != boot ||
+		stats.PerShard[first] != 1 || stats.PerShard[second] != 2 || stats.PerShard["shard-9"] != 0 || stats.RingUpdates != 3 {
+		t.Fatalf("after swapping back: %s fused %d, counters %+v, stats %+v", second, sinks[second].count(), c, stats)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -142,47 +141,6 @@ func median(xs []float64) float64 {
 	return (tmp[n/2-1] + tmp[n/2]) / 2
 }
 
-// Tracker accumulates bounded per-key histories and projects threshold
-// crossings. Safe for concurrent use.
-type Tracker struct {
-	mu      sync.Mutex
-	maxKeep int
-	series  map[string][]Point
-}
-
-// NewTracker keeps at most maxKeep points per key (older points roll off).
-func NewTracker(maxKeep int) (*Tracker, error) {
-	if maxKeep < 3 {
-		return nil, fmt.Errorf("trend: maxKeep %d too small to fit", maxKeep)
-	}
-	return &Tracker{maxKeep: maxKeep, series: make(map[string][]Point)}, nil
-}
-
-// Observe appends an observation for a key.
-func (tr *Tracker) Observe(key string, at time.Time, value float64) error {
-	if key == "" {
-		return fmt.Errorf("trend: empty key")
-	}
-	if at.IsZero() || math.IsNaN(value) || math.IsInf(value, 0) {
-		return fmt.Errorf("trend: invalid observation")
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	s := append(tr.series[key], Point{At: at, Value: value})
-	if len(s) > tr.maxKeep {
-		s = s[len(s)-tr.maxKeep:]
-	}
-	tr.series[key] = s
-	return nil
-}
-
-// History returns a copy of a key's observations.
-func (tr *Tracker) History(key string) []Point {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return append([]Point(nil), tr.series[key]...)
-}
-
 // Projection is a threshold-crossing forecast.
 type Projection struct {
 	Fit Fit
@@ -190,12 +148,6 @@ type Projection struct {
 	Crossing time.Time
 	// Reaches is false for flat/receding trends.
 	Reaches bool
-}
-
-// Project fits the key's history (Theil-Sen) and projects when it reaches
-// threshold.
-func (tr *Tracker) Project(key string, threshold float64) (Projection, error) {
-	return ProjectPoints(tr.History(key), threshold)
 }
 
 // ProjectPoints fits a Theil-Sen trend to an arbitrary point series
@@ -209,16 +161,4 @@ func ProjectPoints(points []Point, threshold float64) (Projection, error) {
 	p := Projection{Fit: fit}
 	p.Crossing, p.Reaches = fit.CrossingTime(threshold)
 	return p, nil
-}
-
-// Keys returns the tracked keys in sorted order.
-func (tr *Tracker) Keys() []string {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	out := make([]string, 0, len(tr.series))
-	for k := range tr.series {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -149,68 +149,3 @@ func TestTheilSenRecoversSlopeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTracker(t *testing.T) {
-	tr, err := NewTracker(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewTracker(2); err == nil {
-		t.Error("tiny maxKeep accepted")
-	}
-	if err := tr.Observe("", t0, 1); err == nil {
-		t.Error("empty key")
-	}
-	if err := tr.Observe("k", time.Time{}, 1); err == nil {
-		t.Error("zero time")
-	}
-	if err := tr.Observe("k", t0, math.NaN()); err == nil {
-		t.Error("NaN value")
-	}
-	// A developing fault: severity rises 0.02/hour from 0.2.
-	for i := 0; i < 20; i++ {
-		if err := tr.Observe("m|bearing", t0.Add(time.Duration(i)*time.Hour), 0.2+0.02*float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	proj, err := tr.Project("m|bearing", 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !proj.Reaches {
-		t.Fatal("rising severity should reach threshold")
-	}
-	// (0.75-0.2)/0.02 = 27.5 hours from origin.
-	want := t0.Add(27*time.Hour + 30*time.Minute)
-	if math.Abs(proj.Crossing.Sub(want).Seconds()) > 60 {
-		t.Errorf("crossing %v, want %v", proj.Crossing, want)
-	}
-	if _, err := tr.Project("ghost", 0.5); err == nil {
-		t.Error("unknown key should error")
-	}
-	if ks := tr.Keys(); len(ks) != 1 || ks[0] != "m|bearing" {
-		t.Errorf("keys %v", ks)
-	}
-	if h := tr.History("m|bearing"); len(h) != 20 {
-		t.Errorf("history %d", len(h))
-	}
-}
-
-func TestTrackerBoundsHistory(t *testing.T) {
-	tr, err := NewTracker(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := tr.Observe("k", t0.Add(time.Duration(i)*time.Minute), float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h := tr.History("k")
-	if len(h) != 5 {
-		t.Fatalf("kept %d", len(h))
-	}
-	if h[0].Value != 45 || h[4].Value != 49 {
-		t.Errorf("wrong window: %v", h)
-	}
-}

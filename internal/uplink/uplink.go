@@ -135,9 +135,14 @@ type Counters struct {
 type Uplink struct {
 	cfg Config
 
-	mu       sync.Mutex
-	spool    *spool
+	mu    sync.Mutex
+	spool *spool
+	// addr is where the sender dials (Config.Addr until Retarget moves it);
+	// client is its connection and dialed the address that was dialed for.
+	// Only the sender goroutine opens, uses and drops a connection.
+	addr     string
 	client   *proto.Client
+	dialed   string
 	counters Counters
 	closed   bool
 	// incarnation identifies this sender process instance for flap
@@ -154,9 +159,12 @@ type Uplink struct {
 	drained chan struct{}
 
 	wake chan struct{} // buffered(1): signals the sender that work arrived
-	stop chan struct{}
-	wg   sync.WaitGroup
-	rng  *rand.Rand // guarded by mu (jitter only)
+	// retargeted (buffered(1)) cuts short the backoff the sender owes the
+	// address it has just been moved away from.
+	retargeted chan struct{}
+	stop       chan struct{}
+	wg         sync.WaitGroup
+	rng        *rand.Rand // guarded by mu (jitter only)
 }
 
 // New opens (recovering any persisted spool) and starts an uplink. The
@@ -182,8 +190,10 @@ func New(cfg Config) (*Uplink, error) {
 	u := &Uplink{
 		cfg:         cfg,
 		spool:       sp,
+		addr:        cfg.Addr,
 		incarnation: incarnation,
 		wake:        make(chan struct{}, 1),
+		retargeted:  make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 	}
@@ -243,6 +253,23 @@ func (u *Uplink) enqueue(d *proto.Delivery) error {
 	}
 	u.signal()
 	return nil
+}
+
+// Retarget points the uplink at another server. Nothing else changes hands:
+// the spool with its boot id and sequence space, the pending frames, the
+// counters and the one sender goroutine all carry over, so a frame queued for
+// the old server goes to the new one as it stands. The sender drops its
+// connection and dials the new address at its next attempt, without sitting
+// out a backoff earned against the old one; an exchange already on the wire
+// finishes where it is — answered there, or failed and resent here.
+func (u *Uplink) Retarget(addr string) {
+	u.mu.Lock()
+	u.addr = addr
+	u.mu.Unlock()
+	select {
+	case u.retargeted <- struct{}{}:
+	default:
+	}
 }
 
 // Incarnation returns the sender-process instance id announced in
@@ -484,26 +511,35 @@ func (u *Uplink) run() {
 	}
 }
 
-// ensureConnected dials if there is no live connection; false means the
-// dial failed (caller backs off) — unless the uplink is stopping.
+// ensureConnected dials if there is no live connection to the address the
+// uplink points at, dropping one to an address it was retargeted away from.
+// False means the dial failed (caller backs off) — unless the uplink is
+// stopping.
 func (u *Uplink) ensureConnected() bool {
-	u.mu.Lock()
-	if u.client != nil {
+	for {
+		u.mu.Lock()
+		addr, stale := u.addr, u.client
+		if stale != nil && u.dialed == addr {
+			u.mu.Unlock()
+			return true
+		}
+		u.client = nil
 		u.mu.Unlock()
-		return true
+		if stale != nil {
+			_ = stale.Close()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), u.cfg.DialTimeout)
+		client, err := proto.DialContext(ctx, addr)
+		cancel()
+		if err != nil {
+			return false
+		}
+		client.SetTimeout(u.cfg.SendTimeout)
+		u.mu.Lock()
+		u.client, u.dialed = client, addr
+		u.mu.Unlock()
+		// Retargeted under the dial: go round again and drop it.
 	}
-	u.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), u.cfg.DialTimeout)
-	client, err := proto.DialContext(ctx, u.cfg.Addr)
-	cancel()
-	if err != nil {
-		return false
-	}
-	client.SetTimeout(u.cfg.SendTimeout)
-	u.mu.Lock()
-	u.client = client
-	u.mu.Unlock()
-	return true
 }
 
 // sendRun performs one exchange for the head-of-line run, leaving each
@@ -558,7 +594,8 @@ func (u *Uplink) retire(run []*pendingRec, frames []proto.Delivery) {
 }
 
 // sleepBackoff sleeps the current backoff with ±50% jitter, doubling it for
-// next time; false means the uplink is stopping.
+// next time — or, retargeted, returns at once with the backoff reset: the new
+// address has failed nobody yet. False means the uplink is stopping.
 func (u *Uplink) sleepBackoff(backoff *time.Duration) bool {
 	u.mu.Lock()
 	jitter := 0.5 + u.rng.Float64()
@@ -571,6 +608,9 @@ func (u *Uplink) sleepBackoff(backoff *time.Duration) bool {
 	select {
 	case <-u.stop:
 		return false
+	case <-u.retargeted:
+		*backoff = u.cfg.BackoffMin
+		return true
 	case <-time.After(d):
 		return true
 	}

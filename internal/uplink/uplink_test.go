@@ -581,3 +581,61 @@ func TestFlushWakesOnDrainAndTimesOut(t *testing.T) {
 		t.Fatalf("flush of an empty spool: %v", err)
 	}
 }
+
+// TestRetargetCarriesSpoolToTheNewServer: pointing an uplink at another server
+// changes where its one sender dials and nothing else — same boot, same
+// counters, the pending frame as it stands. A live connection to the server
+// it left is not written to again, and a backoff earned against that server is
+// not sat out.
+func TestRetargetCarriesSpoolToTheNewServer(t *testing.T) {
+	a, b := &collector{}, &collector{}
+	addrA, srvA := startServer(t, "127.0.0.1:0", a, proto.NewDedup(0))
+	defer srvA.Close()
+	addrB, srvB := startServer(t, "127.0.0.1:0", b, proto.NewDedup(0))
+	cfg := fastConfig(addrA, "")
+	cfg.BackoffMin, cfg.BackoffMax = time.Minute, time.Minute // nothing below waits one out
+	u, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	deliver := func(i int) {
+		t.Helper()
+		if err := u.Deliver(testReport(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush := func() {
+		t.Helper()
+		if err := u.Flush(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boot := u.Boot()
+	deliver(1)
+	flush()
+	u.Retarget(addrB) // idle, connected to A
+	deliver(2)
+	flush()
+
+	srvB.Close() // B dies: the next send breaks, and the sender backs off for a minute
+	deliver(3)
+	for deadline := time.Now().Add(10 * time.Second); u.Counters().Retried+u.Counters().DialFailures == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the sender never noticed the dead server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	u.Retarget(addrA)
+	flush()
+
+	if got, want := strings.Join(a.explanations(), ","), "r1,r3"; got != want {
+		t.Errorf("server A fused %q, want %q", got, want)
+	}
+	if got, want := strings.Join(b.explanations(), ","), "r2"; got != want {
+		t.Errorf("server B fused %q, want %q", got, want)
+	}
+	if c := u.Counters(); u.Boot() != boot || c.Spooled != 3 || c.Acked != 3 || c.DedupAcks != 0 || c.Dropped != 0 {
+		t.Errorf("boot %d -> %d, counters %+v: want one spool, three first acks", boot, u.Boot(), c)
+	}
+}

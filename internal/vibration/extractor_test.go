@@ -112,16 +112,6 @@ func TestExtractorRejects(t *testing.T) {
 	}
 }
 
-func BenchmarkExtract(b *testing.B) {
-	frame, cfg := acquireFrame(b, 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Extract(frame, cfg, chiller.MotorDE); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestExtractIntoZeroAlloc is the hot-path budget for the per-point feature
 // extraction on the scheduled vibration test: zero heap allocations.
 func TestExtractIntoZeroAlloc(t *testing.T) {

@@ -256,22 +256,3 @@ func TestExpertAgreementSample(t *testing.T) {
 	}
 	t.Logf("agreement rate: %.3f (%d/%d)", rate, agree, trials)
 }
-
-func BenchmarkDiagnosePlant(b *testing.B) {
-	cfg := chiller.DefaultConfig()
-	p, err := chiller.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := p.SetFault(chiller.MotorBearingOuter, 0.6); err != nil {
-		b.Fatal(err)
-	}
-	e := NewEngine(cfg, 0.15)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.DiagnosePlant(p, 16384); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -228,18 +228,3 @@ func TestBandRMS(t *testing.T) {
 		t.Error("approx RMS should be positive")
 	}
 }
-
-func BenchmarkDecomposeDb4_4096x6(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, 4096)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(Daubechies4, x, 6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -290,37 +290,3 @@ func TestChillerFaultClassification(t *testing.T) {
 	}
 	t.Logf("held-out accuracy: %.2f", acc)
 }
-
-func BenchmarkExtract4096(b *testing.B) {
-	frame := make([]float64, 4096)
-	for i := range frame {
-		frame[i] = math.Sin(float64(i) / 3)
-	}
-	fc := DefaultFeatureConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Extract(frame, fc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPredict(b *testing.B) {
-	fc := DefaultFeatureConfig()
-	n, err := NewNetwork(fc.Dim(), 20, 4, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, fc.Dim())
-	for i := range x {
-		x[i] = float64(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := n.Predict(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

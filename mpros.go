@@ -36,8 +36,6 @@ type (
 	Report = proto.Report
 	// PrognosticVector is the §7.3 (probability, time) list.
 	PrognosticVector = proto.PrognosticVector
-	// PrognosticPoint is one prognostic pair.
-	PrognosticPoint = proto.PrognosticPoint
 	// SeverityGrade is the Slight/Moderate/Serious/Extreme scale.
 	SeverityGrade = proto.SeverityGrade
 	// Fault enumerates the twelve FMEA failure modes of the chiller model.
@@ -49,10 +47,6 @@ type (
 	// HealthConfig parametrizes the PDME's fleet-health registry
 	// (liveness thresholds, staleness-discounting curve).
 	HealthConfig = health.Config
-	// DCHealth is one DC's health snapshot.
-	DCHealth = health.DCHealth
-	// HealthState is a DC's liveness classification.
-	HealthState = health.State
 	// Source is the plant interface a DC instruments; FleetConfig.WrapSource
 	// interposes on it for sensor-fault injection.
 	Source = dc.Source
@@ -62,19 +56,6 @@ type (
 	Views = serving.Views
 	// ServingOptions configures a Views tier.
 	ServingOptions = serving.Options
-	// RankedView is a cached prioritized-list read.
-	RankedView = serving.RankedView
-	// BeliefView is a cached per-condition fused state.
-	BeliefView = serving.BeliefView
-	// TrendView is a snapshot-isolated severity history with threshold
-	// projection.
-	TrendView = serving.TrendView
-	// ServingStats are the view cache's coherence counters.
-	ServingStats = serving.Stats
-	// Notice is one change notification on a watch subscription.
-	Notice = serving.Notice
-	// Subscription is a bounded-buffer change feed from Views.Watch.
-	Subscription = serving.Subscription
 )
 
 // Health state constants.
@@ -485,13 +466,6 @@ func (f *Fleet) RestartUplink(i int) error {
 	}
 	s.Uplink = up
 	return nil
-}
-
-// OpenViews attaches a read-side serving tier to the fleet's central PDME,
-// so dashboards read cached views while the stations' reports stream in over
-// TCP. Close the returned Views before closing the fleet.
-func (f *Fleet) OpenViews(opts ServingOptions) (*Views, error) {
-	return serving.Open(f.PDME, opts)
 }
 
 // StopServer closes the PDME's report server, severing every station

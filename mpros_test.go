@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/chiller"
+	"repro/internal/experiments"
 	"repro/internal/netfault"
 	"repro/internal/pdme"
 	"repro/internal/uplink"
@@ -691,6 +692,23 @@ func TestFleetChaosFlapAndDeath(t *testing.T) {
 		}
 		if gb := got.beliefs[key]; math.Abs(gb-wb) > 1e-12 {
 			t.Errorf("belief[%s] = %v under chaos, reference %v", key, gb, wb)
+		}
+	}
+}
+
+// Example-style smoke check so `go test` exercises the rendered tables.
+func TestRenderAllExperimentTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment sweep is slow")
+	}
+	for _, id := range experiments.IDs() {
+		res, err := experiments.Registry()[id](1)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		out := res.Render()
+		if len(out) == 0 {
+			t.Fatalf("%s: empty render", id)
 		}
 	}
 }

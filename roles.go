@@ -16,8 +16,8 @@ import (
 )
 
 // This file is the one place a PDME process role is assembled. Stations,
-// networked fleets, pdmed (station and shard roles), servebench and the
-// kill-9 harness build their engine through OpenNode; pdmed's aggregator
+// networked fleets, pdmed (station and shard roles) and the kill-9 harness
+// build their engine through OpenNode; pdmed's aggregator
 // role builds through OpenAggregator. DESIGN.md "Process roles" has the
 // order each constructor opens things in and the reason for every step's
 // position.
@@ -118,6 +118,22 @@ func (n *Node) Serve(addr string, idle time.Duration) (string, error) {
 	n.server = server
 	n.mu.Unlock()
 	return bound, nil
+}
+
+// Heartbeat sends a shard node's liveness beacon to its aggregator, stamped
+// at the health registry's own notion of now — the event-time watermark by
+// default (virtual-time fleets), the wall clock when one is configured — so
+// shard liveness at the aggregator is judged on the same axis the evidence
+// uses. A node that forwards nowhere, or has observed nothing yet, sends none.
+func (n *Node) Heartbeat() error {
+	if n.Forwarder == nil {
+		return nil
+	}
+	at := n.PDME.Health().Now()
+	if at.IsZero() {
+		return nil
+	}
+	return n.Forwarder.Heartbeat(at)
 }
 
 // StopServer closes the report server, severing every connected sender;

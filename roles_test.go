@@ -169,6 +169,22 @@ func TestRoleShardAndAggregatorReopenIdentical(t *testing.T) {
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "chiller/1") {
 		t.Errorf("aggregator /ranked: %d %s", rec.Code, rec.Body)
 	}
+	// The liveness beacon is the node's own duty, not a side effect of a
+	// status block somebody asked to see: a shard that prints nothing is heard
+	// from all the same, at its own registry's time.
+	if seen := agg.Aggregator.Health().Snapshot(); len(seen) != 1 || !seen[0].LastHeartbeat.IsZero() {
+		t.Fatalf("aggregator's registry before any heartbeat: %+v", seen)
+	}
+	if err := n.Heartbeat(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Forwarder.Flush(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if seen := agg.Aggregator.Health().Snapshot(); len(seen) != 1 || seen[0].DCID != "shard-1" ||
+		seen[0].State.String() != "alive" || !seen[0].LastHeartbeat.Equal(n.PDME.Health().Now()) {
+		t.Errorf("aggregator's registry after the shard's heartbeat (sent at %v): %+v", n.PDME.Health().Now(), seen)
+	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
