@@ -217,6 +217,10 @@ type loader struct {
 	testdata string
 	fset     *token.FileSet
 	pkgs     map[string]*types.Package
+	// std is the one export-data importer of this load: two of them would
+	// each bring their own copy of a shared dependency (maps' and slices'
+	// iter.Seq would be different types).
+	std types.Importer
 }
 
 func (ld *loader) parseDir(pkgPath string) ([]*ast.File, error) {
@@ -263,7 +267,10 @@ func (ld *loader) importPkg(path string) (*types.Package, error) {
 		ld.pkgs[path] = p
 		return p, nil
 	}
-	p, err := stdImporter(ld.fset).Import(path)
+	if ld.std == nil {
+		ld.std = stdImporter(ld.fset)
+	}
+	p, err := ld.std.Import(path)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,12 @@
 // order. The fix that established the invariant routes iteration through a
 // sorted-key accessor — dempster.Mass.FocalSets() is the model — and this
 // analyzer keeps refactors from quietly reintroducing `for k := range m`.
+// The standard library's map iterators are the same loop by another name:
+// a range taken directly over maps.Keys, maps.Values or maps.All is reported
+// too. Handing the iterator to something that orders it —
+// slices.Sorted(maps.Keys(m)), the idiom the converted sites use — is not a
+// range over it and stays clean, as do maps.Clone and maps.Copy, whose
+// results do not depend on the order they copy in.
 //
 // Scope: non-test files of the packages whose outputs must be bit-
 // reproducible (dempster, fusion, pdme, serving, oosm). Loops whose order
@@ -63,19 +69,42 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			t := pass.TypesInfo.TypeOf(rng.X)
-			if t == nil {
+			what := "a map"
+			if t := pass.TypesInfo.TypeOf(rng.X); t == nil {
 				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
+			} else if _, isMap := t.Underlying().(*types.Map); !isMap {
+				if what = mapIterator(pass, rng.X); what == "" {
+					return true
+				}
 			}
 			pass.Reportf(rng.Pos(),
-				"direct range over a map in determinism-critical package %s; "+
+				"direct range over %s in determinism-critical package %s; "+
 					"iterate a sorted-key accessor (like FocalSets) or justify why order cannot leak",
-				analysis.PathSegment(pass.ImportPath))
+				what, analysis.PathSegment(pass.ImportPath))
 			return true
 		})
 	}
 	return nil
+}
+
+// mapIterator names the unordered map iterator x is a direct call of —
+// maps.Keys, maps.Values or maps.All — or returns "".
+func mapIterator(pass *analysis.Pass, x ast.Expr) string {
+	call, ok := ast.Unparen(x).(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "maps" {
+		return ""
+	}
+	switch fn.Name() {
+	case "Keys", "Values", "All":
+		return "maps." + fn.Name()
+	}
+	return ""
 }

@@ -2,7 +2,11 @@
 // package (maporder keys on the final import-path segment).
 package dempster
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 // Mass mirrors the real dempster.Mass shape: a map guarded by a sorted
 // accessor.
@@ -57,4 +61,27 @@ func sums(xs []float64) float64 {
 		t += x
 	}
 	return t
+}
+
+// SumKeys ranges the unordered iterator directly: a raw map range by another
+// name.
+func (m *Mass) SumKeys() float64 {
+	var total float64
+	for k := range maps.Keys(m.m) { // want "direct range over maps.Keys"
+		total += m.m[k]
+	}
+	for _, v := range maps.All(m.m) { // want "direct range over maps.All"
+		total += v
+	}
+	return total
+}
+
+// SumSortedKeys hands the iterator to a sort first: clean, and the idiom the
+// sorted accessors are written in.
+func (m *Mass) SumSortedKeys() float64 {
+	var total float64
+	for _, k := range slices.Sorted(maps.Keys(m.m)) {
+		total += m.m[k]
+	}
+	return total
 }

@@ -48,6 +48,10 @@ var DeterministicPkgs = map[string]bool{
 	// rankings all derive from event time and injected clocks, never the
 	// wall clock.
 	"shard": true,
+	// oosm is the event model every fusion event goes through, between two
+	// packages already under the discipline: an event says what changed, and
+	// when is the report's own timestamp, never the wall clock's.
+	"oosm": true,
 }
 
 // ScopePrefixes extends the clock discipline to whole subtrees by import

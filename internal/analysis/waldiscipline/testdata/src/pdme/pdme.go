@@ -63,6 +63,18 @@ func (p *engine) blankAppend(rec []byte, id string) {
 	p.model.Create(id)
 }
 
+// apply is the engine's own post-fuse-mark-count body; the accept that calls
+// it is held to the order like one that spells the mutations out.
+func (p *engine) apply(id string) {
+	p.model.Create(id)
+	p.dedup.Mark(id)
+}
+
+func (p *engine) badApply(rec []byte, id string) error {
+	p.apply(id) // want "apply mutates checkpointed state before the appendJournal write-ahead"
+	return p.appendJournal(1, one(rec))
+}
+
 // replay never calls appendJournal: re-applying records already in the WAL
 // is out of scope.
 func (p *engine) replay(id string) {

@@ -14,7 +14,7 @@
 // The check: in package pdme, any method that calls the receiver's
 // appendJournal is an accept-path function. Within it,
 //
-//   - every state-mutating call rooted at the receiver (model.Create,
+//   - every state-mutating call rooted at the receiver (apply, model.Create,
 //     diag.AddReport/AddReportFrom, prog.AddReport, Health().ObserveReport/
 //     ObserveHeartbeat, dedup Mark) must appear after the first
 //     appendJournal call in source order — the WAL is written first. The
@@ -51,9 +51,11 @@ const journalFunc = "appendJournal"
 
 // MutatingCalls names the receiver-rooted method calls that mutate derived
 // state a checkpoint snapshots: OOSM posts (Create runs fusion synchronously
-// via the event model), direct fusion evidence, health observations, and
-// dedup marks.
+// via the event model), direct fusion evidence, health observations, dedup
+// marks — and the PDME's own apply, the one body that does all of them for a
+// report, so the accept that calls it is still held to the order.
 var MutatingCalls = map[string]bool{
+	"apply":            true,
 	"Create":           true,
 	"AddReport":        true,
 	"AddReportFrom":    true,

@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -221,7 +221,7 @@ func (m *Mass) FocalSets() []Set {
 	for s := range m.m {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -335,7 +335,13 @@ func Discount(m *Mass, alpha float64) (*Mass, error) {
 // defined over the same frame. It returns the combined mass function and the
 // conflict K (the total probability mass the two sources assign to
 // incompatible conclusions). Combination fails if the sources are in total
-// conflict (K == 1).
+// conflict: nothing, to within 1e-12 of the product mass, survives.
+//
+// The result is normalized by the mass that survived, not by 1/(1-K): the
+// two agree only while both inputs sum to exactly 1, and whatever an input is
+// off by, 1/(1-K) multiplies into every later combination. Dividing by the
+// survivors makes each output sum to 1 within rounding whatever its inputs
+// did, so rounding error cannot compound over a long evidence chain.
 func Combine(a, b *Mass) (*Mass, float64, error) {
 	if a.frame != b.frame {
 		return nil, 0, fmt.Errorf("dempster: cannot combine masses over different frames")
@@ -359,12 +365,15 @@ func Combine(a, b *Mass) (*Mass, float64, error) {
 			}
 		}
 	}
-	if conflict >= 1-1e-12 {
+	var survived float64
+	for _, s := range out.FocalSets() {
+		survived += out.m[s]
+	}
+	if survived <= 1e-12*(survived+conflict) {
 		return nil, conflict, fmt.Errorf("dempster: total conflict between sources (K=%.6f)", conflict)
 	}
-	norm := 1 / (1 - conflict)
 	for _, s := range out.FocalSets() {
-		out.m[s] *= norm
+		out.m[s] /= survived
 	}
 	return out, conflict, nil
 }

@@ -502,3 +502,45 @@ func TestDiscountMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestLongChainStaysAMassFunction: a long evidence chain — simple-support
+// reports alternating over a group's members, the way one DC's suite keeps
+// re-asserting and contradicting itself, with Shafer discounts interleaved —
+// leaves a mass function after every step: every mass in [0,1], the sum 1 to
+// within 1e-9. Combine normalizes by the mass that survived, so what one step
+// is off by is not multiplied into the next.
+func TestLongChainStaysAMassFunction(t *testing.T) {
+	f := MustFrame("a", "b", "c", "d", "other")
+	rng := rand.New(rand.NewSource(22))
+	acc := VacuousMass(f)
+	check := func(step int, what string) {
+		t.Helper()
+		var sum float64
+		for _, s := range acc.FocalSets() {
+			v := acc.Get(s)
+			if v < 0 || v > 1 || math.IsNaN(v) {
+				t.Fatalf("step %d (%s): mass %g on %s outside [0,1]", step, what, v, f.Format(s))
+			}
+			sum += v
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("step %d (%s): masses sum to 1%+.3g", step, what, sum-1)
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		ev, err := SimpleSupport(f, Singleton(step%4), 0.3+0.6*rng.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acc, _, err = Combine(acc, ev); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		check(step, "combine")
+		if step%5 == 4 {
+			if acc, err = Discount(acc, 0.5+0.5*rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+			check(step, "discount")
+		}
+	}
+}

@@ -19,6 +19,8 @@ package fusion
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -52,14 +54,9 @@ func (g Groups) Validate() error {
 	if len(g) == 0 {
 		return fmt.Errorf("fusion: no failure groups")
 	}
-	names := make([]string, 0, len(g))
-	//lint:allow maporder keys are sorted before validation, so error selection is deterministic
-	for name := range g {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	seen := map[string]string{}
-	for _, name := range names {
+	// Sorted, so which error is reported does not depend on map order.
+	for _, name := range slices.Sorted(maps.Keys(g)) {
 		conds := g[name]
 		if len(conds) == 0 {
 			return fmt.Errorf("fusion: group %q is empty", name)
@@ -125,6 +122,9 @@ type groupState struct {
 	sources map[string]*sourceEvidence
 	// reports counts per-condition report arrivals.
 	reports map[string]int
+	// newest is each condition's UpdatedAt: the sensed-at time of the newest
+	// evidence folded in — a max, so a late report never moves it back.
+	newest map[string]time.Time
 }
 
 // DiagnosticFuser maintains fused beliefs per component, partitioned into
@@ -189,6 +189,15 @@ func newGroupFrame(groups Groups, group string) (*dempster.Frame, error) {
 	return dempster.NewFrame(append(append([]string(nil), groups[group]...), otherHypothesis)...)
 }
 
+func newGroupState(frame *dempster.Frame) *groupState {
+	return &groupState{
+		frame:   frame,
+		sources: make(map[string]*sourceEvidence),
+		reports: make(map[string]int),
+		newest:  make(map[string]time.Time),
+	}
+}
+
 func (df *DiagnosticFuser) state(component, group string) (*groupState, error) {
 	byGroup, ok := df.states[component]
 	if !ok {
@@ -201,41 +210,40 @@ func (df *DiagnosticFuser) state(component, group string) (*groupState, error) {
 		if err != nil {
 			return nil, err
 		}
-		st = &groupState{
-			frame:   frame,
-			sources: make(map[string]*sourceEvidence),
-			reports: make(map[string]int),
-		}
+		st = newGroupState(frame)
 		byGroup[group] = st
 	}
 	return st, nil
 }
 
 // AddReport fuses one diagnostic report from an anonymous source — see
-// AddReportFrom. Anonymous evidence is never discounted.
+// AddReportFrom — and returns the updated fused belief in the condition.
+// Anonymous evidence is never discounted.
 func (df *DiagnosticFuser) AddReport(component, condition string, belief float64) (float64, error) {
-	return df.AddReportFrom(component, condition, "", time.Time{}, belief)
+	cs, err := df.AddReportFrom(component, condition, "", time.Time{}, belief)
+	return cs.Belief, err
 }
 
 // AddReportFrom fuses one diagnostic report: the named knowledge source
 // asserting the condition on the component with the given belief, sensed at
-// the given time. It returns the updated fused belief in that condition.
-// Per §5.6, the update also reweights every other failure in the
-// condition's logical group and the group's unknown mass — all readable
+// the given time. It returns the condition's state as the combination that
+// folded the report in read it, so a caller posting the conclusion need not
+// ask again. Per §5.6, the update also reweights every other failure in
+// the condition's logical group and the group's unknown mass — all readable
 // afterwards via Belief/Unknown/Ranked. When a Discounter is installed the
 // source's accumulated evidence is Shafer-discounted by its current
 // reliability on every read, so beliefs decay toward ignorance as the
 // source goes stale and recover when fresh reports resume.
-func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at time.Time, belief float64) (float64, error) {
+func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at time.Time, belief float64) (ConditionState, error) {
 	if component == "" {
-		return 0, fmt.Errorf("fusion: empty component")
+		return ConditionState{}, fmt.Errorf("fusion: empty component")
 	}
 	if belief < 0 || belief > 1 {
-		return 0, fmt.Errorf("fusion: belief %g outside [0,1]", belief)
+		return ConditionState{}, fmt.Errorf("fusion: belief %g outside [0,1]", belief)
 	}
 	group, err := df.GroupOf(condition)
 	if err != nil {
-		return 0, err
+		return ConditionState{}, err
 	}
 	if belief > df.maxBelief {
 		belief = df.maxBelief
@@ -244,15 +252,15 @@ func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at
 	defer df.mu.Unlock()
 	st, err := df.state(component, group)
 	if err != nil {
-		return 0, err
+		return ConditionState{}, err
 	}
 	hyp, err := st.frame.Hypothesis(condition)
 	if err != nil {
-		return 0, err
+		return ConditionState{}, err
 	}
 	evidence, err := dempster.SimpleSupport(st.frame, hyp, belief)
 	if err != nil {
-		return 0, err
+		return ConditionState{}, err
 	}
 	src, ok := st.sources[source]
 	if !ok {
@@ -264,20 +272,23 @@ func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at
 	}
 	combined, _, err := dempster.Combine(src.mass, evidence)
 	if err != nil {
-		return 0, err
+		return ConditionState{}, err
 	}
 	src.mass = combined
 	src.conditions[condition] = struct{}{}
 	if at.After(src.lastReport) {
 		src.lastReport = at
 	}
+	if at.After(st.newest[condition]) {
+		st.newest[condition] = at
+	}
 	st.reports[condition]++
 	df.totalFusedN++
-	fused, _, _, err := df.fusedLocked(st)
-	if err != nil {
-		return 0, err
+	member, out := [1]string{condition}, [1]ConditionState{}
+	if _, err := df.readLocked(group, st, member[:], out[:]); err != nil {
+		return ConditionState{}, err
 	}
-	return fused.Belief(hyp), nil
+	return out[0], nil
 }
 
 // factorsLocked returns the group's source ids in the sorted order they
@@ -287,12 +298,7 @@ func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at
 // installed nothing is discounted and the factors are nil. Callers hold
 // df.mu (read or write).
 func (df *DiagnosticFuser) factorsLocked(st *groupState) (names []string, factors []float64) {
-	names = make([]string, 0, len(st.sources))
-	//lint:allow maporder source ids are sorted before use, so the combination order is arrival-independent
-	for name := range st.sources {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names = slices.Sorted(maps.Keys(st.sources))
 	if df.discounter == nil {
 		return names, nil
 	}
@@ -356,7 +362,7 @@ func (df *DiagnosticFuser) readLocked(group string, st *groupState, members []st
 		hyps = append(hyps, hyp)
 		out[i] = ConditionState{ConditionBelief: ConditionBelief{
 			Condition: cond, Group: group, Reports: st.reports[cond], Reliability: 1,
-		}, Unknown: unknown}
+		}, Unknown: unknown, UpdatedAt: st.newest[cond]}
 		// Best reliability across the sources asserting the condition: a
 		// conclusion is degraded only when no fresh source backs it.
 		best, seen := 0.0, false
@@ -476,6 +482,12 @@ type ConditionState struct {
 	// Unknown is the residual unknown mass of the condition's whole group on
 	// this component (1.0 before any report).
 	Unknown float64
+	// UpdatedAt is the sensed-at time of the newest evidence folded into the
+	// pair (zero before any timestamped report): what a shard stamps the
+	// pair's summary with and an aggregator orders summaries by. It never goes
+	// back: a late report changes the belief, not the time of the newest
+	// evidence.
+	UpdatedAt time.Time
 }
 
 // vacuousState is a pair's state before any report reaches its group.
@@ -569,19 +581,11 @@ func (df *DiagnosticFuser) Blocks() [][2]string {
 	df.mu.RLock()
 	defer df.mu.RUnlock()
 	var out [][2]string
-	//lint:allow maporder pairs are sorted before return
-	for component, byGroup := range df.states {
-		//lint:allow maporder pairs are sorted before return
-		for group := range byGroup {
+	for _, component := range slices.Sorted(maps.Keys(df.states)) {
+		for _, group := range slices.Sorted(maps.Keys(df.states[component])) {
 			out = append(out, [2]string{component, group})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
@@ -589,13 +593,7 @@ func (df *DiagnosticFuser) Blocks() [][2]string {
 func (df *DiagnosticFuser) Components() []string {
 	df.mu.RLock()
 	defer df.mu.RUnlock()
-	out := make([]string, 0, len(df.states))
-	//lint:allow maporder component names are sorted before return
-	for c := range df.states {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(df.states))
 }
 
 // ReportCount returns the total number of fused reports.

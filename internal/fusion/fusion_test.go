@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -123,6 +124,30 @@ func TestCertainReportsDoNotTotalConflict(t *testing.T) {
 	}
 	if _, err := df.AddReport("m", "motor misalignment", 1.0); err != nil {
 		t.Fatalf("conflicting certain reports must not fail: %v", err)
+	}
+}
+
+// TestOneSourceContradictingItselfNeverErrors: one source alternating over a
+// four-member group — a suite that keeps changing its mind — is never refused,
+// however long it goes on: dempster's TestLongChainStaysAMassFunction, seen
+// from the engine. A source's mass that drifted off 1 would in the end have
+// every further report refused as total conflict.
+func TestOneSourceContradictingItselfNeverErrors(t *testing.T) {
+	members := []string{"c0", "c1", "c2", "c3"}
+	df, err := NewDiagnosticFuser(Groups{"g": members})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	at := time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 20000; i++ {
+		cs, err := df.AddReportFrom("chiller/1", members[i%4], "dc-1", at.Add(time.Duration(i)*time.Second), 0.3+0.6*rng.Float64())
+		if err != nil {
+			t.Fatalf("report %d: %v", i, err)
+		}
+		if cs.Belief < 0 || cs.Belief > 1 || cs.Plausibility > 1+1e-9 || cs.Belief > cs.Plausibility+1e-9 {
+			t.Fatalf("report %d: belief %g, plausibility %g", i, cs.Belief, cs.Plausibility)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package fusion
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -57,12 +59,7 @@ func FuseConservative(vectors ...proto.PrognosticVector) (proto.PrognosticVector
 			horizonSet[h] = true
 		}
 	}
-	horizons := make([]float64, 0, len(horizonSet))
-	//lint:allow maporder horizons are sorted before the fused curve is built
-	for h := range horizonSet {
-		horizons = append(horizons, h)
-	}
-	sort.Float64s(horizons)
+	horizons := slices.Sorted(maps.Keys(horizonSet))
 	fused := make(proto.PrognosticVector, 0, len(horizons))
 	prevP := 0.0
 	for _, h := range horizons {

@@ -1,8 +1,10 @@
 package fusion
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/dempster"
@@ -40,6 +42,10 @@ type GroupSnapshot struct {
 	Sources   []SourceSnapshot `json:"sources"`
 	// Reports counts per-condition report arrivals, keyed by condition.
 	Reports map[string]int `json:"reports,omitempty"`
+	// Newest is each condition's UpdatedAt: the sensed-at time of the newest
+	// evidence folded in (absent for conditions with no timestamped report,
+	// and from checkpoints written before the field existed).
+	Newest map[string]time.Time `json:"newest,omitempty"`
 }
 
 // DiagnosticState is a serializable snapshot of a DiagnosticFuser.
@@ -53,45 +59,40 @@ func (df *DiagnosticFuser) Snapshot() DiagnosticState {
 	df.mu.RLock()
 	defer df.mu.RUnlock()
 	st := DiagnosticState{TotalFused: df.totalFusedN}
-	//lint:allow maporder snapshot groups are fully sorted by (component, group) before return
-	for component, byGroup := range df.states {
-		//lint:allow maporder snapshot groups are fully sorted by (component, group) before return
-		for group, gs := range byGroup {
-			snap := GroupSnapshot{Component: component, Group: group}
-			//lint:allow maporder sources are sorted by id before the snapshot is returned
-			for id, src := range gs.sources {
-				ss := SourceSnapshot{Source: id, LastReport: src.lastReport}
-				//lint:allow maporder condition names are sorted two lines down
-				for c := range src.conditions {
-					ss.Conditions = append(ss.Conditions, c)
-				}
-				sort.Strings(ss.Conditions)
-				for _, set := range src.mass.FocalSets() {
-					ss.Focal = append(ss.Focal, FocalMass{
-						Members: gs.frame.Names(set),
-						Mass:    src.mass.Get(set),
-					})
-				}
-				snap.Sources = append(snap.Sources, ss)
-			}
-			sort.Slice(snap.Sources, func(i, k int) bool { return snap.Sources[i].Source < snap.Sources[k].Source })
-			if len(gs.reports) > 0 {
-				snap.Reports = make(map[string]int, len(gs.reports))
-				//lint:allow maporder map-to-map copy; insertion order cannot affect contents
-				for c, n := range gs.reports {
-					snap.Reports[c] = n
-				}
-			}
+	for _, component := range slices.Sorted(maps.Keys(df.states)) {
+		byGroup := df.states[component]
+		for _, group := range slices.Sorted(maps.Keys(byGroup)) {
+			snap := byGroup[group].Snapshot()
+			snap.Component, snap.Group = component, group
 			st.Groups = append(st.Groups, snap)
 		}
 	}
-	sort.Slice(st.Groups, func(i, k int) bool {
-		if st.Groups[i].Component != st.Groups[k].Component {
-			return st.Groups[i].Component < st.Groups[k].Component
-		}
-		return st.Groups[i].Group < st.Groups[k].Group
-	})
 	return st
+}
+
+// Snapshot captures one group state, sources sorted by id. The caller names
+// the block it belongs to.
+func (gs *groupState) Snapshot() GroupSnapshot {
+	var snap GroupSnapshot
+	for _, id := range slices.Sorted(maps.Keys(gs.sources)) {
+		src := gs.sources[id]
+		ss := SourceSnapshot{Source: id, LastReport: src.lastReport,
+			Conditions: slices.Sorted(maps.Keys(src.conditions))}
+		for _, set := range src.mass.FocalSets() {
+			ss.Focal = append(ss.Focal, FocalMass{
+				Members: gs.frame.Names(set),
+				Mass:    src.mass.Get(set),
+			})
+		}
+		snap.Sources = append(snap.Sources, ss)
+	}
+	if len(gs.reports) > 0 {
+		snap.Reports = maps.Clone(gs.reports)
+	}
+	if len(gs.newest) > 0 {
+		snap.Newest = maps.Clone(gs.newest)
+	}
+	return snap
 }
 
 // Restore replaces the fuser's evidence with a snapshot. The group
@@ -102,7 +103,7 @@ func (df *DiagnosticFuser) Restore(st DiagnosticState) error {
 	df.mu.Lock()
 	defer df.mu.Unlock()
 	states := make(map[string]map[string]*groupState)
-	restore := func(snap GroupSnapshot) error {
+	for _, snap := range st.Groups {
 		if _, ok := df.groups[snap.Group]; !ok {
 			return fmt.Errorf("fusion: restore: unknown group %q", snap.Group)
 		}
@@ -110,36 +111,9 @@ func (df *DiagnosticFuser) Restore(st DiagnosticState) error {
 		if err != nil {
 			return err
 		}
-		gs := &groupState{
-			frame:   frame,
-			sources: make(map[string]*sourceEvidence),
-			reports: make(map[string]int),
-		}
-		//lint:allow maporder map-to-map copy; insertion order cannot affect contents
-		for c, n := range snap.Reports {
-			gs.reports[c] = n
-		}
-		for _, ss := range snap.Sources {
-			src := &sourceEvidence{
-				mass:       dempster.NewMass(frame),
-				lastReport: ss.LastReport,
-				conditions: make(map[string]struct{}, len(ss.Conditions)),
-			}
-			for _, c := range ss.Conditions {
-				src.conditions[c] = struct{}{}
-			}
-			for _, fm := range ss.Focal {
-				set, err := frame.SetOf(fm.Members...)
-				if err != nil {
-					return fmt.Errorf("fusion: restore %s/%s source %q: %w",
-						snap.Component, snap.Group, ss.Source, err)
-				}
-				if err := src.mass.Set(set, fm.Mass); err != nil {
-					return fmt.Errorf("fusion: restore %s/%s source %q: %w",
-						snap.Component, snap.Group, ss.Source, err)
-				}
-			}
-			gs.sources[ss.Source] = src
+		gs := newGroupState(frame)
+		if err := gs.Restore(snap); err != nil {
+			return fmt.Errorf("fusion: restore %s/%s %w", snap.Component, snap.Group, err)
 		}
 		byGroup, ok := states[snap.Component]
 		if !ok {
@@ -147,15 +121,38 @@ func (df *DiagnosticFuser) Restore(st DiagnosticState) error {
 			states[snap.Component] = byGroup
 		}
 		byGroup[snap.Group] = gs
-		return nil
-	}
-	for _, snap := range st.Groups {
-		if err := restore(snap); err != nil {
-			return err
-		}
 	}
 	df.states = states
 	df.totalFusedN = st.TotalFused
+	return nil
+}
+
+// Restore fills a fresh group state (newGroupState over the group's frame)
+// from its snapshot. A snapshot written before Newest existed restores with
+// zero stamps: those pairs stay unstamped until their next report.
+func (gs *groupState) Restore(snap GroupSnapshot) error {
+	maps.Copy(gs.reports, snap.Reports)
+	maps.Copy(gs.newest, snap.Newest)
+	for _, ss := range snap.Sources {
+		src := &sourceEvidence{
+			mass:       dempster.NewMass(gs.frame),
+			lastReport: ss.LastReport,
+			conditions: make(map[string]struct{}, len(ss.Conditions)),
+		}
+		for _, c := range ss.Conditions {
+			src.conditions[c] = struct{}{}
+		}
+		for _, fm := range ss.Focal {
+			set, err := gs.frame.SetOf(fm.Members...)
+			if err == nil {
+				err = src.mass.Set(set, fm.Mass)
+			}
+			if err != nil {
+				return fmt.Errorf("source %q: %w", ss.Source, err)
+			}
+		}
+		gs.sources[ss.Source] = src
+	}
 	return nil
 }
 
@@ -175,20 +172,11 @@ func (pf *PrognosticFuser) Snapshot() PrognosticState {
 	pf.mu.RLock()
 	defer pf.mu.RUnlock()
 	st := make(PrognosticState, 0, len(pf.fused))
-	//lint:allow maporder entries are fully sorted by (component, condition) before return
-	for k, v := range pf.fused {
-		st = append(st, PrognosticEntry{
-			Component: k.component,
-			Condition: k.condition,
-			Vector:    append(proto.PrognosticVector(nil), v...),
-		})
+	for _, k := range slices.SortedFunc(maps.Keys(pf.fused), func(a, b progKey) int {
+		return cmp.Or(cmp.Compare(a.component, b.component), cmp.Compare(a.condition, b.condition))
+	}) {
+		st = append(st, PrognosticEntry{k.component, k.condition, append(proto.PrognosticVector(nil), pf.fused[k]...)})
 	}
-	sort.Slice(st, func(i, k int) bool {
-		if st[i].Component != st[k].Component {
-			return st[i].Component < st[k].Component
-		}
-		return st[i].Condition < st[k].Condition
-	})
 	return st
 }
 

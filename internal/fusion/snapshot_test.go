@@ -35,23 +35,51 @@ func TestDiagnosticSnapshotRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A late report folds in without moving the pair's stamp back.
+	late, err := df.AddReportFrom("motor/1", "oil whirl", "oil", at.Add(-time.Hour), 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := at.Add(3 * time.Hour); !late.UpdatedAt.Equal(want) {
+		t.Fatalf("late report moved UpdatedAt to %v, want %v", late.UpdatedAt, want)
+	}
 
 	st := df.Snapshot()
 	blob, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded DiagnosticState
-	if err := json.Unmarshal(blob, &decoded); err != nil {
+	restoreFrom := func(blob []byte) *DiagnosticFuser {
+		t.Helper()
+		var decoded DiagnosticState
+		if err := json.Unmarshal(blob, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := NewDiagnosticFuser(groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Restore(decoded); err != nil {
+			t.Fatal(err)
+		}
+		return restored
+	}
+	restored := restoreFrom(blob)
+
+	// A checkpoint written before GroupSnapshot.Newest existed: the same
+	// evidence, every pair unstamped, no error.
+	var parentShaped map[string]any
+	if err := json.Unmarshal(blob, &parentShaped); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewDiagnosticFuser(groups)
+	for _, g := range parentShaped["groups"].([]any) {
+		delete(g.(map[string]any), "newest")
+	}
+	parentBlob, err := json.Marshal(parentShaped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Restore(decoded); err != nil {
-		t.Fatal(err)
-	}
+	unstamped := restoreFrom(parentBlob)
 
 	if got, want := restored.ReportCount(), df.ReportCount(); got != want {
 		t.Errorf("restored report count %d, want %d", got, want)
@@ -71,6 +99,16 @@ func TestDiagnosticSnapshotRoundtrip(t *testing.T) {
 				t.Errorf("%s/%s: restored plausibility %v != original %v (err %v)",
 					comp, cb.Condition, pl, cb.Plausibility, err)
 			}
+			live, _ := df.ConditionState(comp, cb.Condition)
+			got, _ := restored.ConditionState(comp, cb.Condition)
+			if live.UpdatedAt.IsZero() || !got.UpdatedAt.Equal(live.UpdatedAt) {
+				t.Errorf("%s/%s: restored UpdatedAt %v, want %v", comp, cb.Condition, got.UpdatedAt, live.UpdatedAt)
+			}
+			old, err := unstamped.ConditionState(comp, cb.Condition)
+			if err != nil || !old.UpdatedAt.IsZero() || math.Float64bits(old.Belief) != math.Float64bits(cb.Belief) {
+				t.Errorf("%s/%s from a checkpoint without newest: UpdatedAt %v belief %v (err %v), want zero and %v",
+					comp, cb.Condition, old.UpdatedAt, old.Belief, err, cb.Belief)
+			}
 		}
 	}
 	// Evidence (not just fused output) survived: a post-restore report
@@ -84,8 +122,8 @@ func TestDiagnosticSnapshotRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(bLive) != math.Float64bits(bRec) {
-		t.Errorf("post-restore fusion diverges: live %v, recovered %v", bLive, bRec)
+	if math.Float64bits(bLive.Belief) != math.Float64bits(bRec.Belief) || !bLive.UpdatedAt.Equal(bRec.UpdatedAt) {
+		t.Errorf("post-restore fusion diverges: live %+v, recovered %+v", bLive, bRec)
 	}
 }
 

@@ -1,9 +1,6 @@
 package oosm
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // EventKind enumerates the model change notifications of §4.5.
 type EventKind int
@@ -54,7 +51,6 @@ type Event struct {
 	Value    any     // set for PropertyChanged
 	Relation RelKind // set for RelationAdded/Removed
 	Other    ObjectID
-	Time     time.Time
 }
 
 // Subscription is a handle for cancelling an event subscription.

@@ -14,7 +14,8 @@ package oosm
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -151,13 +152,7 @@ func (m *Model) RegisterClass(c Class) error {
 		return fmt.Errorf("oosm: class %q has no properties", c.Name)
 	}
 	cols := make([]relstore.Column, 0, len(c.Props))
-	names := make([]string, 0, len(c.Props))
-	//lint:allow maporder property names are sorted before the schema is built
-	for n := range c.Props {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(c.Props)) {
 		cols = append(cols, relstore.Column{
 			Name:     n,
 			Type:     c.Props[n].column(),
@@ -172,12 +167,7 @@ func (m *Model) RegisterClass(c Class) error {
 	if _, dup := m.classes[c.Name]; dup {
 		return fmt.Errorf("oosm: class %q already registered", c.Name)
 	}
-	props := make(map[string]PropType, len(c.Props))
-	//lint:allow maporder map-to-map copy; insertion order cannot affect contents
-	for k, v := range c.Props {
-		props[k] = v
-	}
-	m.classes[c.Name] = Class{Name: c.Name, Props: props}
+	m.classes[c.Name] = Class{Name: c.Name, Props: maps.Clone(c.Props)}
 	return nil
 }
 
@@ -185,13 +175,7 @@ func (m *Model) RegisterClass(c Class) error {
 func (m *Model) Classes() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.classes))
-	//lint:allow maporder class names are sorted before return
-	for n := range m.classes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(m.classes))
 }
 
 // checkProps validates property names and value types against a class.
@@ -237,17 +221,12 @@ func (m *Model) Create(class string, props map[string]any) (ObjectID, error) {
 	if err := m.checkProps(c, props); err != nil {
 		return ObjectID{}, err
 	}
-	row := relstore.Row{}
-	//lint:allow maporder map-to-map copy; insertion order cannot affect contents
-	for k, v := range props {
-		row[k] = v
-	}
-	num, err := m.db.Insert(classTable(class), row)
+	num, err := m.db.Insert(classTable(class), maps.Clone(relstore.Row(props)))
 	if err != nil {
 		return ObjectID{}, err
 	}
 	id := ObjectID{Class: class, Num: num}
-	m.events.publish(Event{Kind: ObjectCreated, Object: id, Time: time.Now()})
+	m.events.publish(Event{Kind: ObjectCreated, Object: id})
 	return id, nil
 }
 
@@ -257,14 +236,8 @@ func (m *Model) Get(id ObjectID) (map[string]any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oosm: %v: %w", id, err)
 	}
-	out := make(map[string]any, len(row))
-	//lint:allow maporder map-to-map copy; insertion order cannot affect contents
-	for k, v := range row {
-		if k == "id" {
-			continue
-		}
-		out[k] = v
-	}
+	out := maps.Clone(map[string]any(row))
+	delete(out, "id")
 	return out, nil
 }
 
@@ -293,27 +266,15 @@ func (m *Model) SetProps(id ObjectID, props map[string]any) error {
 	if err := m.checkProps(c, props); err != nil {
 		return err
 	}
-	row := relstore.Row{}
-	//lint:allow maporder map-to-map copy; insertion order cannot affect contents
-	for k, v := range props {
-		row[k] = v
-	}
-	if err := m.db.Update(classTable(id.Class), id.Num, row); err != nil {
+	if err := m.db.Update(classTable(id.Class), id.Num, maps.Clone(relstore.Row(props))); err != nil {
 		return err
 	}
-	now := time.Now()
 	// Publish in sorted property order so watchers see a deterministic event
 	// sequence for one write, whatever the map layout.
-	changed := make([]string, 0, len(props))
-	//lint:allow maporder property names are sorted before events are published
-	for k := range props {
-		changed = append(changed, k)
+	for _, k := range slices.Sorted(maps.Keys(props)) {
+		m.events.publish(Event{Kind: PropertyChanged, Object: id, Property: k, Value: props[k]})
 	}
-	sort.Strings(changed)
-	for _, k := range changed {
-		m.events.publish(Event{Kind: PropertyChanged, Object: id, Property: k, Value: props[k], Time: now})
-	}
-	m.events.publish(Event{Kind: ObjectUpdated, Object: id, Time: now})
+	m.events.publish(Event{Kind: ObjectUpdated, Object: id})
 	return nil
 }
 
@@ -336,7 +297,7 @@ func (m *Model) Delete(id ObjectID) error {
 			}
 		}
 	}
-	m.events.publish(Event{Kind: ObjectDeleted, Object: id, Time: time.Now()})
+	m.events.publish(Event{Kind: ObjectDeleted, Object: id})
 	return nil
 }
 

@@ -2,7 +2,6 @@ package oosm
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/relstore"
 )
@@ -57,7 +56,7 @@ func (m *Model) Relate(kind RelKind, from, to ObjectID) error {
 	if err != nil {
 		return err
 	}
-	m.events.publish(Event{Kind: RelationAdded, Object: from, Relation: kind, Other: to, Time: time.Now()})
+	m.events.publish(Event{Kind: RelationAdded, Object: from, Relation: kind, Other: to})
 	return nil
 }
 
@@ -77,7 +76,7 @@ func (m *Model) Unrelate(kind RelKind, from, to ObjectID) error {
 	if err := m.db.Delete(relTable, rows[0].ID()); err != nil {
 		return err
 	}
-	m.events.publish(Event{Kind: RelationRemoved, Object: from, Relation: kind, Other: to, Time: time.Now()})
+	m.events.publish(Event{Kind: RelationRemoved, Object: from, Relation: kind, Other: to})
 	return nil
 }
 

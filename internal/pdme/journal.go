@@ -192,32 +192,10 @@ func (p *PDME) restoreCheckpoint(st checkpointState) error {
 // file comment for why the OOSM report object itself is not re-posted — and
 // re-marks its tag, so a resend after recovery is still a duplicate.
 func (p *PDME) replayReport(d *proto.Delivery) error {
-	r := d.Report
-	if r == nil {
+	if d.Report == nil {
 		return fmt.Errorf("pdme: journaled frame without a report")
 	}
-	component, condition := r.SensedObjectID, r.MachineConditionID
-	group, err := p.diag.GroupOf(condition)
-	if err != nil {
-		return err
-	}
-	// Same write window as the live accept path: an invalidator attached
-	// before recovery must not serve a view of a half-replayed pair.
-	if inv := p.invalidator(); inv != nil {
-		inv.BeginMutation(component, group, condition)
-		defer inv.EndMutation(component, group, condition)
-	}
-	if err := p.fuse(r, p.replaySeverity); err != nil {
-		return err
-	}
-	p.Health().ObserveReport(r.DCID, r.KnowledgeSourceID, r.Timestamp)
-	if d.Seq > 0 {
-		p.dedupHandle().Mark(d.DCID, d.Boot, d.Seq)
-	}
-	p.mu.Lock()
-	p.received++
-	p.mu.Unlock()
-	return nil
+	return p.apply(d, func(r *proto.Report) error { return p.fuse(r, p.replaySeverity) })
 }
 
 // replaySeverity is observeSeverity made idempotent against a disk-backed

@@ -14,6 +14,23 @@
 //  4. Conclusions from the knowledge fusion components are posted to the
 //     OOSM and presented in user displays.
 //
+// Steps 3 and 4 are one body, fuse, whichever door a report comes by — the
+// object a delivery posts, one somebody created straight in the model, a
+// journaled report replayed at recovery — and one pass: the fold that takes
+// the report in yields the pair's state and stamp, and exactly that is posted
+// as its conclusion. KF runs synchronously inside the model's Create, on the
+// posting goroutine, and its answer is the delivery's: a report it refuses is
+// neither marked in the dedup window nor counted, and its sender is told.
+//
+// fuse runs inside a per-component ordering section (PDME.fuseMu): for one
+// component, fold → conclusion post → the events the post raises (a shard's
+// forwarder spools its summary there) → health observation happen in one
+// order. So reports for one pair on two connections post their conclusions in
+// fold order, the object at rest is the newest fold's, and a pair's first two
+// reports cannot both find no conclusion object and create twins. A handler
+// on conclusion events runs inside the section: it may read the engine, it
+// must not deliver into it.
+//
 // The PDME implements proto.Sink (and proto.BatchSink), so it terminates the
 // TCP report server and takes a co-resident DC's reports directly.
 package pdme
@@ -61,9 +78,13 @@ type PDME struct {
 	mu sync.Mutex
 	// conclusions maps (component, condition) to the OOSM conclusion object,
 	// so fused updates rewrite one object instead of accumulating.
-	conclusions map[[2]string]conclusion
-	received    int
-	sub         *oosm.Subscription
+	conclusions map[[2]string]oosm.ObjectID
+	// refused parks KF's refusal of a report object, by id, for the accept
+	// that posted it: an event handler cannot fail the Create that woke it.
+	// (The refusal of an object nobody's accept posted has nobody to tell.)
+	refused  map[oosm.ObjectID]error
+	received int
+	sub      *oosm.Subscription
 	// resident hosts §5.7 PDME-resident algorithms.
 	resident residentHost
 	// dedup suppresses at-least-once redelivery from DC uplinks. It lives
@@ -75,9 +96,14 @@ type PDME struct {
 	// work out of the box; staleness discounting of fused evidence only
 	// engages after ConfigureHealth.
 	registry *health.Registry
-	// inv, when set, brackets every delivery's fusion-state mutation so a
+	// inv, when set, brackets every report's fusion-state mutation so a
 	// read-side cache can refuse to serve or store across the write window.
 	inv Invalidator
+	// fuseMu is fuse's ordering section (package comment), striped by
+	// component: connections reporting on different machines fuse in parallel.
+	// The stripe is FNV-1a of the id (as proto.Server.senderMu's): which
+	// machines share one is the same in every process and every run.
+	fuseMu [64]sync.Mutex
 
 	// acceptMu orders accepted envelopes against checkpoints: deliveries
 	// and heartbeats hold the read side across journal append + state
@@ -94,22 +120,16 @@ type PDME struct {
 	ckptFlight sync.Mutex
 }
 
-// conclusion is what the engine holds of a pair's conclusion object: its id
-// and its updated_at, the event time of the newest evidence folded in.
-type conclusion struct {
-	id        oosm.ObjectID
-	updatedAt time.Time
-}
-
-// Invalidator is the read-side cache's write-window hook. BeginMutation is
-// called before a delivered report about condition touches any fusion state
-// of its block — the condition's failure group on the component, the one
-// thing a report can change (§5.3) — EndMutation after the report's fusion,
-// conclusion post, and health observation have all completed; between the
-// two, cached views of the block (and of anything aggregating it) are
-// neither served nor stored. Both run synchronously on the delivering
-// goroutine and must not call back into the PDME: the group is handed over
-// so that they need not.
+// Invalidator is the read-side cache's write-window hook, and its only
+// notice of a write: fuse opens the window, so every report has one whichever
+// door it came by. BeginMutation is called before a report about condition
+// touches any fusion state of its block — the condition's failure group on
+// the component, the one thing a report can change (§5.3) — EndMutation after
+// the report's fusion, conclusion post, and health observation have all
+// completed; between the two, cached views of the block (and of anything
+// aggregating it) are neither served nor stored. Both run synchronously on
+// the fusing goroutine, inside the component's ordering section, and must not
+// call back into the PDME: the group is handed over so that they need not.
 type Invalidator interface {
 	BeginMutation(component, group, condition string)
 	EndMutation(component, group, condition string)
@@ -152,7 +172,8 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 		prog:        fusion.NewPrognosticFuser(),
 		hist:        hist,
 		ownHist:     ownHist,
-		conclusions: make(map[[2]string]conclusion),
+		conclusions: make(map[[2]string]oosm.ObjectID),
+		refused:     make(map[oosm.ObjectID]error),
 		dedup:       proto.NewDedup(0),
 		registry:    registry,
 	}
@@ -190,11 +211,14 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 			return nil, err
 		}
 	}
-	// §5.1 step 2: new reports in the OOSM wake knowledge fusion.
+	// §5.1 step 2: new reports in the OOSM wake knowledge fusion. A refusal is
+	// parked for the accept that made the post (postReport).
 	p.sub = model.SubscribeClass(ReportClass, oosm.ObjectCreated, func(e oosm.Event) {
-		// Event handlers must not fail the mutation; fusion errors are
-		// recorded on the conclusion object pathway and surfaced by tests.
-		_ = p.fuseFromModel(e.Object)
+		if err := p.fuseFromModel(e.Object); err != nil {
+			p.mu.Lock()
+			p.refused[e.Object] = err
+			p.mu.Unlock()
+		}
 	})
 	return p, nil
 }
@@ -262,11 +286,8 @@ func (p *PDME) DeliverTagged(r *proto.Report, dcid string, boot, seq uint64) err
 // element's Err is its own answer.
 func (p *PDME) DeliverBatch(run []proto.Delivery) {
 	admitted := false
-	var buf [proto.MaxRun]string // a run's worth without a heap slice
-	groups := buf[:0]            // groups[i] is run[i]'s failure group
 	for i := range run {
 		d := &run[i]
-		groups = append(groups, "")
 		if d.Report == nil {
 			d.Err = errors.New("pdme: a PDME fuses reports, not fused summaries (route the shard to an aggregator)")
 			continue
@@ -276,7 +297,7 @@ func (p *PDME) DeliverBatch(run []proto.Delivery) {
 		}
 		// Reports about conditions outside every failure group are rejected at
 		// the door so the sender sees the configuration problem.
-		if groups[i], d.Err = p.diag.GroupOf(d.Report.MachineConditionID); d.Err == nil {
+		if _, d.Err = p.diag.GroupOf(d.Report.MachineConditionID); d.Err == nil {
 			admitted = true
 		}
 	}
@@ -284,20 +305,19 @@ func (p *PDME) DeliverBatch(run []proto.Delivery) {
 		return
 	}
 	p.acceptMu.RLock()
-	p.acceptReports(run, groups)
+	p.acceptReports(run)
 	p.acceptMu.RUnlock()
 	p.maybeCheckpoint()
 }
 
 // acceptReports is the accept critical section for the reports of a run
 // still standing (Err nil): one journal append for all of them (fsynced),
-// then per report, in journal order, OOSM post + synchronous fusion, health
-// observation, dedup mark. A report too large for a journal record is
-// refused alone; a journal that cannot be written refuses the rest
-// (proto.ErrUnavailable) with nothing applied; an apply error is that
-// report's alone. groups[i] is the failure group of run[i]'s condition, as
-// DeliverBatch resolved it at the door. Callers hold acceptMu (read side).
-func (p *PDME) acceptReports(run []proto.Delivery, groups []string) {
+// then per report, in journal order, OOSM post + synchronous fusion and the
+// dedup mark. A report too large for a journal record is refused alone; a
+// journal that cannot be written refuses the rest (proto.ErrUnavailable) with
+// nothing applied; an apply error — knowledge fusion's refusal included — is
+// that report's alone. Callers hold acceptMu (read side).
+func (p *PDME) acceptReports(run []proto.Delivery) {
 	// Write-ahead: every accepted envelope is durable before any derived
 	// state changes, so a crash at any later point replays it. The record is
 	// the frame as received; a delivery that came by no wire is encoded here.
@@ -324,57 +344,61 @@ func (p *PDME) acceptReports(run []proto.Delivery, groups []string) {
 		}
 		return
 	}
-	inv := p.invalidator()
 	for i := range run {
-		d := &run[i]
-		if d.Err != nil {
-			continue
+		if d := &run[i]; d.Err == nil {
+			d.Err = p.apply(d, p.postReport)
 		}
-		d.Err = func() error {
-			r := d.Report
-			// Open the read-side write window before any fusion state can
-			// change (the OOSM create below runs fusion synchronously via the
-			// event model) and close it only after the health observation
-			// lands too.
-			if inv != nil {
-				inv.BeginMutation(r.SensedObjectID, groups[i], r.MachineConditionID)
-				defer inv.EndMutation(r.SensedObjectID, groups[i], r.MachineConditionID)
-			}
-			progJSON, err := json.Marshal(r.Prognostics)
-			if err != nil {
-				return fmt.Errorf("pdme: encode prognostics: %w", err)
-			}
-			_, err = p.model.Create(ReportClass, map[string]any{
-				"dc_id":       r.DCID,
-				"ks_id":       r.KnowledgeSourceID,
-				"sensed":      r.SensedObjectID,
-				"condition":   r.MachineConditionID,
-				"severity":    r.Severity,
-				"belief":      r.Belief,
-				"explanation": r.Explanation,
-				"recommend":   r.Recommendations,
-				"timestamp":   r.Timestamp,
-				"prognostics": string(progJSON),
-				"suspect":     strings.Join(r.SuspectChannels, ","),
-			})
-			if err != nil {
-				return err
-			}
-			// A delivered report is liveness evidence for its DC, heartbeats
-			// or not.
-			p.Health().ObserveReport(r.DCID, r.KnowledgeSourceID, r.Timestamp)
-			// Mark the dedup window while still inside the accept section, so
-			// a checkpoint can never see the fusion effect without the mark
-			// (the server's own post-accept Mark is idempotent with this one).
-			if d.Seq > 0 {
-				p.dedupHandle().Mark(d.DCID, d.Boot, d.Seq)
-			}
-			p.mu.Lock()
-			p.received++
-			p.mu.Unlock()
-			return nil
-		}()
 	}
+}
+
+// apply takes one journaled report in by fold — the live accept posts it into
+// the OOSM, where KF finds it (postReport); replay hands it to fuse — and,
+// once fused, marks its tag and counts it. A report fold refuses is neither.
+func (p *PDME) apply(d *proto.Delivery, fold func(*proto.Report) error) error {
+	if err := fold(d.Report); err != nil {
+		return err
+	}
+	// Mark the dedup window while still inside the accept section, so a
+	// checkpoint can never see the fusion effect without the mark (the
+	// server's own post-accept Mark is idempotent with this one).
+	if d.Seq > 0 {
+		p.dedupHandle().Mark(d.DCID, d.Boot, d.Seq)
+	}
+	p.mu.Lock()
+	p.received++
+	p.mu.Unlock()
+	return nil
+}
+
+// postReport is §5.1 step 1: post the report into the OOSM. The model's
+// event notification runs knowledge fusion before Create returns, on this
+// goroutine; what it answered is this report's answer.
+func (p *PDME) postReport(r *proto.Report) error {
+	progJSON, err := json.Marshal(r.Prognostics)
+	if err != nil {
+		return fmt.Errorf("pdme: encode prognostics: %w", err)
+	}
+	id, err := p.model.Create(ReportClass, map[string]any{
+		"dc_id":       r.DCID,
+		"ks_id":       r.KnowledgeSourceID,
+		"sensed":      r.SensedObjectID,
+		"condition":   r.MachineConditionID,
+		"severity":    r.Severity,
+		"belief":      r.Belief,
+		"explanation": r.Explanation,
+		"recommend":   r.Recommendations,
+		"timestamp":   r.Timestamp,
+		"prognostics": string(progJSON),
+		"suspect":     strings.Join(r.SuspectChannels, ","),
+	})
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	err = p.refused[id]
+	delete(p.refused, id)
+	p.mu.Unlock()
+	return err
 }
 
 // ObserveHeartbeat implements proto.HeartbeatSink by forwarding fleet
@@ -459,7 +483,7 @@ func (p *PDME) ConfigureHealth(cfg health.Config) error {
 }
 
 // fuseFromModel is §5.1 step 3: read the newly posted report back from the
-// OOSM and run both fusion layers, then post conclusions (step 4).
+// OOSM and fuse it.
 func (p *PDME) fuseFromModel(reportID oosm.ObjectID) error {
 	props, err := p.model.Get(reportID)
 	if err != nil {
@@ -478,16 +502,36 @@ func (p *PDME) fuseFromModel(reportID oosm.ObjectID) error {
 	r.Severity, _ = props["severity"].(float64)
 	r.Timestamp, _ = props["timestamp"].(time.Time)
 	r.DCID, _ = props["dc_id"].(string)
+	r.KnowledgeSourceID, _ = props["ks_id"].(string)
 	return p.fuse(&r, p.observeSeverity)
 }
 
-// fuse folds one report's evidence into both fusion layers and posts the
-// pair's conclusion. The live path and journal replay both run it, and
-// differ only in how the severity sample is recorded (observeSeverity, or
-// the idempotent replaySeverity), so recovery reproduces the live state by
-// construction.
+// fuse is knowledge fusion's one pass over one report (package comment):
+// inside the component's ordering section and the read side's write window it
+// records the severity, folds the evidence into both fusion layers, posts the
+// state that fold returned as the pair's conclusion (§5.1 step 4), and
+// observes the DC's liveness. The live path and journal replay differ only in
+// how the severity sample is recorded (observeSeverity, or the idempotent
+// replaySeverity), so recovery reproduces the live state by construction.
 func (p *PDME) fuse(r *proto.Report, recordSeverity func(component, condition string, at time.Time, severity float64) error) error {
 	component, condition := r.SensedObjectID, r.MachineConditionID
+	group, err := p.diag.GroupOf(condition)
+	if err != nil {
+		return err
+	}
+	stripe := uint32(2166136261)
+	for i := 0; i < len(component); i++ {
+		stripe = (stripe ^ uint32(component[i])) * 16777619
+	}
+	mu := &p.fuseMu[stripe%uint32(len(p.fuseMu))]
+	mu.Lock()
+	defer mu.Unlock()
+	// The window opens before any fusion state can change and closes only
+	// after the health observation lands too.
+	if inv := p.invalidator(); inv != nil {
+		inv.BeginMutation(component, group, condition)
+		defer inv.EndMutation(component, group, condition)
+	}
 	// §10.1 temporal reasoning: record the severity history in the
 	// historian so developing faults can be projected forward (and, on
 	// disk-backed stores, survive a PDME restart).
@@ -497,7 +541,7 @@ func (p *PDME) fuse(r *proto.Report, recordSeverity func(component, condition st
 	// Evidence is attributed to the originating DC so the health registry
 	// can discount a stale source's whole contribution. Reports without a
 	// DC id stay anonymous and are never discounted.
-	fusedBelief, err := p.diag.AddReportFrom(component, condition, r.DCID, r.Timestamp, r.Belief)
+	cs, err := p.diag.AddReportFrom(component, condition, r.DCID, r.Timestamp, r.Belief)
 	if err != nil {
 		return err
 	}
@@ -510,99 +554,75 @@ func (p *PDME) fuse(r *proto.Report, recordSeverity func(component, condition st
 	} else {
 		fusedVec = p.prog.Fused(component, condition)
 	}
-	return p.postConclusion(component, condition, fusedBelief, fusedVec, r.Timestamp)
-}
-
-// postConclusion writes (or rewrites) the fused conclusion object for a
-// (component, condition) pair. Its updated_at never goes back: a late report
-// changes the belief, not the time of the newest evidence — which a forwarder
-// stamps the pair's summary with and an aggregator orders summaries by.
-func (p *PDME) postConclusion(component, condition string, belief float64, vec proto.PrognosticVector, at time.Time) error {
-	cs, err := p.diag.ConditionState(component, condition)
-	if err != nil {
+	if err := p.postConclusion(component, cs, fusedVec); err != nil {
 		return err
 	}
+	// A fused report is liveness evidence for its DC, heartbeats or not.
+	p.Health().ObserveReport(r.DCID, r.KnowledgeSourceID, r.Timestamp)
+	return nil
+}
+
+// postConclusion writes (or rewrites) the pair's conclusion object with the
+// state the fold returned; its updated_at is that state's, which never goes
+// back. Callers hold the component's ordering section, which is what keeps
+// lookup-then-create from making twins.
+func (p *PDME) postConclusion(component string, cs fusion.ConditionState, vec proto.PrognosticVector) error {
 	vecJSON, err := json.Marshal(vec)
 	if err != nil {
 		return err
 	}
-	c, held := p.conclusion(component, condition)
-	if c.updatedAt.After(at) {
-		at = c.updatedAt
-	}
 	props := map[string]any{
 		"component":    component,
-		"condition":    condition,
+		"condition":    cs.Condition,
 		"group":        cs.Group,
-		"belief":       belief,
+		"belief":       cs.Belief,
 		"plausibility": cs.Plausibility,
 		"unknown":      cs.Unknown,
 		"prognostics":  string(vecJSON),
-		"updated_at":   at,
+		"updated_at":   cs.UpdatedAt,
 	}
-	if held {
-		err = p.model.SetProps(c.id, props)
-	} else {
-		c.id, err = p.model.Create(ConclusionClass, props)
+	if id, held := p.conclusion(component, cs.Condition); held {
+		return p.model.SetProps(id, props)
 	}
+	id, err := p.model.Create(ConclusionClass, props)
 	if err != nil {
 		return err
 	}
-	c.updatedAt = at
 	p.mu.Lock()
-	p.conclusions[[2]string{component, condition}] = c
+	p.conclusions[[2]string{component, cs.Condition}] = id
 	p.mu.Unlock()
-	if held {
-		return nil
-	}
 	// Link the conclusion to the sensed object when it exists in the model.
 	if objID, err := oosm.ParseObjectID(component); err == nil && p.model.Exists(objID) {
-		return p.model.Relate(oosm.RefersTo, c.id, objID)
+		return p.model.Relate(oosm.RefersTo, id, objID)
 	}
 	return nil
 }
 
 // conclusion returns the pair's conclusion object: the one held since this
-// process posted it, else one adopted — with its updated_at, read this once —
-// from the model itself: a persistent store may hold the pair's conclusion
-// from a previous process life, and a second object for it would be a twin.
-func (p *PDME) conclusion(component, condition string) (conclusion, bool) {
+// process posted it, else one adopted from the model itself: a persistent
+// store may hold the pair's conclusion from a previous process life, and a
+// second object for it would be a twin.
+func (p *PDME) conclusion(component, condition string) (oosm.ObjectID, bool) {
 	key := [2]string{component, condition}
 	p.mu.Lock()
-	c, ok := p.conclusions[key]
+	id, ok := p.conclusions[key]
 	p.mu.Unlock()
 	if ok {
-		return c, true
+		return id, true
 	}
 	ids, err := p.model.FindByProp(ConclusionClass, "component", component)
 	if err != nil {
-		return conclusion{}, false
+		return oosm.ObjectID{}, false
 	}
 	for _, id := range ids {
-		props, err := p.model.Get(id)
-		if err != nil {
-			continue
-		}
-		if cond, _ := props["condition"].(string); cond == condition {
-			c = conclusion{id: id}
-			c.updatedAt, _ = props["updated_at"].(time.Time)
+		if cond, err := p.model.GetProp(id, "condition"); err == nil && cond == condition {
 			p.mu.Lock()
-			p.conclusions[key] = c
+			p.conclusions[key] = id
 			p.mu.Unlock()
-			return c, true
+			return id, true
 		}
 	}
-	return conclusion{}, false
-}
-
-// ConclusionUpdatedAt returns the event time of the newest evidence folded
-// into a (component, condition) conclusion — the conclusion object's
-// updated_at property — and whether such a conclusion exists. Shard
-// forwarders stamp outgoing FusedSummary envelopes with it, so aggregator
-// ordering and staleness discounting run on event time, not arrival time.
-func (p *PDME) ConclusionUpdatedAt(component, condition string) (time.Time, bool) {
-	c, ok := p.conclusion(component, condition)
-	return c.updatedAt, ok
+	return oosm.ObjectID{}, false
 }
 
 // ReceivedReports returns the number of reports accepted.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/historian"
-	"repro/internal/oosm"
 	"repro/internal/pdme"
 	"repro/internal/proto"
 	"repro/internal/trend"
@@ -14,25 +13,13 @@ import (
 // block is one logical failure group's fused frame on one component
 // (pdme.GroupRead, one Dempster combination), its factors are the discount
 // factors of the block's sources (pdme.GroupFactors), its fresh path is
-// pdme.PrioritizedList — and what only a station has: the ship model's
-// conclusion events, per-pair belief views with their prognostic vectors,
-// and the historian's trends.
+// pdme.PrioritizedList — and what only a station has: per-pair belief views
+// with their prognostic vectors, and the historian's trends. A write reaches
+// the tier one way, the window the PDME's one fuse body opens around every
+// report, so the tier subscribes to nothing in the ship model.
 
 // pdmeSource is a station's PDME as the tier's source.
 type pdmeSource struct{ *pdme.PDME }
-
-// station is the part of a station's tier that an aggregator's has no
-// counterpart for.
-type station struct {
-	// engine is the PDME itself: /belief's group lookup, /trend, the model.
-	engine *pdme.PDME
-	// The ship model's conclusion post/update subscriptions, and the block of
-	// each conclusion object seen (one object per pair, rewritten in place),
-	// so an event costs a map lookup instead of a model read. Guarded by
-	// Views.mu.
-	oosmCreated, oosmUpdated *oosm.Subscription
-	conclusions              map[oosm.ObjectID]*block
-}
 
 func itemRow(it pdme.MaintenanceItem) (*row, error) {
 	key := pdme.RankKey{Belief: it.Belief, HasPrognostic: it.HasPrognostic,
@@ -100,62 +87,20 @@ func (s pdmeSource) fresh() []*row {
 	return rows
 }
 
-// Open attaches a serving tier to the engine: it installs the write-window
-// hook (one tier per PDME — a second Open replaces the first's hook) and
-// subscribes to the ship model's conclusion post/update events. Close
-// detaches both.
+// Open attaches a serving tier to the engine by installing the write-window
+// hook (one tier per PDME — a second Open replaces the first's hook). Close
+// detaches it.
 func Open(engine *pdme.PDME, opts Options) (*Views, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("serving: nil engine")
 	}
 	v := open(pdmeSource{engine}, opts)
-	v.station = &station{engine: engine, conclusions: make(map[oosm.ObjectID]*block)}
-	// §4.5 event model, not polling: conclusion posts (first report for a
-	// pair) and updates (every refuse) invalidate the pair's block. The
-	// handlers run synchronously on the delivering goroutine, inside the
-	// write window the Invalidator hook opens — and are the only
-	// invalidation for a report posted into the model without Deliver.
-	model := engine.Model()
-	v.oosmCreated = model.SubscribeClass(pdme.ConclusionClass, oosm.ObjectCreated, v.onConclusionEvent)
-	v.oosmUpdated = model.SubscribeClass(pdme.ConclusionClass, oosm.ObjectUpdated, v.onConclusionEvent)
+	v.engine = engine
 	return v, nil
 }
 
 // Engine returns the PDME the tier serves.
 func (v *Views) Engine() *pdme.PDME { return v.engine }
-
-// onConclusionEvent is the §4.5 hook: a conclusion object was posted or
-// updated in the ship model. The object's block is read back from the model
-// the first time the object is seen and remembered from then on.
-func (v *Views) onConclusionEvent(e oosm.Event) {
-	v.mu.Lock()
-	b, known := v.conclusions[e.Object]
-	if known {
-		v.touchLocked(b)
-	}
-	v.mu.Unlock()
-	if !known {
-		props, err := v.engine.Model().Get(e.Object)
-		if err != nil {
-			return // conclusion deleted between event and read: nothing to map
-		}
-		component, _ := props["component"].(string)
-		group, _ := props["group"].(string)
-		if component == "" || group == "" {
-			return
-		}
-		v.mu.Lock()
-		if b = v.blockLocked(blockKey{component, group}); b != nil {
-			v.conclusions[e.Object] = b
-			v.touchLocked(b)
-		}
-		v.mu.Unlock()
-		if b == nil {
-			return
-		}
-	}
-	v.invalidations.Add(1)
-}
 
 // Items returns the list most-urgent-first, exactly pdme.PrioritizedList. It
 // is assembled per call; the view itself holds only the shared rows.

@@ -1,4 +1,4 @@
-// Package serving is the MPROS read-side serving tier: event-invalidated
+// Package serving is the MPROS read-side serving tier: write-invalidated
 // materialized views over a PDME — and, through the same Views, over a
 // fleet's aggregator — so operator dashboards and APIs read cached fused
 // conclusions instead of recomputing Dempster fusion, or re-discounting and
@@ -7,7 +7,7 @@
 // The paper's PDME serves one console; the ROADMAP's north star serves
 // millions of readers against live ingest. The tier's coherence rule is
 //
-//	OOSM event ⇒ invalidate ⇒ bit-identical refuse
+//	write ⇒ invalidate ⇒ bit-identical refuse
 //
 // a cache hit is bit-identical to a freshly recomputed fusion, including the
 // health-discounted Reliability/Degraded fields.
@@ -20,20 +20,20 @@
 // (pdme.GroupRead, one Dempster combination), and what is kept: its members'
 // belief views and its reported members' rows of the prioritized list, each
 // row with its JSON already encoded. /belief reads a member out of its
-// block; /ranked reads an ordered slice of every block's rows. Three
+// block; /ranked reads an ordered slice of every block's rows. Two
 // mechanisms keep a kept block honest:
 //
-//  1. Event invalidation, never polling: the tier subscribes to the ship
-//     model's conclusion post/update events (§4.5's "without the need to
-//     poll"); every event bumps the generation of the one block it names.
-//  2. A write window: the PDME brackets each delivery's fusion mutation with
-//     BeginMutation/EndMutation (pdme.Invalidator). While a block's window
-//     is open, reads needing it fuse it afresh and nothing fused across the
-//     window is ever stored — the seqlock discipline that keeps
-//     half-updated fusion state out of the cache.
-//  3. A discount-factor guard: staleness discounting makes fused values
+//  1. A write window, never polling (§4.5's "without the need to poll"): the
+//     source brackets every change to a block with BeginMutation/EndMutation
+//     (pdme.Invalidator) — the PDME's one fuse body around every report it
+//     fuses, whichever door it came by; the aggregator around every accepted
+//     summary. Each edge bumps the generation of the one block it names.
+//     While a block's window is open, reads needing it fuse it afresh and
+//     nothing fused across the window is ever stored — the seqlock
+//     discipline that keeps half-updated fusion state out of the cache.
+//  2. A discount-factor guard: staleness discounting makes fused values
 //     depend on the health registry as well as on deliveries, and heartbeats
-//     reach the registry without touching the OOSM. A block's fused output
+//     reach the registry without a window. A block's fused output
 //     is a pure function of its evidence and the discount factors of its
 //     sources, so a block records the factors it was fused under and is
 //     current iff no window touched it since and the factors are bit-equal.
@@ -45,10 +45,10 @@
 //
 // This file is the tier itself and names no engine: it reaches the one it
 // serves through the source interface below. station.go is the PDME as a
-// source, with what only a station has (1. above, belief views, trends,
-// watches); aggregate.go is the aggregator as one — the same block, as the
-// owning shard last summarised it, dirtied by an accepted summary (2.) and
-// guarded by the owning shard's discount and state (3.).
+// source, with what only a station has (belief views, trends, watches);
+// aggregate.go is the aggregator as one — the same block, as the owning shard
+// last summarised it, dirtied by an accepted summary (1.) and guarded by the
+// owning shard's discount and state (2.).
 package serving
 
 import (
@@ -114,8 +114,8 @@ type fused struct {
 // Guarded by Views.mu.
 type block struct {
 	key blockKey
-	// gen is bumped by every write-window edge and invalidation event on the
-	// block; active counts its open windows.
+	// gen is bumped by every write-window edge on the block and by every
+	// flush; active counts its open windows.
 	gen    uint64
 	active int
 	// mat is what was last fused (nil before the first read and after
@@ -146,8 +146,8 @@ type Stats struct {
 	Coalesced uint64 `json:"coalesced"`
 	// Stores counts fused blocks accepted into the cache.
 	Stores uint64 `json:"stores"`
-	// Invalidations counts invalidation events: write windows and OOSM
-	// conclusion events, each touching one block, and InvalidateAll.
+	// Invalidations counts invalidation events: write windows, each touching
+	// one block, and InvalidateAll.
 	Invalidations uint64 `json:"invalidations"`
 	// Notices counts watch notices delivered to subscribers.
 	Notices uint64 `json:"notices"`
@@ -218,7 +218,7 @@ type Views struct {
 	// dropped, so a refresh can tell that one ran under it.
 	listed  bool
 	flushes uint64
-	// gen counts window edges and invalidation events tier-wide.
+	// gen counts window edges and flushes' block bumps tier-wide.
 	gen uint64
 	// The ranking's own stamp: rankedOK says every block is clean and its
 	// factors held at registry version rankedVer; any touch, store or flush
@@ -250,9 +250,10 @@ type Views struct {
 	notices       atomic.Uint64
 	noticeDrops   atomic.Uint64
 
-	// station is what only a station's tier has (station.go). Nil on a tier
-	// opened over an aggregator, which never leaves this package.
-	*station
+	// engine is the PDME itself on a station's tier (station.go: /belief's
+	// group lookup, /trend). Nil on a tier opened over an aggregator, which
+	// never leaves this package.
+	engine *pdme.PDME
 }
 
 // open attaches a tier to a source and installs it as the source's
@@ -279,14 +280,7 @@ func open(src source, opts Options) *Views {
 // Everything materialized is dropped; reads after Close recompute fresh.
 func (v *Views) Close() {
 	v.src.SetInvalidator(nil)
-	if v.station != nil {
-		v.oosmCreated.Cancel()
-		v.oosmUpdated.Cancel()
-	}
 	v.mu.Lock()
-	if v.station != nil {
-		clear(v.conclusions)
-	}
 	v.closed = true
 	v.blocks = make(map[blockKey]*block)
 	v.dirty = make(map[*block]struct{})
@@ -733,7 +727,7 @@ func (v *Views) shared(h healthNow, key blockKey) refreshed {
 type RankedView struct {
 	// rows is the order at serve time, shared with other readers.
 	rows []*row
-	// Gen counts the write-window edges and invalidation events the tier
+	// Gen counts the write-window edges (and flushes' block bumps) the tier
 	// had seen at serve time.
 	Gen uint64
 	// Cached reports whether the view was served without fusing any block

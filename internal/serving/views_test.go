@@ -426,9 +426,9 @@ func TestCloseDetachesFromEngine(t *testing.T) {
 }
 
 // TestModelPostedReportInvalidates: a report posted straight into the ship
-// model (§5.1 step 1, no Deliver, so no write window) reaches the tier only
-// through the conclusion event — which must still invalidate the pair's
-// block, and find it without re-reading the conclusion object each time.
+// model (§5.1 step 1, no Deliver) is fused by the same body as a delivered
+// one — inside a write window, which must invalidate the pair's block, and
+// counted as liveness evidence for its DC.
 func TestModelPostedReportInvalidates(t *testing.T) {
 	engine := newTestEngine(t)
 	v := openTestViews(t, engine)
@@ -474,13 +474,14 @@ func TestModelPostedReportInvalidates(t *testing.T) {
 		}
 		before = bv
 	}
-	// One conclusion object per pair, remembered once: the map is bounded by
-	// the pairs, not by the writes.
-	v.mu.RLock()
-	remembered := len(v.conclusions)
-	v.mu.RUnlock()
-	if remembered != 2 {
-		t.Fatalf("%d conclusion objects remembered, want one per pair (2)", remembered)
+	// Two deliveries and six posts, one window each; the newest post is the
+	// newest thing heard from dc-1.
+	if got := v.Stats().Invalidations; got != 8 {
+		t.Fatalf("%d invalidations after 2 deliveries and 6 model-posted reports, want 8", got)
+	}
+	newest := base.Add(3*time.Minute + time.Second)
+	if h := engine.Health().Snapshot(); len(h) != 1 || h[0].DCID != "dc-1" || !h[0].LastReport.Equal(newest) {
+		t.Fatalf("model-posted reports are not liveness evidence for dc-1: %+v, want last report at %v", h, newest)
 	}
 }
 
@@ -497,11 +498,10 @@ func TestUnreadTierStaysBounded(t *testing.T) {
 			0.5, base.Add(time.Duration(i)*time.Second)))
 	}
 	v.mu.RLock()
-	dirty, blocks, remembered := len(v.dirty), len(v.blocks), len(v.conclusions)
+	dirty, blocks := len(v.dirty), len(v.blocks)
 	v.mu.RUnlock()
-	if blocks != 8 || dirty > 8 || remembered != 12 {
-		t.Fatalf("after 10 000 unread deliveries: %d blocks, %d dirty, %d conclusion objects remembered; want 8, <= 8, 12",
-			blocks, dirty, remembered)
+	if blocks != 8 || dirty > 8 {
+		t.Fatalf("after 10 000 unread deliveries: %d blocks, %d dirty; want 8, <= 8", blocks, dirty)
 	}
 	groupOf := func(condition string) string {
 		group, err := engine.GroupOf(condition)

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -365,13 +367,7 @@ func (a *Aggregator) GlobalRanked() []GlobalItem {
 	}
 	// Rows enter the sort in (component, condition) order: the order is total
 	// either way, but rows that tie on belief are then already in place.
-	components := make([]string, 0, len(a.held))
-	//lint:allow maporder component names are sorted before the list is assembled
-	for component := range a.held {
-		components = append(components, component)
-	}
-	sort.Strings(components)
-	for _, component := range components {
+	for _, component := range slices.Sorted(maps.Keys(a.held)) {
 		for _, h := range a.held[component] {
 			out = append(out, h.globalItem(a.discount(h)))
 		}
@@ -408,20 +404,16 @@ func (a *Aggregator) GlobalBelief(component, condition string) (GlobalItem, bool
 func (a *Aggregator) Blocks() [][2]string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	seen := make(map[[2]string]bool)
 	var out [][2]string
-	//lint:allow maporder the blocks are sorted before return
-	for component, held := range a.held {
-		for _, h := range held {
-			if k := [2]string{component, h.s.Group}; !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-			}
+	for _, component := range slices.Sorted(maps.Keys(a.held)) {
+		groups := make(map[string]struct{})
+		for _, h := range a.held[component] {
+			groups[h.s.Group] = struct{}{}
+		}
+		for _, group := range slices.Sorted(maps.Keys(groups)) {
+			out = append(out, [2]string{component, group})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i][0] < out[j][0] || out[i][0] == out[j][0] && out[i][1] < out[j][1]
-	})
 	return out
 }
 

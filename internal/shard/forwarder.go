@@ -41,7 +41,8 @@ type ForwarderCounters struct {
 	// Forwarded counts summaries handed to the uplink spool.
 	Forwarded int64
 	// Skipped counts conclusion events that produced no summary (conclusion
-	// vanished or snapshot failed between event and read — benign races).
+	// vanished or snapshot failed between event and read — benign races) and
+	// pairs Resync found without a stamp.
 	Skipped int64
 	// Errors counts summaries the spool refused.
 	Errors int64
@@ -70,7 +71,7 @@ type Forwarder struct {
 }
 
 // Forward attaches a forwarder to a shard PDME. Attach it after journal
-// recovery and call Resync once: recovery rebuilds conclusions before the
+// recovery and call Resync once: recovery rebuilds fusion state before the
 // subscription exists, and Resync forwards that recovered state so the
 // aggregator catches up even if nothing changes afterwards.
 func Forward(engine *pdme.PDME, cfg ForwarderConfig) (*Forwarder, error) {
@@ -108,8 +109,10 @@ func Forward(engine *pdme.PDME, cfg ForwarderConfig) (*Forwarder, error) {
 	return f, nil
 }
 
-// onConclusion turns one conclusion write into one spooled summary, stamped
-// with the updated_at the written object carries.
+// onConclusion turns one conclusion write into one spooled summary. It runs
+// inside the engine's ordering section for the component (the write is the
+// fuse's own post), so the snapshot forwardPair takes is the state just
+// posted and a component's summaries spool in the order they were fused.
 func (f *Forwarder) onConclusion(id oosm.ObjectID) {
 	props, err := f.engine.Model().Get(id)
 	if err != nil {
@@ -118,23 +121,20 @@ func (f *Forwarder) onConclusion(id oosm.ObjectID) {
 	}
 	component, _ := props["component"].(string)
 	condition, _ := props["condition"].(string)
-	at, _ := props["updated_at"].(time.Time)
-	f.forwardPair(component, condition, at)
+	f.forwardPair(component, condition)
 }
 
-// forwardPair snapshots and spools one (component, condition) summary whose
-// newest evidence is from event time at. The zero time means the pair has no
-// conclusion object to stamp it from; the wire refuses an unstamped summary,
-// so it is skipped here.
-func (f *Forwarder) forwardPair(component, condition string, at time.Time) {
-	if component == "" || condition == "" || at.IsZero() {
-		f.count(func(c *ForwarderCounters) { c.Skipped++ })
-		return
-	}
+// forwardPair snapshots and spools one (component, condition) summary,
+// stamped with the snapshot's own UpdatedAt — the event time of the newest
+// evidence fused in — and reports whether it was spooled. A pair with no
+// stamp (restored from a checkpoint written before fusion state carried one,
+// and not reported on since) is skipped: the wire refuses an unstamped
+// summary.
+func (f *Forwarder) forwardPair(component, condition string) bool {
 	cs, vec, err := f.engine.ConditionSnapshot(component, condition)
-	if err != nil {
+	if err != nil || cs.UpdatedAt.IsZero() {
 		f.count(func(c *ForwarderCounters) { c.Skipped++ })
-		return
+		return false
 	}
 	s := &proto.FusedSummary{
 		ShardID:   f.cfg.ShardID,
@@ -152,13 +152,14 @@ func (f *Forwarder) forwardPair(component, condition string, at time.Time) {
 		Reliability:  clamp01(cs.Reliability),
 		Degraded:     cs.Degraded,
 		Prognostics:  vec,
-		UpdatedAt:    at,
+		UpdatedAt:    cs.UpdatedAt,
 	}
 	if err := f.up.DeliverSummary(s); err != nil {
 		f.count(func(c *ForwarderCounters) { c.Errors++ })
-		return
+		return false
 	}
 	f.count(func(c *ForwarderCounters) { c.Forwarded++ })
+	return true
 }
 
 // clamp01 pins a mass back into [0,1]; fusion arithmetic may exceed the
@@ -179,16 +180,18 @@ func (f *Forwarder) count(fn func(*ForwarderCounters)) {
 	f.mu.Unlock()
 }
 
-// Resync forwards the shard's entire current conclusion set — one summary
-// per prioritized pair. Call it once after journal recovery, and after an
-// aggregator's dedup window is known to have reset (a fresh aggregator
-// spool dir).
+// Resync forwards the shard's entire current state — one summary per
+// prioritized pair, read from the engine's fusion state, so a shard restored
+// from its checkpoint alone re-announces every pair with the right stamp —
+// and returns how many summaries it spooled. Call it once after journal
+// recovery, and after an aggregator's dedup window is known to have reset (a
+// fresh aggregator spool dir).
 func (f *Forwarder) Resync() int {
 	n := 0
 	for _, item := range f.engine.PrioritizedList() {
-		at, _ := f.engine.ConclusionUpdatedAt(item.Component, item.Condition)
-		f.forwardPair(item.Component, item.Condition, at)
-		n++
+		if f.forwardPair(item.Component, item.Condition) {
+			n++
+		}
 	}
 	return n
 }

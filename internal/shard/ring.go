@@ -220,23 +220,20 @@ func (r *Ring) Remove(id string) ([]string, error) {
 	if len(r.members) == 1 {
 		return nil, fmt.Errorf("shard: cannot remove last ring member %q", id)
 	}
-	var moved []string
-	//lint:allow maporder moved keys are collected then sorted before use
-	for k, owner := range r.assign {
-		if owner == id {
-			moved = append(moved, k)
-		}
-	}
-	sort.Strings(moved)
 	r.members = append(r.members[:idx], r.members[idx+1:]...)
 	r.version++
 	down := map[string]bool{id: true}
-	for _, k := range moved {
+	var moved []string
+	for _, k := range r.keys {
+		if r.assign[k] != id {
+			continue
+		}
 		next, ok := r.Successor(k, down)
 		if !ok { // unreachable: at least one member survives
 			return nil, fmt.Errorf("shard: no successor for key %q", k)
 		}
 		r.assign[k] = next
+		moved = append(moved, k)
 	}
 	return moved, nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"time"
@@ -287,11 +288,7 @@ func (r *Router) Stats() RouterStats {
 	out := RouterStats{
 		Failovers:   r.stats.Failovers,
 		RingUpdates: r.stats.RingUpdates,
-		PerShard:    make(map[string]int64, len(r.stats.PerShard)),
-	}
-	//lint:allow maporder snapshot copy; consumers sort before display
-	for k, v := range r.stats.PerShard {
-		out.PerShard[k] = v
+		PerShard:    maps.Clone(r.stats.PerShard),
 	}
 	c := r.up.Counters()
 	out.PerShard[r.target] += c.Acked + c.DedupAcks - r.creditedAcks

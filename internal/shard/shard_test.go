@@ -572,7 +572,8 @@ func TestAggregatorRejectsRawReports(t *testing.T) {
 // TestForwarderMirrorsShardState: a shard engine's fused conclusions must
 // arrive at the aggregator bit-identical — same belief, plausibility,
 // unknown, report count, prognostics, and event time — and the single-shard
-// global ranking must equal the shard's own prioritized list. One report
+// global ranking must equal the shard's own prioritized list, on every pair
+// the shard holds once both are quiescent. One report
 // arrives late (another DC's, stamped before the pair's newest evidence): its
 // summary must not look older than the one before it, or the aggregator keeps
 // the stale belief.
@@ -618,47 +619,70 @@ func TestForwarderMirrorsShardState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := fwd.Flush(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	fc := fwd.Counters()
-	if fc.Forwarded == 0 || fc.Errors != 0 {
-		t.Fatalf("forwarder counters %+v", fc)
-	}
-	if n := agg.StaleDropped(); n != 0 {
-		t.Errorf("the aggregator dropped %d of one shard's in-order summaries as stale", n)
-	}
-
-	local := engine.PrioritizedList()
-	global := agg.GlobalRanked()
-	if len(global) != len(local) {
-		t.Fatalf("global %d rows, local %d", len(global), len(local))
-	}
-	for i, l := range local {
-		g := global[i]
-		cs, _, err := engine.ConditionSnapshot(l.Component, l.Condition)
-		if err != nil {
+	var local []pdme.MaintenanceItem
+	var global []GlobalItem
+	mirrored := func() {
+		t.Helper()
+		if err := fwd.Flush(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if g.Component != l.Component || g.Condition != l.Condition {
-			t.Fatalf("row %d: global (%s,%s) != local (%s,%s)", i, g.Component, g.Condition, l.Component, l.Condition)
+		if fc := fwd.Counters(); fc.Forwarded == 0 || fc.Errors != 0 || fc.Skipped != 0 {
+			t.Fatalf("forwarder counters %+v", fc)
 		}
-		if g.Belief != cs.Belief || g.Plausibility != cs.Plausibility || g.Unknown != cs.Unknown || g.Reports != cs.Reports {
-			t.Fatalf("row %d: global (%g,%g,%g; %d reports) != shard (%g,%g,%g; %d reports)",
-				i, g.Belief, g.Plausibility, g.Unknown, g.Reports, cs.Belief, cs.Plausibility, cs.Unknown, cs.Reports)
+		if n := agg.StaleDropped(); n != 0 {
+			t.Errorf("the aggregator dropped %d of one shard's in-order summaries as stale", n)
 		}
-		if g.Degraded || g.Reliability != 1 {
-			t.Fatalf("row %d: fresh single shard must be undegraded: %+v", i, g)
+		local, global = engine.PrioritizedList(), agg.GlobalRanked()
+		if len(global) != len(local) {
+			t.Fatalf("global %d rows, local %d", len(global), len(local))
 		}
-		if g.HasPrognostic != l.HasPrognostic || g.TimeToHalf != l.TimeToHalf {
-			t.Fatalf("row %d: prognostic mismatch: global %v/%v local %v/%v",
-				i, g.HasPrognostic, g.TimeToHalf, l.HasPrognostic, l.TimeToHalf)
-		}
-		at, ok := engine.ConclusionUpdatedAt(l.Component, l.Condition)
-		if !ok || !g.UpdatedAt.Equal(at) {
-			t.Fatalf("row %d: updated_at %v != conclusion %v (ok=%v)", i, g.UpdatedAt, at, ok)
+		for i, l := range local {
+			g := global[i]
+			cs, _, err := engine.ConditionSnapshot(l.Component, l.Condition)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Component != l.Component || g.Condition != l.Condition {
+				t.Fatalf("row %d: global (%s,%s) != local (%s,%s)", i, g.Component, g.Condition, l.Component, l.Condition)
+			}
+			if g.Belief != cs.Belief || g.Plausibility != cs.Plausibility || g.Unknown != cs.Unknown || g.Reports != cs.Reports {
+				t.Fatalf("row %d: global (%g,%g,%g; %d reports) != shard (%g,%g,%g; %d reports)",
+					i, g.Belief, g.Plausibility, g.Unknown, g.Reports, cs.Belief, cs.Plausibility, cs.Unknown, cs.Reports)
+			}
+			if g.Degraded || g.Reliability != 1 {
+				t.Fatalf("row %d: fresh single shard must be undegraded: %+v", i, g)
+			}
+			if g.HasPrognostic != l.HasPrognostic || g.TimeToHalf != l.TimeToHalf {
+				t.Fatalf("row %d: prognostic mismatch: global %v/%v local %v/%v",
+					i, g.HasPrognostic, g.TimeToHalf, l.HasPrognostic, l.TimeToHalf)
+			}
+			if cs.UpdatedAt.IsZero() || !g.UpdatedAt.Equal(cs.UpdatedAt) {
+				t.Fatalf("row %d: updated_at %v != the shard's %v", i, g.UpdatedAt, cs.UpdatedAt)
+			}
 		}
 	}
+	mirrored()
+
+	// Eight connections report on the same pairs at once, their stamps
+	// interleaved: summaries spool in the order their reports were fused, so
+	// whichever fold was last is what the aggregator ends up holding.
+	var wg sync.WaitGroup
+	for s := 0; s < 8; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dc := fmt.Sprintf("dc-c%d", s)
+			for i := 0; i < 25; i++ {
+				pair := [][2]string{{"m1", "outer race fault"}, {"m2", "imbalance"}, {"m3", "imbalance"}}[(s+i)%3]
+				rep := report(dc, pair[0], pair[1], 0.3+0.05*float64(s), base.Add(time.Duration((i*3+s)%40)*time.Minute))
+				if err := engine.DeliverTagged(rep, dc, 1, uint64(i+1)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	mirrored()
 
 	// Resync after an aggregator wipe: a fresh aggregator catches up from
 	// the shard's current state without any new reports.

@@ -116,8 +116,9 @@ func TestRoleStationReopensIdentical(t *testing.T) {
 // TestRoleShardAndAggregatorReopenIdentical: one report travels DC uplink →
 // shard node → forwarder → aggregator and is readable on the aggregator's
 // handler; then both roles are closed and rebuilt — the shard over its
-// model database, journal and forwarding spool, the aggregator from nothing
-// on the same address — and the shard's resync alone restores the aggregator's global
+// journal and forwarding spool (no model database: Resync reads fusion state,
+// which the checkpoint restores), the aggregator from nothing on the same
+// address — and the shard's resync alone restores the aggregator's global
 // list to what it was.
 func TestRoleShardAndAggregatorReopenIdentical(t *testing.T) {
 	dir := t.TempDir()
@@ -127,10 +128,7 @@ func TestRoleShardAndAggregatorReopenIdentical(t *testing.T) {
 	}
 	openShard := func() *Node {
 		t.Helper()
-		// The model is on disk as well: a checkpoint restores fusion state,
-		// not conclusion objects, and Resync stamps each summary from its
-		// conclusion object's updated_at.
-		n, err := OpenNode(filepath.Join(dir, "ship.db"), "", nil, 0, nil, pdme.JournalOptions{Dir: filepath.Join(dir, "journal")},
+		n, err := OpenNode("", "", nil, 0, nil, pdme.JournalOptions{Dir: filepath.Join(dir, "journal")},
 			&ShardForwarderConfig{
 				ShardID:        "shard-1",
 				AggregatorAddr: agg.Addr,
