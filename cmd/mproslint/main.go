@@ -1,8 +1,8 @@
 // Command mproslint runs the MPROS domain-invariant analyzers (noclock,
-// floateq, errwrap, masscheck, maporder, atomicfield, lockdiscipline,
-// waldiscipline, snapshotparity) plus the interprocedural call-graph
-// analyzers (hotalloc, goroleak, sendblock) and the //lint:allow directive
-// police (lintallow) over the repository:
+// floateq, errwrap, maporder, atomicfield, lockdiscipline, waldiscipline)
+// plus the interprocedural call-graph analyzers (hotalloc, goroleak,
+// sendblock) and the //lint:allow directive police (lintallow) over the
+// repository:
 //
 //	mproslint ./...
 //
@@ -17,15 +17,9 @@
 //
 // Reasonless, unknown-analyzer, or unused directives are findings
 // themselves and cannot be suppressed.
-//
-// With -json, findings are emitted as a JSON array of
-// {file, line, column, analyzer, message, suppressed} objects — suppressed
-// findings included, marked — for CI artifacts and editor integration. The
-// exit status still reflects only unsuppressed findings.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,10 +33,8 @@ import (
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockdiscipline"
 	"repro/internal/analysis/maporder"
-	"repro/internal/analysis/masscheck"
 	"repro/internal/analysis/noclock"
 	"repro/internal/analysis/sendblock"
-	"repro/internal/analysis/snapshotparity"
 	"repro/internal/analysis/waldiscipline"
 )
 
@@ -50,33 +42,19 @@ var analyzers = []*analysis.Analyzer{
 	noclock.Analyzer,
 	floateq.Analyzer,
 	errwrap.Analyzer,
-	masscheck.Analyzer,
 	maporder.Analyzer,
 	atomicfield.Analyzer,
 	lockdiscipline.Analyzer,
 	waldiscipline.Analyzer,
-	snapshotparity.Analyzer,
 	hotalloc.Analyzer,
 	goroleak.Analyzer,
 	sendblock.Analyzer,
 }
 
-// jsonFinding is the machine-readable finding shape for -json output.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Column     int    `json:"column"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
 func main() {
 	dir := flag.String("C", "", "change to this directory before loading packages")
-	asJSON := flag.Bool("json", false,
-		"emit findings as JSON (suppressed ones included, marked) instead of text")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mproslint [-C dir] [-json] packages...\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: mproslint [-C dir] packages...\n\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
@@ -89,46 +67,16 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	findings, err := driver.LoadAndRunOpts(*dir, patterns, analyzers,
-		driver.Options{IncludeSuppressed: *asJSON})
+	findings, err := driver.LoadAndRun(*dir, patterns, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mproslint:", err)
 		os.Exit(2)
 	}
-
-	failing := 0
 	for _, f := range findings {
-		if !f.Suppressed {
-			failing++
-		}
+		fmt.Println(f)
 	}
-
-	if *asJSON {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File:       f.Pos.Filename,
-				Line:       f.Pos.Line,
-				Column:     f.Pos.Column,
-				Analyzer:   f.Analyzer,
-				Message:    f.Message,
-				Suppressed: f.Suppressed,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "mproslint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
-	}
-
-	if failing > 0 {
-		fmt.Fprintf(os.Stderr, "mproslint: %d finding(s)\n", failing)
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "mproslint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

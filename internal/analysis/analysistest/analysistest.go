@@ -86,7 +86,7 @@ func RunModule(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...stri
 		allFiles = append(allFiles, files...)
 	}
 
-	findings, err := driver.AnalyzeModule(fset, units, []*analysis.Analyzer{a}, driver.Options{})
+	findings, err := driver.AnalyzeModule(fset, units, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("analyze %v: %v", pkgs, err)
 	}

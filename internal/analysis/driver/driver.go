@@ -25,21 +25,10 @@ type Finding struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Suppressed marks a finding silenced by a reasoned //lint:allow. Default
-	// runs drop suppressed findings; Options.IncludeSuppressed keeps them for
-	// machine-readable output.
-	Suppressed bool
 }
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
-}
-
-// Options adjusts how findings are reported.
-type Options struct {
-	// IncludeSuppressed keeps //lint:allow-suppressed findings in the result
-	// (marked Suppressed: true) instead of dropping them.
-	IncludeSuppressed bool
 }
 
 // AnalyzeFiles runs the intraprocedural analyzers over one type-checked unit
@@ -52,14 +41,14 @@ func AnalyzeFiles(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 	info *types.Info, importPath string, analyzers []*analysis.Analyzer) ([]Finding, error) {
 
 	unit := &analysis.Unit{Files: files, Pkg: pkg, TypesInfo: info, ImportPath: cleanImportPath(importPath)}
-	return AnalyzeModule(fset, []*analysis.Unit{unit}, onlyUnitAnalyzers(analyzers), Options{})
+	return AnalyzeModule(fset, []*analysis.Unit{unit}, onlyUnitAnalyzers(analyzers))
 }
 
 // AnalyzeModule runs all analyzers — per-unit ones over each unit,
 // interprocedural ones once over the whole set — and applies the //lint:allow
 // discipline across every unit's files.
 func AnalyzeModule(fset *token.FileSet, units []*analysis.Unit,
-	analyzers []*analysis.Analyzer, opts Options) ([]Finding, error) {
+	analyzers []*analysis.Analyzer) ([]Finding, error) {
 
 	known := map[string]bool{analysis.AllowName: true}
 	for _, a := range analyzers {
@@ -126,13 +115,9 @@ func AnalyzeModule(fset *token.FileSet, units []*analysis.Unit,
 
 	kept := findings[:0]
 	for _, f := range findings {
-		if f.Analyzer != analysis.AllowName && suppressed(allows, f) {
-			if !opts.IncludeSuppressed {
-				continue
-			}
-			f.Suppressed = true
+		if f.Analyzer == analysis.AllowName || !suppressed(allows, f) {
+			kept = append(kept, f)
 		}
-		kept = append(kept, f)
 	}
 	findings = kept
 

@@ -12,10 +12,8 @@ import (
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockdiscipline"
 	"repro/internal/analysis/maporder"
-	"repro/internal/analysis/masscheck"
 	"repro/internal/analysis/noclock"
 	"repro/internal/analysis/sendblock"
-	"repro/internal/analysis/snapshotparity"
 	"repro/internal/analysis/waldiscipline"
 )
 
@@ -23,12 +21,10 @@ var all = []*analysis.Analyzer{
 	noclock.Analyzer,
 	floateq.Analyzer,
 	errwrap.Analyzer,
-	masscheck.Analyzer,
 	maporder.Analyzer,
 	atomicfield.Analyzer,
 	lockdiscipline.Analyzer,
 	waldiscipline.Analyzer,
-	snapshotparity.Analyzer,
 	hotalloc.Analyzer,
 	goroleak.Analyzer,
 	sendblock.Analyzer,

@@ -40,14 +40,9 @@ type listPackage struct {
 // external test units) with export data via `go list`, runs the analyzers
 // over every unit belonging to the main module, and returns the surviving
 // findings. dir is the working directory for go list ("" for the current).
+// All units are loaded and type-checked first, then the analyzers run — the
+// interprocedural ones (Analyzer.RunModule) see every unit at once.
 func LoadAndRun(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	return LoadAndRunOpts(dir, patterns, analyzers, Options{})
-}
-
-// LoadAndRunOpts is LoadAndRun with reporting options. All units are loaded
-// and type-checked first, then the analyzers run — the interprocedural ones
-// (Analyzer.RunModule) see every unit at once.
-func LoadAndRunOpts(dir string, patterns []string, analyzers []*analysis.Analyzer, opts Options) ([]Finding, error) {
 	pkgs, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
@@ -88,7 +83,7 @@ func LoadAndRunOpts(dir string, patterns []string, analyzers []*analysis.Analyze
 		}
 		units = append(units, u)
 	}
-	return AnalyzeModule(fset, units, analyzers, opts)
+	return AnalyzeModule(fset, units, analyzers)
 }
 
 func goList(dir string, patterns []string) ([]*listPackage, error) {

@@ -229,6 +229,9 @@ func TestBeliefPlausibility(t *testing.T) {
 	if err := m.Set(f.Theta(), 0.3); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Validate(1e-12); err != nil {
+		t.Fatal(err)
+	}
 	if got := m.Belief(a); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("Bel(A) = %g", got)
 	}
@@ -277,6 +280,9 @@ func TestPignistic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := m.Set(f.Theta(), 0.4); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(1e-12); err != nil {
 		t.Fatal(err)
 	}
 	p := m.Pignistic()

@@ -131,15 +131,19 @@ type groupState struct {
 // logical failure groups. Safe for concurrent use.
 type DiagnosticFuser struct {
 	mu sync.RWMutex
-	//lint:allow snapshotparity failure-group topology is construction config; Restore refuses snapshots that disagree with it
+	// groups is not checkpointed: failure-group topology is construction
+	// config, and Restore refuses snapshots that disagree with it.
 	groups Groups
-	//lint:allow snapshotparity derived from groups at construction; rebuilding it from a snapshot would desync it from groups
+	// groupOf is derived from groups at construction; rebuilding it from a
+	// snapshot would desync it from groups.
 	groupOf map[string]string
 	states  map[string]map[string]*groupState // component -> group -> state
-	//lint:allow snapshotparity fixed clamp constant set at construction, not accumulated state
+	// maxBelief is a fixed clamp constant set at construction, not
+	// accumulated state.
 	maxBelief   float64
 	totalFusedN int
-	//lint:allow snapshotparity runtime wiring to the health registry, re-injected by SetDiscounter after restore
+	// discounter is runtime wiring to the health registry, re-injected by
+	// SetDiscounter after restore.
 	discounter Discounter
 }
 

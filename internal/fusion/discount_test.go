@@ -216,6 +216,9 @@ func TestDiscountSummaryMatchesMassDiscount(t *testing.T) {
 	if err := m.Set(frame.Theta(), 0.2); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Validate(1e-12); err != nil {
+		t.Fatal(err)
+	}
 	for _, alpha := range []float64{0, 0.25, 0.6, 1} {
 		dm, err := dempster.Discount(m, alpha)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpointtest"
 	"repro/internal/proto"
 )
 
@@ -65,6 +66,8 @@ func TestDiagnosticSnapshotRoundtrip(t *testing.T) {
 		return restored
 	}
 	restored := restoreFrom(blob)
+	// The discounter is runtime wiring this test does not install.
+	checkpointtest.Carried(t, df, restored, "DiagnosticFuser.discounter")
 
 	// A checkpoint written before GroupSnapshot.Newest existed: the same
 	// evidence, every pair unstamped, no error.
@@ -181,6 +184,7 @@ func TestPrognosticSnapshotRoundtrip(t *testing.T) {
 	if err := restored.Restore(decoded); err != nil {
 		t.Fatal(err)
 	}
+	checkpointtest.Carried(t, pf, restored)
 
 	for _, comp := range []string{"motor/1", "pump/2"} {
 		for _, cond := range pf.Conditions(comp) {

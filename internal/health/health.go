@@ -204,7 +204,8 @@ func (r *dcRecord) lastSeen() time.Time {
 // Registry tracks fleet health. Safe for concurrent use; implements
 // fusion's Discounter contract via Reliability.
 type Registry struct {
-	//lint:allow snapshotparity thresholds and clocks are boot-time config from flags, not observation state
+	// cfg is not checkpointed: thresholds and clocks are boot-time config
+	// from flags, not observation state.
 	cfg Config
 
 	mu sync.Mutex

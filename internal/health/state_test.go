@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpointtest"
 	"repro/internal/proto"
 )
 
@@ -15,7 +16,9 @@ import (
 // cache on — while leaving the configured thresholds untouched.
 func TestRegistryStateRoundtrip(t *testing.T) {
 	g := mustRegistry(t, testConfig())
-	if err := g.ObserveHeartbeat(hb("dc-1", t0, 1)); err != nil {
+	first := hb("dc-1", t0, 1)
+	first.Boot = 7
+	if err := g.ObserveHeartbeat(first); err != nil {
 		t.Fatal(err)
 	}
 	g.ObserveReport("dc-1", "vibration", t0.Add(time.Minute))
@@ -41,6 +44,8 @@ func TestRegistryStateRoundtrip(t *testing.T) {
 	}
 	restored := mustRegistry(t, testConfig())
 	restored.RestoreState(decoded)
+	// The clock is runtime wiring this test does not install.
+	checkpointtest.Carried(t, g, restored, "Registry.cfg.Clock")
 
 	if got, want := restored.Version(), g.Version(); got != want {
 		t.Errorf("restored version %d, want %d", got, want)

@@ -33,7 +33,8 @@ const DefaultDedupWindow = 4096
 // Safe for concurrent use by all server connections; share one Dedup across
 // server restarts to keep suppression working through a PDME bounce.
 type Dedup struct {
-	//lint:allow snapshotparity window capacity is construction config; Restore keeps it and prunes restored sequences against it
+	// window is not checkpointed: capacity is construction config, and
+	// Restore keeps it and prunes restored sequences against it.
 	window uint64
 
 	mu   sync.Mutex

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/checkpointtest"
 )
 
 // TestDedupStateRoundtrip: State → JSON → Restore reproduces the window
@@ -33,6 +35,7 @@ func TestDedupStateRoundtrip(t *testing.T) {
 	}
 	restored := NewDedup(8)
 	restored.Restore(decoded)
+	checkpointtest.Carried(t, d, restored)
 
 	for seq := uint64(1); seq <= 20; seq++ {
 		if !restored.Seen("dc-1", 41, seq) {
