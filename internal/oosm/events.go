@@ -1,6 +1,9 @@
 package oosm
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // EventKind enumerates the model change notifications of §4.5.
 type EventKind int
@@ -85,16 +88,18 @@ type subscriber struct {
 type eventHub struct {
 	mu     sync.RWMutex
 	nextID int
-	subs   []subscriber
+	// subs is copy-on-write: add and remove install a new slice and never
+	// write into one a publish may be ranging over, so publish reads the
+	// current slice without copying it and handlers can subscribe and cancel
+	// reentrantly.
+	subs []subscriber
 }
 
 func newEventHub() *eventHub { return &eventHub{} }
 
 func (h *eventHub) publish(e Event) {
 	h.mu.RLock()
-	// Copy the handler list so handlers can subscribe/cancel reentrantly.
-	subs := make([]subscriber, len(h.subs))
-	copy(subs, h.subs)
+	subs := h.subs
 	h.mu.RUnlock()
 	for _, s := range subs {
 		if s.class != "" && s.class != e.Object.Class {
@@ -112,7 +117,7 @@ func (h *eventHub) add(s subscriber) *Subscription {
 	defer h.mu.Unlock()
 	h.nextID++
 	s.id = h.nextID
-	h.subs = append(h.subs, s)
+	h.subs = append(slices.Clip(h.subs), s)
 	return &Subscription{hub: h, id: s.id}
 }
 
@@ -121,7 +126,7 @@ func (h *eventHub) remove(id int) {
 	defer h.mu.Unlock()
 	for i, s := range h.subs {
 		if s.id == id {
-			h.subs = append(h.subs[:i], h.subs[i+1:]...)
+			h.subs = slices.Concat(h.subs[:i], h.subs[i+1:])
 			return
 		}
 	}

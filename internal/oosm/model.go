@@ -221,7 +221,8 @@ func (m *Model) Create(class string, props map[string]any) (ObjectID, error) {
 	if err := m.checkProps(c, props); err != nil {
 		return ObjectID{}, err
 	}
-	num, err := m.db.Insert(classTable(class), maps.Clone(relstore.Row(props)))
+	// Insert stores its own copy of the row: the caller keeps props.
+	num, err := m.db.Insert(classTable(class), relstore.Row(props))
 	if err != nil {
 		return ObjectID{}, err
 	}
@@ -236,7 +237,8 @@ func (m *Model) Get(id ObjectID) (map[string]any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oosm: %v: %w", id, err)
 	}
-	out := maps.Clone(map[string]any(row))
+	// The row is a copy made for this call, so it is handed over as it is.
+	out := map[string]any(row)
 	delete(out, "id")
 	return out, nil
 }
@@ -266,7 +268,8 @@ func (m *Model) SetProps(id ObjectID, props map[string]any) error {
 	if err := m.checkProps(c, props); err != nil {
 		return err
 	}
-	if err := m.db.Update(classTable(id.Class), id.Num, maps.Clone(relstore.Row(props))); err != nil {
+	// Update only reads the changes: nothing keeps props.
+	if err := m.db.Update(classTable(id.Class), id.Num, relstore.Row(props)); err != nil {
 		return err
 	}
 	// Publish in sorted property order so watchers see a deterministic event

@@ -300,6 +300,41 @@ func TestEvents(t *testing.T) {
 	}
 }
 
+// TestSubscribeAndCancelInsideHandler: a handler may cancel its own
+// subscription and subscribe another while an event is being published. The
+// event in flight reaches the subscribers there were when it was published;
+// the next one reaches the new set.
+func TestSubscribeAndCancelInsideHandler(t *testing.T) {
+	m := newTestModel(t)
+	first, second := 0, 0
+	var sub *Subscription
+	sub = m.Subscribe(ObjectCreated, func(Event) {
+		first++
+		sub.Cancel()
+		m.Subscribe(ObjectCreated, func(Event) { second++ })
+	})
+	for i := 0; i < 2; i++ {
+		if _, err := m.Create("motor", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first != 1 || second != 1 {
+		t.Fatalf("the first handler ran %d times and the one it subscribed %d; want 1 and 1", first, second)
+	}
+}
+
+// TestPublishAllocatesNothing: an event is handed to the current subscribers
+// without copying their list.
+func TestPublishAllocatesNothing(t *testing.T) {
+	m := newTestModel(t)
+	n := 0
+	m.SubscribeAll(func(Event) { n++ })
+	m.Subscribe(ObjectUpdated, func(Event) { n++ })
+	if allocs := testing.AllocsPerRun(100, func() { m.events.publish(Event{Kind: ObjectUpdated}) }); allocs != 0 {
+		t.Fatalf("publishing an event allocates %.0f times", allocs)
+	}
+}
+
 func TestSubscribeClassFiltering(t *testing.T) {
 	m := newTestModel(t)
 	var reports atomic.Int32

@@ -28,7 +28,8 @@ import (
 // evidence, conclusion objects, health observations, dedup marks, the
 // severity history) — it does not re-post report objects into the OOSM,
 // because Ranked/Belief output is a pure function of the fusion state and
-// re-posting would double OOSM report objects kept in a persistent model.
+// re-posting would only re-create the current reports a persistent model
+// already holds.
 
 // Journal record kinds. A frame record's body is the report frame as the
 // server received it, which replay decodes with the server's own decoder.

@@ -148,6 +148,11 @@ func TestConcurrentSendersPostOneCoherentConclusion(t *testing.T) {
 						t.Errorf("round %d: %s/%s: conclusion updated_at %v, engine %v", round, component, condition, got, cs.UpdatedAt)
 					}
 				}
+				// Every sender is one knowledge source, so the repository keeps
+				// one report object per pair.
+				if n := countInstances(t, p.Model(), ReportClass); n != len(pairs) {
+					t.Errorf("round %d: %d report objects for %d pairs", round, n, len(pairs))
+				}
 				p.Close()
 				if t.Failed() {
 					return

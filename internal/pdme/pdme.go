@@ -22,6 +22,11 @@
 // posting goroutine, and its answer is the delivery's: a report it refuses is
 // neither marked in the dedup window nor counted, and its sender is told.
 //
+// The OOSM is a repository of both kinds of conclusion (§3.1), and it keeps
+// each at its current state: one conclusion object per pair, rewritten by
+// every fold, and one report object per (machine, knowledge source,
+// condition), the source's newest report on the pair (postReport).
+//
 // fuse runs inside a per-component ordering section (PDME.fuseMu): for one
 // component, fold → conclusion post → the events the post raises (a shard's
 // forwarder spools its summary there) → health observation happen in one
@@ -82,7 +87,10 @@ type PDME struct {
 	// refused parks KF's refusal of a report object, by id, for the accept
 	// that posted it: an event handler cannot fail the Create that woke it.
 	// (The refusal of an object nobody's accept posted has nobody to tell.)
-	refused  map[oosm.ObjectID]error
+	refused map[oosm.ObjectID]error
+	// reports holds each knowledge source's current report object per
+	// (machine, condition): the repository's retention rule (postReport).
+	reports  map[reportKey]heldReport
 	received int
 	sub      *oosm.Subscription
 	// resident hosts §5.7 PDME-resident algorithms.
@@ -174,6 +182,7 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 		ownHist:     ownHist,
 		conclusions: make(map[[2]string]oosm.ObjectID),
 		refused:     make(map[oosm.ObjectID]error),
+		reports:     make(map[reportKey]heldReport),
 		dedup:       proto.NewDedup(0),
 		registry:    registry,
 	}
@@ -210,6 +219,11 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 		if err := model.RegisterClass(c); err != nil {
 			return nil, err
 		}
+	}
+	// A persistent model may carry report objects over from a previous process
+	// life: they are held to the retention rule too, or they would stay for good.
+	if err := p.trimReports(); err != nil {
+		return nil, err
 	}
 	// §5.1 step 2: new reports in the OOSM wake knowledge fusion. A refusal is
 	// parked for the accept that made the post (postReport).
@@ -370,9 +384,69 @@ func (p *PDME) apply(d *proto.Delivery, fold func(*proto.Report) error) error {
 	return nil
 }
 
+// reportKey names what a report object is the current one of: one knowledge
+// source's report on one (machine, condition) pair.
+type reportKey struct{ sensed, source, condition string }
+
+// heldReport is a key's current report object and when its report was sensed.
+type heldReport struct {
+	id oosm.ObjectID
+	at time.Time
+}
+
+// supersedeLocked makes id, sensed at at, the key's current report unless the
+// held one is newer, and returns the object the retention rule lets go: the
+// one superseded, id itself, or the zero id when the key held nothing.
+// Callers hold p.mu.
+func (p *PDME) supersedeLocked(key reportKey, id oosm.ObjectID, at time.Time) oosm.ObjectID {
+	held, ok := p.reports[key]
+	if ok && at.Before(held.at) {
+		return id
+	}
+	p.reports[key] = heldReport{id: id, at: at}
+	return held.id
+}
+
+// trimReports applies postReport's retention rule once to the report objects
+// already in the model, in creation order, so a tie still goes to the later
+// arrival.
+func (p *PDME) trimReports() error {
+	ids, err := p.model.Instances(ReportClass)
+	if err != nil {
+		return err
+	}
+	for _, id := range ids {
+		props, err := p.model.Get(id)
+		if err != nil {
+			return err
+		}
+		var key reportKey
+		key.sensed, _ = props["sensed"].(string)
+		key.source, _ = props["ks_id"].(string)
+		key.condition, _ = props["condition"].(string)
+		at, _ := props["timestamp"].(time.Time)
+		p.mu.Lock()
+		drop := p.supersedeLocked(key, id, at)
+		p.mu.Unlock()
+		if !drop.IsZero() {
+			if err := p.model.Delete(drop); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // postReport is §5.1 step 1: post the report into the OOSM. The model's
 // event notification runs knowledge fusion before Create returns, on this
 // goroutine; what it answered is this report's answer.
+//
+// The repository keeps each knowledge source's current report per (machine,
+// condition), as KF keeps one conclusion per pair: the object with the latest
+// timestamp, a tie going to the later arrival. Once KF has fused the post, the
+// object it superseded is deleted — or the post itself, when it is older than
+// the one held. A post KF refused is deleted at once and displaces nothing: it
+// was never fused.
 func (p *PDME) postReport(r *proto.Report) error {
 	progJSON, err := json.Marshal(r.Prognostics)
 	if err != nil {
@@ -395,10 +469,21 @@ func (p *PDME) postReport(r *proto.Report) error {
 		return err
 	}
 	p.mu.Lock()
-	err = p.refused[id]
+	refusal := p.refused[id]
 	delete(p.refused, id)
+	drop := id
+	if refusal == nil {
+		key := reportKey{r.SensedObjectID, r.KnowledgeSourceID, r.MachineConditionID}
+		drop = p.supersedeLocked(key, id, r.Timestamp)
+	}
 	p.mu.Unlock()
-	return err
+	if !drop.IsZero() {
+		// Best effort: the report's answer is its fusion's, whatever becomes
+		// of the object. A persistent store whose log refused the delete has
+		// already dropped the object from memory; its next open trims it.
+		_ = p.model.Delete(drop)
+	}
+	return refusal
 }
 
 // ObserveHeartbeat implements proto.HeartbeatSink by forwarding fleet

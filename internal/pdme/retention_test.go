@@ -1,0 +1,256 @@
+package pdme
+
+import (
+	"fmt"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/historian"
+	"repro/internal/oosm"
+	"repro/internal/proto"
+	"repro/internal/relstore"
+)
+
+// reportObjects returns the props of the report objects the model holds for
+// one knowledge source's reports on one (machine, condition) pair.
+func reportObjects(t *testing.T, model *oosm.Model, sensed, source, condition string) []map[string]any {
+	t.Helper()
+	ids, err := model.FindByProp(ReportClass, "sensed", sensed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []map[string]any
+	for _, id := range ids {
+		props, err := model.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if props["ks_id"] == source && props["condition"] == condition {
+			out = append(out, props)
+		}
+	}
+	return out
+}
+
+func countInstances(t *testing.T, model *oosm.Model, class string) int {
+	t.Helper()
+	ids, err := model.Instances(class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ids)
+}
+
+// TestReportRepositoryStaysBounded: the OOSM keeps each knowledge source's
+// current report per (machine, condition) — the one with the latest
+// timestamp, a tie going to the later arrival. Ten rounds of reports over the
+// same keys leave one report object per key and one relationship per
+// conclusion, with every report counted; a late report does not displace the
+// held one, a report knowledge fusion refused leaves no object, and a
+// persistent model carried over from a previous process life is trimmed to
+// the rule when an engine opens it.
+func TestReportRepositoryStaysBounded(t *testing.T) {
+	at := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+	path := filepath.Join(t.TempDir(), "model.db")
+	db, err := relstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := oosm.NewModel(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, err := historian.Open(historian.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewWithHistorian(model, testGroups(), hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The machines live in the model, so every conclusion refers to one.
+	if err := model.RegisterClass(oosm.Class{Name: "motor", Props: map[string]oosm.PropType{"name": oosm.PropString}}); err != nil {
+		t.Fatal(err)
+	}
+	var machines []oosm.ObjectID
+	for i := 0; i < 2; i++ {
+		id, err := model.Create("motor", map[string]any{"name": fmt.Sprintf("M%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		machines = append(machines, id)
+	}
+	sources := []string{"ks/dli", "ks/fuzzy", "ks/wnn"}
+	conditions := []string{"motor imbalance", "oil whirl", "motor rotor bar problem"}
+	keys := len(machines) * len(sources) * len(conditions)
+	vec := proto.PrognosticVector{{Probability: 0.3, HorizonSeconds: 86400}}
+
+	const rounds = 10
+	sent := 0
+	deliver := func(r *proto.Report) error {
+		sent++
+		return p.DeliverTagged(r, r.DCID, 1, uint64(sent))
+	}
+	var last time.Time
+	for round := 0; round < rounds; round++ {
+		for _, m := range machines {
+			for _, ks := range sources {
+				for _, c := range conditions {
+					last = at.Add(time.Duration(sent) * time.Second)
+					if err := deliver(report(ks, m.String(), c, 0.5, 0.3+0.05*float64(round%5), last, vec)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	if got := countInstances(t, model, ReportClass); got != keys {
+		t.Fatalf("%d report objects after %d reports over %d keys, want %d", got, sent, keys, keys)
+	}
+	conclusions := countInstances(t, model, ConclusionClass)
+	if conclusions != len(machines)*len(conditions) {
+		t.Fatalf("%d conclusion objects, want %d", conclusions, len(machines)*len(conditions))
+	}
+	relations := 0
+	for _, m := range machines {
+		from, err := model.RelatedTo(m, oosm.RefersTo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relations += len(from)
+	}
+	if relations != conclusions {
+		t.Fatalf("%d relationships for %d conclusions", relations, conclusions)
+	}
+	if got := p.ReceivedReports(); got != sent {
+		t.Fatalf("%d reports received, %d sent", got, sent)
+	}
+
+	// The held object is the source's latest report on the pair.
+	m0 := machines[0].String()
+	held := reportObjects(t, model, m0, "ks/dli", "motor imbalance")
+	newest := at.Add(time.Duration((rounds-1)*keys) * time.Second)
+	if len(held) != 1 || !held[0]["timestamp"].(time.Time).Equal(newest) {
+		t.Fatalf("held report objects %v, want one stamped %v", held, newest)
+	}
+	// A late report is fused and counted, but the held object stays.
+	if err := deliver(report("ks/dli", m0, "motor imbalance", 0.5, 0.9, at, vec)); err != nil {
+		t.Fatal(err)
+	}
+	if got := reportObjects(t, model, m0, "ks/dli", "motor imbalance"); len(got) != 1 || got[0]["belief"] != held[0]["belief"] ||
+		!got[0]["timestamp"].(time.Time).Equal(newest) {
+		t.Fatalf("a late report displaced the held one: %v", got)
+	}
+	// A tie goes to the later arrival.
+	if err := deliver(report("ks/dli", m0, "motor imbalance", 0.5, 0.85, newest, vec)); err != nil {
+		t.Fatal(err)
+	}
+	if got := reportObjects(t, model, m0, "ks/dli", "motor imbalance"); len(got) != 1 || got[0]["belief"] != 0.85 {
+		t.Fatalf("a report stamped like the held one did not supersede it: %v", got)
+	}
+	// A report knowledge fusion refuses leaves no object and displaces nothing.
+	if err := hist.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := deliver(report("ks/dli", m0, "motor imbalance", 0.5, 0.4, last.Add(time.Hour), vec)); err == nil {
+		t.Fatal("a report knowledge fusion could not fuse was acknowledged")
+	}
+	if got := reportObjects(t, model, m0, "ks/dli", "motor imbalance"); len(got) != 1 || got[0]["belief"] != 0.85 {
+		t.Fatalf("a refused report changed the repository: %v", got)
+	}
+	if got, want := p.ReceivedReports(), sent-1; got != want || countInstances(t, model, ReportClass) != keys {
+		t.Fatalf("%d received (want %d), %d report objects (want %d)", got, want, countInstances(t, model, ReportClass), keys)
+	}
+
+	// Objects a previous process life left beyond the rule: three more for a
+	// held key (one newer than the held object) and one for a key never held.
+	p.Close()
+	extra := []struct {
+		source string
+		at     time.Time
+	}{
+		{"ks/dli", at}, {"ks/dli", last.Add(2 * time.Hour)}, {"ks/dli", newest}, {"ks/sbfr", at},
+	}
+	for _, e := range extra {
+		if _, err := model.Create(ReportClass, map[string]any{
+			"dc_id": "dc-1", "ks_id": e.source, "sensed": m0, "condition": "motor imbalance",
+			"severity": 0.5, "belief": 0.5, "timestamp": e.at, "prognostics": "null",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = relstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	model, err = oosm.NewModel(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := countInstances(t, model, ReportClass); got != keys+len(extra) {
+		t.Fatalf("reopened model holds %d report objects, want %d", got, keys+len(extra))
+	}
+	p, err = New(model, testGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if got := countInstances(t, model, ReportClass); got != keys+1 {
+		t.Fatalf("an engine opened over the model left %d report objects, want %d", got, keys+1)
+	}
+	if got := reportObjects(t, model, m0, "ks/dli", "motor imbalance"); len(got) != 1 ||
+		!got[0]["timestamp"].(time.Time).Equal(last.Add(2*time.Hour)) {
+		t.Fatalf("trimmed to %v, want the newest object only", got)
+	}
+	// The trim seeds the rule: the next report supersedes what it kept.
+	if err := p.Deliver(report("ks/dli", m0, "motor imbalance", 0.5, 0.6, last.Add(3*time.Hour), vec)); err != nil {
+		t.Fatal(err)
+	}
+	if got := reportObjects(t, model, m0, "ks/dli", "motor imbalance"); len(got) != 1 || got[0]["belief"] != 0.6 {
+		t.Fatalf("after the next report: %v", got)
+	}
+}
+
+// TestAcceptAllocBudget: a steady-state accept with no journal — the pair's
+// conclusion object and the source's report object already there — stays
+// under a fixed allocation ceiling, set from the measured count: 97 (100
+// under -race), where copying each row twice and the subscriber list once per
+// event cost 112.
+func TestAcceptAllocBudget(t *testing.T) {
+	const budget = 100
+	p := newTestPDME(t)
+	defer p.Close()
+	at := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+	r := report("ks/dli", "motor/1", "motor imbalance", 0.5, 0.6, at, proto.PrognosticVector{
+		{Probability: 0.2, HorizonSeconds: 14 * 86400}, {Probability: 0.7, HorizonSeconds: 45 * 86400},
+	})
+	seq := uint64(0)
+	accept := func() {
+		seq++
+		r.Timestamp = at.Add(time.Duration(seq) * time.Second)
+		if err := p.DeliverTagged(r, "dc-1", 1, seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		accept()
+	}
+	// The best of three: under -race sync.Pool drops puts at random, and
+	// encoding/json pools its encoders.
+	allocs := testing.AllocsPerRun(500, accept)
+	for i := 0; i < 2; i++ {
+		allocs = min(allocs, testing.AllocsPerRun(500, accept))
+	}
+	t.Logf("%.0f allocations per accept", allocs)
+	if allocs > budget {
+		t.Fatalf("a steady-state accept allocates %.0f times, budget %d", allocs, budget)
+	}
+	if got := countInstances(t, p.Model(), ReportClass); got != 1 {
+		t.Fatalf("%d report objects for one key", got)
+	}
+}

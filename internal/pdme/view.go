@@ -11,9 +11,10 @@ import (
 )
 
 // RenderBrowser produces the textual equivalent of the Figure 2 MPROS user
-// interface for one machine: the condition reports received for it (per
-// knowledge source), then "the predictions of failure for each machine
-// condition group ... at the bottom of the screen". The display is rebuilt
+// interface for one machine: each knowledge source's current report on each
+// of its conditions (the repository keeps no older ones, postReport), then
+// "the predictions of failure for each machine condition group ... at the
+// bottom of the screen". The display is rebuilt
 // from the OOSM, which "serves as a repository of diagnostic conclusions —
 // both those of the individual algorithms and those reached by KF" (§3.1).
 func (p *PDME) RenderBrowser(component string) (string, error) {

@@ -84,7 +84,7 @@ func (db *DB) TableSchema(name string) (Schema, error) {
 	return t.schema, nil
 }
 
-// Insert adds a row and returns its assigned id.
+// Insert adds a copy of the row and returns its assigned id.
 func (db *DB) Insert(tableName string, r Row) (int64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -106,7 +106,7 @@ func (db *DB) Insert(tableName string, r Row) (int64, error) {
 	return id, nil
 }
 
-// Get returns the row with the given id.
+// Get returns a copy of the row with the given id, the caller's to keep.
 func (db *DB) Get(tableName string, id int64) (Row, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -121,7 +121,8 @@ func (db *DB) Get(tableName string, id int64) (Row, error) {
 	return r, nil
 }
 
-// Update applies the non-id column changes to the row with the given id.
+// Update applies the non-id column changes to the row with the given id. It
+// reads changes and keeps no reference to the map.
 func (db *DB) Update(tableName string, id int64, changes Row) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -275,6 +275,44 @@ func TestIndexMaintenance(t *testing.T) {
 	}
 }
 
+// TestIndexedEqualityMissVisitsNoRow: an equality on an indexed column whose
+// value the index holds no row for selects nothing and visits no row; a hit
+// visits only its own rows. An equality with nil is no index lookup (nil is
+// never indexed): it still finds the rows where the column is null.
+func TestIndexedEqualityMissVisitsNoRow(t *testing.T) {
+	db := NewMemory()
+	if err := db.CreateTable(machineSchema()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 50; i++ {
+		if _, err := db.Insert("machines", sampleRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The counter comes first, so And's short circuit hides no visit.
+	visited := 0
+	counter := Where(func(Row) bool { visited++; return true })
+	rows, err := db.Select("machines", And(counter, Eq("name", "absent")), 0)
+	if err != nil || len(rows) != 0 || visited != 0 {
+		t.Fatalf("indexed miss: %d rows, %d visited, err %v; want none of either", len(rows), visited, err)
+	}
+	rows, err = db.Select("machines", And(counter, Eq("name", "machine-7")), 0)
+	if err != nil || len(rows) != 1 || visited != 1 {
+		t.Fatalf("indexed hit: %d rows, %d visited, err %v; want 1 and 1", len(rows), visited, err)
+	}
+	if err := db.CreateTable(Schema{Name: "tags", Columns: []Column{{Name: "tag", Type: String, Indexed: true, Nullable: true}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Row{{"tag": "a"}, {}} {
+		if _, err := db.Insert("tags", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rows, err := db.Select("tags", Eq("tag", nil), 0); err != nil || len(rows) != 1 {
+		t.Fatalf("equality with nil: %v, err %v; want the one null row", rows, err)
+	}
+}
+
 func TestEnsureTableAndNames(t *testing.T) {
 	db := NewMemory()
 	if err := db.EnsureTable(machineSchema()); err != nil {

@@ -2,7 +2,7 @@ package relstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -165,21 +165,21 @@ func (t *table) delete(id int64) error {
 }
 
 // selectRows evaluates the predicate over the table, using an index when the
-// predicate declares an equality hint. Results are sorted by id.
+// predicate declares an equality hint on an indexed column: only the rows the
+// index holds for the value are visited, none when it holds none. (A nil value
+// is never indexed, so an equality with nil scans.) Results are sorted by id.
 func (t *table) selectRows(p Predicate, limit int) []Row {
 	var ids []int64
-	if hintCol, hintVal, ok := indexHintOf(p); ok {
-		if idx, indexed := t.indexes[hintCol]; indexed {
-			ids = append(ids, idx[indexKey(hintVal)]...)
-		}
-	}
-	if ids == nil {
+	hintCol, hintVal, hinted := indexHintOf(p)
+	if idx, indexed := t.indexes[hintCol]; hinted && indexed && hintVal != nil {
+		ids = append(ids, idx[indexKey(hintVal)]...)
+	} else {
 		ids = make([]int64, 0, len(t.rows))
 		for id := range t.rows {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	var out []Row
 	for _, id := range ids {
 		r := t.rows[id]
