@@ -82,7 +82,9 @@ type PDME struct {
 
 	mu sync.Mutex
 	// conclusions maps (component, condition) to the OOSM conclusion object,
-	// so fused updates rewrite one object instead of accumulating.
+	// so fused updates rewrite one object instead of accumulating. It holds
+	// every pair that has one — adopted from the model at construction,
+	// created by postConclusion since — so a miss is a first post.
 	conclusions map[[2]string]oosm.ObjectID
 	// refused parks KF's refusal of a report object, by id, for the accept
 	// that posted it: an event handler cannot fail the Create that woke it.
@@ -220,9 +222,13 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 			return nil, err
 		}
 	}
-	// A persistent model may carry report objects over from a previous process
-	// life: they are held to the retention rule too, or they would stay for good.
+	// A persistent model may carry objects over from a previous process life:
+	// its report objects are held to the retention rule too, or they would
+	// stay for good, and its conclusion objects are the pairs' conclusions.
 	if err := p.trimReports(); err != nil {
+		return nil, err
+	}
+	if err := p.adoptConclusions(); err != nil {
 		return nil, err
 	}
 	// §5.1 step 2: new reports in the OOSM wake knowledge fusion. A refusal is
@@ -437,6 +443,31 @@ func (p *PDME) trimReports() error {
 	return nil
 }
 
+// adoptConclusions takes the conclusion objects already in the model as the
+// pairs' conclusions — the first of a pair's objects, should there be twins —
+// so that from here on a pair p.conclusions does not hold has none.
+func (p *PDME) adoptConclusions() error {
+	ids, err := p.model.Instances(ConclusionClass)
+	if err != nil {
+		return err
+	}
+	for _, id := range ids {
+		props, err := p.model.Get(id)
+		if err != nil {
+			return err
+		}
+		var key [2]string
+		key[0], _ = props["component"].(string)
+		key[1], _ = props["condition"].(string)
+		p.mu.Lock()
+		if _, held := p.conclusions[key]; !held {
+			p.conclusions[key] = id
+		}
+		p.mu.Unlock()
+	}
+	return nil
+}
+
 // postReport is §5.1 step 1: post the report into the OOSM. The model's
 // event notification runs knowledge fusion before Create returns, on this
 // goroutine; what it answered is this report's answer.
@@ -448,7 +479,8 @@ func (p *PDME) trimReports() error {
 // the one held. A post KF refused is deleted at once and displaces nothing: it
 // was never fused.
 func (p *PDME) postReport(r *proto.Report) error {
-	progJSON, err := json.Marshal(r.Prognostics)
+	var buf [256]byte
+	progJSON, err := proto.AppendPrognosticsJSON(buf[:0], r.Prognostics)
 	if err != nil {
 		return fmt.Errorf("pdme: encode prognostics: %w", err)
 	}
@@ -576,8 +608,8 @@ func (p *PDME) fuseFromModel(reportID oosm.ObjectID) error {
 	}
 	var vec proto.PrognosticVector
 	if s, ok := props["prognostics"].(string); ok && s != "" && s != "null" {
-		if err := json.Unmarshal([]byte(s), &vec); err != nil {
-			return fmt.Errorf("pdme: decode prognostics: %w", err)
+		if vec, err = proto.DecodePrognosticsJSON([]byte(s)); err != nil {
+			return fmt.Errorf("pdme: %w", err)
 		}
 	}
 	r := proto.Report{Prognostics: vec}
@@ -652,7 +684,8 @@ func (p *PDME) fuse(r *proto.Report, recordSeverity func(component, condition st
 // back. Callers hold the component's ordering section, which is what keeps
 // lookup-then-create from making twins.
 func (p *PDME) postConclusion(component string, cs fusion.ConditionState, vec proto.PrognosticVector) error {
-	vecJSON, err := json.Marshal(vec)
+	var buf [256]byte
+	vecJSON, err := proto.AppendPrognosticsJSON(buf[:0], vec)
 	if err != nil {
 		return err
 	}
@@ -666,48 +699,25 @@ func (p *PDME) postConclusion(component string, cs fusion.ConditionState, vec pr
 		"prognostics":  string(vecJSON),
 		"updated_at":   cs.UpdatedAt,
 	}
-	if id, held := p.conclusion(component, cs.Condition); held {
+	key := [2]string{component, cs.Condition}
+	p.mu.Lock()
+	id, held := p.conclusions[key]
+	p.mu.Unlock()
+	if held {
 		return p.model.SetProps(id, props)
 	}
-	id, err := p.model.Create(ConclusionClass, props)
+	id, err = p.model.Create(ConclusionClass, props)
 	if err != nil {
 		return err
 	}
 	p.mu.Lock()
-	p.conclusions[[2]string{component, cs.Condition}] = id
+	p.conclusions[key] = id
 	p.mu.Unlock()
 	// Link the conclusion to the sensed object when it exists in the model.
 	if objID, err := oosm.ParseObjectID(component); err == nil && p.model.Exists(objID) {
 		return p.model.Relate(oosm.RefersTo, id, objID)
 	}
 	return nil
-}
-
-// conclusion returns the pair's conclusion object: the one held since this
-// process posted it, else one adopted from the model itself: a persistent
-// store may hold the pair's conclusion from a previous process life, and a
-// second object for it would be a twin.
-func (p *PDME) conclusion(component, condition string) (oosm.ObjectID, bool) {
-	key := [2]string{component, condition}
-	p.mu.Lock()
-	id, ok := p.conclusions[key]
-	p.mu.Unlock()
-	if ok {
-		return id, true
-	}
-	ids, err := p.model.FindByProp(ConclusionClass, "component", component)
-	if err != nil {
-		return oosm.ObjectID{}, false
-	}
-	for _, id := range ids {
-		if cond, err := p.model.GetProp(id, "condition"); err == nil && cond == condition {
-			p.mu.Lock()
-			p.conclusions[key] = id
-			p.mu.Unlock()
-			return id, true
-		}
-	}
-	return oosm.ObjectID{}, false
 }
 
 // ReceivedReports returns the number of reports accepted.

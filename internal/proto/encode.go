@@ -16,10 +16,16 @@ import (
 // hand-builds the identical JSON into a caller-provided buffer instead —
 // identical by decoded value, not byte-for-byte: field set, omitempty
 // behaviour, RFC 3339 timestamps, and shortest round-trip float formatting
-// all match, which is what readFrame on the other side consumes.
+// all match, which is what readFrame on the other side consumes (decode.go,
+// by hand).
 //
 // The encoder is deliberately limited to report frames (the only
-// steady-state frame kind); heartbeats and acks keep the reflective path.
+// steady-state frame kind). Acks are constant bytes (writeFrame); heartbeats,
+// summaries and error replies keep the reflective path.
+//
+// AppendPrognosticsJSON is the other hand encoder: the PDME's OOSM holds each
+// prognostic vector as JSON text, and that text must stay byte-identical to
+// json.Marshal's, float formatting included.
 
 // hexDigits is the lowercase alphabet used for \u00xx escapes, as
 // encoding/json emits them.
@@ -188,4 +194,50 @@ func appendJSONString(dst []byte, s string) []byte {
 		i += size
 	}
 	return append(dst, '"')
+}
+
+// AppendPrognosticsJSON appends v exactly as json.Marshal writes it — null
+// for a nil vector, [] for an empty one, floats in encoding/json's format —
+// and returns the extended buffer. NaN and infinities are refused, as
+// json.Marshal refuses them.
+func AppendPrognosticsJSON(dst []byte, v PrognosticVector) ([]byte, error) {
+	if v == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	var err error
+	for i, p := range v {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"probability":`...)
+		if dst, err = appendMarshalFloat(dst, p.Probability); err != nil {
+			return dst, err
+		}
+		dst = append(dst, `,"time":`...)
+		if dst, err = appendMarshalFloat(dst, p.HorizonSeconds); err != nil {
+			return dst, err
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, ']'), nil
+}
+
+// appendMarshalFloat appends a float64 as encoding/json formats one: like
+// ES6, 'f' except for magnitudes below 1e-6 or from 1e21 on, which take 'e'
+// with a two-digit negative exponent trimmed (e-07 → e-7).
+func appendMarshalFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, fmt.Errorf("proto: unsupported value %g in prognostic vector", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
 }

@@ -121,3 +121,46 @@ func TestAppendReportEnvelopeZeroAlloc(t *testing.T) {
 		t.Errorf("AppendReportEnvelope allocates %.1f times per frame, want 0", allocs)
 	}
 }
+
+// TestAppendPrognosticsJSONPinned pins the property text for the floats at
+// encoding/json's format boundaries — zero, negative zero, the 'e' thresholds
+// below 1e-6 and from 1e21, the smallest subnormal — and for E10's vector,
+// against literals and against json.Marshal.
+func TestAppendPrognosticsJSONPinned(t *testing.T) {
+	point := func(x float64) PrognosticVector { return PrognosticVector{{Probability: x, HorizonSeconds: x}} }
+	for _, tc := range []struct {
+		v    PrognosticVector
+		want string
+	}{
+		{nil, `null`},
+		{PrognosticVector{}, `[]`},
+		{point(0), `[{"probability":0,"time":0}]`},
+		{point(math.Copysign(0, -1)), `[{"probability":-0,"time":-0}]`},
+		{point(1e-7), `[{"probability":1e-7,"time":1e-7}]`},
+		{point(1e21), `[{"probability":1e+21,"time":1e+21}]`},
+		{point(5e-324), `[{"probability":5e-324,"time":5e-324}]`},
+		{PrognosticVector{{Probability: 0.2, HorizonSeconds: 14 * 86400}, {Probability: 0.7, HorizonSeconds: 45 * 86400}},
+			`[{"probability":0.2,"time":1209600},{"probability":0.7,"time":3888000}]`},
+	} {
+		got, err := AppendPrognosticsJSON(nil, tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want || string(ref) != tc.want {
+			t.Errorf("%#v: wrote %s, json.Marshal %s, want %s", tc.v, got, ref, tc.want)
+		}
+		back, err := DecodePrognosticsJSON(got)
+		if err != nil || !reflect.DeepEqual(back, tc.v) {
+			t.Errorf("%s read back as %#v (%v)", got, back, err)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := AppendPrognosticsJSON(nil, point(bad)); err == nil {
+			t.Errorf("%g written", bad)
+		}
+	}
+}

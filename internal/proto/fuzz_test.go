@@ -3,7 +3,10 @@ package proto_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -99,9 +102,12 @@ func storedBodies(tb testing.TB) [][]byte {
 // FuzzDecodeFrame feeds arbitrary bytes to the one frame-body decoder —
 // the function the server calls on what it read off the wire, the uplink on
 // its spool records and the PDME on its journal records. It must never
-// panic. A body it accepts holds exactly one valid payload, is kept as the
-// delivery's Frame, and survives the one encoder: re-encoded and decoded
-// again it names the same sender and tag and re-encodes to the same bytes.
+// panic, and it must agree with an independent oracle, a plain json.Unmarshal
+// of the envelope: the same envelope (the server's and the client's reads of
+// acks included) and the same Delivery, or an error on both sides. A body it
+// accepts holds exactly one valid payload, is kept as the delivery's Frame,
+// and survives the one encoder: re-encoded and decoded again it names the
+// same sender and tag and re-encodes to the same bytes.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBody(f, proto.Delivery{Report: fuzzReport(), DCID: "dc-1", Boot: 7, Seq: 3}))
 	f.Add([]byte(`{"kind":"ack","dc":"dc-1","seq":3,"dup":true}`))
@@ -123,12 +129,31 @@ func FuzzDecodeFrame(f *testing.F) {
 	// real spool file and a real WAL hold.
 	f.Add(frameBody(f, proto.Delivery{Report: fuzzReport()}))
 	f.Add(bytes.Replace(summary, []byte(`{"kind":`), []byte(`{"hops":2,"kind":`), 1))
+	// The same report laid out as no writer lays it out, which the hand reader
+	// still takes, and with a \u escape, which it leaves to json.Unmarshal.
+	f.Add([]byte(` {"seq":3, "dc":"dc-1" ,"report":{"timestamp":"1998-08-15T12:00:00+02:00","belief":0.9,"severity":6E-1,` +
+		`"suspect_channels":[],"prognostics":[{"time":1209600,"probability":0.1}],"dc_id":"dc-\/1"},"boot":7,"kind":"report"}` + "\n"))
+	f.Add(bytes.Replace(frameBody(f, proto.Delivery{Report: fuzzReport(), DCID: "dc-1", Boot: 7, Seq: 3}),
+		[]byte(`"ks/dli"`), []byte(`"ks\u002fdl\u00ed"`), 1))
+	f.Add([]byte(`{"kind":"ack","dup":true}`))
 	for _, body := range storedBodies(f) {
 		f.Add(body)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var ref proto.Envelope
+		refErr := json.Unmarshal(data, &ref)
+		env, err := proto.DecodeEnvelope(data)
+		if (err == nil) != (refErr == nil) || err == nil && !reflect.DeepEqual(env, ref) {
+			t.Fatalf("envelope %+v (%v), json.Unmarshal %+v (%v)", env, err, ref, refErr)
+		}
 		d, err := proto.DecodeFrame(data)
+		if refErr == nil {
+			want, wantErr := proto.DeliveryOf(&ref, data)
+			if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(d, want) {
+				t.Fatalf("delivery %+v (%v), json.Unmarshal's %+v (%v)", d, err, want, wantErr)
+			}
+		}
 		if err != nil {
 			return // rejected input: any error is acceptable, panics are not
 		}
@@ -160,6 +185,48 @@ func FuzzDecodeFrame(f *testing.F) {
 		second, err := proto.AppendFrame(nil, &d2)
 		if err != nil || !bytes.Equal(first, second) {
 			t.Fatalf("round trip not stable (%v):\n first=%s\nsecond=%s", err, first, second)
+		}
+	})
+}
+
+// FuzzPrognosticsJSON holds the prognostic vector's hand codec — the OOSM
+// property text — to encoding/json: reading arbitrary bytes agrees with
+// json.Unmarshal (the same vector, or an error on both sides), and writing a
+// vector, made of the input's bytes read as floats (NaN, infinities and
+// subnormals included) or of what was just read, is json.Marshal's bytes or
+// an error on both sides.
+func FuzzPrognosticsJSON(f *testing.F) {
+	for _, seed := range []string{
+		`null`, `[]`, ` [ ] `, `[{}]`, `[null]`, `[{"probability":null}]`, `[{"Probability":1}]`,
+		`[{"probability":0.2,"time":1209600},{"probability":0.7,"time":3888000}]`,
+		`[{"time":1e-7,"probability":-0},{"probability":1e21,"time":5e-324,"time":1}]`,
+		`[{"probability":1e999,"time":1}]`, `[{"probability":0.5,"time":01}]`, `[1]`, `{}`, `"[]"`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(-0.0)), math.Float64bits(1e-7)))
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(5e-324)), math.Float64bits(math.NaN())))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := proto.DecodePrognosticsJSON(data)
+		var want proto.PrognosticVector
+		wantErr := json.Unmarshal(data, &want)
+		if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("read %#v (%v), json.Unmarshal %#v (%v)", got, err, want, wantErr)
+		}
+		var fromBits proto.PrognosticVector
+		for i := 0; i+16 <= len(data); i += 16 {
+			fromBits = append(fromBits, proto.PrognosticPoint{
+				Probability:    math.Float64frombits(binary.LittleEndian.Uint64(data[i:])),
+				HorizonSeconds: math.Float64frombits(binary.LittleEndian.Uint64(data[i+8:])),
+			})
+		}
+		for _, v := range []proto.PrognosticVector{fromBits, got} {
+			mine, err := proto.AppendPrognosticsJSON(nil, v)
+			ref, refErr := json.Marshal(v)
+			if (err == nil) != (refErr == nil) || err == nil && !bytes.Equal(mine, ref) {
+				t.Fatalf("wrote %s (%v), json.Marshal %s (%v) for %#v", mine, err, ref, refErr, v)
+			}
 		}
 	})
 }

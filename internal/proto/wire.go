@@ -48,8 +48,22 @@ type envelope struct {
 	Dup bool `json:"dup,omitempty"`
 }
 
+// The two ack bodies, byte for byte what json.Marshal makes of
+// envelope{Kind: "ack"} and envelope{Kind: "ack", Dup: true}: answering a
+// frame takes no reflection.
+var (
+	ackBody    = []byte(`{"kind":"ack"}`)
+	dupAckBody = []byte(`{"kind":"ack","dup":true}`)
+)
+
 // writeFrame writes one length-prefixed JSON frame.
 func writeFrame(w io.Writer, env envelope) error {
+	switch env {
+	case envelope{Kind: "ack"}:
+		return writeRawFrame(w, ackBody)
+	case envelope{Kind: "ack", Dup: true}:
+		return writeRawFrame(w, dupAckBody)
+	}
 	body, err := json.Marshal(env)
 	if err != nil {
 		return fmt.Errorf("proto: marshal frame: %w", err)
@@ -87,9 +101,9 @@ func readFrame(r io.Reader) (envelope, []byte, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return envelope{}, nil, err
 	}
-	var env envelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return envelope{}, nil, fmt.Errorf("proto: unmarshal frame: %w", err)
+	env, err := decodeEnvelope(body)
+	if err != nil {
+		return envelope{}, nil, err
 	}
 	return env, body, nil
 }
@@ -116,14 +130,14 @@ func AppendFrame(dst []byte, d *Delivery) ([]byte, error) {
 // its sender (the envelope's, else the payload's own) and its delivery tag.
 // The result's Frame aliases body.
 func DecodeFrame(body []byte) (Delivery, error) {
-	var env envelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return Delivery{}, fmt.Errorf("proto: unmarshal frame: %w", err)
+	env, err := decodeEnvelope(body)
+	if err != nil {
+		return Delivery{}, err
 	}
 	return env.delivery(body)
 }
 
-// delivery is DecodeFrame past the unmarshal.
+// delivery is DecodeFrame past the decode.
 func (env *envelope) delivery(body []byte) (Delivery, error) {
 	d := Delivery{DCID: env.DCID, Frame: body}
 	var err error
