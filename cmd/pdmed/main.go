@@ -1,13 +1,14 @@
 // Command pdmed runs a standalone PDME: it listens for §7 failure
 // prediction reports over TCP, fuses them, serves the read-side HTTP API
 // (prioritized list, beliefs, trends, streaming watches, fleet health), and
-// periodically prints the prioritized maintenance list (and optionally
-// persists the ship model).
+// periodically prints the prioritized maintenance list. What the list is a
+// function of persists in the journal (-journal-dir); the ship model is
+// working memory, rebuilt at every start.
 //
 // Usage:
 //
 //	pdmed -listen 127.0.0.1:7011 -serve-addr 127.0.0.1:7080 \
-//	      -db /var/lib/mpros/ship.db -historian-dir /var/lib/mpros/hist \
+//	      -journal-dir /var/lib/mpros/journal -historian-dir /var/lib/mpros/hist \
 //	      -status 10s
 //
 // Point one or more dcsim instances (or any §7-speaking client) at the
@@ -69,7 +70,6 @@ func main() {
 func run() int {
 	listen := flag.String("listen", "127.0.0.1:7011", "TCP listen address for DC reports")
 	serveAddr := flag.String("serve-addr", "", "HTTP address for the read-side API (/ranked /belief /trend /watch /health /stats; empty disables)")
-	dbPath := flag.String("db", "", "ship model database path (empty: in-memory)")
 	histDir := flag.String("historian-dir", "", "severity/lifetime historian directory (empty: in-memory)")
 	statusEvery := flag.Duration("status", 15*time.Second, "prioritized-list print interval (0 disables)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "per-connection read/write deadline (0: protocol default); dead peers are cut loose after this")
@@ -147,7 +147,7 @@ func run() int {
 		if *forwardAddr != "" {
 			forward = &shard.ForwarderConfig{ShardID: *shardID, AggregatorAddr: *forwardAddr, SpoolDir: *forwardSpool}
 		}
-		node, err := mpros.OpenNode(*dbPath, *histDir, &healthCfg, *dedupWindow, nil, pdme.JournalOptions{Dir: *journalDir}, forward)
+		node, err := mpros.OpenNode(*histDir, &healthCfg, *dedupWindow, nil, pdme.JournalOptions{Dir: *journalDir}, forward)
 		if err != nil {
 			return fail(err)
 		}
@@ -174,7 +174,7 @@ func run() int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Printf("pdmed: listening on %s (db=%s, historian=%s)\n", addr, orMemory(*dbPath), orMemory(*histDir))
+		fmt.Printf("pdmed: listening on %s (historian=%s)\n", addr, orMemory(*histDir))
 		status = func() { printStatus(node) }
 		liveness = func() { keepAlive(node) }
 	}

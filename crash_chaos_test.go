@@ -28,8 +28,7 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// crashChildRun is the child body: an in-memory-model node (OpenNode, as
-// pdmed builds it) with the journal open, serving the §7 wire protocol at
+// crashChildRun is the child body: a node (OpenNode, as pdmed builds it) with the journal open, serving the §7 wire protocol at
 // the addressed port. It prints READY once the listener is up and then
 // blocks until killed — there is deliberately no graceful-shutdown path;
 // SIGKILL is the only exit.
@@ -38,7 +37,7 @@ func crashChildRun() {
 	addr := os.Getenv("MPROS_CRASH_ADDR")
 	// An aggressive cadence (vs the 1024 default) so random kills land
 	// mid-checkpoint, not just mid-append.
-	node, err := OpenNode("", "", nil, 0, nil, pdme.JournalOptions{Dir: dir, CheckpointEvery: 8}, nil)
+	node, err := OpenNode("", nil, 0, nil, pdme.JournalOptions{Dir: dir, CheckpointEvery: 8}, nil)
 	if err != nil {
 		crashChildFail(err)
 	}
@@ -229,7 +228,7 @@ func TestCrashChaosKill9Recovery(t *testing.T) {
 	// Final kill-9, then recover the journal in-process: this is exactly
 	// what the next pdmed boot would do.
 	child.kill()
-	recNode, err := OpenNode("", "", nil, 0, nil, pdme.JournalOptions{Dir: journalDir}, nil)
+	recNode, err := OpenNode("", nil, 0, nil, pdme.JournalOptions{Dir: journalDir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/trend"
 )
 
 // §5.1: "The knowledge fusion components must be able to accommodate inputs
@@ -46,7 +47,7 @@ func TestTimeDisorderedReports(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj, err := p.TrendProjection("motor/1", "motor imbalance", 0.9)
+		proj, err := trend.ProjectPoints(p.SeverityHistory("motor/1", "motor imbalance"), 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}

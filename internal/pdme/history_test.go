@@ -10,6 +10,7 @@ import (
 	"repro/internal/historian"
 	"repro/internal/oosm"
 	"repro/internal/relstore"
+	"repro/internal/trend"
 )
 
 // TestSeverityHistorySurvivesRestart: with a disk-backed historian, a
@@ -66,7 +67,7 @@ func TestSeverityHistorySurvivesRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	proj, err := p2.TrendProjection("motor/1", "motor imbalance", 0.75)
+	proj, err := trend.ProjectPoints(p2.SeverityHistory("motor/1", "motor imbalance"), 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,10 @@ import (
 // prefix. Replay re-applies only fusion effects (diagnostic/prognostic
 // evidence, conclusion objects, health observations, dedup marks, the
 // severity history) — it does not re-post report objects into the OOSM,
-// because Ranked/Belief output is a pure function of the fusion state and
-// re-posting would only re-create the current reports a persistent model
-// already holds.
+// because Ranked/Belief output is a pure function of the fusion state. The
+// journal is the engine's one durable store: the OOSM is working memory, so
+// after a restart the repository holds the reports that arrived since, and
+// the DC databases keep every report.
 
 // Journal record kinds. A frame record's body is the report frame as the
 // server received it, which replay decodes with the server's own decoder.

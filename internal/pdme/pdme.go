@@ -64,8 +64,6 @@ const (
 	ReportClass = "failure_prediction_report"
 	// ConclusionClass holds fused KF conclusions.
 	ConclusionClass = "kf_conclusion"
-	// KnowledgeSourceClass registers report-producing expert systems.
-	KnowledgeSourceClass = "knowledge_source"
 )
 
 // PDME is the monitoring engine.
@@ -83,8 +81,8 @@ type PDME struct {
 	mu sync.Mutex
 	// conclusions maps (component, condition) to the OOSM conclusion object,
 	// so fused updates rewrite one object instead of accumulating. It holds
-	// every pair that has one — adopted from the model at construction,
-	// created by postConclusion since — so a miss is a first post.
+	// every pair that has one — the model starts with none — so a miss is a
+	// first post.
 	conclusions map[[2]string]oosm.ObjectID
 	// refused parks KF's refusal of a report object, by id, for the accept
 	// that posted it: an event handler cannot fail the Create that woke it.
@@ -148,7 +146,7 @@ type Invalidator interface {
 // New builds a PDME over a ship model and the logical failure groups for
 // diagnostic fusion, backed by a private in-memory historian. It registers
 // the report/conclusion classes and subscribes knowledge fusion to report
-// arrivals.
+// arrivals; a model that already holds objects of either class is refused.
 func New(model *oosm.Model, groups fusion.Groups) (*PDME, error) {
 	return NewWithHistorian(model, groups, nil)
 }
@@ -164,29 +162,6 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 	diag, err := fusion.NewDiagnosticFuser(groups)
 	if err != nil {
 		return nil, err
-	}
-	ownHist := hist == nil
-	if hist == nil {
-		hist, err = historian.Open(historian.Options{})
-		if err != nil {
-			return nil, err
-		}
-	}
-	registry, err := health.NewRegistry(health.Config{})
-	if err != nil {
-		return nil, err
-	}
-	p := &PDME{
-		model:       model,
-		diag:        diag,
-		prog:        fusion.NewPrognosticFuser(),
-		hist:        hist,
-		ownHist:     ownHist,
-		conclusions: make(map[[2]string]oosm.ObjectID),
-		refused:     make(map[oosm.ObjectID]error),
-		reports:     make(map[reportKey]heldReport),
-		dedup:       proto.NewDedup(0),
-		registry:    registry,
 	}
 	classes := []oosm.Class{
 		{Name: ReportClass, Props: map[string]oosm.PropType{
@@ -212,24 +187,47 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 			"prognostics":  oosm.PropString,
 			"updated_at":   oosm.PropTime,
 		}},
-		{Name: KnowledgeSourceClass, Props: map[string]oosm.PropType{
-			"name":        oosm.PropString,
-			"description": oosm.PropString,
-		}},
 	}
 	for _, c := range classes {
 		if err := model.RegisterClass(c); err != nil {
 			return nil, err
 		}
 	}
-	// A persistent model may carry objects over from a previous process life:
-	// its report objects are held to the retention rule too, or they would
-	// stay for good, and its conclusion objects are the pairs' conclusions.
-	if err := p.trimReports(); err != nil {
+	// The repository starts empty: the engine's maps are the only index of
+	// what it holds, so objects already in the model would be stranded
+	// reports and twin conclusions. Fusion state is restored by the journal,
+	// never by the model.
+	for _, class := range []string{ReportClass, ConclusionClass} {
+		ids, err := model.Instances(class)
+		if err != nil {
+			return nil, err
+		}
+		if len(ids) > 0 {
+			return nil, fmt.Errorf("pdme: the model already holds %d %s objects; build the engine over a fresh model", len(ids), class)
+		}
+	}
+	registry, err := health.NewRegistry(health.Config{})
+	if err != nil {
 		return nil, err
 	}
-	if err := p.adoptConclusions(); err != nil {
-		return nil, err
+	ownHist := hist == nil
+	if hist == nil {
+		hist, err = historian.Open(historian.Options{})
+		if err != nil {
+			return nil, err
+		}
+	}
+	p := &PDME{
+		model:       model,
+		diag:        diag,
+		prog:        fusion.NewPrognosticFuser(),
+		hist:        hist,
+		ownHist:     ownHist,
+		conclusions: make(map[[2]string]oosm.ObjectID),
+		refused:     make(map[oosm.ObjectID]error),
+		reports:     make(map[reportKey]heldReport),
+		dedup:       proto.NewDedup(0),
+		registry:    registry,
 	}
 	// §5.1 step 2: new reports in the OOSM wake knowledge fusion. A refusal is
 	// parked for the accept that made the post (postReport).
@@ -413,61 +411,6 @@ func (p *PDME) supersedeLocked(key reportKey, id oosm.ObjectID, at time.Time) oo
 	return held.id
 }
 
-// trimReports applies postReport's retention rule once to the report objects
-// already in the model, in creation order, so a tie still goes to the later
-// arrival.
-func (p *PDME) trimReports() error {
-	ids, err := p.model.Instances(ReportClass)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		props, err := p.model.Get(id)
-		if err != nil {
-			return err
-		}
-		var key reportKey
-		key.sensed, _ = props["sensed"].(string)
-		key.source, _ = props["ks_id"].(string)
-		key.condition, _ = props["condition"].(string)
-		at, _ := props["timestamp"].(time.Time)
-		p.mu.Lock()
-		drop := p.supersedeLocked(key, id, at)
-		p.mu.Unlock()
-		if !drop.IsZero() {
-			if err := p.model.Delete(drop); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// adoptConclusions takes the conclusion objects already in the model as the
-// pairs' conclusions — the first of a pair's objects, should there be twins —
-// so that from here on a pair p.conclusions does not hold has none.
-func (p *PDME) adoptConclusions() error {
-	ids, err := p.model.Instances(ConclusionClass)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		props, err := p.model.Get(id)
-		if err != nil {
-			return err
-		}
-		var key [2]string
-		key[0], _ = props["component"].(string)
-		key[1], _ = props["condition"].(string)
-		p.mu.Lock()
-		if _, held := p.conclusions[key]; !held {
-			p.conclusions[key] = id
-		}
-		p.mu.Unlock()
-	}
-	return nil
-}
-
 // postReport is §5.1 step 1: post the report into the OOSM. The model's
 // event notification runs knowledge fusion before Create returns, on this
 // goroutine; what it answered is this report's answer.
@@ -511,8 +454,7 @@ func (p *PDME) postReport(r *proto.Report) error {
 	p.mu.Unlock()
 	if !drop.IsZero() {
 		// Best effort: the report's answer is its fusion's, whatever becomes
-		// of the object. A persistent store whose log refused the delete has
-		// already dropped the object from memory; its next open trims it.
+		// of the object.
 		_ = p.model.Delete(drop)
 	}
 	return refusal
@@ -879,15 +821,6 @@ func (p *PDME) GroupFactors(component, group string) []float64 {
 // Blocks returns every (component, failure group) pair holding fused
 // evidence, sorted.
 func (p *PDME) Blocks() [][2]string { return p.diag.Blocks() }
-
-// TrendProjection fits the severity history of a (component, condition)
-// pair — queried back from the historian — and projects when it will reach
-// the severity threshold: the §10.1 temporal-reasoning extension
-// ("scrutinize failure histories and provide better projections of future
-// faults as they develop"). It needs at least three reports for the pair.
-func (p *PDME) TrendProjection(component, condition string, threshold float64) (trend.Projection, error) {
-	return trend.ProjectPoints(p.SeverityHistory(component, condition), threshold)
-}
 
 // SeverityHistory returns the recorded severity observations for a pair in
 // time order (historian queries sort, whatever the arrival order was).

@@ -318,16 +318,3 @@ func TestConcurrentDelivery(t *testing.T) {
 		}
 	}
 }
-
-func TestRegisterKnowledgeSource(t *testing.T) {
-	p := newTestPDME(t)
-	defer p.Close()
-	id, err := p.RegisterKnowledgeSource("ks/dli", "DLI vibration expert system")
-	if err != nil {
-		t.Fatal(err)
-	}
-	props, err := p.Model().Get(id)
-	if err != nil || props["name"] != "ks/dli" {
-		t.Errorf("%v %v", props, err)
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,31 +92,29 @@ func TestPrognosticsPropertyBytes(t *testing.T) {
 	}
 }
 
-// TestReopenedModelConclusionsAdopted: an engine opened over a persistent
-// model that already holds conclusion objects takes them as the pairs'
-// conclusions — the next fold on a pair rewrites its object, no twin appears
-// — and a pair the model does not hold still gets one.
+// TestReopenedModelConclusionsAdopted: an engine refuses a model that already
+// holds report or conclusion objects — a reopened persistent model, or one
+// another engine fused into — and names the class and the count. Its maps are
+// the only index of what the repository holds, so taking such a model would
+// strand the old report objects for good and give every pair a twin
+// conclusion. The refused model is left as it was; one whose objects are all
+// gone is a fresh model again.
 func TestReopenedModelConclusionsAdopted(t *testing.T) {
 	at := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
 	path := filepath.Join(t.TempDir(), "model.db")
 	pairs := [][2]string{{"motor/1", "motor imbalance"}, {"motor/1", "oil whirl"}, {"motor/2", "motor imbalance"}}
-	open := func() (*relstore.DB, *PDME) {
-		t.Helper()
-		db, err := relstore.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model, err := oosm.NewModel(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := New(model, testGroups())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db, p
+	db, err := relstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	db, p := open()
+	model, err := oosm.NewModel(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(model, testGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pr := range pairs {
 		if err := p.Deliver(report("ks/dli", pr[0], pr[1], 0.5, 0.6, at, nil)); err != nil {
 			t.Fatal(err)
@@ -126,36 +125,51 @@ func TestReopenedModelConclusionsAdopted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, p = open()
-	defer db.Close()
-	defer p.Close()
-	later := at.Add(time.Hour)
-	for _, pr := range append(pairs, [2]string{"motor/3", "motor misalignment"}) {
-		if err := p.Deliver(report("ks/sbfr", pr[0], pr[1], 0.5, 0.7, later, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids, err := p.Model().Instances(ConclusionClass)
-	if err != nil {
+	// A reopened persistent model: report objects are counted first.
+	if db, err = relstore.Open(path); err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != len(pairs)+1 {
-		t.Fatalf("%d conclusion objects for %d pairs", len(ids), len(pairs)+1)
+	defer db.Close()
+	reopen := func() (*oosm.Model, error) {
+		t.Helper()
+		model, err := oosm.NewModel(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := New(model, testGroups())
+		if err == nil {
+			p.Close()
+		}
+		return model, err
 	}
-	for _, id := range ids {
-		props, err := p.Model().Get(id)
+	deleteAll := func(model *oosm.Model, class string) {
+		t.Helper()
+		ids, err := model.Instances(class)
 		if err != nil {
 			t.Fatal(err)
 		}
-		component, condition := props["component"].(string), props["condition"].(string)
-		belief, err := p.Belief(component, condition)
-		if err != nil {
-			t.Fatal(err)
+		for _, id := range ids {
+			if err := model.Delete(id); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !props["updated_at"].(time.Time).Equal(later) || props["belief"] != belief {
-			t.Errorf("%s/%s: object says belief %v at %v, engine %v at %v", component, condition,
-				props["belief"], props["updated_at"], belief, later)
-		}
+	}
+	model, err = reopen()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d %s objects", len(pairs), ReportClass)) {
+		t.Fatalf("engine over a model holding %d report objects: err %v", len(pairs), err)
+	}
+	if got := countInstances(t, model, ReportClass); got != len(pairs) {
+		t.Errorf("the refused model holds %d report objects, had %d", got, len(pairs))
+	}
+	// Conclusion objects alone are refused too.
+	deleteAll(model, ReportClass)
+	model, err = reopen()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d %s objects", len(pairs), ConclusionClass)) {
+		t.Fatalf("engine over a model holding %d conclusion objects: err %v", len(pairs), err)
+	}
+	deleteAll(model, ConclusionClass)
+	if _, err := reopen(); err != nil {
+		t.Fatalf("engine over a model whose objects are all deleted: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package pdme
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -47,17 +46,10 @@ func countInstances(t *testing.T, model *oosm.Model, class string) int {
 // timestamp, a tie going to the later arrival. Ten rounds of reports over the
 // same keys leave one report object per key and one relationship per
 // conclusion, with every report counted; a late report does not displace the
-// held one, a report knowledge fusion refused leaves no object, and a
-// persistent model carried over from a previous process life is trimmed to
-// the rule when an engine opens it.
+// held one, and a report knowledge fusion refused leaves no object.
 func TestReportRepositoryStaysBounded(t *testing.T) {
 	at := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
-	path := filepath.Join(t.TempDir(), "model.db")
-	db, err := relstore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := oosm.NewModel(db)
+	model, err := oosm.NewModel(relstore.NewMemory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +61,7 @@ func TestReportRepositoryStaysBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer p.Close()
 	// The machines live in the model, so every conclusion refers to one.
 	if err := model.RegisterClass(oosm.Class{Name: "motor", Props: map[string]oosm.PropType{"name": oosm.PropString}}); err != nil {
 		t.Fatal(err)
@@ -161,58 +154,6 @@ func TestReportRepositoryStaysBounded(t *testing.T) {
 	}
 	if got, want := p.ReceivedReports(), sent-1; got != want || countInstances(t, model, ReportClass) != keys {
 		t.Fatalf("%d received (want %d), %d report objects (want %d)", got, want, countInstances(t, model, ReportClass), keys)
-	}
-
-	// Objects a previous process life left beyond the rule: three more for a
-	// held key (one newer than the held object) and one for a key never held.
-	p.Close()
-	extra := []struct {
-		source string
-		at     time.Time
-	}{
-		{"ks/dli", at}, {"ks/dli", last.Add(2 * time.Hour)}, {"ks/dli", newest}, {"ks/sbfr", at},
-	}
-	for _, e := range extra {
-		if _, err := model.Create(ReportClass, map[string]any{
-			"dc_id": "dc-1", "ks_id": e.source, "sensed": m0, "condition": "motor imbalance",
-			"severity": 0.5, "belief": 0.5, "timestamp": e.at, "prognostics": "null",
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db, err = relstore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	model, err = oosm.NewModel(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countInstances(t, model, ReportClass); got != keys+len(extra) {
-		t.Fatalf("reopened model holds %d report objects, want %d", got, keys+len(extra))
-	}
-	p, err = New(model, testGroups())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if got := countInstances(t, model, ReportClass); got != keys+1 {
-		t.Fatalf("an engine opened over the model left %d report objects, want %d", got, keys+1)
-	}
-	if got := reportObjects(t, model, m0, "ks/dli", "motor imbalance"); len(got) != 1 ||
-		!got[0]["timestamp"].(time.Time).Equal(last.Add(2*time.Hour)) {
-		t.Fatalf("trimmed to %v, want the newest object only", got)
-	}
-	// The trim seeds the rule: the next report supersedes what it kept.
-	if err := p.Deliver(report("ks/dli", m0, "motor imbalance", 0.5, 0.6, last.Add(3*time.Hour), vec)); err != nil {
-		t.Fatal(err)
-	}
-	if got := reportObjects(t, model, m0, "ks/dli", "motor imbalance"); len(got) != 1 || got[0]["belief"] != 0.6 {
-		t.Fatalf("after the next report: %v", got)
 	}
 }
 

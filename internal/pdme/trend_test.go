@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/trend"
 )
 
 // TestTrendProjectionOnDevelopingFault exercises the §10.1 temporal
@@ -23,7 +25,7 @@ func TestTrendProjectionOnDevelopingFault(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	proj, err := p.TrendProjection("motor/1", "motor imbalance", 0.75)
+	proj, err := trend.ProjectPoints(p.SeverityHistory("motor/1", "motor imbalance"), 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestTrendProjectionOnDevelopingFault(t *testing.T) {
 	if err := p.Deliver(report("ks", "motor/1", "oil whirl", 0.3, 0.5, start, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.TrendProjection("motor/1", "oil whirl", 0.75); err == nil {
+	if _, err := trend.ProjectPoints(p.SeverityHistory("motor/1", "oil whirl"), 0.75); err == nil {
 		t.Error("one observation should not fit")
 	}
 }
@@ -59,7 +61,7 @@ func TestTrendProjectionStableFaultDoesNotCross(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	proj, err := p.TrendProjection("motor/1", "motor imbalance", 0.75)
+	proj, err := trend.ProjectPoints(p.SeverityHistory("motor/1", "motor imbalance"), 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/oosm"
 	"repro/internal/proto"
 )
 
@@ -109,12 +108,4 @@ func formatDuration(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.1fmo", days/30)
 	}
-}
-
-// RegisterKnowledgeSource records a knowledge source object in the OOSM.
-func (p *PDME) RegisterKnowledgeSource(name, description string) (oosm.ObjectID, error) {
-	return p.model.Create(KnowledgeSourceClass, map[string]any{
-		"name":        name,
-		"description": description,
-	})
 }

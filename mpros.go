@@ -13,6 +13,7 @@
 package mpros
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -93,7 +94,9 @@ func ChillerGroups() Groups {
 type StationConfig struct {
 	// Seed drives the plant's reproducible randomness.
 	Seed int64
-	// DBPath persists the DC database and ship model; empty runs in memory.
+	// DBPath persists the DC database (the §4.6 object → table store of its
+	// measurements and reports); empty runs it in memory. The PDME keeps no
+	// database: JournalDir is its durable store.
 	DBPath string
 	// VibrationInterval and ProcessInterval override the DC test schedule
 	// (zero keeps the defaults: 4h vibration, 30m process).
@@ -151,6 +154,7 @@ type Station struct {
 	Recovery pdme.RecoveryStats
 
 	node *Node
+	db   *relstore.DB
 }
 
 // NewStation assembles a station.
@@ -161,9 +165,8 @@ func NewStation(cfg StationConfig) (*Station, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Model the monitored machine itself. A persistent model (DBPath) may
-	// already hold it from a previous process life — adopt rather than
-	// accumulate twins.
+	// Model the monitored machine itself: the model is fresh at every start
+	// and row ids are per table, so it is chiller/1 in every process life.
 	var machine oosm.ObjectID
 	modelMachine := func(model *oosm.Model) error {
 		err := model.RegisterClass(oosm.Class{
@@ -176,18 +179,21 @@ func NewStation(cfg StationConfig) (*Station, error) {
 		if err != nil {
 			return err
 		}
-		if existing, err := model.FindByProp("chiller", "name", "A/C Chiller 1"); err == nil && len(existing) > 0 {
-			machine = existing[0]
-			return nil
-		}
 		machine, err = model.Create("chiller", map[string]any{
 			"name": "A/C Chiller 1", "manufacturer": "Carrier",
 		})
 		return err
 	}
-	node, err := OpenNode(cfg.DBPath, cfg.HistorianDir, cfg.Health, cfg.DedupWindow, modelMachine,
+	db := relstore.NewMemory()
+	if cfg.DBPath != "" {
+		if db, err = relstore.Open(cfg.DBPath); err != nil {
+			return nil, err
+		}
+	}
+	node, err := OpenNode(cfg.HistorianDir, cfg.Health, cfg.DedupWindow, modelMachine,
 		pdme.JournalOptions{Dir: cfg.JournalDir, CheckpointEvery: cfg.JournalCheckpointEvery}, nil)
 	if err != nil {
+		db.Close()
 		return nil, err
 	}
 	dcCfg := dc.DefaultConfig("dc-1", machine.String())
@@ -203,13 +209,14 @@ func NewStation(cfg StationConfig) (*Station, error) {
 		dcCfg.Start = cfg.Start
 	}
 	dcCfg.HeartbeatInterval = cfg.Heartbeat
-	conc, err := dc.New(dcCfg, plant, node.db, node.PDME)
+	conc, err := dc.New(dcCfg, plant, db, node.PDME)
 	if err != nil {
 		node.Close()
+		db.Close()
 		return nil, err
 	}
 	return &Station{Plant: plant, DC: conc, PDME: node.PDME, Machine: machine,
-		Historian: node.Historian, Recovery: node.Recovery, node: node}, nil
+		Historian: node.Historian, Recovery: node.Recovery, node: node, db: db}, nil
 }
 
 // InjectFault sets a failure mode's severity on the plant.
@@ -251,8 +258,8 @@ func (s *Station) OpenViews(opts ServingOptions) (*Views, error) {
 }
 
 // Close releases the PDME (writing its final checkpoint), the shared
-// historian, and the backing database.
-func (s *Station) Close() error { return s.node.Close() }
+// historian, and the DC database.
+func (s *Station) Close() error { return errors.Join(s.node.Close(), s.db.Close()) }
 
 // FleetConfig configures a multi-DC deployment reporting to one PDME over
 // TCP — the paper's distributed architecture: "Conclusions reached by these
@@ -352,7 +359,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		}
 		return err
 	}
-	node, err := OpenNode("", "", cfg.Health, cfg.DedupWindow, modelMachines, pdme.JournalOptions{}, nil)
+	node, err := OpenNode("", cfg.Health, cfg.DedupWindow, modelMachines, pdme.JournalOptions{}, nil)
 	if err != nil {
 		return nil, err
 	}

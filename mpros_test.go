@@ -94,7 +94,7 @@ func TestStationPersistence(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen: the DC database (and model tables) replay from the log.
+	// Reopen: the DC database replays from its log (the PDME keeps none).
 	s2, err := NewStation(StationConfig{Seed: 6, DBPath: path})
 	if err != nil {
 		t.Fatal(err)

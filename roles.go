@@ -36,23 +36,22 @@ type Node struct {
 	Forwarder *ShardForwarder
 	Resynced  int
 
-	db *relstore.DB
-
 	mu     sync.Mutex
 	server *proto.Server
 }
 
 // OpenNode builds a fusing PDME node. The parameters are in the order the
-// steps run: the ship-model database (dbPath empty: in memory) and the
-// historian (historianDir empty: in memory) open first; the engine is built
-// over them; health (nil: liveness tracking only, no staleness discounting)
-// and dedupWindow (0: the protocol default) are configured; populate (may be
-// nil) creates the caller's own model objects; the journal (journal.Dir
-// empty: no durability) is recovered; and forward (nil: not a shard) attaches
-// the summary forwarder and resyncs what recovery rebuilt. Nothing listens
-// yet: attach views, then call Serve. When any step fails, everything opened
-// before it is closed again.
-func OpenNode(dbPath, historianDir string, health *HealthConfig, dedupWindow int,
+// steps run: the historian (historianDir empty: in memory) opens first; the
+// engine is built over it and a ship model in memory, which is working
+// memory rebuilt at every start by populate and the journal; health (nil:
+// liveness tracking only, no staleness discounting) and dedupWindow (0: the
+// protocol default) are configured; populate (may be nil) creates the
+// caller's own model objects; the journal (journal.Dir empty: no durability)
+// is recovered; and forward (nil: not a shard) attaches the summary forwarder
+// and resyncs what recovery rebuilt. Nothing listens yet: attach views, then
+// call Serve. When any step fails, everything opened before it is closed
+// again.
+func OpenNode(historianDir string, health *HealthConfig, dedupWindow int,
 	populate func(*oosm.Model) error, journal pdme.JournalOptions, forward *ShardForwarderConfig) (_ *Node, err error) {
 	n := &Node{}
 	defer func() {
@@ -60,15 +59,10 @@ func OpenNode(dbPath, historianDir string, health *HealthConfig, dedupWindow int
 			n.Close()
 		}
 	}()
-	if dbPath == "" {
-		n.db = relstore.NewMemory()
-	} else if n.db, err = relstore.Open(dbPath); err != nil {
-		return nil, err
-	}
 	if n.Historian, err = historian.Open(historian.Options{Dir: historianDir}); err != nil {
 		return nil, err
 	}
-	model, err := oosm.NewModel(n.db)
+	model, err := oosm.NewModel(relstore.NewMemory())
 	if err != nil {
 		return nil, err
 	}
@@ -151,8 +145,8 @@ func (n *Node) StopServer() error {
 }
 
 // Close stops the report server, detaches the forwarder, closes the engine
-// (which writes the final checkpoint), then the historian and the database.
-// It is safe on a partly opened node.
+// (which writes the final checkpoint), then the historian. It is safe on a
+// partly opened node.
 func (n *Node) Close() error {
 	errs := []error{n.StopServer()}
 	if n.Forwarder != nil {
@@ -163,9 +157,6 @@ func (n *Node) Close() error {
 	}
 	if n.Historian != nil {
 		errs = append(errs, n.Historian.Close())
-	}
-	if n.db != nil {
-		errs = append(errs, n.db.Close())
 	}
 	return errors.Join(errs...)
 }
@@ -184,7 +175,11 @@ type AggregatorNode struct {
 
 // OpenAggregator builds the aggregator role listening for shard summaries
 // on listen. It holds no model and no journal: its state is a function of
-// what the shards stream up, and their spools and resyncs rebuild it.
+// what the shards stream up. After a restart it holds only what arrives
+// next: a shard's open-time Resync (so a shard that restarts re-announces
+// every pair it holds) and later summaries. A shard that stays up sends no
+// resync, so its already acknowledged pairs stay missing until their next
+// report.
 func OpenAggregator(cfg AggregatorConfig, listen string) (*AggregatorNode, error) {
 	agg, err := shard.NewAggregator(cfg)
 	if err != nil {

@@ -47,17 +47,18 @@ func sendReport(t *testing.T, addr string, r *Report) {
 	}
 }
 
-// TestRoleStationReopensIdentical: a station with a persistent model, a
+// TestRoleStationReopensIdentical: a station with a persistent DC database, a
 // disk historian, a journal and a view tier fuses a fault end to end, closes,
 // and comes back over the same directories with the same machine id, the
-// same prioritized list bit for bit, and nothing to replay — the clean
-// close checkpointed.
+// same prioritized list and browser fused section bit for bit, the DC's
+// stored reports, and nothing to replay — the clean close checkpointed. The
+// ship model is rebuilt, not reopened: only the journal restores the PDME.
 func TestRoleStationReopensIdentical(t *testing.T) {
 	dir := t.TempDir()
 	health := chaosHealthConfig()
 	cfg := StationConfig{
 		Seed:              11,
-		DBPath:            filepath.Join(dir, "ship.db"),
+		DBPath:            filepath.Join(dir, "dc.db"),
 		HistorianDir:      filepath.Join(dir, "hist"),
 		JournalDir:        filepath.Join(dir, "journal"),
 		VibrationInterval: time.Hour,
@@ -86,6 +87,11 @@ func TestRoleStationReopensIdentical(t *testing.T) {
 		t.Errorf("view tier serves %+v, engine says %+v", got, want)
 	}
 	machine, received, fleet := s.Machine, s.PDME.ReceivedReports(), s.PDME.Health().Snapshot()
+	fused := fusedSection(t, s)
+	stored, err := s.DC.StoredReports("")
+	if err != nil || len(stored) == 0 {
+		t.Fatalf("DC stored %d reports, err %v", len(stored), err)
+	}
 	views.Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -111,15 +117,37 @@ func TestRoleStationReopensIdentical(t *testing.T) {
 	if got := s2.PDME.Health().Snapshot(); !reflect.DeepEqual(got, fleet) {
 		t.Errorf("fleet health after reopen\n got %+v\nwant %+v", got, fleet)
 	}
+	if got := fusedSection(t, s2); got != fused {
+		t.Errorf("browser fused section after reopen\n got %s\nwant %s", got, fused)
+	}
+	if got, err := s2.DC.StoredReports(""); err != nil || !reflect.DeepEqual(got, stored) {
+		t.Errorf("DC stored reports after reopen: %d (err %v), had %d", len(got), err, len(stored))
+	}
+}
+
+// fusedSection is the browser's fused predictions: what knowledge fusion
+// holds for the station's machine. The report rows above it come from the
+// OOSM, which a restart rebuilds empty.
+func fusedSection(t *testing.T, s *Station) string {
+	t.Helper()
+	view, err := s.Browser()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fused, ok := strings.Cut(view, "--- fused predictions")
+	if !ok || strings.Contains(fused, "(no fused conclusions)") {
+		t.Fatalf("browser shows no fused predictions:\n%s", view)
+	}
+	return fused
 }
 
 // TestRoleShardAndAggregatorReopenIdentical: one report travels DC uplink →
 // shard node → forwarder → aggregator and is readable on the aggregator's
 // handler; then both roles are closed and rebuilt — the shard over its
-// journal and forwarding spool (no model database: Resync reads fusion state,
-// which the checkpoint restores), the aggregator from nothing on the same
-// address — and the shard's resync alone restores the aggregator's global
-// list to what it was.
+// journal and forwarding spool (Resync reads fusion state, which the
+// checkpoint restores), the aggregator from nothing on the same address —
+// and the shard's resync alone restores the aggregator's global list to what
+// it was.
 func TestRoleShardAndAggregatorReopenIdentical(t *testing.T) {
 	dir := t.TempDir()
 	agg, err := OpenAggregator(AggregatorConfig{}, "127.0.0.1:0")
@@ -128,7 +156,7 @@ func TestRoleShardAndAggregatorReopenIdentical(t *testing.T) {
 	}
 	openShard := func() *Node {
 		t.Helper()
-		n, err := OpenNode("", "", nil, 0, nil, pdme.JournalOptions{Dir: filepath.Join(dir, "journal")},
+		n, err := OpenNode("", nil, 0, nil, pdme.JournalOptions{Dir: filepath.Join(dir, "journal")},
 			&ShardForwarderConfig{
 				ShardID:        "shard-1",
 				AggregatorAddr: agg.Addr,
@@ -226,7 +254,7 @@ func openFiles(t *testing.T) int {
 // where it started and the same directories openable afterwards.
 func TestRoleConstructorFailureReleasesEverything(t *testing.T) {
 	dir := t.TempDir()
-	db, hist, journal := filepath.Join(dir, "ship.db"), filepath.Join(dir, "hist"), filepath.Join(dir, "journal")
+	hist, journal := filepath.Join(dir, "hist"), filepath.Join(dir, "journal")
 	notADir := filepath.Join(dir, "file")
 	if err := os.WriteFile(notADir, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -236,7 +264,7 @@ func TestRoleConstructorFailureReleasesEverything(t *testing.T) {
 		if spoolDir != "" {
 			forward = &ShardForwarderConfig{ShardID: "shard-1", AggregatorAddr: "127.0.0.1:1", SpoolDir: spoolDir}
 		}
-		return OpenNode(db, hist, nil, 0, nil, pdme.JournalOptions{Dir: journalDir}, forward)
+		return OpenNode(hist, nil, 0, nil, pdme.JournalOptions{Dir: journalDir}, forward)
 	}
 	// Seed the directories through a healthy node.
 	n, err := open(journal, "")
