@@ -54,7 +54,9 @@ type DiagnosticState struct {
 	TotalFused int             `json:"total_fused"`
 }
 
-// Snapshot captures the fuser's accumulated evidence for checkpointing.
+// Snapshot copies the fuser's accumulated evidence, sorted. The checkpoint
+// writes a Capture instead (capture.go); Snapshot is the reference its bytes
+// are tested against, and DiagnosticState is what Restore reads.
 func (df *DiagnosticFuser) Snapshot() DiagnosticState {
 	df.mu.RLock()
 	defer df.mu.RUnlock()
@@ -167,7 +169,8 @@ type PrognosticEntry struct {
 // by (component, condition).
 type PrognosticState []PrognosticEntry
 
-// Snapshot captures the fused prognostic vectors for checkpointing.
+// Snapshot copies the fused prognostic vectors, sorted: the reference for
+// PrognosticCapture's bytes, as DiagnosticFuser.Snapshot is for its capture.
 func (pf *PrognosticFuser) Snapshot() PrognosticState {
 	pf.mu.RLock()
 	defer pf.mu.RUnlock()

@@ -17,9 +17,11 @@
 // strictly ascend.
 //
 // After a checkpoint commits the WAL is compacted to the records above the
-// watermark. A crash between the two renames leaves stale records (jseq ≤
-// watermark) in the WAL; recovery skips them by sequence, so the pair of
-// files is consistent no matter where the crash lands.
+// watermark, copied from the WAL file itself: the journal keeps no copy of a
+// record body, only where each record above the watermark ends in the file.
+// A crash between the two renames leaves stale records (jseq ≤ watermark) in
+// the WAL; recovery skips them by sequence, so the pair of files is
+// consistent no matter where the crash lands.
 package journal
 
 import (
@@ -81,13 +83,21 @@ type Journal struct {
 
 	nextSeq uint64
 	ckpt    uint64 // watermark of the durable checkpoint (0 = none)
-	// tail mirrors the WAL records above the checkpoint watermark so
-	// compaction can rewrite the file without re-reading it. Bounded by the
-	// owner's checkpoint cadence.
-	tail []Record
+	// live locates the acknowledged WAL records above the checkpoint
+	// watermark, in order: the one after liveFrom's offset is live[0].
+	// Compaction copies them from the file. Bounded by the owner's
+	// checkpoint cadence.
+	live     []recordEnd
+	liveFrom int64
 	// failed is the first WAL write or fsync error; see AppendBatch.
 	failed error
 	frames []seglog.Record // AppendBatch's framing scratch, reused
+}
+
+// recordEnd is one WAL record's sequence and the file offset just past it.
+type recordEnd struct {
+	seq uint64
+	end int64
 }
 
 // Open opens (creating if needed) the journal in dir, recovering the
@@ -114,7 +124,9 @@ func Open(dir string) (*Journal, *Recovery, error) {
 		rec.CheckpointSeq = ckptSeq
 	}
 
-	prevSeq := uint64(0)
+	// Offsets are counted from the first record until Open returns the
+	// file's size, which fixes where that first record starts.
+	prevSeq, scanned, staleEnd := uint64(0), int64(0), int64(0)
 	j.wal, rec.TornBytes, err = seglog.Open(filepath.Join(dir, walName), walFormat, nil, func(r seglog.Record) error {
 		if r.Seq == math.MaxUint64 {
 			// A legitimate writer can never reach the last sequence;
@@ -127,20 +139,28 @@ func Open(dir string) (*Journal, *Recovery, error) {
 			return fmt.Errorf("non-ascending sequence %d after %d", r.Seq, prevSeq)
 		}
 		prevSeq = r.Seq
-		if r.Seq > j.ckpt {
+		scanned += seglog.FrameSize(len(r.Body))
+		if r.Seq <= j.ckpt {
 			// Records at or below the watermark are a crash between the
 			// checkpoint rename and the WAL compaction: already covered.
-			j.tail = append(j.tail, Record{Seq: r.Seq, Kind: r.Kind, Body: bytes.Clone(r.Body)})
+			staleEnd = scanned
+			return nil
 		}
+		rec.Tail = append(rec.Tail, Record{Seq: r.Seq, Kind: r.Kind, Body: bytes.Clone(r.Body)})
+		j.live = append(j.live, recordEnd{seq: r.Seq, end: scanned})
 		return nil
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
+	first := j.wal.Size() - scanned
+	j.liveFrom = first + staleEnd
+	for i := range j.live {
+		j.live[i].end += first
+	}
 	if prevSeq >= j.nextSeq {
 		j.nextSeq = prevSeq + 1
 	}
-	rec.Tail = append([]Record(nil), j.tail...)
 	return j, rec, nil
 }
 
@@ -199,6 +219,7 @@ func (j *Journal) AppendBatch(kind byte, bodies [][]byte) (uint64, error) {
 	for i, body := range bodies {
 		recs = append(recs, seglog.Record{Kind: kind, Seq: first + uint64(i), Body: body})
 	}
+	end := j.wal.Size()
 	err := j.wal.AppendBatch(recs)
 	if err == nil {
 		err = j.wal.Sync()
@@ -214,7 +235,8 @@ func (j *Journal) AppendBatch(kind byte, bodies [][]byte) (uint64, error) {
 	}
 	j.nextSeq = first + uint64(len(bodies))
 	for i, body := range bodies {
-		j.tail = append(j.tail, Record{Seq: first + uint64(i), Kind: kind, Body: bytes.Clone(body)})
+		end += seglog.FrameSize(len(body))
+		j.live = append(j.live, recordEnd{seq: first + uint64(i), end: end})
 	}
 	return first, nil
 }
@@ -247,21 +269,25 @@ func (j *Journal) WriteCheckpoint(seq uint64, blob []byte) error {
 	}
 	j.ckpt = seq
 
-	live := j.tail[:0]
-	for _, r := range j.tail {
-		if r.Seq > j.ckpt {
-			live = append(live, r)
-		}
+	// The records above the watermark are the last ones acknowledged: keep
+	// the file's bytes from the first of them to the end of the last.
+	covered := 0
+	for covered < len(j.live) && j.live[covered].seq <= seq {
+		covered++
 	}
-	j.tail = live
-	err = j.wal.Rewrite(func(w *seglog.Log) error {
-		for _, r := range j.tail {
-			if err := w.Append(r.Kind, r.Seq, r.Body); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	from, to := j.liveFrom, j.liveFrom
+	if covered > 0 {
+		from = j.live[covered-1].end
+	}
+	if n := len(j.live); n > 0 {
+		to = j.live[n-1].end
+	}
+	j.live = append(j.live[:0], j.live[covered:]...)
+	start, err := j.wal.RewriteRange(from, to)
+	j.liveFrom = start
+	for i := range j.live {
+		j.live[i].end += start - from
+	}
 	if err != nil {
 		return fmt.Errorf("journal: compact wal: %w", err)
 	}
@@ -303,7 +329,7 @@ func (j *Journal) CheckpointSeq() uint64 {
 func (j *Journal) SinceCheckpoint() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.tail)
+	return len(j.live)
 }
 
 // Close syncs and closes the WAL. The journal is unusable afterwards.

@@ -1,0 +1,466 @@
+package pdme
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/fusion"
+	"repro/internal/oosm"
+	"repro/internal/proto"
+	"repro/internal/relstore"
+)
+
+// referenceCheckpoint is the checkpoint's reference encoding: json.Marshal of
+// the state the Snapshot, State and ExportState methods return. Callers hold
+// acceptMu's write side.
+func (p *PDME) referenceCheckpoint() ([]byte, error) {
+	return json.Marshal(checkpointState{
+		Received: p.ReceivedReports(),
+		Dedup:    p.dedupHandle().State(),
+		Diag:     p.diag.Snapshot(),
+		Prog:     p.prog.Snapshot(),
+		Health:   p.Health().ExportState(),
+	})
+}
+
+// checkpointBytes returns what Checkpoint writes for p's state and the
+// reference encoding, both taken in one locked section.
+func checkpointBytes(t testing.TB, p *PDME) (got, want []byte) {
+	t.Helper()
+	p.acceptMu.Lock()
+	c := p.captureCheckpoint()
+	want, werr := p.referenceCheckpoint()
+	p.acceptMu.Unlock()
+	got, err := c.appendJSON(nil)
+	if err != nil || werr != nil {
+		t.Fatalf("writer error %v, reference error %v", err, werr)
+	}
+	return got, want
+}
+
+// oddGroups names conditions and groups with everything encoding/json
+// escapes: HTML characters, quotes, control characters, U+2028/2029 and
+// invalid UTF-8.
+func oddGroups() fusion.Groups {
+	return fusion.Groups{
+		"g<&>":          {"c\"quoted\\", "c\u2028line", "c\x01\x1f\x7f"},
+		"g\u2029\xff":   {"c\xff\xfe bad", "c\tab\b\f\n\r"},
+		"plain <group>": {"ascii"},
+	}
+}
+
+func newOddPDME(t testing.TB) *PDME {
+	t.Helper()
+	model, err := oosm.NewModel(relstore.NewMemory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(model, oddGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// checkpointShapes are engine states the writer must encode exactly as the
+// reference does.
+var checkpointShapes = []struct {
+	name  string
+	odd   bool // built over oddGroups
+	build func(t testing.TB, p *PDME)
+}{
+	{"empty engine", false, func(testing.TB, *PDME) {}},
+	{"no prognostics", false, func(t testing.TB, p *PDME) {
+		t0 := time.Date(1998, 8, 15, 12, 0, 0, 0, time.UTC)
+		for i, r := range journalFixtureReports(t0) {
+			r.Prognostics = nil
+			if err := p.DeliverTagged(r, "dc-1", 3, uint64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}},
+	{"journal fixture", false, func(t testing.TB, p *PDME) {
+		deliverFixture(t, p, time.Date(1998, 8, 15, 12, 0, 0, 123456789, time.UTC))
+	}},
+	{"anonymous source, zero and zoned timestamps", false, func(t testing.TB, p *PDME) {
+		zoned := time.Date(2001, 2, 3, 4, 5, 6, 700, time.FixedZone("IST", 5*3600+1800))
+		for _, r := range []struct {
+			source string
+			at     time.Time
+		}{{"", time.Time{}}, {"", zoned}, {"ks/dli", time.Time{}}, {"ks/dli", zoned}, {"ks/west", zoned.In(time.FixedZone("", -7*3600))}} {
+			if _, err := p.diag.AddReportFrom("pump/9", "oil whirl", r.source, r.at, 0.4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := p.diag.AddReport("pump/9", "motor imbalance", 0.999); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"dedup window across a boot change", false, func(t testing.TB, p *PDME) {
+		p.ConfigureDedup(8)
+		d := p.dedupHandle()
+		for seq := uint64(1); seq <= 20; seq++ {
+			d.Mark("dc-1", 1, seq)
+		}
+		for _, seq := range []uint64{3, 1, 2, 7} {
+			d.Mark("dc-1", 2, seq) // the boot change resets the window
+		}
+		for _, seq := range []uint64{1 << 40, 5, 1<<40 - 3} {
+			d.Mark("dc-0", 9, seq)
+		}
+		d.Mark("dc-2", 0, 0)
+		d.Seen("dc-1", 2, 3) // one hit
+	}},
+	{"heartbeats with suites and restarts", false, func(t testing.TB, p *PDME) {
+		t0 := time.Date(1998, 8, 15, 12, 0, 0, 0, time.UTC)
+		for i, inc := range []uint64{1, 1, 2, 3, 3} {
+			hb := &proto.Heartbeat{DCID: "dc-7", Boot: 4, Incarnation: inc, SentAt: t0.Add(time.Duration(i) * time.Minute), SpoolDepth: i,
+				Suites: []proto.SuiteStatus{{Name: "vibration-test", LastRun: t0, Runs: int64(i)}, {Name: "never-ran"}}}
+			if err := p.ObserveHeartbeat(hb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.ObserveHeartbeat(&proto.Heartbeat{DCID: "dc-3", SentAt: t0}); err != nil {
+			t.Fatal(err)
+		}
+		p.Health().ObserveReport("dc-3", "ks/fuzzy", t0.Add(time.Second))
+	}},
+	{"names encoding/json escapes", true, func(t testing.TB, p *PDME) {
+		at := time.Date(1998, 8, 15, 12, 0, 0, 0, time.UTC)
+		for i, g := range []string{"c\"quoted\\", "c\u2028line", "c\x01\x1f\x7f", "c\xff\xfe bad", "c\tab\b\f\n\r", "ascii"} {
+			for _, comp := range []string{"m<1>&\u2029", "m\"2\"", "m\xc3"} {
+				for _, src := range []string{"ks\t\"<x>\\", "ks/\u00e9t\u00e9", ""} {
+					if _, err := p.diag.AddReportFrom(comp, g, src, at.Add(time.Duration(i)*time.Second), 0.3); err != nil {
+						t.Fatal(err)
+					}
+				}
+				vec := proto.PrognosticVector{{Probability: 0.2, HorizonSeconds: 3600}}
+				if _, err := p.prog.AddReport(comp, g, vec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.dedupHandle().Mark("dc\x00<&>\u2028", 1, uint64(i+1))
+		}
+		if err := p.ObserveHeartbeat(&proto.Heartbeat{DCID: "dc<\xff>", SentAt: at,
+			Suites: []proto.SuiteStatus{{Name: "s&\u2029"}}}); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"restored extremes", false, func(t testing.TB, p *PDME) {
+		zero := time.Time{}
+		st := checkpointState{
+			Received: 1 << 40,
+			Dedup:    proto.DedupState{Hits: 1<<63 - 1, DCs: []proto.DedupDCState{{DCID: "dc-1", Boot: 1<<64 - 1, MaxSeq: 4}}},
+			Diag: fusion.DiagnosticState{TotalFused: 7, Groups: []fusion.GroupSnapshot{
+				{Component: "m/1", Group: "structural", Sources: []fusion.SourceSnapshot{
+					{Source: "ks/a", Focal: []fusion.FocalMass{
+						{Members: []string{"motor imbalance"}, Mass: 1e-7},
+						{Members: []string{"motor misalignment"}, Mass: 1e21},
+						{Members: []string{"motor imbalance", "motor misalignment"}, Mass: 5e-324},
+						{Members: []string{"motor imbalance", "motor misalignment", "__other__"}, Mass: 0.1 + 0.2},
+					}},
+					{Source: "ks/b", LastReport: time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC), Conditions: []string{"motor imbalance"}},
+					{Source: "ks/c", Focal: []fusion.FocalMass{{Members: []string{"__other__"}, Mass: 1.7976931348623157e308}}},
+				},
+					Reports: map[string]int{"motor imbalance": 3, "motor misalignment": 0},
+					Newest:  map[string]time.Time{"motor imbalance": zero, "motor misalignment": time.Date(0, 1, 1, 0, 0, 0, 1, time.UTC)}},
+				{Component: "m/2", Group: "lubricant"},
+				{Component: "", Group: "electrical", Sources: []fusion.SourceSnapshot{{Source: "x", Focal: []fusion.FocalMass{{Members: []string{"motor rotor bar problem"}, Mass: 123456789.125}}}}},
+			}},
+			Prog: fusion.PrognosticState{
+				{Component: "m/1", Condition: "oil whirl", Vector: proto.PrognosticVector{{Probability: 1e-7, HorizonSeconds: 1e21}, {Probability: 1, HorizonSeconds: 1.5e300}}},
+				{Component: "m/0", Condition: "oil whirl", Vector: proto.PrognosticVector{}},
+			},
+		}
+		if err := p.restoreCheckpoint(st); err != nil {
+			t.Fatal(err)
+		}
+	}},
+}
+
+func buildShape(t testing.TB, odd bool, build func(testing.TB, *PDME)) *PDME {
+	t.Helper()
+	var p *PDME
+	if odd {
+		p = newOddPDME(t)
+	} else {
+		p = newTestPDME(t)
+	}
+	build(t, p)
+	return p
+}
+
+// TestCheckpointBytesMatchReference: for every engine shape the checkpoint
+// writer's bytes are json.Marshal's of the reference state, so a checkpoint
+// written by either encoder loads wherever the other's does.
+func TestCheckpointBytesMatchReference(t *testing.T) {
+	for _, sh := range checkpointShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			p := buildShape(t, sh.odd, sh.build)
+			got, want := checkpointBytes(t, p)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("writer and reference differ at byte %d:\n got %s\nwant %s", firstDiff(got, want), got, want)
+			}
+		})
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestCheckpointWriterRefusesWhatMarshalRefuses: a time json.Marshal cannot
+// write fails the writer too, rather than producing a checkpoint the
+// reference would not.
+func TestCheckpointWriterRefusesWhatMarshalRefuses(t *testing.T) {
+	for _, at := range []time.Time{
+		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2000, 1, 1, 0, 0, 0, 0, time.FixedZone("", -25*3600)),
+		time.Date(2000, 1, 1, 0, 0, 0, 0, time.FixedZone("", 24*3600)),
+	} {
+		p := newTestPDME(t)
+		if _, err := p.diag.AddReportFrom("m/1", "oil whirl", "ks/a", at, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		p.acceptMu.Lock()
+		c := p.captureCheckpoint()
+		_, werr := p.referenceCheckpoint()
+		p.acceptMu.Unlock()
+		if _, err := c.appendJSON(nil); err == nil || werr == nil {
+			t.Errorf("time %v: writer error %v, reference error %v; want both to fail", at, err, werr)
+		}
+	}
+}
+
+// FuzzCheckpointJSON: any checkpoint that restores is written back by the
+// writer exactly as by json.Marshal of the restored engine's reference state.
+func FuzzCheckpointJSON(f *testing.F) {
+	for _, sh := range checkpointShapes {
+		if sh.odd {
+			continue
+		}
+		p := buildShape(f, false, sh.build)
+		p.acceptMu.Lock()
+		blob, err := p.referenceCheckpoint()
+		p.acceptMu.Unlock()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Add([]byte(`{"diag":{"groups":[{"component":"<\u2028>","group":"lubricant","sources":[{"source":"\ufffd","focal":[{"members":["oil whirl"],"mass":1e-7}]}]}]}}`))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var st checkpointState
+		if json.Unmarshal(blob, &st) != nil {
+			return
+		}
+		p := newTestPDME(t)
+		if p.restoreCheckpoint(st) != nil {
+			return
+		}
+		p.acceptMu.Lock()
+		c := p.captureCheckpoint()
+		want, werr := p.referenceCheckpoint()
+		p.acceptMu.Unlock()
+		got, err := c.appendJSON(nil)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("writer error %v, reference error %v", err, werr)
+		}
+		if err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("writer and reference differ at byte %d:\n got %s\nwant %s", firstDiff(got, want), got, want)
+		}
+	})
+}
+
+// TestCheckpointCaptureConsistentUnderDelivery: what the checkpoint captured
+// under the accept lock is what it writes, although deliveries to the very
+// same pairs, sources and DCs go on while it formats.
+func TestCheckpointCaptureConsistentUnderDelivery(t *testing.T) {
+	p := newTestPDME(t)
+	t0 := time.Date(1998, 8, 15, 12, 0, 0, 0, time.UTC)
+	vec := proto.PrognosticVector{{Probability: 0.3, HorizonSeconds: 24 * 3600}, {Probability: 0.8, HorizonSeconds: 96 * 3600}}
+	sources := []string{"ks/dli", "ks/sbfr", "ks/fuzzy"}
+	conds := []string{"motor imbalance", "oil whirl", "stator electrical unbalance", "motor misalignment"}
+	seq := uint64(0)
+	deliver := func(round int) error {
+		for m := range 8 {
+			for i, cond := range conds {
+				seq++
+				at := t0.Add(time.Duration(round)*time.Hour + time.Duration(i)*time.Second)
+				r := report(sources[(m+i+round)%len(sources)], fmt.Sprintf("motor/%d", m), cond, 0.5, 0.2+0.1*float64(round%5), at, vec)
+				if err := p.DeliverTagged(r, fmt.Sprintf("dc-%d", m%3), 1, seq); err != nil {
+					return err
+				}
+			}
+		}
+		return p.ObserveHeartbeat(&proto.Heartbeat{DCID: "dc-0", SentAt: t0.Add(time.Duration(round) * time.Hour), Incarnation: uint64(round/3 + 1)})
+	}
+	for round := range 3 {
+		if err := deliver(round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.acceptMu.Lock()
+	c := p.captureCheckpoint()
+	want, err := p.referenceCheckpoint()
+	p.acceptMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first round after the capture lands before the encode starts, so a
+	// capture that shares what deliveries change cannot pass by luck; the
+	// rest run while it formats.
+	moved, done := make(chan error, 1), make(chan error, 1)
+	go func() {
+		moved <- deliver(3)
+		var err error
+		for round := 4; round < 12 && err == nil; round++ {
+			err = deliver(round)
+		}
+		done <- err
+	}()
+	if err := <-moved; err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.appendJSON(nil)
+	if derr := <-done; derr != nil {
+		t.Fatal(derr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the encode saw deliveries made after the capture (first difference at byte %d)", firstDiff(got, want))
+	}
+}
+
+// TestCheckpointSuccessClearsStaleFailure: a failed automatic checkpoint is
+// reported by JournalError only until a later one succeeds — a daemon must
+// not keep printing a failure the journal has since recovered from.
+func TestCheckpointSuccessClearsStaleFailure(t *testing.T) {
+	dir := t.TempDir()
+	p := newJournaledPDME(t, dir, 4)
+	defer p.Close()
+	// A non-empty directory where the checkpoint's temp file goes: the
+	// stale-temp cleanup cannot remove it, so the checkpoint fails.
+	blocker := filepath.Join(dir, "checkpoint.mprosc.tmp")
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(1998, 8, 15, 12, 0, 0, 0, time.UTC)
+	for i := range 5 {
+		r := report("ks/dli", "motor/1", "motor imbalance", 0.5, 0.4, t0.Add(time.Duration(i)*time.Minute), nil)
+		if err := p.DeliverTagged(r, "dc-1", 1, uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.JournalError() == nil {
+		t.Fatal("the automatic checkpoint succeeded with a directory in its temp file's place")
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	for i := 5; i < 13; i++ {
+		r := report("ks/dli", "motor/1", "motor imbalance", 0.5, 0.4, t0.Add(time.Duration(i)*time.Minute), nil)
+		if err := p.DeliverTagged(r, "dc-1", 1, uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, ckpt, _ := p.JournalInfo(); ckpt == 0 {
+		t.Fatal("no checkpoint succeeded after the blocker was removed")
+	}
+	if err := p.JournalError(); err != nil {
+		t.Fatalf("JournalError after a successful checkpoint = %v, want nil", err)
+	}
+}
+
+// TestCheckpointAllocBudget: at the fleet shape the benchmark's durable
+// ingest runs — 128 chillers, 12 conditions in 4 groups, 4 knowledge sources,
+// two DCs with full dedup windows — one steady-state Checkpoint allocates at
+// most 2.5 times the checkpoint it writes: one buffer for the bytes, the
+// capture's copies, and little else.
+func TestCheckpointAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills a 128-machine engine")
+	}
+	groups := fusion.Groups{}
+	var conds []string
+	for g := range 4 {
+		for c := range 3 {
+			name := fmt.Sprintf("condition %c%d", 'a'+g, c)
+			groups[fmt.Sprintf("group %d", g)] = append(groups[fmt.Sprintf("group %d", g)], name)
+			conds = append(conds, name)
+		}
+	}
+	model, err := oosm.NewModel(relstore.NewMemory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(model, groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ConfigureDedup(1024)
+	dir := t.TempDir()
+	if _, err := p.OpenJournal(JournalOptions{Dir: dir, CheckpointEvery: -1}); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	rng := rand.New(rand.NewSource(1))
+	ks := []string{"ks/dli", "ks/fuzzy", "ks/sbfr", "ks/wnn"}
+	t0 := time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC)
+	seqs := [2]uint64{}
+	run := make([]proto.Delivery, 0, 512)
+	for i := range 24 * 1024 {
+		dc := i % 2
+		seqs[dc]++
+		p1 := 0.1 + 0.4*rng.Float64()
+		r := report(ks[rng.Intn(len(ks))], fmt.Sprintf("chiller/%d", rng.Intn(128)), conds[rng.Intn(len(conds))],
+			0.5, 0.3+0.6*rng.Float64(), t0.Add(time.Duration(i)*time.Second),
+			proto.PrognosticVector{{Probability: p1, HorizonSeconds: 86400 * float64(3+rng.Intn(28))}})
+		run = append(run, proto.Delivery{Report: r, DCID: fmt.Sprintf("dc-%d", dc), Boot: 1, Seq: seqs[dc]})
+		if len(run) == cap(run) {
+			p.DeliverBatch(run)
+			for _, d := range run {
+				if d.Err != nil {
+					t.Fatal(d.Err)
+				}
+			}
+			run = run[:0]
+		}
+	}
+	if err := p.Checkpoint(); err != nil { // sizes the next one's buffer
+		t.Fatal(err)
+	}
+	if err := p.DeliverTagged(report("ks/dli", "chiller/1", conds[0], 0.5, 0.5, t0, nil), "dc-0", 1, seqs[0]+1); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	fi, err := os.Stat(filepath.Join(dir, "checkpoint.mprosc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	ratio := float64(alloc) / float64(fi.Size())
+	t.Logf("one checkpoint of %d bytes allocated %d bytes (%.2f×)", fi.Size(), alloc, ratio)
+	if ratio > 2.5 {
+		t.Errorf("one checkpoint of %d bytes allocated %d bytes, %.2f× its size; budget 2.5×", fi.Size(), alloc, ratio)
+	}
+}

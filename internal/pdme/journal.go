@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/fusion"
@@ -23,14 +24,16 @@ import (
 //
 // Consistency: deliveries hold acceptMu (read side) across journal append
 // + fusion mutation + dedup mark; Checkpoint takes the write side, so the
-// watermark it pins and the state it snapshots describe the same accepted
-// prefix. Replay re-applies only fusion effects (diagnostic/prognostic
-// evidence, conclusion objects, health observations, dedup marks, the
-// severity history) — it does not re-post report objects into the OOSM,
-// because Ranked/Belief output is a pure function of the fusion state. The
-// journal is the engine's one durable store: the OOSM is working memory, so
-// after a restart the repository holds the reports that arrived since, and
-// the DC databases keep every report.
+// watermark it pins and the state it captures describe the same accepted
+// prefix. The capture copies only what a later delivery changes in place and
+// shares the rest (fusion.DiagnosticCapture); the checkpoint is formatted
+// after the lock is released. Replay re-applies only fusion effects
+// (diagnostic/prognostic evidence, conclusion objects, health observations,
+// dedup marks, the severity history) — it does not re-post report objects
+// into the OOSM, because Ranked/Belief output is a pure function of the
+// fusion state. The journal is the engine's one durable store: the OOSM is
+// working memory, so after a restart the repository holds the reports that
+// arrived since, and the DC databases keep every report.
 
 // Journal record kinds. A frame record's body is the report frame as the
 // server received it, which replay decodes with the server's own decoder.
@@ -48,7 +51,10 @@ const DefaultCheckpointEvery = 1024
 // checkpointState is the checkpoint blob: every piece of derived state a
 // crash would otherwise lose. JSON keeps float64 bit-exact (Go emits the
 // shortest uniquely-decoding representation), which recovery's
-// bit-for-bit Ranked/Belief guarantee rests on.
+// bit-for-bit Ranked/Belief guarantee rests on. Recovery decodes it;
+// Checkpoint writes a checkpointCapture, byte for byte json.Marshal of this
+// struct filled from the Snapshot, State and ExportState methods at the same
+// moment, which stay as that reference.
 type checkpointState struct {
 	Received int                    `json:"received"`
 	Dedup    proto.DedupState       `json:"dedup"`
@@ -119,6 +125,9 @@ func (p *PDME) OpenJournal(opts JournalOptions) (RecoveryStats, error) {
 		return stats, fmt.Errorf("pdme: journal %s: the WAL tail holds %d report record(s) in the previous release's format; recover it with the binary that wrote it and stop that cleanly (final checkpoint), then start this one", opts.Dir, parentRecords)
 	}
 	if rec.Checkpoint != nil {
+		p.mu.Lock()
+		p.checkpointLen = len(rec.Checkpoint)
+		p.mu.Unlock()
 		var st checkpointState
 		if err := json.Unmarshal(rec.Checkpoint, &st); err != nil {
 			_ = jr.Close() // best effort: the decode error is the story
@@ -219,9 +228,61 @@ func (p *PDME) replaySeverity(component, condition string, at time.Time, severit
 	return p.observeSeverity(component, condition, at, severity)
 }
 
-// Checkpoint quiesces the accept path, snapshots the full derived state at
+// checkpointCapture is the derived state as Checkpoint found it under the
+// accept lock's write side; appendJSON formats it once the lock is released.
+type checkpointCapture struct {
+	received int
+	dedup    proto.DedupCapture
+	diag     *fusion.DiagnosticCapture
+	prog     fusion.PrognosticCapture
+	health   health.RegistryState
+}
+
+// captureCheckpoint takes what a checkpoint holds. Callers hold acceptMu's
+// write side, so nothing it reads is mid-delivery.
+func (p *PDME) captureCheckpoint() checkpointCapture {
+	return checkpointCapture{
+		received: p.ReceivedReports(),
+		dedup:    p.dedupHandle().Capture(),
+		diag:     p.diag.Capture(),
+		prog:     p.prog.Capture(),
+		health:   p.Health().ExportState(),
+	}
+}
+
+// appendJSON appends the capture exactly as json.Marshal writes the
+// checkpointState of the same moment. The health block is small and goes
+// through json.Marshal itself.
+func (c *checkpointCapture) appendJSON(dst []byte) ([]byte, error) {
+	healthJSON, err := json.Marshal(c.health)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, `{"received":`...)
+	dst = strconv.AppendInt(dst, int64(c.received), 10)
+	dst = append(dst, `,"dedup":`...)
+	dst = c.dedup.AppendJSON(dst)
+	dst = append(dst, `,"diag":`...)
+	if dst, err = c.diag.AppendJSON(dst); err != nil {
+		return dst, err
+	}
+	if len(c.prog) > 0 {
+		dst = append(dst, `,"prog":`...)
+		if dst, err = c.prog.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	dst = append(dst, `,"health":`...)
+	dst = append(dst, healthJSON...)
+	return append(dst, '}'), nil
+}
+
+// Checkpoint quiesces the accept path, captures the full derived state at
 // the current journal watermark, and durably replaces the checkpoint file
 // (after which the WAL is compacted to the records above the watermark).
+// The checkpoint is written into one buffer sized from the last one, which
+// the file takes as it is. A success clears an earlier checkpoint's failure
+// from JournalError.
 func (p *PDME) Checkpoint() error {
 	jr := p.journalHandle()
 	if jr == nil {
@@ -234,19 +295,23 @@ func (p *PDME) Checkpoint() error {
 		p.acceptMu.Unlock()
 		return nil
 	}
-	st := checkpointState{
-		Received: p.ReceivedReports(),
-		Dedup:    p.dedupHandle().State(),
-		Diag:     p.diag.Snapshot(),
-		Prog:     p.prog.Snapshot(),
-		Health:   p.Health().ExportState(),
-	}
+	c := p.captureCheckpoint()
 	p.acceptMu.Unlock()
-	blob, err := json.Marshal(st)
+	p.mu.Lock()
+	size := p.checkpointLen
+	p.mu.Unlock()
+	blob, err := c.appendJSON(make([]byte, 0, size+size/8))
 	if err != nil {
 		return fmt.Errorf("pdme: encode checkpoint: %w", err)
 	}
-	return jr.WriteCheckpoint(seq, blob)
+	if err := jr.WriteCheckpoint(seq, blob); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	p.checkpointLen = len(blob)
+	p.journalErr = nil
+	p.mu.Unlock()
+	return nil
 }
 
 // maybeCheckpoint runs an automatic checkpoint when the journal tail has

@@ -47,7 +47,7 @@ func journalFixtureReports(t0 time.Time) []*proto.Report {
 	}
 }
 
-func deliverFixture(t *testing.T, p *PDME, t0 time.Time) {
+func deliverFixture(t testing.TB, p *PDME, t0 time.Time) {
 	t.Helper()
 	for i, r := range journalFixtureReports(t0) {
 		if err := p.DeliverTagged(r, "dc-1", 7, uint64(i+1)); err != nil {

@@ -123,7 +123,10 @@ type PDME struct {
 	// by mu like the other handles.
 	jrnl            *journal.Journal
 	checkpointEvery int
-	journalErr      error
+	// checkpointLen is the last checkpoint's length: the next one's buffer
+	// is sized from it. The buffer itself is not kept.
+	checkpointLen int
+	journalErr    error
 	// ckptFlight keeps automatic checkpoints single-flight.
 	ckptFlight sync.Mutex
 }

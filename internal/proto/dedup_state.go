@@ -1,6 +1,11 @@
 package proto
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+	"strconv"
+)
 
 // DedupState is a serializable snapshot of a Dedup window, part of the
 // PDME's durable checkpoint: recovering it is what lets a restarted PDME
@@ -20,8 +25,10 @@ type DedupDCState struct {
 	Seen   []uint64 `json:"seen,omitempty"`
 }
 
-// State snapshots the window for checkpointing. DCs and sequences are
-// sorted so identical windows encode identically.
+// State snapshots the window, DCs and sequences sorted so identical windows
+// encode identically. The checkpoint writes a Capture instead; State is the
+// reference its bytes are tested against, and what Restore reads is State's
+// JSON.
 func (d *Dedup) State() DedupState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -55,4 +62,74 @@ func (d *Dedup) Restore(st DedupState) {
 		w.prune(0, w.floor(d.window))
 		d.dcs[dc.DCID] = w
 	}
+}
+
+// DedupCapture is a window copied for the checkpoint writer: State's content,
+// unsorted, with every DC's sequences in one backing array, so the copy is all
+// the caller's lock pays for. AppendJSON sorts it and writes it.
+type DedupCapture struct {
+	hits int64
+	dcs  []DedupDCState
+}
+
+// Capture copies the window.
+func (d *Dedup) Capture() DedupCapture {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	for _, w := range d.dcs {
+		n += len(w.seen)
+	}
+	seen := make([]uint64, 0, n)
+	c := DedupCapture{hits: d.hits, dcs: make([]DedupDCState, 0, len(d.dcs))}
+	for dcid, w := range d.dcs {
+		lo := len(seen)
+		for s := range w.seen {
+			seen = append(seen, s)
+		}
+		c.dcs = append(c.dcs, DedupDCState{DCID: dcid, Boot: w.boot, MaxSeq: w.maxSeq, Seen: seen[lo:len(seen):len(seen)]})
+	}
+	return c
+}
+
+// AppendJSON appends the captured window exactly as json.Marshal writes the
+// State taken at the same moment. It sorts the capture in place.
+func (c *DedupCapture) AppendJSON(dst []byte) []byte {
+	slices.SortFunc(c.dcs, func(a, b DedupDCState) int { return cmp.Compare(a.DCID, b.DCID) })
+	dst = append(dst, '{')
+	if c.hits != 0 {
+		dst = append(dst, `"hits":`...)
+		dst = strconv.AppendInt(dst, c.hits, 10)
+	}
+	if len(c.dcs) > 0 {
+		if c.hits != 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `"dcs":[`...)
+		for i, dc := range c.dcs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"dcid":`...)
+			dst = AppendMarshalString(dst, dc.DCID)
+			dst = append(dst, `,"boot":`...)
+			dst = strconv.AppendUint(dst, dc.Boot, 10)
+			dst = append(dst, `,"max_seq":`...)
+			dst = strconv.AppendUint(dst, dc.MaxSeq, 10)
+			if len(dc.Seen) > 0 {
+				slices.Sort(dc.Seen)
+				dst = append(dst, `,"seen":[`...)
+				for k, s := range dc.Seen {
+					if k > 0 {
+						dst = append(dst, ',')
+					}
+					dst = strconv.AppendUint(dst, s, 10)
+				}
+				dst = append(dst, ']')
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
 }

@@ -25,7 +25,9 @@ import (
 //
 // AppendPrognosticsJSON is the other hand encoder: the PDME's OOSM holds each
 // prognostic vector as JSON text, and that text must stay byte-identical to
-// json.Marshal's, float formatting included.
+// json.Marshal's, float formatting included. AppendMarshalFloat,
+// AppendMarshalString and AppendMarshalTime are its byte-exact pieces, which
+// the PDME's checkpoint writer shares.
 
 // hexDigits is the lowercase alphabet used for \u00xx escapes, as
 // encoding/json emits them.
@@ -211,11 +213,11 @@ func AppendPrognosticsJSON(dst []byte, v PrognosticVector) ([]byte, error) {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"probability":`...)
-		if dst, err = appendMarshalFloat(dst, p.Probability); err != nil {
+		if dst, err = AppendMarshalFloat(dst, p.Probability); err != nil {
 			return dst, err
 		}
 		dst = append(dst, `,"time":`...)
-		if dst, err = appendMarshalFloat(dst, p.HorizonSeconds); err != nil {
+		if dst, err = AppendMarshalFloat(dst, p.HorizonSeconds); err != nil {
 			return dst, err
 		}
 		dst = append(dst, '}')
@@ -223,12 +225,13 @@ func AppendPrognosticsJSON(dst []byte, v PrognosticVector) ([]byte, error) {
 	return append(dst, ']'), nil
 }
 
-// appendMarshalFloat appends a float64 as encoding/json formats one: like
+// AppendMarshalFloat appends a float64 as encoding/json formats one: like
 // ES6, 'f' except for magnitudes below 1e-6 or from 1e21 on, which take 'e'
-// with a two-digit negative exponent trimmed (e-07 → e-7).
-func appendMarshalFloat(dst []byte, f float64) ([]byte, error) {
+// with a two-digit negative exponent trimmed (e-07 → e-7). NaN and infinities
+// are refused, as json.Marshal refuses them.
+func AppendMarshalFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return dst, fmt.Errorf("proto: unsupported value %g in prognostic vector", f)
+		return dst, fmt.Errorf("proto: unsupported value %g in JSON", f)
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -240,4 +243,70 @@ func appendMarshalFloat(dst []byte, f float64) ([]byte, error) {
 		dst = dst[:n-1]
 	}
 	return dst, nil
+}
+
+// AppendMarshalString appends s quoted exactly as json.Marshal writes a
+// string: quote, backslash and control characters escaped (\b \f \n \r \t
+// by name, the rest as \u00xx), HTML's < > & as \u003c \u003e \u0026,
+// U+2028 and U+2029 as \u2028 and \u2029, and each byte of invalid UTF-8 as
+// \ufffd. appendJSONString, the frame encoder's, matches it by decoded value
+// only.
+func AppendMarshalString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// AppendMarshalTime appends t exactly as json.Marshal writes a time.Time —
+// quoted RFC 3339 with nanoseconds — and refuses what it refuses: a year
+// outside [0, 9999], or a zone offset of 24 hours or more.
+func AppendMarshalTime(dst []byte, t time.Time) ([]byte, error) {
+	if _, offset := t.Zone(); offset <= -24*3600 || offset >= 24*3600 {
+		return dst, fmt.Errorf("proto: timestamp zone offset %ds outside RFC 3339 range", offset)
+	}
+	return appendJSONTime(dst, t)
 }

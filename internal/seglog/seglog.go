@@ -22,7 +22,11 @@
 //
 // Replacing a file (compaction, checkpoint) goes temp file → fsync → rename
 // → directory fsync; a stale temp left by a crash mid-replace is removed on
-// the next open.
+// the next open. Nothing reads the temp before the rename commits it whole,
+// so a large record may reach it in more than one write, straight from the
+// caller's buffer rather than through a frame copy; and a compaction that
+// keeps a run of records copies their bytes from the old file (RewriteRange)
+// rather than from memory.
 //
 // A Log has no lock and starts no goroutine: each owner already serialises
 // its appends under its own mutex.
@@ -34,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -79,6 +84,10 @@ type Log struct {
 	meta []byte
 	f    *os.File
 	buf  []byte // frames of the last append, reused
+	// size is the offset just past the last append that completed.
+	size int64
+	// staged marks the temp file replace builds: see Append.
+	staged bool
 }
 
 // Open opens the log at path for append, creating it with meta in its header
@@ -103,7 +112,7 @@ func Open(path string, ft Format, meta []byte, visit func(Record) error) (*Log, 
 	if err != nil {
 		return nil, 0, fmt.Errorf("seglog: open %s: %w", path, err)
 	}
-	l := &Log{path: path, ft: ft, meta: onDisk, f: f}
+	l := &Log{path: path, ft: ft, meta: onDisk, f: f, size: int64(good)}
 	torn := int64(len(data) - good)
 	if torn > 0 {
 		if err := f.Truncate(int64(good)); err != nil {
@@ -205,13 +214,48 @@ func (l *Log) writeHeader() error {
 	if _, err := l.f.Write(hdr); err != nil {
 		return fmt.Errorf("seglog: write header of %s: %w", l.path, err)
 	}
+	l.size = int64(len(hdr))
 	return nil
 }
 
+// Size returns the offset just past the last append that completed: the
+// header plus every whole record written through this handle or found by
+// Open. A record of n body bytes takes FrameSize(n) of it.
+func (l *Log) Size() int64 { return l.size }
+
+// FrameSize is how many bytes of the file a record with a body of n bytes
+// takes.
+func FrameSize(n int) int64 { return int64(recFrame + n) }
+
 // Append frames one record and hands it to the file in a single write. It
-// does not fsync; callers that acknowledge the record follow with Sync.
+// does not fsync; callers that acknowledge the record follow with Sync. On
+// the log a Rewrite or WriteFile is building, a body over the frame buffer's
+// retained size is written in place between its header and its CRC instead:
+// the rename publishes the file whole, so the record need not reach it in
+// one write, and the body is not copied.
 func (l *Log) Append(kind byte, seq uint64, body []byte) error {
+	if l.staged && len(body) > retainFrame && len(body) <= l.ft.MaxBody {
+		return l.appendInPlace(kind, seq, body)
+	}
 	return l.AppendBatch([]Record{{Kind: kind, Seq: seq, Body: body}})
+}
+
+// appendInPlace writes one record as header, body and CRC, in three writes.
+func (l *Log) appendInPlace(kind byte, seq uint64, body []byte) error {
+	var hdr [recHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:], recMagic)
+	hdr[4] = kind
+	binary.LittleEndian.PutUint64(hdr[5:], seq)
+	binary.LittleEndian.PutUint32(hdr[13:], uint32(len(body)))
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.Update(crc32.ChecksumIEEE(hdr[4:]), crc32.IEEETable, body))
+	for _, part := range [][]byte{hdr[:], body, crc[:]} {
+		if _, err := l.f.Write(part); err != nil {
+			return fmt.Errorf("seglog: append to %s: %w", l.path, err)
+		}
+	}
+	l.size += FrameSize(len(body))
+	return nil
 }
 
 // ErrBodyTooLarge is wrapped by an append refused for a body over the
@@ -249,6 +293,7 @@ func (l *Log) AppendBatch(recs []Record) error {
 	if _, err := l.f.Write(buf); err != nil {
 		return fmt.Errorf("seglog: append to %s: %w", l.path, err)
 	}
+	l.size += int64(len(buf))
 	return nil
 }
 
@@ -277,23 +322,57 @@ func (l *Log) Close() error {
 // is swapped last: when Rewrite fails before the rename, the log still
 // appends to the old file and the temp file is gone.
 func (l *Log) Rewrite(emit func(*Log) error) error {
-	f, err := replace(l.path, l.ft, l.meta, emit)
-	if f != nil {
+	w, err := replace(l.path, l.ft, l.meta, emit)
+	if w != nil {
 		// The rename happened: path now names the new file, and the handle
 		// it was written through is already positioned for append.
 		_ = l.f.Close() // best effort: the old file is unlinked
-		l.f = f
+		l.f, l.size = w.f, w.size
 	}
 	return err
+}
+
+// RewriteRange is the Rewrite whose records are the bytes [from, to) of the
+// current file, copied file to file: a compaction that keeps a run of whole
+// records, with from and to taken from Size at the ends of appends. The range
+// must lie between the header and Size. It returns where the kept bytes start
+// in the file the log now appends to, failed or not: right after the header
+// once the new file is renamed in, still from when it is not.
+func (l *Log) RewriteRange(from, to int64) (int64, error) {
+	hdr := int64(magicLen + 2 + len(l.meta))
+	if from < hdr || to < from || to > l.size {
+		return from, fmt.Errorf("seglog: rewrite range [%d, %d) of %s outside its records [%d, %d)", from, to, l.path, hdr, l.size)
+	}
+	old := l.f
+	err := l.Rewrite(func(w *Log) error {
+		src, err := os.Open(l.path)
+		if err != nil {
+			return fmt.Errorf("seglog: open %s to copy records: %w", l.path, err)
+		}
+		defer src.Close() // read-only: nothing to flush
+		n, err := io.Copy(w.f, io.NewSectionReader(src, from, to-from))
+		if err == nil && n != to-from {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return fmt.Errorf("seglog: copy records of %s: %w", l.path, err)
+		}
+		w.size += n
+		return nil
+	})
+	if l.f != old {
+		return hdr, err
+	}
+	return from, err
 }
 
 // WriteFile atomically replaces (or creates) the whole log at path with a
 // header carrying meta plus the records emit appends — the same routine as
 // Rewrite, for a file nobody holds open (the journal checkpoint).
 func WriteFile(path string, ft Format, meta []byte, emit func(*Log) error) error {
-	f, err := replace(path, ft, meta, emit)
-	if f != nil {
-		if cerr := f.Close(); err == nil && cerr != nil {
+	w, err := replace(path, ft, meta, emit)
+	if w != nil {
+		if cerr := w.f.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("seglog: close %s: %w", path, cerr)
 		}
 	}
@@ -301,15 +380,16 @@ func WriteFile(path string, ft Format, meta []byte, emit func(*Log) error) error
 }
 
 // replace builds path+".tmp", fsyncs it, renames it over path and fsyncs
-// the directory. The returned handle is non-nil exactly when the rename
-// happened, even if the directory fsync after it failed.
-func replace(path string, ft Format, meta []byte, emit func(*Log) error) (*os.File, error) {
+// the directory. The returned log, the one emit appended to, is non-nil
+// exactly when the rename happened, even if the directory fsync after it
+// failed.
+func replace(path string, ft Format, meta []byte, emit func(*Log) error) (*Log, error) {
 	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("seglog: create %s: %w", tmp, err)
 	}
-	w := &Log{path: tmp, ft: ft, meta: meta, f: f}
+	w := &Log{path: tmp, ft: ft, meta: meta, f: f, staged: true}
 	err = w.writeHeader()
 	if err == nil {
 		err = emit(w)
@@ -327,7 +407,8 @@ func replace(path string, ft Format, meta []byte, emit func(*Log) error) (*os.Fi
 		_ = os.Remove(tmp) // best effort: a stale temp is cleared on the next open
 		return nil, err
 	}
-	return f, syncDir(filepath.Dir(path))
+	w.path, w.staged = path, false
+	return w, syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so a just-committed rename survives power

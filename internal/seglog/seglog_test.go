@@ -434,3 +434,69 @@ func TestFileNameRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestLargeRecordWrittenInPlaceIsTheSameFile: on a file WriteFile builds, a
+// body over the frame buffer's retained size goes to the file straight from
+// the caller's buffer, in several writes. The bytes on disk are the one
+// frame the layout documents all the same.
+func TestLargeRecordWrittenInPlaceIsTheSameFile(t *testing.T) {
+	big := seglog.Format{Magic: testFormat.Magic, MaxBody: 1 << 20}
+	body := strings.Repeat("checkpoint ", 20000) // 220 000 bytes
+	path := filepath.Join(t.TempDir(), "big.ckpt")
+	if err := seglog.WriteFile(path, big, []byte("m"), func(w *seglog.Log) error { return w.Append(3, 77, []byte(body)) }); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(header(big.Magic, []byte("m")), frame(rec{3, 77, body})...)
+	if !bytes.Equal(data, want) {
+		t.Fatalf("file of %d bytes is not the documented header and frame (%d bytes)", len(data), len(want))
+	}
+}
+
+// TestRewriteRangeCopiesWholeRecords: a compaction that keeps a run of
+// records copies their bytes from the file, and the log appends after them.
+func TestRewriteRangeCopiesWholeRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.log")
+	l, _, err := seglog.Open(path, testFormat, []byte("meta"), func(seglog.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	three := []rec{{1, 1, "one"}, {2, 2, "two, longer"}, {1, 3, ""}}
+	var ends []int64
+	for _, r := range three {
+		if err := l.Append(r.kind, r.seq, []byte(r.body)); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, l.Size())
+	}
+	hdr := int64(len(header(testFormat.Magic, []byte("meta"))))
+	if ends[0] != hdr+seglog.FrameSize(3) {
+		t.Fatalf("Size after one record = %d, want header %d + frame %d", ends[0], hdr, seglog.FrameSize(3))
+	}
+	for _, bad := range [][2]int64{{hdr - 1, ends[2]}, {ends[1], ends[0]}, {ends[0], ends[2] + 1}} {
+		if start, err := l.RewriteRange(bad[0], bad[1]); err == nil || start != bad[0] {
+			t.Errorf("RewriteRange(%d, %d) = (%d, %v), want a refusal that leaves the file", bad[0], bad[1], start, err)
+		}
+	}
+	start, err := l.RewriteRange(ends[0], ends[2])
+	if err != nil || start != hdr {
+		t.Fatalf("RewriteRange = (%d, %v), want the kept records right after the %d-byte header", start, err, hdr)
+	}
+	if err := l.Append(2, 4, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.Size(), hdr+ends[2]-ends[0]+seglog.FrameSize(5); got != want {
+		t.Fatalf("Size after the rewrite and one append = %d, want %d", got, want)
+	}
+	var got []rec
+	if _, err := seglog.Scan(path, testFormat, collect(&got)); err != nil {
+		t.Fatal(err)
+	}
+	if want := []rec{three[1], three[2], {2, 4, "after"}}; !equalRecs(got, want) {
+		t.Fatalf("records after RewriteRange = %v, want %v", got, want)
+	}
+}
