@@ -172,14 +172,8 @@ func (b *capturedBlock) appendJSON(dst []byte, members map[membersKey][]byte) ([
 			}
 			if len(src.conditions) > 0 {
 				slices.Sort(src.conditions)
-				dst = append(dst, `,"conditions":[`...)
-				for k, cond := range src.conditions {
-					if k > 0 {
-						dst = append(dst, ',')
-					}
-					dst = proto.AppendMarshalString(dst, cond)
-				}
-				dst = append(dst, ']')
+				dst = append(dst, `,"conditions":`...)
+				dst = proto.AppendMarshalStrings(dst, src.conditions)
 			}
 			dst = append(dst, `,"focal":`...)
 			if sets := src.mass.FocalSets(); len(sets) == 0 {
@@ -193,7 +187,7 @@ func (b *capturedBlock) appendJSON(dst []byte, members map[membersKey][]byte) ([
 					key := membersKey{b.group, set}
 					names, ok := members[key]
 					if !ok {
-						names = appendNames(nil, b.frame.Names(set))
+						names = proto.AppendMarshalStrings(nil, b.frame.Names(set))
 						members[key] = names
 					}
 					dst = append(dst, `{"members":`...)
@@ -239,21 +233,6 @@ func (b *capturedBlock) appendJSON(dst []byte, members map[membersKey][]byte) ([
 		dst = append(dst, '}')
 	}
 	return append(dst, '}'), nil
-}
-
-// appendNames writes a string list as json.Marshal does: null when empty.
-func appendNames(dst []byte, names []string) []byte {
-	if len(names) == 0 {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i, n := range names {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = proto.AppendMarshalString(dst, n)
-	}
-	return append(dst, ']')
 }
 
 // PrognosticCapture is a PrognosticFuser's fused vectors as Capture found

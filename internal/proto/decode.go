@@ -25,7 +25,11 @@ import (
 // null, a \u escape, invalid UTF-8, trailing bytes, and the heartbeat,
 // summary and error kinds. json.Unmarshal then decodes the whole body. That
 // reference is the supported path for those inputs, not a fork: the
-// differential fuzz targets hold the two to one result on every input.
+// differential fuzz targets hold the two to one result on every input. The
+// encoder writes \u for what json.Marshal escapes — control characters,
+// < > &, U+2028/U+2029, invalid UTF-8 — and no DC, rule or bench string holds
+// one, so the reader is not taught \u: such a frame costs the reference's
+// allocations, not a wrong value.
 
 // decodeEnvelope is the one decoder of a frame body, for readFrame and
 // DecodeFrame alike: by hand, else by json.Unmarshal.

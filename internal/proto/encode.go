@@ -8,37 +8,36 @@ import (
 	"unicode/utf8"
 )
 
-// Allocation-free report frame encoding.
+// Allocation-free JSON encoding, byte for byte what json.Marshal writes.
 //
 // json.Marshal walks the envelope through reflection and allocates a fresh
 // body per frame; on the uplink drain path that is one GC-visible allocation
 // per report at the exact moment the DC is busiest. AppendReportEnvelope
-// hand-builds the identical JSON into a caller-provided buffer instead —
-// identical by decoded value, not byte-for-byte: field set, omitempty
-// behaviour, RFC 3339 timestamps, and shortest round-trip float formatting
-// all match, which is what readFrame on the other side consumes (decode.go,
-// by hand).
+// hand-builds the same bytes into a caller-provided buffer instead: field
+// order, omitempty, string escaping (HTML characters and U+2028/U+2029
+// included), encoding/json's float format and RFC 3339 timestamps all match,
+// and it refuses what json.Marshal refuses.
 //
 // The encoder is deliberately limited to report frames (the only
 // steady-state frame kind). Acks are constant bytes (writeFrame); heartbeats,
-// summaries and error replies keep the reflective path.
+// summaries and error replies keep the reflective path. Every frame kind thus
+// carries json.Marshal's bytes.
 //
-// AppendPrognosticsJSON is the other hand encoder: the PDME's OOSM holds each
-// prognostic vector as JSON text, and that text must stay byte-identical to
-// json.Marshal's, float formatting included. AppendMarshalFloat,
-// AppendMarshalString and AppendMarshalTime are its byte-exact pieces, which
-// the PDME's checkpoint writer shares.
+// AppendMarshalFloat, AppendMarshalString, AppendMarshalStrings and
+// AppendMarshalTime are the one appender per value type. Report frames, the
+// OOSM's prognostic text (AppendPrognosticsJSON) and the PDME's checkpoint
+// writer all build on them.
 
 // hexDigits is the lowercase alphabet used for \u00xx escapes, as
 // encoding/json emits them.
 const hexDigits = "0123456789abcdef"
 
-// AppendReportEnvelope appends the JSON body of one report frame — the wire
-// equivalent of marshaling envelope{Kind: "report", Report: r, DCID: dcid,
-// Boot: boot, Seq: seq} — and returns the extended buffer. Tag fields follow
-// omitempty: zero values are omitted, so untagged frames pass "" and zeros.
-// The report must be valid (NaN or infinite numbers are rejected, as
-// encoding/json would).
+// AppendReportEnvelope appends the JSON body of one report frame — exactly
+// json.Marshal(envelope{Kind: "report", Report: r, DCID: dcid, Boot: boot,
+// Seq: seq}) — and returns the extended buffer. Tag fields follow omitempty:
+// zero values are omitted, so untagged frames pass "" and zeros. A report
+// json.Marshal would refuse (a NaN or infinite number, a timestamp outside
+// RFC 3339) is refused.
 //
 //mpros:hotpath report frame encode on the uplink drain
 func AppendReportEnvelope(dst []byte, r *Report, dcid string, boot, seq uint64) ([]byte, error) {
@@ -52,7 +51,7 @@ func AppendReportEnvelope(dst []byte, r *Report, dcid string, boot, seq uint64) 
 	}
 	if dcid != "" {
 		dst = append(dst, `,"dc":`...)
-		dst = appendJSONString(dst, dcid)
+		dst = AppendMarshalString(dst, dcid)
 	}
 	if boot != 0 {
 		dst = append(dst, `,"boot":`...)
@@ -69,133 +68,49 @@ func AppendReportEnvelope(dst []byte, r *Report, dcid string, boot, seq uint64) 
 // appendReport appends the Report object in its json-tag field order.
 func appendReport(dst []byte, r *Report) ([]byte, error) {
 	dst = append(dst, `{"dc_id":`...)
-	dst = appendJSONString(dst, r.DCID)
+	dst = AppendMarshalString(dst, r.DCID)
 	dst = append(dst, `,"knowledge_source_id":`...)
-	dst = appendJSONString(dst, r.KnowledgeSourceID)
+	dst = AppendMarshalString(dst, r.KnowledgeSourceID)
 	dst = append(dst, `,"sensed_object_id":`...)
-	dst = appendJSONString(dst, r.SensedObjectID)
+	dst = AppendMarshalString(dst, r.SensedObjectID)
 	dst = append(dst, `,"machine_condition_id":`...)
-	dst = appendJSONString(dst, r.MachineConditionID)
+	dst = AppendMarshalString(dst, r.MachineConditionID)
 	dst = append(dst, `,"severity":`...)
-	dst, err := appendJSONFloat(dst, r.Severity)
+	dst, err := AppendMarshalFloat(dst, r.Severity)
 	if err != nil {
 		return dst, err
 	}
 	dst = append(dst, `,"belief":`...)
-	dst, err = appendJSONFloat(dst, r.Belief)
-	if err != nil {
+	if dst, err = AppendMarshalFloat(dst, r.Belief); err != nil {
 		return dst, err
 	}
 	if r.Explanation != "" {
 		dst = append(dst, `,"explanation":`...)
-		dst = appendJSONString(dst, r.Explanation)
+		dst = AppendMarshalString(dst, r.Explanation)
 	}
 	if r.Recommendations != "" {
 		dst = append(dst, `,"recommendations":`...)
-		dst = appendJSONString(dst, r.Recommendations)
+		dst = AppendMarshalString(dst, r.Recommendations)
 	}
 	dst = append(dst, `,"timestamp":`...)
-	dst, err = appendJSONTime(dst, r.Timestamp)
-	if err != nil {
+	if dst, err = AppendMarshalTime(dst, r.Timestamp); err != nil {
 		return dst, err
 	}
 	if r.AdditionalInfo != "" {
 		dst = append(dst, `,"additional_info":`...)
-		dst = appendJSONString(dst, r.AdditionalInfo)
+		dst = AppendMarshalString(dst, r.AdditionalInfo)
 	}
 	if len(r.SuspectChannels) > 0 {
-		dst = append(dst, `,"suspect_channels":[`...)
-		for i, ch := range r.SuspectChannels {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(dst, ch)
-		}
-		dst = append(dst, ']')
+		dst = append(dst, `,"suspect_channels":`...)
+		dst = AppendMarshalStrings(dst, r.SuspectChannels)
 	}
 	if len(r.Prognostics) > 0 {
-		dst = append(dst, `,"prognostics":[`...)
-		for i, p := range r.Prognostics {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"probability":`...)
-			dst, err = appendJSONFloat(dst, p.Probability)
-			if err != nil {
-				return dst, err
-			}
-			dst = append(dst, `,"time":`...)
-			dst, err = appendJSONFloat(dst, p.HorizonSeconds)
-			if err != nil {
-				return dst, err
-			}
-			dst = append(dst, '}')
+		dst = append(dst, `,"prognostics":`...)
+		if dst, err = AppendPrognosticsJSON(dst, r.Prognostics); err != nil {
+			return dst, err
 		}
-		dst = append(dst, ']')
 	}
-	dst = append(dst, '}')
-	return dst, nil
-}
-
-// appendJSONFloat appends a float in shortest round-trip form, rejecting the
-// values JSON cannot carry.
-func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return dst, fmt.Errorf("proto: unsupported value %g in report frame", f)
-	}
-	return strconv.AppendFloat(dst, f, 'g', -1, 64), nil
-}
-
-// appendJSONTime appends a time value exactly as time.Time.MarshalJSON does:
-// quoted RFC 3339 with nanoseconds, rejecting years outside [0, 9999].
-func appendJSONTime(dst []byte, t time.Time) ([]byte, error) {
-	if y := t.Year(); y < 0 || y >= 10000 {
-		return dst, fmt.Errorf("proto: timestamp year %d outside RFC 3339 range", y)
-	}
-	dst = append(dst, '"')
-	dst = t.AppendFormat(dst, time.RFC3339Nano)
-	dst = append(dst, '"')
-	return dst, nil
-}
-
-// appendJSONString appends a quoted, escaped JSON string. Escaping matches
-// what readFrame's json.Unmarshal round-trips to the same value: quote,
-// backslash, and control characters are escaped, and invalid UTF-8 is
-// replaced with U+FFFD the way encoding/json replaces it.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); {
-		b := s[i]
-		if b < utf8.RuneSelf {
-			switch {
-			case b == '"':
-				dst = append(dst, '\\', '"')
-			case b == '\\':
-				dst = append(dst, '\\', '\\')
-			case b == '\n':
-				dst = append(dst, '\\', 'n')
-			case b == '\r':
-				dst = append(dst, '\\', 'r')
-			case b == '\t':
-				dst = append(dst, '\\', 't')
-			case b < 0x20:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			default:
-				dst = append(dst, b)
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, "�"...)
-			i++
-			continue
-		}
-		dst = append(dst, s[i:i+size]...)
-		i += size
-	}
-	return append(dst, '"')
+	return append(dst, '}'), nil
 }
 
 // AppendPrognosticsJSON appends v exactly as json.Marshal writes it — null
@@ -249,8 +164,7 @@ func AppendMarshalFloat(dst []byte, f float64) ([]byte, error) {
 // string: quote, backslash and control characters escaped (\b \f \n \r \t
 // by name, the rest as \u00xx), HTML's < > & as \u003c \u003e \u0026,
 // U+2028 and U+2029 as \u2028 and \u2029, and each byte of invalid UTF-8 as
-// \ufffd. appendJSONString, the frame encoder's, matches it by decoded value
-// only.
+// \ufffd.
 func AppendMarshalString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
@@ -301,12 +215,33 @@ func AppendMarshalString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// AppendMarshalStrings appends names exactly as json.Marshal writes a
+// []string: null for a nil slice, [] for an empty one.
+func AppendMarshalStrings(dst []byte, names []string) []byte {
+	if names == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, n := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendMarshalString(dst, n)
+	}
+	return append(dst, ']')
+}
+
 // AppendMarshalTime appends t exactly as json.Marshal writes a time.Time —
 // quoted RFC 3339 with nanoseconds — and refuses what it refuses: a year
 // outside [0, 9999], or a zone offset of 24 hours or more.
 func AppendMarshalTime(dst []byte, t time.Time) ([]byte, error) {
+	if y := t.Year(); y < 0 || y >= 10000 {
+		return dst, fmt.Errorf("proto: timestamp year %d outside RFC 3339 range", y)
+	}
 	if _, offset := t.Zone(); offset <= -24*3600 || offset >= 24*3600 {
 		return dst, fmt.Errorf("proto: timestamp zone offset %ds outside RFC 3339 range", offset)
 	}
-	return appendJSONTime(dst, t)
+	dst = append(dst, '"')
+	dst = t.AppendFormat(dst, time.RFC3339Nano)
+	return append(dst, '"'), nil
 }

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -47,18 +48,33 @@ func encodeTestReports() []*Report {
 			Explanation:        "control \x01 char and bad utf8 \xff here, plus <html> & unicode é❤",
 			Timestamp:          ts.Truncate(time.Second),
 		},
+		{
+			DCID:               "dc-4",
+			KnowledgeSourceID:  "fuzzy",
+			SensedObjectID:     "condenser",
+			MachineConditionID: "fouling",
+			Severity:           1e-5,
+			Belief:             1,
+			Recommendations:    "line\u2028and paragraph\u2029separators",
+			Timestamp:          ts.In(time.FixedZone("", -(23*3600 + 59*60))),
+			SuspectChannels:    []string{"cond_dp"},
+			Prognostics: []PrognosticPoint{
+				{Probability: 1e-5, HorizonSeconds: 1.2096e6},
+				{Probability: 0.5, HorizonSeconds: 1e21},
+			},
+		},
 	}
 }
 
 // TestAppendReportEnvelopeDecodeEqual checks the hand-rolled encoder against
-// encoding/json by decoded value: both bodies must unmarshal to identical
-// envelopes (timestamps compared by instant).
+// encoding/json byte for byte: every body must equal json.Marshal's of the
+// same envelope, and so decode to the same envelope.
 func TestAppendReportEnvelopeDecodeEqual(t *testing.T) {
 	type tag struct {
 		dcid      string
 		boot, seq uint64
 	}
-	tags := []tag{{}, {dcid: "dc-chiller-1", boot: 3, seq: 41}}
+	tags := []tag{{}, {dcid: "dc-chiller-1", boot: 3, seq: 41}, {dcid: "<dc>&\u2028", seq: 1}}
 	for ri, r := range encodeTestReports() {
 		for _, tg := range tags {
 			got, err := AppendReportEnvelope(nil, r, tg.dcid, tg.boot, tg.seq)
@@ -69,39 +85,37 @@ func TestAppendReportEnvelopeDecodeEqual(t *testing.T) {
 			if err != nil {
 				t.Fatalf("report %d: json.Marshal: %v", ri, err)
 			}
-			var gotEnv, wantEnv envelope
-			if err := json.Unmarshal(got, &gotEnv); err != nil {
-				t.Fatalf("report %d: hand-rolled body is not valid JSON: %v\n%s", ri, err, got)
-			}
-			if err := json.Unmarshal(want, &wantEnv); err != nil {
-				t.Fatalf("report %d: reference body unmarshal: %v", ri, err)
-			}
-			if !gotEnv.Report.Timestamp.Equal(wantEnv.Report.Timestamp) {
-				t.Errorf("report %d: timestamp %v != %v", ri, gotEnv.Report.Timestamp, wantEnv.Report.Timestamp)
-			}
-			gotEnv.Report.Timestamp = wantEnv.Report.Timestamp
-			if !reflect.DeepEqual(gotEnv, wantEnv) {
-				t.Errorf("report %d tag %+v: decoded envelopes differ\nhand-rolled: %s\nreference:   %s", ri, tg, got, want)
+			if !bytes.Equal(got, want) {
+				t.Errorf("report %d tag %+v: bodies differ\nhand-rolled: %s\nreference:   %s", ri, tg, got, want)
 			}
 		}
 	}
 }
 
-// TestAppendReportEnvelopeRejects checks the cold-path guards that
-// encoding/json would also refuse.
+// TestAppendReportEnvelopeRejects checks the cold-path guards: each report
+// refused is one json.Marshal also refuses.
 func TestAppendReportEnvelopeRejects(t *testing.T) {
 	if _, err := AppendReportEnvelope(nil, nil, "", 0, 0); err == nil {
 		t.Error("nil report accepted")
 	}
-	bad := encodeTestReports()[0]
-	bad.Severity = math.NaN()
-	if _, err := AppendReportEnvelope(nil, bad, "", 0, 0); err == nil {
-		t.Error("NaN severity accepted")
-	}
-	bad = encodeTestReports()[0]
-	bad.Timestamp = time.Date(12000, 1, 1, 0, 0, 0, 0, time.UTC)
-	if _, err := AppendReportEnvelope(nil, bad, "", 0, 0); err == nil {
-		t.Error("out-of-range year accepted")
+	for _, tc := range []struct {
+		name string
+		edit func(*Report)
+	}{
+		{"NaN severity", func(r *Report) { r.Severity = math.NaN() }},
+		{"infinite horizon", func(r *Report) { r.Prognostics[1].HorizonSeconds = math.Inf(1) }},
+		{"out-of-range year", func(r *Report) { r.Timestamp = time.Date(12000, 1, 1, 0, 0, 0, 0, time.UTC) }},
+		{"zone offset of 25 h", func(r *Report) { r.Timestamp = r.Timestamp.In(time.FixedZone("", 25*3600)) }},
+		{"zone offset of -24 h", func(r *Report) { r.Timestamp = r.Timestamp.In(time.FixedZone("", -24*3600)) }},
+	} {
+		bad := encodeTestReports()[0]
+		tc.edit(bad)
+		if _, err := AppendReportEnvelope(nil, bad, "", 0, 0); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+		if _, err := json.Marshal(envelope{Kind: "report", Report: bad}); err == nil {
+			t.Errorf("%s: json.Marshal accepts it, so the encoder must too", tc.name)
+		}
 	}
 }
 

@@ -106,8 +106,9 @@ func storedBodies(tb testing.TB) [][]byte {
 // of the envelope: the same envelope (the server's and the client's reads of
 // acks included) and the same Delivery, or an error on both sides. A body it
 // accepts holds exactly one valid payload, is kept as the delivery's Frame,
-// and survives the one encoder: re-encoded and decoded again it names the
-// same sender and tag and re-encodes to the same bytes.
+// and survives the one encoder: re-encoded it is json.Marshal's bytes of the
+// same envelope, and decoded again it names the same sender and tag and
+// re-encodes to the same bytes.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBody(f, proto.Delivery{Report: fuzzReport(), DCID: "dc-1", Boot: 7, Seq: 3}))
 	f.Add([]byte(`{"kind":"ack","dc":"dc-1","seq":3,"dup":true}`))
@@ -174,6 +175,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		first, err := proto.AppendFrame(nil, &d)
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
+		}
+		if d.Report != nil {
+			want, err := json.Marshal(proto.Envelope{Kind: "report", Report: d.Report, DCID: d.DCID, Boot: d.Boot, Seq: d.Seq})
+			if err != nil || !bytes.Equal(first, want) {
+				t.Fatalf("report frame is not json.Marshal's (%v):\n got %s\nwant %s", err, first, want)
+			}
 		}
 		d2, err := proto.DecodeFrame(first)
 		if err != nil {

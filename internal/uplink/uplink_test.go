@@ -305,6 +305,50 @@ func TestRejectedReportDroppedQueueKeepsMoving(t *testing.T) {
 	}
 }
 
+// TestUnencodableReportNotSpooled: a report Validate accepts but no
+// decoder would read back — a timestamp zoned 25 h from UTC, which RFC 3339
+// cannot write — is refused at Deliver instead of spooled. Spooled, it would
+// wedge the queue (every server refuses the frame) and leave a file that no
+// longer opens.
+func TestUnencodableReportNotSpooled(t *testing.T) {
+	sink := &collector{}
+	addr, srv := startServer(t, "127.0.0.1:0", sink, proto.NewDedup(0))
+	defer srv.Close()
+	dir := t.TempDir()
+	u, err := New(fastConfig(addr, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := testReport(1)
+	bad.Timestamp = bad.Timestamp.In(time.FixedZone("", 25*3600))
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("the report must pass Validate for this test to mean anything: %v", err)
+	}
+	if err := u.Deliver(bad); err == nil {
+		t.Fatal("Deliver spooled a report whose frame no decoder reads")
+	}
+	if err := u.Deliver(testReport(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Flush(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.explanations(); len(got) != 1 || got[0] != "r2" {
+		t.Fatalf("delivered %v, want r2 alone", got)
+	}
+	if err := u.Close(); err != nil {
+		t.Fatal(err)
+	}
+	u2, err := New(fastConfig(addr, dir))
+	if err != nil {
+		t.Fatalf("spool does not reopen: %v", err)
+	}
+	defer u2.Close()
+	if got := u2.Pending(); got != 0 {
+		t.Errorf("%d pending after reopen, want 0", got)
+	}
+}
+
 type permanentErr struct{}
 
 func (*permanentErr) Error() string { return "condition not in any failure group" }
