@@ -410,23 +410,6 @@ func TestDegradationProfiles(t *testing.T) {
 		if d.SeverityAt(5000) != 1 {
 			t.Errorf("%v: should saturate at 1", shape)
 		}
-		// TimeToSeverity inverts SeverityAt.
-		for _, target := range []float64{0.1, 0.5, 0.9} {
-			h := d.TimeToSeverity(target)
-			if math.IsInf(h, 1) {
-				t.Fatalf("%v: no time to %g", shape, target)
-			}
-			if got := d.SeverityAt(h); math.Abs(got-target) > 0.02 {
-				t.Errorf("%v: SeverityAt(TimeToSeverity(%g)) = %g", shape, target, got)
-			}
-		}
-	}
-	d := DegradationProfile{Fault: MotorImbalance, GrowthHours: 100, Shape: Linear}
-	if !math.IsInf(d.TimeToSeverity(1.5), 1) {
-		t.Error("unreachable target should be Inf")
-	}
-	if d.TimeToSeverity(0) != d.OnsetHours {
-		t.Error("zero target is onset")
 	}
 }
 

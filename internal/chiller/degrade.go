@@ -64,34 +64,6 @@ func (d DegradationProfile) SeverityAt(hours float64) float64 {
 	return s
 }
 
-// TimeToSeverity inverts the profile: the operating hours at which severity
-// first reaches target (0 < target <= 1), or +Inf if never.
-func (d DegradationProfile) TimeToSeverity(target float64) float64 {
-	if target <= 0 {
-		return d.OnsetHours
-	}
-	if target > 1 || d.GrowthHours <= 0 {
-		return math.Inf(1)
-	}
-	var x float64
-	switch d.Shape {
-	case Linear:
-		x = target
-	case Exponential:
-		const k = 4
-		x = math.Log(target*(math.Exp(k)-1)+1) / k
-	case SCurve:
-		if target >= 1 {
-			return math.Inf(1)
-		}
-		x = 0.5 - math.Log(1/target-1)/10
-		if x < 0 {
-			x = 0
-		}
-	}
-	return d.OnsetHours + x*d.GrowthHours
-}
-
 // Degrader advances a plant's fault severities along a set of profiles.
 type Degrader struct {
 	plant    *Plant

@@ -413,7 +413,7 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 //
 //mpros:hotpath per-point detector and feature extraction on the scheduled vibration test
 func (d *DC) analyzePoint(ex *vibration.Extractor, f *vibration.Features, lane int, frame []float64, pt chiller.MeasurementPoint) error {
-	if _, _, err := d.mux.Ingest(lane, frame); err != nil {
+	if _, err := d.mux.Ingest(lane, frame); err != nil {
 		return err
 	}
 	return ex.ExtractInto(f, frame, pt)
@@ -548,7 +548,7 @@ func (d *DC) IngestThroughput(frameLen, rounds int) (int64, error) {
 				return samples, err
 			}
 			for lane := 0; lane < d.mux.BankSize(); lane++ {
-				if _, _, err := d.mux.Ingest(lane, frame); err != nil {
+				if _, err := d.mux.Ingest(lane, frame); err != nil {
 					return samples, err
 				}
 				samples += int64(frameLen)

@@ -139,7 +139,7 @@ func TestSchedulerDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestMuxGeometryAndAlarms(t *testing.T) {
+func TestMuxGeometry(t *testing.T) {
 	m := NewMux()
 	if m.Channels() != 32 || m.Banks() != 8 || m.BankSize() != 4 {
 		t.Fatalf("paper geometry: %d channels %d banks", m.Channels(), m.Banks())
@@ -160,44 +160,16 @@ func TestMuxGeometryAndAlarms(t *testing.T) {
 	if _, err := m.ChannelOf(4); err == nil {
 		t.Error("lane out of range")
 	}
-	// Alarm latching.
-	if err := m.SetAlarmThreshold(31, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetAlarmThreshold(99, 0.5); err == nil {
-		t.Error("threshold channel oob")
-	}
-	if err := m.SetAlarmThreshold(0, -1); err == nil {
-		t.Error("negative threshold")
-	}
-	quiet := make([]float64, 256)
 	loud := make([]float64, 256)
 	for i := range loud {
 		loud[i] = 2
 	}
-	if _, alarmed, err := m.Ingest(3, quiet); err != nil || alarmed {
-		t.Errorf("quiet frame alarmed=%v err=%v", alarmed, err)
+	level, err := m.Ingest(3, loud)
+	if err != nil || level != 2 {
+		t.Errorf("rms %g err=%v", level, err)
 	}
-	level, alarmed, err := m.Ingest(3, loud)
-	if err != nil || !alarmed {
-		t.Errorf("loud frame alarmed=%v err=%v", alarmed, err)
-	}
-	if level != 2 {
-		t.Errorf("rms %g", level)
-	}
-	// Latched: stays alarmed on quiet frames until cleared.
-	if _, alarmed, _ := m.Ingest(3, quiet); !alarmed {
-		t.Error("alarm should latch")
-	}
-	if got := m.AlarmedChannels(); len(got) != 1 || got[0] != 31 {
-		t.Errorf("alarmed channels %v", got)
-	}
-	m.ClearAlarm(31)
-	if m.Alarmed(31) {
-		t.Error("clear failed")
-	}
-	if m.Alarmed(-1) || m.Alarmed(99) {
-		t.Error("oob alarmed")
+	if _, err := m.Ingest(4, loud); err == nil {
+		t.Error("ingest lane out of range")
 	}
 }
 

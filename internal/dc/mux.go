@@ -14,14 +14,12 @@ import (
 // alarming for all sensors."
 //
 // The DSP card digitizes one 4-channel bank at a time; the Mux selects
-// banks and runs the per-channel RMS alarm detectors over every frame.
+// banks and runs the per-channel RMS detector over every frame.
 type Mux struct {
 	cards           int
 	banksPerCard    int
 	channelsPerBank int
-	thresholds      []float64 // RMS alarm level per absolute channel; 0 = disabled
-	selected        int       // currently selected bank (absolute index)
-	alarms          []bool
+	selected        int // currently selected bank (absolute index)
 }
 
 // NewMux builds the paper's configuration: 2 cards × 4 banks × 4 channels.
@@ -31,18 +29,15 @@ func NewMux() *Mux {
 
 // NewMuxWith builds a custom multiplexer geometry.
 func NewMuxWith(cards, banksPerCard, channelsPerBank int) *Mux {
-	n := cards * banksPerCard * channelsPerBank
 	return &Mux{
 		cards:           cards,
 		banksPerCard:    banksPerCard,
 		channelsPerBank: channelsPerBank,
-		thresholds:      make([]float64, n),
-		alarms:          make([]bool, n),
 	}
 }
 
 // Channels returns the total channel count.
-func (m *Mux) Channels() int { return len(m.thresholds) }
+func (m *Mux) Channels() int { return m.Banks() * m.channelsPerBank }
 
 // Banks returns the number of selectable banks.
 func (m *Mux) Banks() int { return m.cards * m.banksPerCard }
@@ -70,56 +65,11 @@ func (m *Mux) ChannelOf(lane int) (int, error) {
 	return m.selected*m.channelsPerBank + lane, nil
 }
 
-// SetAlarmThreshold programs an RMS alarm level for an absolute channel
-// (0 disables the detector).
-func (m *Mux) SetAlarmThreshold(channel int, rms float64) error {
-	if channel < 0 || channel >= len(m.thresholds) {
-		return fmt.Errorf("dc: channel %d out of range", channel)
-	}
-	if rms < 0 {
-		return fmt.Errorf("dc: negative threshold")
-	}
-	m.thresholds[channel] = rms
-	return nil
-}
-
 // Ingest runs the RMS detector for the lane's frame on the selected bank
-// and latches an alarm when the level exceeds the channel's threshold.
-// It returns the measured RMS and whether the alarm is (now) latched.
-func (m *Mux) Ingest(lane int, frame []float64) (float64, bool, error) {
-	ch, err := m.ChannelOf(lane)
-	if err != nil {
-		return 0, false, err
+// and returns the measured RMS.
+func (m *Mux) Ingest(lane int, frame []float64) (float64, error) {
+	if _, err := m.ChannelOf(lane); err != nil {
+		return 0, err
 	}
-	level := dsp.RMS(frame)
-	if th := m.thresholds[ch]; th > 0 && level > th {
-		m.alarms[ch] = true
-	}
-	return level, m.alarms[ch], nil
-}
-
-// Alarmed reports whether an absolute channel's alarm is latched.
-func (m *Mux) Alarmed(channel int) bool {
-	if channel < 0 || channel >= len(m.alarms) {
-		return false
-	}
-	return m.alarms[channel]
-}
-
-// ClearAlarm resets a latched alarm.
-func (m *Mux) ClearAlarm(channel int) {
-	if channel >= 0 && channel < len(m.alarms) {
-		m.alarms[channel] = false
-	}
-}
-
-// AlarmedChannels returns all latched channels.
-func (m *Mux) AlarmedChannels() []int {
-	var out []int
-	for ch, a := range m.alarms {
-		if a {
-			out = append(out, ch)
-		}
-	}
-	return out
+	return dsp.RMS(frame), nil
 }

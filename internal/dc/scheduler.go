@@ -8,7 +8,7 @@
 //
 // The DC owns: a virtual-time event scheduler; a MUX/channel acquisition
 // model mirroring the §8 hardware (two 16×4 multiplexer cards with RMS
-// alarm detectors feeding a 4-channel DSP card); the analyzer suite
+// detectors feeding a 4-channel DSP card); the analyzer suite
 // (vibration rulebook, fuzzy process diagnostics, optional SBFR system);
 // a relstore database for measurements, diagnostic results and condition
 // reports; and an uplink Sink that carries reports to the PDME.

@@ -19,7 +19,6 @@ package dempster
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"strings"
 )
@@ -36,9 +35,6 @@ const Empty Set = 0
 // Singleton returns the set containing only hypothesis i.
 func Singleton(i int) Set { return 1 << uint(i) }
 
-// Union returns s ∪ t.
-func (s Set) Union(t Set) Set { return s | t }
-
 // Intersect returns s ∩ t.
 func (s Set) Intersect(t Set) Set { return s & t }
 
@@ -47,9 +43,6 @@ func (s Set) Contains(t Set) bool { return s&t == t }
 
 // IsEmpty reports whether s has no elements.
 func (s Set) IsEmpty() bool { return s == 0 }
-
-// Count returns the number of atomic hypotheses in s.
-func (s Set) Count() int { return bits.OnesCount64(uint64(s)) }
 
 // Frame is a frame of discernment: the exhaustive set of mutually exclusive
 // hypotheses under consideration (within one logical failure group, in MPROS
@@ -244,23 +237,6 @@ func (m *Mass) Validate(tol float64) error {
 	return nil
 }
 
-// Normalize rescales masses to sum to 1. It returns an error if total mass
-// is zero.
-func (m *Mass) Normalize() error {
-	var sum float64
-	// Deterministic summation order, as in Belief.
-	for _, s := range m.FocalSets() {
-		sum += m.m[s]
-	}
-	if sum == 0 {
-		return fmt.Errorf("dempster: cannot normalize zero mass")
-	}
-	for _, s := range m.FocalSets() {
-		m.m[s] /= sum
-	}
-	return nil
-}
-
 // Belief returns Bel(s): the total mass committed to subsets of s — the
 // degree to which the evidence supports s. Summation runs in ascending
 // focal-set order so repeated calls on equal mass functions are
@@ -376,51 +352,6 @@ func Combine(a, b *Mass) (*Mass, float64, error) {
 		out.m[s] /= survived
 	}
 	return out, conflict, nil
-}
-
-// CombineAll folds Combine over any number of mass functions; per the paper,
-// Dempster's rule "can be extended to handle any number of inputs". Returns
-// the vacuous mass for an empty input list (frame must then be supplied via
-// at least one mass, so empty input is an error).
-func CombineAll(masses ...*Mass) (*Mass, error) {
-	if len(masses) == 0 {
-		return nil, fmt.Errorf("dempster: no masses to combine")
-	}
-	acc := masses[0].Clone()
-	for _, m := range masses[1:] {
-		next, _, err := Combine(acc, m)
-		if err != nil {
-			return nil, err
-		}
-		acc = next
-	}
-	return acc, nil
-}
-
-// Pignistic returns the pignistic probability transform BetP of m: each
-// focal set's mass divided evenly among its atoms. It is the standard way to
-// turn a belief state into a point probability for ranking — the PDME uses
-// it to prioritize the maintenance list.
-func (m *Mass) Pignistic() map[string]float64 {
-	out := make(map[string]float64, m.frame.Size())
-	for i, n := range m.frame.names {
-		out[n] = 0
-		_ = i
-	}
-	// Ascending focal-set order keeps the per-atom sums bit-reproducible.
-	for _, s := range m.FocalSets() {
-		c := s.Count()
-		if c == 0 {
-			continue
-		}
-		share := m.m[s] / float64(c)
-		for i, n := range m.frame.names {
-			if s&Singleton(i) != 0 {
-				out[n] += share
-			}
-		}
-	}
-	return out
 }
 
 // String renders the mass function for debugging.

@@ -54,9 +54,6 @@ func TestSetOperations(t *testing.T) {
 	if ab.Intersect(bc) != Singleton(1) {
 		t.Error("intersect")
 	}
-	if ab.Union(bc).Count() != 3 {
-		t.Error("union")
-	}
 	if !ab.Contains(Singleton(0)) || ab.Contains(Singleton(2)) {
 		t.Error("contains")
 	}
@@ -247,61 +244,6 @@ func TestBeliefPlausibility(t *testing.T) {
 	}
 }
 
-func TestCombineAll(t *testing.T) {
-	f := MustFrame("A", "B", "C")
-	a, _ := f.Hypothesis("A")
-	var ms []*Mass
-	for i := 0; i < 5; i++ {
-		m, _ := SimpleSupport(f, a, 0.5)
-		ms = append(ms, m)
-	}
-	comb, err := CombineAll(ms...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Five independent 0.5-supports for A: unknown mass is 0.5^5 (no
-	// conflict when all sources agree).
-	if got := comb.Unknown(); math.Abs(got-math.Pow(0.5, 5)) > 1e-12 {
-		t.Errorf("unknown %g, want %g", got, math.Pow(0.5, 5))
-	}
-	if got := comb.Belief(a); got < 0.96 {
-		t.Errorf("Bel(A) after 5 agreeing sources = %g", got)
-	}
-	if _, err := CombineAll(); err == nil {
-		t.Error("empty CombineAll should error")
-	}
-}
-
-func TestPignistic(t *testing.T) {
-	f := MustFrame("A", "B", "C")
-	bc, _ := f.SetOf("B", "C")
-	m := NewMass(f)
-	if err := m.Set(bc, 0.6); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Set(f.Theta(), 0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(1e-12); err != nil {
-		t.Fatal(err)
-	}
-	p := m.Pignistic()
-	// BetP(A) = 0.4/3; BetP(B) = BetP(C) = 0.6/2 + 0.4/3.
-	if math.Abs(p["A"]-0.4/3) > 1e-12 {
-		t.Errorf("BetP(A) = %g", p["A"])
-	}
-	if math.Abs(p["B"]-(0.3+0.4/3)) > 1e-12 {
-		t.Errorf("BetP(B) = %g", p["B"])
-	}
-	var sum float64
-	for _, v := range p {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("pignistic sums to %g", sum)
-	}
-}
-
 func randomMass(rng *rand.Rand, f *Frame) *Mass {
 	m := NewMass(f)
 	n := rng.Intn(4) + 1
@@ -378,27 +320,6 @@ func TestBeliefPlausibilityInvariantProperty(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	f := MustFrame("A", "B")
-	m := NewMass(f)
-	if err := m.Normalize(); err == nil {
-		t.Error("zero mass normalize should error")
-	}
-	a, _ := f.Hypothesis("A")
-	if err := m.Set(a, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Set(f.Theta(), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(1e-12); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMassString(t *testing.T) {
 	f := MustFrame("A", "B")
 	a, _ := f.Hypothesis("A")
@@ -433,8 +354,13 @@ func BenchmarkCombineTenSources(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CombineAll(masses...); err != nil {
-			b.Fatal(err)
+		acc := masses[0]
+		for _, m := range masses[1:] {
+			next, _, err := Combine(acc, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			acc = next
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // TestFocalSetsIsOnlyMapIteration pins the package's determinism contract at
 // the source level: the raw `range m.m` over the mass map exists exactly once,
 // inside FocalSets (which sorts before returning), and the calculus entry
-// points Combine, Belief, and Pignistic iterate only via FocalSets() or the
+// points Combine and Belief iterate only via FocalSets() or the
 // frame's ordered name slice. The maporder analyzer enforces the same rule
 // module-wide; this test keeps the contract honest even when the linter's
 // scope map is edited.
@@ -55,7 +55,7 @@ func TestFocalSetsIsOnlyMapIteration(t *testing.T) {
 
 	// Rule 2: the calculus entry points iterate only ordered sources —
 	// FocalSets() calls or the frame's registration-ordered names slice.
-	for _, fn := range []string{"Combine", "Belief", "Pignistic"} {
+	for _, fn := range []string{"Combine", "Belief"} {
 		exprs, ok := rangesByFunc[fn]
 		if !ok {
 			t.Errorf("function %s not found or has no loops; the contract test needs updating", fn)

@@ -1,69 +1,5 @@
 package dsp
 
-import "sort"
-
-// Peak describes a local maximum in a spectrum.
-type Peak struct {
-	// Bin is the index of the peak bin.
-	Bin int
-	// Freq is the centre frequency of the peak in Hz.
-	Freq float64
-	// Amp is the peak amplitude.
-	Amp float64
-}
-
-// FindPeaks locates local maxima in the spectrum whose amplitude exceeds
-// threshold and which dominate their neighbourhood of ±guard bins. Peaks are
-// returned sorted by descending amplitude, at most maxPeaks of them
-// (maxPeaks <= 0 means unlimited).
-func FindPeaks(s *Spectrum, threshold float64, guard, maxPeaks int) []Peak {
-	if guard < 1 {
-		guard = 1
-	}
-	var peaks []Peak
-	for i := 1; i < len(s.Amp)-1; i++ {
-		a := s.Amp[i]
-		if a < threshold {
-			continue
-		}
-		isPeak := true
-		lo := i - guard
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + guard
-		if hi > len(s.Amp)-1 {
-			hi = len(s.Amp) - 1
-		}
-		for j := lo; j <= hi; j++ {
-			if j != i && s.Amp[j] > a {
-				isPeak = false
-				break
-			}
-		}
-		if isPeak {
-			peaks = append(peaks, Peak{Bin: i, Freq: s.Freq(i), Amp: a})
-		}
-	}
-	sort.Slice(peaks, func(i, j int) bool { return peaks[i].Amp > peaks[j].Amp })
-	if maxPeaks > 0 && len(peaks) > maxPeaks {
-		peaks = peaks[:maxPeaks]
-	}
-	return peaks
-}
-
-// HarmonicAmps returns the amplitudes of the first count harmonics of the
-// fundamental frequency f0 (1×, 2×, ... count×), each searched within ±tol Hz.
-// Vibration diagnosis is organized around orders of running speed; this is
-// the order-tracking primitive the rule engine uses.
-func HarmonicAmps(s *Spectrum, f0, tol float64, count int) []float64 {
-	out := make([]float64, count)
-	for k := 1; k <= count; k++ {
-		out[k-1] = s.AmpAt(f0*float64(k), tol)
-	}
-	return out
-}
-
 // SidebandEnergy returns the summed amplitude of sideband pairs around a
 // carrier frequency at spacing delta: carrier ± delta, ± 2*delta, ...
 // count pairs, each searched within ±tol Hz. Rotor-bar and gear-tooth faults

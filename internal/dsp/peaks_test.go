@@ -16,55 +16,6 @@ func multiTone(n int, fs float64, freqs, amps []float64) []float64 {
 	return out
 }
 
-func TestFindPeaks(t *testing.T) {
-	const fs = 4096.0
-	x := multiTone(4096, fs, []float64{50, 150, 400}, []float64{1.0, 0.6, 0.3})
-	s, err := AnalyzeFrame(x, fs, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peaks := FindPeaks(s, 0.1, 3, 0)
-	if len(peaks) != 3 {
-		t.Fatalf("found %d peaks, want 3: %+v", len(peaks), peaks)
-	}
-	// Sorted by amplitude descending.
-	wantFreqs := []float64{50, 150, 400}
-	for i, p := range peaks {
-		if math.Abs(p.Freq-wantFreqs[i]) > 2 {
-			t.Errorf("peak %d at %g Hz, want %g", i, p.Freq, wantFreqs[i])
-		}
-	}
-	// maxPeaks truncation keeps the largest.
-	top := FindPeaks(s, 0.1, 3, 1)
-	if len(top) != 1 || math.Abs(top[0].Freq-50) > 2 {
-		t.Errorf("top peak wrong: %+v", top)
-	}
-	// High threshold removes all.
-	if got := FindPeaks(s, 100, 3, 0); len(got) != 0 {
-		t.Errorf("threshold should remove all peaks, got %+v", got)
-	}
-}
-
-func TestHarmonicAmps(t *testing.T) {
-	const fs = 8192.0
-	// Fundamental 60 Hz with 2nd and 3rd harmonics.
-	x := multiTone(8192, fs, []float64{60, 120, 180}, []float64{1.0, 0.5, 0.25})
-	s, err := AnalyzeFrame(x, fs, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := HarmonicAmps(s, 60, 2, 4)
-	if len(h) != 4 {
-		t.Fatalf("want 4 harmonics, got %d", len(h))
-	}
-	if math.Abs(h[0]-1.0) > 0.05 || math.Abs(h[1]-0.5) > 0.05 || math.Abs(h[2]-0.25) > 0.05 {
-		t.Errorf("harmonics %v, want ≈[1.0 0.5 0.25 ~0]", h)
-	}
-	if h[3] > 0.05 {
-		t.Errorf("4th harmonic should be ≈0, got %g", h[3])
-	}
-}
-
 func TestSidebandEnergy(t *testing.T) {
 	const fs = 16384.0
 	// Carrier at 1000 Hz with ±25 Hz sideband pairs (two orders).
@@ -159,17 +110,5 @@ func TestDCT2(t *testing.T) {
 	}
 	if got := DCT2Coefficients(nil, 3); len(got) != 0 {
 		t.Errorf("empty input: %v", got)
-	}
-}
-
-func BenchmarkFindPeaks(b *testing.B) {
-	x := multiTone(8192, 8192, []float64{50, 150, 400, 800, 1600}, []float64{1, .8, .6, .4, .2})
-	s, err := AnalyzeFrame(x, 8192, Hann)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FindPeaks(s, 0.05, 3, 10)
 	}
 }

@@ -17,9 +17,6 @@ type Spectrum struct {
 // NumBins returns the number of frequency bins in the spectrum.
 func (s *Spectrum) NumBins() int { return len(s.Amp) }
 
-// Freq returns the centre frequency of bin i in Hz.
-func (s *Spectrum) Freq(i int) float64 { return float64(i) * s.Resolution }
-
 // Bin returns the bin index nearest to frequency f, clamped to range.
 func (s *Spectrum) Bin(f float64) int {
 	if s.Resolution == 0 || len(s.Amp) == 0 {
@@ -49,32 +46,6 @@ func (s *Spectrum) AmpAt(f, tol float64) float64 {
 	return m
 }
 
-// BandRMS returns the RMS amplitude over [fLo, fHi] Hz.
-func (s *Spectrum) BandRMS(fLo, fHi float64) float64 {
-	lo := s.Bin(fLo)
-	hi := s.Bin(fHi)
-	var sum float64
-	n := 0
-	for i := lo; i <= hi; i++ {
-		// Each spectral line of amplitude A contributes A^2/2 to signal power.
-		sum += s.Amp[i] * s.Amp[i] / 2
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(sum)
-}
-
-// TotalRMS returns the overall RMS estimated from all spectral lines,
-// excluding the DC bin.
-func (s *Spectrum) TotalRMS() float64 {
-	if len(s.Amp) < 2 {
-		return 0
-	}
-	return s.BandRMS(s.Resolution, s.Freq(len(s.Amp)-1))
-}
-
 // AnalyzeFrame computes a one-sided amplitude spectrum of frame sampled at
 // sampleRate Hz, applying the given window. Frames whose length is not a
 // power of two are zero-padded. It is the one-shot form of FrameAnalyzer: a
@@ -86,17 +57,4 @@ func AnalyzeFrame(frame []float64, sampleRate float64, window WindowKind) (*Spec
 		return nil, err
 	}
 	return fa.Analyze(frame)
-}
-
-// PSD returns the power spectral density estimate (amplitude squared per Hz)
-// for each bin of s.
-func (s *Spectrum) PSD() []float64 {
-	out := make([]float64, len(s.Amp))
-	if s.Resolution == 0 {
-		return out
-	}
-	for i, a := range s.Amp {
-		out[i] = a * a / (2 * s.Resolution)
-	}
-	return out
 }

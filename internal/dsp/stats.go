@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // RMS returns the root-mean-square value of x; 0 for an empty slice.
 func RMS(x []float64) float64 {
@@ -52,23 +49,6 @@ func PeakAbs(x []float64) float64 {
 		}
 	}
 	return m
-}
-
-// PeakToPeak returns max(x) - min(x).
-func PeakToPeak(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	mn, mx := x[0], x[0]
-	for _, v := range x[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx - mn
 }
 
 // CrestFactor returns peak/RMS, a standard early-warning indicator for
@@ -150,40 +130,4 @@ func Waveform(x []float64) WaveformStats {
 		s.Kurtosis = m4 / (m2 * m2)
 	}
 	return s
-}
-
-// Median returns the median of x without modifying it.
-func Median(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	tmp := make([]float64, len(x))
-	copy(tmp, x)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-// Skewness returns the sample skewness of x.
-func Skewness(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var m2, m3 float64
-	for _, v := range x {
-		d := v - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	n := float64(len(x))
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		return 0
-	}
-	return m3 / math.Pow(m2, 1.5)
 }

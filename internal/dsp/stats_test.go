@@ -26,13 +26,7 @@ func TestMeanMedianStd(t *testing.T) {
 	if Mean(x) != 22 {
 		t.Errorf("mean = %g", Mean(x))
 	}
-	if Median(x) != 3 {
-		t.Errorf("median = %g", Median(x))
-	}
-	if Median([]float64{1, 2, 3, 4}) != 2.5 {
-		t.Error("even median")
-	}
-	if Median(nil) != 0 || Mean(nil) != 0 || StdDev(nil) != 0 {
+	if Mean(nil) != 0 || StdDev(nil) != 0 {
 		t.Error("empty-slice stats should be 0")
 	}
 	if StdDev([]float64{5, 5, 5, 5}) != 0 {
@@ -67,29 +61,6 @@ func TestCrestFactorAndKurtosis(t *testing.T) {
 	}
 	if CrestFactor(make([]float64, 4)) != 0 {
 		t.Error("zero signal crest factor should be 0")
-	}
-}
-
-func TestPeakToPeak(t *testing.T) {
-	if PeakToPeak(nil) != 0 {
-		t.Error("empty")
-	}
-	if PeakToPeak([]float64{-3, 2, 7, -1}) != 10 {
-		t.Error("p2p")
-	}
-}
-
-func TestSkewness(t *testing.T) {
-	// Symmetric data: ~0 skewness.
-	if s := Skewness([]float64{-2, -1, 0, 1, 2}); math.Abs(s) > 1e-12 {
-		t.Errorf("symmetric skewness %g", s)
-	}
-	// Right-skewed data: positive.
-	if s := Skewness([]float64{1, 1, 1, 1, 10}); s <= 0 {
-		t.Errorf("right-skewed skewness %g", s)
-	}
-	if Skewness([]float64{2, 2, 2}) != 0 {
-		t.Error("constant skewness should be 0")
 	}
 }
 

@@ -220,9 +220,11 @@ func E9DSvsBayes(seed int64) (*Result, error) {
 		if err != nil {
 			return "", err
 		}
+		// Ties are common with few training episodes: break them in
+		// fault order, not map order, so a seed repeats its table.
 		best, bestP := "", -1.0
-		for f, p := range post {
-			if p > bestP {
+		for _, f := range faults {
+			if p := post[f]; p > bestP {
 				best, bestP = f, p
 			}
 		}

@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsRun executes every registered experiment and validates
-// basic table structure — the smoke layer below the claim-specific checks.
+// TestAllExperimentsRun executes every registered experiment twice from the
+// same seed, validates basic table structure — the smoke layer below the
+// claim-specific checks — and requires the two tables to be equal apart from
+// the wall-clock cells named in timingRows and timingNotes.
 func TestAllExperimentsRun(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
@@ -27,10 +30,66 @@ func TestAllExperimentsRun(t *testing.T) {
 			if !strings.Contains(text, id) {
 				t.Error("render missing id")
 			}
+			again, err := run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireRepeat(t, res, again)
 		})
 	}
 	if len(IDs()) != 13 {
 		t.Errorf("registry has %d experiments, want 13", len(IDs()))
+	}
+}
+
+// timingRows names, by the prefix of their first cell, the rows that hold a
+// wall-clock measurement or a figure derived from one; timingNotes does the
+// same for notes. Everything else an experiment prints is a function of its
+// seed.
+var (
+	timingRows = map[string][]string{
+		"E4":  {"cycle period"},
+		"E7":  {"elapsed", "throughput", "headroom", "DCs for"},
+		"E11": {"end-to-end latency"},
+		"E13": {"scalar ingest", "rollup query", "raw range scan"},
+	}
+	timingNotes = map[string][]string{
+		"E13": {"ingest elapsed"},
+	}
+)
+
+func isTiming(prefixes []string, s string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(s, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// requireRepeat fails the test where two runs of one experiment from the
+// same seed differ outside the named timing cells.
+func requireRepeat(t *testing.T, a, b *Result) {
+	t.Helper()
+	if a.Title != b.Title || a.PaperClaim != b.PaperClaim || !slices.Equal(a.Header, b.Header) {
+		t.Errorf("title, claim or header differ between runs")
+	}
+	if len(a.Rows) != len(b.Rows) || len(a.Notes) != len(b.Notes) {
+		t.Fatalf("%d rows and %d notes, then %d rows and %d notes",
+			len(a.Rows), len(a.Notes), len(b.Rows), len(b.Notes))
+	}
+	for i, row := range a.Rows {
+		if len(row) > 0 && isTiming(timingRows[a.ID], row[0]) {
+			continue
+		}
+		if !slices.Equal(row, b.Rows[i]) {
+			t.Errorf("row %d differs between runs: %q, then %q", i, row, b.Rows[i])
+		}
+	}
+	for i, note := range a.Notes {
+		if !isTiming(timingNotes[a.ID], note) && note != b.Notes[i] {
+			t.Errorf("note %d differs between runs: %q, then %q", i, note, b.Notes[i])
+		}
 	}
 }
 

@@ -4,9 +4,9 @@
 // condition reports." The relational engine (internal/relstore) keeps the
 // low-rate audit rows; the historian keeps the high-rate numeric history
 // the prognostics need — per-acquisition vibration features, process-scan
-// scalars, SBFR status transitions, fused severities, and lifetime
-// archives — and serves the §10.1 consumers ("scrutinize failure histories
-// and provide better projections of future faults as they develop").
+// scalars, SBFR status transitions and fused severities — and serves the
+// §10.1 consumers ("scrutinize failure histories and provide better
+// projections of future faults as they develop").
 //
 // The design is a write-optimized multi-channel store:
 //

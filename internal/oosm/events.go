@@ -17,8 +17,6 @@ const (
 	PropertyChanged
 	// RelationAdded fires when a relationship is recorded.
 	RelationAdded
-	// RelationRemoved fires when a relationship is removed.
-	RelationRemoved
 	// ObjectUpdated fires exactly once per SetProps call, after the
 	// per-property PropertyChanged events. Subscribers that react to a write
 	// as a whole (cache invalidation, display refresh) listen here instead
@@ -37,8 +35,6 @@ func (k EventKind) String() string {
 		return "property-changed"
 	case RelationAdded:
 		return "relation-added"
-	case RelationRemoved:
-		return "relation-removed"
 	case ObjectUpdated:
 		return "object-updated"
 	default:
@@ -52,7 +48,7 @@ type Event struct {
 	Object   ObjectID
 	Property string  // set for PropertyChanged
 	Value    any     // set for PropertyChanged
-	Relation RelKind // set for RelationAdded/Removed
+	Relation RelKind // set for RelationAdded
 	Other    ObjectID
 }
 
@@ -79,9 +75,8 @@ type Handler func(Event)
 
 type subscriber struct {
 	id     int
-	class  string // "" = all classes
+	class  string
 	kind   EventKind
-	any    bool // ignore kind filter
 	handle Handler
 }
 
@@ -102,13 +97,9 @@ func (h *eventHub) publish(e Event) {
 	subs := h.subs
 	h.mu.RUnlock()
 	for _, s := range subs {
-		if s.class != "" && s.class != e.Object.Class {
-			continue
+		if s.class == e.Object.Class && s.kind == e.Kind {
+			s.handle(e)
 		}
-		if !s.any && s.kind != e.Kind {
-			continue
-		}
-		s.handle(e)
 	}
 }
 
@@ -132,21 +123,9 @@ func (h *eventHub) remove(id int) {
 	}
 }
 
-// Subscribe registers a handler for every event of the given kind, on any
-// class. The returned subscription cancels it.
-func (m *Model) Subscribe(kind EventKind, fn Handler) *Subscription {
-	return m.events.add(subscriber{kind: kind, handle: fn})
-}
-
 // SubscribeClass registers a handler for events of the given kind on objects
 // of one class. Knowledge Fusion uses this to "automatically process failure
 // prediction reports as they are delivered to the OOSM" (§4.5).
 func (m *Model) SubscribeClass(class string, kind EventKind, fn Handler) *Subscription {
 	return m.events.add(subscriber{class: class, kind: kind, handle: fn})
-}
-
-// SubscribeAll registers a handler for every event on every class — the
-// PDME browser uses this to refresh its display.
-func (m *Model) SubscribeAll(fn Handler) *Subscription {
-	return m.events.add(subscriber{any: true, handle: fn})
 }

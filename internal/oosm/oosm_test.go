@@ -199,35 +199,13 @@ func TestRelationships(t *testing.T) {
 	if err := m.Relate(PartOf, mot, ch); err != nil {
 		t.Fatal(err)
 	}
-	up, err := m.Related(mot, PartOf)
+	up, err := m.RelatedTo(ship, PartOf)
 	if err != nil || len(up) != 1 || up[0] != ch {
-		t.Fatalf("related %v %v", up, err)
+		t.Fatalf("relatedTo %v %v", up, err)
 	}
 	parts, err := m.RelatedTo(ch, PartOf)
 	if err != nil || len(parts) != 2 {
 		t.Fatalf("relatedTo %v %v", parts, err)
-	}
-	// Transitive: motor -> chiller -> ship.
-	chain, err := m.TransitiveRelated(mot, PartOf, 0)
-	if err != nil || len(chain) != 2 || chain[0] != ch || chain[1] != ship {
-		t.Fatalf("transitive %v %v", chain, err)
-	}
-	// Depth limit.
-	chain, _ = m.TransitiveRelated(mot, PartOf, 1)
-	if len(chain) != 1 {
-		t.Fatalf("depth-limited %v", chain)
-	}
-	// Neighbors in both directions, any kind.
-	nbrs, err := m.Neighbors(mot)
-	if err != nil || len(nbrs) != 2 {
-		t.Fatalf("neighbors %v %v", nbrs, err)
-	}
-	// Unrelate.
-	if err := m.Unrelate(Proximity, mot, comp); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Unrelate(Proximity, mot, comp); err == nil {
-		t.Error("double unrelate should error")
 	}
 	// Relating a missing object fails.
 	if err := m.Relate(PartOf, ObjectID{Class: "motor", Num: 999}, ch); err == nil {
@@ -246,33 +224,17 @@ func TestRelationships(t *testing.T) {
 	}
 }
 
-func TestTransitiveCycleSafe(t *testing.T) {
-	m := newTestModel(t)
-	a, _ := m.Create("ship", map[string]any{"name": "a"})
-	b, _ := m.Create("ship", map[string]any{"name": "b"})
-	if err := m.Relate(Flow, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Relate(Flow, b, a); err != nil {
-		t.Fatal(err)
-	}
-	out, err := m.TransitiveRelated(a, Flow, 0)
-	if err != nil || len(out) != 1 || out[0] != b {
-		t.Fatalf("cycle walk: %v %v", out, err)
-	}
-}
-
 func TestEvents(t *testing.T) {
 	m := newTestModel(t)
 	var created, changed, deleted, related atomic.Int32
-	subC := m.Subscribe(ObjectCreated, func(e Event) { created.Add(1) })
-	m.Subscribe(PropertyChanged, func(e Event) {
+	subC := m.SubscribeClass("motor", ObjectCreated, func(e Event) { created.Add(1) })
+	m.SubscribeClass("motor", PropertyChanged, func(e Event) {
 		if e.Property == "running" {
 			changed.Add(1)
 		}
 	})
-	m.Subscribe(ObjectDeleted, func(e Event) { deleted.Add(1) })
-	m.Subscribe(RelationAdded, func(e Event) { related.Add(1) })
+	m.SubscribeClass("motor", ObjectDeleted, func(e Event) { deleted.Add(1) })
+	m.SubscribeClass("motor", RelationAdded, func(e Event) { related.Add(1) })
 
 	id, _ := m.Create("motor", map[string]any{"name": "m"})
 	other, _ := m.Create("motor", map[string]any{"name": "n"})
@@ -308,10 +270,10 @@ func TestSubscribeAndCancelInsideHandler(t *testing.T) {
 	m := newTestModel(t)
 	first, second := 0, 0
 	var sub *Subscription
-	sub = m.Subscribe(ObjectCreated, func(Event) {
+	sub = m.SubscribeClass("motor", ObjectCreated, func(Event) {
 		first++
 		sub.Cancel()
-		m.Subscribe(ObjectCreated, func(Event) { second++ })
+		m.SubscribeClass("motor", ObjectCreated, func(Event) { second++ })
 	})
 	for i := 0; i < 2; i++ {
 		if _, err := m.Create("motor", nil); err != nil {
@@ -328,10 +290,14 @@ func TestSubscribeAndCancelInsideHandler(t *testing.T) {
 func TestPublishAllocatesNothing(t *testing.T) {
 	m := newTestModel(t)
 	n := 0
-	m.SubscribeAll(func(Event) { n++ })
-	m.Subscribe(ObjectUpdated, func(Event) { n++ })
-	if allocs := testing.AllocsPerRun(100, func() { m.events.publish(Event{Kind: ObjectUpdated}) }); allocs != 0 {
+	m.SubscribeClass("motor", ObjectUpdated, func(Event) { n++ })
+	m.SubscribeClass("motor", ObjectUpdated, func(Event) { n++ })
+	e := Event{Kind: ObjectUpdated, Object: ObjectID{Class: "motor", Num: 1}}
+	if allocs := testing.AllocsPerRun(100, func() { m.events.publish(e) }); allocs != 0 {
 		t.Fatalf("publishing an event allocates %.0f times", allocs)
+	}
+	if n == 0 {
+		t.Fatal("the event reached no subscriber")
 	}
 }
 
@@ -339,8 +305,9 @@ func TestSubscribeClassFiltering(t *testing.T) {
 	m := newTestModel(t)
 	var reports atomic.Int32
 	m.SubscribeClass("report", ObjectCreated, func(e Event) { reports.Add(1) })
-	var all atomic.Int32
-	m.SubscribeAll(func(e Event) { all.Add(1) })
+	var motors, deleted atomic.Int32
+	m.SubscribeClass("motor", ObjectCreated, func(e Event) { motors.Add(1) })
+	m.SubscribeClass("report", ObjectDeleted, func(e Event) { deleted.Add(1) })
 	if _, err := m.Create("motor", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -350,8 +317,11 @@ func TestSubscribeClassFiltering(t *testing.T) {
 	if reports.Load() != 1 {
 		t.Errorf("class filter: %d", reports.Load())
 	}
-	if all.Load() != 2 {
-		t.Errorf("subscribe all: %d", all.Load())
+	if motors.Load() != 1 {
+		t.Errorf("class filter: %d motors", motors.Load())
+	}
+	if deleted.Load() != 0 {
+		t.Errorf("kind filter: %d deletions", deleted.Load())
 	}
 }
 
@@ -359,7 +329,7 @@ func TestEventKindString(t *testing.T) {
 	kinds := map[EventKind]string{
 		ObjectCreated: "object-created", ObjectDeleted: "object-deleted",
 		PropertyChanged: "property-changed", RelationAdded: "relation-added",
-		RelationRemoved: "relation-removed", EventKind(99): "unknown",
+		ObjectUpdated: "object-updated", EventKind(99): "unknown",
 	}
 	for k, want := range kinds {
 		if k.String() != want {
@@ -411,9 +381,9 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil || props["name"] != "M1" || props["power_kw"] != 55.0 {
 		t.Fatalf("reopened props %v %v", props, err)
 	}
-	nbrs, err := m2.Neighbors(id)
-	if err != nil || len(nbrs) != 1 || nbrs[0] != id2 {
-		t.Fatalf("reopened neighbors %v %v", nbrs, err)
+	near, err := m2.RelatedTo(id2, Proximity)
+	if err != nil || len(near) != 1 || near[0] != id {
+		t.Fatalf("reopened relations %v %v", near, err)
 	}
 }
 
@@ -460,7 +430,7 @@ func BenchmarkPropertyChangeWithSubscriber(b *testing.B) {
 	m := newTestModel(b)
 	id, _ := m.Create("motor", map[string]any{"name": "m"})
 	var n int64
-	m.Subscribe(PropertyChanged, func(Event) { atomic.AddInt64(&n, 1) })
+	m.SubscribeClass("motor", PropertyChanged, func(Event) { atomic.AddInt64(&n, 1) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,20 +1,13 @@
 package pdme
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
-	"repro/internal/hazard"
 	"repro/internal/historian"
-	"repro/internal/proto"
 )
 
-// This file is the PDME's use of the historian (§4.6 data management +
-// §10.1 future directions): fused severities stream into per-pair
-// channels, and unit lifetimes accumulate into per-condition archives that
-// back hazard/survival refinement — "next generation software will use
-// more complex failure analysis using historical data" (§1).
+// This file is the PDME's use of the historian (§4.6 data management):
+// fused severities stream into per-pair channels.
 
 // SeverityRollupTier is the downsampling resolution maintained on severity
 // channels: one min/max/mean bucket per day of reports, enough for
@@ -23,13 +16,6 @@ const SeverityRollupTier = 24 * time.Hour
 
 func severityChannel(component, condition string) string {
 	return "severity/" + component + "|" + condition
-}
-
-func lifetimeChannel(condition string, censored bool) string {
-	if censored {
-		return "lifetimes/" + condition + "/censored"
-	}
-	return "lifetimes/" + condition + "/failed"
 }
 
 // observeSeverity appends one fused-report severity to the pair's channel,
@@ -57,79 +43,4 @@ func (p *PDME) SeverityRollups(component, condition string) []historian.Rollup {
 		return nil
 	}
 	return rolls
-}
-
-// RecordLifetime archives one unit's time-on-test for a condition: hours
-// of operation until it failed (censored=false) or until observation
-// stopped with the unit still healthy (censored=true). The archive is the
-// §9 "archives of maintenance data" the hazard refinement fits.
-func (p *PDME) RecordLifetime(condition string, at time.Time, hours float64, censored bool) error {
-	if condition == "" {
-		return fmt.Errorf("pdme: empty condition")
-	}
-	if hours <= 0 {
-		return fmt.Errorf("pdme: non-positive lifetime %g h", hours)
-	}
-	name := lifetimeChannel(condition, censored)
-	if !p.hist.HasChannel(name) {
-		if err := p.hist.EnsureChannel(historian.ChannelConfig{Name: name}); err != nil {
-			return err
-		}
-	}
-	return p.hist.Append(name, at, hours)
-}
-
-// LifetimeObservations reads a condition's archived lifetimes back as
-// hazard observations (failed and censored), in recording-time order.
-func (p *PDME) LifetimeObservations(condition string) ([]hazard.Observation, error) {
-	type stamped struct {
-		at  time.Time
-		obs hazard.Observation
-	}
-	var all []stamped
-	for _, censored := range []bool{false, true} {
-		name := lifetimeChannel(condition, censored)
-		if !p.hist.HasChannel(name) {
-			continue
-		}
-		it, err := p.hist.Query(name, time.Time{}, time.Time{})
-		if err != nil {
-			return nil, err
-		}
-		for it.Next() {
-			s := it.At()
-			all = append(all, stamped{at: s.At, obs: hazard.Observation{Time: s.Value, Censored: censored}})
-		}
-	}
-	if len(all) == 0 {
-		return nil, fmt.Errorf("pdme: no lifetime archive for condition %q", condition)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].at.Before(all[j].at) })
-	out := make([]hazard.Observation, len(all))
-	for i, s := range all {
-		out[i] = s.obs
-	}
-	return out, nil
-}
-
-// FitLifeDistribution fits a Weibull life distribution over the archived
-// lifetimes of a condition (needs at least three uncensored failures).
-func (p *PDME) FitLifeDistribution(condition string) (hazard.Weibull, error) {
-	obs, err := p.LifetimeObservations(condition)
-	if err != nil {
-		return hazard.Weibull{}, err
-	}
-	return hazard.FitWeibull(obs)
-}
-
-// RefinePrognosticFromHistory is the full §10.1 loop: fit the condition's
-// archived lifetimes and condition the fitted distribution on the unit's
-// age, yielding a §7.3 prognostic vector P(fail by age+h | alive at age)
-// for each horizon (hours).
-func (p *PDME) RefinePrognosticFromHistory(condition string, ageHours float64, horizonsHours []float64) (proto.PrognosticVector, error) {
-	fit, err := p.FitLifeDistribution(condition)
-	if err != nil {
-		return nil, err
-	}
-	return hazard.RefinePrognostic(fit, ageHours, horizonsHours)
 }

@@ -2,11 +2,9 @@ package pdme
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
-	"repro/internal/hazard"
 	"repro/internal/historian"
 	"repro/internal/oosm"
 	"repro/internal/relstore"
@@ -80,100 +78,5 @@ func TestSeverityHistorySurvivesRestart(t *testing.T) {
 	}
 	if rolls := p2.SeverityRollups("motor/1", "motor imbalance"); len(rolls) == 0 {
 		t.Error("no severity rollups after restart")
-	}
-}
-
-// TestLifetimeArchiveBacksHazardFit: lifetimes recorded through the PDME
-// accumulate in the historian and fit back to the generating Weibull —
-// hazard refinement driven by stored history, not hand-built lists.
-func TestLifetimeArchiveBacksHazardFit(t *testing.T) {
-	p := newTestPDME(t)
-	defer p.Close()
-	truth := hazard.Weibull{Shape: 2.5, Scale: 4000}
-	rng := rand.New(rand.NewSource(5))
-	at := time.Date(1997, 1, 1, 0, 0, 0, 0, time.UTC)
-	const cond = "motor bearing outer race defect"
-	failures, censored := 0, 0
-	for i := 0; i < 400; i++ {
-		life := truth.Quantile(rng.Float64())
-		at = at.Add(13 * time.Hour)
-		if life > 6000 { // observation window truncation
-			if err := p.RecordLifetime(cond, at, 6000, true); err != nil {
-				t.Fatal(err)
-			}
-			censored++
-		} else {
-			if err := p.RecordLifetime(cond, at, life, false); err != nil {
-				t.Fatal(err)
-			}
-			failures++
-		}
-	}
-	obs, err := p.LifetimeObservations(cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs) != 400 {
-		t.Fatalf("archive holds %d observations, want 400", len(obs))
-	}
-	gotFail := 0
-	for _, o := range obs {
-		if !o.Censored {
-			gotFail++
-		}
-	}
-	if gotFail != failures {
-		t.Fatalf("archive holds %d failures, recorded %d", gotFail, failures)
-	}
-	fit, err := p.FitLifeDistribution(cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Shape-truth.Shape) > 0.5 || math.Abs(fit.Scale-truth.Scale)/truth.Scale > 0.1 {
-		t.Fatalf("fit Weibull(k=%.2f, λ=%.0f), truth Weibull(k=%.1f, λ=%.0f)",
-			fit.Shape, fit.Scale, truth.Shape, truth.Scale)
-	}
-	vec, err := p.RefinePrognosticFromHistory(cond, 3000, []float64{500, 1000, 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vec) != 3 {
-		t.Fatalf("vector %v", vec)
-	}
-	for i := 1; i < len(vec); i++ {
-		if vec[i].Probability < vec[i-1].Probability {
-			t.Fatalf("non-monotone refined vector %v", vec)
-		}
-	}
-	// An aged unit must be likelier to fail soon than a young one.
-	young, err := p.RefinePrognosticFromHistory(cond, 100, []float64{1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := p.RefinePrognosticFromHistory(cond, 4000, []float64{1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old[0].Probability <= young[0].Probability {
-		t.Fatalf("age conditioning inverted: young %.3f, old %.3f",
-			young[0].Probability, old[0].Probability)
-	}
-}
-
-func TestRecordLifetimeValidation(t *testing.T) {
-	p := newTestPDME(t)
-	defer p.Close()
-	at := time.Date(1998, 1, 1, 0, 0, 0, 0, time.UTC)
-	if err := p.RecordLifetime("", at, 100, false); err == nil {
-		t.Error("empty condition accepted")
-	}
-	if err := p.RecordLifetime("oil whirl", at, 0, false); err == nil {
-		t.Error("zero lifetime accepted")
-	}
-	if _, err := p.LifetimeObservations("oil whirl"); err == nil {
-		t.Error("empty archive should error")
-	}
-	if _, err := p.FitLifeDistribution("oil whirl"); err == nil {
-		t.Error("fit over empty archive should error")
 	}
 }

@@ -93,8 +93,6 @@ type PDME struct {
 	reports  map[reportKey]heldReport
 	received int
 	sub      *oosm.Subscription
-	// resident hosts §5.7 PDME-resident algorithms.
-	resident residentHost
 	// dedup suppresses at-least-once redelivery from DC uplinks. It lives
 	// on the PDME (not the server) so suppression survives a report-server
 	// Close/Serve bounce — evidence is never double-counted across restarts.

@@ -168,19 +168,6 @@ func (db *DB) Select(tableName string, p Predicate, limit int) ([]Row, error) {
 	return t.selectRows(p, limit), nil
 }
 
-// SelectOne returns the first row matching the predicate, or an error when
-// none matches.
-func (db *DB) SelectOne(tableName string, p Predicate) (Row, error) {
-	rows, err := db.Select(tableName, p, 1)
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("relstore: no row in %q matches predicate", tableName)
-	}
-	return rows[0], nil
-}
-
 // Count returns the number of rows matching the predicate.
 func (db *DB) Count(tableName string, p Predicate) (int, error) {
 	db.mu.RLock()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/seglog"
@@ -238,43 +237,4 @@ func (db *DB) apply(rec walRecord) error {
 	default:
 		return fmt.Errorf("unknown op %q", rec.Op)
 	}
-}
-
-// Compact rewrites the log file as a minimal snapshot of the current state
-// and swaps it in atomically. Only valid for databases created with Open.
-func (db *DB) Compact() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.logger == nil {
-		return fmt.Errorf("relstore: Compact on in-memory database")
-	}
-	err := db.logger.log.Rewrite(func(w *seglog.Log) error {
-		snap := &walLogger{log: w}
-		names := make([]string, 0, len(db.tables))
-		for n := range db.tables {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			t := db.tables[name]
-			if err := snap.appendCreateTable(t.schema); err != nil {
-				return err
-			}
-			ids := make([]int64, 0, len(t.rows))
-			for id := range t.rows {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				if err := snap.appendInsert(name, id, t.rows[id], t.schema); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("relstore: compact: %w", err)
-	}
-	return nil
 }

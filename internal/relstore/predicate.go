@@ -73,57 +73,6 @@ func (p and) indexHint() (string, any, bool) {
 // among the children is used as the scan hint.
 func And(ps ...Predicate) Predicate { return and{ps} }
 
-// or is a disjunction (no index support).
-type or struct{ ps []Predicate }
-
-func (p or) Match(r Row) bool {
-	for _, c := range p.ps {
-		if c.Match(r) {
-			return true
-		}
-	}
-	return false
-}
-
-func (p or) indexHint() (string, any, bool) { return "", nil, false }
-
-// Or matches rows satisfying any child predicate.
-func Or(ps ...Predicate) Predicate { return or{ps} }
-
-// not negates a predicate (no index support).
-type not struct{ p Predicate }
-
-func (p not) Match(r Row) bool               { return !p.p.Match(r) }
-func (p not) indexHint() (string, any, bool) { return "", nil, false }
-
-// Not matches rows failing the child predicate.
-func Not(p Predicate) Predicate { return not{p} }
-
-// GtFloat matches rows whose Float column strictly exceeds v. Missing or
-// non-float values do not match.
-func GtFloat(col string, v float64) Predicate {
-	return Where(func(r Row) bool {
-		f, ok := r[col].(float64)
-		return ok && f > v
-	})
-}
-
-// LtFloat matches rows whose Float column is strictly below v.
-func LtFloat(col string, v float64) Predicate {
-	return Where(func(r Row) bool {
-		f, ok := r[col].(float64)
-		return ok && f < v
-	})
-}
-
-// GtInt matches rows whose Int column strictly exceeds v.
-func GtInt(col string, v int64) Predicate {
-	return Where(func(r Row) bool {
-		i, ok := r[col].(int64)
-		return ok && i > v
-	})
-}
-
 // After matches rows whose Time column is strictly after v.
 func After(col string, v time.Time) Predicate {
 	return Where(func(r Row) bool {

@@ -27,7 +27,6 @@ import (
 	"repro/internal/pdme"
 	"repro/internal/proto"
 	"repro/internal/relstore"
-	"repro/internal/serving"
 	"repro/internal/uplink"
 )
 
@@ -51,12 +50,6 @@ type (
 	// Source is the plant interface a DC instruments; FleetConfig.WrapSource
 	// interposes on it for sensor-fault injection.
 	Source = dc.Source
-	// Views is the read-side serving tier: event-invalidated materialized
-	// views over the PDME, streaming subscriptions, and the HTTP API
-	// (see serving.Open / serving.NewHandler).
-	Views = serving.Views
-	// ServingOptions configures a Views tier.
-	ServingOptions = serving.Options
 )
 
 // Health state constants.
@@ -247,14 +240,6 @@ func (s *Station) PrioritizedList() []MaintenanceItem { return s.PDME.Prioritize
 // Browser renders the Figure 2-style machine display.
 func (s *Station) Browser() (string, error) {
 	return s.PDME.RenderBrowser(s.Machine.String())
-}
-
-// OpenViews attaches a read-side serving tier to the station's PDME:
-// materialized ranked/belief/trend views invalidated by fusion events, plus
-// Watch subscriptions. Close the returned Views before closing the station.
-// Serve its HTTP API with serving.NewHandler.
-func (s *Station) OpenViews(opts ServingOptions) (*Views, error) {
-	return serving.Open(s.PDME, opts)
 }
 
 // Close releases the PDME (writing its final checkpoint), the shared

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/chiller"
 	"repro/internal/pdme"
+	"repro/internal/serving"
 	"repro/internal/uplink"
 )
 
@@ -69,7 +70,7 @@ func TestRoleStationReopensIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	views, err := s.OpenViews(ServingOptions{})
+	views, err := serving.Open(s.PDME, serving.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
