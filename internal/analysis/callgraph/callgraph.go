@@ -251,25 +251,6 @@ func ShortName(n *Node) string {
 	return pkg + fn.Name()
 }
 
-// Facts is a typed per-function summary store, keyed by FuncID — the
-// mechanism module analyzers use to compute something once per function and
-// share it across the packages of the module.
-type Facts[T any] struct {
-	m map[string]T
-}
-
-// NewFacts returns an empty store.
-func NewFacts[T any]() *Facts[T] { return &Facts[T]{m: make(map[string]T)} }
-
-// Set records the summary for a function.
-func (f *Facts[T]) Set(id string, v T) { f.m[id] = v }
-
-// Get returns the summary for a function.
-func (f *Facts[T]) Get(id string) (T, bool) {
-	v, ok := f.m[id]
-	return v, ok
-}
-
 // collectCalls walks the body (function literals included) and records every
 // statically resolvable call.
 func collectCalls(fd *ast.FuncDecl, info *types.Info, n *Node) []Call {

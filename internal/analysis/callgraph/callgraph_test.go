@@ -154,14 +154,3 @@ func TestReachabilityAndChain(t *testing.T) {
 		t.Errorf("chain = %q", got)
 	}
 }
-
-func TestFacts(t *testing.T) {
-	f := NewFacts[int]()
-	if _, ok := f.Get("x"); ok {
-		t.Error("empty store reported a fact")
-	}
-	f.Set("x", 7)
-	if v, ok := f.Get("x"); !ok || v != 7 {
-		t.Errorf("Get = %d, %v", v, ok)
-	}
-}

@@ -57,8 +57,6 @@ type Config struct {
 	// vector, and SBFR status transition. Nil means the DC opens a private
 	// in-memory store (use dc.Historian() to query it).
 	Historian *historian.Store
-	// HistorianRetention bounds per-channel history age (0 = keep all).
-	HistorianRetention time.Duration
 	// HeartbeatInterval schedules fleet-health heartbeats announcing
 	// liveness, spool depth, and per-suite last-run info to the PDME's
 	// health registry (0 disables; heartbeats also require an uplink that
@@ -135,10 +133,10 @@ type DC struct {
 // heartbeatTask is the scheduler name of the fleet-health heartbeat.
 const heartbeatTask = "heartbeat"
 
-const (
-	measurementsTable = "dc_measurements"
-	reportsTable      = "dc_condition_reports"
-)
+// reportsTable is the DC database's one table: the condition reports the
+// DC issued, each with whether the uplink took it. A vibration test's
+// features live only in the historian.
+const reportsTable = "dc_condition_reports"
 
 // New builds a DC over a plant source, a database (its schema is created if
 // absent), and an uplink sink. Pass relstore.NewMemory() for a volatile lab
@@ -184,18 +182,6 @@ func New(cfg Config, src Source, db *relstore.DB, uplink proto.Sink) (*DC, error
 		d.ownHist = true
 	}
 	if err := d.ensureHistorianChannels(); err != nil {
-		return nil, err
-	}
-	if err := db.EnsureTable(relstore.Schema{
-		Name: measurementsTable,
-		Columns: []relstore.Column{
-			{Name: "point", Type: relstore.String, Indexed: true},
-			{Name: "rms", Type: relstore.Float},
-			{Name: "crest", Type: relstore.Float},
-			{Name: "kurtosis", Type: relstore.Float},
-			{Name: "taken_at", Type: relstore.Time},
-		},
-	}); err != nil {
 		return nil, err
 	}
 	if err := db.EnsureTable(relstore.Schema{
@@ -325,11 +311,11 @@ type pointResult struct {
 // RunVibrationTest performs the standard §5.8 vibration test in three
 // phases. Acquire: every measurement point through the MUX, in bank order.
 // Compute: each point's features and WNN call on up to GOMAXPROCS workers,
-// the caller being one of them. Emit: store waveform statistics, run the
-// expert system, persist and uplink the resulting condition reports, in
-// bank order. Only the compute leaves the calling goroutine, so what the
-// test writes does not depend on the worker count; a test whose acquire or
-// compute fails at any point writes nothing.
+// the caller being one of them. Emit: append each point's features to the
+// historian, run the expert system, persist and uplink the resulting
+// condition reports, in bank order. Only the compute leaves the calling
+// goroutine, so what the test writes does not depend on the worker count;
+// a test whose acquire or compute fails at any point writes nothing.
 func (d *DC) RunVibrationTest(now time.Time) error {
 	var frames [chiller.NumPoints][]float64
 	suspects := make(map[chiller.MeasurementPoint]string)
@@ -380,15 +366,6 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 		f := &results[i].f
 		features[pt] = f
 		if err := d.recordVibrationFeatures(pt, f, now); err != nil {
-			return err
-		}
-		if _, err := d.db.Insert(measurementsTable, relstore.Row{
-			"point":    pt.String(),
-			"rms":      f.OverallRMS,
-			"crest":    f.CrestFactor,
-			"kurtosis": f.Kurtosis,
-			"taken_at": now,
-		}); err != nil {
 			return err
 		}
 	}
@@ -640,11 +617,6 @@ func (d *DC) ReportsSent() int { return d.reportsSent }
 
 // ReportErrors returns how many uplink deliveries failed.
 func (d *DC) ReportErrors() int { return d.reportErrors }
-
-// Measurements returns stored measurement rows for a point.
-func (d *DC) Measurements(pt chiller.MeasurementPoint) ([]relstore.Row, error) {
-	return d.db.Select(measurementsTable, relstore.Eq("point", pt.String()), 0)
-}
 
 // StoredReports returns locally persisted condition reports, optionally
 // filtered by condition ("" for all).

@@ -212,14 +212,17 @@ func TestHealthyRunProducesNoReports(t *testing.T) {
 	if sink.count() != 0 {
 		t.Fatalf("healthy plant produced %d reports", sink.count())
 	}
-	// But measurements were stored: 24h/4h = 7 vibration tests (including
-	// t=0) × 4 points.
-	rows, err := d.Measurements(chiller.MotorDE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Errorf("stored %d motor-de measurements, want 7", len(rows))
+	// But features were recorded: 24h/4h = 7 vibration tests (including
+	// t=0), each appending one sample per feature channel.
+	for _, feat := range VibFeatures {
+		ch := VibChannel(chiller.MotorDE, feat)
+		samples, err := d.Historian().QueryAll(ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(samples) != 7 {
+			t.Errorf("%s holds %d samples, want 7", ch, len(samples))
+		}
 	}
 }
 

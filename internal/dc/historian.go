@@ -13,8 +13,8 @@ import (
 // acquisition rate: every vibration test stores its per-point feature
 // scalars, every process scan stores the full process-state vector, and
 // the SBFR monitor stores its status-register transitions. The historian
-// is what makes the DC's history *queryable* — the relstore tables remain
-// the row-oriented audit log.
+// is the DC's one store of what it measured; the DC database holds only
+// the condition reports it issued (§4.9's ship-side audit log).
 
 // Historian channel name helpers. Names are stable API: the replay example
 // and downstream consumers reconstruct state from them.
@@ -94,9 +94,8 @@ func (d *DC) ensureHistorianChannels() error {
 	for _, pt := range chiller.AllPoints() {
 		for _, feat := range VibFeatures {
 			if err := d.hist.EnsureChannel(historian.ChannelConfig{
-				Name:      VibChannel(pt, feat),
-				Retention: d.cfg.HistorianRetention,
-				Tiers:     vibTiers,
+				Name:  VibChannel(pt, feat),
+				Tiers: vibTiers,
 			}); err != nil {
 				return err
 			}
@@ -104,9 +103,8 @@ func (d *DC) ensureHistorianChannels() error {
 	}
 	for _, f := range ProcFields {
 		if err := d.hist.EnsureChannel(historian.ChannelConfig{
-			Name:      ProcChannel(f),
-			Retention: d.cfg.HistorianRetention,
-			Tiers:     procTiers,
+			Name:  ProcChannel(f),
+			Tiers: procTiers,
 		}); err != nil {
 			return err
 		}
@@ -145,10 +143,7 @@ func (d *DC) recordSBFRStatus(machine string, status float64, now time.Time) err
 	}
 	name := SBFRChannel(machine)
 	if !d.hist.HasChannel(name) {
-		if err := d.hist.EnsureChannel(historian.ChannelConfig{
-			Name:      name,
-			Retention: d.cfg.HistorianRetention,
-		}); err != nil {
+		if err := d.hist.EnsureChannel(historian.ChannelConfig{Name: name}); err != nil {
 			return err
 		}
 	}

@@ -16,9 +16,9 @@ import (
 )
 
 // vibrationRun runs a seeded two-fault plant with SBFR on and the WNN
-// attached for 24 virtual hours of hourly vibration tests at the given GOMAXPROCS, and returns every
-// output the DC writes, each as JSON under a name: the delivered reports,
-// each point's measurement rows, the stored reports and every historian
+// attached for 24 virtual hours of hourly vibration tests at the given
+// GOMAXPROCS, and returns every output the DC writes, each as JSON under a
+// name: the delivered reports, the stored reports and every historian
 // channel's samples. It also returns the reports themselves.
 func vibrationRun(t *testing.T, procs int, clf *wnn.ChillerClassifier, wrap func(Source) Source) (map[string][]byte, []*proto.Report) {
 	t.Helper()
@@ -69,10 +69,6 @@ func vibrationRun(t *testing.T, procs int, clf *wnn.ChillerClassifier, wrap func
 		out[name] = b
 	}
 	put("reports", sink.reports, nil)
-	for _, pt := range chiller.AllPoints() {
-		rows, err := d.Measurements(pt)
-		put("measurements/"+pt.String(), rows, err)
-	}
 	stored, err := d.StoredReports("")
 	put("stored reports", stored, err)
 	for _, ch := range d.Historian().Channels() {
@@ -84,9 +80,9 @@ func vibrationRun(t *testing.T, procs int, clf *wnn.ChillerClassifier, wrap func
 
 // TestParallelVibrationTestMatchesSequential pins the vibration test's
 // fan-out to its output: computing the points on four workers writes the
-// same reports, measurement rows, stored reports and historian samples,
-// byte for byte, as computing them on the calling goroutine alone. The
-// stuck-channel case compares quarantine annotations and capped beliefs.
+// same reports, stored reports and historian samples, byte for byte, as
+// computing them on the calling goroutine alone. The stuck-channel case
+// compares quarantine annotations and capped beliefs.
 func TestParallelVibrationTestMatchesSequential(t *testing.T) {
 	clf, err := wnn.NewChillerClassifier(chiller.DefaultConfig(), 4096, 12, 3)
 	if err != nil {
@@ -155,8 +151,8 @@ func (s *failingSource) AcquireVibration(pt chiller.MeasurementPoint, n int) ([]
 }
 
 // TestFailedVibrationTestWritesNothing: a test that fails at one point, in
-// acquisition or in a point's compute, leaves no measurement row, historian
-// sample or report for the points before it either.
+// acquisition or in a point's compute, leaves no historian sample or report
+// for the points before it either.
 func TestFailedVibrationTestWritesNothing(t *testing.T) {
 	for _, short := range []bool{false, true} {
 		for _, procs := range []int{1, 4} {
@@ -184,9 +180,6 @@ func TestFailedVibrationTestWritesNothing(t *testing.T) {
 					t.Errorf("error %q does not name the frame", err)
 				}
 				for _, pt := range chiller.AllPoints() {
-					if rows, err := d.Measurements(pt); err != nil || len(rows) != 0 {
-						t.Errorf("%s: %d measurement rows (err %v), want none", pt, len(rows), err)
-					}
 					for _, feat := range VibFeatures {
 						if s, err := d.Historian().QueryAll(VibChannel(pt, feat)); err != nil || len(s) != 0 {
 							t.Errorf("%s: %d samples (err %v), want none", VibChannel(pt, feat), len(s), err)

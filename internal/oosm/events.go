@@ -15,8 +15,6 @@ const (
 	ObjectDeleted
 	// PropertyChanged fires once per changed property on SetProps.
 	PropertyChanged
-	// RelationAdded fires when a relationship is recorded.
-	RelationAdded
 	// ObjectUpdated fires exactly once per SetProps call, after the
 	// per-property PropertyChanged events. Subscribers that react to a write
 	// as a whole (cache invalidation, display refresh) listen here instead
@@ -33,8 +31,6 @@ func (k EventKind) String() string {
 		return "object-deleted"
 	case PropertyChanged:
 		return "property-changed"
-	case RelationAdded:
-		return "relation-added"
 	case ObjectUpdated:
 		return "object-updated"
 	default:
@@ -46,10 +42,8 @@ func (k EventKind) String() string {
 type Event struct {
 	Kind     EventKind
 	Object   ObjectID
-	Property string  // set for PropertyChanged
-	Value    any     // set for PropertyChanged
-	Relation RelKind // set for RelationAdded
-	Other    ObjectID
+	Property string // set for PropertyChanged
+	Value    any    // set for PropertyChanged
 }
 
 // Subscription is a handle for cancelling an event subscription.

@@ -2,14 +2,16 @@
 // repository of machinery state "used for communication between the various
 // prognostic and diagnostic software modules".
 //
-// Entities are objects with typed properties and relationships to other
-// entities ("part-of", "kind-of", "proximity", "flow", "refers-to"). An
-// event model notifies client programs of changes "without the need to
-// poll" (§4.5) — Knowledge Fusion subscribes to process failure prediction
-// reports as they arrive. Persistence follows §4.6: "object types are
-// mapped to tables and properties and relationships are mapped to columns
-// and helper tables", here on the internal/relstore engine; persistence is
-// "entirely managed in the background" — callers never see the tables.
+// Entities are objects with typed properties. An object that refers to
+// another (a conclusion to its component) names it in a property; the
+// paper's typed relationship graph ("part-of", "kind-of", "proximity",
+// "flow") is not built, as no process walks it. An event model notifies
+// client programs of changes "without the need to poll" (§4.5) — Knowledge
+// Fusion subscribes to process failure prediction reports as they arrive.
+// Persistence follows §4.6: "object types are mapped to tables and
+// properties ... to columns", here on the internal/relstore engine, one
+// table per class; persistence is "entirely managed in the background" —
+// callers never see the tables.
 package oosm
 
 import (
@@ -104,8 +106,8 @@ func ParseObjectID(s string) (ObjectID, error) {
 	return id, nil
 }
 
-// Model is the ship model: a set of classes, their object instances, and the
-// relationship graph, persisted transparently to a relstore database.
+// Model is the ship model: a set of classes and their object instances,
+// persisted transparently to a relstore database, one table per class.
 // All methods are safe for concurrent use.
 type Model struct {
 	mu      sync.RWMutex
@@ -114,30 +116,16 @@ type Model struct {
 	events  *eventHub
 }
 
-const relTable = "oosm_relationships"
-
 // NewModel creates a model persisted in db (use relstore.NewMemory for a
 // volatile model or relstore.Open for a durable one). Classes registered by
 // earlier sessions against the same database are available after re-opening
 // once RegisterClass is called again with the same schemas.
 func NewModel(db *relstore.DB) (*Model, error) {
-	m := &Model{
+	return &Model{
 		db:      db,
 		classes: make(map[string]Class),
 		events:  newEventHub(),
-	}
-	err := db.EnsureTable(relstore.Schema{
-		Name: relTable,
-		Columns: []relstore.Column{
-			{Name: "kind", Type: relstore.String, Indexed: true},
-			{Name: "from", Type: relstore.String, Indexed: true},
-			{Name: "to", Type: relstore.String, Indexed: true},
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	}, nil
 }
 
 func classTable(class string) string { return "oosm_obj_" + class }
@@ -281,24 +269,10 @@ func (m *Model) SetProps(id ObjectID, props map[string]any) error {
 	return nil
 }
 
-// Delete removes an object and all relationships that mention it, emitting
-// an ObjectDeleted event.
+// Delete removes an object, emitting an ObjectDeleted event.
 func (m *Model) Delete(id ObjectID) error {
 	if err := m.db.Delete(classTable(id.Class), id.Num); err != nil {
 		return err
-	}
-	// Remove relationships in both directions.
-	key := id.String()
-	for _, col := range []string{"from", "to"} {
-		rows, err := m.db.Select(relTable, relstore.Eq(col, key), 0)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if err := m.db.Delete(relTable, r.ID()); err != nil {
-				return err
-			}
-		}
 	}
 	m.events.publish(Event{Kind: ObjectDeleted, Object: id})
 	return nil

@@ -3,6 +3,7 @@ package oosm
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -176,57 +177,39 @@ func TestInstancesAndFind(t *testing.T) {
 	}
 }
 
-func TestRelationships(t *testing.T) {
-	m := newTestModel(t)
-	ship, _ := m.Create("ship", map[string]any{"name": "Mercy"})
-	ch, _ := m.Create("chiller", map[string]any{"name": "Chiller 1"})
-	mot, _ := m.Create("motor", map[string]any{"name": "Motor 1"})
-	comp, _ := m.Create("compressor", map[string]any{"name": "Compressor 1"})
-
-	if err := m.Relate(PartOf, ch, ship); err != nil {
+// TestModelKeepsOnlyClassTables: the model stores each object in its
+// class's table and nothing beside it — a new model creates no table, and
+// creating and deleting an object leaves only that class's.
+func TestModelKeepsOnlyClassTables(t *testing.T) {
+	db := relstore.NewMemory()
+	m, err := NewModel(db)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Relate(PartOf, mot, ch); err != nil {
+	if names := db.TableNames(); len(names) != 0 {
+		t.Fatalf("a new model created tables %v", names)
+	}
+	if err := m.RegisterClass(Class{Name: "motor", Props: map[string]PropType{"name": PropString}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Relate(PartOf, comp, ch); err != nil {
+	id, err := m.Create("motor", map[string]any{"name": "m"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Relate(Proximity, mot, comp); err != nil {
+	if err := m.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	// Idempotent.
-	if err := m.Relate(PartOf, mot, ch); err != nil {
-		t.Fatal(err)
+	if m.Exists(id) {
+		t.Fatal("deleted object still exists")
 	}
-	up, err := m.RelatedTo(ship, PartOf)
-	if err != nil || len(up) != 1 || up[0] != ch {
-		t.Fatalf("relatedTo %v %v", up, err)
-	}
-	parts, err := m.RelatedTo(ch, PartOf)
-	if err != nil || len(parts) != 2 {
-		t.Fatalf("relatedTo %v %v", parts, err)
-	}
-	// Relating a missing object fails.
-	if err := m.Relate(PartOf, ObjectID{Class: "motor", Num: 999}, ch); err == nil {
-		t.Error("missing from")
-	}
-	if err := m.Relate(PartOf, mot, ObjectID{Class: "motor", Num: 999}); err == nil {
-		t.Error("missing to")
-	}
-	// Deleting an object removes its edges.
-	if err := m.Delete(comp); err != nil {
-		t.Fatal(err)
-	}
-	parts, _ = m.RelatedTo(ch, PartOf)
-	if len(parts) != 1 {
-		t.Fatalf("edges not cleaned after delete: %v", parts)
+	if names := db.TableNames(); !slices.Equal(names, []string{classTable("motor")}) {
+		t.Fatalf("tables %v, want only %s", names, classTable("motor"))
 	}
 }
 
 func TestEvents(t *testing.T) {
 	m := newTestModel(t)
-	var created, changed, deleted, related atomic.Int32
+	var created, changed, deleted atomic.Int32
 	subC := m.SubscribeClass("motor", ObjectCreated, func(e Event) { created.Add(1) })
 	m.SubscribeClass("motor", PropertyChanged, func(e Event) {
 		if e.Property == "running" {
@@ -234,22 +217,20 @@ func TestEvents(t *testing.T) {
 		}
 	})
 	m.SubscribeClass("motor", ObjectDeleted, func(e Event) { deleted.Add(1) })
-	m.SubscribeClass("motor", RelationAdded, func(e Event) { related.Add(1) })
 
 	id, _ := m.Create("motor", map[string]any{"name": "m"})
-	other, _ := m.Create("motor", map[string]any{"name": "n"})
-	if err := m.SetProps(id, map[string]any{"running": true, "power_kw": 1.0}); err != nil {
+	if _, err := m.Create("motor", map[string]any{"name": "n"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Relate(Proximity, id, other); err != nil {
+	if err := m.SetProps(id, map[string]any{"running": true, "power_kw": 1.0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	if created.Load() != 2 || changed.Load() != 1 || deleted.Load() != 1 || related.Load() != 1 {
-		t.Errorf("events created=%d changed=%d deleted=%d related=%d",
-			created.Load(), changed.Load(), deleted.Load(), related.Load())
+	if created.Load() != 2 || changed.Load() != 1 || deleted.Load() != 1 {
+		t.Errorf("events created=%d changed=%d deleted=%d",
+			created.Load(), changed.Load(), deleted.Load())
 	}
 	// Cancel stops delivery.
 	subC.Cancel()
@@ -328,8 +309,8 @@ func TestSubscribeClassFiltering(t *testing.T) {
 func TestEventKindString(t *testing.T) {
 	kinds := map[EventKind]string{
 		ObjectCreated: "object-created", ObjectDeleted: "object-deleted",
-		PropertyChanged: "property-changed", RelationAdded: "relation-added",
-		ObjectUpdated: "object-updated", EventKind(99): "unknown",
+		PropertyChanged: "property-changed", ObjectUpdated: "object-updated",
+		EventKind(99): "unknown",
 	}
 	for k, want := range kinds {
 		if k.String() != want {
@@ -358,9 +339,6 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	id2, _ := m.Create("motor", map[string]any{"name": "M2"})
-	if err := m.Relate(Proximity, id, id2); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -381,9 +359,9 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil || props["name"] != "M1" || props["power_kw"] != 55.0 {
 		t.Fatalf("reopened props %v %v", props, err)
 	}
-	near, err := m2.RelatedTo(id2, Proximity)
-	if err != nil || len(near) != 1 || near[0] != id {
-		t.Fatalf("reopened relations %v %v", near, err)
+	props, err = m2.Get(id2)
+	if err != nil || props["name"] != "M2" || props["power_kw"] != nil {
+		t.Fatalf("reopened props of %v: %v %v", id2, props, err)
 	}
 }
 

@@ -656,10 +656,6 @@ func (p *PDME) postConclusion(component string, cs fusion.ConditionState, vec pr
 	p.mu.Lock()
 	p.conclusions[key] = id
 	p.mu.Unlock()
-	// Link the conclusion to the sensed object when it exists in the model.
-	if objID, err := oosm.ParseObjectID(component); err == nil && p.model.Exists(objID) {
-		return p.model.Relate(oosm.RefersTo, id, objID)
-	}
 	return nil
 }
 

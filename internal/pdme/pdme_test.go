@@ -2,6 +2,7 @@ package pdme
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -253,13 +254,9 @@ func TestConclusionLinksToModelObject(t *testing.T) {
 	if err := p.Deliver(report("ks", id.String(), "motor imbalance", 0.5, 0.6, time.Now(), nil)); err != nil {
 		t.Fatal(err)
 	}
-	// The conclusion refers-to the machine object.
-	concls, err := p.Model().RelatedTo(id, oosm.RefersTo)
-	if err != nil || len(concls) != 1 {
-		t.Fatalf("refers-to links: %v %v", concls, err)
-	}
-	if concls[0].Class != ConclusionClass {
-		t.Errorf("linked class %s", concls[0].Class)
+	// The conclusion names the machine object as its component.
+	if got := conclusionConditions(t, p.Model(), id); !slices.Equal(got, []string{"motor imbalance"}) {
+		t.Fatalf("conclusions on %v are for %v, want one for motor imbalance", id, got)
 	}
 }
 

@@ -2,6 +2,7 @@ package pdme
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,6 +33,26 @@ func reportObjects(t *testing.T, model *oosm.Model, sensed, source, condition st
 	return out
 }
 
+// conclusionConditions returns, sorted, the condition of every conclusion
+// whose component is the machine.
+func conclusionConditions(t *testing.T, model *oosm.Model, machine oosm.ObjectID) []string {
+	t.Helper()
+	ids, err := model.FindByProp(ConclusionClass, "component", machine.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, 0, len(ids))
+	for _, id := range ids {
+		c, err := model.GetProp(id, "condition")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, c.(string))
+	}
+	slices.Sort(out)
+	return out
+}
+
 func countInstances(t *testing.T, model *oosm.Model, class string) int {
 	t.Helper()
 	ids, err := model.Instances(class)
@@ -44,9 +65,10 @@ func countInstances(t *testing.T, model *oosm.Model, class string) int {
 // TestReportRepositoryStaysBounded: the OOSM keeps each knowledge source's
 // current report per (machine, condition) — the one with the latest
 // timestamp, a tie going to the later arrival. Ten rounds of reports over the
-// same keys leave one report object per key and one relationship per
-// conclusion, with every report counted; a late report does not displace the
-// held one, and a report knowledge fusion refused leaves no object.
+// same keys leave one report object per key and one conclusion per
+// (machine, condition), with every report counted; a late report does not
+// displace the held one, and a report knowledge fusion refused leaves no
+// object.
 func TestReportRepositoryStaysBounded(t *testing.T) {
 	at := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
 	model, err := oosm.NewModel(relstore.NewMemory())
@@ -62,7 +84,7 @@ func TestReportRepositoryStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	// The machines live in the model, so every conclusion refers to one.
+	// The machines live in the model, and each conclusion names one.
 	if err := model.RegisterClass(oosm.Class{Name: "motor", Props: map[string]oosm.PropType{"name": oosm.PropString}}); err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +127,10 @@ func TestReportRepositoryStaysBounded(t *testing.T) {
 	if conclusions != len(machines)*len(conditions) {
 		t.Fatalf("%d conclusion objects, want %d", conclusions, len(machines)*len(conditions))
 	}
-	relations := 0
 	for _, m := range machines {
-		from, err := model.RelatedTo(m, oosm.RefersTo)
-		if err != nil {
-			t.Fatal(err)
+		if got := conclusionConditions(t, model, m); !slices.Equal(got, slices.Sorted(slices.Values(conditions))) {
+			t.Fatalf("conclusions on %v are for %v, want one for each of %v", m, got, conditions)
 		}
-		relations += len(from)
-	}
-	if relations != conclusions {
-		t.Fatalf("%d relationships for %d conclusions", relations, conclusions)
 	}
 	if got := p.ReceivedReports(); got != sent {
 		t.Fatalf("%d reports received, %d sent", got, sent)

@@ -57,28 +57,6 @@ func TestSeverityGrading(t *testing.T) {
 	}
 }
 
-func TestExpectedFailureHorizon(t *testing.T) {
-	// §6.1: no foreseeable failure, months, weeks, days.
-	if SeveritySlight.ExpectedFailureHorizon() != 0 {
-		t.Error("slight should have no horizon")
-	}
-	m := SeverityModerate.ExpectedFailureHorizon()
-	w := SeveritySerious.ExpectedFailureHorizon()
-	d := SeverityExtreme.ExpectedFailureHorizon()
-	if !(m > w && w > d && d > 0) {
-		t.Errorf("horizon ordering wrong: months=%v weeks=%v days=%v", m, w, d)
-	}
-	if m < 30*24*time.Hour {
-		t.Error("moderate should be months-scale")
-	}
-	if w > 30*24*time.Hour || w < 7*24*time.Hour {
-		t.Error("serious should be weeks-scale")
-	}
-	if d > 7*24*time.Hour {
-		t.Error("extreme should be days-scale")
-	}
-}
-
 func TestPrognosticVectorValidate(t *testing.T) {
 	good := PrognosticVector{{0.1, 100}, {0.5, 200}, {0.9, 300}}
 	if err := good.Validate(); err != nil {
@@ -179,17 +157,6 @@ func TestTimeToProbability(t *testing.T) {
 	flat := PrognosticVector{{Probability: 0.0, HorizonSeconds: 100}, {Probability: 0.0, HorizonSeconds: 200}}
 	if _, ok := flat.TimeToProbability(0.5, 150*time.Second); ok {
 		t.Error("flat-zero vector cannot reach 0.5 within range")
-	}
-}
-
-func TestSorted(t *testing.T) {
-	v := PrognosticVector{{0.9, 300}, {0.1, 100}, {0.5, 200}}
-	s := v.Sorted()
-	if s[0].HorizonSeconds != 100 || s[2].HorizonSeconds != 300 {
-		t.Errorf("sorted %v", s)
-	}
-	if v[0].HorizonSeconds != 300 {
-		t.Error("Sorted must not mutate receiver")
 	}
 }
 

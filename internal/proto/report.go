@@ -12,7 +12,6 @@ package proto
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -69,22 +68,6 @@ func GradeSeverity(severity float64) SeverityGrade {
 	}
 }
 
-// ExpectedFailureHorizon returns the loose time-to-failure description of
-// §6.1 for a grade: no foreseeable failure (0), months, weeks, or days.
-func (g SeverityGrade) ExpectedFailureHorizon() time.Duration {
-	const day = 24 * time.Hour
-	switch g {
-	case SeverityModerate:
-		return 90 * day // failure in months
-	case SeveritySerious:
-		return 21 * day // failure in weeks
-	case SeverityExtreme:
-		return 3 * day // failure in days
-	default:
-		return 0 // none/slight: no foreseeable failure
-	}
-}
-
 // PrognosticPoint is one "(probability, time)" pair of §7.3: "the
 // probability that the given machine condition will lead to failure of the
 // machine within 'time' seconds from now".
@@ -119,13 +102,6 @@ func (v PrognosticVector) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Sorted returns a copy of v sorted by horizon.
-func (v PrognosticVector) Sorted() PrognosticVector {
-	out := append(PrognosticVector(nil), v...)
-	sort.Slice(out, func(i, j int) bool { return out[i].HorizonSeconds < out[j].HorizonSeconds })
-	return out
 }
 
 // ProbabilityAt linearly interpolates the failure probability at horizon t.

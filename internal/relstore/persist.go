@@ -13,11 +13,10 @@ import (
 
 // The durability format is a single append-only seglog file (see
 // internal/seglog and DESIGN.md, "On-disk logs") whose record bodies are
-// JSON walRecords. Reopening a database replays the log. Compact rewrites
-// the log as a snapshot (one create-table plus one insert per live row),
-// which bounds file growth; the paper's DC runs "disconnected from our labs
-// for months at a time", so unattended long-term operation is the design
-// point.
+// JSON walRecords. Reopening a database replays the log. Nothing rewrites
+// the log, so it grows with every write. Its one product user is the DC's
+// condition-report table, the ship-side audit log of a DC the paper leaves
+// "disconnected from our labs for months at a time".
 var logFormat = seglog.Format{Magic: "MPROSRS1", MaxBody: 1 << 24}
 
 type walRecord struct {

@@ -38,53 +38,3 @@ func valuesEqual(a, b any) bool {
 	}
 	return a == b
 }
-
-// fn is an arbitrary-function predicate (no index support).
-type fn struct{ f func(Row) bool }
-
-func (p fn) Match(r Row) bool               { return p.f(r) }
-func (p fn) indexHint() (string, any, bool) { return "", nil, false }
-
-// Where wraps an arbitrary row-matching function as a Predicate.
-func Where(f func(Row) bool) Predicate { return fn{f} }
-
-// and is a conjunction; it forwards the first child's index hint.
-type and struct{ ps []Predicate }
-
-func (p and) Match(r Row) bool {
-	for _, c := range p.ps {
-		if !c.Match(r) {
-			return false
-		}
-	}
-	return true
-}
-
-func (p and) indexHint() (string, any, bool) {
-	for _, c := range p.ps {
-		if col, v, ok := c.indexHint(); ok {
-			return col, v, true
-		}
-	}
-	return "", nil, false
-}
-
-// And matches rows satisfying all child predicates; an indexable equality
-// among the children is used as the scan hint.
-func And(ps ...Predicate) Predicate { return and{ps} }
-
-// After matches rows whose Time column is strictly after v.
-func After(col string, v time.Time) Predicate {
-	return Where(func(r Row) bool {
-		t, ok := r[col].(time.Time)
-		return ok && t.After(v)
-	})
-}
-
-// Before matches rows whose Time column is strictly before v.
-func Before(col string, v time.Time) Predicate {
-	return Where(func(r Row) bool {
-		t, ok := r[col].(time.Time)
-		return ok && t.Before(v)
-	})
-}

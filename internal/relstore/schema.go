@@ -1,6 +1,6 @@
 // Package relstore is a small embedded relational engine: typed tables,
-// secondary indexes, predicate queries, and durable persistence via a
-// snapshot plus append-only change log.
+// secondary indexes, equality queries, and durable persistence via an
+// append-only change log.
 //
 // The paper's Data Concentrator is "an open architecture ODBC compliant
 // relational database designed to store all of the instrumentation
@@ -8,9 +8,9 @@
 // schedules, resultant measurements, diagnostic results, and condition
 // reports" (§5.8), and the OOSM persists objects by mapping "object types
 // to tables and properties and relationships to columns and helper tables"
-// (§4.6). Both ride on this package; it substitutes for the commercial
-// database of the original system while preserving the relational mapping
-// the paper describes.
+// (§4.6). Here the DC keeps its condition reports in it (its measurements
+// live in internal/historian), and the OOSM one table per class; it
+// substitutes for the commercial database of the original system.
 package relstore
 
 import (

@@ -87,9 +87,9 @@ func ChillerGroups() Groups {
 type StationConfig struct {
 	// Seed drives the plant's reproducible randomness.
 	Seed int64
-	// DBPath persists the DC database (the §4.6 object → table store of its
-	// measurements and reports); empty runs it in memory. The PDME keeps no
-	// database: JournalDir is its durable store.
+	// DBPath persists the DC database (the condition reports the DC issued;
+	// its measurements live in the historian); empty runs it in memory. The
+	// PDME keeps no database: JournalDir is its durable store.
 	DBPath string
 	// VibrationInterval and ProcessInterval override the DC test schedule
 	// (zero keeps the defaults: 4h vibration, 30m process).

@@ -3,6 +3,10 @@ package mpros
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +110,54 @@ func TestStationPersistence(t *testing.T) {
 	}
 	if len(reports2) < len(reports) {
 		t.Errorf("replayed %d reports, had %d", len(reports2), len(reports))
+	}
+}
+
+// TestStationDatabaseHoldsOnlyReports: the DC database keeps each fact once.
+// A station's vibration features live in its historian, so after four weeks
+// of a motor imbalance its database holds the condition-report table alone,
+// at a bounded cost per report, and a reopen reads the same reports back.
+func TestStationDatabaseHoldsOnlyReports(t *testing.T) {
+	// A report row is one log record of about 240 B; the rest of the
+	// bound is room for the schema record and for longer condition names.
+	const maxBytesPerReport = 320
+	path := filepath.Join(t.TempDir(), "station.db")
+	s, err := NewStation(StationConfig{Seed: 6, DBPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InjectFault(chiller.MotorImbalance, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(28 * 24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if names := s.db.TableNames(); !slices.Equal(names, []string{"dc_condition_reports"}) {
+		t.Errorf("DC database tables %v, want only dc_condition_reports", names)
+	}
+	reports, err := s.DC.StoredReports("")
+	if err != nil || len(reports) == 0 {
+		t.Fatalf("stored reports %d err %v", len(reports), err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perReport := float64(fi.Size()) / float64(len(reports))
+	t.Logf("%d reports in %d B: %.0f B per report", len(reports), fi.Size(), perReport)
+	if perReport > maxBytesPerReport {
+		t.Errorf("DC database holds %.0f B per stored report, want at most %d", perReport, maxBytesPerReport)
+	}
+	s2, err := NewStation(StationConfig{Seed: 6, DBPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got, err := s2.DC.StoredReports(""); err != nil || !reflect.DeepEqual(got, reports) {
+		t.Fatalf("reopened database holds %d reports (err %v), want the %d stored", len(got), err, len(reports))
 	}
 }
 
