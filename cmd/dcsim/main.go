@@ -52,7 +52,7 @@ func run() int {
 	degradeFlag := flag.String("degrade", "", "degradation profile, e.g. \"motor bearing outer race defect:onset=24,growth=120\" (hours)")
 	hours := flag.Float64("hours", 24, "virtual hours to simulate")
 	speedup := flag.Float64("speedup", 0, "virtual-to-wall speedup (0: as fast as possible)")
-	dbPath := flag.String("db", "", "DC database path (empty: in-memory)")
+	dbPath := flag.String("db", "", "DC report log path: the newest condition reports outlive the run (empty: in-memory)")
 	histDir := flag.String("historian-dir", "", "acquisition historian directory (empty: in-memory); readable later with examples/historian-replay")
 	seed := flag.Int64("seed", 1, "plant randomness seed")
 	spoolDir := flag.String("spool-dir", "", "store-and-forward spool directory; reports queued while the PDME is unreachable survive a dcsim restart (empty: in-memory spool)")
@@ -80,16 +80,6 @@ func run() int {
 			fatal(err)
 		}
 	}
-	var db *relstore.DB
-	if *dbPath == "" {
-		db = relstore.NewMemory()
-	} else {
-		db, err = relstore.Open(*dbPath)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	defer db.Close()
 	// The uplink dials lazily and spools while the PDME is unreachable, so
 	// dcsim starts (and keeps monitoring) even when pdmed is down. With
 	// -shards the transport is instead a ring router: same spool contract,
@@ -165,7 +155,8 @@ func run() int {
 	dcCfg := dc.DefaultConfig(*id, *machine)
 	dcCfg.Historian = hist
 	dcCfg.HeartbeatInterval = *heartbeat
-	conc, err := dc.New(dcCfg, plant, db, up)
+	dcCfg.ReportLog = *dbPath
+	conc, err := dc.New(dcCfg, plant, relstore.NewMemory(), up)
 	if err != nil {
 		fatal(err)
 	}
@@ -233,6 +224,10 @@ func run() int {
 		c.CapacityDrops, c.DedupAcks, c.HeartbeatsSent, c.HeartbeatsDropped)
 	if router != nil {
 		printRouting(*id, router)
+	}
+	if err := conc.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "dcsim:", err)
+		code = 1
 	}
 	return code
 }

@@ -9,12 +9,12 @@
 //
 //  2. In the durability/recovery packages (internal/uplink,
 //     internal/relstore, internal/historian, internal/proto,
-//     internal/journal, internal/seglog, internal/serving): a call whose result list includes
-//     an error, used as a bare statement, drops that error invisibly — a
-//     failed sync or truncate in a recovery path then "succeeds". This
-//     includes a bare errors.Join, which swallows every joined failure at
-//     once. Handle the error, or discard it explicitly with `_ =` (the
-//     visible idiom for best-effort cleanup).
+//     internal/journal, internal/seglog, internal/serving, internal/dc): a
+//     call whose result list includes an error, used as a bare statement,
+//     drops that error invisibly — a failed sync or truncate in a recovery
+//     path then "succeeds". This includes a bare errors.Join, which
+//     swallows every joined failure at once. Handle the error, or discard
+//     it explicitly with `_ =` (the visible idiom for best-effort cleanup).
 package errwrap
 
 import (
@@ -50,6 +50,8 @@ var RecoveryPkgs = map[string]bool{
 	// serving reads the historian on the trend path and hands errors to HTTP
 	// clients; a discarded error there silently serves an empty trend.
 	"serving": true,
+	// dc replays and compacts its report log, the ship-side audit trail.
+	"dc": true,
 }
 
 // ScopePrefixes extends the recovery discipline to whole subtrees by import

@@ -1,6 +1,7 @@
 package dc
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -66,6 +67,10 @@ type Config struct {
 	// takes defaults. Guards always run — they are cheap and silent on
 	// healthy channels.
 	Guard GuardConfig
+	// ReportLog is the file the DC logs its condition reports to, replayed
+	// by New into the database it is handed (see reportlog.go); empty keeps
+	// them in that database alone.
+	ReportLog string
 }
 
 // HeartbeatUplink is the optional uplink capability behind fleet-health
@@ -96,14 +101,14 @@ func DefaultConfig(id, objectID string) Config {
 
 // DC is one Data Concentrator instance.
 type DC struct {
-	cfg    Config
-	src    Source
-	db     *relstore.DB
-	uplink proto.Sink
-	vib    *vibration.Engine
-	fz     *fuzzy.ChillerDiagnostics
-	mux    *Mux
-	sched  *Scheduler
+	cfg     Config
+	src     Source
+	reports *reportLog
+	uplink  proto.Sink
+	vib     *vibration.Engine
+	fz      *fuzzy.ChillerDiagnostics
+	mux     *Mux
+	sched   *Scheduler
 
 	// sbfrSys is the optional SBFR process monitor (Config.EnableSBFR);
 	// sbfrIn is its per-scan input vector, in ProcessMonitorChannels order.
@@ -133,14 +138,10 @@ type DC struct {
 // heartbeatTask is the scheduler name of the fleet-health heartbeat.
 const heartbeatTask = "heartbeat"
 
-// reportsTable is the DC database's one table: the condition reports the
-// DC issued, each with whether the uplink took it. A vibration test's
-// features live only in the historian.
-const reportsTable = "dc_condition_reports"
-
-// New builds a DC over a plant source, a database (its schema is created if
-// absent), and an uplink sink. Pass relstore.NewMemory() for a volatile lab
-// DC or relstore.Open(path) for the shipboard configuration.
+// New builds a DC over a plant source, an in-memory database for its
+// condition reports (their table is created if absent, and the DC is its one
+// writer), and an uplink sink. Set Config.ReportLog for the shipboard
+// configuration, whose reports outlive the process.
 func New(cfg Config, src Source, db *relstore.DB, uplink proto.Sink) (*DC, error) {
 	if cfg.ID == "" || cfg.ObjectID == "" {
 		return nil, fmt.Errorf("dc: missing ID or ObjectID")
@@ -164,7 +165,6 @@ func New(cfg Config, src Source, db *relstore.DB, uplink proto.Sink) (*DC, error
 	d := &DC{
 		cfg:        cfg,
 		src:        src,
-		db:         db,
 		uplink:     uplink,
 		vib:        vibration.NewEngine(src.Config(), cfg.CallThreshold),
 		fz:         fz,
@@ -182,19 +182,6 @@ func New(cfg Config, src Source, db *relstore.DB, uplink proto.Sink) (*DC, error
 		d.ownHist = true
 	}
 	if err := d.ensureHistorianChannels(); err != nil {
-		return nil, err
-	}
-	if err := db.EnsureTable(relstore.Schema{
-		Name: reportsTable,
-		Columns: []relstore.Column{
-			{Name: "condition", Type: relstore.String, Indexed: true},
-			{Name: "source", Type: relstore.String},
-			{Name: "severity", Type: relstore.Float},
-			{Name: "belief", Type: relstore.Float},
-			{Name: "issued_at", Type: relstore.Time},
-			{Name: "delivered", Type: relstore.Bool},
-		},
-	}); err != nil {
 		return nil, err
 	}
 	if err := d.sched.Schedule(&Task{
@@ -224,6 +211,10 @@ func New(cfg Config, src Source, db *relstore.DB, uplink proto.Sink) (*DC, error
 		}, 0); err != nil {
 			return nil, err
 		}
+	}
+	// Last, so no later failure leaves the log open.
+	if d.reports, err = openReportLog(db, cfg.ReportLog); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -575,9 +566,9 @@ func (d *DC) RunProcessScan(now time.Time) error {
 	return nil
 }
 
-// emit persists a report locally then delivers it upstream, recording
-// delivery status — the DC database is the ship-side audit log when the
-// network is down (§4.9).
+// emit delivers a report upstream then stores it locally with its delivery
+// status — the stored reports are the ship-side audit log when the network
+// is down (§4.9).
 func (d *DC) emit(r *proto.Report, now time.Time) error {
 	delivered := true
 	if err := d.uplink.Deliver(r); err != nil {
@@ -586,15 +577,14 @@ func (d *DC) emit(r *proto.Report, now time.Time) error {
 	} else {
 		d.reportsSent++
 	}
-	_, err := d.db.Insert(reportsTable, relstore.Row{
-		"condition": r.MachineConditionID,
-		"source":    r.KnowledgeSourceID,
-		"severity":  r.Severity,
-		"belief":    r.Belief,
-		"issued_at": now,
-		"delivered": delivered,
+	return d.reports.add(storedReport{
+		Condition: r.MachineConditionID,
+		Source:    r.KnowledgeSourceID,
+		Severity:  r.Severity,
+		Belief:    r.Belief,
+		IssuedAt:  now,
+		Delivered: delivered,
 	})
-	return err
 }
 
 // Historian exposes the DC's acquisition history store.
@@ -603,13 +593,15 @@ func (d *DC) Historian() *historian.Store { return d.hist }
 // SBFRScans returns how many SBFR scan cycles have executed.
 func (d *DC) SBFRScans() int { return d.sbfrScans }
 
-// Close releases DC-owned resources: the private historian, if the DC
-// opened one. Caller-supplied historians are the caller's to close.
+// Close releases DC-owned resources: the report log, and the private
+// historian if the DC opened one. The database and a caller-supplied
+// historian are the caller's to close.
 func (d *DC) Close() error {
+	err := d.reports.close()
 	if d.ownHist {
-		return d.hist.Close()
+		err = errors.Join(err, d.hist.Close())
 	}
-	return nil
+	return err
 }
 
 // ReportsSent returns how many reports were delivered upstream.
@@ -618,13 +610,16 @@ func (d *DC) ReportsSent() int { return d.reportsSent }
 // ReportErrors returns how many uplink deliveries failed.
 func (d *DC) ReportErrors() int { return d.reportErrors }
 
-// StoredReports returns locally persisted condition reports, optionally
-// filtered by condition ("" for all).
+// StoredReports returns the newest maxStoredReports condition reports the
+// DC issued, oldest first, optionally filtered by condition ("" for all).
+// A row's id numbers it in the order this DC value stored it, from 1 and
+// replayed reports first, so after reports were dropped a reopen gives the
+// same reports new ids.
 func (d *DC) StoredReports(condition string) ([]relstore.Row, error) {
 	if condition == "" {
-		return d.db.Select(reportsTable, nil, 0)
+		return d.reports.db.Select(reportsTable, nil, 0)
 	}
-	return d.db.Select(reportsTable, relstore.Eq("condition", condition), 0)
+	return d.reports.db.Select(reportsTable, relstore.Eq("condition", condition), 0)
 }
 
 // IngestThroughput measures the raw acquisition+RMS-detector path: frames

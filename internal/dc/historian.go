@@ -81,31 +81,19 @@ func ProcessStateFromScalars(vals map[string]float64) (chiller.ProcessState, err
 	}, nil
 }
 
-// Rollup tiers per channel family: vibration tests run every few hours, so
-// a daily envelope suffices; process scans are sub-hourly, so both hourly
-// and daily tiers are kept.
-var (
-	vibTiers  = []time.Duration{24 * time.Hour}
-	procTiers = []time.Duration{time.Hour, 24 * time.Hour}
-)
-
-// ensureHistorianChannels registers every channel the DC records.
+// ensureHistorianChannels registers every channel the DC records. It keeps
+// no rollup tiers: no process reads a DC channel's rollups, and a reader
+// that wants them ensures its own tier, which is built over the held data.
 func (d *DC) ensureHistorianChannels() error {
 	for _, pt := range chiller.AllPoints() {
 		for _, feat := range VibFeatures {
-			if err := d.hist.EnsureChannel(historian.ChannelConfig{
-				Name:  VibChannel(pt, feat),
-				Tiers: vibTiers,
-			}); err != nil {
+			if err := d.hist.EnsureChannel(historian.ChannelConfig{Name: VibChannel(pt, feat)}); err != nil {
 				return err
 			}
 		}
 	}
 	for _, f := range ProcFields {
-		if err := d.hist.EnsureChannel(historian.ChannelConfig{
-			Name:  ProcChannel(f),
-			Tiers: procTiers,
-		}); err != nil {
+		if err := d.hist.EnsureChannel(historian.ChannelConfig{Name: ProcChannel(f)}); err != nil {
 			return err
 		}
 	}

@@ -76,7 +76,6 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 						errs <- err
 						return
 					}
-					s.Latest(name)
 				}
 			}(name)
 		}

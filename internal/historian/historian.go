@@ -92,7 +92,7 @@ func (c ChannelConfig) validate() error {
 type Options struct {
 	// Dir is the segment directory. Empty runs the store purely in memory
 	// (a lab DC); non-empty persists every sealed segment (the shipboard
-	// configuration, like relstore.Open vs NewMemory).
+	// configuration, like a DC's report log).
 	Dir string
 }
 
@@ -346,18 +346,6 @@ func (ch *channel) applyRetentionLocked() error {
 	return nil
 }
 
-// Seal forces the channel's head buffer into a sealed (and, on disk-backed
-// stores, persisted) segment without waiting for it to fill.
-func (s *Store) Seal(name string) error {
-	ch, err := s.channel(name)
-	if err != nil {
-		return err
-	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.sealLocked()
-}
-
 // Sync seals every channel's head and fsyncs the segment files, making
 // everything appended so far durable.
 func (s *Store) Sync() error {
@@ -429,18 +417,6 @@ func (s *Store) HasChannel(name string) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.channels[name]
 	return ok
-}
-
-// Latest returns the newest sample on a channel (ok=false when empty or
-// the channel does not exist).
-func (s *Store) Latest(name string) (Sample, bool) {
-	ch, err := s.channel(name)
-	if err != nil {
-		return Sample{}, false
-	}
-	ch.mu.RLock()
-	defer ch.mu.RUnlock()
-	return ch.latest, ch.hasData
 }
 
 // ChannelStats summarizes a channel's state.

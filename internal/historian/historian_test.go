@@ -81,9 +81,8 @@ func TestOutOfOrderAppends(t *testing.T) {
 			t.Fatalf("position %d holds value %g (disordered result)", i, smp.Value)
 		}
 	}
-	latest, ok := s.Latest("a")
-	if !ok || latest.Value != n-1 {
-		t.Fatalf("latest %+v ok=%v", latest, ok)
+	if st, _ := s.Stats("a"); !st.Latest.Equal(t0.Add((n - 1) * time.Minute)) {
+		t.Fatalf("latest at %v", st.Latest)
 	}
 }
 
@@ -304,7 +303,7 @@ func TestRollupEnvelopeProperty(t *testing.T) {
 func TestSealAndLatest(t *testing.T) {
 	s := mustOpen(t, "")
 	ensure(t, s, ChannelConfig{Name: "a", HeadCap: 1000})
-	if _, ok := s.Latest("a"); ok {
+	if st, _ := s.Stats("a"); !st.Latest.IsZero() {
 		t.Fatal("empty channel has a latest sample")
 	}
 	for i := 0; i < 5; i++ {
@@ -312,7 +311,7 @@ func TestSealAndLatest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Seal("a"); err != nil {
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := s.Stats("a")

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -74,37 +73,12 @@ type ObjectID struct {
 	Num   int64
 }
 
-// String renders the id as "class/num"; this form is also accepted by
-// ParseObjectID and used as the SensedObjectID in protocol reports.
+// String renders the id as "class/num", the form used as the SensedObjectID
+// in protocol reports.
 func (id ObjectID) String() string { return fmt.Sprintf("%s/%d", id.Class, id.Num) }
 
 // IsZero reports whether the id is the zero value.
 func (id ObjectID) IsZero() bool { return id.Class == "" && id.Num == 0 }
-
-// ParseObjectID parses the "class/num" form produced by ObjectID.String.
-func ParseObjectID(s string) (ObjectID, error) {
-	var id ObjectID
-	i := -1
-	for j := len(s) - 1; j >= 0; j-- {
-		if s[j] == '/' {
-			i = j
-			break
-		}
-	}
-	if i <= 0 || i == len(s)-1 {
-		return id, fmt.Errorf("oosm: malformed object id %q", s)
-	}
-	// The serial is plain decimal digits: no sign, no prefix, nothing after.
-	num, err := strconv.ParseInt(s[i+1:], 10, 64)
-	if err == nil && (s[i+1] == '+' || s[i+1] == '-') {
-		err = strconv.ErrSyntax
-	}
-	if err != nil {
-		return id, fmt.Errorf("oosm: malformed object id %q: %w", s, err)
-	}
-	id.Class, id.Num = s[:i], num
-	return id, nil
-}
 
 // Model is the ship model: a set of classes and their object instances,
 // persisted transparently to a relstore database, one table per class.
@@ -116,9 +90,8 @@ type Model struct {
 	events  *eventHub
 }
 
-// NewModel creates a model persisted in db (use relstore.NewMemory for a
-// volatile model or relstore.Open for a durable one). Classes registered by
-// earlier sessions against the same database are available after re-opening
+// NewModel creates a model whose objects live in db, one table per class.
+// A model over a database another model wrote to sees that model's objects
 // once RegisterClass is called again with the same schemas.
 func NewModel(db *relstore.DB) (*Model, error) {
 	return &Model{

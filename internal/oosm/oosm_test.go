@@ -2,12 +2,10 @@ package oosm
 
 import (
 	"fmt"
-	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/relstore"
@@ -42,21 +40,6 @@ func newTestModel(t testing.TB) *Model {
 
 func TestObjectIDParse(t *testing.T) {
 	id := ObjectID{Class: "motor", Num: 42}
-	parsed, err := ParseObjectID(id.String())
-	if err != nil || parsed != id {
-		t.Fatalf("round trip: %v %v", parsed, err)
-	}
-	// Classes may contain slashes (e.g. "ac/motor"); last slash splits.
-	parsed, err = ParseObjectID("ac/motor/7")
-	if err != nil || parsed.Class != "ac/motor" || parsed.Num != 7 {
-		t.Fatalf("nested: %v %v", parsed, err)
-	}
-	for _, bad := range []string{"", "noslash", "/7", "motor/", "motor/x",
-		"chiller/12abc", "chiller/0x1f", "chiller/+7", "chiller/-7", "chiller/-0", "chiller/7 "} {
-		if _, err := ParseObjectID(bad); err == nil {
-			t.Errorf("%q should fail", bad)
-		}
-	}
 	if !(ObjectID{}).IsZero() {
 		t.Error("zero id")
 	}
@@ -319,52 +302,6 @@ func TestEventKindString(t *testing.T) {
 	}
 }
 
-func TestPersistenceAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ship.db")
-	db, err := relstore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewModel(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls := Class{Name: "motor", Props: map[string]PropType{"name": PropString, "power_kw": PropFloat}}
-	if err := m.RegisterClass(cls); err != nil {
-		t.Fatal(err)
-	}
-	id, err := m.Create("motor", map[string]any{"name": "M1", "power_kw": 55.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, _ := m.Create("motor", map[string]any{"name": "M2"})
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := relstore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	m2, err := NewModel(db2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.RegisterClass(cls); err != nil {
-		t.Fatal(err)
-	}
-	props, err := m2.Get(id)
-	if err != nil || props["name"] != "M1" || props["power_kw"] != 55.0 {
-		t.Fatalf("reopened props %v %v", props, err)
-	}
-	props, err = m2.Get(id2)
-	if err != nil || props["name"] != "M2" || props["power_kw"] != nil {
-		t.Fatalf("reopened props of %v: %v %v", id2, props, err)
-	}
-}
-
 func TestConcurrentCreateAndSubscribe(t *testing.T) {
 	m := newTestModel(t)
 	var count atomic.Int32
@@ -389,18 +326,6 @@ func TestConcurrentCreateAndSubscribe(t *testing.T) {
 	ids, _ := m.Instances("motor")
 	if len(ids) != 200 {
 		t.Errorf("instances %d", len(ids))
-	}
-}
-
-func TestObjectIDRoundTripProperty(t *testing.T) {
-	prop := func(numRaw int64, classSel uint8) bool {
-		classes := []string{"motor", "a/c", "deck-2/pump", "x"}
-		id := ObjectID{Class: classes[int(classSel)%len(classes)], Num: numRaw & 0x7fffffffffffffff}
-		parsed, err := ParseObjectID(id.String())
-		return err == nil && parsed == id
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -270,10 +270,7 @@ func (w *windowLog) EndMutation(string, string, string) {}
 // counted; an apply failure is the failing report's alone.
 func TestBatchAcceptDurabilityContract(t *testing.T) {
 	t0 := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
-	db, err := relstore.Open(filepath.Join(t.TempDir(), "model.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := relstore.NewMemory()
 	model, err := oosm.NewModel(db)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package pdme
 import (
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -93,20 +92,16 @@ func TestPrognosticsPropertyBytes(t *testing.T) {
 }
 
 // TestReopenedModelConclusionsAdopted: an engine refuses a model that already
-// holds report or conclusion objects — a reopened persistent model, or one
-// another engine fused into — and names the class and the count. Its maps are
+// holds report or conclusion objects — one another engine fused into — and
+// names the class and the count. Its maps are
 // the only index of what the repository holds, so taking such a model would
 // strand the old report objects for good and give every pair a twin
 // conclusion. The refused model is left as it was; one whose objects are all
 // gone is a fresh model again.
 func TestReopenedModelConclusionsAdopted(t *testing.T) {
 	at := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
-	path := filepath.Join(t.TempDir(), "model.db")
 	pairs := [][2]string{{"motor/1", "motor imbalance"}, {"motor/1", "oil whirl"}, {"motor/2", "motor imbalance"}}
-	db, err := relstore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := relstore.NewMemory()
 	model, err := oosm.NewModel(db)
 	if err != nil {
 		t.Fatal(err)
@@ -121,15 +116,8 @@ func TestReopenedModelConclusionsAdopted(t *testing.T) {
 		}
 	}
 	p.Close()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// A reopened persistent model: report objects are counted first.
-	if db, err = relstore.Open(path); err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	// A model over the same database: report objects are counted first.
 	reopen := func() (*oosm.Model, error) {
 		t.Helper()
 		model, err := oosm.NewModel(db)

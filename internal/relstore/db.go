@@ -6,18 +6,32 @@ import (
 	"sync"
 )
 
-// DB is an embedded relational database: a set of typed tables guarded by a
-// single RW mutex, with optional durability (see Open). The zero value is
-// not usable; construct with NewMemory or Open.
+// DB is an in-memory relational database: a set of typed tables guarded by
+// a single RW mutex. It keeps nothing on disk; an owner that needs its rows
+// to outlive the process logs them itself (the DC's report log). The zero
+// value is not usable; construct with NewMemory.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table
-	logger *walLogger // nil for pure in-memory databases
+	closed bool
 }
 
-// NewMemory returns a volatile in-memory database.
+// NewMemory returns an empty database.
 func NewMemory() *DB {
 	return &DB{tables: make(map[string]*table)}
+}
+
+// writable returns the table a write goes to, refusing every write after
+// Close. Callers hold mu for writing.
+func (db *DB) writable(name string) (*table, error) {
+	if db.closed {
+		return nil, fmt.Errorf("relstore: database closed")
+	}
+	t, ok := db.tables[name]
+	if !ok {
+		return nil, fmt.Errorf("relstore: no table %q", name)
+	}
+	return t, nil
 }
 
 // CreateTable creates a table from the schema. It fails if the table exists.
@@ -27,13 +41,13 @@ func (db *DB) CreateTable(s Schema) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.closed {
+		return fmt.Errorf("relstore: database closed")
+	}
 	if _, exists := db.tables[s.Name]; exists {
 		return fmt.Errorf("relstore: table %q already exists", s.Name)
 	}
 	db.tables[s.Name] = newTable(s)
-	if db.logger != nil {
-		return db.logger.appendCreateTable(s)
-	}
 	return nil
 }
 
@@ -88,22 +102,11 @@ func (db *DB) TableSchema(name string) (Schema, error) {
 func (db *DB) Insert(tableName string, r Row) (int64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return 0, fmt.Errorf("relstore: no table %q", tableName)
-	}
-	id, err := t.insert(r, 0)
+	t, err := db.writable(tableName)
 	if err != nil {
 		return 0, err
 	}
-	if db.logger != nil {
-		if err := db.logger.appendInsert(tableName, id, t.rows[id], t.schema); err != nil {
-			// Roll back the in-memory insert so memory and disk agree.
-			_ = t.delete(id)
-			return 0, err
-		}
-	}
-	return id, nil
+	return t.insert(r)
 }
 
 // Get returns a copy of the row with the given id, the caller's to keep.
@@ -126,34 +129,22 @@ func (db *DB) Get(tableName string, id int64) (Row, error) {
 func (db *DB) Update(tableName string, id int64, changes Row) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return fmt.Errorf("relstore: no table %q", tableName)
-	}
-	if err := t.update(id, changes); err != nil {
+	t, err := db.writable(tableName)
+	if err != nil {
 		return err
 	}
-	if db.logger != nil {
-		return db.logger.appendUpdate(tableName, id, changes, t.schema)
-	}
-	return nil
+	return t.update(id, changes)
 }
 
 // Delete removes the row with the given id.
 func (db *DB) Delete(tableName string, id int64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return fmt.Errorf("relstore: no table %q", tableName)
-	}
-	if err := t.delete(id); err != nil {
+	t, err := db.writable(tableName)
+	if err != nil {
 		return err
 	}
-	if db.logger != nil {
-		return db.logger.appendDelete(tableName, id)
-	}
-	return nil
+	return t.delete(id)
 }
 
 // Select returns rows matching the predicate, sorted by id, at most limit of
@@ -179,13 +170,11 @@ func (db *DB) Count(tableName string, p Predicate) (int, error) {
 	return t.count(p), nil
 }
 
-// Close flushes and closes the underlying log, if any. The database must not
-// be used after Close.
+// Close ends the database's writable life: every later write is refused.
+// Reads still see the rows it held.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.logger != nil {
-		return db.logger.close()
-	}
+	db.closed = true
 	return nil
 }

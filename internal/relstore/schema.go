@@ -1,6 +1,5 @@
-// Package relstore is a small embedded relational engine: typed tables,
-// secondary indexes, equality queries, and durable persistence via an
-// append-only change log.
+// Package relstore is a small in-memory relational engine: typed tables,
+// secondary indexes and equality queries. It keeps nothing on disk.
 //
 // The paper's Data Concentrator is "an open architecture ODBC compliant
 // relational database designed to store all of the instrumentation
@@ -9,8 +8,9 @@
 // reports" (§5.8), and the OOSM persists objects by mapping "object types
 // to tables and properties and relationships to columns and helper tables"
 // (§4.6). Here the DC keeps its condition reports in it (its measurements
-// live in internal/historian), and the OOSM one table per class; it
-// substitutes for the commercial database of the original system.
+// live in internal/historian, and the DC logs the reports to its own file),
+// and the OOSM one table per class; it substitutes for the commercial
+// database of the original system.
 package relstore
 
 import (
@@ -30,7 +30,7 @@ const (
 	String
 	// Bool is a boolean column.
 	Bool
-	// Time is a time.Time column (stored as RFC3339Nano on disk).
+	// Time is a time.Time column.
 	Time
 	// Bytes is a raw byte-slice column.
 	Bytes

@@ -107,22 +107,13 @@ func (t *table) removeFromIndexes(id int64, r Row) {
 	}
 }
 
-// insert adds the row (without id) and returns the assigned id. If forceID
-// is > 0 the row is inserted with that id (used during log replay).
-func (t *table) insert(r Row, forceID int64) (int64, error) {
+// insert adds the row (without id) and returns the id it assigned.
+func (t *table) insert(r Row) (int64, error) {
 	if err := t.checkRow(r, false); err != nil {
 		return 0, err
 	}
-	id := forceID
-	if id <= 0 {
-		id = t.nextID
-	}
-	if _, exists := t.rows[id]; exists {
-		return 0, fmt.Errorf("relstore: table %q id %d already exists", t.schema.Name, id)
-	}
-	if id >= t.nextID {
-		t.nextID = id + 1
-	}
+	id := t.nextID
+	t.nextID++
 	stored := r.clone()
 	stored["id"] = id
 	t.rows[id] = stored

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chiller"
+	"repro/internal/dc"
 	"repro/internal/historian"
 	"repro/internal/journal"
 	"repro/internal/proto"
@@ -16,6 +18,11 @@ import (
 	"repro/internal/seglog"
 	"repro/internal/uplink"
 )
+
+// discard is a report sink that takes everything.
+type discard struct{}
+
+func (discard) Deliver(*proto.Report) error { return nil }
 
 // userFiles drives each of the four owners through its public write path
 // and returns the bytes of every log file that leaves on disk, so the
@@ -63,14 +70,19 @@ func userFiles(tb testing.TB) [][]byte {
 	}
 	check(hist.Close())
 
-	db, err := relstore.Open(filepath.Join(dir, "relstore", "dc.db"))
+	plant, err := chiller.New(chiller.DefaultConfig())
 	check(err)
-	check(db.CreateTable(relstore.Schema{Name: "t", Columns: []relstore.Column{{Name: "v", Type: relstore.Int}}}))
-	for i := 0; i < 3; i++ {
-		_, err := db.Insert("t", relstore.Row{"v": int64(i)})
-		check(err)
+	check(plant.SetFault(chiller.MotorImbalance, 0.7))
+	dcCfg := dc.DefaultConfig("dc/seed", "chiller/1")
+	dcCfg.FrameLen = 1024
+	dcCfg.ReportLog = filepath.Join(dir, "dc", "reports.log")
+	d, err := dc.New(dcCfg, plant, relstore.NewMemory(), discard{})
+	check(err)
+	check(d.RunFor(0))
+	if rows, err := d.StoredReports(""); err != nil || len(rows) == 0 {
+		tb.Fatalf("seed: the DC stored %d reports (err %v)", len(rows), err)
 	}
-	check(db.Close())
+	check(d.Close())
 
 	var files [][]byte
 	check(filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
@@ -81,7 +93,7 @@ func userFiles(tb testing.TB) [][]byte {
 		files = append(files, data)
 		return err
 	}))
-	if len(files) != 5 { // wal, checkpoint, spool, channel, table log
+	if len(files) != 5 { // report log, channel, wal, checkpoint, spool
 		tb.Fatalf("seed: %d user files, want 5", len(files))
 	}
 	return files

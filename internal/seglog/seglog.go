@@ -1,6 +1,6 @@
 // Package seglog is the one append-only log MPROS keeps on disk. The PDME
 // journal (WAL and checkpoint), the uplink spool, the historian's channel
-// files and relstore's table log are all files of this layout, and this
+// files and the DC's report log are all files of this layout, and this
 // package is the only code that frames, checksums, scans, truncates or
 // renames them:
 //

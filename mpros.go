@@ -87,9 +87,10 @@ func ChillerGroups() Groups {
 type StationConfig struct {
 	// Seed drives the plant's reproducible randomness.
 	Seed int64
-	// DBPath persists the DC database (the condition reports the DC issued;
-	// its measurements live in the historian); empty runs it in memory. The
-	// PDME keeps no database: JournalDir is its durable store.
+	// DBPath is the DC's report log (dc.Config.ReportLog): the newest
+	// condition reports the DC issued outlive the process (its measurements
+	// live in the historian); empty keeps them in memory. The PDME keeps no
+	// database: JournalDir is its durable store.
 	DBPath string
 	// VibrationInterval and ProcessInterval override the DC test schedule
 	// (zero keeps the defaults: 4h vibration, 30m process).
@@ -177,19 +178,13 @@ func NewStation(cfg StationConfig) (*Station, error) {
 		})
 		return err
 	}
-	db := relstore.NewMemory()
-	if cfg.DBPath != "" {
-		if db, err = relstore.Open(cfg.DBPath); err != nil {
-			return nil, err
-		}
-	}
 	node, err := OpenNode(cfg.HistorianDir, cfg.Health, cfg.DedupWindow, modelMachine,
 		pdme.JournalOptions{Dir: cfg.JournalDir, CheckpointEvery: cfg.JournalCheckpointEvery}, nil)
 	if err != nil {
-		db.Close()
 		return nil, err
 	}
 	dcCfg := dc.DefaultConfig("dc-1", machine.String())
+	dcCfg.ReportLog = cfg.DBPath
 	dcCfg.EnableSBFR = cfg.EnableSBFR
 	dcCfg.Historian = node.Historian
 	if cfg.VibrationInterval > 0 {
@@ -202,10 +197,10 @@ func NewStation(cfg StationConfig) (*Station, error) {
 		dcCfg.Start = cfg.Start
 	}
 	dcCfg.HeartbeatInterval = cfg.Heartbeat
+	db := relstore.NewMemory()
 	conc, err := dc.New(dcCfg, plant, db, node.PDME)
 	if err != nil {
 		node.Close()
-		db.Close()
 		return nil, err
 	}
 	return &Station{Plant: plant, DC: conc, PDME: node.PDME, Machine: machine,
@@ -242,9 +237,9 @@ func (s *Station) Browser() (string, error) {
 	return s.PDME.RenderBrowser(s.Machine.String())
 }
 
-// Close releases the PDME (writing its final checkpoint), the shared
-// historian, and the DC database.
-func (s *Station) Close() error { return errors.Join(s.node.Close(), s.db.Close()) }
+// Close releases the DC (closing its report log), the PDME (writing its final
+// checkpoint), the shared historian, and the DC database.
+func (s *Station) Close() error { return errors.Join(s.DC.Close(), s.node.Close(), s.db.Close()) }
 
 // FleetConfig configures a multi-DC deployment reporting to one PDME over
 // TCP — the paper's distributed architecture: "Conclusions reached by these

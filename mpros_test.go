@@ -116,11 +116,12 @@ func TestStationPersistence(t *testing.T) {
 // TestStationDatabaseHoldsOnlyReports: the DC database keeps each fact once.
 // A station's vibration features live in its historian, so after four weeks
 // of a motor imbalance its database holds the condition-report table alone,
-// at a bounded cost per report, and a reopen reads the same reports back.
+// its report log costs a bounded size per report, and a reopen reads the
+// same reports back.
 func TestStationDatabaseHoldsOnlyReports(t *testing.T) {
-	// A report row is one log record of about 240 B; the rest of the
-	// bound is room for the schema record and for longer condition names.
-	const maxBytesPerReport = 320
+	// A report is one log record of about 170 B; the rest of the bound is
+	// room for the file header and for longer condition names.
+	const maxBytesPerReport = 200
 	path := filepath.Join(t.TempDir(), "station.db")
 	s, err := NewStation(StationConfig{Seed: 6, DBPath: path})
 	if err != nil {
