@@ -114,18 +114,9 @@ func main() {
 	}
 
 	// Trend over the archived vibration features: fit the daily RMS
-	// rollup means of each point — month-scale trending without touching
-	// raw samples, the downsampling tiers doing their job.
+	// rollup means of each point, folded from the recovered samples.
 	bestPt, bestSlope := "", 0.0
 	for _, pt := range chiller.AllPoints() {
-		// Tier configs are not persisted; EnsureChannel rebuilds the daily
-		// rollups over the recovered samples.
-		if err := store.EnsureChannel(historian.ChannelConfig{
-			Name:  dc.VibChannel(pt, "rms"),
-			Tiers: []time.Duration{24 * time.Hour},
-		}); err != nil {
-			log.Fatal(err)
-		}
 		rolls, err := store.QueryRollup(dc.VibChannel(pt, "rms"), 24*time.Hour,
 			time.Time{}, time.Time{})
 		if err != nil || len(rolls) < 3 {

@@ -81,9 +81,7 @@ func ProcessStateFromScalars(vals map[string]float64) (chiller.ProcessState, err
 	}, nil
 }
 
-// ensureHistorianChannels registers every channel the DC records. It keeps
-// no rollup tiers: no process reads a DC channel's rollups, and a reader
-// that wants them ensures its own tier, which is built over the held data.
+// ensureHistorianChannels registers every channel the DC records.
 func (d *DC) ensureHistorianChannels() error {
 	for _, pt := range chiller.AllPoints() {
 		for _, feat := range VibFeatures {

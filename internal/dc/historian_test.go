@@ -10,8 +10,8 @@ import (
 )
 
 // TestHistorianRecordsAcquisitions: a day of scheduled operation fills the
-// vibration-feature and process-scalar channels at their test rates, and an
-// hourly tier a reader ensures over a channel envelopes what it holds.
+// vibration-feature and process-scalar channels at their test rates, and
+// hourly rollups over a channel envelope what it holds.
 func TestHistorianRecordsAcquisitions(t *testing.T) {
 	d, _, _ := newTestDC(t, nil)
 	defer d.Close()
@@ -37,14 +37,11 @@ func TestHistorianRecordsAcquisitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Samples != 49 || len(st.Tiers) != 0 {
-			t.Fatalf("%s: %d samples and tiers %v, want 49 and none", ProcChannel(f), st.Samples, st.Tiers)
+		if st.Samples != 49 {
+			t.Fatalf("%s: %d samples, want 49", ProcChannel(f), st.Samples)
 		}
 	}
 	// Hourly rollups over the oil-pressure channel envelope the raw series.
-	if err := h.EnsureChannel(historian.ChannelConfig{Name: ProcChannel("oil_pressure"), Tiers: []time.Duration{time.Hour}}); err != nil {
-		t.Fatal(err)
-	}
 	rolls, err := h.QueryRollup(ProcChannel("oil_pressure"), time.Hour, time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)

@@ -20,10 +20,7 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	)
 	names := []string{"c/0", "c/1", "c/2", "c/3"}
 	for _, n := range names {
-		ensure(t, s, ChannelConfig{
-			Name: n, HeadCap: 256,
-			Tiers: []time.Duration{time.Minute},
-		})
+		ensure(t, s, ChannelConfig{Name: n})
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -38,6 +35,13 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 				if err := s.Append(name, at, float64(i)); err != nil {
 					errs <- err
 					return
+				}
+				// Seal every head now and then, so reads cross seals.
+				if i%1024 == 1023 {
+					if err := s.Sync(); err != nil {
+						errs <- err
+						return
+					}
 				}
 			}
 		}(name)

@@ -12,17 +12,17 @@
 //
 //   - One in-memory head buffer per channel absorbs appends (out-of-order
 //     timestamps are accepted — §5.1 requires tolerating time-disordered
-//     inputs). When the head fills it is sorted and sealed into an
-//     immutable segment.
+//     inputs). When the head fills, or would span more than Window/8, it
+//     is sorted and sealed into an immutable segment.
 //   - Sealed segments are persisted one record each in an append-only
 //     seglog file per channel: a torn final block (power loss mid-append)
 //     is truncated away on open; interior corruption is refused.
-//   - Per-channel retention drops whole expired segments and compacts the
-//     segment file.
-//   - Multi-resolution rollup tiers (min/max/mean/count per bucket) are
-//     maintained incrementally on append and rebuilt on open, so trend
-//     queries over days of data touch thousands of buckets, not millions
-//     of raw samples.
+//   - Every channel keeps one fixed raw window: a seal drops the segments
+//     that ended more than Window before the channel's newest sample and
+//     compacts the segment file, and a sample already outside the window
+//     is not stored.
+//   - Rollups (min/max/mean/count per bucket, any width) are folded from
+//     the held samples when asked; nothing but the raw samples is kept.
 //   - Queries take a consistent snapshot under a read lock and then
 //     iterate lock-free, so concurrent readers never block the single
 //     writer per channel for longer than the snapshot.
@@ -46,46 +46,22 @@ type Sample struct {
 	Value float64
 }
 
-// DefaultHeadCap is the head-buffer capacity used when a channel does not
-// set one: the number of samples accumulated before a segment is sealed.
-const DefaultHeadCap = 4096
+// Window is how far back a channel keeps samples, measured from its newest
+// one. Sealed segments that end before newest − Window are dropped.
+const Window = 30 * 24 * time.Hour
 
-// ChannelConfig describes one channel of the store.
+// headSpan is the widest time range an unsealed head may cover, so a slow
+// channel seals (and drops what left the window) as often as a fast one:
+// a channel never holds more than Window + 2·headSpan of samples.
+const headSpan = Window / 8
+
+// headCap is the number of samples accumulated before a head is sealed.
+const headCap = 4096
+
+// ChannelConfig names one channel of the store.
 type ChannelConfig struct {
 	// Name identifies the channel ("vib/motor drive end/rms").
 	Name string
-	// Retention bounds how far back samples are kept relative to the
-	// newest sample (0: keep everything).
-	Retention time.Duration
-	// Tiers are the rollup resolutions maintained for the channel
-	// (e.g. time.Minute, time.Hour). Queries at a tier must name one of
-	// these durations exactly.
-	Tiers []time.Duration
-	// HeadCap overrides the head-buffer capacity (0: DefaultHeadCap).
-	HeadCap int
-}
-
-func (c ChannelConfig) validate() error {
-	if c.Name == "" {
-		return fmt.Errorf("historian: empty channel name")
-	}
-	if c.Retention < 0 {
-		return fmt.Errorf("historian: channel %q: negative retention", c.Name)
-	}
-	if c.HeadCap < 0 {
-		return fmt.Errorf("historian: channel %q: negative head capacity", c.Name)
-	}
-	seen := make(map[time.Duration]bool, len(c.Tiers))
-	for _, d := range c.Tiers {
-		if d <= 0 {
-			return fmt.Errorf("historian: channel %q: non-positive tier %v", c.Name, d)
-		}
-		if seen[d] {
-			return fmt.Errorf("historian: channel %q: duplicate tier %v", c.Name, d)
-		}
-		seen[d] = true
-	}
-	return nil
 }
 
 // Options configures a store.
@@ -111,21 +87,24 @@ type Store struct {
 // writer per channel with any number of concurrent readers; the mutex
 // makes even multi-writer use safe, just not ordered.
 type channel struct {
-	cfg ChannelConfig
+	name string
 
 	mu       sync.RWMutex
-	head     []Sample   // arrival-order buffer, sealed when full
-	segments []*segment // immutable, each sorted by time
-	tiers    []*tier
+	head     []Sample    // arrival-order buffer, sealed when full
+	segments []*segment  // immutable, each sorted by time
 	log      *seglog.Log // nil for in-memory stores
 	total    int64       // samples currently held (head + segments)
 	latest   Sample
 	hasData  bool
+	// spanLo and spanHi (Unix nanos) bound the head's samples and the
+	// newest sample at the last seal; the head is sealed before they would
+	// part by more than headSpan.
+	spanLo, spanHi int64
 }
 
 // Open opens (or creates) a store. With a directory, every existing
 // segment file is recovered: torn tails are truncated to the last complete
-// block, rollup tiers are rebuilt from the recovered raw data.
+// block.
 func Open(opts Options) (*Store, error) {
 	s := &Store{dir: opts.Dir, channels: make(map[string]*channel)}
 	if opts.Dir == "" {
@@ -152,75 +131,33 @@ func Open(opts Options) (*Store, error) {
 		if err := ch.openLog(filepath.Join(opts.Dir, e.Name()), name); err != nil {
 			return nil, err
 		}
-		s.channels[ch.cfg.Name] = ch
+		s.channels[ch.name] = ch
 	}
 	return s, nil
 }
 
-// EnsureChannel creates the channel if absent and applies the
-// configuration's retention/tiers/head capacity. Re-ensuring an existing
-// channel with new tiers rebuilds the missing tiers from stored data, so
-// recovered channels (whose files do not record tier configuration) regain
-// their rollups.
+// EnsureChannel creates the channel if absent; ensuring an existing
+// channel is a no-op.
 func (s *Store) EnsureChannel(cfg ChannelConfig) error {
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	if cfg.HeadCap == 0 {
-		cfg.HeadCap = DefaultHeadCap
+	if cfg.Name == "" {
+		return fmt.Errorf("historian: empty channel name")
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return fmt.Errorf("historian: store closed")
 	}
-	ch, ok := s.channels[cfg.Name]
-	if !ok {
-		ch = &channel{cfg: cfg}
-		if s.dir != "" {
-			path := filepath.Join(s.dir, seglog.FileName(cfg.Name, segmentExt))
-			if err := ch.openLog(path, cfg.Name); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-		}
-		s.channels[cfg.Name] = ch
+	if _, ok := s.channels[cfg.Name]; ok {
+		return nil
 	}
-	s.mu.Unlock()
-
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	ch.cfg.Retention = cfg.Retention
-	if cfg.HeadCap > 0 {
-		ch.cfg.HeadCap = cfg.HeadCap
-	}
-	// Add requested tiers that are not yet maintained, rebuilt over the
-	// data already held.
-	for _, d := range cfg.Tiers {
-		if ch.tierFor(d) != nil {
-			continue
-		}
-		t := newTier(d)
-		for _, seg := range ch.segments {
-			for _, smp := range seg.samples {
-				t.add(smp)
-			}
-		}
-		for _, smp := range ch.head {
-			t.add(smp)
-		}
-		ch.tiers = append(ch.tiers, t)
-		ch.cfg.Tiers = append(ch.cfg.Tiers, d)
-	}
-	return nil
-}
-
-func (ch *channel) tierFor(d time.Duration) *tier {
-	for _, t := range ch.tiers {
-		if t.dur == d {
-			return t
+	ch := &channel{name: cfg.Name}
+	if s.dir != "" {
+		path := filepath.Join(s.dir, seglog.FileName(cfg.Name, segmentExt))
+		if err := ch.openLog(path, cfg.Name); err != nil {
+			return err
 		}
 	}
+	s.channels[cfg.Name] = ch
 	return nil
 }
 
@@ -245,7 +182,8 @@ func (s *Store) Append(name string, at time.Time, value float64) error {
 }
 
 // AppendBatch records a batch of observations under one lock acquisition —
-// the high-rate ingest path.
+// the high-rate ingest path. A sample already more than Window older than
+// the channel's newest one is not stored.
 func (s *Store) AppendBatch(name string, batch []Sample) error {
 	ch, err := s.channel(name)
 	if err != nil {
@@ -260,16 +198,25 @@ func (s *Store) AppendBatch(name string, batch []Sample) error {
 		if math.IsNaN(smp.Value) || math.IsInf(smp.Value, 0) {
 			return fmt.Errorf("historian: channel %q: non-finite value", name)
 		}
+		n := smp.At.UnixNano()
+		switch {
+		case !ch.hasData:
+			ch.latest, ch.hasData = smp, true
+			ch.spanLo, ch.spanHi = n, n
+		case n < ch.latest.At.UnixNano()-int64(Window):
+			continue
+		case smp.At.After(ch.latest.At):
+			ch.latest = smp
+		}
+		if n-ch.spanLo > int64(headSpan) || ch.spanHi-n > int64(headSpan) {
+			if err := ch.sealLocked(); err != nil {
+				return err
+			}
+		}
 		ch.head = append(ch.head, smp)
 		ch.total++
-		if !ch.hasData || smp.At.After(ch.latest.At) {
-			ch.latest = smp
-			ch.hasData = true
-		}
-		for _, t := range ch.tiers {
-			t.add(smp)
-		}
-		if len(ch.head) >= ch.headCap() {
+		ch.spanLo, ch.spanHi = min(ch.spanLo, n), max(ch.spanHi, n)
+		if len(ch.head) >= headCap {
 			if err := ch.sealLocked(); err != nil {
 				return err
 			}
@@ -278,57 +225,43 @@ func (s *Store) AppendBatch(name string, batch []Sample) error {
 	return nil
 }
 
-func (ch *channel) headCap() int {
-	if ch.cfg.HeadCap > 0 {
-		return ch.cfg.HeadCap
-	}
-	return DefaultHeadCap
-}
-
 // sealLocked sorts the head into an immutable segment, persists it as one
-// block, and applies retention. Caller holds ch.mu.
+// block, and drops the segments that left the window. Caller holds ch.mu.
 func (ch *channel) sealLocked() error {
-	if len(ch.head) == 0 {
-		return nil
-	}
-	samples := make([]Sample, len(ch.head))
-	copy(samples, ch.head)
-	sort.SliceStable(samples, func(i, j int) bool { return samples[i].At.Before(samples[j].At) })
-	seg := newSegment(samples)
-	if ch.log != nil {
-		if err := ch.log.Append(0, 0, encodeSamples(samples)); err != nil {
-			return fmt.Errorf("historian: channel %q: %w", ch.cfg.Name, err)
+	if len(ch.head) > 0 {
+		samples := make([]Sample, len(ch.head))
+		copy(samples, ch.head)
+		sort.SliceStable(samples, func(i, j int) bool { return samples[i].At.Before(samples[j].At) })
+		if ch.log != nil {
+			if err := ch.log.Append(0, 0, encodeSamples(samples)); err != nil {
+				return fmt.Errorf("historian: channel %q: %w", ch.name, err)
+			}
 		}
+		ch.segments = append(ch.segments, newSegment(samples))
+		ch.head = ch.head[:0]
 	}
-	ch.segments = append(ch.segments, seg)
-	ch.head = ch.head[:0]
+	ch.spanLo, ch.spanHi = ch.latest.At.UnixNano(), ch.latest.At.UnixNano()
 	return ch.applyRetentionLocked()
 }
 
-// applyRetentionLocked drops whole segments past the retention horizon and
-// compacts the segment file when anything was dropped. Caller holds ch.mu.
+// applyRetentionLocked drops whole segments that ended before newest −
+// Window and compacts the segment file when anything was dropped. Caller
+// holds ch.mu.
 func (ch *channel) applyRetentionLocked() error {
-	if ch.cfg.Retention <= 0 || !ch.hasData {
-		return nil
-	}
-	cutoff := ch.latest.At.Add(-ch.cfg.Retention)
+	cutoff := ch.latest.At.Add(-Window)
 	keep := ch.segments[:0]
-	dropped := 0
 	for _, seg := range ch.segments {
 		if seg.maxAt.Before(cutoff) {
-			dropped++
 			ch.total -= int64(len(seg.samples))
 			continue
 		}
 		keep = append(keep, seg)
 	}
-	if dropped == 0 {
+	if len(keep) == len(ch.segments) {
 		return nil
 	}
+	clear(ch.segments[len(keep):])
 	ch.segments = keep
-	for _, t := range ch.tiers {
-		t.trim(cutoff)
-	}
 	if ch.log != nil {
 		// Compact the file down to the segments still held.
 		err := ch.log.Rewrite(func(w *seglog.Log) error {
@@ -340,7 +273,7 @@ func (ch *channel) applyRetentionLocked() error {
 			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("historian: channel %q: compact: %w", ch.cfg.Name, err)
+			return fmt.Errorf("historian: channel %q: compact: %w", ch.name, err)
 		}
 	}
 	return nil
@@ -429,8 +362,6 @@ type ChannelStats struct {
 	HeadLen int
 	// Oldest and Latest bound the held time range (zero when empty).
 	Oldest, Latest time.Time
-	// Tiers lists the maintained rollup resolutions.
-	Tiers []time.Duration
 }
 
 // Stats returns a channel's statistics.
@@ -445,9 +376,6 @@ func (s *Store) Stats(name string) (ChannelStats, error) {
 		Samples:  ch.total,
 		Segments: len(ch.segments),
 		HeadLen:  len(ch.head),
-	}
-	for _, t := range ch.tiers {
-		st.Tiers = append(st.Tiers, t.dur)
 	}
 	if ch.hasData {
 		st.Latest = ch.latest.At

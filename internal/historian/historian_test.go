@@ -25,13 +25,25 @@ func ensure(t *testing.T, s *Store, cfg ChannelConfig) {
 	}
 }
 
+// sealEvery seals every head after the k-th, 2k-th, … append (i counts
+// appends from 0), so segments take the shapes a k-sample head would give.
+func sealEvery(t *testing.T, s *Store, i, k int) {
+	t.Helper()
+	if (i+1)%k == 0 {
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestAppendAndQueryOrdered(t *testing.T) {
 	s := mustOpen(t, "")
-	ensure(t, s, ChannelConfig{Name: "a", HeadCap: 8})
+	ensure(t, s, ChannelConfig{Name: "a"})
 	for i := 0; i < 30; i++ {
 		if err := s.Append("a", t0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
 			t.Fatal(err)
 		}
+		sealEvery(t, s, i, 8)
 	}
 	got, err := s.QueryAll("a")
 	if err != nil {
@@ -61,13 +73,14 @@ func TestAppendAndQueryOrdered(t *testing.T) {
 // appends still query back in time order, across segment boundaries.
 func TestOutOfOrderAppends(t *testing.T) {
 	s := mustOpen(t, "")
-	ensure(t, s, ChannelConfig{Name: "a", HeadCap: 16})
+	ensure(t, s, ChannelConfig{Name: "a"})
 	const n = 100
 	perm := rand.New(rand.NewSource(7)).Perm(n)
-	for _, i := range perm {
+	for k, i := range perm {
 		if err := s.Append("a", t0.Add(time.Duration(i)*time.Minute), float64(i)); err != nil {
 			t.Fatal(err)
 		}
+		sealEvery(t, s, k, 16)
 	}
 	got, err := s.QueryAll("a")
 	if err != nil {
@@ -88,11 +101,12 @@ func TestOutOfOrderAppends(t *testing.T) {
 
 func TestQueryRange(t *testing.T) {
 	s := mustOpen(t, "")
-	ensure(t, s, ChannelConfig{Name: "a", HeadCap: 10})
+	ensure(t, s, ChannelConfig{Name: "a"})
 	for i := 0; i < 50; i++ {
 		if err := s.Append("a", t0.Add(time.Duration(i)*time.Hour), float64(i)); err != nil {
 			t.Fatal(err)
 		}
+		sealEvery(t, s, i, 10)
 	}
 	it, err := s.Query("a", t0.Add(10*time.Hour), t0.Add(20*time.Hour))
 	if err != nil {
@@ -135,46 +149,44 @@ func TestAppendValidation(t *testing.T) {
 	if err := s.EnsureChannel(ChannelConfig{Name: ""}); err == nil {
 		t.Error("empty channel name accepted")
 	}
-	if err := s.EnsureChannel(ChannelConfig{Name: "b", Tiers: []time.Duration{0}}); err == nil {
-		t.Error("zero tier accepted")
-	}
-	if err := s.EnsureChannel(ChannelConfig{Name: "b", Tiers: []time.Duration{time.Minute, time.Minute}}); err == nil {
-		t.Error("duplicate tier accepted")
+	for _, dur := range []time.Duration{0, -time.Minute} {
+		if _, err := s.QueryRollup("a", dur, time.Time{}, time.Time{}); err == nil {
+			t.Errorf("rollup width %v accepted", dur)
+		}
 	}
 }
 
 func TestRetentionDropsOldSegments(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
-	ensure(t, s, ChannelConfig{
-		Name: "a", HeadCap: 10,
-		Retention: 24 * time.Hour,
-		Tiers:     []time.Duration{time.Hour},
-	})
-	// 100 hours of 6/hour data: everything older than latest-24h must go.
-	for i := 0; i < 600; i++ {
-		if err := s.Append("a", t0.Add(time.Duration(i)*10*time.Minute), float64(i)); err != nil {
+	ensure(t, s, ChannelConfig{Name: "a"})
+	// 125 days of one sample every 5 h: everything older than
+	// latest − Window must go.
+	const n, step = 600, 5 * time.Hour
+	for i := 0; i < n; i++ {
+		if err := s.Append("a", t0.Add(time.Duration(i)*step), float64(i)); err != nil {
 			t.Fatal(err)
 		}
+		sealEvery(t, s, i, 10)
 	}
 	got, err := s.QueryAll("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	latest := t0.Add(599 * 10 * time.Minute)
-	cutoff := latest.Add(-24 * time.Hour)
-	if len(got) >= 600 {
+	latest := t0.Add((n - 1) * step)
+	cutoff := latest.Add(-Window)
+	if len(got) >= n {
 		t.Fatalf("retention kept all %d samples", len(got))
 	}
 	// Whole-segment granularity: nothing sealed strictly before the cutoff
 	// survives beyond one segment's worth of slack.
-	slack := 10 * 10 * time.Minute
+	slack := 10 * step
 	for _, smp := range got {
 		if smp.At.Before(cutoff.Add(-slack)) {
 			t.Fatalf("sample at %v survived cutoff %v", smp.At, cutoff)
 		}
 	}
-	// Rollup buckets older than the cutoff are trimmed too.
-	rolls, err := s.QueryRollup("a", time.Hour, time.Time{}, time.Time{})
+	// Rollups fold only what is held.
+	rolls, err := s.QueryRollup("a", 24*time.Hour, time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,17 +210,56 @@ func TestRetentionDropsOldSegments(t *testing.T) {
 	}
 }
 
+// TestWindowBoundsSlowChannel: a channel that gets one sample every 4 h
+// for a year holds no more than Window + 2·headSpan of them, and a sample
+// already outside the window is not stored.
+func TestWindowBoundsSlowChannel(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	defer s.Close()
+	ensure(t, s, ChannelConfig{Name: "a"})
+	const step = 4 * time.Hour
+	var latest time.Time
+	for at := t0; at.Before(t0.Add(365 * 24 * time.Hour)); at = at.Add(step) {
+		if err := s.Append("a", at, 1); err != nil {
+			t.Fatal(err)
+		}
+		latest = at
+	}
+	st, err := s.Stats("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := int64((Window + 2*headSpan) / step); st.Samples > limit {
+		t.Errorf("%d samples held, want at most %d", st.Samples, limit)
+	}
+	if floor := latest.Add(-Window - 2*headSpan); st.Oldest.Before(floor) {
+		t.Errorf("oldest sample %v, want none before %v", st.Oldest, floor)
+	}
+	late := latest.Add(-Window - time.Hour)
+	if err := s.Append("a", late, 2); err != nil {
+		t.Fatal(err)
+	}
+	if st2, _ := s.Stats("a"); st2.Samples != st.Samples {
+		t.Errorf("%d samples after a sample outside the window, want %d", st2.Samples, st.Samples)
+	}
+	it, err := s.Query("a", late, late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it.Remaining() != 0 {
+		t.Error("a sample outside the window was stored")
+	}
+}
+
 func TestRollupTiers(t *testing.T) {
 	s := mustOpen(t, "")
-	ensure(t, s, ChannelConfig{
-		Name: "a", HeadCap: 64,
-		Tiers: []time.Duration{time.Minute, time.Hour},
-	})
+	ensure(t, s, ChannelConfig{Name: "a"})
 	// Two hours of 1 Hz data, value = seconds since start.
 	for i := 0; i < 7200; i++ {
 		if err := s.Append("a", t0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
 			t.Fatal(err)
 		}
+		sealEvery(t, s, i, 64)
 	}
 	mins, err := s.QueryRollup("a", time.Minute, time.Time{}, time.Time{})
 	if err != nil {
@@ -239,10 +290,6 @@ func TestRollupTiers(t *testing.T) {
 	if len(clip) != 2 || !clip[0].Start.Equal(t0.Add(time.Minute)) {
 		t.Fatalf("clipped buckets %+v", clip)
 	}
-	// Unconfigured tier is an explicit error.
-	if _, err := s.QueryRollup("a", time.Second, time.Time{}, time.Time{}); err == nil {
-		t.Fatal("unknown tier accepted")
-	}
 }
 
 // TestRollupEnvelopeProperty is the invariant the trend layer depends on:
@@ -253,10 +300,8 @@ func TestRollupEnvelopeProperty(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		s := mustOpen(t, "")
 		tier := time.Duration(1+rng.Intn(120)) * time.Second
-		ensure(t, s, ChannelConfig{
-			Name: "p", HeadCap: 1 + rng.Intn(200),
-			Tiers: []time.Duration{tier},
-		})
+		ensure(t, s, ChannelConfig{Name: "p"})
+		every := 1 + rng.Intn(200)
 		n := 200 + rng.Intn(800)
 		// Random walk with jittered, sometimes-duplicated timestamps,
 		// appended in shuffled order.
@@ -267,8 +312,11 @@ func TestRollupEnvelopeProperty(t *testing.T) {
 			at := t0.Add(time.Duration(rng.Int63n(int64(6 * time.Hour))))
 			samples[i] = Sample{At: at, Value: v}
 		}
-		if err := s.AppendBatch("p", samples); err != nil {
-			t.Fatal(err)
+		for i, smp := range samples {
+			if err := s.AppendBatch("p", []Sample{smp}); err != nil {
+				t.Fatal(err)
+			}
+			sealEvery(t, s, i, every)
 		}
 		rolls, err := s.QueryRollup("p", tier, time.Time{}, time.Time{})
 		if err != nil {
@@ -286,9 +334,9 @@ func TestRollupEnvelopeProperty(t *testing.T) {
 		if total != n {
 			t.Fatalf("trial %d: buckets cover %d samples, want %d", trial, total, n)
 		}
-		tt := newTier(tier)
 		for _, smp := range samples {
-			r, ok := byStart[tt.bucketStart(smp.At)]
+			lo, _ := bucket(smp.At.UnixNano(), tier)
+			r, ok := byStart[lo]
 			if !ok {
 				t.Fatalf("trial %d: sample at %v has no bucket", trial, smp.At)
 			}
@@ -302,7 +350,7 @@ func TestRollupEnvelopeProperty(t *testing.T) {
 
 func TestSealAndLatest(t *testing.T) {
 	s := mustOpen(t, "")
-	ensure(t, s, ChannelConfig{Name: "a", HeadCap: 1000})
+	ensure(t, s, ChannelConfig{Name: "a"})
 	if st, _ := s.Stats("a"); !st.Latest.IsZero() {
 		t.Fatal("empty channel has a latest sample")
 	}

@@ -59,6 +59,16 @@ func (it *Iterator) Collect() []Sample {
 // segments are shared immutably and the unsealed head is copied, so the
 // iterator is unaffected by concurrent appends.
 func (s *Store) Query(name string, from, to time.Time) (*Iterator, error) {
+	runs, err := s.snapshot(name, from, to)
+	if err != nil {
+		return nil, err
+	}
+	return &Iterator{runs: runs}, nil
+}
+
+// snapshot returns the channel's samples in [from, to] as sorted runs: the
+// sealed segments in order, then a sorted copy of the head.
+func (s *Store) snapshot(name string, from, to time.Time) ([][]Sample, error) {
 	ch, err := s.channel(name)
 	if err != nil {
 		return nil, err
@@ -87,7 +97,7 @@ func (s *Store) Query(name string, from, to time.Time) (*Iterator, error) {
 		})
 		runs = append(runs, headCopy)
 	}
-	return &Iterator{runs: runs}, nil
+	return runs, nil
 }
 
 // QueryAll returns every raw sample of the channel, oldest first.

@@ -1,8 +1,10 @@
 package historian
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,11 +24,12 @@ const (
 func fillChannel(t *testing.T, dir string, n int) string {
 	t.Helper()
 	s := mustOpen(t, dir)
-	ensure(t, s, ChannelConfig{Name: "vib/motor/rms", HeadCap: 32})
+	ensure(t, s, ChannelConfig{Name: "vib/motor/rms"})
 	for i := 0; i < n; i++ {
 		if err := s.Append("vib/motor/rms", t0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
 			t.Fatal(err)
 		}
+		sealEvery(t, s, i, 32)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -69,21 +72,19 @@ func TestReopenRecoversAllSamples(t *testing.T) {
 	}
 }
 
-// TestEnsureAfterRecoveryRebuildsTiers: tier configuration is not stored
-// in segment files; re-ensuring the channel rebuilds rollups from the
-// recovered raw data.
-func TestEnsureAfterRecoveryRebuildsTiers(t *testing.T) {
+// TestRollupAfterRecovery: a recovered channel answers rollups straight
+// from its recovered samples, with no EnsureChannel.
+func TestRollupAfterRecovery(t *testing.T) {
 	dir := t.TempDir()
 	fillChannel(t, dir, 120)
 	s := mustOpen(t, dir)
 	defer s.Close()
-	ensure(t, s, ChannelConfig{Name: "vib/motor/rms", Tiers: []time.Duration{time.Minute}})
 	rolls, err := s.QueryRollup("vib/motor/rms", time.Minute, time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rolls) != 2 || rolls[0].Count != 60 || rolls[0].Min != 0 || rolls[0].Max != 59 {
-		t.Fatalf("rebuilt rollups %+v", rolls)
+		t.Fatalf("recovered rollups %+v", rolls)
 	}
 }
 
@@ -248,7 +249,7 @@ func TestTornHeaderIsATornCreate(t *testing.T) {
 		if got, err := s.QueryAll(name); err != nil || len(got) != 0 {
 			t.Fatalf("header cut at %d: %d samples, err %v; want the channel back, empty", cut, len(got), err)
 		}
-		ensure(t, s, ChannelConfig{Name: name, HeadCap: 32})
+		ensure(t, s, ChannelConfig{Name: name})
 		if err := s.Append(name, t0, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -276,5 +277,36 @@ func TestParentFormatRefused(t *testing.T) {
 	_, err := Open(Options{Dir: dir})
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("error %v, want one naming the file and its magic", err)
+	}
+}
+
+// TestRollupSameAfterReopen: a rollup is a function of the held samples,
+// so shuffled appends fold to the same buckets, bit for bit, before a
+// close and after the reopen.
+func TestRollupSameAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	ensure(t, s, ChannelConfig{Name: "a"})
+	rng := rand.New(rand.NewSource(5))
+	for _, i := range rng.Perm(200) {
+		if err := s.Append("a", t0.Add(time.Duration(i)*time.Minute), rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := s.QueryRollup("a", time.Hour, time.Time{}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir)
+	defer s2.Close()
+	after, err := s2.QueryRollup("a", time.Hour, time.Time{}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("rollups before close\n%+v\nafter reopen\n%+v", before, after)
 	}
 }

@@ -2,12 +2,13 @@ package historian
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 )
 
-// Rollup is one downsampled bucket of a tier: the min/max envelope and the
-// mean of every raw sample whose timestamp falls in [Start, Start+Dur).
+// Rollup is one downsampled bucket: the min/max envelope and the mean of
+// every raw sample whose timestamp falls in [Start, Start+Dur).
 type Rollup struct {
 	Start time.Time
 	Dur   time.Duration
@@ -28,99 +29,67 @@ func (r Rollup) Mean() float64 {
 // End returns the exclusive bucket end.
 func (r Rollup) End() time.Time { return r.Start.Add(r.Dur) }
 
-// tier maintains one rollup resolution incrementally. Buckets are keyed by
-// their start nanos; a sorted key cache is rebuilt lazily on query, so the
-// append path stays a map upsert.
-type tier struct {
-	dur     time.Duration
-	buckets map[int64]*Rollup
-	sorted  []int64 // ascending bucket starts; nil when dirty
-}
-
-func newTier(d time.Duration) *tier {
-	return &tier{dur: d, buckets: make(map[int64]*Rollup)}
-}
-
-// bucketStart floors t to the tier grid (correct for pre-epoch times too).
-func (t *tier) bucketStart(at time.Time) int64 {
-	n := at.UnixNano()
-	d := int64(t.dur)
+// bucket returns the [lo, hi) nanosecond bounds of the dur-wide bucket
+// holding n, floored on the dur grid (pre-epoch times too); hi saturates at
+// the largest representable instant.
+func bucket(n int64, dur time.Duration) (lo, hi int64) {
+	d := int64(dur)
 	q := n / d
 	if n%d < 0 {
 		q--
 	}
-	return q * d
+	lo = q * d
+	if hi = lo + d; hi < lo {
+		hi = math.MaxInt64
+	}
+	return lo, hi
 }
 
-func (t *tier) add(s Sample) {
-	key := t.bucketStart(s.At)
-	b, ok := t.buckets[key]
-	if !ok {
-		t.buckets[key] = &Rollup{
-			Start: time.Unix(0, key).UTC(), Dur: t.dur,
-			Min: s.Value, Max: s.Value, Sum: s.Value, Count: 1,
-		}
-		t.sorted = nil
-		return
-	}
-	if s.Value < b.Min {
-		b.Min = s.Value
-	}
-	if s.Value > b.Max {
-		b.Max = s.Value
-	}
-	b.Sum += s.Value
-	b.Count++
-}
-
-// trim drops buckets that end at or before the cutoff.
-func (t *tier) trim(cutoff time.Time) {
-	for key, b := range t.buckets {
-		if !b.End().After(cutoff) {
-			delete(t.buckets, key)
-			t.sorted = nil
-		}
-	}
-}
-
-// query returns copies of the buckets overlapping [from, to] in start
-// order (zero bounds are open).
-func (t *tier) query(from, to time.Time) []Rollup {
-	if t.sorted == nil {
-		t.sorted = make([]int64, 0, len(t.buckets))
-		for key := range t.buckets {
-			t.sorted = append(t.sorted, key)
-		}
-		sort.Slice(t.sorted, func(i, j int) bool { return t.sorted[i] < t.sorted[j] })
-	}
-	var out []Rollup
-	for _, key := range t.sorted {
-		b := t.buckets[key]
-		if !from.IsZero() && !b.End().After(from) {
-			continue
-		}
-		if !to.IsZero() && b.Start.After(to) {
-			break
-		}
-		out = append(out, *b)
-	}
-	return out
-}
-
-// QueryRollup returns the rollup buckets of one maintained tier
-// overlapping [from, to] (zero bounds are open), oldest first. The tier
-// duration must match one configured via EnsureChannel exactly.
+// QueryRollup folds the channel's samples into buckets of width dur on the
+// dur grid and returns the buckets overlapping [from, to] (zero bounds are
+// open), oldest first. Any positive width is answerable, and an edge
+// bucket holds all of its samples. The fold reads the snapshot Query
+// takes — the segments in order, then the sorted head — so a rollup is a
+// function of the held samples and reads the same after a reopen.
 func (s *Store) QueryRollup(name string, dur time.Duration, from, to time.Time) ([]Rollup, error) {
-	ch, err := s.channel(name)
+	if dur <= 0 {
+		return nil, fmt.Errorf("historian: channel %q: non-positive rollup width %v", name, dur)
+	}
+	if !from.IsZero() {
+		lo, _ := bucket(from.UnixNano(), dur)
+		from = time.Unix(0, lo)
+	}
+	if !to.IsZero() {
+		_, hi := bucket(to.UnixNano(), dur)
+		to = time.Unix(0, hi-1)
+	}
+	runs, err := s.snapshot(name, from, to)
 	if err != nil {
 		return nil, err
 	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	t := ch.tierFor(dur)
-	if t == nil {
-		return nil, fmt.Errorf("historian: channel %q has no %v tier (have %v)",
-			name, dur, ch.cfg.Tiers)
+	var out []Rollup
+	index := make(map[int64]int) // bucket start → position in out
+	var cur int
+	var lo, hi int64 // the bucket out[cur] covers; empty until the first sample
+	for _, run := range runs {
+		for _, smp := range run {
+			if n := smp.At.UnixNano(); n < lo || n >= hi {
+				lo, hi = bucket(n, dur)
+				var ok bool
+				if cur, ok = index[lo]; !ok {
+					cur = len(out)
+					index[lo] = cur
+					out = append(out, Rollup{Start: time.Unix(0, lo).UTC(), Dur: dur,
+						Min: smp.Value, Max: smp.Value})
+				}
+			}
+			b := &out[cur]
+			b.Min = min(b.Min, smp.Value)
+			b.Max = max(b.Max, smp.Value)
+			b.Sum += smp.Value
+			b.Count++
+		}
 	}
-	return t.query(from, to), nil
+	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	return out, nil
 }

@@ -68,7 +68,7 @@ func encodeSamples(samples []Sample) []byte {
 // openLog opens (recovering) or creates the channel's file at path and
 // loads its segments. name goes into the header of a file that has to be
 // created; an existing header's name is authoritative and becomes
-// ch.cfg.Name.
+// ch.name.
 func (ch *channel) openLog(path, name string) error {
 	log, _, err := seglog.Open(path, segmentFormat, []byte(name), func(r seglog.Record) error {
 		if len(r.Body) == 0 || len(r.Body)%recordSize != 0 {
@@ -93,7 +93,7 @@ func (ch *channel) openLog(path, name string) error {
 		_ = log.Close() // best effort: the refusal is the story
 		return fmt.Errorf("historian: %s: empty channel name", path)
 	}
-	ch.cfg.Name = string(log.Meta())
+	ch.name = string(log.Meta())
 	ch.log = log
 	for _, seg := range ch.segments {
 		ch.total += int64(len(seg.samples))
@@ -102,5 +102,6 @@ func (ch *channel) openLog(path, name string) error {
 			ch.hasData = true
 		}
 	}
+	ch.spanLo, ch.spanHi = ch.latest.At.UnixNano(), ch.latest.At.UnixNano()
 	return nil
 }

@@ -9,9 +9,9 @@ import (
 // This file is the PDME's use of the historian (§4.6 data management):
 // fused severities stream into per-pair channels.
 
-// SeverityRollupTier is the downsampling resolution maintained on severity
-// channels: one min/max/mean bucket per day of reports, enough for
-// month-scale trend displays without touching raw points.
+// SeverityRollupTier is the rollup width SeverityRollups reads severity
+// channels at: one min/max/mean bucket per day of reports, enough for
+// month-scale trend displays.
 const SeverityRollupTier = 24 * time.Hour
 
 func severityChannel(component, condition string) string {
@@ -22,13 +22,7 @@ func severityChannel(component, condition string) string {
 // creating it on first sight.
 func (p *PDME) observeSeverity(component, condition string, at time.Time, severity float64) error {
 	name := severityChannel(component, condition)
-	// EnsureChannel every time (idempotent): recovered channels do not
-	// remember their tier configuration, so this also rebuilds the rollup
-	// tier from recovered data after a restart.
-	if err := p.hist.EnsureChannel(historian.ChannelConfig{
-		Name:  name,
-		Tiers: []time.Duration{SeverityRollupTier},
-	}); err != nil {
+	if err := p.hist.EnsureChannel(historian.ChannelConfig{Name: name}); err != nil {
 		return err
 	}
 	return p.hist.Append(name, at, severity)

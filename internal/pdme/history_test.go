@@ -2,6 +2,7 @@ package pdme
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 
 // TestSeverityHistorySurvivesRestart: with a disk-backed historian, a
 // PDME restart (new model, new engine, same store directory) retains the
-// severity history and the trend projection it feeds — the §4.6/§10.1
-// durability the in-memory tracker could not provide.
+// severity history, the daily rollups folded from it and the trend
+// projection it feeds — the §4.6/§10.1 durability the in-memory tracker
+// could not provide.
 func TestSeverityHistorySurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	start := time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -36,13 +38,16 @@ func TestSeverityHistorySurvivesRestart(t *testing.T) {
 	}
 
 	p1, store1 := newEngine()
-	for i := 0; i < 6; i++ {
+	// Out of order within one day: the day's severity sum in arrival order
+	// differs in its last bit from the sum in time order.
+	for _, i := range []int{5, 2, 0, 4, 1, 3} {
 		r := report("ks/dli", "motor/1", "motor imbalance", 0.2+0.05*float64(i), 0.8,
 			start.Add(time.Duration(i)*4*time.Hour), nil)
 		if err := p1.Deliver(r); err != nil {
 			t.Fatal(err)
 		}
 	}
+	before := p1.SeverityRollups("motor/1", "motor imbalance")
 	p1.Close()
 	if err := store1.Close(); err != nil {
 		t.Fatal(err)
@@ -56,6 +61,9 @@ func TestSeverityHistorySurvivesRestart(t *testing.T) {
 	h := p2.SeverityHistory("motor/1", "motor imbalance")
 	if len(h) != 6 {
 		t.Fatalf("restarted PDME sees %d observations, want 6", len(h))
+	}
+	if after := p2.SeverityRollups("motor/1", "motor imbalance"); len(before) != 1 || !reflect.DeepEqual(after, before) {
+		t.Fatalf("severity rollups %+v before the restart, %+v after; want one day, the same", before, after)
 	}
 	// Two more reports continue the same series across the restart.
 	for i := 6; i < 8; i++ {

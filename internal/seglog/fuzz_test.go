@@ -64,9 +64,12 @@ func userFiles(tb testing.TB) [][]byte {
 
 	hist, err := historian.Open(historian.Options{Dir: filepath.Join(dir, "historian")})
 	check(err)
-	check(hist.EnsureChannel(historian.ChannelConfig{Name: "vib/motor/rms", HeadCap: 4}))
+	check(hist.EnsureChannel(historian.ChannelConfig{Name: "vib/motor/rms"}))
 	for i := 0; i < 10; i++ {
 		check(hist.Append("vib/motor/rms", at.Add(time.Duration(i)*time.Second), float64(i)))
+		if i%4 == 3 { // several records in the seed file
+			check(hist.Sync())
+		}
 	}
 	check(hist.Close())
 

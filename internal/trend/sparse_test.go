@@ -98,10 +98,7 @@ func TestDownsampledRollupSeries(t *testing.T) {
 	}
 	defer store.Close()
 	const chName = "severity/motor|imbalance"
-	if err := store.EnsureChannel(historian.ChannelConfig{
-		Name:  chName,
-		Tiers: []time.Duration{24 * time.Hour},
-	}); err != nil {
+	if err := store.EnsureChannel(historian.ChannelConfig{Name: chName}); err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC)

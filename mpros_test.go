@@ -162,6 +162,64 @@ func TestStationDatabaseHoldsOnlyReports(t *testing.T) {
 	}
 }
 
+// TestStationHistorianStaysInWindow: a station's historian keeps one raw
+// window per channel, so between 60 and 120 virtual days of a motor
+// imbalance its samples and its directory bytes stay within 5 %.
+func TestStationHistorianStaysInWindow(t *testing.T) {
+	dir := t.TempDir()
+	histDir := filepath.Join(dir, "hist")
+	s, err := NewStation(StationConfig{Seed: 6, DBPath: filepath.Join(dir, "station.db"), HistorianDir: histDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.InjectFault(chiller.MotorImbalance, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	held := func() (samples, bytes int64) {
+		t.Helper()
+		if err := s.Historian.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range s.Historian.Channels() {
+			st, err := s.Historian.Stats(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samples += st.Samples
+		}
+		entries, err := os.ReadDir(histDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes += fi.Size()
+		}
+		return samples, bytes
+	}
+	if err := s.Advance(60 * 24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	samples60, bytes60 := held()
+	if err := s.Advance(60 * 24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	samples120, bytes120 := held()
+	t.Logf("historian at 60 days: %d samples, %d B; at 120 days: %d samples, %d B",
+		samples60, bytes60, samples120, bytes120)
+	within := func(a, b int64) bool { return math.Abs(float64(b-a)) <= 0.05*float64(a) }
+	if !within(samples60, samples120) {
+		t.Errorf("historian holds %d samples at 120 days against %d at 60, want within 5 %%", samples120, samples60)
+	}
+	if !within(bytes60, bytes120) {
+		t.Errorf("historian directory holds %d B at 120 days against %d at 60, want within 5 %%", bytes120, bytes60)
+	}
+}
+
 func TestFleetOverTCP(t *testing.T) {
 	f, err := NewFleet(FleetConfig{DCCount: 3, SeedBase: 100})
 	if err != nil {
