@@ -18,9 +18,9 @@ import (
 // record per report, its body the report's six columns as compact JSON.
 // Both keep the newest maxStoredReports reports and drop the oldest first,
 // as the uplink spool does. The file also holds the reports dropped since
-// it was last compacted, and is compacted to the held reports once it holds
-// as many dropped as held, so it never holds more than 2 × maxStoredReports
-// records. Appends are not synced; compaction and Close are.
+// it was last compacted, and drops them once it holds as many dropped as
+// held, so it never holds more than 2 × maxStoredReports records. Appends
+// are not synced; compaction and Close are.
 
 // reportsTable is the DC database's one table: the condition reports the
 // DC issued, each with whether the uplink took it. A vibration test's
@@ -50,17 +50,6 @@ func (r storedReport) row() relstore.Row {
 		"belief":    r.Belief,
 		"issued_at": r.IssuedAt,
 		"delivered": r.Delivered,
-	}
-}
-
-func reportOf(row relstore.Row) storedReport {
-	return storedReport{
-		Condition: row["condition"].(string),
-		Source:    row["source"].(string),
-		Severity:  row["severity"].(float64),
-		Belief:    row["belief"].(float64),
-		IssuedAt:  row["issued_at"].(time.Time),
-		Delivered: row["delivered"].(bool),
 	}
 }
 
@@ -142,18 +131,8 @@ func (l *reportLog) add(rep storedReport) error {
 	if l.dropped++; l.dropped < l.held {
 		return nil
 	}
-	rows, err := l.db.Select(reportsTable, nil, 0)
-	if err != nil {
-		return err
-	}
-	if err := l.log.Rewrite(func(w *seglog.Log) error {
-		for _, row := range rows {
-			if err := appendReport(w, reportOf(row)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	// The held reports are the file's newest records.
+	if err := l.log.DropBefore(l.log.Next() - uint64(l.held)); err != nil {
 		return fmt.Errorf("dc: compact report log: %w", err)
 	}
 	l.dropped = 0

@@ -17,10 +17,10 @@
 //   - Sealed segments are persisted one record each in an append-only
 //     seglog file per channel: a torn final block (power loss mid-append)
 //     is truncated away on open; interior corruption is refused.
-//   - Every channel keeps one fixed raw window: a seal drops the segments
-//     that ended more than Window before the channel's newest sample and
-//     compacts the segment file, and a sample already outside the window
-//     is not stored.
+//   - Every channel keeps one fixed raw window: a seal (and an open) drops
+//     the segments that ended more than Window before the channel's newest
+//     sample, and the file drops its records before the oldest segment
+//     still held; a sample already outside the window is not stored.
 //   - Rollups (min/max/mean/count per bucket, any width) are folded from
 //     the held samples when asked; nothing but the raw samples is kept.
 //   - Queries take a consistent snapshot under a read lock and then
@@ -232,12 +232,14 @@ func (ch *channel) sealLocked() error {
 		samples := make([]Sample, len(ch.head))
 		copy(samples, ch.head)
 		sort.SliceStable(samples, func(i, j int) bool { return samples[i].At.Before(samples[j].At) })
+		var ord uint64
 		if ch.log != nil {
+			ord = ch.log.Next()
 			if err := ch.log.Append(0, 0, encodeSamples(samples)); err != nil {
 				return fmt.Errorf("historian: channel %q: %w", ch.name, err)
 			}
 		}
-		ch.segments = append(ch.segments, newSegment(samples))
+		ch.segments = append(ch.segments, newSegment(samples, ord))
 		ch.head = ch.head[:0]
 	}
 	ch.spanLo, ch.spanHi = ch.latest.At.UnixNano(), ch.latest.At.UnixNano()
@@ -245,8 +247,8 @@ func (ch *channel) sealLocked() error {
 }
 
 // applyRetentionLocked drops whole segments that ended before newest −
-// Window and compacts the segment file when anything was dropped. Caller
-// holds ch.mu.
+// Window, and the file's records before the oldest segment still held.
+// Caller holds ch.mu.
 func (ch *channel) applyRetentionLocked() error {
 	cutoff := ch.latest.At.Add(-Window)
 	keep := ch.segments[:0]
@@ -262,19 +264,18 @@ func (ch *channel) applyRetentionLocked() error {
 	}
 	clear(ch.segments[len(keep):])
 	ch.segments = keep
-	if ch.log != nil {
-		// Compact the file down to the segments still held.
-		err := ch.log.Rewrite(func(w *seglog.Log) error {
-			for _, seg := range ch.segments {
-				if err := w.Append(0, 0, encodeSamples(seg.samples)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("historian: channel %q: compact: %w", ch.name, err)
-		}
+	if ch.log == nil {
+		return nil
+	}
+	// The file keeps a suffix: a dropped segment sealed after a held one
+	// (time-disordered input) stays in it until the segments before it go,
+	// and an open drops it from memory again.
+	oldest := ch.log.Next()
+	if len(keep) > 0 {
+		oldest = keep[0].ord
+	}
+	if err := ch.log.DropBefore(oldest); err != nil {
+		return fmt.Errorf("historian: channel %q: compact: %w", ch.name, err)
 	}
 	return nil
 }

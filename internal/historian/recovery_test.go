@@ -310,3 +310,99 @@ func TestRollupSameAfterReopen(t *testing.T) {
 		t.Fatalf("rollups before close\n%+v\nafter reopen\n%+v", before, after)
 	}
 }
+
+// fileRecords counts the records in a channel's file.
+func fileRecords(t *testing.T, dir, name string) int {
+	t.Helper()
+	n := 0
+	_, err := seglog.Scan(filepath.Join(dir, seglog.FileName(name, segmentExt)), segmentFormat, func(seglog.Record) error {
+		n++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestOpenAppliesTheWindow: a crash between a seal's append and its drop,
+// or a failed drop, leaves a file holding a segment that ended more than
+// Window before the newest sample. The open drops it, as a seal would.
+func TestOpenAppliesTheWindow(t *testing.T) {
+	dir := t.TempDir()
+	log, _, err := seglog.Open(filepath.Join(dir, seglog.FileName("a", segmentExt)), segmentFormat, []byte("a"), func(seglog.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := Sample{At: t0.Add(Window + time.Hour), Value: 3}
+	for _, seg := range [][]Sample{{{At: t0, Value: 1}, {At: t0.Add(time.Minute), Value: 2}}, {newest}} {
+		if err := log.Append(0, 0, encodeSamples(seg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir)
+	defer s.Close()
+	got, err := s.QueryAll("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.Stats("a"); !reflect.DeepEqual(got, []Sample{newest}) || st.Samples != 1 || st.Segments != 1 {
+		t.Fatalf("after open: samples %v, stats %+v; want only %v", got, st, newest)
+	}
+	if n := fileRecords(t, dir, "a"); n != 1 {
+		t.Fatalf("the file holds %d records after the open, want 1", n)
+	}
+}
+
+// TestDisorderedSegmentLeavesTheFileLate: a segment of old samples sealed
+// after a newer one leaves memory as soon as it leaves the window, but the
+// file keeps only a suffix, so it stays there until the segments before it
+// go. Reads are the same before a close and after the reopen.
+func TestDisorderedSegmentLeavesTheFileLate(t *testing.T) {
+	const day = 24 * time.Hour
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	ensure(t, s, ChannelConfig{Name: "a"})
+	appendSync := func(at time.Time, v float64) {
+		t.Helper()
+		if err := s.Append("a", at, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendSync(t0.Add(20*day), 1) // segment 0
+	appendSync(t0, 2)             // segment 1, sealed after a newer one
+	appendSync(t0.Add(31*day), 3) // segment 2; segment 1 left the window
+	if st, _ := s.Stats("a"); st.Segments != 2 || st.Samples != 2 {
+		t.Fatalf("stats %+v, want segments 0 and 2 held", st)
+	}
+	if n := fileRecords(t, dir, "a"); n != 3 {
+		t.Fatalf("the file holds %d records, want all 3 while segment 0 is held", n)
+	}
+	q1, err := s.QueryAll("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1, _ := s.Stats("a")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir)
+	defer s.Close()
+	q2, err := s.QueryAll("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2, _ := s.Stats("a"); !reflect.DeepEqual(q1, q2) || st1 != st2 {
+		t.Fatalf("before close: %v %+v; after reopen: %v %+v", q1, st1, q2, st2)
+	}
+	appendSync(t0.Add(51*day), 4) // segment 0 leaves the window: the file drops 0 and 1
+	if n := fileRecords(t, dir, "a"); n != 2 {
+		t.Fatalf("the file holds %d records, want segments 2 and 3", n)
+	}
+}

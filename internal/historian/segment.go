@@ -25,13 +25,15 @@ var segmentFormat = seglog.Format{Magic: "MPROSHS2", MaxBody: 1 << 24}
 type segment struct {
 	samples      []Sample // sorted ascending by At
 	minAt, maxAt time.Time
+	ord          uint64 // its record's ordinal in the channel's file
 }
 
-func newSegment(sorted []Sample) *segment {
+func newSegment(sorted []Sample, ord uint64) *segment {
 	return &segment{
 		samples: sorted,
 		minAt:   sorted[0].At,
 		maxAt:   sorted[len(sorted)-1].At,
+		ord:     ord,
 	}
 }
 
@@ -83,7 +85,7 @@ func (ch *channel) openLog(path, name string) error {
 		}
 		// Blocks are written sorted; tolerate (and repair) any drift.
 		sort.SliceStable(samples, func(i, j int) bool { return samples[i].At.Before(samples[j].At) })
-		ch.segments = append(ch.segments, newSegment(samples))
+		ch.segments = append(ch.segments, newSegment(samples, uint64(len(ch.segments))))
 		return nil
 	})
 	if err != nil {
@@ -103,5 +105,11 @@ func (ch *channel) openLog(path, name string) error {
 		}
 	}
 	ch.spanLo, ch.spanHi = ch.latest.At.UnixNano(), ch.latest.At.UnixNano()
+	// A crash between a seal's append and its drop, or a failed drop, can
+	// leave segments that already left the window.
+	if err := ch.applyRetentionLocked(); err != nil {
+		_ = log.Close() // best effort: the drop error is the story
+		return err
+	}
 	return nil
 }

@@ -16,12 +16,12 @@
 // torn-tail/corruption rule the journal refuses a WAL whose jseqs do not
 // strictly ascend.
 //
-// After a checkpoint commits the WAL is compacted to the records above the
-// watermark, copied from the WAL file itself: the journal keeps no copy of a
-// record body, only where each record above the watermark ends in the file.
-// A crash between the two renames leaves stale records (jseq ≤ watermark) in
-// the WAL; recovery skips them by sequence, so the pair of files is
-// consistent no matter where the crash lands.
+// After a checkpoint commits, the WAL drops the records at or below the
+// watermark (seglog's prefix drop, which copies the kept records' bytes):
+// the journal keeps no copy of a record body and no file offset. A crash
+// between the two renames leaves stale records (jseq ≤ watermark) in the
+// WAL; recovery skips them by sequence, so the pair of files is consistent
+// no matter where the crash lands.
 package journal
 
 import (
@@ -83,21 +83,9 @@ type Journal struct {
 
 	nextSeq uint64
 	ckpt    uint64 // watermark of the durable checkpoint (0 = none)
-	// live locates the acknowledged WAL records above the checkpoint
-	// watermark, in order: the one after liveFrom's offset is live[0].
-	// Compaction copies them from the file. Bounded by the owner's
-	// checkpoint cadence.
-	live     []recordEnd
-	liveFrom int64
 	// failed is the first WAL write or fsync error; see AppendBatch.
 	failed error
 	frames []seglog.Record // AppendBatch's framing scratch, reused
-}
-
-// recordEnd is one WAL record's sequence and the file offset just past it.
-type recordEnd struct {
-	seq uint64
-	end int64
 }
 
 // Open opens (creating if needed) the journal in dir, recovering the
@@ -124,9 +112,7 @@ func Open(dir string) (*Journal, *Recovery, error) {
 		rec.CheckpointSeq = ckptSeq
 	}
 
-	// Offsets are counted from the first record until Open returns the
-	// file's size, which fixes where that first record starts.
-	prevSeq, scanned, staleEnd := uint64(0), int64(0), int64(0)
+	prevSeq := uint64(0)
 	j.wal, rec.TornBytes, err = seglog.Open(filepath.Join(dir, walName), walFormat, nil, func(r seglog.Record) error {
 		if r.Seq == math.MaxUint64 {
 			// A legitimate writer can never reach the last sequence;
@@ -139,24 +125,16 @@ func Open(dir string) (*Journal, *Recovery, error) {
 			return fmt.Errorf("non-ascending sequence %d after %d", r.Seq, prevSeq)
 		}
 		prevSeq = r.Seq
-		scanned += seglog.FrameSize(len(r.Body))
 		if r.Seq <= j.ckpt {
 			// Records at or below the watermark are a crash between the
 			// checkpoint rename and the WAL compaction: already covered.
-			staleEnd = scanned
 			return nil
 		}
 		rec.Tail = append(rec.Tail, Record{Seq: r.Seq, Kind: r.Kind, Body: bytes.Clone(r.Body)})
-		j.live = append(j.live, recordEnd{seq: r.Seq, end: scanned})
 		return nil
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	first := j.wal.Size() - scanned
-	j.liveFrom = first + staleEnd
-	for i := range j.live {
-		j.live[i].end += first
 	}
 	if prevSeq >= j.nextSeq {
 		j.nextSeq = prevSeq + 1
@@ -219,7 +197,6 @@ func (j *Journal) AppendBatch(kind byte, bodies [][]byte) (uint64, error) {
 	for i, body := range bodies {
 		recs = append(recs, seglog.Record{Kind: kind, Seq: first + uint64(i), Body: body})
 	}
-	end := j.wal.Size()
 	err := j.wal.AppendBatch(recs)
 	if err == nil {
 		err = j.wal.Sync()
@@ -234,18 +211,14 @@ func (j *Journal) AppendBatch(kind byte, bodies [][]byte) (uint64, error) {
 		return 0, err
 	}
 	j.nextSeq = first + uint64(len(bodies))
-	for i, body := range bodies {
-		end += seglog.FrameSize(len(body))
-		j.live = append(j.live, recordEnd{seq: first + uint64(i), end: end})
-	}
 	return first, nil
 }
 
 // WriteCheckpoint durably replaces the checkpoint with blob covering every
-// record with jseq ≤ seq, then compacts the WAL down to the records above
-// seq. The checkpoint commits at the rename: a crash before it keeps the
-// old checkpoint, a crash after it but before the WAL compaction leaves
-// stale records that recovery skips by sequence.
+// record with jseq ≤ seq, then drops the WAL's records at or below seq. The
+// checkpoint commits at the rename: a crash before it keeps the old
+// checkpoint, a crash after it but before the WAL compaction leaves stale
+// records that recovery skips by sequence.
 func (j *Journal) WriteCheckpoint(seq uint64, blob []byte) error {
 	if seq == 0 || seq == math.MaxUint64 {
 		return fmt.Errorf("journal: implausible checkpoint watermark %d", seq)
@@ -269,26 +242,12 @@ func (j *Journal) WriteCheckpoint(seq uint64, blob []byte) error {
 	}
 	j.ckpt = seq
 
-	// The records above the watermark are the last ones acknowledged: keep
-	// the file's bytes from the first of them to the end of the last.
-	covered := 0
-	for covered < len(j.live) && j.live[covered].seq <= seq {
-		covered++
-	}
-	from, to := j.liveFrom, j.liveFrom
-	if covered > 0 {
-		from = j.live[covered-1].end
-	}
-	if n := len(j.live); n > 0 {
-		to = j.live[n-1].end
-	}
-	j.live = append(j.live[:0], j.live[covered:]...)
-	start, err := j.wal.RewriteRange(from, to)
-	j.liveFrom = start
-	for i := range j.live {
-		j.live[i].end += start - from
-	}
-	if err != nil {
+	// The WAL holds every record above the previous watermark under
+	// consecutive jseqs, so the records above seq are its newest
+	// LastSeq − seq. Were there gaps, those would be fewer: the drop then
+	// keeps more than it needs, never less.
+	next, keep := j.wal.Next(), j.nextSeq-1-seq
+	if err := j.wal.DropBefore(next - min(keep, next)); err != nil {
 		return fmt.Errorf("journal: compact wal: %w", err)
 	}
 	return nil
@@ -329,7 +288,7 @@ func (j *Journal) CheckpointSeq() uint64 {
 func (j *Journal) SinceCheckpoint() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.live)
+	return int(j.nextSeq - 1 - j.ckpt)
 }
 
 // Close syncs and closes the WAL. The journal is unusable afterwards.

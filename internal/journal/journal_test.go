@@ -595,8 +595,8 @@ func TestCompactionKeepsExactlyTheRecordsAbove(t *testing.T) {
 }
 
 // TestAppendBatchAllocatesNothingPerRecord: the journal keeps no copy of a
-// record body, only where the record ends, so a steady-state append
-// allocates nothing at all.
+// record body and nothing per record, so a steady-state append allocates
+// nothing at all.
 func TestAppendBatchAllocatesNothingPerRecord(t *testing.T) {
 	j, _ := mustOpen(t, t.TempDir())
 	defer func() { _ = j.Close() }()
@@ -605,8 +605,8 @@ func TestAppendBatchAllocatesNothingPerRecord(t *testing.T) {
 		bodies[i] = bytes.Repeat([]byte{byte('a' + i)}, 500)
 	}
 	const runs = 20
-	// Warm up, then checkpoint: the compaction keeps the index's capacity,
-	// so the measured appends do not grow it.
+	// Warm up, then checkpoint, so the measured appends start from a
+	// compacted WAL.
 	for range runs + 1 {
 		if _, err := j.AppendBatch(3, bodies); err != nil {
 			t.Fatal(err)

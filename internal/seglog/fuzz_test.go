@@ -105,20 +105,23 @@ func userFiles(tb testing.TB) [][]byte {
 // FuzzRecover writes arbitrary bytes as a log file and opens it. Open must
 // never panic. When it accepts the file: every record it yielded sits in
 // the input at the offset the layout says, under a CRC that verifies; the
-// accepted prefix takes one more append; and a reopen after close truncates
-// nothing and sees exactly the same records plus that append. The inputs
+// accepted prefix takes one more append; a drop before the ordinal drop
+// picks (modulo one past the last record) leaves the header and exactly the
+// kept records' bytes; and a reopen after close truncates nothing and sees
+// exactly the kept suffix of the same records plus that append. The inputs
 // are read under the fuzz format's own magic, so seeds from the users'
 // files have theirs overwritten with it.
 func FuzzRecover(f *testing.F) {
 	ft := seglog.Format{Magic: "MPROSFZ1", MaxBody: 1 << 16}
-	for _, data := range userFiles(f) {
+	for i, data := range userFiles(f) {
 		copy(data, ft.Magic)
-		f.Add(data)
-		f.Add(data[:len(data)-3]) // torn tail
-		f.Add(data[:5])           // torn header
+		drop := uint8(i)
+		f.Add(data, drop)
+		f.Add(data[:len(data)-3], drop+1) // torn tail
+		f.Add(data[:5], drop)             // torn header
 		flipped := bytes.Clone(data)
 		flipped[len(flipped)-7] ^= 0x10
-		f.Add(flipped)
+		f.Add(flipped, drop)
 	}
 	// A multi-record batch from a single write, whole and cut inside its
 	// second record.
@@ -134,12 +137,12 @@ func FuzzRecover(f *testing.F) {
 	if err != nil || rerr != nil {
 		f.Fatalf("seed batch: %v, %v", err, rerr)
 	}
-	f.Add(batch)
-	f.Add(batch[:len(batch)-21-60])
-	f.Add([]byte{})
-	f.Add([]byte(ft.Magic))
+	f.Add(batch, uint8(2))
+	f.Add(batch[:len(batch)-21-60], uint8(1))
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte(ft.Magic), uint8(1))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, drop uint8) {
 		path := filepath.Join(t.TempDir(), "fuzz.log")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -177,6 +180,23 @@ func FuzzRecover(f *testing.F) {
 		if err := l.Append(extra.kind, extra.seq, []byte(extra.body)); err != nil {
 			t.Fatalf("accepted prefix not appendable: %v", err)
 		}
+		all := append(got, extra)
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := uint64(drop) % uint64(len(all)+1)
+		if err := l.DropBefore(k); err != nil {
+			t.Fatalf("DropBefore(%d) of %d records: %v", k, len(all), err)
+		}
+		from := 8 + 2 + int(binary.LittleEndian.Uint16(before[8:]))
+		want := bytes.Clone(before[:from])
+		for _, r := range all[:k] {
+			from += 21 + len(r.body)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, append(want, before[from:]...)) {
+			t.Fatalf("DropBefore(%d): the file is not the header and the kept records' bytes (%v)", k, err)
+		}
 		if err := l.Close(); err != nil {
 			t.Fatalf("close recovered log: %v", err)
 		}
@@ -187,8 +207,8 @@ func FuzzRecover(f *testing.F) {
 			t.Fatalf("recovery not stable: reopen failed: %v", err)
 		}
 		defer func() { _ = l2.Close() }()
-		if torn2 != 0 || string(l2.Meta()) != meta || !equalRecs(again, append(got, extra)) {
-			t.Fatalf("reopen: %d torn, meta %q (was %q), %d records (was %d + 1)", torn2, l2.Meta(), meta, len(again), len(got))
+		if torn2 != 0 || string(l2.Meta()) != meta || !equalRecs(again, all[k:]) || l2.Next() != uint64(len(again)) {
+			t.Fatalf("reopen: %d torn, meta %q (was %q), %d records (want the last %d of %d), next %d", torn2, l2.Meta(), meta, len(again), len(all)-int(k), len(all), l2.Next())
 		}
 	})
 }

@@ -20,19 +20,21 @@
 //     or a record the caller's callback rejects is corruption: refuse the
 //     file with an error naming the offset.
 //
-// Replacing a file (compaction, checkpoint) goes temp file → fsync → rename
-// → directory fsync; a stale temp left by a crash mid-replace is removed on
-// the next open. Nothing reads the temp before the rename commits it whole,
-// so a large record may reach it in more than one write, straight from the
-// caller's buffer rather than through a frame copy; and a compaction that
-// keeps a run of records copies their bytes from the old file (RewriteRange)
-// rather than from memory.
+// Records are numbered in file order from 0 at open (see Next). A log
+// forgets one way only: DropBefore removes every record before a given
+// ordinal by copying the bytes of the kept ones into a new file, so no owner
+// re-encodes what it keeps. Replacing a file (that drop, a checkpoint) goes
+// temp file → fsync → rename → directory fsync; a stale temp left by a crash
+// mid-replace is removed on the next open. Nothing reads the temp before the
+// rename commits it whole, so a large record may reach it in more than one
+// write, straight from the caller's buffer rather than through a frame copy.
 //
 // A Log has no lock and starts no goroutine: each owner already serialises
 // its appends under its own mutex.
 package seglog
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -86,6 +88,9 @@ type Log struct {
 	buf  []byte // frames of the last append, reused
 	// size is the offset just past the last append that completed.
 	size int64
+	// first and next are the ordinals of the first record in the file and
+	// of the next one appended.
+	first, next uint64
 	// staged marks the temp file replace builds: see Append.
 	staged bool
 }
@@ -104,7 +109,7 @@ func Open(path string, ft Format, meta []byte, visit func(Record) error) (*Log, 
 	if err != nil && !os.IsNotExist(err) {
 		return nil, 0, fmt.Errorf("seglog: read %s: %w", path, err)
 	}
-	onDisk, good, err := scan(path, data, ft, visit)
+	onDisk, good, n, err := scan(path, data, ft, visit)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -112,7 +117,7 @@ func Open(path string, ft Format, meta []byte, visit func(Record) error) (*Log, 
 	if err != nil {
 		return nil, 0, fmt.Errorf("seglog: open %s: %w", path, err)
 	}
-	l := &Log{path: path, ft: ft, meta: onDisk, f: f, size: int64(good)}
+	l := &Log{path: path, ft: ft, meta: onDisk, f: f, size: int64(good), next: n}
 	torn := int64(len(data) - good)
 	if torn > 0 {
 		if err := f.Truncate(int64(good)); err != nil {
@@ -150,7 +155,7 @@ func Scan(path string, ft Format, visit func(Record) error) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("seglog: read %s: %w", path, err)
 	}
-	meta, good, err := scan(path, data, ft, visit)
+	meta, good, _, err := scan(path, data, ft, visit)
 	if err != nil {
 		return nil, err
 	}
@@ -160,27 +165,28 @@ func Scan(path string, ft Format, visit func(Record) error) ([]byte, error) {
 	return meta, nil
 }
 
-// scan walks data, returning a copy of the header's meta and the offset just
-// past the last whole record — 0 when not even the header is whole.
-func scan(path string, data []byte, ft Format, visit func(Record) error) (meta []byte, good int, err error) {
-	if n := min(len(data), magicLen); string(data[:n]) != ft.Magic[:n] {
-		return nil, 0, fmt.Errorf("seglog: %s: bad file magic, want %s (not this format, or corrupted)", path, ft.Magic)
+// scan walks data, returning a copy of the header's meta, the offset just
+// past the last whole record — 0 when not even the header is whole — and
+// how many whole records it saw.
+func scan(path string, data []byte, ft Format, visit func(Record) error) (meta []byte, good int, n uint64, err error) {
+	if m := min(len(data), magicLen); string(data[:m]) != ft.Magic[:m] {
+		return nil, 0, 0, fmt.Errorf("seglog: %s: bad file magic, want %s (not this format, or corrupted)", path, ft.Magic)
 	}
 	if len(data) < magicLen+2 {
-		return nil, 0, nil
+		return nil, 0, 0, nil
 	}
 	off := magicLen + 2 + int(binary.LittleEndian.Uint16(data[magicLen:]))
 	if len(data) < off {
-		return nil, 0, nil
+		return nil, 0, 0, nil
 	}
 	meta = bytes.Clone(data[magicLen+2 : off])
 	for len(data)-off >= recHeader {
 		if binary.LittleEndian.Uint32(data[off:]) != recMagic {
-			return nil, 0, fmt.Errorf("seglog: %s: bad record magic at offset %d (corrupted)", path, off)
+			return nil, 0, 0, fmt.Errorf("seglog: %s: bad record magic at offset %d (corrupted)", path, off)
 		}
 		bodyLen := int(binary.LittleEndian.Uint32(data[off+13:]))
 		if bodyLen > ft.MaxBody {
-			return nil, 0, fmt.Errorf("seglog: %s: record body %d over limit %d at offset %d (corrupted)", path, bodyLen, ft.MaxBody, off)
+			return nil, 0, 0, fmt.Errorf("seglog: %s: record body %d over limit %d at offset %d (corrupted)", path, bodyLen, ft.MaxBody, off)
 		}
 		end := off + recHeader + bodyLen
 		if len(data)-end < 4 {
@@ -189,15 +195,16 @@ func scan(path string, data []byte, ft Format, visit func(Record) error) (meta [
 		if crc32.ChecksumIEEE(data[off+4:end]) != binary.LittleEndian.Uint32(data[end:]) {
 			// A torn single-write append leaves a short record, never a
 			// full-length one with a bad CRC: refused even at the tail.
-			return nil, 0, fmt.Errorf("seglog: %s: record CRC mismatch at offset %d (corrupted)", path, off)
+			return nil, 0, 0, fmt.Errorf("seglog: %s: record CRC mismatch at offset %d (corrupted)", path, off)
 		}
 		rec := Record{Kind: data[off+4], Seq: binary.LittleEndian.Uint64(data[off+5:]), Body: data[off+recHeader : end]}
 		if err := visit(rec); err != nil {
-			return nil, 0, fmt.Errorf("seglog: %s: record at offset %d: %w (corrupted)", path, off, err)
+			return nil, 0, 0, fmt.Errorf("seglog: %s: record at offset %d: %w (corrupted)", path, off, err)
 		}
 		off = end + 4
+		n++
 	}
-	return meta, off, nil
+	return meta, off, n, nil
 }
 
 // Meta returns the caller's section of the header on disk; do not modify it.
@@ -218,19 +225,15 @@ func (l *Log) writeHeader() error {
 	return nil
 }
 
-// Size returns the offset just past the last append that completed: the
-// header plus every whole record written through this handle or found by
-// Open. A record of n body bytes takes FrameSize(n) of it.
-func (l *Log) Size() int64 { return l.size }
-
-// FrameSize is how many bytes of the file a record with a body of n bytes
-// takes.
-func FrameSize(n int) int64 { return int64(recFrame + n) }
+// Next returns the ordinal the next appended record gets: Open numbers the
+// records it finds from 0 in file order, and every record appended through
+// this handle takes the next number. DropBefore renumbers nothing.
+func (l *Log) Next() uint64 { return l.next }
 
 // Append frames one record and hands it to the file in a single write. It
 // does not fsync; callers that acknowledge the record follow with Sync. On
-// the log a Rewrite or WriteFile is building, a body over the frame buffer's
-// retained size is written in place between its header and its CRC instead:
+// the log a WriteFile is building, a body over the frame buffer's retained
+// size is written in place between its header and its CRC instead:
 // the rename publishes the file whole, so the record need not reach it in
 // one write, and the body is not copied.
 func (l *Log) Append(kind byte, seq uint64, body []byte) error {
@@ -254,7 +257,8 @@ func (l *Log) appendInPlace(kind byte, seq uint64, body []byte) error {
 			return fmt.Errorf("seglog: append to %s: %w", l.path, err)
 		}
 	}
-	l.size += FrameSize(len(body))
+	l.size += int64(recFrame + len(body))
+	l.next++
 	return nil
 }
 
@@ -294,6 +298,7 @@ func (l *Log) AppendBatch(recs []Record) error {
 		return fmt.Errorf("seglog: append to %s: %w", l.path, err)
 	}
 	l.size += int64(len(buf))
+	l.next += uint64(len(recs))
 	return nil
 }
 
@@ -317,41 +322,47 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// Rewrite atomically replaces the log's contents with its header plus the
-// records emit appends to the Log it is handed (compaction). The live handle
-// is swapped last: when Rewrite fails before the rename, the log still
-// appends to the old file and the temp file is gone.
-func (l *Log) Rewrite(emit func(*Log) error) error {
-	w, err := replace(l.path, l.ft, l.meta, emit)
-	if w != nil {
-		// The rename happened: path now names the new file, and the handle
-		// it was written through is already positioned for append.
-		_ = l.f.Close() // best effort: the old file is unlinked
-		l.f, l.size = w.f, w.size
+// DropBefore removes every record whose ordinal is below ord, keeping the
+// header and the later records' bytes as they are: it copies them from the
+// current file into a new one that replaces it. An ord at or below the
+// first record's drops nothing and writes nothing; one past Next is refused.
+// The live handle is swapped
+// last: when DropBefore fails before the rename, the log still appends to
+// the old file and the temp file is gone; after the rename the records are
+// gone, whatever the error.
+func (l *Log) DropBefore(ord uint64) error {
+	if ord <= l.first {
+		return nil
 	}
-	return err
-}
-
-// RewriteRange is the Rewrite whose records are the bytes [from, to) of the
-// current file, copied file to file: a compaction that keeps a run of whole
-// records, with from and to taken from Size at the ends of appends. The range
-// must lie between the header and Size. It returns where the kept bytes start
-// in the file the log now appends to, failed or not: right after the header
-// once the new file is renamed in, still from when it is not.
-func (l *Log) RewriteRange(from, to int64) (int64, error) {
-	hdr := int64(magicLen + 2 + len(l.meta))
-	if from < hdr || to < from || to > l.size {
-		return from, fmt.Errorf("seglog: rewrite range [%d, %d) of %s outside its records [%d, %d)", from, to, l.path, hdr, l.size)
+	if ord > l.next {
+		return fmt.Errorf("seglog: drop before record %d of %s, past the next one (%d)", ord, l.path, l.next)
 	}
-	old := l.f
-	err := l.Rewrite(func(w *Log) error {
+	w, err := replace(l.path, l.ft, l.meta, func(w *Log) error {
 		src, err := os.Open(l.path)
 		if err != nil {
 			return fmt.Errorf("seglog: open %s to copy records: %w", l.path, err)
 		}
 		defer src.Close() // read-only: nothing to flush
-		n, err := io.Copy(w.f, io.NewSectionReader(src, from, to-from))
-		if err == nil && n != to-from {
+		// One sequential pass: skip the dropped records' frames, copy the rest.
+		from := int64(magicLen + 2 + len(l.meta))
+		r := bufio.NewReader(io.NewSectionReader(src, from, l.size-from))
+		for i := l.first; i < ord; i++ {
+			hdr, err := r.Peek(recHeader)
+			if err == nil && binary.LittleEndian.Uint32(hdr) != recMagic {
+				err = errors.New("bad record magic (corrupted)")
+			}
+			n := 0
+			if err == nil {
+				n = recFrame + int(binary.LittleEndian.Uint32(hdr[13:]))
+				_, err = r.Discard(n)
+			}
+			if err != nil {
+				return fmt.Errorf("seglog: skip the record at offset %d of %s: %w", from, l.path, err)
+			}
+			from += int64(n)
+		}
+		n, err := r.WriteTo(w.f)
+		if err == nil && n != l.size-from {
 			err = io.ErrUnexpectedEOF
 		}
 		if err != nil {
@@ -360,15 +371,18 @@ func (l *Log) RewriteRange(from, to int64) (int64, error) {
 		w.size += n
 		return nil
 	})
-	if l.f != old {
-		return hdr, err
+	if w != nil {
+		// The rename happened: path now names the new file, and the handle
+		// it was written through is already positioned for append.
+		_ = l.f.Close() // best effort: the old file is unlinked
+		l.f, l.size, l.first = w.f, w.size, ord
 	}
-	return from, err
+	return err
 }
 
 // WriteFile atomically replaces (or creates) the whole log at path with a
 // header carrying meta plus the records emit appends — the same routine as
-// Rewrite, for a file nobody holds open (the journal checkpoint).
+// DropBefore, for a file nobody holds open (the journal checkpoint).
 func WriteFile(path string, ft Format, meta []byte, emit func(*Log) error) error {
 	w, err := replace(path, ft, meta, emit)
 	if w != nil {

@@ -251,7 +251,7 @@ func TestAppendBatchWritesTheSameBytes(t *testing.T) {
 	}
 }
 
-func TestRewriteKeepsHeaderAndSwapsHandle(t *testing.T) {
+func TestDropBeforeKeepsHeaderAndSwapsHandle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.log")
 	l, _, _ := mustOpen(t, path, []byte("meta"))
 	for _, r := range three {
@@ -259,12 +259,11 @@ func TestRewriteKeepsHeaderAndSwapsHandle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err := l.Rewrite(func(w *seglog.Log) error { return w.Append(three[2].kind, three[2].seq, []byte(three[2].body)) })
-	if err != nil {
-		t.Fatalf("Rewrite: %v", err)
+	if err := l.DropBefore(2); err != nil {
+		t.Fatalf("DropBefore: %v", err)
 	}
 	if err := l.Append(4, 8, []byte("post")); err != nil {
-		t.Fatalf("Append after Rewrite: %v", err)
+		t.Fatalf("Append after DropBefore: %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -275,15 +274,14 @@ func TestRewriteKeepsHeaderAndSwapsHandle(t *testing.T) {
 	l2, got, torn := mustOpen(t, path, nil)
 	defer func() { _ = l2.Close() }()
 	if want := []rec{three[2], {4, 8, "post"}}; !equalRecs(got, want) || torn != 0 || string(l2.Meta()) != "meta" {
-		t.Fatalf("after rewrite: records %v, %d torn, meta %q", got, torn, l2.Meta())
+		t.Fatalf("after the drop: records %v, %d torn, meta %q", got, torn, l2.Meta())
 	}
 }
 
-// TestRewriteFailureLeavesLogUsable: a rewrite that cannot create its temp
+// TestDropBeforeFailureLeavesLogUsable: a drop that cannot create its temp
 // file, or cannot rename it into place, reports the error and leaves the
 // log appending to the file it had; nothing already written is lost.
-func TestRewriteFailureLeavesLogUsable(t *testing.T) {
-	emit := func(w *seglog.Log) error { return w.Append(5, 5, []byte("compacted")) }
+func TestDropBeforeFailureLeavesLogUsable(t *testing.T) {
 	open3 := func(t *testing.T) (string, *seglog.Log) {
 		path := filepath.Join(t.TempDir(), "f.log")
 		l, _, _ := mustOpen(t, path, nil)
@@ -296,7 +294,7 @@ func TestRewriteFailureLeavesLogUsable(t *testing.T) {
 	}
 	check := func(t *testing.T, path string, l *seglog.Log) {
 		if err := l.Append(4, 8, []byte("still here")); err != nil {
-			t.Fatalf("Append after failed Rewrite: %v", err)
+			t.Fatalf("Append after failed DropBefore: %v", err)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -304,7 +302,7 @@ func TestRewriteFailureLeavesLogUsable(t *testing.T) {
 		l2, got, torn := mustOpen(t, path, nil)
 		defer func() { _ = l2.Close() }()
 		if want := append(append([]rec(nil), three...), rec{4, 8, "still here"}); !equalRecs(got, want) || torn != 0 {
-			t.Fatalf("after failed rewrite: records %v, %d torn", got, torn)
+			t.Fatalf("after failed drop: records %v, %d torn", got, torn)
 		}
 	}
 
@@ -313,8 +311,8 @@ func TestRewriteFailureLeavesLogUsable(t *testing.T) {
 		if err := os.Mkdir(path+".tmp", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Rewrite(emit); err == nil {
-			t.Fatal("Rewrite succeeded with a directory in the temp's place")
+		if err := l.DropBefore(2); err == nil {
+			t.Fatal("DropBefore succeeded with a directory in the temp's place")
 		}
 		check(t, path, l) // the reopen clears the (empty) directory like any stale temp
 	})
@@ -334,11 +332,11 @@ func TestRewriteFailureLeavesLogUsable(t *testing.T) {
 		if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Rewrite(emit); err == nil {
-			t.Fatal("Rewrite succeeded renaming over a non-empty directory")
+		if err := l.DropBefore(2); err == nil {
+			t.Fatal("DropBefore succeeded renaming over a non-empty directory")
 		}
 		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-			t.Fatalf("failed Rewrite left its temp file: %v", err)
+			t.Fatalf("failed DropBefore left its temp file: %v", err)
 		}
 		if err := os.RemoveAll(path); err != nil {
 			t.Fatal(err)
@@ -456,9 +454,11 @@ func TestLargeRecordWrittenInPlaceIsTheSameFile(t *testing.T) {
 	}
 }
 
-// TestRewriteRangeCopiesWholeRecords: a compaction that keeps a run of
-// records copies their bytes from the file, and the log appends after them.
-func TestRewriteRangeCopiesWholeRecords(t *testing.T) {
+// TestDropBeforeCopiesWholeRecords: a drop copies the kept records' bytes
+// from the file, renumbers nothing, and the log appends after them. An
+// ordinal past the next record is refused and leaves the file; one at or
+// below the first record writes nothing.
+func TestDropBeforeCopiesWholeRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.log")
 	l, _, err := seglog.Open(path, testFormat, []byte("meta"), func(seglog.Record) error { return nil })
 	if err != nil {
@@ -466,37 +466,59 @@ func TestRewriteRangeCopiesWholeRecords(t *testing.T) {
 	}
 	defer func() { _ = l.Close() }()
 	three := []rec{{1, 1, "one"}, {2, 2, "two, longer"}, {1, 3, ""}}
-	var ends []int64
-	for _, r := range three {
+	for i, r := range three {
+		if got := l.Next(); got != uint64(i) {
+			t.Fatalf("Next before record %d = %d", i, got)
+		}
 		if err := l.Append(r.kind, r.seq, []byte(r.body)); err != nil {
 			t.Fatal(err)
 		}
-		ends = append(ends, l.Size())
 	}
-	hdr := int64(len(header(testFormat.Magic, []byte("meta"))))
-	if ends[0] != hdr+seglog.FrameSize(3) {
-		t.Fatalf("Size after one record = %d, want header %d + frame %d", ends[0], hdr, seglog.FrameSize(3))
-	}
-	for _, bad := range [][2]int64{{hdr - 1, ends[2]}, {ends[1], ends[0]}, {ends[0], ends[2] + 1}} {
-		if start, err := l.RewriteRange(bad[0], bad[1]); err == nil || start != bad[0] {
-			t.Errorf("RewriteRange(%d, %d) = (%d, %v), want a refusal that leaves the file", bad[0], bad[1], start, err)
+	fileIs := func(what string, want []byte) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: file holds\n %x\nwant\n %x (%v)", what, got, want, err)
 		}
 	}
-	start, err := l.RewriteRange(ends[0], ends[2])
-	if err != nil || start != hdr {
-		t.Fatalf("RewriteRange = (%d, %v), want the kept records right after the %d-byte header", start, err, hdr)
+	if err := l.DropBefore(4); err == nil {
+		t.Error("DropBefore(4) of a log whose next record is 3 succeeded")
 	}
-	if err := l.Append(2, 4, []byte("after")); err != nil {
+	fileIs("after a refused drop", fileBytes([]byte("meta"), three...))
+	if err := l.DropBefore(1); err != nil {
+		t.Fatalf("DropBefore(1): %v", err)
+	}
+	fileIs("after DropBefore(1)", fileBytes([]byte("meta"), three[1:]...))
+	after := rec{2, 4, "after"}
+	if err := l.Append(after.kind, after.seq, []byte(after.body)); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := l.Size(), hdr+ends[2]-ends[0]+seglog.FrameSize(5); got != want {
-		t.Fatalf("Size after the rewrite and one append = %d, want %d", got, want)
+	if got := l.Next(); got != 4 {
+		t.Fatalf("Next after the drop and one append = %d, want 4", got)
+	}
+	want := fileBytes([]byte("meta"), three[1], three[2], after)
+	fileIs("after one append", want)
+	for _, ord := range []uint64{0, 1} {
+		if err := l.DropBefore(ord); err != nil {
+			t.Fatalf("DropBefore(%d) of dropped records: %v", ord, err)
+		}
+		fileIs(fmt.Sprintf("after DropBefore(%d)", ord), want)
+	}
+	if err := l.DropBefore(3); err != nil {
+		t.Fatal(err)
+	}
+	fileIs("after DropBefore(3)", fileBytes([]byte("meta"), after))
+	if err := l.DropBefore(4); err != nil {
+		t.Fatal(err)
+	}
+	fileIs("after dropping every record", fileBytes([]byte("meta")))
+	if err := l.Append(after.kind, after.seq, []byte(after.body)); err != nil {
+		t.Fatal(err)
 	}
 	var got []rec
 	if _, err := seglog.Scan(path, testFormat, collect(&got)); err != nil {
 		t.Fatal(err)
 	}
-	if want := []rec{three[1], three[2], {2, 4, "after"}}; !equalRecs(got, want) {
-		t.Fatalf("records after RewriteRange = %v, want %v", got, want)
+	if !equalRecs(got, []rec{after}) {
+		t.Fatalf("records after the drops = %v, want %v", got, []rec{after})
 	}
 }

@@ -36,7 +36,7 @@ func spoolFileBytes(tb testing.TB, mutate func(s *spool)) []byte {
 // next-sequence watermark, no duplicate pending sequences) and stable: a
 // second open after close must see the same boot id, pending sequences,
 // and watermark, because recovery repairs the file in place (torn tails
-// are truncated, resolved records compacted away).
+// are truncated, and the records a reopen no longer needs dropped).
 func FuzzSpoolRecover(f *testing.F) {
 	full := spoolFileBytes(f, func(s *spool) {
 		for i := 0; i < 4; i++ {
@@ -44,7 +44,7 @@ func FuzzSpoolRecover(f *testing.F) {
 				f.Fatalf("seed add: %v", err)
 			}
 		}
-		// An answered run of two: both acks reach the file in one write.
+		// An answered run of two: one ack record resolves both.
 		if err := s.resolve(s.pending[:2]); err != nil {
 			f.Fatalf("seed resolve: %v", err)
 		}
@@ -80,7 +80,7 @@ func FuzzSpoolRecover(f *testing.F) {
 		}
 	})
 	f.Add(summaries)
-	f.Add(summaries[:len(summaries)-30]) // … torn inside the batch of acks
+	f.Add(summaries[:len(summaries)-10]) // … torn inside its ack
 	// The previous release's record kinds: a spool it drained (opens), and one
 	// with a frame still unacked (refused).
 	for _, acked := range []int{3, 2} {
@@ -90,6 +90,12 @@ func FuzzSpoolRecover(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// … and its compacted layout, a sequence mark ahead of the kept frames.
+	compacted, err := os.ReadFile(parentCompactedSpoolFile(f, f.TempDir(), "dc-fuzz", 0x5EED))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compacted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

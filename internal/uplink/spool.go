@@ -21,12 +21,17 @@ import (
 //	             a report or, on PDME→PDME forwarding, a fused summary, with
 //	             this boot and sequence in it. Both share the sequence space,
 //	             so one spool carries them FIFO under one dedup window
-//	recAck     — the frame with this sequence was acked by the PDME
-//	recDrop    — the frame was dropped by the capacity policy (still final)
-//	recSeqMark — sequence watermark written on compaction so monotonic ids
-//	             survive a rewrite that leaves no frame records behind
+//	recAck     — the PDME answered every frame up to this sequence
+//	recDrop    — the capacity policy dropped every frame up to this sequence
+//	recSeqMark — a sequence watermark the previous release wrote on
+//	             compaction; read, resolves nothing, no longer written
 //	recReport, recSummary — the previous release's bare JSON payloads. Not
 //	             read: an unresolved one refuses the file
+//
+// Frames are resolved oldest first (resolve retires the head run, the
+// capacity policy evicts the head), so one ack or drop record carries a whole
+// run. Recovery: pending is the frames above the highest resolved sequence,
+// in file order; the next sequence follows the highest one in the file.
 //
 // The boot id names the sequence-counter incarnation on the wire (see
 // proto.Dedup): a persistent spool keeps it for the file's lifetime, so
@@ -43,8 +48,8 @@ const (
 	recSummary = byte(5)
 	recFrame   = byte(6)
 
-	// compactEvery bounds resolved (acked/dropped) records retained in the
-	// file before it is rewritten with only pending frames.
+	// compactEvery is how many frames are resolved (acked or dropped)
+	// between compactions.
 	compactEvery = 512
 )
 
@@ -64,6 +69,7 @@ type pendingRec struct {
 	// evicted marks a frame the capacity policy dropped; the sender may still
 	// hold it in flight, and its late ack then changes nothing.
 	evicted bool
+	ord     uint64 // its record's ordinal in the spool file
 }
 
 // spool is the uplink's store-and-forward queue: every outbound report is
@@ -77,10 +83,13 @@ type spool struct {
 	boot uint64 // sequence-counter incarnation announced on the wire
 
 	nextSeq  uint64
-	pending  []*pendingRec   // oldest first
-	resolved int             // resolved records in the file since last compact
-	acks     []seglog.Record // resolve's framing scratch, reused
-	enc      []byte          // add's encode scratch, reused
+	pending  []*pendingRec // oldest first
+	resolved int           // frames resolved since the last compaction
+	// markOrd and doneOrd are the ordinals of the newest record carrying the
+	// highest sequence and of the newest carrying the highest resolved one
+	// (Next when there is none): what a compaction keeps besides pending.
+	markOrd, doneOrd uint64
+	enc              []byte // add's encode scratch, reused
 }
 
 // newBootID draws a random boot incarnation id; zero is reserved for
@@ -121,20 +130,24 @@ func openSpool(dir, dcid string, capacity int) (*spool, error) {
 	path := filepath.Join(dir, seglog.FileName(dcid, spoolExt))
 	meta := append(binary.LittleEndian.AppendUint64(nil, boot), dcid...)
 
-	// Pending frames, the sequence watermark and the resolved-record count
-	// come back from the records; frames keep first-append order.
-	frames := make(map[uint64]*pendingRec)
-	var order []uint64
-	resolved := make(map[uint64]bool)
-	var maxSeq uint64
+	// Frames keep first-append order; the highest resolved sequence, the
+	// highest sequence and the ordinals of the records carrying them come
+	// back from the whole file.
+	frames := make(map[uint64]bool)
+	var order []*pendingRec
+	var next, done, maxSeq uint64 // done: frames below it are resolved
 	s.log, _, err = seglog.Open(path, spoolFormat, meta, func(r seglog.Record) error {
 		if r.Seq == math.MaxUint64 {
 			// A legitimate writer can never reach the last sequence; accepting
 			// it would overflow the nextSeq watermark back to zero.
 			return fmt.Errorf("implausible sequence")
 		}
-		maxSeq = max(maxSeq, r.Seq)
-		rec := &pendingRec{seq: r.Seq, recovered: true}
+		ord := next
+		next++
+		if r.Seq >= maxSeq {
+			maxSeq, s.markOrd = r.Seq, ord
+		}
+		rec := &pendingRec{seq: r.Seq, recovered: true, ord: ord}
 		switch r.Kind {
 		case recFrame:
 			d, err := proto.DecodeFrame(r.Body)
@@ -148,16 +161,18 @@ func openSpool(dir, dcid string, capacity int) (*spool, error) {
 		case recReport, recSummary:
 			// The parent's format: rec stays without a frame.
 		case recAck, recDrop:
-			resolved[r.Seq] = true
+			if r.Seq+1 >= done {
+				done, s.doneOrd = r.Seq+1, ord
+			}
 			return nil
 		case recSeqMark:
 			return nil // watermark only: maxSeq already advanced above
 		default:
 			return fmt.Errorf("unknown record type %d", r.Kind)
 		}
-		if _, dup := frames[r.Seq]; !dup {
-			frames[r.Seq] = rec
-			order = append(order, r.Seq)
+		if !frames[r.Seq] {
+			frames[r.Seq] = true
+			order = append(order, rec)
 		}
 		return nil
 	})
@@ -170,15 +185,17 @@ func openSpool(dir, dcid string, capacity int) (*spool, error) {
 		return nil, fmt.Errorf("uplink: %s: spool belongs to DC %q, not %q", path, meta[min(8, len(meta)):], dcid)
 	}
 	s.boot = binary.LittleEndian.Uint64(meta)
+	if done == 0 {
+		s.doneOrd = next
+	}
 	parentFrames := 0
-	for _, seq := range order {
+	for _, rec := range order {
 		switch {
-		case resolved[seq]:
-			s.resolved++
-		case frames[seq].frame == nil:
+		case rec.seq < done:
+		case rec.frame == nil:
 			parentFrames++
 		default:
-			s.pending = append(s.pending, frames[seq])
+			s.pending = append(s.pending, rec)
 		}
 	}
 	if parentFrames > 0 {
@@ -186,26 +203,26 @@ func openSpool(dir, dcid string, capacity int) (*spool, error) {
 		return nil, fmt.Errorf("uplink: %s: %d unresolved frames in the previous release's record format; drain the spool with the binary that wrote it, then start this one", path, parentFrames)
 	}
 	s.nextSeq = maxSeq + 1
-	// Start compacted: resolved records recovered from a previous run carry
-	// no information once pending is rebuilt.
-	if s.resolved > 0 {
-		if err := s.compact(); err != nil {
-			_ = s.log.Close() // best effort: the compaction error is the story
-			return nil, err
-		}
+	// Start compacted: what a previous run resolved carries no information
+	// once pending is rebuilt.
+	if err := s.compact(); err != nil {
+		_ = s.log.Close() // best effort: the compaction error is the story
+		return nil, err
 	}
 	return s, nil
 }
 
-// appendRecord writes one framed record in a single write.
-func (s *spool) appendRecord(typ byte, seq uint64, body []byte) error {
+// appendRecord writes one framed record in a single write and returns its
+// ordinal (0 for the in-memory spool).
+func (s *spool) appendRecord(typ byte, seq uint64, body []byte) (uint64, error) {
 	if s.log == nil {
-		return nil
+		return 0, nil
 	}
+	ord := s.log.Next()
 	if err := s.log.Append(typ, seq, body); err != nil {
-		return fmt.Errorf("uplink: %w", err)
+		return 0, fmt.Errorf("uplink: %w", err)
 	}
-	return nil
+	return ord, nil
 }
 
 // add assigns the next sequence to the payload in d, encodes the frame —
@@ -213,8 +230,8 @@ func (s *spool) appendRecord(typ byte, seq uint64, body []byte) error {
 // and appends it (write-ahead: the spool entry exists before the first send
 // attempt). Reports and summaries share the sequence space and the capacity
 // policy, so a single FIFO drains both kinds. When the pending queue exceeds
-// capacity the oldest frames are dropped; their sequences are returned so the
-// caller can count them.
+// capacity the oldest frames are dropped, under one drop record; their
+// sequences are returned so the caller can count them.
 func (s *spool) add(d *proto.Delivery) (seq uint64, droppedSeqs []uint64, err error) {
 	d.Boot, d.Seq = s.boot, s.nextSeq
 	enc, err := proto.AppendFrame(s.enc[:0], d)
@@ -224,21 +241,20 @@ func (s *spool) add(d *proto.Delivery) (seq uint64, droppedSeqs []uint64, err er
 	s.enc = enc[:0]
 	rec := &pendingRec{seq: d.Seq, frame: bytes.Clone(enc), summary: d.Summary != nil}
 	s.nextSeq++
-	if err := s.appendRecord(recFrame, rec.seq, rec.frame); err != nil {
+	if rec.ord, err = s.appendRecord(recFrame, rec.seq, rec.frame); err != nil {
 		return 0, nil, err
 	}
+	s.markOrd = rec.ord
 	s.pending = append(s.pending, rec)
 	for len(s.pending) > s.cap {
 		oldest := s.popHead()
 		oldest.evicted = true
 		droppedSeqs = append(droppedSeqs, oldest.seq)
-		if err := s.appendRecord(recDrop, oldest.seq, nil); err != nil {
+	}
+	if len(droppedSeqs) > 0 {
+		if err := s.settle(recDrop, droppedSeqs[len(droppedSeqs)-1], len(droppedSeqs)); err != nil {
 			return 0, nil, err
 		}
-		s.resolved++
-	}
-	if err := s.maybeCompact(); err != nil {
-		return 0, nil, err
 	}
 	return rec.seq, droppedSeqs, nil
 }
@@ -264,54 +280,57 @@ func (s *spool) headRun(dst []*pendingRec) []*pendingRec {
 }
 
 // resolve retires the answered (acked or permanently rejected) frames of the
-// run headRun returned, in order, with one file write. Only the capacity
-// policy removes frames behind the sender's back, and it takes the oldest
-// first, so the run's frames not evicted meanwhile are still the head of the
-// queue; an evicted one already has its recDrop and is skipped.
+// run headRun returned with one ack record. Only the capacity policy removes
+// frames behind the sender's back, and it takes the oldest first, so the
+// run's frames not evicted meanwhile are still the head of the queue; an
+// evicted one already has its drop record and is skipped.
 func (s *spool) resolve(run []*pendingRec) error {
-	acks := s.acks[:0]
+	n, last := 0, uint64(0)
 	for _, rec := range run {
 		if rec.evicted {
 			continue
 		}
 		s.popHead()
-		acks = append(acks, seglog.Record{Kind: recAck, Seq: rec.seq})
+		n, last = n+1, rec.seq
 	}
-	s.acks = acks[:0]
+	if n == 0 {
+		return nil
+	}
+	return s.settle(recAck, last, n)
+}
+
+// settle appends the ack or drop record that resolves every frame up to seq,
+// the n frames just taken off the head, and compacts once compactEvery
+// frames were resolved since the last compaction.
+func (s *spool) settle(kind byte, seq uint64, n int) error {
 	if s.log == nil {
 		return nil
 	}
-	if err := s.log.AppendBatch(acks); err != nil {
-		return fmt.Errorf("uplink: %w", err)
+	ord, err := s.appendRecord(kind, seq, nil)
+	if err != nil {
+		return err
 	}
-	s.resolved += len(acks)
-	return s.maybeCompact()
-}
-
-func (s *spool) maybeCompact() error {
-	if s.log == nil || s.resolved < compactEvery {
+	s.doneOrd = ord
+	if seq == s.nextSeq-1 {
+		s.markOrd = ord
+	}
+	if s.resolved += n; s.resolved < compactEvery {
 		return nil
 	}
 	return s.compact()
 }
 
-// compact rewrites the file with only the pending frames plus a sequence
-// watermark. A failed rewrite leaves the old file and handle in place.
+// compact drops the records a reopen no longer needs: those before the first
+// pending frame, the newest record carrying the highest sequence and the
+// newest carrying the highest resolved one, so the kept records alone reopen
+// to the same state. A compaction that fails before its rename leaves the old
+// file and handle in place.
 func (s *spool) compact() error {
-	err := s.log.Rewrite(func(w *seglog.Log) error {
-		if s.nextSeq > 1 {
-			if err := w.Append(recSeqMark, s.nextSeq-1, nil); err != nil {
-				return err
-			}
-		}
-		for _, rec := range s.pending {
-			if err := w.Append(recFrame, rec.seq, rec.frame); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	keep := min(s.markOrd, s.doneOrd)
+	if len(s.pending) > 0 {
+		keep = min(keep, s.pending[0].ord)
+	}
+	if err := s.log.DropBefore(keep); err != nil {
 		return fmt.Errorf("uplink: compact spool: %w", err)
 	}
 	s.resolved = 0

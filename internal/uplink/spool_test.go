@@ -101,14 +101,22 @@ func TestSpoolSequenceSurvivesFullDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= proto.MaxRun; i++ {
 		if _, _, err := s.add(reportOf(testReport(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The whole queue is one answered run: three acks in one spool write.
-	if err := s.resolve(s.pending); err != nil {
+	path := filepath.Join(dir, seglog.FileName("dc-1", spoolExt))
+	before, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// The whole queue is one answered run: one ack record resolves it.
+	if err := s.resolve(s.headRun(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(path); err != nil || after.Size()-before.Size() != 21 {
+		t.Fatalf("an answered run of %d frames grew the spool by %d bytes (%v), want one 21-byte record", proto.MaxRun, after.Size()-before.Size(), err)
 	}
 	if err := s.close(); err != nil {
 		t.Fatal(err)
@@ -120,8 +128,8 @@ func TestSpoolSequenceSurvivesFullDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s2.pending) != 0 || s2.nextSeq != 4 {
-		t.Fatalf("pending %d nextSeq %d, want 0 and 4", len(s2.pending), s2.nextSeq)
+	if len(s2.pending) != 0 || s2.nextSeq != proto.MaxRun+1 {
+		t.Fatalf("pending %d nextSeq %d, want 0 and %d", len(s2.pending), s2.nextSeq, proto.MaxRun+1)
 	}
 	if err := s2.close(); err != nil {
 		t.Fatal(err)
@@ -132,8 +140,8 @@ func TestSpoolSequenceSurvivesFullDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.close()
-	if seq, _, err := s3.add(reportOf(testReport(4))); err != nil || seq != 4 {
-		t.Fatalf("seq %d err %v, want 4", seq, err)
+	if seq, _, err := s3.add(reportOf(testReport(4))); err != nil || seq != proto.MaxRun+1 {
+		t.Fatalf("seq %d err %v, want %d", seq, err, proto.MaxRun+1)
 	}
 }
 
@@ -498,6 +506,40 @@ func TestSpoolParentRecordKinds(t *testing.T) {
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("the refused spool was modified (%v)", err)
 	}
+
+	dir = t.TempDir()
+	parentCompactedSpoolFile(t, dir, "dc-1", boot)
+	if s, err = openSpool(dir, "dc-1", 100); err != nil || s.boot != boot || s.nextSeq != 6 || len(s.pending) != 1 || s.pending[0].seq != 5 {
+		t.Fatalf("the parent's compacted spool: %+v, %v; want frame 5 pending and next sequence 6", s, err)
+	}
+	_ = s.close()
+}
+
+// parentCompactedSpoolFile writes the layout the previous release left after
+// a compaction and one more answer: a sequence mark, the frames it kept, then
+// an ack of the first of them — recSeqMark(5) F4 F5 ack(4).
+func parentCompactedSpoolFile(tb testing.TB, dir, dcid string, boot uint64) string {
+	tb.Helper()
+	path := filepath.Join(dir, seglog.FileName(dcid, spoolExt))
+	log, _, err := seglog.Open(path, spoolFormat, append(binary.LittleEndian.AppendUint64(nil, boot), dcid...), func(seglog.Record) error { return nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recs := []seglog.Record{{Kind: recSeqMark, Seq: 5}}
+	for seq := uint64(4); seq <= 5; seq++ {
+		frame, err := proto.AppendFrame(nil, &proto.Delivery{Report: testReport(int(seq)), DCID: dcid, Boot: boot, Seq: seq})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		recs = append(recs, seglog.Record{Kind: recFrame, Seq: seq, Body: frame})
+	}
+	if err := log.AppendBatch(append(recs, seglog.Record{Kind: recAck, Seq: 4})); err != nil {
+		tb.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return path
 }
 
 // TestSpoolMixedKindsDrainFIFO: reports, summaries and reports again in one
