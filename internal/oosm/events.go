@@ -43,7 +43,9 @@ type Event struct {
 	Kind     EventKind
 	Object   ObjectID
 	Property string // set for PropertyChanged
-	Value    any    // set for PropertyChanged
+	// Value is the new value for PropertyChanged, and for ObjectCreated the
+	// creator's payload (Model.CreateWith; nil from Create).
+	Value any
 }
 
 // Subscription is a handle for cancelling an event subscription.

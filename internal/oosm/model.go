@@ -1,4 +1,4 @@
-// Package oosm implements the Object-Oriented Ship Model of §4: a persistent
+// Package oosm implements the Object-Oriented Ship Model of §4: a
 // repository of machinery state "used for communication between the various
 // prognostic and diagnostic software modules".
 //
@@ -8,15 +8,17 @@
 // "flow") is not built, as no process walks it. An event model notifies
 // client programs of changes "without the need to poll" (§4.5) — Knowledge
 // Fusion subscribes to process failure prediction reports as they arrive.
-// Persistence follows §4.6: "object types are mapped to tables and
-// properties ... to columns", here on the internal/relstore engine, one
-// table per class; persistence is "entirely managed in the background" —
-// callers never see the tables.
+// §4.6 maps "object types ... to tables and properties ... to columns"; the
+// model keeps each class's objects itself in that shape — one row of values
+// per object, in the class's sorted property order — in memory. What must
+// outlive the process is made durable by its owner: the PDME's journal
+// replays its reports, and the replay re-posts their conclusions.
 package oosm
 
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -39,23 +41,6 @@ const (
 	// PropTime is a timestamp property.
 	PropTime
 )
-
-func (p PropType) column() relstore.ColumnType {
-	switch p {
-	case PropString:
-		return relstore.String
-	case PropFloat:
-		return relstore.Float
-	case PropInt:
-		return relstore.Int
-	case PropBool:
-		return relstore.Bool
-	case PropTime:
-		return relstore.Time
-	default:
-		return relstore.String
-	}
-}
 
 // Class describes an object type: its name and property schema. Classes
 // mirror the paper's physical entities (sensor, motor, compressor, deck,
@@ -80,31 +65,43 @@ func (id ObjectID) String() string { return fmt.Sprintf("%s/%d", id.Class, id.Nu
 // IsZero reports whether the id is the zero value.
 func (id ObjectID) IsZero() bool { return id.Class == "" && id.Num == 0 }
 
-// Model is the ship model: a set of classes and their object instances,
-// persisted transparently to a relstore database, one table per class.
+// Model is the ship model: a set of classes and their object instances.
 // All methods are safe for concurrent use.
 type Model struct {
 	mu      sync.RWMutex
-	db      *relstore.DB
-	classes map[string]Class
+	classes map[string]*classStore
 	events  *eventHub
 }
 
-// NewModel creates a model whose objects live in db, one table per class.
-// A model over a database another model wrote to sees that model's objects
-// once RegisterClass is called again with the same schemas.
-func NewModel(db *relstore.DB) (*Model, error) {
+// classStore holds one class's objects. Its schema (name, props, types) is
+// fixed at registration; mu guards the rest.
+type classStore struct {
+	name string
+	// props are the class's property names, sorted; types[i] is props[i]'s.
+	props []string
+	types []PropType
+
+	mu sync.RWMutex
+	// objects holds each object's row by serial: row[i] is the value of
+	// props[i] (nil: null).
+	objects map[int64][]any
+	next    int64
+	// index files the objects by value for each property FindByProp has been
+	// asked about, by slot; each list of serials is ascending.
+	index map[int]map[any][]int64
+}
+
+// NewModel creates an empty model. The database argument is unused: the
+// model keeps its objects itself, and the parameter goes when relstore leaves
+// the product.
+func NewModel(*relstore.DB) (*Model, error) {
 	return &Model{
-		db:      db,
-		classes: make(map[string]Class),
+		classes: make(map[string]*classStore),
 		events:  newEventHub(),
 	}, nil
 }
 
-func classTable(class string) string { return "oosm_obj_" + class }
-
-// RegisterClass declares (or re-attaches to) an object class. Property names
-// must not collide with the reserved "id" column.
+// RegisterClass declares an object class.
 func (m *Model) RegisterClass(c Class) error {
 	if c.Name == "" {
 		return fmt.Errorf("oosm: empty class name")
@@ -112,23 +109,28 @@ func (m *Model) RegisterClass(c Class) error {
 	if len(c.Props) == 0 {
 		return fmt.Errorf("oosm: class %q has no properties", c.Name)
 	}
-	cols := make([]relstore.Column, 0, len(c.Props))
-	for _, n := range slices.Sorted(maps.Keys(c.Props)) {
-		cols = append(cols, relstore.Column{
-			Name:     n,
-			Type:     c.Props[n].column(),
-			Nullable: true,
-		})
+	s := &classStore{
+		name:    c.Name,
+		props:   slices.Sorted(maps.Keys(c.Props)),
+		objects: make(map[int64][]any),
+		index:   make(map[int]map[any][]int64),
 	}
-	if err := m.db.EnsureTable(relstore.Schema{Name: classTable(c.Name), Columns: cols}); err != nil {
-		return err
+	for _, name := range s.props {
+		t := c.Props[name]
+		if name == "" {
+			return fmt.Errorf("oosm: class %q has an unnamed property", c.Name)
+		}
+		if t < PropString || t > PropTime {
+			return fmt.Errorf("oosm: property %q of class %q has unknown type %d", name, c.Name, t)
+		}
+		s.types = append(s.types, t)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.classes[c.Name]; dup {
 		return fmt.Errorf("oosm: class %q already registered", c.Name)
 	}
-	m.classes[c.Name] = Class{Name: c.Name, Props: maps.Clone(c.Props)}
+	m.classes[c.Name] = s
 	return nil
 }
 
@@ -139,104 +141,231 @@ func (m *Model) Classes() []string {
 	return slices.Sorted(maps.Keys(m.classes))
 }
 
-// checkProps validates property names and value types against a class.
-func (m *Model) checkProps(c Class, props map[string]any) error {
+func (m *Model) class(name string) (*classStore, error) {
+	m.mu.RLock()
+	c, ok := m.classes[name]
+	m.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("oosm: unknown class %q", name)
+	}
+	return c, nil
+}
+
+// slot returns the position of a property in the class's rows.
+func (c *classStore) slot(name string) (int, error) {
+	i, ok := slices.BinarySearch(c.props, name)
+	if !ok {
+		return 0, fmt.Errorf("oosm: class %q has no property %q", c.name, name)
+	}
+	return i, nil
+}
+
+// check validates one value against the type of the property in slot i; nil
+// (null) fits every property.
+func (c *classStore) check(i int, v any) error {
+	if v == nil {
+		return nil
+	}
+	valid := false
+	switch c.types[i] {
+	case PropString:
+		_, valid = v.(string)
+	case PropFloat:
+		_, valid = v.(float64)
+	case PropInt:
+		_, valid = v.(int64)
+	case PropBool:
+		_, valid = v.(bool)
+	case PropTime:
+		_, valid = v.(time.Time)
+	}
+	if !valid {
+		return fmt.Errorf("oosm: property %q of class %q: value %T has wrong type", c.props[i], c.name, v)
+	}
+	return nil
+}
+
+// checkProps validates property names and value types against the class.
+func (c *classStore) checkProps(props map[string]any) error {
 	//lint:allow maporder validation only; the accepted (error-free) outcome is order-independent
 	for name, v := range props {
-		pt, ok := c.Props[name]
-		if !ok {
-			return fmt.Errorf("oosm: class %q has no property %q", c.Name, name)
+		i, err := c.slot(name)
+		if err != nil {
+			return err
 		}
-		if v == nil {
-			continue
-		}
-		valid := false
-		switch pt {
-		case PropString:
-			_, valid = v.(string)
-		case PropFloat:
-			_, valid = v.(float64)
-		case PropInt:
-			_, valid = v.(int64)
-		case PropBool:
-			_, valid = v.(bool)
-		case PropTime:
-			_, valid = v.(time.Time)
-		}
-		if !valid {
-			return fmt.Errorf("oosm: property %q of class %q: value %T has wrong type", name, c.Name, v)
+		if err := c.check(i, v); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// instant is a time's index key: two times file together exactly when they
+// are Equal.
+type instant struct {
+	sec  int64
+	nsec int
+}
+
+// indexKey is the key an index files v under; ok is false for a NaN, which
+// equals nothing, so no lookup could find it.
+func indexKey(v any) (key any, ok bool) {
+	switch x := v.(type) {
+	case time.Time:
+		return instant{x.Unix(), x.Nanosecond()}, true
+	case float64:
+		if math.IsNaN(x) {
+			return nil, false
+		}
+		return x + 0, true // -0 files with +0, as -0 == +0
+	}
+	return v, true
+}
+
+// indexAdd files serial num under v in slot i's index, if one is built.
+// Callers hold c.mu.
+func (c *classStore) indexAdd(i int, num int64, v any) {
+	idx, built := c.index[i]
+	if !built {
+		return
+	}
+	key, ok := indexKey(v)
+	if !ok {
+		return
+	}
+	nums := idx[key]
+	at, _ := slices.BinarySearch(nums, num)
+	idx[key] = slices.Insert(nums, at, num)
+}
+
+// indexRemove takes serial num out from under v in slot i's index, if one is
+// built. Callers hold c.mu.
+func (c *classStore) indexRemove(i int, num int64, v any) {
+	idx, built := c.index[i]
+	if !built {
+		return
+	}
+	key, ok := indexKey(v)
+	if !ok {
+		return
+	}
+	nums := idx[key]
+	if at, found := slices.BinarySearch(nums, num); found {
+		nums = slices.Delete(nums, at, at+1)
+	}
+	if len(nums) == 0 {
+		delete(idx, key)
+	} else {
+		idx[key] = nums
+	}
+}
+
 // Create instantiates an object of the class with the given initial
 // properties (missing properties are null). It emits an ObjectCreated event.
 func (m *Model) Create(class string, props map[string]any) (ObjectID, error) {
-	m.mu.RLock()
-	c, ok := m.classes[class]
-	m.mu.RUnlock()
-	if !ok {
-		return ObjectID{}, fmt.Errorf("oosm: unknown class %q", class)
-	}
-	if err := m.checkProps(c, props); err != nil {
-		return ObjectID{}, err
-	}
-	// Insert stores its own copy of the row: the caller keeps props.
-	num, err := m.db.Insert(classTable(class), relstore.Row(props))
+	return m.CreateWith(class, props, nil)
+}
+
+// CreateWith is Create whose ObjectCreated event carries payload as its
+// Value: a creator that holds the object's content in typed form hands it to
+// the subscribers, which then need not read it back out of the object.
+func (m *Model) CreateWith(class string, props map[string]any, payload any) (ObjectID, error) {
+	c, err := m.class(class)
 	if err != nil {
 		return ObjectID{}, err
 	}
+	if err := c.checkProps(props); err != nil {
+		return ObjectID{}, err
+	}
+	// The row is the model's own: the caller keeps props.
+	row := make([]any, len(c.props))
+	for i, name := range c.props {
+		row[i] = props[name]
+	}
+	c.mu.Lock()
+	c.next++
+	num := c.next
+	c.objects[num] = row
+	//lint:allow maporder each slot's index is filed on its own; no order leaks out
+	for i := range c.index {
+		c.indexAdd(i, num, row[i])
+	}
+	c.mu.Unlock()
 	id := ObjectID{Class: class, Num: num}
-	m.events.publish(Event{Kind: ObjectCreated, Object: id})
+	m.events.publish(Event{Kind: ObjectCreated, Object: id, Value: payload})
 	return id, nil
 }
 
-// Get returns all properties of an object (null properties as nil values).
+// Get returns all properties of an object (null properties as nil values),
+// in a map that is the caller's.
 func (m *Model) Get(id ObjectID) (map[string]any, error) {
-	row, err := m.db.Get(classTable(id.Class), id.Num)
-	if err != nil {
-		return nil, fmt.Errorf("oosm: %v: %w", id, err)
-	}
-	// The row is a copy made for this call, so it is handed over as it is.
-	out := map[string]any(row)
-	delete(out, "id")
-	return out, nil
-}
-
-// GetProp returns one property value of an object.
-func (m *Model) GetProp(id ObjectID, name string) (any, error) {
-	props, err := m.Get(id)
+	c, err := m.class(id.Class)
 	if err != nil {
 		return nil, err
 	}
-	v, ok := props[name]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	row, ok := c.objects[id.Num]
 	if !ok {
+		return nil, fmt.Errorf("oosm: no object %v", id)
+	}
+	out := make(map[string]any, len(row))
+	for i, v := range row {
+		out[c.props[i]] = v
+	}
+	return out, nil
+}
+
+// GetProp returns one property value of an object, copying nothing else.
+func (m *Model) GetProp(id ObjectID, name string) (any, error) {
+	c, err := m.class(id.Class)
+	if err != nil {
+		return nil, err
+	}
+	i, err := c.slot(name)
+	if err != nil {
 		return nil, fmt.Errorf("oosm: object %v has no property %q", id, name)
 	}
-	return v, nil
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	row, ok := c.objects[id.Num]
+	if !ok {
+		return nil, fmt.Errorf("oosm: no object %v", id)
+	}
+	return row[i], nil
 }
 
 // SetProps updates properties of an object, emitting a PropertyChanged event
 // per changed property and one ObjectUpdated event for the write as a whole.
 func (m *Model) SetProps(id ObjectID, props map[string]any) error {
-	m.mu.RLock()
-	c, ok := m.classes[id.Class]
-	m.mu.RUnlock()
+	c, err := m.class(id.Class)
+	if err != nil {
+		return err
+	}
+	if err := c.checkProps(props); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	row, ok := c.objects[id.Num]
+	if ok {
+		for i, name := range c.props {
+			if v, set := props[name]; set {
+				c.indexRemove(i, id.Num, row[i])
+				row[i] = v
+				c.indexAdd(i, id.Num, v)
+			}
+		}
+	}
+	c.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("oosm: unknown class %q", id.Class)
+		return fmt.Errorf("oosm: no object %v", id)
 	}
-	if err := m.checkProps(c, props); err != nil {
-		return err
-	}
-	// Update only reads the changes: nothing keeps props.
-	if err := m.db.Update(classTable(id.Class), id.Num, relstore.Row(props)); err != nil {
-		return err
-	}
-	// Publish in sorted property order so watchers see a deterministic event
-	// sequence for one write, whatever the map layout.
-	for _, k := range slices.Sorted(maps.Keys(props)) {
-		m.events.publish(Event{Kind: PropertyChanged, Object: id, Property: k, Value: props[k]})
+	// Publish in the class's sorted property order so watchers see a
+	// deterministic event sequence for one write, whatever the map layout.
+	for _, name := range c.props {
+		if v, set := props[name]; set {
+			m.events.publish(Event{Kind: PropertyChanged, Object: id, Property: name, Value: v})
+		}
 	}
 	m.events.publish(Event{Kind: ObjectUpdated, Object: id})
 	return nil
@@ -244,8 +373,22 @@ func (m *Model) SetProps(id ObjectID, props map[string]any) error {
 
 // Delete removes an object, emitting an ObjectDeleted event.
 func (m *Model) Delete(id ObjectID) error {
-	if err := m.db.Delete(classTable(id.Class), id.Num); err != nil {
+	c, err := m.class(id.Class)
+	if err != nil {
 		return err
+	}
+	c.mu.Lock()
+	row, ok := c.objects[id.Num]
+	if ok {
+		//lint:allow maporder each slot's index is filed on its own; no order leaks out
+		for i := range c.index {
+			c.indexRemove(i, id.Num, row[i])
+		}
+		delete(c.objects, id.Num)
+	}
+	c.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("oosm: no object %v", id)
 	}
 	m.events.publish(Event{Kind: ObjectDeleted, Object: id})
 	return nil
@@ -253,32 +396,68 @@ func (m *Model) Delete(id ObjectID) error {
 
 // Exists reports whether the object is present in the model.
 func (m *Model) Exists(id ObjectID) bool {
-	_, err := m.db.Get(classTable(id.Class), id.Num)
-	return err == nil
+	c, err := m.class(id.Class)
+	if err != nil {
+		return false
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, ok := c.objects[id.Num]
+	return ok
 }
 
 // Instances returns all object ids of a class, ordered by creation.
 func (m *Model) Instances(class string) ([]ObjectID, error) {
-	rows, err := m.db.Select(classTable(class), nil, 0)
+	c, err := m.class(class)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ObjectID, len(rows))
-	for i, r := range rows {
-		out[i] = ObjectID{Class: class, Num: r.ID()}
-	}
-	return out, nil
+	c.mu.RLock()
+	// Serials are handed out in creation order.
+	nums := slices.Sorted(maps.Keys(c.objects))
+	c.mu.RUnlock()
+	return ids(class, nums), nil
 }
 
-// FindByProp returns objects of the class whose property equals value.
+// FindByProp returns the objects of the class whose property equals value, in
+// creation order. The first ask about a property indexes it, and the index is
+// kept up to date from then on: only properties somebody looks objects up by
+// cost their class's writes anything.
 func (m *Model) FindByProp(class, prop string, value any) ([]ObjectID, error) {
-	rows, err := m.db.Select(classTable(class), relstore.Eq(prop, value), 0)
+	c, err := m.class(class)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ObjectID, len(rows))
-	for i, r := range rows {
-		out[i] = ObjectID{Class: class, Num: r.ID()}
+	i, err := c.slot(prop)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	if err := c.check(i, value); err != nil {
+		return nil, err
+	}
+	key, ok := indexKey(value)
+	// The write lock: the first ask builds the index.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	idx, built := c.index[i]
+	if !built {
+		idx = make(map[any][]int64)
+		c.index[i] = idx
+		for _, num := range slices.Sorted(maps.Keys(c.objects)) {
+			c.indexAdd(i, num, c.objects[num][i])
+		}
+	}
+	if !ok {
+		return nil, nil
+	}
+	return ids(class, idx[key]), nil
+}
+
+// ids makes the object ids of serials of one class.
+func ids(class string, nums []int64) []ObjectID {
+	out := make([]ObjectID, len(nums))
+	for i, n := range nums {
+		out[i] = ObjectID{Class: class, Num: n}
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package oosm
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -160,33 +161,145 @@ func TestInstancesAndFind(t *testing.T) {
 	}
 }
 
-// TestModelKeepsOnlyClassTables: the model stores each object in its
-// class's table and nothing beside it — a new model creates no table, and
-// creating and deleting an object leaves only that class's.
-func TestModelKeepsOnlyClassTables(t *testing.T) {
-	db := relstore.NewMemory()
-	m, err := NewModel(db)
-	if err != nil {
+// TestModelHoldsItsObjects: the model holds one object per Create and none
+// after its Delete; a map Get returned is the caller's to change; and
+// FindByProp stays exact — on a property indexed before the writes and on one
+// indexed after them — when SetProps moves an object from one value to
+// another.
+func TestModelHoldsItsObjects(t *testing.T) {
+	m := newTestModel(t)
+	var made []ObjectID
+	for i := 0; i < 6; i++ {
+		id, err := m.Create("chiller", map[string]any{"name": fmt.Sprintf("c%d", i%3), "capacity_tons": float64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		made = append(made, id)
+	}
+	if ids, err := m.Instances("chiller"); err != nil || !slices.Equal(ids, made) {
+		t.Fatalf("instances %v (%v), want the %d created, in creation order: %v", ids, err, len(made), made)
+	}
+	if err := m.Delete(made[1]); err != nil {
 		t.Fatal(err)
 	}
-	if names := db.TableNames(); len(names) != 0 {
-		t.Fatalf("a new model created tables %v", names)
+	if err := m.Delete(made[1]); err == nil {
+		t.Error("a second Delete of one object succeeded")
 	}
-	if err := m.RegisterClass(Class{Name: "motor", Props: map[string]PropType{"name": PropString}}); err != nil {
-		t.Fatal(err)
-	}
-	id, err := m.Create("motor", map[string]any{"name": "m"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if m.Exists(id) {
+	if m.Exists(made[1]) {
 		t.Fatal("deleted object still exists")
 	}
-	if names := db.TableNames(); !slices.Equal(names, []string{classTable("motor")}) {
-		t.Fatalf("tables %v, want only %s", names, classTable("motor"))
+	if _, err := m.Get(made[1]); err == nil {
+		t.Fatal("Get of a deleted object succeeded")
+	}
+	if ids, _ := m.Instances("chiller"); !slices.Equal(ids, slices.Delete(slices.Clone(made), 1, 2)) {
+		t.Fatalf("instances after a Delete: %v", ids)
+	}
+
+	props, err := m.Get(made[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(props) != 3 || props["name"] != "c0" || props["capacity_tons"] != 0.0 || props["manufacturer"] != nil {
+		t.Fatalf("Get %v, want every property, null ones nil", props)
+	}
+	props["name"] = "changed"
+	delete(props, "capacity_tons")
+	if again, _ := m.Get(made[0]); again["name"] != "c0" || again["capacity_tons"] != 0.0 {
+		t.Fatalf("changing Get's map changed the object: %v", again)
+	}
+
+	find := func(prop string, v any) []ObjectID {
+		t.Helper()
+		ids, err := m.FindByProp("chiller", prop, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	// "name" is indexed from here on; "capacity_tons" only after the writes.
+	if got := find("name", "c0"); !slices.Equal(got, []ObjectID{made[0], made[3]}) {
+		t.Fatalf("name c0: %v", got)
+	}
+	if err := m.SetProps(made[0], map[string]any{"name": "c2", "capacity_tons": 5.0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetProps(made[4], map[string]any{"name": nil}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		prop string
+		v    any
+		want []ObjectID
+	}{
+		{"name", "c0", []ObjectID{made[3]}},
+		{"name", "c1", nil},
+		{"name", "c2", []ObjectID{made[0], made[2], made[5]}},
+		{"name", nil, []ObjectID{made[4]}},
+		{"capacity_tons", 5.0, []ObjectID{made[0], made[5]}},
+		{"capacity_tons", math.Copysign(0, -1), nil},
+		{"capacity_tons", math.NaN(), nil},
+	} {
+		if got := find(tc.prop, tc.v); !slices.Equal(got, tc.want) {
+			t.Errorf("%s = %v: %v, want %v", tc.prop, tc.v, got, tc.want)
+		}
+	}
+	if err := m.Delete(made[5]); err != nil {
+		t.Fatal(err)
+	}
+	if got := find("name", "c2"); !slices.Equal(got, []ObjectID{made[0], made[2]}) {
+		t.Errorf("name c2 after a Delete: %v", got)
+	}
+	if got := find("capacity_tons", 5.0); !slices.Equal(got, []ObjectID{made[0]}) {
+		t.Errorf("capacity 5 after a Delete: %v", got)
+	}
+	if _, err := m.FindByProp("chiller", "name", 1.0); err == nil {
+		t.Error("FindByProp with a value of the wrong type")
+	}
+	if _, err := m.FindByProp("chiller", "ghost", "x"); err == nil {
+		t.Error("FindByProp on an unknown property")
+	}
+}
+
+// TestCreateGetAllocBudget: a steady-state Create + Get + Delete of an object
+// with an indexed property allocates the row, the map Get hands over, and
+// nothing per property beyond them; GetProp copies nothing.
+func TestCreateGetAllocBudget(t *testing.T) {
+	const budget = 4
+	m := newTestModel(t)
+	props := map[string]any{"condition": "imbalance", "belief": 0.8, "severity": 0.5}
+	if _, err := m.FindByProp("report", "condition", "imbalance"); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		id, err := m.Create("report", props)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Get(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(500, cycle)
+	t.Logf("%.0f allocations per Create + Get + Delete", allocs)
+	if allocs > budget {
+		t.Fatalf("a steady-state Create + Get + Delete allocates %.0f times, budget %d", allocs, budget)
+	}
+	id, err := m.Create("report", props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := m.GetProp(id, "condition"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("GetProp allocates %.0f times", allocs)
 	}
 }
 
@@ -326,6 +439,68 @@ func TestConcurrentCreateAndSubscribe(t *testing.T) {
 	ids, _ := m.Instances("motor")
 	if len(ids) != 200 {
 		t.Errorf("instances %d", len(ids))
+	}
+}
+
+// TestConcurrentWritesKeepIndexExact: writers create, rename and delete
+// objects while readers look them up by name — the first lookup builds the
+// index mid-stream — and afterwards every lookup equals a scan of what the
+// model holds.
+func TestConcurrentWritesKeepIndexExact(t *testing.T) {
+	m := newTestModel(t)
+	names := []string{"a", "b", "c"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				id, err := m.Create("motor", map[string]any{"name": names[(g+i)%3]})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := m.SetProps(id, map[string]any{"name": names[i%3]}); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 0 {
+					if err := m.Delete(id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := m.FindByProp("motor", "name", names[i%3]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ids, err := m.Instances("motor")
+	if err != nil || len(ids) != 100 {
+		t.Fatalf("%d objects (%v), want 100", len(ids), err)
+	}
+	for _, name := range names {
+		var want []ObjectID
+		for _, id := range ids {
+			if v, _ := m.GetProp(id, "name"); v == name {
+				want = append(want, id)
+			}
+		}
+		got, err := m.FindByProp("motor", "name", name)
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("name %s: %v (%v), a scan finds %v", name, got, err, want)
+		}
 	}
 }
 

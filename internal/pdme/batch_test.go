@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/historian"
 	"repro/internal/journal"
 	"repro/internal/oosm"
 	"repro/internal/proto"
@@ -270,12 +271,15 @@ func (w *windowLog) EndMutation(string, string, string) {}
 // counted; an apply failure is the failing report's alone.
 func TestBatchAcceptDurabilityContract(t *testing.T) {
 	t0 := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
-	db := relstore.NewMemory()
-	model, err := oosm.NewModel(db)
+	model, err := oosm.NewModel(relstore.NewMemory())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(model, testGroups())
+	hist, err := historian.Open(historian.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewWithHistorian(model, testGroups(), hist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,13 +331,14 @@ func TestBatchAcceptDurabilityContract(t *testing.T) {
 		}
 	}
 
-	// An apply failure is the failing report's alone: the model's store goes
-	// away as the second write window opens; the first report is fused, the
-	// others are refused one by one, and all three are in the journal.
+	// An apply failure is the failing report's alone: the historian that
+	// records the severities closes as the second write window opens; the
+	// first report is fused, the others are refused one by one, and all three
+	// are in the journal.
 	windows.seqs = nil
 	windows.before = func(opened int) {
 		if opened == 1 {
-			_ = db.Close()
+			_ = hist.Close()
 		}
 	}
 	run = deliveries(7, good(6), good(7), good(8))

@@ -92,11 +92,78 @@ func assertSameFusionState(t *testing.T, ref, got *PDME) {
 	}
 }
 
+// conclusionObjects reads every conclusion object the engine's model holds on
+// the components, by (component, condition).
+func conclusionObjects(t *testing.T, p *PDME, components ...string) map[[2]string]map[string]any {
+	t.Helper()
+	out := map[[2]string]map[string]any{}
+	for _, c := range components {
+		ids, err := p.Model().FindByProp(ConclusionClass, "component", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			props, err := p.Model().Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := [2]string{c, props["condition"].(string)}
+			if _, twin := out[key]; twin {
+				t.Fatalf("two conclusion objects on %v", key)
+			}
+			out[key] = props
+		}
+	}
+	return out
+}
+
+// assertSameConclusionObjects checks that two engines' models hold the same
+// conclusion objects on the components, every property bit for bit: floats by
+// their bits, the prognostics text byte for byte, updated_at by its binary
+// form (instant and zone).
+func assertSameConclusionObjects(t *testing.T, ref, got *PDME, components ...string) {
+	t.Helper()
+	want, have := conclusionObjects(t, ref, components...), conclusionObjects(t, got, components...)
+	if len(want) == 0 || len(have) != len(want) {
+		t.Fatalf("%d conclusion objects, want %d (and some)", len(have), len(want))
+	}
+	for key, w := range want {
+		g, ok := have[key]
+		if !ok {
+			t.Errorf("no conclusion object on %v", key)
+			continue
+		}
+		if len(g) != len(w) {
+			t.Errorf("%v: %d properties, want %d", key, len(g), len(w))
+		}
+		for name, wv := range w {
+			gv := g[name]
+			same := false
+			switch wv := wv.(type) {
+			case float64:
+				gf, ok := gv.(float64)
+				same = ok && math.Float64bits(gf) == math.Float64bits(wv)
+			case time.Time:
+				gt, ok := gv.(time.Time)
+				wb, werr := wv.MarshalBinary()
+				gb, gerr := gt.MarshalBinary()
+				same = ok && werr == nil && gerr == nil && bytes.Equal(wb, gb)
+			default:
+				same = gv == wv
+			}
+			if !same {
+				t.Errorf("%v: %s = %#v, want %#v", key, name, gv, wv)
+			}
+		}
+	}
+}
+
 // TestJournalRecoveryMatchesUndisturbedRun: kill a journaled PDME without
 // any shutdown courtesy (no Close, no checkpoint), recover into a fresh
 // engine, and compare against an undisturbed engine that saw the same
 // traffic: Ranked/Belief bit-for-bit, dedup suppression intact, heartbeat
-// history restored.
+// history restored. The conclusion objects the replay posts are the ones the
+// live accept posted, property for property.
 func TestJournalRecoveryMatchesUndisturbedRun(t *testing.T) {
 	t0 := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
 	dir := t.TempDir()
@@ -123,6 +190,7 @@ func TestJournalRecoveryMatchesUndisturbedRun(t *testing.T) {
 			stats.ReportsReplayed, stats.HeartbeatsReplayed, stats.SkippedRecords)
 	}
 	assertSameFusionState(t, ref, recovered)
+	assertSameConclusionObjects(t, crashed, recovered, "motor/1", "pump/2")
 
 	// The dedup window survived: a spool replay of an already-fused report
 	// is suppressed, not double-fused.
@@ -146,6 +214,7 @@ func TestJournalRecoveryMatchesUndisturbedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameFusionState(t, ref, recovered)
+	assertSameConclusionObjects(t, ref, recovered, "motor/1", "pump/2")
 }
 
 // TestJournalRecoveryFromCheckpointPlusTail: traffic that spans an

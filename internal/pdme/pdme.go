@@ -18,9 +18,12 @@
 // object a delivery posts, one somebody created straight in the model, a
 // journaled report replayed at recovery — and one pass: the fold that takes
 // the report in yields the pair's state and stamp, and exactly that is posted
-// as its conclusion. KF runs synchronously inside the model's Create, on the
-// posting goroutine, and its answer is the delivery's: a report it refuses is
-// neither marked in the dedup window nor counted, and its sender is told.
+// as its conclusion. A delivery's post carries the decoded report on its
+// ObjectCreated event (oosm.Model.CreateWith), and that is what KF fuses; only
+// an object somebody created straight in the model is read back out of it.
+// KF runs synchronously inside the model's Create, on the posting goroutine,
+// and its answer is the delivery's: a report it refuses is neither marked in
+// the dedup window nor counted, and its sender is told.
 //
 // The OOSM is a repository of both kinds of conclusion (§3.1), and it keeps
 // each at its current state: one conclusion object per pair, rewritten by
@@ -147,7 +150,8 @@ type Invalidator interface {
 // New builds a PDME over a ship model and the logical failure groups for
 // diagnostic fusion, backed by a private in-memory historian. It registers
 // the report/conclusion classes and subscribes knowledge fusion to report
-// arrivals; a model that already holds objects of either class is refused.
+// arrivals; a model another engine already registered them in is refused, so
+// the engine's maps index every report and conclusion object in its model.
 func New(model *oosm.Model, groups fusion.Groups) (*PDME, error) {
 	return NewWithHistorian(model, groups, nil)
 }
@@ -194,19 +198,6 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 			return nil, err
 		}
 	}
-	// The repository starts empty: the engine's maps are the only index of
-	// what it holds, so objects already in the model would be stranded
-	// reports and twin conclusions. Fusion state is restored by the journal,
-	// never by the model.
-	for _, class := range []string{ReportClass, ConclusionClass} {
-		ids, err := model.Instances(class)
-		if err != nil {
-			return nil, err
-		}
-		if len(ids) > 0 {
-			return nil, fmt.Errorf("pdme: the model already holds %d %s objects; build the engine over a fresh model", len(ids), class)
-		}
-	}
 	registry, err := health.NewRegistry(health.Config{})
 	if err != nil {
 		return nil, err
@@ -233,7 +224,7 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 	// §5.1 step 2: new reports in the OOSM wake knowledge fusion. A refusal is
 	// parked for the accept that made the post (postReport).
 	p.sub = model.SubscribeClass(ReportClass, oosm.ObjectCreated, func(e oosm.Event) {
-		if err := p.fuseFromModel(e.Object); err != nil {
+		if err := p.fusePosted(e); err != nil {
 			p.mu.Lock()
 			p.refused[e.Object] = err
 			p.mu.Unlock()
@@ -428,7 +419,7 @@ func (p *PDME) postReport(r *proto.Report) error {
 	if err != nil {
 		return fmt.Errorf("pdme: encode prognostics: %w", err)
 	}
-	id, err := p.model.Create(ReportClass, map[string]any{
+	id, err := p.model.CreateWith(ReportClass, map[string]any{
 		"dc_id":       r.DCID,
 		"ks_id":       r.KnowledgeSourceID,
 		"sensed":      r.SensedObjectID,
@@ -440,7 +431,7 @@ func (p *PDME) postReport(r *proto.Report) error {
 		"timestamp":   r.Timestamp,
 		"prognostics": string(progJSON),
 		"suspect":     strings.Join(r.SuspectChannels, ","),
-	})
+	}, r)
 	if err != nil {
 		return err
 	}
@@ -542,20 +533,23 @@ func (p *PDME) ConfigureHealth(cfg health.Config) error {
 	return nil
 }
 
-// fuseFromModel is §5.1 step 3: read the newly posted report back from the
-// OOSM and fuse it.
-func (p *PDME) fuseFromModel(reportID oosm.ObjectID) error {
-	props, err := p.model.Get(reportID)
+// fusePosted is §5.1 step 3 for a report object just created in the OOSM: it
+// fuses the report the post handed over with the event — or, for an object
+// somebody created straight in the model, the report read out of it.
+func (p *PDME) fusePosted(e oosm.Event) error {
+	if r, ok := e.Value.(*proto.Report); ok {
+		return p.fuse(r, p.observeSeverity)
+	}
+	props, err := p.model.Get(e.Object)
 	if err != nil {
 		return err
 	}
-	var vec proto.PrognosticVector
-	if s, ok := props["prognostics"].(string); ok && s != "" && s != "null" {
-		if vec, err = proto.DecodePrognosticsJSON([]byte(s)); err != nil {
-			return fmt.Errorf("pdme: %w", err)
+	var r proto.Report
+	if s, ok := props["prognostics"].(string); ok && s != "" {
+		if err := json.Unmarshal([]byte(s), &r.Prognostics); err != nil {
+			return fmt.Errorf("pdme: report object %v: prognostics: %w", e.Object, err)
 		}
 	}
-	r := proto.Report{Prognostics: vec}
 	r.SensedObjectID, _ = props["sensed"].(string)
 	r.MachineConditionID, _ = props["condition"].(string)
 	r.Belief, _ = props["belief"].(float64)
@@ -622,9 +616,11 @@ func (p *PDME) fuse(r *proto.Report, recordSeverity func(component, condition st
 	return nil
 }
 
-// postConclusion writes (or rewrites) the pair's conclusion object with the
-// state the fold returned; its updated_at is that state's, which never goes
-// back. Callers hold the component's ordering section, which is what keeps
+// postConclusion writes the pair's conclusion object with the state the fold
+// returned: all of it at the pair's first post, and afterwards only what a
+// fold changes — the subject (component, condition, group) is the object's
+// for good. Its updated_at is the state's, which never goes back. Callers
+// hold the component's ordering section, which is what keeps
 // lookup-then-create from making twins.
 func (p *PDME) postConclusion(component string, cs fusion.ConditionState, vec proto.PrognosticVector) error {
 	var buf [256]byte
@@ -633,9 +629,6 @@ func (p *PDME) postConclusion(component string, cs fusion.ConditionState, vec pr
 		return err
 	}
 	props := map[string]any{
-		"component":    component,
-		"condition":    cs.Condition,
-		"group":        cs.Group,
 		"belief":       cs.Belief,
 		"plausibility": cs.Plausibility,
 		"unknown":      cs.Unknown,
@@ -649,6 +642,7 @@ func (p *PDME) postConclusion(component string, cs fusion.ConditionState, vec pr
 	if held {
 		return p.model.SetProps(id, props)
 	}
+	props["component"], props["condition"], props["group"] = component, cs.Condition, cs.Group
 	id, err = p.model.Create(ConclusionClass, props)
 	if err != nil {
 		return err

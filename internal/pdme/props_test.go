@@ -91,18 +91,15 @@ func TestPrognosticsPropertyBytes(t *testing.T) {
 	}
 }
 
-// TestReopenedModelConclusionsAdopted: an engine refuses a model that already
-// holds report or conclusion objects — one another engine fused into — and
-// names the class and the count. Its maps are
-// the only index of what the repository holds, so taking such a model would
-// strand the old report objects for good and give every pair a twin
-// conclusion. The refused model is left as it was; one whose objects are all
-// gone is a fresh model again.
-func TestReopenedModelConclusionsAdopted(t *testing.T) {
+// TestSecondEngineOverOneModelRefused: the engine's maps are the only index
+// of the report and conclusion objects in its model, so a second engine over
+// the same model is refused — its class registration fails — and the model
+// and the first engine are left as they were: the first engine still fuses
+// into the one conclusion object per pair it holds.
+func TestSecondEngineOverOneModelRefused(t *testing.T) {
 	at := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
 	pairs := [][2]string{{"motor/1", "motor imbalance"}, {"motor/1", "oil whirl"}, {"motor/2", "motor imbalance"}}
-	db := relstore.NewMemory()
-	model, err := oosm.NewModel(db)
+	model, err := oosm.NewModel(relstore.NewMemory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,54 +107,32 @@ func TestReopenedModelConclusionsAdopted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer p.Close()
 	for _, pr := range pairs {
 		if err := p.Deliver(report("ks/dli", pr[0], pr[1], 0.5, 0.6, at, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p.Close()
-
-	// A model over the same database: report objects are counted first.
-	reopen := func() (*oosm.Model, error) {
-		t.Helper()
-		model, err := oosm.NewModel(db)
-		if err != nil {
+	second, err := New(model, testGroups())
+	if err == nil {
+		second.Close()
+		t.Fatal("a second engine over one model was built")
+	}
+	if !strings.Contains(err.Error(), "already registered") {
+		t.Fatalf("second engine refused with %v, want the class registration's refusal", err)
+	}
+	for _, class := range []string{ReportClass, ConclusionClass} {
+		if got := countInstances(t, model, class); got != len(pairs) {
+			t.Errorf("the model holds %d %s objects after the refusal, had %d", got, class, len(pairs))
+		}
+	}
+	for _, pr := range pairs {
+		if err := p.Deliver(report("ks/sbfr", pr[0], pr[1], 0.5, 0.7, at.Add(time.Minute), nil)); err != nil {
 			t.Fatal(err)
 		}
-		p, err := New(model, testGroups())
-		if err == nil {
-			p.Close()
-		}
-		return model, err
 	}
-	deleteAll := func(model *oosm.Model, class string) {
-		t.Helper()
-		ids, err := model.Instances(class)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			if err := model.Delete(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	model, err = reopen()
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d %s objects", len(pairs), ReportClass)) {
-		t.Fatalf("engine over a model holding %d report objects: err %v", len(pairs), err)
-	}
-	if got := countInstances(t, model, ReportClass); got != len(pairs) {
-		t.Errorf("the refused model holds %d report objects, had %d", got, len(pairs))
-	}
-	// Conclusion objects alone are refused too.
-	deleteAll(model, ReportClass)
-	model, err = reopen()
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d %s objects", len(pairs), ConclusionClass)) {
-		t.Fatalf("engine over a model holding %d conclusion objects: err %v", len(pairs), err)
-	}
-	deleteAll(model, ConclusionClass)
-	if _, err := reopen(); err != nil {
-		t.Fatalf("engine over a model whose objects are all deleted: %v", err)
+	if got := countInstances(t, model, ConclusionClass); got != len(pairs) {
+		t.Errorf("%d conclusion objects after more reports on the same pairs, want %d", got, len(pairs))
 	}
 }
 

@@ -75,21 +75,6 @@ func readEnvelope(body []byte, env *envelope) bool {
 	return ok && s.end() && env.Kind != ""
 }
 
-// DecodePrognosticsJSON reads a prognostic vector from its JSON text — the
-// form AppendPrognosticsJSON writes — with readEnvelope's reader, and with
-// json.Unmarshal for anything outside that reader's subset (a null included).
-func DecodePrognosticsJSON(data []byte) (PrognosticVector, error) {
-	s := scanner{buf: data}
-	if v, ok := s.prognostics(); ok && s.end() {
-		return v, nil
-	}
-	var v PrognosticVector
-	if err := json.Unmarshal(data, &v); err != nil {
-		return nil, fmt.Errorf("proto: decode prognostics: %w", err)
-	}
-	return v, nil
-}
-
 // scanner is a cursor over one JSON text. A method that meets input outside
 // the hand reader's subset reports false, and the caller declines.
 type scanner struct {

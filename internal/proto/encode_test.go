@@ -167,8 +167,8 @@ func TestAppendPrognosticsJSONPinned(t *testing.T) {
 		if string(got) != tc.want || string(ref) != tc.want {
 			t.Errorf("%#v: wrote %s, json.Marshal %s, want %s", tc.v, got, ref, tc.want)
 		}
-		back, err := DecodePrognosticsJSON(got)
-		if err != nil || !reflect.DeepEqual(back, tc.v) {
+		var back PrognosticVector
+		if err = json.Unmarshal(got, &back); err != nil || !reflect.DeepEqual(back, tc.v) {
 			t.Errorf("%s read back as %#v (%v)", got, back, err)
 		}
 	}

@@ -196,12 +196,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzPrognosticsJSON holds the prognostic vector's hand codec — the OOSM
-// property text — to encoding/json: reading arbitrary bytes agrees with
-// json.Unmarshal (the same vector, or an error on both sides), and writing a
-// vector, made of the input's bytes read as floats (NaN, infinities and
-// subnormals included) or of what was just read, is json.Marshal's bytes or
-// an error on both sides.
+// FuzzPrognosticsJSON holds the prognostic vector's hand writer — the OOSM
+// property text — to encoding/json: writing a vector, made of the input's
+// bytes read as floats (NaN, infinities and subnormals included) or of what
+// json.Unmarshal reads from them, is json.Marshal's bytes or an error on both
+// sides.
 func FuzzPrognosticsJSON(f *testing.F) {
 	for _, seed := range []string{
 		`null`, `[]`, ` [ ] `, `[{}]`, `[null]`, `[{"probability":null}]`, `[{"Probability":1}]`,
@@ -215,12 +214,8 @@ func FuzzPrognosticsJSON(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(5e-324)), math.Float64bits(math.NaN())))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := proto.DecodePrognosticsJSON(data)
-		var want proto.PrognosticVector
-		wantErr := json.Unmarshal(data, &want)
-		if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("read %#v (%v), json.Unmarshal %#v (%v)", got, err, want, wantErr)
-		}
+		var read proto.PrognosticVector
+		_ = json.Unmarshal(data, &read) // on an error, whatever it read so far is a vector too
 		var fromBits proto.PrognosticVector
 		for i := 0; i+16 <= len(data); i += 16 {
 			fromBits = append(fromBits, proto.PrognosticPoint{
@@ -228,7 +223,7 @@ func FuzzPrognosticsJSON(f *testing.F) {
 				HorizonSeconds: math.Float64frombits(binary.LittleEndian.Uint64(data[i+8:])),
 			})
 		}
-		for _, v := range []proto.PrognosticVector{fromBits, got} {
+		for _, v := range []proto.PrognosticVector{fromBits, read} {
 			mine, err := proto.AppendPrognosticsJSON(nil, v)
 			ref, refErr := json.Marshal(v)
 			if (err == nil) != (refErr == nil) || err == nil && !bytes.Equal(mine, ref) {

@@ -8,9 +8,9 @@
 // reports" (§5.8), and the OOSM persists objects by mapping "object types
 // to tables and properties and relationships to columns and helper tables"
 // (§4.6). Here the DC keeps its condition reports in it (its measurements
-// live in internal/historian, and the DC logs the reports to its own file),
-// and the OOSM one table per class; it substitutes for the commercial
-// database of the original system.
+// live in internal/historian, and the DC logs the reports to its own file);
+// it substitutes for the commercial database of the original system. The
+// OOSM keeps its objects in that table shape itself (internal/oosm).
 package relstore
 
 import (

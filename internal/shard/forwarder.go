@@ -114,14 +114,17 @@ func Forward(engine *pdme.PDME, cfg ForwarderConfig) (*Forwarder, error) {
 // fuse's own post), so the snapshot forwardPair takes is the state just
 // posted and a component's summaries spool in the order they were fused.
 func (f *Forwarder) onConclusion(id oosm.ObjectID) {
-	props, err := f.engine.Model().Get(id)
-	if err != nil {
-		f.count(func(c *ForwarderCounters) { c.Skipped++ })
-		return
+	// The pair is all it needs of the object: two reads, not a copy of it.
+	var pair [2]string
+	for i, name := range [2]string{"component", "condition"} {
+		v, err := f.engine.Model().GetProp(id, name)
+		if err != nil {
+			f.count(func(c *ForwarderCounters) { c.Skipped++ })
+			return
+		}
+		pair[i], _ = v.(string)
 	}
-	component, _ := props["component"].(string)
-	condition, _ := props["condition"].(string)
-	f.forwardPair(component, condition)
+	f.forwardPair(pair[0], pair[1])
 }
 
 // forwardPair snapshots and spools one (component, condition) summary,
