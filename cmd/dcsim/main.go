@@ -28,7 +28,6 @@ import (
 	"repro/internal/dc"
 	"repro/internal/historian"
 	"repro/internal/proto"
-	"repro/internal/relstore"
 	"repro/internal/shard"
 	"repro/internal/uplink"
 )
@@ -156,7 +155,7 @@ func run() int {
 	dcCfg.Historian = hist
 	dcCfg.HeartbeatInterval = *heartbeat
 	dcCfg.ReportLog = *dbPath
-	conc, err := dc.New(dcCfg, plant, relstore.NewMemory(), up)
+	conc, err := dc.New(dcCfg, plant, nil, up)
 	if err != nil {
 		fatal(err)
 	}

@@ -55,9 +55,8 @@ func main() {
 		}
 		grade := "-"
 		tHalf := "-"
-		if rows, err := station.DC.StoredReports(chiller.MotorBearingOuter.String()); err == nil && len(rows) > 0 {
-			last := rows[len(rows)-1]
-			grade = mpros.SeverityGrade(gradeOf(last["severity"].(float64))).String()
+		if reports := station.DC.StoredReports(chiller.MotorBearingOuter.String()); len(reports) > 0 {
+			grade = gradeOf(reports[len(reports)-1].Severity).String()
 		}
 		if v := station.FusedPrognostic(chiller.MotorBearingOuter); len(v) > 0 {
 			if d, ok := v.TimeToProbability(0.5, 365*24*time.Hour); ok {

@@ -54,13 +54,9 @@ func main() {
 	}
 
 	// Which sources spoke?
-	reports, err := station.DC.StoredReports("")
-	if err != nil {
-		log.Fatal(err)
-	}
 	bySource := map[string]int{}
-	for _, r := range reports {
-		bySource[r["source"].(string)]++
+	for _, r := range station.DC.StoredReports("") {
+		bySource[r.Source]++
 	}
 	fmt.Println("\nreports per knowledge source over one day:")
 	for _, ks := range []string{"ks/dli", "ks/fuzzy", "ks/sbfr", "ks/wnn"} {

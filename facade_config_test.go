@@ -30,12 +30,8 @@ func TestStationConfigOverrides(t *testing.T) {
 	if err := s.Advance(6 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := s.DC.StoredReports(chiller.MotorImbalance.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Errorf("%d vibration reports, want 7 (hourly schedule)", len(rows))
+	if n := len(s.DC.StoredReports(chiller.MotorImbalance.String())); n != 7 {
+		t.Errorf("%d vibration reports, want 7 (hourly schedule)", n)
 	}
 }
 

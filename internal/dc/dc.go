@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,11 +50,9 @@ type Config struct {
 	Start time.Time
 	// EnableSBFR activates the SBFR process monitor (§5.8's "state based
 	// feature recognition routines to collect and analyze process
-	// variables") as a third knowledge source.
+	// variables") as a third knowledge source, sampling the process
+	// channels every DefaultSBFRInterval.
 	EnableSBFR bool
-	// SBFRInterval is the process-channel sampling period for the SBFR
-	// monitor. New normalizes zero/negative to DefaultSBFRInterval.
-	SBFRInterval time.Duration
 	// Historian receives every acquisition's feature scalars, process-scan
 	// vector, and SBFR status transition. Nil means the DC opens a private
 	// in-memory store (use dc.Historian() to query it).
@@ -63,13 +62,9 @@ type Config struct {
 	// health registry (0 disables; heartbeats also require an uplink that
 	// implements HeartbeatUplink).
 	HeartbeatInterval time.Duration
-	// Guard parametrizes the raw sensor-channel guards; the zero value
-	// takes defaults. Guards always run — they are cheap and silent on
-	// healthy channels.
-	Guard GuardConfig
 	// ReportLog is the file the DC logs its condition reports to, replayed
-	// by New into the database it is handed (see reportlog.go); empty keeps
-	// them in that database alone.
+	// by New into the DC's report ring (see reportlog.go); empty keeps them
+	// in the ring alone.
 	ReportLog string
 }
 
@@ -93,7 +88,6 @@ func DefaultConfig(id, objectID string) Config {
 		FrameLen:          16384,
 		VibrationInterval: 4 * time.Hour,
 		ProcessInterval:   30 * time.Minute,
-		SBFRInterval:      DefaultSBFRInterval,
 		CallThreshold:     0.15,
 		Start:             time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC),
 	}
@@ -125,7 +119,9 @@ type DC struct {
 	// transitions are appended.
 	sbfrStatus map[string]float64
 
-	// guard screens raw channels for stuck-at/dropout/spike behavior.
+	// guard screens raw channels for stuck-at/dropout/spike behavior, with
+	// the default settings. It always runs: it is cheap and silent on
+	// healthy channels.
 	guard *ChannelGuard
 
 	reportsSent     int
@@ -138,11 +134,11 @@ type DC struct {
 // heartbeatTask is the scheduler name of the fleet-health heartbeat.
 const heartbeatTask = "heartbeat"
 
-// New builds a DC over a plant source, an in-memory database for its
-// condition reports (their table is created if absent, and the DC is its one
-// writer), and an uplink sink. Set Config.ReportLog for the shipboard
-// configuration, whose reports outlive the process.
-func New(cfg Config, src Source, db *relstore.DB, uplink proto.Sink) (*DC, error) {
+// New builds a DC over a plant source and an uplink sink. The DC keeps its
+// condition reports itself; the database argument is unused, and the
+// parameter goes when relstore leaves the product. Set Config.ReportLog for
+// the shipboard configuration, whose reports outlive the process.
+func New(cfg Config, src Source, _ *relstore.DB, uplink proto.Sink) (*DC, error) {
 	if cfg.ID == "" || cfg.ObjectID == "" {
 		return nil, fmt.Errorf("dc: missing ID or ObjectID")
 	}
@@ -152,11 +148,8 @@ func New(cfg Config, src Source, db *relstore.DB, uplink proto.Sink) (*DC, error
 	if cfg.VibrationInterval <= 0 || cfg.ProcessInterval <= 0 {
 		return nil, fmt.Errorf("dc: non-positive test interval")
 	}
-	if src == nil || db == nil || uplink == nil {
-		return nil, fmt.Errorf("dc: nil source, db, or uplink")
-	}
-	if cfg.SBFRInterval <= 0 {
-		cfg.SBFRInterval = DefaultSBFRInterval
+	if src == nil || uplink == nil {
+		return nil, fmt.Errorf("dc: nil source or uplink")
 	}
 	fz, err := fuzzy.NewChillerDiagnostics()
 	if err != nil {
@@ -172,7 +165,7 @@ func New(cfg Config, src Source, db *relstore.DB, uplink proto.Sink) (*DC, error
 		sched:      NewScheduler(cfg.Start),
 		hist:       cfg.Historian,
 		sbfrStatus: make(map[string]float64),
-		guard:      NewChannelGuard(cfg.Guard),
+		guard:      NewChannelGuard(GuardConfig{}),
 	}
 	if d.hist == nil {
 		d.hist, err = historian.Open(historian.Options{})
@@ -200,7 +193,7 @@ func New(cfg Config, src Source, db *relstore.DB, uplink proto.Sink) (*DC, error
 			return nil, err
 		}
 		if err := d.sched.Schedule(&Task{
-			Name: "sbfr-scan", Interval: cfg.SBFRInterval, Run: d.RunSBFRScan,
+			Name: "sbfr-scan", Interval: DefaultSBFRInterval, Run: d.RunSBFRScan,
 		}, 0); err != nil {
 			return nil, err
 		}
@@ -213,7 +206,7 @@ func New(cfg Config, src Source, db *relstore.DB, uplink proto.Sink) (*DC, error
 		}
 	}
 	// Last, so no later failure leaves the log open.
-	if d.reports, err = openReportLog(db, cfg.ReportLog); err != nil {
+	if d.reports, err = openReportLog(cfg.ReportLog); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -577,7 +570,7 @@ func (d *DC) emit(r *proto.Report, now time.Time) error {
 	} else {
 		d.reportsSent++
 	}
-	return d.reports.add(storedReport{
+	return d.reports.add(StoredReport{
 		Condition: r.MachineConditionID,
 		Source:    r.KnowledgeSourceID,
 		Severity:  r.Severity,
@@ -594,8 +587,8 @@ func (d *DC) Historian() *historian.Store { return d.hist }
 func (d *DC) SBFRScans() int { return d.sbfrScans }
 
 // Close releases DC-owned resources: the report log, and the private
-// historian if the DC opened one. The database and a caller-supplied
-// historian are the caller's to close.
+// historian if the DC opened one. A caller-supplied historian is the
+// caller's to close.
 func (d *DC) Close() error {
 	err := d.reports.close()
 	if d.ownHist {
@@ -610,16 +603,16 @@ func (d *DC) ReportsSent() int { return d.reportsSent }
 // ReportErrors returns how many uplink deliveries failed.
 func (d *DC) ReportErrors() int { return d.reportErrors }
 
-// StoredReports returns the newest maxStoredReports condition reports the
-// DC issued, oldest first, optionally filtered by condition ("" for all).
-// A row's id numbers it in the order this DC value stored it, from 1 and
-// replayed reports first, so after reports were dropped a reopen gives the
-// same reports new ids.
-func (d *DC) StoredReports(condition string) ([]relstore.Row, error) {
-	if condition == "" {
-		return d.reports.db.Select(reportsTable, nil, 0)
+// StoredReports returns a copy of the newest maxStoredReports condition
+// reports the DC issued, oldest first, optionally filtered by condition (""
+// for all). Like SetUplink, call it only between RunFor advances.
+func (d *DC) StoredReports(condition string) []StoredReport {
+	l := d.reports
+	out := slices.Concat(l.ring[l.oldest:], l.ring[:l.oldest])
+	if condition != "" {
+		out = slices.DeleteFunc(out, func(r StoredReport) bool { return r.Condition != condition })
 	}
-	return d.reports.db.Select(reportsTable, relstore.Eq("condition", condition), 0)
+	return out
 }
 
 // IngestThroughput measures the raw acquisition+RMS-detector path: frames

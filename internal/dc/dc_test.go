@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/chiller"
 	"repro/internal/proto"
-	"repro/internal/relstore"
 )
 
 // collector is a Sink recording everything delivered.
@@ -60,7 +59,7 @@ func newTestDC(t testing.TB, faults map[chiller.Fault]float64) (*DC, *chiller.Pl
 		}
 	}
 	sink := &collector{}
-	d, err := New(DefaultConfig("dc-1", "chiller/1"), plant, relstore.NewMemory(), sink)
+	d, err := New(DefaultConfig("dc-1", "chiller/1"), plant, nil, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,6 @@ func TestNewDCValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := relstore.NewMemory()
 	sink := &collector{}
 	good := DefaultConfig("dc-1", "chiller/1")
 	bad := []Config{
@@ -189,17 +187,14 @@ func TestNewDCValidation(t *testing.T) {
 		func() Config { c := good; c.ProcessInterval = 0; return c }(),
 	}
 	for i, c := range bad {
-		if _, err := New(c, plant, db, sink); err == nil {
+		if _, err := New(c, plant, nil, sink); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	if _, err := New(good, nil, db, sink); err == nil {
+	if _, err := New(good, nil, nil, sink); err == nil {
 		t.Error("nil source")
 	}
-	if _, err := New(good, plant, nil, sink); err == nil {
-		t.Error("nil db")
-	}
-	if _, err := New(good, plant, db, nil); err == nil {
+	if _, err := New(good, plant, nil, nil); err == nil {
 		t.Error("nil uplink")
 	}
 }
@@ -254,15 +249,10 @@ func TestFaultyRunEmitsReports(t *testing.T) {
 		t.Errorf("sent counter %d != delivered %d", d.ReportsSent(), sink.count())
 	}
 	// Local persistence mirrors the stream.
-	stored, err := d.StoredReports("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stored) != sink.count() {
+	if stored := d.StoredReports(""); len(stored) != sink.count() {
 		t.Errorf("stored %d != delivered %d", len(stored), sink.count())
 	}
-	byCond, err := d.StoredReports(chiller.MotorImbalance.String())
-	if err != nil || len(byCond) != len(imb) {
+	if byCond := d.StoredReports(chiller.MotorImbalance.String()); len(byCond) != len(imb) {
 		t.Errorf("stored by condition %d want %d", len(byCond), len(imb))
 	}
 }
@@ -279,15 +269,12 @@ func TestUplinkFailureIsRecordedLocally(t *testing.T) {
 	if d.ReportsSent() != 0 {
 		t.Error("sent counter should be zero")
 	}
-	stored, err := d.StoredReports("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stored := d.StoredReports("")
 	if len(stored) == 0 {
 		t.Fatal("reports must persist locally when the uplink is down")
 	}
-	for _, row := range stored {
-		if row["delivered"] != false {
+	for _, r := range stored {
+		if r.Delivered {
 			t.Error("delivered flag should be false")
 		}
 	}
@@ -343,7 +330,7 @@ func BenchmarkIngestPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := New(DefaultConfig("dc-b", "chiller/1"), plant, relstore.NewMemory(), &collector{})
+	d, err := New(DefaultConfig("dc-b", "chiller/1"), plant, nil, &collector{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/chiller"
 	"repro/internal/proto"
-	"repro/internal/relstore"
 )
 
 func sineFrame(n int, amp, phase float64) []float64 {
@@ -167,7 +166,7 @@ func TestStuckChannelQuarantinesReports(t *testing.T) {
 	}
 	src := &frozenSource{Source: plant, pt: chiller.MotorDE}
 	sink := &collector{}
-	d, err := New(DefaultConfig("dc-1", "chiller/1"), src, relstore.NewMemory(), sink)
+	d, err := New(DefaultConfig("dc-1", "chiller/1"), src, nil, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +234,7 @@ func TestDCHeartbeatTask(t *testing.T) {
 	sink := &hbRecorder{}
 	dcfg := DefaultConfig("dc-1", "chiller/1")
 	dcfg.HeartbeatInterval = time.Hour
-	d, err := New(dcfg, plant, relstore.NewMemory(), sink)
+	d, err := New(dcfg, plant, nil, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +283,7 @@ func TestDCNoHeartbeatWithoutCapability(t *testing.T) {
 	sink := &collector{}
 	dcfg := DefaultConfig("dc-1", "chiller/1")
 	dcfg.HeartbeatInterval = time.Hour
-	d, err := New(dcfg, plant, relstore.NewMemory(), sink)
+	d, err := New(dcfg, plant, nil, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

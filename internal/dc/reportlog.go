@@ -7,33 +7,28 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/relstore"
 	"repro/internal/seglog"
 )
 
 // The condition reports a DC issued are its ship-side audit log, kept for a
 // DC the paper leaves "disconnected from our labs for months at a time"
-// (§4.9). They live in the reports table of the DC database and, with
-// Config.ReportLog set, in one seglog file (DESIGN.md, "On-disk logs"): one
-// record per report, its body the report's six columns as compact JSON.
-// Both keep the newest maxStoredReports reports and drop the oldest first,
-// as the uplink spool does. The file also holds the reports dropped since
-// it was last compacted, and drops them once it holds as many dropped as
-// held, so it never holds more than 2 × maxStoredReports records. Appends
-// are not synced; compaction and Close are.
-
-// reportsTable is the DC database's one table: the condition reports the
-// DC issued, each with whether the uplink took it. A vibration test's
-// features live only in the historian.
-const reportsTable = "dc_condition_reports"
+// (§4.9). They live in a ring in memory and, with Config.ReportLog set, in
+// one seglog file (DESIGN.md, "On-disk logs"): one record per report, its
+// body the report's six fields as compact JSON. Both keep the newest
+// maxStoredReports reports and drop the oldest first, as the uplink spool
+// does. The file also holds the reports dropped since it was last
+// compacted, and drops them once it holds as many dropped as held, so it
+// never holds more than 2 × maxStoredReports records. Appends are not
+// synced; compaction and Close are.
 
 // maxStoredReports bounds the reports a DC keeps.
 const maxStoredReports = 4096
 
 var reportLogFormat = seglog.Format{Magic: "MPROSDR1", MaxBody: 1 << 16}
 
-// storedReport is one row of the reports table, as its log record holds it.
-type storedReport struct {
+// StoredReport is one condition report a DC issued, with whether the uplink
+// took it, as its log record holds it.
+type StoredReport struct {
 	Condition string    `json:"condition"`
 	Source    string    `json:"source"`
 	Severity  float64   `json:"severity"`
@@ -42,104 +37,79 @@ type storedReport struct {
 	Delivered bool      `json:"delivered"`
 }
 
-func (r storedReport) row() relstore.Row {
-	return relstore.Row{
-		"condition": r.Condition,
-		"source":    r.Source,
-		"severity":  r.Severity,
-		"belief":    r.Belief,
-		"issued_at": r.IssuedAt,
-		"delivered": r.Delivered,
-	}
-}
-
-// reportLog is the DC's bounded report store: the table, and the file when
-// there is one. The DC is the table's one writer, so the held rows' ids are
-// consecutive and the oldest is the newest's id less held-1.
+// reportLog is the DC's bounded report store: the ring, and the file when
+// there is one. The ring grows by append up to the bound (most DCs never
+// hold that many), then overwrites its oldest report.
 type reportLog struct {
-	db      *relstore.DB
-	log     *seglog.Log // nil: the table alone
-	held    int         // rows in the table
-	dropped int         // records in the file that the table no longer holds
+	ring    []StoredReport
+	oldest  int         // index of the oldest held report once the ring is full
+	log     *seglog.Log // nil: the ring alone
+	dropped int         // records in the file that the ring no longer holds
 }
 
-// openReportLog creates the reports table in db and, with a path, replays
-// the newest maxStoredReports reports of the file there into it.
-func openReportLog(db *relstore.DB, path string) (*reportLog, error) {
-	if err := db.EnsureTable(relstore.Schema{
-		Name: reportsTable,
-		Columns: []relstore.Column{
-			{Name: "condition", Type: relstore.String, Indexed: true},
-			{Name: "source", Type: relstore.String},
-			{Name: "severity", Type: relstore.Float},
-			{Name: "belief", Type: relstore.Float},
-			{Name: "issued_at", Type: relstore.Time},
-			{Name: "delivered", Type: relstore.Bool},
-		},
-	}); err != nil {
-		return nil, err
-	}
+// openReportLog returns an empty store or, with a path, one holding the
+// newest maxStoredReports reports of the file there.
+func openReportLog(path string) (*reportLog, error) {
+	l := &reportLog{}
 	if path == "" {
-		return &reportLog{db: db}, nil
+		return l, nil
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("dc: create report log directory: %w", err)
 	}
-	var logged []storedReport
 	log, _, err := seglog.Open(path, reportLogFormat, nil, func(r seglog.Record) error {
-		var rep storedReport
+		var rep StoredReport
 		if err := json.Unmarshal(r.Body, &rep); err != nil {
 			return fmt.Errorf("undecodable report: %w", err)
 		}
-		logged = append(logged, rep)
+		if l.push(rep) {
+			l.dropped++
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dc: report log: %w", err)
 	}
-	kept := logged[max(0, len(logged)-maxStoredReports):]
-	for _, rep := range kept {
-		if _, err := db.Insert(reportsTable, rep.row()); err != nil {
-			_ = log.Close() // best effort: the insert error is the story
-			return nil, err
-		}
+	l.log = log
+	return l, nil
+}
+
+// push holds a report in the ring and reports whether that dropped the
+// oldest one.
+func (l *reportLog) push(rep StoredReport) bool {
+	if len(l.ring) < maxStoredReports {
+		l.ring = append(l.ring, rep)
+		return false
 	}
-	return &reportLog{db: db, log: log, held: len(kept), dropped: len(logged) - len(kept)}, nil
+	l.ring[l.oldest] = rep
+	l.oldest = (l.oldest + 1) % maxStoredReports
+	return true
 }
 
 // add stores a report, dropping the oldest held one beyond the bound.
-func (l *reportLog) add(rep storedReport) error {
-	if l.log != nil {
-		if err := appendReport(l.log, rep); err != nil {
-			return err
-		}
-	}
-	id, err := l.db.Insert(reportsTable, rep.row())
-	if err != nil {
-		return err
-	}
-	if l.held++; l.held <= maxStoredReports {
-		return nil
-	}
-	if err := l.db.Delete(reportsTable, id-maxStoredReports); err != nil {
-		return err
-	}
-	l.held--
+func (l *reportLog) add(rep StoredReport) error {
 	if l.log == nil {
+		l.push(rep)
 		return nil
 	}
-	if l.dropped++; l.dropped < l.held {
+	if err := appendReport(l.log, rep); err != nil {
+		return err
+	}
+	if !l.push(rep) {
+		return nil
+	}
+	if l.dropped++; l.dropped < len(l.ring) {
 		return nil
 	}
 	// The held reports are the file's newest records.
-	if err := l.log.DropBefore(l.log.Next() - uint64(l.held)); err != nil {
+	if err := l.log.DropBefore(l.log.Next() - uint64(len(l.ring))); err != nil {
 		return fmt.Errorf("dc: compact report log: %w", err)
 	}
 	l.dropped = 0
 	return nil
 }
 
-func appendReport(w *seglog.Log, rep storedReport) error {
+func appendReport(w *seglog.Log, rep StoredReport) error {
 	body, err := json.Marshal(rep)
 	if err != nil {
 		return fmt.Errorf("dc: encode report: %w", err)

@@ -5,13 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chiller"
 	"repro/internal/proto"
-	"repro/internal/relstore"
 	"repro/internal/seglog"
 )
 
@@ -24,7 +24,7 @@ func newLoggingDC(t *testing.T, path string) (*DC, error) {
 	}
 	cfg := DefaultConfig("dc-1", "chiller/1")
 	cfg.ReportLog = path
-	return New(cfg, plant, relstore.NewMemory(), &collector{})
+	return New(cfg, plant, nil, &collector{})
 }
 
 // emitNumbered emits reports first..last-1, each carrying its number as its
@@ -50,24 +50,9 @@ func fileRecords(t *testing.T, path string) int {
 	return n
 }
 
-// withoutIDs strips the row ids, which a reopen renumbers.
-func withoutIDs(rows []relstore.Row) []relstore.Row {
-	out := make([]relstore.Row, len(rows))
-	for i, r := range rows {
-		out[i] = relstore.Row{}
-		for k, v := range r {
-			if k != "id" {
-				out[i][k] = v
-			}
-		}
-	}
-	return out
-}
-
-// TestReportLogKeepsNewest: five bounds' worth of reports leave the table
+// TestReportLogKeepsNewest: five bounds' worth of reports leave the ring
 // holding exactly the newest maxStoredReports in order, the file never
-// holds more than twice the bound, and a reopen reads the same reports back,
-// renumbered from 1.
+// holds more than twice the bound, and a reopen reads the same reports back.
 func TestReportLogKeepsNewest(t *testing.T) {
 	const total = 5 * maxStoredReports
 	path := filepath.Join(t.TempDir(), "reports.log")
@@ -78,7 +63,7 @@ func TestReportLogKeepsNewest(t *testing.T) {
 	peak := 0
 	for i := 1; i <= total; i++ {
 		emitNumbered(t, d, i-1, i)
-		inFile := d.reports.held + d.reports.dropped
+		inFile := len(d.reports.ring) + d.reports.dropped
 		if inFile > 2*maxStoredReports {
 			t.Fatalf("after %d reports the file holds %d records, bound %d", i, inFile, 2*maxStoredReports)
 		}
@@ -90,54 +75,43 @@ func TestReportLogKeepsNewest(t *testing.T) {
 		}
 	}
 	t.Logf("the file peaked at %d records", peak)
-	rows, err := d.StoredReports("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := d.StoredReports("")
 	if len(rows) != maxStoredReports {
-		t.Fatalf("table holds %d reports, want %d", len(rows), maxStoredReports)
+		t.Fatalf("ring holds %d reports, want %d", len(rows), maxStoredReports)
 	}
 	for i, r := range rows {
-		if want := float64(total - maxStoredReports + i); r["severity"] != want {
-			t.Fatalf("row %d holds report %v, want %v", i, r["severity"], want)
+		if want := float64(total - maxStoredReports + i); r.Severity != want {
+			t.Fatalf("report %d is report %v, want %v", i, r.Severity, want)
 		}
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A reopen numbers the replayed reports from 1.
-	reopen := func() (*DC, []relstore.Row) {
+	reopen := func() (*DC, []StoredReport) {
 		t.Helper()
 		d, err := newLoggingDC(t, path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.StoredReports("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first, last := got[0].ID(), got[len(got)-1].ID(); first != 1 || last != maxStoredReports {
-			t.Errorf("reopened ids run %d..%d, want 1..%d", first, last, maxStoredReports)
-		}
-		return d, got
+		return d, d.StoredReports("")
 	}
 	d, again := reopen()
-	if !reflect.DeepEqual(withoutIDs(again), withoutIDs(rows)) {
+	if !reflect.DeepEqual(again, rows) {
 		t.Fatalf("reopen holds %d reports, not the %d stored", len(again), len(rows))
 	}
 	// The reopened DC goes on dropping its oldest reports, and a reopen of a
 	// file that still holds dropped ones replays only the newest.
 	emitNumbered(t, d, total, total+maxStoredReports/2)
-	if rows, err = d.StoredReports(""); err != nil || len(rows) != maxStoredReports || rows[0]["severity"] != float64(total-maxStoredReports/2) {
-		t.Fatalf("after more reports the table holds %d from %v (err %v)", len(rows), rows[0]["severity"], err)
+	if rows = d.StoredReports(""); len(rows) != maxStoredReports || rows[0].Severity != float64(total-maxStoredReports/2) {
+		t.Fatalf("after more reports the ring holds %d from %v", len(rows), rows[0].Severity)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	d, again = reopen()
 	defer d.Close()
-	if !reflect.DeepEqual(withoutIDs(again), withoutIDs(rows)) {
+	if !reflect.DeepEqual(again, rows) {
 		t.Fatalf("reopen of a file with dropped reports holds %d reports, not the %d stored", len(again), len(rows))
 	}
 }
@@ -151,10 +125,7 @@ func TestReportLogTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	emitNumbered(t, d, 0, 3)
-	rows, err := d.StoredReports("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := d.StoredReports("")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +140,7 @@ func TestReportLogTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d2.StoredReports("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rows[:2]) {
+	if got := d2.StoredReports(""); !reflect.DeepEqual(got, rows[:2]) {
 		t.Fatalf("after a torn tail the DC holds %v, want the first two of %v", got, rows)
 	}
 	// The repaired file takes the next report, and a reopen sees it.
@@ -186,8 +153,8 @@ func TestReportLogTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d3.Close()
-	if got, err = d3.StoredReports(""); err != nil || !reflect.DeepEqual(got, rows) {
-		t.Fatalf("after repair and one more report the DC holds %v (err %v), want %v", got, err, rows)
+	if got := d3.StoredReports(""); !reflect.DeepEqual(got, rows) {
+		t.Fatalf("after repair and one more report the DC holds %v, want %v", got, rows)
 	}
 }
 
@@ -216,5 +183,39 @@ func TestReportLogRefusesParentFormat(t *testing.T) {
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
 		t.Error("the refused file was modified")
+	}
+}
+
+// discard is a sink that keeps nothing, so a heap measurement sees only what
+// the DC holds.
+type discard struct{}
+
+func (discard) Deliver(*proto.Report) error { return nil }
+
+// TestStoredReportsHeapBound: a DC holding the newest maxStoredReports
+// reports holds each in at most 128 B of heap. A report is a fixed-size
+// value whose names are the knowledge sources' own strings, so what remains
+// is the ring's growth slack.
+func TestStoredReportsHeapBound(t *testing.T) {
+	const maxBytesPerReport = 128
+	plant, err := chiller.New(chiller.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(DefaultConfig("dc-1", "chiller/1"), plant, nil, discard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	emitNumbered(t, d, 0, 2*maxStoredReports)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perReport := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / maxStoredReports
+	t.Logf("%.0f B of heap per held report", perReport)
+	if perReport > maxBytesPerReport {
+		t.Errorf("%.0f B of heap per held report, want at most %d", perReport, maxBytesPerReport)
 	}
 }

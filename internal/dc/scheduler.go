@@ -10,8 +10,8 @@
 // model mirroring the §8 hardware (two 16×4 multiplexer cards with RMS
 // detectors feeding a 4-channel DSP card); the analyzer suite
 // (vibration rulebook, fuzzy process diagnostics, optional SBFR system);
-// a relstore database for measurements, diagnostic results and condition
-// reports; and an uplink Sink that carries reports to the PDME.
+// a historian for measurements; a bounded ring and log of the condition
+// reports it issued; and an uplink Sink that carries reports to the PDME.
 package dc
 
 import (

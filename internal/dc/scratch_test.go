@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/chiller"
 	"repro/internal/proto"
-	"repro/internal/relstore"
 	"repro/internal/wnn"
 )
 
@@ -53,7 +52,7 @@ func TestSharedScratchLeaksNothingAcrossDCs(t *testing.T) {
 			cfg.FrameLen = s.frameLen
 			cfg.EnableSBFR = true
 			sink := &collector{}
-			d, err := New(cfg, plant, relstore.NewMemory(), sink)
+			d, err := New(cfg, plant, nil, sink)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +181,7 @@ func TestTickAllocBudget(t *testing.T) {
 				src.frames[pt] = append(src.frames[pt], f)
 			}
 		}
-		if d, err = New(cfg, src, relstore.NewMemory(), &collector{}); err != nil {
+		if d, err = New(cfg, src, nil, &collector{}); err != nil {
 			t.Fatal(err)
 		}
 		if c.clf != nil {

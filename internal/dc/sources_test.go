@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/chiller"
-	"repro/internal/relstore"
 	"repro/internal/wnn"
 )
 
@@ -25,17 +24,20 @@ func newSBFRDC(t testing.TB, faults map[chiller.Fault]float64) (*DC, *collector)
 	sink := &collector{}
 	dcCfg := DefaultConfig("dc-sbfr", "chiller/1")
 	dcCfg.EnableSBFR = true
-	dcCfg.SBFRInterval = time.Minute
-	d, err := New(dcCfg, plant, relstore.NewMemory(), sink)
+	d, err := New(dcCfg, plant, nil, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d, sink
 }
 
+// sbfrScanRun is how long the SBFR tests run: 61 scans at
+// DefaultSBFRInterval.
+const sbfrScanRun = 60 * DefaultSBFRInterval
+
 func TestSBFRScanFlagsOilPressureDrop(t *testing.T) {
 	d, sink := newSBFRDC(t, map[chiller.Fault]float64{chiller.OilWhirl: 0.9})
-	if err := d.RunFor(time.Hour); err != nil {
+	if err := d.RunFor(sbfrScanRun); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -54,7 +56,7 @@ func TestSBFRScanFlagsOilPressureDrop(t *testing.T) {
 
 func TestSBFRScanFlagsSuctionDrop(t *testing.T) {
 	d, sink := newSBFRDC(t, map[chiller.Fault]float64{chiller.RefrigerantLowCharge: 0.9})
-	if err := d.RunFor(time.Hour); err != nil {
+	if err := d.RunFor(sbfrScanRun); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -81,7 +83,7 @@ func TestSBFRScanFlagsSuctionDrop(t *testing.T) {
 
 func TestSBFRScanQuietWhenHealthy(t *testing.T) {
 	d, sink := newSBFRDC(t, nil)
-	if err := d.RunFor(2 * time.Hour); err != nil {
+	if err := d.RunFor(2 * sbfrScanRun); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range sink.reports {
@@ -114,7 +116,7 @@ func TestWNNSourceReports(t *testing.T) {
 	sink := &collector{}
 	dcCfg := DefaultConfig("dc-wnn", "chiller/1")
 	dcCfg.FrameLen = 4096 // classifier training cost scales with frames
-	d, err := New(dcCfg, plant, relstore.NewMemory(), sink)
+	d, err := New(dcCfg, plant, nil, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/oosm"
 	"repro/internal/pdme"
 	"repro/internal/proto"
-	"repro/internal/relstore"
 	"repro/internal/vibration"
 )
 
@@ -31,7 +30,7 @@ func figureGroups() fusion.Groups {
 // the Knowledge Fusion component, the predictions of failure for each
 // machine condition group are shown at the bottom of the screen."
 func E10Figure2Browser(seed int64) (*Result, error) {
-	model, err := oosm.NewModel(relstore.NewMemory())
+	model, err := oosm.NewModel(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +90,7 @@ func E10Figure2Browser(seed int64) (*Result, error) {
 // through the event path, and confirms zero polling (fusion runs exactly
 // once per report).
 func E11EventLatency(seed int64) (*Result, error) {
-	model, err := oosm.NewModel(relstore.NewMemory())
+	model, err := oosm.NewModel(nil)
 	if err != nil {
 		return nil, err
 	}

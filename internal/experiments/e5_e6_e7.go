@@ -8,7 +8,6 @@ import (
 	"repro/internal/chiller"
 	"repro/internal/dc"
 	"repro/internal/proto"
-	"repro/internal/relstore"
 	"repro/internal/vibration"
 )
 
@@ -172,7 +171,7 @@ func E7IngestThroughput(seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := dc.New(dc.DefaultConfig("dc-bench", "chiller/1"), plant, relstore.NewMemory(),
+	d, err := dc.New(dc.DefaultConfig("dc-bench", "chiller/1"), plant, nil,
 		proto.SinkFunc(func(*proto.Report) error { return nil }))
 	if err != nil {
 		return nil, err

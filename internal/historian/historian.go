@@ -1,12 +1,12 @@
 // Package historian is the embedded time-series store behind the §4.6 data
 // management layer: "the data management functions of the DC [use] a
 // relational database ... to store sensor data, intermediate results, and
-// condition reports." The relational engine (internal/relstore) keeps the
-// low-rate audit rows; the historian keeps the high-rate numeric history
-// the prognostics need — per-acquisition vibration features, process-scan
-// scalars, SBFR status transitions and fused severities — and serves the
-// §10.1 consumers ("scrutinize failure histories and provide better
-// projections of future faults as they develop").
+// condition reports." The DC's bounded report log (internal/dc) keeps the
+// low-rate condition reports; the historian keeps the high-rate numeric
+// history the prognostics need — per-acquisition vibration features,
+// process-scan scalars, SBFR status transitions and fused severities — and
+// serves the §10.1 consumers ("scrutinize failure histories and provide
+// better projections of future faults as they develop").
 //
 // The design is a write-optimized multi-channel store:
 //

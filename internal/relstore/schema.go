@@ -1,16 +1,17 @@
-// Package relstore is a small in-memory relational engine: typed tables,
-// secondary indexes and equality queries. It keeps nothing on disk.
+// Package relstore is a small in-memory relational engine: typed tables
+// with secondary indexes, into which rows are inserted. It keeps nothing on
+// disk and answers no query.
 //
 // The paper's Data Concentrator is "an open architecture ODBC compliant
-// relational database designed to store all of the instrumentation
-// configuration information, machinery configuration information, test
-// schedules, resultant measurements, diagnostic results, and condition
-// reports" (§5.8), and the OOSM persists objects by mapping "object types
-// to tables and properties and relationships to columns and helper tables"
-// (§4.6). Here the DC keeps its condition reports in it (its measurements
-// live in internal/historian, and the DC logs the reports to its own file);
-// it substitutes for the commercial database of the original system. The
-// OOSM keeps its objects in that table shape itself (internal/oosm).
+// relational database" (§5.8), and the OOSM persists objects by mapping
+// "object types to tables and properties and relationships to columns and
+// helper tables" (§4.6). Here the DC keeps its condition reports in a ring
+// and a log of its own (internal/dc), the OOSM keeps its objects in that
+// table shape itself (internal/oosm), and the PDME's journal is its durable
+// store (internal/pdme). No product path uses this package. The benchmark
+// harness still calls it: its relstore.insert_us probe, and the *DB it hands
+// dc.New and oosm.NewModel, which ignore it. The package and those
+// parameters go when the harness stops naming them.
 package relstore
 
 import (
@@ -22,35 +23,23 @@ import (
 type ColumnType int
 
 const (
-	// Int is a 64-bit signed integer column.
-	Int ColumnType = iota
 	// Float is a float64 column.
-	Float
+	Float ColumnType = iota
 	// String is a UTF-8 text column.
 	String
-	// Bool is a boolean column.
-	Bool
 	// Time is a time.Time column.
 	Time
-	// Bytes is a raw byte-slice column.
-	Bytes
 )
 
 // String returns the SQL-ish name of the column type.
 func (c ColumnType) String() string {
 	switch c {
-	case Int:
-		return "INTEGER"
 	case Float:
 		return "REAL"
 	case String:
 		return "TEXT"
-	case Bool:
-		return "BOOLEAN"
 	case Time:
 		return "TIMESTAMP"
-	case Bytes:
-		return "BLOB"
 	default:
 		return "UNKNOWN"
 	}
@@ -62,9 +51,7 @@ type Column struct {
 	Name string
 	// Type is the value type enforced on writes.
 	Type ColumnType
-	// Nullable permits nil values when true.
-	Nullable bool
-	// Indexed builds a hash index over the column for fast equality lookups.
+	// Indexed builds a hash index over the column.
 	Indexed bool
 }
 
@@ -75,8 +62,8 @@ type Schema struct {
 	Columns []Column
 }
 
-// Validate checks schema well-formedness.
-func (s Schema) Validate() error {
+// validate checks schema well-formedness.
+func (s Schema) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("relstore: empty table name")
 	}
@@ -93,7 +80,7 @@ func (s Schema) Validate() error {
 		}
 		seen[c.Name] = true
 		switch c.Type {
-		case Int, Float, String, Bool, Time, Bytes:
+		case Float, String, Time:
 		default:
 			return fmt.Errorf("relstore: table %q column %q has unknown type", s.Name, c.Name)
 		}
@@ -102,27 +89,18 @@ func (s Schema) Validate() error {
 }
 
 // checkValue verifies that v is assignable to a column of type t.
-func checkValue(t ColumnType, nullable bool, v any) error {
+func checkValue(t ColumnType, v any) error {
 	if v == nil {
-		if !nullable {
-			return fmt.Errorf("relstore: nil value in non-nullable column")
-		}
-		return nil
+		return fmt.Errorf("relstore: nil value")
 	}
 	ok := false
 	switch t {
-	case Int:
-		_, ok = v.(int64)
 	case Float:
 		_, ok = v.(float64)
 	case String:
 		_, ok = v.(string)
-	case Bool:
-		_, ok = v.(bool)
 	case Time:
 		_, ok = v.(time.Time)
-	case Bytes:
-		_, ok = v.([]byte)
 	}
 	if !ok {
 		return fmt.Errorf("relstore: value %T not assignable to %s column", v, t)
@@ -130,18 +108,10 @@ func checkValue(t ColumnType, nullable bool, v any) error {
 	return nil
 }
 
-// Row is a map from column name to value. The engine owns rows it returns;
-// callers must not mutate them (use Update).
+// Row is a map from column name to value.
 type Row map[string]any
 
-// ID returns the row's primary key.
-func (r Row) ID() int64 {
-	id, _ := r["id"].(int64)
-	return id
-}
-
-// clone returns a shallow copy of the row (values are immutable types except
-// Bytes, which callers must treat as read-only).
+// clone returns a shallow copy of the row (its values are immutable).
 func (r Row) clone() Row {
 	out := make(Row, len(r))
 	for k, v := range r {

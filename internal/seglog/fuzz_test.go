@@ -14,7 +14,6 @@ import (
 	"repro/internal/historian"
 	"repro/internal/journal"
 	"repro/internal/proto"
-	"repro/internal/relstore"
 	"repro/internal/seglog"
 	"repro/internal/uplink"
 )
@@ -79,11 +78,11 @@ func userFiles(tb testing.TB) [][]byte {
 	dcCfg := dc.DefaultConfig("dc/seed", "chiller/1")
 	dcCfg.FrameLen = 1024
 	dcCfg.ReportLog = filepath.Join(dir, "dc", "reports.log")
-	d, err := dc.New(dcCfg, plant, relstore.NewMemory(), discard{})
+	d, err := dc.New(dcCfg, plant, nil, discard{})
 	check(err)
 	check(d.RunFor(0))
-	if rows, err := d.StoredReports(""); err != nil || len(rows) == 0 {
-		tb.Fatalf("seed: the DC stored %d reports (err %v)", len(rows), err)
+	if len(d.StoredReports("")) == 0 {
+		tb.Fatal("seed: the DC stored no reports")
 	}
 	check(d.Close())
 

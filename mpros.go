@@ -26,7 +26,6 @@ import (
 	"repro/internal/oosm"
 	"repro/internal/pdme"
 	"repro/internal/proto"
-	"repro/internal/relstore"
 	"repro/internal/uplink"
 )
 
@@ -148,7 +147,6 @@ type Station struct {
 	Recovery pdme.RecoveryStats
 
 	node *Node
-	db   *relstore.DB
 }
 
 // NewStation assembles a station.
@@ -197,14 +195,13 @@ func NewStation(cfg StationConfig) (*Station, error) {
 		dcCfg.Start = cfg.Start
 	}
 	dcCfg.HeartbeatInterval = cfg.Heartbeat
-	db := relstore.NewMemory()
-	conc, err := dc.New(dcCfg, plant, db, node.PDME)
+	conc, err := dc.New(dcCfg, plant, nil, node.PDME)
 	if err != nil {
 		node.Close()
 		return nil, err
 	}
 	return &Station{Plant: plant, DC: conc, PDME: node.PDME, Machine: machine,
-		Historian: node.Historian, Recovery: node.Recovery, node: node, db: db}, nil
+		Historian: node.Historian, Recovery: node.Recovery, node: node}, nil
 }
 
 // InjectFault sets a failure mode's severity on the plant.
@@ -238,8 +235,8 @@ func (s *Station) Browser() (string, error) {
 }
 
 // Close releases the DC (closing its report log), the PDME (writing its final
-// checkpoint), the shared historian, and the DC database.
-func (s *Station) Close() error { return errors.Join(s.DC.Close(), s.node.Close(), s.db.Close()) }
+// checkpoint), and the shared historian.
+func (s *Station) Close() error { return errors.Join(s.DC.Close(), s.node.Close()) }
 
 // FleetConfig configures a multi-DC deployment reporting to one PDME over
 // TCP — the paper's distributed architecture: "Conclusions reached by these
@@ -387,7 +384,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if cfg.WrapSource != nil {
 			src = cfg.WrapSource(i, src)
 		}
-		conc, err := dc.New(dcCfg, src, relstore.NewMemory(), up)
+		conc, err := dc.New(dcCfg, src, nil, up)
 		if err != nil {
 			up.Close()
 			f.Close()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/oosm"
 	"repro/internal/pdme"
 	"repro/internal/proto"
-	"repro/internal/relstore"
 	"repro/internal/serving"
 	"repro/internal/shard"
 )
@@ -62,7 +61,7 @@ func OpenNode(historianDir string, health *HealthConfig, dedupWindow int,
 	if n.Historian, err = historian.Open(historian.Options{Dir: historianDir}); err != nil {
 		return nil, err
 	}
-	model, err := oosm.NewModel(relstore.NewMemory())
+	model, err := oosm.NewModel(nil)
 	if err != nil {
 		return nil, err
 	}
