@@ -10,13 +10,16 @@
 // The package represents a frame of discernment of up to 64 hypotheses;
 // subsets of the frame are bitmasks (type Set). Mass functions assign
 // basic probability to subsets; Combine applies Dempster's rule of
-// combination with conflict renormalization. The maintenance of mass on the
+// combination with conflict renormalization, and CombineInto, DiscountInto
+// and the Set* methods do the same work in storage the caller keeps, so a
+// running fold allocates nothing. The maintenance of mass on the
 // full frame Θ — the "unknown possibilities" — is, per the paper, "both a
 // differentiator and a strength" of the approach, so Unknown() is a
 // first-class query.
 package dempster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -140,52 +143,111 @@ func (f *Frame) Format(s Set) string {
 	return strings.Join(f.Names(s), "∨")
 }
 
-// Mass is a basic probability assignment over subsets of a frame. Masses
-// must be non-negative and sum to 1 (checked by Validate). The zero value is
-// not usable; construct with NewMass.
+// Mass is a basic probability assignment over subsets of a frame: its focal
+// sets in ascending bitmask order, each with its mass beside it, so every
+// walk is deterministic without a sort. Masses must be non-negative and sum
+// to 1 (checked by Validate). Construct one with NewMass, or use a zero Mass
+// as the destination of CombineInto, DiscountInto, CopyFrom, SetVacuous or
+// SetSimpleSupport, which write into its storage and reuse it.
 type Mass struct {
 	frame *Frame
-	m     map[Set]float64
+	sets  []Set     // ascending
+	vals  []float64 // vals[i] is the mass on sets[i]
 }
 
 // NewMass returns an empty mass function over f.
 func NewMass(f *Frame) *Mass {
-	return &Mass{frame: f, m: make(map[Set]float64)}
+	return &Mass{frame: f}
 }
 
 // VacuousMass returns the mass function that assigns everything to Θ —
 // total ignorance, the identity element of Dempster combination.
 func VacuousMass(f *Frame) *Mass {
 	m := NewMass(f)
-	m.m[f.Theta()] = 1
+	m.SetVacuous(f)
 	return m
+}
+
+// SetVacuous makes m the vacuous mass over f.
+func (m *Mass) SetVacuous(f *Frame) {
+	m.reset(f)
+	m.sets = append(m.sets, f.Theta())
+	m.vals = append(m.vals, 1)
 }
 
 // SimpleSupport returns the mass function that assigns belief b to focal set
 // s and the remainder 1-b to Θ. This is exactly how MPROS turns an incoming
 // diagnostic report (machine condition + belief) into evidence.
 func SimpleSupport(f *Frame, s Set, belief float64) (*Mass, error) {
-	if belief < 0 || belief > 1 {
-		return nil, fmt.Errorf("dempster: belief %g outside [0,1]", belief)
-	}
-	if s.IsEmpty() {
-		return nil, fmt.Errorf("dempster: simple support on empty set")
-	}
-	if !f.Theta().Contains(s) {
-		return nil, fmt.Errorf("dempster: focal set outside frame")
-	}
 	m := NewMass(f)
-	if belief > 0 {
-		m.m[s] = belief
-	}
-	if belief < 1 {
-		m.m[f.Theta()] += 1 - belief
+	if err := m.SetSimpleSupport(f, s, belief); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// Set assigns mass v to focal set s, replacing any previous assignment.
+// SetSimpleSupport makes m SimpleSupport(f, s, belief). On error m is
+// unchanged.
+func (m *Mass) SetSimpleSupport(f *Frame, s Set, belief float64) error {
+	if belief < 0 || belief > 1 {
+		return fmt.Errorf("dempster: belief %g outside [0,1]", belief)
+	}
+	if s.IsEmpty() {
+		return fmt.Errorf("dempster: simple support on empty set")
+	}
+	if !f.Theta().Contains(s) {
+		return fmt.Errorf("dempster: focal set outside frame")
+	}
+	m.reset(f)
+	if belief > 0 {
+		m.add(s, belief)
+	}
+	if belief < 1 {
+		m.add(f.Theta(), 1-belief)
+	}
+	return nil
+}
+
+// reset empties m and puts it over f, keeping its storage.
+func (m *Mass) reset(f *Frame) {
+	m.frame, m.sets, m.vals = f, m.sets[:0], m.vals[:0]
+}
+
+// find returns where s is, or would be inserted, in m's focal sets.
+func (m *Mass) find(s Set) (int, bool) { return slices.BinarySearch(m.sets, s) }
+
+// slot returns s's index, making s focal with mass 0 first if it is not.
+func (m *Mass) slot(s Set) int {
+	i, ok := m.find(s)
+	if !ok {
+		m.sets = slices.Insert(m.sets, i, s)
+		m.vals = slices.Insert(m.vals, i, 0)
+	}
+	return i
+}
+
+// add adds v to the mass on s. A set whose products all come to 0 stays
+// focal.
+func (m *Mass) add(s Set, v float64) { m.vals[m.slot(s)] += v }
+
+// Set assigns mass v to focal set s, replacing any previous assignment. A
+// zero mass removes s.
 func (m *Mass) Set(s Set, v float64) error {
+	if err := m.Put(s, v); err != nil || v != 0 {
+		return err
+	}
+	if i, ok := m.find(s); ok {
+		m.sets = slices.Delete(m.sets, i, i+1)
+		m.vals = slices.Delete(m.vals, i, i+1)
+	}
+	return nil
+}
+
+// Put assigns mass v to focal set s like Set, except that a zero mass keeps
+// s focal. Combination keeps a set whose products all came to 0 — Θ after it
+// underflows in a long evidence chain — so a mass rebuilt from its focal
+// sets, as a checkpoint restore does, must keep it too.
+func (m *Mass) Put(s Set, v float64) error {
 	if v < 0 {
 		return fmt.Errorf("dempster: negative mass %g", v)
 	}
@@ -195,34 +257,35 @@ func (m *Mass) Set(s Set, v float64) error {
 	if !m.frame.Theta().Contains(s) {
 		return fmt.Errorf("dempster: focal set outside frame")
 	}
-	if v == 0 {
-		delete(m.m, s)
-		return nil
+	if !s.IsEmpty() {
+		m.vals[m.slot(s)] = v
 	}
-	m.m[s] = v
 	return nil
 }
 
 // Get returns the mass assigned to exactly the focal set s.
-func (m *Mass) Get(s Set) float64 { return m.m[s] }
-
-// FocalSets returns the focal sets (sets with positive mass) in ascending
-// bitmask order, for deterministic iteration.
-func (m *Mass) FocalSets() []Set {
-	out := make([]Set, 0, len(m.m))
-	//lint:allow maporder the one sanctioned raw range: keys are sorted before return, so order cannot leak
-	for s := range m.m {
-		out = append(out, s)
+func (m *Mass) Get(s Set) float64 {
+	if i, ok := m.find(s); ok {
+		return m.vals[i]
 	}
-	slices.Sort(out)
-	return out
+	return 0
 }
+
+// FocalSets returns the focal sets in ascending bitmask order. A combination
+// keeps a set whose mass came to 0, so a focal set's mass is non-negative,
+// not necessarily positive. The slice is m's own: read it, do not keep it
+// past m's next change, and never write it.
+func (m *Mass) FocalSets() []Set { return m.sets }
+
+// Values returns the masses of FocalSets, index for index, under the same
+// contract.
+func (m *Mass) Values() []float64 { return m.vals }
 
 // Validate checks that masses are non-negative and sum to 1 within tol.
 func (m *Mass) Validate(tol float64) error {
 	var sum float64
-	for _, s := range m.FocalSets() {
-		v := m.m[s]
+	for i, s := range m.sets {
+		v := m.vals[i]
 		if v < 0 {
 			return fmt.Errorf("dempster: negative mass %g on %s", v, m.frame.Format(s))
 		}
@@ -240,12 +303,12 @@ func (m *Mass) Validate(tol float64) error {
 // Belief returns Bel(s): the total mass committed to subsets of s — the
 // degree to which the evidence supports s. Summation runs in ascending
 // focal-set order so repeated calls on equal mass functions are
-// bit-identical (float addition is not associative; map order is random).
+// bit-identical (float addition is not associative).
 func (m *Mass) Belief(s Set) float64 {
 	var sum float64
-	for _, focal := range m.FocalSets() {
+	for i, focal := range m.sets {
 		if s.Contains(focal) && !focal.IsEmpty() {
-			sum += m.m[focal]
+			sum += m.vals[i]
 		}
 	}
 	return sum
@@ -256,9 +319,9 @@ func (m *Mass) Belief(s Set) float64 {
 // summation order, as in Belief.
 func (m *Mass) Plausibility(s Set) float64 {
 	var sum float64
-	for _, focal := range m.FocalSets() {
+	for i, focal := range m.sets {
 		if !focal.Intersect(s).IsEmpty() {
-			sum += m.m[focal]
+			sum += m.vals[i]
 		}
 	}
 	return sum
@@ -266,16 +329,27 @@ func (m *Mass) Plausibility(s Set) float64 {
 
 // Unknown returns the mass still assigned to the whole frame Θ — the
 // "likelihood of unknown possibilities" the paper calls out as the
-// differentiator of Dempster-Shafer.
-func (m *Mass) Unknown() float64 { return m.m[m.frame.Theta()] }
+// differentiator of Dempster-Shafer. Θ holds every subset of the frame, so
+// it is the last focal set when it is one.
+func (m *Mass) Unknown() float64 {
+	if n := len(m.sets); n > 0 && m.sets[n-1] == m.frame.Theta() {
+		return m.vals[n-1]
+	}
+	return 0
+}
 
 // Clone returns a deep copy of m.
 func (m *Mass) Clone() *Mass {
 	c := NewMass(m.frame)
-	for _, s := range m.FocalSets() {
-		c.m[s] = m.m[s]
-	}
+	c.CopyFrom(m)
 	return c
+}
+
+// CopyFrom makes m a copy of src.
+func (m *Mass) CopyFrom(src *Mass) {
+	m.frame = src.frame
+	m.sets = append(m.sets[:0], src.sets...)
+	m.vals = append(m.vals[:0], src.vals...)
 }
 
 // Discount applies Shafer's classical discounting: the source providing m
@@ -286,26 +360,47 @@ func (m *Mass) Clone() *Mass {
 // through untouched, at alpha=0 it vanishes into the vacuous mass, and in
 // between beliefs shrink while the unknown mass grows — never the reverse.
 func Discount(m *Mass, alpha float64) (*Mass, error) {
-	if math.IsNaN(alpha) || alpha < 0 || alpha > 1 {
-		return nil, fmt.Errorf("dempster: discount factor %g outside [0,1]", alpha)
-	}
-	if alpha >= 1 {
-		return m.Clone(), nil
-	}
-	if alpha <= 0 {
-		return VacuousMass(m.frame), nil
-	}
 	out := NewMass(m.frame)
-	theta := m.frame.Theta()
-	for _, s := range m.FocalSets() {
-		if s == theta {
-			continue
-		}
-		out.m[s] = alpha * m.m[s]
+	if err := DiscountInto(out, m, alpha); err != nil {
+		return nil, err
 	}
-	out.m[theta] = 1 - alpha + alpha*m.m[theta]
 	return out, nil
 }
+
+// DiscountInto writes Discount(m, alpha) into dst, which must not be m. On
+// error dst is unchanged.
+func DiscountInto(dst, m *Mass, alpha float64) error {
+	if math.IsNaN(alpha) || alpha < 0 || alpha > 1 {
+		return fmt.Errorf("dempster: discount factor %g outside [0,1]", alpha)
+	}
+	if dst == m {
+		return errAliased
+	}
+	if alpha >= 1 {
+		dst.CopyFrom(m)
+		return nil
+	}
+	if alpha <= 0 {
+		dst.SetVacuous(m.frame)
+		return nil
+	}
+	theta := m.frame.Theta()
+	dst.reset(m.frame)
+	var onTheta float64
+	for i, s := range m.sets {
+		if s == theta {
+			onTheta = m.vals[i]
+			continue
+		}
+		dst.sets = append(dst.sets, s)
+		dst.vals = append(dst.vals, alpha*m.vals[i])
+	}
+	dst.sets = append(dst.sets, theta)
+	dst.vals = append(dst.vals, 1-alpha+alpha*onTheta)
+	return nil
+}
+
+var errAliased = errors.New("dempster: destination aliases an input")
 
 // Combine applies Dempster's rule of combination to a and b, which must be
 // defined over the same frame. It returns the combined mass function and the
@@ -319,46 +414,61 @@ func Discount(m *Mass, alpha float64) (*Mass, error) {
 // survivors makes each output sum to 1 within rounding whatever its inputs
 // did, so rounding error cannot compound over a long evidence chain.
 func Combine(a, b *Mass) (*Mass, float64, error) {
-	if a.frame != b.frame {
-		return nil, 0, fmt.Errorf("dempster: cannot combine masses over different frames")
-	}
 	out := NewMass(a.frame)
+	conflict, err := CombineInto(out, a, b)
+	if err != nil {
+		return nil, conflict, err
+	}
+	return out, conflict, nil
+}
+
+// CombineInto writes Combine(a, b)'s mass function into dst, which must be
+// neither a nor b, and returns the conflict. On error dst holds no mass
+// function: a caller folding evidence combines into spare storage and keeps
+// it only on success.
+func CombineInto(dst, a, b *Mass) (float64, error) {
+	if a.frame != b.frame {
+		return 0, fmt.Errorf("dempster: cannot combine masses over different frames")
+	}
+	if dst == a || dst == b {
+		return 0, errAliased
+	}
+	dst.reset(a.frame)
 	var conflict float64
 	// Accumulate in ascending (sa, sb) order: the sums here are float
 	// additions, so a fixed order makes combination a pure function of the
 	// inputs bit-for-bit — the property the serving tier's cache coherence
 	// check (cached view == fresh fuse) depends on.
-	for _, sa := range a.FocalSets() {
-		va := a.m[sa]
-		for _, sb := range b.FocalSets() {
-			vb := b.m[sb]
+	for i, sa := range a.sets {
+		va := a.vals[i]
+		for j, sb := range b.sets {
 			inter := sa.Intersect(sb)
-			p := va * vb
+			p := va * b.vals[j]
 			if inter.IsEmpty() {
 				conflict += p
 			} else {
-				out.m[inter] += p
+				dst.add(inter, p)
 			}
 		}
 	}
 	var survived float64
-	for _, s := range out.FocalSets() {
-		survived += out.m[s]
+	for _, v := range dst.vals {
+		survived += v
 	}
 	if survived <= 1e-12*(survived+conflict) {
-		return nil, conflict, fmt.Errorf("dempster: total conflict between sources (K=%.6f)", conflict)
+		return conflict, fmt.Errorf("dempster: total conflict between sources (K=%.6f)", conflict)
 	}
-	for _, s := range out.FocalSets() {
-		out.m[s] /= survived
+	for i := range dst.vals {
+		dst.vals[i] /= survived
 	}
-	return out, conflict, nil
+	return conflict, nil
 }
 
 // String renders the mass function for debugging.
 func (m *Mass) String() string {
 	var b strings.Builder
-	for _, s := range m.FocalSets() {
-		fmt.Fprintf(&b, "m(%s)=%.4f ", m.frame.Format(s), m.m[s])
+	for i, s := range m.sets {
+		fmt.Fprintf(&b, "m(%s)=%.4f ", m.frame.Format(s), m.vals[i])
 	}
 	return strings.TrimSpace(b.String())
 }

@@ -255,9 +255,9 @@ func randomMass(rng *rand.Rand, f *Frame) *Mass {
 	}
 	for i := 0; i < n; i++ {
 		s := Set(rng.Int63n(int64(f.Theta())) + 1)
-		m.m[s] += weights[i] / total
+		m.add(s, weights[i]/total)
 	}
-	m.m[f.Theta()] += weights[n] / total
+	m.add(f.Theta(), weights[n]/total)
 	return m
 }
 

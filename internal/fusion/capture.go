@@ -12,12 +12,12 @@ import (
 
 // Checkpoint capture: the PDME's checkpoint writer holds its accept lock only
 // while it copies what a later report would change in place, and formats
-// after releasing it. A source's mass is held by reference: every fold
-// replaces it with Combine's result and none writes into one
-// (AddReportFrom), and a fused prognostic vector is likewise replaced, never
-// written, on each AddReport. What the writer emits is byte for byte
-// json.Marshal of the Snapshot taken at the same moment; Snapshot stays the
-// reference it is tested against.
+// after releasing it. A source's mass is copied too, into one flat pair of
+// arrays per capture, because a fold writes the source's mass in place
+// (AddReportFrom). A fused prognostic vector is held by reference: each
+// AddReport replaces it and never writes into it. What the writer emits is
+// byte for byte json.Marshal of the Snapshot taken at the same moment;
+// Snapshot stays the reference it is tested against.
 
 // DiagnosticCapture is a DiagnosticFuser's evidence as Capture found it.
 type DiagnosticCapture struct {
@@ -34,8 +34,11 @@ type capturedBlock struct {
 }
 
 type capturedSource struct {
-	id         string
-	mass       *dempster.Mass // shared: never written after it is installed
+	id string
+	// sets and vals are the source's mass: its focal sets, ascending, and
+	// their masses.
+	sets       []dempster.Set
+	vals       []float64
 	lastReport time.Time
 	conditions []string
 }
@@ -50,12 +53,12 @@ type conditionStamp struct {
 	at        time.Time
 }
 
-// Capture copies the fuser's mutable state, unsorted, into a few arrays that
-// the blocks slice; masses are shared.
+// Capture copies the fuser's mutable state, masses included, unsorted, into
+// a few arrays that the blocks slice.
 func (df *DiagnosticFuser) Capture() *DiagnosticCapture {
 	df.mu.RLock()
 	defer df.mu.RUnlock()
-	var nBlocks, nSources, nReports, nNewest int
+	var nBlocks, nSources, nFocal, nReports, nNewest int
 	//lint:allow maporder only sizes the capture
 	for _, byGroup := range df.states {
 		nBlocks += len(byGroup)
@@ -64,30 +67,39 @@ func (df *DiagnosticFuser) Capture() *DiagnosticCapture {
 			nSources += len(st.sources)
 			nReports += len(st.reports)
 			nNewest += len(st.newest)
+			for _, id := range st.ids {
+				nFocal += len(st.sources[id].mass.FocalSets())
+			}
 		}
 	}
 	c := &DiagnosticCapture{totalFused: df.totalFusedN, blocks: make([]capturedBlock, 0, nBlocks)}
 	sources := make([]capturedSource, 0, nSources)
+	sets, vals := make([]dempster.Set, 0, nFocal), make([]float64, 0, nFocal)
 	// A condition some source reported is a reported condition; with one
 	// source per condition the two counts are equal.
 	conds := make([]string, 0, nReports)
 	reports := make([]conditionCount, 0, nReports)
 	newest := make([]conditionStamp, 0, nNewest)
-	//lint:allow maporder AppendJSON sorts blocks, sources and conditions before writing them
+	// Sources come in id order (ids); AppendJSON sorts the rest.
+	//lint:allow maporder AppendJSON sorts blocks and conditions before writing them
 	for component, byGroup := range df.states {
 		//lint:allow maporder as above
 		for group, st := range byGroup {
 			b := capturedBlock{component: component, group: group, frame: st.frame}
 			s0 := len(sources)
-			//lint:allow maporder as above
-			for id, src := range st.sources {
+			for _, id := range st.ids {
+				src := st.sources[id]
 				c0 := len(conds)
 				//lint:allow maporder as above
 				for cond := range src.conditions {
 					conds = append(conds, cond)
 				}
-				sources = append(sources, capturedSource{id: id, mass: src.mass, lastReport: src.lastReport,
-					conditions: conds[c0:len(conds):len(conds)]})
+				f0 := len(sets)
+				sets = append(sets, src.mass.FocalSets()...)
+				vals = append(vals, src.mass.Values()...)
+				sources = append(sources, capturedSource{id: id,
+					sets: sets[f0:len(sets):len(sets)], vals: vals[f0:len(vals):len(vals)],
+					lastReport: src.lastReport, conditions: conds[c0:len(conds):len(conds)]})
 			}
 			b.sources = sources[s0:len(sources):len(sources)]
 			r0 := len(reports)
@@ -157,7 +169,6 @@ func (b *capturedBlock) appendJSON(dst []byte, members map[membersKey][]byte) ([
 	if len(b.sources) == 0 {
 		dst = append(dst, "null"...)
 	} else {
-		slices.SortFunc(b.sources, func(x, y capturedSource) int { return cmp.Compare(x.id, y.id) })
 		dst = append(dst, '[')
 		for i := range b.sources {
 			if i > 0 {
@@ -176,11 +187,11 @@ func (b *capturedBlock) appendJSON(dst []byte, members map[membersKey][]byte) ([
 				dst = proto.AppendMarshalStrings(dst, src.conditions)
 			}
 			dst = append(dst, `,"focal":`...)
-			if sets := src.mass.FocalSets(); len(sets) == 0 {
+			if len(src.sets) == 0 {
 				dst = append(dst, "null"...)
 			} else {
 				dst = append(dst, '[')
-				for k, set := range sets {
+				for k, set := range src.sets {
 					if k > 0 {
 						dst = append(dst, ',')
 					}
@@ -193,7 +204,7 @@ func (b *capturedBlock) appendJSON(dst []byte, members map[membersKey][]byte) ([
 					dst = append(dst, `{"members":`...)
 					dst = append(dst, names...)
 					dst = append(dst, `,"mass":`...)
-					if dst, err = proto.AppendMarshalFloat(dst, src.mass.Get(set)); err != nil {
+					if dst, err = proto.AppendMarshalFloat(dst, src.vals[k]); err != nil {
 						return dst, err
 					}
 					dst = append(dst, '}')

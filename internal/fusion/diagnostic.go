@@ -120,6 +120,8 @@ type groupState struct {
 	// sources holds per-knowledge-source evidence, keyed by source id
 	// ("" for reports with no source attribution).
 	sources map[string]*sourceEvidence
+	// ids are the keys of sources, sorted: the order the sources combine in.
+	ids []string
 	// reports counts per-condition report arrivals.
 	reports map[string]int
 	// newest is each condition's UpdatedAt: the sensed-at time of the newest
@@ -202,6 +204,18 @@ func newGroupState(frame *dempster.Frame) *groupState {
 	}
 }
 
+// foldScratch is the working storage of one fold or read: the running fused
+// mass and the next one, the report's evidence in a fold or a source's
+// discounted mass in a read, and the discount factors. Reads run
+// concurrently under the read lock, so each takes its own from scratchPool
+// rather than sharing one the fuser keeps.
+type foldScratch struct {
+	fused, next, disc dempster.Mass
+	factors           []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
+
 func (df *DiagnosticFuser) state(component, group string) (*groupState, error) {
 	byGroup, ok := df.states[component]
 	if !ok {
@@ -252,6 +266,8 @@ func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at
 	if belief > df.maxBelief {
 		belief = df.maxBelief
 	}
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
 	df.mu.Lock()
 	defer df.mu.Unlock()
 	st, err := df.state(component, group)
@@ -262,8 +278,7 @@ func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at
 	if err != nil {
 		return ConditionState{}, err
 	}
-	evidence, err := dempster.SimpleSupport(st.frame, hyp, belief)
-	if err != nil {
+	if err := sc.disc.SetSimpleSupport(st.frame, hyp, belief); err != nil {
 		return ConditionState{}, err
 	}
 	src, ok := st.sources[source]
@@ -273,12 +288,15 @@ func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at
 			conditions: make(map[string]struct{}),
 		}
 		st.sources[source] = src
+		i, _ := slices.BinarySearch(st.ids, source)
+		st.ids = slices.Insert(st.ids, i, source)
 	}
-	combined, _, err := dempster.Combine(src.mass, evidence)
-	if err != nil {
+	// Combine into spare storage and swap it in only on success: a refused
+	// fold leaves the source's mass as it was.
+	if _, err := dempster.CombineInto(&sc.next, src.mass, &sc.disc); err != nil {
 		return ConditionState{}, err
 	}
-	src.mass = combined
+	*src.mass, sc.next = sc.next, *src.mass
 	src.conditions[condition] = struct{}{}
 	if at.After(src.lastReport) {
 		src.lastReport = at
@@ -289,24 +307,26 @@ func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at
 	st.reports[condition]++
 	df.totalFusedN++
 	member, out := [1]string{condition}, [1]ConditionState{}
-	if _, err := df.readLocked(group, st, member[:], out[:]); err != nil {
+	if _, err := df.readLocked(group, st, member[:], out[:], sc); err != nil {
 		return ConditionState{}, err
 	}
 	return out[0], nil
 }
 
 // factorsLocked returns the group's source ids in the sorted order they
-// combine in and, aligned with them, the discount factor each source's
-// evidence carries right now (1 for the anonymous source and for
-// untimestamped evidence, which are never discounted). With no discounter
-// installed nothing is discounted and the factors are nil. Callers hold
-// df.mu (read or write).
-func (df *DiagnosticFuser) factorsLocked(st *groupState) (names []string, factors []float64) {
-	names = slices.Sorted(maps.Keys(st.sources))
+// combine in and, aligned with them in sc's factor buffer, the discount
+// factor each source's evidence carries right now (1 for the anonymous
+// source and for untimestamped evidence, which are never discounted). With
+// no discounter installed nothing is discounted and the factors are nil.
+// Both slices are borrowed: the ids are the block's, the factors sc's.
+// Callers hold df.mu (read or write).
+func (df *DiagnosticFuser) factorsLocked(st *groupState, sc *foldScratch) (names []string, factors []float64) {
+	names = st.ids
 	if df.discounter == nil {
 		return names, nil
 	}
-	factors = make([]float64, len(names))
+	factors = slices.Grow(sc.factors[:0], len(names))[:len(names)]
+	sc.factors = factors
 	for i, name := range names {
 		factors[i] = 1
 		if src := st.sources[name]; name != "" && !src.lastReport.IsZero() {
@@ -328,30 +348,34 @@ func factorAt(factors []float64, i int) float64 {
 // state, in factorsLocked's order, and returns that order and the factors it
 // discounted by: the fused mass is a pure function of the group's evidence
 // and those factors, whatever the arrival interleaving across sources was.
-// Callers hold df.mu.
-func (df *DiagnosticFuser) fusedLocked(st *groupState) (fused *dempster.Mass, names []string, factors []float64, err error) {
-	names, factors = df.factorsLocked(st)
-	fused = dempster.VacuousMass(st.frame)
+// The fused mass lives in sc. Callers hold df.mu.
+func (df *DiagnosticFuser) fusedLocked(st *groupState, sc *foldScratch) (fused *dempster.Mass, names []string, factors []float64, err error) {
+	names, factors = df.factorsLocked(st, sc)
+	fused, next := &sc.fused, &sc.next
+	fused.SetVacuous(st.frame)
 	for i, name := range names {
 		m := st.sources[name].mass
 		if alpha := factorAt(factors, i); alpha < 1 {
-			if m, err = dempster.Discount(m, alpha); err != nil {
+			if err = dempster.DiscountInto(&sc.disc, m, alpha); err != nil {
 				return nil, nil, nil, err
 			}
+			m = &sc.disc
 		}
-		if fused, _, err = dempster.Combine(fused, m); err != nil {
+		if _, err = dempster.CombineInto(next, fused, m); err != nil {
 			return nil, nil, nil, err
 		}
+		fused, next = next, fused
 	}
 	return fused, names, factors, nil
 }
 
 // readLocked is the one fused read of a group state: it combines the group's
-// evidence once, fills out[i] with the state of members[i], and returns the
-// factors the combination discounted by. ConditionState, GroupState and
-// Ranked are projections of it. Callers hold df.mu.
-func (df *DiagnosticFuser) readLocked(group string, st *groupState, members []string, out []ConditionState) ([]float64, error) {
-	fused, names, factors, err := df.fusedLocked(st)
+// evidence once in sc, fills out[i] with the state of members[i], and
+// returns the factors the combination discounted by, which are sc's.
+// ConditionState, GroupState and Ranked are projections of it. Callers hold
+// df.mu.
+func (df *DiagnosticFuser) readLocked(group string, st *groupState, members []string, out []ConditionState, sc *foldScratch) ([]float64, error) {
+	fused, names, factors, err := df.fusedLocked(st, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -386,8 +410,9 @@ func (df *DiagnosticFuser) readLocked(group string, st *groupState, members []st
 	// plausibility. It runs in ascending focal-set order — the order
 	// dempster.Mass.Belief and Plausibility sum in — so each sum is
 	// bit-identical to theirs.
-	for _, focal := range fused.FocalSets() {
-		v := fused.Get(focal)
+	vals := fused.Values()
+	for k, focal := range fused.FocalSets() {
+		v := vals[k]
 		for i, hyp := range hyps {
 			if hyp.Contains(focal) && !focal.IsEmpty() {
 				out[i].Belief += v
@@ -454,12 +479,14 @@ func (df *DiagnosticFuser) RankedAll() map[string][]ConditionBelief {
 // each of its groups' reads, sorted. A group whose evidence cannot be
 // combined contributes no rows. Callers hold df.mu.
 func (df *DiagnosticFuser) rankedLocked(component string) []ConditionBelief {
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
 	var out []ConditionBelief
 	//lint:allow maporder rows are fully sorted by (belief, condition) before return and conditions are unique per component
 	for group, st := range df.states[component] {
 		members := df.groups[group]
 		states := make([]ConditionState, len(members))
-		if _, err := df.readLocked(group, st, members, states); err != nil {
+		if _, err := df.readLocked(group, st, members, states, sc); err != nil {
 			continue
 		}
 		for _, cs := range states {
@@ -516,8 +543,10 @@ func (df *DiagnosticFuser) ConditionState(component, condition string) (Conditio
 	if st == nil {
 		return vacuousState(condition, group), nil // no reports yet for the pair's group
 	}
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
 	member, out := [1]string{condition}, [1]ConditionState{}
-	if _, err := df.readLocked(group, st, member[:], out[:]); err != nil {
+	if _, err := df.readLocked(group, st, member[:], out[:], sc); err != nil {
 		return ConditionState{}, err
 	}
 	return out[0], nil
@@ -558,10 +587,13 @@ func (df *DiagnosticFuser) GroupState(component, group string) (GroupState, erro
 		}
 		return gs, nil
 	}
-	var err error
-	if gs.Factors, err = df.readLocked(group, st, members, gs.Members); err != nil {
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
+	factors, err := df.readLocked(group, st, members, gs.Members, sc)
+	if err != nil {
 		return GroupState{}, err
 	}
+	gs.Factors = slices.Clone(factors)
 	return gs, nil
 }
 
@@ -575,7 +607,8 @@ func (df *DiagnosticFuser) GroupFactors(component, group string) []float64 {
 	if st == nil || df.discounter == nil {
 		return nil
 	}
-	_, factors := df.factorsLocked(st)
+	var sc foldScratch // the factors it fills are the caller's to keep
+	_, factors := df.factorsLocked(st, &sc)
 	return factors
 }
 

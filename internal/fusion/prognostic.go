@@ -2,7 +2,6 @@ package fusion
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -25,7 +24,8 @@ import (
 // the original); a stronger report dominates at its horizon and steepens
 // the extrapolated tail, indicating "an even earlier demise".
 func FuseConservative(vectors ...proto.PrognosticVector) (proto.PrognosticVector, error) {
-	var nonEmpty []proto.PrognosticVector
+	var nonEmptyBuf [4]proto.PrognosticVector
+	nonEmpty := nonEmptyBuf[:0]
 	for i, v := range vectors {
 		if err := v.Validate(); err != nil {
 			return nil, fmt.Errorf("fusion: vector %d: %w", i, err)
@@ -43,12 +43,14 @@ func FuseConservative(vectors ...proto.PrognosticVector) (proto.PrognosticVector
 	// Union of horizons, plus each curve's clamp point — the horizon where
 	// its extrapolated tail reaches probability 1 (a kink in the piecewise-
 	// linear claim that must be a fused sample point for the fused curve to
-	// dominate every input everywhere).
-	horizonSet := map[float64]bool{}
+	// dominate every input everywhere). Sorted, then compacted with ==, as
+	// the keys of a set would be.
+	var horizonBuf [16]float64
+	horizons := horizonBuf[:0]
 	var maxH float64
 	for _, v := range nonEmpty {
 		for _, p := range v {
-			horizonSet[p.HorizonSeconds] = true
+			horizons = append(horizons, p.HorizonSeconds)
 			if p.HorizonSeconds > maxH {
 				maxH = p.HorizonSeconds
 			}
@@ -56,10 +58,11 @@ func FuseConservative(vectors ...proto.PrognosticVector) (proto.PrognosticVector
 	}
 	for _, v := range nonEmpty {
 		if h, ok := clampHorizon(v); ok && h < maxH {
-			horizonSet[h] = true
+			horizons = append(horizons, h)
 		}
 	}
-	horizons := slices.Sorted(maps.Keys(horizonSet))
+	slices.Sort(horizons)
+	horizons = slices.Compact(horizons)
 	fused := make(proto.PrognosticVector, 0, len(horizons))
 	prevP := 0.0
 	for _, h := range horizons {
@@ -122,13 +125,14 @@ func claimAt(v proto.PrognosticVector, h float64) (float64, bool) {
 
 // simplify removes interior points that lie (within tolerance) on the line
 // between their neighbours, so a dominated report leaves no trace in the
-// fused vector.
+// fused vector. It works in place: the point it keeps goes no further right
+// than the point it is reading.
 func simplify(v proto.PrognosticVector) proto.PrognosticVector {
 	if len(v) <= 2 {
 		return v
 	}
 	const tol = 1e-9
-	out := proto.PrognosticVector{v[0]}
+	out := v[:1]
 	for i := 1; i < len(v)-1; i++ {
 		a := out[len(out)-1]
 		b := v[i]

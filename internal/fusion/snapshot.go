@@ -76,14 +76,15 @@ func (df *DiagnosticFuser) Snapshot() DiagnosticState {
 // the block it belongs to.
 func (gs *groupState) Snapshot() GroupSnapshot {
 	var snap GroupSnapshot
-	for _, id := range slices.Sorted(maps.Keys(gs.sources)) {
+	for _, id := range gs.ids {
 		src := gs.sources[id]
 		ss := SourceSnapshot{Source: id, LastReport: src.lastReport,
 			Conditions: slices.Sorted(maps.Keys(src.conditions))}
-		for _, set := range src.mass.FocalSets() {
+		vals := src.mass.Values()
+		for k, set := range src.mass.FocalSets() {
 			ss.Focal = append(ss.Focal, FocalMass{
 				Members: gs.frame.Names(set),
-				Mass:    src.mass.Get(set),
+				Mass:    vals[k],
 			})
 		}
 		snap.Sources = append(snap.Sources, ss)
@@ -130,8 +131,9 @@ func (df *DiagnosticFuser) Restore(st DiagnosticState) error {
 }
 
 // Restore fills a fresh group state (newGroupState over the group's frame)
-// from its snapshot. A snapshot written before Newest existed restores with
-// zero stamps: those pairs stay unstamped until their next report.
+// from its snapshot. Each mass comes back exactly as captured, a focal set
+// with mass 0 included. A snapshot written before Newest existed restores
+// with zero stamps: those pairs stay unstamped until their next report.
 func (gs *groupState) Restore(snap GroupSnapshot) error {
 	maps.Copy(gs.reports, snap.Reports)
 	maps.Copy(gs.newest, snap.Newest)
@@ -147,7 +149,7 @@ func (gs *groupState) Restore(snap GroupSnapshot) error {
 		for _, fm := range ss.Focal {
 			set, err := gs.frame.SetOf(fm.Members...)
 			if err == nil {
-				err = src.mass.Set(set, fm.Mass)
+				err = src.mass.Put(set, fm.Mass)
 			}
 			if err != nil {
 				return fmt.Errorf("source %q: %w", ss.Source, err)
@@ -155,6 +157,7 @@ func (gs *groupState) Restore(snap GroupSnapshot) error {
 		}
 		gs.sources[ss.Source] = src
 	}
+	gs.ids = slices.Sorted(maps.Keys(gs.sources))
 	return nil
 }
 
