@@ -80,7 +80,7 @@ func run() int {
 	healthFloor := flag.Float64("health-floor", 0, "minimum evidence reliability under staleness discounting [0,1)")
 	healthWallclock := flag.Bool("health-wallclock", false, "judge staleness by the wall clock instead of the event-time watermark (use when DCs report in real time; simulated DCs carry virtual timestamps)")
 	journalDir := flag.String("journal-dir", "", "write-ahead journal + checkpoint directory; accepted envelopes are fsynced before fusion and a killed pdmed recovers its state on restart (empty disables durability)")
-	checkpointInterval := flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint cadence with -journal-dir (0 disables the timer; count-based checkpoints still run every 1024 records)")
+	checkpointInterval := flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint cadence with -journal-dir (0 disables the timer; automatic checkpoints still run once at least 1024 records and twice the last checkpoint's size of WAL bytes have accumulated)")
 	dedupWindow := flag.Int("dedup-window", 0, "per-DC duplicate-suppression window in sequences (0: protocol default, 4096); size above the deepest spool replay a DC outage can produce")
 	aggregator := flag.Bool("aggregator", false, "run as the global fleet aggregator: -listen accepts FusedSummary envelopes from shard PDMEs, -serve-addr serves /ranked[?top=k] /belief /coverage")
 	ringSpec := flag.String("ring", "", "shard ring membership as \"id=addr,id=addr,...\" (aggregator mode: coverage accounting over the full membership, not just shards seen so far)")

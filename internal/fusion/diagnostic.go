@@ -256,7 +256,7 @@ func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at
 	if component == "" {
 		return ConditionState{}, fmt.Errorf("fusion: empty component")
 	}
-	if belief < 0 || belief > 1 {
+	if !(belief >= 0 && belief <= 1) { // NaN too
 		return ConditionState{}, fmt.Errorf("fusion: belief %g outside [0,1]", belief)
 	}
 	group, err := df.GroupOf(condition)

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -180,10 +181,8 @@ func TestCaptureRestoreCaptureIsIdentity(t *testing.T) {
 	}
 }
 
-// TestRefusedFoldLeavesStateUntouched: a report whose evidence cannot be
-// combined with its source's is refused, and the source's mass is what it
-// was. A NaN belief passes AddReportFrom's range check and makes evidence
-// with no mass, which every mass is in total conflict with.
+// TestRefusedFoldLeavesStateUntouched: a report with a NaN belief on a block
+// that holds evidence is refused, and the source's mass is what it was.
 func TestRefusedFoldLeavesStateUntouched(t *testing.T) {
 	df, err := NewDiagnosticFuser(testGroups())
 	if err != nil {
@@ -201,6 +200,36 @@ func TestRefusedFoldLeavesStateUntouched(t *testing.T) {
 	}
 	if after := diagnosticJSON(t, df); !bytes.Equal(before, after) {
 		t.Fatalf("a refused fold changed the state:\n%s\n%s", before, after)
+	}
+}
+
+// TestNaNBeliefRefusedBeforeAnyState: a NaN belief is outside [0,1] and is
+// refused by the range check, before the fold creates the block or the source
+// it would have gone to: Blocks() and the capture bytes are as they were.
+func TestNaNBeliefRefusedBeforeAnyState(t *testing.T) {
+	df, err := NewDiagnosticFuser(testGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC)
+	if _, err := df.AddReportFrom("motor/1", "motor imbalance", "dc-1", at, 0.6); err != nil {
+		t.Fatal(err)
+	}
+	blocks, before := df.Blocks(), diagnosticJSON(t, df)
+	for _, r := range []struct{ component, condition, source string }{
+		{"motor/2", "motor imbalance", "dc-1"}, // a new block
+		{"motor/1", "motor imbalance", "dc-2"}, // a new source on a held block
+	} {
+		_, err := df.AddReportFrom(r.component, r.condition, r.source, at.Add(time.Hour), math.NaN())
+		if err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+			t.Fatalf("%v: a NaN belief was answered %v, want the range error", r, err)
+		}
+	}
+	if got := df.Blocks(); !slices.Equal(got, blocks) {
+		t.Errorf("refused NaN folds changed the blocks: %v, want %v", got, blocks)
+	}
+	if after := diagnosticJSON(t, df); !bytes.Equal(before, after) {
+		t.Errorf("refused NaN folds changed the state:\n%s\n%s", before, after)
 	}
 }
 

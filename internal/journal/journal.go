@@ -22,6 +22,12 @@
 // between the two renames leaves stale records (jseq ≤ watermark) in the
 // WAL; recovery skips them by sequence, so the pair of files is consistent
 // no matter where the crash lands.
+//
+// The journal counts the WAL bytes it appends — each record's body plus
+// seglog's frame, those of the tail Open recovered included — beside its
+// next jseq, and writes the count nowhere (see Tip). When to checkpoint is
+// the owner's call: the PDME pins the count with the watermark and paces its
+// automatic checkpoints by the bytes appended since (pdme.JournalOptions).
 package journal
 
 import (
@@ -82,7 +88,10 @@ type Journal struct {
 	closed bool
 
 	nextSeq uint64
-	ckpt    uint64 // watermark of the durable checkpoint (0 = none)
+	// appended is the WAL bytes of the records through nextSeq−1, counted
+	// from the tail Open recovered; see Tip.
+	appended uint64
+	ckpt     uint64 // watermark of the durable checkpoint (0 = none)
 	// failed is the first WAL write or fsync error; see AppendBatch.
 	failed error
 	frames []seglog.Record // AppendBatch's framing scratch, reused
@@ -131,6 +140,7 @@ func Open(dir string) (*Journal, *Recovery, error) {
 			return nil
 		}
 		rec.Tail = append(rec.Tail, Record{Seq: r.Seq, Kind: r.Kind, Body: bytes.Clone(r.Body)})
+		j.appended += recordBytes(r.Body)
 		return nil
 	})
 	if err != nil {
@@ -171,6 +181,9 @@ func readCheckpoint(path string) (blob []byte, seq uint64, err error) {
 	return blob, seq, nil
 }
 
+// recordBytes is what a record with this body occupies in the WAL.
+func recordBytes(body []byte) uint64 { return uint64(len(body) + seglog.RecordOverhead) }
+
 // Append journals one record, returning its jseq: the batch of one.
 func (j *Journal) Append(kind byte, body []byte) (uint64, error) {
 	return j.AppendBatch(kind, [][]byte{body})
@@ -194,8 +207,10 @@ func (j *Journal) AppendBatch(kind byte, bodies [][]byte) (uint64, error) {
 	}
 	first := j.nextSeq
 	recs := j.frames[:0]
+	size := uint64(0)
 	for i, body := range bodies {
 		recs = append(recs, seglog.Record{Kind: kind, Seq: first + uint64(i), Body: body})
+		size += recordBytes(body)
 	}
 	err := j.wal.AppendBatch(recs)
 	if err == nil {
@@ -211,6 +226,7 @@ func (j *Journal) AppendBatch(kind byte, bodies [][]byte) (uint64, error) {
 		return 0, err
 	}
 	j.nextSeq = first + uint64(len(bodies))
+	j.appended += size
 	return first, nil
 }
 
@@ -274,6 +290,19 @@ func (j *Journal) LastSeq() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.nextSeq - 1
+}
+
+// Tip returns the jseq of the most recent append (0 before any) and the WAL
+// bytes of the records through it — bodies plus seglog framing — counted
+// from the tail Open recovered: right after Open it is exactly that tail's
+// bytes. The count lives only in memory. Two tips differ by exactly the bytes
+// of the records appended between them, so an owner that pins the tip with
+// a checkpoint's watermark knows the WAL bytes above that watermark at any
+// later tip.
+func (j *Journal) Tip() (seq, walBytes uint64) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.nextSeq - 1, j.appended
 }
 
 // CheckpointSeq returns the durable checkpoint watermark (0 when none).

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/seglog"
 )
 
 func mustOpen(t *testing.T, dir string) (*Journal, *Recovery) {
@@ -626,5 +628,123 @@ func TestAppendBatchAllocatesNothingPerRecord(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("AppendBatch of %d records allocates %v times, want 0", len(bodies), allocs)
+	}
+}
+
+// TestTipCountsTheWALBytesAboveAPin: the journal's byte count grows by each
+// record's body plus its frame, so the count at any tip minus the count
+// pinned with a checkpoint's watermark is the size of exactly the records
+// above it — the WAL file's bytes past its header once the checkpoint has
+// dropped the rest. Checkpoints land on batch boundaries and inside batches;
+// after a reopen the count starts at the recovered tail's bytes, and stale
+// records a crash left below the watermark count for nothing.
+func TestTipCountsTheWALBytesAboveAPin(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, walName)
+	j, _ := mustOpen(t, dir)
+	fileSize := func() uint64 {
+		t.Helper()
+		fi, err := os.Stat(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return uint64(fi.Size())
+	}
+	header := fileSize() // a fresh WAL holds its header only
+	// through[seq] is the byte count at seq: the count starts at zero on a
+	// fresh journal and grows by len(body) + the frame per record.
+	through := map[uint64]uint64{0: 0}
+	last := uint64(0)
+	add := func(sizes ...int) {
+		t.Helper()
+		bodies := make([][]byte, len(sizes))
+		for i, n := range sizes {
+			bodies[i] = bytes.Repeat([]byte{'x'}, n)
+		}
+		first, err := j.AppendBatch(1, bodies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range sizes {
+			through[first+uint64(i)] = through[first+uint64(i)-1] + uint64(n+seglog.RecordOverhead)
+		}
+		last = first + uint64(len(sizes)) - 1
+		if seq, n := j.Tip(); seq != last || n != through[last] {
+			t.Fatalf("Tip = (%d, %d) after a batch, want (%d, %d)", seq, n, last, through[last])
+		}
+	}
+	checkpoint := func(seq uint64) {
+		t.Helper()
+		if err := j.WriteCheckpoint(seq, []byte("state")); err != nil {
+			t.Fatalf("WriteCheckpoint(%d): %v", seq, err)
+		}
+		_, n := j.Tip()
+		if above, onDisk := n-through[seq], fileSize()-header; above != through[last]-through[seq] || above != onDisk {
+			t.Fatalf("checkpoint %d: count above the pin %d, WAL bytes past the header %d, want %d",
+				seq, above, onDisk, through[last]-through[seq])
+		}
+	}
+	reopen := func(ckpt uint64) {
+		t.Helper()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var rec *Recovery
+		j, rec = mustOpen(t, dir)
+		tail := uint64(0)
+		for _, r := range rec.Tail {
+			tail += uint64(len(r.Body) + seglog.RecordOverhead)
+		}
+		seq, n := j.Tip()
+		if seq != last || n != tail || n != through[last]-through[ckpt] {
+			t.Fatalf("reopen at checkpoint %d: Tip = (%d, %d), want (%d, %d), the tail's bytes", ckpt, seq, n, last, tail)
+		}
+		// The count restarts at the tail: rebase the model on the watermark.
+		base := through[ckpt]
+		for s := range through {
+			if s < ckpt {
+				delete(through, s)
+			} else {
+				through[s] -= base
+			}
+		}
+	}
+
+	add(10, 0, 300)
+	add(70000) // past the frame buffer's retained size
+	checkpoint(4)
+	add(5, 6, 7, 8) // 5-8
+	checkpoint(6)   // inside the batch
+	add(1)          // 9
+	checkpoint(6)   // again at the same watermark
+	add(2, 3)       // 10-11
+	checkpoint(9)   // the pin sits between two batches appended since
+	reopen(9)
+	add(40, 50, 60) // 12-14
+	checkpoint(13)
+	reopen(13)
+	checkpoint(14)
+	reopen(14) // nothing above the watermark: the count is zero
+
+	// A crash between the checkpoint's rename and the WAL compaction leaves
+	// stale records below the watermark in the file; they are not the tail.
+	add(100, 200, 300) // 15-17
+	pre, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoint(16)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath, pre, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopen(16)
+	if _, n := j.Tip(); n != uint64(300+seglog.RecordOverhead) {
+		t.Fatalf("count with stale records below the watermark = %d, want one record's %d", n, 300+seglog.RecordOverhead)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

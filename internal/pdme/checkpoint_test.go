@@ -386,15 +386,22 @@ func TestCheckpointSuccessClearsStaleFailure(t *testing.T) {
 	}
 }
 
-// TestCheckpointAllocBudget: at the fleet shape the benchmark's durable
-// ingest runs — 128 chillers, 12 conditions in 4 groups, 4 knowledge sources,
-// two DCs with full dedup windows — one steady-state Checkpoint allocates at
-// most 2.5 times the checkpoint it writes: one buffer for the bytes, the
-// capture's copies, and little else.
-func TestCheckpointAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fills a 128-machine engine")
-	}
+// ingestShape draws a seeded schedule at the fleet shape the benchmark's
+// durable ingest runs: 128 chillers, 12 conditions in 4 groups, 4 knowledge
+// sources and two DCs, each report about a machine, condition and source
+// drawn at random, one virtual second after the last.
+type ingestShape struct {
+	rng   *rand.Rand
+	conds []string
+	seqs  [2]uint64
+	n     int
+}
+
+// newIngestShapePDME returns an engine configured for the shape — its groups,
+// a 1 024-sequence dedup window per DC as the benchmark configures — and the
+// schedule drawn from seed.
+func newIngestShapePDME(t testing.TB, seed int64) (*PDME, *ingestShape) {
+	t.Helper()
 	groups := fusion.Groups{}
 	var conds []string
 	for g := range 4 {
@@ -413,38 +420,63 @@ func TestCheckpointAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.ConfigureDedup(1024)
+	return p, &ingestShape{rng: rand.New(rand.NewSource(seed)), conds: conds}
+}
+
+var ingestShapeSources = []string{"ks/dli", "ks/fuzzy", "ks/sbfr", "ks/wnn"}
+
+// next appends the schedule's next n deliveries to run.
+func (s *ingestShape) next(run []proto.Delivery, n int) []proto.Delivery {
+	t0 := time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC)
+	for range n {
+		dc := s.n % 2
+		s.seqs[dc]++
+		p1 := 0.1 + 0.4*s.rng.Float64()
+		r := report(ingestShapeSources[s.rng.Intn(len(ingestShapeSources))], fmt.Sprintf("chiller/%d", s.rng.Intn(128)),
+			s.conds[s.rng.Intn(len(s.conds))], 0.5, 0.3+0.6*s.rng.Float64(), t0.Add(time.Duration(s.n)*time.Second),
+			proto.PrognosticVector{{Probability: p1, HorizonSeconds: 86400 * float64(3+s.rng.Intn(28))}})
+		r.Explanation = fmt.Sprintf("synthetic finding, severity %.2f, ticket %06d", r.Severity, s.n)
+		run = append(run, proto.Delivery{Report: r, DCID: fmt.Sprintf("dc-%d", dc), Boot: 1, Seq: s.seqs[dc]})
+		s.n++
+	}
+	return run
+}
+
+// deliverRun delivers run as one batch and fails on any refusal.
+func deliverRun(t testing.TB, p *PDME, run []proto.Delivery) {
+	t.Helper()
+	p.DeliverBatch(run)
+	for _, d := range run {
+		if d.Err != nil {
+			t.Fatal(d.Err)
+		}
+	}
+}
+
+// TestCheckpointAllocBudget: at the fleet shape the benchmark's durable
+// ingest runs — 128 chillers, 12 conditions in 4 groups, 4 knowledge sources,
+// two DCs with full dedup windows — one steady-state Checkpoint allocates at
+// most 2.5 times the checkpoint it writes: one buffer for the bytes, the
+// capture's copies, and little else.
+func TestCheckpointAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills a 128-machine engine")
+	}
+	p, shape := newIngestShapePDME(t, 1)
 	dir := t.TempDir()
 	if _, err := p.OpenJournal(JournalOptions{Dir: dir, CheckpointEvery: -1}); err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	rng := rand.New(rand.NewSource(1))
-	ks := []string{"ks/dli", "ks/fuzzy", "ks/sbfr", "ks/wnn"}
-	t0 := time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC)
-	seqs := [2]uint64{}
 	run := make([]proto.Delivery, 0, 512)
-	for i := range 24 * 1024 {
-		dc := i % 2
-		seqs[dc]++
-		p1 := 0.1 + 0.4*rng.Float64()
-		r := report(ks[rng.Intn(len(ks))], fmt.Sprintf("chiller/%d", rng.Intn(128)), conds[rng.Intn(len(conds))],
-			0.5, 0.3+0.6*rng.Float64(), t0.Add(time.Duration(i)*time.Second),
-			proto.PrognosticVector{{Probability: p1, HorizonSeconds: 86400 * float64(3+rng.Intn(28))}})
-		run = append(run, proto.Delivery{Report: r, DCID: fmt.Sprintf("dc-%d", dc), Boot: 1, Seq: seqs[dc]})
-		if len(run) == cap(run) {
-			p.DeliverBatch(run)
-			for _, d := range run {
-				if d.Err != nil {
-					t.Fatal(d.Err)
-				}
-			}
-			run = run[:0]
-		}
+	for range 24 * 1024 / cap(run) {
+		run = shape.next(run[:0], cap(run))
+		deliverRun(t, p, run)
 	}
 	if err := p.Checkpoint(); err != nil { // sizes the next one's buffer
 		t.Fatal(err)
 	}
-	if err := p.DeliverTagged(report("ks/dli", "chiller/1", conds[0], 0.5, 0.5, t0, nil), "dc-0", 1, seqs[0]+1); err != nil {
+	if err := p.DeliverTagged(report("ks/dli", "chiller/1", shape.conds[0], 0.5, 0.5, time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC), nil), "dc-0", 1, shape.seqs[0]+1); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -462,5 +494,208 @@ func TestCheckpointAllocBudget(t *testing.T) {
 	t.Logf("one checkpoint of %d bytes allocated %d bytes (%.2f×)", fi.Size(), alloc, ratio)
 	if ratio > 2.5 {
 		t.Errorf("one checkpoint of %d bytes allocated %d bytes, %.2f× its size; budget 2.5×", fi.Size(), alloc, ratio)
+	}
+}
+
+// pacedCheckpoint is one automatic checkpoint a schedule saw: after which
+// batch, at which watermark, how long, and the journal's byte count it pinned.
+type pacedCheckpoint struct {
+	batch int
+	seq   uint64
+	len   int
+	tip   uint64
+}
+
+// lastCheckpoint reads the engine's newest checkpoint, stamped with batch.
+func lastCheckpoint(p *PDME, batch int) pacedCheckpoint {
+	_, _, seq, _ := p.JournalInfo()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return pacedCheckpoint{batch: batch, seq: seq, len: p.checkpointLen, tip: p.checkpointTip}
+}
+
+// walTip is the journal's byte count: every WAL byte appended since the
+// journal was created, for an engine that never reopened it.
+func walTip(p *PDME) uint64 {
+	_, n := p.journalHandle().Tip()
+	return n
+}
+
+// crashImage copies the journal files in dir as a crash would leave them, to
+// a directory of their own that a second engine can recover from while the
+// first still holds the originals.
+func crashImage(t *testing.T, dir string) string {
+	t.Helper()
+	image := t.TempDir()
+	for _, name := range []string{"wal.mprosj", "checkpoint.mprosc"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return image
+}
+
+// TestCheckpointPacedByWALBytes: by default a checkpoint waits for the WAL to
+// outgrow it. On a seeded schedule over the benchmark's fleet shape, whose
+// checkpoint is larger than 1 024 records of WAL, (i) the checkpoints write at
+// most half the WAL's bytes plus one checkpoint; (ii) a tiny state still
+// checkpoints every 1 024 records; (iii) CheckpointEvery 8 still checkpoints
+// every 8 records; (iv) an engine abandoned, without Close, just before a
+// paced checkpoint recovers Ranked/Belief bit for bit, replays no more than
+// the bound, and then paces its checkpoints exactly as the undisturbed run.
+func TestCheckpointPacedByWALBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills a 128-machine engine")
+	}
+	const batch, batches = 32, 640
+	undisturbed, shape := newIngestShapePDME(t, 1)
+	if _, err := undisturbed.OpenJournal(JournalOptions{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	defer undisturbed.Close()
+	var ckpts []pacedCheckpoint
+	seen := uint64(0) // the newest watermark in ckpts
+	run := make([]proto.Delivery, 0, batch)
+	for b := range batches {
+		run = shape.next(run[:0], batch)
+		deliverRun(t, undisturbed, run)
+		if c := lastCheckpoint(undisturbed, b); c.seq != seen {
+			ckpts, seen = append(ckpts, c), c.seq
+		}
+	}
+	if err := undisturbed.JournalError(); err != nil {
+		t.Fatal(err)
+	}
+	wal := walTip(undisturbed)
+	written, largest := 0, 0
+	for _, c := range ckpts {
+		written += c.len
+		largest = max(largest, c.len)
+	}
+	perRecord := float64(wal) / float64(batch*batches)
+	t.Logf("%d records, %d WAL bytes (%.0f per record); %d checkpoints at %v, %d bytes written, the last %d bytes",
+		batch*batches, wal, perRecord, len(ckpts), ckpts, written, ckpts[len(ckpts)-1].len)
+	if last := ckpts[len(ckpts)-1].len; float64(last) <= DefaultCheckpointEvery*perRecord {
+		t.Fatalf("the last checkpoint (%d bytes) is no larger than %d records of WAL (%.0f bytes): the shape does not test the pace",
+			last, DefaultCheckpointEvery, DefaultCheckpointEvery*perRecord)
+	}
+	if len(ckpts) < 3 || ckpts[0].seq != DefaultCheckpointEvery {
+		t.Fatalf("checkpoints at %v: want the first at record %d and at least two paced ones after it", ckpts, DefaultCheckpointEvery)
+	}
+	// (i) Each checkpoint after the first waited for twice its predecessor's
+	// length of WAL, so all but the last add up to at most half the WAL.
+	if uint64(written) > wal/checkpointPace+uint64(largest) {
+		t.Errorf("(i) checkpoints wrote %d bytes for %d WAL bytes: over half the WAL plus one checkpoint (%d)",
+			written, wal, wal/checkpointPace+uint64(largest))
+	}
+
+	// (iv) A second engine runs the same schedule and is abandoned, never
+	// Closed. Its files are copied twice: halfway between the last two
+	// checkpoints, with more than DefaultCheckpointEvery records above the
+	// watermark, and right before the batch that trips the last one, when
+	// the WAL tail is the longest the cadence lets grow.
+	crash, prev := ckpts[len(ckpts)-1], ckpts[len(ckpts)-2]
+	half := (prev.batch + crash.batch) / 2
+	if (half-prev.batch)*batch <= DefaultCheckpointEvery {
+		t.Fatalf("checkpoints after batches %d and %d: too close to crash between them above the record floor", prev.batch, crash.batch)
+	}
+	crashed, replay := newIngestShapePDME(t, 1)
+	dir := t.TempDir()
+	if _, err := crashed.OpenJournal(JournalOptions{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	var halfway string
+	for b := range crash.batch {
+		if b == half {
+			halfway = crashImage(t, dir)
+		}
+		run = replay.next(run[:0], batch)
+		deliverRun(t, crashed, run)
+	}
+	if got := lastCheckpoint(crashed, crash.batch-1); got.seq != prev.seq || got.len != prev.len {
+		t.Fatalf("the second run's newest checkpoint is %+v before the crash, want %+v", got, prev)
+	}
+	_, last, _, _ := crashed.JournalInfo()
+	tailBytes := walTip(crashed) - prev.tip
+	recovered, _ := newIngestShapePDME(t, 1)
+	stats, err := recovered.OpenJournal(JournalOptions{Dir: crashImage(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if !stats.CheckpointLoaded || stats.CheckpointSeq != prev.seq || uint64(stats.ReportsReplayed) != last-prev.seq || stats.SkippedRecords != 0 {
+		t.Fatalf("recovery %+v: want checkpoint %d loaded and %d records replayed", stats, prev.seq, last-prev.seq)
+	}
+	// The bound: the floor's records or twice the checkpoint's length of
+	// WAL, whichever is more, plus the batch in flight when the cadence fired.
+	if bound := max(DefaultCheckpointEvery*perRecord, float64(checkpointPace*prev.len)) + batch*perRecord; float64(tailBytes) > bound {
+		t.Errorf("(iv) recovery replayed %d records, %d WAL bytes: over the bound of %.0f bytes", stats.ReportsReplayed, tailBytes, bound)
+	}
+	t.Logf("crash after record %d: replayed %d records (%d WAL bytes) above a %d-byte checkpoint", last, stats.ReportsReplayed, tailBytes, prev.len)
+	assertSameFusionState(t, crashed, recovered)
+
+	// The engine recovered halfway paces as the undisturbed one did: its
+	// next checkpoint lands after the same batch, at the same record.
+	resumed, rest := newIngestShapePDME(t, 1)
+	if _, err := resumed.OpenJournal(JournalOptions{Dir: halfway}); err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	for range half {
+		rest.next(run[:0], batch)
+	}
+	var again []pacedCheckpoint
+	seen = prev.seq
+	for b := half; b < batches; b++ {
+		run = rest.next(run[:0], batch)
+		deliverRun(t, resumed, run)
+		if c := lastCheckpoint(resumed, b); c.seq != seen {
+			again, seen = append(again, c), c.seq
+		}
+	}
+	if len(again) != 1 || again[0].batch != crash.batch || again[0].seq != crash.seq || again[0].len != crash.len {
+		t.Errorf("(iv) after a recovery halfway the checkpoints landed at %v, want %v", again, []pacedCheckpoint{crash})
+	}
+	assertSameFusionState(t, undisturbed, resumed)
+
+	// (ii) A tiny state checkpoints every DefaultCheckpointEvery records:
+	// twice its checkpoint is far less WAL than the floor's records.
+	tiny := newTestPDME(t)
+	if _, err := tiny.OpenJournal(JournalOptions{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	defer tiny.Close()
+	t0 := time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC)
+	for n := 1; n <= 3*DefaultCheckpointEvery+16; n += 16 {
+		run = run[:0]
+		for i := range 16 {
+			r := report("ks/dli", "motor/1", "motor imbalance", 0.5, 0.5, t0.Add(time.Duration(n+i)*time.Second), nil)
+			run = append(run, proto.Delivery{Report: r, DCID: "dc-1", Boot: 1, Seq: uint64(n + i)})
+		}
+		deliverRun(t, tiny, run)
+		_, last, ckpt, _ := tiny.JournalInfo()
+		if want := last / DefaultCheckpointEvery * DefaultCheckpointEvery; ckpt != want {
+			t.Fatalf("(ii) a tiny state's checkpoint after record %d is at %d, want %d", last, ckpt, want)
+		}
+	}
+
+	// (iii) An explicit cadence keeps its exact record meaning.
+	every8 := newTestPDME(t)
+	if _, err := every8.OpenJournal(JournalOptions{Dir: t.TempDir(), CheckpointEvery: 8}); err != nil {
+		t.Fatal(err)
+	}
+	defer every8.Close()
+	for n := uint64(1); n <= 40; n++ {
+		r := report("ks/dli", "motor/1", "motor imbalance", 0.5, 0.5, t0.Add(time.Duration(n)*time.Second), nil)
+		if err := every8.DeliverTagged(r, "dc-1", 1, n); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ckpt, _ := every8.JournalInfo(); ckpt != n/8*8 {
+			t.Fatalf("(iii) CheckpointEvery 8: checkpoint after record %d is at %d, want %d", n, ckpt, n/8*8)
+		}
 	}
 }

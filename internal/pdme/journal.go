@@ -22,6 +22,15 @@ import (
 // counter — so recovery is checkpoint-load + tail-replay rather than
 // full-history replay.
 //
+// Cadence: by default a checkpoint follows the state, not the report count.
+// One is due once DefaultCheckpointEvery records sit above the last
+// watermark and the WAL bytes appended since reach checkpointPace times the
+// last checkpoint's length, so checkpoints write at most 1/checkpointPace of
+// the WAL's bytes, and a crash replays at most the larger of those two
+// tails plus what arrived while one checkpoint was being written. Before the
+// first checkpoint its length is unknown and the record count alone decides.
+// JournalOptions.CheckpointEvery > 0 keeps an exact record cadence instead.
+//
 // Consistency: deliveries hold acceptMu (read side) across journal append
 // + fusion mutation + dedup mark; Checkpoint takes the write side, so the
 // watermark it pins and the state it captures describe the same accepted
@@ -44,9 +53,20 @@ const (
 	journalKindFrame        = byte(3)
 )
 
-// DefaultCheckpointEvery is how many journaled records accumulate before
-// an automatic checkpoint when JournalOptions.CheckpointEvery is zero.
+// DefaultCheckpointEvery is the fewest journaled records above the last
+// watermark before an automatic checkpoint when
+// JournalOptions.CheckpointEvery is zero. It is a floor, not the cadence:
+// the checkpoint also waits until the WAL bytes appended since the last one
+// reach checkpointPace times its length, so a large state checkpoints less
+// often than every DefaultCheckpointEvery records and a small one exactly
+// that often.
 const DefaultCheckpointEvery = 1024
+
+// checkpointPace is k in the paced default cadence: a checkpoint is due once
+// the WAL has grown by k times the last checkpoint's length. Checkpoint
+// bytes written are then at most 1/k of WAL bytes, and a crash replays at
+// most k checkpoints' length of WAL above the DefaultCheckpointEvery floor.
+const checkpointPace = 2
 
 // checkpointState is the checkpoint blob: every piece of derived state a
 // crash would otherwise lose. JSON keeps float64 bit-exact (Go emits the
@@ -67,9 +87,12 @@ type checkpointState struct {
 type JournalOptions struct {
 	// Dir roots the WAL and checkpoint files.
 	Dir string
-	// CheckpointEvery is the automatic checkpoint cadence in accepted
-	// records (0: DefaultCheckpointEvery; negative: no automatic
-	// checkpoints — the owner calls Checkpoint itself).
+	// CheckpointEvery is the automatic checkpoint cadence. Positive: exactly
+	// every CheckpointEvery journaled records. Zero: paced by the state —
+	// at least DefaultCheckpointEvery records and at least twice the last
+	// checkpoint's length of WAL bytes since it (the records alone before
+	// the first). Negative: no automatic checkpoints — the owner calls
+	// Checkpoint itself.
 	CheckpointEvery int
 }
 
@@ -125,9 +148,6 @@ func (p *PDME) OpenJournal(opts JournalOptions) (RecoveryStats, error) {
 		return stats, fmt.Errorf("pdme: journal %s: the WAL tail holds %d report record(s) in the previous release's format; recover it with the binary that wrote it and stop that cleanly (final checkpoint), then start this one", opts.Dir, parentRecords)
 	}
 	if rec.Checkpoint != nil {
-		p.mu.Lock()
-		p.checkpointLen = len(rec.Checkpoint)
-		p.mu.Unlock()
 		var st checkpointState
 		if err := json.Unmarshal(rec.Checkpoint, &st); err != nil {
 			_ = jr.Close() // best effort: the decode error is the story
@@ -167,13 +187,15 @@ func (p *PDME) OpenJournal(opts JournalOptions) (RecoveryStats, error) {
 			stats.SkippedRecords++
 		}
 	}
-	every := opts.CheckpointEvery
-	if every == 0 {
-		every = DefaultCheckpointEvery
-	}
+	// The journal's byte count starts at the recovered tail's bytes, which
+	// are exactly the WAL above the recovered watermark: pinned at zero with
+	// the recovered checkpoint's length, a restarted engine paces its
+	// checkpoints as it would have without the restart.
 	p.mu.Lock()
 	p.jrnl = jr
-	p.checkpointEvery = every
+	p.checkpointEvery = opts.CheckpointEvery
+	p.checkpointLen = len(rec.Checkpoint)
+	p.checkpointTip = 0
 	p.mu.Unlock()
 	// Cache epoch bump: anything a view cached before the crash describes
 	// fusion state that no longer exists.
@@ -280,6 +302,9 @@ func (c *checkpointCapture) appendJSON(dst []byte) ([]byte, error) {
 // Checkpoint quiesces the accept path, captures the full derived state at
 // the current journal watermark, and durably replaces the checkpoint file
 // (after which the WAL is compacted to the records above the watermark).
+// The journal's byte count is pinned with the watermark, so the WAL bytes
+// the next automatic checkpoint waits for are those of exactly the records
+// above it, the ones appended while this one was formatted included.
 // The checkpoint is written into one buffer sized from the last one, which
 // the file takes as it is. A success clears an earlier checkpoint's failure
 // from JournalError.
@@ -289,7 +314,7 @@ func (p *PDME) Checkpoint() error {
 		return fmt.Errorf("pdme: no journal open")
 	}
 	p.acceptMu.Lock()
-	seq := jr.LastSeq()
+	seq, tip := jr.Tip()
 	if seq == 0 {
 		// Nothing accepted since the journal began; nothing to cover.
 		p.acceptMu.Unlock()
@@ -309,6 +334,8 @@ func (p *PDME) Checkpoint() error {
 	}
 	p.mu.Lock()
 	p.checkpointLen = len(blob)
+	// Two checkpoints may race to the journal; the later watermark stands.
+	p.checkpointTip = max(p.checkpointTip, tip)
 	p.journalErr = nil
 	p.mu.Unlock()
 	return nil
@@ -319,22 +346,43 @@ func (p *PDME) Checkpoint() error {
 // for JournalError rather than failing the delivery that tripped it (the
 // delivery itself is already durable in the WAL).
 func (p *PDME) maybeCheckpoint() {
-	jr := p.journalHandle()
-	p.mu.Lock()
-	every := p.checkpointEvery
-	p.mu.Unlock()
-	if jr == nil || every <= 0 || jr.SinceCheckpoint() < every {
+	if !p.checkpointDue() {
 		return
 	}
 	if !p.ckptFlight.TryLock() {
 		return // one automatic checkpoint at a time
 	}
 	defer p.ckptFlight.Unlock()
+	if !p.checkpointDue() {
+		return // the checkpoint that held the flight covered this tail
+	}
 	if err := p.Checkpoint(); err != nil {
 		p.mu.Lock()
 		p.journalErr = err
 		p.mu.Unlock()
 	}
+}
+
+// checkpointDue applies the automatic cadence (JournalOptions.CheckpointEvery)
+// to the journal's tail above the last watermark.
+func (p *PDME) checkpointDue() bool {
+	p.mu.Lock()
+	jr, every, size, pinned := p.jrnl, p.checkpointEvery, p.checkpointLen, p.checkpointTip
+	p.mu.Unlock()
+	if jr == nil || every < 0 {
+		return false
+	}
+	if every > 0 {
+		return jr.SinceCheckpoint() >= every
+	}
+	if jr.SinceCheckpoint() < DefaultCheckpointEvery {
+		return false
+	}
+	if size == 0 {
+		return true // no checkpoint yet: its length is unknown
+	}
+	_, tip := jr.Tip()
+	return tip >= pinned+checkpointPace*uint64(size)
 }
 
 // JournalError returns what daemons must surface (nil when healthy): why the

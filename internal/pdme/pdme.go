@@ -122,11 +122,18 @@ type PDME struct {
 	acceptMu sync.RWMutex
 	// jrnl, when set, is the durability journal (see journal.go); guarded
 	// by mu like the other handles.
-	jrnl            *journal.Journal
+	jrnl *journal.Journal
+	// checkpointEvery is JournalOptions.CheckpointEvery as given: 0 paces
+	// automatic checkpoints by WAL bytes (checkpointDue).
 	checkpointEvery int
 	// checkpointLen is the last checkpoint's length: the next one's buffer
-	// is sized from it. The buffer itself is not kept.
+	// is sized from it, and the paced cadence waits for checkpointPace times
+	// it of WAL. The buffer itself is not kept.
 	checkpointLen int
+	// checkpointTip is the journal's byte count (journal.Tip) pinned with the
+	// last checkpoint's watermark: the WAL bytes above that watermark are
+	// the count now minus it.
+	checkpointTip uint64
 	journalErr    error
 	// ckptFlight keeps automatic checkpoints single-flight.
 	ckptFlight sync.Mutex

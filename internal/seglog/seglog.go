@@ -63,6 +63,10 @@ const (
 	retainFrame = 64 << 10
 )
 
+// RecordOverhead is what one record occupies in a file beyond its body: the
+// frame around it.
+const RecordOverhead = recFrame
+
 // Format declares one file family: its 8-byte magic and the largest record
 // body it accepts, on append and on scan alike.
 type Format struct {

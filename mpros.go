@@ -121,8 +121,11 @@ type StationConfig struct {
 	// process recovers its fusion state (evidence, dedup window, health
 	// history) bit-for-bit on the next NewStation over the same directory.
 	JournalDir string
-	// JournalCheckpointEvery overrides the automatic checkpoint cadence in
-	// accepted records (0: pdme.DefaultCheckpointEvery).
+	// JournalCheckpointEvery overrides the automatic checkpoint cadence with
+	// an exact count of accepted records. 0 paces it by the state: a
+	// checkpoint once at least pdme.DefaultCheckpointEvery records and twice
+	// the last checkpoint's length of WAL bytes have accumulated. Negative:
+	// no automatic checkpoints (see pdme.JournalOptions.CheckpointEvery).
 	JournalCheckpointEvery int
 	// DedupWindow overrides the PDME's per-DC duplicate-suppression window
 	// capacity (0: proto.DefaultDedupWindow, 4096 sequences).
