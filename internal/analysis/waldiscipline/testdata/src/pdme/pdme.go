@@ -6,6 +6,10 @@ type model struct{}
 
 func (m *model) Create(id string) {}
 
+func (m *model) CreateWith(id string, payload any) {}
+
+func (m *model) Set(id string) {}
+
 type registry struct{}
 
 func (r *registry) ObserveReport(id string) {}
@@ -48,6 +52,25 @@ func (p *engine) badOrder(rec []byte, id string) error {
 	if err := p.appendJournal(1, one(rec)); err != nil {
 		return err
 	}
+	return nil
+}
+
+// badPost posts the report, with its payload, and rewrites a conclusion
+// before the append: the post runs fusion, so the effect outlives a crash
+// that loses the envelope.
+func (p *engine) badPost(rec []byte, id string) error {
+	p.model.CreateWith(id, rec) // want "CreateWith mutates checkpointed state before the appendJournal write-ahead"
+	p.model.Set(id)             // want "Set mutates checkpointed state before the appendJournal write-ahead"
+	return p.appendJournal(1, one(rec))
+}
+
+// goodPost posts after the append.
+func (p *engine) goodPost(rec []byte, id string) error {
+	if err := p.appendJournal(1, one(rec)); err != nil {
+		return err
+	}
+	p.model.CreateWith(id, rec)
+	p.model.Set(id)
 	return nil
 }
 

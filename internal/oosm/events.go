@@ -13,9 +13,9 @@ const (
 	ObjectCreated EventKind = iota
 	// ObjectDeleted fires when an object is deleted.
 	ObjectDeleted
-	// PropertyChanged fires once per changed property on SetProps.
+	// PropertyChanged fires once per changed property on SetProps or Set.
 	PropertyChanged
-	// ObjectUpdated fires exactly once per SetProps call, after the
+	// ObjectUpdated fires exactly once per SetProps or Set call, after the
 	// per-property PropertyChanged events. Subscribers that react to a write
 	// as a whole (cache invalidation, display refresh) listen here instead
 	// of once per property.

@@ -185,19 +185,58 @@ func (c *classStore) check(i int, v any) error {
 	return nil
 }
 
-// checkProps validates property names and value types against the class.
-func (c *classStore) checkProps(props map[string]any) error {
-	//lint:allow maporder validation only; the accepted (error-free) outcome is order-independent
-	for name, v := range props {
-		i, err := c.slot(name)
-		if err != nil {
-			return err
+// Prop is one property of an object write: its name and value (nil: null).
+// A write's properties come in strictly ascending name order, the class's slot
+// order, so the model lays them into the row in one walk.
+type Prop struct {
+	Name  string
+	Value any
+}
+
+// slots checks a property list against the class — names strictly ascending,
+// each the class's, each value of its property's type — and returns the row
+// slot of each, appended to buf. One merge walk of the list against the
+// class's sorted names does all of it.
+func (c *classStore) slots(props []Prop, buf []int) ([]int, error) {
+	j := 0
+	for k, p := range props {
+		if k > 0 && p.Name <= props[k-1].Name {
+			if p.Name == props[k-1].Name {
+				return nil, fmt.Errorf("oosm: property %q of class %q given twice", p.Name, c.name)
+			}
+			return nil, fmt.Errorf("oosm: property %q of class %q out of order: a write lists its properties by ascending name", p.Name, c.name)
 		}
-		if err := c.check(i, v); err != nil {
-			return err
+		for j < len(c.props) && c.props[j] < p.Name {
+			j++
+		}
+		if j == len(c.props) || c.props[j] != p.Name {
+			return nil, fmt.Errorf("oosm: class %q has no property %q", c.name, p.Name)
+		}
+		if err := c.check(j, p.Value); err != nil {
+			return nil, err
+		}
+		buf = append(buf, j)
+	}
+	return buf, nil
+}
+
+// list lays a property map out as the property list the class's writes take,
+// in buf. A map naming a property the class lacks lists all its names, sorted,
+// so the list write refuses it as it refuses any unknown name.
+func (c *classStore) list(props map[string]any, buf []Prop) []Prop {
+	for _, name := range c.props {
+		if v, set := props[name]; set {
+			buf = append(buf, Prop{Name: name, Value: v})
 		}
 	}
-	return nil
+	if len(buf) == len(props) {
+		return buf
+	}
+	buf = buf[:0]
+	for _, name := range slices.Sorted(maps.Keys(props)) {
+		buf = append(buf, Prop{Name: name, Value: props[name]})
+	}
+	return buf
 }
 
 // instant is a time's index key: two times file together exactly when they
@@ -260,27 +299,47 @@ func (c *classStore) indexRemove(i int, num int64, v any) {
 	}
 }
 
+// maxListed is how many properties a write handles on the stack — the list a
+// map write is laid out as, and every write's slots; a write of more costs a
+// heap slice.
+const maxListed = 16
+
 // Create instantiates an object of the class with the given initial
 // properties (missing properties are null). It emits an ObjectCreated event.
+// It is CreateWith with the map laid out as a property list.
 func (m *Model) Create(class string, props map[string]any) (ObjectID, error) {
-	return m.CreateWith(class, props, nil)
-}
-
-// CreateWith is Create whose ObjectCreated event carries payload as its
-// Value: a creator that holds the object's content in typed form hands it to
-// the subscribers, which then need not read it back out of the object.
-func (m *Model) CreateWith(class string, props map[string]any, payload any) (ObjectID, error) {
 	c, err := m.class(class)
 	if err != nil {
 		return ObjectID{}, err
 	}
-	if err := c.checkProps(props); err != nil {
+	var buf [maxListed]Prop
+	return m.create(c, c.list(props, buf[:0]), nil)
+}
+
+// CreateWith instantiates an object of the class with the given initial
+// properties, in strictly ascending name order (missing properties are null).
+// Its ObjectCreated event carries payload as its Value: a creator that holds
+// the object's content in typed form hands it to the subscribers, which then
+// need not read it back out of the object. A list the class refuses creates
+// nothing and publishes nothing.
+func (m *Model) CreateWith(class string, props []Prop, payload any) (ObjectID, error) {
+	c, err := m.class(class)
+	if err != nil {
+		return ObjectID{}, err
+	}
+	return m.create(c, props, payload)
+}
+
+func (m *Model) create(c *classStore, props []Prop, payload any) (ObjectID, error) {
+	var buf [maxListed]int
+	slots, err := c.slots(props, buf[:0])
+	if err != nil {
 		return ObjectID{}, err
 	}
 	// The row is the model's own: the caller keeps props.
 	row := make([]any, len(c.props))
-	for i, name := range c.props {
-		row[i] = props[name]
+	for k, i := range slots {
+		row[i] = props[k].Value
 	}
 	c.mu.Lock()
 	c.next++
@@ -291,7 +350,7 @@ func (m *Model) CreateWith(class string, props map[string]any, payload any) (Obj
 		c.indexAdd(i, num, row[i])
 	}
 	c.mu.Unlock()
-	id := ObjectID{Class: class, Num: num}
+	id := ObjectID{Class: c.name, Num: num}
 	m.events.publish(Event{Kind: ObjectCreated, Object: id, Value: payload})
 	return id, nil
 }
@@ -336,36 +395,50 @@ func (m *Model) GetProp(id ObjectID, name string) (any, error) {
 }
 
 // SetProps updates properties of an object, emitting a PropertyChanged event
-// per changed property and one ObjectUpdated event for the write as a whole.
+// per changed property, in name order, and one ObjectUpdated event for the
+// write as a whole. It is Set with the map laid out as a property list.
 func (m *Model) SetProps(id ObjectID, props map[string]any) error {
 	c, err := m.class(id.Class)
 	if err != nil {
 		return err
 	}
-	if err := c.checkProps(props); err != nil {
+	var buf [maxListed]Prop
+	return m.set(c, id, c.list(props, buf[:0]))
+}
+
+// Set updates properties of an object, given in strictly ascending name
+// order. It emits a PropertyChanged event per property, in list order, and
+// then one ObjectUpdated event for the write as a whole. A list the class
+// refuses changes nothing and publishes nothing.
+func (m *Model) Set(id ObjectID, props []Prop) error {
+	c, err := m.class(id.Class)
+	if err != nil {
+		return err
+	}
+	return m.set(c, id, props)
+}
+
+func (m *Model) set(c *classStore, id ObjectID, props []Prop) error {
+	var buf [maxListed]int
+	slots, err := c.slots(props, buf[:0])
+	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	row, ok := c.objects[id.Num]
 	if ok {
-		for i, name := range c.props {
-			if v, set := props[name]; set {
-				c.indexRemove(i, id.Num, row[i])
-				row[i] = v
-				c.indexAdd(i, id.Num, v)
-			}
+		for k, i := range slots {
+			c.indexRemove(i, id.Num, row[i])
+			row[i] = props[k].Value
+			c.indexAdd(i, id.Num, row[i])
 		}
 	}
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("oosm: no object %v", id)
 	}
-	// Publish in the class's sorted property order so watchers see a
-	// deterministic event sequence for one write, whatever the map layout.
-	for _, name := range c.props {
-		if v, set := props[name]; set {
-			m.events.publish(Event{Kind: PropertyChanged, Object: id, Property: name, Value: v})
-		}
+	for _, p := range props {
+		m.events.publish(Event{Kind: PropertyChanged, Object: id, Property: p.Name, Value: p.Value})
 	}
 	m.events.publish(Event{Kind: ObjectUpdated, Object: id})
 	return nil

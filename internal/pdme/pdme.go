@@ -426,18 +426,19 @@ func (p *PDME) postReport(r *proto.Report) error {
 	if err != nil {
 		return fmt.Errorf("pdme: encode prognostics: %w", err)
 	}
-	id, err := p.model.CreateWith(ReportClass, map[string]any{
-		"dc_id":       r.DCID,
-		"ks_id":       r.KnowledgeSourceID,
-		"sensed":      r.SensedObjectID,
-		"condition":   r.MachineConditionID,
-		"severity":    r.Severity,
-		"belief":      r.Belief,
-		"explanation": r.Explanation,
-		"recommend":   r.Recommendations,
-		"timestamp":   r.Timestamp,
-		"prognostics": string(progJSON),
-		"suspect":     strings.Join(r.SuspectChannels, ","),
+	// The class's properties in name order, its slot order.
+	id, err := p.model.CreateWith(ReportClass, []oosm.Prop{
+		{Name: "belief", Value: r.Belief},
+		{Name: "condition", Value: r.MachineConditionID},
+		{Name: "dc_id", Value: r.DCID},
+		{Name: "explanation", Value: r.Explanation},
+		{Name: "ks_id", Value: r.KnowledgeSourceID},
+		{Name: "prognostics", Value: string(progJSON)},
+		{Name: "recommend", Value: r.Recommendations},
+		{Name: "sensed", Value: r.SensedObjectID},
+		{Name: "severity", Value: r.Severity},
+		{Name: "suspect", Value: strings.Join(r.SuspectChannels, ",")},
+		{Name: "timestamp", Value: r.Timestamp},
 	}, r)
 	if err != nil {
 		return err
@@ -635,22 +636,30 @@ func (p *PDME) postConclusion(component string, cs fusion.ConditionState, vec pr
 	if err != nil {
 		return err
 	}
-	props := map[string]any{
-		"belief":       cs.Belief,
-		"plausibility": cs.Plausibility,
-		"unknown":      cs.Unknown,
-		"prognostics":  string(vecJSON),
-		"updated_at":   cs.UpdatedAt,
-	}
 	key := [2]string{component, cs.Condition}
 	p.mu.Lock()
 	id, held := p.conclusions[key]
 	p.mu.Unlock()
+	// The class's properties in name order, its slot order.
 	if held {
-		return p.model.SetProps(id, props)
+		return p.model.Set(id, []oosm.Prop{
+			{Name: "belief", Value: cs.Belief},
+			{Name: "plausibility", Value: cs.Plausibility},
+			{Name: "prognostics", Value: string(vecJSON)},
+			{Name: "unknown", Value: cs.Unknown},
+			{Name: "updated_at", Value: cs.UpdatedAt},
+		})
 	}
-	props["component"], props["condition"], props["group"] = component, cs.Condition, cs.Group
-	id, err = p.model.Create(ConclusionClass, props)
+	id, err = p.model.CreateWith(ConclusionClass, []oosm.Prop{
+		{Name: "belief", Value: cs.Belief},
+		{Name: "component", Value: component},
+		{Name: "condition", Value: cs.Condition},
+		{Name: "group", Value: cs.Group},
+		{Name: "plausibility", Value: cs.Plausibility},
+		{Name: "prognostics", Value: string(vecJSON)},
+		{Name: "unknown", Value: cs.Unknown},
+		{Name: "updated_at", Value: cs.UpdatedAt},
+	}, nil)
 	if err != nil {
 		return err
 	}

@@ -175,14 +175,15 @@ func TestReportRepositoryStaysBounded(t *testing.T) {
 
 // TestAcceptAllocBudget: a steady-state accept with no journal — the pair's
 // conclusion object and the source's report object already there — stays
-// under a fixed allocation ceiling, set from the measured count: 21, and 23
-// under -race. Copying each row twice and the subscriber list once per event
-// cost 112; encoding/json's trips of the prognostic vector through the OOSM
-// cost 97; reading the report back out of a relational row the model kept,
-// and rewriting the conclusion's subject with every fold, cost 78; a new
+// under a fixed allocation ceiling, set from the measured count: 18, and 20
+// under -race. Posting the report and the conclusion as property maps cost
+// 21; copying each row twice and the subscriber list once per event cost 112;
+// encoding/json's trips of the prognostic vector through the OOSM cost 97;
+// reading the report back out of a relational row the model kept, and
+// rewriting the conclusion's subject with every fold, cost 78; a new
 // map-backed mass per fold and a sorted key slice per walk cost 54.
 func TestAcceptAllocBudget(t *testing.T) {
-	const budget = 24
+	const budget = 21
 	p := newTestPDME(t)
 	defer p.Close()
 	at := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)

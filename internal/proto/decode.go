@@ -31,7 +31,7 @@ import (
 // one, so the reader is not taught \u: such a frame costs the reference's
 // allocations, not a wrong value.
 
-// decodeEnvelope is the one decoder of a frame body, for readFrame and
+// decodeEnvelope is the one decoder of a frame body, for readFrameInto and
 // DecodeFrame alike: by hand, else by json.Unmarshal.
 func decodeEnvelope(body []byte) (envelope, error) {
 	var env envelope

@@ -10,6 +10,7 @@ import (
 	"hash/fnv"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -72,41 +73,63 @@ func writeFrame(w io.Writer, env envelope) error {
 }
 
 // writeRawFrame writes an already-encoded JSON body as one length-prefixed
-// frame: what SendRun holds, encoded where the sequence was assigned.
+// frame: what SendRun holds, encoded where the sequence was assigned. A
+// buffered writer takes the header into its own buffer, so a frame written
+// there allocates nothing.
 func writeRawFrame(w io.Writer, body []byte) error {
 	if len(body) > MaxFrameSize {
 		return fmt.Errorf("proto: frame of %d bytes exceeds limit", len(body))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		hdr = bw.AvailableBuffer()
+	}
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(body)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(body)
 	return err
 }
 
-// readFrame reads one length-prefixed JSON frame: the decoded envelope and
-// the body it was decoded from, which is the caller's to keep.
-func readFrame(r io.Reader) (envelope, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrameInto reads one length-prefixed JSON frame, appending its body to
+// *buf: the decoded envelope and the body, which aliases *buf's array and is
+// capped at its own length, so what is read into *buf after it leaves it as
+// it is. The header is read into *buf too, where the body then goes: a frame
+// read into a buffer with room for it allocates nothing for its bytes.
+func readFrameInto(r io.Reader, buf *[]byte) (envelope, []byte, error) {
+	b := slices.Grow(*buf, 4)
+	at := len(b)
+	hdr := b[at : at+4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return envelope{}, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrameSize {
 		return envelope{}, nil, fmt.Errorf("proto: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
+	b = slices.Grow(b, n)
+	body := b[at : at+n : at+n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return envelope{}, nil, err
 	}
+	*buf = b[:at+n]
 	env, err := decodeEnvelope(body)
 	if err != nil {
 		return envelope{}, nil, err
 	}
 	return env, body, nil
 }
+
+// arenas pools the buffers the server reads frame bodies into, one batch to
+// a buffer (*[]byte). A connection takes one once the next frame's first byte
+// is there and puts it back when the batch is answered, so an idle
+// connection pins none.
+var arenas = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledArena bounds the arenas the pool keeps: one a batch of large
+// frames grew past it goes to the collector instead.
+const maxPooledArena = 64 << 10
 
 // AppendFrame is the one encoder of a tagged payload: it appends d's frame
 // body — the JSON envelope {"kind","report"|"summary","dc","boot","seq"} — to
@@ -194,7 +217,10 @@ type Delivery struct {
 	// Frame is the fields above in their one encoded form, the wire frame body
 	// (AppendFrame). SendRun writes it as it is, without looking at them; the
 	// server sets it to the body it decoded them from, for a journaling sink
-	// to record. Nil means not encoded yet.
+	// to record. Nil means not encoded yet. A Frame the server set is valid
+	// only until the sink call it came in returns: the server reads later
+	// frames into the same memory, so a sink that keeps one copies it. The
+	// payload fields hold copies of what they took from it.
 	Frame []byte
 	// Dup reports that the server had already taken this (DCID, Boot, Seq).
 	// Sinks never see it set: the server answers duplicates itself.
@@ -208,7 +234,8 @@ type Delivery struct {
 // fsync — is shared by the run. The server hands it everything this way: the
 // consecutive tagged frames of one sender and one kind that were already on
 // the connection, in frame order, or a single frame. The tag is what a
-// journaling sink persists so its replay can re-mark the dedup window.
+// journaling sink persists so its replay can re-mark the dedup window. Each
+// element's Frame is valid only until DeliverBatch returns (Delivery.Frame).
 type BatchSink interface {
 	Sink
 	// DeliverBatch consumes the run in order and sets each element's Err.
@@ -337,36 +364,57 @@ func (s *Server) handle(conn net.Conn) {
 		if s.idleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		}
-		env, body, err := readFrame(br)
+		// Wait for the next frame holding no arena: an idle connection pins
+		// none.
+		if _, err := br.Peek(1); err != nil {
+			return // connection closed or idle
+		}
+		arena := arenas.Get().(*[]byte)
+		err := s.serveBatch(conn, br, c, arena)
+		if cap(*arena) <= maxPooledArena {
+			*arena = (*arena)[:0]
+			arenas.Put(arena)
+		}
 		if err != nil {
 			return // connection closed, idle, or corrupted framing
 		}
-		if s.idleTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.idleTimeout))
+	}
+}
+
+// serveBatch reads one batch of frames into arena — the next frame and those
+// already buffered behind it, up to MaxRun — answers them, and flushes the
+// replies. Every sink call that sees a body in arena returns within it.
+func (s *Server) serveBatch(conn net.Conn, br *bufio.Reader, c *session, arena *[]byte) error {
+	env, body, err := readFrameInto(br, arena)
+	if err != nil {
+		return err
+	}
+	if s.idleTimeout > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(s.idleTimeout))
+	}
+	// Drain what the reader already holds before answering: a windowed
+	// sender's frames arrive together, and answering them together is what
+	// lets a run share one sink call and one flush. A partly buffered frame
+	// is a peer in mid-write; the read deadline still bounds it.
+	if err := c.take(env, body); err != nil {
+		return err
+	}
+	var rerr error
+	for n := 1; n < MaxRun && br.Buffered() > 0; n++ {
+		if env, body, rerr = readFrameInto(br, arena); rerr != nil {
+			break // the frames before it are still answered
 		}
-		// Drain what the reader already holds before answering: a windowed
-		// sender's frames arrive together, and answering them together is what
-		// lets a run share one sink call and one flush. A partly buffered frame
-		// is a peer in mid-write; the read deadline above still bounds it.
 		if err := c.take(env, body); err != nil {
-			return
-		}
-		var rerr error
-		for n := 1; n < MaxRun && br.Buffered() > 0; n++ {
-			if env, body, rerr = readFrame(br); rerr != nil {
-				break // the frames before it are still answered
-			}
-			if err := c.take(env, body); err != nil {
-				return
-			}
-		}
-		if err := c.flushRun(); err != nil {
-			return
-		}
-		if err := c.bw.Flush(); err != nil || rerr != nil {
-			return
+			return err
 		}
 	}
+	if err := c.flushRun(); err != nil {
+		return err
+	}
+	if err := c.bw.Flush(); err != nil {
+		return err
+	}
+	return rerr
 }
 
 // session is the answering side of one connection: the payload frames read
@@ -561,6 +609,8 @@ type Client struct {
 	// buf is the report-frame encode scratch, reused across sends under mu
 	// so steady-state report delivery does not allocate a body per frame.
 	buf []byte
+	// reply is what replies are read into, one at a time, under mu.
+	reply []byte
 }
 
 // Dial connects to a report server at addr.
@@ -605,7 +655,14 @@ func (c *Client) exchange(env envelope) (envelope, error) {
 	if err := c.bw.Flush(); err != nil {
 		return envelope{}, err
 	}
-	reply, _, err := readFrame(c.br)
+	return c.readReply()
+}
+
+// readReply reads one reply frame into the client's reply buffer. Callers
+// hold mu.
+func (c *Client) readReply() (envelope, error) {
+	c.reply = c.reply[:0]
+	reply, _, err := readFrameInto(c.br, &c.reply)
 	return reply, err
 }
 
@@ -645,7 +702,7 @@ func (c *Client) SendRun(run []Delivery) (answered int, err error) {
 		return 0, err
 	}
 	for i := range run {
-		reply, _, err := readFrame(c.br)
+		reply, err := c.readReply()
 		if err != nil {
 			return i, err
 		}
