@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -266,6 +267,41 @@ func TestE11OneFusionPerReport(t *testing.T) {
 	}
 	if got := cell(t, res, "events per report", 1); got != "1.00" {
 		t.Errorf("events per report %s, want exactly 1.00 (no polling, no double fusion)", got)
+	}
+}
+
+// TestE10MatchesGolden pins E10's Figure 2 rendering byte for byte to
+// testdata/e10_figure2.golden: every report row, fused prediction and
+// unknown line, not only the header the substring check above reads.
+func TestE10MatchesGolden(t *testing.T) {
+	res, err := E10Figure2Browser(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, row := range res.Rows {
+		got.WriteString(row[0])
+		got.WriteByte('\n')
+	}
+	want, err := os.ReadFile("testdata/e10_figure2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("E10 rendering differs from the golden\n got:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// TestE11OneConclusionUpdatePerReport: E11 observes exactly one conclusion
+// event per report delivered — a count, not a ratio rounded to two places.
+func TestE11OneConclusionUpdatePerReport(t *testing.T) {
+	res, err := E11EventLatency(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := cell(t, res, "reports delivered", 1)
+	if got := cell(t, res, "conclusion events observed", 1); got != delivered || delivered != "2000" {
+		t.Errorf("%s conclusion events for %s reports, want one per report", got, delivered)
 	}
 }
 
