@@ -4,11 +4,9 @@ package pdme
 
 type model struct{}
 
-func (m *model) Create(id string) {}
+func (m *model) Create(class string, value any) {}
 
-func (m *model) CreateWith(id string, payload any) {}
-
-func (m *model) Set(id string) {}
+func (m *model) Set(id string, props []string, write func()) {}
 
 type registry struct{}
 
@@ -38,7 +36,7 @@ func (p *engine) goodAccept(rec []byte, id string) error {
 	if err := p.appendJournal(1, one(rec)); err != nil {
 		return err
 	}
-	p.model.Create(id)
+	p.model.Create(id, nil)
 	p.Health().ObserveReport(id)
 	p.dedup.Mark(id)
 	p.received++
@@ -48,19 +46,19 @@ func (p *engine) goodAccept(rec []byte, id string) error {
 // badOrder mutates before the append: a crash in the gap loses the envelope
 // but keeps its effect.
 func (p *engine) badOrder(rec []byte, id string) error {
-	p.model.Create(id) // want "mutates checkpointed state before the appendJournal write-ahead"
+	p.model.Create(id, nil) // want "mutates checkpointed state before the appendJournal write-ahead"
 	if err := p.appendJournal(1, one(rec)); err != nil {
 		return err
 	}
 	return nil
 }
 
-// badPost posts the report, with its payload, and rewrites a conclusion
-// before the append: the post runs fusion, so the effect outlives a crash
-// that loses the envelope.
+// badPost posts the report object, holding the report, and rewrites a
+// conclusion in place before the append: the post runs fusion, so the effect
+// outlives a crash that loses the envelope.
 func (p *engine) badPost(rec []byte, id string) error {
-	p.model.CreateWith(id, rec) // want "CreateWith mutates checkpointed state before the appendJournal write-ahead"
-	p.model.Set(id)             // want "Set mutates checkpointed state before the appendJournal write-ahead"
+	p.model.Create(id, rec)                        // want "Create mutates checkpointed state before the appendJournal write-ahead"
+	p.model.Set(id, []string{"belief"}, func() {}) // want "Set mutates checkpointed state before the appendJournal write-ahead"
 	return p.appendJournal(1, one(rec))
 }
 
@@ -69,8 +67,8 @@ func (p *engine) goodPost(rec []byte, id string) error {
 	if err := p.appendJournal(1, one(rec)); err != nil {
 		return err
 	}
-	p.model.CreateWith(id, rec)
-	p.model.Set(id)
+	p.model.Create(id, rec)
+	p.model.Set(id, []string{"belief"}, func() {})
 	return nil
 }
 
@@ -78,18 +76,18 @@ func (p *engine) goodPost(rec []byte, id string) error {
 // journaled".
 func (p *engine) bareAppend(rec []byte, id string) {
 	p.appendJournal(1, one(rec)) // want "appendJournal error discarded"
-	p.model.Create(id)
+	p.model.Create(id, nil)
 }
 
 func (p *engine) blankAppend(rec []byte, id string) {
 	_ = p.appendJournal(1, one(rec)) // want "appendJournal error discarded"
-	p.model.Create(id)
+	p.model.Create(id, nil)
 }
 
 // apply is the engine's own post-fuse-mark-count body; the accept that calls
 // it is held to the order like one that spells the mutations out.
 func (p *engine) apply(id string) {
-	p.model.Create(id)
+	p.model.Create(id, nil)
 	p.dedup.Mark(id)
 }
 
@@ -101,13 +99,13 @@ func (p *engine) badApply(rec []byte, id string) error {
 // replay never calls appendJournal: re-applying records already in the WAL
 // is out of scope.
 func (p *engine) replay(id string) {
-	p.model.Create(id)
+	p.model.Create(id, nil)
 	p.dedup.Mark(id)
 }
 
 // Mutations not rooted at the receiver are someone else's state.
 func (p *engine) foreign(other *model, rec []byte, id string) error {
-	other.Create(id)
+	other.Create(id, nil)
 	if err := p.appendJournal(1, one(rec)); err != nil {
 		return err
 	}
@@ -135,7 +133,7 @@ func (p *engine) goodBatch(recs [][]byte, ids []string) []error {
 	}
 	for i, id := range ids {
 		errs[i] = func() error {
-			p.model.Create(id)
+			p.model.Create(id, nil)
 			p.Health().ObserveReport(id)
 			p.dedup.Mark(id)
 			p.received++
@@ -152,8 +150,8 @@ func (p *engine) badBatch(recs [][]byte, ids []string) error {
 		if id == "" {
 			continue
 		}
-		p.model.Create(id) // want "mutates checkpointed state before the appendJournal write-ahead"
-		p.dedup.Mark(id)   // want "mutates checkpointed state before the appendJournal write-ahead"
+		p.model.Create(id, nil) // want "mutates checkpointed state before the appendJournal write-ahead"
+		p.dedup.Mark(id)        // want "mutates checkpointed state before the appendJournal write-ahead"
 	}
 	if err := p.appendJournal(len(recs), func(i int) []byte { return recs[i] }); err != nil {
 		return err

@@ -15,7 +15,7 @@
 // appendJournal is an accept-path function. Within it,
 //
 //   - every state-mutating call rooted at the receiver (apply,
-//     model.Create/CreateWith/Set, diag.AddReport/AddReportFrom, prog.AddReport, Health().ObserveReport/
+//     model.Create/Set, diag.AddReport/AddReportFrom, prog.AddReport, Health().ObserveReport/
 //     ObserveHeartbeat, dedup Mark) must appear after the first
 //     appendJournal call in source order — the WAL is written first. The
 //     call's own arguments count as before it: the callback that encodes a
@@ -50,15 +50,14 @@ var Analyzer = &analysis.Analyzer{
 const journalFunc = "appendJournal"
 
 // MutatingCalls names the receiver-rooted method calls that mutate derived
-// state a checkpoint snapshots: OOSM posts (Create and CreateWith run fusion
-// synchronously via the event model; Set rewrites a conclusion), direct
+// state a checkpoint snapshots: OOSM posts (Create runs fusion synchronously
+// via the event model; Set rewrites a conclusion in place), direct
 // fusion evidence, health observations, dedup
 // marks — and the PDME's own apply, the one body that does all of them for a
 // report, so the accept that calls it is still held to the order.
 var MutatingCalls = map[string]bool{
 	"apply":            true,
 	"Create":           true,
-	"CreateWith":       true,
 	"Set":              true,
 	"AddReport":        true,
 	"AddReportFrom":    true,

@@ -13,9 +13,9 @@ const (
 	ObjectCreated EventKind = iota
 	// ObjectDeleted fires when an object is deleted.
 	ObjectDeleted
-	// PropertyChanged fires once per changed property on SetProps or Set.
+	// PropertyChanged fires once per property a Set names.
 	PropertyChanged
-	// ObjectUpdated fires exactly once per SetProps or Set call, after the
+	// ObjectUpdated fires exactly once per Set call, after the
 	// per-property PropertyChanged events. Subscribers that react to a write
 	// as a whole (cache invalidation, display refresh) listen here instead
 	// of once per property.
@@ -43,8 +43,9 @@ type Event struct {
 	Kind     EventKind
 	Object   ObjectID
 	Property string // set for PropertyChanged
-	// Value is the new value for PropertyChanged, and for ObjectCreated the
-	// creator's payload (Model.CreateWith; nil from Create).
+	// Value is the new value for PropertyChanged, and for ObjectCreated and
+	// ObjectUpdated the value a typed class's object holds (nil for a
+	// map-declared class's, whose row is the model's own).
 	Value any
 }
 
@@ -97,6 +98,14 @@ func (h *eventHub) publish(e Event) {
 			s.handle(e)
 		}
 	}
+}
+
+// subscribed reports whether an event of the kind on the class would reach a
+// handler: a publisher that must box what the event carries asks first.
+func (h *eventHub) subscribed(class string, kind EventKind) bool {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return slices.ContainsFunc(h.subs, func(s subscriber) bool { return s.class == class && s.kind == kind })
 }
 
 func (h *eventHub) add(s subscriber) *Subscription {

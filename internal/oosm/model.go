@@ -8,14 +8,17 @@
 // "flow") is not built, as no process walks it. An event model notifies
 // client programs of changes "without the need to poll" (§4.5) — Knowledge
 // Fusion subscribes to process failure prediction reports as they arrive.
-// §4.6 maps "object types ... to tables and properties ... to columns"; the
-// model keeps each class's objects itself in that shape — one row of values
-// per object, in the class's sorted property order — in memory. What must
-// outlive the process is made durable by its owner: the PDME's journal
-// replays its reports, and the replay re-posts their conclusions.
+// §4.6 maps "object types ... to tables and properties ... to columns"; here
+// a class's properties are accessors over the one value each object holds —
+// a typed class's own Go value (a PDME report object holds the decoded
+// report), or a map-declared class's row — so a write boxes nothing, and a
+// read boxes only for a caller that asks for an any. What must outlive the
+// process is made durable by its owner: the PDME's journal replays its
+// reports, and the replay re-posts their conclusions.
 package oosm
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -45,11 +48,99 @@ const (
 // Class describes an object type: its name and property schema. Classes
 // mirror the paper's physical entities (sensor, motor, compressor, deck,
 // ship) and abstract ones (failure prediction report, knowledge source).
+// Exactly one of Props and Fields declares the properties.
 type Class struct {
 	// Name is the class name, unique within a model.
 	Name string
-	// Props maps property names to types.
+	// Props declares a map-declared class: property names to types. Create
+	// lays an object's property map out as a row the model keeps.
 	Props map[string]PropType
+	// Fields declares a typed class: property names to accessors (String,
+	// Float, Time), each reading the *T that every object of the class holds.
+	Fields map[string]Accessor
+}
+
+// Accessor is one property of a class: its type, and how to read it out of
+// an object's value. String, Float and Time make a typed class's; a
+// map-declared class's read one slot of the object's row.
+type Accessor interface {
+	typ() PropType
+	// read returns the property, boxed (nil: null).
+	read(value any) any
+	// key returns what FindByProp files the property under, unboxed.
+	key(value any) (k indexKey, ok bool)
+	// holds reports whether value is an object value of the class.
+	holds(value any) bool
+}
+
+// String declares a text property of a typed class whose objects hold a *T.
+func String[T any](get func(*T) string) Accessor { return field[T, string]{PropString, get} }
+
+// Float declares a numeric property of a typed class whose objects hold a *T.
+func Float[T any](get func(*T) float64) Accessor { return field[T, float64]{PropFloat, get} }
+
+// Time declares a timestamp property of a typed class whose objects hold a *T.
+func Time[T any](get func(*T) time.Time) Accessor { return field[T, time.Time]{PropTime, get} }
+
+// field is a typed class's accessor, reading a property out of a *T.
+type field[T, V any] struct {
+	t   PropType
+	get func(*T) V
+}
+
+func (f field[T, V]) typ() PropType                   { return f.t }
+func (f field[T, V]) read(v any) any                  { return f.get(v.(*T)) }
+func (f field[T, V]) key(v any) (k indexKey, ok bool) { k, _, ok = keyOf(f.get(v.(*T))); return }
+func (f field[T, V]) holds(v any) bool                { p, ok := v.(*T); return ok && p != nil }
+
+// row is a map-declared object's value: its properties in name order.
+type row []any
+
+// column is a map-declared class's accessor: one slot of the row.
+type column struct {
+	t    PropType
+	slot int
+}
+
+func (c column) typ() PropType                   { return c.t }
+func (c column) read(v any) any                  { return v.(row)[c.slot] }
+func (c column) key(v any) (k indexKey, ok bool) { k, _, ok = keyOf(v.(row)[c.slot]); return }
+func (c column) holds(v any) bool                { _, ok := v.(row); return ok }
+
+// indexKey is a property value as an index files it: two values of one
+// property file together exactly when they are equal (times when Equal).
+type indexKey struct {
+	s    string
+	n    uint64 // a float's bits, an integer, a bool, a time's Unix seconds
+	nsec int32  // a time's nanoseconds
+	null bool
+}
+
+// keyOf returns a property value's key and type; ok is false for a NaN,
+// which equals nothing, and for a value of no property type (t is then -1).
+// It keeps nothing of v, so a caller's conversion to any needs no heap.
+func keyOf(v any) (k indexKey, t PropType, ok bool) {
+	switch x := v.(type) {
+	case nil:
+		return indexKey{null: true}, -1, true
+	case string:
+		return indexKey{s: x}, PropString, true
+	case float64:
+		if x == 0 {
+			x = 0 // -0 files with +0, as -0 == +0
+		}
+		return indexKey{n: math.Float64bits(x)}, PropFloat, !math.IsNaN(x)
+	case int64:
+		return indexKey{n: uint64(x)}, PropInt, true
+	case bool:
+		if x {
+			k.n = 1
+		}
+		return k, PropBool, true
+	case time.Time:
+		return indexKey{n: uint64(x.Unix()), nsec: int32(x.Nanosecond())}, PropTime, true
+	}
+	return k, -1, false
 }
 
 // ObjectID identifies an object instance: its class plus a per-class serial.
@@ -73,22 +164,22 @@ type Model struct {
 	events  *eventHub
 }
 
-// classStore holds one class's objects. Its schema (name, props, types) is
-// fixed at registration; mu guards the rest.
+// classStore holds one class's objects. Its schema is fixed at registration;
+// mu guards the rest.
 type classStore struct {
 	name string
-	// props are the class's property names, sorted; types[i] is props[i]'s.
-	props []string
-	types []PropType
+	// names are the class's property names, sorted; props[i] is names[i]'s.
+	names  []string
+	props  []Accessor
+	mapped bool // declared by Props: its objects hold rows
 
 	mu sync.RWMutex
-	// objects holds each object's row by serial: row[i] is the value of
-	// props[i] (nil: null).
-	objects map[int64][]any
+	// objects holds each object's value by serial.
+	objects map[int64]any
 	next    int64
-	// index files the objects by value for each property FindByProp has been
-	// asked about, by slot; each list of serials is ascending.
-	index map[int]map[any][]int64
+	// index[i] files the objects by property i's key once FindByProp has been
+	// asked about it (nil until then); each list of serials is ascending.
+	index []map[indexKey][]int64
 }
 
 // NewModel creates an empty model. The database argument is unused: the
@@ -106,25 +197,22 @@ func (m *Model) RegisterClass(c Class) error {
 	if c.Name == "" {
 		return fmt.Errorf("oosm: empty class name")
 	}
-	if len(c.Props) == 0 {
-		return fmt.Errorf("oosm: class %q has no properties", c.Name)
+	if (len(c.Props) == 0) == (len(c.Fields) == 0) {
+		return fmt.Errorf("oosm: class %q must declare its properties by Props or by Fields", c.Name)
 	}
-	s := &classStore{
-		name:    c.Name,
-		props:   slices.Sorted(maps.Keys(c.Props)),
-		objects: make(map[int64][]any),
-		index:   make(map[int]map[any][]int64),
+	s := &classStore{name: c.Name, mapped: len(c.Props) > 0, objects: make(map[int64]any)}
+	for i, name := range slices.Sorted(maps.Keys(c.Props)) {
+		s.names, s.props = append(s.names, name), append(s.props, column{c.Props[name], i})
 	}
-	for _, name := range s.props {
-		t := c.Props[name]
-		if name == "" {
-			return fmt.Errorf("oosm: class %q has an unnamed property", c.Name)
+	for _, name := range slices.Sorted(maps.Keys(c.Fields)) {
+		s.names, s.props = append(s.names, name), append(s.props, c.Fields[name])
+	}
+	for i, a := range s.props {
+		if s.names[i] == "" || a == nil || a.typ() < PropString || a.typ() > PropTime {
+			return fmt.Errorf("oosm: property %q of class %q is unnamed or of no type", s.names[i], c.Name)
 		}
-		if t < PropString || t > PropTime {
-			return fmt.Errorf("oosm: property %q of class %q has unknown type %d", name, c.Name, t)
-		}
-		s.types = append(s.types, t)
 	}
+	s.index = make([]map[indexKey][]int64, len(s.props))
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.classes[c.Name]; dup {
@@ -151,145 +239,74 @@ func (m *Model) class(name string) (*classStore, error) {
 	return c, nil
 }
 
-// slot returns the position of a property in the class's rows.
+// slot returns the position of a property in the class.
 func (c *classStore) slot(name string) (int, error) {
-	i, ok := slices.BinarySearch(c.props, name)
+	i, ok := slices.BinarySearch(c.names, name)
 	if !ok {
 		return 0, fmt.Errorf("oosm: class %q has no property %q", c.name, name)
 	}
 	return i, nil
 }
 
-// check validates one value against the type of the property in slot i; nil
-// (null) fits every property.
+// check validates one boxed value against the type of the property in slot
+// i; nil (null) fits every property.
 func (c *classStore) check(i int, v any) error {
-	if v == nil {
-		return nil
-	}
-	valid := false
-	switch c.types[i] {
-	case PropString:
-		_, valid = v.(string)
-	case PropFloat:
-		_, valid = v.(float64)
-	case PropInt:
-		_, valid = v.(int64)
-	case PropBool:
-		_, valid = v.(bool)
-	case PropTime:
-		_, valid = v.(time.Time)
-	}
-	if !valid {
-		return fmt.Errorf("oosm: property %q of class %q: value %T has wrong type", c.props[i], c.name, v)
+	if _, t, _ := keyOf(v); v != nil && t != c.props[i].typ() {
+		return fmt.Errorf("oosm: property %q of class %q: value %T has wrong type", c.names[i], c.name, v)
 	}
 	return nil
 }
 
-// Prop is one property of an object write: its name and value (nil: null).
-// A write's properties come in strictly ascending name order, the class's slot
-// order, so the model lays them into the row in one walk.
-type Prop struct {
-	Name  string
-	Value any
-}
-
-// slots checks a property list against the class — names strictly ascending,
-// each the class's, each value of its property's type — and returns the row
-// slot of each, appended to buf. One merge walk of the list against the
-// class's sorted names does all of it.
-func (c *classStore) slots(props []Prop, buf []int) ([]int, error) {
-	j := 0
-	for k, p := range props {
-		if k > 0 && p.Name <= props[k-1].Name {
-			if p.Name == props[k-1].Name {
-				return nil, fmt.Errorf("oosm: property %q of class %q given twice", p.Name, c.name)
-			}
-			return nil, fmt.Errorf("oosm: property %q of class %q out of order: a write lists its properties by ascending name", p.Name, c.name)
+// object makes the value a new object of the class holds: value itself for a
+// typed class; for a map-declared one, a row laid out from the property map
+// value (nil: every property null), each entry checked against its type.
+func (c *classStore) object(value any) (any, error) {
+	if !c.mapped {
+		if !c.props[0].holds(value) {
+			return nil, fmt.Errorf("oosm: class %q does not hold a %T value", c.name, value)
 		}
-		for j < len(c.props) && c.props[j] < p.Name {
-			j++
-		}
-		if j == len(c.props) || c.props[j] != p.Name {
-			return nil, fmt.Errorf("oosm: class %q has no property %q", c.name, p.Name)
-		}
-		if err := c.check(j, p.Value); err != nil {
-			return nil, err
-		}
-		buf = append(buf, j)
+		return value, nil
 	}
-	return buf, nil
-}
-
-// list lays a property map out as the property list the class's writes take,
-// in buf. A map naming a property the class lacks lists all its names, sorted,
-// so the list write refuses it as it refuses any unknown name.
-func (c *classStore) list(props map[string]any, buf []Prop) []Prop {
-	for _, name := range c.props {
+	props, ok := value.(map[string]any)
+	if !ok && value != nil {
+		return nil, fmt.Errorf("oosm: class %q is declared by property map, not %T", c.name, value)
+	}
+	r, n := make(row, len(c.props)), 0
+	for i, name := range c.names {
 		if v, set := props[name]; set {
-			buf = append(buf, Prop{Name: name, Value: v})
+			if err := c.check(i, v); err != nil {
+				return nil, err
+			}
+			r[i], n = v, n+1
 		}
 	}
-	if len(buf) == len(props) {
-		return buf
-	}
-	buf = buf[:0]
-	for _, name := range slices.Sorted(maps.Keys(props)) {
-		buf = append(buf, Prop{Name: name, Value: props[name]})
-	}
-	return buf
-}
-
-// instant is a time's index key: two times file together exactly when they
-// are Equal.
-type instant struct {
-	sec  int64
-	nsec int
-}
-
-// indexKey is the key an index files v under; ok is false for a NaN, which
-// equals nothing, so no lookup could find it.
-func indexKey(v any) (key any, ok bool) {
-	switch x := v.(type) {
-	case time.Time:
-		return instant{x.Unix(), x.Nanosecond()}, true
-	case float64:
-		if math.IsNaN(x) {
-			return nil, false
+	if n < len(props) {
+		// The first name the class lacks, the same in every run.
+		for _, name := range slices.Sorted(maps.Keys(props)) {
+			if _, err := c.slot(name); err != nil {
+				return nil, err
+			}
 		}
-		return x + 0, true // -0 files with +0, as -0 == +0
 	}
-	return v, true
+	return r, nil
 }
 
-// indexAdd files serial num under v in slot i's index, if one is built.
-// Callers hold c.mu.
-func (c *classStore) indexAdd(i int, num int64, v any) {
-	idx, built := c.index[i]
-	if !built {
+// refile files serial num, holding value, in slot i's index (in), or takes
+// it out (!in), if the index is built. Callers hold c.mu.
+func (c *classStore) refile(i int, num int64, value any, in bool) {
+	idx := c.index[i]
+	if idx == nil {
 		return
 	}
-	key, ok := indexKey(v)
+	key, ok := c.props[i].key(value)
 	if !ok {
 		return
 	}
 	nums := idx[key]
-	at, _ := slices.BinarySearch(nums, num)
-	idx[key] = slices.Insert(nums, at, num)
-}
-
-// indexRemove takes serial num out from under v in slot i's index, if one is
-// built. Callers hold c.mu.
-func (c *classStore) indexRemove(i int, num int64, v any) {
-	idx, built := c.index[i]
-	if !built {
-		return
-	}
-	key, ok := indexKey(v)
-	if !ok {
-		return
-	}
-	nums := idx[key]
-	if at, found := slices.BinarySearch(nums, num); found {
+	switch at, found := slices.BinarySearch(nums, num); {
+	case in && !found:
+		nums = slices.Insert(nums, at, num)
+	case !in && found:
 		nums = slices.Delete(nums, at, at+1)
 	}
 	if len(nums) == 0 {
@@ -299,148 +316,131 @@ func (c *classStore) indexRemove(i int, num int64, v any) {
 	}
 }
 
-// maxListed is how many properties a write handles on the stack — the list a
-// map write is laid out as, and every write's slots; a write of more costs a
-// heap slice.
-const maxListed = 16
-
-// Create instantiates an object of the class with the given initial
-// properties (missing properties are null). It emits an ObjectCreated event.
-// It is CreateWith with the map laid out as a property list.
-func (m *Model) Create(class string, props map[string]any) (ObjectID, error) {
+// Create instantiates an object of the class and emits an ObjectCreated
+// event. A typed class's object holds value itself, a non-nil *T of the
+// class's accessors, and the event carries it to the subscribers. A
+// map-declared class takes a map[string]any of initial properties (missing
+// ones null) and keeps them in a row of its own; its event carries no value.
+// A value the class refuses creates nothing and publishes nothing.
+func (m *Model) Create(class string, value any) (ObjectID, error) {
 	c, err := m.class(class)
 	if err != nil {
 		return ObjectID{}, err
 	}
-	var buf [maxListed]Prop
-	return m.create(c, c.list(props, buf[:0]), nil)
-}
-
-// CreateWith instantiates an object of the class with the given initial
-// properties, in strictly ascending name order (missing properties are null).
-// Its ObjectCreated event carries payload as its Value: a creator that holds
-// the object's content in typed form hands it to the subscribers, which then
-// need not read it back out of the object. A list the class refuses creates
-// nothing and publishes nothing.
-func (m *Model) CreateWith(class string, props []Prop, payload any) (ObjectID, error) {
-	c, err := m.class(class)
+	obj, err := c.object(value)
 	if err != nil {
 		return ObjectID{}, err
-	}
-	return m.create(c, props, payload)
-}
-
-func (m *Model) create(c *classStore, props []Prop, payload any) (ObjectID, error) {
-	var buf [maxListed]int
-	slots, err := c.slots(props, buf[:0])
-	if err != nil {
-		return ObjectID{}, err
-	}
-	// The row is the model's own: the caller keeps props.
-	row := make([]any, len(c.props))
-	for k, i := range slots {
-		row[i] = props[k].Value
 	}
 	c.mu.Lock()
 	c.next++
 	num := c.next
-	c.objects[num] = row
-	//lint:allow maporder each slot's index is filed on its own; no order leaks out
+	c.objects[num] = obj
 	for i := range c.index {
-		c.indexAdd(i, num, row[i])
+		c.refile(i, num, obj, true)
 	}
 	c.mu.Unlock()
+	if c.mapped {
+		obj = nil // the row is the model's own
+	}
 	id := ObjectID{Class: c.name, Num: num}
-	m.events.publish(Event{Kind: ObjectCreated, Object: id, Value: payload})
+	m.events.publish(Event{Kind: ObjectCreated, Object: id, Value: obj})
 	return id, nil
+}
+
+// read runs fn on an object's class and value under the class's read lock.
+func (m *Model) read(id ObjectID, fn func(c *classStore, obj any)) error {
+	c, err := m.class(id.Class)
+	if err != nil {
+		return err
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	obj, ok := c.objects[id.Num]
+	if !ok {
+		return fmt.Errorf("oosm: no object %v", id)
+	}
+	fn(c, obj)
+	return nil
 }
 
 // Get returns all properties of an object (null properties as nil values),
 // in a map that is the caller's.
-func (m *Model) Get(id ObjectID) (map[string]any, error) {
-	c, err := m.class(id.Class)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	row, ok := c.objects[id.Num]
-	if !ok {
-		return nil, fmt.Errorf("oosm: no object %v", id)
-	}
-	out := make(map[string]any, len(row))
-	for i, v := range row {
-		out[c.props[i]] = v
-	}
-	return out, nil
+func (m *Model) Get(id ObjectID) (out map[string]any, err error) {
+	err = m.read(id, func(c *classStore, obj any) {
+		out = make(map[string]any, len(c.props))
+		for i, a := range c.props {
+			out[c.names[i]] = a.read(obj)
+		}
+	})
+	return out, err
 }
 
-// GetProp returns one property value of an object, copying nothing else.
-func (m *Model) GetProp(id ObjectID, name string) (any, error) {
-	c, err := m.class(id.Class)
-	if err != nil {
-		return nil, err
-	}
-	i, err := c.slot(name)
-	if err != nil {
-		return nil, fmt.Errorf("oosm: object %v has no property %q", id, name)
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	row, ok := c.objects[id.Num]
-	if !ok {
-		return nil, fmt.Errorf("oosm: no object %v", id)
-	}
-	return row[i], nil
+// GetProp returns one property value of an object, reading nothing else.
+func (m *Model) GetProp(id ObjectID, name string) (v any, err error) {
+	var unknown error
+	err = m.read(id, func(c *classStore, obj any) {
+		var i int
+		if i, unknown = c.slot(name); unknown == nil {
+			v = c.props[i].read(obj)
+		}
+	})
+	return v, cmp.Or(err, unknown)
 }
 
-// SetProps updates properties of an object, emitting a PropertyChanged event
-// per changed property, in name order, and one ObjectUpdated event for the
-// write as a whole. It is Set with the map laid out as a property list.
-func (m *Model) SetProps(id ObjectID, props map[string]any) error {
+// Set rewrites, in place, the properties props names (ascending) of a typed
+// class's object: write changes them, and nothing else, in the value the
+// object holds, under the class's write lock, so no read sees half of it —
+// which is why write may only assign, and must not call into the model. Set
+// then emits a PropertyChanged event per property named, in order — its value
+// read and boxed only for a class with a PropertyChanged subscriber — and one
+// ObjectUpdated event carrying the object's value. A write the class refuses
+// (a map-declared class's, whose objects Create writes whole; a name out of
+// order or not the class's; no such object) runs nothing, publishes nothing.
+func (m *Model) Set(id ObjectID, props []string, write func()) error {
 	c, err := m.class(id.Class)
 	if err != nil {
 		return err
 	}
-	var buf [maxListed]Prop
-	return m.set(c, id, c.list(props, buf[:0]))
-}
-
-// Set updates properties of an object, given in strictly ascending name
-// order. It emits a PropertyChanged event per property, in list order, and
-// then one ObjectUpdated event for the write as a whole. A list the class
-// refuses changes nothing and publishes nothing.
-func (m *Model) Set(id ObjectID, props []Prop) error {
-	c, err := m.class(id.Class)
-	if err != nil {
-		return err
+	if c.mapped {
+		return fmt.Errorf("oosm: class %q is declared by property map: Create writes its objects whole", c.name)
 	}
-	return m.set(c, id, props)
-}
-
-func (m *Model) set(c *classStore, id ObjectID, props []Prop) error {
-	var buf [maxListed]int
-	slots, err := c.slots(props, buf[:0])
-	if err != nil {
-		return err
+	var buf [8]int
+	slots := buf[:0]
+	for k, name := range props {
+		i, err := c.slot(name)
+		if err != nil {
+			return err
+		}
+		if k > 0 && i <= slots[k-1] {
+			return fmt.Errorf("oosm: property %q of class %q out of order: a write names its properties once each, ascending", name, c.name)
+		}
+		slots = append(slots, i)
 	}
+	var vals [8]any
+	changed := vals[:0]
+	announce := m.events.subscribed(c.name, PropertyChanged)
 	c.mu.Lock()
-	row, ok := c.objects[id.Num]
+	obj, ok := c.objects[id.Num]
 	if ok {
-		for k, i := range slots {
-			c.indexRemove(i, id.Num, row[i])
-			row[i] = props[k].Value
-			c.indexAdd(i, id.Num, row[i])
+		for _, i := range slots {
+			c.refile(i, id.Num, obj, false)
+		}
+		write()
+		for _, i := range slots {
+			c.refile(i, id.Num, obj, true)
+			if announce {
+				changed = append(changed, c.props[i].read(obj))
+			}
 		}
 	}
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("oosm: no object %v", id)
 	}
-	for _, p := range props {
-		m.events.publish(Event{Kind: PropertyChanged, Object: id, Property: p.Name, Value: p.Value})
+	for k, v := range changed {
+		m.events.publish(Event{Kind: PropertyChanged, Object: id, Property: props[k], Value: v})
 	}
-	m.events.publish(Event{Kind: ObjectUpdated, Object: id})
+	m.events.publish(Event{Kind: ObjectUpdated, Object: id, Value: obj})
 	return nil
 }
 
@@ -451,11 +451,10 @@ func (m *Model) Delete(id ObjectID) error {
 		return err
 	}
 	c.mu.Lock()
-	row, ok := c.objects[id.Num]
+	obj, ok := c.objects[id.Num]
 	if ok {
-		//lint:allow maporder each slot's index is filed on its own; no order leaks out
 		for i := range c.index {
-			c.indexRemove(i, id.Num, row[i])
+			c.refile(i, id.Num, obj, false)
 		}
 		delete(c.objects, id.Num)
 	}
@@ -469,14 +468,7 @@ func (m *Model) Delete(id ObjectID) error {
 
 // Exists reports whether the object is present in the model.
 func (m *Model) Exists(id ObjectID) bool {
-	c, err := m.class(id.Class)
-	if err != nil {
-		return false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.objects[id.Num]
-	return ok
+	return m.read(id, func(*classStore, any) {}) == nil
 }
 
 // Instances returns all object ids of a class, ordered by creation.
@@ -508,22 +500,20 @@ func (m *Model) FindByProp(class, prop string, value any) ([]ObjectID, error) {
 	if err := c.check(i, value); err != nil {
 		return nil, err
 	}
-	key, ok := indexKey(value)
+	key, _, ok := keyOf(value)
 	// The write lock: the first ask builds the index.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx, built := c.index[i]
-	if !built {
-		idx = make(map[any][]int64)
-		c.index[i] = idx
+	if c.index[i] == nil {
+		c.index[i] = make(map[indexKey][]int64)
 		for _, num := range slices.Sorted(maps.Keys(c.objects)) {
-			c.indexAdd(i, num, c.objects[num][i])
+			c.refile(i, num, c.objects[num], true)
 		}
 	}
 	if !ok {
 		return nil, nil
 	}
-	return ids(class, idx[key]), nil
+	return ids(class, c.index[i][key]), nil
 }
 
 // ids makes the object ids of serials of one class.

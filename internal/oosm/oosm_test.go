@@ -12,6 +12,23 @@ import (
 	"repro/internal/relstore"
 )
 
+// unit is the value the objects of the typed "pump" class hold in these
+// tests; unitProps is the same schema declared by property map.
+type unit struct {
+	name      string
+	powerKW   float64
+	installed time.Time
+}
+
+var (
+	unitFields = map[string]Accessor{
+		"name":      String(func(u *unit) string { return u.name }),
+		"power_kw":  Float(func(u *unit) float64 { return u.powerKW }),
+		"installed": Time(func(u *unit) time.Time { return u.installed }),
+	}
+	unitProps = map[string]PropType{"name": PropString, "power_kw": PropFloat, "installed": PropTime}
+)
+
 func newTestModel(t testing.TB) *Model {
 	t.Helper()
 	m, err := NewModel(relstore.NewMemory())
@@ -31,6 +48,7 @@ func newTestModel(t testing.TB) *Model {
 		{Name: "report", Props: map[string]PropType{
 			"condition": PropString, "belief": PropFloat, "severity": PropFloat,
 		}},
+		{Name: "pump", Fields: unitFields},
 	} {
 		if err := m.RegisterClass(c); err != nil {
 			t.Fatal(err)
@@ -60,8 +78,17 @@ func TestRegisterClassValidation(t *testing.T) {
 	if err := m.RegisterClass(Class{Name: "ship", Props: map[string]PropType{"a": PropString}}); err == nil {
 		t.Error("duplicate class")
 	}
+	if err := m.RegisterClass(Class{Name: "both", Props: unitProps, Fields: unitFields}); err == nil {
+		t.Error("a class declared both by map and by accessors")
+	}
+	if err := m.RegisterClass(Class{Name: "unnamed", Fields: map[string]Accessor{"": unitFields["name"]}}); err == nil {
+		t.Error("an unnamed property")
+	}
+	if err := m.RegisterClass(Class{Name: "untyped", Props: map[string]PropType{"a": PropTime + 1}}); err == nil {
+		t.Error("a property of no type")
+	}
 	cs := m.Classes()
-	if len(cs) != 5 {
+	if len(cs) != 6 {
 		t.Errorf("classes %v", cs)
 	}
 }
@@ -97,12 +124,19 @@ func TestObjectLifecycle(t *testing.T) {
 	if _, err := m.GetProp(id, "ghost"); err == nil {
 		t.Error("ghost property")
 	}
-	if err := m.SetProps(id, map[string]any{"running": false}); err != nil {
+	u := &unit{name: "P1", powerKW: 7.5}
+	pump, err := m.Create("pump", u)
+	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ = m.GetProp(id, "running")
-	if v != false {
-		t.Error("SetProps lost")
+	if err := m.Set(pump, []string{"power_kw"}, func() { u.powerKW = 9 }); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.GetProp(pump, "power_kw"); v != 9.0 {
+		t.Errorf("Set lost: power_kw %v", v)
+	}
+	if props, _ := m.Get(pump); props["name"] != "P1" || props["power_kw"] != 9.0 || !props["installed"].(time.Time).IsZero() {
+		t.Errorf("pump props %v", props)
 	}
 	if err := m.Delete(id); err != nil {
 		t.Fatal(err)
@@ -129,15 +163,29 @@ func TestCreateValidation(t *testing.T) {
 	if _, err := m.Create("motor", map[string]any{"power_kw": nil}); err != nil {
 		t.Error("nil property should be allowed")
 	}
+	if _, err := m.Create("motor", map[string]any{"poles": 4}); err == nil {
+		t.Error("int (not int64) should be rejected")
+	}
+	if _, err := m.Create("motor", &unit{}); err == nil {
+		t.Error("a map-declared class took a typed value")
+	}
+	for _, v := range []any{nil, (*unit)(nil), unit{}, map[string]any{"name": "p"}} {
+		if _, err := m.Create("pump", v); err == nil {
+			t.Errorf("the typed class took %#v", v)
+		}
+	}
 	id, err := m.Create("motor", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetProps(id, map[string]any{"poles": 4}); err == nil {
-		t.Error("int (not int64) should be rejected")
+	if err := m.Set(id, []string{"name"}, func() {}); err == nil {
+		t.Error("Set on a map-declared class")
 	}
-	if err := m.SetProps(ObjectID{Class: "ghost", Num: 1}, nil); err == nil {
-		t.Error("SetProps unknown class")
+	if err := m.Set(ObjectID{Class: "ghost", Num: 1}, nil, func() {}); err == nil {
+		t.Error("Set on an unknown class")
+	}
+	if err := m.Set(ObjectID{Class: "pump", Num: 99}, []string{"name"}, func() { t.Error("a write ran for no object") }); err == nil {
+		t.Error("Set on a missing object")
 	}
 }
 
@@ -156,6 +204,14 @@ func TestInstancesAndFind(t *testing.T) {
 	if err != nil || len(found) != 1 {
 		t.Fatalf("find %v %v", found, err)
 	}
+	// A map-declared object's missing property is null, and files as null.
+	unnamed, err := m.Create("motor", map[string]any{"poles": int64(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found, err := m.FindByProp("motor", "name", nil); err != nil || !slices.Equal(found, []ObjectID{unnamed}) {
+		t.Fatalf("find null name: %v %v, want %v", found, err, unnamed)
+	}
 	if _, err := m.Instances("ghost"); err == nil {
 		t.Error("instances of unknown class")
 	}
@@ -164,19 +220,20 @@ func TestInstancesAndFind(t *testing.T) {
 // TestModelHoldsItsObjects: the model holds one object per Create and none
 // after its Delete; a map Get returned is the caller's to change; and
 // FindByProp stays exact — on a property indexed before the writes and on one
-// indexed after them — when SetProps moves an object from one value to
-// another.
+// indexed after them — when Set moves an object from one value to another.
 func TestModelHoldsItsObjects(t *testing.T) {
 	m := newTestModel(t)
 	var made []ObjectID
+	var units []*unit
 	for i := 0; i < 6; i++ {
-		id, err := m.Create("chiller", map[string]any{"name": fmt.Sprintf("c%d", i%3), "capacity_tons": float64(i)})
+		u := &unit{name: fmt.Sprintf("c%d", i%3), powerKW: float64(i)}
+		id, err := m.Create("pump", u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		made = append(made, id)
+		made, units = append(made, id), append(units, u)
 	}
-	if ids, err := m.Instances("chiller"); err != nil || !slices.Equal(ids, made) {
+	if ids, err := m.Instances("pump"); err != nil || !slices.Equal(ids, made) {
 		t.Fatalf("instances %v (%v), want the %d created, in creation order: %v", ids, err, len(made), made)
 	}
 	if err := m.Delete(made[1]); err != nil {
@@ -191,7 +248,7 @@ func TestModelHoldsItsObjects(t *testing.T) {
 	if _, err := m.Get(made[1]); err == nil {
 		t.Fatal("Get of a deleted object succeeded")
 	}
-	if ids, _ := m.Instances("chiller"); !slices.Equal(ids, slices.Delete(slices.Clone(made), 1, 2)) {
+	if ids, _ := m.Instances("pump"); !slices.Equal(ids, slices.Delete(slices.Clone(made), 1, 2)) {
 		t.Fatalf("instances after a Delete: %v", ids)
 	}
 
@@ -199,33 +256,35 @@ func TestModelHoldsItsObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(props) != 3 || props["name"] != "c0" || props["capacity_tons"] != 0.0 || props["manufacturer"] != nil {
-		t.Fatalf("Get %v, want every property, null ones nil", props)
+	if len(props) != 3 || props["name"] != "c0" || props["power_kw"] != 0.0 {
+		t.Fatalf("Get %v, want every property", props)
 	}
 	props["name"] = "changed"
-	delete(props, "capacity_tons")
-	if again, _ := m.Get(made[0]); again["name"] != "c0" || again["capacity_tons"] != 0.0 {
+	delete(props, "power_kw")
+	if again, _ := m.Get(made[0]); again["name"] != "c0" || again["power_kw"] != 0.0 {
 		t.Fatalf("changing Get's map changed the object: %v", again)
 	}
 
 	find := func(prop string, v any) []ObjectID {
 		t.Helper()
-		ids, err := m.FindByProp("chiller", prop, v)
+		ids, err := m.FindByProp("pump", prop, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ids
 	}
-	// "name" is indexed from here on; "capacity_tons" only after the writes.
+	set := func(i int, props []string, write func(u *unit)) {
+		t.Helper()
+		if err := m.Set(made[i], props, func() { write(units[i]) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// "name" is indexed from here on; "power_kw" only after the writes.
 	if got := find("name", "c0"); !slices.Equal(got, []ObjectID{made[0], made[3]}) {
 		t.Fatalf("name c0: %v", got)
 	}
-	if err := m.SetProps(made[0], map[string]any{"name": "c2", "capacity_tons": 5.0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetProps(made[4], map[string]any{"name": nil}); err != nil {
-		t.Fatal(err)
-	}
+	set(0, []string{"name", "power_kw"}, func(u *unit) { u.name, u.powerKW = "c2", 5 })
+	set(4, []string{"name"}, func(u *unit) { u.name = "" })
 	for _, tc := range []struct {
 		prop string
 		v    any
@@ -234,10 +293,11 @@ func TestModelHoldsItsObjects(t *testing.T) {
 		{"name", "c0", []ObjectID{made[3]}},
 		{"name", "c1", nil},
 		{"name", "c2", []ObjectID{made[0], made[2], made[5]}},
-		{"name", nil, []ObjectID{made[4]}},
-		{"capacity_tons", 5.0, []ObjectID{made[0], made[5]}},
-		{"capacity_tons", math.Copysign(0, -1), nil},
-		{"capacity_tons", math.NaN(), nil},
+		{"name", "", []ObjectID{made[4]}},
+		{"name", nil, nil},
+		{"power_kw", 5.0, []ObjectID{made[0], made[5]}},
+		{"power_kw", math.Copysign(0, -1), nil},
+		{"power_kw", math.NaN(), nil},
 	} {
 		if got := find(tc.prop, tc.v); !slices.Equal(got, tc.want) {
 			t.Errorf("%s = %v: %v, want %v", tc.prop, tc.v, got, tc.want)
@@ -249,22 +309,23 @@ func TestModelHoldsItsObjects(t *testing.T) {
 	if got := find("name", "c2"); !slices.Equal(got, []ObjectID{made[0], made[2]}) {
 		t.Errorf("name c2 after a Delete: %v", got)
 	}
-	if got := find("capacity_tons", 5.0); !slices.Equal(got, []ObjectID{made[0]}) {
-		t.Errorf("capacity 5 after a Delete: %v", got)
+	if got := find("power_kw", 5.0); !slices.Equal(got, []ObjectID{made[0]}) {
+		t.Errorf("power 5 after a Delete: %v", got)
 	}
-	if _, err := m.FindByProp("chiller", "name", 1.0); err == nil {
+	if _, err := m.FindByProp("pump", "name", 1.0); err == nil {
 		t.Error("FindByProp with a value of the wrong type")
 	}
-	if _, err := m.FindByProp("chiller", "ghost", "x"); err == nil {
+	if _, err := m.FindByProp("pump", "ghost", "x"); err == nil {
 		t.Error("FindByProp on an unknown property")
 	}
 }
 
-// TestCreateGetAllocBudget: a steady-state Create + Get + Delete of an object
-// with an indexed property allocates the row, the map Get hands over, and
-// nothing per property beyond them; GetProp copies nothing.
+// TestCreateGetAllocBudget: a steady-state Create + Get + Delete of a
+// map-declared object with an indexed property allocates the row and the one
+// value the object holds it in, the map Get hands over, and nothing per
+// property beyond them; GetProp copies nothing.
 func TestCreateGetAllocBudget(t *testing.T) {
-	const budget = 4
+	const budget = 5
 	m := newTestModel(t)
 	props := map[string]any{"condition": "imbalance", "belief": 0.8, "severity": 0.5}
 	if _, err := m.FindByProp("report", "condition", "imbalance"); err != nil {
@@ -303,12 +364,61 @@ func TestCreateGetAllocBudget(t *testing.T) {
 	}
 }
 
+// TestTypedRewriteAllocatesNothing: a steady-state Set of a typed object,
+// moving it between two values of an indexed property, allocates nothing —
+// with no PropertyChanged subscriber, and with one, apart from the one box per
+// named property that subscriber is handed.
+func TestTypedRewriteAllocatesNothing(t *testing.T) {
+	m := newTestModel(t)
+	u := &unit{name: "p1", powerKW: 7.5}
+	id, err := m.Create("pump", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Objects that keep both values filed, so the move empties no list.
+	for _, name := range []string{"p1", "p2"} {
+		if _, err := m.Create("pump", &unit{name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.FindByProp("pump", "name", "p1"); err != nil {
+		t.Fatal(err)
+	}
+	m.SubscribeClass("pump", ObjectUpdated, func(Event) {})
+	names := []string{"p1", "p2"}
+	at := time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC)
+	written := []string{"installed", "name", "power_kw"}
+	n := 0
+	rewrite := func() {
+		n++
+		if err := m.Set(id, written, func() {
+			u.name, u.powerKW, u.installed = names[n%2], 1000+float64(n), at.Add(time.Duration(n))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		rewrite()
+	}
+	if allocs := testing.AllocsPerRun(500, rewrite); allocs != 0 {
+		t.Fatalf("a steady-state typed rewrite allocates %.0f times", allocs)
+	}
+	m.SubscribeClass("pump", PropertyChanged, func(Event) {})
+	rewrite()
+	if allocs := testing.AllocsPerRun(500, rewrite); allocs != float64(len(written)) {
+		t.Fatalf("a typed rewrite with a PropertyChanged subscriber allocates %.0f times, want %d: one box per property", allocs, len(written))
+	}
+	if got, _ := m.FindByProp("pump", "name", u.name); len(got) != 2 || !slices.Contains(got, id) {
+		t.Fatalf("name %s: %v", u.name, got)
+	}
+}
+
 func TestEvents(t *testing.T) {
 	m := newTestModel(t)
 	var created, changed, deleted atomic.Int32
 	subC := m.SubscribeClass("motor", ObjectCreated, func(e Event) { created.Add(1) })
-	m.SubscribeClass("motor", PropertyChanged, func(e Event) {
-		if e.Property == "running" {
+	m.SubscribeClass("pump", PropertyChanged, func(e Event) {
+		if e.Property == "power_kw" && e.Value == 1.0 {
 			changed.Add(1)
 		}
 	})
@@ -318,7 +428,12 @@ func TestEvents(t *testing.T) {
 	if _, err := m.Create("motor", map[string]any{"name": "n"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetProps(id, map[string]any{"running": true, "power_kw": 1.0}); err != nil {
+	u := &unit{}
+	pump, err := m.Create("pump", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Set(pump, []string{"name", "power_kw"}, func() { u.name, u.powerKW = "p", 1 }); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Delete(id); err != nil {
@@ -455,12 +570,13 @@ func TestConcurrentWritesKeepIndexExact(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				id, err := m.Create("motor", map[string]any{"name": names[(g+i)%3]})
+				u := &unit{name: names[(g+i)%3]}
+				id, err := m.Create("pump", u)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if err := m.SetProps(id, map[string]any{"name": names[i%3]}); err != nil {
+				if err := m.Set(id, []string{"name"}, func() { u.name = names[i%3] }); err != nil {
 					t.Error(err)
 					return
 				}
@@ -478,7 +594,7 @@ func TestConcurrentWritesKeepIndexExact(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := m.FindByProp("motor", "name", names[i%3]); err != nil {
+				if _, err := m.FindByProp("pump", "name", names[i%3]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -486,7 +602,7 @@ func TestConcurrentWritesKeepIndexExact(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	ids, err := m.Instances("motor")
+	ids, err := m.Instances("pump")
 	if err != nil || len(ids) != 100 {
 		t.Fatalf("%d objects (%v), want 100", len(ids), err)
 	}
@@ -497,7 +613,7 @@ func TestConcurrentWritesKeepIndexExact(t *testing.T) {
 				want = append(want, id)
 			}
 		}
-		got, err := m.FindByProp("motor", "name", name)
+		got, err := m.FindByProp("pump", "name", name)
 		if err != nil || !slices.Equal(got, want) {
 			t.Errorf("name %s: %v (%v), a scan finds %v", name, got, err, want)
 		}
@@ -506,13 +622,14 @@ func TestConcurrentWritesKeepIndexExact(t *testing.T) {
 
 func BenchmarkPropertyChangeWithSubscriber(b *testing.B) {
 	m := newTestModel(b)
-	id, _ := m.Create("motor", map[string]any{"name": "m"})
+	u := &unit{name: "m"}
+	id, _ := m.Create("pump", u)
 	var n int64
-	m.SubscribeClass("motor", PropertyChanged, func(Event) { atomic.AddInt64(&n, 1) })
+	m.SubscribeClass("pump", PropertyChanged, func(Event) { atomic.AddInt64(&n, 1) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.SetProps(id, map[string]any{"power_kw": float64(i)}); err != nil {
+		if err := m.Set(id, []string{"power_kw"}, func() { u.powerKW = float64(i) }); err != nil {
 			b.Fatal(err)
 		}
 	}

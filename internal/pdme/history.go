@@ -18,10 +18,9 @@ func severityChannel(component, condition string) string {
 	return "severity/" + component + "|" + condition
 }
 
-// observeSeverity appends one fused-report severity to the pair's channel,
+// observeSeverity appends one fused-report severity to a pair's channel,
 // creating it on first sight.
-func (p *PDME) observeSeverity(component, condition string, at time.Time, severity float64) error {
-	name := severityChannel(component, condition)
+func (p *PDME) observeSeverity(name string, at time.Time, severity float64) error {
 	if err := p.hist.EnsureChannel(historian.ChannelConfig{Name: name}); err != nil {
 		return err
 	}

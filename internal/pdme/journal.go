@@ -235,8 +235,7 @@ func (p *PDME) replayReport(d *proto.Delivery) error {
 // historian that already recorded the sample before the crash: an
 // identical (timestamp, value) point in the channel means this replay
 // already happened.
-func (p *PDME) replaySeverity(component, condition string, at time.Time, severity float64) error {
-	name := severityChannel(component, condition)
+func (p *PDME) replaySeverity(name string, at time.Time, severity float64) error {
 	if p.hist.HasChannel(name) {
 		if it, err := p.hist.Query(name, at, at); err == nil {
 			for it.Next() {
@@ -247,7 +246,7 @@ func (p *PDME) replaySeverity(component, condition string, at time.Time, severit
 			}
 		}
 	}
-	return p.observeSeverity(component, condition, at, severity)
+	return p.observeSeverity(name, at, severity)
 }
 
 // checkpointCapture is the derived state as Checkpoint found it under the

@@ -18,9 +18,10 @@
 // object a delivery posts, one somebody created straight in the model, a
 // journaled report replayed at recovery — and one pass: the fold that takes
 // the report in yields the pair's state and stamp, and exactly that is posted
-// as its conclusion. A delivery's post carries the decoded report on its
-// ObjectCreated event (oosm.Model.CreateWith), and that is what KF fuses; only
-// an object somebody created straight in the model is read back out of it.
+// as its conclusion. A report object holds the *proto.Report it was posted
+// with, and its ObjectCreated event carries it: that is what KF fuses, and
+// what the object's properties are read out of. A conclusion object holds a
+// Conclusion the PDME rewrites in place with every fold.
 // KF runs synchronously inside the model's Create, on the posting goroutine,
 // and its answer is the delivery's: a report it refuses is neither marked in
 // the dedup window nor counted, and its sender is told.
@@ -48,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -82,11 +82,11 @@ type PDME struct {
 	ownHist bool
 
 	mu sync.Mutex
-	// conclusions maps (component, condition) to the OOSM conclusion object,
-	// so fused updates rewrite one object instead of accumulating. It holds
-	// every pair that has one — the model starts with none — so a miss is a
-	// first post.
-	conclusions map[[2]string]oosm.ObjectID
+	// pairs holds what the PDME keeps per (component, condition) once a
+	// report on it reaches fusion: its severity channel's name, and its
+	// conclusion object, so fused updates rewrite one object instead of
+	// accumulating.
+	pairs map[[2]string]*pair
 	// refused parks KF's refusal of a report object, by id, for the accept
 	// that posted it: an event handler cannot fail the Create that woke it.
 	// (The refusal of an object nobody's accept posted has nobody to tell.)
@@ -175,32 +175,7 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 	if err != nil {
 		return nil, err
 	}
-	classes := []oosm.Class{
-		{Name: ReportClass, Props: map[string]oosm.PropType{
-			"dc_id":       oosm.PropString,
-			"ks_id":       oosm.PropString,
-			"sensed":      oosm.PropString,
-			"condition":   oosm.PropString,
-			"severity":    oosm.PropFloat,
-			"belief":      oosm.PropFloat,
-			"explanation": oosm.PropString,
-			"recommend":   oosm.PropString,
-			"timestamp":   oosm.PropTime,
-			"prognostics": oosm.PropString, // JSON-encoded §7.3 vector
-			"suspect":     oosm.PropString, // comma-joined guard-flagged channels
-		}},
-		{Name: ConclusionClass, Props: map[string]oosm.PropType{
-			"component":    oosm.PropString,
-			"condition":    oosm.PropString,
-			"group":        oosm.PropString,
-			"belief":       oosm.PropFloat,
-			"plausibility": oosm.PropFloat,
-			"unknown":      oosm.PropFloat,
-			"prognostics":  oosm.PropString,
-			"updated_at":   oosm.PropTime,
-		}},
-	}
-	for _, c := range classes {
+	for _, c := range []oosm.Class{reportClass, conclusionClass} {
 		if err := model.RegisterClass(c); err != nil {
 			return nil, err
 		}
@@ -217,21 +192,22 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 		}
 	}
 	p := &PDME{
-		model:       model,
-		diag:        diag,
-		prog:        fusion.NewPrognosticFuser(),
-		hist:        hist,
-		ownHist:     ownHist,
-		conclusions: make(map[[2]string]oosm.ObjectID),
-		refused:     make(map[oosm.ObjectID]error),
-		reports:     make(map[reportKey]heldReport),
-		dedup:       proto.NewDedup(0),
-		registry:    registry,
+		model:    model,
+		diag:     diag,
+		prog:     fusion.NewPrognosticFuser(),
+		hist:     hist,
+		ownHist:  ownHist,
+		pairs:    make(map[[2]string]*pair),
+		refused:  make(map[oosm.ObjectID]error),
+		reports:  make(map[reportKey]heldReport),
+		dedup:    proto.NewDedup(0),
+		registry: registry,
 	}
-	// §5.1 step 2: new reports in the OOSM wake knowledge fusion. A refusal is
-	// parked for the accept that made the post (postReport).
+	// §5.1 step 2: new reports in the OOSM wake knowledge fusion, which fuses
+	// the report the object holds, carried on the event. A refusal is parked
+	// for the accept that made the post (postReport).
 	p.sub = model.SubscribeClass(ReportClass, oosm.ObjectCreated, func(e oosm.Event) {
-		if err := p.fusePosted(e); err != nil {
+		if err := p.fuse(e.Value.(*proto.Report), p.observeSeverity); err != nil {
 			p.mu.Lock()
 			p.refused[e.Object] = err
 			p.mu.Unlock()
@@ -282,7 +258,10 @@ func (p *PDME) invalidator() Invalidator {
 }
 
 // Deliver implements proto.Sink: §5.1 step 1 — post the report into the
-// OOSM. Fusion then runs via the model's event notification.
+// OOSM. Fusion then runs via the model's event notification. The PDME keeps
+// the report: its report object holds it until a newer report from the same
+// source supersedes it (postReport), so the caller must not change it after
+// handing it over.
 func (p *PDME) Deliver(r *proto.Report) error {
 	return p.DeliverTagged(r, r.DCID, 0, 0)
 }
@@ -300,7 +279,8 @@ func (p *PDME) DeliverTagged(r *proto.Report, dcid string, boot, seq uint64) err
 
 // DeliverBatch implements proto.BatchSink, the PDME's one accept path: a
 // run of N ≥ 1 reports shares one journal write and one fsync. Each
-// element's Err is its own answer.
+// element's Err is its own answer. As Deliver, it keeps each report it
+// accepts, which its caller must not change afterwards.
 func (p *PDME) DeliverBatch(run []proto.Delivery) {
 	admitted := false
 	for i := range run {
@@ -421,25 +401,7 @@ func (p *PDME) supersedeLocked(key reportKey, id oosm.ObjectID, at time.Time) oo
 // the one held. A post KF refused is deleted at once and displaces nothing: it
 // was never fused.
 func (p *PDME) postReport(r *proto.Report) error {
-	var buf [256]byte
-	progJSON, err := proto.AppendPrognosticsJSON(buf[:0], r.Prognostics)
-	if err != nil {
-		return fmt.Errorf("pdme: encode prognostics: %w", err)
-	}
-	// The class's properties in name order, its slot order.
-	id, err := p.model.CreateWith(ReportClass, []oosm.Prop{
-		{Name: "belief", Value: r.Belief},
-		{Name: "condition", Value: r.MachineConditionID},
-		{Name: "dc_id", Value: r.DCID},
-		{Name: "explanation", Value: r.Explanation},
-		{Name: "ks_id", Value: r.KnowledgeSourceID},
-		{Name: "prognostics", Value: string(progJSON)},
-		{Name: "recommend", Value: r.Recommendations},
-		{Name: "sensed", Value: r.SensedObjectID},
-		{Name: "severity", Value: r.Severity},
-		{Name: "suspect", Value: strings.Join(r.SuspectChannels, ",")},
-		{Name: "timestamp", Value: r.Timestamp},
-	}, r)
+	id, err := p.model.Create(ReportClass, r)
 	if err != nil {
 		return err
 	}
@@ -541,33 +503,6 @@ func (p *PDME) ConfigureHealth(cfg health.Config) error {
 	return nil
 }
 
-// fusePosted is §5.1 step 3 for a report object just created in the OOSM: it
-// fuses the report the post handed over with the event — or, for an object
-// somebody created straight in the model, the report read out of it.
-func (p *PDME) fusePosted(e oosm.Event) error {
-	if r, ok := e.Value.(*proto.Report); ok {
-		return p.fuse(r, p.observeSeverity)
-	}
-	props, err := p.model.Get(e.Object)
-	if err != nil {
-		return err
-	}
-	var r proto.Report
-	if s, ok := props["prognostics"].(string); ok && s != "" {
-		if err := json.Unmarshal([]byte(s), &r.Prognostics); err != nil {
-			return fmt.Errorf("pdme: report object %v: prognostics: %w", e.Object, err)
-		}
-	}
-	r.SensedObjectID, _ = props["sensed"].(string)
-	r.MachineConditionID, _ = props["condition"].(string)
-	r.Belief, _ = props["belief"].(float64)
-	r.Severity, _ = props["severity"].(float64)
-	r.Timestamp, _ = props["timestamp"].(time.Time)
-	r.DCID, _ = props["dc_id"].(string)
-	r.KnowledgeSourceID, _ = props["ks_id"].(string)
-	return p.fuse(&r, p.observeSeverity)
-}
-
 // fuse is knowledge fusion's one pass over one report (package comment):
 // inside the component's ordering section and the read side's write window it
 // records the severity, folds the evidence into both fusion layers, posts the
@@ -575,7 +510,7 @@ func (p *PDME) fusePosted(e oosm.Event) error {
 // observes the DC's liveness. The live path and journal replay differ only in
 // how the severity sample is recorded (observeSeverity, or the idempotent
 // replaySeverity), so recovery reproduces the live state by construction.
-func (p *PDME) fuse(r *proto.Report, recordSeverity func(component, condition string, at time.Time, severity float64) error) error {
+func (p *PDME) fuse(r *proto.Report, recordSeverity func(channel string, at time.Time, severity float64) error) error {
 	component, condition := r.SensedObjectID, r.MachineConditionID
 	group, err := p.diag.GroupOf(condition)
 	if err != nil {
@@ -594,10 +529,18 @@ func (p *PDME) fuse(r *proto.Report, recordSeverity func(component, condition st
 		inv.BeginMutation(component, group, condition)
 		defer inv.EndMutation(component, group, condition)
 	}
+	key := [2]string{component, condition}
+	p.mu.Lock()
+	pr := p.pairs[key]
+	if pr == nil {
+		pr = &pair{severity: severityChannel(component, condition)}
+		p.pairs[key] = pr
+	}
+	p.mu.Unlock()
 	// §10.1 temporal reasoning: record the severity history in the
 	// historian so developing faults can be projected forward (and, on
 	// disk-backed stores, survive a PDME restart).
-	if err := recordSeverity(component, condition, r.Timestamp, r.Severity); err != nil {
+	if err := recordSeverity(pr.severity, r.Timestamp, r.Severity); err != nil {
 		return err
 	}
 	// Evidence is attributed to the originating DC so the health registry
@@ -616,7 +559,7 @@ func (p *PDME) fuse(r *proto.Report, recordSeverity func(component, condition st
 	} else {
 		fusedVec = p.prog.Fused(component, condition)
 	}
-	if err := p.postConclusion(component, cs, fusedVec); err != nil {
+	if err := p.postConclusion(pr, component, cs, fusedVec); err != nil {
 		return err
 	}
 	// A fused report is liveness evidence for its DC, heartbeats or not.
@@ -625,47 +568,22 @@ func (p *PDME) fuse(r *proto.Report, recordSeverity func(component, condition st
 }
 
 // postConclusion writes the pair's conclusion object with the state the fold
-// returned: all of it at the pair's first post, and afterwards only what a
-// fold changes — the subject (component, condition, group) is the object's
-// for good. Its updated_at is the state's, which never goes back. Callers
-// hold the component's ordering section, which is what keeps
-// lookup-then-create from making twins.
-func (p *PDME) postConclusion(component string, cs fusion.ConditionState, vec proto.PrognosticVector) error {
-	var buf [256]byte
-	vecJSON, err := proto.AppendPrognosticsJSON(buf[:0], vec)
+// returned: all of it at the pair's first post, and afterwards, in place, only
+// what a fold changes — the subject (component, condition, group) is the
+// object's for good. Its updated_at is the state's, which never goes back.
+// Callers hold the component's ordering section, which is what keeps
+// lookup-then-create from making twins and orders every write of pr.
+func (p *PDME) postConclusion(pr *pair, component string, cs fusion.ConditionState, vec proto.PrognosticVector) error {
+	if c := pr.conclusion; c != nil {
+		return p.model.Set(pr.id, conclusionFold, func() { c.fold(cs, vec) })
+	}
+	c := &Conclusion{component: component, condition: cs.Condition, group: cs.Group}
+	c.fold(cs, vec)
+	id, err := p.model.Create(ConclusionClass, c)
 	if err != nil {
 		return err
 	}
-	key := [2]string{component, cs.Condition}
-	p.mu.Lock()
-	id, held := p.conclusions[key]
-	p.mu.Unlock()
-	// The class's properties in name order, its slot order.
-	if held {
-		return p.model.Set(id, []oosm.Prop{
-			{Name: "belief", Value: cs.Belief},
-			{Name: "plausibility", Value: cs.Plausibility},
-			{Name: "prognostics", Value: string(vecJSON)},
-			{Name: "unknown", Value: cs.Unknown},
-			{Name: "updated_at", Value: cs.UpdatedAt},
-		})
-	}
-	id, err = p.model.CreateWith(ConclusionClass, []oosm.Prop{
-		{Name: "belief", Value: cs.Belief},
-		{Name: "component", Value: component},
-		{Name: "condition", Value: cs.Condition},
-		{Name: "group", Value: cs.Group},
-		{Name: "plausibility", Value: cs.Plausibility},
-		{Name: "prognostics", Value: string(vecJSON)},
-		{Name: "unknown", Value: cs.Unknown},
-		{Name: "updated_at", Value: cs.UpdatedAt},
-	}, nil)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	p.conclusions[key] = id
-	p.mu.Unlock()
+	pr.id, pr.conclusion = id, c
 	return nil
 }
 

@@ -175,26 +175,29 @@ func TestReportRepositoryStaysBounded(t *testing.T) {
 
 // TestAcceptAllocBudget: a steady-state accept with no journal — the pair's
 // conclusion object and the source's report object already there — stays
-// under a fixed allocation ceiling, set from the measured count: 18, and 20
-// under -race. Posting the report and the conclusion as property maps cost
-// 21; copying each row twice and the subscriber list once per event cost 112;
-// encoding/json's trips of the prognostic vector through the OOSM cost 97;
-// reading the report back out of a relational row the model kept, and
-// rewriting the conclusion's subject with every fold, cost 78; a new
+// under a fixed allocation ceiling, set from the measured count: 2 (the fused
+// prognostic vector and its copy), and 4 under -race. The engine keeps each
+// report it is handed, so every accept hands it a report of its own, built
+// before the count. Rows of boxed property values cost 18; posting them as
+// property maps cost 21; copying each row twice and the subscriber list once
+// per event cost 112; encoding/json's trips of the prognostic vector through
+// the OOSM cost 97; reading the report back out of a relational row the model
+// kept, and rewriting the conclusion's subject with every fold, cost 78; a new
 // map-backed mass per fold and a sorted key slice per walk cost 54.
 func TestAcceptAllocBudget(t *testing.T) {
-	const budget = 21
+	const budget = 4
 	p := newTestPDME(t)
 	defer p.Close()
 	at := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
-	r := report("ks/dli", "motor/1", "motor imbalance", 0.5, 0.6, at, proto.PrognosticVector{
-		{Probability: 0.2, HorizonSeconds: 14 * 86400}, {Probability: 0.7, HorizonSeconds: 45 * 86400},
-	})
-	seq := uint64(0)
+	vec := proto.PrognosticVector{{Probability: 0.2, HorizonSeconds: 14 * 86400}, {Probability: 0.7, HorizonSeconds: 45 * 86400}}
+	reports := make([]*proto.Report, 100+3*501)
+	for i := range reports {
+		reports[i] = report("ks/dli", "motor/1", "motor imbalance", 0.5, 0.6, at.Add(time.Duration(i+1)*time.Second), vec)
+	}
+	seq := 0
 	accept := func() {
 		seq++
-		r.Timestamp = at.Add(time.Duration(seq) * time.Second)
-		if err := p.DeliverTagged(r, "dc-1", 1, seq); err != nil {
+		if err := p.DeliverTagged(reports[seq-1], "dc-1", 1, uint64(seq)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -187,7 +187,9 @@ func (env *envelope) delivery(body []byte) (Delivery, error) {
 	return d, nil
 }
 
-// Sink consumes validated reports; the PDME implements this interface.
+// Sink consumes validated reports; the PDME implements this interface. A
+// sink may keep a report it is handed — the PDME's report object holds it —
+// so a deliverer must not change a report after handing it over.
 type Sink interface {
 	Deliver(*Report) error
 }
@@ -235,7 +237,8 @@ type Delivery struct {
 // consecutive tagged frames of one sender and one kind that were already on
 // the connection, in frame order, or a single frame. The tag is what a
 // journaling sink persists so its replay can re-mark the dedup window. Each
-// element's Frame is valid only until DeliverBatch returns (Delivery.Frame).
+// element's Frame is valid only until DeliverBatch returns (Delivery.Frame);
+// its Report, as with Sink, the sink may keep.
 type BatchSink interface {
 	Sink
 	// DeliverBatch consumes the run in order and sets each element's Err.

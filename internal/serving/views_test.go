@@ -444,9 +444,9 @@ func TestModelPostedReportInvalidates(t *testing.T) {
 	}
 	post := func(at time.Time) {
 		t.Helper()
-		if _, err := engine.Model().Create(pdme.ReportClass, map[string]any{
-			"dc_id": "dc-1", "ks_id": "ks-dc-1", "sensed": "m1", "condition": "imbalance",
-			"severity": 0.5, "belief": 0.7, "timestamp": at, "prognostics": "null",
+		if _, err := engine.Model().Create(pdme.ReportClass, &proto.Report{
+			DCID: "dc-1", KnowledgeSourceID: "ks-dc-1", SensedObjectID: "m1", MachineConditionID: "imbalance",
+			Severity: 0.5, Belief: 0.7, Timestamp: at,
 		}); err != nil {
 			t.Fatal(err)
 		}

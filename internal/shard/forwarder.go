@@ -101,10 +101,9 @@ func Forward(engine *pdme.PDME, cfg ForwarderConfig) (*Forwarder, error) {
 	}
 	f := &Forwarder{engine: engine, cfg: cfg, up: up}
 	model := engine.Model()
-	handler := func(e oosm.Event) { f.onConclusion(e.Object) }
 	f.subs = append(f.subs,
-		model.SubscribeClass(pdme.ConclusionClass, oosm.ObjectCreated, handler),
-		model.SubscribeClass(pdme.ConclusionClass, oosm.ObjectUpdated, handler),
+		model.SubscribeClass(pdme.ConclusionClass, oosm.ObjectCreated, f.onConclusion),
+		model.SubscribeClass(pdme.ConclusionClass, oosm.ObjectUpdated, f.onConclusion),
 	)
 	return f, nil
 }
@@ -113,18 +112,15 @@ func Forward(engine *pdme.PDME, cfg ForwarderConfig) (*Forwarder, error) {
 // inside the engine's ordering section for the component (the write is the
 // fuse's own post), so the snapshot forwardPair takes is the state just
 // posted and a component's summaries spool in the order they were fused.
-func (f *Forwarder) onConclusion(id oosm.ObjectID) {
-	// The pair is all it needs of the object: two reads, not a copy of it.
-	var pair [2]string
-	for i, name := range [2]string{"component", "condition"} {
-		v, err := f.engine.Model().GetProp(id, name)
-		if err != nil {
-			f.count(func(c *ForwarderCounters) { c.Skipped++ })
-			return
-		}
-		pair[i], _ = v.(string)
+// The pair is all it needs of the object, and the event's value — the
+// conclusion the object holds — names it without a read of the model.
+func (f *Forwarder) onConclusion(e oosm.Event) {
+	c, ok := e.Value.(*pdme.Conclusion)
+	if !ok {
+		f.count(func(c *ForwarderCounters) { c.Skipped++ })
+		return
 	}
-	f.forwardPair(pair[0], pair[1])
+	f.forwardPair(c.Subject())
 }
 
 // forwardPair snapshots and spools one (component, condition) summary,
