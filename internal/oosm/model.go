@@ -318,7 +318,8 @@ func (c *classStore) refile(i int, num int64, value any, in bool) {
 
 // Create instantiates an object of the class and emits an ObjectCreated
 // event. A typed class's object holds value itself, a non-nil *T of the
-// class's accessors, and the event carries it to the subscribers. A
+// class's accessors, and the event carries it to the subscribers; from then
+// on its creator changes it only inside a Set's write. A
 // map-declared class takes a map[string]any of initial properties (missing
 // ones null) and keeps them in a row of its own; its event carries no value.
 // A value the class refuses creates nothing and publishes nothing.
