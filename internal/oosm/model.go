@@ -18,13 +18,13 @@
 package oosm
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"math"
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/relstore"
 )
@@ -71,6 +71,9 @@ type Accessor interface {
 	key(value any) (k indexKey, ok bool)
 	// holds reports whether value is an object value of the class.
 	holds(value any) bool
+	// of returns a nil of the type of value the accessor reads, so that
+	// RegisterClass can check that a class's accessors all read one type.
+	of() any
 }
 
 // String declares a text property of a typed class whose objects hold a *T.
@@ -92,9 +95,11 @@ func (f field[T, V]) typ() PropType                   { return f.t }
 func (f field[T, V]) read(v any) any                  { return f.get(v.(*T)) }
 func (f field[T, V]) key(v any) (k indexKey, ok bool) { k, _, ok = keyOf(f.get(v.(*T))); return }
 func (f field[T, V]) holds(v any) bool                { p, ok := v.(*T); return ok && p != nil }
+func (f field[T, V]) of() any                         { return (*T)(nil) }
 
-// row is a map-declared object's value: its properties in name order.
-type row []any
+// A map-declared object's value is its row: its properties in name order,
+// held as a pointer to the row's first slot. A pointer goes into an any
+// unboxed, where a slice would cost the object a second allocation.
 
 // column is a map-declared class's accessor: one slot of the row.
 type column struct {
@@ -102,10 +107,14 @@ type column struct {
 	slot int
 }
 
+// at returns the column's slot of row v; the row has every slot of its class.
+func (c column) at(v any) any { return unsafe.Slice(v.(*any), c.slot+1)[c.slot] }
+
 func (c column) typ() PropType                   { return c.t }
-func (c column) read(v any) any                  { return v.(row)[c.slot] }
-func (c column) key(v any) (k indexKey, ok bool) { k, _, ok = keyOf(v.(row)[c.slot]); return }
-func (c column) holds(v any) bool                { _, ok := v.(row); return ok }
+func (c column) read(v any) any                  { return c.at(v) }
+func (c column) key(v any) (k indexKey, ok bool) { k, _, ok = keyOf(c.at(v)); return }
+func (c column) holds(v any) bool                { _, ok := v.(*any); return ok }
+func (c column) of() any                         { return (*any)(nil) }
 
 // indexKey is a property value as an index files it: two values of one
 // property file together exactly when they are equal (times when Equal).
@@ -211,6 +220,9 @@ func (m *Model) RegisterClass(c Class) error {
 		if s.names[i] == "" || a == nil || a.typ() < PropString || a.typ() > PropTime {
 			return fmt.Errorf("oosm: property %q of class %q is unnamed or of no type", s.names[i], c.Name)
 		}
+		if a.of() != s.props[0].of() {
+			return fmt.Errorf("oosm: property %q of class %q reads a %T, property %q a %T", s.names[i], c.Name, a.of(), s.names[0], s.props[0].of())
+		}
 	}
 	s.index = make([]map[indexKey][]int64, len(s.props))
 	m.mu.Lock()
@@ -271,7 +283,7 @@ func (c *classStore) object(value any) (any, error) {
 	if !ok && value != nil {
 		return nil, fmt.Errorf("oosm: class %q is declared by property map, not %T", c.name, value)
 	}
-	r, n := make(row, len(c.props)), 0
+	r, n := make([]any, len(c.props)), 0
 	for i, name := range c.names {
 		if v, set := props[name]; set {
 			if err := c.check(i, v); err != nil {
@@ -288,7 +300,7 @@ func (c *classStore) object(value any) (any, error) {
 			}
 		}
 	}
-	return r, nil
+	return &r[0], nil
 }
 
 // refile files serial num, holding value, in slot i's index (in), or takes
@@ -374,18 +386,6 @@ func (m *Model) Get(id ObjectID) (out map[string]any, err error) {
 		}
 	})
 	return out, err
-}
-
-// GetProp returns one property value of an object, reading nothing else.
-func (m *Model) GetProp(id ObjectID, name string) (v any, err error) {
-	var unknown error
-	err = m.read(id, func(c *classStore, obj any) {
-		var i int
-		if i, unknown = c.slot(name); unknown == nil {
-			v = c.props[i].read(obj)
-		}
-	})
-	return v, cmp.Or(err, unknown)
 }
 
 // Set rewrites, in place, the properties props names (ascending) of a typed

@@ -43,11 +43,11 @@ func conclusionConditions(t *testing.T, model *oosm.Model, machine oosm.ObjectID
 	}
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {
-		c, err := model.GetProp(id, "condition")
+		props, err := model.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, c.(string))
+		out = append(out, props["condition"].(string))
 	}
 	slices.Sort(out)
 	return out
