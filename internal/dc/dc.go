@@ -12,6 +12,7 @@ import (
 	"weak"
 
 	"repro/internal/chiller"
+	"repro/internal/dsp"
 	"repro/internal/fuzzy"
 	"repro/internal/historian"
 	"repro/internal/proto"
@@ -496,8 +497,9 @@ func (c *crew) release() {
 func (c *crew) compute(frames *[chiller.NumPoints][]float64, results *[chiller.NumPoints]pointResult, w, stride int) {
 	for i := w; i < chiller.NumPoints; i += stride {
 		r, pt := &results[i], chiller.MeasurementPoint(i)
-		if r.err = c.ex[w].ExtractInto(&r.f, frames[i], pt); r.err == nil && c.clf != nil {
-			r.cls, r.err = c.clf.ClassifyOn(c.ws[w], frames[i], pt)
+		st := dsp.Waveform(frames[i])
+		if r.err = c.ex[w].ExtractInto(&r.f, frames[i], st, pt); r.err == nil && c.clf != nil {
+			r.cls, r.err = c.clf.ClassifyOn(c.ws[w], frames[i], st, pt)
 		}
 	}
 }

@@ -133,9 +133,6 @@ func (g *ChannelGuard) frameVerdict(st *channelState, frame []float64) string {
 	var sumSq float64
 	zeros := 0
 	for _, v := range frame {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return "invalid: non-finite sample"
-		}
 		if v < min {
 			min = v
 		}
@@ -145,6 +142,17 @@ func (g *ChannelGuard) frameVerdict(st *channelState, frame []float64) string {
 		sumSq += v * v
 		if v == 0 {
 			zeros++
+		}
+	}
+	// A NaN or infinite sample makes the sum of squares NaN or +Inf, so one
+	// test after the loop stands for one per sample. Finite samples whose
+	// squares overflow also make it +Inf: only then is the frame scanned
+	// again, and such a frame goes on to the checks below as before.
+	if math.IsNaN(sumSq) || math.IsInf(sumSq, 0) {
+		for _, v := range frame {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return "invalid: non-finite sample"
+			}
 		}
 	}
 	if frac := float64(zeros) / float64(len(frame)); frac >= g.cfg.DropoutFraction {

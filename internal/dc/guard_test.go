@@ -98,6 +98,40 @@ func TestGuardSpike(t *testing.T) {
 	}
 }
 
+// TestGuardNonFiniteSamples pins the verdicts that depend on the frame's
+// sum of squares being finite: a NaN or infinite sample anywhere is invalid,
+// also among finite samples whose squares overflow, while a frame of finite
+// samples whose squares overflow is judged like any other frame (its RMS is
+// +Inf, so no sample is a spike).
+func TestGuardNonFiniteSamples(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []int{0, 511, 1023} {
+			for _, amp := range []float64{1, 1e200} {
+				frame := sineFrame(1024, amp, 0)
+				frame[at] = bad
+				g := NewChannelGuard(GuardConfig{})
+				if v := g.InspectFrame("ch", frame); v != "invalid: non-finite sample" {
+					t.Errorf("%v at %d among amplitude %g: verdict %q, want invalid", bad, at, amp, v)
+				}
+			}
+		}
+	}
+	g := NewChannelGuard(GuardConfig{StuckFrames: 3})
+	huge := sineFrame(1024, 1e200, 0)
+	huge[100] = 1e300 // a spike no finite limit catches once the RMS is +Inf
+	for i, want := range []string{"", "", "stuck-at: identical frame statistics repeating"} {
+		if v := g.InspectFrame("ch", huge); v != want {
+			t.Errorf("overflowing frame, inspection %d: verdict %q, want %q", i+1, v, want)
+		}
+	}
+	for i := 300; i < 700; i++ {
+		huge[i] = 0
+	}
+	if v := NewChannelGuard(GuardConfig{}).InspectFrame("ch", huge); !strings.HasPrefix(v, "dropout") {
+		t.Errorf("overflowing frame with 40%% zeros: verdict %q, want dropout", v)
+	}
+}
+
 func TestGuardScalarStuck(t *testing.T) {
 	g := NewChannelGuard(GuardConfig{StuckFrames: 3})
 	// A steady-but-jittering plant reading never trips the guard.

@@ -12,6 +12,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 )
 
@@ -60,21 +61,76 @@ func (p *Plan) Transform(x []complex128) error {
 	if len(x) != p.n {
 		return fmt.Errorf("dsp: transform of %d values on a plan for %d", len(x), p.n)
 	}
+	bitReverse(x)
 	p.butterflies(x)
 	return nil
 }
 
-// butterflies is the package's one decimation-in-time butterfly body. len(x)
-// is the plan's length or half of it (the real-input entry); a stage of size
-// s reads e^(−j2πk/s) from the table at stride n/s.
+// butterflies is the package's one decimation-in-time butterfly body over x
+// in bit-reversed order. len(x) is the plan's length or half of it (the
+// real-input entry); a stage of size s reads e^(−j2πk/s) from the table at
+// stride n/s. The stages of size 2 and 4 run as one flat pass over groups of
+// four values, and every later pair of stages as one pass that loads and
+// stores each value once: stage s on both halves of a group of 2s, then stage
+// 2s across them. Every value still sees the butterflies of a textbook
+// stage-by-stage transform, the same multiplies and adds in the same order;
+// only butterflies that do not depend on each other change places.
 func (p *Plan) butterflies(x []complex128) {
-	bitReverse(x)
-	for size := 2; size <= len(x); size <<= 1 {
+	n := len(x)
+	if n < 2 {
+		return
+	}
+	w0 := p.tw[0]
+	if n == 2 {
+		e, o := x[0], x[1]*w0
+		x[0], x[1] = e+o, e-o
+		return
+	}
+	w1 := p.tw[p.n/4]
+	for s := 0; s+4 <= n; s += 4 {
+		q := x[s : s+4 : s+4]
+		o0 := q[1] * w0
+		a0, a1 := q[0]+o0, q[0]-o0
+		o1 := q[3] * w0
+		a2, a3 := q[2]+o1, q[2]-o1
+		t0 := a2 * w0
+		q[0], q[2] = a0+t0, a0-t0
+		t1 := a3 * w1
+		q[1], q[3] = a1+t1, a1-t1
+	}
+	size := 8
+	// Two stages per pass: stage s on the group's halves, then stage 2s
+	// across them, four values loaded and stored once.
+	for ; 2*size <= n; size <<= 2 {
+		half := size >> 1
+		strideA, strideB := p.n/size, p.n/(2*size)
+		for start := 0; start+2*size <= n; start += 2 * size {
+			g := x[start : start+2*size : start+2*size]
+			q0 := g[:half:half]
+			q1 := g[half:size:size]
+			q2 := g[size : size+half : size+half]
+			q3 := g[size+half:]
+			q1, q2, q3 = q1[:len(q0)], q2[:len(q0)], q3[:len(q0)]
+			for k := range q0 {
+				wa := p.tw[k*strideA]
+				o := q1[k] * wa
+				a0, a1 := q0[k]+o, q0[k]-o
+				o = q3[k] * wa
+				a2, a3 := q2[k]+o, q2[k]-o
+				o = a2 * p.tw[k*strideB]
+				q0[k], q2[k] = a0+o, a0-o
+				o = a3 * p.tw[(k+half)*strideB]
+				q1[k], q3[k] = a1+o, a1-o
+			}
+		}
+	}
+	for ; size <= n; size <<= 1 {
 		half := size >> 1
 		stride := p.n / size
-		for start := 0; start < len(x); start += size {
-			lo := x[start : start+half]
-			hi := x[start+half : start+size]
+		for start := 0; start+size <= n; start += size {
+			lo := x[start : start+half : start+half]
+			hi := x[start+half : start+size : start+size]
+			hi = hi[:len(lo)]
 			for k := range lo {
 				even := lo[k]
 				odd := hi[k] * p.tw[k*stride]
@@ -102,28 +158,43 @@ func (p *Plan) RealTransform(dst []complex128, x, window []float64) error {
 	if window != nil && len(window) != len(x) {
 		return fmt.Errorf("dsp: window of %d coefficients for a frame of %d samples", len(window), len(x))
 	}
-	// at reads sample i under the window.
-	at := func(i int) float64 {
-		if window != nil {
-			return x[i] * window[i]
-		}
-		return x[i]
-	}
 	if m == 0 {
 		dst[0] = 0
 		if len(x) == 1 {
-			dst[0] = complex(at(0), 0)
+			v := x[0]
+			if window != nil {
+				v *= window[0]
+			}
+			dst[0] = complex(v, 0)
 		}
 		return nil
 	}
+	// Slot j of the half-length transform's bit-reversed input takes the
+	// sample pair reversed(j): gathered in place, so the transform needs no
+	// permutation pass, and written in order.
 	z := dst[:m]
+	shift := 64 - bits.TrailingZeros(uint(m))
 	pairs := len(x) / 2
-	for i := 0; i < pairs; i++ {
-		z[i] = complex(at(2*i), at(2*i+1))
-	}
-	clear(z[pairs:])
-	if len(x)%2 == 1 {
-		z[pairs] = complex(at(len(x)-1), 0)
+	for j := range z {
+		i := reversed(j, shift)
+		switch {
+		case i < pairs:
+			s := x[2*i : 2*i+2 : 2*i+2]
+			if window == nil {
+				z[j] = complex(s[0], s[1])
+			} else {
+				w := window[2*i : 2*i+2 : 2*i+2]
+				z[j] = complex(s[0]*w[0], s[1]*w[1])
+			}
+		case i == pairs && len(x)%2 == 1:
+			v := x[len(x)-1]
+			if window != nil {
+				v *= window[len(x)-1]
+			}
+			z[j] = complex(v, 0)
+		default:
+			z[j] = 0
+		}
 	}
 	p.butterflies(z)
 	// With E and O the transforms of the even and odd samples,
@@ -179,21 +250,20 @@ func IFFT(x []complex128) error {
 	return nil
 }
 
-// bitReverse permutes x into bit-reversed index order.
+// bitReverse permutes x, whose length is a power of two, into bit-reversed
+// index order.
 func bitReverse(x []complex128) {
-	n := len(x)
-	j := 0
-	for i := 1; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j &^= bit
-		}
-		j |= bit
-		if i < j {
+	shift := 64 - bits.TrailingZeros(uint(len(x)))
+	for i := 1; i < len(x)-1; i++ {
+		if j := reversed(i, shift); i < j {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
 }
+
+// reversed is i with its low 64−shift bits in reverse order: its slot in a
+// bit-reversed permutation of 2^(64−shift) values.
+func reversed(i, shift int) int { return int(bits.Reverse64(uint64(i)) >> shift) }
 
 // NextPow2 returns the smallest power of two >= n, and 1 for n <= 0.
 func NextPow2(n int) int {

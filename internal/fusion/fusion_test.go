@@ -3,6 +3,7 @@ package fusion
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -513,6 +514,39 @@ func TestPrognosticFuser(t *testing.T) {
 	got, err := pf.AddReport("m", "motor imbalance", nil)
 	if err != nil || len(got) == 0 {
 		t.Errorf("empty add: %v %v", got, err)
+	}
+}
+
+// TestFusedVectorsAreNeverRewritten: AddReport and Fused hand out the vector
+// the fuser holds, so the fuser must replace a pair's vector, never write
+// into it, and must not alias the reporter's vector either. Every vector
+// handed out keeps its values while later reports fold in.
+func TestFusedVectorsAreNeverRewritten(t *testing.T) {
+	pf := NewPrognosticFuser()
+	var handed, want []proto.PrognosticVector
+	keep := func(v proto.PrognosticVector) {
+		handed = append(handed, v)
+		want = append(want, append(proto.PrognosticVector(nil), v...))
+	}
+	report := proto.PrognosticVector{{Probability: 0.2, HorizonSeconds: 1000}, {Probability: 0.5, HorizonSeconds: 4000}}
+	for i, v := range []proto.PrognosticVector{
+		report,
+		{{Probability: 0.4, HorizonSeconds: 2000}},
+		{{Probability: 0.1, HorizonSeconds: 500}, {Probability: 0.9, HorizonSeconds: 3000}},
+		{{Probability: 0.95, HorizonSeconds: 100}},
+	} {
+		fused, err := pf.AddReport("m", "oil whirl", v)
+		if err != nil {
+			t.Fatalf("report %d: %v", i, err)
+		}
+		keep(fused)
+		keep(pf.Fused("m", "oil whirl"))
+	}
+	report[0].Probability = 0.99 // the reporter reuses its buffer
+	for i := range handed {
+		if !slices.Equal(handed[i], want[i]) {
+			t.Errorf("vector %d handed out as %v now reads %v", i, want[i], handed[i])
+		}
 	}
 }
 

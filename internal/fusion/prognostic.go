@@ -168,7 +168,10 @@ func NewPrognosticFuser() *PrognosticFuser {
 }
 
 // AddReport fuses a new prognostic vector for the (component, condition)
-// pair and returns the updated fused vector.
+// pair and returns the updated fused vector. The fuser keeps its own copy of
+// v. The vector it returns is the one it holds, shared with every later
+// reader until the next report for the pair replaces it: the fuser never
+// writes into a vector it has handed out, and callers must not either.
 func (pf *PrognosticFuser) AddReport(component, condition string, v proto.PrognosticVector) (proto.PrognosticVector, error) {
 	if component == "" || condition == "" {
 		return nil, fmt.Errorf("fusion: empty component or condition")
@@ -194,16 +197,17 @@ func (pf *PrognosticFuser) AddReport(component, condition string, v proto.Progno
 		}
 	}
 	pf.fused[k] = fused
-	return append(proto.PrognosticVector(nil), fused...), nil
+	return fused, nil
 }
 
 // Fused returns the current fused vector for a (component, condition) pair
-// (nil when no prognostic reports have arrived).
+// (nil when no prognostic reports have arrived). It is read-only, like
+// AddReport's: the vector the fuser holds, which a later report replaces
+// rather than changes.
 func (pf *PrognosticFuser) Fused(component, condition string) proto.PrognosticVector {
 	pf.mu.RLock()
 	defer pf.mu.RUnlock()
-	v := pf.fused[progKey{component, condition}]
-	return append(proto.PrognosticVector(nil), v...)
+	return pf.fused[progKey{component, condition}]
 }
 
 // Conditions returns the conditions with fused prognostics for a component.

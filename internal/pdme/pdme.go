@@ -611,7 +611,8 @@ func (p *PDME) GroupOf(condition string) (string, error) {
 
 // ConditionSnapshot returns the full fused read-side state of a pair
 // (belief, plausibility, group unknown, report count, reliability/degraded)
-// in one atomic fusion read, plus the pair's fused prognostic vector.
+// in one atomic fusion read, plus the pair's fused prognostic vector, which
+// is the fuser's own and read-only (fusion.PrognosticFuser.Fused).
 func (p *PDME) ConditionSnapshot(component, condition string) (fusion.ConditionState, proto.PrognosticVector, error) {
 	cs, err := p.diag.ConditionState(component, condition)
 	if err != nil {
@@ -620,7 +621,8 @@ func (p *PDME) ConditionSnapshot(component, condition string) (fusion.ConditionS
 	return cs, p.prog.Fused(component, condition), nil
 }
 
-// FusedPrognostic returns the fused §7.3 vector for a pair.
+// FusedPrognostic returns the fused §7.3 vector for a pair: the fuser's
+// own, read-only (fusion.PrognosticFuser.Fused).
 func (p *PDME) FusedPrognostic(component, condition string) proto.PrognosticVector {
 	return p.prog.Fused(component, condition)
 }
@@ -709,7 +711,7 @@ func (p *PDME) PrioritizedList() []MaintenanceItem {
 type GroupRead struct {
 	fusion.GroupState
 	// Prognostics[i] is the fused §7.3 vector of Members[i] (nil when no
-	// prognostic report has arrived for it).
+	// prognostic report has arrived for it), the fuser's own and read-only.
 	Prognostics []proto.PrognosticVector
 	// Items are the block's rows of the prioritized list — one per member
 	// with at least one report, in member order — exactly the rows

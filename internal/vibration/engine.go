@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/chiller"
+	"repro/internal/dsp"
 	"repro/internal/proto"
 )
 
@@ -101,7 +102,7 @@ func (e *Engine) DiagnosePlant(p *chiller.Plant, frameLen int) ([]Diagnosis, err
 		if err != nil {
 			return nil, err
 		}
-		if err := ex.ExtractInto(&frames[i], frame, pt); err != nil {
+		if err := ex.ExtractInto(&frames[i], frame, dsp.Waveform(frame), pt); err != nil {
 			return nil, err
 		}
 		features[pt] = &frames[i]

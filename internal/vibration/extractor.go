@@ -69,8 +69,10 @@ func (e *Extractor) Release() { extractors.Put(e) }
 func (e *Extractor) FrameLen() int { return e.fa.FrameLen() }
 
 // ExtractInto computes the feature frame for a waveform acquired at point
-// pt, overwriting *f. frame must be exactly FrameLen samples.
-func (e *Extractor) ExtractInto(f *Features, frame []float64, pt chiller.MeasurementPoint) error {
+// pt, overwriting *f. frame must be exactly FrameLen samples and st its
+// dsp.Waveform statistics, which the caller computes once for every consumer
+// of the frame.
+func (e *Extractor) ExtractInto(f *Features, frame []float64, st dsp.WaveformStats, pt chiller.MeasurementPoint) error {
 	spec, err := e.fa.Analyze(frame)
 	if err != nil {
 		return err
@@ -84,7 +86,6 @@ func (e *Extractor) ExtractInto(f *Features, frame []float64, pt chiller.Measure
 	// Frequency tolerance: a couple of bins or 1% of shaft speed.
 	tol := 2 * spec.Resolution
 
-	st := dsp.Waveform(frame)
 	*f = Features{
 		Point:       pt,
 		OverallRMS:  st.RMS,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/chiller"
+	"repro/internal/dsp"
 )
 
 func acquireFrame(t testing.TB, n int) ([]float64, chiller.Config) {
@@ -75,7 +76,7 @@ func TestExtractIntoMatchesExtract(t *testing.T) {
 		}
 		// One plant's extractor, reused across its points (samples 0, 1).
 		if s.cfg == samples[0].cfg {
-			if err := e.ExtractInto(&got, s.frame, s.pt); err != nil {
+			if err := e.ExtractInto(&got, s.frame, dsp.Waveform(s.frame), s.pt); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			if got != *want {
@@ -87,7 +88,7 @@ func TestExtractIntoMatchesExtract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		if err := pe.ExtractInto(&got, s.frame, s.pt); err != nil {
+		if err := pe.ExtractInto(&got, s.frame, dsp.Waveform(s.frame), s.pt); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		pe.Release()
@@ -107,7 +108,7 @@ func TestExtractorRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f Features
-	if err := e.ExtractInto(&f, make([]float64, 1024), chiller.MotorDE); err == nil {
+	if err := e.ExtractInto(&f, make([]float64, 1024), dsp.WaveformStats{}, chiller.MotorDE); err == nil {
 		t.Error("wrong-length frame accepted")
 	}
 }
@@ -121,8 +122,9 @@ func TestExtractIntoZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f Features
+	st := dsp.Waveform(frame)
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := e.ExtractInto(&f, frame, chiller.MotorDE); err != nil {
+		if err := e.ExtractInto(&f, frame, st, chiller.MotorDE); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -14,7 +14,10 @@
 // and emits protocol reports with worst-case prognostic vectors.
 package vibration
 
-import "repro/internal/chiller"
+import (
+	"repro/internal/chiller"
+	"repro/internal/dsp"
+)
 
 // Features is the spectral/time feature frame for one measurement point —
 // the quantities the rulebook conditions on.
@@ -62,7 +65,7 @@ func Extract(frame []float64, cfg chiller.Config, pt chiller.MeasurementPoint) (
 		return nil, err
 	}
 	f := new(Features)
-	if err := e.ExtractInto(f, frame, pt); err != nil {
+	if err := e.ExtractInto(f, frame, dsp.Waveform(frame), pt); err != nil {
 		return nil, err
 	}
 	return f, nil

@@ -94,13 +94,54 @@ func Transform(k Kind, x []float64) (approx, detail []float64, err error) {
 }
 
 // transformInto is one circular-convolution DWT level writing approximation
-// and detail coefficients into caller-provided buffers of length len(x)/2.
+// and detail coefficients into caller-provided buffers of length len(x)/2:
+// output i is Σ_j filter[j]·x[(2i+j) mod n], summed in tap order. Every
+// output whose taps all fall inside x reads them in place, with the filters
+// unrolled for the two families; only the last taps/2 − 1 outputs wrap
+// around the end of x (all of them when x is no longer than the filter) and
+// pay the modulo. Each output is the same sum either way.
 func transformInto(low, high, x, approx, detail []float64) {
-	n := len(x)
+	n, taps := len(x), len(low)
 	half := n / 2
-	for i := 0; i < half; i++ {
+	approx, detail = approx[:half], detail[:half]
+	inner := 0
+	if n >= taps {
+		inner = min(half, (n-taps)/2+1)
+	}
+	switch taps {
+	case 4:
+		l0, l1, l2, l3 := low[0], low[1], low[2], low[3]
+		h0, h1, h2, h3 := high[0], high[1], high[2], high[3]
+		for i := range inner {
+			v := x[2*i : 2*i+4 : 2*i+4]
+			var a, d float64
+			a += l0 * v[0]
+			d += h0 * v[0]
+			a += l1 * v[1]
+			d += h1 * v[1]
+			a += l2 * v[2]
+			d += h2 * v[2]
+			a += l3 * v[3]
+			d += h3 * v[3]
+			approx[i], detail[i] = a, d
+		}
+	case 2:
+		l0, l1, h0, h1 := low[0], low[1], high[0], high[1]
+		for i := range inner {
+			v := x[2*i : 2*i+2 : 2*i+2]
+			var a, d float64
+			a += l0 * v[0]
+			d += h0 * v[0]
+			a += l1 * v[1]
+			d += h1 * v[1]
+			approx[i], detail[i] = a, d
+		}
+	default:
+		inner = 0
+	}
+	for i := inner; i < half; i++ {
 		var a, d float64
-		for j := 0; j < len(low); j++ {
+		for j := range low {
 			v := x[(2*i+j)%n]
 			a += low[j] * v
 			d += high[j] * v

@@ -150,7 +150,7 @@ func (c *ChillerClassifier) Classify(frame []float64, pt chiller.MeasurementPoin
 		return Classification{}, err
 	}
 	defer c.scratch.Put(ws)
-	return c.classifyOn(ws, frame, pt)
+	return c.classifyOn(ws, frame, dsp.Waveform(frame), pt)
 }
 
 // Workspace is the scratch one frame's classification runs on, for a caller
@@ -171,15 +171,16 @@ func (c *ChillerClassifier) NewWorkspace() (*Workspace, error) {
 }
 
 // ClassifyOn is Classify on a workspace c built, used by one goroutine at a
-// time.
-func (c *ChillerClassifier) ClassifyOn(ws *Workspace, frame []float64, pt chiller.MeasurementPoint) (Classification, error) {
+// time, for a frame whose dsp.Waveform statistics st the caller has already
+// computed for its other consumers.
+func (c *ChillerClassifier) ClassifyOn(ws *Workspace, frame []float64, st dsp.WaveformStats, pt chiller.MeasurementPoint) (Classification, error) {
 	if ws.c != c {
 		return Classification{}, fmt.Errorf("wnn: workspace built by another classifier")
 	}
-	return c.classifyOn(ws.ws, frame, pt)
+	return c.classifyOn(ws.ws, frame, st, pt)
 }
 
-func (c *ChillerClassifier) classifyOn(ws *workspace, frame []float64, pt chiller.MeasurementPoint) (Classification, error) {
+func (c *ChillerClassifier) classifyOn(ws *workspace, frame []float64, st dsp.WaveformStats, pt chiller.MeasurementPoint) (Classification, error) {
 	net, ok := c.nets[pt]
 	if !ok {
 		return Classification{}, fmt.Errorf("wnn: no classifier for point %v", pt)
@@ -187,7 +188,7 @@ func (c *ChillerClassifier) classifyOn(ws *workspace, frame []float64, pt chille
 	if len(frame) != c.frames {
 		return Classification{}, fmt.Errorf("wnn: frame length %d, trained on %d", len(frame), c.frames)
 	}
-	cls, confidence, err := ws.classify(net, frame)
+	cls, confidence, err := ws.classify(net, frame, st)
 	if err != nil {
 		return Classification{}, err
 	}
@@ -221,7 +222,7 @@ func (c *ChillerClassifier) features(frame []float64) ([]float64, error) {
 		return nil, err
 	}
 	defer c.scratch.Put(ws)
-	x, err := ws.extract(frame)
+	x, err := ws.extract(frame, dsp.Waveform(frame))
 	if err != nil {
 		return nil, err
 	}

@@ -59,7 +59,7 @@ func Extract(frame []float64, fc FeatureConfig) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ws.extract(frame)
+	return ws.extract(frame, dsp.Waveform(frame))
 }
 
 // workspace is the scratch one frame's classification runs on: the wavelet
@@ -110,13 +110,12 @@ func newWorkspace(plan *dsp.Plan, frameLen int, fc FeatureConfig, acts *activati
 }
 
 // extract computes the feature vector of frame, which must have the length
-// the workspace was sized for. The result aliases the workspace and is
-// overwritten by the next call.
-func (w *workspace) extract(frame []float64) ([]float64, error) {
+// the workspace was sized for, with st its dsp.Waveform statistics. The
+// result aliases the workspace and is overwritten by the next call.
+func (w *workspace) extract(frame []float64, st dsp.WaveformStats) ([]float64, error) {
 	if len(frame) != w.frameLen {
 		return nil, fmt.Errorf("wnn: frame of %d samples, workspace sized for %d", len(frame), w.frameLen)
 	}
-	st := dsp.Waveform(frame)
 	f := w.feat
 	f[0], f[1], f[2], f[3] = st.Peak, st.StdDev, st.Crest, st.Kurtosis
 	ceps := f[4 : 4+w.fc.NumCepstral]
@@ -132,12 +131,13 @@ func (w *workspace) extract(frame []float64) ([]float64, error) {
 	return f, nil
 }
 
-// classify runs one frame through feature extraction and net on the
-// workspace's scratch and returns the winning class with its probability.
+// classify runs one frame, whose dsp.Waveform statistics are st, through
+// feature extraction and net on the workspace's scratch and returns the
+// winning class with its probability.
 //
 //mpros:hotpath WNN features and network for one frame of the scheduled vibration test
-func (w *workspace) classify(net *Network, frame []float64) (int, float64, error) {
-	x, err := w.extract(frame)
+func (w *workspace) classify(net *Network, frame []float64, st dsp.WaveformStats) (int, float64, error) {
+	x, err := w.extract(frame, st)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -40,7 +40,7 @@ func TestWorkspaceReuseMatchesExtract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ws.extract(frames[fi])
+			got, err := ws.extract(frames[fi], dsp.Waveform(frames[fi]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +48,7 @@ func TestWorkspaceReuseMatchesExtract(t *testing.T) {
 				t.Fatalf("n=%d step %d (frame %d): reused workspace %v != one-shot %v", n, step, fi, got, want)
 			}
 		}
-		if _, err := ws.extract(make([]float64, n-1)); err == nil {
+		if _, err := ws.extract(make([]float64, n-1), dsp.WaveformStats{}); err == nil {
 			t.Errorf("n=%d: wrong-length frame accepted", n)
 		}
 	}
@@ -132,7 +132,8 @@ func TestClassifyOnMatchesClassify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := clf.ClassifyOn(ws, frame, pt)
+		st := dsp.Waveform(frame)
+		got, err := clf.ClassifyOn(ws, frame, st, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestClassifyOnMatchesClassify(t *testing.T) {
 			t.Errorf("%v: ClassifyOn %+v, Classify %+v", pt, got, want)
 		}
 		if allocs := testing.AllocsPerRun(4, func() {
-			if _, err := clf.ClassifyOn(ws, frame, pt); err != nil {
+			if _, err := clf.ClassifyOn(ws, frame, st, pt); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
@@ -155,7 +156,7 @@ func TestClassifyOnMatchesClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.ClassifyOn(ws, frame, chiller.GearBox); err == nil {
+	if _, err := other.ClassifyOn(ws, frame, dsp.Waveform(frame), chiller.GearBox); err == nil {
 		t.Error("another classifier's workspace accepted")
 	}
 }

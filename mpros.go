@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/chiller"
@@ -224,9 +225,10 @@ func (s *Station) Belief(f Fault) (float64, error) {
 	return s.PDME.Belief(s.Machine.String(), f.String())
 }
 
-// FusedPrognostic returns the fused failure-probability vector for a fault.
+// FusedPrognostic returns the fused failure-probability vector for a fault,
+// a copy the caller may keep and change.
 func (s *Station) FusedPrognostic(f Fault) PrognosticVector {
-	return s.PDME.FusedPrognostic(s.Machine.String(), f.String())
+	return slices.Clone(s.PDME.FusedPrognostic(s.Machine.String(), f.String()))
 }
 
 // PrioritizedList returns the fused maintenance list.
