@@ -316,8 +316,8 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 		if reason := d.guard.InspectFrame(vibGuardChannel(pt), frame); reason != "" {
 			suspects[pt] = reason
 		}
-		// The lane's RMS detector, while its bank is selected.
-		if _, err := d.mux.Ingest(i%d.mux.BankSize(), frame); err != nil {
+		// The point's lane on the selected bank.
+		if _, err := d.mux.ChannelOf(i % d.mux.BankSize()); err != nil {
 			return err
 		}
 		frames[i] = frame

@@ -9,10 +9,10 @@
 //
 // The package represents a frame of discernment of up to 64 hypotheses;
 // subsets of the frame are bitmasks (type Set). Mass functions assign
-// basic probability to subsets; Combine applies Dempster's rule of
-// combination with conflict renormalization, and CombineInto, DiscountInto
-// and the Set* methods do the same work in storage the caller keeps, so a
-// running fold allocates nothing. The maintenance of mass on the
+// basic probability to subsets; CombineInto applies Dempster's rule of
+// combination with conflict renormalization and DiscountInto Shafer's
+// discounting, both in storage the caller keeps, as do the Set* methods, so
+// a running fold allocates nothing. The maintenance of mass on the
 // full frame Θ — the "unknown possibilities" — is, per the paper, "both a
 // differentiator and a strength" of the approach, so Unknown() is a
 // first-class query.
@@ -175,19 +175,10 @@ func (m *Mass) SetVacuous(f *Frame) {
 	m.vals = append(m.vals, 1)
 }
 
-// SimpleSupport returns the mass function that assigns belief b to focal set
-// s and the remainder 1-b to Θ. This is exactly how MPROS turns an incoming
-// diagnostic report (machine condition + belief) into evidence.
-func SimpleSupport(f *Frame, s Set, belief float64) (*Mass, error) {
-	m := NewMass(f)
-	if err := m.SetSimpleSupport(f, s, belief); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// SetSimpleSupport makes m SimpleSupport(f, s, belief). On error m is
-// unchanged.
+// SetSimpleSupport makes m the mass function that assigns belief to focal
+// set s and the remainder 1-belief to Θ. This is exactly how MPROS turns an
+// incoming diagnostic report (machine condition + belief) into evidence. On
+// error m is unchanged.
 func (m *Mass) SetSimpleSupport(f *Frame, s Set, belief float64) error {
 	if belief < 0 || belief > 1 {
 		return fmt.Errorf("dempster: belief %g outside [0,1]", belief)
@@ -338,13 +329,6 @@ func (m *Mass) Unknown() float64 {
 	return 0
 }
 
-// Clone returns a deep copy of m.
-func (m *Mass) Clone() *Mass {
-	c := NewMass(m.frame)
-	c.CopyFrom(m)
-	return c
-}
-
 // CopyFrom makes m a copy of src.
 func (m *Mass) CopyFrom(src *Mass) {
 	m.frame = src.frame
@@ -352,23 +336,14 @@ func (m *Mass) CopyFrom(src *Mass) {
 	m.vals = append(m.vals[:0], src.vals...)
 }
 
-// Discount applies Shafer's classical discounting: the source providing m
-// is trusted with reliability alpha in [0,1], so every focal mass is scaled
-// by alpha and the forfeited confidence 1-alpha is reassigned to Θ (total
-// ignorance). Discounting a source before combination is how MPROS degrades
-// stale or suspect evidence gracefully: at alpha=1 the evidence passes
-// through untouched, at alpha=0 it vanishes into the vacuous mass, and in
-// between beliefs shrink while the unknown mass grows — never the reverse.
-func Discount(m *Mass, alpha float64) (*Mass, error) {
-	out := NewMass(m.frame)
-	if err := DiscountInto(out, m, alpha); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DiscountInto writes Discount(m, alpha) into dst, which must not be m. On
-// error dst is unchanged.
+// DiscountInto writes into dst, which must not be m, Shafer's classical
+// discounting of m: the source providing m is trusted with reliability alpha
+// in [0,1], so every focal mass is scaled by alpha and the forfeited
+// confidence 1-alpha is reassigned to Θ (total ignorance). Discounting a
+// source before combination is how MPROS degrades stale or suspect evidence
+// gracefully: at alpha=1 the evidence passes through untouched, at alpha=0
+// it vanishes into the vacuous mass, and in between beliefs shrink while the
+// unknown mass grows — never the reverse. On error dst is unchanged.
 func DiscountInto(dst, m *Mass, alpha float64) error {
 	if math.IsNaN(alpha) || alpha < 0 || alpha > 1 {
 		return fmt.Errorf("dempster: discount factor %g outside [0,1]", alpha)
@@ -402,30 +377,20 @@ func DiscountInto(dst, m *Mass, alpha float64) error {
 
 var errAliased = errors.New("dempster: destination aliases an input")
 
-// Combine applies Dempster's rule of combination to a and b, which must be
-// defined over the same frame. It returns the combined mass function and the
-// conflict K (the total probability mass the two sources assign to
-// incompatible conclusions). Combination fails if the sources are in total
-// conflict: nothing, to within 1e-12 of the product mass, survives.
+// CombineInto applies Dempster's rule of combination to a and b, which must
+// be defined over the same frame, writes the combined mass function into
+// dst, which must be neither a nor b, and returns the conflict K (the total
+// probability mass the two sources assign to incompatible conclusions).
+// Combination fails if the sources are in total conflict: nothing, to within
+// 1e-12 of the product mass, survives. On error dst holds no mass function:
+// a caller folding evidence combines into spare storage and keeps it only on
+// success.
 //
 // The result is normalized by the mass that survived, not by 1/(1-K): the
 // two agree only while both inputs sum to exactly 1, and whatever an input is
 // off by, 1/(1-K) multiplies into every later combination. Dividing by the
 // survivors makes each output sum to 1 within rounding whatever its inputs
 // did, so rounding error cannot compound over a long evidence chain.
-func Combine(a, b *Mass) (*Mass, float64, error) {
-	out := NewMass(a.frame)
-	conflict, err := CombineInto(out, a, b)
-	if err != nil {
-		return nil, conflict, err
-	}
-	return out, conflict, nil
-}
-
-// CombineInto writes Combine(a, b)'s mass function into dst, which must be
-// neither a nor b, and returns the conflict. On error dst holds no mass
-// function: a caller folding evidence combines into spare storage and keeps
-// it only on success.
 func CombineInto(dst, a, b *Mass) (float64, error) {
 	if a.frame != b.frame {
 		return 0, fmt.Errorf("dempster: cannot combine masses over different frames")

@@ -77,15 +77,14 @@ func TestPaperWorkedExample(t *testing.T) {
 	f := MustFrame("A", "B", "C")
 	a, _ := f.Hypothesis("A")
 	bc, _ := f.SetOf("B", "C")
-	m1, err := SimpleSupport(f, a, 0.40)
-	if err != nil {
+	m1, m2, comb := NewMass(f), NewMass(f), NewMass(f)
+	if err := m1.SetSimpleSupport(f, a, 0.40); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := SimpleSupport(f, bc, 0.75)
-	if err != nil {
+	if err := m2.SetSimpleSupport(f, bc, 0.75); err != nil {
 		t.Fatal(err)
 	}
-	comb, conflict, err := Combine(m1, m2)
+	conflict, err := CombineInto(comb, m1, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,31 +122,33 @@ func TestPaperWorkedExample(t *testing.T) {
 func TestSimpleSupportValidation(t *testing.T) {
 	f := MustFrame("A", "B")
 	a, _ := f.Hypothesis("A")
-	if _, err := SimpleSupport(f, a, -0.1); err == nil {
+	m := VacuousMass(f)
+	if err := m.SetSimpleSupport(f, a, -0.1); err == nil {
 		t.Error("negative belief")
 	}
-	if _, err := SimpleSupport(f, a, 1.1); err == nil {
+	if err := m.SetSimpleSupport(f, a, 1.1); err == nil {
 		t.Error("belief > 1")
 	}
-	if _, err := SimpleSupport(f, Empty, 0.5); err == nil {
+	if err := m.SetSimpleSupport(f, Empty, 0.5); err == nil {
 		t.Error("empty focal set")
 	}
-	if _, err := SimpleSupport(f, Set(0b100), 0.5); err == nil {
+	if err := m.SetSimpleSupport(f, Set(0b100), 0.5); err == nil {
 		t.Error("focal set outside frame")
 	}
+	if m.Unknown() != 1 || len(m.FocalSets()) != 1 {
+		t.Errorf("a refused SetSimpleSupport changed the mass: %v", m)
+	}
 	// belief 1 leaves no mass on theta; belief 0 is vacuous.
-	m, err := SimpleSupport(f, a, 1)
-	if err != nil {
+	if err := m.SetSimpleSupport(f, a, 1); err != nil {
 		t.Fatal(err)
 	}
 	if m.Unknown() != 0 || m.Get(a) != 1 {
 		t.Error("belief 1 support wrong")
 	}
-	v, err := SimpleSupport(f, a, 0)
-	if err != nil {
+	if err := m.SetSimpleSupport(f, a, 0); err != nil {
 		t.Fatal(err)
 	}
-	if v.Unknown() != 1 {
+	if m.Unknown() != 1 {
 		t.Error("belief 0 should be vacuous")
 	}
 }
@@ -178,8 +179,11 @@ func TestMassSetValidation(t *testing.T) {
 func TestVacuousIsIdentity(t *testing.T) {
 	f := MustFrame("A", "B", "C")
 	a, _ := f.Hypothesis("A")
-	m, _ := SimpleSupport(f, a, 0.6)
-	comb, conflict, err := Combine(m, VacuousMass(f))
+	m, comb := NewMass(f), NewMass(f)
+	if err := m.SetSimpleSupport(f, a, 0.6); err != nil {
+		t.Fatal(err)
+	}
+	conflict, err := CombineInto(comb, m, VacuousMass(f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +199,14 @@ func TestTotalConflict(t *testing.T) {
 	f := MustFrame("A", "B")
 	a, _ := f.Hypothesis("A")
 	b, _ := f.Hypothesis("B")
-	m1, _ := SimpleSupport(f, a, 1)
-	m2, _ := SimpleSupport(f, b, 1)
-	if _, k, err := Combine(m1, m2); err == nil {
+	var m1, m2, out Mass
+	if err := m1.SetSimpleSupport(f, a, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.SetSimpleSupport(f, b, 1); err != nil {
+		t.Fatal(err)
+	}
+	if k, err := CombineInto(&out, &m1, &m2); err == nil {
 		t.Errorf("total conflict should error (K=%g)", k)
 	}
 }
@@ -207,7 +216,7 @@ func TestCombineDifferentFramesFails(t *testing.T) {
 	f2 := MustFrame("A", "B")
 	m1 := VacuousMass(f1)
 	m2 := VacuousMass(f2)
-	if _, _, err := Combine(m1, m2); err == nil {
+	if _, err := CombineInto(NewMass(f1), m1, m2); err == nil {
 		t.Error("different frame instances should not combine")
 	}
 }
@@ -272,8 +281,9 @@ func TestCombineProperties(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomMass(rng, f)
 		b := randomMass(rng, f)
-		ab, k1, err1 := Combine(a, b)
-		ba, k2, err2 := Combine(b, a)
+		ab, ba := NewMass(f), NewMass(f)
+		k1, err1 := CombineInto(ab, a, b)
+		k2, err2 := CombineInto(ba, b, a)
 		if err1 != nil || err2 != nil {
 			// Total conflict is possible but must be symmetric.
 			return (err1 != nil) == (err2 != nil)
@@ -323,7 +333,10 @@ func TestBeliefPlausibilityInvariantProperty(t *testing.T) {
 func TestMassString(t *testing.T) {
 	f := MustFrame("A", "B")
 	a, _ := f.Hypothesis("A")
-	m, _ := SimpleSupport(f, a, 0.4)
+	m := NewMass(f)
+	if err := m.SetSimpleSupport(f, a, 0.4); err != nil {
+		t.Fatal(err)
+	}
 	s := m.String()
 	if s == "" {
 		t.Error("empty string rendering")
@@ -335,10 +348,11 @@ func BenchmarkCombineTwoSources(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	m1 := randomMass(rng, f)
 	m2 := randomMass(rng, f)
+	var out Mass
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Combine(m1, m2); err != nil {
+		if _, err := CombineInto(&out, m1, m2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -351,16 +365,16 @@ func BenchmarkCombineTenSources(b *testing.B) {
 	for i := range masses {
 		masses[i] = randomMass(rng, f)
 	}
+	var acc, next Mass
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		acc := masses[0]
+		acc.CopyFrom(masses[0])
 		for _, m := range masses[1:] {
-			next, _, err := Combine(acc, m)
-			if err != nil {
+			if _, err := CombineInto(&next, &acc, m); err != nil {
 				b.Fatal(err)
 			}
-			acc = next
+			acc, next = next, acc
 		}
 	}
 }
@@ -368,43 +382,40 @@ func BenchmarkCombineTenSources(b *testing.B) {
 func TestDiscount(t *testing.T) {
 	f := MustFrame("A", "B", "C")
 	a, _ := f.Hypothesis("A")
-	m, err := SimpleSupport(f, a, 0.8)
-	if err != nil {
+	m, d := NewMass(f), NewMass(f)
+	if err := m.SetSimpleSupport(f, a, 0.8); err != nil {
 		t.Fatal(err)
 	}
 	// alpha=1 is the identity.
-	same, err := Discount(m, 1)
-	if err != nil {
+	if err := DiscountInto(d, m, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := same.Belief(a); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("Discount(m,1) belief %g, want 0.8", got)
+	if got := d.Belief(a); math.Abs(got-0.8) > 1e-12 {
+		t.Errorf("DiscountInto(m,1) belief %g, want 0.8", got)
 	}
 	// alpha=0 is total ignorance.
-	vac, err := Discount(m, 0)
-	if err != nil {
+	if err := DiscountInto(d, m, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := vac.Unknown(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Discount(m,0) unknown %g, want 1", got)
+	if got := d.Unknown(); math.Abs(got-1) > 1e-12 {
+		t.Errorf("DiscountInto(m,0) unknown %g, want 1", got)
 	}
 	// Intermediate alpha scales belief and shifts the rest to Θ.
-	half, err := Discount(m, 0.5)
-	if err != nil {
+	if err := DiscountInto(d, m, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if got := half.Belief(a); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("Discount(m,0.5) belief %g, want 0.4", got)
+	if got := d.Belief(a); math.Abs(got-0.4) > 1e-12 {
+		t.Errorf("DiscountInto(m,0.5) belief %g, want 0.4", got)
 	}
-	if got := half.Unknown(); math.Abs(got-0.6) > 1e-12 {
-		t.Errorf("Discount(m,0.5) unknown %g, want 0.6", got)
+	if got := d.Unknown(); math.Abs(got-0.6) > 1e-12 {
+		t.Errorf("DiscountInto(m,0.5) unknown %g, want 0.6", got)
 	}
-	if err := half.Validate(1e-12); err != nil {
+	if err := d.Validate(1e-12); err != nil {
 		t.Errorf("discounted mass invalid: %v", err)
 	}
 	for _, bad := range []float64{-0.1, 1.1, math.NaN()} {
-		if _, err := Discount(m, bad); err == nil {
-			t.Errorf("Discount with alpha %g should error", bad)
+		if err := DiscountInto(d, m, bad); err == nil {
+			t.Errorf("DiscountInto with alpha %g should error", bad)
 		}
 	}
 }
@@ -417,9 +428,9 @@ func TestDiscountMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m := randomMass(rng, f)
 	prevBel, prevUnk := m.Belief(a), m.Unknown()
+	d := NewMass(f)
 	for alpha := 0.95; alpha >= -0.001; alpha -= 0.05 {
-		d, err := Discount(m, math.Max(alpha, 0))
-		if err != nil {
+		if err := DiscountInto(d, m, math.Max(alpha, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if b := d.Belief(a); b > prevBel+1e-12 {
@@ -439,12 +450,12 @@ func TestDiscountMonotone(t *testing.T) {
 // reports alternating over a group's members, the way one DC's suite keeps
 // re-asserting and contradicting itself, with Shafer discounts interleaved —
 // leaves a mass function after every step: every mass in [0,1], the sum 1 to
-// within 1e-9. Combine normalizes by the mass that survived, so what one step
+// within 1e-9. CombineInto normalizes by the mass that survived, so what one step
 // is off by is not multiplied into the next.
 func TestLongChainStaysAMassFunction(t *testing.T) {
 	f := MustFrame("a", "b", "c", "d", "other")
 	rng := rand.New(rand.NewSource(22))
-	acc := VacuousMass(f)
+	acc, next, ev := VacuousMass(f), NewMass(f), NewMass(f)
 	check := func(step int, what string) {
 		t.Helper()
 		var sum float64
@@ -460,18 +471,19 @@ func TestLongChainStaysAMassFunction(t *testing.T) {
 		}
 	}
 	for step := 0; step < 20000; step++ {
-		ev, err := SimpleSupport(f, Singleton(step%4), 0.3+0.6*rng.Float64())
-		if err != nil {
+		if err := ev.SetSimpleSupport(f, Singleton(step%4), 0.3+0.6*rng.Float64()); err != nil {
 			t.Fatal(err)
 		}
-		if acc, _, err = Combine(acc, ev); err != nil {
+		if _, err := CombineInto(next, acc, ev); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		acc, next = next, acc
 		check(step, "combine")
 		if step%5 == 4 {
-			if acc, err = Discount(acc, 0.5+0.5*rng.Float64()); err != nil {
+			if err := DiscountInto(next, acc, 0.5+0.5*rng.Float64()); err != nil {
 				t.Fatal(err)
 			}
+			acc, next = next, acc
 			check(step, "discount")
 		}
 	}

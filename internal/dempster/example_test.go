@@ -6,15 +6,20 @@ import (
 	"repro/internal/dempster"
 )
 
-// ExampleCombine reproduces the §5.3 worked example from the paper: a 40%
-// belief in A combined with a 75% belief in B∨C.
-func ExampleCombine() {
+// ExampleCombineInto reproduces the §5.3 worked example from the paper: a
+// 40% belief in A combined with a 75% belief in B∨C.
+func ExampleCombineInto() {
 	frame := dempster.MustFrame("A", "B", "C")
 	a, _ := frame.Hypothesis("A")
 	bc, _ := frame.SetOf("B", "C")
-	m1, _ := dempster.SimpleSupport(frame, a, 0.40)
-	m2, _ := dempster.SimpleSupport(frame, bc, 0.75)
-	combined, conflict, err := dempster.Combine(m1, m2)
+	var m1, m2, combined dempster.Mass
+	if err := m1.SetSimpleSupport(frame, a, 0.40); err != nil {
+		panic(err)
+	}
+	if err := m2.SetSimpleSupport(frame, bc, 0.75); err != nil {
+		panic(err)
+	}
+	conflict, err := dempster.CombineInto(&combined, &m1, &m2)
 	if err != nil {
 		panic(err)
 	}

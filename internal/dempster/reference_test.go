@@ -10,8 +10,8 @@ import (
 )
 
 // refMass is the map-backed mass function Mass was before it held sorted
-// slices, with its Combine and Discount below as they were: the reference
-// the slice-backed calculus must reproduce bit for bit.
+// slices, with its combination and discounting below as they were: the
+// reference the slice-backed calculus must reproduce bit for bit.
 type refMass struct {
 	frame *Frame
 	m     map[Set]float64
@@ -97,50 +97,52 @@ func sameAsRef(got *Mass, want refMass) string {
 // underflowed is m with Θ's mass at exactly 0 and still focal, as a long
 // chain of agreeing evidence leaves it.
 func underflowed(m *Mass) *Mass {
-	c := m.Clone()
+	c := NewMass(m.frame)
+	c.CopyFrom(m)
 	if err := c.Put(c.frame.Theta(), 0); err != nil {
 		panic(err)
 	}
 	return c
 }
 
-// TestMatchesMapReference: Combine, CombineInto and Discount agree with the
+// TestMatchesMapReference: CombineInto and DiscountInto agree with the
 // map-backed reference on random masses, on masses whose Θ underflowed to 0,
 // and along long chains that underflow: the same focal sets, zeros included,
 // bit-equal values, the same conflict, and the same refusals.
 func TestMatchesMapReference(t *testing.T) {
 	f := MustFrame("A", "B", "C", "D")
 	rng := rand.New(rand.NewSource(29))
-	var dst Mass // warm across cases, as a fold's scratch is
+	// Warm across cases, as a fold's scratch is, and fresh: a destination's
+	// old contents must not show in what it is given.
+	var warm, warmDisc Mass
 	check := func(what string, a, b *Mass) {
 		t.Helper()
 		want, wantK, wantErr := refCombine(toRef(a), toRef(b))
-		got, k, err := Combine(a, b)
-		kInto, errInto := CombineInto(&dst, a, b)
-		if (err != nil) != (wantErr != nil) || (errInto != nil) != (wantErr != nil) {
-			t.Fatalf("%s: refusal %v / %v, reference %v", what, err, errInto, wantErr)
-		}
-		if math.Float64bits(k) != math.Float64bits(wantK) || math.Float64bits(kInto) != math.Float64bits(wantK) {
-			t.Fatalf("%s: conflict %v / %v, reference %v", what, k, kInto, wantK)
-		}
-		if wantErr != nil {
-			return
-		}
-		if d := sameAsRef(got, want); d != "" {
-			t.Fatalf("%s: Combine: %s", what, d)
-		}
-		if d := sameAsRef(&dst, want); d != "" {
-			t.Fatalf("%s: CombineInto: %s", what, d)
+		for _, dst := range []*Mass{&warm, NewMass(f)} {
+			k, err := CombineInto(dst, a, b)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s: refusal %v, reference %v", what, err, wantErr)
+			}
+			if math.Float64bits(k) != math.Float64bits(wantK) {
+				t.Fatalf("%s: conflict %v, reference %v", what, k, wantK)
+			}
+			if wantErr != nil {
+				return
+			}
+			if d := sameAsRef(dst, want); d != "" {
+				t.Fatalf("%s: CombineInto: %s", what, d)
+			}
 		}
 	}
 	checkDiscount := func(what string, m *Mass, alpha float64) {
 		t.Helper()
-		got, err := Discount(m, alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := sameAsRef(got, refDiscount(toRef(m), alpha)); d != "" {
-			t.Fatalf("%s: Discount(%v): %s", what, alpha, d)
+		for _, dst := range []*Mass{&warmDisc, NewMass(f)} {
+			if err := DiscountInto(dst, m, alpha); err != nil {
+				t.Fatal(err)
+			}
+			if d := sameAsRef(dst, refDiscount(toRef(m), alpha)); d != "" {
+				t.Fatalf("%s: DiscountInto(%v): %s", what, alpha, d)
+			}
 		}
 	}
 	for i := range 2000 {
@@ -155,24 +157,29 @@ func TestMatchesMapReference(t *testing.T) {
 		}
 	}
 	// Certain and opposed: both refuse.
-	x, _ := SimpleSupport(f, Singleton(0), 1)
-	y, _ := SimpleSupport(f, Singleton(1), 1)
+	x, y := NewMass(f), NewMass(f)
+	if err := x.SetSimpleSupport(f, Singleton(0), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := y.SetSimpleSupport(f, Singleton(1), 1); err != nil {
+		t.Fatal(err)
+	}
 	check("opposed certainties", x, y)
 
 	// One source repeating one call until its Θ underflows, now and then
 	// contradicting itself, discounted every so often: every step matches.
 	acc, ref := VacuousMass(f), toRef(VacuousMass(f))
+	next, ev := NewMass(f), NewMass(f)
 	zeros := 0
 	for step := range 3000 {
 		h := Singleton(0)
 		if rng.Intn(10) == 0 {
 			h = Singleton(1 + rng.Intn(3))
 		}
-		ev, err := SimpleSupport(f, h, 0.9+0.099*rng.Float64())
-		if err != nil {
+		if err := ev.SetSimpleSupport(f, h, 0.9+0.099*rng.Float64()); err != nil {
 			t.Fatal(err)
 		}
-		next, k, err := Combine(acc, ev)
+		k, err := CombineInto(next, acc, ev)
 		want, wantK, wantErr := refCombine(ref, toRef(ev))
 		if (err != nil) != (wantErr != nil) || math.Float64bits(k) != math.Float64bits(wantK) {
 			t.Fatalf("chain step %d: %v K=%v, reference %v K=%v", step, err, k, wantErr, wantK)
@@ -180,13 +187,13 @@ func TestMatchesMapReference(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		acc, ref = next, want
+		acc, next, ref = next, acc, want
 		if step%700 == 699 {
 			alpha := 0.5 + 0.5*rng.Float64()
-			if acc, err = Discount(acc, alpha); err != nil {
+			if err := DiscountInto(next, acc, alpha); err != nil {
 				t.Fatal(err)
 			}
-			ref = refDiscount(ref, alpha)
+			acc, next, ref = next, acc, refDiscount(ref, alpha)
 		}
 		if d := sameAsRef(acc, ref); d != "" {
 			t.Fatalf("chain step %d: %s", step, d)
@@ -231,7 +238,10 @@ func TestCombineIntoAllocatesNothing(t *testing.T) {
 // silently corrupted.
 func TestIntoRefusesAliasing(t *testing.T) {
 	f := MustFrame("A", "B")
-	m, _ := SimpleSupport(f, Singleton(0), 0.5)
+	m := NewMass(f)
+	if err := m.SetSimpleSupport(f, Singleton(0), 0.5); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := CombineInto(m, m, VacuousMass(f)); err == nil {
 		t.Error("CombineInto into its first input")
 	}

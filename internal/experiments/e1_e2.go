@@ -24,15 +24,14 @@ func E1DempsterWorkedExample(seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m1, err := dempster.SimpleSupport(frame, a, 0.40)
-	if err != nil {
+	var m1, m2, comb dempster.Mass
+	if err := m1.SetSimpleSupport(frame, a, 0.40); err != nil {
 		return nil, err
 	}
-	m2, err := dempster.SimpleSupport(frame, bc, 0.75)
-	if err != nil {
+	if err := m2.SetSimpleSupport(frame, bc, 0.75); err != nil {
 		return nil, err
 	}
-	comb, conflict, err := dempster.Combine(m1, m2)
+	conflict, err := dempster.CombineInto(&comb, &m1, &m2)
 	if err != nil {
 		return nil, err
 	}

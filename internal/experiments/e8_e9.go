@@ -125,26 +125,25 @@ func E9DSvsBayes(seed int64) (*Result, error) {
 		return truth, obs
 	}
 
-	// DS diagnosis: combine SimpleSupport(obs_s, belief=0.6) per source,
-	// pick the highest-belief singleton. The 0.6 is a generic "sources are
-	// usually right" figure — exactly the no-priors regime.
+	// DS diagnosis: combine a simple support of belief 0.6 in obs_s per
+	// source, pick the highest-belief singleton. The 0.6 is a generic
+	// "sources are usually right" figure — exactly the no-priors regime.
 	frame := dempster.MustFrame(faults...)
+	var acc, ev, next dempster.Mass
 	dsDiagnose := func(obs []string) (string, error) {
-		acc := dempster.VacuousMass(frame)
+		acc.SetVacuous(frame)
 		for _, o := range obs {
 			h, err := frame.Hypothesis(o)
 			if err != nil {
 				return "", err
 			}
-			ev, err := dempster.SimpleSupport(frame, h, 0.6)
-			if err != nil {
+			if err := ev.SetSimpleSupport(frame, h, 0.6); err != nil {
 				return "", err
 			}
-			next, _, err := dempster.Combine(acc, ev)
-			if err != nil {
+			if _, err := dempster.CombineInto(&next, &acc, &ev); err != nil {
 				return "", err
 			}
-			acc = next
+			acc, next = next, acc
 		}
 		best, bestBel := "", -1.0
 		for _, f := range faults {

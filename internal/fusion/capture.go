@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"strconv"
 	"time"
@@ -26,11 +27,12 @@ type DiagnosticCapture struct {
 }
 
 type capturedBlock struct {
-	component, group string
-	frame            *dempster.Frame
-	sources          []capturedSource
-	reports          []conditionCount
-	newest           []conditionStamp
+	component string
+	group     *groupFrame
+	sources   []capturedSource
+	// reports and newest are the block's, by member position.
+	reports []int
+	newest  []time.Time
 }
 
 type capturedSource struct {
@@ -40,81 +42,56 @@ type capturedSource struct {
 	sets       []dempster.Set
 	vals       []float64
 	lastReport time.Time
-	conditions []string
+	conditions dempster.Set
 }
 
-type conditionCount struct {
-	condition string
-	n         int
-}
-
-type conditionStamp struct {
-	condition string
-	at        time.Time
-}
-
-// Capture copies the fuser's mutable state, masses included, unsorted, into
-// a few arrays that the blocks slice.
+// Capture copies the fuser's mutable state, masses included, into a few
+// arrays that the blocks slice. It walks the components in name order, each
+// one's blocks in group order and each block's sources in id order: the
+// order AppendJSON writes them in.
 func (df *DiagnosticFuser) Capture() *DiagnosticCapture {
 	df.mu.RLock()
 	defer df.mu.RUnlock()
-	var nBlocks, nSources, nFocal, nReports, nNewest int
-	//lint:allow maporder only sizes the capture
-	for _, byGroup := range df.states {
-		nBlocks += len(byGroup)
-		//lint:allow maporder only sizes the capture
-		for _, st := range byGroup {
+	components := slices.Sorted(maps.Keys(df.states))
+	var nBlocks, nSources, nFocal, nMembers int
+	for _, component := range components {
+		for _, st := range df.states[component] {
+			if st == nil {
+				continue
+			}
+			nBlocks++
 			nSources += len(st.sources)
-			nReports += len(st.reports)
-			nNewest += len(st.newest)
-			for _, id := range st.ids {
-				nFocal += len(st.sources[id].mass.FocalSets())
+			nMembers += len(st.reports)
+			for i := range st.sources {
+				nFocal += len(st.sources[i].mass.FocalSets())
 			}
 		}
 	}
 	c := &DiagnosticCapture{totalFused: df.totalFusedN, blocks: make([]capturedBlock, 0, nBlocks)}
 	sources := make([]capturedSource, 0, nSources)
 	sets, vals := make([]dempster.Set, 0, nFocal), make([]float64, 0, nFocal)
-	// A condition some source reported is a reported condition; with one
-	// source per condition the two counts are equal.
-	conds := make([]string, 0, nReports)
-	reports := make([]conditionCount, 0, nReports)
-	newest := make([]conditionStamp, 0, nNewest)
-	// Sources come in id order (ids); AppendJSON sorts the rest.
-	//lint:allow maporder AppendJSON sorts blocks and conditions before writing them
-	for component, byGroup := range df.states {
-		//lint:allow maporder as above
-		for group, st := range byGroup {
-			b := capturedBlock{component: component, group: group, frame: st.frame}
+	reports, newest := make([]int, 0, nMembers), make([]time.Time, 0, nMembers)
+	for _, component := range components {
+		for g, st := range df.states[component] {
+			if st == nil {
+				continue
+			}
 			s0 := len(sources)
-			for _, id := range st.ids {
-				src := st.sources[id]
-				c0 := len(conds)
-				//lint:allow maporder as above
-				for cond := range src.conditions {
-					conds = append(conds, cond)
-				}
+			for i := range st.sources {
+				src := &st.sources[i]
 				f0 := len(sets)
 				sets = append(sets, src.mass.FocalSets()...)
 				vals = append(vals, src.mass.Values()...)
-				sources = append(sources, capturedSource{id: id,
+				sources = append(sources, capturedSource{id: src.id,
 					sets: sets[f0:len(sets):len(sets)], vals: vals[f0:len(vals):len(vals)],
-					lastReport: src.lastReport, conditions: conds[c0:len(conds):len(conds)]})
+					lastReport: src.lastReport, conditions: src.conditions})
 			}
-			b.sources = sources[s0:len(sources):len(sources)]
 			r0 := len(reports)
-			//lint:allow maporder as above
-			for cond, n := range st.reports {
-				reports = append(reports, conditionCount{cond, n})
-			}
-			b.reports = reports[r0:len(reports):len(reports)]
-			n0 := len(newest)
-			//lint:allow maporder as above
-			for cond, at := range st.newest {
-				newest = append(newest, conditionStamp{cond, at})
-			}
-			b.newest = newest[n0:len(newest):len(newest)]
-			c.blocks = append(c.blocks, b)
+			reports = append(reports, st.reports...)
+			newest = append(newest, st.newest...)
+			c.blocks = append(c.blocks, capturedBlock{component: component, group: &df.groups[g],
+				sources: sources[s0:len(sources):len(sources)],
+				reports: reports[r0:len(reports):len(reports)], newest: newest[r0:len(newest):len(newest)]})
 		}
 	}
 	return c
@@ -123,18 +100,14 @@ func (df *DiagnosticFuser) Capture() *DiagnosticCapture {
 // membersKey names one focal set of one failure group: its members' JSON is
 // the same in every block and every source of the group.
 type membersKey struct {
-	group string
+	group *groupFrame
 	set   dempster.Set
 }
 
 // AppendJSON appends the capture exactly as json.Marshal writes the
-// DiagnosticState Snapshot returned at the same moment. It sorts the capture
-// in place. It fails where json.Marshal fails: on a NaN or infinite mass, or
-// a time outside RFC 3339.
+// DiagnosticState Snapshot returned at the same moment. It fails where
+// json.Marshal fails: on a NaN or infinite mass, or a time outside RFC 3339.
 func (c *DiagnosticCapture) AppendJSON(dst []byte) ([]byte, error) {
-	slices.SortFunc(c.blocks, func(a, b capturedBlock) int {
-		return cmp.Or(cmp.Compare(a.component, b.component), cmp.Compare(a.group, b.group))
-	})
 	dst = append(dst, `{"groups":`...)
 	if len(c.blocks) == 0 {
 		dst = append(dst, "null"...)
@@ -161,10 +134,11 @@ func (c *DiagnosticCapture) AppendJSON(dst []byte) ([]byte, error) {
 // focal set's member list.
 func (b *capturedBlock) appendJSON(dst []byte, members map[membersKey][]byte) ([]byte, error) {
 	var err error
+	g := b.group
 	dst = append(dst, `{"component":`...)
 	dst = proto.AppendMarshalString(dst, b.component)
 	dst = append(dst, `,"group":`...)
-	dst = proto.AppendMarshalString(dst, b.group)
+	dst = proto.AppendMarshalString(dst, g.name)
 	dst = append(dst, `,"sources":`...)
 	if len(b.sources) == 0 {
 		dst = append(dst, "null"...)
@@ -181,10 +155,19 @@ func (b *capturedBlock) appendJSON(dst []byte, members map[membersKey][]byte) ([
 			if dst, err = proto.AppendMarshalTime(dst, src.lastReport); err != nil {
 				return dst, err
 			}
-			if len(src.conditions) > 0 {
-				slices.Sort(src.conditions)
-				dst = append(dst, `,"conditions":`...)
-				dst = proto.AppendMarshalStrings(dst, src.conditions)
+			if src.conditions != 0 {
+				dst = append(dst, `,"conditions":[`...)
+				n := 0
+				for _, pos := range g.byName {
+					if src.conditions.Contains(dempster.Singleton(pos)) {
+						if n > 0 {
+							dst = append(dst, ',')
+						}
+						dst = proto.AppendMarshalString(dst, g.members[pos])
+						n++
+					}
+				}
+				dst = append(dst, ']')
 			}
 			dst = append(dst, `,"focal":`...)
 			if len(src.sets) == 0 {
@@ -195,10 +178,10 @@ func (b *capturedBlock) appendJSON(dst []byte, members map[membersKey][]byte) ([
 					if k > 0 {
 						dst = append(dst, ',')
 					}
-					key := membersKey{b.group, set}
+					key := membersKey{g, set}
 					names, ok := members[key]
 					if !ok {
-						names = proto.AppendMarshalStrings(nil, b.frame.Names(set))
+						names = proto.AppendMarshalStrings(nil, g.frame.Names(set))
 						members[key] = names
 					}
 					dst = append(dst, `{"members":`...)
@@ -215,32 +198,41 @@ func (b *capturedBlock) appendJSON(dst []byte, members map[membersKey][]byte) ([
 		}
 		dst = append(dst, ']')
 	}
-	if len(b.reports) > 0 {
-		slices.SortFunc(b.reports, func(x, y conditionCount) int { return cmp.Compare(x.condition, y.condition) })
-		dst = append(dst, `,"reports":{`...)
-		for i, r := range b.reports {
-			if i > 0 {
+	// A member with no count or no stamp is absent from Reports or Newest.
+	n := 0
+	for _, pos := range g.byName {
+		if count := b.reports[pos]; count != 0 {
+			if n == 0 {
+				dst = append(dst, `,"reports":{`...)
+			} else {
 				dst = append(dst, ',')
 			}
-			dst = proto.AppendMarshalString(dst, r.condition)
+			dst = proto.AppendMarshalString(dst, g.members[pos])
 			dst = append(dst, ':')
-			dst = strconv.AppendInt(dst, int64(r.n), 10)
+			dst = strconv.AppendInt(dst, int64(count), 10)
+			n++
 		}
+	}
+	if n > 0 {
 		dst = append(dst, '}')
 	}
-	if len(b.newest) > 0 {
-		slices.SortFunc(b.newest, func(x, y conditionStamp) int { return cmp.Compare(x.condition, y.condition) })
-		dst = append(dst, `,"newest":{`...)
-		for i, n := range b.newest {
-			if i > 0 {
+	n = 0
+	for _, pos := range g.byName {
+		if at := b.newest[pos]; !at.IsZero() {
+			if n == 0 {
+				dst = append(dst, `,"newest":{`...)
+			} else {
 				dst = append(dst, ',')
 			}
-			dst = proto.AppendMarshalString(dst, n.condition)
+			dst = proto.AppendMarshalString(dst, g.members[pos])
 			dst = append(dst, ':')
-			if dst, err = proto.AppendMarshalTime(dst, n.at); err != nil {
+			if dst, err = proto.AppendMarshalTime(dst, at); err != nil {
 				return dst, err
 			}
+			n++
 		}
+	}
+	if n > 0 {
 		dst = append(dst, '}')
 	}
 	return append(dst, '}'), nil

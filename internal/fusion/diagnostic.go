@@ -18,6 +18,7 @@
 package fusion
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -99,47 +100,89 @@ type ConditionBelief struct {
 	Degraded bool
 }
 
+// groupFrame is one logical failure group as the fuser numbers it. Its frame
+// of discernment lists the members in registration order and then the
+// reserved unknown hypothesis, so member position i is hypothesis i.
+type groupFrame struct {
+	name    string
+	members []string
+	frame   *dempster.Frame
+	// byName is the member positions in name order: the order a snapshot
+	// lists a block's conditions in.
+	byName []int
+}
+
+// names returns the members in set, in name order (nil when there are none).
+func (g *groupFrame) names(set dempster.Set) []string {
+	var out []string
+	for _, pos := range g.byName {
+		if set.Contains(dempster.Singleton(pos)) {
+			out = append(out, g.members[pos])
+		}
+	}
+	return out
+}
+
+// memberRef locates a condition: its group's number and its position in the
+// group.
+type memberRef struct{ group, pos int }
+
 // sourceEvidence is the running evidence one knowledge source has
-// contributed to a (component, group) pair. Keeping sources separate (and
+// contributed to a (component, group) block. Keeping sources separate (and
 // combining at query time) lets each source's whole contribution be
 // discounted by its current reliability: Dempster combination is
 // commutative and associative, so splitting per source changes nothing
 // when every α is 1.
 type sourceEvidence struct {
-	mass *dempster.Mass
+	// id names the source ("" for reports with no source attribution).
+	id   string
+	mass dempster.Mass
 	// lastReport is the latest sensed-at timestamp this source asserted
 	// (zero for untimestamped reports — never discounted).
 	lastReport time.Time
-	// conditions is the set of conditions this source has reported.
-	conditions map[string]struct{}
+	// conditions is the set of members this source has reported.
+	conditions dempster.Set
 }
 
-// groupState is the running belief state of one (component, group) pair.
+// groupState is the running belief state of one (component, group) block:
+// a few small arrays. Positions in reports and newest, and the bits of a
+// source's conditions, are the group's member positions; the group's frame
+// is the fuser's, built once at construction.
 type groupState struct {
-	frame *dempster.Frame
-	// sources holds per-knowledge-source evidence, keyed by source id
-	// ("" for reports with no source attribution).
-	sources map[string]*sourceEvidence
-	// ids are the keys of sources, sorted: the order the sources combine in.
-	ids []string
-	// reports counts per-condition report arrivals.
-	reports map[string]int
-	// newest is each condition's UpdatedAt: the sensed-at time of the newest
-	// evidence folded in — a max, so a late report never moves it back.
-	newest map[string]time.Time
+	// sources holds per-knowledge-source evidence sorted by id: the order
+	// the sources combine in.
+	sources []sourceEvidence
+	// reports counts report arrivals by member position.
+	reports []int
+	// newest is each member's UpdatedAt, by position: the sensed-at time of
+	// the newest evidence folded in — a max, so a late report never moves it
+	// back.
+	newest []time.Time
+}
+
+func newGroupState(members int) *groupState {
+	return &groupState{reports: make([]int, members), newest: make([]time.Time, members)}
+}
+
+// source returns the index of the source with the given id in sources, or
+// where it would be inserted.
+func (st *groupState) source(id string) (int, bool) {
+	return slices.BinarySearchFunc(st.sources, id, func(s sourceEvidence, id string) int { return cmp.Compare(s.id, id) })
 }
 
 // DiagnosticFuser maintains fused beliefs per component, partitioned into
 // logical failure groups. Safe for concurrent use.
 type DiagnosticFuser struct {
 	mu sync.RWMutex
-	// groups is not checkpointed: failure-group topology is construction
-	// config, and Restore refuses snapshots that disagree with it.
-	groups Groups
-	// groupOf is derived from groups at construction; rebuilding it from a
-	// snapshot would desync it from groups.
-	groupOf map[string]string
-	states  map[string]map[string]*groupState // component -> group -> state
+	// groups are the failure groups numbered in name order, each with its
+	// frame; members locates every condition in them. Neither is
+	// checkpointed: failure-group topology is construction config, and
+	// Restore refuses snapshots that disagree with it.
+	groups  []groupFrame
+	members map[string]memberRef
+	// states holds each component's blocks by group number; a group with no
+	// evidence on the component has none.
+	states map[string][]*groupState
 	// maxBelief is a fixed clamp constant set at construction, not
 	// accumulated state.
 	maxBelief   float64
@@ -166,42 +209,53 @@ func NewDiagnosticFuser(groups Groups) (*DiagnosticFuser, error) {
 		return nil, err
 	}
 	df := &DiagnosticFuser{
-		groups:    groups,
-		groupOf:   make(map[string]string),
-		states:    make(map[string]map[string]*groupState),
+		members:   make(map[string]memberRef),
+		states:    make(map[string][]*groupState),
 		maxBelief: 0.999,
 	}
-	//lint:allow maporder builds a reverse-lookup map from validated-unique conditions; insertion order cannot affect contents
-	for name, conds := range groups {
-		for _, c := range conds {
-			df.groupOf[c] = name
+	for g, name := range slices.Sorted(maps.Keys(groups)) {
+		hyps := append(slices.Clone(groups[name]), otherHypothesis)
+		frame, err := dempster.NewFrame(hyps...)
+		if err != nil {
+			return nil, err
 		}
+		members := hyps[:len(hyps)-1]
+		byName := make([]int, len(members))
+		for pos, c := range members {
+			byName[pos] = pos
+			df.members[c] = memberRef{g, pos}
+		}
+		slices.SortFunc(byName, func(a, b int) int { return cmp.Compare(members[a], members[b]) })
+		df.groups = append(df.groups, groupFrame{name: name, members: members, frame: frame, byName: byName})
 	}
 	return df, nil
 }
 
-// GroupOf returns the logical group of a condition.
-func (df *DiagnosticFuser) GroupOf(condition string) (string, error) {
-	g, ok := df.groupOf[condition]
+// member locates a condition in the failure groups.
+func (df *DiagnosticFuser) member(condition string) (memberRef, error) {
+	ref, ok := df.members[condition]
 	if !ok {
-		return "", fmt.Errorf("fusion: condition %q not in any failure group", condition)
+		return memberRef{}, fmt.Errorf("fusion: condition %q not in any failure group", condition)
+	}
+	return ref, nil
+}
+
+// group returns the number of the named group.
+func (df *DiagnosticFuser) group(name string) (int, error) {
+	g, ok := slices.BinarySearchFunc(df.groups, name, func(f groupFrame, name string) int { return cmp.Compare(f.name, name) })
+	if !ok {
+		return 0, fmt.Errorf("fusion: unknown group %q", name)
 	}
 	return g, nil
 }
 
-// newGroupFrame builds a group's frame of discernment: its configured
-// conditions plus the reserved unknown hypothesis.
-func newGroupFrame(groups Groups, group string) (*dempster.Frame, error) {
-	return dempster.NewFrame(append(append([]string(nil), groups[group]...), otherHypothesis)...)
-}
-
-func newGroupState(frame *dempster.Frame) *groupState {
-	return &groupState{
-		frame:   frame,
-		sources: make(map[string]*sourceEvidence),
-		reports: make(map[string]int),
-		newest:  make(map[string]time.Time),
+// GroupOf returns the logical group of a condition.
+func (df *DiagnosticFuser) GroupOf(condition string) (string, error) {
+	ref, err := df.member(condition)
+	if err != nil {
+		return "", err
 	}
+	return df.groups[ref.group].name, nil
 }
 
 // foldScratch is the working storage of one fold or read: the running fused
@@ -216,22 +270,13 @@ type foldScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
 
-func (df *DiagnosticFuser) state(component, group string) (*groupState, error) {
-	byGroup, ok := df.states[component]
-	if !ok {
-		byGroup = make(map[string]*groupState)
-		df.states[component] = byGroup
+// held returns the component's block of group g, nil while it holds no
+// evidence. Callers hold df.mu.
+func (df *DiagnosticFuser) held(component string, g int) *groupState {
+	if blocks := df.states[component]; blocks != nil {
+		return blocks[g]
 	}
-	st, ok := byGroup[group]
-	if !ok {
-		frame, err := newGroupFrame(df.groups, group)
-		if err != nil {
-			return nil, err
-		}
-		st = newGroupState(frame)
-		byGroup[group] = st
-	}
-	return st, nil
+	return nil
 }
 
 // AddReport fuses one diagnostic report from an anonymous source — see
@@ -248,8 +293,8 @@ func (df *DiagnosticFuser) AddReport(component, condition string, belief float64
 // folded the report in read it, so a caller posting the conclusion need not
 // ask again. Per §5.6, the update also reweights every other failure in
 // the condition's logical group and the group's unknown mass — all readable
-// afterwards via Belief/Unknown/Ranked. When a Discounter is installed the
-// source's accumulated evidence is Shafer-discounted by its current
+// afterwards via Belief/Unknown/GroupState. When a Discounter is installed
+// the source's accumulated evidence is Shafer-discounted by its current
 // reliability on every read, so beliefs decay toward ignorance as the
 // source goes stale and recover when fresh reports resume.
 func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at time.Time, belief float64) (ConditionState, error) {
@@ -259,81 +304,78 @@ func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at
 	if !(belief >= 0 && belief <= 1) { // NaN too
 		return ConditionState{}, fmt.Errorf("fusion: belief %g outside [0,1]", belief)
 	}
-	group, err := df.GroupOf(condition)
+	ref, err := df.member(condition)
 	if err != nil {
 		return ConditionState{}, err
 	}
 	if belief > df.maxBelief {
 		belief = df.maxBelief
 	}
+	g, hyp := &df.groups[ref.group], dempster.Singleton(ref.pos)
 	sc := scratchPool.Get().(*foldScratch)
 	defer scratchPool.Put(sc)
 	df.mu.Lock()
 	defer df.mu.Unlock()
-	st, err := df.state(component, group)
-	if err != nil {
+	blocks := df.states[component]
+	if blocks == nil {
+		blocks = make([]*groupState, len(df.groups))
+		df.states[component] = blocks
+	}
+	st := blocks[ref.group]
+	if st == nil {
+		st = newGroupState(len(g.members))
+		blocks[ref.group] = st
+	}
+	if err := sc.disc.SetSimpleSupport(g.frame, hyp, belief); err != nil {
 		return ConditionState{}, err
 	}
-	hyp, err := st.frame.Hypothesis(condition)
-	if err != nil {
-		return ConditionState{}, err
-	}
-	if err := sc.disc.SetSimpleSupport(st.frame, hyp, belief); err != nil {
-		return ConditionState{}, err
-	}
-	src, ok := st.sources[source]
+	i, ok := st.source(source)
 	if !ok {
-		src = &sourceEvidence{
-			mass:       dempster.VacuousMass(st.frame),
-			conditions: make(map[string]struct{}),
-		}
-		st.sources[source] = src
-		i, _ := slices.BinarySearch(st.ids, source)
-		st.ids = slices.Insert(st.ids, i, source)
+		st.sources = slices.Insert(st.sources, i, sourceEvidence{id: source})
+		st.sources[i].mass.SetVacuous(g.frame)
 	}
+	src := &st.sources[i]
 	// Combine into spare storage and swap it in only on success: a refused
 	// fold leaves the source's mass as it was.
-	if _, err := dempster.CombineInto(&sc.next, src.mass, &sc.disc); err != nil {
+	if _, err := dempster.CombineInto(&sc.next, &src.mass, &sc.disc); err != nil {
 		return ConditionState{}, err
 	}
-	*src.mass, sc.next = sc.next, *src.mass
-	src.conditions[condition] = struct{}{}
+	src.mass, sc.next = sc.next, src.mass
+	src.conditions |= hyp
 	if at.After(src.lastReport) {
 		src.lastReport = at
 	}
-	if at.After(st.newest[condition]) {
-		st.newest[condition] = at
+	if at.After(st.newest[ref.pos]) {
+		st.newest[ref.pos] = at
 	}
-	st.reports[condition]++
+	st.reports[ref.pos]++
 	df.totalFusedN++
-	member, out := [1]string{condition}, [1]ConditionState{}
-	if _, err := df.readLocked(group, st, member[:], out[:], sc); err != nil {
+	var out [1]ConditionState
+	if _, err := df.readLocked(g, st, ref.pos, out[:], sc); err != nil {
 		return ConditionState{}, err
 	}
 	return out[0], nil
 }
 
-// factorsLocked returns the group's source ids in the sorted order they
-// combine in and, aligned with them in sc's factor buffer, the discount
-// factor each source's evidence carries right now (1 for the anonymous
-// source and for untimestamped evidence, which are never discounted). With
-// no discounter installed nothing is discounted and the factors are nil.
-// Both slices are borrowed: the ids are the block's, the factors sc's.
-// Callers hold df.mu (read or write).
-func (df *DiagnosticFuser) factorsLocked(st *groupState, sc *foldScratch) (names []string, factors []float64) {
-	names = st.ids
+// factorsLocked returns, aligned with the block's sources in sc's factor
+// buffer, the discount factor each source's evidence carries right now (1
+// for the anonymous source and for untimestamped evidence, which are never
+// discounted). With no discounter installed nothing is discounted and the
+// factors are nil. Callers hold df.mu (read or write).
+func (df *DiagnosticFuser) factorsLocked(st *groupState, sc *foldScratch) []float64 {
 	if df.discounter == nil {
-		return names, nil
+		return nil
 	}
-	factors = slices.Grow(sc.factors[:0], len(names))[:len(names)]
+	factors := slices.Grow(sc.factors[:0], len(st.sources))[:len(st.sources)]
 	sc.factors = factors
-	for i, name := range names {
+	for i := range st.sources {
+		src := &st.sources[i]
 		factors[i] = 1
-		if src := st.sources[name]; name != "" && !src.lastReport.IsZero() {
-			factors[i] = df.discounter.Reliability(name, src.lastReport)
+		if src.id != "" && !src.lastReport.IsZero() {
+			factors[i] = df.discounter.Reliability(src.id, src.lastReport)
 		}
 	}
-	return names, factors
+	return factors
 }
 
 // factorAt reads source i's factor out of factorsLocked's result.
@@ -344,58 +386,53 @@ func factorAt(factors []float64, i int) float64 {
 	return factors[i]
 }
 
-// fusedLocked combines every source's discounted evidence for one group
-// state, in factorsLocked's order, and returns that order and the factors it
-// discounted by: the fused mass is a pure function of the group's evidence
-// and those factors, whatever the arrival interleaving across sources was.
-// The fused mass lives in sc. Callers hold df.mu.
-func (df *DiagnosticFuser) fusedLocked(st *groupState, sc *foldScratch) (fused *dempster.Mass, names []string, factors []float64, err error) {
-	names, factors = df.factorsLocked(st, sc)
+// fusedLocked combines every source's discounted evidence for one block, in
+// source-id order, and returns the factors it discounted by: the fused mass
+// is a pure function of the block's evidence and those factors, whatever the
+// arrival interleaving across sources was. The fused mass lives in sc.
+// Callers hold df.mu.
+func (df *DiagnosticFuser) fusedLocked(g *groupFrame, st *groupState, sc *foldScratch) (fused *dempster.Mass, factors []float64, err error) {
+	factors = df.factorsLocked(st, sc)
 	fused, next := &sc.fused, &sc.next
-	fused.SetVacuous(st.frame)
-	for i, name := range names {
-		m := st.sources[name].mass
+	fused.SetVacuous(g.frame)
+	for i := range st.sources {
+		m := &st.sources[i].mass
 		if alpha := factorAt(factors, i); alpha < 1 {
 			if err = dempster.DiscountInto(&sc.disc, m, alpha); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			m = &sc.disc
 		}
 		if _, err = dempster.CombineInto(next, fused, m); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		fused, next = next, fused
 	}
-	return fused, names, factors, nil
+	return fused, factors, nil
 }
 
-// readLocked is the one fused read of a group state: it combines the group's
-// evidence once in sc, fills out[i] with the state of members[i], and
-// returns the factors the combination discounted by, which are sc's.
-// ConditionState, GroupState and Ranked are projections of it. Callers hold
-// df.mu.
-func (df *DiagnosticFuser) readLocked(group string, st *groupState, members []string, out []ConditionState, sc *foldScratch) ([]float64, error) {
-	fused, names, factors, err := df.fusedLocked(st, sc)
+// readLocked is the one fused read of a block of group g: it combines the
+// block's evidence once in sc, fills out[i] with the state of the member at
+// position first+i, and returns the factors the combination discounted by,
+// which are sc's. ConditionState, GroupState and RankedAll are projections
+// of it. Callers hold df.mu.
+func (df *DiagnosticFuser) readLocked(g *groupFrame, st *groupState, first int, out []ConditionState, sc *foldScratch) ([]float64, error) {
+	fused, factors, err := df.fusedLocked(g, st, sc)
 	if err != nil {
 		return nil, err
 	}
-	var hypBuf [8]dempster.Set
-	hyps := hypBuf[:0]
 	unknown := fused.Unknown()
-	for i, cond := range members {
-		hyp, err := st.frame.Hypothesis(cond)
-		if err != nil {
-			return nil, err
-		}
-		hyps = append(hyps, hyp)
+	for i := range out {
+		pos := first + i
+		hyp := dempster.Singleton(pos)
 		out[i] = ConditionState{ConditionBelief: ConditionBelief{
-			Condition: cond, Group: group, Reports: st.reports[cond], Reliability: 1,
-		}, Unknown: unknown, UpdatedAt: st.newest[cond]}
+			Condition: g.members[pos], Group: g.name, Reports: st.reports[pos], Reliability: 1,
+		}, Unknown: unknown, UpdatedAt: st.newest[pos]}
 		// Best reliability across the sources asserting the condition: a
 		// conclusion is degraded only when no fresh source backs it.
 		best, seen := 0.0, false
-		for j, name := range names {
-			if _, ok := st.sources[name].conditions[cond]; !ok {
+		for j := range st.sources {
+			if !st.sources[j].conditions.Contains(hyp) {
 				continue
 			}
 			if a := factorAt(factors, j); !seen || a > best {
@@ -413,7 +450,8 @@ func (df *DiagnosticFuser) readLocked(group string, st *groupState, members []st
 	vals := fused.Values()
 	for k, focal := range fused.FocalSets() {
 		v := vals[k]
-		for i, hyp := range hyps {
+		for i := range out {
+			hyp := dempster.Singleton(first + i)
 			if hyp.Contains(focal) && !focal.IsEmpty() {
 				out[i].Belief += v
 			}
@@ -432,61 +470,49 @@ func (df *DiagnosticFuser) Belief(component, condition string) (float64, error) 
 	return cs.Belief, err
 }
 
-// Plausibility returns the fused plausibility of a condition (1 before any
-// report: everything is fully plausible).
-func (df *DiagnosticFuser) Plausibility(component, condition string) (float64, error) {
-	cs, err := df.ConditionState(component, condition)
-	return cs.Plausibility, err
-}
-
 // Unknown returns the §5.3 "likelihood of unknown possibilities" for a
 // component's failure group — 1.0 before any report arrives.
 func (df *DiagnosticFuser) Unknown(component, group string) (float64, error) {
-	conds, ok := df.groups[group]
-	if !ok {
-		return 0, fmt.Errorf("fusion: unknown group %q", group)
+	g, err := df.group(group)
+	if err != nil {
+		return 0, err
 	}
 	// The unknown mass belongs to the group; any member reads it.
-	cs, err := df.ConditionState(component, conds[0])
+	cs, err := df.ConditionState(component, df.groups[g].members[0])
 	return cs.Unknown, err
 }
 
-// Ranked returns every condition reported against the component, ranked by
-// fused belief descending — the prioritized list the PDME shows maintenance
-// personnel.
-func (df *DiagnosticFuser) Ranked(component string) []ConditionBelief {
-	df.mu.RLock()
-	defer df.mu.RUnlock()
-	return df.rankedLocked(component)
-}
-
-// RankedAll returns Ranked for every component with at least one fused
-// report, keyed by component, computed under a single lock acquisition so
-// the result is one consistent snapshot: no report fused concurrently with
-// the call can appear for one component and be missing for another.
+// RankedAll returns, for every component with at least one fused report,
+// every condition reported against it ranked by fused belief descending —
+// the prioritized list the PDME shows maintenance personnel — keyed by
+// component. It is computed under a single lock acquisition so the result
+// is one consistent snapshot: no report fused concurrently with the call
+// can appear for one component and be missing for another.
 func (df *DiagnosticFuser) RankedAll() map[string][]ConditionBelief {
 	df.mu.RLock()
 	defer df.mu.RUnlock()
 	out := make(map[string][]ConditionBelief, len(df.states))
 	//lint:allow maporder each component's ranking is computed independently into a map; order cannot affect any entry
-	for component := range df.states {
-		out[component] = df.rankedLocked(component)
+	for component, blocks := range df.states {
+		out[component] = df.rankedLocked(blocks)
 	}
 	return out
 }
 
-// rankedLocked computes Ranked for one component: the reported members of
-// each of its groups' reads, sorted. A group whose evidence cannot be
-// combined contributes no rows. Callers hold df.mu.
-func (df *DiagnosticFuser) rankedLocked(component string) []ConditionBelief {
+// rankedLocked ranks one component: the reported members of each of its
+// blocks' reads, sorted. A block whose evidence cannot be combined
+// contributes no rows. Callers hold df.mu.
+func (df *DiagnosticFuser) rankedLocked(blocks []*groupState) []ConditionBelief {
 	sc := scratchPool.Get().(*foldScratch)
 	defer scratchPool.Put(sc)
 	var out []ConditionBelief
-	//lint:allow maporder rows are fully sorted by (belief, condition) before return and conditions are unique per component
-	for group, st := range df.states[component] {
-		members := df.groups[group]
-		states := make([]ConditionState, len(members))
-		if _, err := df.readLocked(group, st, members, states, sc); err != nil {
+	for gi, st := range blocks {
+		if st == nil {
+			continue
+		}
+		g := &df.groups[gi]
+		states := make([]ConditionState, len(g.members))
+		if _, err := df.readLocked(g, st, 0, states, sc); err != nil {
 			continue
 		}
 		for _, cs := range states {
@@ -531,22 +557,23 @@ func vacuousState(condition, group string) ConditionState {
 // ConditionState returns the pair's fused belief, plausibility, group
 // unknown, report count, and health-discount fields under a single lock
 // acquisition and a single evidence combination: one member of the group
-// read. Belief, Plausibility and Unknown each return one field of it.
+// read. Belief and Unknown each return one field of it.
 func (df *DiagnosticFuser) ConditionState(component, condition string) (ConditionState, error) {
-	group, err := df.GroupOf(condition)
+	ref, err := df.member(condition)
 	if err != nil {
 		return ConditionState{}, err
 	}
+	g := &df.groups[ref.group]
 	df.mu.RLock()
 	defer df.mu.RUnlock()
-	st := df.states[component][group]
+	st := df.held(component, ref.group)
 	if st == nil {
-		return vacuousState(condition, group), nil // no reports yet for the pair's group
+		return vacuousState(condition, g.name), nil // no reports yet for the pair's group
 	}
 	sc := scratchPool.Get().(*foldScratch)
 	defer scratchPool.Put(sc)
-	member, out := [1]string{condition}, [1]ConditionState{}
-	if _, err := df.readLocked(group, st, member[:], out[:], sc); err != nil {
+	var out [1]ConditionState
+	if _, err := df.readLocked(g, st, ref.pos, out[:], sc); err != nil {
 		return ConditionState{}, err
 	}
 	return out[0], nil
@@ -558,8 +585,7 @@ func (df *DiagnosticFuser) ConditionState(component, condition string) (Conditio
 // outside the block.
 type GroupState struct {
 	// Members holds every member condition's state, reported or not, in the
-	// group's registration order (GroupMembers). Each carries the group's
-	// unknown mass.
+	// group's registration order. Each carries the group's unknown mass.
 	Members []ConditionState
 	// Factors are the discount factors the read applied, one per
 	// contributing source in sorted source-id order; nil while no discounter
@@ -573,23 +599,24 @@ type GroupState struct {
 // member's state from that one combination, under a single lock
 // acquisition. A block with no evidence reads vacuous.
 func (df *DiagnosticFuser) GroupState(component, group string) (GroupState, error) {
-	members, ok := df.groups[group]
-	if !ok {
-		return GroupState{}, fmt.Errorf("fusion: unknown group %q", group)
+	gi, err := df.group(group)
+	if err != nil {
+		return GroupState{}, err
 	}
-	gs := GroupState{Members: make([]ConditionState, len(members))}
+	g := &df.groups[gi]
+	gs := GroupState{Members: make([]ConditionState, len(g.members))}
 	df.mu.RLock()
 	defer df.mu.RUnlock()
-	st := df.states[component][group]
+	st := df.held(component, gi)
 	if st == nil {
-		for i, cond := range members {
+		for i, cond := range g.members {
 			gs.Members[i] = vacuousState(cond, group)
 		}
 		return gs, nil
 	}
 	sc := scratchPool.Get().(*foldScratch)
 	defer scratchPool.Put(sc)
-	factors, err := df.readLocked(group, st, members, gs.Members, sc)
+	factors, err := df.readLocked(g, st, 0, gs.Members, sc)
 	if err != nil {
 		return GroupState{}, err
 	}
@@ -599,17 +626,21 @@ func (df *DiagnosticFuser) GroupState(component, group string) (GroupState, erro
 
 // GroupFactors returns what GroupState's Factors would be right now without
 // combining any evidence: one Reliability call per discounted source. Nil
-// while no discounter is installed or the block holds no evidence.
+// while no discounter is installed, the group is unknown or the block holds
+// no evidence.
 func (df *DiagnosticFuser) GroupFactors(component, group string) []float64 {
+	g, err := df.group(group)
+	if err != nil {
+		return nil
+	}
 	df.mu.RLock()
 	defer df.mu.RUnlock()
-	st := df.states[component][group]
-	if st == nil || df.discounter == nil {
+	st := df.held(component, g)
+	if st == nil {
 		return nil
 	}
 	var sc foldScratch // the factors it fills are the caller's to keep
-	_, factors := df.factorsLocked(st, &sc)
-	return factors
+	return df.factorsLocked(st, &sc)
 }
 
 // Blocks returns every (component, failure group) pair that holds evidence,
@@ -619,18 +650,13 @@ func (df *DiagnosticFuser) Blocks() [][2]string {
 	defer df.mu.RUnlock()
 	var out [][2]string
 	for _, component := range slices.Sorted(maps.Keys(df.states)) {
-		for _, group := range slices.Sorted(maps.Keys(df.states[component])) {
-			out = append(out, [2]string{component, group})
+		for g, st := range df.states[component] {
+			if st != nil {
+				out = append(out, [2]string{component, df.groups[g].name})
+			}
 		}
 	}
 	return out
-}
-
-// Components returns every component with at least one fused report.
-func (df *DiagnosticFuser) Components() []string {
-	df.mu.RLock()
-	defer df.mu.RUnlock()
-	return slices.Sorted(maps.Keys(df.states))
 }
 
 // ReportCount returns the total number of fused reports.
@@ -648,6 +674,9 @@ type NaiveFuser struct {
 	mu    sync.Mutex
 	frame *dempster.Frame
 	state map[string]*dempster.Mass // component -> mass
+	// ev and next are a fold's evidence and its combination, swapped into
+	// the component's mass on success.
+	ev, next dempster.Mass
 }
 
 // NewNaiveFuser builds the single-frame baseline over all conditions (plus
@@ -675,16 +704,15 @@ func (nf *NaiveFuser) AddReport(component, condition string, belief float64) (fl
 	if err != nil {
 		return 0, err
 	}
-	ev, err := dempster.SimpleSupport(nf.frame, hyp, belief)
-	if err != nil {
+	if err := nf.ev.SetSimpleSupport(nf.frame, hyp, belief); err != nil {
 		return 0, err
 	}
-	combined, _, err := dempster.Combine(m, ev)
-	if err != nil {
+	if _, err := dempster.CombineInto(&nf.next, m, &nf.ev); err != nil {
 		return 0, err
 	}
-	nf.state[component] = combined
-	return combined.Belief(hyp), nil
+	*m, nf.next = nf.next, *m
+	nf.state[component] = m
+	return m.Belief(hyp), nil
 }
 
 // Belief returns the fused belief in a condition.

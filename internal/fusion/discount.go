@@ -8,7 +8,7 @@ package fusion
 //
 //	Bel' = α·Bel        Pl' = 1 - α·(1-Pl)        Θ' = 1 - α + α·Θ
 //
-// which matches dempster.Discount applied before the interval is read out.
+// which matches dempster.DiscountInto applied before the interval is read out.
 // alpha is clamped to [0,1]; alpha 1 is the identity, alpha 0 collapses the
 // summary to total ignorance (Bel 0, Pl 1, Θ 1) — exactly how a lost
 // shard's contribution degrades monotonically toward Unknown.

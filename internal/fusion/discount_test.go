@@ -3,7 +3,8 @@ package fusion
 import (
 	"math"
 	"reflect"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,7 +132,7 @@ func TestStaleSourceNeverOutranksLiveContradiction(t *testing.T) {
 	}
 	disc := &fakeDiscounter{alpha: map[string]float64{"dc-stale": 1}}
 	df.SetDiscounter(disc)
-	ranked := df.Ranked("chiller")
+	ranked := df.RankedAll()["chiller"]
 	if len(ranked) != 2 || ranked[0].Condition != "outer-race-fault" {
 		t.Fatalf("with both fresh, stronger assertion should lead: %+v", ranked)
 	}
@@ -140,7 +141,7 @@ func TestStaleSourceNeverOutranksLiveContradiction(t *testing.T) {
 	}
 
 	disc.alpha["dc-stale"] = 0.1
-	ranked = df.Ranked("chiller")
+	ranked = df.RankedAll()["chiller"]
 	if ranked[0].Condition != "inner-race-fault" {
 		t.Fatalf("stale source outranks live contradiction: %+v", ranked)
 	}
@@ -173,7 +174,7 @@ func TestDegradedNeedsAllSourcesStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	df.SetDiscounter(&fakeDiscounter{alpha: map[string]float64{"dc-0": 0.2}})
-	ranked := df.Ranked("pump")
+	ranked := df.RankedAll()["pump"]
 	if len(ranked) != 1 {
 		t.Fatalf("ranked: %+v", ranked)
 	}
@@ -193,7 +194,7 @@ func TestDegradedNeedsAllSourcesStale(t *testing.T) {
 
 func TestDiscountSummaryMatchesMassDiscount(t *testing.T) {
 	// The interval-level formula used on shard summaries must be exactly
-	// dempster.Discount read out through Belief/Plausibility/Unknown.
+	// dempster.DiscountInto read out through Belief/Plausibility/Unknown.
 	frame, err := dempster.NewFrame("a", "b", "c")
 	if err != nil {
 		t.Fatal(err)
@@ -219,9 +220,9 @@ func TestDiscountSummaryMatchesMassDiscount(t *testing.T) {
 	if err := m.Validate(1e-12); err != nil {
 		t.Fatal(err)
 	}
+	dm := dempster.NewMass(frame)
 	for _, alpha := range []float64{0, 0.25, 0.6, 1} {
-		dm, err := dempster.Discount(m, alpha)
-		if err != nil {
+		if err := dempster.DiscountInto(dm, m, alpha); err != nil {
 			t.Fatal(err)
 		}
 		wantB, wantPl, wantU := dm.Belief(ha), dm.Plausibility(ha), dm.Unknown()
@@ -263,48 +264,69 @@ func TestDiscounterAlphaClamped(t *testing.T) {
 	}
 }
 
-// referenceRanked is Ranked as it was computed before the group read
-// existed: its own combination per group, dempster.Mass.Belief and
-// Plausibility per reported condition (one sorted focal-set walk each), a
-// per-condition maximum over the sources' factors. The group read must agree
-// with it to the bit.
-func referenceRanked(df *DiagnosticFuser, component string) map[string]ConditionBelief {
-	df.mu.RLock()
-	defer df.mu.RUnlock()
-	alphaOf := func(name string, src *sourceEvidence) float64 {
-		if df.discounter == nil || name == "" || src.lastReport.IsZero() {
+// referenceRanked is one component's ranking as it was computed before the
+// group read existed, from the fuser's Snapshot alone: its own frame per
+// group, its own combination of the sources in id order,
+// dempster.Mass.Belief and Plausibility per reported condition (one sorted
+// focal-set walk each), and a per-condition maximum over the sources'
+// factors. The group read must agree with it to the bit.
+func referenceRanked(t *testing.T, st DiagnosticState, groups Groups, disc Discounter, component string) map[string]ConditionBelief {
+	t.Helper()
+	alphaOf := func(src SourceSnapshot) float64 {
+		if disc == nil || src.Source == "" || src.LastReport.IsZero() {
 			return 1
 		}
-		return df.discounter.Reliability(name, src.lastReport)
+		return disc.Reliability(src.Source, src.LastReport)
 	}
 	out := map[string]ConditionBelief{}
-	for group, st := range df.states[component] {
-		names := make([]string, 0, len(st.sources))
-		for name := range st.sources {
-			names = append(names, name)
+	for _, gs := range st.Groups {
+		if gs.Component != component {
+			continue
 		}
-		sort.Strings(names)
-		fused := dempster.VacuousMass(st.frame)
-		for _, name := range names {
-			m := st.sources[name].mass
-			if alpha := alphaOf(name, st.sources[name]); alpha < 1 {
-				m, _ = dempster.Discount(m, alpha)
+		frame := dempster.MustFrame(append(slices.Clone(groups[gs.Group]), otherHypothesis)...)
+		sources := slices.Clone(gs.Sources)
+		slices.SortFunc(sources, func(a, b SourceSnapshot) int { return strings.Compare(a.Source, b.Source) })
+		fused := dempster.VacuousMass(frame)
+		for _, src := range sources {
+			m := dempster.NewMass(frame)
+			for _, fm := range src.Focal {
+				set, err := frame.SetOf(fm.Members...)
+				if err == nil {
+					err = m.Put(set, fm.Mass)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-			fused, _, _ = dempster.Combine(fused, m)
+			if alpha := alphaOf(src); alpha < 1 {
+				discounted := dempster.NewMass(frame)
+				if err := dempster.DiscountInto(discounted, m, alpha); err != nil {
+					t.Fatal(err)
+				}
+				m = discounted
+			}
+			next := dempster.NewMass(frame)
+			if _, err := dempster.CombineInto(next, fused, m); err != nil {
+				t.Fatal(err)
+			}
+			fused = next
 		}
-		for cond, n := range st.reports {
-			hyp, _ := st.frame.Hypothesis(cond)
+		for cond, n := range gs.Reports {
+			hyp, err := frame.Hypothesis(cond)
+			if err != nil {
+				t.Fatal(err)
+			}
 			alpha, seen := 1.0, false
-			for name, src := range st.sources {
-				if _, ok := src.conditions[cond]; !ok {
+			for _, src := range sources {
+				if !slices.Contains(src.Conditions, cond) {
 					continue
 				}
-				if a := alphaOf(name, src); !seen || a > alpha {
+				if a := alphaOf(src); !seen || a > alpha {
 					alpha, seen = a, true
 				}
 			}
 			out[cond] = ConditionBelief{
-				Condition: cond, Group: group, Belief: fused.Belief(hyp), Plausibility: fused.Plausibility(hyp),
+				Condition: cond, Group: gs.Group, Belief: fused.Belief(hyp), Plausibility: fused.Plausibility(hyp),
 				Reports: n, Reliability: alpha, Degraded: alpha < 1-1e-9,
 			}
 		}
@@ -339,8 +361,10 @@ func TestGroupStateIsEveryOtherRead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var disc Discounter
 			if discounted {
-				df.SetDiscounter(&fakeDiscounter{alpha: map[string]float64{"dc-1": 0.9 * rng.float(), "dc-2": 1, "dc-3": 0}})
+				disc = &fakeDiscounter{alpha: map[string]float64{"dc-1": 0.9 * rng.float(), "dc-2": 1, "dc-3": 0}}
+				df.SetDiscounter(disc)
 			}
 			for i := 0; i < 40+rng.intn(40); i++ {
 				at := dt.Add(time.Duration(i) * time.Minute)
@@ -352,15 +376,16 @@ func TestGroupStateIsEveryOtherRead(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			snap, all := df.Snapshot(), df.RankedAll()
 			for _, component := range components {
-				want := referenceRanked(df, component)
-				ranked := df.Ranked(component)
+				want := referenceRanked(t, snap, groups, disc, component)
+				ranked := all[component]
 				if len(ranked) != len(want) {
-					t.Fatalf("seed %d discounted=%v: Ranked(%s) has %d rows, reference %d", seed, discounted, component, len(ranked), len(want))
+					t.Fatalf("seed %d discounted=%v: RankedAll[%s] has %d rows, reference %d", seed, discounted, component, len(ranked), len(want))
 				}
 				for _, cb := range ranked {
 					if !sameBelief(cb, want[cb.Condition]) {
-						t.Fatalf("seed %d discounted=%v: Ranked row %+v != reference %+v", seed, discounted, cb, want[cb.Condition])
+						t.Fatalf("seed %d discounted=%v: RankedAll row %+v != reference %+v", seed, discounted, cb, want[cb.Condition])
 					}
 				}
 				for group := range groups {

@@ -76,9 +76,9 @@ func TestAddReportAndBelief(t *testing.T) {
 	if err != nil || b != 0 {
 		t.Errorf("fresh belief %g %v", b, err)
 	}
-	pl, err := df.Plausibility("pump/9", "oil whirl")
-	if err != nil || pl != 1 {
-		t.Errorf("fresh plausibility %g %v", pl, err)
+	cs, err := df.ConditionState("pump/9", "oil whirl")
+	if err != nil || cs.Plausibility != 1 {
+		t.Errorf("fresh plausibility %g %v", cs.Plausibility, err)
 	}
 }
 
@@ -249,7 +249,8 @@ func TestRankedList(t *testing.T) {
 			}
 		}
 	}
-	ranked := df.Ranked("m")
+	all := df.RankedAll()
+	ranked := all["m"]
 	if len(ranked) != 3 {
 		t.Fatalf("ranked %d entries", len(ranked))
 	}
@@ -269,14 +270,11 @@ func TestRankedList(t *testing.T) {
 			t.Errorf("incomplete entry %+v", cb)
 		}
 	}
-	if cs := df.Components(); len(cs) != 1 || cs[0] != "m" {
-		t.Errorf("components %v", cs)
+	if len(all) != 1 {
+		t.Errorf("ranked components %v", all)
 	}
 	if df.ReportCount() != 6 {
 		t.Errorf("report count %d", df.ReportCount())
-	}
-	if len(df.Ranked("ghost")) != 0 {
-		t.Error("ranked for unknown component")
 	}
 }
 
@@ -492,12 +490,8 @@ func TestPrognosticFuser(t *testing.T) {
 	if v := pf.Fused("m", "ghost"); v != nil && len(v) != 0 {
 		t.Error("ghost pair has vector")
 	}
-	// Conditions listing.
-	if cs := pf.Conditions("m"); len(cs) != 1 || cs[0] != "motor imbalance" {
-		t.Errorf("conditions %v", cs)
-	}
 	// Time to failure.
-	if _, ok := pf.TimeToFailure("m", "motor imbalance", 0.5, 1000*time.Second); !ok {
+	if _, ok := pf.Fused("m", "motor imbalance").TimeToProbability(0.5, 1000*time.Second); !ok {
 		t.Error("time to failure not found")
 	}
 	// Validation.

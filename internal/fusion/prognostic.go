@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -208,25 +207,4 @@ func (pf *PrognosticFuser) Fused(component, condition string) proto.PrognosticVe
 	pf.mu.RLock()
 	defer pf.mu.RUnlock()
 	return pf.fused[progKey{component, condition}]
-}
-
-// Conditions returns the conditions with fused prognostics for a component.
-func (pf *PrognosticFuser) Conditions(component string) []string {
-	pf.mu.RLock()
-	defer pf.mu.RUnlock()
-	var out []string
-	//lint:allow maporder condition names are sorted before return
-	for k := range pf.fused {
-		if k.component == component {
-			out = append(out, k.condition)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TimeToFailure returns the earliest fused horizon at which the failure
-// probability reaches target, the §3.3 "time to failure" estimate.
-func (pf *PrognosticFuser) TimeToFailure(component, condition string, target float64, max time.Duration) (time.Duration, bool) {
-	return pf.Fused(component, condition).TimeToProbability(target, max)
 }

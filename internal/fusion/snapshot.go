@@ -17,7 +17,7 @@ import (
 // changes as long as group membership itself is unchanged. Float64 values
 // round-trip bit-exactly through JSON (Go emits the shortest
 // uniquely-decoding representation), which is what lets a recovered PDME
-// reproduce Ranked/Belief output bit-for-bit.
+// reproduce RankedAll/Belief output bit-for-bit.
 
 // FocalMass is one focal set of a source's accumulated evidence.
 type FocalMass struct {
@@ -62,38 +62,47 @@ func (df *DiagnosticFuser) Snapshot() DiagnosticState {
 	defer df.mu.RUnlock()
 	st := DiagnosticState{TotalFused: df.totalFusedN}
 	for _, component := range slices.Sorted(maps.Keys(df.states)) {
-		byGroup := df.states[component]
-		for _, group := range slices.Sorted(maps.Keys(byGroup)) {
-			snap := byGroup[group].Snapshot()
-			snap.Component, snap.Group = component, group
+		for g, gs := range df.states[component] {
+			if gs == nil {
+				continue
+			}
+			snap := gs.Snapshot(&df.groups[g])
+			snap.Component, snap.Group = component, df.groups[g].name
 			st.Groups = append(st.Groups, snap)
 		}
 	}
 	return st
 }
 
-// Snapshot captures one group state, sources sorted by id. The caller names
-// the block it belongs to.
-func (gs *groupState) Snapshot() GroupSnapshot {
+// Snapshot captures one block of group g, sources sorted by id. The caller
+// names the block it belongs to.
+func (gs *groupState) Snapshot(g *groupFrame) GroupSnapshot {
 	var snap GroupSnapshot
-	for _, id := range gs.ids {
-		src := gs.sources[id]
-		ss := SourceSnapshot{Source: id, LastReport: src.lastReport,
-			Conditions: slices.Sorted(maps.Keys(src.conditions))}
+	for i := range gs.sources {
+		src := &gs.sources[i]
+		ss := SourceSnapshot{Source: src.id, LastReport: src.lastReport, Conditions: g.names(src.conditions)}
 		vals := src.mass.Values()
 		for k, set := range src.mass.FocalSets() {
 			ss.Focal = append(ss.Focal, FocalMass{
-				Members: gs.frame.Names(set),
+				Members: g.frame.Names(set),
 				Mass:    vals[k],
 			})
 		}
 		snap.Sources = append(snap.Sources, ss)
 	}
-	if len(gs.reports) > 0 {
-		snap.Reports = maps.Clone(gs.reports)
-	}
-	if len(gs.newest) > 0 {
-		snap.Newest = maps.Clone(gs.newest)
+	for pos, cond := range g.members {
+		if n := gs.reports[pos]; n != 0 {
+			if snap.Reports == nil {
+				snap.Reports = make(map[string]int)
+			}
+			snap.Reports[cond] = n
+		}
+		if at := gs.newest[pos]; !at.IsZero() {
+			if snap.Newest == nil {
+				snap.Newest = make(map[string]time.Time)
+			}
+			snap.Newest[cond] = at
+		}
 	}
 	return snap
 }
@@ -101,64 +110,78 @@ func (gs *groupState) Snapshot() GroupSnapshot {
 // Restore replaces the fuser's evidence with a snapshot. The group
 // configuration is NOT part of the snapshot — it comes from construction —
 // so a snapshot naming a group or condition the current configuration does
-// not know is refused rather than silently misfiled.
+// not know, or a condition outside the group it is filed under, is refused
+// rather than silently misfiled; so is a block or a source named twice.
 func (df *DiagnosticFuser) Restore(st DiagnosticState) error {
 	df.mu.Lock()
 	defer df.mu.Unlock()
-	states := make(map[string]map[string]*groupState)
+	states := make(map[string][]*groupState)
 	for _, snap := range st.Groups {
-		if _, ok := df.groups[snap.Group]; !ok {
-			return fmt.Errorf("fusion: restore: unknown group %q", snap.Group)
-		}
-		frame, err := newGroupFrame(df.groups, snap.Group)
+		g, err := df.group(snap.Group)
 		if err != nil {
 			return err
 		}
-		gs := newGroupState(frame)
-		if err := gs.Restore(snap); err != nil {
-			return fmt.Errorf("fusion: restore %s/%s %w", snap.Component, snap.Group, err)
+		blocks := states[snap.Component]
+		if blocks == nil {
+			blocks = make([]*groupState, len(df.groups))
+			states[snap.Component] = blocks
 		}
-		byGroup, ok := states[snap.Component]
-		if !ok {
-			byGroup = make(map[string]*groupState)
-			states[snap.Component] = byGroup
+		if blocks[g] != nil {
+			return fmt.Errorf("fusion: restore %s/%s: block named twice", snap.Component, snap.Group)
 		}
-		byGroup[snap.Group] = gs
+		if blocks[g], err = restoreBlock(&df.groups[g], snap); err != nil {
+			return fmt.Errorf("fusion: restore %s/%s: %w", snap.Component, snap.Group, err)
+		}
 	}
 	df.states = states
 	df.totalFusedN = st.TotalFused
 	return nil
 }
 
-// Restore fills a fresh group state (newGroupState over the group's frame)
-// from its snapshot. Each mass comes back exactly as captured, a focal set
-// with mass 0 included. A snapshot written before Newest existed restores
-// with zero stamps: those pairs stay unstamped until their next report.
-func (gs *groupState) Restore(snap GroupSnapshot) error {
-	maps.Copy(gs.reports, snap.Reports)
-	maps.Copy(gs.newest, snap.Newest)
+// restoreBlock builds a block of group g from its snapshot. Each mass comes
+// back exactly as captured, a focal set with mass 0 included. A snapshot
+// written before Newest existed restores with zero stamps: those pairs stay
+// unstamped until their next report.
+func restoreBlock(g *groupFrame, snap GroupSnapshot) (*groupState, error) {
+	gs := newGroupState(len(g.members))
+	reported, stamped := 0, 0
+	for pos, cond := range g.members {
+		if n, ok := snap.Reports[cond]; ok {
+			gs.reports[pos], reported = n, reported+1
+		}
+		if at, ok := snap.Newest[cond]; ok {
+			gs.newest[pos], stamped = at, stamped+1
+		}
+	}
+	if reported != len(snap.Reports) || stamped != len(snap.Newest) {
+		return nil, fmt.Errorf("reports or newest name a condition that is not a member of the group")
+	}
+	other := dempster.Singleton(len(g.members))
 	for _, ss := range snap.Sources {
-		src := &sourceEvidence{
-			mass:       dempster.NewMass(gs.frame),
-			lastReport: ss.LastReport,
-			conditions: make(map[string]struct{}, len(ss.Conditions)),
+		conditions, err := g.frame.SetOf(ss.Conditions...)
+		if err == nil && conditions.Contains(other) {
+			err = fmt.Errorf("condition name %q is reserved", otherHypothesis)
 		}
-		for _, c := range ss.Conditions {
-			src.conditions[c] = struct{}{}
+		if err != nil {
+			return nil, fmt.Errorf("source %q: %w", ss.Source, err)
 		}
+		src := sourceEvidence{id: ss.Source, mass: *dempster.NewMass(g.frame), lastReport: ss.LastReport, conditions: conditions}
 		for _, fm := range ss.Focal {
-			set, err := gs.frame.SetOf(fm.Members...)
+			set, err := g.frame.SetOf(fm.Members...)
 			if err == nil {
 				err = src.mass.Put(set, fm.Mass)
 			}
 			if err != nil {
-				return fmt.Errorf("source %q: %w", ss.Source, err)
+				return nil, fmt.Errorf("source %q: %w", ss.Source, err)
 			}
 		}
-		gs.sources[ss.Source] = src
+		i, dup := gs.source(ss.Source)
+		if dup {
+			return nil, fmt.Errorf("source %q named twice", ss.Source)
+		}
+		gs.sources = slices.Insert(gs.sources, i, src)
 	}
-	gs.ids = slices.Sorted(maps.Keys(gs.sources))
-	return nil
+	return gs, nil
 }
 
 // PrognosticEntry is one fused (component, condition) prognostic vector.

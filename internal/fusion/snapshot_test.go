@@ -87,8 +87,8 @@ func TestDiagnosticSnapshotRoundtrip(t *testing.T) {
 	if got, want := restored.ReportCount(), df.ReportCount(); got != want {
 		t.Errorf("restored report count %d, want %d", got, want)
 	}
-	for _, comp := range df.Components() {
-		for _, cb := range df.Ranked(comp) {
+	for comp, ranked := range df.RankedAll() {
+		for _, cb := range ranked {
 			b, err := restored.Belief(comp, cb.Condition)
 			if err != nil {
 				t.Fatalf("restored Belief(%s, %s): %v", comp, cb.Condition, err)
@@ -97,13 +97,12 @@ func TestDiagnosticSnapshotRoundtrip(t *testing.T) {
 				t.Errorf("%s/%s: restored belief %v != original %v (not bit-exact)",
 					comp, cb.Condition, b, cb.Belief)
 			}
-			pl, err := restored.Plausibility(comp, cb.Condition)
-			if err != nil || math.Float64bits(pl) != math.Float64bits(cb.Plausibility) {
-				t.Errorf("%s/%s: restored plausibility %v != original %v (err %v)",
-					comp, cb.Condition, pl, cb.Plausibility, err)
-			}
 			live, _ := df.ConditionState(comp, cb.Condition)
-			got, _ := restored.ConditionState(comp, cb.Condition)
+			got, err := restored.ConditionState(comp, cb.Condition)
+			if err != nil || math.Float64bits(got.Plausibility) != math.Float64bits(cb.Plausibility) {
+				t.Errorf("%s/%s: restored plausibility %v != original %v (err %v)",
+					comp, cb.Condition, got.Plausibility, cb.Plausibility, err)
+			}
 			if live.UpdatedAt.IsZero() || !got.UpdatedAt.Equal(live.UpdatedAt) {
 				t.Errorf("%s/%s: restored UpdatedAt %v, want %v", comp, cb.Condition, got.UpdatedAt, live.UpdatedAt)
 			}
@@ -131,27 +130,63 @@ func TestDiagnosticSnapshotRoundtrip(t *testing.T) {
 }
 
 // TestDiagnosticRestoreRefusesUnknownNames: a snapshot naming a group or
-// condition absent from the configured failure groups is refused rather
-// than silently dropped — the operator changed the groups between runs and
-// must know the checkpoint no longer applies.
+// condition absent from the configured failure groups, or a condition filed
+// under a group it is not a member of, is refused rather than silently
+// dropped or misfiled — the operator changed the groups between runs and
+// must know the checkpoint no longer applies. So is a snapshot naming one
+// block, or one source of a block, twice.
 func TestDiagnosticRestoreRefusesUnknownNames(t *testing.T) {
+	at := time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC)
+	source := func(id string, conditions ...string) SourceSnapshot {
+		return SourceSnapshot{Source: id, LastReport: at, Conditions: conditions,
+			Focal: []FocalMass{{Members: []string{"motor imbalance"}, Mass: 0.5}, {Members: []string{
+				"motor imbalance", "motor misalignment", "bearing housing looseness", otherHypothesis}, Mass: 0.5}}}
+	}
+	block := func(edit func(*GroupSnapshot)) GroupSnapshot {
+		g := GroupSnapshot{Component: "motor/1", Group: "structural",
+			Sources: []SourceSnapshot{source("vibration", "motor imbalance")},
+			Reports: map[string]int{"motor imbalance": 1}, Newest: map[string]time.Time{"motor imbalance": at}}
+		edit(&g)
+		return g
+	}
+	for _, tc := range []struct {
+		name   string
+		groups []GroupSnapshot
+	}{
+		{"unknown group", []GroupSnapshot{block(func(g *GroupSnapshot) { g.Group = "hydraulic" })}},
+		{"unknown condition in a focal set", []GroupSnapshot{block(func(g *GroupSnapshot) {
+			g.Sources[0].Focal[0].Members = []string{"cavitation"}
+		})}},
+		{"another group's condition in reports", []GroupSnapshot{block(func(g *GroupSnapshot) { g.Reports["oil whirl"] = 2 })}},
+		{"the unknown hypothesis in reports", []GroupSnapshot{block(func(g *GroupSnapshot) { g.Reports[otherHypothesis] = 1 })}},
+		{"another group's condition in newest", []GroupSnapshot{block(func(g *GroupSnapshot) { g.Newest["oil whirl"] = at })}},
+		{"the unknown hypothesis in newest", []GroupSnapshot{block(func(g *GroupSnapshot) { g.Newest[otherHypothesis] = at })}},
+		{"another group's condition in a source's conditions", []GroupSnapshot{block(func(g *GroupSnapshot) {
+			g.Sources[0].Conditions = append(g.Sources[0].Conditions, "oil whirl")
+		})}},
+		{"the unknown hypothesis in a source's conditions", []GroupSnapshot{block(func(g *GroupSnapshot) {
+			g.Sources[0].Conditions = []string{otherHypothesis}
+		})}},
+		{"a source named twice", []GroupSnapshot{block(func(g *GroupSnapshot) {
+			g.Sources = append(g.Sources, source("current", "motor imbalance"), source("vibration", "motor misalignment"))
+		})}},
+		{"a block named twice", []GroupSnapshot{block(func(*GroupSnapshot) {}), block(func(*GroupSnapshot) {})}},
+	} {
+		df, err := NewDiagnosticFuser(testGroups())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := df.Restore(DiagnosticState{Groups: tc.groups, TotalFused: 1}); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// The unedited block restores: each refusal above is its edit's.
 	df, err := NewDiagnosticFuser(testGroups())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := df.Restore(DiagnosticState{Groups: []GroupSnapshot{{
-		Component: "motor/1", Group: "hydraulic",
-	}}}); err == nil {
-		t.Error("unknown group accepted")
-	}
-	if err := df.Restore(DiagnosticState{Groups: []GroupSnapshot{{
-		Component: "motor/1", Group: "structural",
-		Sources: []SourceSnapshot{{
-			Source: "vibration",
-			Focal:  []FocalMass{{Members: []string{"cavitation"}, Mass: 0.5}},
-		}},
-	}}}); err == nil {
-		t.Error("unknown condition in a focal set accepted")
+	if err := df.Restore(DiagnosticState{Groups: []GroupSnapshot{block(func(*GroupSnapshot) {})}, TotalFused: 1}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -186,17 +221,16 @@ func TestPrognosticSnapshotRoundtrip(t *testing.T) {
 	}
 	checkpointtest.Carried(t, pf, restored)
 
-	for _, comp := range []string{"motor/1", "pump/2"} {
-		for _, cond := range pf.Conditions(comp) {
-			want, got := pf.Fused(comp, cond), restored.Fused(comp, cond)
-			if len(want) != len(got) {
-				t.Fatalf("%s/%s: restored vector has %d points, want %d", comp, cond, len(got), len(want))
-			}
-			for i := range want {
-				if math.Float64bits(want[i].Probability) != math.Float64bits(got[i].Probability) ||
-					math.Float64bits(want[i].HorizonSeconds) != math.Float64bits(got[i].HorizonSeconds) {
-					t.Errorf("%s/%s[%d]: restored %+v != original %+v", comp, cond, i, got[i], want[i])
-				}
+	for _, e := range st {
+		comp, cond := e.Component, e.Condition
+		want, got := pf.Fused(comp, cond), restored.Fused(comp, cond)
+		if len(want) != len(got) {
+			t.Fatalf("%s/%s: restored vector has %d points, want %d", comp, cond, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(want[i].Probability) != math.Float64bits(got[i].Probability) ||
+				math.Float64bits(want[i].HorizonSeconds) != math.Float64bits(got[i].HorizonSeconds) {
+				t.Errorf("%s/%s[%d]: restored %+v != original %+v", comp, cond, i, got[i], want[i])
 			}
 		}
 	}
