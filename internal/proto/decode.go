@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -12,24 +13,25 @@ import (
 // Hand-written frame decoding, the mirror of encode.go.
 //
 // json.Unmarshal finds an envelope's fields through reflection and allocates
-// as it goes, on every report the server reads and every ack a sender reads.
-// readEnvelope reads the two per-report kinds, report and ack frames, in the
-// shape AppendReportEnvelope and writeFrame emit — with any whitespace and
-// key order — and follows encoding/json's rules while it does: numbers are
-// checked against JSON's number grammar and parsed with strconv, times with
+// as it goes, on every report the server reads, every summary an aggregator
+// reads and every ack a sender reads. readEnvelope reads those three kinds —
+// report, summary and ack frames — in the shape AppendReportEnvelope,
+// AppendSummaryEnvelope and writeFrame emit, with any whitespace and key
+// order, and follows encoding/json's rules while it does: numbers are checked
+// against JSON's number grammar and parsed with strconv, times with
 // time.Time.UnmarshalJSON, an empty array is an empty non-nil slice, and
 // valid UTF-8 is copied unchanged.
 //
 // Whatever lies outside that subset it declines: a key it does not know (a
 // newer sender's field, a case variant of a known one), a repeated key, a
-// null, a \u escape, invalid UTF-8, trailing bytes, and the heartbeat,
-// summary and error kinds. json.Unmarshal then decodes the whole body. That
-// reference is the supported path for those inputs, not a fork: the
-// differential fuzz targets hold the two to one result on every input. The
-// encoder writes \u for what json.Marshal escapes — control characters,
-// < > &, U+2028/U+2029, invalid UTF-8 — and no DC, rule or bench string holds
-// one, so the reader is not taught \u: such a frame costs the reference's
-// allocations, not a wrong value.
+// null, a \u escape, invalid UTF-8, trailing bytes, and the heartbeat and
+// error kinds. json.Unmarshal then decodes the whole body. That reference is
+// the supported path for those inputs, not a fork: the differential fuzz
+// targets hold the two to one result on every input. The encoder writes \u
+// for what json.Marshal escapes — control characters, < > &, U+2028/U+2029,
+// invalid UTF-8 — and no DC, rule, shard or bench string holds one, so the
+// reader is not taught \u: such a frame costs the reference's allocations,
+// not a wrong value.
 
 // decodeEnvelope is the one decoder of a frame body, for readFrameInto and
 // DecodeFrame alike: by hand, else by json.Unmarshal.
@@ -45,8 +47,8 @@ func decodeEnvelope(body []byte) (envelope, error) {
 	return *ref, nil
 }
 
-// readEnvelope decodes a report or ack frame body into env and reports
-// whether it could; when it could not, env holds whatever it had read.
+// readEnvelope decodes a report, summary or ack frame body into env and
+// reports whether it could; when it could not, env holds whatever it had read.
 func readEnvelope(body []byte, env *envelope) bool {
 	s := scanner{buf: body}
 	ok := s.object(func(key []byte) bool {
@@ -57,10 +59,16 @@ func readEnvelope(body []byte, env *envelope) bool {
 		case "report":
 			env.Report = new(Report)
 			ok = s.report(env.Report)
+		case "summary":
+			env.Summary = new(FusedSummary)
+			ok = s.summary(env.Summary)
 		case "dc":
 			sender := ""
-			if env.Report != nil {
+			switch {
+			case env.Report != nil:
 				sender = env.Report.DCID
+			case env.Summary != nil:
+				sender = env.Summary.ShardID
 			}
 			env.DCID, ok = s.str(sender)
 		case "boot":
@@ -331,6 +339,8 @@ func (s *scanner) kind() (string, bool) {
 	switch {
 	case ok && string(lit) == "report":
 		return "report", true
+	case ok && string(lit) == "summary":
+		return "summary", true
 	case ok && string(lit) == "ack":
 		return "ack", true
 	}
@@ -366,6 +376,45 @@ func (s *scanner) report(r *Report) bool {
 			r.SuspectChannels, ok = s.strings()
 		case "prognostics":
 			r.Prognostics, ok = s.prognostics()
+		}
+		return ok
+	})
+}
+
+// summary reads a FusedSummary object.
+func (s *scanner) summary(fs *FusedSummary) bool {
+	return s.object(func(key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "shard_id":
+			fs.ShardID, ok = s.str("")
+		case "component":
+			fs.Component, ok = s.str("")
+		case "condition":
+			fs.Condition, ok = s.str("")
+		case "group":
+			fs.Group, ok = s.str("")
+		case "belief":
+			fs.Belief, ok = s.float()
+		case "plausibility":
+			fs.Plausibility, ok = s.float()
+		case "unknown":
+			fs.Unknown, ok = s.float()
+		case "reports":
+			// A count json.Unmarshal reads into an int: a negative one is left
+			// to it, and Validate refuses what it reads.
+			var n uint64
+			n, ok = s.uint()
+			ok = ok && n <= math.MaxInt
+			fs.Reports = int(n)
+		case "reliability":
+			fs.Reliability, ok = s.float()
+		case "degraded":
+			fs.Degraded, ok = s.boolean()
+		case "prognostics":
+			fs.Prognostics, ok = s.prognostics()
+		case "updated_at":
+			ok = s.timestamp(&fs.UpdatedAt)
 		}
 		return ok
 	})

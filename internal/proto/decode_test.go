@@ -59,6 +59,20 @@ func TestReadEnvelopeTakesWhatTheWritersEmit(t *testing.T) {
 			}
 		}
 	}
+	for _, tag := range []struct {
+		dcid      string
+		boot, seq uint64
+	}{{}, {"shard-a", 3, 41}, {"shard-b", 0, 7}} {
+		fs := encodeTestSummary()
+		for _, v := range []PrognosticVector{fs.Prognostics, nil, {}} {
+			fs.Prognostics = v
+			body, err := AppendSummaryEnvelope(nil, fs, tag.dcid, tag.boot, tag.seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertReaderTakes(t, body)
+		}
+	}
 	for _, body := range [][]byte{ackBody, dupAckBody} {
 		assertReaderTakes(t, body)
 	}
@@ -67,6 +81,8 @@ func TestReadEnvelopeTakesWhatTheWritersEmit(t *testing.T) {
 		`{"seq":3,"report":{"timestamp":"1998-08-15T12:00:00+02:00","belief":1E-3,"severity":-0.0,` +
 			`"suspect_channels":[],"prognostics":[],"dc_id":"a\/b\t\"c\"\\"},"dc":"a/b\t\"c\"\\","kind":"report"}`,
 		`{"kind":"report","report":{"prognostics":[{},{"time":1.5e+2,"probability":0.25}],"suspect_channels":["x","é❤"]}}`,
+		"{\"dc\":\"s\",\"summary\" : {\"updated_at\":\"1998-08-15T12:00:00-07:00\",\"degraded\":false,\"reports\":0,\"prognostics\":[ ]," +
+			"\"belief\":-0,\"shard_id\":\"s\",\"group\":\"\",\"reliability\":1E0},\"kind\":\"summary\"}\n",
 	} {
 		assertReaderTakes(t, []byte(body))
 	}
@@ -83,6 +99,16 @@ func TestReadEnvelopeDeclines(t *testing.T) {
 	withField := func(field string) []byte {
 		return bytes.Replace(canonical, []byte(`{"kind":"report",`), []byte(`{"kind":"report",`+field+`,`), 1)
 	}
+	summary, err := AppendSummaryEnvelope(nil, encodeTestSummary(), "shard-a", 5, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSummary := func(old, new string) []byte {
+		if !bytes.Contains(summary, []byte(old)) {
+			t.Fatalf("%s not in %s", old, summary)
+		}
+		return bytes.Replace(summary, []byte(old), []byte(new), 1)
+	}
 	for name, body := range map[string][]byte{
 		"newer sender's field": withField(`"hops":[1,{"via":"relay"}]`),
 		"case variant":         withField(`"Seq":6`),
@@ -93,7 +119,12 @@ func TestReadEnvelopeDeclines(t *testing.T) {
 		"invalid UTF-8":        bytes.Replace(canonical, []byte(`"stiction"`), []byte("\"sti\xffction\""), 1),
 		"trailing bytes":       append(bytes.Clone(canonical), " {}"...),
 		"heartbeat":            []byte(`{"kind":"heartbeat","heartbeat":{"dc_id":"dc-1"}}`),
-		"summary":              []byte(`{"kind":"summary","dc":"shard-a"}`),
+		"null vector":          inSummary(`"updated_at"`, `"prognostics":null,"updated_at"`),
+		"negative count":       inSummary(`"reports":7`, `"reports":-7`),
+		"count from a float":   inSummary(`"reports":7`, `"reports":7e0`),
+		"repeated summary key": inSummary(`"belief":`, `"group":"other","belief":`),
+		"u escape in summary":  inSummary(`"shard-a"`, `"shard\u002da"`),
+		"summary field":        inSummary(`"unknown"`, `"hops":2,"unknown"`),
 		"error":                []byte(`{"kind":"error","error":"no"}`),
 		"no kind":              []byte(`{"dc":"dc-1","seq":1}`),
 		"uint from a float":    withField(`"boot":5.0`),
@@ -154,5 +185,27 @@ func TestDecodeReportFrameAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocations per report frame", allocs)
 	if allocs > budget {
 		t.Fatalf("decoding a report frame allocates %.0f times, budget %d", allocs, budget)
+	}
+}
+
+// TestDecodeSummaryFrameAllocBudget: a summary frame decodes with allocations
+// only for what the Delivery keeps — the summary, its four strings and its
+// prognostic vector. The tag's sender repeats the summary's shard and costs
+// nothing.
+func TestDecodeSummaryFrameAllocBudget(t *testing.T) {
+	fs := encodeTestSummary()
+	body, err := AppendSummaryEnvelope(nil, fs, fs.ShardID, 3, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 1 + 4 + 1
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := DecodeFrame(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per summary frame", allocs)
+	if allocs > budget {
+		t.Fatalf("decoding a summary frame allocates %.0f times, budget %d", allocs, budget)
 	}
 }

@@ -18,15 +18,16 @@ import (
 // included), encoding/json's float format and RFC 3339 timestamps all match,
 // and it refuses what json.Marshal refuses.
 //
-// The encoder is deliberately limited to report frames (the only
-// steady-state frame kind). Acks are constant bytes (writeFrame); heartbeats,
-// summaries and error replies keep the reflective path. Every frame kind thus
-// carries json.Marshal's bytes.
+// The encoder covers the two payload kinds every spooled frame carries:
+// report frames (a DC's uplink) and summary frames (a shard's forwarder,
+// AppendSummaryEnvelope). Acks are constant bytes (writeFrame); heartbeats and
+// error replies keep the reflective path. Every frame kind thus carries
+// json.Marshal's bytes.
 //
 // AppendMarshalFloat, AppendMarshalString, AppendMarshalStrings and
-// AppendMarshalTime are the one appender per value type. Report frames, the
-// OOSM's prognostic text (AppendPrognosticsJSON) and the PDME's checkpoint
-// writer all build on them.
+// AppendMarshalTime are the one appender per value type. Report and summary
+// frames, the OOSM's prognostic text (AppendPrognosticsJSON) and the PDME's
+// checkpoint writer all build on them.
 
 // hexDigits is the lowercase alphabet used for \u00xx escapes, as
 // encoding/json emits them.
@@ -49,6 +50,31 @@ func AppendReportEnvelope(dst []byte, r *Report, dcid string, boot, seq uint64) 
 	if err != nil {
 		return dst, err
 	}
+	return appendTag(dst, dcid, boot, seq), nil
+}
+
+// AppendSummaryEnvelope appends the JSON body of one summary frame — exactly
+// json.Marshal(envelope{Kind: "summary", Summary: s, DCID: dcid, Boot: boot,
+// Seq: seq}) — and returns the extended buffer, under AppendReportEnvelope's
+// rules: omitempty fields and zero tags are omitted, and a summary
+// json.Marshal would refuse is refused.
+//
+//mpros:hotpath summary frame encode on the shard forwarder's spool
+func AppendSummaryEnvelope(dst []byte, s *FusedSummary, dcid string, boot, seq uint64) ([]byte, error) {
+	if s == nil {
+		return dst, fmt.Errorf("proto: nil summary")
+	}
+	dst = append(dst, `{"kind":"summary","summary":`...)
+	dst, err := appendSummary(dst, s)
+	if err != nil {
+		return dst, err
+	}
+	return appendTag(dst, dcid, boot, seq), nil
+}
+
+// appendTag closes an envelope with its delivery tag, each field omitted when
+// zero.
+func appendTag(dst []byte, dcid string, boot, seq uint64) []byte {
 	if dcid != "" {
 		dst = append(dst, `,"dc":`...)
 		dst = AppendMarshalString(dst, dcid)
@@ -61,8 +87,56 @@ func AppendReportEnvelope(dst []byte, r *Report, dcid string, boot, seq uint64) 
 		dst = append(dst, `,"seq":`...)
 		dst = strconv.AppendUint(dst, seq, 10)
 	}
-	dst = append(dst, '}')
-	return dst, nil
+	return append(dst, '}')
+}
+
+// appendSummary appends the FusedSummary object in its json-tag field order.
+func appendSummary(dst []byte, s *FusedSummary) ([]byte, error) {
+	dst = append(dst, `{"shard_id":`...)
+	dst = AppendMarshalString(dst, s.ShardID)
+	dst = append(dst, `,"component":`...)
+	dst = AppendMarshalString(dst, s.Component)
+	dst = append(dst, `,"condition":`...)
+	dst = AppendMarshalString(dst, s.Condition)
+	if s.Group != "" {
+		dst = append(dst, `,"group":`...)
+		dst = AppendMarshalString(dst, s.Group)
+	}
+	dst = append(dst, `,"belief":`...)
+	dst, err := AppendMarshalFloat(dst, s.Belief)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"plausibility":`...)
+	if dst, err = AppendMarshalFloat(dst, s.Plausibility); err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"unknown":`...)
+	if dst, err = AppendMarshalFloat(dst, s.Unknown); err != nil {
+		return dst, err
+	}
+	if s.Reports != 0 {
+		dst = append(dst, `,"reports":`...)
+		dst = strconv.AppendInt(dst, int64(s.Reports), 10)
+	}
+	dst = append(dst, `,"reliability":`...)
+	if dst, err = AppendMarshalFloat(dst, s.Reliability); err != nil {
+		return dst, err
+	}
+	if s.Degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	if len(s.Prognostics) > 0 {
+		dst = append(dst, `,"prognostics":`...)
+		if dst, err = AppendPrognosticsJSON(dst, s.Prognostics); err != nil {
+			return dst, err
+		}
+	}
+	dst = append(dst, `,"updated_at":`...)
+	if dst, err = AppendMarshalTime(dst, s.UpdatedAt); err != nil {
+		return dst, err
+	}
+	return append(dst, '}'), nil
 }
 
 // appendReport appends the Report object in its json-tag field order.

@@ -66,6 +66,16 @@ func encodeTestReports() []*Report {
 	}
 }
 
+// encodeTestSummary is a summary frame's payload with every field set.
+func encodeTestSummary() *FusedSummary {
+	return &FusedSummary{
+		ShardID: "shard-a", Component: "chiller/14", Condition: "refrigerant low charge", Group: "refrigerant",
+		Belief: 0.8125, Plausibility: 0.9375, Unknown: 0.125, Reports: 7, Reliability: 0.96, Degraded: true,
+		Prognostics: PrognosticVector{{Probability: 0.25, HorizonSeconds: 3600}, {Probability: 0.75, HorizonSeconds: 86400.5}},
+		UpdatedAt:   time.Date(2026, 8, 8, 12, 34, 56, 789012345, time.UTC),
+	}
+}
+
 // TestAppendReportEnvelopeDecodeEqual checks the hand-rolled encoder against
 // encoding/json byte for byte: every body must equal json.Marshal's of the
 // same envelope, and so decode to the same envelope.
@@ -133,6 +143,50 @@ func TestAppendReportEnvelopeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AppendReportEnvelope allocates %.1f times per frame, want 0", allocs)
+	}
+}
+
+// TestAppendSummaryEnvelopeRejects: each summary the encoder refuses is one
+// json.Marshal also refuses.
+func TestAppendSummaryEnvelopeRejects(t *testing.T) {
+	if _, err := AppendSummaryEnvelope(nil, nil, "", 0, 0); err == nil {
+		t.Error("nil summary accepted")
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*FusedSummary)
+	}{
+		{"NaN belief", func(s *FusedSummary) { s.Belief = math.NaN() }},
+		{"infinite reliability", func(s *FusedSummary) { s.Reliability = math.Inf(-1) }},
+		{"infinite horizon", func(s *FusedSummary) { s.Prognostics[1].HorizonSeconds = math.Inf(1) }},
+		{"out-of-range year", func(s *FusedSummary) { s.UpdatedAt = time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC) }},
+		{"zone offset of 24 h", func(s *FusedSummary) { s.UpdatedAt = s.UpdatedAt.In(time.FixedZone("", 24*3600)) }},
+	} {
+		bad := encodeTestSummary()
+		tc.edit(bad)
+		if _, err := AppendSummaryEnvelope(nil, bad, "", 0, 0); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+		if _, err := json.Marshal(envelope{Kind: "summary", Summary: bad}); err == nil {
+			t.Errorf("%s: json.Marshal accepts it, so the encoder must too", tc.name)
+		}
+	}
+}
+
+// TestAppendSummaryEnvelopeZeroAlloc: with a warm buffer, encoding a summary
+// frame — every field set, vector included — does not touch the heap.
+func TestAppendSummaryEnvelopeZeroAlloc(t *testing.T) {
+	s := encodeTestSummary()
+	buf := make([]byte, 0, 4096)
+	allocs := testing.AllocsPerRun(200, func() {
+		var err error
+		buf, err = AppendSummaryEnvelope(buf[:0], s, "shard-a", 3, 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendSummaryEnvelope allocates %.1f times per frame, want 0", allocs)
 	}
 }
 

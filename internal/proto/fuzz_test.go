@@ -137,6 +137,18 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(bytes.Replace(frameBody(f, proto.Delivery{Report: fuzzReport(), DCID: "dc-1", Boot: 7, Seq: 3}),
 		[]byte(`"ks/dli"`), []byte(`"ks\u002fdl\u00ed"`), 1))
 	f.Add([]byte(`{"kind":"ack","dup":true}`))
+	// The summary laid out as no writer lays it out — reordered keys and
+	// whitespace, which the hand reader takes — and with what it leaves to
+	// json.Unmarshal: a null vector, a repeated key, a \u escape.
+	reordered := []byte(" {\"seq\":9,\"summary\" : {\"updated_at\":\"1998-08-15T12:30:00+02:00\", \"prognostics\":[{\"time\":86400,\"probability\":0.25}]," +
+		"\"degraded\":true,\"reliability\":0.96,\"reports\":7,\"unknown\":0.125,\"plausibility\":0.9375,\"belief\":0.8125," +
+		"\"group\":\"refrigerant\",\"condition\":\"refrigerant low charge\",\"component\":\"chiller/14\",\"shard_id\":\"shard-a\"},\n" +
+		"\t\"boot\":41,\"dc\":\"shard-a\",\"kind\":\"summary\"}\r\n")
+	f.Add(reordered)
+	f.Add(bytes.Replace(reordered, []byte(`"prognostics":[{"time":86400,"probability":0.25}]`), []byte(`"prognostics":null`), 1))
+	f.Add(bytes.Replace(reordered, []byte(`"prognostics":[{"time":86400,"probability":0.25}]`), []byte(`"prognostics":[]`), 1))
+	f.Add(bytes.Replace(reordered, []byte(`"reports":7`), []byte(`"reports":7,"belief":0.5`), 1))
+	f.Add(bytes.Replace(summary, []byte(`"chiller/14"`), []byte(`"chiller\u002f14"`), 1))
 	for _, body := range storedBodies(f) {
 		f.Add(body)
 	}
@@ -176,11 +188,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
-		if d.Report != nil {
-			want, err := json.Marshal(proto.Envelope{Kind: "report", Report: d.Report, DCID: d.DCID, Boot: d.Boot, Seq: d.Seq})
-			if err != nil || !bytes.Equal(first, want) {
-				t.Fatalf("report frame is not json.Marshal's (%v):\n got %s\nwant %s", err, first, want)
-			}
+		encoded := proto.Envelope{Kind: "report", Report: d.Report, DCID: d.DCID, Boot: d.Boot, Seq: d.Seq}
+		if d.Summary != nil {
+			encoded = proto.Envelope{Kind: "summary", Summary: d.Summary, DCID: d.DCID, Boot: d.Boot, Seq: d.Seq}
+		}
+		if want, err := json.Marshal(encoded); err != nil || !bytes.Equal(first, want) {
+			t.Fatalf("%s frame is not json.Marshal's (%v):\n got %s\nwant %s", encoded.Kind, err, first, want)
 		}
 		d2, err := proto.DecodeFrame(first)
 		if err != nil {
@@ -229,6 +242,45 @@ func FuzzPrognosticsJSON(f *testing.F) {
 			if (err == nil) != (refErr == nil) || err == nil && !bytes.Equal(mine, ref) {
 				t.Fatalf("wrote %s (%v), json.Marshal %s (%v) for %#v", mine, err, ref, refErr, v)
 			}
+		}
+	})
+}
+
+// FuzzSummaryEnvelope holds the summary frame's hand writer to encoding/json
+// over every field: AppendFrame's bytes for a summary made of the inputs —
+// any strings, any floats (NaN, infinities, subnormals and -0 included), any
+// count, a vector of the input's bytes read as floats, any instant in any
+// zone, any tag — are json.Marshal's bytes of the same envelope, or an error
+// on both sides.
+func FuzzSummaryEnvelope(f *testing.F) {
+	s := fuzzSummary()
+	f.Add(s.ShardID, s.Component, s.Condition, s.Group, s.Belief, s.Plausibility, s.Unknown, s.Reliability,
+		s.Reports, s.Degraded, []byte(nil), s.UpdatedAt.UnixNano(), 0, "shard-a", uint64(41), uint64(9))
+	f.Add("<&>\u2028", "\xff\x01\"\\", "é❤ 冷", "", math.Copysign(0, -1), 5e-324, 1e21, math.Nextafter(1, 0),
+		-3, false, binary.LittleEndian.AppendUint64(make([]byte, 8), math.Float64bits(1e-7)), int64(-1), 19800, "", uint64(0), uint64(1<<64-1))
+	f.Add("s", "c", "k", "g", math.NaN(), math.Inf(1), 0.0, 1.0, 0, true, []byte{}, int64(1)<<62, -86399, "s", uint64(1), uint64(0))
+	f.Fuzz(func(t *testing.T, shardID, component, condition, group string, belief, plausibility, unknown, reliability float64,
+		reports int, degraded bool, vector []byte, unixNano int64, offset int, dcid string, boot, seq uint64) {
+		var vec proto.PrognosticVector
+		if vector != nil {
+			vec = proto.PrognosticVector{}
+		}
+		for i := 0; i+16 <= len(vector); i += 16 {
+			vec = append(vec, proto.PrognosticPoint{
+				Probability:    math.Float64frombits(binary.LittleEndian.Uint64(vector[i:])),
+				HorizonSeconds: math.Float64frombits(binary.LittleEndian.Uint64(vector[i+8:])),
+			})
+		}
+		fs := &proto.FusedSummary{
+			ShardID: shardID, Component: component, Condition: condition, Group: group,
+			Belief: belief, Plausibility: plausibility, Unknown: unknown, Reports: reports,
+			Reliability: reliability, Degraded: degraded, Prognostics: vec,
+			UpdatedAt: time.Unix(0, unixNano).In(time.FixedZone("", offset)),
+		}
+		mine, err := proto.AppendFrame(nil, &proto.Delivery{Summary: fs, DCID: dcid, Boot: boot, Seq: seq})
+		ref, refErr := json.Marshal(proto.Envelope{Kind: "summary", Summary: fs, DCID: dcid, Boot: boot, Seq: seq})
+		if (err == nil) != (refErr == nil) || err == nil && !bytes.Equal(mine, ref) {
+			t.Fatalf("wrote %s (%v), json.Marshal %s (%v)", mine, err, ref, refErr)
 		}
 	})
 }

@@ -133,18 +133,15 @@ const maxPooledArena = 64 << 10
 
 // AppendFrame is the one encoder of a tagged payload: it appends d's frame
 // body — the JSON envelope {"kind","report"|"summary","dc","boot","seq"} — to
-// dst. The uplink calls it once per payload, where the sequence is assigned;
-// those bytes are then the spool record, the wire frame and the PDME's
-// journal record.
+// dst, by hand for either kind (encode.go). The uplink calls it once per
+// payload, where the sequence is assigned; those bytes are then the spool
+// record, the wire frame and the PDME's journal record (or, for a summary,
+// what the aggregator decodes).
 func AppendFrame(dst []byte, d *Delivery) ([]byte, error) {
 	if d.Summary == nil {
 		return AppendReportEnvelope(dst, d.Report, d.DCID, d.Boot, d.Seq)
 	}
-	body, err := json.Marshal(envelope{Kind: "summary", Summary: d.Summary, DCID: d.DCID, Boot: d.Boot, Seq: d.Seq})
-	if err != nil {
-		return dst, fmt.Errorf("proto: marshal frame: %w", err)
-	}
-	return append(dst, body...), nil
+	return AppendSummaryEnvelope(dst, d.Summary, d.DCID, d.Boot, d.Seq)
 }
 
 // DecodeFrame is the one decoder of a frame body — for the server reading the
