@@ -345,7 +345,8 @@ func sameBelief(a, b ConditionBelief) bool {
 // sources, the anonymous one and untimestamped evidence among them, with and
 // without a discounter — the group read, ConditionState of each member and
 // the Ranked rows are one set of numbers, bit for bit, and equal to the
-// reference; GroupFactors is the Factors of the read without the combine.
+// reference; AppendGroupFactors is the Factors of the read without the
+// combine.
 func TestGroupStateIsEveryOtherRead(t *testing.T) {
 	groups := testGroups()
 	var conditions []string
@@ -393,8 +394,8 @@ func TestGroupStateIsEveryOtherRead(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if factors := df.GroupFactors(component, group); !reflect.DeepEqual(factors, gs.Factors) {
-						t.Fatalf("seed %d: GroupFactors %v != the read's Factors %v", seed, factors, gs.Factors)
+					if factors := df.AppendGroupFactors(nil, component, group); !reflect.DeepEqual(factors, gs.Factors) {
+						t.Fatalf("seed %d: AppendGroupFactors %v != the read's Factors %v", seed, factors, gs.Factors)
 					}
 					reports := 0
 					for _, cs := range gs.Members {

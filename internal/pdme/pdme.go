@@ -738,11 +738,12 @@ func (p *PDME) GroupRead(component, group string) (GroupRead, error) {
 	return gr, nil
 }
 
-// GroupFactors returns the discount factors a GroupRead of the block would
-// apply right now, without fusing anything (fusion.GroupFactors): equal
-// factors and no report to the block since mean an equal read.
-func (p *PDME) GroupFactors(component, group string) []float64 {
-	return p.diag.GroupFactors(component, group)
+// AppendGroupFactors appends to dst the discount factors a GroupRead of the
+// block would apply right now, without fusing anything
+// (fusion.AppendGroupFactors): equal factors and no report to the block since
+// mean an equal read.
+func (p *PDME) AppendGroupFactors(dst []float64, component, group string) []float64 {
+	return p.diag.AppendGroupFactors(dst, component, group)
 }
 
 // Blocks returns every (component, failure group) pair holding fused

@@ -19,13 +19,15 @@ import (
 //
 // The aggregator's block is one component's held pairs of one failure group
 // — the unit the owning shard's own tier serves, as that shard last
-// summarised it (shard.Aggregator.BlockRead). An accepted summary dirties its
-// block and no other; a stale or duplicate one dirties nothing. Its factors
-// are, per held pair, the owning shard's discount α and the shard's liveness
-// state: a row prints both, so both must be bit-equal for a kept row to
-// stand. Every summary moves the shard registry's version, so every read
-// after one asks each block's factors again (no row is rebuilt unless they
-// differ). Its fresh path is GlobalRanked.
+// summarised it (shard.Aggregator.BlockRead). The aggregator indexes what it
+// holds by that block, so a read or a re-ask walks the block's own pairs and
+// no other. An accepted summary dirties its block and no other; a stale or
+// duplicate one dirties nothing. Its factors are, per held pair, the owning
+// shard's discount α and the shard's liveness state: a row prints both, so
+// both must be bit-equal for a kept row to stand. Every summary moves the
+// shard registry's version, so every read after one asks each block's factors
+// again (shard.Aggregator.AppendBlockFactors, into a buffer the tier reuses;
+// no row is rebuilt unless they differ). Its fresh path is GlobalRanked.
 //
 // The graceful-degradation contract: these endpoints NEVER fail because a
 // shard is down. A missing shard shows up as degraded rows, rising unknown
@@ -87,8 +89,8 @@ func (s aggregatorSource) read(key blockKey) *fused {
 	return m
 }
 
-func (s aggregatorSource) factors(key blockKey) []float64 {
-	return s.BlockFactors(key.component, key.group)
+func (s aggregatorSource) factors(dst []float64, key blockKey) []float64 {
+	return s.AppendBlockFactors(dst, key.component, key.group)
 }
 
 func (s aggregatorSource) fresh() []*row {

@@ -12,7 +12,7 @@ import (
 // This file is the station's side of the tier: the PDME as a source — its
 // block is one logical failure group's fused frame on one component
 // (pdme.GroupRead, one Dempster combination), its factors are the discount
-// factors of the block's sources (pdme.GroupFactors), its fresh path is
+// factors of the block's sources (pdme.AppendGroupFactors), its fresh path is
 // pdme.PrioritizedList — and what only a station has: per-pair belief views
 // with their prognostic vectors, and the historian's trends. A write reaches
 // the tier one way, the window the PDME's one fuse body opens around every
@@ -72,8 +72,8 @@ func (s pdmeSource) read(key blockKey) *fused {
 	return m
 }
 
-func (s pdmeSource) factors(key blockKey) []float64 {
-	return s.GroupFactors(key.component, key.group)
+func (s pdmeSource) factors(dst []float64, key blockKey) []float64 {
+	return s.AppendGroupFactors(dst, key.component, key.group)
 }
 
 func (s pdmeSource) fresh() []*row {

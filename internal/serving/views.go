@@ -39,7 +39,7 @@
 //     current iff no window touched it since and the factors are bit-equal.
 //     The registry's observation version is only the trigger: when it has
 //     moved since a block was last checked, the factors are asked again
-//     (pdme.GroupFactors — no combination) and the block is re-fused only
+//     (pdme.AppendGroupFactors — no combination) and the block is re-fused only
 //     if they differ. An injected wall clock is one more observation source
 //     (health.ClockQuantum): the same rule holds on either clock.
 //
@@ -186,10 +186,10 @@ type source interface {
 	// encoded JSON), its members' views and the discount factors all of it
 	// was read under. A block the source does not hold reads empty.
 	read(key blockKey) *fused
-	// factors asks only for the factors a read would run under right now —
-	// no fusion, no row: bit-equal factors and no write since mean an equal
-	// read.
-	factors(key blockKey) []float64
+	// factors appends to dst only the factors a read would run under right
+	// now — no fusion, no row: bit-equal factors and no write since mean an
+	// equal read.
+	factors(dst []float64, key blockKey) []float64
 	// fresh builds the whole list straight from the source, keeping nothing.
 	fresh() []*row
 }
@@ -235,10 +235,11 @@ type Views struct {
 
 	flightMu sync.Mutex
 	flights  map[blockKey]*flight
-	// rankJobs is the ranking refresh's job list, kept between refreshes:
-	// once a health observation has been made every discounted block is a
-	// job, on every read. Touched only by the leader of the ranking's flight,
-	// of which there is one at a time.
+	// rankJobs is the ranking refresh's job list, kept between refreshes with
+	// each slot's factor buffer: once a health observation has been made
+	// every discounted block is a job, on every read, and its factors are
+	// asked into the buffer its slot kept. Touched only by the leader of the
+	// ranking's flight, of which there is one at a time.
 	rankJobs []job
 
 	hits          atomic.Uint64
@@ -496,6 +497,9 @@ type job struct {
 	// kept: b now holds mat, under a new epoch. done: the job has been run
 	// and settled.
 	kept, done bool
+	// factors is the buffer check's factors are asked into, kept with a
+	// rankJobs slot across refreshes.
+	factors []float64
 }
 
 // plan says what b needs before it can be served under h: nothing, its
@@ -514,9 +518,12 @@ func (b *block) plan(h healthNow) (j job, needed bool) {
 // run does a job's work — one factors-only call, or one fuse — outside the
 // tier's lock.
 func (v *Views) run(j *job) {
-	if j.check != nil && sameFactors(v.src.factors(j.key), j.check.factors) {
-		j.mat = j.check
-		return
+	if j.check != nil {
+		j.factors = v.src.factors(j.factors[:0], j.key)
+		if sameFactors(j.factors, j.check.factors) {
+			j.mat = j.check
+			return
+		}
 	}
 	j.mat = v.src.read(j.key)
 }
@@ -588,6 +595,9 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 		//lint:allow maporder blocks are checked and fused independently and their rows placed by rank key; job order cannot reach the result
 		for _, b := range v.blocks {
 			if j, needed := b.plan(h); needed {
+				if n := len(jobs); n < cap(jobs) {
+					j.factors = jobs[:n+1][n].factors // the slot's buffer
+				}
 				jobs = append(jobs, j)
 			}
 		}
@@ -620,7 +630,7 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 			}
 			j.done = true
 			if v.settleLocked(j, h, &owned); !j.kept && j.mat == j.check {
-				*j = job{key: j.key, b: j.b, gen: j.b.gen, active: j.b.active}
+				*j = job{key: j.key, b: j.b, gen: j.b.gen, active: j.b.active, factors: j.factors}
 				again = true
 			}
 		}
@@ -650,7 +660,9 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 	// the order under this refresh.
 	whole := !v.closed && v.flushes == flushes
 	if ranking {
-		clear(jobs) // the kept list must not keep materializations alive
+		for i := range jobs { // the kept list must not keep materializations alive
+			jobs[i] = job{factors: jobs[i].factors}
+		}
 		v.rankJobs = jobs[:0]
 		r.gen, r.rows = v.gen, v.order
 		if whole && v.listed && len(v.dirty) == 0 && len(unkept) == 0 {

@@ -319,18 +319,20 @@ func walkCoverage(a *Aggregator) CoverageReport {
 	byShard := make(map[string]*shardAgg)
 	ids := make(map[string]bool)
 	pairs := 0
-	for component, held := range a.held {
-		for _, h := range held {
-			pairs++
-			sa := byShard[h.shard]
-			if sa == nil {
-				sa = &shardAgg{components: make(map[string]bool)}
-				byShard[h.shard] = sa
-				ids[h.shard] = true
-			}
-			sa.components[component] = true
-			if h.s.UpdatedAt.After(sa.newest) {
-				sa.newest = h.s.UpdatedAt
+	for component, blocks := range a.held {
+		for _, b := range blocks {
+			for _, h := range b.pairs {
+				pairs++
+				sa := byShard[h.shard]
+				if sa == nil {
+					sa = &shardAgg{components: make(map[string]bool)}
+					byShard[h.shard] = sa
+					ids[h.shard] = true
+				}
+				sa.components[component] = true
+				if h.s.UpdatedAt.After(sa.newest) {
+					sa.newest = h.s.UpdatedAt
+				}
 			}
 		}
 	}
