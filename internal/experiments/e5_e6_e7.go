@@ -163,7 +163,9 @@ func E6SeverityMapping(seed int64) (*Result, error) {
 // E7IngestThroughput reproduces the §1 scale framing: "thousands of
 // embedded processors will collect millions of data points per second".
 // One DC's acquisition path (32 MUX channels through the RMS detectors) is
-// measured in samples per second.
+// measured in samples per second: the best of e7Passes passes, each calling
+// the path until at least e7PassTime has gone by, so one pass's timer and
+// scheduler noise does not make the figure.
 func E7IngestThroughput(seed int64) (*Result, error) {
 	cfg := chiller.DefaultConfig()
 	cfg.Seed = seed
@@ -178,13 +180,29 @@ func E7IngestThroughput(seed int64) (*Result, error) {
 	}
 	const frameLen = 4096
 	const rounds = 60
-	start := stopwatch()
-	samples, err := d.IngestThroughput(frameLen, rounds)
-	if err != nil {
-		return nil, err
+	var perCall int64
+	var best struct {
+		rate    float64
+		calls   int
+		elapsed time.Duration
 	}
-	elapsed := lap(start)
-	rate := float64(samples) / elapsed.Seconds()
+	for range e7Passes {
+		calls, start := 0, stopwatch()
+		var samples int64
+		var elapsed time.Duration
+		for elapsed < e7PassTime {
+			n, err := d.IngestThroughput(frameLen, rounds)
+			if err != nil {
+				return nil, err
+			}
+			samples, perCall, calls = samples+n, n, calls+1
+			elapsed = lap(start)
+		}
+		if rate := float64(samples) / elapsed.Seconds(); rate > best.rate {
+			best.rate, best.calls, best.elapsed = rate, calls, elapsed
+		}
+	}
+	rate := best.rate
 
 	// The §8 hardware requirement: 4 channels at >40 kHz simultaneously.
 	required := 4 * 40000.0
@@ -194,8 +212,9 @@ func E7IngestThroughput(seed int64) (*Result, error) {
 		PaperClaim: "4-channel DSP card sampling above 40 kHz; fleet-wide millions of points/second",
 		Header:     []string{"metric", "value"},
 		Rows: [][]string{
-			{"samples processed", fmt.Sprintf("%d", samples)},
-			{"elapsed", elapsed.Round(time.Microsecond).String()},
+			{"samples per call", fmt.Sprintf("%d", perCall)},
+			{"passes", fmt.Sprintf("best of %d, each at least %v", e7Passes, e7PassTime)},
+			{"elapsed (best pass)", fmt.Sprintf("%v for %d calls", best.elapsed.Round(time.Microsecond), best.calls)},
 			{"throughput", fmt.Sprintf("%.1f Msamples/s", rate/1e6)},
 			{"required (4ch × 40 kHz)", fmt.Sprintf("%.2f Msamples/s", required/1e6)},
 			{"headroom", fmt.Sprintf("%.0f×", rate/required)},
@@ -204,3 +223,9 @@ func E7IngestThroughput(seed int64) (*Result, error) {
 	}
 	return res, nil
 }
+
+// E7's measurement: the best of e7Passes passes of at least e7PassTime each.
+const (
+	e7Passes   = 5
+	e7PassTime = 100 * time.Millisecond
+)
