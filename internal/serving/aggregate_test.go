@@ -342,3 +342,43 @@ func TestAggregatorRankedHitAllocsPerResponseNotPerRow(t *testing.T) {
 		t.Fatalf("a /ranked hit allocates %.0f times at %d rows and %.0f at %d; want the same small constant", small, n, large, m)
 	}
 }
+
+// TestRecheckedRankingAllocsPerRefreshNotPerBlock: a health observation that
+// changes no factor makes the next /ranked ask every block's factors again;
+// they are asked into buffers the tier keeps, so what that refresh allocates
+// is the same at 8 blocks and at 256.
+func TestRecheckedRankingAllocsPerRefreshNotPerBlock(t *testing.T) {
+	recheckAllocs := func(machines int) float64 {
+		agg, err := shard.NewAggregator(shard.AggregatorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := time.Date(1998, 8, 1, 0, 0, 0, 0, time.UTC)
+		for i := 0; i < machines; i++ {
+			s := testSummary(fmt.Sprintf("shard-%d", i%2+1), fmt.Sprintf("machine-%03d", i), "imbalance", 0.6, at.Add(time.Duration(i)*time.Second))
+			if err := agg.DeliverSummary(s, s.ShardID, 1, uint64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := open(aggregatorSource{agg}, Options{})
+		v.Ranked() // materializes every block
+		before := v.Stats()
+		allocs := testing.AllocsPerRun(50, func() {
+			// Evidence older than what the registry holds moves its version
+			// and nothing else.
+			agg.Health().ObserveReport("shard-1", "", at)
+			if rv := v.Ranked(); !rv.Cached {
+				t.Fatal("a re-ask whose factors held fused a block")
+			}
+		})
+		if after := v.Stats(); after.Stores != before.Stores || after.Misses != before.Misses {
+			t.Fatalf("re-asks stored or missed: %+v then %+v", before, after)
+		}
+		return allocs
+	}
+	small, large := recheckAllocs(8), recheckAllocs(256)
+	t.Logf("%.0f allocations per re-asked /ranked at 8 blocks, %.0f at 256", small, large)
+	if small != large {
+		t.Fatalf("a re-asked /ranked allocates %.0f times at 8 blocks and %.0f at 256; want the same", small, large)
+	}
+}
