@@ -4,6 +4,7 @@ package chiller
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"time"
 )
 
@@ -26,6 +27,13 @@ func good(seed int64, now func() time.Time) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	_ = now().Add(time.Second) // Duration arithmetic stays legal
 	return rng.Float64()       // methods on a seeded *rand.Rand stay legal
+}
+
+// pcg is the same rule for math/rand/v2: an explicitly seeded PCG is legal,
+// the package-level draws are the global source.
+func pcg(seed int64) float64 {
+	rng := randv2.New(randv2.NewPCG(uint64(seed), 0))
+	return rng.Float64() + randv2.Float64() // want "global rand.Float64 in deterministic package chiller"
 }
 
 // allowed exercises the suppression path: a standalone directive covers the

@@ -350,51 +350,3 @@ func (n *Network) Query(query string, evidence Evidence) (map[string]float64, er
 	}
 	return out, nil
 }
-
-// JointSample draws one sample from the network's joint distribution using
-// the supplied uniform-random source (values in [0,1)), in declaration
-// order. It is used to synthesize "historical maintenance data" for E9.
-func (n *Network) JointSample(uniforms func() float64) (map[string]string, error) {
-	if !n.compiled {
-		return nil, fmt.Errorf("bayes: network not compiled")
-	}
-	states := make(map[int]int, len(n.vars))
-	out := make(map[string]string, len(n.vars))
-	for i, nd := range n.vars {
-		row := 0
-		for _, pi := range nd.parents {
-			row = row*n.card(pi) + states[pi]
-		}
-		u := uniforms()
-		cum := 0.0
-		pick := len(nd.v.States) - 1
-		for s, p := range nd.cpt[row] {
-			cum += p
-			if u < cum {
-				pick = s
-				break
-			}
-		}
-		states[i] = pick
-		out[nd.v.Name] = nd.v.States[pick]
-	}
-	return out, nil
-}
-
-// Variables returns the declared variable names in topological order.
-func (n *Network) Variables() []string {
-	out := make([]string, len(n.vars))
-	for i, nd := range n.vars {
-		out[i] = nd.v.Name
-	}
-	return out
-}
-
-// States returns the state names of a variable.
-func (n *Network) States(name string) ([]string, error) {
-	i, ok := n.index[name]
-	if !ok {
-		return nil, fmt.Errorf("bayes: unknown variable %q", name)
-	}
-	return append([]string(nil), n.vars[i].v.States...), nil
-}

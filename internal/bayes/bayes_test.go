@@ -172,9 +172,6 @@ func TestQueryBeforeCompile(t *testing.T) {
 	if _, err := n.Query("x", nil); err == nil {
 		t.Error("query before compile should error")
 	}
-	if _, err := n.JointSample(func() float64 { return 0.5 }); err == nil {
-		t.Error("sample before compile should error")
-	}
 	if err := NewNetwork().Compile(); err == nil {
 		t.Error("compiling empty network should error")
 	}
@@ -200,47 +197,6 @@ func TestZeroProbabilityEvidence(t *testing.T) {
 	// b=f is impossible (a is always t, so b is always t).
 	if _, err := n.Query("a", Evidence{"b": "f"}); err == nil {
 		t.Error("zero-probability evidence should error")
-	}
-}
-
-func TestJointSampleMatchesMarginals(t *testing.T) {
-	n := sprinkler(t)
-	rng := rand.New(rand.NewSource(42))
-	const trials = 200000
-	counts := map[string]int{}
-	for i := 0; i < trials; i++ {
-		s, err := n.JointSample(rng.Float64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s["rain"] == "true" {
-			counts["rain"]++
-		}
-		if s["wet"] == "true" {
-			counts["wet"]++
-		}
-	}
-	if got := float64(counts["rain"]) / trials; math.Abs(got-0.2) > 0.01 {
-		t.Errorf("sampled P(rain) = %g", got)
-	}
-	wantWet := 0.2*0.01*0.99 + 0.2*0.99*0.8 + 0.8*0.4*0.9
-	if got := float64(counts["wet"]) / trials; math.Abs(got-wantWet) > 0.01 {
-		t.Errorf("sampled P(wet) = %g, want %g", got, wantWet)
-	}
-}
-
-func TestVariablesAndStates(t *testing.T) {
-	n := sprinkler(t)
-	vs := n.Variables()
-	if len(vs) != 3 || vs[0] != "rain" || vs[2] != "wet" {
-		t.Errorf("variables %v", vs)
-	}
-	st, err := n.States("wet")
-	if err != nil || len(st) != 2 {
-		t.Errorf("states %v err %v", st, err)
-	}
-	if _, err := n.States("ghost"); err == nil {
-		t.Error("unknown variable states")
 	}
 }
 
@@ -322,17 +278,9 @@ func TestInferenceMatchesEnumerationProperty(t *testing.T) {
 	}
 }
 
-// bruteForceChain computes P(a=s0 | c=s0) on the chain a->b->c->d by full
-// enumeration using JointSample's underlying CPTs via importance-free
-// enumeration of all 16 joint states.
+// bruteForceChain computes P(a=s0 | c=s0) on the chain a->b->c->d by the
+// law of total probability over a, with P(c=s0|a=x) from Query.
 func bruteForceChain(n *Network, rng *rand.Rand) float64 {
-	// Enumerate via repeated conditional queries — reconstruct joint from
-	// CPTs by querying each variable given its parent chain using the
-	// network itself with full evidence. Instead, since states are binary,
-	// enumerate with JointSample probabilities computed from the CPTs: we
-	// can recover the joint via Query with full evidence chains.
-	// Simpler: compute P(a,c) via law of total probability with Query calls.
-	// P(c=s0|a=x) obtained by querying c given a.
 	pa, _ := n.Query("a", nil)
 	pcGivenA0, _ := n.Query("c", Evidence{"a": "s0"})
 	pcGivenA1, _ := n.Query("c", Evidence{"a": "s1"})

@@ -216,7 +216,7 @@ func TestBearingSignatures(t *testing.T) {
 	}
 	// Impulsiveness shows in the time domain.
 	frame, _ := p.AcquireVibration(MotorDE, 16384)
-	if k := dsp.Kurtosis(frame); k < 3.5 {
+	if k := dsp.Waveform(frame).Kurtosis; k < 3.5 {
 		t.Errorf("outer race kurtosis %g, want impulsive (>3.5)", k)
 	}
 	// Inner race at its point.
@@ -375,7 +375,7 @@ func TestSeverityMonotoneProperty(t *testing.T) {
 				if err != nil {
 					return -1
 				}
-				r := dsp.RMS(frame)
+				r := dsp.Waveform(frame).RMS
 				if r > best {
 					best = r
 				}
@@ -423,7 +423,7 @@ func TestDegrader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Profiles()) != 2 {
+	if len(d.profiles) != 2 {
 		t.Error("profiles")
 	}
 	if err := d.Advance(-1); err == nil {
@@ -434,8 +434,8 @@ func TestDegrader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p.Hours() != 200 {
-		t.Errorf("hours %g", p.Hours())
+	if p.hours != 200 {
+		t.Errorf("hours %g", p.hours)
 	}
 	if p.FaultSeverity(MotorBearingOuter) <= 0.5 {
 		t.Errorf("bearing severity %g after 200h", p.FaultSeverity(MotorBearingOuter))

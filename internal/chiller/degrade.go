@@ -102,8 +102,3 @@ func (d *Degrader) Advance(dtHours float64) error {
 	}
 	return nil
 }
-
-// Profiles returns the attached profiles.
-func (d *Degrader) Profiles() []DegradationProfile {
-	return append([]DegradationProfile(nil), d.profiles...)
-}

@@ -117,9 +117,6 @@ func (p *Plant) SetLoad(frac float64) error {
 // Load returns the current load fraction.
 func (p *Plant) Load() float64 { return p.load }
 
-// Hours returns accumulated operating hours.
-func (p *Plant) Hours() float64 { return p.hours }
-
 // tone accumulates amplitude*sin(2π f t + phase) into dst.
 func (p *Plant) tone(dst []float64, f, amplitude, phase float64) {
 	if amplitude == 0 || f <= 0 || f >= p.cfg.SampleRate/2 {

@@ -303,24 +303,9 @@ type pointResult struct {
 // a test whose acquire or compute fails at any point writes nothing.
 func (d *DC) RunVibrationTest(now time.Time) error {
 	var frames [chiller.NumPoints][]float64
-	suspects := make(map[chiller.MeasurementPoint]string)
-	for i, pt := range chiller.AllPoints() {
-		// Each point occupies one MUX lane of bank i/bankSize.
-		if err := d.mux.SelectBank(i / d.mux.BankSize()); err != nil {
-			return err
-		}
-		frame, err := d.src.AcquireVibration(pt, d.cfg.FrameLen)
-		if err != nil {
-			return err
-		}
-		if reason := d.guard.InspectFrame(vibGuardChannel(pt), frame); reason != "" {
-			suspects[pt] = reason
-		}
-		// The point's lane on the selected bank.
-		if _, err := d.mux.ChannelOf(i % d.mux.BankSize()); err != nil {
-			return err
-		}
-		frames[i] = frame
+	var suspects [chiller.NumPoints]string
+	if err := d.acquire(&frames, &suspects); err != nil {
+		return err
 	}
 
 	workers := min(runtime.GOMAXPROCS(0), chiller.NumPoints)
@@ -361,7 +346,7 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 	}
 	for _, diag := range diags {
 		report := diag.ToReport(d.cfg.ID, "ks/dli", d.cfg.ObjectID, now)
-		if reason, ok := suspects[diag.Point]; ok {
+		if reason := suspects[diag.Point]; reason != "" {
 			d.quarantineReport(report, vibGuardChannel(diag.Point), reason)
 		}
 		if err := d.emit(report, now); err != nil {
@@ -392,7 +377,7 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 			Timestamp:   now,
 			Prognostics: vibration.WorstCasePrognostic(proto.GradeSeverity(sev), sev),
 		}
-		if reason, ok := suspects[pt]; ok {
+		if reason := suspects[pt]; reason != "" {
 			d.quarantineReport(report, vibGuardChannel(pt), reason)
 		}
 		if err := d.emit(report, now); err != nil {
@@ -400,6 +385,46 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 		}
 	}
 	return nil
+}
+
+// acquire is the vibration test's acquire phase: every measurement point
+// through the MUX, in bank order, each on one lane of bank i/BankSize. It
+// fills frames and, for each frame the channel guard finds suspect, the
+// guard's verdict.
+func (d *DC) acquire(frames *[chiller.NumPoints][]float64, suspects *[chiller.NumPoints]string) error {
+	for i := range chiller.NumPoints {
+		pt := chiller.MeasurementPoint(i)
+		if err := d.mux.SelectBank(i / d.mux.BankSize()); err != nil {
+			return err
+		}
+		frame, err := d.src.AcquireVibration(pt, d.cfg.FrameLen)
+		if err != nil {
+			return err
+		}
+		suspects[i] = d.guard.InspectFrame(vibGuardChannel(pt), frame)
+		if _, err := d.mux.ChannelOf(i % d.mux.BankSize()); err != nil {
+			return err
+		}
+		frames[i] = frame
+	}
+	return nil
+}
+
+// Acquire runs the vibration test's acquire phase rounds times, keeping no
+// frame, and returns how many samples it acquired: the path E7 times.
+func (d *DC) Acquire(rounds int) (int64, error) {
+	var frames [chiller.NumPoints][]float64
+	var suspects [chiller.NumPoints]string
+	var samples int64
+	for range rounds {
+		if err := d.acquire(&frames, &suspects); err != nil {
+			return samples, err
+		}
+		for _, f := range frames {
+			samples += int64(len(f))
+		}
+	}
+	return samples, nil
 }
 
 // crew is the vibration test's compute scratch: an extractor and, with the
@@ -615,29 +640,4 @@ func (d *DC) StoredReports(condition string) []StoredReport {
 		out = slices.DeleteFunc(out, func(r StoredReport) bool { return r.Condition != condition })
 	}
 	return out
-}
-
-// IngestThroughput measures the raw acquisition+RMS-detector path: frames
-// of frameLen samples pushed through every MUX lane for rounds bank sweeps.
-// It returns the total samples processed (the E7 experiment's inner loop).
-func (d *DC) IngestThroughput(frameLen, rounds int) (int64, error) {
-	frame := make([]float64, frameLen)
-	for i := range frame {
-		frame[i] = float64(i%7) * 0.1
-	}
-	var samples int64
-	for r := 0; r < rounds; r++ {
-		for b := 0; b < d.mux.Banks(); b++ {
-			if err := d.mux.SelectBank(b); err != nil {
-				return samples, err
-			}
-			for lane := 0; lane < d.mux.BankSize(); lane++ {
-				if _, err := d.mux.Ingest(lane, frame); err != nil {
-					return samples, err
-				}
-				samples += int64(frameLen)
-			}
-		}
-	}
-	return samples, nil
 }

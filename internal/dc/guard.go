@@ -199,14 +199,6 @@ func (g *ChannelGuard) InspectValue(channel string, v float64) string {
 	return verdict
 }
 
-// Suspect returns the channel's latest verdict ("" = healthy or unseen).
-func (g *ChannelGuard) Suspect(channel string) string {
-	if st, ok := g.channels[channel]; ok {
-		return st.suspect
-	}
-	return ""
-}
-
 // Suspects returns every currently suspect channel, sorted.
 func (g *ChannelGuard) Suspects() []string {
 	var out []string

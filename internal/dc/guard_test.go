@@ -51,8 +51,8 @@ func TestGuardFlatlineStuck(t *testing.T) {
 	if v := g.InspectFrame("ch", sineFrame(1024, 1.0, 0)); v != "" {
 		t.Fatalf("live frame still flagged: %s", v)
 	}
-	if g.Suspect("ch") != "" {
-		t.Fatal("channel should have recovered")
+	if s := g.Suspects(); len(s) != 0 {
+		t.Fatalf("channels %v should have recovered", s)
 	}
 }
 

@@ -1,10 +1,6 @@
 package dc
 
-import (
-	"fmt"
-
-	"repro/internal/dsp"
-)
+import "fmt"
 
 // Mux models the §8 acquisition front end: "Each of the 2 MUX cards can
 // switch between 4 sets of 4 channels each yielding up to 32 channels of
@@ -13,8 +9,10 @@ import (
 // signal exceeds a programmed value. This allows for real-time and constant
 // alarming for all sensors."
 //
-// The DSP card digitizes one 4-channel bank at a time; the Mux selects
-// banks and runs the per-channel RMS detector over every frame.
+// The DSP card digitizes one 4-channel bank at a time; the Mux selects the
+// bank and maps a lane of it to its channel. The RMS detectors are
+// hardware the model leaves out: the vibration test screens each frame
+// with the DC's ChannelGuard instead.
 type Mux struct {
 	cards           int
 	banksPerCard    int
@@ -36,9 +34,6 @@ func NewMuxWith(cards, banksPerCard, channelsPerBank int) *Mux {
 	}
 }
 
-// Channels returns the total channel count.
-func (m *Mux) Channels() int { return m.Banks() * m.channelsPerBank }
-
 // Banks returns the number of selectable banks.
 func (m *Mux) Banks() int { return m.cards * m.banksPerCard }
 
@@ -54,22 +49,10 @@ func (m *Mux) SelectBank(bank int) error {
 	return nil
 }
 
-// SelectedBank returns the active bank.
-func (m *Mux) SelectedBank() int { return m.selected }
-
 // ChannelOf maps (selected bank, lane) to the absolute channel index.
 func (m *Mux) ChannelOf(lane int) (int, error) {
 	if lane < 0 || lane >= m.channelsPerBank {
 		return 0, fmt.Errorf("dc: lane %d out of range", lane)
 	}
 	return m.selected*m.channelsPerBank + lane, nil
-}
-
-// Ingest runs the RMS detector for the lane's frame on the selected bank
-// and returns the measured RMS.
-func (m *Mux) Ingest(lane int, frame []float64) (float64, error) {
-	if _, err := m.ChannelOf(lane); err != nil {
-		return 0, err
-	}
-	return dsp.RMS(frame), nil
 }

@@ -100,38 +100,6 @@ func signed(c float64, half int) float64 {
 	return c
 }
 
-// cepstral is the one-shot form of Plan.Cepstral: a fresh plan and bin
-// buffer sized for frame compute count coefficients starting at first, count
-// clamped to what the padded length has.
-func cepstral(frame []float64, first, count int) ([]float64, error) {
-	p, err := NewPlan(NextPow2(len(frame)))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, max(0, min(count, p.n-first)))
-	if err := p.Cepstral(out, make([]complex128, p.n/2+1), frame, first); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Cepstrum computes the real cepstrum of frame: IFFT(log|FFT(frame)|).
-// The cepstrum exposes periodic families of harmonics and sidebands (gear
-// mesh and rotor-bar signatures) as single peaks at the corresponding
-// quefrency; the wavelet neural network's feature vector includes cepstral
-// coefficients per §6.2 of the paper. Every coefficient costs one pass over
-// the half spectrum, so the full cepstrum is O(n²): an offline view, where
-// CepstralCoefficients is the per-frame one.
-func Cepstrum(frame []float64) ([]float64, error) {
-	return cepstral(frame, 0, math.MaxInt)
-}
-
-// CepstralCoefficients returns the first k cepstral coefficients of frame,
-// skipping the zeroth (overall level) coefficient.
-func CepstralCoefficients(frame []float64, k int) ([]float64, error) {
-	return cepstral(frame, 1, k)
-}
-
 // dctBlock is how many samples a DCT phasor advances by recurrence before it
 // is re-seeded from math.Sincos: rounding grows with the block, not with the
 // frame length.
@@ -186,13 +154,4 @@ func DCT2Into(out, x []float64) {
 		}
 		out[c] = sum / float64(n)
 	}
-}
-
-// DCT2Coefficients returns the first k type-II DCT coefficients of x,
-// normalized by the frame length; k is clamped to [0, len(x)]. It is the
-// one-shot form of DCT2Into.
-func DCT2Coefficients(x []float64, k int) []float64 {
-	out := make([]float64, max(0, min(k, len(x))))
-	DCT2Into(out, x)
-	return out
 }

@@ -20,8 +20,7 @@ import (
 // the twiddle table e^(−j2πk/n), k < n/2, each entry computed directly
 // rather than by recurrence, so rounding does not accumulate with n. A plan
 // is immutable after construction and safe to share between goroutines; the
-// buffers it transforms belong to the caller. FFT and IFFT are its one-shot
-// forms.
+// buffers it transforms belong to the caller.
 type Plan struct {
 	n  int
 	tw []complex128
@@ -54,17 +53,6 @@ func NewPlan(n int) (*Plan, error) {
 
 // Len returns the planned transform length.
 func (p *Plan) Len() int { return p.n }
-
-// Transform computes the discrete Fourier transform of x in place. x must be
-// exactly Len complex values.
-func (p *Plan) Transform(x []complex128) error {
-	if len(x) != p.n {
-		return fmt.Errorf("dsp: transform of %d values on a plan for %d", len(x), p.n)
-	}
-	bitReverse(x)
-	p.butterflies(x)
-	return nil
-}
 
 // butterflies is the package's one decimation-in-time butterfly body over x
 // in bit-reversed order. len(x) is the plan's length or half of it (the
@@ -215,52 +203,6 @@ func (p *Plan) RealTransform(dst []complex128, x, window []float64) error {
 	return nil
 }
 
-// FFT computes the discrete Fourier transform of x in place using an
-// iterative radix-2 Cooley-Tukey algorithm. The length of x must be a power
-// of two; use NextPow2 and ZeroPad to prepare arbitrary-length frames. It is
-// the one-shot form of Plan.Transform.
-func FFT(x []complex128) error {
-	if len(x) == 0 {
-		return nil
-	}
-	p, err := NewPlan(len(x))
-	if err != nil {
-		return err
-	}
-	return p.Transform(x)
-}
-
-// IFFT computes the inverse discrete Fourier transform of x in place,
-// including the 1/N normalization. The length of x must be a power of two.
-func IFFT(x []complex128) error {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	if err := FFT(x); err != nil {
-		return err
-	}
-	inv := 1 / float64(n)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) * complex(inv, 0)
-	}
-	return nil
-}
-
-// bitReverse permutes x, whose length is a power of two, into bit-reversed
-// index order.
-func bitReverse(x []complex128) {
-	shift := 64 - bits.TrailingZeros(uint(len(x)))
-	for i := 1; i < len(x)-1; i++ {
-		if j := reversed(i, shift); i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-}
-
 // reversed is i with its low 64−shift bits in reverse order: its slot in a
 // bit-reversed permutation of 2^(64−shift) values.
 func reversed(i, shift int) int { return int(bits.Reverse64(uint64(i)) >> shift) }
@@ -272,24 +214,4 @@ func NextPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// ZeroPad returns x copied into a new slice of length n (n >= len(x)),
-// padded with zeros. It panics if n < len(x).
-func ZeroPad(x []float64, n int) []float64 {
-	if n < len(x) {
-		panic("dsp: ZeroPad target shorter than input")
-	}
-	out := make([]float64, n)
-	copy(out, x)
-	return out
-}
-
-// ToComplex converts a real-valued frame to a complex slice suitable for FFT.
-func ToComplex(x []float64) []complex128 {
-	out := make([]complex128, len(x))
-	for i, v := range x {
-		out[i] = complex(v, 0)
-	}
-	return out
 }

@@ -1,7 +1,9 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -229,4 +231,84 @@ func TestZeroPad(t *testing.T) {
 		}
 	}()
 	ZeroPad(x, 2)
+}
+
+// The complex transform and its helpers are the references the real-input
+// kernels are checked against; no product code takes a complex transform.
+
+// Transform computes the discrete Fourier transform of x in place. x must be
+// exactly Len complex values.
+func (p *Plan) Transform(x []complex128) error {
+	if len(x) != p.n {
+		return fmt.Errorf("dsp: transform of %d values on a plan for %d", len(x), p.n)
+	}
+	bitReverse(x)
+	p.butterflies(x)
+	return nil
+}
+
+// FFT computes the discrete Fourier transform of x in place using an
+// iterative radix-2 Cooley-Tukey algorithm. The length of x must be a power
+// of two; use NextPow2 and ZeroPad to prepare arbitrary-length frames. It is
+// the one-shot form of Plan.Transform.
+func FFT(x []complex128) error {
+	if len(x) == 0 {
+		return nil
+	}
+	p, err := NewPlan(len(x))
+	if err != nil {
+		return err
+	}
+	return p.Transform(x)
+}
+
+// IFFT computes the inverse discrete Fourier transform of x in place,
+// including the 1/N normalization. The length of x must be a power of two.
+func IFFT(x []complex128) error {
+	n := len(x)
+	if n == 0 {
+		return nil
+	}
+	for i := range x {
+		x[i] = cmplx.Conj(x[i])
+	}
+	if err := FFT(x); err != nil {
+		return err
+	}
+	inv := 1 / float64(n)
+	for i := range x {
+		x[i] = cmplx.Conj(x[i]) * complex(inv, 0)
+	}
+	return nil
+}
+
+// bitReverse permutes x, whose length is a power of two, into bit-reversed
+// index order.
+func bitReverse(x []complex128) {
+	shift := 64 - bits.TrailingZeros(uint(len(x)))
+	for i := 1; i < len(x)-1; i++ {
+		if j := reversed(i, shift); i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+}
+
+// ZeroPad returns x copied into a new slice of length n (n >= len(x)),
+// padded with zeros. It panics if n < len(x).
+func ZeroPad(x []float64, n int) []float64 {
+	if n < len(x) {
+		panic("dsp: ZeroPad target shorter than input")
+	}
+	out := make([]float64, n)
+	copy(out, x)
+	return out
+}
+
+// ToComplex converts a real-valued frame to a complex slice suitable for FFT.
+func ToComplex(x []float64) []complex128 {
+	out := make([]complex128, len(x))
+	for i, v := range x {
+		out[i] = complex(v, 0)
+	}
+	return out
 }

@@ -53,15 +53,13 @@ func TestCepstrumDetectsHarmonicFamily(t *testing.T) {
 		amps[i] = 1
 	}
 	x := multiTone(8192, fs, freqs, amps)
-	ceps, err := Cepstrum(x)
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := int(fs / 64) // 128 samples
+	// Coefficients q−60 … q+60, so ceps[60] is the rahmonic at q.
+	ceps := cepstralOf(t, x, q-60, 121)
 	// The rahmonic at q should dominate its neighbourhood.
-	peak := ceps[q]
+	peak := ceps[60]
 	for off := 20; off <= 60; off += 10 {
-		if ceps[q+off] >= peak || ceps[q-off] >= peak {
+		if ceps[60+off] >= peak || ceps[60-off] >= peak {
 			t.Fatalf("cepstral peak at %d (%g) not dominant vs offset %d", q, peak, off)
 		}
 	}
@@ -69,23 +67,26 @@ func TestCepstrumDetectsHarmonicFamily(t *testing.T) {
 
 func TestCepstralCoefficients(t *testing.T) {
 	x := sine(512, 1024, 100, 1)
-	c, err := CepstralCoefficients(x, 20)
+	p, err := NewPlan(NextPow2(len(x)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c) != 20 {
-		t.Fatalf("got %d coefficients", len(c))
+	bins := make([]complex128, p.Len()/2+1)
+	if err := p.Cepstral(make([]float64, 20), bins, x, 1); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Cepstrum(nil); err == nil {
+	if err := p.Cepstral(make([]float64, 20), bins, nil, 1); err == nil {
 		t.Error("want error on empty frame")
 	}
-	// k larger than frame clamps.
-	c2, err := CepstralCoefficients(x, 1<<20)
-	if err != nil {
+	if err := p.Cepstral(nil, bins, x, 1); err != nil {
+		t.Errorf("zero coefficients: %v", err)
+	}
+	// Coefficients 1…511 are all the padded length holds; one more is refused.
+	if err := p.Cepstral(make([]float64, 511), bins, x, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(c2) != 511 {
-		t.Fatalf("clamped length %d", len(c2))
+	if err := p.Cepstral(make([]float64, 512), bins, x, 1); err == nil {
+		t.Error("coefficients past the padded length accepted")
 	}
 }
 
@@ -101,14 +102,22 @@ func TestDCT2(t *testing.T) {
 			t.Errorf("coefficient %d = %g, want 0", i, d[i])
 		}
 	}
-	c := DCT2Coefficients(x, 4)
-	if len(c) != 4 || math.Abs(c[0]-1) > 1e-9 {
+	c := make([]float64, 4)
+	DCT2Into(c, x)
+	if math.Abs(c[0]-1) > 1e-9 {
 		t.Errorf("normalized coefficients %v", c)
 	}
-	if got := DCT2Coefficients(x, 100); len(got) != 8 {
-		t.Errorf("clamp to frame length failed: %d", len(got))
+	// More coefficients than samples: each is still its cosine sum.
+	long := make([]float64, 100)
+	DCT2Into(long, x)
+	for k, v := range long {
+		if want := dct2Term(x, k) / 8; math.Abs(v-want) > 1e-9 {
+			t.Errorf("coefficient %d of 8 samples = %g, want %g", k, v, want)
+		}
 	}
-	if got := DCT2Coefficients(nil, 3); len(got) != 0 {
-		t.Errorf("empty input: %v", got)
+	empty := []float64{9, 9, 9}
+	DCT2Into(empty, nil)
+	if empty[0] != 0 || empty[1] != 0 || empty[2] != 0 {
+		t.Errorf("empty input: %v", empty)
 	}
 }

@@ -32,6 +32,21 @@ func cepstrumByDefinition(t *testing.T, frame []float64) []float64 {
 	return out
 }
 
+// cepstralOf is Plan.Cepstral on a fresh plan and bin buffer sized for
+// frame: count coefficients starting at first.
+func cepstralOf(t *testing.T, frame []float64, first, count int) []float64 {
+	t.Helper()
+	p, err := NewPlan(NextPow2(len(frame)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, count)
+	if err := p.Cepstral(out, make([]complex128, p.Len()/2+1), frame, first); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // DCT2 computes the (unnormalized) type-II discrete cosine transform of x by
 // its definition, O(n²).
 func DCT2(x []float64) []float64 {
@@ -177,8 +192,8 @@ func TestFrameAnalyzerTinyFrames(t *testing.T) {
 		}
 		n := NextPow2(len(x))
 		want := naiveDFT(ToComplex(ZeroPad(x, n)))
-		if s.NumBins() != n/2+1 {
-			t.Fatalf("len %d: %d bins, want %d", len(x), s.NumBins(), n/2+1)
+		if len(s.Amp) != n/2+1 {
+			t.Fatalf("len %d: %d bins, want %d", len(x), len(s.Amp), n/2+1)
 		}
 		for b, a := range s.Amp {
 			w := cmplx.Abs(want[b]) / float64(len(x))
@@ -193,18 +208,12 @@ func TestFrameAnalyzerTinyFrames(t *testing.T) {
 }
 
 // TestCepstralMatchesDefinition checks the first-k cosine-sum coefficients
-// against IFFT(log|FFT|) within 1e-10, and the clamps at both ends of k.
+// against IFFT(log|FFT|) within 1e-10, and the bounds at both ends of k.
 func TestCepstralMatchesDefinition(t *testing.T) {
 	for _, frameLen := range []int{1, 2, 3, 64, 1000, 4096, 16384} {
 		x := noise(frameLen, 7+int64(frameLen))
 		want := cepstrumByDefinition(t, x)
-		got, err := CepstralCoefficients(x, 8)
-		if err != nil {
-			t.Fatalf("len %d: %v", frameLen, err)
-		}
-		if k := min(8, len(want)-1); len(got) != k {
-			t.Fatalf("len %d: %d coefficients, want %d", frameLen, len(got), k)
-		}
+		got := cepstralOf(t, x, 1, min(8, len(want)-1))
 		for i, c := range got {
 			if math.Abs(c-want[1+i]) > 1e-10 {
 				t.Errorf("len %d: c[%d] = %.15g, definition %.15g", frameLen, 1+i, c, want[1+i])
@@ -212,35 +221,30 @@ func TestCepstralMatchesDefinition(t *testing.T) {
 		}
 	}
 	x := noise(200, 3)
-	full, err := Cepstrum(x)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := cepstrumByDefinition(t, x)
-	if len(full) != len(want) {
-		t.Fatalf("full cepstrum has %d coefficients, want %d", len(full), len(want))
-	}
+	full := cepstralOf(t, x, 0, len(want))
 	for q := range full {
 		if math.Abs(full[q]-want[q]) > 1e-10 {
 			t.Errorf("c[%d] = %.15g, definition %.15g", q, full[q], want[q])
 		}
 	}
-	if c, err := CepstralCoefficients(x, 0); err != nil || len(c) != 0 {
-		t.Errorf("k = 0: %v, %v", c, err)
+	p, err := NewPlan(len(want))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c, err := CepstralCoefficients(x, 1<<30); err != nil || len(c) != 255 {
-		t.Errorf("k past the end: %d coefficients, %v; want 255", len(c), err)
+	bins := make([]complex128, p.Len()/2+1)
+	if err := p.Cepstral(nil, bins, x, 1); err != nil {
+		t.Errorf("k = 0: %v", err)
 	}
-	if _, err := CepstralCoefficients(nil, 8); err == nil {
+	if err := p.Cepstral(make([]float64, 256), bins, x, 1); err == nil {
+		t.Error("k past the end accepted")
+	}
+	if err := p.Cepstral(make([]float64, 8), bins, nil, 1); err == nil {
 		t.Error("empty frame accepted")
 	}
 	// A silent frame sits on the magnitude floor in every bin: a flat
 	// log-spectrum, so every coefficient past the zeroth vanishes.
-	silent, err := CepstralCoefficients(make([]float64, 512), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range silent {
+	for i, c := range cepstralOf(t, make([]float64, 512), 1, 8) {
 		if math.Abs(c) > 1e-12 {
 			t.Errorf("silent frame c[%d] = %g", 1+i, c)
 		}
@@ -250,22 +254,18 @@ func TestCepstralMatchesDefinition(t *testing.T) {
 // TestDCT2IntoMatchesDirectSum checks the phasor-stepped coefficients
 // against the per-sample cosine sum within 1e-12 at the DC's frame length
 // and at a frame six times longer: the re-seed keeps the error flat in n.
+// Frames shorter than out get every coefficient out holds.
 func TestDCT2IntoMatchesDirectSum(t *testing.T) {
 	for _, n := range []int{1, 2, 255, 256, 257, 16384, 100000} {
 		x := noise(n, int64(n))
-		got := DCT2Coefficients(x, 8)
-		if len(got) != min(8, n) {
-			t.Fatalf("n=%d: %d coefficients", n, len(got))
-		}
+		got := make([]float64, 8)
+		DCT2Into(got, x)
 		for c, v := range got {
 			want := dct2Term(x, c) / float64(n)
 			if math.Abs(v-want) > 1e-12 {
 				t.Errorf("n=%d: coefficient %d = %.17g, direct sum %.17g (off by %g)", n, c, v, want, v-want)
 			}
 		}
-	}
-	if got := DCT2Coefficients(noise(16, 1), -3); len(got) != 0 {
-		t.Errorf("negative k: %v", got)
 	}
 	out := []float64{9, 9}
 	DCT2Into(out, nil)
@@ -276,7 +276,7 @@ func TestDCT2IntoMatchesDirectSum(t *testing.T) {
 
 // TestPlanReuseMatchesOneShot guards scratch reuse: one plan and one bin
 // buffer fed different frames in interleaved order return, for each, bit for
-// bit what a fresh one-shot returns.
+// bit what a fresh plan and bin buffer return.
 func TestPlanReuseMatchesOneShot(t *testing.T) {
 	const n = 3000
 	impulse := make([]float64, n)
@@ -289,15 +289,12 @@ func TestPlanReuseMatchesOneShot(t *testing.T) {
 	bins := make([]complex128, p.Len()/2+1)
 	got := make([]float64, 8)
 	for step, fi := range []int{0, 1, 2, 0, 3, 3, 1, 0} {
-		want, err := CepstralCoefficients(frames[fi], len(got))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := cepstralOf(t, frames[fi], 1, len(got))
 		if err := p.Cepstral(got, bins, frames[fi], 1); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("step %d (frame %d): reused plan %v != one-shot %v", step, fi, got, want)
+			t.Fatalf("step %d (frame %d): reused plan %v != fresh plan %v", step, fi, got, want)
 		}
 	}
 }

@@ -14,9 +14,6 @@ type Spectrum struct {
 	Amp []float64
 }
 
-// NumBins returns the number of frequency bins in the spectrum.
-func (s *Spectrum) NumBins() int { return len(s.Amp) }
-
 // Bin returns the bin index nearest to frequency f, clamped to range.
 func (s *Spectrum) Bin(f float64) int {
 	if s.Resolution == 0 || len(s.Amp) == 0 {

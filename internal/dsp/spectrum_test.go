@@ -42,8 +42,8 @@ func TestAnalyzeFrameResolution(t *testing.T) {
 	if s.Resolution != fs/4096 {
 		t.Fatalf("resolution %g, want %g", s.Resolution, fs/4096)
 	}
-	if s.NumBins() != 4096/2+1 {
-		t.Fatalf("bins %d, want %d", s.NumBins(), 4096/2+1)
+	if len(s.Amp) != 4096/2+1 {
+		t.Fatalf("bins %d, want %d", len(s.Amp), 4096/2+1)
 	}
 }
 

@@ -3,7 +3,7 @@
 // prognostics also developed by Georgia Tech which draws diagnostic and
 // prognostic conclusions from non-vibrational data."
 //
-// The engine is classical Mamdani: triangular/trapezoidal/Gaussian
+// The engine is classical Mamdani: triangular/trapezoidal/shoulder
 // membership functions over linguistic variables, min/max rule evaluation,
 // max aggregation of clipped consequents, and centroid defuzzification.
 // The chiller rulebase in rulebase.go maps process telemetry (pressures,
@@ -84,15 +84,6 @@ func (s ShoulderRight) Degree(x float64) float64 {
 	default:
 		return (x - s.A) / (s.B - s.A)
 	}
-}
-
-// Gaussian is exp(-(x-Mu)²/(2·Sigma²)).
-type Gaussian struct{ Mu, Sigma float64 }
-
-// Degree implements MF.
-func (g Gaussian) Degree(x float64) float64 {
-	d := (x - g.Mu) / g.Sigma
-	return math.Exp(-d * d / 2)
 }
 
 // Variable is a linguistic variable: a named domain with term membership

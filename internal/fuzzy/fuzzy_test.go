@@ -33,13 +33,6 @@ func TestMembershipFunctions(t *testing.T) {
 	if sr.Degree(0) != 0 || sr.Degree(7) != 1 || sr.Degree(100) != 1 {
 		t.Error("shoulder right")
 	}
-	g := Gaussian{Mu: 5, Sigma: 2}
-	if g.Degree(5) != 1 {
-		t.Error("gaussian peak")
-	}
-	if math.Abs(g.Degree(7)-math.Exp(-0.5)) > 1e-12 {
-		t.Error("gaussian sigma point")
-	}
 }
 
 func TestMembershipInRangeProperty(t *testing.T) {
@@ -49,7 +42,7 @@ func TestMembershipInRangeProperty(t *testing.T) {
 		}
 		mfs := []MF{
 			Triangular{0, 5, 10}, Trapezoid{0, 2, 8, 10},
-			ShoulderLeft{3, 7}, ShoulderRight{3, 7}, Gaussian{5, 2},
+			ShoulderLeft{3, 7}, ShoulderRight{3, 7},
 		}
 		for _, m := range mfs {
 			d := m.Degree(x)
@@ -153,8 +146,8 @@ func TestSystemValidation(t *testing.T) {
 		rules   []Rule
 	}{
 		{"no rules", in, out, nil},
-		{"unnamed var", []Variable{{Min: 0, Max: 1, Terms: map[string]MF{"a": Gaussian{0, 1}}}}, out, ok},
-		{"empty domain", []Variable{{Name: "x", Min: 1, Max: 1, Terms: map[string]MF{"a": Gaussian{0, 1}}}}, out, ok},
+		{"unnamed var", []Variable{{Min: 0, Max: 1, Terms: map[string]MF{"a": Triangular{0, 0.5, 1}}}}, out, ok},
+		{"empty domain", []Variable{{Name: "x", Min: 1, Max: 1, Terms: map[string]MF{"a": Triangular{0, 0.5, 1}}}}, out, ok},
 		{"no terms", []Variable{{Name: "x", Min: 0, Max: 1, Terms: nil}}, out, ok},
 		{"dup var", append(in, in[0]), out, ok},
 		{"unknown input", in, out, []Rule{{If: []Clause{{"z", "a"}}, Op: And, Then: Clause{"y", "b"}, Weight: 1}}},

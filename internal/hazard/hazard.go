@@ -43,14 +43,6 @@ func (w Weibull) CDF(t float64) float64 {
 	return 1 - math.Exp(-math.Pow(t/w.Scale, w.Shape))
 }
 
-// Hazard returns the instantaneous hazard rate at time t.
-func (w Weibull) Hazard(t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return w.Shape / w.Scale * math.Pow(t/w.Scale, w.Shape-1)
-}
-
 // Quantile returns the time by which fraction p of units fail.
 func (w Weibull) Quantile(p float64) float64 {
 	if p <= 0 {
@@ -60,12 +52,6 @@ func (w Weibull) Quantile(p float64) float64 {
 		return math.Inf(1)
 	}
 	return w.Scale * math.Pow(-math.Log(1-p), 1/w.Shape)
-}
-
-// Mean returns the expected lifetime λ·Γ(1+1/k).
-func (w Weibull) Mean() float64 {
-	g, _ := math.Lgamma(1 + 1/w.Shape)
-	return w.Scale * math.Exp(g)
 }
 
 // FitWeibull computes the maximum-likelihood Weibull fit for a censored

@@ -36,19 +36,6 @@ func TestWeibullDistribution(t *testing.T) {
 	if w.Quantile(0) != 0 || !math.IsInf(w.Quantile(1), 1) {
 		t.Error("quantile extremes")
 	}
-	// Weibull mean for k=2: λ·Γ(1.5) = λ·√π/2.
-	want := 100 * math.Sqrt(math.Pi) / 2
-	if math.Abs(w.Mean()-want) > 1e-9 {
-		t.Errorf("mean %g, want %g", w.Mean(), want)
-	}
-	// Increasing hazard for k>1, decreasing for k<1.
-	if w.Hazard(50) >= w.Hazard(150) {
-		t.Error("k=2 hazard should increase")
-	}
-	infant := Weibull{Shape: 0.5, Scale: 100}
-	if infant.Hazard(50) <= infant.Hazard(150) {
-		t.Error("k=0.5 hazard should decrease")
-	}
 }
 
 func TestFitWeibullRecovery(t *testing.T) {

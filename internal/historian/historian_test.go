@@ -191,8 +191,8 @@ func TestRetentionDropsOldSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rolls {
-		if r.End().Before(cutoff.Add(-slack)) {
-			t.Fatalf("rollup bucket ending %v survived cutoff %v", r.End(), cutoff)
+		if end := r.Start.Add(r.Dur); end.Before(cutoff.Add(-slack)) {
+			t.Fatalf("rollup bucket ending %v survived cutoff %v", end, cutoff)
 		}
 	}
 	// The compacted file reopens to the same retained view.

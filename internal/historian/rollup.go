@@ -26,9 +26,6 @@ func (r Rollup) Mean() float64 {
 	return r.Sum / float64(r.Count)
 }
 
-// End returns the exclusive bucket end.
-func (r Rollup) End() time.Time { return r.Start.Add(r.Dur) }
-
 // bucket returns the [lo, hi) nanosecond bounds of the dur-wide bucket
 // holding n, floored on the dur grid (pre-epoch times too); hi saturates at
 // the largest representable instant.

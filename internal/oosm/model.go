@@ -234,13 +234,6 @@ func (m *Model) RegisterClass(c Class) error {
 	return nil
 }
 
-// Classes returns the registered class names in sorted order.
-func (m *Model) Classes() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return slices.Sorted(maps.Keys(m.classes))
-}
-
 func (m *Model) class(name string) (*classStore, error) {
 	m.mu.RLock()
 	c, ok := m.classes[name]
@@ -465,11 +458,6 @@ func (m *Model) Delete(id ObjectID) error {
 	}
 	m.events.publish(Event{Kind: ObjectDeleted, Object: id})
 	return nil
-}
-
-// Exists reports whether the object is present in the model.
-func (m *Model) Exists(id ObjectID) bool {
-	return m.read(id, func(*classStore, any) {}) == nil
 }
 
 // Instances returns all object ids of a class, ordered by creation.

@@ -184,7 +184,7 @@ func TestReportValidate(t *testing.T) {
 			t.Errorf("bad report %d should fail", i)
 		}
 	}
-	if validReport().Grade() != SeveritySerious {
+	if GradeSeverity(validReport().Severity) != SeveritySerious {
 		t.Error("grade of severity 0.6")
 	}
 }

@@ -227,6 +227,3 @@ func (r *Report) Validate() error {
 	}
 	return r.Prognostics.Validate()
 }
-
-// Grade returns the severity gradient category of the report.
-func (r *Report) Grade() SeverityGrade { return GradeSeverity(r.Severity) }

@@ -260,15 +260,3 @@ func (r *Ring) Add(m Member) ([]string, error) {
 	}
 	return moved, nil
 }
-
-// Loads returns the per-member key counts, keyed by member id.
-func (r *Ring) Loads() map[string]int {
-	out := make(map[string]int, len(r.members))
-	for _, m := range r.members {
-		out[m.ID] = 0
-	}
-	for _, k := range r.keys {
-		out[r.assign[k]]++
-	}
-	return out
-}

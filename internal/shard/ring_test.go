@@ -282,3 +282,16 @@ func TestParseMembers(t *testing.T) {
 		}
 	}
 }
+
+// Loads returns the per-member key counts, keyed by member id: the
+// balance the ring tests measure.
+func (r *Ring) Loads() map[string]int {
+	out := make(map[string]int, len(r.members))
+	for _, m := range r.members {
+		out[m.ID] = 0
+	}
+	for _, k := range r.keys {
+		out[r.assign[k]]++
+	}
+	return out
+}

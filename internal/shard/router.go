@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -113,13 +113,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if threshold <= 0 {
 		threshold = DefaultFailoverThreshold
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewPCG(uint64(cfg.Seed), 0))
 	r := &Router{
 		cfg:       cfg,
 		ring:      cfg.Ring,
 		down:      make(map[string]bool),
 		stats:     RouterStats{PerShard: make(map[string]int64)},
-		threshold: threshold + rng.Intn(threshold),
+		threshold: threshold + rng.IntN(threshold),
 	}
 	r.target = cfg.Ring.Assign(cfg.DCID)
 	addr, err := r.memberAddr(r.target)
@@ -135,7 +135,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		SendTimeout: cfg.SendTimeout,
 		BackoffMin:  cfg.BackoffMin,
 		BackoffMax:  cfg.BackoffMax,
-		Seed:        rng.Int63(),
+		Seed:        rng.Int64(),
 	})
 	if err != nil {
 		return nil, err

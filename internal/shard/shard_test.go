@@ -803,3 +803,36 @@ func TestAggregatorRunsMatchSingles(t *testing.T) {
 		}
 	}
 }
+
+// TestFailoverJitterFollowsSeed: a router's jittered failover threshold is
+// a function of its Seed, within [threshold, 2·threshold).
+func TestFailoverJitterFollowsSeed(t *testing.T) {
+	ring, err := NewRing([]Member{{ID: "shard-1", Addr: "127.0.0.1:1"}}, []string{"dc-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	threshold := func(seed int64) int {
+		cfg := fastRouterConfig("dc-1", ring, t.TempDir())
+		cfg.Seed, cfg.FailoverThreshold = seed, 1000
+		r, err := NewRouter(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		return r.threshold
+	}
+	seen := map[int]bool{}
+	for seed := range int64(8) {
+		got := threshold(seed)
+		if again := threshold(seed); again != got {
+			t.Errorf("seed %d: threshold %d, then %d", seed, got, again)
+		}
+		if got < 1000 || got >= 2000 {
+			t.Errorf("seed %d: threshold %d outside [1000, 2000)", seed, got)
+		}
+		seen[got] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("eight seeds gave one threshold %v", seen)
+	}
+}

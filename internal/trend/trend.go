@@ -1,10 +1,9 @@
 // Package trend implements the temporal-reasoning extension of §10.1:
 // "temporal reasoning components could be implemented to scrutinize failure
 // histories and provide better projections of future faults as they
-// develop." It fits robust linear trends (Theil-Sen, with ordinary least
-// squares available for comparison) to severity histories and projects the
-// crossing time of a severity threshold — e.g. when a developing fault will
-// reach the Extreme grade.
+// develop." It fits robust linear trends (Theil-Sen) to severity histories
+// and projects the crossing time of a severity threshold — e.g. when a
+// developing fault will reach the Extreme grade.
 package trend
 
 import (
@@ -33,11 +32,6 @@ type Fit struct {
 	N int
 	// Residual is the mean absolute residual, a fit-quality indicator.
 	Residual float64
-}
-
-// ValueAt evaluates the fitted line at a time.
-func (f Fit) ValueAt(at time.Time) float64 {
-	return f.Intercept + f.Slope*at.Sub(f.Origin).Seconds()
 }
 
 // CrossingTime returns when the fitted line reaches the threshold. It
@@ -95,39 +89,6 @@ func TheilSen(points []Point) (Fit, error) {
 		absSum += math.Abs(p.Value - (intercept + slope*ts[i]))
 	}
 	fit.Residual = absSum / float64(len(pts))
-	return fit, nil
-}
-
-// OLS fits an ordinary least squares line, for comparison with TheilSen.
-func OLS(points []Point) (Fit, error) {
-	if len(points) < 3 {
-		return Fit{}, fmt.Errorf("trend: need at least 3 points, have %d", len(points))
-	}
-	pts := append([]Point(nil), points...)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].At.Before(pts[j].At) })
-	origin := pts[0].At
-	var sumT, sumY, sumTT, sumTY float64
-	for _, p := range pts {
-		t := p.At.Sub(origin).Seconds()
-		sumT += t
-		sumY += p.Value
-		sumTT += t * t
-		sumTY += t * p.Value
-	}
-	n := float64(len(pts))
-	den := n*sumTT - sumT*sumT
-	if den == 0 {
-		return Fit{}, fmt.Errorf("trend: all observations share one timestamp")
-	}
-	slope := (n*sumTY - sumT*sumY) / den
-	intercept := (sumY - slope*sumT) / n
-	fit := Fit{Slope: slope, Intercept: intercept, Origin: origin, N: len(pts)}
-	var absSum float64
-	for _, p := range pts {
-		t := p.At.Sub(origin).Seconds()
-		absSum += math.Abs(p.Value - (intercept + slope*t))
-	}
-	fit.Residual = absSum / n
 	return fit, nil
 }
 

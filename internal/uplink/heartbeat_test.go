@@ -69,8 +69,8 @@ func TestSendHeartbeatFillsIdentity(t *testing.T) {
 	if hb.DCID != "dc-1" {
 		t.Errorf("DCID = %q, want filled from config", hb.DCID)
 	}
-	if hb.Boot == 0 || hb.Incarnation != u.Incarnation() {
-		t.Errorf("identity not filled: boot %d incarnation %d (want %d)", hb.Boot, hb.Incarnation, u.Incarnation())
+	if hb.Boot == 0 || hb.Incarnation != u.incarnation {
+		t.Errorf("identity not filled: boot %d incarnation %d (want %d)", hb.Boot, hb.Incarnation, u.incarnation)
 	}
 	if hb.SpoolDepth != 0 {
 		t.Errorf("spool depth = %d, want 0 on idle uplink", hb.SpoolDepth)

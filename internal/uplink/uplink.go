@@ -32,7 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -195,7 +195,7 @@ func New(cfg Config) (*Uplink, error) {
 		wake:        make(chan struct{}, 1),
 		retargeted:  make(chan struct{}, 1),
 		stop:        make(chan struct{}),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rng:         rand.New(rand.NewPCG(uint64(cfg.Seed), 0)),
 	}
 	u.wg.Add(1)
 	go func() {
@@ -271,10 +271,6 @@ func (u *Uplink) Retarget(addr string) {
 	default:
 	}
 }
-
-// Incarnation returns the sender-process instance id announced in
-// heartbeats (fresh on every New, even with a persistent spool).
-func (u *Uplink) Incarnation() uint64 { return u.incarnation }
 
 // Boot returns the spool's boot incarnation — the epoch half of the wire's
 // (boot, seq) delivery tag. It persists with a durable spool, so replays

@@ -683,3 +683,29 @@ func TestRetargetCarriesSpoolToTheNewServer(t *testing.T) {
 		t.Errorf("boot %d -> %d, counters %+v: want one spool, three first acks", boot, u.Boot(), c)
 	}
 }
+
+// TestJitterFollowsSeed: two uplinks built with one Seed draw one backoff
+// jitter sequence, and another Seed draws another.
+func TestJitterFollowsSeed(t *testing.T) {
+	draw := func(seed int64) [8]float64 {
+		u, err := New(Config{Addr: "127.0.0.1:1", DCID: "dc-1", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer u.Close()
+		u.mu.Lock()
+		defer u.mu.Unlock()
+		var out [8]float64
+		for i := range out {
+			out[i] = u.rng.Float64()
+		}
+		return out
+	}
+	a, b, c := draw(7), draw(7), draw(8)
+	if a != b {
+		t.Errorf("seed 7 drew %v, then %v", a, b)
+	}
+	if a == c {
+		t.Errorf("seeds 7 and 8 drew one sequence %v", a)
+	}
+}

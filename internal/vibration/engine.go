@@ -42,14 +42,6 @@ func NewEngine(cfg chiller.Config, threshold float64) *Engine {
 	return &Engine{cfg: cfg, rules: StandardRules(), threshold: threshold}
 }
 
-// NewEngineWithRules builds an engine with a custom rulebook.
-func NewEngineWithRules(cfg chiller.Config, rules []Rule, threshold float64) *Engine {
-	return &Engine{cfg: cfg, rules: rules, threshold: threshold}
-}
-
-// Rules returns the engine's rulebook.
-func (e *Engine) Rules() []Rule { return e.rules }
-
 // Diagnose runs every rule whose measurement point is present in the
 // feature set and returns the diagnoses scoring at or above the call
 // threshold, sorted by descending severity-weighted belief.

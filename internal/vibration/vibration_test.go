@@ -210,13 +210,13 @@ func TestDiagnoseValidation(t *testing.T) {
 		Condition: "bogus", Point: chiller.MotorDE, Believability: 1,
 		Score: func(*Features, *Context) float64 { return 2 },
 	}}
-	e2 := NewEngineWithRules(chiller.DefaultConfig(), badRules, 0.1)
+	e2 := &Engine{cfg: chiller.DefaultConfig(), rules: badRules, threshold: 0.1}
 	if _, err := e2.Diagnose(map[chiller.MeasurementPoint]*Features{
 		chiller.MotorDE: {},
 	}, &Context{}); err == nil {
 		t.Error("out-of-range score should error")
 	}
-	if len(e.Rules()) == 0 {
+	if len(e.rules) == 0 {
 		t.Error("rulebook empty")
 	}
 }

@@ -71,28 +71,6 @@ func highPass(low []float64) []float64 {
 	return h
 }
 
-// Transform performs one level of the DWT on x (length must be even and
-// >= filter length), returning approximation and detail coefficients, each
-// of length len(x)/2. Circular (periodic) boundary handling is used so the
-// transform is exactly invertible.
-func Transform(k Kind, x []float64) (approx, detail []float64, err error) {
-	low, err := k.filters()
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(x)
-	if n < len(low) {
-		return nil, nil, fmt.Errorf("wavelet: frame length %d shorter than filter %d", n, len(low))
-	}
-	if n%2 != 0 {
-		return nil, nil, fmt.Errorf("wavelet: frame length %d is odd", n)
-	}
-	approx = make([]float64, n/2)
-	detail = make([]float64, n/2)
-	transformInto(low, highPass(low), x, approx, detail)
-	return approx, detail, nil
-}
-
 // transformInto is one circular-convolution DWT level writing approximation
 // and detail coefficients into caller-provided buffers of length len(x)/2:
 // output i is Σ_j filter[j]·x[(2i+j) mod n], summed in tap order. Every
@@ -151,29 +129,6 @@ func transformInto(low, high, x, approx, detail []float64) {
 	}
 }
 
-// Inverse reconstructs the signal from one level of approximation and detail
-// coefficients produced by Transform with the same kind.
-func Inverse(k Kind, approx, detail []float64) ([]float64, error) {
-	if len(approx) != len(detail) {
-		return nil, fmt.Errorf("wavelet: approx length %d != detail length %d", len(approx), len(detail))
-	}
-	low, err := k.filters()
-	if err != nil {
-		return nil, err
-	}
-	high := highPass(low)
-	half := len(approx)
-	n := half * 2
-	out := make([]float64, n)
-	for i := 0; i < half; i++ {
-		for j := 0; j < len(low); j++ {
-			idx := (2*i + j) % n
-			out[idx] += low[j]*approx[i] + high[j]*detail[i]
-		}
-	}
-	return out, nil
-}
-
 // Decomposition is a multi-level DWT of a frame: Details[l] holds the detail
 // coefficients of level l+1 (finest first) and Approx the final
 // approximation.
@@ -193,19 +148,6 @@ func Decompose(k Kind, x []float64, levels int) (*Decomposition, error) {
 		return nil, err
 	}
 	return w.Decompose(x)
-}
-
-// Reconstruct inverts a multi-level decomposition back to the original frame.
-func (d *Decomposition) Reconstruct() ([]float64, error) {
-	cur := append([]float64(nil), d.Approx...)
-	for l := len(d.Details) - 1; l >= 0; l-- {
-		next, err := Inverse(d.Kind, cur, d.Details[l])
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return cur, nil
 }
 
 // Levels returns the decomposition depth.
@@ -243,26 +185,5 @@ func (d *Decomposition) energyMapInto(out []float64) []float64 {
 	for i := range out {
 		out[i] /= total
 	}
-	return out
-}
-
-// BandRMS returns the RMS of each detail band plus the approximation band,
-// finest detail first — an absolute-scale companion to EnergyMap.
-func (d *Decomposition) BandRMS() []float64 {
-	out := make([]float64, len(d.Details)+1)
-	rms := func(x []float64) float64 {
-		if len(x) == 0 {
-			return 0
-		}
-		var s float64
-		for _, v := range x {
-			s += v * v
-		}
-		return math.Sqrt(s / float64(len(x)))
-	}
-	for i, det := range d.Details {
-		out[i] = rms(det)
-	}
-	out[len(out)-1] = rms(d.Approx)
 	return out
 }

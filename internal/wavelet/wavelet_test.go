@@ -1,6 +1,7 @@
 package wavelet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -205,26 +206,64 @@ func TestEnergyMapLocalization(t *testing.T) {
 	}
 }
 
-func TestBandRMS(t *testing.T) {
-	x := make([]float64, 64)
-	for i := range x {
-		x[i] = 1
-	}
-	d, err := Decompose(Haar, x, 3)
+// One DWT level, its inverse and the multi-level inverse are the references
+// the round trips check Decompose and the workspace against; no product code
+// takes a single level or reconstructs a frame.
+
+// Transform performs one level of the DWT on x (length must be even and
+// >= filter length), returning approximation and detail coefficients, each
+// of length len(x)/2. Circular (periodic) boundary handling is used so the
+// transform is exactly invertible.
+func Transform(k Kind, x []float64) (approx, detail []float64, err error) {
+	low, err := k.filters()
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	r := d.BandRMS()
-	if len(r) != 4 {
-		t.Fatalf("want 4 bands, got %d", len(r))
+	n := len(x)
+	if n < len(low) {
+		return nil, nil, fmt.Errorf("wavelet: frame length %d shorter than filter %d", n, len(low))
 	}
-	// Constant signal: all detail RMS 0, approx RMS > 0.
-	for i := 0; i < 3; i++ {
-		if r[i] > 1e-12 {
-			t.Errorf("detail band %d RMS %g, want 0", i, r[i])
+	if n%2 != 0 {
+		return nil, nil, fmt.Errorf("wavelet: frame length %d is odd", n)
+	}
+	approx = make([]float64, n/2)
+	detail = make([]float64, n/2)
+	transformInto(low, highPass(low), x, approx, detail)
+	return approx, detail, nil
+}
+
+// Inverse reconstructs the signal from one level of approximation and detail
+// coefficients produced by Transform with the same kind.
+func Inverse(k Kind, approx, detail []float64) ([]float64, error) {
+	if len(approx) != len(detail) {
+		return nil, fmt.Errorf("wavelet: approx length %d != detail length %d", len(approx), len(detail))
+	}
+	low, err := k.filters()
+	if err != nil {
+		return nil, err
+	}
+	high := highPass(low)
+	half := len(approx)
+	n := half * 2
+	out := make([]float64, n)
+	for i := 0; i < half; i++ {
+		for j := 0; j < len(low); j++ {
+			idx := (2*i + j) % n
+			out[idx] += low[j]*approx[i] + high[j]*detail[i]
 		}
 	}
-	if r[3] <= 0 {
-		t.Error("approx RMS should be positive")
+	return out, nil
+}
+
+// Reconstruct inverts a multi-level decomposition back to the original frame.
+func (d *Decomposition) Reconstruct() ([]float64, error) {
+	cur := append([]float64(nil), d.Approx...)
+	for l := len(d.Details) - 1; l >= 0; l-- {
+		next, err := Inverse(d.Kind, cur, d.Details[l])
+		if err != nil {
+			return nil, err
+		}
+		cur = next
 	}
+	return cur, nil
 }

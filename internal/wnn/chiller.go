@@ -231,14 +231,3 @@ func (c *ChillerClassifier) features(frame []float64) ([]float64, error) {
 
 // FrameLen returns the frame length the classifier was trained on.
 func (c *ChillerClassifier) FrameLen() int { return c.frames }
-
-// Points returns the instrumented measurement points.
-func (c *ChillerClassifier) Points() []chiller.MeasurementPoint {
-	out := make([]chiller.MeasurementPoint, 0, len(c.nets))
-	for _, pt := range chiller.AllPoints() {
-		if _, ok := c.nets[pt]; ok {
-			out = append(out, pt)
-		}
-	}
-	return out
-}

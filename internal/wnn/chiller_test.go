@@ -34,8 +34,8 @@ func TestChillerClassifierEndToEnd(t *testing.T) {
 	if clf.FrameLen() != 4096 {
 		t.Error("frame length")
 	}
-	if len(clf.Points()) != 4 {
-		t.Errorf("points %v", clf.Points())
+	if len(clf.nets) != 4 {
+		t.Errorf("%d points instrumented, want 4", len(clf.nets))
 	}
 	// Frame-length mismatch.
 	if _, err := clf.Classify(make([]float64, 128), chiller.MotorDE); err == nil {

@@ -47,21 +47,6 @@ func (fc FeatureConfig) Dim() int {
 	return 4 + fc.NumCepstral + fc.NumDCT + fc.WaveletLevels + 1
 }
 
-// Extract computes the feature vector for one waveform frame. It is the
-// one-shot form of the classifier's feature path: a fresh transform plan and
-// workspace sized for this frame run once.
-func Extract(frame []float64, fc FeatureConfig) ([]float64, error) {
-	plan, err := dsp.NewPlan(dsp.NextPow2(len(frame)))
-	if err != nil {
-		return nil, err
-	}
-	ws, err := newWorkspace(plan, len(frame), fc, nil)
-	if err != nil {
-		return nil, err
-	}
-	return ws.extract(frame, dsp.Waveform(frame))
-}
-
 // workspace is the scratch one frame's classification runs on: the wavelet
 // map engine, the one-sided spectrum of the cepstral stage, the feature
 // vector and the network's activations. It holds no cross-frame state. The

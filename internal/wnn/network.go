@@ -260,12 +260,6 @@ func (n *Network) Train(samples [][]float64, labels []int, opt TrainOptions) (fl
 	return epochLoss, nil
 }
 
-// Predict returns the most probable class and the full probability vector.
-// It is the one-shot form of predict over fresh scratch.
-func (n *Network) Predict(x []float64) (int, []float64, error) {
-	return n.predict(newActivations(n.inDim, n.hidden, n.classes), x)
-}
-
 // predict runs x through the network on a's scratch and returns the most
 // probable class and the probability vector, which aliases a.
 func (n *Network) predict(a *activations, x []float64) (int, []float64, error) {
@@ -282,22 +276,4 @@ func (n *Network) predict(a *activations, x []float64) (int, []float64, error) {
 		}
 	}
 	return best, probs, nil
-}
-
-// Accuracy evaluates top-1 accuracy over a labelled set.
-func (n *Network) Accuracy(samples [][]float64, labels []int) (float64, error) {
-	if len(samples) == 0 || len(samples) != len(labels) {
-		return 0, fmt.Errorf("wnn: %d samples, %d labels", len(samples), len(labels))
-	}
-	correct := 0
-	for i, s := range samples {
-		c, _, err := n.Predict(s)
-		if err != nil {
-			return 0, err
-		}
-		if c == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples)), nil
 }

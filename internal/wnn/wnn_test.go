@@ -1,12 +1,14 @@
 package wnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/chiller"
+	"repro/internal/dsp"
 )
 
 func TestFeatureDim(t *testing.T) {
@@ -289,4 +291,46 @@ func TestChillerFaultClassification(t *testing.T) {
 		t.Errorf("held-out accuracy %.2f < 0.8", acc)
 	}
 	t.Logf("held-out accuracy: %.2f", acc)
+}
+
+// The one-shot forms the tests hold the classifier's reused scratch to: a
+// fresh plan and workspace per frame, fresh activations per prediction.
+
+// Extract computes the feature vector for one waveform frame. It is the
+// one-shot form of the classifier's feature path: a fresh transform plan and
+// workspace sized for this frame run once.
+func Extract(frame []float64, fc FeatureConfig) ([]float64, error) {
+	plan, err := dsp.NewPlan(dsp.NextPow2(len(frame)))
+	if err != nil {
+		return nil, err
+	}
+	ws, err := newWorkspace(plan, len(frame), fc, nil)
+	if err != nil {
+		return nil, err
+	}
+	return ws.extract(frame, dsp.Waveform(frame))
+}
+
+// Predict returns the most probable class and the full probability vector.
+// It is the one-shot form of predict over fresh scratch.
+func (n *Network) Predict(x []float64) (int, []float64, error) {
+	return n.predict(newActivations(n.inDim, n.hidden, n.classes), x)
+}
+
+// Accuracy evaluates top-1 accuracy over a labelled set.
+func (n *Network) Accuracy(samples [][]float64, labels []int) (float64, error) {
+	if len(samples) == 0 || len(samples) != len(labels) {
+		return 0, fmt.Errorf("wnn: %d samples, %d labels", len(samples), len(labels))
+	}
+	correct := 0
+	for i, s := range samples {
+		c, _, err := n.Predict(s)
+		if err != nil {
+			return 0, err
+		}
+		if c == labels[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(samples)), nil
 }
