@@ -89,28 +89,28 @@ func simpleSystem(t *testing.T) *System {
 
 func TestMamdaniInference(t *testing.T) {
 	s := simpleSystem(t)
-	cold, err := s.Infer(map[string]float64{"temp": 10})
+	cold, err := engineInfer(s, map[string]float64{"temp": 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(cold["fan"]-2) > 0.3 {
 		t.Errorf("cold -> fan %g, want ≈2", cold["fan"])
 	}
-	hot, _ := s.Infer(map[string]float64{"temp": 90})
+	hot, _ := engineInfer(s, map[string]float64{"temp": 90})
 	if math.Abs(hot["fan"]-8) > 0.3 {
 		t.Errorf("hot -> fan %g, want ≈8", hot["fan"])
 	}
-	warm, _ := s.Infer(map[string]float64{"temp": 50})
+	warm, _ := engineInfer(s, map[string]float64{"temp": 50})
 	if math.Abs(warm["fan"]-5) > 0.3 {
 		t.Errorf("warm -> fan %g, want ≈5", warm["fan"])
 	}
 	// Between terms: interpolated output.
-	mid, _ := s.Infer(map[string]float64{"temp": 65})
+	mid, _ := engineInfer(s, map[string]float64{"temp": 65})
 	if !(mid["fan"] > warm["fan"] && mid["fan"] < hot["fan"]) {
 		t.Errorf("interpolation: %g not between %g and %g", mid["fan"], warm["fan"], hot["fan"])
 	}
 	// Clamping far outside the domain.
-	frozen, _ := s.Infer(map[string]float64{"temp": -500})
+	frozen, _ := engineInfer(s, map[string]float64{"temp": -500})
 	if math.Abs(frozen["fan"]-cold["fan"]) > 1e-9 {
 		t.Error("clamping failed")
 	}
@@ -122,7 +122,7 @@ func TestInferenceMonotoneProperty(t *testing.T) {
 	s := simpleSystem(t)
 	prev := -1.0
 	for temp := 0.0; temp <= 100; temp += 2.5 {
-		out, err := s.Infer(map[string]float64{"temp": temp})
+		out, err := engineInfer(s, map[string]float64{"temp": temp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,34 +162,52 @@ func TestSystemValidation(t *testing.T) {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
+	many := make([]Rule, maxRules+1)
+	for i := range many {
+		many[i] = ok[0]
+	}
+	if _, err := NewSystem(in, out, many); err == nil {
+		t.Errorf("%d rules: expected error", len(many))
+	}
 	// Inference input validation.
 	s, _ := NewSystem(in, out, ok)
-	if _, err := s.Infer(nil); err == nil {
+	var res [1]float64
+	if err := s.Infer(nil, res[:]); err == nil {
 		t.Error("missing input")
 	}
-	if _, err := s.Infer(map[string]float64{"x": 0.5, "zzz": 1}); err == nil {
+	if err := s.Infer([]float64{0.5, 1}, res[:]); err == nil {
 		t.Error("unexpected input")
+	}
+	if err := s.Infer([]float64{0.5}, nil); err == nil {
+		t.Error("no room for the output")
+	}
+}
+
+// TestInferAllocatesNothing: the compiled engine runs the chiller rulebase
+// on caller arrays without a heap allocation.
+func TestInferAllocatesNothing(t *testing.T) {
+	cd, err := NewChillerDiagnostics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := [...]float64{27, 20, 140, 9, 0.8}
+	var out [2]float64
+	if n := testing.AllocsPerRun(100, func() {
+		if err := cd.sys.Infer(in[:], out[:]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Infer allocates %v times a call, want 0", n)
+	}
+	if out[0] == 0 && out[1] == 0 {
+		t.Fatal("no output fired: the input does not exercise the centroid")
 	}
 }
 
 func TestOrConnective(t *testing.T) {
-	in := []Variable{
-		{Name: "a", Min: 0, Max: 1, Terms: map[string]MF{"hi": ShoulderRight{A: 0.4, B: 0.6}}},
-		{Name: "b", Min: 0, Max: 1, Terms: map[string]MF{"hi": ShoulderRight{A: 0.4, B: 0.6}}},
-	}
-	out := []Variable{{Name: "y", Min: 0, Max: 1, Terms: map[string]MF{
-		"on":  ShoulderRight{A: 0.5, B: 0.8},
-		"off": ShoulderLeft{B: 0.2, C: 0.5},
-	}}}
-	rules := []Rule{
-		{If: []Clause{{"a", "hi"}, {"b", "hi"}}, Op: Or, Then: Clause{"y", "on"}, Weight: 1},
-	}
-	s, err := NewSystem(in, out, rules)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := orSystem(t)
 	// Only one antecedent true: OR still activates.
-	res, err := s.Infer(map[string]float64{"a": 1, "b": 0})
+	res, err := engineInfer(s, map[string]float64{"a": 1, "b": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +215,7 @@ func TestOrConnective(t *testing.T) {
 		t.Errorf("OR rule did not fire: %g", res["y"])
 	}
 	// Neither true: output falls back to domain min.
-	res, _ = s.Infer(map[string]float64{"a": 0, "b": 0})
+	res, _ = engineInfer(s, map[string]float64{"a": 0, "b": 0})
 	if res["y"] != 0 {
 		t.Errorf("no activation should give domain min, got %g", res["y"])
 	}

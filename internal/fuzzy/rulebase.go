@@ -130,14 +130,10 @@ type Result struct {
 // Diagnose evaluates the rulebase against a process snapshot and returns
 // conclusions whose severity clears the call threshold.
 func (c *ChillerDiagnostics) Diagnose(ps chiller.ProcessState, threshold float64) ([]Result, error) {
-	out, err := c.sys.Infer(map[string]float64{
-		"evap_pressure": ps.EvapPressurePSI,
-		"superheat":     ps.SuperheatF,
-		"cond_pressure": ps.CondPressurePSI,
-		"cond_approach": ps.CondApproachF,
-		"load":          ps.LoadFraction,
-	})
-	if err != nil {
+	// Inputs and outputs in the order NewChillerDiagnostics declares them.
+	in := [...]float64{ps.EvapPressurePSI, ps.SuperheatF, ps.CondPressurePSI, ps.CondApproachF, ps.LoadFraction}
+	var out [2]float64 // low_charge, fouling
+	if err := c.sys.Infer(in[:], out[:]); err != nil {
 		return nil, err
 	}
 	var results []Result
@@ -151,8 +147,8 @@ func (c *ChillerDiagnostics) Diagnose(ps chiller.ProcessState, threshold float64
 			})
 		}
 	}
-	add(chiller.RefrigerantLowCharge.String(), out["low_charge"])
-	add(chiller.CondenserFouling.String(), out["fouling"])
+	add(chiller.RefrigerantLowCharge.String(), out[0])
+	add(chiller.CondenserFouling.String(), out[1])
 	return results, nil
 }
 
