@@ -187,7 +187,11 @@ func (g *ChannelGuard) frameVerdict(st *channelState, frame []float64) string {
 // only arms once the channel has shown variation and then freezes; a
 // non-finite reading is always suspect.
 func (g *ChannelGuard) InspectValue(channel string, v float64) string {
-	st := g.state(channel)
+	return g.inspectValue(g.state(channel), v)
+}
+
+// inspectValue is InspectValue on a channel's state the caller looked up.
+func (g *ChannelGuard) inspectValue(st *channelState, v float64) string {
 	verdict := ""
 	switch {
 	case math.IsNaN(v) || math.IsInf(v, 0):

@@ -1,6 +1,7 @@
 package dc
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -303,6 +304,35 @@ func TestDCHeartbeatTask(t *testing.T) {
 	// instant (scheduler seq order), so it reports the 3:30 run.
 	if ps, ok := names["process-scan"]; !ok || ps.Runs != 8 {
 		t.Errorf("process-scan suite status %+v (want 8 runs seen at the 4h heartbeat)", ps)
+	}
+}
+
+// hbRefuser is an uplink that takes reports and refuses every heartbeat.
+type hbRefuser struct{ collector }
+
+func (*hbRefuser) SendHeartbeat(*proto.Heartbeat) error { return fmt.Errorf("heartbeat refused") }
+
+// TestDCCountsRefusedHeartbeats: a refused heartbeat does not stop the DC,
+// is not counted as sent, and is counted as an error.
+func TestDCCountsRefusedHeartbeats(t *testing.T) {
+	cfg := chiller.DefaultConfig()
+	cfg.Seed = 31
+	plant, err := chiller.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcfg := DefaultConfig("dc-1", "chiller/1")
+	dcfg.HeartbeatInterval = time.Hour
+	d, err := New(dcfg, plant, nil, &hbRefuser{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.RunFor(4 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if d.HeartbeatsSent() != 0 || d.HeartbeatErrors() != 5 {
+		t.Fatalf("heartbeats sent %d, refused %d; want 0 and 5 (t=0..4h)", d.HeartbeatsSent(), d.HeartbeatErrors())
 	}
 }
 

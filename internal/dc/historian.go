@@ -2,6 +2,7 @@ package dc
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/chiller"
@@ -28,70 +29,125 @@ func ProcChannel(field string) string { return "proc/" + field }
 // SBFRChannel names an SBFR machine's status-transition channel.
 func SBFRChannel(machine string) string { return "sbfr/" + machine + "/status" }
 
+// vibFeatures is the one table of the per-point feature scalars a
+// vibration test records, in VibFeatures order.
+var vibFeatures = [...]struct {
+	name  string
+	value func(*vibration.Features) float64
+}{
+	{"rms", func(f *vibration.Features) float64 { return f.OverallRMS }},
+	{"crest", func(f *vibration.Features) float64 { return f.CrestFactor }},
+	{"kurtosis", func(f *vibration.Features) float64 { return f.Kurtosis }},
+}
+
 // VibFeatures are the per-point feature scalars recorded each vibration
 // test.
-var VibFeatures = []string{"rms", "crest", "kurtosis"}
+var VibFeatures = func() []string {
+	out := make([]string, len(vibFeatures))
+	for i, f := range vibFeatures {
+		out[i] = f.name
+	}
+	return out
+}()
+
+// vibChannels holds every point's feature channel names, built once.
+var vibChannels = func() (out [chiller.NumPoints][len(vibFeatures)]string) {
+	for _, pt := range chiller.AllPoints() {
+		for k, f := range vibFeatures {
+			out[pt][k] = VibChannel(pt, f.name)
+		}
+	}
+	return out
+}()
+
+// procField is one recorded process scalar: its name, its channel (the
+// historian's and the guard's), and where a snapshot holds its value.
+type procField struct {
+	name    string
+	channel string
+	at      func(*chiller.ProcessState) *float64
+}
+
+// numProcFields is the number of recorded process scalars.
+const numProcFields = 12
+
+// procFields is the one table of recorded process scalars, in ProcFields
+// order, with each channel name built once.
+var procFields = func() [numProcFields]procField {
+	t := [numProcFields]procField{
+		{name: "evap_pressure", at: func(ps *chiller.ProcessState) *float64 { return &ps.EvapPressurePSI }},
+		{name: "cond_pressure", at: func(ps *chiller.ProcessState) *float64 { return &ps.CondPressurePSI }},
+		{name: "evap_approach", at: func(ps *chiller.ProcessState) *float64 { return &ps.EvapApproachF }},
+		{name: "cond_approach", at: func(ps *chiller.ProcessState) *float64 { return &ps.CondApproachF }},
+		{name: "superheat", at: func(ps *chiller.ProcessState) *float64 { return &ps.SuperheatF }},
+		{name: "chw_supply", at: func(ps *chiller.ProcessState) *float64 { return &ps.ChilledSupplyF }},
+		{name: "chw_return", at: func(ps *chiller.ProcessState) *float64 { return &ps.ChilledReturnF }},
+		{name: "motor_current", at: func(ps *chiller.ProcessState) *float64 { return &ps.MotorCurrentA }},
+		{name: "oil_pressure", at: func(ps *chiller.ProcessState) *float64 { return &ps.OilPressurePSI }},
+		{name: "oil_temp", at: func(ps *chiller.ProcessState) *float64 { return &ps.OilTempF }},
+		{name: "vane_position", at: func(ps *chiller.ProcessState) *float64 { return &ps.VanePosition }},
+		{name: "load", at: func(ps *chiller.ProcessState) *float64 { return &ps.LoadFraction }},
+	}
+	for i := range t {
+		t[i].channel = ProcChannel(t[i].name)
+	}
+	return t
+}()
+
+// procScreenOrder lists procFields' indices in name order, the order the
+// guard screens a scan's values in, so a quarantined report names its
+// suspect channels in that order.
+var procScreenOrder = func() (order [numProcFields]int) {
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order[:], func(a, b int) bool { return procFields[order[a]].name < procFields[order[b]].name })
+	return order
+}()
 
 // ProcFields lists the recorded process scalars in a fixed order.
-var ProcFields = []string{
-	"evap_pressure", "cond_pressure", "evap_approach", "cond_approach",
-	"superheat", "chw_supply", "chw_return", "motor_current",
-	"oil_pressure", "oil_temp", "vane_position", "load",
-}
+var ProcFields = func() []string {
+	out := make([]string, numProcFields)
+	for i, f := range procFields {
+		out[i] = f.name
+	}
+	return out
+}()
 
 // ProcessScalars flattens a process snapshot into the recorded channels.
 func ProcessScalars(ps chiller.ProcessState) map[string]float64 {
-	return map[string]float64{
-		"evap_pressure": ps.EvapPressurePSI,
-		"cond_pressure": ps.CondPressurePSI,
-		"evap_approach": ps.EvapApproachF,
-		"cond_approach": ps.CondApproachF,
-		"superheat":     ps.SuperheatF,
-		"chw_supply":    ps.ChilledSupplyF,
-		"chw_return":    ps.ChilledReturnF,
-		"motor_current": ps.MotorCurrentA,
-		"oil_pressure":  ps.OilPressurePSI,
-		"oil_temp":      ps.OilTempF,
-		"vane_position": ps.VanePosition,
-		"load":          ps.LoadFraction,
+	out := make(map[string]float64, numProcFields)
+	for _, f := range procFields {
+		out[f.name] = *f.at(&ps)
 	}
+	return out
 }
 
 // ProcessStateFromScalars rebuilds a process snapshot from recorded
 // scalars — the replay path: stored history back through the analyzers.
 func ProcessStateFromScalars(vals map[string]float64) (chiller.ProcessState, error) {
-	for _, f := range ProcFields {
-		if _, ok := vals[f]; !ok {
-			return chiller.ProcessState{}, fmt.Errorf("dc: replay scalar %q missing", f)
+	var ps chiller.ProcessState
+	for _, f := range procFields {
+		v, ok := vals[f.name]
+		if !ok {
+			return chiller.ProcessState{}, fmt.Errorf("dc: replay scalar %q missing", f.name)
 		}
+		*f.at(&ps) = v
 	}
-	return chiller.ProcessState{
-		EvapPressurePSI: vals["evap_pressure"],
-		CondPressurePSI: vals["cond_pressure"],
-		EvapApproachF:   vals["evap_approach"],
-		CondApproachF:   vals["cond_approach"],
-		SuperheatF:      vals["superheat"],
-		ChilledSupplyF:  vals["chw_supply"],
-		ChilledReturnF:  vals["chw_return"],
-		MotorCurrentA:   vals["motor_current"],
-		OilPressurePSI:  vals["oil_pressure"],
-		OilTempF:        vals["oil_temp"],
-		VanePosition:    vals["vane_position"],
-		LoadFraction:    vals["load"],
-	}, nil
+	return ps, nil
 }
 
 // ensureHistorianChannels registers every channel the DC records.
 func (d *DC) ensureHistorianChannels() error {
 	for _, pt := range chiller.AllPoints() {
-		for _, feat := range VibFeatures {
-			if err := d.hist.EnsureChannel(historian.ChannelConfig{Name: VibChannel(pt, feat)}); err != nil {
+		for _, ch := range vibChannels[pt] {
+			if err := d.hist.EnsureChannel(historian.ChannelConfig{Name: ch}); err != nil {
 				return err
 			}
 		}
 	}
-	for _, f := range ProcFields {
-		if err := d.hist.EnsureChannel(historian.ChannelConfig{Name: ProcChannel(f)}); err != nil {
+	for _, f := range procFields {
+		if err := d.hist.EnsureChannel(historian.ChannelConfig{Name: f.channel}); err != nil {
 			return err
 		}
 	}
@@ -100,20 +156,18 @@ func (d *DC) ensureHistorianChannels() error {
 
 // recordVibrationFeatures stores one acquisition's feature scalars.
 func (d *DC) recordVibrationFeatures(pt chiller.MeasurementPoint, f *vibration.Features, now time.Time) error {
-	for feat, v := range map[string]float64{
-		"rms": f.OverallRMS, "crest": f.CrestFactor, "kurtosis": f.Kurtosis,
-	} {
-		if err := d.hist.Append(VibChannel(pt, feat), now, v); err != nil {
+	for k, ch := range vibChannels[pt] {
+		if err := d.hist.Append(ch, now, vibFeatures[k].value(f)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// recordProcessScan stores the full process-state vector.
-func (d *DC) recordProcessScan(ps chiller.ProcessState, now time.Time) error {
-	for f, v := range ProcessScalars(ps) {
-		if err := d.hist.Append(ProcChannel(f), now, v); err != nil {
+// recordProcessScan stores a scan's process values, in procFields order.
+func (d *DC) recordProcessScan(vals *[numProcFields]float64, now time.Time) error {
+	for i, v := range vals {
+		if err := d.hist.Append(procFields[i].channel, now, v); err != nil {
 			return err
 		}
 	}

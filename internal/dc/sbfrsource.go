@@ -92,7 +92,7 @@ func (d *DC) RunSBFRScan(now time.Time) error {
 	if err := d.cycleSBFR(d.src.ProcessState()); err != nil {
 		return err
 	}
-	for _, name := range d.sbfrSys.MachineNames() {
+	for _, name := range d.sbfrMachines {
 		status, err := d.sbfrSys.Status(name)
 		if err != nil {
 			return err

@@ -226,3 +226,57 @@ func TestTickAllocBudget(t *testing.T) {
 		t.Errorf("SBFR scan tick allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestProcessScanAllocatesNothing is the budget of the scans that run
+// between vibration tests: on a healthy plant, whose scans emit no report,
+// a warm process scan and a warm SBFR scan with no status transition
+// allocate nothing. The historian heads are grown by the warm-up scans and
+// grow again only when they double, so the budget is the best of several
+// scans.
+func TestProcessScanAllocatesNothing(t *testing.T) {
+	const warm, measured = 40, 8
+	plant, err := chiller.New(chiller.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig("dc-scan", "chiller/1")
+	cfg.EnableSBFR = true
+	sink := &collector{}
+	d, err := New(cfg, plant, nil, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	now := cfg.Start
+	for _, scan := range []struct {
+		name string
+		run  func(time.Time) error
+	}{
+		{"process scan", d.RunProcessScan},
+		{"SBFR scan", d.RunSBFRScan},
+	} {
+		bytes := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := scan.run(now); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			now = now.Add(DefaultSBFRInterval)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		for range warm {
+			bytes()
+		}
+		best := bytes()
+		for range measured - 1 {
+			best = min(best, bytes())
+		}
+		if best != 0 {
+			t.Errorf("a warm %s allocates %d bytes, want 0", scan.name, best)
+		}
+	}
+	if n := sink.count(); n != 0 {
+		t.Fatalf("the healthy plant's scans emitted %d reports: the budget is for scans that emit none", n)
+	}
+}
