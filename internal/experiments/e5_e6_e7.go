@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/chiller"
@@ -185,8 +186,16 @@ func E7IngestThroughput(seed int64) (*Result, error) {
 		rate    float64
 		calls   int
 		elapsed time.Duration
+		gcs     uint32
 	}
+	var ms runtime.MemStats
 	for range e7Passes {
+		// Every call allocates the plant's four frames, so collections
+		// land inside each pass; each pass starts from a collected heap so
+		// that it pays for its own garbage only.
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		gcs := ms.NumGC
 		calls, start := 0, stopwatch()
 		var samples int64
 		var elapsed time.Duration
@@ -198,8 +207,9 @@ func E7IngestThroughput(seed int64) (*Result, error) {
 			samples, perCall, calls = samples+n, n, calls+1
 			elapsed = lap(start)
 		}
+		runtime.ReadMemStats(&ms)
 		if rate := float64(samples) / elapsed.Seconds(); rate > best.rate {
-			best.rate, best.calls, best.elapsed = rate, calls, elapsed
+			best.rate, best.calls, best.elapsed, best.gcs = rate, calls, elapsed, ms.NumGC-gcs
 		}
 	}
 	rate := best.rate
@@ -215,7 +225,7 @@ func E7IngestThroughput(seed int64) (*Result, error) {
 			{"samples per call", fmt.Sprintf("%d (%d points, one vibration test's acquire phase)", perCall, chiller.NumPoints)},
 			{"each pass includes", "the simulated plant's frame synthesis"},
 			{"passes", fmt.Sprintf("best of %d, each at least %v", e7Passes, e7PassTime)},
-			{"elapsed (best pass)", fmt.Sprintf("%v for %d calls", best.elapsed.Round(time.Microsecond), best.calls)},
+			{"elapsed (best pass)", fmt.Sprintf("%v for %d calls, %d collections", best.elapsed.Round(time.Microsecond), best.calls, best.gcs)},
 			{"throughput", fmt.Sprintf("%.1f Msamples/s", rate/1e6)},
 			{"required (4ch × 40 kHz)", fmt.Sprintf("%.2f Msamples/s", required/1e6)},
 			{"headroom", fmt.Sprintf("%.0f×", rate/required)},
