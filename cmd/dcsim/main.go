@@ -240,8 +240,8 @@ func printRouting(id string, router *shard.Router) {
 		ids = append(ids, sid)
 	}
 	sort.Strings(ids)
-	line := fmt.Sprintf("dcsim %s: routing — target=%s failovers=%d ring-updates=%d acked-by",
-		id, router.Target(), st.Failovers, st.RingUpdates)
+	line := fmt.Sprintf("dcsim %s: routing — target=%s failovers=%d acked-by",
+		id, router.Target(), st.Failovers)
 	for _, sid := range ids {
 		line += fmt.Sprintf(" %s=%d", sid, st.PerShard[sid])
 	}

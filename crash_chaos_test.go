@@ -176,7 +176,7 @@ func TestCrashChaosKill9Recovery(t *testing.T) {
 	// child instead of the fleet's own PDME, and spools persist on disk so
 	// nothing is lost while the child is down.
 	cfg := chaosFleetConfig(seedBase, t.TempDir())
-	cfg.DialVia = func(string) (string, error) { return childAddr, nil }
+	cfg.DialVia = func(int, string) (string, error) { return childAddr, nil }
 	f, err := NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package dc
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,7 +84,7 @@ func TestSchedulerOrderAndPeriodicity(t *testing.T) {
 		}
 	}
 	add("a", 10*time.Minute, 0)
-	add("b", 0, 15*time.Minute) // one-shot
+	add("b", 20*time.Minute, 15*time.Minute) // next due at 35m, past the end
 	if err := s.RunUntil(start.Add(30 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +97,8 @@ func TestSchedulerOrderAndPeriodicity(t *testing.T) {
 			t.Fatalf("event %d: %s, want %s", i, order[i], want[i])
 		}
 	}
-	if s.Pending() != 1 {
-		t.Errorf("pending %d (periodic a should remain)", s.Pending())
+	if s.Pending() != 2 {
+		t.Errorf("pending %d (a and b should remain)", s.Pending())
 	}
 	if !s.Now().Equal(start.Add(30 * time.Minute)) {
 		t.Errorf("clock %v", s.Now())
@@ -105,11 +107,16 @@ func TestSchedulerOrderAndPeriodicity(t *testing.T) {
 	if err := s.Schedule(nil, 0); err == nil {
 		t.Error("nil task")
 	}
-	if err := s.Schedule(&Task{Name: "x", Run: func(time.Time) error { return nil }}, -time.Second); err == nil {
+	if err := s.Schedule(&Task{Name: "x", Interval: time.Minute, Run: func(time.Time) error { return nil }}, -time.Second); err == nil {
 		t.Error("negative delay")
 	}
+	for _, interval := range []time.Duration{0, -time.Minute} {
+		if err := s.Schedule(&Task{Name: "x", Interval: interval, Run: func(time.Time) error { return nil }}, 0); err == nil {
+			t.Errorf("interval %v accepted", interval)
+		}
+	}
 	// Task errors abort.
-	if err := s.Schedule(&Task{Name: "boom", Run: func(time.Time) error { return fmt.Errorf("boom") }}, 0); err != nil {
+	if err := s.Schedule(&Task{Name: "boom", Interval: time.Hour, Run: func(time.Time) error { return fmt.Errorf("boom") }}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RunUntil(s.Now().Add(time.Minute)); err == nil {
@@ -123,7 +130,7 @@ func TestSchedulerDeterministicTieBreak(t *testing.T) {
 	var order []string
 	for _, name := range []string{"first", "second", "third"} {
 		name := name
-		if err := s.Schedule(&Task{Name: name, Run: func(time.Time) error {
+		if err := s.Schedule(&Task{Name: name, Interval: time.Hour, Run: func(time.Time) error {
 			order = append(order, name)
 			return nil
 		}}, time.Minute); err != nil {
@@ -138,11 +145,65 @@ func TestSchedulerDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestMuxGeometry(t *testing.T) {
-	m := NewMux()
-	if m.Banks() != 8 || m.BankSize() != 4 {
-		t.Fatalf("paper geometry: %d banks of %d channels", m.Banks(), m.BankSize())
+// nanAtSource reads a live plant, but for one non-finite superheat at a
+// given virtual time.
+type nanAtSource struct {
+	*chiller.Plant
+	now func() time.Time
+	at  time.Time
+}
+
+func (s *nanAtSource) ProcessState() chiller.ProcessState {
+	ps := s.Plant.ProcessState()
+	if s.now().Equal(s.at) {
+		ps.SuperheatF = math.NaN()
 	}
+	return ps
+}
+
+// TestFailedScanStaysScheduled: a process scan that fails (the historian
+// refuses a NaN superheat at 00:30) fails its RunFor, but the scan stays on
+// the schedule: the next RunFor runs it every thirty minutes again. The
+// failed run is not counted.
+func TestFailedScanStaysScheduled(t *testing.T) {
+	plant, err := chiller.New(chiller.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig("dc-1", "chiller/1")
+	src := &nanAtSource{Plant: plant, at: cfg.Start.Add(30 * time.Minute)}
+	d, err := New(cfg, src, nil, &collector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	src.now = d.Scheduler().Now
+	scans := func() int64 {
+		for _, st := range d.Scheduler().Statuses() {
+			if st.Name == "process-scan" {
+				return st.Runs
+			}
+		}
+		return 0
+	}
+	if err := d.RunFor(3 * time.Hour); err == nil || !strings.Contains(err.Error(), `"process-scan"`) {
+		t.Fatalf("first RunFor: %v, want the process scan's error", err)
+	}
+	before := scans()
+	if before != 1 {
+		t.Fatalf("%d process scans counted before the failed one, want 1", before)
+	}
+	if err := d.RunFor(3 * time.Hour); err != nil {
+		t.Fatalf("second RunFor: %v", err)
+	}
+	if more := scans() - before; more < 6 {
+		t.Fatalf("%d process scans after the failed one, want at least 6", more)
+	}
+}
+
+func TestMuxGeometry(t *testing.T) {
+	// The paper's geometry: banks 0-7 of 4 lanes, bank 7 lane 3 is channel 31.
+	m := NewMux()
 	if err := m.SelectBank(7); err != nil {
 		t.Fatal(err)
 	}

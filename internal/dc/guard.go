@@ -6,59 +6,37 @@ import (
 	"sort"
 )
 
-// GuardConfig parametrizes the DC's raw sensor-channel guards. The §5.5
-// reports already carry believability factors for conclusions; the guards
-// extend the idea one level down: a conclusion computed from a channel that
-// is behaving like a broken sensor — stuck, dropped out, or spiking — gets
-// its believability capped at the source, and the channel is flagged in the
-// report so the PDME can show maintenance personnel why.
-type GuardConfig struct {
-	// StuckFrames is how many consecutive identical (or flat) observations
-	// mark a channel stuck (0: DefaultStuckFrames).
-	StuckFrames int
-	// FlatEpsilon is the peak-to-peak amplitude below which a vibration
-	// frame counts as flat — a live accelerometer on running machinery is
-	// never this quiet (0: DefaultFlatEpsilon).
-	FlatEpsilon float64
-	// DropoutFraction is the fraction of exactly-zero samples beyond which
-	// a frame counts as dropped out (0: DefaultDropoutFraction).
-	DropoutFraction float64
-	// SpikeFactor is the multiple of the frame RMS beyond which a sample is
-	// an impossible excursion (0: DefaultSpikeFactor). Real bearing impacts
-	// produce crest factors of single digits; a loose connector produces
-	// isolated full-scale hits far beyond that.
-	SpikeFactor float64
-	// BelievabilityCap is the maximum Belief a report derived from a
-	// suspect channel may carry (0: DefaultBelievabilityCap).
-	BelievabilityCap float64
-}
-
-// Defaults for GuardConfig's zero values.
+// The guards screen the DC's raw sensor channels. The §5.5 reports already
+// carry believability factors for conclusions; the guards extend the idea
+// one level down: a conclusion computed from a channel that is behaving like
+// a broken sensor — stuck, dropped out, or spiking — gets its believability
+// capped at the source, and the channel is flagged in the report so the PDME
+// can show maintenance personnel why. Their thresholds are design constants
+// of the DC, like its MUX geometry.
 const (
-	DefaultStuckFrames      = 3
-	DefaultFlatEpsilon      = 1e-9
-	DefaultDropoutFraction  = 0.25
-	DefaultSpikeFactor      = 25.0
-	DefaultBelievabilityCap = 0.2
+	// stuckFrames is how many consecutive identical (or flat) observations
+	// mark a channel stuck.
+	stuckFrames = 3
+	// flatEpsilon is the peak-to-peak amplitude below which a vibration
+	// frame counts as flat — a live accelerometer on running machinery is
+	// never this quiet.
+	flatEpsilon = 1e-9
+	// dropoutFraction is the fraction of exactly-zero samples from which a
+	// frame counts as dropped out.
+	dropoutFraction = 0.25
+	// spikeFactor is the multiple of the frame RMS beyond which a sample is
+	// an impossible excursion. Real bearing impacts produce crest factors of
+	// single digits; a loose connector produces isolated full-scale hits far
+	// beyond that.
+	spikeFactor = 25.0
+	// believabilityCap is the maximum Belief a report derived from a suspect
+	// channel may carry.
+	believabilityCap = 0.2
 )
 
-func (c *GuardConfig) applyDefaults() {
-	if c.StuckFrames <= 0 {
-		c.StuckFrames = DefaultStuckFrames
-	}
-	if c.FlatEpsilon <= 0 {
-		c.FlatEpsilon = DefaultFlatEpsilon
-	}
-	if c.DropoutFraction <= 0 {
-		c.DropoutFraction = DefaultDropoutFraction
-	}
-	if c.SpikeFactor <= 0 {
-		c.SpikeFactor = DefaultSpikeFactor
-	}
-	if c.BelievabilityCap <= 0 {
-		c.BelievabilityCap = DefaultBelievabilityCap
-	}
-}
+// GuardConfig is the guard's configuration. It has no fields: every
+// threshold is a constant.
+type GuardConfig struct{}
 
 // channelState is the guard's per-channel history.
 type channelState struct {
@@ -80,14 +58,12 @@ type channelState struct {
 // channels. It is driven synchronously from the DC's scheduled tasks and is
 // not safe for concurrent use (the DC is single-threaded by design).
 type ChannelGuard struct {
-	cfg      GuardConfig
 	channels map[string]*channelState
 }
 
-// NewChannelGuard builds a guard; zero config fields take defaults.
-func NewChannelGuard(cfg GuardConfig) *ChannelGuard {
-	cfg.applyDefaults()
-	return &ChannelGuard{cfg: cfg, channels: make(map[string]*channelState)}
+// NewChannelGuard builds a guard.
+func NewChannelGuard(GuardConfig) *ChannelGuard {
+	return &ChannelGuard{channels: make(map[string]*channelState)}
 }
 
 func (g *ChannelGuard) state(channel string) *channelState {
@@ -155,26 +131,26 @@ func (g *ChannelGuard) frameVerdict(st *channelState, frame []float64) string {
 			}
 		}
 	}
-	if frac := float64(zeros) / float64(len(frame)); frac >= g.cfg.DropoutFraction {
+	if frac := float64(zeros) / float64(len(frame)); frac >= dropoutFraction {
 		return fmt.Sprintf("dropout: %.0f%% zero samples", frac*100)
 	}
-	if max-min < g.cfg.FlatEpsilon {
-		if st.observe([3]float64{min, max, sumSq}) >= g.cfg.StuckFrames {
+	if max-min < flatEpsilon {
+		if st.observe([3]float64{min, max, sumSq}) >= stuckFrames {
 			return "stuck-at: flatlined frame"
 		}
 		return ""
 	}
 	// Stuck-at on a live-looking signal: the exact same frame statistics
 	// repeating means the acquisition path is replaying one buffer.
-	if st.observe([3]float64{min, max, sumSq}) >= g.cfg.StuckFrames {
+	if st.observe([3]float64{min, max, sumSq}) >= stuckFrames {
 		return "stuck-at: identical frame statistics repeating"
 	}
 	rms := math.Sqrt(sumSq / float64(len(frame)))
 	if rms > 0 {
-		limit := g.cfg.SpikeFactor * rms
+		limit := spikeFactor * rms
 		for _, v := range frame {
 			if math.Abs(v) > limit {
-				return fmt.Sprintf("spike: excursion beyond %.0fx RMS", g.cfg.SpikeFactor)
+				return fmt.Sprintf("spike: excursion beyond %.0fx RMS", spikeFactor)
 			}
 		}
 	}
@@ -196,7 +172,7 @@ func (g *ChannelGuard) inspectValue(st *channelState, v float64) string {
 	switch {
 	case math.IsNaN(v) || math.IsInf(v, 0):
 		verdict = "invalid: non-finite reading"
-	case st.observe([3]float64{v, 0, 0}) >= g.cfg.StuckFrames && st.everChanged:
+	case st.observe([3]float64{v, 0, 0}) >= stuckFrames && st.everChanged:
 		verdict = "stuck-at: constant reading"
 	}
 	st.suspect = verdict
@@ -214,6 +190,3 @@ func (g *ChannelGuard) Suspects() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Cap returns the believability ceiling for suspect-derived reports.
-func (g *ChannelGuard) Cap() float64 { return g.cfg.BelievabilityCap }

@@ -21,11 +21,11 @@ import (
 	"time"
 )
 
-// Task is a scheduled activity.
+// Task is a periodic scheduled activity.
 type Task struct {
 	// Name identifies the task in logs and the task table.
 	Name string
-	// Interval is the repetition period (0 means one-shot).
+	// Interval is the repetition period; it must be positive.
 	Interval time.Duration
 	// Run executes the activity at virtual time now.
 	Run func(now time.Time) error
@@ -91,10 +91,13 @@ func NewScheduler(start time.Time) *Scheduler {
 func (s *Scheduler) Now() time.Time { return s.now }
 
 // Schedule enqueues a task to first run after delay, then repeat at its
-// interval (if non-zero).
+// interval.
 func (s *Scheduler) Schedule(t *Task, delay time.Duration) error {
 	if t == nil || t.Run == nil {
 		return fmt.Errorf("dc: nil task")
+	}
+	if t.Interval <= 0 {
+		return fmt.Errorf("dc: task %q has interval %v, want a positive period", t.Name, t.Interval)
 	}
 	if delay < 0 {
 		return fmt.Errorf("dc: negative delay")
@@ -105,8 +108,10 @@ func (s *Scheduler) Schedule(t *Task, delay time.Duration) error {
 }
 
 // RunUntil executes due tasks in time order until the virtual clock passes
-// end. Task errors abort the run. One-shot tasks are dropped after running;
-// periodic tasks re-enqueue at their interval.
+// end; each run re-enqueues its task at its interval. A task error aborts
+// the run with the clock at the failed run: the task's next occurrence is
+// queued all the same, so a later RunUntil carries on with it, and the
+// failed run does not count in the task's status.
 func (s *Scheduler) RunUntil(end time.Time) error {
 	for len(s.queue) > 0 {
 		next := s.queue[0]
@@ -115,7 +120,10 @@ func (s *Scheduler) RunUntil(end time.Time) error {
 		}
 		heap.Pop(&s.queue)
 		s.now = next.at
-		if err := next.task.Run(s.now); err != nil {
+		err := next.task.Run(s.now)
+		s.seq++
+		heap.Push(&s.queue, &event{at: s.now.Add(next.task.Interval), seq: s.seq, task: next.task})
+		if err != nil {
 			return fmt.Errorf("dc: task %q at %v: %w", next.task.Name, s.now, err)
 		}
 		st, ok := s.status[next.task.Name]
@@ -125,10 +133,6 @@ func (s *Scheduler) RunUntil(end time.Time) error {
 		}
 		st.LastRun = s.now
 		st.Runs++
-		if next.task.Interval > 0 {
-			s.seq++
-			heap.Push(&s.queue, &event{at: s.now.Add(next.task.Interval), seq: s.seq, task: next.task})
-		}
 	}
 	if s.now.Before(end) {
 		s.now = end

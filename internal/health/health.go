@@ -77,11 +77,22 @@ const (
 	DefaultLateAfter        = 5 * time.Minute
 	DefaultSilentAfter      = 15 * time.Minute
 	DefaultFlapWindow       = 30 * time.Minute
-	DefaultFlapRestarts     = 3
 	DefaultFreshFor         = 1 * time.Hour
 	DefaultStalenessHorizon = 24 * time.Hour
-	DefaultSilentPenalty    = 0.5
-	DefaultFlapPenalty      = 0.5
+)
+
+// The flap count and the penalties on a silent or flapping DC's evidence
+// are constants of the registry, not settings.
+const (
+	// flapRestarts is the restart count within FlapWindow that classifies a
+	// DC as Flapping.
+	flapRestarts = 3
+	// silentPenalty multiplies the age-derived reliability of a Silent DC's
+	// evidence.
+	silentPenalty = 0.5
+	// flapPenalty multiplies the age-derived reliability of a Flapping DC's
+	// evidence.
+	flapPenalty = 0.5
 )
 
 // ClockQuantum is the step an injected Clock moves the registry's time by.
@@ -102,9 +113,6 @@ type Config struct {
 	// FlapWindow is the sliding window over which restarts are counted
 	// (0: DefaultFlapWindow).
 	FlapWindow time.Duration
-	// FlapRestarts is the restart count within FlapWindow that classifies a
-	// DC as Flapping (0: DefaultFlapRestarts).
-	FlapRestarts int
 	// FreshFor is the report age up to which evidence keeps full
 	// reliability (0: DefaultFreshFor). Pick at least the slowest suite's
 	// reporting period, or healthy sources will be discounted between runs.
@@ -117,12 +125,6 @@ type Config struct {
 	// default 0 a fully stale source's evidence is discounted away entirely
 	// and its fused conditions decay to total ignorance.
 	ReliabilityFloor float64
-	// SilentPenalty multiplies the age-derived reliability of a Silent DC's
-	// evidence (0: DefaultSilentPenalty; 1 disables the penalty).
-	SilentPenalty float64
-	// FlapPenalty multiplies the age-derived reliability of a Flapping DC's
-	// evidence (0: DefaultFlapPenalty; 1 disables the penalty).
-	FlapPenalty float64
 	// Clock supplies "now" for staleness evaluation, read in ClockQuantum
 	// steps; observed timestamps then stop moving time, so a DC with a fast
 	// clock cannot age everyone else's evidence. Nil runs the registry on
@@ -141,20 +143,11 @@ func (c Config) withDefaults() Config {
 	if c.FlapWindow <= 0 {
 		c.FlapWindow = DefaultFlapWindow
 	}
-	if c.FlapRestarts <= 0 {
-		c.FlapRestarts = DefaultFlapRestarts
-	}
 	if c.FreshFor <= 0 {
 		c.FreshFor = DefaultFreshFor
 	}
 	if c.StalenessHorizon <= 0 {
 		c.StalenessHorizon = DefaultStalenessHorizon
-	}
-	if c.SilentPenalty <= 0 {
-		c.SilentPenalty = DefaultSilentPenalty
-	}
-	if c.FlapPenalty <= 0 {
-		c.FlapPenalty = DefaultFlapPenalty
 	}
 	return c
 }
@@ -171,9 +164,6 @@ func (c Config) Validate() error {
 	}
 	if c.ReliabilityFloor < 0 || c.ReliabilityFloor >= 1 {
 		return fmt.Errorf("health: ReliabilityFloor %g outside [0,1)", c.ReliabilityFloor)
-	}
-	if c.SilentPenalty > 1 || c.FlapPenalty > 1 {
-		return fmt.Errorf("health: penalties must be at most 1")
 	}
 	return nil
 }
@@ -352,7 +342,7 @@ func (g *Registry) stateLocked(r *dcRecord, now time.Time) State {
 		return StateUnknown
 	}
 	r.pruneRestarts(now, g.cfg.FlapWindow)
-	if len(r.restarts) >= g.cfg.FlapRestarts {
+	if len(r.restarts) >= flapRestarts {
 		return StateFlapping
 	}
 	age := now.Sub(r.lastSeen())
@@ -386,9 +376,9 @@ func (g *Registry) Reliability(dcid string, lastReport time.Time) float64 {
 	alpha := g.ageFactor(now.Sub(lastReport))
 	switch g.stateLocked(g.dcs[dcid], now) {
 	case StateSilent:
-		alpha *= g.cfg.SilentPenalty
+		alpha *= silentPenalty
 	case StateFlapping:
-		alpha *= g.cfg.FlapPenalty
+		alpha *= flapPenalty
 	}
 	if alpha < g.cfg.ReliabilityFloor {
 		alpha = g.cfg.ReliabilityFloor

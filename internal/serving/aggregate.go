@@ -116,7 +116,7 @@ type fleetAPI struct {
 // handler per aggregator (a second takes the write-window hook from the
 // first, whose kept rows then stop following the aggregator).
 func AggregatorHandler(a *shard.Aggregator) http.Handler {
-	return fleetAPI{open(aggregatorSource{a}, Options{}), a}.handler()
+	return fleetAPI{open(aggregatorSource{a}), a}.handler()
 }
 
 func (f fleetAPI) handler() http.Handler {

@@ -309,7 +309,7 @@ func TestAggregatorRankedHitAllocsPerResponseNotPerRow(t *testing.T) {
 				}
 			}
 		}
-		f := fleetAPI{open(aggregatorSource{agg}, Options{}), agg}
+		f := fleetAPI{open(aggregatorSource{agg}), agg}
 		handler := f.handler()
 		req := httptest.NewRequest(http.MethodGet, "/ranked", nil)
 		w := &reusableWriter{header: http.Header{}}
@@ -360,7 +360,7 @@ func TestRecheckedRankingAllocsPerRefreshNotPerBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		v := open(aggregatorSource{agg}, Options{})
+		v := open(aggregatorSource{agg})
 		v.Ranked() // materializes every block
 		before := v.Stats()
 		allocs := testing.AllocsPerRun(50, func() {

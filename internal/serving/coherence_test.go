@@ -300,7 +300,7 @@ func aggregatorCoherenceProperty(t *testing.T, seed int64, wall bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := fleetAPI{open(aggregatorSource{a}, Options{}), a}
+	f := fleetAPI{open(aggregatorSource{a}), a}
 	handler := f.handler()
 
 	type seen struct{ epoch, observed uint64 }
@@ -553,7 +553,7 @@ func aggregatorCoherenceConcurrent(t *testing.T, wall bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := fleetAPI{open(aggregatorSource{a}, Options{}), a}
+	f := fleetAPI{open(aggregatorSource{a}), a}
 	runCoherenceConcurrent(t, clock, concurrentBackend{
 		v: f.v,
 		report: func(seq int, machine string, belief float64, at time.Time) error {

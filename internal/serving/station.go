@@ -90,11 +90,11 @@ func (s pdmeSource) fresh() []*row {
 // Open attaches a serving tier to the engine by installing the write-window
 // hook (one tier per PDME — a second Open replaces the first's hook). Close
 // detaches it.
-func Open(engine *pdme.PDME, opts Options) (*Views, error) {
+func Open(engine *pdme.PDME, _ Options) (*Views, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("serving: nil engine")
 	}
-	v := open(pdmeSource{engine}, opts)
+	v := open(pdmeSource{engine})
 	v.engine = engine
 	return v, nil
 }

@@ -63,12 +63,12 @@ import (
 	"repro/internal/pdme"
 )
 
-// Options tunes the tier.
-type Options struct {
-	// WatchBuffer is the default per-subscription notice buffer (0: 16).
-	WatchBuffer int
-}
+// Options is the tier's configuration. It has no fields: the tier has no
+// setting a caller varies.
+type Options struct{}
 
+// defaultWatchBuffer is a subscription's notice buffer when Watch is given
+// none.
 const defaultWatchBuffer = 16
 
 // blockKey names one block: a logical failure group on a component. The zero
@@ -197,8 +197,7 @@ type source interface {
 // Views is the read-side serving tier over one source. Safe for concurrent
 // use by any number of readers while deliveries run at full rate.
 type Views struct {
-	src  source
-	opts Options
+	src source
 
 	mu     sync.RWMutex
 	blocks map[blockKey]*block
@@ -260,13 +259,9 @@ type Views struct {
 // open attaches a tier to a source and installs it as the source's
 // write-window hook (one tier per source — a second open replaces the
 // first's hook). Close detaches it.
-func open(src source, opts Options) *Views {
-	if opts.WatchBuffer <= 0 {
-		opts.WatchBuffer = defaultWatchBuffer
-	}
+func open(src source) *Views {
 	v := &Views{
 		src:     src,
-		opts:    opts,
 		reg:     src.Health(),
 		blocks:  make(map[blockKey]*block),
 		dirty:   make(map[*block]struct{}),

@@ -306,7 +306,7 @@ func TestDiscountedTierFusesOnlyWhatChanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := fleetAPI{open(aggregatorSource{a}, Options{}), a}
+		f := fleetAPI{open(aggregatorSource{a}), a}
 		for i, m := range machines[:3] {
 			s := testSummary("shard-1", m, "imbalance", 0.5+0.1*float64(i), now)
 			if err := a.DeliverSummary(s, s.ShardID, 1, uint64(i+1)); err != nil {
@@ -531,7 +531,7 @@ func TestUnreadTierStaysBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := fleetAPI{open(aggregatorSource{agg}, Options{}), agg}
+		f := fleetAPI{open(aggregatorSource{agg}), agg}
 		for i := 0; i < 10000; i++ {
 			s := testSummary("shard-1", machines[i%len(machines)], conditions[i%len(conditions)], 0.5, base.Add(time.Duration(i)*time.Second))
 			s.Group = groupOf(s.Condition)

@@ -40,10 +40,10 @@ type Subscription struct {
 }
 
 // Watch subscribes to change notices, for every component (component == "")
-// or one component. buf bounds the notice buffer (0: Options.WatchBuffer).
+// or one component. buf bounds the notice buffer (0: 16).
 func (v *Views) Watch(component string, buf int) *Subscription {
 	if buf <= 0 {
-		buf = v.opts.WatchBuffer
+		buf = defaultWatchBuffer
 	}
 	ch := make(chan Notice, buf)
 	s := &Subscription{v: v, component: component, ch: ch, C: ch}

@@ -66,9 +66,8 @@ func ParseMembers(spec string) ([]Member, error) {
 //     no others, each to its HRW successor — the same member Successor
 //     reports, so router-side failover and ring-side reassignment agree.
 //
-// Ring is immutable after construction except through Remove/Add, which
-// bump Version. It is not safe for concurrent mutation; wrap it or swap
-// whole rings under the caller's lock (Router does the latter).
+// Ring is immutable after construction, so it may be shared between
+// goroutines; membership changes by building a new ring.
 type Ring struct {
 	version uint64
 	members []Member          // sorted by ID
@@ -187,8 +186,9 @@ func (r *Ring) Assign(key string) string {
 // Successor returns the member that should serve the key given the set of
 // members currently believed down: the owner when it is up, otherwise the
 // first non-down member in the key's HRW preference order — exactly the
-// member Remove would reassign the key to, so a router that failed over
-// before the ring change needs no second move after it.
+// member a ring without the down members would assign the key to, so a
+// router that failed over before a ring change needs no second move after
+// it.
 func (r *Ring) Successor(key string, down map[string]bool) (string, bool) {
 	owner := r.Assign(key)
 	if !down[owner] {
@@ -200,63 +200,4 @@ func (r *Ring) Successor(key string, down map[string]bool) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Remove drops a member, bumping the version and reassigning only that
-// member's keys — each to its HRW successor among the survivors, with no
-// capacity cap (the bound holds because the removed member owned at most
-// ceil(N/M) keys). It returns the moved keys, sorted.
-func (r *Ring) Remove(id string) ([]string, error) {
-	idx := -1
-	for i, m := range r.members {
-		if m.ID == id {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("shard: ring has no member %q", id)
-	}
-	if len(r.members) == 1 {
-		return nil, fmt.Errorf("shard: cannot remove last ring member %q", id)
-	}
-	r.members = append(r.members[:idx], r.members[idx+1:]...)
-	r.version++
-	down := map[string]bool{id: true}
-	var moved []string
-	for _, k := range r.keys {
-		if r.assign[k] != id {
-			continue
-		}
-		next, ok := r.Successor(k, down)
-		if !ok { // unreachable: at least one member survives
-			return nil, fmt.Errorf("shard: no successor for key %q", k)
-		}
-		r.assign[k] = next
-		moved = append(moved, k)
-	}
-	return moved, nil
-}
-
-// Add introduces a member, bumping the version. Only keys whose pure-HRW
-// first preference in the new membership is the new member move to it —
-// expected N/M keys, nothing else disturbed.
-func (r *Ring) Add(m Member) ([]string, error) {
-	if m.ID == "" {
-		return nil, fmt.Errorf("shard: ring member has empty id")
-	}
-	if _, ok := r.MemberAddr(m.ID); ok {
-		return nil, fmt.Errorf("shard: ring already has member %q", m.ID)
-	}
-	r.members = append(r.members, m)
-	sort.Slice(r.members, func(i, j int) bool { return r.members[i].ID < r.members[j].ID })
-	r.version++
-	var moved []string
-	for _, k := range r.keys {
-		if prefOrder(k, r.members)[0] == m.ID {
-			r.assign[k] = m.ID
-			moved = append(moved, k)
-		}
-	}
-	return moved, nil
 }

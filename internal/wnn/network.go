@@ -160,20 +160,23 @@ func (n *Network) forward(a *activations, z []float64) (hid, dhid, probs []float
 	return hid, dhid, probs
 }
 
+// SGD's step size and weight decay are constants, adequate for the
+// diagnostic corpora in this repository.
+const (
+	learningRate = 0.02
+	l2           = 1e-4
+)
+
 // TrainOptions configures SGD.
 type TrainOptions struct {
 	// Epochs is the number of full passes over the training set.
 	Epochs int
-	// LearningRate is the SGD step size.
-	LearningRate float64
-	// L2 is the weight decay coefficient.
-	L2 float64
 }
 
-// DefaultTrainOptions returns a configuration adequate for the diagnostic
-// corpora in this repository.
+// DefaultTrainOptions returns the epoch count the chiller classifier trains
+// for.
 func DefaultTrainOptions() TrainOptions {
-	return TrainOptions{Epochs: 60, LearningRate: 0.02, L2: 1e-4}
+	return TrainOptions{Epochs: 60}
 }
 
 // Train fits the network on samples with integer class labels. It fits the
@@ -191,7 +194,7 @@ func (n *Network) Train(samples [][]float64, labels []int, opt TrainOptions) (fl
 			return 0, fmt.Errorf("wnn: label %d out of range", labels[i])
 		}
 	}
-	if opt.Epochs < 1 || opt.LearningRate <= 0 {
+	if opt.Epochs < 1 {
 		return 0, fmt.Errorf("wnn: invalid training options %+v", opt)
 	}
 	n.fitScaler(samples)
@@ -232,15 +235,14 @@ func (n *Network) Train(samples [][]float64, labels []int, opt TrainOptions) (fl
 					dhidden[h] += g * w[h]
 				}
 			}
-			lr := opt.LearningRate
 			// Update output layer.
 			for c := 0; c < n.classes; c++ {
 				g := dlogit[c]
 				w := n.w2[c]
 				for h := 0; h < n.hidden; h++ {
-					w[h] -= lr * (g*hid[h] + opt.L2*w[h])
+					w[h] -= learningRate * (g*hid[h] + l2*w[h])
 				}
-				n.b2[c] -= lr * g
+				n.b2[c] -= learningRate * g
 			}
 			// Update wavelon layer through the activation derivative.
 			for h := 0; h < n.hidden; h++ {
@@ -250,9 +252,9 @@ func (n *Network) Train(samples [][]float64, labels []int, opt TrainOptions) (fl
 				}
 				w := n.w1[h]
 				for i, zi := range z {
-					w[i] -= lr * (g*zi + opt.L2*w[i])
+					w[i] -= learningRate * (g*zi + l2*w[i])
 				}
-				n.b1[h] -= lr * g
+				n.b1[h] -= learningRate * g
 			}
 		}
 		epochLoss /= float64(len(samples))

@@ -92,7 +92,7 @@ func TestNetworkValidation(t *testing.T) {
 	if _, err := n.Train([][]float64{{1, 2, 3}}, []int{5}, DefaultTrainOptions()); err == nil {
 		t.Error("label out of range")
 	}
-	if _, err := n.Train([][]float64{{1, 2, 3}}, []int{0}, TrainOptions{Epochs: 0, LearningRate: 0.1}); err == nil {
+	if _, err := n.Train([][]float64{{1, 2, 3}}, []int{0}, TrainOptions{Epochs: 0}); err == nil {
 		t.Error("zero epochs")
 	}
 	if _, _, err := n.Predict([]float64{1}); err == nil {

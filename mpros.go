@@ -122,12 +122,6 @@ type StationConfig struct {
 	// process recovers its fusion state (evidence, dedup window, health
 	// history) bit-for-bit on the next NewStation over the same directory.
 	JournalDir string
-	// JournalCheckpointEvery overrides the automatic checkpoint cadence with
-	// an exact count of accepted records. 0 paces it by the state: a
-	// checkpoint once at least pdme.DefaultCheckpointEvery records and twice
-	// the last checkpoint's length of WAL bytes have accumulated. Negative:
-	// no automatic checkpoints (see pdme.JournalOptions.CheckpointEvery).
-	JournalCheckpointEvery int
 	// DedupWindow overrides the PDME's per-DC duplicate-suppression window
 	// capacity (0: proto.DefaultDedupWindow, 4096 sequences).
 	DedupWindow int
@@ -181,7 +175,7 @@ func NewStation(cfg StationConfig) (*Station, error) {
 		return err
 	}
 	node, err := OpenNode(cfg.HistorianDir, cfg.Health, cfg.DedupWindow, modelMachine,
-		pdme.JournalOptions{Dir: cfg.JournalDir, CheckpointEvery: cfg.JournalCheckpointEvery}, nil)
+		pdme.JournalOptions{Dir: cfg.JournalDir}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -262,15 +256,11 @@ type FleetConfig struct {
 	// Addr, DCID, and SpoolDir are filled in per station. Zero values take
 	// the uplink package defaults.
 	Uplink uplink.Config
-	// DialVia, when set, is called with the PDME's bound address and
-	// returns the address stations should dial instead — the hook where
-	// chaos tests interpose a netfault proxy.
-	DialVia func(pdmeAddr string) (string, error)
-	// StationDialVia is the per-station variant of DialVia: it receives the
-	// station index as well, so chaos tests can give each DC its own proxy
-	// and partition them independently. When set it takes precedence over
-	// DialVia.
-	StationDialVia func(station int, pdmeAddr string) (string, error)
+	// DialVia, when set, is called for each station with its index and the
+	// PDME's bound address, and returns the address that station dials
+	// instead — the hook where chaos tests interpose a netfault proxy, one
+	// per station or one shared by all.
+	DialVia func(station int, pdmeAddr string) (string, error)
 	// WrapSource, when set, interposes on each station's plant before the
 	// DC instruments it — the hook where chaos tests inject sensor faults
 	// (stuck channels, dropouts) for a single station.
@@ -286,9 +276,10 @@ type FleetConfig struct {
 	// DedupWindow overrides the PDME's per-DC duplicate-suppression window
 	// capacity (0: proto.DefaultDedupWindow, 4096 sequences).
 	DedupWindow int
-	// FlushTimeout bounds Advance's post-run spool drain (0: 60s).
-	FlushTimeout time.Duration
 }
+
+// fleetFlushTimeout bounds Advance's post-run spool drain.
+const fleetFlushTimeout = 60 * time.Second
 
 // Fleet is a PDME plus several networked DCs.
 type Fleet struct {
@@ -300,8 +291,7 @@ type Fleet struct {
 	// DialVia override).
 	Stations []*FleetStation
 
-	flushTimeout time.Duration
-	node         *Node
+	node *Node
 }
 
 // FleetStation is one DC of a fleet.
@@ -314,6 +304,7 @@ type FleetStation struct {
 	// for server-side dedup. Counters() exposes delivery statistics.
 	Uplink *uplink.Uplink
 
+	// upCfg is the configuration the station's uplink was built from.
 	upCfg uplink.Config
 }
 
@@ -324,9 +315,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
-	}
-	if cfg.FlushTimeout <= 0 {
-		cfg.FlushTimeout = 60 * time.Second
 	}
 	machines := make([]oosm.ObjectID, cfg.DCCount)
 	modelMachines := func(model *oosm.Model) error {
@@ -345,17 +333,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{PDME: node.PDME, flushTimeout: cfg.FlushTimeout, node: node}
+	f := &Fleet{PDME: node.PDME, node: node}
 	if f.Addr, err = node.Serve(cfg.Addr, 0); err != nil {
 		f.Close()
 		return nil, err
-	}
-	dialAddr := f.Addr
-	if cfg.DialVia != nil {
-		if dialAddr, err = cfg.DialVia(f.Addr); err != nil {
-			f.Close()
-			return nil, err
-		}
 	}
 	for i := 0; i < cfg.DCCount; i++ {
 		plantCfg := chiller.DefaultConfig()
@@ -367,10 +348,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		}
 		dcid := fmt.Sprintf("dc-%d", i+1)
 		upCfg := cfg.Uplink
-		upCfg.Addr = dialAddr
+		upCfg.Addr = f.Addr
 		upCfg.DCID = dcid
-		if cfg.StationDialVia != nil {
-			if upCfg.Addr, err = cfg.StationDialVia(i, f.Addr); err != nil {
+		if cfg.DialVia != nil {
+			if upCfg.Addr, err = cfg.DialVia(i, f.Addr); err != nil {
 				f.Close()
 				return nil, err
 			}
@@ -411,7 +392,7 @@ func (f *Fleet) Advance(d time.Duration) error {
 			return err
 		}
 	}
-	return f.Flush(f.flushTimeout)
+	return f.Flush(fleetFlushTimeout)
 }
 
 // Flush blocks until every station's spool is drained or the timeout
@@ -428,48 +409,6 @@ func (f *Fleet) Flush(timeout time.Duration) error {
 		}
 	}
 	return nil
-}
-
-// RestartUplink tears down station i's uplink and builds a fresh one from
-// the same configuration — a DC process restart without losing the plant or
-// analyzer state. A persistent spool (FleetConfig.SpoolDir) carries pending
-// reports across the restart; the new uplink draws a fresh incarnation id,
-// so repeated restarts register as flapping in the PDME's health registry.
-func (f *Fleet) RestartUplink(i int) error {
-	if i < 0 || i >= len(f.Stations) {
-		return fmt.Errorf("mpros: no station %d", i)
-	}
-	s := f.Stations[i]
-	if s.Uplink != nil {
-		if err := s.Uplink.Close(); err != nil {
-			return err
-		}
-	}
-	up, err := uplink.New(s.upCfg)
-	if err != nil {
-		return err
-	}
-	if err := s.DC.SetUplink(up); err != nil {
-		up.Close()
-		return err
-	}
-	s.Uplink = up
-	return nil
-}
-
-// StopServer closes the PDME's report server, severing every station
-// mid-whatever-it-was-doing. Stations spool until RestartServer.
-func (f *Fleet) StopServer() error { return f.node.StopServer() }
-
-// RestartServer rebinds the PDME's report server on the same address (after
-// StopServer, or to bounce a live one). The PDME's dedup window persists
-// across the restart, so replayed reports are not double-fused.
-func (f *Fleet) RestartServer() error {
-	if err := f.StopServer(); err != nil {
-		return err
-	}
-	_, err := f.node.Serve(f.Addr, 0)
-	return err
 }
 
 // Close shuts down uplinks, the server, and the PDME.

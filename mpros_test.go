@@ -263,7 +263,6 @@ func chaosFleetConfig(seedBase int64, spoolDir string) FleetConfig {
 			BackoffMin:  5 * time.Millisecond,
 			BackoffMax:  100 * time.Millisecond,
 		},
-		FlushTimeout: time.Minute,
 	}
 }
 
@@ -326,10 +325,15 @@ func TestFleetChaosResilience(t *testing.T) {
 	// Chaos run: same seeds and virtual schedule, behind the fault proxy.
 	var proxy *netfault.Proxy
 	cfg := chaosFleetConfig(seedBase, t.TempDir())
-	cfg.DialVia = func(pdmeAddr string) (string, error) {
-		p, err := netfault.New(pdmeAddr, netfault.Options{Seed: 13})
-		proxy = p
-		return p.Addr(), err
+	cfg.DialVia = func(_ int, pdmeAddr string) (string, error) {
+		if proxy == nil {
+			p, err := netfault.New(pdmeAddr, netfault.Options{Seed: 13})
+			if err != nil {
+				return "", err
+			}
+			proxy = p
+		}
+		return proxy.Addr(), nil
 	}
 	f, err := NewFleet(cfg)
 	if err != nil {
@@ -353,7 +357,10 @@ func TestFleetChaosResilience(t *testing.T) {
 	go func() { done <- f.Advance(4 * time.Hour) }()
 	time.Sleep(25 * time.Millisecond)
 	proxy.KillConns()
-	if err := f.RestartServer(); err != nil {
+	if err := f.node.StopServer(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.node.Serve(f.Addr, 0); err != nil {
 		t.Fatal(err)
 	}
 	proxy.KillConns()
@@ -415,7 +422,6 @@ func chaosHealthConfig() HealthConfig {
 		LateAfter:        30 * time.Minute,
 		SilentAfter:      time.Hour,
 		FlapWindow:       3 * time.Hour,
-		FlapRestarts:     3,
 		FreshFor:         time.Hour,
 		StalenessHorizon: 6 * time.Hour,
 		ReliabilityFloor: 0.05,
@@ -434,6 +440,28 @@ func groupOf(t *testing.T, fault chiller.Fault) string {
 	}
 	t.Fatalf("no group contains %v", fault)
 	return ""
+}
+
+// restartUplink tears down station i's uplink and builds a fresh one from
+// the same configuration — a DC process restart without losing the plant or
+// analyzer state. A persistent spool (FleetConfig.SpoolDir) carries pending
+// reports across the restart; the new uplink draws a fresh incarnation id,
+// so repeated restarts register as flapping in the PDME's health registry.
+func restartUplink(f *Fleet, i int) error {
+	s := f.Stations[i]
+	if err := s.Uplink.Close(); err != nil {
+		return err
+	}
+	up, err := uplink.New(s.upCfg)
+	if err != nil {
+		return err
+	}
+	if err := s.DC.SetUplink(up); err != nil {
+		up.Close()
+		return err
+	}
+	s.Uplink = up
+	return nil
 }
 
 // waitHealthWatermark polls until the PDME's event-time watermark reaches
@@ -539,7 +567,7 @@ func TestFleetChaosDegradedOperation(t *testing.T) {
 	// Chaos run: station 0 dials through its own netfault proxy.
 	var proxy *netfault.Proxy
 	cfg := degradedFleetConfig(seedBase, t.TempDir())
-	cfg.StationDialVia = func(station int, pdmeAddr string) (string, error) {
+	cfg.DialVia = func(station int, pdmeAddr string) (string, error) {
 		if station != 0 {
 			return pdmeAddr, nil
 		}
@@ -736,7 +764,7 @@ func TestFleetChaosFlapAndDeath(t *testing.T) {
 	}
 	live := f.Stations[:2]
 	for h := 1; h <= 3; h++ {
-		if err := f.RestartUplink(1); err != nil {
+		if err := restartUplink(f, 1); err != nil {
 			t.Fatal(err)
 		}
 		for _, st := range live {
