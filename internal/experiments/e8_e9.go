@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/bayes"
 	"repro/internal/chiller"
 	"repro/internal/dempster"
 	"repro/internal/fusion"
@@ -101,53 +100,58 @@ func E8GroupAblation(seed int64) (*Result, error) {
 // episodes. Accuracy is plotted against N.
 func E9DSvsBayes(seed int64) (*Result, error) {
 	rng := rand.New(rand.NewSource(seed + 7))
-	faults := []string{"imbalance", "misalignment", "bearing", "looseness"}
-	const numSources = 3
+	const numFaults, numSources = 4, 3
+	faults := [numFaults]string{"imbalance", "misalignment", "bearing", "looseness"}
+	// An episode: the true fault and each source's report, as indices into
+	// faults.
+	type episode struct {
+		truth int
+		obs   [numSources]int
+	}
 	// True model: uniform fault prior; each source reports the true fault
 	// with probability 0.7, otherwise a uniformly wrong one.
 	const sourceAccuracy = 0.7
-	sample := func() (string, []string) {
-		truth := faults[rng.Intn(len(faults))]
-		obs := make([]string, numSources)
-		for s := range obs {
+	sample := func() episode {
+		e := episode{truth: rng.Intn(numFaults)}
+		for s := range e.obs {
 			if rng.Float64() < sourceAccuracy {
-				obs[s] = truth
+				e.obs[s] = e.truth
 			} else {
 				for {
-					o := faults[rng.Intn(len(faults))]
-					if o != truth {
-						obs[s] = o
+					o := rng.Intn(numFaults)
+					if o != e.truth {
+						e.obs[s] = o
 						break
 					}
 				}
 			}
 		}
-		return truth, obs
+		return e
 	}
 
 	// DS diagnosis: combine a simple support of belief 0.6 in obs_s per
 	// source, pick the highest-belief singleton. The 0.6 is a generic
 	// "sources are usually right" figure — exactly the no-priors regime.
-	frame := dempster.MustFrame(faults...)
+	frame := dempster.MustFrame(faults[:]...)
 	var acc, ev, next dempster.Mass
-	dsDiagnose := func(obs []string) (string, error) {
+	dsDiagnose := func(obs [numSources]int) (int, error) {
 		acc.SetVacuous(frame)
 		for _, o := range obs {
-			h, err := frame.Hypothesis(o)
+			h, err := frame.Hypothesis(faults[o])
 			if err != nil {
-				return "", err
+				return 0, err
 			}
 			if err := ev.SetSimpleSupport(frame, h, 0.6); err != nil {
-				return "", err
+				return 0, err
 			}
 			if _, err := dempster.CombineInto(&next, &acc, &ev); err != nil {
-				return "", err
+				return 0, err
 			}
 			acc, next = next, acc
 		}
-		best, bestBel := "", -1.0
-		for _, f := range faults {
-			h, _ := frame.Hypothesis(f)
+		best, bestBel := 0, -1.0
+		for f, name := range faults {
+			h, _ := frame.Hypothesis(name)
 			if b := acc.Belief(h); b > bestBel {
 				best, bestBel = f, b
 			}
@@ -156,97 +160,76 @@ func E9DSvsBayes(seed int64) (*Result, error) {
 	}
 
 	// Bayes diagnosis with CPTs estimated from n training episodes
-	// (Laplace-smoothed), exact posterior via variable elimination.
-	buildNet := func(n int) (*bayes.Network, error) {
-		counts := make([]map[string]map[string]int, numSources)
-		for s := range counts {
-			counts[s] = map[string]map[string]int{}
-			for _, f := range faults {
-				counts[s][f] = map[string]int{}
-			}
-		}
-		prior := map[string]int{}
+	// (Laplace-smoothed). The net is naive Bayes — the fault is every
+	// source's one parent — and every source is observed, so the exact
+	// posterior is the prior times one CPT entry per source, normalized.
+	type naiveBayes struct {
+		prior [numFaults]float64
+		cpt   [numSources][numFaults][numFaults]float64 // [source][fault][report]
+	}
+	buildNet := func(n int) *naiveBayes {
+		var prior [numFaults]int
+		var counts [numSources][numFaults][numFaults]int
 		for i := 0; i < n; i++ {
-			truth, obs := sample()
-			prior[truth]++
-			for s, o := range obs {
-				counts[s][truth][o]++
+			e := sample()
+			prior[e.truth]++
+			for s, o := range e.obs {
+				counts[s][e.truth][o]++
 			}
 		}
-		net := bayes.NewNetwork()
-		if err := net.AddVariable(bayes.Variable{Name: "fault", States: faults}); err != nil {
-			return nil, err
+		net := &naiveBayes{}
+		for f, c := range prior {
+			net.prior[f] = float64(c+1) / float64(n+numFaults)
 		}
-		priorRow := make([]float64, len(faults))
-		for i, f := range faults {
-			priorRow[i] = float64(prior[f]+1) / float64(n+len(faults))
-		}
-		if err := net.SetCPT("fault", [][]float64{normalize(priorRow)}); err != nil {
-			return nil, err
-		}
-		for s := 0; s < numSources; s++ {
-			name := fmt.Sprintf("source%d", s)
-			if err := net.AddVariable(bayes.Variable{Name: name, States: faults}, "fault"); err != nil {
-				return nil, err
-			}
-			rows := make([][]float64, len(faults))
-			for fi, f := range faults {
-				row := make([]float64, len(faults))
+		normalize(net.prior[:])
+		for s := range counts {
+			for f, row := range counts[s] {
 				total := 0
-				for _, c := range counts[s][f] {
+				for _, c := range row {
 					total += c
 				}
-				for oi, o := range faults {
-					row[oi] = float64(counts[s][f][o]+1) / float64(total+len(faults))
+				for o, c := range row {
+					net.cpt[s][f][o] = float64(c+1) / float64(total+numFaults)
 				}
-				rows[fi] = normalize(row)
-			}
-			if err := net.SetCPT(name, rows); err != nil {
-				return nil, err
+				normalize(net.cpt[s][f][:])
 			}
 		}
-		if err := net.Compile(); err != nil {
-			return nil, err
-		}
-		return net, nil
+		return net
 	}
-	bayesDiagnose := func(net *bayes.Network, obs []string) (string, error) {
-		ev := bayes.Evidence{}
-		for s, o := range obs {
-			ev[fmt.Sprintf("source%d", s)] = o
+	bayesDiagnose := func(net *naiveBayes, obs [numSources]int) int {
+		var p [numFaults]float64
+		var z float64
+		for f := range p {
+			p[f] = net.prior[f]
+			for s, o := range obs {
+				p[f] *= net.cpt[s][f][o]
+			}
+			z += p[f]
 		}
-		post, err := net.Query("fault", ev)
-		if err != nil {
-			return "", err
-		}
-		// Ties are common with few training episodes: break them in
-		// fault order, not map order, so a seed repeats its table.
-		best, bestP := "", -1.0
-		for _, f := range faults {
-			if p := post[f]; p > bestP {
-				best, bestP = f, p
+		// Ties are common with few training episodes: break them in fault
+		// order, and on the normalized posterior, so that values equal only
+		// after dividing by z tie too.
+		best, bestP := 0, -1.0
+		for f := range p {
+			if post := p[f] / z; post > bestP {
+				best, bestP = f, post
 			}
 		}
-		return best, nil
+		return best
 	}
 
 	const testEpisodes = 1500
-	type testCase struct {
-		truth string
-		obs   []string
-	}
-	tests := make([]testCase, testEpisodes)
+	tests := make([]episode, testEpisodes)
 	for i := range tests {
-		truth, obs := sample()
-		tests[i] = testCase{truth, obs}
+		tests[i] = sample()
 	}
 	dsCorrect := 0
-	for _, tc := range tests {
-		got, err := dsDiagnose(tc.obs)
+	for _, e := range tests {
+		got, err := dsDiagnose(e.obs)
 		if err != nil {
 			return nil, err
 		}
-		if got == tc.truth {
+		if got == e.truth {
 			dsCorrect++
 		}
 	}
@@ -259,17 +242,10 @@ func E9DSvsBayes(seed int64) (*Result, error) {
 		Header:     []string{"historical episodes", "Bayes accuracy", "DS accuracy (fixed, no priors)"},
 	}
 	for _, n := range []int{5, 20, 100, 1000, 10000} {
-		net, err := buildNet(n)
-		if err != nil {
-			return nil, err
-		}
+		net := buildNet(n)
 		correct := 0
-		for _, tc := range tests {
-			got, err := bayesDiagnose(net, tc.obs)
-			if err != nil {
-				return nil, err
-			}
-			if got == tc.truth {
+		for _, e := range tests {
+			if bayesDiagnose(net, e.obs) == e.truth {
 				correct++
 			}
 		}
