@@ -565,8 +565,8 @@ func (d *DC) quarantineReport(r *proto.Report, channel, reason string) {
 }
 
 // RunProcessScan performs the fuzzy process-parameter diagnosis. It reads
-// the plant's process values into a fixed array, stores them in the
-// historian, screens each with the channel guard and runs the fuzzy
+// the plant's process values into a fixed array, screens each with the
+// channel guard, stores the finite ones in the historian and runs the fuzzy
 // rulebase; fuzzy conclusions draw on the whole vector, so any suspect
 // channel quarantines the scan's reports. A warm scan allocates only the
 // reports it emits and the historian's sample growth.
@@ -576,11 +576,11 @@ func (d *DC) RunProcessScan(now time.Time) error {
 	for i := range procFields {
 		vals[i] = *procFields[i].at(&d.proc)
 	}
+	var suspects [numProcFields]string
+	d.screenProcess(&vals, &suspects)
 	if err := d.recordProcessScan(&vals, now); err != nil {
 		return err
 	}
-	var suspects [numProcFields]string
-	d.screenProcess(&vals, &suspects)
 	results, err := d.fz.Diagnose(d.proc, d.cfg.CallThreshold)
 	if err != nil {
 		return err

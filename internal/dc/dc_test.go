@@ -2,7 +2,6 @@ package dc
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -145,59 +144,49 @@ func TestSchedulerDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-// nanAtSource reads a live plant, but for one non-finite superheat at a
-// given virtual time.
-type nanAtSource struct {
-	*chiller.Plant
-	now func() time.Time
-	at  time.Time
-}
-
-func (s *nanAtSource) ProcessState() chiller.ProcessState {
-	ps := s.Plant.ProcessState()
-	if s.now().Equal(s.at) {
-		ps.SuperheatF = math.NaN()
-	}
-	return ps
-}
-
-// TestFailedScanStaysScheduled: a process scan that fails (the historian
-// refuses a NaN superheat at 00:30) fails its RunFor, but the scan stays on
-// the schedule: the next RunFor runs it every thirty minutes again. The
-// failed run is not counted.
+// TestFailedScanStaysScheduled: a scan whose run fails once (at 00:30)
+// fails its RunFor, but the scan stays on the schedule: the next RunFor runs
+// it every thirty minutes again. The failed run is not counted.
 func TestFailedScanStaysScheduled(t *testing.T) {
 	plant, err := chiller.New(chiller.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig("dc-1", "chiller/1")
-	src := &nanAtSource{Plant: plant, at: cfg.Start.Add(30 * time.Minute)}
-	d, err := New(cfg, src, nil, &collector{})
+	d, err := New(cfg, plant, nil, &collector{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	src.now = d.Scheduler().Now
+	failAt := cfg.Start.Add(30 * time.Minute)
+	if err := d.Scheduler().Schedule(&Task{Name: "flaky-scan", Interval: 30 * time.Minute, Run: func(now time.Time) error {
+		if now.Equal(failAt) {
+			return fmt.Errorf("transient acquisition fault")
+		}
+		return d.RunProcessScan(now)
+	}}, 0); err != nil {
+		t.Fatal(err)
+	}
 	scans := func() int64 {
 		for _, st := range d.Scheduler().Statuses() {
-			if st.Name == "process-scan" {
+			if st.Name == "flaky-scan" {
 				return st.Runs
 			}
 		}
 		return 0
 	}
-	if err := d.RunFor(3 * time.Hour); err == nil || !strings.Contains(err.Error(), `"process-scan"`) {
-		t.Fatalf("first RunFor: %v, want the process scan's error", err)
+	if err := d.RunFor(3 * time.Hour); err == nil || !strings.Contains(err.Error(), `"flaky-scan"`) {
+		t.Fatalf("first RunFor: %v, want the flaky scan's error", err)
 	}
 	before := scans()
 	if before != 1 {
-		t.Fatalf("%d process scans counted before the failed one, want 1", before)
+		t.Fatalf("%d scans counted before the failed one, want 1", before)
 	}
 	if err := d.RunFor(3 * time.Hour); err != nil {
 		t.Fatalf("second RunFor: %v", err)
 	}
 	if more := scans() - before; more < 6 {
-		t.Fatalf("%d process scans after the failed one, want at least 6", more)
+		t.Fatalf("%d scans after the failed one, want at least 6", more)
 	}
 }
 

@@ -2,6 +2,7 @@ package dc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -165,8 +166,13 @@ func (d *DC) recordVibrationFeatures(pt chiller.MeasurementPoint, f *vibration.F
 }
 
 // recordProcessScan stores a scan's process values, in procFields order.
+// It skips a non-finite value, which the historian refuses; the guard has
+// already judged it.
 func (d *DC) recordProcessScan(vals *[numProcFields]float64, now time.Time) error {
 	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
 		if err := d.hist.Append(procFields[i].channel, now, v); err != nil {
 			return err
 		}
