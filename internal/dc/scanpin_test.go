@@ -11,15 +11,20 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/chiller"
 	"repro/internal/proto"
+	"repro/internal/wnn"
 )
 
-var updateScanPins = flag.Bool("update", false, "rewrite testdata/scan_reports.sha256 from this build")
+var updatePins = flag.Bool("update", false, "rewrite the testdata/*.sha256 pin files from this build")
 
-const scanPinsFile = "testdata/scan_reports.sha256"
+const (
+	scanPinsFile = "testdata/scan_reports.sha256"
+	vibPinsFile  = "testdata/vibration_reports.sha256"
+)
 
 // tamperedSource overrides chosen process channels of a live plant from a
 // given scan on: frozen at the value they read then (a stuck transmitter),
@@ -130,12 +135,7 @@ func runScanPinCase(t *testing.T, c scanPinCase) ([]string, []*proto.Report) {
 	taken := 0
 	drain := func() {
 		for _, r := range sink.reports[taken:] {
-			b, err := json.Marshal(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(b)
-			out = append(out, hex.EncodeToString(sum[:]))
+			out = append(out, jsonSum(t, r))
 		}
 		taken = len(sink.reports)
 	}
@@ -170,16 +170,34 @@ func TestScanReportsPinned(t *testing.T) {
 			got = append(got, fmt.Sprintf("%s %d %s", c.name, i, line))
 		}
 	}
-	if *updateScanPins {
-		if err := os.MkdirAll(filepath.Dir(scanPinsFile), 0o755); err != nil {
+	checkPins(t, scanPinsFile, got)
+}
+
+// jsonSum is the hex SHA-256 of v's JSON.
+func jsonSum(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// checkPins compares outcome lines with a pin file, line by line, or
+// rewrites the file from them under -update.
+func checkPins(t *testing.T, file string, got []string) {
+	t.Helper()
+	if *updatePins {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(scanPinsFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	f, err := os.Open(scanPinsFile)
+	f, err := os.Open(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +213,11 @@ func TestScanReportsPinned(t *testing.T) {
 	for i := range max(len(got), len(want)) {
 		switch {
 		case i >= len(want):
-			t.Fatalf("line %d: extra outcome %q", i+1, got[i])
+			t.Fatalf("%s line %d: extra outcome %q", file, i+1, got[i])
 		case i >= len(got):
-			t.Fatalf("line %d: missing outcome %q", i+1, want[i])
+			t.Fatalf("%s line %d: missing outcome %q", file, i+1, want[i])
 		case got[i] != want[i]:
-			t.Fatalf("line %d: got %q, want %q", i+1, got[i], want[i])
+			t.Fatalf("%s line %d: got %q, want %q", file, i+1, got[i], want[i])
 		}
 	}
 }
@@ -252,4 +270,127 @@ func TestScanPinsCoverQuarantineAndErrors(t *testing.T) {
 			t.Errorf("%s: no quarantined report", c.name)
 		}
 	}
+}
+
+// pinWNN is the classifier the vibration pins attach, trained once.
+var pinWNN = sync.OnceValues(func() (*wnn.ChillerClassifier, error) {
+	return wnn.NewChillerClassifier(chiller.DefaultConfig(), 4096, 12, 3)
+})
+
+// sampleSource overwrites sample at of every frame acquired at point pt
+// with v: a full-scale hit, or a non-finite sample.
+type sampleSource struct {
+	Source
+	pt chiller.MeasurementPoint
+	at int
+	v  float64
+}
+
+func (s *sampleSource) AcquireVibration(pt chiller.MeasurementPoint, n int) ([]float64, error) {
+	frame, err := s.Source.AcquireVibration(pt, n)
+	if err == nil && pt == s.pt {
+		frame[s.at] = s.v
+	}
+	return frame, err
+}
+
+// newVibPinDC builds a DC over a seeded plant with the given faults,
+// acquiring 4096-sample frames, with the pinned WNN attached.
+func newVibPinDC(t *testing.T, faults map[chiller.Fault]float64, wrap func(Source) Source) (*DC, *collector) {
+	t.Helper()
+	clf, err := pinWNN()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg := chiller.DefaultConfig()
+	pcfg.Seed = 1
+	plant, err := chiller.New(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f, s := range faults {
+		if err := plant.SetFault(f, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var src Source = plant
+	if wrap != nil {
+		src = wrap(plant)
+	}
+	cfg := DefaultConfig("dc-vibpin", "chiller/1")
+	cfg.FrameLen = clf.FrameLen()
+	sink := &collector{}
+	d, err := New(cfg, src, nil, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	if err := d.AttachWNN(clf); err != nil {
+		t.Fatal(err)
+	}
+	return d, sink
+}
+
+// vibPinTests is how many vibration tests each pinned case runs: the third
+// arms the stuck-frame verdict.
+const vibPinTests = 5
+
+var vibPinFaults = map[chiller.Fault]float64{chiller.MotorImbalance: 0.8, chiller.OilWhirl: 0.8}
+
+// TestVibrationReportsPinned holds every report the vibration test emits —
+// the rule engine's and the WNN's, quarantine notes and capped beliefs
+// included — and every failed test's error to a SHA-256 recorded in
+// testdata, with each point's stored feature samples, over a clean plant,
+// two fault profiles, a stuck motor-de frame and a full-scale spike in it.
+// Rewrite the file with -update only from a build whose reports are
+// trusted.
+func TestVibrationReportsPinned(t *testing.T) {
+	cases := []struct {
+		name   string
+		faults map[chiller.Fault]float64
+		wrap   func(Source) Source
+	}{
+		{"clean", nil, nil},
+		{"imbalance+whirl", vibPinFaults, nil},
+		{"bearing+gear", map[chiller.Fault]float64{chiller.MotorBearingOuter: 0.8, chiller.GearToothWear: 0.8}, nil},
+		{"stuck", vibPinFaults, func(s Source) Source { return &frozenSource{Source: s, pt: chiller.MotorDE} }},
+		{"spike", vibPinFaults, func(s Source) Source { return &sampleSource{Source: s, pt: chiller.MotorDE, at: 100, v: 1e6} }},
+	}
+	var got []string
+	reached := map[string]int{}
+	for _, c := range cases {
+		d, sink := newVibPinDC(t, c.faults, c.wrap)
+		now := d.cfg.Start
+		for k := range vibPinTests {
+			taken := len(sink.reports)
+			if err := d.RunVibrationTest(now); err != nil {
+				got = append(got, fmt.Sprintf("%s %d error: %v", c.name, k, err))
+			}
+			for _, r := range sink.reports[taken:] {
+				got = append(got, fmt.Sprintf("%s %d %s", c.name, k, jsonSum(t, r)))
+				reached[r.KnowledgeSourceID]++
+				if len(r.SuspectChannels) > 0 {
+					reached[c.name+" quarantined"]++
+				}
+			}
+			now = now.Add(d.cfg.VibrationInterval)
+		}
+		for _, pt := range chiller.AllPoints() {
+			var samples []any
+			for _, ch := range vibChannels[pt] {
+				s, err := d.Historian().QueryAll(ch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samples = append(samples, s)
+			}
+			got = append(got, fmt.Sprintf("%s features %s %s", c.name, pt, jsonSum(t, samples)))
+		}
+	}
+	for _, want := range []string{"ks/dli", "ks/wnn", "stuck quarantined", "spike quarantined"} {
+		if reached[want] == 0 {
+			t.Errorf("no %s report: the pins do not cover it (%v)", want, reached)
+		}
+	}
+	checkPins(t, vibPinsFile, got)
 }
