@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,23 +116,22 @@ type DC struct {
 	// store the DC must close itself.
 	hist    *historian.Store
 	ownHist bool
-	// sbfrStatus remembers each SBFR machine's last recorded status so only
-	// transitions are appended.
-	sbfrStatus map[string]float64
 
 	// guard screens raw channels for stuck-at/dropout/spike behavior, with
 	// the default settings. It always runs: it is cheap and silent on
-	// healthy channels. procGuard holds its state for each process channel,
-	// in procFields order.
-	guard     *ChannelGuard
-	procGuard [numProcFields]*channelState
+	// healthy channels. It holds a state per measurement point (vibGuard)
+	// and per process channel, in procFields order (procGuard) and in the
+	// name order a quarantined report names them in (procByName).
+	guard      *ChannelGuard
+	vibGuard   [chiller.NumPoints]*channelState
+	procGuard  [numProcFields]*channelState
+	procByName [numProcFields]*channelState
 
 	// proc is the process snapshot the running scan reads, held here so
 	// that reading it through procFields' accessors moves no local to the
-	// heap; sbfrMachines are the SBFR monitor's machine names, fixed once
-	// it is assembled.
+	// heap; sbfrMachines are the SBFR monitor's machines, resolved at New.
 	proc         chiller.ProcessState
-	sbfrMachines []string
+	sbfrMachines []sbfrMachine
 
 	reportsSent     int
 	reportErrors    int
@@ -165,16 +165,28 @@ func New(cfg Config, src Source, _ *relstore.DB, uplink proto.Sink) (*DC, error)
 		return nil, err
 	}
 	d := &DC{
-		cfg:        cfg,
-		src:        src,
-		uplink:     uplink,
-		vib:        vibration.NewEngine(src.Config(), cfg.CallThreshold),
-		fz:         fz,
-		mux:        NewMux(),
-		sched:      NewScheduler(cfg.Start),
-		hist:       cfg.Historian,
-		sbfrStatus: make(map[string]float64),
-		guard:      NewChannelGuard(GuardConfig{}),
+		cfg:    cfg,
+		src:    src,
+		uplink: uplink,
+		vib:    vibration.NewEngine(src.Config(), cfg.CallThreshold),
+		fz:     fz,
+		mux:    NewMux(),
+		sched:  NewScheduler(cfg.Start),
+		hist:   cfg.Historian,
+		guard:  NewChannelGuard(GuardConfig{}),
+	}
+	for _, pt := range chiller.AllPoints() {
+		d.vibGuard[pt] = d.guard.state("vib/" + pt.String())
+	}
+	for i, f := range procFields {
+		d.procGuard[i] = d.guard.state(f.channel)
+	}
+	d.procByName = d.procGuard
+	slices.SortFunc(d.procByName[:], func(a, b *channelState) int { return strings.Compare(a.channel, b.channel) })
+	if cfg.EnableSBFR {
+		if d.sbfrSys, d.sbfrMachines, err = newProcessMonitor(); err != nil {
+			return nil, err
+		}
 	}
 	if d.hist == nil {
 		d.hist, err = historian.Open(historian.Options{})
@@ -185,9 +197,6 @@ func New(cfg Config, src Source, _ *relstore.DB, uplink proto.Sink) (*DC, error)
 	}
 	if err := d.ensureHistorianChannels(); err != nil {
 		return nil, err
-	}
-	for i, f := range procFields {
-		d.procGuard[i] = d.guard.state(f.channel)
 	}
 	if err := d.sched.Schedule(&Task{
 		Name: "vibration-test", Interval: cfg.VibrationInterval, Run: d.RunVibrationTest,
@@ -200,11 +209,6 @@ func New(cfg Config, src Source, _ *relstore.DB, uplink proto.Sink) (*DC, error)
 		return nil, err
 	}
 	if cfg.EnableSBFR {
-		d.sbfrSys, err = newProcessMonitor()
-		if err != nil {
-			return nil, err
-		}
-		d.sbfrMachines = d.sbfrSys.MachineNames()
 		if err := d.sched.Schedule(&Task{
 			Name: "sbfr-scan", Interval: DefaultSBFRInterval, Run: d.RunSBFRScan,
 		}, 0); err != nil {
@@ -300,27 +304,31 @@ func (d *DC) RunFor(dur time.Duration) error {
 	return d.sched.RunUntil(d.sched.Now().Add(dur))
 }
 
-// pointResult is one measurement point's slot in the vibration test's
-// compute phase: its feature frame, the WNN's call on it, and the first
-// error either raised.
+// pointResult is one measurement point's slot in the vibration test: its
+// frame, whether it abstains, its feature frame, the WNN's call on it, and
+// the first error either raised.
 type pointResult struct {
-	f   vibration.Features
-	cls wnn.Classification
-	err error
+	frame   []float64
+	abstain bool
+	f       vibration.Features
+	cls     wnn.Classification
+	err     error
 }
 
-// RunVibrationTest performs the standard §5.8 vibration test in three
-// phases. Acquire: every measurement point through the MUX, in bank order.
-// Compute: each point's features and WNN call on up to GOMAXPROCS workers,
-// the caller being one of them. Emit: append each point's features to the
-// historian, run the expert system, persist and uplink the resulting
-// condition reports, in bank order. Only the compute leaves the calling
-// goroutine, so what the test writes does not depend on the worker count;
-// a test whose acquire or compute fails at any point writes nothing.
+// RunVibrationTest performs the standard §5.8 vibration test in the steps
+// every scan of the DC takes. Acquire and screen: every measurement point
+// through the MUX, in bank order, each frame screened by the channel guard.
+// Diagnose: each point's features and WNN call on up to GOMAXPROCS workers,
+// the caller being one of them, then the expert system over the features.
+// Record: each point's features into the historian. Emit: the condition
+// reports, in bank order, each quarantined by its point's verdict. A point
+// whose frame holds a non-finite sample abstains: nothing is computed from
+// it, recorded or reported. Only the compute leaves the calling goroutine,
+// so what the test writes does not depend on the worker count; a test whose
+// acquire or compute fails at any point writes nothing.
 func (d *DC) RunVibrationTest(now time.Time) error {
-	var frames [chiller.NumPoints][]float64
-	var suspects [chiller.NumPoints]string
-	if err := d.acquire(&frames, &suspects); err != nil {
+	var results [chiller.NumPoints]pointResult
+	if err := d.acquire(&results); err != nil {
 		return err
 	}
 
@@ -329,30 +337,24 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 	if err != nil {
 		return err
 	}
-	var results [chiller.NumPoints]pointResult
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.compute(&frames, &results, w, workers)
+			c.compute(&results, w, workers)
 		}()
 	}
-	c.compute(&frames, &results, 0, workers)
+	c.compute(&results, 0, workers)
 	wg.Wait()
 	c.release()
+	features := make(map[chiller.MeasurementPoint]*vibration.Features, chiller.NumPoints)
 	for i := range results {
 		if results[i].err != nil {
 			return results[i].err
 		}
-	}
-
-	features := make(map[chiller.MeasurementPoint]*vibration.Features, chiller.NumPoints)
-	for i, pt := range chiller.AllPoints() {
-		f := &results[i].f
-		features[pt] = f
-		if err := d.recordVibrationFeatures(pt, f, now); err != nil {
-			return err
+		if !results[i].abstain {
+			features[chiller.MeasurementPoint(i)] = &results[i].f
 		}
 	}
 	ctx := &vibration.Context{Load: d.src.Load(), Process: d.src.ProcessState()}
@@ -360,22 +362,30 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 	if err != nil {
 		return err
 	}
+
+	for i := range results {
+		if results[i].abstain {
+			continue
+		}
+		for k, ch := range vibChannels[i] {
+			if err := d.record(ch, now, vibFeatures[k].value(&results[i].f)); err != nil {
+				return err
+			}
+		}
+	}
+
 	for _, diag := range diags {
 		report := diag.ToReport(d.cfg.ID, "ks/dli", d.cfg.ObjectID, now)
-		if reason := suspects[diag.Point]; reason != "" {
-			d.quarantineReport(report, vibGuardChannel(diag.Point), reason)
-		}
+		quarantine(report, d.vibGuard[diag.Point:diag.Point+1])
 		if err := d.emit(report, now); err != nil {
 			return err
 		}
 	}
-	if d.wnnClf == nil {
-		return nil
-	}
 	for i, pt := range chiller.AllPoints() {
 		// Only confident fault calls become reports; the WNN abstains
 		// otherwise (§3.1: overlapping sources may disagree — that is
-		// Knowledge Fusion's job to arbitrate, not the DC's).
+		// Knowledge Fusion's job to arbitrate, not the DC's). A point the
+		// WNN did not classify holds the zero call, which abstains too.
 		cls := results[i].cls
 		if cls.Healthy || cls.Confidence < 0.6 {
 			continue
@@ -393,9 +403,7 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 			Timestamp:   now,
 			Prognostics: vibration.WorstCasePrognostic(proto.GradeSeverity(sev), sev),
 		}
-		if reason := suspects[pt]; reason != "" {
-			d.quarantineReport(report, vibGuardChannel(pt), reason)
-		}
+		quarantine(report, d.vibGuard[i:i+1])
 		if err := d.emit(report, now); err != nil {
 			return err
 		}
@@ -403,25 +411,24 @@ func (d *DC) RunVibrationTest(now time.Time) error {
 	return nil
 }
 
-// acquire is the vibration test's acquire phase: every measurement point
-// through the MUX, in bank order, each on one lane of bank
-// i/channelsPerBank. It fills frames and, for each frame the channel guard
-// finds suspect, the guard's verdict.
-func (d *DC) acquire(frames *[chiller.NumPoints][]float64, suspects *[chiller.NumPoints]string) error {
+// acquire is the vibration test's acquire and screen step: every
+// measurement point through the MUX, in bank order, each on one lane of
+// bank i/channelsPerBank, its frame screened by the channel guard. A frame
+// holding a non-finite sample marks its point abstaining.
+func (d *DC) acquire(results *[chiller.NumPoints]pointResult) error {
 	for i := range chiller.NumPoints {
-		pt := chiller.MeasurementPoint(i)
 		if err := d.mux.SelectBank(i / channelsPerBank); err != nil {
 			return err
 		}
-		frame, err := d.src.AcquireVibration(pt, d.cfg.FrameLen)
+		frame, err := d.src.AcquireVibration(chiller.MeasurementPoint(i), d.cfg.FrameLen)
 		if err != nil {
 			return err
 		}
-		suspects[i] = d.guard.InspectFrame(vibGuardChannel(pt), frame)
+		results[i].abstain = d.guard.inspectFrame(d.vibGuard[i], frame) == nonFiniteSample
 		if _, err := d.mux.ChannelOf(i % channelsPerBank); err != nil {
 			return err
 		}
-		frames[i] = frame
+		results[i].frame = frame
 	}
 	return nil
 }
@@ -429,15 +436,14 @@ func (d *DC) acquire(frames *[chiller.NumPoints][]float64, suspects *[chiller.Nu
 // Acquire runs the vibration test's acquire phase rounds times, keeping no
 // frame, and returns how many samples it acquired: the path E7 times.
 func (d *DC) Acquire(rounds int) (int64, error) {
-	var frames [chiller.NumPoints][]float64
-	var suspects [chiller.NumPoints]string
+	var results [chiller.NumPoints]pointResult
 	var samples int64
 	for range rounds {
-		if err := d.acquire(&frames, &suspects); err != nil {
+		if err := d.acquire(&results); err != nil {
 			return samples, err
 		}
-		for _, f := range frames {
-			samples += int64(len(f))
+		for _, r := range results {
+			samples += int64(len(r.frame))
 		}
 	}
 	return samples, nil
@@ -529,69 +535,47 @@ func (c *crew) release() {
 }
 
 // compute is compute worker w of the vibration test: on the crew's scratch
-// for w it fills the slot of every stride-th point from w. It reads only the
-// frames and writes only those slots. With the WNN's own hot-path root (its
+// for w it fills the slot of every stride-th point from w that does not
+// abstain, and touches no other slot. With the WNN's own hot-path root (its
 // feature workspace's classify) it is the part of the vibration test that
 // must not allocate.
 //
 //mpros:hotpath per-point feature extraction and WNN call on the scheduled vibration test
-func (c *crew) compute(frames *[chiller.NumPoints][]float64, results *[chiller.NumPoints]pointResult, w, stride int) {
+func (c *crew) compute(results *[chiller.NumPoints]pointResult, w, stride int) {
 	for i := w; i < chiller.NumPoints; i += stride {
 		r, pt := &results[i], chiller.MeasurementPoint(i)
-		st := dsp.Waveform(frames[i])
-		if r.err = c.ex[w].ExtractInto(&r.f, frames[i], st, pt); r.err == nil && c.clf != nil {
-			r.cls, r.err = c.clf.ClassifyOn(c.ws[w], frames[i], st, pt)
+		if r.abstain {
+			continue
+		}
+		st := dsp.Waveform(r.frame)
+		if r.err = c.ex[w].ExtractInto(&r.f, r.frame, st, pt); r.err == nil && c.clf != nil {
+			r.cls, r.err = c.clf.ClassifyOn(c.ws[w], r.frame, st, pt)
 		}
 	}
 }
 
-// vibGuardChannel names a measurement point's raw acquisition channel for
-// the guard and report annotations.
-func vibGuardChannel(pt chiller.MeasurementPoint) string { return "vib/" + pt.String() }
-
-// quarantineReport caps a report's believability because it derives from a
-// suspect raw channel, and flags the channel so the PDME can explain the
-// weak belief to maintenance personnel.
-func (d *DC) quarantineReport(r *proto.Report, channel, reason string) {
-	if r.Belief > believabilityCap {
-		r.Belief = believabilityCap
-	}
-	r.SuspectChannels = append(r.SuspectChannels, channel)
-	note := fmt.Sprintf("channel %s suspect (%s); believability capped", channel, reason)
-	if r.AdditionalInfo != "" {
-		r.AdditionalInfo += "; "
-	}
-	r.AdditionalInfo += note
-}
-
-// RunProcessScan performs the fuzzy process-parameter diagnosis. It reads
-// the plant's process values into a fixed array, screens each with the
-// channel guard, stores the finite ones in the historian and runs the fuzzy
-// rulebase; fuzzy conclusions draw on the whole vector, so any suspect
-// channel quarantines the scan's reports. A warm scan allocates only the
-// reports it emits and the historian's sample growth.
+// RunProcessScan performs the fuzzy process-parameter diagnosis in the
+// DC's scan steps. Acquire: the plant's process snapshot. Screen: each
+// value through the channel guard. Diagnose: the fuzzy rulebase. Record:
+// every value into the historian. Emit: the fuzzy conclusions, which draw on
+// the whole vector, so each is quarantined by every suspect channel. A warm
+// scan allocates only the reports it emits and the historian's sample
+// growth.
 func (d *DC) RunProcessScan(now time.Time) error {
 	d.proc = d.src.ProcessState()
-	var vals [numProcFields]float64
-	for i := range procFields {
-		vals[i] = *procFields[i].at(&d.proc)
-	}
-	var suspects [numProcFields]string
-	d.screenProcess(&vals, &suspects)
-	if err := d.recordProcessScan(&vals, now); err != nil {
-		return err
-	}
+	d.screenProcess()
 	results, err := d.fz.Diagnose(d.proc, d.cfg.CallThreshold)
 	if err != nil {
 		return err
 	}
+	for i := range procFields {
+		if err := d.record(procFields[i].channel, now, *procFields[i].at(&d.proc)); err != nil {
+			return err
+		}
+	}
 	for _, r := range results {
 		report := r.ToReport(d.cfg.ID, d.cfg.ObjectID, now)
-		for _, i := range procScreenOrder {
-			if suspects[i] != "" {
-				d.quarantineReport(report, procFields[i].channel, suspects[i])
-			}
-		}
+		quarantine(report, d.procByName[:])
 		if err := d.emit(report, now); err != nil {
 			return err
 		}
@@ -599,13 +583,12 @@ func (d *DC) RunProcessScan(now time.Time) error {
 	return nil
 }
 
-// screenProcess screens a scan's process values with the channel guard, in
-// name order, and sets suspects[i] to the guard's verdict on procFields[i].
+// screenProcess screens the scan's process values with the channel guard.
 //
 //mpros:hotpath channel screen of every process scan's values
-func (d *DC) screenProcess(vals *[numProcFields]float64, suspects *[numProcFields]string) {
-	for _, i := range procScreenOrder {
-		suspects[i] = d.guard.inspectValue(d.procGuard[i], vals[i])
+func (d *DC) screenProcess() {
+	for i := range procFields {
+		d.guard.inspectValue(d.procGuard[i], *procFields[i].at(&d.proc))
 	}
 }
 

@@ -371,7 +371,7 @@ func TestAcquire(t *testing.T) {
 	if want := int64(3 * chiller.NumPoints * d.cfg.FrameLen); samples != want {
 		t.Errorf("samples %d, want %d", samples, want)
 	}
-	if got := d.Guard().Suspects(); len(got) != 1 || got[0] != vibGuardChannel(chiller.GearBox) {
+	if got := d.Guard().Suspects(); len(got) != 1 || got[0] != "vib/gearbox" {
 		t.Errorf("suspects %v, want the frozen gearbox channel", got)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/proto"
 )
 
 // The guards screen the DC's raw sensor channels. The §5.5 reports already
@@ -32,6 +34,9 @@ const (
 	// believabilityCap is the maximum Belief a report derived from a suspect
 	// channel may carry.
 	believabilityCap = 0.2
+	// nonFiniteSample is the verdict on a frame holding a NaN or infinite
+	// sample; its point abstains from the vibration test.
+	nonFiniteSample = "invalid: non-finite sample"
 )
 
 // GuardConfig is the guard's configuration. It has no fields: every
@@ -40,6 +45,8 @@ type GuardConfig struct{}
 
 // channelState is the guard's per-channel history.
 type channelState struct {
+	// channel names the channel in the reports it quarantines.
+	channel string
 	// fingerprint summarizes the last observation (frame statistics or
 	// scalar value); repeats count toward stuck-at.
 	fingerprint [3]float64
@@ -69,7 +76,7 @@ func NewChannelGuard(GuardConfig) *ChannelGuard {
 func (g *ChannelGuard) state(channel string) *channelState {
 	st, ok := g.channels[channel]
 	if !ok {
-		st = &channelState{}
+		st = &channelState{channel: channel}
 		g.channels[channel] = st
 	}
 	return st
@@ -95,10 +102,13 @@ func (st *channelState) observe(fp [3]float64) int {
 // channel. It returns the suspicion reason ("" when the frame looks like a
 // live sensor).
 func (g *ChannelGuard) InspectFrame(channel string, frame []float64) string {
-	st := g.state(channel)
-	verdict := g.frameVerdict(st, frame)
-	st.suspect = verdict
-	return verdict
+	return g.inspectFrame(g.state(channel), frame)
+}
+
+// inspectFrame is InspectFrame on a channel's state the caller looked up.
+func (g *ChannelGuard) inspectFrame(st *channelState, frame []float64) string {
+	st.suspect = g.frameVerdict(st, frame)
+	return st.suspect
 }
 
 func (g *ChannelGuard) frameVerdict(st *channelState, frame []float64) string {
@@ -127,7 +137,7 @@ func (g *ChannelGuard) frameVerdict(st *channelState, frame []float64) string {
 	if math.IsNaN(sumSq) || math.IsInf(sumSq, 0) {
 		for _, v := range frame {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return "invalid: non-finite sample"
+				return nonFiniteSample
 			}
 		}
 	}
@@ -177,6 +187,25 @@ func (g *ChannelGuard) inspectValue(st *channelState, v float64) string {
 	}
 	st.suspect = verdict
 	return verdict
+}
+
+// quarantine caps the believability of a report derived from the channels
+// read, once any of them is suspect, and names each suspect one with its
+// verdict so the PDME can explain the weak belief to maintenance personnel.
+func quarantine(r *proto.Report, read []*channelState) {
+	for _, st := range read {
+		if st.suspect == "" {
+			continue
+		}
+		if r.Belief > believabilityCap {
+			r.Belief = believabilityCap
+		}
+		r.SuspectChannels = append(r.SuspectChannels, st.channel)
+		if r.AdditionalInfo != "" {
+			r.AdditionalInfo += "; "
+		}
+		r.AdditionalInfo += fmt.Sprintf("channel %s suspect (%s); believability capped", st.channel, st.suspect)
+	}
 }
 
 // Suspects returns every currently suspect channel, sorted.
