@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"os"
 	"os/exec"
 	"testing"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/chiller"
 	"repro/internal/pdme"
+	"repro/internal/testkit"
 )
 
 // TestMain doubles as the crash-chaos child process: re-executed with
@@ -160,12 +160,7 @@ func TestCrashChaosKill9Recovery(t *testing.T) {
 
 	// Pick a fixed port for the child: every incarnation rebinds it so the
 	// uplinks' redial loop finds the restarted server without help.
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	childAddr := probe.Addr().String()
-	_ = probe.Close()
+	childAddr := testkit.FreeAddr(t)
 
 	journalDir := t.TempDir()
 	child := &crashChild{t: t, dir: journalDir, addr: childAddr}

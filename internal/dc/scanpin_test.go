@@ -1,25 +1,20 @@
 package dc
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/chiller"
 	"repro/internal/proto"
+	"repro/internal/testkit"
 	"repro/internal/wnn"
 )
-
-var updatePins = flag.Bool("update", false, "rewrite the testdata/*.sha256 pin files from this build")
 
 const (
 	scanPinsFile = "testdata/scan_reports.sha256"
@@ -170,7 +165,7 @@ func TestScanReportsPinned(t *testing.T) {
 			got = append(got, fmt.Sprintf("%s %d %s", c.name, i, line))
 		}
 	}
-	checkPins(t, scanPinsFile, got)
+	testkit.Lines(t, scanPinsFile, got)
 }
 
 // jsonSum is the hex SHA-256 of v's JSON.
@@ -182,44 +177,6 @@ func jsonSum(t *testing.T, v any) string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// checkPins compares outcome lines with a pin file, line by line, or
-// rewrites the file from them under -update.
-func checkPins(t *testing.T, file string, got []string) {
-	t.Helper()
-	if *updatePins {
-		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(file, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range max(len(got), len(want)) {
-		switch {
-		case i >= len(want):
-			t.Fatalf("%s line %d: extra outcome %q", file, i+1, got[i])
-		case i >= len(got):
-			t.Fatalf("%s line %d: missing outcome %q", file, i+1, want[i])
-		case got[i] != want[i]:
-			t.Fatalf("%s line %d: got %q, want %q", file, i+1, got[i], want[i])
-		}
-	}
 }
 
 // TestScanPinsCoverQuarantineAndErrors checks that the pinned runs reach
@@ -392,5 +349,5 @@ func TestVibrationReportsPinned(t *testing.T) {
 			t.Errorf("no %s report: the pins do not cover it (%v)", want, reached)
 		}
 	}
-	checkPins(t, vibPinsFile, got)
+	testkit.Lines(t, vibPinsFile, got)
 }

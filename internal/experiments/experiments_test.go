@@ -5,18 +5,19 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/testkit"
 )
 
 // TestAllExperimentsRun executes every registered experiment twice from the
 // same seed, validates basic table structure — the smoke layer below the
 // claim-specific checks — and requires the two tables to be equal apart from
 // the wall-clock cells named in timingRows and timingNotes. The first run
-// must also equal testdata/seed1.golden outside those cells; -update
-// rewrites the golden's lines of the experiments that ran.
+// must also equal its lines of testdata/seed1.golden outside those cells,
+// and its result table EXPERIMENTS.md's; -update rewrites both for the
+// experiments that ran.
 func TestAllExperimentsRun(t *testing.T) {
-	golden := readGolden(t)
 	for _, id := range IDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
 			run := Registry()[id]
 			res, err := run(1)
@@ -38,16 +39,12 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireRepeat(t, res, again)
-			lines := goldenLines(res)
-			if *updateGolden {
-				golden[id] = lines
-			} else {
-				requireGolden(t, res.Header, lines, golden[id])
+			testkit.Lines(t, seed1Golden, goldenLines(res), testkit.Section(id+" "), testkit.Describe(cellDiff(res.Header)))
+			if table := docTable(res); table != nil {
+				testkit.Lines(t, experimentsDoc, table,
+					testkit.Between("<!-- "+id+" table, generated from the seed-1 golden -->", "<!-- end of "+id+" table -->"))
 			}
 		})
-	}
-	if *updateGolden {
-		writeGolden(t, golden)
 	}
 	if len(IDs()) != 13 {
 		t.Errorf("registry has %d experiments, want 13", len(IDs()))

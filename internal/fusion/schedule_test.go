@@ -3,21 +3,18 @@ package fusion
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"maps"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
-)
 
-var updateSchedule = flag.Bool("update", false, "rewrite testdata/schedule_* from this build")
+	"repro/internal/testkit"
+)
 
 // scheduleFolds is how many diagnostic reports the seeded schedule folds in.
 // It is long enough that some sources' Θ underflows to 0 — a focal set a
@@ -128,31 +125,10 @@ func TestSchedulePinnedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := []struct {
-		name string
-		data []byte
-	}{
-		{"schedule_diagnostic.json", diagnosticJSON(t, s.diag)},
-		{"schedule_prognostic.json", prog},
-		{"schedule_reads.txt", readsText(s.diag)},
-	}
 	t.Logf("%d of %d folds refused", s.refused, scheduleFolds)
-	for _, f := range files {
-		path := filepath.Join("testdata", f.name)
-		if *updateSchedule {
-			if err := os.WriteFile(path, f.data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(f.data, want) {
-			t.Errorf("%s: %d bytes differ from the pinned %d at byte %d", f.name, len(f.data), len(want), firstDifference(f.data, want))
-		}
-	}
+	testkit.Bytes(t, "testdata/schedule_diagnostic.json", diagnosticJSON(t, s.diag))
+	testkit.Bytes(t, "testdata/schedule_prognostic.json", prog)
+	testkit.Bytes(t, "testdata/schedule_reads.txt", readsText(s.diag))
 }
 
 // TestCaptureRestoreCaptureIsIdentity: a fuser restored from a checkpoint

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpointtest"
 	"repro/internal/proto"
+	"repro/internal/testkit"
 )
 
 // TestDiagnosticSnapshotRoundtrip: Snapshot → JSON → Restore reproduces
@@ -67,7 +67,7 @@ func TestDiagnosticSnapshotRoundtrip(t *testing.T) {
 	}
 	restored := restoreFrom(blob)
 	// The discounter is runtime wiring this test does not install.
-	checkpointtest.Carried(t, df, restored, "DiagnosticFuser.discounter")
+	testkit.Carried(t, df, restored, "DiagnosticFuser.discounter")
 
 	// A checkpoint written before GroupSnapshot.Newest existed: the same
 	// evidence, every pair unstamped, no error.
@@ -219,7 +219,7 @@ func TestPrognosticSnapshotRoundtrip(t *testing.T) {
 	if err := restored.Restore(decoded); err != nil {
 		t.Fatal(err)
 	}
-	checkpointtest.Carried(t, pf, restored)
+	testkit.Carried(t, pf, restored)
 
 	for _, e := range st {
 		comp, cond := e.Component, e.Condition

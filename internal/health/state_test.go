@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpointtest"
 	"repro/internal/proto"
+	"repro/internal/testkit"
 )
 
 // TestRegistryStateRoundtrip: ExportState → JSON → RestoreState reproduces
@@ -45,7 +45,7 @@ func TestRegistryStateRoundtrip(t *testing.T) {
 	restored := mustRegistry(t, testConfig())
 	restored.RestoreState(decoded)
 	// The clock is runtime wiring this test does not install.
-	checkpointtest.Carried(t, g, restored, "Registry.cfg.Clock")
+	testkit.Carried(t, g, restored, "Registry.cfg.Clock")
 
 	if got, want := restored.Version(), g.Version(); got != want {
 		t.Errorf("restored version %d, want %d", got, want)

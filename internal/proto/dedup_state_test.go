@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/checkpointtest"
+	"repro/internal/testkit"
 )
 
 // TestDedupStateRoundtrip: State → JSON → Restore reproduces the window
@@ -35,7 +35,7 @@ func TestDedupStateRoundtrip(t *testing.T) {
 	}
 	restored := NewDedup(8)
 	restored.Restore(decoded)
-	checkpointtest.Carried(t, d, restored)
+	testkit.Carried(t, d, restored)
 
 	for seq := uint64(1); seq <= 20; seq++ {
 		if !restored.Seen("dc-1", 41, seq) {

@@ -1,22 +1,17 @@
 package proto_test
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"os"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/testkit"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/summary_frames.golden from this build")
 
 const summaryGolden = "testdata/summary_frames.golden"
 
@@ -156,32 +151,5 @@ func TestSummaryFramesGolden(t *testing.T) {
 		}
 		lines = append(lines, g.name+"\t"+string(body))
 	}
-	if *updateGolden {
-		if err := os.WriteFile(summaryGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Open(summaryGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(lines) {
-		t.Fatalf("golden holds %d frames, this build encodes %d", len(want), len(lines))
-	}
-	for i := range lines {
-		if lines[i] != want[i] {
-			t.Errorf("frame %d changed:\n got %s\nwant %s", i, lines[i], want[i])
-		}
-	}
+	testkit.Lines(t, summaryGolden, lines)
 }

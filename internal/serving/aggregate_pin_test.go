@@ -12,21 +12,17 @@ import (
 
 	"repro/internal/proto"
 	"repro/internal/shard"
+	"repro/internal/testkit"
 )
-
-// aggregatorPinDigest is the SHA-256 of every body TestAggregatorBodiesPinned
-// serves, in order. The reference encoder compares each body with the
-// aggregator's own fresh reads; the digest holds the bodies to the bytes they
-// had when it was recorded, so a change to those reads shows too.
-const aggregatorPinDigest = "c8ed4bac85a029d3abaeb4d983b2a68c695fa2f9218556a80208a45c0fedb359"
 
 // TestAggregatorBodiesPinned drives a seeded schedule of summaries into an
 // aggregator behind AggregatorHandler — two shards, replacements, stale and
 // replayed frames, pairs handed between shards, a pair whose summary moves it
 // to another failure group, and shard-2 going silent while shard-1 runs on —
 // and holds every /ranked and /belief body to the reference encoder of the
-// aggregator's fresh reads at that instant, and all of them together to a
-// recorded digest.
+// aggregator's fresh reads at that instant, and the SHA-256 of all of them,
+// in order, to testdata/aggregator_bodies.sha256: the reference encoder
+// reads the same aggregator, so only the digest shows a change to its reads.
 func TestAggregatorBodiesPinned(t *testing.T) {
 	ring, err := shard.NewRing([]shard.Member{{ID: "shard-1"}, {ID: "shard-2"}}, []string{"m0", "m1", "m2", "m3", "m4"})
 	if err != nil {
@@ -144,7 +140,5 @@ func TestAggregatorBodiesPinned(t *testing.T) {
 			cov, agg.StaleDropped(), moves, handoffs)
 	}
 	t.Logf("%d bodies; %d pairs held, %d stale, %d group moves, %d hand-offs", bodies, cov.HeldPairs, agg.StaleDropped(), moves, handoffs)
-	if got := hex.EncodeToString(digest.Sum(nil)); got != aggregatorPinDigest {
-		t.Fatalf("%d bodies hash to %s, pinned %s", bodies, got, aggregatorPinDigest)
-	}
+	testkit.Lines(t, "testdata/aggregator_bodies.sha256", []string{hex.EncodeToString(digest.Sum(nil))})
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/pdme"
 	"repro/internal/proto"
 	"repro/internal/relstore"
+	"repro/internal/testkit"
 )
 
 // TestMain doubles as the shard-chaos child process: re-executed with
@@ -363,7 +364,7 @@ func TestShardChaosFleetFailover(t *testing.T) {
 	// own, so redialing uplinks find restarted shards without help.
 	realAddrs := make([]string, numShards)
 	for s := range realAddrs {
-		realAddrs[s] = reserveAddr(t)
+		realAddrs[s] = testkit.FreeAddr(t)
 	}
 	// shard-8 is dead to the DCs from t0: its ring address is a netfault
 	// proxy partitioned before the first report. Its child process still

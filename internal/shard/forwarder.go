@@ -30,9 +30,6 @@ type ForwarderConfig struct {
 	BackoffMax  time.Duration
 	// Seed drives the uplink's backoff jitter, reproducibly.
 	Seed int64
-	// DialVia optionally rewrites the aggregator address before dialing
-	// (the netfault hook).
-	DialVia func(addr string) string
 }
 
 // ForwarderCounters counts the forwarder's conclusion-to-summary work; the
@@ -81,12 +78,8 @@ func Forward(engine *pdme.PDME, cfg ForwarderConfig) (*Forwarder, error) {
 	if cfg.ShardID == "" {
 		return nil, errors.New("shard: forwarder needs a shard id")
 	}
-	addr := cfg.AggregatorAddr
-	if cfg.DialVia != nil {
-		addr = cfg.DialVia(addr)
-	}
 	up, err := uplink.New(uplink.Config{
-		Addr:        addr,
+		Addr:        cfg.AggregatorAddr,
 		DCID:        cfg.ShardID,
 		SpoolDir:    cfg.SpoolDir,
 		SpoolCap:    cfg.SpoolCap,

@@ -46,10 +46,6 @@ type RouterConfig struct {
 	// +[0,threshold) per router so a dead shard's DCs do not stampede the
 	// successor in lockstep.
 	FailoverThreshold int
-	// DialVia optionally rewrites a shard address before dialing — the
-	// netfault hook: tests route one shard's traffic through a fault proxy
-	// while the ring keeps the logical address.
-	DialVia func(addr string) string
 }
 
 // RouterStats counts the router's own decisions (the transport work is in
@@ -144,9 +140,6 @@ func (r *Router) memberAddr(memberID string) (string, error) {
 	addr, ok := r.cfg.Ring.MemberAddr(memberID)
 	if !ok {
 		return "", fmt.Errorf("shard: ring has no member %q", memberID)
-	}
-	if r.cfg.DialVia != nil {
-		addr = r.cfg.DialVia(addr)
 	}
 	return addr, nil
 }

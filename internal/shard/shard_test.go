@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/pdme"
 	"repro/internal/proto"
 	"repro/internal/relstore"
+	"repro/internal/testkit"
 )
 
 // base is the fixture's virtual epoch (the paper's PDME first ran 1998-08).
@@ -76,17 +76,6 @@ func (s *sinkCounter) count() int {
 	return s.n
 }
 
-func reserveAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
 func fastRouterConfig(dcid string, ring *Ring, dir string) RouterConfig {
 	return RouterConfig{
 		DCID:              dcid,
@@ -105,7 +94,7 @@ func fastRouterConfig(dcid string, ring *Ring, dir string) RouterConfig {
 // re-route a DC to exactly the member Ring.Successor names, keep the spool
 // across the swap, and deliver every report exactly once.
 func TestRouterFailsOverToRingSuccessor(t *testing.T) {
-	deadAddr := reserveAddr(t) // reserved then closed: dials fail fast
+	deadAddr := testkit.FreeAddr(t) // reserved then closed: dials fail fast
 	liveSinks := map[string]*sinkCounter{}
 	members := []Member{{ID: "shard-1", Addr: deadAddr}}
 	for i := 2; i <= 3; i++ {
@@ -266,7 +255,7 @@ func TestRouterUpdateRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	boot, before := r.Boot(), r.Counters()
-	ring3, err := NewRing([]Member{{ID: "shard-9", Addr: reserveAddr(t)}}, []string{dcid})
+	ring3, err := NewRing([]Member{{ID: "shard-9", Addr: testkit.FreeAddr(t)}}, []string{dcid})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/testkit"
 )
 
 // forward_test exercises the tentpole claim that the uplink is
@@ -39,7 +40,7 @@ func testSummary(i int) *proto.FusedSummary {
 // replay across a sender restart on the same spool dir — exactly-once
 // end to end, no DC involved.
 func TestForwardSummariesPDMEToPDME(t *testing.T) {
-	addr := reserveAddr(t)
+	addr := testkit.FreeAddr(t)
 	sink := &batchCollector{}
 	dedup := proto.NewDedup(0)
 	_, srv := startServer(t, addr, sink, dedup)

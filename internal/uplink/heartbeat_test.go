@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/testkit"
 )
 
 var hbT0 = time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -87,7 +88,7 @@ func TestHeartbeatMailboxLatestWins(t *testing.T) {
 	// With the PDME down, queued heartbeats supersede each other; after the
 	// server appears only the newest one can possibly arrive, and earlier
 	// ones count as dropped — never spooled, never replayed.
-	addr := reserveAddr(t)
+	addr := testkit.FreeAddr(t)
 	u, err := New(fastConfig(addr, ""))
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestHeartbeatAnnouncesSpoolDepth(t *testing.T) {
 	// Queue reports against a dead PDME, then heartbeat: once the server
 	// appears, the heartbeat must announce the backlog that existed when it
 	// was issued.
-	addr := reserveAddr(t)
+	addr := testkit.FreeAddr(t)
 	u, err := New(fastConfig(addr, ""))
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +161,7 @@ func TestHeartbeatAnnouncesSpoolDepth(t *testing.T) {
 }
 
 func TestHeartbeatClosedUplink(t *testing.T) {
-	addr := reserveAddr(t)
+	addr := testkit.FreeAddr(t)
 	u, err := New(fastConfig(addr, ""))
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package uplink
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/netfault"
 	"repro/internal/proto"
+	"repro/internal/testkit"
 )
 
 // collector records delivered reports, optionally failing the first n.
@@ -47,18 +47,6 @@ func startServer(t *testing.T, addr string, sink proto.Sink, dedup *proto.Dedup)
 		t.Fatal(err)
 	}
 	return bound, srv
-}
-
-// reserveAddr returns a loopback address that is currently free.
-func reserveAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
 }
 
 func fastConfig(addr, dir string) Config {
@@ -106,7 +94,7 @@ func TestDeliverHappyPath(t *testing.T) {
 }
 
 func TestOutageSpoolsThenDrainsOnReconnect(t *testing.T) {
-	addr := reserveAddr(t)
+	addr := testkit.FreeAddr(t)
 	u, err := New(fastConfig(addr, ""))
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +127,7 @@ func TestOutageSpoolsThenDrainsOnReconnect(t *testing.T) {
 
 func TestSpoolSurvivesProcessRestart(t *testing.T) {
 	dir := t.TempDir()
-	addr := reserveAddr(t)
+	addr := testkit.FreeAddr(t)
 	u, err := New(fastConfig(addr, dir))
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +232,7 @@ func TestVolatileRestartNotSwallowedByDedup(t *testing.T) {
 }
 
 func TestCapacityDropOldestFirst(t *testing.T) {
-	addr := reserveAddr(t)
+	addr := testkit.FreeAddr(t)
 	cfg := fastConfig(addr, "")
 	cfg.SpoolCap = 3
 	u, err := New(cfg)
@@ -474,7 +462,7 @@ func TestChaosMidRunReset(t *testing.T) {
 					// Everything is spooled before the first dial, so the sender works
 					// in full runs.
 					dir := t.TempDir()
-					idle, err := New(fastConfig(reserveAddr(t), dir))
+					idle, err := New(fastConfig(testkit.FreeAddr(t), dir))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -597,7 +585,7 @@ func TestEvictedInFlightCountedOnce(t *testing.T) {
 // pending frame retires, and with the link down it gives up at its timeout
 // naming what is still pending.
 func TestFlushWakesOnDrainAndTimesOut(t *testing.T) {
-	addr := reserveAddr(t)
+	addr := testkit.FreeAddr(t)
 	u, err := New(fastConfig(addr, ""))
 	if err != nil {
 		t.Fatal(err)

@@ -1,22 +1,17 @@
 package wnn
 
 import (
-	"bufio"
-	"flag"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/chiller"
+	"repro/internal/testkit"
 	"repro/internal/vibration"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/features.golden from this build")
 
 const featuresGolden = "testdata/features.golden"
 
@@ -115,38 +110,7 @@ func hexBits(xs []float64) string {
 // only from a build whose features you trust, with
 // go test ./internal/wnn/ -run TestFeaturesMatchGolden -update.
 func TestFeaturesMatchGolden(t *testing.T) {
-	got := goldenLines(t)
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(featuresGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(featuresGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Open(featuresGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d feature lines, golden has %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("line %d differs:\n%s", i+1, describeDiff(got[i], want[i]))
-		}
-	}
+	testkit.Lines(t, featuresGolden, goldenLines(t), testkit.Describe(describeDiff))
 }
 
 // describeDiff names the case of a golden line and the first value that

@@ -8,18 +8,17 @@ import (
 	"testing"
 
 	"repro/internal/chiller"
+	"repro/internal/testkit"
 )
-
-// trainedWeightsSHA256 is the digest of every parameter NewChillerClassifier
-// fits at the benchmark's shape (16 384-sample frames, 16 recordings a
-// class, seed 1): per measurement point in AllPoints order, the scaler's
-// mean and std, then w1, b1, w2 and b2, each float64 as its IEEE-754 bits,
-// big-endian.
-const trainedWeightsSHA256 = "f4666b89703a1ee2337e6ee53de53988fdbe382ed69e26bdaa286a858e3e8d3d"
 
 // TestTrainedWeightsPinned holds SGD's arithmetic to the bit: the step size
 // and the weight decay are constants of the package, and a change to either
-// or to the order they are applied in moves this digest.
+// or to the order they are applied in moves the SHA-256 in
+// testdata/trained_weights.sha256. It digests every parameter
+// NewChillerClassifier fits at the benchmark's shape (16 384-sample frames,
+// 16 recordings a class, seed 1): per measurement point in AllPoints order,
+// the scaler's mean and std, then w1, b1, w2 and b2, each float64 as its
+// IEEE-754 bits, big-endian.
 func TestTrainedWeightsPinned(t *testing.T) {
 	clf, err := NewChillerClassifier(chiller.DefaultConfig(), 16384, 16, 1)
 	if err != nil {
@@ -46,7 +45,5 @@ func TestTrainedWeightsPinned(t *testing.T) {
 		}
 		put(n.b2)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != trainedWeightsSHA256 {
-		t.Fatalf("trained weights SHA-256 %s, want %s", got, trainedWeightsSHA256)
-	}
+	testkit.Lines(t, "testdata/trained_weights.sha256", []string{hex.EncodeToString(h.Sum(nil))})
 }
