@@ -14,12 +14,17 @@ func (r *registry) ObserveReport(id string) {}
 
 type dedup struct{}
 
+type fuser struct{}
+
+func (f *fuser) Fold(rec []byte, keep func() error) {}
+
 func (d *dedup) Mark(key string) {}
 
 type engine struct {
 	model    *model
 	health   *registry
 	dedup    *dedup
+	diag     *fuser
 	received int
 }
 
@@ -59,6 +64,12 @@ func (p *engine) badOrder(rec []byte, id string) error {
 func (p *engine) badPost(rec []byte, id string) error {
 	p.model.Create(id, rec)                        // want "Create mutates checkpointed state before the appendJournal write-ahead"
 	p.model.Set(id, []string{"belief"}, func() {}) // want "Set mutates checkpointed state before the appendJournal write-ahead"
+	return p.appendJournal(1, one(rec))
+}
+
+// badFold folds the report into fusion before the append.
+func (p *engine) badFold(rec []byte) error {
+	p.diag.Fold(rec, nil) // want "Fold mutates checkpointed state before the appendJournal write-ahead"
 	return p.appendJournal(1, one(rec))
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"repro/internal/chiller"
 	"repro/internal/dempster"
@@ -35,15 +36,15 @@ func E8GroupAblation(seed int64) (*Result, error) {
 		return nil, err
 	}
 	// Concurrent independent faults from three different groups, each
-	// reported three times with belief 0.9 (reinforcing sources).
+	// reported with belief 0.9 by three reinforcing sources: three DCs.
 	concurrent := []string{
 		chiller.MotorRotorBar.String(),  // electrical
 		chiller.MotorImbalance.String(), // rotating-structural
 		chiller.GearToothWear.String(),  // gearing
 	}
 	for _, cond := range concurrent {
-		for i := 0; i < 3; i++ {
-			if _, err := grouped.AddReport("chiller/1", cond, 0.9); err != nil {
+		for _, dc := range []string{"dc-1", "dc-2", "dc-3"} {
+			if _, err := grouped.AddReportFrom("chiller/1", cond, dc, time.Time{}, 0.9); err != nil {
 				return nil, err
 			}
 			if _, err := naive.AddReport("chiller/1", cond, 0.9); err != nil {

@@ -15,6 +15,11 @@
 // Prognostic fusion (§5.4) combines (time, probability) vectors by "taking
 // the most conservative estimate at any given time period, and
 // interpolating a smooth curve from point to point".
+//
+// Both fuse what each knowledge source currently says: a (component, group)
+// block holds one entry per (condition, DC, knowledge source), that source's
+// newest report, and a source's next report replaces its entry rather than
+// adding to it.
 package fusion
 
 import (
@@ -27,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/dempster"
+	"repro/internal/proto"
 )
 
 // Discounter supplies per-source reliability factors for Shafer discounting.
@@ -107,88 +113,73 @@ type groupFrame struct {
 	name    string
 	members []string
 	frame   *dempster.Frame
-	// byName is the member positions in name order: the order a snapshot
-	// lists a block's conditions in.
-	byName []int
-}
-
-// names returns the members in set, in name order (nil when there are none).
-func (g *groupFrame) names(set dempster.Set) []string {
-	var out []string
-	for _, pos := range g.byName {
-		if set.Contains(dempster.Singleton(pos)) {
-			out = append(out, g.members[pos])
-		}
-	}
-	return out
+	// rank is each member position's place in name order: what a block's
+	// entries sort by first.
+	rank []int
 }
 
 // memberRef locates a condition: its group's number and its position in the
 // group.
 type memberRef struct{ group, pos int }
 
-// sourceEvidence is the running evidence one knowledge source has
-// contributed to a (component, group) block. Keeping sources separate (and
-// combining at query time) lets each source's whole contribution be
-// discounted by its current reliability: Dempster combination is
-// commutative and associative, so splitting per source changes nothing
-// when every α is 1.
-type sourceEvidence struct {
-	// id names the source ("" for reports with no source attribution).
-	id   string
-	mass dempster.Mass
-	// lastReport is the latest sensed-at timestamp this source asserted
-	// (zero for untimestamped reports — never discounted).
-	lastReport time.Time
-	// conditions is the set of members this source has reported.
-	conditions dempster.Set
+// source is one knowledge source of one DC that the fuser has heard from.
+// The DC "" is the anonymous source, never discounted.
+type source struct{ dc, ks string }
+
+// entry is one key's current report in a block: what source number src (the
+// fuser's sources) last said about the member at pos. It holds the report's
+// belief, clamped, the time the report was sensed at (zero for an
+// untimestamped one, which is never discounted or re-based) and its
+// prognostic vector (empty for none).
+type entry struct {
+	src, pos int32
+	belief   float64
+	at       time.Time
+	vec      proto.PrognosticVector
 }
 
-// groupState is the running belief state of one (component, group) block:
-// a few small arrays. Positions in reports and newest, and the bits of a
-// source's conditions, are the group's member positions; the group's frame
-// is the fuser's, built once at construction.
+// compare orders a group's entries by key: member name, then DC, then
+// knowledge source. Callers hold df.mu.
+func (df *DiagnosticFuser) compare(g *groupFrame, a, b entry) int {
+	sa, sb := &df.sources[a.src], &df.sources[b.src]
+	return cmp.Or(cmp.Compare(g.rank[a.pos], g.rank[b.pos]), cmp.Compare(sa.dc, sb.dc), cmp.Compare(sa.ks, sb.ks))
+}
+
+// groupState is one (component, group) block: each key's current report, and
+// per member position the reports folded and the fused prognostic vector. It
+// is bounded by sources × members, however many reports arrive.
 type groupState struct {
-	// sources holds per-knowledge-source evidence sorted by id: the order
-	// the sources combine in.
-	sources []sourceEvidence
-	// reports counts report arrivals by member position.
+	// entries are sorted by key (compare): the order they combine in.
+	entries []entry
+	// reports counts the reports folded, by member position.
 	reports []int
-	// newest is each member's UpdatedAt, by position: the sensed-at time of
-	// the newest evidence folded in — a max, so a late report never moves it
-	// back.
-	newest []time.Time
-}
-
-func newGroupState(members int) *groupState {
-	return &groupState{reports: make([]int, members), newest: make([]time.Time, members)}
-}
-
-// source returns the index of the source with the given id in sources, or
-// where it would be inserted.
-func (st *groupState) source(id string) (int, bool) {
-	return slices.BinarySearchFunc(st.sources, id, func(s sourceEvidence, id string) int { return cmp.Compare(s.id, id) })
+	// prognoses is each member's fused vector as its last fold left it; nil
+	// until a report with a vector reaches the block.
+	prognoses []proto.PrognosticVector
 }
 
 // DiagnosticFuser maintains fused beliefs per component, partitioned into
-// logical failure groups. Safe for concurrent use.
+// logical failure groups, and the members' fused prognostic vectors. Safe
+// for concurrent use.
 type DiagnosticFuser struct {
 	mu sync.RWMutex
 	// groups are the failure groups numbered in name order, each with its
-	// frame; members locates every condition in them. Neither is
-	// checkpointed: failure-group topology is construction config, and
-	// Restore refuses snapshots that disagree with it.
+	// frame; members locates every condition in them. Both are construction
+	// config.
 	groups  []groupFrame
 	members map[string]memberRef
 	// states holds each component's blocks by group number; a group with no
 	// evidence on the component has none.
 	states map[string][]*groupState
+	// sources numbers every source heard from, so an entry names its source
+	// in four bytes.
+	sources  []source
+	sourceID map[source]int32
 	// maxBelief is a fixed clamp constant set at construction, not
 	// accumulated state.
 	maxBelief   float64
 	totalFusedN int
-	// discounter is runtime wiring to the health registry, re-injected by
-	// SetDiscounter after restore.
+	// discounter is runtime wiring to the health registry.
 	discounter Discounter
 }
 
@@ -202,8 +193,8 @@ func (df *DiagnosticFuser) SetDiscounter(d Discounter) {
 }
 
 // NewDiagnosticFuser builds a fuser over the given failure groups. Incoming
-// report beliefs are clamped to 0.999 so two certain-but-contradictory
-// sources discount each other instead of producing total conflict.
+// report beliefs are clamped to 0.999, so every report leaves some mass on
+// the group's unknown and no combination of reports is in total conflict.
 func NewDiagnosticFuser(groups Groups) (*DiagnosticFuser, error) {
 	if err := groups.Validate(); err != nil {
 		return nil, err
@@ -211,6 +202,7 @@ func NewDiagnosticFuser(groups Groups) (*DiagnosticFuser, error) {
 	df := &DiagnosticFuser{
 		members:   make(map[string]memberRef),
 		states:    make(map[string][]*groupState),
+		sourceID:  make(map[source]int32),
 		maxBelief: 0.999,
 	}
 	for g, name := range slices.Sorted(maps.Keys(groups)) {
@@ -220,13 +212,16 @@ func NewDiagnosticFuser(groups Groups) (*DiagnosticFuser, error) {
 			return nil, err
 		}
 		members := hyps[:len(hyps)-1]
-		byName := make([]int, len(members))
+		rank := make([]int, len(members))
 		for pos, c := range members {
-			byName[pos] = pos
 			df.members[c] = memberRef{g, pos}
+			for _, other := range members {
+				if other < c {
+					rank[pos]++
+				}
+			}
 		}
-		slices.SortFunc(byName, func(a, b int) int { return cmp.Compare(members[a], members[b]) })
-		df.groups = append(df.groups, groupFrame{name: name, members: members, frame: frame, byName: byName})
+		df.groups = append(df.groups, groupFrame{name: name, members: members, frame: frame, rank: rank})
 	}
 	return df, nil
 }
@@ -259,13 +254,16 @@ func (df *DiagnosticFuser) GroupOf(condition string) (string, error) {
 }
 
 // foldScratch is the working storage of one fold or read: the running fused
-// mass and the next one, the report's evidence in a fold or a source's
-// discounted mass in a read, and the discount factors. Reads run
-// concurrently under the read lock, so each takes its own from scratchPool
-// rather than sharing one the fuser keeps.
+// mass and the next one, an entry's evidence and its discounted form, the
+// discount factors, and the block's entries as a fold would leave them.
+// Reads run concurrently under the read lock, so each takes its own from
+// scratchPool rather than sharing one the fuser keeps.
 type foldScratch struct {
-	fused, next, disc dempster.Mass
-	factors           []float64
+	fused, next, ev, disc dempster.Mass
+	factors               []float64
+	entries               []entry
+	// points holds a fold's re-based vectors (prognosis).
+	points []proto.PrognosticPoint
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
@@ -279,7 +277,7 @@ func (df *DiagnosticFuser) held(component string, g int) *groupState {
 	return nil
 }
 
-// AddReport fuses one diagnostic report from an anonymous source — see
+// AddReport fuses one diagnostic report from the anonymous source — see
 // AddReportFrom — and returns the updated fused belief in the condition.
 // Anonymous evidence is never discounted.
 func (df *DiagnosticFuser) AddReport(component, condition string, belief float64) (float64, error) {
@@ -287,104 +285,132 @@ func (df *DiagnosticFuser) AddReport(component, condition string, belief float64
 	return cs.Belief, err
 }
 
-// AddReportFrom fuses one diagnostic report: the named knowledge source
-// asserting the condition on the component with the given belief, sensed at
-// the given time. It returns the condition's state as the combination that
-// folded the report in read it, so a caller posting the conclusion need not
-// ask again. Per §5.6, the update also reweights every other failure in
-// the condition's logical group and the group's unknown mass — all readable
-// afterwards via Belief/Unknown/GroupState. When a Discounter is installed
-// the source's accumulated evidence is Shafer-discounted by its current
-// reliability on every read, so beliefs decay toward ignorance as the
-// source goes stale and recover when fresh reports resume.
-func (df *DiagnosticFuser) AddReportFrom(component, condition, source string, at time.Time, belief float64) (ConditionState, error) {
+// AddReportFrom fuses one diagnostic report with no knowledge source and no
+// prognostic vector: Fold of a report from the DC named source asserting the
+// condition on the component with the given belief, sensed at the given time.
+func (df *DiagnosticFuser) AddReportFrom(component, condition, dc string, at time.Time, belief float64) (ConditionState, error) {
+	return df.fold(component, condition, source{dc: dc}, entry{belief: belief, at: at}, nil)
+}
+
+// Fold takes r in as its knowledge source's current report on the pair
+// (r.SensedObjectID, r.MachineConditionID): the block's entry under the key
+// (condition, r.DCID, r.KnowledgeSourceID) becomes r's belief, sensed-at time
+// and prognostic vector, unless the entry holds a report sensed later (a tie
+// goes to r). The report is counted either way. Fold then recombines the
+// block's entries (§5.3: the update reweights every other member of the group
+// and the group's unknown mass) and fuses the pair's entry vectors (§5.4),
+// and returns the pair's state as that combination read it, so a caller
+// posting the conclusion need not ask again.
+//
+// keep, when not nil, runs once the fold is decided and before it is kept,
+// under the fuser's lock: an error from it refuses the report, which then
+// changes nothing. It must not call into the fuser. The fuser keeps r's
+// prognostic vector, which the caller must not change afterwards.
+func (df *DiagnosticFuser) Fold(r *proto.Report, keep func() error) (ConditionState, error) {
+	return df.fold(r.SensedObjectID, r.MachineConditionID, source{r.DCID, r.KnowledgeSourceID},
+		entry{belief: r.Belief, at: r.Timestamp, vec: r.Prognostics}, keep)
+}
+
+// fold is Fold of the entry e from src about condition on component.
+func (df *DiagnosticFuser) fold(component, condition string, src source, e entry, keep func() error) (ConditionState, error) {
 	if component == "" {
 		return ConditionState{}, fmt.Errorf("fusion: empty component")
 	}
-	if !(belief >= 0 && belief <= 1) { // NaN too
-		return ConditionState{}, fmt.Errorf("fusion: belief %g outside [0,1]", belief)
+	if !(e.belief >= 0 && e.belief <= 1) { // NaN too
+		return ConditionState{}, fmt.Errorf("fusion: belief %g outside [0,1]", e.belief)
+	}
+	if err := e.vec.Validate(); err != nil {
+		return ConditionState{}, fmt.Errorf("fusion: %w", err)
 	}
 	ref, err := df.member(condition)
 	if err != nil {
 		return ConditionState{}, err
 	}
-	if belief > df.maxBelief {
-		belief = df.maxBelief
-	}
-	g, hyp := &df.groups[ref.group], dempster.Singleton(ref.pos)
+	e.pos, e.belief = int32(ref.pos), min(e.belief, df.maxBelief)
+	g := &df.groups[ref.group]
 	sc := scratchPool.Get().(*foldScratch)
 	defer scratchPool.Put(sc)
 	df.mu.Lock()
 	defer df.mu.Unlock()
-	blocks := df.states[component]
-	if blocks == nil {
-		blocks = make([]*groupState, len(df.groups))
-		df.states[component] = blocks
+	id, known := df.sourceID[src]
+	if !known {
+		// A source number outlives a refused fold; what it names does not
+		// change.
+		id = int32(len(df.sources))
+		df.sources = append(df.sources, src)
+		df.sourceID[src] = id
 	}
-	st := blocks[ref.group]
+	e.src = id
+	// The block as the fold would leave it, in scratch: a refused fold keeps
+	// nothing.
+	next := groupState{entries: sc.entries[:0]}
+	st := df.held(component, ref.group)
+	if st != nil {
+		next.entries, next.reports = append(next.entries, st.entries...), st.reports
+	}
+	i, found := slices.BinarySearchFunc(next.entries, e, func(x, e entry) int { return df.compare(g, x, e) })
+	switch {
+	case !found:
+		next.entries = slices.Insert(next.entries, i, e)
+	case !e.at.Before(next.entries[i].at):
+		next.entries[i] = e
+	}
+	sc.entries = next.entries
+	defer clear(sc.entries) // the pool keeps no report's strings or vector
+	var out [1]ConditionState
+	if _, err := df.readLocked(g, &next, ref.pos, out[:], sc); err != nil {
+		return ConditionState{}, err
+	}
+	cs := &out[0]
+	cs.Reports++
+	if cs.Prognostics, err = prognosis(next.entries, e.pos, cs.UpdatedAt, &sc.points); err != nil {
+		return ConditionState{}, err
+	}
+	if keep != nil {
+		if err := keep(); err != nil {
+			return ConditionState{}, err
+		}
+	}
 	if st == nil {
-		st = newGroupState(len(g.members))
+		blocks := df.states[component]
+		if blocks == nil {
+			blocks = make([]*groupState, len(df.groups))
+			df.states[component] = blocks
+		}
+		st = &groupState{reports: make([]int, len(g.members))}
 		blocks[ref.group] = st
 	}
-	if err := sc.disc.SetSimpleSupport(g.frame, hyp, belief); err != nil {
-		return ConditionState{}, err
-	}
-	i, ok := st.source(source)
-	if !ok {
-		st.sources = slices.Insert(st.sources, i, sourceEvidence{id: source})
-		st.sources[i].mass.SetVacuous(g.frame)
-	}
-	src := &st.sources[i]
-	// Combine into spare storage and swap it in only on success: a refused
-	// fold leaves the source's mass as it was.
-	if _, err := dempster.CombineInto(&sc.next, &src.mass, &sc.disc); err != nil {
-		return ConditionState{}, err
-	}
-	src.mass, sc.next = sc.next, src.mass
-	src.conditions |= hyp
-	if at.After(src.lastReport) {
-		src.lastReport = at
-	}
-	if at.After(st.newest[ref.pos]) {
-		st.newest[ref.pos] = at
-	}
+	st.entries = append(st.entries[:0], next.entries...)
 	st.reports[ref.pos]++
+	if st.prognoses == nil && cs.Prognostics != nil {
+		st.prognoses = make([]proto.PrognosticVector, len(g.members))
+	}
+	if st.prognoses != nil {
+		st.prognoses[ref.pos] = cs.Prognostics
+	}
 	df.totalFusedN++
-	var out [1]ConditionState
-	if _, err := df.readLocked(g, st, ref.pos, out[:], sc); err != nil {
-		return ConditionState{}, err
-	}
-	return out[0], nil
+	return *cs, nil
 }
 
-// factorsLocked returns, aligned with the block's sources in sc's factor
-// buffer, the discount factor each source's evidence carries right now (1
-// for the anonymous source and for untimestamped evidence, which are never
-// discounted). With no discounter installed nothing is discounted and the
-// factors are nil. Callers hold df.mu (read or write).
-func (df *DiagnosticFuser) factorsLocked(st *groupState, sc *foldScratch) []float64 {
-	if df.discounter == nil {
-		return nil
-	}
-	sc.factors = df.appendFactorsLocked(sc.factors[:0], st)
-	return sc.factors
-}
-
-// appendFactorsLocked appends factorsLocked's factors to dst; the caller has
-// checked that a discounter is installed. Callers hold df.mu (read or write).
-func (df *DiagnosticFuser) appendFactorsLocked(dst []float64, st *groupState) []float64 {
-	for i := range st.sources {
-		src := &st.sources[i]
+// appendFactorsLocked appends, aligned with entries, the discount factor each
+// entry carries right now: its DC's reliability at the entry's sensed-at
+// time, or 1 for the anonymous source and for untimestamped evidence. The
+// caller has checked that a discounter is installed and holds df.mu (read or
+// write).
+func (df *DiagnosticFuser) appendFactorsLocked(dst []float64, entries []entry) []float64 {
+	for i := range entries {
+		e := &entries[i]
 		alpha := 1.0
-		if src.id != "" && !src.lastReport.IsZero() {
-			alpha = df.discounter.Reliability(src.id, src.lastReport)
+		if dc := df.sources[e.src].dc; dc != "" && !e.at.IsZero() {
+			alpha = df.discounter.Reliability(dc, e.at)
 		}
 		dst = append(dst, alpha)
 	}
 	return dst
 }
 
-// factorAt reads source i's factor out of factorsLocked's result.
+// factorAt reads entry i's factor out of fusedLocked's factors, nil while no
+// discounter is installed.
 func factorAt(factors []float64, i int) float64 {
 	if factors == nil {
 		return 1
@@ -392,17 +418,24 @@ func factorAt(factors []float64, i int) float64 {
 	return factors[i]
 }
 
-// fusedLocked combines every source's discounted evidence for one block, in
-// source-id order, and returns the factors it discounted by: the fused mass
-// is a pure function of the block's evidence and those factors, whatever the
-// arrival interleaving across sources was. The fused mass lives in sc.
+// fusedLocked combines the entries' simple supports, each Shafer-discounted
+// by its factor, in key order, and returns the factors it discounted by: the
+// fused mass is a pure function of the entries and those factors, whatever
+// order the reports arrived in. The fused mass and the factors live in sc.
 // Callers hold df.mu.
-func (df *DiagnosticFuser) fusedLocked(g *groupFrame, st *groupState, sc *foldScratch) (fused *dempster.Mass, factors []float64, err error) {
-	factors = df.factorsLocked(st, sc)
+func (df *DiagnosticFuser) fusedLocked(g *groupFrame, entries []entry, sc *foldScratch) (fused *dempster.Mass, factors []float64, err error) {
+	if df.discounter != nil {
+		sc.factors = df.appendFactorsLocked(sc.factors[:0], entries)
+		factors = sc.factors
+	}
 	fused, next := &sc.fused, &sc.next
 	fused.SetVacuous(g.frame)
-	for i := range st.sources {
-		m := &st.sources[i].mass
+	for i := range entries {
+		e := &entries[i]
+		m := &sc.ev
+		if err = m.SetSimpleSupport(g.frame, dempster.Singleton(int(e.pos)), e.belief); err != nil {
+			return nil, nil, err
+		}
 		if alpha := factorAt(factors, i); alpha < 1 {
 			if err = dempster.DiscountInto(&sc.disc, m, alpha); err != nil {
 				return nil, nil, err
@@ -418,36 +451,47 @@ func (df *DiagnosticFuser) fusedLocked(g *groupFrame, st *groupState, sc *foldSc
 }
 
 // readLocked is the one fused read of a block of group g: it combines the
-// block's evidence once in sc, fills out[i] with the state of the member at
+// block's entries once in sc, fills out[i] with the state of the member at
 // position first+i, and returns the factors the combination discounted by,
-// which are sc's. ConditionState, GroupState and RankedAll are projections
-// of it. Callers hold df.mu.
+// which are sc's. ConditionState, GroupState, RankedAll and a fold are
+// projections of it. Callers hold df.mu.
 func (df *DiagnosticFuser) readLocked(g *groupFrame, st *groupState, first int, out []ConditionState, sc *foldScratch) ([]float64, error) {
-	fused, factors, err := df.fusedLocked(g, st, sc)
+	fused, factors, err := df.fusedLocked(g, st.entries, sc)
 	if err != nil {
 		return nil, err
 	}
 	unknown := fused.Unknown()
 	for i := range out {
 		pos := first + i
-		hyp := dempster.Singleton(pos)
 		out[i] = ConditionState{ConditionBelief: ConditionBelief{
-			Condition: g.members[pos], Group: g.name, Reports: st.reports[pos], Reliability: 1,
-		}, Unknown: unknown, UpdatedAt: st.newest[pos]}
-		// Best reliability across the sources asserting the condition: a
-		// conclusion is degraded only when no fresh source backs it.
-		best, seen := 0.0, false
-		for j := range st.sources {
-			if !st.sources[j].conditions.Contains(hyp) {
-				continue
-			}
-			if a := factorAt(factors, j); !seen || a > best {
-				best, seen = a, true
-			}
+			Condition: g.members[pos], Group: g.name, Reliability: 1,
+		}, Unknown: unknown}
+		if st.reports != nil {
+			out[i].Reports = st.reports[pos]
 		}
-		if seen {
-			out[i].Reliability, out[i].Degraded = best, best < 1-1e-9
+		if st.prognoses != nil {
+			out[i].Prognostics = st.prognoses[pos]
 		}
+	}
+	// Each member's newest evidence, and the best factor among its entries:
+	// a conclusion is degraded only when no fresh report backs it.
+	var seen uint64
+	for j := range st.entries {
+		e := &st.entries[j]
+		i := int(e.pos) - first
+		if i < 0 || i >= len(out) {
+			continue
+		}
+		cs := &out[i]
+		if e.at.After(cs.UpdatedAt) {
+			cs.UpdatedAt = e.at
+		}
+		if a := factorAt(factors, j); seen&(1<<i) == 0 || a > cs.Reliability {
+			cs.Reliability, seen = a, seen|1<<i
+		}
+	}
+	for i := range out {
+		out[i].Degraded = out[i].Reliability < 1-1e-9
 	}
 	// One walk over the focal sets serves every member's belief and
 	// plausibility. It runs in ascending focal-set order — the order
@@ -545,12 +589,15 @@ type ConditionState struct {
 	// Unknown is the residual unknown mass of the condition's whole group on
 	// this component (1.0 before any report).
 	Unknown float64
-	// UpdatedAt is the sensed-at time of the newest evidence folded into the
-	// pair (zero before any timestamped report): what a shard stamps the
-	// pair's summary with and an aggregator orders summaries by. It never goes
-	// back: a late report changes the belief, not the time of the newest
-	// evidence.
+	// UpdatedAt is the sensed-at time of the newest report the pair's entries
+	// hold (zero before any timestamped report): what a shard stamps the
+	// pair's summary with and an aggregator orders summaries by. It never
+	// goes back: a late report changes no entry.
 	UpdatedAt time.Time
+	// Prognostics is the pair's fused §7.3 vector, its horizons counted from
+	// UpdatedAt (nil when no entry holds one). It is the fuser's own and
+	// read-only: a later fold replaces it rather than changes it.
+	Prognostics proto.PrognosticVector
 }
 
 // vacuousState is a pair's state before any report reaches its group.
@@ -561,9 +608,9 @@ func vacuousState(condition, group string) ConditionState {
 }
 
 // ConditionState returns the pair's fused belief, plausibility, group
-// unknown, report count, and health-discount fields under a single lock
-// acquisition and a single evidence combination: one member of the group
-// read. Belief and Unknown each return one field of it.
+// unknown, report count, health-discount fields and prognostic vector under
+// a single lock acquisition and a single evidence combination: one member of
+// the group read. Belief and Unknown each return one field of it.
 func (df *DiagnosticFuser) ConditionState(component, condition string) (ConditionState, error) {
 	ref, err := df.member(condition)
 	if err != nil {
@@ -585,6 +632,22 @@ func (df *DiagnosticFuser) ConditionState(component, condition string) (Conditio
 	return out[0], nil
 }
 
+// Prognosis returns the pair's fused prognostic vector, ConditionState's
+// Prognostics, without combining any evidence: nil when no entry of the pair
+// holds one or the condition is in no group.
+func (df *DiagnosticFuser) Prognosis(component, condition string) proto.PrognosticVector {
+	ref, ok := df.members[condition]
+	if !ok {
+		return nil
+	}
+	df.mu.RLock()
+	defer df.mu.RUnlock()
+	if st := df.held(component, ref.group); st != nil && st.prognoses != nil {
+		return st.prognoses[ref.pos]
+	}
+	return nil
+}
+
 // GroupState is the complete fused read of one (component, failure group)
 // block — the unit one report can change (§5.3): evidence for any member
 // reweights every other member and the group's unknown mass, and nothing
@@ -593,11 +656,11 @@ type GroupState struct {
 	// Members holds every member condition's state, reported or not, in the
 	// group's registration order. Each carries the group's unknown mass.
 	Members []ConditionState
-	// Factors are the discount factors the read applied, one per
-	// contributing source in sorted source-id order; nil while no discounter
-	// is installed. Members is a pure function of the block's evidence and
-	// these: until a report reaches the block, a later read differs exactly
-	// when AppendGroupFactors does.
+	// Factors are the discount factors the read applied, one per entry of
+	// the block in key order; nil while no discounter is installed. Members
+	// is a pure function of the block's entries and these: until a report
+	// reaches the block, a later read differs exactly when
+	// AppendGroupFactors does.
 	Factors []float64
 }
 
@@ -632,7 +695,7 @@ func (df *DiagnosticFuser) GroupState(component, group string) (GroupState, erro
 
 // AppendGroupFactors appends to dst what GroupState's Factors would be right
 // now, without combining any evidence — one Reliability call per discounted
-// source — and returns the extended slice. It appends nothing while no
+// entry — and returns the extended slice. It appends nothing while no
 // discounter is installed, the group is unknown or the block holds no
 // evidence. Into a buffer with room it allocates nothing.
 func (df *DiagnosticFuser) AppendGroupFactors(dst []float64, component, group string) []float64 {
@@ -646,7 +709,7 @@ func (df *DiagnosticFuser) AppendGroupFactors(dst []float64, component, group st
 	if st == nil || df.discounter == nil {
 		return dst
 	}
-	return df.appendFactorsLocked(dst, st)
+	return df.appendFactorsLocked(dst, st.entries)
 }
 
 // Blocks returns every (component, failure group) pair that holds evidence,
@@ -670,6 +733,53 @@ func (df *DiagnosticFuser) ReportCount() int {
 	df.mu.RLock()
 	defer df.mu.RUnlock()
 	return df.totalFusedN
+}
+
+// PairCount is one reported pair's report count, as a checkpoint keeps it:
+// the entries a block holds say what each source currently says, not how
+// many reports said it.
+type PairCount struct {
+	Component string `json:"component"`
+	Condition string `json:"condition"`
+	Reports   int    `json:"reports"`
+}
+
+// Counts returns every reported pair's count — components in name order,
+// then groups, then members in registration order — and the total number of
+// fused reports.
+func (df *DiagnosticFuser) Counts() ([]PairCount, int) {
+	df.mu.RLock()
+	defer df.mu.RUnlock()
+	var out []PairCount
+	for _, component := range slices.Sorted(maps.Keys(df.states)) {
+		for g, st := range df.states[component] {
+			if st == nil {
+				continue
+			}
+			for pos, n := range st.reports {
+				if n > 0 {
+					out = append(out, PairCount{Component: component, Condition: df.groups[g].members[pos], Reports: n})
+				}
+			}
+		}
+	}
+	return out, df.totalFusedN
+}
+
+// SetCounts puts back what Counts returned, once the reports a checkpoint
+// kept are folded again: each listed pair's count, where its block holds
+// evidence, and the total.
+func (df *DiagnosticFuser) SetCounts(pairs []PairCount, total int) {
+	df.mu.Lock()
+	defer df.mu.Unlock()
+	for _, pc := range pairs {
+		if ref, ok := df.members[pc.Condition]; ok {
+			if st := df.held(pc.Component, ref.group); st != nil {
+				st.reports[ref.pos] = pc.Reports
+			}
+		}
+	}
+	df.totalFusedN = total
 }
 
 // NaiveFuser is the E8 ablation baseline: a single global frame over ALL

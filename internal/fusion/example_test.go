@@ -44,10 +44,10 @@ func ExampleDiagnosticFuser() {
 		panic(err)
 	}
 	// Two sources agree on imbalance.
-	if _, err := df.AddReport("motor/1", "motor imbalance", 0.6); err != nil {
+	if _, err := df.AddReportFrom("motor/1", "motor imbalance", "dc-1", time.Time{}, 0.6); err != nil {
 		panic(err)
 	}
-	if _, err := df.AddReport("motor/1", "motor imbalance", 0.5); err != nil {
+	if _, err := df.AddReportFrom("motor/1", "motor imbalance", "dc-2", time.Time{}, 0.5); err != nil {
 		panic(err)
 	}
 	// An electrical fault is independent evidence in its own group.

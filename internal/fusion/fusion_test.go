@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -47,13 +48,22 @@ func TestAddReportAndBelief(t *testing.T) {
 	if math.Abs(b-0.6) > 1e-9 {
 		t.Errorf("first report belief %g", b)
 	}
-	// Reinforcing report: belief grows (1 - 0.4*0.5 = 0.8).
-	b, err = df.AddReport("motor/1", "motor imbalance", 0.5)
+	// The same source's next report replaces its first: belief is what the
+	// source currently says.
+	b, err = df.AddReport("motor/1", "motor imbalance", 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(b-0.8) > 1e-9 {
-		t.Errorf("reinforced belief %g, want 0.8", b)
+	if math.Abs(b-0.7) > 1e-9 {
+		t.Errorf("restated belief %g, want 0.7", b)
+	}
+	// A reinforcing report from a second source: belief grows (1 - 0.3*0.5 = 0.85).
+	cs, err := df.AddReportFrom("motor/1", "motor imbalance", "dc-2", time.Time{}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b = cs.Belief; math.Abs(b-0.85) > 1e-9 || cs.Reports != 3 {
+		t.Errorf("reinforced belief %g after %d reports, want 0.85 after 3", b, cs.Reports)
 	}
 	got, err := df.Belief("motor/1", "motor imbalance")
 	if err != nil || math.Abs(got-b) > 1e-12 {
@@ -64,8 +74,8 @@ func TestAddReportAndBelief(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(u-0.2) > 1e-9 {
-		t.Errorf("unknown %g, want 0.2", u)
+	if math.Abs(u-0.15) > 1e-9 {
+		t.Errorf("unknown %g, want 0.15", u)
 	}
 	// Fresh component: vacuous.
 	u, _ = df.Unknown("pump/9", "structural")
@@ -76,7 +86,7 @@ func TestAddReportAndBelief(t *testing.T) {
 	if err != nil || b != 0 {
 		t.Errorf("fresh belief %g %v", b, err)
 	}
-	cs, err := df.ConditionState("pump/9", "oil whirl")
+	cs, err = df.ConditionState("pump/9", "oil whirl")
 	if err != nil || cs.Plausibility != 1 {
 		t.Errorf("fresh plausibility %g %v", cs.Plausibility, err)
 	}
@@ -204,8 +214,8 @@ func TestIndependentGroupsStayConcurrent(t *testing.T) {
 		{"oil whirl", 0.9},
 	}
 	for _, e := range evidence {
-		for i := 0; i < 3; i++ { // three reinforcing reports each
-			if _, err := df.AddReport("m", e.cond, e.belief); err != nil {
+		for _, dc := range []string{"dc-1", "dc-2", "dc-3"} { // three reinforcing sources each
+			if _, err := df.AddReportFrom("m", e.cond, dc, time.Time{}, e.belief); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := nf.AddReport("m", e.cond, e.belief); err != nil {
@@ -244,7 +254,7 @@ func TestRankedList(t *testing.T) {
 	}
 	for _, r := range reports {
 		for i := 0; i < r.n; i++ {
-			if _, err := df.AddReport("m", r.cond, r.belief); err != nil {
+			if _, err := df.AddReportFrom("m", r.cond, fmt.Sprintf("dc-%d", i), time.Time{}, r.belief); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -466,80 +476,171 @@ func TestFusedDominatesInputsProperty(t *testing.T) {
 	}
 }
 
+// progReport is a report carrying only a prognostic vector, from knowledge
+// source ks of dc-1, sensed at.
+func progReport(component, condition, ks string, at time.Time, v proto.PrognosticVector) *proto.Report {
+	return &proto.Report{DCID: "dc-1", KnowledgeSourceID: ks, SensedObjectID: component, MachineConditionID: condition,
+		Belief: 0.5, Timestamp: at, Prognostics: v}
+}
+
+// TestPrognosticFuser: a pair's fused vector is FuseConservative over what
+// each source currently says; a source's next vector replaces its last, and
+// invalid vectors are refused before anything changes.
 func TestPrognosticFuser(t *testing.T) {
-	pf := NewPrognosticFuser()
-	v1 := proto.PrognosticVector{{Probability: 0.3, HorizonSeconds: 100}}
-	fused, err := pf.AddReport("m", "motor imbalance", v1)
-	if err != nil || len(fused) != 1 {
-		t.Fatalf("first add: %v %v", fused, err)
-	}
-	v2 := proto.PrognosticVector{{Probability: 0.8, HorizonSeconds: 100}}
-	fused, err = pf.AddReport("m", "motor imbalance", v2)
+	df, err := NewDiagnosticFuser(testGroups())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fused.ProbabilityAt(100 * time.Second); math.Abs(got-0.8) > 1e-9 {
+	v1 := proto.PrognosticVector{{Probability: 0.3, HorizonSeconds: 100}}
+	cs, err := df.Fold(progReport("m", "motor imbalance", "ks/a", dt, v1), nil)
+	if err != nil || !slices.Equal(cs.Prognostics, v1) {
+		t.Fatalf("first fold: %v %v", cs.Prognostics, err)
+	}
+	v2 := proto.PrognosticVector{{Probability: 0.8, HorizonSeconds: 100}}
+	if cs, err = df.Fold(progReport("m", "motor imbalance", "ks/b", dt, v2), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := cs.Prognostics.ProbabilityAt(100 * time.Second); math.Abs(got-0.8) > 1e-9 {
 		t.Errorf("fused at 100s = %g", got)
 	}
 	// Readback.
-	cur := pf.Fused("m", "motor imbalance")
-	if len(cur) == 0 {
-		t.Fatal("empty fused readback")
+	if cur, err := df.ConditionState("m", "motor imbalance"); err != nil || !slices.Equal(cur.Prognostics, cs.Prognostics) {
+		t.Fatalf("readback %v, fold returned %v (%v)", cur.Prognostics, cs.Prognostics, err)
+	}
+	// ks/b restates a weaker vector: it replaces ks/b's, and ks/a's is the envelope.
+	if cs, err = df.Fold(progReport("m", "motor imbalance", "ks/b", dt, proto.PrognosticVector{{Probability: 0.1, HorizonSeconds: 100}}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := cs.Prognostics.ProbabilityAt(100 * time.Second); math.Abs(got-0.3) > 1e-9 {
+		t.Errorf("after ks/b's weaker restatement fused at 100s = %g, want 0.3", got)
 	}
 	// Unmentioned pair.
-	if v := pf.Fused("m", "ghost"); v != nil && len(v) != 0 {
-		t.Error("ghost pair has vector")
+	if cs, err := df.ConditionState("m", "oil whirl"); err != nil || cs.Prognostics != nil {
+		t.Error("unreported pair has a vector")
 	}
 	// Time to failure.
-	if _, ok := pf.Fused("m", "motor imbalance").TimeToProbability(0.5, 1000*time.Second); !ok {
+	if _, ok := cs.Prognostics.TimeToProbability(0.3, 1000*time.Second); !ok {
 		t.Error("time to failure not found")
 	}
-	// Validation.
-	if _, err := pf.AddReport("", "c", v1); err == nil {
-		t.Error("empty component")
-	}
-	if _, err := pf.AddReport("m", "", v1); err == nil {
-		t.Error("empty condition")
-	}
-	if _, err := pf.AddReport("m", "c", proto.PrognosticVector{{Probability: 2, HorizonSeconds: 1}}); err == nil {
+	// Validation: refused, and the pair's vector is as it was.
+	if _, err := df.Fold(progReport("m", "motor imbalance", "ks/a", dt, proto.PrognosticVector{{Probability: 2, HorizonSeconds: 1}}), nil); err == nil {
 		t.Error("invalid vector")
 	}
-	// Empty vector add is a no-op returning current state.
-	got, err := pf.AddReport("m", "motor imbalance", nil)
-	if err != nil || len(got) == 0 {
-		t.Errorf("empty add: %v %v", got, err)
+	if cur, _ := df.ConditionState("m", "motor imbalance"); !slices.Equal(cur.Prognostics, cs.Prognostics) || cur.Reports != 3 {
+		t.Errorf("a refused vector changed the pair: %v after %d reports", cur.Prognostics, cur.Reports)
+	}
+	// A report with no vector clears its source's: ks/b's is what is left.
+	if cs, err = df.Fold(progReport("m", "motor imbalance", "ks/a", dt, nil), nil); err != nil ||
+		!slices.Equal(cs.Prognostics, proto.PrognosticVector{{Probability: 0.1, HorizonSeconds: 100}}) {
+		t.Errorf("ks/a withdrew its vector, and the pair reads %v (%v), want ks/b's", cs.Prognostics, err)
 	}
 }
 
-// TestFusedVectorsAreNeverRewritten: AddReport and Fused hand out the vector
-// the fuser holds, so the fuser must replace a pair's vector, never write
-// into it, and must not alias the reporter's vector either. Every vector
-// handed out keeps its values while later reports fold in.
+// TestFusedVectorsAreNeverRewritten: folds and reads hand out the vector the
+// fuser holds, so the fuser must replace a pair's vector, never write into
+// it. Every vector handed out keeps its values while later reports fold in.
 func TestFusedVectorsAreNeverRewritten(t *testing.T) {
-	pf := NewPrognosticFuser()
+	df, err := NewDiagnosticFuser(testGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var handed, want []proto.PrognosticVector
 	keep := func(v proto.PrognosticVector) {
 		handed = append(handed, v)
 		want = append(want, append(proto.PrognosticVector(nil), v...))
 	}
-	report := proto.PrognosticVector{{Probability: 0.2, HorizonSeconds: 1000}, {Probability: 0.5, HorizonSeconds: 4000}}
 	for i, v := range []proto.PrognosticVector{
-		report,
+		{{Probability: 0.2, HorizonSeconds: 1000}, {Probability: 0.5, HorizonSeconds: 4000}},
 		{{Probability: 0.4, HorizonSeconds: 2000}},
 		{{Probability: 0.1, HorizonSeconds: 500}, {Probability: 0.9, HorizonSeconds: 3000}},
 		{{Probability: 0.95, HorizonSeconds: 100}},
 	} {
-		fused, err := pf.AddReport("m", "oil whirl", v)
+		cs, err := df.Fold(progReport("m", "oil whirl", fmt.Sprintf("ks/%d", i%3), dt.Add(time.Duration(i)*time.Second), v), nil)
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
 		}
-		keep(fused)
-		keep(pf.Fused("m", "oil whirl"))
+		keep(cs.Prognostics)
+		cur, err := df.ConditionState("m", "oil whirl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep(cur.Prognostics)
 	}
-	report[0].Probability = 0.99 // the reporter reuses its buffer
 	for i := range handed {
 		if !slices.Equal(handed[i], want[i]) {
 			t.Errorf("vector %d handed out as %v now reads %v", i, want[i], handed[i])
+		}
+	}
+}
+
+// TestOptimisticVectorReplacesPessimistic: a source's pessimistic vector
+// (0.9 within a day) followed by a thousand optimistic ones (0.01 within a
+// year), an hour apart, ends with the optimistic vector: a prognosis is an
+// estimate the source revises, not a running envelope.
+func TestOptimisticVectorReplacesPessimistic(t *testing.T) {
+	df, err := NewDiagnosticFuser(testGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const day = 86400.0
+	optimistic := proto.PrognosticVector{{Probability: 0.01, HorizonSeconds: 365 * day}}
+	cs, err := df.Fold(progReport("m", "oil whirl", "ks/dli", dt, proto.PrognosticVector{{Probability: 0.9, HorizonSeconds: day}}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 1000; i++ {
+		if cs, err = df.Fold(progReport("m", "oil whirl", "ks/dli", dt.Add(time.Duration(i)*time.Hour), optimistic), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(cs.Prognostics, optimistic) {
+		t.Fatalf("fused %v, want the optimistic %v", cs.Prognostics, optimistic)
+	}
+}
+
+// TestWeakerLaterVectorRebased: one source says 0.5 within 10 days; five
+// days later another source says something weaker. Both are read from the
+// newer report's time, so the pair fuses to 0.5 within 5 days.
+func TestWeakerLaterVectorRebased(t *testing.T) {
+	df, err := NewDiagnosticFuser(testGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const day = 86400.0
+	if _, err := df.Fold(progReport("m", "oil whirl", "ks/a", dt, proto.PrognosticVector{{Probability: 0.5, HorizonSeconds: 10 * day}}), nil); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := df.Fold(progReport("m", "oil whirl", "ks/b", dt.Add(5*24*time.Hour), proto.PrognosticVector{{Probability: 0.1, HorizonSeconds: 20 * day}}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs.Prognostics) == 0 || cs.Prognostics[0] != (proto.PrognosticPoint{Probability: 0.5, HorizonSeconds: 5 * day}) {
+		t.Fatalf("fused %v, want it to start at 0.5 within 5 days", cs.Prognostics)
+	}
+	if h, ok := cs.Prognostics.TimeToProbability(0.5, 10*24*time.Hour); !ok || h != 5*24*time.Hour {
+		t.Errorf("time to 0.5: %v (%v), want 5 days", h, ok)
+	}
+}
+
+// TestRebase: a horizon shifts by the vector's age; one already passed is
+// due, its probability holding from now on.
+func TestRebase(t *testing.T) {
+	v := proto.PrognosticVector{{Probability: 0.2, HorizonSeconds: 100}, {Probability: 0.6, HorizonSeconds: 200}}
+	for _, tc := range []struct {
+		shift time.Duration
+		want  proto.PrognosticVector
+	}{
+		{0, v},
+		{50 * time.Second, proto.PrognosticVector{{Probability: 0.2, HorizonSeconds: 50}, {Probability: 0.6, HorizonSeconds: 150}}},
+		{150 * time.Second, proto.PrognosticVector{{Probability: 0.2, HorizonSeconds: dueHorizon}, {Probability: 0.6, HorizonSeconds: 50}}},
+		{300 * time.Second, proto.PrognosticVector{{Probability: 0.6, HorizonSeconds: dueHorizon}, {Probability: 0.6, HorizonSeconds: 2 * dueHorizon}}},
+	} {
+		_, got := rebase(nil, v, tc.shift)
+		if !slices.Equal(got, tc.want) || got.Validate() != nil {
+			t.Errorf("rebase by %v: %v, want %v", tc.shift, got, tc.want)
+		}
+		if p := got.ProbabilityAt(1000 * time.Hour); tc.shift == 300*time.Second && p != 0.6 {
+			t.Errorf("a vector wholly due reads %g far out, want its 0.6 held", p)
 		}
 	}
 }
@@ -573,16 +674,23 @@ func randomVector(rng *testRand) proto.PrognosticVector {
 }
 
 func BenchmarkPrognosticFusion(b *testing.B) {
-	pf := NewPrognosticFuser()
+	df, err := NewDiagnosticFuser(testGroups())
+	if err != nil {
+		b.Fatal(err)
+	}
 	vs := []proto.PrognosticVector{
 		{{Probability: 0.1, HorizonSeconds: 100}, {Probability: 0.5, HorizonSeconds: 200}, {Probability: 0.9, HorizonSeconds: 400}},
 		{{Probability: 0.3, HorizonSeconds: 150}, {Probability: 0.7, HorizonSeconds: 300}},
 		{{Probability: 0.2, HorizonSeconds: 120}},
 	}
+	reports := make([]*proto.Report, 3)
+	for i := range reports {
+		reports[i] = progReport("m", "oil whirl", fmt.Sprintf("ks/%d", i), dt, vs[i])
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pf.AddReport("m", "c", vs[i%3]); err != nil {
+		if _, err := df.Fold(reports[i%3], nil); err != nil {
 			b.Fatal(err)
 		}
 	}

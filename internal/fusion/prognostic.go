@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/proto"
@@ -150,61 +149,73 @@ func simplify(v proto.PrognosticVector) proto.PrognosticVector {
 	return out
 }
 
-// PrognosticFuser accumulates prognostic vectors per (component, condition)
-// and keeps the running conservative fusion. Safe for concurrent use.
-// Per §5.6, "prognostic knowledge fusion generates a new prognostic vector
-// for each suspect component whenever a new prognostic report arrives."
-type PrognosticFuser struct {
-	mu    sync.RWMutex
-	fused map[progKey]proto.PrognosticVector
-}
+// dueHorizon is where a re-based vector puts the points whose horizons have
+// passed: one second out, the smallest horizon it states.
+const dueHorizon = 1.0
 
-type progKey struct{ component, condition string }
-
-// NewPrognosticFuser returns an empty prognostic fuser.
-func NewPrognosticFuser() *PrognosticFuser {
-	return &PrognosticFuser{fused: make(map[progKey]proto.PrognosticVector)}
-}
-
-// AddReport fuses a new prognostic vector for the (component, condition)
-// pair and returns the updated fused vector. The fuser keeps its own copy of
-// v. The vector it returns is the one it holds, shared with every later
-// reader until the next report for the pair replaces it: the fuser never
-// writes into a vector it has handed out, and callers must not either.
-func (pf *PrognosticFuser) AddReport(component, condition string, v proto.PrognosticVector) (proto.PrognosticVector, error) {
-	if component == "" || condition == "" {
-		return nil, fmt.Errorf("fusion: empty component or condition")
+// rebase reads v, a vector claimed shift ago, from now: "p within h" becomes
+// "p within h − shift". A horizon that has passed is due, and its probability
+// holds from now on: the points at or before dueHorizon collapse into one
+// there, at the largest of their probabilities, and when no point is still
+// ahead a second one at twice that horizon keeps the tail flat rather than
+// extrapolated from the origin. A vector with nothing due is only shifted.
+// The re-based vector is appended to dst, which is returned extended, and is
+// the tail it appended.
+func rebase(dst []proto.PrognosticPoint, v proto.PrognosticVector, shift time.Duration) ([]proto.PrognosticPoint, proto.PrognosticVector) {
+	s := shift.Seconds()
+	due := 0
+	for due < len(v) && v[due].HorizonSeconds-s <= dueHorizon {
+		due++
 	}
-	if err := v.Validate(); err != nil {
-		return nil, err
-	}
-	if len(v) == 0 {
-		return pf.Fused(component, condition), nil
-	}
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	k := progKey{component, condition}
-	cur := pf.fused[k]
-	var fused proto.PrognosticVector
-	var err error
-	if len(cur) == 0 {
-		fused = append(proto.PrognosticVector(nil), v...)
-	} else {
-		fused, err = FuseConservative(cur, v)
-		if err != nil {
-			return nil, err
+	n := len(dst)
+	out := dst
+	if due > 0 {
+		p := v[due-1].Probability
+		out = append(out, proto.PrognosticPoint{Probability: p, HorizonSeconds: dueHorizon})
+		if due == len(v) {
+			out = append(out, proto.PrognosticPoint{Probability: p, HorizonSeconds: 2 * dueHorizon})
 		}
 	}
-	pf.fused[k] = fused
-	return fused, nil
+	for _, p := range v[due:] {
+		out = append(out, proto.PrognosticPoint{Probability: p.Probability, HorizonSeconds: p.HorizonSeconds - s})
+	}
+	return out, out[n:len(out):len(out)]
 }
 
-// Fused returns the current fused vector for a (component, condition) pair
-// (nil when no prognostic reports have arrived). It is read-only, like
-// AddReport's: the vector the fuser holds, which a later report replaces
-// rather than changes.
-func (pf *PrognosticFuser) Fused(component, condition string) proto.PrognosticVector {
-	pf.mu.RLock()
-	defer pf.mu.RUnlock()
-	return pf.fused[progKey{component, condition}]
+// prognosis is §5.4 over what the sources currently say about the member at
+// pos: FuseConservative of its entries' vectors, each re-based to at, the
+// pair's UpdatedAt (an untimestamped entry is not re-based), in the scratch
+// *points. A lone vector that needs no re-basing is returned as it is,
+// shared; nil when no entry holds one.
+func prognosis(entries []entry, pos int32, at time.Time, points *[]proto.PrognosticPoint) (proto.PrognosticVector, error) {
+	var buf [4]proto.PrognosticVector
+	vecs := buf[:0]
+	rebased := false
+	*points = (*points)[:0]
+	// Every re-based vector lands in *points before any is read, so one
+	// points slice can hold them all: reserve what they can take.
+	need := 0
+	for i := range entries {
+		need += len(entries[i].vec) + 2
+	}
+	*points = slices.Grow(*points, need)
+	for i := range entries {
+		e := &entries[i]
+		if e.pos != pos || len(e.vec) == 0 {
+			continue
+		}
+		v := e.vec
+		if shift := at.Sub(e.at); !e.at.IsZero() && shift > 0 {
+			*points, v = rebase(*points, v, shift)
+			rebased = true
+		}
+		vecs = append(vecs, v)
+	}
+	switch {
+	case len(vecs) == 0:
+		return nil, nil
+	case len(vecs) == 1 && !rebased:
+		return vecs[0], nil
+	}
+	return FuseConservative(vecs...)
 }

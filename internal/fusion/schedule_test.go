@@ -2,7 +2,7 @@ package fusion
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -13,27 +13,26 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/testkit"
 )
 
-// scheduleFolds is how many diagnostic reports the seeded schedule folds in.
-// It is long enough that some sources' Θ underflows to 0 — a focal set a
-// combination keeps with mass 0 — and that some reads across sources refuse
-// as total conflict.
+// scheduleFolds is how many reports the seeded schedule folds in. At the
+// parent of the per-source entries, whose running masses turned certain, a
+// long schedule had thousands of its folds refused as total conflict.
 const scheduleFolds = 20000
 
-// schedule is the fusers after the seeded schedule, and how many of its
-// diagnostic reports AddReportFrom returned an error for.
+// schedule is the fuser after the seeded schedule, and how many of its
+// reports Fold returned an error for.
 type schedule struct {
 	diag    *DiagnosticFuser
-	prog    *PrognosticFuser
 	refused int
 }
 
 // runSchedule folds the seeded schedule: four components, the test groups,
 // the anonymous source and three DCs, each source mostly repeating one call
-// per component, beliefs mostly near-certain, some reports late, and one
-// prognostic vector every tenth report.
+// per component, beliefs mostly near-certain, some reports late, and a
+// prognostic vector on every tenth report.
 func runSchedule(t testing.TB) schedule {
 	t.Helper()
 	groups := testGroups()
@@ -45,7 +44,7 @@ func runSchedule(t testing.TB) schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := schedule{diag: df, prog: NewPrognosticFuser()}
+	s := schedule{diag: df}
 	comps := []string{"chiller/1", "chiller/2", "chiller/3", "chiller/4"}
 	sources := []string{"", "dc-1", "dc-2", "dc-3"}
 	rng, vecs := rand.New(rand.NewSource(1)), newRand(1)
@@ -54,7 +53,7 @@ func runSchedule(t testing.TB) schedule {
 		c, k := rng.Intn(len(comps)), rng.Intn(len(sources))
 		comp, src := comps[c], sources[k]
 		// Each source mostly repeats its own call on a component, as a DC
-		// does, so agreeing evidence drives its Θ down to 0.
+		// does.
 		cond := conds[(3*c+5*k)%len(conds)]
 		if rng.Intn(8) == 0 {
 			cond = conds[rng.Intn(len(conds))]
@@ -70,32 +69,22 @@ func runSchedule(t testing.TB) schedule {
 		if src == "" {
 			at = time.Time{}
 		}
-		if _, err := df.AddReportFrom(comp, cond, src, at, belief); err != nil {
-			s.refused++
-		}
+		r := &proto.Report{DCID: src, SensedObjectID: comp, MachineConditionID: cond, Belief: belief, Timestamp: at}
 		if i%10 == 0 {
-			if _, err := s.prog.AddReport(comp, cond, randomVector(vecs)); err != nil {
-				t.Fatal(err)
-			}
+			r.Prognostics = randomVector(vecs)
+		}
+		if _, err := df.Fold(r, nil); err != nil {
+			s.refused++
 		}
 	}
 	return s
 }
 
-// diagnosticJSON is the diagnostic fuser's checkpoint bytes.
-func diagnosticJSON(t testing.TB, df *DiagnosticFuser) []byte {
-	t.Helper()
-	b, err := df.Capture().AppendJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // readsText is every block's GroupState under a fixed discounter, one line
 // per member, floats in their shortest exact form: the read path's output,
-// discounting included, bit for bit.
-func readsText(df *DiagnosticFuser) []byte {
+// discounting and the fused prognostic vectors included, bit for bit.
+func readsText(t testing.TB, df *DiagnosticFuser) []byte {
+	t.Helper()
 	df.SetDiscounter(&fakeDiscounter{alpha: map[string]float64{"dc-2": 0.8, "dc-3": 0.35}})
 	defer df.SetDiscounter(nil)
 	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
@@ -107,58 +96,34 @@ func readsText(df *DiagnosticFuser) []byte {
 			continue
 		}
 		for _, m := range gs.Members {
-			fmt.Fprintf(&b, "%s/%s: bel %s pl %s unknown %s reports %d reliability %s degraded %v\n",
-				blk[0], m.Condition, g(m.Belief), g(m.Plausibility), g(m.Unknown), m.Reports, g(m.Reliability), m.Degraded)
+			vec, err := proto.AppendPrognosticsJSON(nil, m.Prognostics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s/%s: bel %s pl %s unknown %s reports %d reliability %s degraded %v updated %s prognostics %s\n",
+				blk[0], m.Condition, g(m.Belief), g(m.Plausibility), g(m.Unknown), m.Reports, g(m.Reliability), m.Degraded,
+				m.UpdatedAt.Format(time.RFC3339), vec)
 		}
 	}
 	return b.Bytes()
 }
 
-// TestSchedulePinnedBytes: the seeded schedule's diagnostic and prognostic
-// checkpoint bytes, and its discounted reads, are byte for byte what the
-// map-backed fold wrote before folds became in place (testdata/, written
-// with -update by that build). Every sum the fold and the read make must be
-// the same float sequence, zero masses included.
+// TestSchedulePinnedBytes: the seeded schedule folds every report — none
+// meets total conflict — and its discounted reads, fused vectors included,
+// are byte for byte what testdata/schedule_reads.txt holds (written with
+// -update). Every sum the fold and the read make must be the same float
+// sequence.
 func TestSchedulePinnedBytes(t *testing.T) {
 	s := runSchedule(t)
-	prog, err := s.prog.Capture().AppendJSON(nil)
-	if err != nil {
-		t.Fatal(err)
+	if s.refused != 0 {
+		t.Errorf("%d of %d folds refused, want none", s.refused, scheduleFolds)
 	}
-	t.Logf("%d of %d folds refused", s.refused, scheduleFolds)
-	testkit.Bytes(t, "testdata/schedule_diagnostic.json", diagnosticJSON(t, s.diag))
-	testkit.Bytes(t, "testdata/schedule_prognostic.json", prog)
-	testkit.Bytes(t, "testdata/schedule_reads.txt", readsText(s.diag))
-}
-
-// TestCaptureRestoreCaptureIsIdentity: a fuser restored from a checkpoint
-// checkpoints to the same bytes — zero-mass focal sets included, which an
-// underflowed Θ leaves in a long evidence chain.
-func TestCaptureRestoreCaptureIsIdentity(t *testing.T) {
-	s := runSchedule(t)
-	first := diagnosticJSON(t, s.diag)
-	if !bytes.Contains(first, []byte(`"mass":0}`)) {
-		t.Fatal("the schedule left no zero mass, so this test checks nothing")
-	}
-	var st DiagnosticState
-	if err := json.Unmarshal(first, &st); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := NewDiagnosticFuser(testGroups())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if second := diagnosticJSON(t, restored); !bytes.Equal(first, second) {
-		t.Fatalf("capture → Restore → capture: %d bytes became %d, first difference at byte %d",
-			len(first), len(second), firstDifference(first, second))
-	}
+	testkit.Bytes(t, "testdata/schedule_reads.txt", readsText(t, s.diag))
 }
 
 // TestRefusedFoldLeavesStateUntouched: a report with a NaN belief on a block
-// that holds evidence is refused, and the source's mass is what it was.
+// that holds evidence is refused, and so is one whose keep fails; either way
+// every read of the block is what it was.
 func TestRefusedFoldLeavesStateUntouched(t *testing.T) {
 	df, err := NewDiagnosticFuser(testGroups())
 	if err != nil {
@@ -170,18 +135,29 @@ func TestRefusedFoldLeavesStateUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := diagnosticJSON(t, df)
+	before := readsText(t, df)
 	if _, err := df.AddReportFrom("motor/1", "motor misalignment", "dc-1", at.Add(5*time.Hour), math.NaN()); err == nil {
 		t.Fatal("a fold of a NaN belief was accepted")
 	}
-	if after := diagnosticJSON(t, df); !bytes.Equal(before, after) {
+	if after := readsText(t, df); !bytes.Equal(before, after) {
 		t.Fatalf("a refused fold changed the state:\n%s\n%s", before, after)
+	}
+	// A fold its keep refuses changes nothing either: not the entry, the
+	// count, the stamp or the vector.
+	refusal := errors.New("historian closed")
+	r := &proto.Report{DCID: "dc-1", SensedObjectID: "motor/1", MachineConditionID: "motor misalignment", Belief: 0.9,
+		Timestamp: at.Add(6 * time.Hour), Prognostics: proto.PrognosticVector{{Probability: 0.5, HorizonSeconds: 3600}}}
+	if _, err := df.Fold(r, func() error { return refusal }); err != refusal {
+		t.Fatalf("a fold keep refused answered %v, want keep's error", err)
+	}
+	if after := readsText(t, df); !bytes.Equal(before, after) {
+		t.Fatalf("a fold keep refused changed the state:\n%s\n%s", before, after)
 	}
 }
 
 // TestNaNBeliefRefusedBeforeAnyState: a NaN belief is outside [0,1] and is
-// refused by the range check, before the fold creates the block or the source
-// it would have gone to: Blocks() and the capture bytes are as they were.
+// refused by the range check, before the fold creates the block or the entry
+// it would have gone to: Blocks() and the reads are as they were.
 func TestNaNBeliefRefusedBeforeAnyState(t *testing.T) {
 	df, err := NewDiagnosticFuser(testGroups())
 	if err != nil {
@@ -191,7 +167,7 @@ func TestNaNBeliefRefusedBeforeAnyState(t *testing.T) {
 	if _, err := df.AddReportFrom("motor/1", "motor imbalance", "dc-1", at, 0.6); err != nil {
 		t.Fatal(err)
 	}
-	blocks, before := df.Blocks(), diagnosticJSON(t, df)
+	blocks, before := df.Blocks(), readsText(t, df)
 	for _, r := range []struct{ component, condition, source string }{
 		{"motor/2", "motor imbalance", "dc-1"}, // a new block
 		{"motor/1", "motor imbalance", "dc-2"}, // a new source on a held block
@@ -204,18 +180,7 @@ func TestNaNBeliefRefusedBeforeAnyState(t *testing.T) {
 	if got := df.Blocks(); !slices.Equal(got, blocks) {
 		t.Errorf("refused NaN folds changed the blocks: %v, want %v", got, blocks)
 	}
-	if after := diagnosticJSON(t, df); !bytes.Equal(before, after) {
+	if after := readsText(t, df); !bytes.Equal(before, after) {
 		t.Errorf("refused NaN folds changed the state:\n%s\n%s", before, after)
 	}
-}
-
-// firstDifference is the index of the first byte where a and b differ.
-func firstDifference(a, b []byte) int {
-	n := min(len(a), len(b))
-	for i := range n {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
 }

@@ -2,12 +2,15 @@ package pdme
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,17 +20,52 @@ import (
 	"repro/internal/relstore"
 )
 
+// referenceFrame is a report frame as json.Marshal writes it: proto's
+// envelope with no delivery tag.
+type referenceFrame struct {
+	Kind   string        `json:"kind"`
+	Report *proto.Report `json:"report"`
+}
+
 // referenceCheckpoint is the checkpoint's reference encoding: json.Marshal of
-// the state the Snapshot, State and ExportState methods return. Callers hold
-// acceptMu's write side.
+// the state the repository, the fuser's Counts, State and ExportState hold,
+// the repository's reports sorted by key and each framed by json.Marshal.
+// Callers hold acceptMu's write side.
 func (p *PDME) referenceCheckpoint() ([]byte, error) {
-	return json.Marshal(checkpointState{
-		Received: p.ReceivedReports(),
-		Dedup:    p.dedupHandle().State(),
-		Diag:     p.diag.Snapshot(),
-		Prog:     p.prog.Snapshot(),
-		Health:   p.Health().ExportState(),
+	st := checkpointState{Format: checkpointFormat, Received: p.ReceivedReports(), Dedup: p.dedupHandle().State(), Health: p.Health().ExportState()}
+	st.Counts, st.TotalFused = p.diag.Counts()
+	p.mu.Lock()
+	keys := slices.SortedFunc(maps.Keys(p.reports), func(a, b reportKey) int {
+		return cmp.Or(cmp.Compare(a.sensed, b.sensed), cmp.Compare(a.condition, b.condition), cmp.Compare(a.dc, b.dc), cmp.Compare(a.source, b.source))
 	})
+	reports := make([]*proto.Report, len(keys))
+	for i, k := range keys {
+		reports[i] = p.reports[k].r
+	}
+	p.mu.Unlock()
+	for _, r := range reports {
+		frame, err := json.Marshal(referenceFrame{Kind: "report", Report: r})
+		if err != nil {
+			return nil, err
+		}
+		st.Reports = append(st.Reports, frame)
+	}
+	return json.Marshal(st)
+}
+
+// post creates a report object straight in p's model, past the accept path's
+// validation, and fails t if knowledge fusion refuses it.
+func post(t testing.TB, p *PDME, r *proto.Report) {
+	t.Helper()
+	id, err := p.Model().Create(ReportClass, r)
+	if err == nil {
+		p.mu.Lock()
+		err = p.refused[id]
+		p.mu.Unlock()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // checkpointBytes returns what Checkpoint writes for p's state and the
@@ -91,17 +129,15 @@ var checkpointShapes = []struct {
 	}},
 	{"anonymous source, zero and zoned timestamps", false, func(t testing.TB, p *PDME) {
 		zoned := time.Date(2001, 2, 3, 4, 5, 6, 700, time.FixedZone("IST", 5*3600+1800))
+		// No report is zero-stamped (the historian refuses one); the health
+		// section's last_heartbeat is.
 		for _, r := range []struct {
-			source string
-			at     time.Time
-		}{{"", time.Time{}}, {"", zoned}, {"ks/dli", time.Time{}}, {"ks/dli", zoned}, {"ks/west", zoned.In(time.FixedZone("", -7*3600))}} {
-			if _, err := p.diag.AddReportFrom("pump/9", "oil whirl", r.source, r.at, 0.4); err != nil {
-				t.Fatal(err)
-			}
+			dc, source string
+			at         time.Time
+		}{{"", "", zoned}, {"", "ks/dli", zoned.Add(time.Second)}, {"dc-1", "", zoned}, {"dc-1", "ks/dli", zoned}, {"dc-1", "ks/west", zoned.In(time.FixedZone("", -7*3600))}} {
+			post(t, p, &proto.Report{DCID: r.dc, KnowledgeSourceID: r.source, SensedObjectID: "pump/9", MachineConditionID: "oil whirl", Belief: 0.4, Timestamp: r.at})
 		}
-		if _, err := p.diag.AddReport("pump/9", "motor imbalance", 0.999); err != nil {
-			t.Fatal(err)
-		}
+		post(t, p, &proto.Report{SensedObjectID: "pump/9", MachineConditionID: "motor imbalance", Belief: 0.999, Timestamp: zoned.UTC()})
 	}},
 	{"dedup window across a boot change", false, func(t testing.TB, p *PDME) {
 		p.ConfigureDedup(8)
@@ -137,13 +173,9 @@ var checkpointShapes = []struct {
 		for i, g := range []string{"c\"quoted\\", "c\u2028line", "c\x01\x1f\x7f", "c\xff\xfe bad", "c\tab\b\f\n\r", "ascii"} {
 			for _, comp := range []string{"m<1>&\u2029", "m\"2\"", "m\xc3"} {
 				for _, src := range []string{"ks\t\"<x>\\", "ks/\u00e9t\u00e9", ""} {
-					if _, err := p.diag.AddReportFrom(comp, g, src, at.Add(time.Duration(i)*time.Second), 0.3); err != nil {
-						t.Fatal(err)
-					}
-				}
-				vec := proto.PrognosticVector{{Probability: 0.2, HorizonSeconds: 3600}}
-				if _, err := p.prog.AddReport(comp, g, vec); err != nil {
-					t.Fatal(err)
+					post(t, p, &proto.Report{DCID: src, KnowledgeSourceID: "ks<\u2028>", SensedObjectID: comp, MachineConditionID: g, Belief: 0.3,
+						Timestamp: at.Add(time.Duration(i) * time.Second), Explanation: "a & b < c\u2029", SuspectChannels: []string{"\xff"},
+						Prognostics: proto.PrognosticVector{{Probability: 0.2, HorizonSeconds: 3600}}})
 				}
 			}
 			p.dedupHandle().Mark("dc\x00<&>\u2028", 1, uint64(i+1))
@@ -154,33 +186,27 @@ var checkpointShapes = []struct {
 		}
 	}},
 	{"restored extremes", false, func(t testing.TB, p *PDME) {
-		zero := time.Time{}
+		frames := []string{
+			`{"kind":"report","report":{"dc_id":"dc-1","knowledge_source_id":"ks/a","sensed_object_id":"m/1","machine_condition_id":"motor imbalance","severity":5e-324,"belief":1e-7,"timestamp":"9999-12-31T23:59:59.999999999Z","prognostics":[{"probability":1e-7,"time":1e21},{"probability":1,"time":1.5e300}]}}`,
+			`{"kind":"report","report":{"dc_id":"dc-1","knowledge_source_id":"ks/b","sensed_object_id":"m/1","machine_condition_id":"motor misalignment","severity":1,"belief":1,"timestamp":"0000-01-01T00:00:00.000000001Z"}}`,
+			`{"kind":"report","report":{"knowledge_source_id":"ks/c","sensed_object_id":"m/2","machine_condition_id":"oil whirl","severity":0.1,"belief":0.30000000000000004,"timestamp":"2001-02-03T04:05:06-07:00"}}`,
+			`{"kind":"report","report":{"dc_id":"dc-2","knowledge_source_id":"ks/a","sensed_object_id":"m/1","machine_condition_id":"no such condition","severity":0.5,"belief":0.5,"timestamp":"2001-02-03T04:05:06Z"}}`,
+			`{"kind":"summary","summary":{}}`,
+			`not a frame`,
+		}
 		st := checkpointState{
+			Format:   checkpointFormat,
 			Received: 1 << 40,
 			Dedup:    proto.DedupState{Hits: 1<<63 - 1, DCs: []proto.DedupDCState{{DCID: "dc-1", Boot: 1<<64 - 1, MaxSeq: 4}}},
-			Diag: fusion.DiagnosticState{TotalFused: 7, Groups: []fusion.GroupSnapshot{
-				{Component: "m/1", Group: "structural", Sources: []fusion.SourceSnapshot{
-					{Source: "ks/a", Focal: []fusion.FocalMass{
-						{Members: []string{"motor imbalance"}, Mass: 1e-7},
-						{Members: []string{"motor misalignment"}, Mass: 1e21},
-						{Members: []string{"motor imbalance", "motor misalignment"}, Mass: 5e-324},
-						{Members: []string{"motor imbalance", "motor misalignment", "__other__"}, Mass: 0.1 + 0.2},
-					}},
-					{Source: "ks/b", LastReport: time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC), Conditions: []string{"motor imbalance"}},
-					{Source: "ks/c", Focal: []fusion.FocalMass{{Members: []string{"__other__"}, Mass: 1.7976931348623157e308}}},
-				},
-					Reports: map[string]int{"motor imbalance": 3, "motor misalignment": 0},
-					Newest:  map[string]time.Time{"motor imbalance": zero, "motor misalignment": time.Date(0, 1, 1, 0, 0, 0, 1, time.UTC)}},
-				{Component: "m/2", Group: "lubricant"},
-				{Component: "", Group: "electrical", Sources: []fusion.SourceSnapshot{{Source: "x", Focal: []fusion.FocalMass{{Members: []string{"motor rotor bar problem"}, Mass: 123456789.125}}}}},
-			}},
-			Prog: fusion.PrognosticState{
-				{Component: "m/1", Condition: "oil whirl", Vector: proto.PrognosticVector{{Probability: 1e-7, HorizonSeconds: 1e21}, {Probability: 1, HorizonSeconds: 1.5e300}}},
-				{Component: "m/0", Condition: "oil whirl", Vector: proto.PrognosticVector{}},
-			},
+			Counts: []fusion.PairCount{{Component: "m/1", Condition: "motor imbalance", Reports: 1 << 40}, {Component: "m/1", Condition: "motor misalignment", Reports: 0},
+				{Component: "m/9", Condition: "oil whirl", Reports: 3}, {Component: "m/2", Condition: "no such condition", Reports: 2}},
+			TotalFused: 7,
 		}
-		if err := p.restoreCheckpoint(st); err != nil {
-			t.Fatal(err)
+		for _, f := range frames {
+			st.Reports = append(st.Reports, json.RawMessage(f))
+		}
+		if skipped := p.restoreCheckpoint(&st); skipped != 3 {
+			t.Fatalf("%d of the checkpoint's frames skipped, want the unknown condition's, the summary and the garbage", skipped)
 		}
 	}},
 }
@@ -231,9 +257,7 @@ func TestCheckpointWriterRefusesWhatMarshalRefuses(t *testing.T) {
 		time.Date(2000, 1, 1, 0, 0, 0, 0, time.FixedZone("", 24*3600)),
 	} {
 		p := newTestPDME(t)
-		if _, err := p.diag.AddReportFrom("m/1", "oil whirl", "ks/a", at, 0.5); err != nil {
-			t.Fatal(err)
-		}
+		post(t, p, report("ks/a", "m/1", "oil whirl", 0.5, 0.5, at, nil))
 		p.acceptMu.Lock()
 		c := p.captureCheckpoint()
 		_, werr := p.referenceCheckpoint()
@@ -244,8 +268,10 @@ func TestCheckpointWriterRefusesWhatMarshalRefuses(t *testing.T) {
 	}
 }
 
-// FuzzCheckpointJSON: any checkpoint that restores is written back by the
-// writer exactly as by json.Marshal of the restored engine's reference state.
+// FuzzCheckpointJSON: any checkpoint that decodes restores — its reports
+// re-posted and folded, its counts, dedup window and health registry put
+// back — and the restored engine's checkpoint is written by the writer
+// exactly as by json.Marshal of its reference state.
 func FuzzCheckpointJSON(f *testing.F) {
 	for _, sh := range checkpointShapes {
 		if sh.odd {
@@ -260,16 +286,14 @@ func FuzzCheckpointJSON(f *testing.F) {
 		}
 		f.Add(blob)
 	}
-	f.Add([]byte(`{"diag":{"groups":[{"component":"<\u2028>","group":"lubricant","sources":[{"source":"\ufffd","focal":[{"members":["oil whirl"],"mass":1e-7}]}]}]}}`))
+	f.Add([]byte(`{"format":2,"reports":[{"kind":"report","report":{"dc_id":"\ufffd","knowledge_source_id":"<\u2028>","sensed_object_id":"m","machine_condition_id":"oil whirl","severity":0,"belief":1e-7,"timestamp":"1998-08-01T00:00:00Z"}}],"counts":[{"component":"m","condition":"oil whirl","reports":-1}]}`))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		var st checkpointState
 		if json.Unmarshal(blob, &st) != nil {
 			return
 		}
 		p := newTestPDME(t)
-		if p.restoreCheckpoint(st) != nil {
-			return
-		}
+		p.restoreCheckpoint(&st)
 		p.acceptMu.Lock()
 		c := p.captureCheckpoint()
 		want, werr := p.referenceCheckpoint()

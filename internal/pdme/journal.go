@@ -1,9 +1,11 @@
 package pdme
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -17,10 +19,10 @@ import (
 // post-dedup) is appended and fsynced to a write-ahead journal before the
 // fusion mutation commits — the reports of one run in one write under one
 // fsync, none of them applied before it — and a periodic checkpoint
-// snapshots the full derived state — per-source fusion evidence, dedup
-// watermarks + boot epochs, health observation history, the received
-// counter — so recovery is checkpoint-load + tail-replay rather than
-// full-history replay.
+// snapshots the derived state — each source's current report with the pairs'
+// report counts, dedup watermarks + boot epochs, health observation history,
+// the received counter — so recovery is checkpoint-load + tail-replay rather
+// than full-history replay.
 //
 // Cadence: by default a checkpoint follows the state, not the report count.
 // One is due once DefaultCheckpointEvery records sit above the last
@@ -34,15 +36,14 @@ import (
 // Consistency: deliveries hold acceptMu (read side) across journal append
 // + fusion mutation + dedup mark; Checkpoint takes the write side, so the
 // watermark it pins and the state it captures describe the same accepted
-// prefix. The capture copies only what a later delivery changes in place and
-// shares the rest (fusion.DiagnosticCapture); the checkpoint is formatted
-// after the lock is released. Replay re-applies only fusion effects
-// (diagnostic/prognostic evidence, conclusion objects, health observations,
-// dedup marks, the severity history) — it does not re-post report objects
-// into the OOSM, because Ranked/Belief output is a pure function of the
-// fusion state. The journal is the engine's one durable store: the OOSM is
-// working memory, so after a restart the repository holds the reports that
-// arrived since, and the DC databases keep every report.
+// prefix. The capture copies the current reports' pointers — a report is
+// never changed once posted, a newer one replaces it — and the counts; the
+// checkpoint is formatted after the lock is released. Recovery re-posts the
+// checkpoint's reports and then the WAL tail's into the OOSM, where KF folds
+// them as it folds live ones (fuse), so fusion and the repository hold the
+// current reports again; the fusion state is a pure function of them, the
+// counts and the health registry. The journal is the engine's one durable
+// store: the OOSM is working memory, and the DC databases keep every report.
 
 // Journal record kinds. A frame record's body is the report frame as the
 // server received it, which replay decodes with the server's own decoder.
@@ -68,19 +69,27 @@ const DefaultCheckpointEvery = 1024
 // most k checkpoints' length of WAL above the DefaultCheckpointEvery floor.
 const checkpointPace = 2
 
+// checkpointFormat is the checkpoint format this release writes and reads.
+// A checkpoint without one (format 0) holds running fusion masses, which
+// this release cannot rebuild: OpenJournal refuses it.
+const checkpointFormat = 2
+
 // checkpointState is the checkpoint blob: every piece of derived state a
-// crash would otherwise lose. JSON keeps float64 bit-exact (Go emits the
-// shortest uniquely-decoding representation), which recovery's
-// bit-for-bit Ranked/Belief guarantee rests on. Recovery decodes it;
-// Checkpoint writes a checkpointCapture, byte for byte json.Marshal of this
-// struct filled from the Snapshot, State and ExportState methods at the same
-// moment, which stay as that reference.
+// crash would otherwise lose. Reports are the current reports as report
+// frames, sorted by key: what fusion's entries and the OOSM repository hold
+// (fuse). JSON keeps float64 bit-exact (Go emits the shortest
+// uniquely-decoding representation), which recovery's bit-for-bit
+// Ranked/Belief guarantee rests on. Recovery decodes it; Checkpoint writes a
+// checkpointCapture, byte for byte json.Marshal of this struct at the same
+// moment.
 type checkpointState struct {
-	Received int                    `json:"received"`
-	Dedup    proto.DedupState       `json:"dedup"`
-	Diag     fusion.DiagnosticState `json:"diag"`
-	Prog     fusion.PrognosticState `json:"prog,omitempty"`
-	Health   health.RegistryState   `json:"health"`
+	Format     int                  `json:"format"`
+	Received   int                  `json:"received"`
+	Dedup      proto.DedupState     `json:"dedup"`
+	Reports    []json.RawMessage    `json:"reports"`
+	Counts     []fusion.PairCount   `json:"counts"`
+	TotalFused int                  `json:"total_fused"`
+	Health     health.RegistryState `json:"health"`
 }
 
 // JournalOptions configures the PDME's durability subsystem.
@@ -105,7 +114,7 @@ type RecoveryStats struct {
 	// ReportsReplayed / HeartbeatsReplayed count tail records re-applied on
 	// top of the checkpoint; SkippedRecords counts tail records that no
 	// longer decode or apply (e.g. a condition removed from the failure
-	// groups between runs).
+	// groups between runs), and checkpoint reports that no longer do.
 	ReportsReplayed    int
 	HeartbeatsReplayed int
 	SkippedRecords     int
@@ -153,13 +162,16 @@ func (p *PDME) OpenJournal(opts JournalOptions) (RecoveryStats, error) {
 			_ = jr.Close() // best effort: the decode error is the story
 			return stats, fmt.Errorf("pdme: decode checkpoint: %w", err)
 		}
-		if err := p.restoreCheckpoint(st); err != nil {
-			_ = jr.Close() // best effort: the restore error is the story
-			return stats, err
+		if st.Format != checkpointFormat {
+			_ = jr.Close() // best effort: the refusal is the story
+			return stats, fmt.Errorf("pdme: journal %s: the checkpoint is format %d, this release reads format %d; recover it with the binary that wrote it, or start from an empty directory", opts.Dir, st.Format, checkpointFormat)
 		}
+		stats.SkippedRecords = p.restoreCheckpoint(&st)
 		stats.CheckpointLoaded = true
 		stats.CheckpointSeq = rec.CheckpointSeq
 	}
+	p.setIntake(intakeReplay)
+	defer p.setIntake(intakeLive)
 	for _, r := range rec.Tail {
 		switch r.Kind {
 		case journalKindFrame:
@@ -205,30 +217,49 @@ func (p *PDME) OpenJournal(opts JournalOptions) (RecoveryStats, error) {
 	return stats, nil
 }
 
-// restoreCheckpoint loads a checkpoint blob into the live state.
-func (p *PDME) restoreCheckpoint(st checkpointState) error {
-	if err := p.diag.Restore(st.Diag); err != nil {
-		return fmt.Errorf("pdme: restore diagnostic state: %w", err)
-	}
-	if err := p.prog.Restore(st.Prog); err != nil {
-		return fmt.Errorf("pdme: restore prognostic state: %w", err)
-	}
+// setIntake switches how fuse takes reports in (intake).
+func (p *PDME) setIntake(in intake) {
+	p.mu.Lock()
+	p.intake = in
+	p.mu.Unlock()
+}
+
+// restoreCheckpoint loads a checkpoint into the live state and returns how
+// many of its reports no longer decode or fold. The health registry comes
+// back first, so the conclusions the re-posted reports leave are discounted
+// as the registry says; the counts last, over the ones the folds left.
+func (p *PDME) restoreCheckpoint(st *checkpointState) (skipped int) {
 	p.dedupHandle().Restore(st.Dedup)
 	p.Health().RestoreState(st.Health)
+	p.setIntake(intakeRestore)
+	defer p.setIntake(intakeLive)
+	for _, frame := range st.Reports {
+		d, err := proto.DecodeFrame(frame)
+		if err == nil && d.Report == nil {
+			err = fmt.Errorf("pdme: checkpoint frame without a report")
+		}
+		if err == nil {
+			err = p.postReport(d.Report)
+		}
+		if err != nil {
+			skipped++
+		}
+	}
+	p.diag.SetCounts(st.Counts, st.TotalFused)
 	p.mu.Lock()
 	p.received = st.Received
 	p.mu.Unlock()
-	return nil
+	return skipped
 }
 
-// replayReport re-applies one journaled report's fusion effects — see the
-// file comment for why the OOSM report object itself is not re-posted — and
-// re-marks its tag, so a resend after recovery is still a duplicate.
+// replayReport re-posts one journaled report as a live accept posts it
+// (apply, postReport; fuse records its severity idempotently) and re-marks
+// its tag, so a resend after recovery is still a duplicate.
 func (p *PDME) replayReport(d *proto.Delivery) error {
 	if d.Report == nil {
 		return fmt.Errorf("pdme: journaled frame without a report")
 	}
-	return p.apply(d, func(r *proto.Report) error { return p.fuse(r, p.replaySeverity) })
+	return p.apply(d, p.postReport)
 }
 
 // replaySeverity is observeSeverity made idempotent against a disk-backed
@@ -254,45 +285,81 @@ func (p *PDME) replaySeverity(name string, at time.Time, severity float64) error
 type checkpointCapture struct {
 	received int
 	dedup    proto.DedupCapture
-	diag     *fusion.DiagnosticCapture
-	prog     fusion.PrognosticCapture
-	health   health.RegistryState
+	// reports are the current reports, unsorted: each is immutable once
+	// posted.
+	reports []*proto.Report
+	counts  []fusion.PairCount
+	total   int
+	health  health.RegistryState
 }
 
 // captureCheckpoint takes what a checkpoint holds. Callers hold acceptMu's
 // write side, so nothing it reads is mid-delivery.
 func (p *PDME) captureCheckpoint() checkpointCapture {
-	return checkpointCapture{
+	c := checkpointCapture{
 		received: p.ReceivedReports(),
 		dedup:    p.dedupHandle().Capture(),
-		diag:     p.diag.Capture(),
-		prog:     p.prog.Capture(),
 		health:   p.Health().ExportState(),
 	}
+	c.counts, c.total = p.diag.Counts()
+	p.mu.Lock()
+	c.reports = make([]*proto.Report, 0, len(p.reports))
+	//lint:allow maporder appendJSON sorts the reports by key before writing them
+	for _, held := range p.reports {
+		c.reports = append(c.reports, held.r)
+	}
+	p.mu.Unlock()
+	return c
 }
 
 // appendJSON appends the capture exactly as json.Marshal writes the
-// checkpointState of the same moment. The health block is small and goes
-// through json.Marshal itself.
+// checkpointState of the same moment, sorting its reports in place. The
+// health block is small and goes through json.Marshal itself.
 func (c *checkpointCapture) appendJSON(dst []byte) ([]byte, error) {
 	healthJSON, err := json.Marshal(c.health)
 	if err != nil {
 		return dst, err
 	}
-	dst = append(dst, `{"received":`...)
+	slices.SortFunc(c.reports, func(a, b *proto.Report) int {
+		return cmp.Or(cmp.Compare(a.SensedObjectID, b.SensedObjectID), cmp.Compare(a.MachineConditionID, b.MachineConditionID),
+			cmp.Compare(a.DCID, b.DCID), cmp.Compare(a.KnowledgeSourceID, b.KnowledgeSourceID))
+	})
+	dst = append(dst, `{"format":`...)
+	dst = strconv.AppendInt(dst, checkpointFormat, 10)
+	dst = append(dst, `,"received":`...)
 	dst = strconv.AppendInt(dst, int64(c.received), 10)
 	dst = append(dst, `,"dedup":`...)
 	dst = c.dedup.AppendJSON(dst)
-	dst = append(dst, `,"diag":`...)
-	if dst, err = c.diag.AppendJSON(dst); err != nil {
-		return dst, err
-	}
-	if len(c.prog) > 0 {
-		dst = append(dst, `,"prog":`...)
-		if dst, err = c.prog.AppendJSON(dst); err != nil {
-			return dst, err
+	dst = append(dst, `,"reports":`...)
+	if len(c.reports) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		for i, r := range c.reports {
+			dst = append(dst, "[,"[min(i, 1)])
+			if dst, err = proto.AppendReportEnvelope(dst, r, "", 0, 0); err != nil {
+				return dst, err
+			}
 		}
+		dst = append(dst, ']')
 	}
+	dst = append(dst, `,"counts":`...)
+	if len(c.counts) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		for i, pc := range c.counts {
+			dst = append(dst, "[,"[min(i, 1)])
+			dst = append(dst, `{"component":`...)
+			dst = proto.AppendMarshalString(dst, pc.Component)
+			dst = append(dst, `,"condition":`...)
+			dst = proto.AppendMarshalString(dst, pc.Condition)
+			dst = append(dst, `,"reports":`...)
+			dst = strconv.AppendInt(dst, int64(pc.Reports), 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"total_fused":`...)
+	dst = strconv.AppendInt(dst, int64(c.total), 10)
 	dst = append(dst, `,"health":`...)
 	dst = append(dst, healthJSON...)
 	return append(dst, '}'), nil

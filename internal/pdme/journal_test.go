@@ -261,7 +261,9 @@ func TestJournalRecoveryFromCheckpointPlusTail(t *testing.T) {
 }
 
 // TestExplicitCheckpointAndReopen: Checkpoint() + clean Close, then reopen
-// — the canonical restart path — recovers with an empty tail.
+// — the canonical restart path — recovers with an empty tail, and the
+// browser (E10) shows the same current reports and predictions it showed
+// before the restart.
 func TestExplicitCheckpointAndReopen(t *testing.T) {
 	t0 := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
 	dir := t.TempDir()
@@ -273,6 +275,10 @@ func TestExplicitCheckpointAndReopen(t *testing.T) {
 	first := newJournaledPDME(t, dir, -1)
 	deliverFixture(t, first, t0)
 	if err := first.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	browser, err := first.RenderBrowser("motor/1")
+	if err != nil {
 		t.Fatal(err)
 	}
 	first.Close()
@@ -291,6 +297,9 @@ func TestExplicitCheckpointAndReopen(t *testing.T) {
 			stats.ReportsReplayed+stats.HeartbeatsReplayed)
 	}
 	assertSameFusionState(t, ref, second)
+	if got, err := second.RenderBrowser("motor/1"); err != nil || got != browser {
+		t.Errorf("browser after the restart (%v):\n%s\nbefore:\n%s", err, got, browser)
+	}
 }
 
 // TestRecoverySkipsInapplicableRecords: a WAL written under one failure

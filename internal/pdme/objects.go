@@ -53,8 +53,8 @@ var conclusionFold = []string{"belief", "plausibility", "prognostics", "unknown"
 type Conclusion struct {
 	component, condition, group   string
 	belief, plausibility, unknown float64
-	// prognostics is the fused vector as fusion returned it: a copy of its
-	// own that nothing writes into afterwards.
+	// prognostics is the fused vector as fusion returned it, which nothing
+	// writes into afterwards.
 	prognostics proto.PrognosticVector
 	updatedAt   time.Time
 }
@@ -64,9 +64,9 @@ type Conclusion struct {
 func (c *Conclusion) Subject() (component, condition string) { return c.component, c.condition }
 
 // fold writes the state a fold returned: the properties conclusionFold names.
-func (c *Conclusion) fold(cs fusion.ConditionState, vec proto.PrognosticVector) {
+func (c *Conclusion) fold(cs fusion.ConditionState) {
 	c.belief, c.plausibility, c.unknown = cs.Belief, cs.Plausibility, cs.Unknown
-	c.prognostics, c.updatedAt = vec, cs.UpdatedAt
+	c.prognostics, c.updatedAt = cs.Prognostics, cs.UpdatedAt
 }
 
 // pair is what the PDME keeps per (component, condition): the name of its

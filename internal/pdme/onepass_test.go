@@ -135,7 +135,7 @@ func TestConcurrentSendersPostOneCoherentConclusion(t *testing.T) {
 						t.Fatal(err)
 					}
 					component, condition := props["component"].(string), props["condition"].(string)
-					cs, _, err := p.ConditionSnapshot(component, condition)
+					cs, err := p.ConditionSnapshot(component, condition)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,10 +148,10 @@ func TestConcurrentSendersPostOneCoherentConclusion(t *testing.T) {
 						t.Errorf("round %d: %s/%s: conclusion updated_at %v, engine %v", round, component, condition, got, cs.UpdatedAt)
 					}
 				}
-				// Every sender is one knowledge source, so the repository keeps
-				// one report object per pair.
-				if n := countInstances(t, p.Model(), ReportClass); n != len(pairs) {
-					t.Errorf("round %d: %d report objects for %d pairs", round, n, len(pairs))
+				// Every sender is one DC's knowledge source, so the repository
+				// keeps one report object per pair and sender.
+				if n := countInstances(t, p.Model(), ReportClass); n != len(pairs)*senders {
+					t.Errorf("round %d: %d report objects for %d pairs from %d senders", round, n, len(pairs), senders)
 				}
 				p.Close()
 				if t.Failed() {

@@ -16,20 +16,22 @@
 //
 // Steps 3 and 4 are one body, fuse, whichever door a report comes by — the
 // object a delivery posts, one somebody created straight in the model, a
-// journaled report replayed at recovery — and one pass: the fold that takes
+// journaled report re-posted at recovery — and one pass: the fold that takes
 // the report in yields the pair's state and stamp, and exactly that is posted
 // as its conclusion. A report object holds the *proto.Report it was posted
 // with, and its ObjectCreated event carries it: that is what KF fuses, and
 // what the object's properties are read out of. A conclusion object holds a
 // Conclusion the PDME rewrites in place with every fold.
 // KF runs synchronously inside the model's Create, on the posting goroutine,
-// and its answer is the delivery's: a report it refuses is neither marked in
-// the dedup window nor counted, and its sender is told.
+// and its answer is the delivery's: a report it refuses changes nothing, is
+// neither marked in the dedup window nor counted, and its sender is told.
 //
 // The OOSM is a repository of both kinds of conclusion (§3.1), and it keeps
 // each at its current state: one conclusion object per pair, rewritten by
-// every fold, and one report object per (machine, knowledge source,
-// condition), the source's newest report on the pair (postReport).
+// every fold, and one report object per (machine, condition, DC, knowledge
+// source), that source's newest report on the pair. Fusion holds the same
+// reports under the same key (fusion.DiagnosticFuser.Fold): each source's
+// current report, what §5.1's KF reads out of the OOSM.
 //
 // fuse runs inside a per-component ordering section (PDME.fuseMu): for one
 // component, fold → conclusion post → the events the post raises (a shard's
@@ -73,7 +75,6 @@ const (
 type PDME struct {
 	model *oosm.Model
 	diag  *fusion.DiagnosticFuser
-	prog  *fusion.PrognosticFuser
 	// hist is the degradation historian (§4.6 data management): fused
 	// severities and lifetime archives land here, and the §10.1 consumers
 	// (trend projection, hazard refinement) query it back.
@@ -91,11 +92,14 @@ type PDME struct {
 	// that posted it: an event handler cannot fail the Create that woke it.
 	// (The refusal of an object nobody's accept posted has nobody to tell.)
 	refused map[oosm.ObjectID]error
-	// reports holds each knowledge source's current report object per
-	// (machine, condition): the repository's retention rule (postReport).
+	// reports holds each key's current report object: the repository's
+	// retention rule (fuse).
 	reports  map[reportKey]heldReport
 	received int
-	sub      *oosm.Subscription
+	// intake is how fuse takes reports in: live, or replayed or restored at
+	// recovery (OpenJournal).
+	intake intake
+	sub    *oosm.Subscription
 	// dedup suppresses at-least-once redelivery from DC uplinks. It lives
 	// on the PDME (not the server) so suppression survives a report-server
 	// Close/Serve bounce — evidence is never double-counted across restarts.
@@ -194,7 +198,6 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 	p := &PDME{
 		model:    model,
 		diag:     diag,
-		prog:     fusion.NewPrognosticFuser(),
 		hist:     hist,
 		ownHist:  ownHist,
 		pairs:    make(map[[2]string]*pair),
@@ -207,7 +210,7 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 	// the report the object holds, carried on the event. A refusal is parked
 	// for the accept that made the post (postReport).
 	p.sub = model.SubscribeClass(ReportClass, oosm.ObjectCreated, func(e oosm.Event) {
-		if err := p.fuse(e.Value.(*proto.Report), p.observeSeverity); err != nil {
+		if err := p.fuse(e.Object, e.Value.(*proto.Report)); err != nil {
 			p.mu.Lock()
 			p.refused[e.Object] = err
 			p.mu.Unlock()
@@ -368,38 +371,34 @@ func (p *PDME) apply(d *proto.Delivery, fold func(*proto.Report) error) error {
 }
 
 // reportKey names what a report object is the current one of: one knowledge
-// source's report on one (machine, condition) pair.
-type reportKey struct{ sensed, source, condition string }
+// source's report, from one DC, on one (machine, condition) pair — the key
+// fusion holds its entries under.
+type reportKey struct{ sensed, condition, dc, source string }
 
-// heldReport is a key's current report object and when its report was sensed.
+// heldReport is a key's current report object and the report it holds.
 type heldReport struct {
 	id oosm.ObjectID
-	at time.Time
+	r  *proto.Report
 }
 
-// supersedeLocked makes id, sensed at at, the key's current report unless the
-// held one is newer, and returns the object the retention rule lets go: the
-// one superseded, id itself, or the zero id when the key held nothing.
-// Callers hold p.mu.
-func (p *PDME) supersedeLocked(key reportKey, id oosm.ObjectID, at time.Time) oosm.ObjectID {
+// supersedeLocked makes id, holding r, its key's current report unless the
+// held one was sensed later — fusion's rule — and returns the object the
+// retention rule lets go: the one superseded, id itself, or the zero id when
+// the key held nothing. Callers hold p.mu.
+func (p *PDME) supersedeLocked(id oosm.ObjectID, r *proto.Report) oosm.ObjectID {
+	key := reportKey{r.SensedObjectID, r.MachineConditionID, r.DCID, r.KnowledgeSourceID}
 	held, ok := p.reports[key]
-	if ok && at.Before(held.at) {
+	if ok && r.Timestamp.Before(held.r.Timestamp) {
 		return id
 	}
-	p.reports[key] = heldReport{id: id, at: at}
+	p.reports[key] = heldReport{id: id, r: r}
 	return held.id
 }
 
 // postReport is §5.1 step 1: post the report into the OOSM. The model's
 // event notification runs knowledge fusion before Create returns, on this
-// goroutine; what it answered is this report's answer.
-//
-// The repository keeps each knowledge source's current report per (machine,
-// condition), as KF keeps one conclusion per pair: the object with the latest
-// timestamp, a tie going to the later arrival. Once KF has fused the post, the
-// object it superseded is deleted — or the post itself, when it is older than
-// the one held. A post KF refused is deleted at once and displaces nothing: it
-// was never fused.
+// goroutine; what it answered is this report's answer. A post KF refused is
+// deleted at once: it changed nothing (fuse).
 func (p *PDME) postReport(r *proto.Report) error {
 	id, err := p.model.Create(ReportClass, r)
 	if err != nil {
@@ -408,16 +407,11 @@ func (p *PDME) postReport(r *proto.Report) error {
 	p.mu.Lock()
 	refusal := p.refused[id]
 	delete(p.refused, id)
-	drop := id
-	if refusal == nil {
-		key := reportKey{r.SensedObjectID, r.KnowledgeSourceID, r.MachineConditionID}
-		drop = p.supersedeLocked(key, id, r.Timestamp)
-	}
 	p.mu.Unlock()
-	if !drop.IsZero() {
-		// Best effort: the report's answer is its fusion's, whatever becomes
+	if refusal != nil {
+		// Best effort: the report's answer is its refusal, whatever becomes
 		// of the object.
-		_ = p.model.Delete(drop)
+		_ = p.model.Delete(id)
 	}
 	return refusal
 }
@@ -503,14 +497,32 @@ func (p *PDME) ConfigureHealth(cfg health.Config) error {
 	return nil
 }
 
-// fuse is knowledge fusion's one pass over one report (package comment):
-// inside the component's ordering section and the read side's write window it
-// records the severity, folds the evidence into both fusion layers, posts the
-// state that fold returned as the pair's conclusion (§5.1 step 4), and
-// observes the DC's liveness. The live path and journal replay differ only in
-// how the severity sample is recorded (observeSeverity, or the idempotent
-// replaySeverity), so recovery reproduces the live state by construction.
-func (p *PDME) fuse(r *proto.Report, recordSeverity func(channel string, at time.Time, severity float64) error) error {
+// intake is how fuse takes a report in, and what else it records of it.
+type intake int
+
+const (
+	// intakeLive records the report's severity sample and observes its DC.
+	intakeLive intake = iota
+	// intakeReplay is a WAL tail record re-posted at recovery: its severity
+	// sample goes in unless a disk historian already holds it
+	// (replaySeverity).
+	intakeReplay
+	// intakeRestore is a checkpoint's current report re-posted at recovery:
+	// the historian and the restored health registry already hold what it
+	// left there.
+	intakeRestore
+)
+
+// fuse is knowledge fusion's one pass over the report object id holds
+// (package comment). Inside the component's ordering section and the read
+// side's write window it folds the report in (fusion.DiagnosticFuser.Fold),
+// records its severity sample once the fold is decided and before it is kept,
+// makes it its key's current report object, posts the state the fold returned
+// as the pair's conclusion (§5.1 step 4), and observes the DC's liveness. A
+// report the fold or the historian refuses changes nothing. Live reports and
+// recovery's re-posts differ only in what the intake records, so recovery
+// reproduces the live state by construction.
+func (p *PDME) fuse(id oosm.ObjectID, r *proto.Report) error {
 	component, condition := r.SensedObjectID, r.MachineConditionID
 	group, err := p.diag.GroupOf(condition)
 	if err != nil {
@@ -536,34 +548,37 @@ func (p *PDME) fuse(r *proto.Report, recordSeverity func(channel string, at time
 		pr = &pair{severity: severityChannel(component, condition)}
 		p.pairs[key] = pr
 	}
+	in := p.intake
 	p.mu.Unlock()
-	// §10.1 temporal reasoning: record the severity history in the
-	// historian so developing faults can be projected forward (and, on
-	// disk-backed stores, survive a PDME restart).
-	if err := recordSeverity(pr.severity, r.Timestamp, r.Severity); err != nil {
-		return err
-	}
-	// Evidence is attributed to the originating DC so the health registry
-	// can discount a stale source's whole contribution. Reports without a
-	// DC id stay anonymous and are never discounted.
-	cs, err := p.diag.AddReportFrom(component, condition, r.DCID, r.Timestamp, r.Belief)
+	// §10.1 temporal reasoning: the severity history goes to the historian so
+	// developing faults can be projected forward (and, on disk-backed stores,
+	// survive a PDME restart). Evidence is attributed to its DC and knowledge
+	// source so the health registry can discount a stale DC's reports.
+	cs, err := p.diag.Fold(r, func() error {
+		switch in {
+		case intakeLive:
+			return p.observeSeverity(pr.severity, r.Timestamp, r.Severity)
+		case intakeReplay:
+			return p.replaySeverity(pr.severity, r.Timestamp, r.Severity)
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	var fusedVec proto.PrognosticVector
-	if len(r.Prognostics) > 0 {
-		fusedVec, err = p.prog.AddReport(component, condition, r.Prognostics)
-		if err != nil {
-			return err
-		}
-	} else {
-		fusedVec = p.prog.Fused(component, condition)
+	p.mu.Lock()
+	drop := p.supersedeLocked(id, r)
+	p.mu.Unlock()
+	if !drop.IsZero() {
+		_ = p.model.Delete(drop) // best effort: fusion no longer holds its report
 	}
-	if err := p.postConclusion(pr, component, cs, fusedVec); err != nil {
+	if err := p.postConclusion(pr, component, cs); err != nil {
 		return err
 	}
 	// A fused report is liveness evidence for its DC, heartbeats or not.
-	p.Health().ObserveReport(r.DCID, r.KnowledgeSourceID, r.Timestamp)
+	if in != intakeRestore {
+		p.Health().ObserveReport(r.DCID, r.KnowledgeSourceID, r.Timestamp)
+	}
 	return nil
 }
 
@@ -573,12 +588,12 @@ func (p *PDME) fuse(r *proto.Report, recordSeverity func(channel string, at time
 // object's for good. Its updated_at is the state's, which never goes back.
 // Callers hold the component's ordering section, which is what keeps
 // lookup-then-create from making twins and orders every write of pr.
-func (p *PDME) postConclusion(pr *pair, component string, cs fusion.ConditionState, vec proto.PrognosticVector) error {
+func (p *PDME) postConclusion(pr *pair, component string, cs fusion.ConditionState) error {
 	if c := pr.conclusion; c != nil {
-		return p.model.Set(pr.id, conclusionFold, func() { c.fold(cs, vec) })
+		return p.model.Set(pr.id, conclusionFold, func() { c.fold(cs) })
 	}
 	c := &Conclusion{component: component, condition: cs.Condition, group: cs.Group}
-	c.fold(cs, vec)
+	c.fold(cs)
 	id, err := p.model.Create(ConclusionClass, c)
 	if err != nil {
 		return err
@@ -610,21 +625,17 @@ func (p *PDME) GroupOf(condition string) (string, error) {
 }
 
 // ConditionSnapshot returns the full fused read-side state of a pair
-// (belief, plausibility, group unknown, report count, reliability/degraded)
-// in one atomic fusion read, plus the pair's fused prognostic vector, which
-// is the fuser's own and read-only (fusion.PrognosticFuser.Fused).
-func (p *PDME) ConditionSnapshot(component, condition string) (fusion.ConditionState, proto.PrognosticVector, error) {
-	cs, err := p.diag.ConditionState(component, condition)
-	if err != nil {
-		return fusion.ConditionState{}, nil, err
-	}
-	return cs, p.prog.Fused(component, condition), nil
+// (belief, plausibility, group unknown, report count, reliability/degraded,
+// the fused prognostic vector, which is the fuser's own and read-only) in one
+// atomic fusion read.
+func (p *PDME) ConditionSnapshot(component, condition string) (fusion.ConditionState, error) {
+	return p.diag.ConditionState(component, condition)
 }
 
 // FusedPrognostic returns the fused §7.3 vector for a pair: the fuser's
-// own, read-only (fusion.PrognosticFuser.Fused).
+// own, read-only (fusion.DiagnosticFuser.Prognosis).
 func (p *PDME) FusedPrognostic(component, condition string) proto.PrognosticVector {
-	return p.prog.Fused(component, condition)
+	return p.diag.Prognosis(component, condition)
 }
 
 // MaintenanceItem is one row of the prioritized maintenance list.
@@ -699,7 +710,7 @@ func (p *PDME) PrioritizedList() []MaintenanceItem {
 	//lint:allow maporder the list is fully sorted by the total RankKey order before return
 	for component, ranked := range p.diag.RankedAll() {
 		for _, cb := range ranked {
-			out = append(out, newItem(component, cb, p.prog.Fused(component, cb.Condition)))
+			out = append(out, newItem(component, cb, p.FusedPrognostic(component, cb.Condition)))
 		}
 	}
 	sortItems(out)
@@ -707,12 +718,9 @@ func (p *PDME) PrioritizedList() []MaintenanceItem {
 }
 
 // GroupRead is one (component, failure group) block as the read side serves
-// it: the fused diagnostic read of the group plus each member's prognostic.
+// it: the fused read of the group, each member's prognostic included.
 type GroupRead struct {
 	fusion.GroupState
-	// Prognostics[i] is the fused §7.3 vector of Members[i] (nil when no
-	// prognostic report has arrived for it), the fuser's own and read-only.
-	Prognostics []proto.PrognosticVector
 	// Items are the block's rows of the prioritized list — one per member
 	// with at least one report, in member order — exactly the rows
 	// PrioritizedList holds for the block at the same instant.
@@ -720,19 +728,18 @@ type GroupRead struct {
 }
 
 // GroupRead fuses one (component, group) block once (fusion.GroupState) and
-// adds the members' prognostics. One report can change the read of its own
-// block and of no other (§5.3), which makes the block the unit a read-side
-// cache materializes and invalidates.
+// adds its rows of the prioritized list. One report can change the read of
+// its own block and of no other (§5.3), which makes the block the unit a
+// read-side cache materializes and invalidates.
 func (p *PDME) GroupRead(component, group string) (GroupRead, error) {
 	gs, err := p.diag.GroupState(component, group)
 	if err != nil {
 		return GroupRead{}, err
 	}
-	gr := GroupRead{GroupState: gs, Prognostics: make([]proto.PrognosticVector, len(gs.Members))}
-	for i, cs := range gs.Members {
-		gr.Prognostics[i] = p.prog.Fused(component, cs.Condition)
+	gr := GroupRead{GroupState: gs}
+	for _, cs := range gs.Members {
 		if cs.Reports > 0 {
-			gr.Items = append(gr.Items, newItem(component, cs.ConditionBelief, gr.Prognostics[i]))
+			gr.Items = append(gr.Items, newItem(component, cs.ConditionBelief, cs.Prognostics))
 		}
 	}
 	return gr, nil

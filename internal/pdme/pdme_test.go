@@ -1,6 +1,7 @@
 package pdme
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -295,8 +296,10 @@ func TestConcurrentDelivery(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			// Each goroutine is a knowledge source of its own: eight sources
+			// reinforce each condition.
 			for i := 0; i < 20; i++ {
-				r := report("ks", "m", conds[i%3], 0.5, 0.3, time.Now(), nil)
+				r := report(fmt.Sprintf("ks/%d", g), "m", conds[i%3], 0.5, 0.6, time.Now(), nil)
 				if err := p.Deliver(r); err != nil {
 					t.Error(err)
 					return

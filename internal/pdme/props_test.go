@@ -16,7 +16,9 @@ import (
 
 // TestPrognosticsPropertyBytes pins the prognostics property of E10's report
 // and conclusion objects byte for byte: what the browser and E10 read is the
-// text json.Marshal wrote for the same vectors.
+// text json.Marshal wrote for the same vectors. A conclusion's vector is
+// re-based to the pair's newest report, five minutes after the one that
+// carried it: every horizon 300 s nearer.
 func TestPrognosticsPropertyBytes(t *testing.T) {
 	p := newTestPDME(t)
 	defer p.Close()
@@ -25,6 +27,7 @@ func TestPrognosticsPropertyBytes(t *testing.T) {
 	day := 86400.0
 	vec := proto.PrognosticVector{{Probability: 0.2, HorizonSeconds: 14 * day}, {Probability: 0.7, HorizonSeconds: 45 * day}}
 	const e10 = `[{"probability":0.2,"time":1209600},{"probability":0.7,"time":3888000}]`
+	const rebased = `[{"probability":0.2,"time":1209300},{"probability":0.7,"time":3887700}]`
 	reports := []*proto.Report{
 		report("ks/dli", machine, "motor imbalance", 0.55, 0.8, at, vec),
 		report("ks/sbfr", machine, "motor imbalance", 0.5, 0.6, at.Add(5*time.Minute), nil),
@@ -52,9 +55,9 @@ func TestPrognosticsPropertyBytes(t *testing.T) {
 		"report ks/fuzzy oil whirl":             e10,
 		"report ks/dli oil whirl":               "null",
 		"report ks/wnn motor rotor bar problem": "null",
-		"conclusion motor imbalance":            e10,
+		"conclusion motor imbalance":            rebased,
 		"conclusion motor misalignment":         "null",
-		"conclusion oil whirl":                  e10,
+		"conclusion oil whirl":                  rebased,
 		"conclusion motor rotor bar problem":    "null",
 	}
 	got := map[string]string{}

@@ -175,10 +175,11 @@ func TestReportRepositoryStaysBounded(t *testing.T) {
 
 // TestAcceptAllocBudget: a steady-state accept with no journal — the pair's
 // conclusion object and the source's report object already there — stays
-// under a fixed allocation ceiling, set from the measured count: 1 (the fused
-// prognostic vector), and 3 under -race. The engine keeps each report it is
-// handed, so every accept hands it a report of its own, built before the
-// count. A copy of the fused vector for the caller cost 2; rows of boxed
+// under a fixed allocation ceiling, set from the measured count under -race,
+// 3. Without it the count is 0: the pair's one source's vector is its fused
+// vector. The engine keeps each report it is handed, so every accept hands it
+// a report of its own, built before the count. A running envelope's
+// FuseConservative cost 1; a copy of the fused vector for the caller 2; rows of boxed
 // property values cost 18; posting them as
 // property maps cost 21; copying each row twice and the subscriber list once
 // per event cost 112; encoding/json's trips of the prognostic vector through

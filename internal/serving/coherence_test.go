@@ -68,7 +68,7 @@ func stripBelief(bv BeliefView) BeliefView {
 // freshBelief recomputes a pair's view without touching the cache — the
 // reference value hits are compared against.
 func freshBelief(v *Views, component, condition string) (BeliefView, error) {
-	cs, vec, err := v.engine.ConditionSnapshot(component, condition)
+	cs, err := v.engine.ConditionSnapshot(component, condition)
 	if err != nil {
 		return BeliefView{}, err
 	}
@@ -82,7 +82,7 @@ func freshBelief(v *Views, component, condition string) (BeliefView, error) {
 		Reports:      cs.Reports,
 		Reliability:  cs.Reliability,
 		Degraded:     cs.Degraded,
-		Prognostic:   vec,
+		Prognostic:   cs.Prognostics,
 	}, nil
 }
 

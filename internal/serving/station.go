@@ -61,7 +61,7 @@ func (s pdmeSource) read(key blockKey) *fused {
 			Reports:      cs.Reports,
 			Reliability:  cs.Reliability,
 			Degraded:     cs.Degraded,
-			Prognostic:   gr.Prognostics[i],
+			Prognostic:   cs.Prognostics,
 		}
 	}
 	for i, it := range gr.Items {

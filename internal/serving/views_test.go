@@ -442,10 +442,14 @@ func TestModelPostedReportInvalidates(t *testing.T) {
 	if bv, _ := v.Belief("m1", "imbalance"); !bv.Cached || !v.Ranked().Cached {
 		t.Fatal("views not materialized")
 	}
+	// Each post is a knowledge source of its own, so each one reinforces the
+	// pair's belief.
+	posts := 0
 	post := func(at time.Time) {
 		t.Helper()
+		posts++
 		if _, err := engine.Model().Create(pdme.ReportClass, &proto.Report{
-			DCID: "dc-1", KnowledgeSourceID: "ks-dc-1", SensedObjectID: "m1", MachineConditionID: "imbalance",
+			DCID: "dc-1", KnowledgeSourceID: fmt.Sprintf("ks-post-%d", posts), SensedObjectID: "m1", MachineConditionID: "imbalance",
 			Severity: 0.5, Belief: 0.7, Timestamp: at,
 		}); err != nil {
 			t.Fatal(err)

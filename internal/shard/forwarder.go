@@ -118,12 +118,11 @@ func (f *Forwarder) onConclusion(e oosm.Event) {
 
 // forwardPair snapshots and spools one (component, condition) summary,
 // stamped with the snapshot's own UpdatedAt — the event time of the newest
-// evidence fused in — and reports whether it was spooled. A pair with no
-// stamp (restored from a checkpoint written before fusion state carried one,
-// and not reported on since) is skipped: the wire refuses an unstamped
-// summary.
+// report its entries hold — and reports whether it was spooled. A pair with
+// no stamp (none of its reports was timestamped) is skipped: the wire refuses
+// an unstamped summary.
 func (f *Forwarder) forwardPair(component, condition string) bool {
-	cs, vec, err := f.engine.ConditionSnapshot(component, condition)
+	cs, err := f.engine.ConditionSnapshot(component, condition)
 	if err != nil || cs.UpdatedAt.IsZero() {
 		f.count(func(c *ForwarderCounters) { c.Skipped++ })
 		return false
@@ -143,7 +142,7 @@ func (f *Forwarder) forwardPair(component, condition string) bool {
 		Reports:      cs.Reports,
 		Reliability:  clamp01(cs.Reliability),
 		Degraded:     cs.Degraded,
-		Prognostics:  vec,
+		Prognostics:  cs.Prognostics,
 		UpdatedAt:    cs.UpdatedAt,
 	}
 	if err := f.up.DeliverSummary(s); err != nil {

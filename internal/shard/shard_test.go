@@ -628,7 +628,7 @@ func TestForwarderMirrorsShardState(t *testing.T) {
 		}
 		for i, l := range local {
 			g := global[i]
-			cs, _, err := engine.ConditionSnapshot(l.Component, l.Condition)
+			cs, err := engine.ConditionSnapshot(l.Component, l.Condition)
 			if err != nil {
 				t.Fatal(err)
 			}
