@@ -162,7 +162,7 @@ func TestCrashChaosKill9Recovery(t *testing.T) {
 	// uplinks' redial loop finds the restarted server without help.
 	childAddr := testkit.FreeAddr(t)
 
-	journalDir := t.TempDir()
+	journalDir := testkit.KeptDir(t)
 	child := &crashChild{t: t, dir: journalDir, addr: childAddr}
 	child.start()
 	defer child.kill()
@@ -184,8 +184,15 @@ func TestCrashChaosKill9Recovery(t *testing.T) {
 	}
 
 	// Fixed seed: reproducible kill schedule, no wall clock involved.
-	rng := rand.New(rand.NewSource(7500))
+	const killSeed = 7500
+	rng := rand.New(rand.NewSource(killSeed))
 	kills := 0
+	var delays []time.Duration
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("kill schedule: seed %d, delays before each kill %v", killSeed, delays)
+		}
+	})
 	for phase, d := range phases {
 		done := make(chan error, 1)
 		go func() { done <- f.Advance(d) }()
@@ -193,7 +200,8 @@ func TestCrashChaosKill9Recovery(t *testing.T) {
 		// phases 1 and 4 run clean so the journal also proves itself on
 		// quiescent restarts.
 		for k := 0; k < []int{0, 2, 1, 0}[phase]; k++ {
-			time.Sleep(time.Duration(5+rng.Intn(35)) * time.Millisecond)
+			delays = append(delays, time.Duration(5+rng.Intn(35))*time.Millisecond)
+			time.Sleep(delays[len(delays)-1])
 			child.kill()
 			kills++
 			child.start()

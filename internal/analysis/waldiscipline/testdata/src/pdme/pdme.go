@@ -16,7 +16,7 @@ type dedup struct{}
 
 type fuser struct{}
 
-func (f *fuser) Fold(rec []byte, keep func() error) {}
+func (f *fuser) Fold(rec []byte, num int64, keep func() error) {}
 
 func (d *dedup) Mark(key string) {}
 
@@ -69,7 +69,7 @@ func (p *engine) badPost(rec []byte, id string) error {
 
 // badFold folds the report into fusion before the append.
 func (p *engine) badFold(rec []byte) error {
-	p.diag.Fold(rec, nil) // want "Fold mutates checkpointed state before the appendJournal write-ahead"
+	p.diag.Fold(rec, 0, nil) // want "Fold mutates checkpointed state before the appendJournal write-ahead"
 	return p.appendJournal(1, one(rec))
 }
 

@@ -127,15 +127,17 @@ type memberRef struct{ group, pos int }
 type source struct{ dc, ks string }
 
 // entry is one key's current report in a block: what source number src (the
-// fuser's sources) last said about the member at pos. It holds the report's
-// belief, clamped, the time the report was sensed at (zero for an
-// untimestamped one, which is never discounted or re-based) and its
-// prognostic vector (empty for none).
+// fuser's sources) last said about the member at pos. Every combination reads
+// the report's belief, clamped, and the time it was sensed at (zero for an
+// untimestamped one, which is never discounted or re-based); the entry also
+// holds the report and the caller's number for it (nil and 0 for evidence
+// AddReportFrom folded).
 type entry struct {
 	src, pos int32
 	belief   float64
 	at       time.Time
-	vec      proto.PrognosticVector
+	report   *proto.Report
+	num      int64
 }
 
 // compare orders a group's entries by key: member name, then DC, then
@@ -289,42 +291,44 @@ func (df *DiagnosticFuser) AddReport(component, condition string, belief float64
 // prognostic vector: Fold of a report from the DC named source asserting the
 // condition on the component with the given belief, sensed at the given time.
 func (df *DiagnosticFuser) AddReportFrom(component, condition, dc string, at time.Time, belief float64) (ConditionState, error) {
-	return df.fold(component, condition, source{dc: dc}, entry{belief: belief, at: at}, nil)
+	cs, _, err := df.fold(component, condition, source{dc: dc}, entry{belief: belief, at: at}, nil)
+	return cs, err
 }
 
-// Fold takes r in as its knowledge source's current report on the pair
-// (r.SensedObjectID, r.MachineConditionID): the block's entry under the key
-// (condition, r.DCID, r.KnowledgeSourceID) becomes r's belief, sensed-at time
-// and prognostic vector, unless the entry holds a report sensed later (a tie
-// goes to r). The report is counted either way. Fold then recombines the
-// block's entries (§5.3: the update reweights every other member of the group
-// and the group's unknown mass) and fuses the pair's entry vectors (§5.4),
-// and returns the pair's state as that combination read it, so a caller
-// posting the conclusion need not ask again.
+// Fold takes r, numbered num by the caller, in as its knowledge source's
+// current report on the pair (r.SensedObjectID, r.MachineConditionID): the
+// block's entry under the key (condition, r.DCID, r.KnowledgeSourceID) becomes
+// r, unless it holds a report sensed later (a tie goes to r). The report is
+// counted either way. Fold then recombines the block's entries (§5.3: the
+// update reweights every other member of the group and the group's unknown
+// mass) and fuses the pair's entry vectors (§5.4). It returns the pair's state
+// as that combination read it, so a caller posting the conclusion need not ask
+// again, and the number the retention rule let go: the displaced entry's, num
+// when r is older than the entry, or 0.
 //
 // keep, when not nil, runs once the fold is decided and before it is kept,
 // under the fuser's lock: an error from it refuses the report, which then
-// changes nothing. It must not call into the fuser. The fuser keeps r's
-// prognostic vector, which the caller must not change afterwards.
-func (df *DiagnosticFuser) Fold(r *proto.Report, keep func() error) (ConditionState, error) {
+// changes nothing. It must not call into the fuser. The fuser keeps r, which
+// the caller must not change afterwards.
+func (df *DiagnosticFuser) Fold(r *proto.Report, num int64, keep func() error) (ConditionState, int64, error) {
+	if err := r.Prognostics.Validate(); err != nil {
+		return ConditionState{}, 0, fmt.Errorf("fusion: %w", err)
+	}
 	return df.fold(r.SensedObjectID, r.MachineConditionID, source{r.DCID, r.KnowledgeSourceID},
-		entry{belief: r.Belief, at: r.Timestamp, vec: r.Prognostics}, keep)
+		entry{belief: r.Belief, at: r.Timestamp, report: r, num: num}, keep)
 }
 
 // fold is Fold of the entry e from src about condition on component.
-func (df *DiagnosticFuser) fold(component, condition string, src source, e entry, keep func() error) (ConditionState, error) {
+func (df *DiagnosticFuser) fold(component, condition string, src source, e entry, keep func() error) (ConditionState, int64, error) {
 	if component == "" {
-		return ConditionState{}, fmt.Errorf("fusion: empty component")
+		return ConditionState{}, 0, fmt.Errorf("fusion: empty component")
 	}
 	if !(e.belief >= 0 && e.belief <= 1) { // NaN too
-		return ConditionState{}, fmt.Errorf("fusion: belief %g outside [0,1]", e.belief)
-	}
-	if err := e.vec.Validate(); err != nil {
-		return ConditionState{}, fmt.Errorf("fusion: %w", err)
+		return ConditionState{}, 0, fmt.Errorf("fusion: belief %g outside [0,1]", e.belief)
 	}
 	ref, err := df.member(condition)
 	if err != nil {
-		return ConditionState{}, err
+		return ConditionState{}, 0, err
 	}
 	e.pos, e.belief = int32(ref.pos), min(e.belief, df.maxBelief)
 	g := &df.groups[ref.group]
@@ -348,27 +352,31 @@ func (df *DiagnosticFuser) fold(component, condition string, src source, e entry
 	if st != nil {
 		next.entries, next.reports = append(next.entries, st.entries...), st.reports
 	}
+	var drop int64
 	i, found := slices.BinarySearchFunc(next.entries, e, func(x, e entry) int { return df.compare(g, x, e) })
 	switch {
 	case !found:
 		next.entries = slices.Insert(next.entries, i, e)
-	case !e.at.Before(next.entries[i].at):
+	case e.at.Before(next.entries[i].at):
+		drop = e.num
+	default:
+		drop = next.entries[i].num
 		next.entries[i] = e
 	}
 	sc.entries = next.entries
-	defer clear(sc.entries) // the pool keeps no report's strings or vector
+	defer clear(sc.entries) // the pool keeps no report
 	var out [1]ConditionState
 	if _, err := df.readLocked(g, &next, ref.pos, out[:], sc); err != nil {
-		return ConditionState{}, err
+		return ConditionState{}, 0, err
 	}
 	cs := &out[0]
 	cs.Reports++
 	if cs.Prognostics, err = prognosis(next.entries, e.pos, cs.UpdatedAt, &sc.points); err != nil {
-		return ConditionState{}, err
+		return ConditionState{}, 0, err
 	}
 	if keep != nil {
 		if err := keep(); err != nil {
-			return ConditionState{}, err
+			return ConditionState{}, 0, err
 		}
 	}
 	if st == nil {
@@ -389,7 +397,7 @@ func (df *DiagnosticFuser) fold(component, condition string, src source, e entry
 		st.prognoses[ref.pos] = cs.Prognostics
 	}
 	df.totalFusedN++
-	return *cs, nil
+	return *cs, drop, nil
 }
 
 // appendFactorsLocked appends, aligned with entries, the discount factor each
@@ -744,29 +752,36 @@ type PairCount struct {
 	Reports   int    `json:"reports"`
 }
 
-// Counts returns every reported pair's count — components in name order,
-// then groups, then members in registration order — and the total number of
-// fused reports.
-func (df *DiagnosticFuser) Counts() ([]PairCount, int) {
+// Held is what a checkpoint keeps of the fuser, read under one lock: the
+// report each entry holds, appended to reports (each source's current report
+// as Fold took it; AddReportFrom's entries hold none), every reported pair's
+// count, and the total number of fused reports. Both lists go by component
+// name, then group; reports by key within a block, counts by member position.
+func (df *DiagnosticFuser) Held(reports []*proto.Report) ([]*proto.Report, []PairCount, int) {
 	df.mu.RLock()
 	defer df.mu.RUnlock()
-	var out []PairCount
+	var counts []PairCount
 	for _, component := range slices.Sorted(maps.Keys(df.states)) {
 		for g, st := range df.states[component] {
 			if st == nil {
 				continue
 			}
+			for i := range st.entries {
+				if r := st.entries[i].report; r != nil {
+					reports = append(reports, r)
+				}
+			}
 			for pos, n := range st.reports {
 				if n > 0 {
-					out = append(out, PairCount{Component: component, Condition: df.groups[g].members[pos], Reports: n})
+					counts = append(counts, PairCount{Component: component, Condition: df.groups[g].members[pos], Reports: n})
 				}
 			}
 		}
 	}
-	return out, df.totalFusedN
+	return reports, counts, df.totalFusedN
 }
 
-// SetCounts puts back what Counts returned, once the reports a checkpoint
+// SetCounts puts back the counts Held returned, once the reports a checkpoint
 // kept are folded again: each listed pair's count, where its block holds
 // evidence, and the total.
 func (df *DiagnosticFuser) SetCounts(pairs []PairCount, total int) {

@@ -492,12 +492,12 @@ func TestPrognosticFuser(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := proto.PrognosticVector{{Probability: 0.3, HorizonSeconds: 100}}
-	cs, err := df.Fold(progReport("m", "motor imbalance", "ks/a", dt, v1), nil)
+	cs, _, err := df.Fold(progReport("m", "motor imbalance", "ks/a", dt, v1), 0, nil)
 	if err != nil || !slices.Equal(cs.Prognostics, v1) {
 		t.Fatalf("first fold: %v %v", cs.Prognostics, err)
 	}
 	v2 := proto.PrognosticVector{{Probability: 0.8, HorizonSeconds: 100}}
-	if cs, err = df.Fold(progReport("m", "motor imbalance", "ks/b", dt, v2), nil); err != nil {
+	if cs, _, err = df.Fold(progReport("m", "motor imbalance", "ks/b", dt, v2), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := cs.Prognostics.ProbabilityAt(100 * time.Second); math.Abs(got-0.8) > 1e-9 {
@@ -508,7 +508,7 @@ func TestPrognosticFuser(t *testing.T) {
 		t.Fatalf("readback %v, fold returned %v (%v)", cur.Prognostics, cs.Prognostics, err)
 	}
 	// ks/b restates a weaker vector: it replaces ks/b's, and ks/a's is the envelope.
-	if cs, err = df.Fold(progReport("m", "motor imbalance", "ks/b", dt, proto.PrognosticVector{{Probability: 0.1, HorizonSeconds: 100}}), nil); err != nil {
+	if cs, _, err = df.Fold(progReport("m", "motor imbalance", "ks/b", dt, proto.PrognosticVector{{Probability: 0.1, HorizonSeconds: 100}}), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := cs.Prognostics.ProbabilityAt(100 * time.Second); math.Abs(got-0.3) > 1e-9 {
@@ -523,14 +523,14 @@ func TestPrognosticFuser(t *testing.T) {
 		t.Error("time to failure not found")
 	}
 	// Validation: refused, and the pair's vector is as it was.
-	if _, err := df.Fold(progReport("m", "motor imbalance", "ks/a", dt, proto.PrognosticVector{{Probability: 2, HorizonSeconds: 1}}), nil); err == nil {
+	if _, _, err := df.Fold(progReport("m", "motor imbalance", "ks/a", dt, proto.PrognosticVector{{Probability: 2, HorizonSeconds: 1}}), 0, nil); err == nil {
 		t.Error("invalid vector")
 	}
 	if cur, _ := df.ConditionState("m", "motor imbalance"); !slices.Equal(cur.Prognostics, cs.Prognostics) || cur.Reports != 3 {
 		t.Errorf("a refused vector changed the pair: %v after %d reports", cur.Prognostics, cur.Reports)
 	}
 	// A report with no vector clears its source's: ks/b's is what is left.
-	if cs, err = df.Fold(progReport("m", "motor imbalance", "ks/a", dt, nil), nil); err != nil ||
+	if cs, _, err = df.Fold(progReport("m", "motor imbalance", "ks/a", dt, nil), 0, nil); err != nil ||
 		!slices.Equal(cs.Prognostics, proto.PrognosticVector{{Probability: 0.1, HorizonSeconds: 100}}) {
 		t.Errorf("ks/a withdrew its vector, and the pair reads %v (%v), want ks/b's", cs.Prognostics, err)
 	}
@@ -555,7 +555,7 @@ func TestFusedVectorsAreNeverRewritten(t *testing.T) {
 		{{Probability: 0.1, HorizonSeconds: 500}, {Probability: 0.9, HorizonSeconds: 3000}},
 		{{Probability: 0.95, HorizonSeconds: 100}},
 	} {
-		cs, err := df.Fold(progReport("m", "oil whirl", fmt.Sprintf("ks/%d", i%3), dt.Add(time.Duration(i)*time.Second), v), nil)
+		cs, _, err := df.Fold(progReport("m", "oil whirl", fmt.Sprintf("ks/%d", i%3), dt.Add(time.Duration(i)*time.Second), v), 0, nil)
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
 		}
@@ -584,12 +584,12 @@ func TestOptimisticVectorReplacesPessimistic(t *testing.T) {
 	}
 	const day = 86400.0
 	optimistic := proto.PrognosticVector{{Probability: 0.01, HorizonSeconds: 365 * day}}
-	cs, err := df.Fold(progReport("m", "oil whirl", "ks/dli", dt, proto.PrognosticVector{{Probability: 0.9, HorizonSeconds: day}}), nil)
+	cs, _, err := df.Fold(progReport("m", "oil whirl", "ks/dli", dt, proto.PrognosticVector{{Probability: 0.9, HorizonSeconds: day}}), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 1000; i++ {
-		if cs, err = df.Fold(progReport("m", "oil whirl", "ks/dli", dt.Add(time.Duration(i)*time.Hour), optimistic), nil); err != nil {
+		if cs, _, err = df.Fold(progReport("m", "oil whirl", "ks/dli", dt.Add(time.Duration(i)*time.Hour), optimistic), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -607,10 +607,10 @@ func TestWeakerLaterVectorRebased(t *testing.T) {
 		t.Fatal(err)
 	}
 	const day = 86400.0
-	if _, err := df.Fold(progReport("m", "oil whirl", "ks/a", dt, proto.PrognosticVector{{Probability: 0.5, HorizonSeconds: 10 * day}}), nil); err != nil {
+	if _, _, err := df.Fold(progReport("m", "oil whirl", "ks/a", dt, proto.PrognosticVector{{Probability: 0.5, HorizonSeconds: 10 * day}}), 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	cs, err := df.Fold(progReport("m", "oil whirl", "ks/b", dt.Add(5*24*time.Hour), proto.PrognosticVector{{Probability: 0.1, HorizonSeconds: 20 * day}}), nil)
+	cs, _, err := df.Fold(progReport("m", "oil whirl", "ks/b", dt.Add(5*24*time.Hour), proto.PrognosticVector{{Probability: 0.1, HorizonSeconds: 20 * day}}), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,8 +690,62 @@ func BenchmarkPrognosticFusion(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := df.Fold(reports[i%3], nil); err != nil {
+		if _, _, err := df.Fold(reports[i%3], 0, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFoldLetsGoOneNumber: a block's entry is its key's current report, a
+// later sensed-at time winning and a tie going to the later fold. Fold
+// answers the number of the report the rule let go — the displaced entry's,
+// the folded report's own when it is older than the entry, 0 when the key
+// held nothing or the fold was refused — and Held lists the reports the
+// entries hold, none for evidence AddReportFrom folded.
+func TestFoldLetsGoOneNumber(t *testing.T) {
+	df, err := NewDiagnosticFuser(testGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := progReport("m", "oil whirl", "ks/a", dt, nil)
+	later := progReport("m", "oil whirl", "ks/a", dt.Add(time.Hour), nil)
+	other := progReport("m", "oil whirl", "ks/a", dt, nil)
+	other.DCID = "dc-2"
+	steps := []struct {
+		r        *proto.Report
+		num      int64
+		refuse   bool
+		drop     int64
+		reports  []*proto.Report
+		describe string
+	}{
+		{first, 1, false, 0, []*proto.Report{first}, "the key's first report"},
+		{later, 2, false, 1, []*proto.Report{later}, "a later report"},
+		{progReport("m", "oil whirl", "ks/a", dt.Add(time.Minute), nil), 3, false, 3, []*proto.Report{later}, "a late report"},
+		{progReport("m", "oil whirl", "ks/a", dt.Add(time.Hour), nil), 4, true, 0, []*proto.Report{later}, "a refused report"},
+		{other, 5, false, 0, []*proto.Report{later, other}, "another DC's report"},
+	}
+	for _, s := range steps {
+		var keep func() error
+		if s.refuse {
+			keep = func() error { return fmt.Errorf("refused") }
+		}
+		_, drop, err := df.Fold(s.r, s.num, keep)
+		if (err != nil) != s.refuse || drop != s.drop {
+			t.Fatalf("%s: Fold let go %d (%v), want %d", s.describe, drop, err, s.drop)
+		}
+		if got, _, _ := df.Held(nil); !slices.Equal(got, s.reports) {
+			t.Fatalf("%s: entries hold %v, want %v", s.describe, got, s.reports)
+		}
+	}
+	tie := progReport("m", "oil whirl", "ks/a", dt.Add(time.Hour), nil)
+	if _, drop, err := df.Fold(tie, 6, nil); err != nil || drop != 2 {
+		t.Fatalf("a tied report let go %d (%v), want the held report's 2", drop, err)
+	}
+	if _, err := df.AddReportFrom("m", "motor imbalance", "dc-3", dt, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := df.Held(nil); !slices.Equal(got, []*proto.Report{tie, other}) {
+		t.Fatalf("entries hold %v, want the tied report and the other DC's only", got)
 	}
 }

@@ -196,15 +196,17 @@ func prognosis(entries []entry, pos int32, at time.Time, points *[]proto.Prognos
 	// points slice can hold them all: reserve what they can take.
 	need := 0
 	for i := range entries {
-		need += len(entries[i].vec) + 2
+		if r := entries[i].report; r != nil {
+			need += len(r.Prognostics) + 2
+		}
 	}
 	*points = slices.Grow(*points, need)
 	for i := range entries {
 		e := &entries[i]
-		if e.pos != pos || len(e.vec) == 0 {
+		if e.pos != pos || e.report == nil || len(e.report.Prognostics) == 0 {
 			continue
 		}
-		v := e.vec
+		v := e.report.Prognostics
 		if shift := at.Sub(e.at); !e.at.IsZero() && shift > 0 {
 			*points, v = rebase(*points, v, shift)
 			rebased = true

@@ -73,7 +73,7 @@ func runSchedule(t testing.TB) schedule {
 		if i%10 == 0 {
 			r.Prognostics = randomVector(vecs)
 		}
-		if _, err := df.Fold(r, nil); err != nil {
+		if _, _, err := df.Fold(r, 0, nil); err != nil {
 			s.refused++
 		}
 	}
@@ -147,7 +147,7 @@ func TestRefusedFoldLeavesStateUntouched(t *testing.T) {
 	refusal := errors.New("historian closed")
 	r := &proto.Report{DCID: "dc-1", SensedObjectID: "motor/1", MachineConditionID: "motor misalignment", Belief: 0.9,
 		Timestamp: at.Add(6 * time.Hour), Prognostics: proto.PrognosticVector{{Probability: 0.5, HorizonSeconds: 3600}}}
-	if _, err := df.Fold(r, func() error { return refusal }); err != refusal {
+	if _, _, err := df.Fold(r, 0, func() error { return refusal }); err != refusal {
 		t.Fatalf("a fold keep refused answered %v, want keep's error", err)
 	}
 	if after := readsText(t, df); !bytes.Equal(before, after) {

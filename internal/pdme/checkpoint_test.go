@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,21 +27,17 @@ type referenceFrame struct {
 }
 
 // referenceCheckpoint is the checkpoint's reference encoding: json.Marshal of
-// the state the repository, the fuser's Counts, State and ExportState hold,
-// the repository's reports sorted by key and each framed by json.Marshal.
-// Callers hold acceptMu's write side.
+// the state the fuser's Held, State and ExportState hold,
+// the reports sorted by key and each framed by json.Marshal. Callers hold
+// acceptMu's write side.
 func (p *PDME) referenceCheckpoint() ([]byte, error) {
 	st := checkpointState{Format: checkpointFormat, Received: p.ReceivedReports(), Dedup: p.dedupHandle().State(), Health: p.Health().ExportState()}
-	st.Counts, st.TotalFused = p.diag.Counts()
-	p.mu.Lock()
-	keys := slices.SortedFunc(maps.Keys(p.reports), func(a, b reportKey) int {
-		return cmp.Or(cmp.Compare(a.sensed, b.sensed), cmp.Compare(a.condition, b.condition), cmp.Compare(a.dc, b.dc), cmp.Compare(a.source, b.source))
+	reports, counts, total := p.diag.Held(nil)
+	st.Counts, st.TotalFused = counts, total
+	slices.SortFunc(reports, func(a, b *proto.Report) int {
+		return cmp.Or(cmp.Compare(a.SensedObjectID, b.SensedObjectID), cmp.Compare(a.MachineConditionID, b.MachineConditionID),
+			cmp.Compare(a.DCID, b.DCID), cmp.Compare(a.KnowledgeSourceID, b.KnowledgeSourceID))
 	})
-	reports := make([]*proto.Report, len(keys))
-	for i, k := range keys {
-		reports[i] = p.reports[k].r
-	}
-	p.mu.Unlock()
 	for _, r := range reports {
 		frame, err := json.Marshal(referenceFrame{Kind: "report", Report: r})
 		if err != nil {
@@ -54,17 +49,16 @@ func (p *PDME) referenceCheckpoint() ([]byte, error) {
 }
 
 // post creates a report object straight in p's model, past the accept path's
-// validation, and fails t if knowledge fusion refuses it.
+// validation, and fails t if knowledge fusion refuses it: a refusal reaches
+// nobody but the fused count, which it leaves where it was.
 func post(t testing.TB, p *PDME, r *proto.Report) {
 	t.Helper()
-	id, err := p.Model().Create(ReportClass, r)
-	if err == nil {
-		p.mu.Lock()
-		err = p.refused[id]
-		p.mu.Unlock()
-	}
-	if err != nil {
+	fused := p.diag.ReportCount()
+	if _, err := p.Model().Create(ReportClass, r); err != nil {
 		t.Fatal(err)
+	}
+	if p.diag.ReportCount() == fused {
+		t.Fatalf("knowledge fusion refused %+v", r)
 	}
 }
 

@@ -36,13 +36,14 @@ import (
 // Consistency: deliveries hold acceptMu (read side) across journal append
 // + fusion mutation + dedup mark; Checkpoint takes the write side, so the
 // watermark it pins and the state it captures describe the same accepted
-// prefix. The capture copies the current reports' pointers — a report is
-// never changed once posted, a newer one replaces it — and the counts; the
-// checkpoint is formatted after the lock is released. Recovery re-posts the
-// checkpoint's reports and then the WAL tail's into the OOSM, where KF folds
-// them as it folds live ones (fuse), so fusion and the repository hold the
-// current reports again; the fusion state is a pure function of them, the
-// counts and the health registry. The journal is the engine's one durable
+// prefix. The capture copies, in one read of the fuser
+// (fusion.DiagnosticFuser.Held), the pointers of the current reports it holds
+// — a report is never changed once posted, a newer one replaces it — and the
+// counts; the checkpoint is formatted after the lock is released. Recovery
+// re-posts the checkpoint's reports and then the WAL tail's into the OOSM,
+// where KF folds them as it folds live ones (fuse), so fusion and the
+// repository hold the current reports again; the fusion state is a pure
+// function of them, the counts and the health registry. The journal is the engine's one durable
 // store: the OOSM is working memory, and the DC databases keep every report.
 
 // Journal record kinds. A frame record's body is the report frame as the
@@ -285,8 +286,8 @@ func (p *PDME) replaySeverity(name string, at time.Time, severity float64) error
 type checkpointCapture struct {
 	received int
 	dedup    proto.DedupCapture
-	// reports are the current reports, unsorted: each is immutable once
-	// posted.
+	// reports are the current reports in fusion's order, sorted by key
+	// only in appendJSON: each is immutable once posted.
 	reports []*proto.Report
 	counts  []fusion.PairCount
 	total   int
@@ -301,14 +302,7 @@ func (p *PDME) captureCheckpoint() checkpointCapture {
 		dedup:    p.dedupHandle().Capture(),
 		health:   p.Health().ExportState(),
 	}
-	c.counts, c.total = p.diag.Counts()
-	p.mu.Lock()
-	c.reports = make([]*proto.Report, 0, len(p.reports))
-	//lint:allow maporder appendJSON sorts the reports by key before writing them
-	for _, held := range p.reports {
-		c.reports = append(c.reports, held.r)
-	}
-	p.mu.Unlock()
+	c.reports, c.counts, c.total = p.diag.Held(nil)
 	return c
 }
 

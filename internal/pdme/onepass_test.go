@@ -50,7 +50,7 @@ func TestFuseRefusalIsTheDeliverysAnswer(t *testing.T) {
 		t.Fatal("the refused report's tag was marked delivered (or the fused one's was not)")
 	}
 	p.mu.Lock()
-	parked := len(p.refused)
+	parked := len(p.posting)
 	p.mu.Unlock()
 	if parked != 0 {
 		t.Fatalf("%d refusals still parked after their deliveries returned", parked)

@@ -29,9 +29,11 @@
 // The OOSM is a repository of both kinds of conclusion (§3.1), and it keeps
 // each at its current state: one conclusion object per pair, rewritten by
 // every fold, and one report object per (machine, condition, DC, knowledge
-// source), that source's newest report on the pair. Fusion holds the same
-// reports under the same key (fusion.DiagnosticFuser.Fold): each source's
-// current report, what §5.1's KF reads out of the OOSM.
+// source), that source's newest report on the pair. Fusion is the one holder
+// of which report that is: each block entry keeps its key's current report
+// and the number of the object that holds it, and Fold alone applies the
+// retention rule, answering the number of the object it let go, which fuse
+// deletes. The checkpoint lists the reports fusion holds (Held).
 //
 // fuse runs inside a per-component ordering section (PDME.fuseMu): for one
 // component, fold → conclusion post → the events the post raises (a shard's
@@ -88,13 +90,10 @@ type PDME struct {
 	// conclusion object, so fused updates rewrite one object instead of
 	// accumulating.
 	pairs map[[2]string]*pair
-	// refused parks KF's refusal of a report object, by id, for the accept
-	// that posted it: an event handler cannot fail the Create that woke it.
-	// (The refusal of an object nobody's accept posted has nobody to tell.)
-	refused map[oosm.ObjectID]error
-	// reports holds each key's current report object: the repository's
-	// retention rule (fuse).
-	reports  map[reportKey]heldReport
+	// posting holds KF's refusal (nil while none) of each report a postReport
+	// is posting, until its Create returns: an event handler cannot fail the
+	// Create that woke it. A report nobody is posting has nobody to tell.
+	posting  map[*proto.Report]error
 	received int
 	// intake is how fuse takes reports in: live, or replayed or restored at
 	// recovery (OpenJournal).
@@ -201,18 +200,22 @@ func NewWithHistorian(model *oosm.Model, groups fusion.Groups, hist *historian.S
 		hist:     hist,
 		ownHist:  ownHist,
 		pairs:    make(map[[2]string]*pair),
-		refused:  make(map[oosm.ObjectID]error),
-		reports:  make(map[reportKey]heldReport),
+		posting:  make(map[*proto.Report]error),
 		dedup:    proto.NewDedup(0),
 		registry: registry,
 	}
 	// §5.1 step 2: new reports in the OOSM wake knowledge fusion, which fuses
-	// the report the object holds, carried on the event. A refusal is parked
-	// for the accept that made the post (postReport).
+	// the report the object holds, carried on the event. A report KF refuses
+	// changed nothing, and its object goes at once, whichever door it came
+	// by; the refusal goes to the postReport posting it, if one is.
 	p.sub = model.SubscribeClass(ReportClass, oosm.ObjectCreated, func(e oosm.Event) {
-		if err := p.fuse(e.Object, e.Value.(*proto.Report)); err != nil {
+		r := e.Value.(*proto.Report)
+		if err := p.fuse(e.Object, r); err != nil {
+			_ = p.model.Delete(e.Object) // best effort: the refusal is the story
 			p.mu.Lock()
-			p.refused[e.Object] = err
+			if _, posting := p.posting[r]; posting {
+				p.posting[r] = err
+			}
 			p.mu.Unlock()
 		}
 	})
@@ -262,9 +265,9 @@ func (p *PDME) invalidator() Invalidator {
 
 // Deliver implements proto.Sink: §5.1 step 1 — post the report into the
 // OOSM. Fusion then runs via the model's event notification. The PDME keeps
-// the report: its report object holds it until a newer report from the same
-// source supersedes it (postReport), so the caller must not change it after
-// handing it over.
+// the report: its report object and fusion's entry hold it until a newer
+// report from the same source supersedes it (fuse), so the caller must not
+// change it after handing it over.
 func (p *PDME) Deliver(r *proto.Report) error {
 	return p.DeliverTagged(r, r.DCID, 0, 0)
 }
@@ -370,50 +373,23 @@ func (p *PDME) apply(d *proto.Delivery, fold func(*proto.Report) error) error {
 	return nil
 }
 
-// reportKey names what a report object is the current one of: one knowledge
-// source's report, from one DC, on one (machine, condition) pair — the key
-// fusion holds its entries under.
-type reportKey struct{ sensed, condition, dc, source string }
-
-// heldReport is a key's current report object and the report it holds.
-type heldReport struct {
-	id oosm.ObjectID
-	r  *proto.Report
-}
-
-// supersedeLocked makes id, holding r, its key's current report unless the
-// held one was sensed later — fusion's rule — and returns the object the
-// retention rule lets go: the one superseded, id itself, or the zero id when
-// the key held nothing. Callers hold p.mu.
-func (p *PDME) supersedeLocked(id oosm.ObjectID, r *proto.Report) oosm.ObjectID {
-	key := reportKey{r.SensedObjectID, r.MachineConditionID, r.DCID, r.KnowledgeSourceID}
-	held, ok := p.reports[key]
-	if ok && r.Timestamp.Before(held.r.Timestamp) {
-		return id
-	}
-	p.reports[key] = heldReport{id: id, r: r}
-	return held.id
-}
-
 // postReport is §5.1 step 1: post the report into the OOSM. The model's
 // event notification runs knowledge fusion before Create returns, on this
 // goroutine; what it answered is this report's answer. A post KF refused is
-// deleted at once: it changed nothing (fuse).
+// already deleted: it changed nothing (fuse). A report is posted by one
+// postReport at a time.
 func (p *PDME) postReport(r *proto.Report) error {
-	id, err := p.model.Create(ReportClass, r)
-	if err != nil {
-		return err
-	}
 	p.mu.Lock()
-	refusal := p.refused[id]
-	delete(p.refused, id)
+	p.posting[r] = nil
 	p.mu.Unlock()
-	if refusal != nil {
-		// Best effort: the report's answer is its refusal, whatever becomes
-		// of the object.
-		_ = p.model.Delete(id)
+	_, err := p.model.Create(ReportClass, r)
+	p.mu.Lock()
+	if err == nil {
+		err = p.posting[r]
 	}
-	return refusal
+	delete(p.posting, r)
+	p.mu.Unlock()
+	return err
 }
 
 // ObserveHeartbeat implements proto.HeartbeatSink by forwarding fleet
@@ -517,11 +493,11 @@ const (
 // (package comment). Inside the component's ordering section and the read
 // side's write window it folds the report in (fusion.DiagnosticFuser.Fold),
 // records its severity sample once the fold is decided and before it is kept,
-// makes it its key's current report object, posts the state the fold returned
-// as the pair's conclusion (§5.1 step 4), and observes the DC's liveness. A
-// report the fold or the historian refuses changes nothing. Live reports and
-// recovery's re-posts differ only in what the intake records, so recovery
-// reproduces the live state by construction.
+// deletes the report object the fold let go, posts the state the fold
+// returned as the pair's conclusion (§5.1 step 4), and observes the DC's
+// liveness. A report the fold or the historian refuses changes nothing. Live
+// reports and recovery's re-posts differ only in what the intake records, so
+// recovery reproduces the live state by construction.
 func (p *PDME) fuse(id oosm.ObjectID, r *proto.Report) error {
 	component, condition := r.SensedObjectID, r.MachineConditionID
 	group, err := p.diag.GroupOf(condition)
@@ -554,7 +530,7 @@ func (p *PDME) fuse(id oosm.ObjectID, r *proto.Report) error {
 	// developing faults can be projected forward (and, on disk-backed stores,
 	// survive a PDME restart). Evidence is attributed to its DC and knowledge
 	// source so the health registry can discount a stale DC's reports.
-	cs, err := p.diag.Fold(r, func() error {
+	cs, drop, err := p.diag.Fold(r, id.Num, func() error {
 		switch in {
 		case intakeLive:
 			return p.observeSeverity(pr.severity, r.Timestamp, r.Severity)
@@ -566,11 +542,9 @@ func (p *PDME) fuse(id oosm.ObjectID, r *proto.Report) error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
-	drop := p.supersedeLocked(id, r)
-	p.mu.Unlock()
-	if !drop.IsZero() {
-		_ = p.model.Delete(drop) // best effort: fusion no longer holds its report
+	if drop != 0 {
+		// Best effort: fusion no longer holds its report.
+		_ = p.model.Delete(oosm.ObjectID{Class: ReportClass, Num: drop})
 	}
 	if err := p.postConclusion(pr, component, cs); err != nil {
 		return err

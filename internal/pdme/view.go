@@ -11,7 +11,7 @@ import (
 
 // RenderBrowser produces the textual equivalent of the Figure 2 MPROS user
 // interface for one machine: each knowledge source's current report on each
-// of its conditions (the repository keeps no older ones, postReport), then
+// of its conditions (the repository keeps no older ones, fuse), then
 // "the predictions of failure for each machine condition group ... at the
 // bottom of the screen". The display is rebuilt
 // from the OOSM, which "serves as a repository of diagnostic conclusions —

@@ -414,7 +414,7 @@ func TestShardChaosFleetFailover(t *testing.T) {
 	}
 	defer proxy7.Close()
 
-	chaosRoot := t.TempDir()
+	chaosRoot := testkit.KeptDir(t)
 	children := make([]*shardChild, numShards)
 	for s := 0; s < numShards; s++ {
 		id := fmt.Sprintf("shard-%d", s+1)
@@ -490,11 +490,18 @@ func TestShardChaosFleetFailover(t *testing.T) {
 	// Kill-9 schedule: seeded random victims among shards 1..6 (shard-7 is
 	// the partition story, shard-8 the dead-shard story), killed mid-drain
 	// and restarted over the same journal + forward spool.
-	rng := rand.New(rand.NewSource(9001))
+	const killSeed = 9001
+	rng := rand.New(rand.NewSource(killSeed))
 	killSchedule := map[int][]int{
 		1: {1 + rng.Intn(6), 1 + rng.Intn(6)},
 		2: {1 + rng.Intn(6)},
 	}
+	var killDelays [][]time.Duration
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("kill schedule: seed %d, victims by phase %v, delays by phase %v", killSeed, killSchedule, killDelays)
+		}
+	})
 	kills := 0
 	var probeSamples []GlobalItem
 	for phase := 0; phase < numPhases; phase++ {
@@ -523,6 +530,7 @@ func TestShardChaosFleetFailover(t *testing.T) {
 		for j := range victims {
 			delays[j] = time.Duration(50+rng.Intn(300)) * time.Millisecond
 		}
+		killDelays = append(killDelays, delays)
 		killErr := make(chan error, 1)
 		go func() {
 			for j, v := range victims {

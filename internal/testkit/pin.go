@@ -4,7 +4,7 @@
 // checkpoint carries a live value's state: the value restored from it must
 // equal the live one, and that equality proves something only for the fields
 // the test actually set. FreeAddr hands out a loopback address no other test
-// can take.
+// can take. KeptDir is a temporary directory a failing test leaves behind.
 package testkit
 
 import (
