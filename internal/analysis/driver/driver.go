@@ -14,6 +14,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -46,7 +47,9 @@ func AnalyzeFiles(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 
 // AnalyzeModule runs all analyzers — per-unit ones over each unit,
 // interprocedural ones once over the whole set — and applies the //lint:allow
-// discipline across every unit's files.
+// discipline across every unit's files. A package's non-test files are in its
+// own unit and in its test unit too, so what they hold is found twice: each
+// (analyzer, position, message) is reported once.
 func AnalyzeModule(fset *token.FileSet, units []*analysis.Unit,
 	analyzers []*analysis.Analyzer) ([]Finding, error) {
 
@@ -142,9 +145,12 @@ func AnalyzeModule(fset *token.FileSet, units []*analysis.Unit,
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
-	return findings, nil
+	return slices.Compact(findings), nil
 }
 
 // onlyUnitAnalyzers filters to the analyzers that can run on a single unit.

@@ -1,6 +1,10 @@
 package driver_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"testing"
 
 	"repro/internal/analysis"
@@ -44,5 +48,36 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestFindingInPackageAndTestUnitReportedOnce: go list loads a package's
+// non-test files twice, in the package and in its test unit, and a finding in
+// them is one fault: it is reported once.
+func TestFindingInPackageAndTestUnitReportedOnce(t *testing.T) {
+	const src = `package p
+
+func same(a, b float64) bool { return a == b }
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := driver.NewTypesInfo()
+	pkg, err := new(types.Config).Check("p", fset, []*ast.File{file}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := []*analysis.Unit{
+		{Files: []*ast.File{file}, Pkg: pkg, TypesInfo: info, ImportPath: "p"},
+		{Files: []*ast.File{file}, Pkg: pkg, TypesInfo: info, ImportPath: "p"}, // the test unit
+	}
+	findings, err := driver.AnalyzeModule(fset, units, []*analysis.Analyzer{floateq.Analyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 {
+		t.Errorf("%d findings for one a == b, want 1: %v", len(findings), findings)
 	}
 }

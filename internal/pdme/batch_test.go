@@ -287,7 +287,9 @@ func TestBatchAcceptDurabilityContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	windows := &windowLog{p: p}
-	p.SetInvalidator(windows)
+	if err := p.SetInvalidator(windows); err != nil {
+		t.Fatal(err)
+	}
 	deliveries := func(firstSeq uint64, reports ...*proto.Report) []proto.Delivery {
 		run := make([]proto.Delivery, len(reports))
 		for i, r := range reports {

@@ -123,24 +123,19 @@ type RecoveryStats struct {
 	TornBytes int64
 }
 
-// RecoveryInvalidator is an Invalidator that can also drop every cached
-// entry at once. When the installed invalidator implements it, OpenJournal
-// bumps the cache epoch after replay so views never serve pre-crash
-// entries.
-type RecoveryInvalidator interface {
-	Invalidator
-	InvalidateAll()
-}
-
 // OpenJournal opens (or creates) the durability journal in opts.Dir,
 // recovers checkpoint + tail into this PDME, and arms the journaled accept
 // path: from here on every accepted envelope is fsynced before its fusion
-// mutation commits. Call after ConfigureHealth/ConfigureDedup and before
-// any traffic.
+// mutation commits. Call after ConfigureHealth and before any traffic. A
+// read tier attaches after it: recovery restores state outside any write
+// window (the checkpoint's counts), so it is refused while one is attached.
 func (p *PDME) OpenJournal(opts JournalOptions) (RecoveryStats, error) {
 	var stats RecoveryStats
-	if p.journalHandle() != nil {
+	switch {
+	case p.journalHandle() != nil:
 		return stats, fmt.Errorf("pdme: journal already open")
+	case p.invalidator() != nil:
+		return stats, fmt.Errorf("pdme: open the journal before a read tier is attached")
 	}
 	jr, rec, err := journal.Open(opts.Dir)
 	if err != nil {
@@ -210,11 +205,6 @@ func (p *PDME) OpenJournal(opts JournalOptions) (RecoveryStats, error) {
 	p.checkpointLen = len(rec.Checkpoint)
 	p.checkpointTip = 0
 	p.mu.Unlock()
-	// Cache epoch bump: anything a view cached before the crash describes
-	// fusion state that no longer exists.
-	if ri, ok := p.invalidator().(RecoveryInvalidator); ok {
-		ri.InvalidateAll()
-	}
 	return stats, nil
 }
 

@@ -12,11 +12,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fusion"
+	"repro/internal/health"
 	"repro/internal/journal"
 	"repro/internal/oosm"
 	"repro/internal/proto"
@@ -600,53 +600,95 @@ func TestParentJournalUpgrade(t *testing.T) {
 	}
 }
 
-// recoveryInvalidator records the write-window calls plus whole-cache
-// invalidations, standing in for the serving tier.
-type recoveryInvalidator struct {
-	mu      sync.Mutex
-	begins  int
-	ends    int
-	flushes atomic.Int64
-}
-
-func (ri *recoveryInvalidator) BeginMutation(component, group, condition string) {
-	ri.mu.Lock()
-	ri.begins++
-	ri.mu.Unlock()
-}
-
-func (ri *recoveryInvalidator) EndMutation(component, group, condition string) {
-	ri.mu.Lock()
-	ri.ends++
-	ri.mu.Unlock()
-}
-
-func (ri *recoveryInvalidator) InvalidateAll() { ri.flushes.Add(1) }
-
-// TestOpenJournalBumpsCacheEpoch: when the installed invalidator supports
-// whole-cache invalidation, recovery triggers exactly one — views must
-// never serve entries cached against pre-crash state.
-func TestOpenJournalBumpsCacheEpoch(t *testing.T) {
+// TestOpenJournalRefusedWithTierAttached: recovery restores state outside
+// any write window (the checkpoint's counts), so OpenJournal is refused while
+// a read tier's hook is installed, and the refusal opens and restores
+// nothing. Detached, the same engine recovers.
+func TestOpenJournalRefusedWithTierAttached(t *testing.T) {
 	t0 := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
 	dir := t.TempDir()
 	writer := newJournaledPDME(t, dir, -1)
 	deliverFixture(t, writer, t0)
+	writer.Close()
 
 	p := newTestPDME(t)
 	defer p.Close()
-	ri := &recoveryInvalidator{}
-	p.SetInvalidator(ri)
+	windows := &windowLog{p: p}
+	if err := p.SetInvalidator(windows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.OpenJournal(JournalOptions{Dir: dir}); err == nil {
+		t.Fatal("OpenJournal accepted with a read tier attached")
+	}
+	if p.journalHandle() != nil || p.ReceivedReports() != 0 || len(p.PrioritizedList()) != 0 || len(windows.seqs) != 0 {
+		t.Errorf("the refused OpenJournal restored something: journal open %v, %d received, %d rows, %d windows",
+			p.journalHandle() != nil, p.ReceivedReports(), len(p.PrioritizedList()), len(windows.seqs))
+	}
+	if err := p.SetInvalidator(nil); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := p.OpenJournal(JournalOptions{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	if got := ri.flushes.Load(); got != 1 {
-		t.Errorf("InvalidateAll called %d times on recovery, want 1", got)
+	if got, want := p.ReceivedReports(), len(journalFixtureReports(t0)); got != want {
+		t.Errorf("recovered %d reports, want %d", got, want)
 	}
-	// Replay itself ran inside write windows, like live traffic.
-	ri.mu.Lock()
-	defer ri.mu.Unlock()
-	if ri.begins == 0 || ri.begins != ri.ends {
-		t.Errorf("write windows unbalanced during replay: %d begins, %d ends", ri.begins, ri.ends)
+}
+
+// TestConfigureHealthRefusedAfterOpenJournal: recovery restores the health
+// registry's history, which a replaced registry would drop, so
+// ConfigureHealth is refused once a journal is open.
+func TestConfigureHealthRefusedAfterOpenJournal(t *testing.T) {
+	t0 := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+	dir := t.TempDir()
+	writer := newJournaledPDME(t, dir, -1)
+	deliverFixture(t, writer, t0)
+	writer.Close()
+
+	p := newJournaledPDME(t, dir, -1)
+	defer p.Close()
+	reg := p.Health()
+	if len(reg.Snapshot()) != 1 {
+		t.Fatalf("fixture: recovered %d DCs, want 1", len(reg.Snapshot()))
+	}
+	if err := p.ConfigureHealth(health.Config{}); err == nil {
+		t.Error("ConfigureHealth accepted after OpenJournal")
+	}
+	if p.Health() != reg || len(p.Health().Snapshot()) != 1 {
+		t.Errorf("the recovered registry was replaced: %d DCs", len(p.Health().Snapshot()))
+	}
+}
+
+// TestConfigureDedupKeepsRecoveredWindow: a dedup window configured after
+// recovery keeps the recovered tags, so a spool resend of a journaled report
+// is acknowledged as a duplicate, not fused a second time.
+func TestConfigureDedupKeepsRecoveredWindow(t *testing.T) {
+	t0 := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+	dir := t.TempDir()
+	writer := newJournaledPDME(t, dir, -1)
+	deliverFixture(t, writer, t0)
+	writer.Close()
+
+	p := newJournaledPDME(t, dir, -1)
+	defer p.Close()
+	p.ConfigureDedup(64)
+	addr, srv, err := p.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	c, err := proto.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	fused := p.ReceivedReports()
+	dup, err := c.SendTagged(journalFixtureReports(t0)[2], 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dup || p.ReceivedReports() != fused {
+		t.Errorf("a resent journaled tag: dup %v, %d reports fused, want a duplicate and %d", dup, p.ReceivedReports(), fused)
 	}
 }
 

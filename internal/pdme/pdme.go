@@ -249,12 +249,19 @@ func (p *PDME) Close() {
 func (p *PDME) Model() *oosm.Model { return p.model }
 
 // SetInvalidator installs (or, with nil, removes) the read-side cache's
-// write-window hook. Install before traffic: deliveries already in flight
-// when the hook lands are not bracketed.
-func (p *PDME) SetInvalidator(inv Invalidator) {
+// write-window hook. One hook at a time: a second is refused while the first
+// is installed, so a tier is never silently left serving what it no longer
+// hears about. Install on a wired engine (ConfigureHealth, OpenJournal) and
+// before traffic: deliveries already in flight when the hook lands are not
+// bracketed.
+func (p *PDME) SetInvalidator(inv Invalidator) error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if inv != nil && p.inv != nil {
+		return fmt.Errorf("pdme: a read tier is already attached")
+	}
 	p.inv = inv
-	p.mu.Unlock()
+	return nil
 }
 
 func (p *PDME) invalidator() Invalidator {
@@ -434,11 +441,14 @@ func (p *PDME) acceptHeartbeat(hb *proto.Heartbeat) error {
 // ConfigureDedup replaces the duplicate-suppression window with one of the
 // given per-DC capacity (<=0: proto.DefaultDedupWindow, 4096 sequences).
 // Size it above the deepest burst a DC spool can replay after an outage.
-// Call before any traffic and before OpenJournal — replacing the window
-// drops suppression history.
+// The new window keeps what the old one marked, recovered tags included,
+// down to its own floor. Call before Serve: a running server keeps the
+// window it was given.
 func (p *PDME) ConfigureDedup(window int) {
+	d := proto.NewDedup(window)
 	p.mu.Lock()
-	p.dedup = proto.NewDedup(window)
+	d.Restore(p.dedup.State())
+	p.dedup = d
 	p.mu.Unlock()
 }
 
@@ -459,16 +469,24 @@ func (p *PDME) Health() *health.Registry {
 // engages staleness discounting: from here on every source's fused evidence
 // is Shafer-discounted by its report age and DC liveness state on each
 // query, so beliefs decay toward Unknown when a DC goes quiet and recover
-// when it returns. Call before any traffic — replacing the registry drops
-// previously observed liveness history.
+// when it returns. Call before any traffic: replacing the registry drops
+// the liveness history it observed. So it is refused once a journal is open
+// (recovery restored that history) or a read tier is attached (the tier
+// keeps the registry it reads).
 func (p *PDME) ConfigureHealth(cfg health.Config) error {
 	registry, err := health.NewRegistry(cfg)
 	if err != nil {
 		return err
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.jrnl != nil:
+		return fmt.Errorf("pdme: configure health before OpenJournal: the journal's health history is already recovered")
+	case p.inv != nil:
+		return fmt.Errorf("pdme: configure health before a read tier is attached")
+	}
 	p.registry = registry
-	p.mu.Unlock()
 	p.diag.SetDiscounter(registry)
 	return nil
 }

@@ -113,10 +113,14 @@ type fleetAPI struct {
 
 // AggregatorHandler mounts the global read-side endpoints for an
 // aggregator-mode PDME. It opens the aggregator's read tier and owns it: one
-// handler per aggregator (a second takes the write-window hook from the
-// first, whose kept rows then stop following the aggregator).
+// handler per aggregator. A second panics with the aggregator's refusal, as
+// http.ServeMux does on a pattern registered twice.
 func AggregatorHandler(a *shard.Aggregator) http.Handler {
-	return fleetAPI{open(aggregatorSource{a}), a}.handler()
+	v, err := open(aggregatorSource{a})
+	if err != nil {
+		panic(err)
+	}
+	return fleetAPI{v, a}.handler()
 }
 
 func (f fleetAPI) handler() http.Handler {

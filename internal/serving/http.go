@@ -171,7 +171,7 @@ func (v *Views) handleTrend(w http.ResponseWriter, r *http.Request) {
 }
 
 func (v *Views) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, v.src.Health().Snapshot())
+	writeJSON(w, http.StatusOK, v.reg.Snapshot())
 }
 
 func (v *Views) handleStats(w http.ResponseWriter, _ *http.Request) {

@@ -87,14 +87,18 @@ func (s pdmeSource) fresh() []*row {
 	return rows
 }
 
-// Open attaches a serving tier to the engine by installing the write-window
-// hook (one tier per PDME — a second Open replaces the first's hook). Close
-// detaches it.
+// Open attaches a serving tier to a wired engine — health configured and
+// journal recovered — by installing the write-window hook. One tier per
+// PDME: a second Open is refused while the first is attached. Close detaches
+// it.
 func Open(engine *pdme.PDME, _ Options) (*Views, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("serving: nil engine")
 	}
-	v := open(pdmeSource{engine})
+	v, err := open(pdmeSource{engine})
+	if err != nil {
+		return nil, err
+	}
 	v.engine = engine
 	return v, nil
 }

@@ -114,14 +114,14 @@ type fused struct {
 // Guarded by Views.mu.
 type block struct {
 	key blockKey
-	// gen is bumped by every write-window edge on the block and by every
-	// flush; active counts its open windows.
+	// gen is bumped by every write-window edge on the block; active counts
+	// its open windows.
 	gen    uint64
 	active int
-	// mat is what was last fused (nil before the first read and after
-	// InvalidateAll) and matGen the generation it was fused under: the block
-	// is clean — servable, and absent from Views.dirty — iff mat is set,
-	// matGen == gen and no window is open.
+	// mat is what was last fused (nil before the first read) and matGen the
+	// generation it was fused under: the block is clean — servable, and
+	// absent from Views.dirty — iff mat is set, matGen == gen and no window
+	// is open.
 	mat    *fused
 	matGen uint64
 	// ver is the registry version mat's factors were last known to hold at;
@@ -146,8 +146,7 @@ type Stats struct {
 	Coalesced uint64 `json:"coalesced"`
 	// Stores counts fused blocks accepted into the cache.
 	Stores uint64 `json:"stores"`
-	// Invalidations counts invalidation events: write windows, each touching
-	// one block, and InvalidateAll.
+	// Invalidations counts write windows, each touching one block.
 	Invalidations uint64 `json:"invalidations"`
 	// Notices counts watch notices delivered to subscribers.
 	Notices uint64 `json:"notices"`
@@ -174,12 +173,14 @@ func (s Stats) HitRatio() float64 {
 // component, and a fleet's aggregator (aggregatorSource, aggregate.go), whose
 // block is the same unit as the owning shard summarised it.
 type source interface {
-	// Health is the registry the source discounts by: its Version is the
-	// trigger for asking factors again, its identity what a swap flushes on.
+	// Health is the registry the source discounts by, which the source keeps
+	// once a hook is installed: its Version is the trigger for asking factors
+	// again.
 	Health() *health.Registry
-	// SetInvalidator installs the tier as the source's write-window hook:
-	// every change to a block is bracketed with BeginMutation/EndMutation.
-	SetInvalidator(pdme.Invalidator)
+	// SetInvalidator installs the tier as the source's write-window hook —
+	// every change to a block is bracketed with BeginMutation/EndMutation —
+	// and refuses while another tier's is installed; nil removes it.
+	SetInvalidator(pdme.Invalidator) error
 	// Blocks enumerates the blocks the source holds, as (component, group).
 	Blocks() [][2]string
 	// read is one consistent read of a block: its rows (rank key, item,
@@ -209,19 +210,14 @@ type Views struct {
 	// block's stay until it is fused again). Copy-on-write: a published
 	// slice is never edited, so readers keep it without copying.
 	order []*row
-	// reg is the registry everything materialized was fused under; a
-	// replaced registry (ConfigureHealth) flushes it all.
+	// reg is the source's registry, which it keeps once the tier is attached
+	// (source.Health).
 	reg *health.Registry
-	// listed says the engine's blocks have been adopted since the last
-	// InvalidateAll; flushes counts the times everything materialized was
-	// dropped, so a refresh can tell that one ran under it.
-	listed  bool
-	flushes uint64
-	// gen counts window edges and flushes' block bumps tier-wide.
+	// gen counts window edges tier-wide.
 	gen uint64
 	// The ranking's own stamp: rankedOK says every block is clean and its
-	// factors held at registry version rankedVer; any touch, store or flush
-	// clears it.
+	// factors held at registry version rankedVer; any touch or store clears
+	// it.
 	rankedOK    bool
 	rankedVer   uint64
 	rankedEpoch uint64
@@ -256,32 +252,47 @@ type Views struct {
 	engine *pdme.PDME
 }
 
-// open attaches a tier to a source and installs it as the source's
-// write-window hook (one tier per source — a second open replaces the
-// first's hook). Close detaches it.
-func open(src source) *Views {
+// open attaches a tier to a source by installing it as the source's
+// write-window hook — one tier per source: a second open is refused — and
+// adopts the blocks the source already holds (pdmed recovers its journal
+// first), so the ranking covers them without having seen a write to them.
+// Close detaches it.
+func open(src source) (*Views, error) {
 	v := &Views{
 		src:     src,
-		reg:     src.Health(),
 		blocks:  make(map[blockKey]*block),
 		dirty:   make(map[*block]struct{}),
 		subs:    make(map[*Subscription]struct{}),
 		flights: make(map[blockKey]*flight),
 	}
-	src.SetInvalidator(v)
-	return v
+	if err := src.SetInvalidator(v); err != nil {
+		return nil, err
+	}
+	v.reg = src.Health()
+	pairs := src.Blocks()
+	v.mu.Lock()
+	for _, p := range pairs {
+		v.blockLocked(blockKey{p[0], p[1]})
+	}
+	v.mu.Unlock()
+	return v, nil
 }
 
-// Close detaches the tier from its source and closes every subscription.
-// Everything materialized is dropped; reads after Close recompute fresh.
+// Close detaches the tier from its source, once, and closes every
+// subscription. Everything materialized is dropped; reads after Close
+// recompute fresh.
 func (v *Views) Close() {
-	v.src.SetInvalidator(nil)
 	v.mu.Lock()
+	attached := !v.closed
 	v.closed = true
 	v.blocks = make(map[blockKey]*block)
 	v.dirty = make(map[*block]struct{})
 	v.order, v.rankedOK = nil, false
 	v.mu.Unlock()
+	if !attached {
+		return
+	}
+	_ = v.src.SetInvalidator(nil) // removing a hook is never refused
 	v.subMu.Lock()
 	subs := make([]*Subscription, 0, len(v.subs))
 	//lint:allow maporder subscriptions are closed independently; close order is unobservable from any one channel
@@ -363,79 +374,16 @@ func (v *Views) EndMutation(component, group, condition string) {
 	v.notify(component, condition)
 }
 
-// InvalidateAll is the recovery epoch bump (pdme.RecoveryInvalidator):
-// every block's generation advances and everything materialized is dropped,
-// so nothing fused before a crash-recovery can ever be served against the
-// recovered fusion state — and the next read asks the engine which blocks
-// the recovered state holds. Open write windows are preserved.
-func (v *Views) InvalidateAll() {
-	v.invalidations.Add(1)
-	v.mu.Lock()
-	v.flushLocked()
-	v.listed = false
-	v.mu.Unlock()
-}
+// healthNow is the registry version a read runs under: factors last known to
+// hold at it hold without asking again — no observation since, on either
+// clock.
+func (v *Views) healthNow() uint64 { return v.reg.Version() }
 
-// adoptRegistryLocked flushes everything when the engine's registry is no
-// longer the one it was fused under (ConfigureHealth replaced it, and with
-// it possibly the discounter). Callers hold v.mu.
-func (v *Views) adoptRegistryLocked(h healthNow) {
-	if v.reg != h.reg {
-		v.flushLocked()
-		v.reg = h.reg
-	}
-}
-
-// flushLocked drops every materialization. Callers hold v.mu.
-func (v *Views) flushLocked() {
-	//lint:allow maporder per-block generation bump; each block is touched exactly once, so order cannot affect the result
-	for _, b := range v.blocks {
-		b.mat = nil
-		v.touchLocked(b)
-	}
-	v.order = nil
-	v.flushes++
-}
-
-// list adopts the blocks the engine already holds — fused before the tier
-// was opened (pdmed recovers its journal first) or restored under it
-// (InvalidateAll) — so the ranking covers them without having seen a write
-// to them. A flush that races the enumeration leaves the tier unlisted and
-// the next read asks again.
-func (v *Views) list() {
-	v.mu.RLock()
-	flushes, done := v.flushes, v.listed || v.closed
-	v.mu.RUnlock()
-	if done {
-		return
-	}
-	pairs := v.src.Blocks()
-	v.mu.Lock()
-	for _, p := range pairs {
-		v.blockLocked(blockKey{p[0], p[1]})
-	}
-	v.listed = v.listed || v.flushes == flushes
-	v.mu.Unlock()
-}
-
-// healthNow is the registry state a read runs under: factors last known to
-// hold at version ver hold under it without asking again — no observation
-// since, on either clock.
-type healthNow struct {
-	reg *health.Registry
-	ver uint64
-}
-
-func (v *Views) healthNow() healthNow {
-	reg := v.src.Health()
-	return healthNow{reg: reg, ver: reg.Version()}
-}
-
-// servable reports whether b can be served under h as it stands: clean, and
-// fused under factors that still hold — or under none, which no registry
-// state can change.
-func (b *block) servable(h healthNow) bool {
-	return b.clean() && (len(b.mat.factors) == 0 || b.ver == h.ver)
+// servable reports whether b can be served at registry version ver as it
+// stands: clean, and fused under factors that still hold — or under none,
+// which no registry state can change.
+func (b *block) servable(ver uint64) bool {
+	return b.clean() && (len(b.mat.factors) == 0 || b.ver == ver)
 }
 
 func sameFactors(a, b []float64) bool {
@@ -497,11 +445,11 @@ type job struct {
 	factors []float64
 }
 
-// plan says what b needs before it can be served under h: nothing, its
-// factors asked again, or a fuse. Callers hold Views.mu.
-func (b *block) plan(h healthNow) (j job, needed bool) {
+// plan says what b needs before it can be served at registry version ver:
+// nothing, its factors asked again, or a fuse. Callers hold Views.mu.
+func (b *block) plan(ver uint64) (j job, needed bool) {
 	j = job{key: b.key, b: b, gen: b.gen, active: b.active}
-	if b.servable(h) {
+	if b.servable(ver) {
 		return j, false
 	}
 	if b.clean() {
@@ -524,16 +472,16 @@ func (v *Views) run(j *job) {
 }
 
 // settleLocked keeps what a job found, unless an invalidation, a write
-// window, another reader's store or a registry swap reached the block since
-// the plan: a fresh fuse replaces the block's materialization and moves its
-// rows in the order, factors that held restamp the block under a new epoch
-// (an epoch must not span a health observation: a silent-then-alive
-// heartbeat pair restores old factors around a fresh fuse taken in
-// between). owned says v.order is already a private copy, editable in place
-// until the lock is released. Callers hold v.mu.
-func (v *Views) settleLocked(j *job, h healthNow, owned *bool) {
+// window or another reader's store reached the block since the plan: a fresh
+// fuse replaces the block's materialization and moves its rows in the order,
+// factors that held restamp the block under a new epoch (an epoch must not
+// span a health observation: a silent-then-alive heartbeat pair restores old
+// factors around a fresh fuse taken in between). owned says v.order is
+// already a private copy, editable in place until the lock is released.
+// Callers hold v.mu.
+func (v *Views) settleLocked(j *job, ver uint64, owned *bool) {
 	b := j.b
-	if b == nil || v.closed || b.gen != j.gen || b.active != 0 || v.reg != h.reg {
+	if b == nil || v.closed || b.gen != j.gen || b.active != 0 {
 		return
 	}
 	if j.mat == j.check {
@@ -556,7 +504,7 @@ func (v *Views) settleLocked(j *job, h healthNow, owned *bool) {
 		v.stores.Add(1)
 	}
 	v.seq++
-	b.ver, b.epoch = h.ver, v.seq
+	b.ver, b.epoch = ver, v.seq
 	j.kept = true
 }
 
@@ -574,22 +522,19 @@ type refreshed struct {
 }
 
 // refresh is the slow path of every read: it brings one block — or, for the
-// zero key, every block and with them the ranking — up to date under h. Plan
-// under the lock, ask factors and fuse outside it (the mutation hooks take
-// the lock, and must never wait on a fuse), settle under it again; what
-// cannot be kept is still served to the caller.
-func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
-	v.list() // the engine may hold blocks from before the tier was opened
+// zero key, every block and with them the ranking — up to date at registry
+// version ver. Plan under the lock, ask factors and fuse outside it (the
+// mutation hooks take the lock, and must never wait on a fuse), settle under
+// it again; what cannot be kept is still served to the caller.
+func (v *Views) refresh(ver uint64, key blockKey) (r refreshed) {
 	ranking := key == blockKey{}
 	var jobs []job
 	v.mu.Lock()
-	v.adoptRegistryLocked(h)
-	flushes := v.flushes
 	if ranking {
 		jobs = v.rankJobs[:0]
 		//lint:allow maporder blocks are checked and fused independently and their rows placed by rank key; job order cannot reach the result
 		for _, b := range v.blocks {
-			if j, needed := b.plan(h); needed {
+			if j, needed := b.plan(ver); needed {
 				if n := len(jobs); n < cap(jobs) {
 					j.factors = jobs[:n+1][n].factors // the slot's buffer
 				}
@@ -601,7 +546,7 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 		// its vacuous view costs no combination, and readers must not be able
 		// to grow the tier by asking about machines that do not exist.
 		jobs = []job{{key: key}}
-	} else if j, needed := b.plan(h); needed {
+	} else if j, needed := b.plan(ver); needed {
 		jobs = []job{j}
 	} else {
 		r.mat, r.gen, r.epoch = b.mat, b.gen, b.epoch // another reader just did it
@@ -624,7 +569,7 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 				continue
 			}
 			j.done = true
-			if v.settleLocked(j, h, &owned); !j.kept && j.mat == j.check {
+			if v.settleLocked(j, ver, &owned); !j.kept && j.mat == j.check {
 				*j = job{key: j.key, b: j.b, gen: j.b.gen, active: j.b.active, factors: j.factors}
 				again = true
 			}
@@ -651,18 +596,17 @@ func (v *Views) refresh(h healthNow, key blockKey) (r refreshed) {
 			unkept = append(unkept, swap{nil, j.mat.rows})
 		}
 	}
-	// whole: no flush (InvalidateAll, a registry swap) and no Close emptied
-	// the order under this refresh.
-	whole := !v.closed && v.flushes == flushes
+	// whole: no Close emptied the order under this refresh.
+	whole := !v.closed
 	if ranking {
 		for i := range jobs { // the kept list must not keep materializations alive
 			jobs[i] = job{factors: jobs[i].factors}
 		}
 		v.rankJobs = jobs[:0]
 		r.gen, r.rows = v.gen, v.order
-		if whole && v.listed && len(v.dirty) == 0 && len(unkept) == 0 {
-			// Every block is clean and its factors held at h.
-			v.rankedOK, v.rankedVer = true, h.ver
+		if whole && len(v.dirty) == 0 && len(unkept) == 0 {
+			// Every block is clean and its factors held at ver.
+			v.rankedOK, v.rankedVer = true, ver
 			v.seq++
 			v.rankedEpoch = v.seq
 			if !r.fused {
@@ -707,7 +651,7 @@ type flight struct {
 
 // shared runs refresh for key as the leader of the key's flight, or waits
 // for the leader already running it and returns that result.
-func (v *Views) shared(h healthNow, key blockKey) refreshed {
+func (v *Views) shared(ver uint64, key blockKey) refreshed {
 	v.flightMu.Lock()
 	f, joined := v.flights[key]
 	if !joined {
@@ -722,7 +666,7 @@ func (v *Views) shared(h healthNow, key blockKey) refreshed {
 		r.fused, r.epoch = true, 0
 		return r
 	}
-	f.res = v.refresh(h, key)
+	f.res = v.refresh(ver, key)
 	v.flightMu.Lock()
 	delete(v.flights, key)
 	v.flightMu.Unlock()
@@ -734,8 +678,7 @@ func (v *Views) shared(h healthNow, key blockKey) refreshed {
 type RankedView struct {
 	// rows is the order at serve time, shared with other readers.
 	rows []*row
-	// Gen counts the write-window edges (and flushes' block bumps) the tier
-	// had seen at serve time.
+	// Gen counts the write-window edges the tier had seen at serve time.
 	Gen uint64
 	// Cached reports whether the view was served without fusing any block
 	// (true) or at least one block was fused for this call (false).
@@ -756,16 +699,16 @@ type RankedView struct {
 // the order. What is served is bit-identical to what the source's fresh list
 // (PrioritizedList, GlobalRanked) would return at the same instant.
 func (v *Views) Ranked() RankedView {
-	h := v.healthNow()
+	ver := v.healthNow()
 	v.mu.RLock()
-	ok := v.rankedOK && v.reg == h.reg && v.rankedVer == h.ver
+	ok := v.rankedOK && v.rankedVer == ver
 	rv := RankedView{rows: v.order, Gen: v.gen, Cached: true, Epoch: v.rankedEpoch}
 	v.mu.RUnlock()
 	if ok {
 		v.hits.Add(1)
 		return rv
 	}
-	r := v.shared(h, blockKey{})
+	r := v.shared(ver, blockKey{})
 	return RankedView{rows: r.rows, Gen: r.gen, Cached: !r.fused, Epoch: r.epoch}
 }
 
@@ -782,18 +725,17 @@ type served struct {
 // factors hold, through a refresh otherwise. A block fused under no discount
 // factors depends on no health observation, and keeps its epoch across them.
 func (v *Views) block(key blockKey) served {
-	h := v.healthNow()
+	ver := v.healthNow()
 	var s block // a copy: the block as this read finds it
 	v.mu.RLock()
 	if b := v.blocks[key]; b != nil {
 		s = *b
 	}
-	sameReg := v.reg == h.reg
 	v.mu.RUnlock()
-	if sameReg && s.servable(h) {
+	if s.servable(ver) {
 		v.hits.Add(1)
 		return served{s.mat, s.gen, true, s.epoch}
 	}
-	r := v.shared(h, key)
+	r := v.shared(ver, key)
 	return served{r.mat, r.gen, !r.fused, r.epoch}
 }

@@ -53,6 +53,17 @@ func openTestViews(t *testing.T, engine *pdme.PDME) *Views {
 	return v
 }
 
+// openFleetAPI opens the read tier over an aggregator, as AggregatorHandler
+// does, and keeps the aggregator beside it.
+func openFleetAPI(t testing.TB, a *shard.Aggregator) fleetAPI {
+	t.Helper()
+	v, err := open(aggregatorSource{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fleetAPI{v, a}
+}
+
 func report(dc, component, condition string, belief float64, at time.Time) *proto.Report {
 	return &proto.Report{
 		DCID:               dc,
@@ -306,7 +317,7 @@ func TestDiscountedTierFusesOnlyWhatChanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := fleetAPI{open(aggregatorSource{a}), a}
+		f := openFleetAPI(t, a)
 		for i, m := range machines[:3] {
 			s := testSummary("shard-1", m, "imbalance", 0.5+0.1*float64(i), now)
 			if err := a.DeliverSummary(s, s.ShardID, 1, uint64(i+1)); err != nil {
@@ -422,6 +433,8 @@ func TestCloseDetachesFromEngine(t *testing.T) {
 	deliver(t, engine, report("dc-1", "m1", "imbalance", 0.8, base))
 	if got := v.Ranked(); got.Cached {
 		t.Fatal("closed tier must not serve cached views")
+	} else if want := engine.PrioritizedList(); !reflect.DeepEqual(got.Items(), want) {
+		t.Fatalf("closed tier served %+v, want the engine's list %+v", got.Items(), want)
 	}
 }
 
@@ -535,7 +548,7 @@ func TestUnreadTierStaysBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := fleetAPI{open(aggregatorSource{agg}), agg}
+		f := openFleetAPI(t, agg)
 		for i := 0; i < 10000; i++ {
 			s := testSummary("shard-1", machines[i%len(machines)], conditions[i%len(conditions)], 0.5, base.Add(time.Duration(i)*time.Second))
 			s.Group = groupOf(s.Condition)

@@ -130,11 +130,16 @@ func (a *Aggregator) DeliverBatch(run []proto.Delivery) {
 // SetInvalidator installs (or, with nil, removes) the read tier's
 // write-window hook: every accepted replacement is bracketed with
 // BeginMutation/EndMutation on the block — (component, the summary's failure
-// group) — it changes. One tier per aggregator; install before traffic.
-func (a *Aggregator) SetInvalidator(inv pdme.Invalidator) {
+// group) — it changes. One tier per aggregator: a second hook is refused
+// while the first is installed. Install before traffic.
+func (a *Aggregator) SetInvalidator(inv pdme.Invalidator) error {
 	a.mu.Lock()
+	defer a.mu.Unlock()
+	if inv != nil && a.inv != nil {
+		return errors.New("shard: a read tier is already attached to the aggregator")
+	}
 	a.inv = inv
-	a.mu.Unlock()
+	return nil
 }
 
 // find returns where condition sits, or belongs, among a block's pairs.
